@@ -27,6 +27,7 @@ Artifacts: a table on stdout, an ``E4-JSON`` line, and
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -133,22 +134,33 @@ def _measure_cell(size: tuple[int, int, int], workload: str, language: str,
 
     incremental_s = 0.0
     full_s = 0.0
-    for i in range(BATCHES):
-        rows = _batch(i, n_sailors, n_boats)
-        service.add_rows("Reserves", rows, validate=False)
-        full_pipeline.db.relation("Reserves").add_rows(rows, validate=False)
+    # Like ``timeit`` (and E10): no collector during the timed loop.  The
+    # full collection that set-up garbage makes due (~20 ms over two 8k-row
+    # databases, frees nothing) is charged to whichever side allocates the
+    # object that trips it — the recompute side while it ran Python loops,
+    # the 0.5 ms refreshes since it runs numpy kernels and allocates little.
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(BATCHES):
+            rows = _batch(i, n_sailors, n_boats)
+            service.add_rows("Reserves", rows, validate=False)
+            full_pipeline.db.relation("Reserves").add_rows(rows,
+                                                           validate=False)
 
-        start = time.perf_counter()
-        incremental_answers = view.answer()
-        incremental_s += time.perf_counter() - start
+            start = time.perf_counter()
+            incremental_answers = view.answer()
+            incremental_s += time.perf_counter() - start
 
-        start = time.perf_counter()
-        full_answers = full_pipeline.answer(text, language=language)
-        full_s += time.perf_counter() - start
+            start = time.perf_counter()
+            full_answers = full_pipeline.answer(text, language=language)
+            full_s += time.perf_counter() - start
 
-        assert incremental_answers.bag_equal(full_answers), (
-            f"{workload}: view diverged from recomputation at batch {i}"
-        )
+            assert incremental_answers.bag_equal(full_answers), (
+                f"{workload}: view diverged from recomputation at batch {i}"
+            )
+    finally:
+        gc.enable()
 
     info = view.info()
     return {

@@ -1,12 +1,14 @@
-"""Experiment K1: kernel microbenchmarks — probe and DISTINCT vs fallback.
+"""Experiment K1: kernel microbenchmarks — probe, DISTINCT and string
+MIN/MAX vs fallback.
 
 Isolates the numpy kernels of :mod:`repro.engine.kernels` from the
 backend transports the E-series experiments measure.  Each cell runs one
-plan through :class:`~repro.engine.kernels.KernelExecutor` (dictionary
-encodings, cached probe structures, packed-code DISTINCT) and through
-:class:`~repro.engine.vectorized.VectorizedExecutor` — the bit-identical
-pure-Python fallback that every kernel declines to when numpy is absent
-or ``REPRO_KERNELS=0`` — on a synthetic star schema:
+plan twice through the engine's one columnar executor,
+:class:`~repro.engine.vectorized.VectorizedExecutor` — once as served
+(every table here is above ``KERNEL_MIN_ROWS``: dictionary encodings,
+cached probe structures, packed-code DISTINCT, code-space MIN/MAX) and
+once under ``REPRO_KERNELS=0``, the bit-identical pure-Python loops every
+kernel declines to when numpy is absent — on a synthetic star schema:
 
 * **probe-int-key** — fact⋈dim on an int64 key column;
 * **probe-str-key** — fact⋈dim on a dictionary-encoded string key: the
@@ -17,7 +19,10 @@ or ``REPRO_KERNELS=0`` — on a synthetic star schema:
 * **distinct** — ``SELECT DISTINCT`` over a low-cardinality string
   column: the DISTINCT kernel deduplicates dictionary codes without
   touching a single string (the packed multi-column path is pinned by
-  the fuzz suite and E6's join chain).
+  the fuzz suite and E6's join chain);
+* **minmax-str** — grouped ``MIN``/``MAX`` over a high-cardinality string
+  column: dictionary codes are order-preserving, so the extrema reduce on
+  int codes and only one string per group is decoded.
 
 Gated: every family must beat the fallback by ``GATE_SPEEDUP`` at the
 largest size (answers are bag-equal asserted per cell).  The artifact
@@ -44,17 +49,12 @@ import sys
 import time
 from collections import Counter
 
-from conftest import print_table
+from conftest import print_table, python_loops
 
 from repro.data.database import Database
 from repro.data.relation import relation_from_rows
 from repro.engine import lower, optimize
-from repro.engine.kernels import (
-    KernelExecutor,
-    cache_stats,
-    clear_cache,
-    kernels_enabled,
-)
+from repro.engine.kernels import cache_stats, clear_cache, kernels_enabled
 from repro.engine.vectorized import VectorizedExecutor
 
 REDUCED = os.environ.get("REPRO_BENCH_REDUCED", "") not in ("", "0")
@@ -86,6 +86,9 @@ WORKLOADS = {
         "SELECT d.k FROM fact f, dim d "
         "WHERE f.fk = d.k AND f.tag = d.tag"),
     "distinct": "SELECT DISTINCT f.cat FROM fact f",
+    "minmax-str": (
+        "SELECT f.cat, MIN(f.tag) AS lo, MAX(f.tag) AS hi FROM fact f "
+        "GROUP BY f.cat"),
 }
 
 
@@ -127,6 +130,12 @@ def _best_of(fn, reps: int = 5, warm: int = 2):
     return result, best
 
 
+def _python_loops(plan, db):
+    """``plan``'s rows with every kernel declining (``REPRO_KERNELS=0``)."""
+    with python_loops():
+        return VectorizedExecutor(db).batch(plan).rows()
+
+
 def _write_artifact(name: str, artifact: dict) -> None:
     os.makedirs(ARTIFACT_DIR, exist_ok=True)
     path = os.path.join(ARTIFACT_DIR, name)
@@ -141,10 +150,9 @@ def _measure_size(n_fact: int) -> list[dict]:
     for family, sql in WORKLOADS.items():
         plan = optimize(lower(sql, db.schema, "sql"), db)
         fast_rows, fast_s = _best_of(
-            lambda plan=plan: KernelExecutor(db).batch(plan).rows())
+            lambda plan=plan: VectorizedExecutor(db).batch(plan).rows())
         slow_rows, slow_s = _best_of(
-            lambda plan=plan: VectorizedExecutor(db).batch(plan).rows(),
-            warm=1)
+            lambda plan=plan: _python_loops(plan, db), warm=1)
         assert Counter(map(tuple, fast_rows)) == \
             Counter(map(tuple, slow_rows)), (
             f"{family}@{n_fact}: kernel disagrees with fallback")

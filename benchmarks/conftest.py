@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sys
 
@@ -33,3 +34,17 @@ def print_table(title: str, headers: list[str], rows: list[list[str]]) -> None:
     print("-+-".join("-" * w for w in widths))
     for row in rows:
         print(" | ".join(str(c).ljust(w) for c, w in zip(row, widths)))
+
+
+@contextlib.contextmanager
+def python_loops():
+    """Every kernel declines inside the block (``REPRO_KERNELS=0``)."""
+    saved = os.environ.get("REPRO_KERNELS")
+    os.environ["REPRO_KERNELS"] = "0"
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ["REPRO_KERNELS"]
+        else:
+            os.environ["REPRO_KERNELS"] = saved

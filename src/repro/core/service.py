@@ -35,9 +35,10 @@ under concurrent readers and writers:
   fingerprinting on every subsequent request — the repeated-serving fast
   path.
 * **Versioned statistics.**  :meth:`table_stats` / :meth:`stats_snapshot`
-  expose the optimizer's per-relation profiles from a thread-safe,
-  version-tagged :class:`~repro.engine.stats.StatsCatalog`, so monitoring
-  never races the optimizer.
+  expose the optimizer's own per-relation profiles — cached on the
+  relations, version-tagged (:func:`repro.engine.stats.table_profile`) — so
+  monitoring shares them with the optimizer instead of racing or
+  recollecting them.
 
 Backend choice is per service: ``backend="parallel"`` serves each request
 through the partitioned parallel executor (`repro.engine.parallel`), which

@@ -421,8 +421,37 @@ class Relation:
         # Positional join-key indexes, tagged with the version they were
         # built at (rebuilt lazily when stale rather than maintained).
         self._key_indexes: dict[tuple, tuple[int, dict[Any, list[int]]]] = {}
+        #: Version-tagged table profile ``(version, profile)``, owned by
+        #: :mod:`repro.engine.stats` (the storage layer never interprets it)
+        #: the way :attr:`ColumnStore.kernel_cache` belongs to the kernels.
+        self.profile_cache: tuple[int, Any] | None = None
+        if not validate:
+            rows = list(rows)
+            if self._adopt_rows(rows):
+                return
         for row in rows:
             self.add(row, validate=validate)
+
+    def _adopt_rows(self, rows: list[Any]) -> bool:
+        """Bulk-load a fresh relation from already-normalized rows, or decline.
+
+        Engine results arrive as a list of schema-arity tuples; appending
+        them one :meth:`add` at a time costs more than some of the queries
+        that produced them.  The state left behind is exactly what the
+        per-row build leaves: one version per row, and the delta log's
+        bounded tail.  No lazy cache exists yet, so none needs maintaining.
+        """
+        if not set(map(type, rows)) <= {tuple} \
+                or not set(map(len, rows)) <= {self.schema.arity}:
+            return False  # dicts, lists, wrong arity: normalize row by row
+        n = len(rows)
+        kept = min(n, self.DELTA_LOG_LIMIT)
+        self._rows = rows
+        self._delta_log = deque(zip(range(n - kept + 1, n + 1),
+                                    rows[n - kept:]))
+        self._delta_floor = n - kept
+        self._version = n
+        return True
 
     # -- construction ----------------------------------------------------
     @classmethod

@@ -29,6 +29,7 @@ cache on — a write to one shard changes exactly one component.
 from __future__ import annotations
 
 import itertools
+import mmap
 import os
 import pickle
 import struct
@@ -386,6 +387,10 @@ class ShardedDatabase(Database):
 #: for segments whose publisher died without unlinking them.
 SEGMENT_PREFIX = "repro-pg"
 
+#: Where POSIX shared memory lives as files (Linux); attachment and the
+#: stale-segment audit both go through it.
+_SHM_DIR = "/dev/shm"
+
 #: Segment layout: ``u64 header length | pickled (schema, version) | pages``
 #: where ``pages`` is :meth:`ColumnStore.encode_pages` output.
 _SEGMENT_HEADER = struct.Struct("<Q")
@@ -495,36 +500,56 @@ class SharedPagePublisher:
 
 
 def attach_segment(segment: PageSegment) -> "tuple[Relation, Any]":
-    """Attach a published segment and rebuild its relation (worker side).
+    """Map a published segment and rebuild its relation (worker side).
 
-    Returns ``(relation, shm)``; the caller must keep ``shm`` mapped for
-    the relation's lifetime (the rebuilt column store carries zero-copy
-    views into the mapping) and call :func:`detach_segment` when done.
+    Returns ``(relation, mapping)``.  The rebuilt column store — and every
+    kernel encoding later derived from it — holds zero-copy views into
+    ``mapping``, and those views are what keeps it mapped: the segment is
+    read through a plain read-only ``mmap`` of its ``/dev/shm`` file (the
+    same directory :func:`reap_stale_segments` audits), which has no
+    finalizer of its own and is unmapped when the last view is collected.
+    :func:`detach_segment` merely releases it early when nothing is left.
+
+    (A ``SharedMemory`` attachment cannot do this: its ``close()`` raises
+    while views exist and its ``__del__`` retries, printing a
+    ``BufferError`` traceback per superseded segment.  Attaching by file
+    also involves no resource tracker, so the publisher's ``unlink`` stays
+    the single authoritative removal whoever attaches.)
+
+    Where POSIX shared memory is not a directory (macOS has no
+    ``/dev/shm``) the segment is attached by name through ``SharedMemory``
+    after all: correct, but with that noise back on republishing writes.
     """
-    from multiprocessing import shared_memory
+    mapping: Any
+    if os.path.isdir(_SHM_DIR):
+        fd = os.open(os.path.join(_SHM_DIR, segment.name), os.O_RDONLY)
+        try:
+            mapping = mmap.mmap(fd, segment.nbytes, access=mmap.ACCESS_READ)
+        finally:
+            os.close(fd)  # the mapping keeps its own duplicate
+        view = memoryview(mapping)
+    else:
+        from multiprocessing import shared_memory
 
-    # No attach-side resource-tracker fiddling: worker processes (fork or
-    # spawn) share the publisher's tracker, where re-registering an already
-    # tracked name is a no-op — the publisher's own unlink stays the single
-    # authoritative unregistration.  (An *unrelated* process attaching here
-    # would register with its own tracker and unlink the segment at its
-    # exit; only publisher-descendant processes may attach.)
-    shm = shared_memory.SharedMemory(name=segment.name)
-    view = memoryview(shm.buf)[:segment.nbytes]
+        # Worker processes share the publisher's resource tracker, where
+        # re-registering a tracked name is a no-op; only
+        # publisher-descendant processes may attach this way.
+        mapping = shared_memory.SharedMemory(name=segment.name)
+        view = memoryview(mapping.buf)[:segment.nbytes]
     (header_len,) = _SEGMENT_HEADER.unpack_from(view, 0)
     body = _SEGMENT_HEADER.size
     schema, version = pickle.loads(bytes(view[body:body + header_len]))
     store = ColumnStore.decode_pages(view[body + header_len:])
-    return Relation.from_column_store(schema, store, version=version), shm
+    return Relation.from_column_store(schema, store, version=version), mapping
 
 
-def detach_segment(shm: Any) -> None:
-    """Close an attached mapping, tolerating still-exported page views."""
+def detach_segment(mapping: Any) -> None:
+    """Unmap an attached segment now if no page view is left."""
     try:
-        shm.close()
+        mapping.close()
     except BufferError:
-        # Zero-copy page views still reference the mapping; it is released
-        # when they are collected (or with the process).
+        # Zero-copy page views still reference the mapping; it is unmapped
+        # when the last of them is collected (or with the process).
         pass
 
 
@@ -538,7 +563,7 @@ def reap_stale_segments() -> list[str]:
     """
     reaped: list[str] = []
     try:
-        names = os.listdir("/dev/shm")
+        names = os.listdir(_SHM_DIR)
     except OSError:
         return reaped
     prefix = SEGMENT_PREFIX + "-"
@@ -555,7 +580,7 @@ def reap_stale_segments() -> list[str]:
             os.kill(pid, 0)
         except ProcessLookupError:
             try:
-                os.unlink(os.path.join("/dev/shm", fname))
+                os.unlink(os.path.join(_SHM_DIR, fname))
                 reaped.append(fname)
             except OSError:
                 continue

@@ -49,7 +49,7 @@ from repro.engine.sharded import (
     shard_plan,
     split_aggregate,
 )
-from repro.engine.kernels import KernelExecutor, kernels_enabled, make_executor
+from repro.engine.kernels import kernels_enabled
 from repro.engine.process import ProcessBackend, default_process_workers
 from repro.engine import lifecycle
 from repro.engine.delta import (
@@ -133,7 +133,6 @@ __all__ = [
     "ExecutorBackend",
     "FilterP",
     "JoinP",
-    "KernelExecutor",
     "LoweringError",
     "NotDistributable",
     "ParallelBackend",
@@ -171,7 +170,6 @@ __all__ = [
     "distribute",
     "kernels_enabled",
     "lifecycle",
-    "make_executor",
     "find_core",
     "finish_rows",
     "get_backend",

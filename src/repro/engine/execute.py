@@ -815,10 +815,10 @@ def compute_datalog_facts(program: Any, db: Database,
                 arities.setdefault(item.predicate.lower(), item.arity)
 
     # Working database: EDB relations (shared) plus materialized IDB facts.
-    # One statistics catalog serves every optimize() call of the fixpoint —
-    # its per-relation profiles are version-tagged, so re-materialized IDB
-    # relations are re-profiled automatically while the (never-mutated) EDB
-    # profiles are collected exactly once.  Delta relations are estimated
+    # Profiles are cached on the relations themselves, version-tagged, so
+    # re-materialized IDB relations are re-profiled automatically while the
+    # (never-mutated) EDB profiles are collected exactly once — and shared
+    # with every other query over the same EDB.  Delta relations are estimated
     # tiny before they exist, which makes the cost-based join ordering place
     # each rule's delta occurrence first: the semi-join reduction decision.
     working = Database()

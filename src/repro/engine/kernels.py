@@ -21,9 +21,10 @@ bit-identical to the Python semantics:
 String columns are **dictionary encoded**: the encoding's ``values`` array
 holds int codes into a sorted ``dictionary`` (numpy ``<U`` order equals
 Python ``str`` order — both compare by code point), so string selections,
-probes, group-bys and DISTINCT all run on integers.  Multi-key joins pack
-per-column codes into one int64 (guarded against overflow) and probe the
-lexicographically sorted build side with two ``searchsorted`` calls.
+probes, group-bys, DISTINCT and MIN/MAX all run on integers.  Multi-key
+joins pack per-column codes into one int64 (guarded against overflow) and
+probe the lexicographically sorted build side with two ``searchsorted``
+calls.
 
 Anything outside these windows falls back to the unmodified Python loop,
 so every backend stays bag-identical whether or not numpy is present —
@@ -38,12 +39,21 @@ payloads and ``D``-page dictionary code arrays become zero-copy
 ``np.frombuffer`` views, which is what lets worker processes of the
 ``"process"`` backend scan shared segments without deserializing per query.
 
-Derived join-build structures (sorted packed key arrays per hash table or
-per immutable column-encoding tuple, plus string dictionary translations)
-live in a process-wide LRU with byte accounting — bounded by
-``REPRO_KERNEL_CACHE_BYTES`` (default 64 MiB) — and hit/miss/eviction
-counters surface through :func:`cache_stats` and, per backend, through
-``ShardedBackend.execution_counts()``.
+Derived join-build structures that outlive a query — the sorted packed key
+arrays of a base relation's build side (keyed on its immutable column
+encodings) and the string dictionary translations onto them — live in a
+process-wide LRU with byte accounting, bounded by
+``REPRO_KERNEL_CACHE_BYTES`` (default 64 MiB); hit/miss/eviction counters
+surface through :func:`cache_stats` and, per backend, through
+``ShardedBackend.execution_counts()``.  The structure of a per-query hash
+table (a filtered or joined build side) is built for its one probe and
+never cached: nothing could ever look it up again.
+
+The kernels are not an executor: the one columnar executor
+(:class:`~repro.engine.vectorized.VectorizedExecutor`) offers each of its
+hot loops' batches to the matching ``kernel_*`` function — batches of at
+least :data:`KERNEL_MIN_ROWS` rows — and runs its own Python loop on
+``None``.
 
 Set ``REPRO_KERNELS=0`` to force the pure-Python loops even with numpy
 installed (the differential suites use this to cross-check both paths).
@@ -56,17 +66,9 @@ import threading
 from collections import OrderedDict
 from typing import Any, Callable
 
-from repro.data.database import Database
 from repro.data.relation import Relation
-from repro.engine.plan import AggregateP, DistinctP, Plan, ScanP
-from repro.engine.vectorized import (
-    Batch,
-    Vector,
-    VectorizedExecutor,
-    _column_position,
-    _exact,
-    _take,
-)
+from repro.engine.batch import Batch, Vector, _column_position, _exact, _take
+from repro.engine.plan import AggregateP
 from repro.expr import ast as e
 
 try:  # pragma: no cover - exercised by the no-numpy CI leg
@@ -74,8 +76,42 @@ try:  # pragma: no cover - exercised by the no-numpy CI leg
 except Exception:  # pragma: no cover
     np = None  # type: ignore[assignment]
 
+#: The smallest batch a kernel is offered
+#: (:class:`repro.engine.vectorized.VectorizedExecutor` gates every hook on
+#: it).  A numpy call costs microseconds before it touches a row, a Python
+#: loop iteration tens of nanoseconds: over the tutorial's 10-row tables
+#: the kernels run the catalog ~3x *slower* than the loops they replace
+#: (83 -> 244 us median), at 48k rows 1.5-5x faster.  Per operator the two
+#: cross below 100 rows (selections, group-bys), near 500 (the probe of a
+#: relation's cached build structure) and near 2k (DISTINCT); the probe of
+#: a per-query hash table breaks even later still (~8k), its lowering being
+#: paid per query.  2048 is where the last of the common ones stops losing
+#: (CHANGES.md, PR 15).  The probe adds a snapshot build side's rows to its
+#: batch (:meth:`RelationBuild.snapshot_rows`).  A constant, not a setting:
+#: the crossover is a property of the interpreter and numpy, not of a
+#: deployment.
+KERNEL_MIN_ROWS = 2048
+
 #: Shared empty selection for probes with no matches (never mutated).
 _EMPTY_SEL: Any = np.empty(0, dtype=np.intp) if np is not None else []
+
+
+def _unique(values: Any) -> Any:
+    """The sorted distinct values of a NaN-free 1-d array.
+
+    ``np.unique`` with no index outputs first asks ``np.ma.is_masked``, which
+    lazily imports ``numpy.ma`` — 1.2 MB of resident modules for a process
+    that never holds a masked array — and then dedups int64 through a hash
+    set some 4x slower than this sort-and-compare.  (With ``return_index`` or
+    ``return_inverse`` it does neither, so those calls stay ``np.unique``.)
+    """
+    ordered = np.sort(values)
+    if ordered.size < 2:
+        return ordered
+    keep = np.empty(ordered.size, dtype=np.bool_)
+    keep[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
 
 #: ints beyond this magnitude are not exactly representable as float64;
 #: int/float cross-comparisons must then stay in Python (which compares
@@ -184,7 +220,7 @@ def _encode_list(values: list[Any]) -> ColumnEncoding | None:
         dictionary, inverse = np.unique(svals, return_inverse=True)
         codes = inverse.astype(np.int64, copy=False)
     else:
-        dictionary = np.unique(svals[~mask])
+        dictionary = _unique(svals[~mask])
         codes = np.searchsorted(dictionary, svals).astype(np.int64, copy=False)
         codes[mask] = -1
     encoding = ColumnEncoding(codes, mask, "s", True, False)
@@ -371,8 +407,14 @@ def _columns_compatible(a: ColumnEncoding, b: ColumnEncoding) -> bool:
     return a.kind in numeric and b.kind in numeric and a.exact and b.exact
 
 
-def kernel_filter(conjunct: e.Expr, batch: Batch
-                  ) -> Callable[[Batch, "list[int] | None"], list[int]] | None:
+#: A compiled selection: ``run(batch, sel) -> narrowed sel``.  ``sel`` is the
+#: positions still selected (``None`` = all; a Python list from a column
+#: loop or an index array from an earlier kernel); the result is an index
+#: array, so a chain of kernels never round-trips through Python ints.
+_Selection = Callable[[Batch, Any], Any]
+
+
+def kernel_filter(conjunct: e.Expr, batch: Batch) -> "_Selection | None":
     """Compile one conjunct to a numpy selection, or ``None`` to fall back.
 
     Mirrors :func:`repro.engine.vectorized.vector_filter` exactly where it
@@ -397,14 +439,14 @@ def kernel_filter(conjunct: e.Expr, batch: Batch
     return None
 
 
-def _positions(cmp: Any, np_sel: Any) -> list[int]:
+def _positions(cmp: Any, np_sel: Any) -> Any:
     if np_sel is None:
-        return np.flatnonzero(cmp).tolist()
-    return np_sel[cmp].tolist()
+        return np.flatnonzero(cmp)
+    return np_sel[cmp]
 
 
 def _const_kernel(batch: Batch, pos: int, op: str, const: Any
-                  ) -> Callable[[Batch, "list[int] | None"], list[int]] | None:
+                  ) -> "_Selection | None":
     if const is None:
         return None  # the Python fast path already drops every row
     vector = batch.vectors[pos]
@@ -415,7 +457,7 @@ def _const_kernel(batch: Batch, pos: int, op: str, const: Any
         return _const_code_kernel(encoding, vector, op, const)
     compare = _OPS[op]
 
-    def run(b: Batch, sel: "list[int] | None") -> list[int]:
+    def run(b: Batch, sel: Any) -> Any:
         np_sel = None if sel is None else np.asarray(sel, dtype=np.intp)
         values, mask = _gather(encoding, vector, b.length, np_sel)
         cmp = compare(values, const)
@@ -427,8 +469,7 @@ def _const_kernel(batch: Batch, pos: int, op: str, const: Any
 
 
 def _const_code_kernel(encoding: ColumnEncoding, vector: Vector, op: str,
-                       const: str
-                       ) -> Callable[[Batch, "list[int] | None"], list[int]]:
+                       const: str) -> _Selection:
     """String comparison on dictionary codes.
 
     The dictionary is sorted, so ``value < const`` is ``code < lo`` with
@@ -442,7 +483,7 @@ def _const_code_kernel(encoding: ColumnEncoding, vector: Vector, op: str,
     hi = int(np.searchsorted(dictionary, const, side="right"))
     present = hi > lo
 
-    def run(b: Batch, sel: "list[int] | None") -> list[int]:
+    def run(b: Batch, sel: Any) -> Any:
         np_sel = None if sel is None else np.asarray(sel, dtype=np.intp)
         values, mask = _gather(encoding, vector, b.length, np_sel)
         if op == "=":
@@ -469,7 +510,7 @@ def _const_code_kernel(encoding: ColumnEncoding, vector: Vector, op: str,
 
 
 def _column_kernel(batch: Batch, lpos: int, op: str, rpos: int
-                   ) -> Callable[[Batch, "list[int] | None"], list[int]] | None:
+                   ) -> "_Selection | None":
     lvec, rvec = batch.vectors[lpos], batch.vectors[rpos]
     lenc, renc = _resolve(lvec), _resolve(rvec)
     if lenc is None or renc is None or not _columns_compatible(lenc, renc):
@@ -480,12 +521,12 @@ def _column_kernel(batch: Batch, lpos: int, op: str, rpos: int
     ltrans = rtrans = None
     if lenc.kind == "s":
         if lenc.dictionary is not renc.dictionary:
-            merged = np.unique(np.concatenate([lenc.dictionary,
-                                               renc.dictionary]))
+            merged = _unique(np.concatenate([lenc.dictionary,
+                                             renc.dictionary]))
             ltrans = np.searchsorted(merged, lenc.dictionary)
             rtrans = np.searchsorted(merged, renc.dictionary)
 
-    def run(b: Batch, sel: "list[int] | None") -> list[int]:
+    def run(b: Batch, sel: Any) -> Any:
         np_sel = None if sel is None else np.asarray(sel, dtype=np.intp)
         lvals, lmask = _gather(lenc, lvec, b.length, np_sel)
         rvals, rmask = _gather(renc, rvec, b.length, np_sel)
@@ -535,9 +576,12 @@ class _BuildStructure:
     """
 
     __slots__ = ("ukeys", "starts", "counts", "positions", "columns",
-                 "luts", "nbytes")
+                 "luts", "nbytes", "shared")
 
     def __init__(self, packed: Any, positions: Any, columns: tuple) -> None:
+        #: Whether the structure lives in the derived-structure cache (a
+        #: relation's build side) rather than for one query.
+        self.shared = False
         order = np.argsort(packed, kind="stable")
         sorted_packed = packed[order]
         self.positions = positions[order]
@@ -661,7 +705,7 @@ def _structure_from_table(table: dict[Any, list[int]],
     radixes = []
     columns = []
     for kind, arr, exact in lowered:
-        domain = np.unique(arr)
+        domain = _unique(arr)
         codes = np.searchsorted(domain, arr)
         m_arrays.append(2 * codes.astype(np.int64, copy=False) + 1)
         radixes.append(2 * len(domain) + 1)
@@ -712,7 +756,7 @@ def _structure_from_encodings(encodings: list[ColumnEncoding], n: int,
             m = 2 * vals.astype(np.int64, copy=False) + 1
             exact = True
         else:
-            domain = np.unique(vals)
+            domain = _unique(vals)
             codes = np.searchsorted(domain, vals)
             m = 2 * codes.astype(np.int64, copy=False) + 1
             exact = enc.exact
@@ -728,7 +772,11 @@ def _structure_from_encodings(encodings: list[ColumnEncoding], n: int,
 
 def _dict_translation(domain: Any, pdict: Any,
                       sink: "dict[str, int] | None") -> Any:
-    """Probe-dictionary → build-domain codes, cached per array pair."""
+    """Probe-dictionary → build-domain codes, cached per array pair.
+
+    Only for domains that outlive the query (a relation's dictionary): the
+    key is the arrays' identity, so a per-query domain could never hit.
+    """
     key = ("xlat", id(domain), id(pdict))
     cached = _cache_get(key, (domain, pdict), sink)
     if cached is not _MISSING:
@@ -778,8 +826,10 @@ def _probe_with_structure(structure: _BuildStructure, batch: Batch,
             pdict = enc.dictionary
             if pdict is domain:
                 m = 2 * vals.astype(np.int64, copy=False) + 1
-            else:
+            elif structure.shared:
                 m = _dict_translation(domain, pdict, sink)[vals]
+            else:
+                m = _domain_codes(domain, pdict)[vals]
         elif enc.kind != kind:
             # int/float cross-match: both sides proved exact in float64
             m = _domain_codes(domain.astype(np.float64),
@@ -819,65 +869,40 @@ def _probe_with_structure(structure: _BuildStructure, batch: Batch,
     return left_sel, right_sel
 
 
-def _table_structure(table: dict[Any, list[int]], n_keys: int,
-                     sink: "dict[str, int] | None") -> _BuildStructure | None:
-    key = ("table", id(table))
-    cached = _cache_get(key, (table,), sink)
-    if cached is not _MISSING:
-        return cached
-    structure = _structure_from_table(table, n_keys)
-    nbytes = structure.nbytes if structure is not None else 64
-    return _cache_put(key, (table,), structure, nbytes, sink)
+class RelationBuild:
+    """Lazy build side of a join whose right input is a whole base relation.
 
-
-def kernel_probe(batch: Batch, idx: list[int], table: Any, null_matches: bool,
-                 sink: "dict[str, int] | None" = None
-                 ) -> "tuple[Any, Any] | None":
-    """Sort-based probe of a hash join (single- or multi-key), or ``None``.
-
-    Emits ``(left_sel, right_sel)`` in exactly the sequential probe's order:
-    probe positions ascending, bucket positions ascending within each.
-    """
-    if not kernels_enabled() or not idx or type(table) is not dict:
-        return None
-    if not table:
-        return [], []
-    structure = _table_structure(table, len(idx), sink)
-    if structure is None:
-        return None
-    return _probe_with_structure(structure, batch, idx, null_matches, sink)
-
-
-class _KernelBuild:
-    """Lazy build side of a join whose right input is a base-table scan.
-
-    Quacks like the positional hash index (``get``/``keys`` materialize
-    the relation's cached ``key_index`` on demand), but the kernel probe
-    path never touches that dict: :meth:`structure` lowers the key
-    columns' immutable encodings directly to sorted packed codes, cached
-    per encoding tuple in the bounded kernel cache.
+    The kernel probe never touches a Python hash table: :meth:`structure`
+    lowers the key columns' immutable encodings directly to sorted packed
+    codes, cached per encoding tuple in the bounded kernel cache — the one
+    kind of build structure that can be hit again, because the relation
+    outlives the query.  The Python probe asks :meth:`table` for the
+    relation's own cached positional ``key_index`` instead.
     """
 
-    __slots__ = ("relation", "idx", "skip_nulls", "_table")
+    __slots__ = ("relation", "idx", "skip_nulls")
 
     def __init__(self, relation: Relation, idx: list[int],
                  skip_nulls: bool) -> None:
         self.relation = relation
         self.idx = tuple(idx)
         self.skip_nulls = skip_nulls
-        self._table: "dict[Any, list[int]] | None" = None
 
     def table(self) -> dict[Any, list[int]]:
-        if self._table is None:
-            self._table = self.relation.key_index(
-                list(self.idx), skip_nulls=self.skip_nulls)
-        return self._table
+        return self.relation.key_index(list(self.idx),
+                                       skip_nulls=self.skip_nulls)
 
-    def get(self, key: Any, default: Any = None) -> Any:
-        return self.table().get(key, default)
+    def snapshot_rows(self) -> int:
+        """Build-side rows the Python probe would index for this query alone.
 
-    def keys(self) -> Any:
-        return self.table().keys()
+        A frozen relation is a snapshot — a worker's attached segment, a
+        merged shard view — that no write will ever extend: its positional
+        ``key_index`` would be built from scratch for it, like the kernel's
+        structure but in Python, so its rows count toward the
+        :data:`KERNEL_MIN_ROWS` gate.  A live relation's index is maintained
+        incrementally across writes and costs a steady-state probe nothing.
+        """
+        return len(self.relation) if self.relation.is_frozen else 0
 
     def structure(self, sink: "dict[str, int] | None" = None
                   ) -> _BuildStructure | None:
@@ -894,8 +919,38 @@ class _KernelBuild:
             return cached
         structure = _structure_from_encodings(
             encodings, len(self.relation), self.skip_nulls)
+        if structure is not None:
+            structure.shared = True
         nbytes = structure.nbytes if structure is not None else 64
         return _cache_put(key, tuple(encodings), structure, nbytes, sink)
+
+
+def kernel_probe(batch: Batch, idx: list[int], table: Any, null_matches: bool,
+                 sink: "dict[str, int] | None" = None
+                 ) -> "tuple[Any, Any] | None":
+    """Sort-based probe of a hash join (single- or multi-key), or ``None``.
+
+    ``table`` is the build side as the executor holds it: a
+    :class:`RelationBuild` (structure cached with the relation's
+    encodings) or a per-query Python hash table, whose structure is built
+    for this probe and dropped with it — a filtered build side is a new
+    object every query, so caching it could only pin memory.  Emits
+    ``(left_sel, right_sel)`` in exactly the sequential probe's order:
+    probe positions ascending, bucket positions ascending within each.
+    """
+    if not kernels_enabled() or not idx:
+        return None
+    if type(table) is RelationBuild:
+        structure = table.structure(sink)
+    elif type(table) is dict:
+        if not table:
+            return [], []
+        structure = _structure_from_table(table, len(idx))
+    else:
+        return None
+    if structure is None:
+        return None
+    return _probe_with_structure(structure, batch, idx, null_matches, sink)
 
 
 # ---------------------------------------------------------------------------
@@ -957,7 +1012,7 @@ def kernel_distinct(batch: Batch) -> "Any | None":
                 return None  # packed key would overflow int64
             packed = packed * cardinality + codes
             limit *= cardinality
-    _unique, first_idx = np.unique(packed, return_index=True)
+    _, first_idx = np.unique(packed, return_index=True)
     first_idx.sort()
     return first_idx
 
@@ -1014,7 +1069,9 @@ def kernel_aggregate(plan: AggregateP, batch: Batch
 
     Engages when every group key is a NULL-free int/float/str column pick
     and every aggregate is COUNT/SUM/MIN/MAX/AVG over an int/float column
-    (COUNT accepts any encodable column).  DISTINCT aggregates lower too:
+    (COUNT accepts any encodable column; MIN/MAX also take string columns:
+    dictionary codes are order-preserving, so the extrema are reduced on
+    the codes and decoded per group).  DISTINCT aggregates lower too:
     MIN/MAX ignore the flag (dedup cannot change an extremum), COUNT
     DISTINCT and integer SUM/AVG DISTINCT reduce over unique
     ``(group, value-code)`` pairs — integer sums are order-free, so
@@ -1049,12 +1106,13 @@ def kernel_aggregate(plan: AggregateP, batch: Batch
         key_arrays.append(values)
         key_encodings.append(encoding)
 
-    specs: list[tuple[str, Any, Any]] = []
+    # (fold, values, NULL mask, dictionary to decode string extrema through)
+    specs: list[tuple[str, Any, Any, Any]] = []
     for call, _name in plan.aggregates:
         name = call.name
         if name == "count" and call.args and isinstance(call.args[0], e.Star) \
                 and not call.distinct:
-            specs.append(("count*", None, None))
+            specs.append(("count*", None, None, None))
             continue
         if not call.args or name not in ("count", "sum", "min", "max", "avg"):
             return None
@@ -1066,7 +1124,7 @@ def kernel_aggregate(plan: AggregateP, batch: Batch
         if encoding is None:
             return None
         if name != "count":
-            if encoding.kind == "s":
+            if encoding.kind == "s" and name not in ("min", "max"):
                 return None
             if encoding.kind == "f" and encoding.has_nan:
                 return None
@@ -1087,7 +1145,7 @@ def kernel_aggregate(plan: AggregateP, batch: Batch
             bound = int(np.abs(values).max()) if values.size else 0
             if bound * n >= _SUM_BOUND:
                 return None
-        specs.append((name, values, mask))
+        specs.append((name, values, mask, encoding.dictionary))
 
     # Grouping = two O(n log n) sorts (group ids + the segment view for
     # MIN/MAX).  When every key is a whole unfiltered column, both depend
@@ -1129,7 +1187,7 @@ def kernel_aggregate(plan: AggregateP, batch: Batch
         return cached
 
     agg_lists: list[list[Any]] = []
-    for name, values, mask in specs:
+    for name, values, mask, dictionary in specs:
         if name == "count*":
             agg_lists.append(counts_all.tolist())
             continue
@@ -1164,10 +1222,10 @@ def kernel_aggregate(plan: AggregateP, batch: Batch
         # segmented reduction replaces ``ufunc.at`` (an unbuffered
         # per-element loop, the hot spot of partial aggregation) while
         # staying bit-identical to the Python fold.
-        if vvals.dtype == np.int64:
-            fill = np.iinfo(np.int64).max if name == "min" \
-                else np.iinfo(np.int64).min
-            acc = np.full(n_groups, fill, dtype=np.int64)
+        if vvals.dtype.kind == "i":  # int64 values, int32/int64 codes
+            bounds = np.iinfo(vvals.dtype)
+            acc = np.full(n_groups, bounds.max if name == "min"
+                          else bounds.min, dtype=vvals.dtype)
         else:
             acc = np.full(n_groups, np.inf if name == "min" else -np.inf,
                           dtype=np.float64)
@@ -1176,6 +1234,10 @@ def kernel_aggregate(plan: AggregateP, batch: Batch
             sorted_vals = vvals[order]
             reducer = np.minimum if name == "min" else np.maximum
             acc[sorted_gid[starts]] = reducer.reduceat(sorted_vals, starts)
+        if dictionary is not None and counts.any():
+            # Decode the extreme codes.  A group that saw no value still
+            # holds the fill: point it at code 0 (``_present`` blanks it).
+            acc = dictionary[np.where(counts > 0, acc, 0)]
         agg_lists.append(_present(acc, counts))
 
     reps = reps_arr.tolist()
@@ -1195,7 +1257,7 @@ def _distinct_fold(name: str, vgid: Any, vvals: Any,
     if n_groups > _SUM_BOUND // max(cardinality, 1):
         return None
     packed = vgid.astype(np.int64) * cardinality + codes
-    upacked = np.unique(packed)
+    upacked = _unique(packed)
     ugid = upacked // cardinality
     ucode = upacked % cardinality
     dcounts = np.bincount(ugid, minlength=n_groups)
@@ -1207,76 +1269,3 @@ def _distinct_fold(name: str, vgid: Any, vvals: Any,
         return _present(acc, dcounts)
     return [total / int(c) if c else None
             for total, c in zip(acc.tolist(), dcounts.tolist())]
-
-
-# ---------------------------------------------------------------------------
-# The executor
-# ---------------------------------------------------------------------------
-
-class KernelExecutor(VectorizedExecutor):
-    """A vectorized executor whose hot loops run as numpy kernels.
-
-    Every override tries the kernel and falls back to the inherited Python
-    loop when the kernel declines — the class is safe to use even when
-    numpy is missing (every kernel declines), so ``make_executor`` is the
-    only construction point that needs to know.  ``counters`` (optional)
-    receives kernel-cache hit/miss/eviction bumps, letting each backend
-    report its own traffic through ``execution_counts()``.
-    """
-
-    def __init__(self, db: Database,
-                 counters: "dict[str, int] | None" = None) -> None:
-        super().__init__(db)
-        self.kernel_counters = counters
-
-    def _compile_conjunct(self, conjunct: e.Expr, batch: Batch) -> Any:
-        fast = kernel_filter(conjunct, batch)
-        if fast is not None:
-            return fast
-        return super()._compile_conjunct(conjunct, batch)
-
-    def _hash_table(self, right_plan: Plan, right: Batch, right_idx: list[int],
-                    null_matches: bool) -> Any:
-        if kernels_enabled() and right_idx and type(right_plan) is ScanP:
-            relation = self.db.relation(right_plan.relation)
-            return _KernelBuild(relation, right_idx, not null_matches)
-        return super()._hash_table(right_plan, right, right_idx, null_matches)
-
-    def _probe_batch(self, batch: Batch, idx: list[int], table: Any,
-                     null_matches: bool) -> "tuple[Any, Any]":
-        if type(table) is _KernelBuild:
-            structure = table.structure(self.kernel_counters)
-            if structure is not None:
-                pair = _probe_with_structure(structure, batch, idx,
-                                             null_matches,
-                                             self.kernel_counters)
-                if pair is not None:
-                    return pair
-            table = table.table()
-        pair = kernel_probe(batch, idx, table, null_matches,
-                            self.kernel_counters)
-        if pair is not None:
-            return pair
-        return super()._probe_batch(batch, idx, table, null_matches)
-
-    def _distinct_positions(self, batch: Batch) -> Any:
-        sel = kernel_distinct(batch)
-        if sel is not None:
-            return sel
-        return super()._distinct_positions(batch)
-
-    def _aggregate(self, plan: AggregateP) -> Batch:
-        batch = self.batch(plan.input)
-        lowered = kernel_aggregate(plan, batch)
-        if lowered is not None:
-            return lowered
-        return super()._aggregate(plan)
-
-
-def make_executor(db: Database,
-                  counters: "dict[str, int] | None" = None
-                  ) -> VectorizedExecutor:
-    """The fastest exact executor available: kernels when on, else Python."""
-    if kernels_enabled():
-        return KernelExecutor(db, counters)
-    return VectorizedExecutor(db)

@@ -64,9 +64,10 @@ def optimize(plan: Plan, db: Database | None = None, *,
              stats: StatsCatalog | None = None) -> Plan:
     """Apply all rewrite families; ``db`` enables cost-based reordering.
 
-    Pass a shared :class:`StatsCatalog` via ``stats`` when optimizing many
-    plans over one database (the Datalog fixpoint does), so per-relation
-    profiles are collected once instead of per plan.
+    ``stats`` names the catalog (and through it the database) to estimate
+    against when it is not ``db`` itself; it is not a speed knob — table
+    profiles are cached on the relations, so a bare ``optimize(plan, db)``
+    per query re-profiles nothing.
     """
     # Under REPRO_VERIFY_PLANS each rewrite's output is statically verified,
     # so a rule that breaks a plan is caught here naming the rule instead of

@@ -2,7 +2,9 @@
 
 This backend runs the same columnar operators as
 :mod:`repro.engine.vectorized` — it *is* a :class:`VectorizedExecutor` — but
-splits the two heaviest inner loops across a worker pool:
+splits the two heaviest Python inner loops across a worker pool (where the
+executor's numpy kernels take a probe or a group-by, there is no Python loop
+left to split, and the kernel's answer stands):
 
 * **hash-join probes**: the build side still becomes one shared, read-only
   hash table (reusing the storage layer's cached
@@ -154,11 +156,11 @@ class ParallelExecutor(VectorizedExecutor):
 
     # -- hash-join probe ---------------------------------------------------
 
-    def _probe_batch(self, batch: Batch, idx: list[int],
-                     table: dict[Any, list[int]],
-                     null_matches: bool) -> tuple[list[int], list[int]]:
+    def _probe_rows(self, batch: Batch, idx: list[int],
+                    table: dict[Any, list[int]],
+                    null_matches: bool) -> tuple[list[int], list[int]]:
         if batch.length < self._min_rows or self._workers < 2 or not idx:
-            return super()._probe_batch(batch, idx, table, null_matches)
+            return super()._probe_rows(batch, idx, table, null_matches)
         key_columns = _key_columns(batch, idx)
         single = len(idx) == 1
         check_nulls = (not null_matches) and any(

@@ -26,9 +26,9 @@ moves the per-shard execution into **worker processes**:
   around the decoded store (zero-copy page views for int/float columns),
   cache the attachment by segment name — names are never reused, so a
   version bump naturally invalidates — and execute the scatter subplan
-  with the kernel-accelerated executor
-  (:func:`repro.engine.kernels.make_executor`).  Only the gathered result
-  rows cross the pipe back;
+  with the engine's one columnar executor
+  (:class:`~repro.engine.vectorized.VectorizedExecutor`: numpy kernels over
+  the zero-copy pages).  Only the gathered result rows cross the pipe back;
 * **gather** runs in the parent via :meth:`ShardedPlan.finish` — partial
   aggregates combine, absorbed finishers replay — identically to the
   threaded backend, so ``tests/test_fuzz_differential.py`` pins the whole
@@ -73,6 +73,7 @@ from repro.data.sharded import (
 from repro.engine.execute import Row
 from repro.engine.plan import Plan
 from repro.engine.sharded import ShardedBackend
+from repro.engine.vectorized import VectorizedExecutor
 
 __all__ = [
     "PROCESS_BACKEND",
@@ -141,15 +142,13 @@ def _run_subplans(plan_blob: bytes,
     segment cache above, so repeated queries over an unchanged shard skip
     both deserialization and attachment.
     """
-    from repro.engine.kernels import make_executor
-
     plan: Plan = pickle.loads(plan_blob)
     parts: list[list[Row]] = []
     for manifest in manifests:
         db = Database()
         for segment in manifest:
             db.add_relation(_attached_relation(segment))
-        parts.append(make_executor(db).batch(plan).rows())
+        parts.append(VectorizedExecutor(db).batch(plan).rows())
     return parts
 
 

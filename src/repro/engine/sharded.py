@@ -76,9 +76,12 @@ from repro.engine.plan import (
     SortLimitP,
     resolve_column,
 )
-from repro.engine.kernels import make_executor
 from repro.engine.stats import StatsCatalog
-from repro.engine.vectorized import Batch, _column_position
+from repro.engine.vectorized import (
+    Batch,
+    VectorizedExecutor,
+    _column_position,
+)
 from repro.engine.verify import (
     maybe_verify_sharded,
     maybe_verify_sharded_view,
@@ -727,7 +730,7 @@ class ShardedPlan:
                 counters: "dict[str, int] | None" = None) -> list[Row]:
         """Run the compiled plan and return the merged rows (bag order)."""
         if self.mode == "fallback":
-            return make_executor(sharded, counters).batch(self.plan).rows()
+            return VectorizedExecutor(sharded, counters).batch(self.plan).rows()
         assert self.scatter is not None and self.core is not None
         if self.shard_index is not None:
             shards: Iterable[int] = (self.shard_index,)
@@ -735,7 +738,7 @@ class ShardedPlan:
             shards = range(sharded.n_shards)
         exec_dbs = [self._shard_database(sharded, i) for i in shards]
         if submit is None or len(exec_dbs) <= 1:
-            parts = [make_executor(db, counters).batch(self.scatter).rows()
+            parts = [VectorizedExecutor(db, counters).batch(self.scatter).rows()
                      for db in exec_dbs]
         else:
             futures = [submit(_run_shard, self.scatter, db, counters)
@@ -760,7 +763,7 @@ class ShardedPlan:
         # Finishing operators: replay the suffix of the original plan over
         # the gathered rows by pre-seeding the executor's per-plan memo at
         # the highest absorbed node (structurally shared copies reuse it).
-        executor = make_executor(sharded, counters)
+        executor = VectorizedExecutor(sharded, counters)
         executor._memo[seed] = Batch.from_rows(seed.columns, rows)
         return executor.batch(self.plan).rows()
 
@@ -772,7 +775,7 @@ class ShardedPlan:
 
 def _run_shard(scatter: Plan, db: Database,
                counters: "dict[str, int] | None" = None) -> list[Row]:
-    return make_executor(db, counters).batch(scatter).rows()
+    return VectorizedExecutor(db, counters).batch(scatter).rows()
 
 
 def shard_plan(plan: Plan, sharded: ShardedDatabase,

@@ -3,8 +3,7 @@
 PR 1's join reordering was cardinality-greedy: it knew base-table row counts
 and guessed fixed selectivities for everything else.  This module gives the
 optimizer real statistics, collected in one pass over each relation's column
-store and cached against the relation's monotonic
-:attr:`~repro.data.relation.Relation.version`:
+store:
 
 * per-relation **row counts**;
 * per-attribute **distinct counts**, **min/max** (numeric attributes), and
@@ -12,6 +11,13 @@ store and cached against the relation's monotonic
 * derived **selectivity estimates** — ``col = const`` costs ``1/distinct``,
   range predicates interpolate against min/max, and equi-join cardinality is
   ``|L|·|R| / max(d_left, d_right)`` over the join keys' distinct counts.
+
+A relation's profile is a lazy cache *of the relation* (:func:`table_profile`,
+tagged with its monotonic :attr:`~repro.data.relation.Relation.version` like
+its column store and key indexes), so a relation is profiled at most once
+per version process-wide no matter how many :class:`StatsCatalog` objects
+look at it: a bare ``optimize(plan, db)`` per query costs a dictionary probe
+per table, not a scan.
 
 :func:`repro.engine.optimize.reorder_joins` consults a :class:`StatsCatalog`
 to order join trees by *estimated result size* rather than by raw leaf
@@ -114,27 +120,50 @@ def collect_table_stats(relation: Relation) -> TableStats:
     return TableStats(len(relation), tuple(columns))
 
 
+#: Guards every relation's ``profile_cache`` slot and is held across the
+#: profiling pass itself: concurrent optimizer calls over a just-written
+#: relation (the serving layer runs many at once) wait for one profile
+#: instead of each scanning the table.  A leaf lock — profiling takes no
+#: other.
+_PROFILE_LOCK = threading.Lock()
+
+
+def table_profile(relation: Relation) -> TableStats:
+    """``relation``'s statistics, collected at most once per version.
+
+    The profile lives on the relation (``profile_cache``), tagged with the
+    version read *before* the scan, and is published only if that version
+    still stands afterwards — so a write racing the scan can never leave a
+    profile filed under the newer version; the next caller recollects.
+    Estimates may be momentarily off, answers never are.
+    """
+    cached = relation.profile_cache
+    if cached is not None and cached[0] == relation.version:
+        return cached[1]
+    with _PROFILE_LOCK:
+        version = relation.version
+        cached = relation.profile_cache
+        if cached is not None and cached[0] == version:
+            return cached[1]
+        stats = collect_table_stats(relation)
+        if relation.version == version:
+            relation.profile_cache = (version, stats)
+        return stats
+
+
 class StatsCatalog:
-    """Versioned statistics over one database's relations.
+    """Statistics and estimates over one database's relations.
 
-    Statistics are collected lazily per relation and cached against the
-    relation object's identity and :attr:`~repro.data.relation.Relation.version`;
-    a mutated or replaced relation is re-profiled on next access, so one
-    catalog can serve a whole session (or a whole Datalog fixpoint, where the
-    working database is re-materialized every round).
-
-    Thread-safe: the per-version profile cache is read and written under an
-    internal lock, so concurrent optimizer calls (the serving layer runs
-    many at once) never corrupt it.  Profiling itself runs outside the lock;
-    a racing mutation at worst produces a profile tagged with the version it
-    started from, which the next access detects as stale and recollects —
-    estimates may be momentarily off, answers never are.
+    A thin, stateless view: per-relation profiles are cached on the
+    relations themselves (:func:`table_profile`), so constructing a catalog
+    per query is free and every catalog over the same relations shares one
+    set of profiles.  A mutated relation is re-profiled on next access; a
+    replaced one (the Datalog fixpoint re-materializes its working database
+    every round) carries its own.
     """
 
     def __init__(self, db: Database) -> None:
         self.db = db
-        self._cache: dict[str, tuple[int, int, TableStats]] = {}
-        self._lock = threading.Lock()
 
     def table(self, name: str) -> TableStats | None:
         """Statistics for ``name``, or ``None`` if the relation is unknown."""
@@ -142,17 +171,7 @@ class StatsCatalog:
             relation = self.db.relation(name)
         except SchemaError:
             return None
-        key = name.lower()
-        version = relation.version
-        with self._lock:
-            cached = self._cache.get(key)
-        if cached is not None and cached[0] == id(relation) \
-                and cached[1] == version:
-            return cached[2]
-        stats = collect_table_stats(relation)
-        with self._lock:
-            self._cache[key] = (id(relation), version, stats)
-        return stats
+        return table_profile(relation)
 
     # -- column provenance ------------------------------------------------
 
@@ -363,10 +382,5 @@ def _column_origin(plan: Plan, position: int) -> tuple[str, int] | None:
 
 
 def estimate_rows(plan: Plan, db: Database) -> float:
-    """Statistics-driven cardinality estimate (one-shot catalog).
-
-    Kept as the module-level convenience the tests and benchmarks use;
-    repeated estimation over one database should share a
-    :class:`StatsCatalog` so per-relation profiles are collected once.
-    """
+    """Statistics-driven cardinality estimate of ``plan`` over ``db``."""
     return StatsCatalog(db).estimate(plan)

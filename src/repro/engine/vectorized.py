@@ -24,6 +24,14 @@ backend's algorithms verbatim — they are not on the hot path, and sharing
 the code is what keeps the two backends bag-equal (pinned over the whole
 canonical catalog by ``tests/test_vectorized.py``).
 
+This is the engine's **one** columnar executor.  Its four hot loops —
+selection, hash-join probe, DISTINCT, group-by — each first offer their
+batch to the numpy kernel of :mod:`repro.engine.kernels` and run the Python
+loop when the kernel declines (numpy absent, ``REPRO_KERNELS=0``, a dtype
+the lowering cannot reproduce bit-for-bit).  A kernel is only offered
+batches of at least :data:`~repro.engine.kernels.KERNEL_MIN_ROWS` rows:
+below that the fixed cost of a numpy call exceeds the whole Python loop.
+
 The backend satisfies the :class:`repro.engine.execute.ExecutorBackend`
 protocol; select it with ``execute_plan(plan, db, backend="vectorized")`` or
 ``QueryVisualizationPipeline(backend="vectorized")``.
@@ -33,12 +41,14 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro.data.database import Database
 from repro.expr import ast as e
 from repro.expr.eval import ExprError
 from repro.sql.evaluate import _dedupe
+from repro.engine import kernels
+from repro.engine.batch import Batch, Vector, _column_position, _exact, _take
 from repro.engine.execute import (
     Row,
     _split_name,
@@ -46,7 +56,6 @@ from repro.engine.execute import (
     compiled_predicate,
     delta_scan_rows,
 )
-from repro.engine.lower import _PositionCol
 from repro.engine.plan import (
     AggregateP,
     DeltaScanP,
@@ -63,11 +72,6 @@ from repro.engine.plan import (
     resolve_column,
 )
 
-try:  # only needed to compose numpy selections the kernel layer emits
-    import numpy as _np
-except Exception:  # pragma: no cover - the numpy-absent leg
-    _np = None  # type: ignore[assignment]
-
 _COMPARATORS = {
     "=": operator.eq,
     "<>": operator.ne,
@@ -79,120 +83,8 @@ _COMPARATORS = {
 
 
 # ---------------------------------------------------------------------------
-# Batches: columns with late materialization
-# ---------------------------------------------------------------------------
-
-class Vector:
-    """One column of a batch: a base array plus an optional selection vector.
-
-    ``sel is None`` means the column *is* ``data``; otherwise position ``i``
-    of the column is ``data[sel[i]]``.  Selections compose without touching
-    the base arrays, which is what keeps multi-join pipelines cheap.  A
-    selection is normally a Python list of ints; the kernel layer's probe
-    and DISTINCT kernels hand back numpy index arrays instead, which
-    compose in C (:func:`_take`) and convert to Python ints only when a
-    column is materialized.
-
-    ``nd`` is the kernel layer's hook: scans set it to ``(store, index)``
-    naming the backing :class:`~repro.data.relation.ColumnStore` column, and
-    selection composition carries it along (the composed ``sel`` still
-    indexes the same base array).  :mod:`repro.engine.kernels` resolves it
-    lazily into a cached numpy encoding; everything else ignores it.
-    """
-
-    __slots__ = ("data", "sel", "nd")
-
-    def __init__(self, data: list[Any], sel: "list[int] | Any" = None,
-                 nd: Any = None) -> None:
-        self.data = data
-        self.sel = sel
-        self.nd = nd
-
-    def materialize(self) -> list[Any]:
-        if self.sel is None:
-            return self.data
-        data = self.data
-        sel = self.sel
-        if type(sel) is not list:  # numpy index array from a kernel
-            sel = sel.tolist()
-        return [data[i] for i in sel]
-
-
-class Batch:
-    """An ordered bag of rows stored column-wise."""
-
-    __slots__ = ("columns", "vectors", "length")
-
-    def __init__(self, columns: tuple[str, ...], vectors: list[Vector],
-                 length: int) -> None:
-        self.columns = columns
-        self.vectors = vectors
-        self.length = length
-
-    @classmethod
-    def from_rows(cls, columns: tuple[str, ...], rows: Sequence[Row]) -> "Batch":
-        if rows:
-            arrays = [list(column) for column in zip(*rows)]
-        else:
-            arrays = [[] for _ in columns]
-        return cls(columns, [Vector(a) for a in arrays], len(rows))
-
-    def rows(self) -> list[Row]:
-        """Materialize the row view (the backend's final output)."""
-        if not self.vectors:
-            return [()] * self.length
-        columns = [v.materialize() for v in self.vectors]
-        if columns and len(columns[0]) != self.length:
-            # Length-limited batch (an as-of window shares the relation's
-            # full arrays): truncate to the logical length.
-            return list(zip(*(column[:self.length] for column in columns)))
-        return list(zip(*columns))
-
-    def take(self, sel: list[int]) -> "Batch":
-        """The sub-batch at positions ``sel`` (late: composes selections)."""
-        return Batch(self.columns, _take(self.vectors, sel), len(sel))
-
-
-def _take(vectors: list[Vector], sel: "list[int] | Any") -> list[Vector]:
-    """Compose ``sel`` onto each vector, once per *distinct* source selection.
-
-    Columns that came from the same operator share one selection list, so an
-    n-column side of a join costs one composition, not n.  When either side
-    is a numpy index array (kernel probe/DISTINCT output) the composition
-    is a fancy index instead of a Python loop.
-    """
-    composed: dict[int, Any] = {}
-    out = []
-    for v in vectors:
-        if v.sel is None:
-            out.append(Vector(v.data, sel, v.nd))
-            continue
-        new_sel = composed.get(id(v.sel))
-        if new_sel is None:
-            base = v.sel
-            if type(base) is list and type(sel) is list:
-                new_sel = [base[i] for i in sel]
-            else:  # numpy is importable: kernel selections only exist then
-                new_sel = _np.asarray(base, dtype=_np.intp)[sel]
-            composed[id(v.sel)] = new_sel
-        out.append(Vector(v.data, new_sel, v.nd))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Vectorized filter compilation
 # ---------------------------------------------------------------------------
-
-def _column_position(expr: e.Expr, columns: tuple[str, ...]) -> int | None:
-    if isinstance(expr, _PositionCol):
-        return expr.position
-    if isinstance(expr, e.Col):
-        try:
-            return resolve_column(columns, expr.name, expr.qualifier)
-        except PlanError:
-            return None
-    return None
-
 
 def vector_filter(conjunct: e.Expr, columns: tuple[str, ...]
                   ) -> Callable[[Batch, list[int] | None], list[int]] | None:
@@ -219,6 +111,17 @@ def vector_filter(conjunct: e.Expr, columns: tuple[str, ...]
     return None
 
 
+def _indices(batch: Batch, sel: "list[int] | Any | None") -> "range | list[int]":
+    """The positions a column loop visits, as Python ints.
+
+    An earlier conjunct's numpy kernel leaves an index array; a Python loop
+    over it would pay for (and pass on) numpy scalars.
+    """
+    if sel is None:
+        return range(batch.length)
+    return sel if type(sel) is list else sel.tolist()
+
+
 def _compare_const(pos: int, op: str, const: Any
                    ) -> Callable[[Batch, list[int] | None], list[int]]:
     if const is None:
@@ -232,7 +135,7 @@ def _compare_const(pos: int, op: str, const: Any
         column = batch.vectors[pos].materialize()
         out: list[int] = []
         append = out.append
-        indices = range(batch.length) if sel is None else sel
+        indices = _indices(batch, sel)
         for i in indices:
             v = column[i]
             if v is None:
@@ -255,7 +158,7 @@ def _compare_columns(lpos: int, op: str, rpos: int
         rcol = batch.vectors[rpos].materialize()
         out: list[int] = []
         append = out.append
-        indices = range(batch.length) if sel is None else sel
+        indices = _indices(batch, sel)
         for i in indices:
             a = lcol[i]
             b = rcol[i]
@@ -276,10 +179,17 @@ def _compare_columns(lpos: int, op: str, rpos: int
 # ---------------------------------------------------------------------------
 
 class VectorizedExecutor:
-    """Evaluates plans column-at-a-time, memoizing batches per plan value."""
+    """Evaluates plans column-at-a-time, memoizing batches per plan value.
 
-    def __init__(self, db: Database) -> None:
+    ``counters`` (optional) receives the kernel layer's derived-structure
+    cache hit/miss/eviction bumps, letting each backend report its own
+    traffic through ``execution_counts()``.
+    """
+
+    def __init__(self, db: Database,
+                 counters: "dict[str, int] | None" = None) -> None:
         self.db = db
+        self.kernel_counters = counters
         self._memo: dict[Plan, Batch] = {}
 
     def batch(self, plan: Plan) -> Batch:
@@ -359,7 +269,7 @@ class VectorizedExecutor:
         exactly when the row backend would have reached it.
         """
         batch = self.batch(plan.input)
-        sel: list[int] | None = None
+        sel: "list[int] | Any | None" = None  # Any: a kernel's index array
         materialized: list[list[Any]] | None = None
         for conjunct in e.conjuncts(plan.condition):
             fast = self._compile_conjunct(conjunct, batch)
@@ -369,8 +279,7 @@ class VectorizedExecutor:
             predicate = compiled_predicate(conjunct, batch.columns)
             if materialized is None:
                 materialized = [v.materialize() for v in batch.vectors]
-            indices = range(batch.length) if sel is None else sel
-            sel = [i for i in indices
+            sel = [i for i in _indices(batch, sel)
                    if predicate(tuple(column[i] for column in materialized))]
         if sel is None:
             return batch
@@ -379,7 +288,11 @@ class VectorizedExecutor:
     def _compile_conjunct(self, conjunct: e.Expr, batch: Batch
                           ) -> Callable[[Batch, list[int] | None],
                                         list[int]] | None:
-        """Compile one filter conjunct — the kernel backend's override seam."""
+        """Compile one filter conjunct: numpy selection, else column loop."""
+        if batch.length >= kernels.KERNEL_MIN_ROWS:
+            fast = kernels.kernel_filter(conjunct, batch)
+            if fast is not None:
+                return fast
         return vector_filter(conjunct, batch.columns)
 
     def _project(self, plan: ProjectP) -> Batch:
@@ -401,8 +314,12 @@ class VectorizedExecutor:
         batch = self.batch(plan.input)
         return batch.take(self._distinct_positions(batch))
 
-    def _distinct_positions(self, batch: Batch) -> list[int]:
-        """First-occurrence positions of distinct rows — the kernel seam."""
+    def _distinct_positions(self, batch: Batch) -> "list[int] | Any":
+        """First-occurrence positions of the distinct rows."""
+        if batch.length >= kernels.KERNEL_MIN_ROWS:
+            positions = kernels.kernel_distinct(batch)
+            if positions is not None:
+                return positions
         seen: set[Row] = set()
         add = seen.add
         sel: list[int] = []
@@ -439,7 +356,8 @@ class VectorizedExecutor:
         if plan.kind in ("semi", "anti"):
             return self._semi_anti(plan, left, right, left_idx, right_idx, residual)
 
-        table = self._hash_table(plan.right, right, right_idx, plan.null_matches)
+        table = self._hash_table(plan.right, right, right_idx,
+                                 plan.null_matches, lazy=True)
         left_sel, right_sel = self._probe_batch(left, left_idx, table,
                                                 plan.null_matches)
         if residual is not None:
@@ -458,7 +376,8 @@ class VectorizedExecutor:
                      len(left_sel))
 
     def _hash_table(self, right_plan: Plan, right: Batch, right_idx: list[int],
-                    null_matches: bool) -> "dict[Any, list[int]] | _PrefixTable":
+                    null_matches: bool, *, lazy: bool = False
+                    ) -> "dict[Any, list[int]] | _PrefixTable | kernels.RelationBuild":
         """The build side of a hash join, reusing the storage layer's cached
         positional key indexes when the build input is a base-table scan.
 
@@ -467,26 +386,55 @@ class VectorizedExecutor:
         the prefix length (:class:`_PrefixTable`) instead of rebuilding a
         hash table over the old state on every view refresh — this is what
         keeps incremental join maintenance independent of base-table size.
+
+        With ``lazy`` (the inner-join probe, which may never need the dict)
+        a whole-relation build side comes back as a
+        :class:`~repro.engine.kernels.RelationBuild`: the kernel probe
+        lowers the key columns' cached encodings instead, and only the
+        Python probe materializes ``key_index`` through it.  Anything that
+        is not a whole relation is a per-query table either way.
         """
+        relation = None
         if isinstance(right_plan, ScanP) and right_idx:
             relation = self.db.relation(right_plan.relation)
-            return relation.key_index(right_idx, skip_nulls=not null_matches)
-        if isinstance(right_plan, DeltaScanP) and right_plan.mode == "asof" \
+        elif isinstance(right_plan, DeltaScanP) and right_plan.mode == "asof" \
                 and right_plan.since is not None and right_idx:
-            relation = self.db.relation(right_plan.relation)
-            count = relation.delta_count_since(right_plan.since)
-            if count is not None:
-                table = relation.key_index(right_idx,
-                                           skip_nulls=not null_matches)
-                if count == 0:
-                    return table
-                return _PrefixTable(table, len(relation) - count)
-        return _build_hash_table(right, right_idx, null_matches)
+            asof = self.db.relation(right_plan.relation)
+            count = asof.delta_count_since(right_plan.since)
+            if count == 0:
+                relation = asof
+            elif count is not None:
+                table = asof.key_index(right_idx, skip_nulls=not null_matches)
+                return _PrefixTable(table, len(asof) - count)
+        if relation is None:
+            return _build_hash_table(right, right_idx, null_matches)
+        if lazy:
+            return kernels.RelationBuild(relation, right_idx, not null_matches)
+        return relation.key_index(right_idx, skip_nulls=not null_matches)
 
-    def _probe_batch(self, batch: Batch, idx: list[int],
-                     table: dict[Any, list[int]],
-                     null_matches: bool) -> tuple[list[int], list[int]]:
-        """Probe phase of the hash join — the parallel backend's partition seam."""
+    def _probe_batch(self, batch: Batch, idx: list[int], table: Any,
+                     null_matches: bool) -> "tuple[Any, Any]":
+        """Probe phase of the hash join: sort-based kernel, else the loop.
+
+        The rows at stake are the probe's plus, over a snapshot relation,
+        the build side's (:meth:`~repro.engine.kernels.RelationBuild.snapshot_rows`).
+        """
+        rows = batch.length
+        if type(table) is kernels.RelationBuild:
+            rows += table.snapshot_rows()
+        if rows >= kernels.KERNEL_MIN_ROWS:
+            pair = kernels.kernel_probe(batch, idx, table, null_matches,
+                                        self.kernel_counters)
+            if pair is not None:
+                return pair
+        if type(table) is kernels.RelationBuild:
+            table = table.table()
+        return self._probe_rows(batch, idx, table, null_matches)
+
+    def _probe_rows(self, batch: Batch, idx: list[int],
+                    table: "dict[Any, list[int]] | _PrefixTable",
+                    null_matches: bool) -> tuple[list[int], list[int]]:
+        """The Python probe loop — the parallel backend's partition seam."""
         return _probe(batch, idx, table, null_matches)
 
     def _semi_anti(self, plan: JoinP, left: Batch, right: Batch,
@@ -571,6 +519,10 @@ class VectorizedExecutor:
 
     def _aggregate(self, plan: AggregateP) -> Batch:
         batch = self.batch(plan.input)
+        if batch.length >= kernels.KERNEL_MIN_ROWS:
+            lowered = kernels.kernel_aggregate(plan, batch)
+            if lowered is not None:
+                return lowered
         columns = plan.input.columns
         n = batch.length
         rows: list[Row] | None = None
@@ -740,16 +692,6 @@ class _PrefixTable:
         keep = self.keep
         return [key for key, bucket in self.table.items()
                 if bucket and bucket[0] < keep]
-
-def _exact(vector: Vector, length: int) -> list[Any]:
-    """Materialize a vector cut to the batch's logical length.
-
-    Length-limited batches (as-of windows) share over-long base arrays;
-    cutting keeps out-of-window rows invisible to array-level consumers.
-    """
-    data = vector.materialize()
-    return data if len(data) == length else data[:length]
-
 
 def _key_columns(batch: Batch, idx: list[int]) -> list[list[Any]]:
     return [_exact(batch.vectors[i], batch.length) for i in idx]

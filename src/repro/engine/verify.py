@@ -46,7 +46,7 @@ import threading
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.data.database import Database
-from repro.data.schema import RelationSchema
+from repro.data.schema import RelationSchema, SchemaError
 from repro.data.types import DataType
 from repro.expr import ast as e
 from repro.engine.plan import (
@@ -181,10 +181,16 @@ def _schema_lookup(db: "Database | Mapping[str, RelationSchema] | None"
     if db is None:
         return lambda name: None
     if isinstance(db, Database):
+        # The schema view, never ``db.relation(name).schema``: on a sharded
+        # database that materializes the merged row copy of every relation
+        # the plan scans just to read an attribute list (``schema`` reads
+        # shard 0's).
+        schema = db.schema
+
         def lookup(name: str) -> "RelationSchema | None":
             try:
-                return db.relation(name).schema
-            except Exception:
+                return schema.relation(name)
+            except SchemaError:
                 return None
         return lookup
     mapping = {key.lower(): value for key, value in db.items()}

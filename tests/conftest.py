@@ -40,6 +40,25 @@ def schema(db):
     return db.schema
 
 
+@pytest.fixture()
+def kernel_gate(monkeypatch):
+    """Pin the columnar executor's kernel gate for the rest of the test.
+
+    ``kernel_gate(0)`` offers every batch to the numpy kernels — the only
+    way the few-row relations of the differential tests reach them, since
+    production offers only batches of ``KERNEL_MIN_ROWS`` rows and more;
+    ``kernel_gate(None)`` offers none (the pure-Python loops, the
+    reference the kernels are pinned against).
+    """
+    import repro.engine.kernels as kernels
+
+    def pin(min_rows: "int | None") -> None:
+        monkeypatch.setattr(kernels, "KERNEL_MIN_ROWS",
+                            sys.maxsize if min_rows is None else min_rows)
+
+    return pin
+
+
 @pytest.fixture(params=[q.id for q in CANONICAL_QUERIES])
 def canonical_query(request):
     """Parametrised fixture running a test once per canonical query."""

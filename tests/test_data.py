@@ -211,6 +211,93 @@ class TestRelation:
             hash(rel)
 
 
+class TestBulkConstruction:
+    """``Relation(schema, rows)`` ≡ an empty relation plus one ``add`` per row.
+
+    The constructor adopts an already-normalized row list in one pass; these
+    pin everything a per-row build leaves behind (version, delta log, floor,
+    freezing, validation) so the bulk path cannot drift from it.
+    """
+
+    SCHEMA = make_schema("T", [("a", "int"), ("b", "string")])
+
+    @staticmethod
+    def _by_add(rows):
+        rel = Relation(TestBulkConstruction.SCHEMA)
+        for row in rows:
+            rel.add(row, validate=False)
+        return rel
+
+    @pytest.mark.parametrize("n", [0, 1, 7, Relation.DELTA_LOG_LIMIT,
+                                   Relation.DELTA_LOG_LIMIT + 5])
+    def test_matches_per_row_adds(self, n):
+        rows = [(i, f"v{i % 3}") for i in range(n)]
+        bulk = Relation(self.SCHEMA, rows, validate=False)
+        slow = self._by_add(rows)
+        assert bulk.version == slow.version == n
+        assert bulk.rows() == slow.rows() == rows
+        assert bulk._delta_floor == slow._delta_floor
+        assert list(bulk._delta_log) == list(slow._delta_log)
+        for anchor in (0, n // 2, max(0, n - 3), n):
+            assert bulk.delta_since(anchor) == slow.delta_since(anchor)
+            assert bulk.delta_count_since(anchor) == \
+                slow.delta_count_since(anchor)
+            assert bulk.rows_at(anchor) == slow.rows_at(anchor)
+
+    def test_delta_log_tail_is_bounded(self):
+        n = Relation.DELTA_LOG_LIMIT + 5
+        rel = Relation(self.SCHEMA, [(i, "x") for i in range(n)],
+                       validate=False)
+        assert len(rel._delta_log) == Relation.DELTA_LOG_LIMIT
+        assert rel.delta_since(4) is None          # evicted: rebuild required
+        assert rel.delta_since(5) == [(i, "x") for i in range(5, n)]
+
+    def test_adopted_list_is_not_aliased(self):
+        rows = [(1, "a"), (2, "b")]
+        rel = Relation(self.SCHEMA, rows, validate=False)
+        rows.append((3, "c"))
+        assert len(rel) == 2
+        rel.add((4, "d"))
+        assert rows == [(1, "a"), (2, "b"), (3, "c")]
+        assert rel.version == 3 and rel.delta_since(2) == [(4, "d")]
+
+    def test_caches_follow_later_adds(self):
+        rel = Relation(self.SCHEMA, [(1, "a"), (1, "a")], validate=False)
+        assert rel.distinct_rows() == [(1, "a")]
+        assert rel.key_index([0]) == {1: [0, 1]}
+        assert rel.column_store().arrays[0] == [1, 1]
+        rel.add((2, "b"))
+        assert rel.distinct_rows() == [(1, "a"), (2, "b")]
+        assert rel.key_index([0]) == {1: [0, 1], 2: [2]}
+        assert rel.column_store().arrays[1] == ["a", "a", "b"]
+
+    def test_unnormalized_rows_still_normalize(self):
+        rel = Relation(self.SCHEMA, [[1, "a"], {"a": 2, "b": "b"}, (3, "c")],
+                       validate=False)
+        assert rel.rows() == [(1, "a"), (2, "b"), (3, "c")]
+        assert rel.version == 3
+        gen = Relation(self.SCHEMA, ((i, "g") for i in range(3)),
+                       validate=False)
+        assert gen.rows() == [(0, "g"), (1, "g"), (2, "g")]
+
+    def test_arity_still_checked_without_validation(self):
+        with pytest.raises(RelationError, match="arity"):
+            Relation(self.SCHEMA, [(1, "a"), (2,)], validate=False)
+
+    def test_validate_true_still_type_checks(self):
+        with pytest.raises(RelationError, match="not a valid"):
+            Relation(self.SCHEMA, [(1, "a"), ("x", "b")])
+        assert Relation(self.SCHEMA, [(1, "a")]).version == 1
+
+    def test_freeze_after_bulk_build(self):
+        rel = Relation(self.SCHEMA, [(1, "a")], validate=False).freeze()
+        with pytest.raises(RelationError, match="frozen"):
+            rel.add((2, "b"))
+        copy = rel.copy()
+        copy.add((2, "b"))
+        assert not copy.is_frozen and copy.version == 2 and len(rel) == 1
+
+
 class TestDatabase:
     def test_sailors_instance_shape(self):
         db = sailors_database()

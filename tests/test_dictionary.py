@@ -10,7 +10,9 @@ cache (byte-accounted LRU, hit/miss/eviction counters, per-backend sinks).
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -23,7 +25,7 @@ from repro.data.relation import (
     dict_page_values,
     relation_from_rows,
 )
-from repro.engine.kernels import KernelExecutor, kernels_enabled
+from repro.engine.kernels import kernels_enabled
 from repro.engine.plan import AggregateP, DistinctP, FilterP, JoinP, ScanP
 from repro.engine.sharded import ShardedBackend
 from repro.engine.stats import StatsCatalog, collect_table_stats
@@ -146,8 +148,15 @@ def _db():
 
 
 def _both(plan, db):
-    fast = KernelExecutor(db).batch(plan).rows()
-    slow = VectorizedExecutor(db).batch(plan).rows()
+    """``(kernel rows, Python-loop rows)`` from the one executor.
+
+    These relations are far below ``KERNEL_MIN_ROWS``: the gate is opened
+    for the first run and put out of reach for the second.
+    """
+    with mock.patch.object(kernels, "KERNEL_MIN_ROWS", 0):
+        fast = VectorizedExecutor(db).batch(plan).rows()
+    with mock.patch.object(kernels, "KERNEL_MIN_ROWS", sys.maxsize):
+        slow = VectorizedExecutor(db).batch(plan).rows()
     return fast, slow
 
 
@@ -234,12 +243,213 @@ class TestKernelEquivalence:
         fast, slow = _both(plan, db)
         assert fast == slow
 
-    def test_kernel_executor_without_kernels_is_pure_python(self, monkeypatch):
+    def test_open_gate_without_kernels_is_pure_python(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNELS", "0")
         db = _db()
         plan = DistinctP(USERS)
         fast, slow = _both(plan, db)
         assert fast == slow
+
+
+# ---------------------------------------------------------------------------
+# String MIN/MAX: reduced on order-preserving codes, decoded per group
+# ---------------------------------------------------------------------------
+
+def _words_db(rows, *, paged=False):
+    rel = relation_from_rows("words", [("g", "int"), ("w", "string")], rows)
+    if paged:  # the worker-side shape: int32 codes viewed from a "D" page
+        from repro.data.relation import Relation
+
+        store = ColumnStore.decode_pages(rel.column_store().encode_pages())
+        rel = Relation.from_column_store(rel.schema, store)
+    return Database([rel])
+
+
+WORDS = ScanP("words", ("g", "w"))
+_WORD_ROWS = [(0, "pear"), (0, None), (0, "apple"), (0, "zoo"), (0, "apple"),
+              (1, None), (1, None),                      # an all-NULL group
+              (2, "mid"),                                # a singleton
+              (3, ""), (3, "a"), (3, "ä"), (3, "B")]     # code-point order
+
+
+def _minmax(group=True, distinct=False):
+    return AggregateP(
+        WORDS, (e.Col("g"),) if group else (),
+        ((e.FuncCall("min", (e.Col("w"),), distinct=distinct), "lo"),
+         (e.FuncCall("max", (e.Col("w"),), distinct=distinct), "hi"),
+         (e.FuncCall("count", (e.Col("w"),)), "n")))
+
+
+class TestStringMinMaxKernel:
+    @needs_kernels
+    @pytest.mark.parametrize("paged", [False, True])
+    @pytest.mark.parametrize("group", [True, False])
+    @pytest.mark.parametrize("distinct", [False, True])
+    def test_matches_python_fold(self, paged, group, distinct, monkeypatch):
+        calls = []
+        kernel = kernels.kernel_aggregate
+
+        def spy(plan, batch):
+            lowered = kernel(plan, batch)
+            calls.append(lowered is not None)
+            return lowered
+
+        monkeypatch.setattr(kernels, "kernel_aggregate", spy)
+        fast, slow = _both(_minmax(group, distinct),
+                           _words_db(_WORD_ROWS, paged=paged))
+        assert calls == [True]  # the kernel took it; it did not decline
+        assert fast == slow
+        # Rows are (g, representative w, lo, hi, n).
+        if group:
+            assert [row[:1] + row[2:] for row in fast] == [
+                (0, "apple", "zoo", 4), (1, None, None, 0),
+                (2, "mid", "mid", 1), (3, "", "ä", 4)]
+        else:
+            assert [row[2:] for row in fast] == [("", "ä", 9)]
+
+    @needs_kernels
+    def test_filtered_selection_and_int_aggregate_beside_it(self):
+        db = _words_db(_WORD_ROWS)
+        plan = AggregateP(
+            FilterP(WORDS, e.Comparison(e.Col("g"), "<>", e.Const(2))),
+            (e.Col("g"),),
+            ((e.FuncCall("max", (e.Col("w"),)), "hi"),
+             (e.FuncCall("min", (e.Col("g"),)), "glo"),
+             (e.FuncCall("count", (e.Star(),)), "n")))
+        fast, slow = _both(plan, db)
+        assert fast == slow
+        assert [row[:1] + row[2:] for row in fast] == [
+            (0, "zoo", 0, 5), (1, None, 1, 2), (3, "ä", 3, 4)]
+
+    def test_empty_and_all_null_inputs(self):
+        for rows in ([], [(1, None), (2, None)]):
+            db = _words_db(rows)
+            for group in (True, False):
+                fast, slow = _both(_minmax(group), db)
+                assert fast == slow
+        fast, slow = _both(
+            AggregateP(FilterP(WORDS, e.Comparison(e.Col("g"), ">",
+                                                   e.Const(99))),
+                       (), _minmax().aggregates),
+            _words_db(_WORD_ROWS))
+        assert fast == slow == [(None, None, None, None, 0)]
+
+    def test_sum_over_strings_still_raises_like_python(self, kernel_gate):
+        plan = AggregateP(WORDS, (e.Col("g"),),
+                          ((e.FuncCall("sum", (e.Col("w"),)), "s"),))
+        db = _words_db(_WORD_ROWS)
+        for gate in (0, None):
+            kernel_gate(gate)
+            with pytest.raises(TypeError):
+                VectorizedExecutor(db).batch(plan).rows()
+
+    def test_kernels_off_is_the_python_fold(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNELS", "0")
+        fast, slow = _both(_minmax(), _words_db(_WORD_ROWS))
+        assert fast == slow
+
+
+# ---------------------------------------------------------------------------
+# The kernel gate: Python loops below KERNEL_MIN_ROWS, kernels from it up
+# ---------------------------------------------------------------------------
+
+@needs_kernels
+class TestKernelGate:
+    KERNELS = ("kernel_filter", "kernel_probe", "kernel_distinct",
+               "kernel_aggregate")
+
+    @pytest.fixture()
+    def engaged(self, monkeypatch):
+        """Which kernels were offered a batch and took it."""
+        taken: list[str] = []
+        for name in self.KERNELS:
+            kernel = getattr(kernels, name)
+
+            def spy(*args, _name=name, _kernel=kernel):
+                result = _kernel(*args)
+                if result is not None:
+                    taken.append(_name)
+                return result
+
+            monkeypatch.setattr(kernels, name, spy)
+        return taken
+
+    @staticmethod
+    def _db(n):
+        t = relation_from_rows(
+            "t", [("k", "int"), ("s", "string"), ("v", "int")],
+            [(i, f"s{i % 13}", i % 7) for i in range(n)])
+        u = relation_from_rows(
+            "u", [("uk", "int"), ("w", "string")],
+            [(i, f"w{i % 5}") for i in range(n)])
+        return Database([t, u])
+
+    @staticmethod
+    def _plans():
+        from repro.engine.plan import ProjectP
+
+        t = ScanP("t", ("k", "s", "v"))
+        u = ScanP("u", ("uk", "w"))
+        keep_all = FilterP(t, e.Comparison(e.Col("v"), ">=", e.Const(0)))
+        grouped = AggregateP(
+            keep_all, (e.Col("s"),),
+            ((e.FuncCall("max", (e.Col("s"),)), "hi"),
+             (e.FuncCall("sum", (e.Col("v"),)), "total")))
+        joined = DistinctP(ProjectP(
+            JoinP(t, u, "inner", ("k",), ("uk",), None, False),
+            (e.Col("s"), e.Col("w")), ("s", "w")))
+        return grouped, joined
+
+    def _run(self, n):
+        db = self._db(n)
+        return [VectorizedExecutor(db).batch(plan).rows()
+                for plan in self._plans()]
+
+    def test_loops_below_the_gate_kernels_from_it_up(self, engaged,
+                                                     kernel_gate):
+        n = kernels.KERNEL_MIN_ROWS
+        below = self._run(n - 1)
+        assert engaged == []                      # every hook: Python loops
+        at = self._run(n)
+        assert sorted(engaged) == sorted(self.KERNELS)
+        # Same plans, same data, gate out of reach: the reference rows.
+        del engaged[:]
+        kernel_gate(None)
+        assert self._run(n) == at and self._run(n - 1) == below
+        assert engaged == []
+        # One more row changes one group and nothing else.
+        assert [len(rows) for rows in at] == [len(rows) for rows in below]
+
+    def test_each_operator_is_gated_on_its_own_batch(self, engaged):
+        n = kernels.KERNEL_MIN_ROWS
+        db = self._db(n)
+        t = ScanP("t", ("k", "s", "v"))
+        # The filter sees n rows (kernel); what it keeps — a seventh — is
+        # below the gate, so the group-by over it runs the Python fold.
+        plan = AggregateP(
+            FilterP(t, e.Comparison(e.Col("v"), "=", e.Const(3))),
+            (e.Col("s"),), ((e.FuncCall("count", (e.Star(),)), "n"),))
+        rows = VectorizedExecutor(db).batch(plan).rows()
+        assert engaged == ["kernel_filter"]
+        assert sum(row[-1] for row in rows) == len(range(3, n, 7))
+
+    def test_a_snapshot_build_side_counts_toward_the_probe_gate(self, engaged):
+        """A small probe of a big relation: over a live relation the Python
+        loop probes its incrementally maintained ``key_index``; over a frozen
+        snapshot (a worker's attached shard) that index would be built for
+        the one query, so the build rows count and the kernel takes it."""
+        n = kernels.KERNEL_MIN_ROWS
+        small = relation_from_rows("p", [("pk", "int")],
+                                   [(i,) for i in range(0, n, 64)])
+        plan = JoinP(ScanP("p", ("pk",)), ScanP("u", ("uk", "w")),
+                     "inner", ("pk",), ("uk",), None, False)
+        u = self._db(n).relation("u")
+        live = VectorizedExecutor(Database([small, u])).batch(plan).rows()
+        assert engaged == []
+        frozen = Database([small, u.copy().freeze()])
+        assert VectorizedExecutor(frozen).batch(plan).rows() == live
+        assert engaged == ["kernel_probe"]
+        assert len(live) == len(small)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +459,8 @@ class TestKernelEquivalence:
 @needs_kernels
 class TestKernelCache:
     @pytest.fixture(autouse=True)
-    def _fresh_cache(self):
+    def _fresh_cache(self, kernel_gate):
+        kernel_gate(0)  # tiny build sides must reach the cached structures
         kernels.clear_cache()
         yield
         kernels.clear_cache()
@@ -259,11 +470,11 @@ class TestKernelCache:
         plan = JoinP(ORDERS, USERS, "inner", ("ouid", "ocity"),
                      ("uid", "city"), None, False)
         sink: dict[str, int] = {}
-        executor = KernelExecutor(db, sink)
+        executor = VectorizedExecutor(db, sink)
         first = executor.batch(plan).rows()
         misses_after_first = sink.get("kernel_cache_misses", 0)
         assert misses_after_first >= 1
-        executor2 = KernelExecutor(db, sink)
+        executor2 = VectorizedExecutor(db, sink)
         assert executor2.batch(plan).rows() == first
         assert sink.get("kernel_cache_hits", 0) >= 1
         assert sink.get("kernel_cache_misses", 0) == misses_after_first
@@ -280,7 +491,7 @@ class TestKernelCache:
         plan = JoinP(ORDERS, USERS, "inner", ("ocity",), ("city",),
                      None, False)
         sink: dict[str, int] = {}
-        KernelExecutor(db, sink).batch(plan).rows()
+        VectorizedExecutor(db, sink).batch(plan).rows()
         assert sink.get("kernel_cache_evictions", 0) >= 1
         assert kernels.cache_stats()["bytes"] <= 1
 
@@ -293,8 +504,37 @@ class TestKernelCache:
             db = Database([rel])
             scan = ScanP(f"t{i}", ("k", "v"))
             plan = JoinP(scan, scan, "inner", ("k",), ("k",), None, False)
-            KernelExecutor(db).batch(plan).rows()
+            VectorizedExecutor(db).batch(plan).rows()
         assert kernels.cache_stats()["entries"] <= 4
+
+    def test_literal_varied_filtered_joins_do_not_grow_the_cache(self):
+        """A filtered build side is a new hash table every query: its probe
+        structure (and its dictionary translation) must be built for the
+        probe and dropped, or every literal leaves an entry that can never
+        hit again.  Only the base-relation build side may stay."""
+        db = _db()
+        users2 = ScanP("users", ("uid2", "city2", "tier2"))
+
+        def plan(literal):
+            filtered = FilterP(USERS, e.Comparison(
+                e.Col("uid"), ">", e.Const(literal)))
+            per_query = JoinP(ORDERS, filtered, "inner", ("ocity",),
+                              ("city",), None, False)     # string keys
+            return JoinP(per_query, users2, "inner", ("ouid",), ("uid2",),
+                         None, False)                     # one base build
+
+        sink: dict[str, int] = {}
+        for literal in range(3):
+            VectorizedExecutor(db, sink).batch(plan(literal)).rows()
+        settled = kernels.cache_stats()
+        assert 1 <= settled["entries"] <= 2
+        for literal in range(3, 203):
+            fast, slow = _both(plan(literal % 70), db)
+            assert fast == slow
+        after = kernels.cache_stats()
+        assert after["entries"] == settled["entries"]
+        assert after["bytes"] == settled["bytes"]
+        assert after["evictions"] == settled["evictions"]
 
     def test_service_cache_info_exposes_kernel_cache(self):
         from repro.core.service import QueryService
@@ -324,7 +564,7 @@ class TestKernelCache:
         for key in ("kernel_cache_hits", "kernel_cache_misses",
                     "kernel_cache_evictions"):
             assert counts[key] == 0
-        reference = Counter(VectorizedExecutor(db).batch(plan).rows())
+        reference = Counter(_both(plan, db)[1])
         assert Counter(backend.execute(plan, db)) == reference
         assert Counter(backend.execute(plan, db)) == reference
         counts = backend.execution_counts()

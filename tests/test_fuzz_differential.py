@@ -38,7 +38,9 @@ scheduled ``bench-full`` workflow sets ``REPRO_FUZZ_PROFILE=nightly``).
 from __future__ import annotations
 
 import os
+import sys
 from collections import Counter
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -58,7 +60,7 @@ from repro.engine.plan import (
     SetOpP,
     SortLimitP,
 )
-from repro.engine.kernels import KernelExecutor
+import repro.engine.kernels as kernels
 from repro.engine.process import ProcessBackend
 from repro.engine.sharded import ShardedBackend
 from repro.expr import ast as e
@@ -71,33 +73,45 @@ settings.register_profile("ci", max_examples=40, **_COMMON)
 settings.register_profile("nightly", max_examples=400, **_COMMON)
 settings.load_profile(os.environ.get("REPRO_FUZZ_PROFILE", "ci"))
 
-class _KernelBackend:
-    """The kernel-accelerated vectorized executor as a backend fixture.
+class _Gated:
+    """A backend with the columnar executor's kernel gate pinned.
 
-    Exercises the compiled filter/probe/aggregate kernels when numpy is
-    importable; without numpy every kernel declines and this is exactly the
-    vectorized backend (still a valid differential leg).
+    Generated relations hold a handful of rows, far below
+    ``KERNEL_MIN_ROWS``.  ``min_rows=0`` offers every batch to the numpy
+    kernels (without numpy every kernel declines and the leg is the Python
+    loops again — still a valid differential leg); ``sys.maxsize`` offers
+    none.  Worker pools fork inside ``execute``, so they inherit the pin.
     """
 
-    name = "kernel"
+    def __init__(self, backend, min_rows: int) -> None:
+        self.backend = backend
+        self.min_rows = min_rows
 
     def execute(self, plan, db):
-        return KernelExecutor(db).batch(plan).rows()
+        with mock.patch.object(kernels, "KERNEL_MIN_ROWS", self.min_rows):
+            return self.backend.execute(plan, db)
 
 
 #: Every generated plan must agree across all of these.
 BACKENDS = [
     ("row", get_backend("row")),
-    ("vectorized", get_backend("vectorized")),
-    ("kernel", _KernelBackend()),
+    # The one columnar executor, on its Python loops and on its kernels.
+    ("vectorized", _Gated(get_backend("vectorized"), sys.maxsize)),
+    ("kernel", _Gated(get_backend("vectorized"), 0)),
     # Partition threshold 1 forces the partitioned probe/group code paths
-    # even on tiny generated relations.
-    ("parallel", ParallelBackend(workers=3, min_partition_rows=1)),
-    ("sharded-2", ShardedBackend(n_shards=2)),
-    ("sharded-3", ShardedBackend(n_shards=3)),
+    # even on tiny generated relations (they split the Python loops).
+    ("parallel", _Gated(ParallelBackend(workers=3, min_partition_rows=1),
+                        sys.maxsize)),
+    # What production runs from 2048 rows up: kernels first, the
+    # partitioned loops only where a kernel declines.
+    ("parallel-kernel",
+     _Gated(ParallelBackend(workers=3, min_partition_rows=1), 0)),
+    # Scatter-gather with kernels per shard, as before the gate existed.
+    ("sharded-2", _Gated(ShardedBackend(n_shards=2), 0)),
+    ("sharded-3", _Gated(ShardedBackend(n_shards=3), 0)),
     # Real worker processes over shared-memory pages; 2 workers keeps the
     # fork cost inside the ci profile's budget.
-    ("process-2", ProcessBackend(n_shards=2, workers=2)),
+    ("process-2", _Gated(ProcessBackend(n_shards=2, workers=2), 0)),
 ]
 
 _INT_VALUES = st.one_of(st.integers(min_value=0, max_value=6),

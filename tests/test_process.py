@@ -25,6 +25,7 @@ import os
 import subprocess
 import sys
 import threading
+from unittest import mock
 
 import pytest
 
@@ -40,14 +41,30 @@ from repro.data.sharded import (
 )
 from repro.core.sharded_service import ShardedQueryService
 from repro.engine import get_backend, lower, optimize, execute_plan
-from repro.engine.kernels import KernelExecutor, kernels_enabled
+from repro.engine.kernels import kernels_enabled
 from repro.engine.parallel import ParallelBackend
 from repro.engine.process import ProcessBackend, default_process_workers
+from repro.engine.vectorized import VectorizedExecutor
 from repro.queries import CANONICAL_QUERIES
 
 #: One shared backend for the catalog differential: real worker processes,
 #: forked once, reused by every cell (pool startup is the expensive part).
 _CATALOG_BACKEND = ProcessBackend(n_shards=2, workers=2)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _kernels_on_catalog_sized_pages():
+    """Open the executor's kernel gate for this module.
+
+    What is pinned here is worker processes computing with numpy kernels
+    over zero-copy page views; the catalog's ten-row shards are far below
+    ``KERNEL_MIN_ROWS`` and would otherwise take the Python loops.  Pools
+    fork on first use, inside a test, so the workers inherit the open gate.
+    """
+    import repro.engine.kernels as kernels
+
+    with mock.patch.object(kernels, "KERNEL_MIN_ROWS", 0):
+        yield
 
 
 def _segments() -> set[str]:
@@ -151,6 +168,26 @@ class TestSharedPagePublisher:
                 assert attached.rows() == rel.rows()
                 assert attached.schema == _SCHEMA
                 assert attached.version == rel.version == segment.version
+            finally:
+                del attached
+                detach_segment(shm)
+        finally:
+            publisher.close()
+
+    def test_attach_without_a_shm_directory(self, monkeypatch, tmp_path):
+        """No ``/dev/shm`` (macOS): attach by name through SharedMemory."""
+        import repro.data.sharded as sharded_data
+
+        rel = Relation(_SCHEMA, [(1, "x"), (2, None), (None, "z")])
+        publisher = SharedPagePublisher()
+        try:
+            segment = publisher.publish("0/t", rel)
+            monkeypatch.setattr(sharded_data, "_SHM_DIR",
+                                str(tmp_path / "absent"))
+            attached, shm = attach_segment(segment)
+            try:
+                assert attached.rows() == rel.rows()
+                assert attached.version == segment.version
             finally:
                 del attached
                 detach_segment(shm)
@@ -285,15 +322,16 @@ class TestProcessBackendDifferential:
         with pytest.raises(ValueError):
             ProcessBackend(workers=0)
 
-    def test_kernel_toggle_equivalence(self, db, monkeypatch):
+    def test_kernel_toggle_equivalence(self, db, monkeypatch, kernel_gate):
         plan = optimize(lower(
             "SELECT S.rating, COUNT(*), AVG(S.age) FROM Sailors S "
             "GROUP BY S.rating", db.schema, "sql"), db)
+        kernel_gate(0)  # ten sailors: far below the production gate
         monkeypatch.setenv("REPRO_KERNELS", "off")
         assert not kernels_enabled()
-        off = KernelExecutor(db).batch(plan).rows()
+        off = VectorizedExecutor(db).batch(plan).rows()
         monkeypatch.delenv("REPRO_KERNELS")
-        on = KernelExecutor(db).batch(plan).rows()
+        on = VectorizedExecutor(db).batch(plan).rows()
         assert off == on  # bit-identical, not just bag-equal
 
 
@@ -397,6 +435,40 @@ class TestLifecycle:
         lifecycle.unregister(probe)
         lifecycle.close_all()
         assert Probe.closed == 1
+
+    def test_detach_under_live_page_views_is_silent(self):
+        """A superseded segment whose zero-copy views are still referenced
+        (kernel encodings outlive the worker's attachment LRU) must unmap
+        when the last view dies — not print a ``BufferError`` traceback
+        from a finalizer, as every republishing write used to."""
+        code = """
+from repro.data import sailors_database
+from repro.data.sharded import (SharedPagePublisher, attach_segment,
+                                detach_segment)
+
+relation = sailors_database().relation("Reserves")
+publisher = SharedPagePublisher()
+segment = publisher.publish("0/reserves", relation)
+attached, mapping = attach_segment(segment)
+view = attached.column_store().pages[0][2]      # zero-copy int64 payload
+detach_segment(mapping)                          # views alive: deferred
+assert attached.rows() == relation.rows()
+assert bytes(view[:8]) == relation.rows()[0][0].to_bytes(8, "little")
+del attached, mapping
+assert len(view) == 8 * len(relation)            # the view keeps it mapped
+del view
+publisher.close()
+print("SILENT")
+"""
+        env = dict(os.environ, PYTHONPATH="src")
+        result = subprocess.run(
+            [sys.executable, "-W", "error::ResourceWarning", "-c", code],
+            capture_output=True, text=True, timeout=60,
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            env=env)
+        assert result.returncode == 0, result.stderr
+        assert "SILENT" in result.stdout
+        assert result.stderr == ""
 
     def test_clean_under_resource_warning_errors(self):
         """The whole stack leaves no pools/segments behind at exit."""

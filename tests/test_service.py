@@ -315,6 +315,24 @@ class TestConcurrencyHammer:
                 f"stale cache entry for {handle.text!r}"
             )
 
+    def test_storm_above_the_kernel_gate(self):
+        """The same storm with every scan above ``KERNEL_MIN_ROWS``: readers
+        run the numpy kernels while the writer grows the columns under
+        them, so length-tagged encodings, cached build structures and
+        table profiles are rebuilt mid-storm instead of sitting unused."""
+        from repro.engine.kernels import KERNEL_MIN_ROWS
+
+        service = QueryService(
+            random_sailors_database(n_sailors=KERNEL_MIN_ROWS + 50, n_boats=8,
+                                    n_reserves=KERNEL_MIN_ROWS + 300, seed=23))
+        handles = self._run_storm(service)
+        fresh = QueryVisualizationPipeline(service.db, result_cache_size=0,
+                                           backend="row")
+        for handle in handles:
+            assert handle.answer().bag_equal(fresh.answer(handle.text)), (
+                f"stale cache entry for {handle.text!r}"
+            )
+
     def test_storm_with_parallel_backend(self):
         service = QueryService(
             random_sailors_database(n_sailors=60, n_boats=8, n_reserves=300,

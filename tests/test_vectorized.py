@@ -283,6 +283,118 @@ class TestStats:
         assert second.row_count == first.row_count + 1
         assert catalog.table("NoSuchTable") is None
 
+    # -- the profile is a cache of the relation, not of a catalog ----------
+
+    @pytest.fixture()
+    def profiled(self, monkeypatch):
+        """Names of the relations ``collect_table_stats`` scans, in order."""
+        import repro.engine.stats as stats_module
+
+        scanned: list[str] = []
+        collect = stats_module.collect_table_stats
+
+        def spy(relation):
+            scanned.append(relation.name)
+            return collect(relation)
+
+        monkeypatch.setattr(stats_module, "collect_table_stats", spy)
+        return scanned
+
+    JOIN_SQL = ("SELECT S.sname, B.bname FROM Sailors S, Reserves R, Boats B "
+                "WHERE S.sid = R.sid AND R.bid = B.bid AND S.age > 30")
+
+    def test_bare_optimize_profiles_each_relation_once(self, profiled):
+        db = sailors_database()
+        plan = lower(self.JOIN_SQL, db.schema, "sql")
+        plans = {optimize(plan, db) for _ in range(20)}  # no stats=
+        assert len(plans) == 1
+        assert sorted(profiled) == ["Boats", "Reserves", "Sailors"]
+        # Any other catalog over the same relations shares the profiles.
+        assert StatsCatalog(db).table("Sailors") is \
+            StatsCatalog(db).table("Sailors")
+        from repro.engine.optimize import estimate_rows
+        estimate_rows(plan, db)
+        assert len(profiled) == 3
+
+    def test_add_rows_reprofiles_exactly_the_written_relation(self, profiled):
+        db = sailors_database()
+        plan = lower(self.JOIN_SQL, db.schema, "sql")
+        optimize(plan, db)
+        del profiled[:]
+        db.relation("Reserves").add_rows([(22, 101, "2025-01-01"),
+                                          (31, 102, "2025-01-02")])
+        optimize(plan, db)
+        optimize(plan, db)
+        assert profiled == ["Reserves"]
+        assert StatsCatalog(db).table("Reserves").row_count == \
+            len(db.relation("Reserves"))
+
+    def test_write_racing_a_profile_is_never_filed_under_its_version(
+            self, monkeypatch):
+        import repro.engine.stats as stats_module
+
+        db = sailors_database()
+        sailors = db.relation("Sailors")
+        collect = stats_module.collect_table_stats
+
+        def racing(relation):
+            stats = collect(relation)            # scans the old state ...
+            relation.add((99, "Zed", 5, 30.0))   # ... a writer lands ...
+            return stats                         # ... before it is published
+
+        monkeypatch.setattr(stats_module, "collect_table_stats", racing)
+        before = len(sailors)
+        stale = StatsCatalog(db).table("Sailors")
+        assert stale.row_count == before         # served, for this one call
+        cached = sailors.profile_cache
+        assert cached is None or cached[0] != sailors.version
+        monkeypatch.setattr(stats_module, "collect_table_stats", collect)
+        fresh = StatsCatalog(db).table("Sailors")
+        assert fresh.row_count == before + 1 == len(sailors)
+        assert sailors.profile_cache == (sailors.version, fresh)
+
+    def test_concurrent_optimizers_share_one_profiling_pass(self, profiled):
+        import threading
+
+        db = random_sailors_database(n_sailors=300, n_boats=20,
+                                     n_reserves=3000, seed=5)
+        plan = lower(self.JOIN_SQL, db.schema, "sql")
+        start = threading.Barrier(8)
+        plans = []
+
+        def work():
+            start.wait(timeout=30)
+            plans.append(optimize(plan, db))
+
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(plans) == 8 and len(set(plans)) == 1
+        assert sorted(profiled) == ["Boats", "Reserves", "Sailors"]
+
+    def test_sharded_merged_view_reprofiles_after_a_routed_write(
+            self, profiled):
+        from repro.data import ShardedDatabase
+
+        sharded = ShardedDatabase.from_database(sailors_database(), 3)
+        catalog = StatsCatalog(sharded)
+        first = catalog.table("Reserves")
+        sailors = catalog.table("Sailors")
+        assert catalog.table("Reserves") is first
+        assert first.row_count == sharded.total_rows() - len(
+            sharded.relation("Sailors")) - len(sharded.relation("Boats"))
+        del profiled[:]
+        sharded.add_row("Reserves", (22, 104, "2025-03-03"))
+        second = StatsCatalog(sharded).table("Reserves")
+        assert second.row_count == first.row_count + 1
+        assert second.columns[2].distinct == first.columns[2].distinct + 1
+        assert StatsCatalog(sharded).table("Reserves") is second
+        assert StatsCatalog(sharded).table("Sailors") is sailors  # untouched
+        assert profiled == ["Reserves"]
+
     def test_equality_selectivity_uses_distinct_counts(self):
         db = sailors_database()
         catalog = StatsCatalog(db)

@@ -224,6 +224,22 @@ class TestShardedDiagnostics:
     def sharded(self, db):
         return ShardedDatabase.from_database(db, n_shards=2)
 
+    def test_verifying_a_plan_never_merges_sharded_relations(self, sharded):
+        # Schemas come from the schema view (shard 0), not from
+        # ``relation(name)``: the merged view copies every shard's rows,
+        # which made verify_plan on a sharded database ~400x a plain one.
+        plan = optimize(lower(
+            "SELECT S.sname, R.bid FROM Sailors S, Reserves R "
+            "WHERE S.sid = R.sid AND S.rating > 7", sharded.schema, "sql"))
+        assert sharded._merged == {}
+        verify_plan(plan, sharded)
+        assert sharded._merged == {}
+        # ... and the lookup still sees the real schemas: a wrong-arity scan
+        # is caught on the sharded database exactly as on a plain one.
+        with pytest.raises(PlanVerificationError):
+            verify_plan(ScanP("Reserves", ("sid", "bid")), sharded)
+        assert sharded._merged == {}
+
     def test_distribution_unsafe_scatter(self, sharded):
         # DISTINCT over a projection that drops the shard key (sid): equal
         # rows can straddle shards, so per-shard DISTINCT is not exact.
@@ -505,19 +521,35 @@ class TestInvariantLint:
         root = fixture_repo("src/repro/engine/stats.py", """\
             import threading
 
-            class StatsCatalog:
-                def __init__(self, db):
-                    self._cache = {}
-                    self._lock = threading.Lock()
+            _PROFILE_LOCK = threading.Lock()
 
-                def table(self, name):
-                    self._cache.pop(name, None)
+            def table_profile(relation):
+                stats = object()
+                relation.profile_cache = (relation.version, stats)
+                return stats
             """)
         violations = [v for v in invariants.run_checks(root)
                       if v.rule == "lock-guarded-cache"]
         assert {v.path for v in violations} == {
             os.path.join("src", "repro", "core", "pipeline.py"),
             os.path.join("src", "repro", "engine", "stats.py")}
+
+    def test_profile_published_under_its_lock_is_clean(self, invariants,
+                                                       fixture_repo):
+        root = fixture_repo("src/repro/engine/stats.py", """\
+            import threading
+
+            _PROFILE_LOCK = threading.Lock()
+
+            def table_profile(relation):
+                cached = relation.profile_cache      # reads need no lock
+                with _PROFILE_LOCK:
+                    stats = object()
+                    relation.profile_cache = (relation.version, stats)
+                return stats
+            """)
+        assert [v for v in invariants.run_checks(root)
+                if v.rule == "lock-guarded-cache"] == []
 
     def test_shared_memory_without_release_path(self, invariants,
                                                 fixture_repo):

@@ -6,7 +6,8 @@ Rules (see tools/README.md for how to add one):
 
 ``lock-guarded-cache``
     Shared mutable caches — the serving layer's ``_LRUCache`` data, the
-    optimizer's ``StatsCatalog`` profile cache, the kernel layer's
+    optimizer's per-relation table profiles (the ``profile_cache`` slot
+    ``repro.engine.stats`` keeps on each relation), the kernel layer's
     module-level build-structure LRU, and the query service's materialized-
     view registry (``_views`` / ``_views_by_name``) — may only be mutated
     inside a ``with <their lock>:`` block (class ``__init__`` excepted: the
@@ -76,12 +77,16 @@ _MUTATING_METHODS = frozenset({
 
 #: (relative path, scope, protected attribute/global names, lock expression).
 #: Scope "class:Name" protects ``self.<attr>`` inside that class (lock
-#: ``self.<lock>``); scope "module" protects module globals (lock a global).
+#: ``self.<lock>``); scope "module" protects module globals and, for state
+#: the module keeps on other objects, ``<anything>.<name>`` slots (lock a
+#: global).
 CACHE_RULES: tuple[tuple[str, str, frozenset, str], ...] = (
     ("src/repro/core/pipeline.py", "class:_LRUCache",
      frozenset({"_data"}), "_lock"),
-    ("src/repro/engine/stats.py", "class:StatsCatalog",
-     frozenset({"_cache"}), "_lock"),
+    # Table profiles live on the relations, below every StatsCatalog; the
+    # lock also makes concurrent optimizer calls share one profiling pass.
+    ("src/repro/engine/stats.py", "module",
+     frozenset({"profile_cache"}), "_PROFILE_LOCK"),
     ("src/repro/engine/kernels.py", "module",
      frozenset({"_CACHE", "_CACHE_BYTES", "_CACHE_TOTALS"}), "_CACHE_LOCK"),
     # The view registry: registration, unregistration, and every refresh
@@ -122,6 +127,8 @@ class _LockChecker(ast.NodeVisitor):
         if self.scope == "module":
             if isinstance(node, ast.Name) and node.id in self.names:
                 return node.id
+            if isinstance(node, ast.Attribute) and node.attr in self.names:
+                return node.attr
         elif _is_self_attr(node, self.names):
             return node.attr  # type: ignore[union-attr]
         return None
