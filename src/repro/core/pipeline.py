@@ -92,6 +92,21 @@ class _LRUCache:
             self._data[key] = value
             return value
 
+    def peek(self, key: Any, default: Any = None) -> Any:
+        """:meth:`get` for a caller that must not wait (the event loop).
+
+        The lock is only *tried*: while another thread holds it the lookup
+        reads as a miss, and the caller falls back to a path that may block.
+        """
+        if self._lock.acquire(blocking=False):
+            try:
+                if key in self._data:
+                    self._data.move_to_end(key)
+                    return self._data[key]
+            finally:
+                self._lock.release()
+        return default
+
     def put(self, key: Any, value: Any) -> None:
         if self.capacity <= 0:
             return

@@ -16,6 +16,12 @@ under concurrent readers and writers:
   LRU keyed on ``(query fingerprint, database version)`` behind an internal
   lock; warm requests are one locked dictionary lookup and never serialize
   against each other or against execution.
+* **Hits without waiting.**  :meth:`~QueryService.try_hit` is ``query``
+  for an answer that is already there: a result-cache entry at the current
+  version or a fresh view, found by trying the locks instead of taking
+  them, returned as the envelope memoized beside the entry the first time
+  it is hit.  It declines (``None``) rather than wait or execute, which is
+  what lets an event loop call it directly.
 * **Snapshot-validated misses.**  A cache miss executes *optimistically*:
   the database version is read before and after execution, and the answer is
   published (and returned) only if no write interleaved.  A torn execution
@@ -53,7 +59,6 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.core.pipeline import (
-    _MISS,
     PIPELINE_LANGUAGES,
     _LRUCache,
     QueryVisualizationPipeline,
@@ -68,6 +73,7 @@ from repro.core.service_api import (
 )
 from repro.data.database import Database
 from repro.data.relation import Relation
+from repro.engine import detect_language
 from repro.engine.kernels import cache_stats as kernel_cache_stats
 from repro.engine.stats import StatsCatalog, TableStats
 
@@ -86,9 +92,74 @@ class ServiceStats:
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
 
-    def bump(self, name: str, by: int = 1) -> None:
+    def bump(self, *names: str) -> None:
+        """Add one to each named counter, atomically together."""
         with self._lock:
-            setattr(self, name, getattr(self, name) + by)
+            self._add(names)
+
+    def try_bump(self, *names: str) -> bool:
+        """:meth:`bump` without waiting; ``False`` (nothing counted) when
+        another thread holds the lock."""
+        if not self._lock.acquire(blocking=False):
+            return False
+        try:
+            self._add(names)
+        finally:
+            self._lock.release()
+        return True
+
+    def _add(self, names: tuple[str, ...]) -> None:
+        for name in names:
+            setattr(self, name, getattr(self, name) + 1)
+
+
+class _Answer:
+    """One published answer: what a cache entry or a view's current state is.
+
+    Immutable once built except for :attr:`_result`, the memoized envelope.
+    The version token is fixed at publication, so everything the envelope
+    needs travels with the answer and a hit builds it without consulting
+    the service again.  A new version (or a view refresh) publishes a new
+    object; the envelope, and the JSON bytes memoized on it, go with the
+    old one.
+    """
+
+    __slots__ = ("relation", "warnings", "language", "fingerprint", "version",
+                 "_result")
+
+    def __init__(self, relation: Relation, warnings: tuple[str, ...],
+                 language: str, fingerprint: str, version: Any) -> None:
+        self.relation = relation.freeze()
+        self.warnings = warnings
+        self.language = language
+        self.fingerprint = fingerprint
+        self.version = version
+        self._result: QueryResult | None = None
+
+    def envelope(self) -> QueryResult:
+        """Package this answer as a fresh :class:`QueryResult`."""
+        relation = self.relation
+        return QueryResult(
+            columns=relation.attribute_names,
+            rows=tuple(relation.rows()),
+            language=self.language,
+            fingerprint=self.fingerprint,
+            version=self.version,
+            warnings=self.warnings,
+            relation=relation,
+        )
+
+    def result(self) -> QueryResult:
+        """The envelope, built on the first *hit* and kept with the answer.
+
+        Only hits come here — an answer that is published and never re-read
+        retains nothing beyond its relation.  Racing first hits may each
+        build one; they are equal and the last store wins.
+        """
+        result = self._result
+        if result is None:
+            result = self._result = self.envelope()
+        return result
 
 
 class PreparedQuery:
@@ -109,15 +180,17 @@ class PreparedQuery:
 
     def answer(self, *, warnings: list[str] | None = None) -> Relation:
         """Serve this query's answers (frozen; take ``.copy()`` to mutate)."""
-        return self.service._serve(self.text, self.language, self.fingerprint,
-                                   warnings)
+        return self.service._serve_relation(
+            self.text, self.language, self.fingerprint, warnings)
 
     def query(self) -> QueryResult:
         """Serve as a structured envelope (see :meth:`QueryService.query`)."""
-        warnings: list[str] = []
-        relation = self.answer(warnings=warnings)
-        return self.service._envelope(relation, self.language,
-                                      self.fingerprint, warnings)
+        return self.service._query(self.text, self.language, self.fingerprint)
+
+    def try_hit(self) -> QueryResult | None:
+        """The cached envelope, or ``None`` without waiting (see
+        :meth:`~repro.core.service_api.ServiceAPI.try_hit`)."""
+        return self.service._try_hit(self.fingerprint)
 
     def __repr__(self) -> str:
         return f"PreparedQuery({self.language}: {self.text!r})"
@@ -173,9 +246,8 @@ class MaterializedView:
         self._maintainer: Any = None    # None => rebuild-on-refresh
         self._base_rels: tuple[str, ...] = ()
         self._anchors: dict[str, int] = {}
-        self._warnings: tuple[str, ...] = ()
         self._structure_version = -1
-        self._relation: Relation | None = None
+        self._published: _Answer | None = None
         self._version = -1
 
     # -- serving -----------------------------------------------------------
@@ -191,37 +263,49 @@ class MaterializedView:
         ``"rebuild"`` — how refreshes are computed right now."""
         return self._maintainer.kind if self._maintainer is not None else "rebuild"
 
+    def _peek(self) -> _Answer | None:
+        """The published answer if it is current — takes no lock.
+
+        The one freshness check: :meth:`answer` and the service's
+        ``try_hit`` both come through here.
+        """
+        # Read the version *first*: a refresh publishes the answer before
+        # the version, so observing a current version guarantees the answer
+        # read afterwards is at least that fresh.
+        if self._version == self.service.db.version:
+            return self._published
+        return None
+
+    def _current(self) -> _Answer:
+        """The published answer, catching up first if stale."""
+        published = self._peek()
+        if published is None:
+            with self.service._write_lock:
+                published = self._refresh_locked()
+        return published
+
     def answer(self, *, warnings: list[str] | None = None) -> Relation:
         """The materialized answers (frozen), catching up first if stale."""
-        # Read the version *first*: a refresh publishes the relation before
-        # the version, so observing a current version guarantees the relation
-        # read afterwards is at least that fresh.
-        if self._version == self.service.db.version \
-                and self._relation is not None:
-            relation = self._relation
-            if warnings is not None:
-                warnings.extend(self._warnings)
-            return relation
-        with self.service._write_lock:
-            relation = self._refresh_locked()
+        published = self._current()
         if warnings is not None:
-            warnings.extend(self._warnings)
-        return relation
+            warnings.extend(published.warnings)
+        return published.relation
 
     def refresh(self) -> Relation:
         """Force a catch-up now (no-op when already current)."""
         with self.service._write_lock:
-            return self._refresh_locked()
+            return self._refresh_locked().relation
 
     def rebuild(self) -> Relation:
         """Force a from-scratch rematerialization now."""
         with self.service._write_lock:
             self.refreshes += 1
-            return self._rebuild_locked()
+            return self._rebuild_locked().relation
 
     def info(self) -> dict[str, Any]:
         """Introspection: strategy, freshness, refresh counters."""
-        relation = self._relation
+        published = self._published
+        relation = published.relation if published is not None else None
         return {
             "name": self.name,
             "language": self.language,
@@ -238,10 +322,10 @@ class MaterializedView:
 
     # -- maintenance (service write lock held) ------------------------------
 
-    def _refresh_locked(self) -> Relation:
+    def _refresh_locked(self) -> _Answer:
         db = self.service.db
-        if self._relation is not None and self._version == db.version:
-            return self._relation
+        if self._published is not None and self._version == db.version:
+            return self._published
         self.refreshes += 1
         if self._maintainer is None \
                 or self._structure_version != db.structure_version:
@@ -251,9 +335,7 @@ class MaterializedView:
             if db.relation_version(rel) > self._anchors.get(rel, -1):
                 changed.add(rel)
         if not changed:
-            # Writes elsewhere in the database: output cannot have changed.
-            self._version = db.version
-            return self._relation
+            return self._republish(db)
         from repro.engine.delta import DeltaRewriteError
         from repro.engine.lower import LoweringError
         from repro.engine.plan import DeltaUnavailable, PlanError
@@ -266,10 +348,9 @@ class MaterializedView:
             # out unmaintainable after all): start over from scratch.
             return self._rebuild_locked()
         self.incremental_refreshes += 1
-        self._publish(db)
-        return self._relation
+        return self._publish(db)
 
-    def _rebuild_locked(self) -> Relation:
+    def _rebuild_locked(self) -> _Answer:
         from repro.engine.delta import (
             DatalogMaintainer,
             DeltaRewriteError,
@@ -282,9 +363,6 @@ class MaterializedView:
         self._maintainer = None
         self._plan = self._core = None
         self._base_rels = ()
-        # Warnings describe the *current* build: a rebuild that lands on a
-        # maintainer strategy must not keep reporting an earlier fallback.
-        self._warnings = ()
         warnings: list[str] = []
         pipeline = self.service.pipeline
         if self.language == "datalog":
@@ -300,12 +378,10 @@ class MaterializedView:
             if maintainer is not None:
                 self._maintainer = maintainer
                 self._base_rels = maintainer.base_relations()
-                self._finish_publish(db, maintainer.result_relation(), ())
-                return self._relation
+                return self._finish_publish(db, maintainer.result_relation())
             relation = pipeline.answer(self.text, language="datalog",
                                        warnings=warnings)
-            self._finish_publish(db, relation, tuple(warnings))
-            return self._relation
+            return self._finish_publish(db, relation, tuple(warnings))
         plan = pipeline.prepare_plan(self.text, self.language)
         if plan is not None:
             self._plan = plan
@@ -315,16 +391,14 @@ class MaterializedView:
                 self._maintainer = maintainer
                 self._core = core
                 self._base_rels = base_relations(core)
-                self._publish(db)
-                return self._relation
+                return self._publish(db)
             except DeltaRewriteError:
                 pass
         relation = pipeline.answer(self.text, language=self.language,
                                    warnings=warnings)
-        self._finish_publish(db, relation, tuple(warnings))
-        return self._relation
+        return self._finish_publish(db, relation, tuple(warnings))
 
-    def _publish(self, db: Database) -> None:
+    def _publish(self, db: Database) -> _Answer:
         """Repackage the maintained state and publish (version set last)."""
         from repro.engine.delta import finish_rows, view_result_relation
 
@@ -334,18 +408,33 @@ class MaterializedView:
         else:
             rows = finish_rows(db, self._plan, self._core, maintainer.rows())
             relation = view_result_relation(self._plan, rows)
-        self._finish_publish(db, relation, self._warnings)
+        return self._finish_publish(db, relation)
 
     def _finish_publish(self, db: Database, relation: Relation,
-                        warnings: tuple[str, ...]) -> None:
-        self._warnings = warnings
+                        warnings: tuple[str, ...] = ()) -> _Answer:
+        """Publish ``relation`` as the view's answer at ``db``'s version.
+
+        ``warnings`` are the engine-fallback reasons of a rebuild-on-refresh
+        view; a maintained view was planned by the engine and has none.
+        """
         self._anchors = {rel: db.relation_version(rel)
                          for rel in self._base_rels}
         self._structure_version = db.structure_version
-        self._relation = relation.freeze()
+        # The write lock is held, so the service's version token is exact.
+        published = self._published = _Answer(
+            relation, warnings, self.language, self.fingerprint,
+            self.service._cache_version())
         # Version last: a lock-free reader that observes the new version is
-        # then guaranteed to observe the new relation too.
+        # then guaranteed to observe the new answer too.
         self._version = db.version
+        return published
+
+    def _republish(self, db: Database) -> _Answer:
+        """Writes elsewhere in the database: the output cannot have changed,
+        only the version (and so the envelope) it is consistent at."""
+        published = self._published
+        return self._finish_publish(db, published.relation,
+                                    published.warnings)
 
     def __repr__(self) -> str:
         return (f"MaterializedView({self.name!r}, {self.language}: "
@@ -392,8 +481,8 @@ class QueryService(ServiceBase):
         (cached alongside the answer, so warm hits report them too).
         """
         resolved = self._resolve_language(text, language)
-        return self._serve(text, resolved, fingerprint_query(text, resolved),
-                           warnings)
+        return self._serve_relation(
+            text, resolved, fingerprint_query(text, resolved), warnings)
 
     def prepare(self, text: str, *, language: str | None = None) -> PreparedQuery:
         """Parse + plan one query now; serve it repeatedly via the handle.
@@ -408,8 +497,6 @@ class QueryService(ServiceBase):
                              fingerprint_query(text, resolved))
 
     def _resolve_language(self, text: str, language: str | None) -> str:
-        from repro.engine import detect_language
-
         resolved = (language or detect_language(text)).lower()
         if resolved not in PIPELINE_LANGUAGES:
             raise UnknownLanguageError(
@@ -431,27 +518,71 @@ class QueryService(ServiceBase):
         """
         return self.db.version
 
-    def _serve(self, text: str, language: str, fingerprint: str,
-               warnings: list[str] | None) -> Relation:
-        """Cache lookup + snapshot-validated execution (see module docs)."""
-        self.stats.bump("requests")
+    def _serve_relation(self, text: str, language: str, fingerprint: str,
+                        warnings: list[str] | None) -> Relation:
+        """Serve one identified query as a frozen relation."""
+        served, _hit = self._serve(text, language, fingerprint)
+        if warnings is not None:
+            warnings.extend(served.warnings)
+        return served.relation
+
+    def _query(self, text: str, language: str,
+               fingerprint: str) -> QueryResult:
+        """Serve one identified query as an envelope."""
+        served, hit = self._serve(text, language, fingerprint)
+        return served.result() if hit else served.envelope()
+
+    def _try_hit(self, fingerprint: str) -> QueryResult | None:
+        """:meth:`_query` for an answer that is already there, or ``None``.
+
+        Never waits: the peek and the counters only *try* their locks, and a
+        declined request counts nothing (the caller's :meth:`query` will).
+        """
+        served, counter = self._peek(fingerprint)
+        if served is None or not self.stats.try_bump("requests", counter):
+            return None
+        return served.result()
+
+    def _peek(self, fingerprint: str) -> tuple[_Answer | None, str]:
+        """The answer that is current for ``fingerprint`` right now, if one
+        is published, and the counter a hit on it bumps — without waiting.
+
+        A fresh registered view, else the result-cache entry at the current
+        version token.  ``None`` means "cannot say without waiting": a miss,
+        a stale view, or a cache lock another thread holds.
+        """
+        view = self._views.get(fingerprint)
+        if view is not None:
+            return view._peek(), "view_hits"
+        key = (fingerprint, self._cache_version())
+        return self._results.peek(key), "result_hits"
+
+    def _serve(self, text: str, language: str,
+               fingerprint: str) -> tuple[_Answer, bool]:
+        """Cache lookup + snapshot-validated execution (see module docs).
+
+        Returns the published answer and whether a ``*_hits`` counter was
+        bumped for it (only then does the caller keep its envelope).
+        """
+        served, counter = self._peek(fingerprint)
+        if served is not None:
+            self.stats.bump("requests", counter)
+            return served, True
         view = self._views.get(fingerprint)
         if view is not None:
             # Registered views are served from their materialization: writes
             # they have absorbed never invalidate, and a stale view catches
             # up by delta plans instead of recomputing.
-            self.stats.bump("view_hits")
-            return view.answer(warnings=warnings)
+            self.stats.bump("requests", "view_hits")
+            return view._current(), True
+        self.stats.bump("requests")
         for _attempt in range(self.max_retries):
             version = self._cache_version()
             key = (fingerprint, version)
-            cached = self._results.get(key, _MISS)
-            if cached is not _MISS:
-                answers, cached_warnings = cached
-                if warnings is not None:
-                    warnings.extend(cached_warnings)
+            cached = self._results.get(key)
+            if cached is not None:
                 self.stats.bump("result_hits")
-                return answers
+                return cached, True
             # Each attempt collects its own warnings; only the attempt that
             # wins publishes them, so retries never duplicate messages.
             attempt_warnings: list[str] = []
@@ -467,33 +598,32 @@ class QueryService(ServiceBase):
                 self.stats.bump("validation_retries")
                 continue
             if self._cache_version() == version:
-                return self._publish(key, answers, attempt_warnings, warnings)
+                return self._publish(key, language, answers,
+                                     attempt_warnings), False
             # A write interleaved: the answer may be torn across relations.
             self.stats.bump("validation_retries")
         # Contended: run once with writers excluded — guaranteed consistent.
         with self._write_lock:
             self.stats.bump("serialized_runs")
             key = (fingerprint, self._cache_version())
-            cached = self._results.get(key, _MISS)
-            if cached is not _MISS:
-                answers, cached_warnings = cached
-                if warnings is not None:
-                    warnings.extend(cached_warnings)
+            cached = self._results.get(key)
+            if cached is not None:
                 self.stats.bump("result_hits")
-                return answers
+                return cached, True
             attempt_warnings = []
             answers = self.pipeline.answer(text, language=language,
                                            warnings=attempt_warnings)
-            return self._publish(key, answers, attempt_warnings, warnings)
+            return self._publish(key, language, answers,
+                                 attempt_warnings), False
 
-    def _publish(self, key: tuple, answers: Relation,
-                 attempt_warnings: list[str],
-                 warnings: list[str] | None) -> Relation:
+    def _publish(self, key: tuple, language: str, answers: Relation,
+                 warnings: list[str]) -> _Answer:
+        fingerprint, version = key
+        published = _Answer(answers, tuple(warnings), language, fingerprint,
+                            version)
         self.stats.bump("result_misses")
-        self._results.put(key, (answers.freeze(), tuple(attempt_warnings)))
-        if warnings is not None:
-            warnings.extend(attempt_warnings)
-        return answers
+        self._results.put(key, published)
+        return published
 
     # -- materialized views -------------------------------------------------
 

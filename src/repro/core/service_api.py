@@ -24,7 +24,8 @@ surface:
   so no bare traceback ever crosses a protocol boundary; each subclass
   carries the HTTP status its code maps to (400 / 404 / 409 / 503).
 * :class:`ServiceBase` — the shared mixin implementing the envelope path
-  (:meth:`~ServiceBase.query`) and the default
+  (:meth:`~ServiceBase.query` and its never-waiting twin
+  :meth:`~ServiceBase.try_hit`) and the default
   :meth:`~ServiceBase.execution_counts` on top of the primitives the
   concrete services already provide.
 
@@ -40,10 +41,12 @@ contracts — behaves identically on single-node and sharded services.
 
 from __future__ import annotations
 
+import json
 from contextlib import AbstractContextManager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Protocol, Sequence, runtime_checkable
 
+from repro.core.pipeline import fingerprint_query
 from repro.data.relation import Relation, Row
 
 #: Version token of one answer: the scalar database version (single node)
@@ -239,6 +242,12 @@ class QueryResult:
     :meth:`~repro.core.pipeline.QueryVisualizationPipeline.answer` reports
     through its out-param.  ``relation`` is the frozen answer itself for
     in-process callers; it is not part of the wire payload.
+
+    ``encoded`` is the JSON body once :meth:`encode` has run, ``None``
+    before.  The services keep the envelope of an answer that is *hit*
+    beside its cache entry (see :meth:`ServiceAPI.try_hit`), so the bytes
+    live exactly as long as the entry: evicting it, a write, or a view
+    refresh drops both.
     """
 
     columns: tuple[str, ...]
@@ -248,6 +257,8 @@ class QueryResult:
     version: Any
     warnings: tuple[str, ...]
     relation: Relation
+    encoded: "bytes | None" = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def to_payload(self) -> dict[str, Any]:
         """The JSON-serializable wire form (no Relation objects)."""
@@ -263,6 +274,18 @@ class QueryResult:
             "version": version,
             "warnings": list(self.warnings),
         }
+
+    def encode(self) -> bytes:
+        """``json.dumps(self.to_payload())`` as UTF-8, encoded once and kept.
+
+        O(rows) the first time: a protocol front end calls it off its event
+        loop and frames later replies from :attr:`encoded`.
+        """
+        body = self.encoded
+        if body is None:
+            body = json.dumps(self.to_payload()).encode("utf-8")
+            object.__setattr__(self, "encoded", body)
+        return body
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +305,21 @@ class ServiceAPI(Protocol):
 
     def query(self, text: str, *, language: str | None = None) -> QueryResult:
         """Serve one query as a structured :class:`QueryResult` envelope."""
+        ...
+
+    def try_hit(self, text: str,
+                language: str | None = None) -> "QueryResult | None":
+        """The envelope :meth:`query` would return, if it is already cached.
+
+        Never waits and never executes: it answers only from a result-cache
+        entry at the current version token or a registered view that is
+        fresh, tries its locks instead of taking them, and returns ``None``
+        whenever it cannot tell at once (a miss, a stale view, a contended
+        lock, an unknown language) — the caller then calls :meth:`query`.
+        A returned hit is counted like one served by :meth:`query`; a
+        declined one is not counted at all.  This is the one service call
+        an event loop may make directly.
+        """
         ...
 
     def answer(self, text: str, *, language: str | None = None,
@@ -348,11 +386,13 @@ class ServiceAPI(Protocol):
 class ServiceBase:
     """Mixin implementing the envelope path shared by every service.
 
-    Concrete services provide ``answer`` / ``_resolve_language`` /
-    ``_cache_version``; this base turns them into the uniform
-    :meth:`query` envelope and the default :meth:`execution_counts`, so the
-    warnings shape and error classification cannot drift between
-    deployments.
+    Concrete services provide ``_resolve_language`` / ``_query`` /
+    ``_try_hit``; this base identifies the query once — resolved language
+    and fingerprint, the two values every cache in the service keys on —
+    and turns them into the uniform :meth:`query` envelope, its
+    non-blocking twin :meth:`try_hit`, and the default
+    :meth:`execution_counts`, so the warnings shape and error
+    classification cannot drift between deployments.
     """
 
     def query(self, text: str, *, language: str | None = None) -> QueryResult:
@@ -363,32 +403,24 @@ class ServiceBase:
         structured :class:`ServiceError` — the behaviour is identical on
         every :class:`ServiceAPI` implementation.
         """
-        from repro.core.pipeline import fingerprint_query
-
-        warnings: list[str] = []
         try:
             resolved = self._resolve_language(text, language)  # type: ignore[attr-defined]
-            relation = self.answer(text, language=resolved,  # type: ignore[attr-defined]
-                                   warnings=warnings)
+            return self._query(text, resolved,  # type: ignore[attr-defined]
+                               fingerprint_query(text, resolved))
         except ServiceError:
             raise
         except Exception as exc:
             raise wrap_service_error(exc) from exc
-        return self._envelope(relation, resolved,
-                              fingerprint_query(text, resolved), warnings)
 
-    def _envelope(self, relation: Relation, language: str, fingerprint: str,
-                  warnings: list[str]) -> QueryResult:
-        """Package one served relation as a :class:`QueryResult`."""
-        return QueryResult(
-            columns=relation.attribute_names,
-            rows=tuple(relation.rows()),
-            language=language,
-            fingerprint=fingerprint,
-            version=self._cache_version(),  # type: ignore[attr-defined]
-            warnings=tuple(warnings),
-            relation=relation,
-        )
+    def try_hit(self, text: str,
+                language: str | None = None) -> "QueryResult | None":
+        """The cached envelope, or ``None`` without waiting (see
+        :meth:`ServiceAPI.try_hit`)."""
+        try:
+            resolved = self._resolve_language(text, language)  # type: ignore[attr-defined]
+        except UnknownLanguageError:
+            return None  # query() reports it, with the usual error body
+        return self._try_hit(fingerprint_query(text, resolved))  # type: ignore[attr-defined]
 
     def execution_counts(self) -> dict[str, int]:
         """Default backend counters: the process-wide verifier tallies.

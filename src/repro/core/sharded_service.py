@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from repro.core.service import MaterializedView, QueryService
+from repro.core.service import MaterializedView, QueryService, _Answer
 from repro.data.database import Database
 from repro.data.sharded import (
     DEFAULT_N_SHARDS,
@@ -117,24 +117,16 @@ class ShardedMaterializedView(MaterializedView):
             return f"sharded-{self._maintainer.kind}"
         return "rebuild"
 
-    def answer(self, *, warnings: list[str] | None = None) -> Relation:
+    def _peek(self) -> _Answer | None:
         service = self.service
         # Version first, then generation: a reshard bumps the generation
-        # before swapping any state, and a refresh publishes the relation
+        # before swapping any state, and a refresh publishes the answer
         # before the version, so observing a current (version, generation)
-        # pair guarantees the relation read afterwards matches the layout.
+        # pair guarantees the answer read afterwards matches the layout.
         if self._version == service.db.version \
-                and self._generation == service._generation \
-                and self._relation is not None:
-            relation = self._relation
-            if warnings is not None:
-                warnings.extend(self._warnings)
-            return relation
-        with service._write_lock:
-            relation = self._refresh_locked()
-        if warnings is not None:
-            warnings.extend(self._warnings)
-        return relation
+                and self._generation == service._generation:
+            return self._published
+        return None
 
     def info(self) -> dict[str, Any]:
         info = super().info()
@@ -147,12 +139,12 @@ class ShardedMaterializedView(MaterializedView):
 
     # -- maintenance (service write lock held) ------------------------------
 
-    def _refresh_locked(self) -> Relation:
+    def _refresh_locked(self) -> _Answer:
         service = self.service
         db = service.sharded_db
-        if self._relation is not None and self._version == db.version \
+        if self._published is not None and self._version == db.version \
                 and self._generation == service._generation:
-            return self._relation
+            return self._published
         self.refreshes += 1
         if self._generation != service._generation \
                 or self._structure_version != db.structure_version:
@@ -165,7 +157,7 @@ class ShardedMaterializedView(MaterializedView):
             return self._refresh_datalog_locked(db)
         return self._rebuild_locked()
 
-    def _rebuild_locked(self) -> Relation:
+    def _rebuild_locked(self) -> _Answer:
         from repro.engine.delta import (
             DatalogMaintainer,
             DeltaRewriteError,
@@ -192,7 +184,6 @@ class ShardedMaterializedView(MaterializedView):
         self._broadcast_anchors = {}
         self._alias_anchors = {}
         self._base_rels = ()
-        self._warnings = ()
         warnings: list[str] = []
         pipeline = service.pipeline
         if self.language == "datalog":
@@ -209,12 +200,10 @@ class ShardedMaterializedView(MaterializedView):
                 self._maintainer = maintainer
                 self._base_rels = maintainer.base_relations()
                 self._record_anchors(db, self._base_rels, ())
-                self._finish_publish(db, maintainer.result_relation(), ())
-                return self._relation
+                return self._finish_publish(db, maintainer.result_relation())
             relation = pipeline.answer(self.text, language="datalog",
                                        warnings=warnings)
-            self._finish_publish(db, relation, tuple(warnings))
-            return self._relation
+            return self._finish_publish(db, relation, tuple(warnings))
         plan = pipeline.prepare_plan(self.text, self.language)
         if plan is not None:
             self._plan = plan
@@ -238,8 +227,7 @@ class ShardedMaterializedView(MaterializedView):
                 self._base_rels = base_relations(core)
                 self._record_anchors(db, compiled.partitioned,
                                      compiled.broadcast)
-                self._publish_sharded(db)
-                return self._relation
+                return self._publish_sharded(db)
             except (DeltaRewriteError, NotDistributable, LoweringError,
                     PlanError):
                 # Unmaintainable core or no safe scatter: serve by rebuild
@@ -249,8 +237,7 @@ class ShardedMaterializedView(MaterializedView):
                 self._exec_dbs = None
         relation = pipeline.answer(self.text, language=self.language,
                                    warnings=warnings)
-        self._finish_publish(db, relation, tuple(warnings))
-        return self._relation
+        return self._finish_publish(db, relation, tuple(warnings))
 
     @staticmethod
     def _shard_maintainer(compiled: Any, exec_db: Database) -> Any:
@@ -266,7 +253,7 @@ class ShardedMaterializedView(MaterializedView):
             return DistinctMaintainer(compiled.scatter, exec_db)
         return AggregateMaintainer(compiled.scatter, exec_db)
 
-    def _refresh_sharded_locked(self, db: ShardedDatabase) -> Relation:
+    def _refresh_sharded_locked(self, db: ShardedDatabase) -> _Answer:
         from repro.engine.delta import DeltaRewriteError
         from repro.engine.lower import LoweringError
         from repro.engine.plan import DeltaUnavailable, PlanError
@@ -301,14 +288,11 @@ class ShardedMaterializedView(MaterializedView):
             for rel in compiled.partitioned:
                 anchors[rel] = shard.relation(rel).version
         if not touched:
-            # Writes elsewhere in the database: output cannot have changed.
-            self._version = db.version
-            return self._relation
+            return self._republish(db)
         self.incremental_refreshes += 1
-        self._publish_sharded(db)
-        return self._relation
+        return self._publish_sharded(db)
 
-    def _reinitialize_all_shards_locked(self, db: ShardedDatabase) -> Relation:
+    def _reinitialize_all_shards_locked(self, db: ShardedDatabase) -> _Answer:
         from repro.engine.sharded import shard_execution_database
 
         compiled = self._compiled
@@ -322,10 +306,9 @@ class ShardedMaterializedView(MaterializedView):
             maintainer.initialize(exec_db, _SHARD_LOCAL_BACKEND)
             self.shard_rebuilds += 1
         self._record_anchors(db, compiled.partitioned, compiled.broadcast)
-        self._publish_sharded(db)
-        return self._relation
+        return self._publish_sharded(db)
 
-    def _refresh_datalog_locked(self, db: ShardedDatabase) -> Relation:
+    def _refresh_datalog_locked(self, db: ShardedDatabase) -> _Answer:
         deltas: dict[str, list[tuple]] = {}
         for pred in self._base_rels:
             rows: list[tuple] = []
@@ -345,25 +328,22 @@ class ShardedMaterializedView(MaterializedView):
             if pred_changed:
                 deltas[pred] = rows
         if not deltas:
-            self._version = db.version
-            return self._relation
+            return self._republish(db)
         # The union of per-shard appends is the merged delta (facts are
         # sets); db supplies the full current relations the resumed
         # fixpoint joins against.
         self._maintainer.apply_edb_deltas(db, deltas)
         self._record_anchors(db, self._base_rels, ())
         self.incremental_refreshes += 1
-        self._finish_publish(db, self._maintainer.result_relation(), ())
-        return self._relation
+        return self._finish_publish(db, self._maintainer.result_relation())
 
-    def _publish_sharded(self, db: ShardedDatabase) -> None:
+    def _publish_sharded(self, db: ShardedDatabase) -> _Answer:
         from repro.engine.delta import finish_rows, view_result_relation
 
         parts = [maintainer.rows() for maintainer in self._shard_maintainers]
         rows = self._compiled.gather(parts)
         rows = finish_rows(db, self._plan, self._core, rows)
-        self._finish_publish(db, view_result_relation(self._plan, rows),
-                             self._warnings)
+        return self._finish_publish(db, view_result_relation(self._plan, rows))
 
     def _record_anchors(self, db: ShardedDatabase,
                         partitioned: Iterable[str],
@@ -385,11 +365,11 @@ class ShardedMaterializedView(MaterializedView):
             self._alias_anchors[rel + BROADCAST_SUFFIX] = alias.version
 
     def _finish_publish(self, db: Database, relation: "Relation",
-                        warnings: tuple[str, ...]) -> None:
+                        warnings: tuple[str, ...] = ()) -> _Answer:
         # Generation before version: the lock-free fast path trusts the
         # pair only when both are current.
         self._generation = self.service._generation
-        super()._finish_publish(db, relation, warnings)
+        return super()._finish_publish(db, relation, warnings)
 
 
 class ShardedQueryService(QueryService):

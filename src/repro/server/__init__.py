@@ -22,10 +22,12 @@ Layout:
   plus :class:`~repro.server.app.ServerThread` for embedding a server in
   tests and benchmarks.
 
-Handlers never run blocking service calls on the event loop: reads go
-through ``loop.run_in_executor`` and writes through the worker
-(``tools/check_invariants.py`` enforces this statically via the
-``server-nonblocking`` rule).
+The event loop parses, routes, frames, and serves hits that are already
+encoded; everything that can block or encode runs off it: reads that
+``ServiceAPI.try_hit`` declines go through ``loop.run_in_executor`` and
+writes through the worker (``tools/check_invariants.py`` enforces this
+statically via the ``server-nonblocking`` rule, including that ``try_hit``
+itself never waits).
 """
 
 from repro.server.admission import AdmissionController

@@ -15,16 +15,25 @@ and process-backend deployments.  Endpoints:
 ``/views/{name}`` DELETE  unregister
 ``/views/{name}/refresh``  POST  force a catch-up now → view info
 ``/metrics``      GET     flat JSON counters (stats, caches, execution,
-                          verification, admission, write worker)
+                          verification, admission, write worker, and which
+                          path served each read: ``inline_*``)
 ``/health``       GET     liveness probe (never sheds)
 ================  ======  ====================================================
 
 Threading discipline — the rule ``tools/check_invariants.py`` enforces
-statically: the event loop only parses, routes, and frames; every blocking
-service call runs off-loop.  Reads go through ``loop.run_in_executor``
-(:meth:`ServingApp._call`), writes through the
-:class:`~repro.server.worker.WriteWorker`.  Mutating-the-app state (the
-prepared-handle registry) happens only on the loop, so it needs no lock.
+statically: the event loop parses, routes, frames, and serves hits that
+are already encoded; everything that can block or encode runs off-loop.
+A read first asks :meth:`~repro.core.service_api.ServiceAPI.try_hit` — the
+one service call allowed on the loop: it never waits, never executes, and
+answers only from a current result-cache entry or a fresh view.  A hit
+whose JSON body is memoized on its envelope is framed right there
+(``inline_hits``); a hit not encoded yet is encoded once in the executor
+and kept with its cache entry (``inline_busy``); on ``None`` the request
+goes through ``loop.run_in_executor`` (:meth:`ServingApp._call`) —
+execution *and* encoding — exactly as every read used to
+(``inline_declined``).  Writes go through the
+:class:`~repro.server.worker.WriteWorker`.  App state (the prepared-handle
+registry, the ``inline_*`` counters) is touched only on the loop.
 
 Overload: ``POST`` traffic passes the
 :class:`~repro.server.admission.AdmissionController`; a saturated server
@@ -40,7 +49,9 @@ import threading
 from functools import partial
 from typing import Any, Awaitable, Callable
 
+from repro.core.pipeline import _LRUCache
 from repro.core.service_api import (
+    QueryResult,
     ServiceAPI,
     ServiceError,
     UnknownHandleError,
@@ -61,7 +72,13 @@ class _MethodNotAllowedError(ServiceError):
     http_status = 405
 
 
+#: A handler returns ``(payload, status)``; a ``bytes`` payload is a JSON
+#: body that is already encoded.
 _Handler = Callable[..., Awaitable[tuple[Any, int]]]
+
+#: Prepared handles kept; the least recently used one past this is dropped
+#: and ``/execute`` on it answers ``unknown_handle`` (the client re-prepares).
+MAX_PREPARED_HANDLES = 1024
 
 
 class ServingApp:
@@ -77,11 +94,31 @@ class ServingApp:
             max_concurrent=max_concurrent, max_queue_depth=max_queue_depth,
             retry_after=retry_after)
         self.worker = WriteWorker(service, flush_interval=flush_interval)
-        self._handles: dict[str, Any] = {}
+        self._handles = _LRUCache(MAX_PREPARED_HANDLES)
         self._connections: "set[asyncio.Task[None]]" = set()
         self._server: "asyncio.Server | None" = None
         self.port: "int | None" = None
         self.requests_served = 0
+        #: Reads by the path that served them (see the module docstring).
+        self.inline_hits = 0
+        self.inline_busy = 0
+        self.inline_declined = 0
+        #: path parts -> method -> (handler, goes through admission);
+        #: ``None`` stands for one free path segment, passed to the handler.
+        self._routes: dict[tuple["str | None", ...],
+                           dict[str, tuple[_Handler, bool]]] = {
+            ("query",): {"POST": (self._handle_query, True)},
+            ("prepare",): {"POST": (self._handle_prepare, True)},
+            ("execute", None): {"POST": (self._handle_execute, True)},
+            ("write",): {"POST": (self._handle_write, True)},
+            ("views",): {"POST": (self._handle_register_view, True),
+                         "GET": (self._handle_list_views, False)},
+            ("views", None): {"DELETE": (self._handle_delete_view, True)},
+            ("views", None, "refresh"): {
+                "POST": (self._handle_refresh_view, True)},
+            ("metrics",): {"GET": (self._handle_metrics, False)},
+            ("health",): {"GET": (self._handle_health, False)},
+        }
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -178,31 +215,14 @@ class ServingApp:
         """``(handler, path args, goes through admission)`` for one target."""
         path = path.split("?", 1)[0]
         parts = tuple(p for p in path.split("/") if p)
-        routes: dict[tuple[str, ...], dict[str, tuple[_Handler, bool]]] = {
-            ("query",): {"POST": (self._handle_query, True)},
-            ("prepare",): {"POST": (self._handle_prepare, True)},
-            ("write",): {"POST": (self._handle_write, True)},
-            ("views",): {"POST": (self._handle_register_view, True),
-                         "GET": (self._handle_list_views, False)},
-            ("metrics",): {"GET": (self._handle_metrics, False)},
-            ("health",): {"GET": (self._handle_health, False)},
-        }
         args: tuple[str, ...] = ()
-        if len(parts) == 2 and parts[0] == "execute":
-            by_method = {"POST": (self._handle_execute, True)}
+        by_method = self._routes.get(parts)
+        if by_method is None and len(parts) >= 2:
+            by_method = self._routes.get((parts[0], None) + parts[2:])
             args = (parts[1],)
-        elif len(parts) == 2 and parts[0] == "views":
-            by_method = {"DELETE": (self._handle_delete_view, True)}
-            args = (parts[1],)
-        elif len(parts) == 3 and parts[0] == "views" and parts[2] == "refresh":
-            by_method = {"POST": (self._handle_refresh_view, True)}
-            args = (parts[1],)
-        else:
-            matched = routes.get(parts)
-            if matched is None:
-                raise _NotFoundError(f"no route for {path!r}",
-                                     detail={"path": path})
-            by_method = matched
+        if by_method is None:
+            raise _NotFoundError(f"no route for {path!r}",
+                                 detail={"path": path})
         entry = by_method.get(method)
         if entry is None:
             raise _MethodNotAllowedError(
@@ -217,19 +237,35 @@ class ServingApp:
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(None, partial(fn, *args, **kwargs))
 
+    async def _read(self, hit: "QueryResult | None",
+                    query: Callable[[], QueryResult]) -> tuple[bytes, int]:
+        """Answer one read from what ``try_hit`` returned for it, else by
+        running ``query`` off-loop; either way as an encoded envelope."""
+        if hit is None:
+            self.inline_declined += 1
+            return await self._call(lambda: query().encode()), 200
+        body = hit.encoded
+        if body is None:
+            self.inline_busy += 1
+            body = await self._call(hit.encode)
+        else:
+            self.inline_hits += 1
+        return body, 200
+
     # -- handlers -----------------------------------------------------------
 
     async def _handle_query(self, request: protocol.Request) -> tuple[Any, int]:
         text, language = protocol.query_request(request.json())
-        result = await self._call(self.service.query, text, language=language)
-        return result.to_payload(), 200
+        return await self._read(
+            self.service.try_hit(text, language),
+            partial(self.service.query, text, language=language))
 
     async def _handle_prepare(self, request: protocol.Request) -> tuple[Any, int]:
         text, language = protocol.query_request(request.json())
         handle = await self._call(self.service.prepare, text,
                                   language=language)
         handle_id = handle.fingerprint
-        self._handles[handle_id] = handle
+        self._handles.put(handle_id, handle)
         return {"handle": handle_id, "language": handle.language,
                 "text": handle.text}, 200
 
@@ -239,10 +275,10 @@ class ServingApp:
         if handle is None:
             raise UnknownHandleError(
                 f"no prepared query with handle {handle_id!r}; POST /prepare "
-                "first (handles do not survive a server restart)",
+                "first (handles do not survive a server restart, and the "
+                f"server keeps the {MAX_PREPARED_HANDLES} most recently used)",
                 detail={"handle": handle_id})
-        result = await self._call(handle.query)
-        return result.to_payload(), 200
+        return await self._read(handle.try_hit(), handle.query)
 
     async def _handle_write(self, request: protocol.Request) -> tuple[Any, int]:
         relation, rows = protocol.write_request(request.json())
@@ -306,6 +342,9 @@ class ServingApp:
         metrics.update(self.worker.counts())
         metrics["prepared_handles"] = len(self._handles)
         metrics["requests_served"] = self.requests_served
+        metrics["inline_hits"] = self.inline_hits
+        metrics["inline_busy"] = self.inline_busy
+        metrics["inline_declined"] = self.inline_declined
         backend_name = getattr(self.service, "backend_name", None)
         if backend_name is not None:
             metrics["backend"] = backend_name

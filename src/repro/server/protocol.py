@@ -118,8 +118,13 @@ async def read_request(reader: asyncio.StreamReader) -> "Request | None":
 def render_response(status: int, payload: Any, *,
                     extra_headers: Sequence[tuple[str, str]] = (),
                     keep_alive: bool = True) -> bytes:
-    """One complete HTTP/1.1 response (headers + JSON body) as bytes."""
-    body = json.dumps(payload).encode("utf-8")
+    """One complete HTTP/1.1 response (headers + JSON body) as bytes.
+
+    A ``bytes`` payload is a JSON body that is already encoded (a memoized
+    :attr:`~repro.core.service_api.QueryResult.encoded`) and is framed as is.
+    """
+    body = (payload if isinstance(payload, bytes)
+            else json.dumps(payload).encode("utf-8"))
     reason = _REASONS.get(status, "Unknown")
     lines = [
         f"HTTP/1.1 {status} {reason}",

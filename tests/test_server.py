@@ -13,7 +13,10 @@ Four surfaces:
 * admission control — a saturated server sheds with 503 + ``Retry-After``
   instead of queuing, and keeps serving ``/metrics``;
 * the write worker — concurrent HTTP writes share flushes (fewer version
-  bumps than requests), and a bad row fails alone, not its batch-mates.
+  bumps than requests), and a bad row fails alone, not its batch-mates;
+* the inline hit path — a cached read is answered on the event loop from
+  bytes encoded once, byte-identical to the executor path, and every way
+  an answer goes stale sends the next read back through the executor.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from repro.data import sailors_database
 from repro.data.relation import RelationError
 from repro.queries import CANONICAL_QUERIES, LANGUAGES
 from repro.server import ServerThread
+from repro.server import app as app_module
 from repro.server.worker import WriteWorker
 
 FALLBACK_SQL = ("SELECT S.sname FROM Sailors S LEFT JOIN Reserves R "
@@ -372,6 +376,18 @@ class TestErrorPaths:
         status, _h, error = self._error(server, "DELETE", "/query")
         assert (status, error["code"]) == (405, "method_not_allowed")
         assert error["detail"]["allowed"] == ["POST"]
+        for method, path, allowed in (
+                ("DELETE", "/views", ["GET", "POST"]),
+                ("GET", "/views/some_view", ["DELETE"]),
+                ("GET", "/views/some_view/refresh", ["POST"]),
+                ("GET", "/execute/abc", ["POST"])):
+            status, _h, error = self._error(server, method, path)
+            assert (status, error["code"]) == (405, "method_not_allowed")
+            assert error["detail"] == {"path": path, "allowed": allowed}
+        for path in ("/execute", "/execute/a/b", "/views/v/refresh/x",
+                     "/query/extra", "/"):
+            status, _h, error = self._error(server, "POST", path)
+            assert (status, error["code"]) == (404, "not_found"), path
 
     def test_frozen_mutation_maps_to_409(self):
         # The classifier turns the storage tier's frozen-relation error
@@ -388,6 +404,224 @@ class TestErrorPaths:
         assert error.http_status == 404
 
 
+class TestInlineHits:
+    """Cached reads are served on the loop; everything else off it."""
+
+    VIEW_SQL = "SELECT R.bid, COUNT(*) AS n FROM Reserves R GROUP BY R.bid"
+
+    @staticmethod
+    def _raw(client, path, body=None):
+        """One POST; the reply's status and undecoded body bytes."""
+        payload = None if body is None else json.dumps(body)
+        client.conn.request("POST", path, payload,
+                            {"Content-Type": "application/json"})
+        response = client.conn.getresponse()
+        return response.status, response.read()
+
+    @staticmethod
+    def _spy_executor(server):
+        """Count entries into the loop's executor from here on."""
+        loop, entered = server._loop, []
+        run_in_executor = loop.run_in_executor
+
+        def spy(executor, fn, *args):
+            entered.append(fn)
+            return run_in_executor(executor, fn, *args)
+
+        loop.run_in_executor = spy
+        return entered
+
+    def _paths(self, server):
+        app = server.app
+        return app.inline_declined, app.inline_busy, app.inline_hits
+
+    def test_a_hit_never_enters_the_executor_and_a_miss_does(self):
+        service = QueryService(sailors_database())
+        with serving(service) as (server, client):
+            entered = self._spy_executor(server)
+            body = {"text": COUNT_SQL}
+            assert self._raw(client, "/query", body)[0] == 200   # miss
+            assert len(entered) == 1
+            assert self._raw(client, "/query", body)[0] == 200   # encodes
+            assert len(entered) == 2
+            for _ in range(5):                                   # inline
+                assert self._raw(client, "/query", body)[0] == 200
+            assert len(entered) == 2
+            assert self._paths(server) == (1, 1, 5)
+            client.request("POST", "/write",
+                           {"relation": "Sailors", "row": [77, "x", 1, 20.0]})
+            del entered[:]
+            _status, reply = self._raw(client, "/query", body)   # miss again
+            assert len(entered) == 1
+            assert json.loads(reply)["rows"] == [[11]]
+
+    @pytest.mark.parametrize("language", LANGUAGES)
+    def test_inline_body_is_the_executor_body_byte_for_byte(self, language):
+        service = QueryService(sailors_database())
+        with serving(service) as (server, client):
+            for query in CANONICAL_QUERIES[:3]:
+                body = {"text": query.languages()[language],
+                        "language": language.lower()}
+                replies = [self._raw(client, "/query", body)
+                           for _ in range(4)]
+                assert {status for status, _b in replies} == {200}
+                assert len({reply for _s, reply in replies}) == 1, query.id
+                expected = service.query(body["text"],
+                                         language=body["language"])
+                assert replies[-1][1] == json.dumps(
+                    expected.to_payload()).encode("utf-8")
+            assert self._paths(server) == (3, 3, 6)
+
+    def test_view_fallback_and_prepared_replies_are_byte_identical(self):
+        service = QueryService(sailors_database())
+        service.register_view(self.VIEW_SQL, name="per_boat")
+        with serving(service) as (server, client):
+            _s, _h, prepared = client.request("POST", "/prepare",
+                                              {"text": COUNT_SQL})
+            for path, body in (
+                    ("/query", {"text": self.VIEW_SQL}),
+                    ("/query", {"text": FALLBACK_SQL}),
+                    (f"/execute/{prepared['handle']}", None)):
+                replies = [self._raw(client, path, body) for _ in range(4)]
+                assert {status for status, _b in replies} == {200}
+                assert len({reply for _s, reply in replies}) == 1, path
+            assert json.loads(replies[0][1])["rows"] == [[10]]
+            fallback = service.query(FALLBACK_SQL)
+            assert fallback.warnings
+            assert fallback.encoded == json.dumps(
+                fallback.to_payload()).encode("utf-8")
+            # The fresh view is a hit from its first read; the other two
+            # miss once, encode once, and are inline from then on.
+            assert self._paths(server) == (2, 3, 7)
+
+    def test_every_way_an_answer_goes_stale_reaches_the_new_answer(self):
+        service = ShardedQueryService(sailors_database(), n_shards=2)
+        sql = self.VIEW_SQL
+        try:
+            with serving(service) as (server, client):
+                def rows():
+                    status, reply = self._raw(client, "/query", {"text": sql})
+                    assert status == 200
+                    return sorted(map(tuple, json.loads(reply)["rows"]))
+
+                def settle():
+                    for _ in range(3):
+                        rows()
+                    hits = server.app.inline_hits
+                    rows()
+                    assert server.app.inline_hits == hits + 1
+
+                settle()                       # plain result-cache entry
+                client.request("POST", "/write", {
+                    "relation": "Reserves", "row": [22, 199, "2025/07/01"]})
+                assert (199, 1) in rows()      # a write between two reads
+                client.request("POST", "/views",
+                               {"text": sql, "name": "per_boat"})
+                settle()                       # now a fresh view
+                client.request("POST", "/write", {
+                    "relation": "Reserves", "row": [22, 199, "2025/07/02"]})
+                assert (199, 2) in rows()      # a stale lazy view
+                settle()
+                client.request("DELETE", "/views/per_boat")
+                declined = server.app.inline_declined
+                assert (199, 2) in rows()      # unregistered: recomputed
+                assert server.app.inline_declined == declined + 1
+                settle()
+                service.reshard(3)
+                declined = server.app.inline_declined
+                assert (199, 2) in rows()      # resharded: recomputed
+                assert server.app.inline_declined == declined + 1
+                status, reply = self._raw(client, "/query", {"text": sql})
+                assert json.loads(reply)["version"][0] == 1
+        finally:
+            service.close()
+
+    def test_a_held_cache_lock_declines_and_the_request_is_answered(self):
+        service = QueryService(sailors_database())
+        with serving(service) as (server, client):
+            body = {"text": COUNT_SQL}
+            for _ in range(3):
+                self._raw(client, "/query", body)
+            before = self._paths(server)
+            holding, release = threading.Event(), threading.Event()
+
+            def hold():
+                with service._results._lock:
+                    holding.set()
+                    release.wait(timeout=30)
+
+            holder = threading.Thread(target=hold)
+            holder.start()
+            try:
+                assert holding.wait(timeout=30)
+                threading.Timer(0.2, release.set).start()
+                status, reply = self._raw(client, "/query", body)
+            finally:
+                release.set()
+                holder.join(timeout=30)
+            assert not holder.is_alive()
+            assert status == 200 and json.loads(reply)["rows"] == [[10]]
+            # try_hit declined at once; the executor path waited its turn.
+            assert self._paths(server) == (before[0] + 1, before[1],
+                                           before[2])
+            # ... and it was served as the hit it is: one request, one hit.
+            info = service.cache_info()
+            assert info["requests"] == 4
+            assert info["result_hits"] + info["result_misses"] == 4
+
+    def test_path_and_service_counters_balance(self):
+        service = QueryService(sailors_database())
+        service.register_view(self.VIEW_SQL, name="per_boat")
+        reads = 0
+        with serving(service) as (server, client):
+            _s, _h, prepared = client.request("POST", "/prepare",
+                                              {"text": COUNT_SQL})
+            for round_ in range(4):
+                for text in (COUNT_SQL, self.VIEW_SQL, FALLBACK_SQL):
+                    assert self._raw(client, "/query",
+                                     {"text": text})[0] == 200
+                    reads += 1
+                assert self._raw(
+                    client, f"/execute/{prepared['handle']}")[0] == 200
+                reads += 1
+                if round_ == 1:
+                    client.request("POST", "/write", {
+                        "relation": "Boats",
+                        "row": [177, "Skiff", "white"]})
+            _s, _h, metrics = client.request("GET", "/metrics")
+        assert (metrics["inline_hits"] + metrics["inline_declined"]
+                + metrics["inline_busy"]) == reads
+        assert metrics["inline_hits"] > 0 and metrics["inline_busy"] > 0
+        assert metrics["requests"] == reads
+        assert (metrics["result_hits"] + metrics["view_hits"]
+                + metrics["result_misses"]) == metrics["requests"]
+
+
+class TestPreparedHandles:
+    def test_registry_is_bounded_and_an_evicted_handle_is_unknown(
+            self, monkeypatch):
+        monkeypatch.setattr(app_module, "MAX_PREPARED_HANDLES", 2)
+        service = QueryService(sailors_database())
+        with serving(service) as (_server, client):
+            handles = []
+            for age in (20, 30, 40):
+                status, _h, prepared = client.request(
+                    "POST", "/prepare",
+                    {"text": f"SELECT S.sname FROM Sailors S "
+                             f"WHERE S.age > {age}"})
+                assert status == 200
+                handles.append(prepared["handle"])
+            status, _h, payload = client.request(
+                "POST", f"/execute/{handles[0]}")
+            assert status == 404
+            assert payload["error"]["code"] == "unknown_handle"
+            for handle in handles[1:]:
+                status, _h, _p = client.request("POST", f"/execute/{handle}")
+                assert status == 200
+            _s, _h, metrics = client.request("GET", "/metrics")
+            assert metrics["prepared_handles"] == 2
+
+
 class _SlowStubService:
     """A ServiceAPI double whose query blocks until released."""
 
@@ -401,6 +635,9 @@ class _SlowStubService:
         return QueryResult(columns=("n",), rows=((self.calls,),),
                            language="sql", fingerprint="stub", version=1,
                            warnings=(), relation=None)
+
+    def try_hit(self, text, language=None):
+        return None  # caches nothing: every read takes the executor path
 
     def answer(self, text, *, language=None, warnings=None):
         return self.query(text).relation
@@ -606,8 +843,15 @@ class TestConcurrencyHammer:
     N_WRITERS = 2
     REQUESTS = 12
 
+    #: Hot texts, each sent twice in a row so inline hits race the write
+    #: worker: a count the writers move (result cache), the same count per
+    #: rating as a registered lazy view, and a relation nobody writes.
+    VIEW_SQL = "SELECT S.rating, COUNT(*) AS n FROM Sailors S GROUP BY S.rating"
+    BOATS_SQL = "SELECT COUNT(*) AS n FROM Boats B"
+
     def test_versions_and_counts_monotone_per_connection(self):
         service = QueryService(sailors_database())
+        service.register_view(self.VIEW_SQL, name="per_rating")
         with serving(service, max_concurrent=16,
                      max_queue_depth=256) as (server, _client):
             barrier = threading.Barrier(self.N_READERS + self.N_WRITERS)
@@ -617,25 +861,29 @@ class TestConcurrencyHammer:
                 client = Client(server.port)
                 with closing(client):
                     barrier.wait()
-                    last_version, last_count = -1, -1
-                    for _ in range(self.REQUESTS):
+                    last_version = -1
+                    last_count = {COUNT_SQL: -1, self.VIEW_SQL: -1,
+                                  self.BOATS_SQL: -1}
+                    for i in range(self.REQUESTS * 2 * len(last_count)):
+                        text = list(last_count)[i // 2 % len(last_count)]
                         status, _h, payload = client.request(
-                            "POST", "/query", {"text": COUNT_SQL})
+                            "POST", "/query", {"text": text})
                         if status != 200:
                             errors.append((tid, payload))
                             return
                         version = payload["version"]
-                        count = payload["rows"][0][0]
+                        count = sum(row[-1] for row in payload["rows"])
                         # Writes only append: each later response on this
                         # connection must observe a version and a count at
                         # least as new as the one before (no stale or torn
-                        # answers slip through the result cache).
-                        if version < last_version or count < last_count:
+                        # answers slip through the result cache, a view, or
+                        # the bytes memoized beside either).
+                        if version < last_version or count < last_count[text]:
                             errors.append(
-                                (tid, "regression", last_version, version,
-                                 last_count, count))
+                                (tid, "regression", text, last_version,
+                                 version, last_count[text], count))
                             return
-                        last_version, last_count = version, count
+                        last_version, last_count[text] = version, count
 
             def writer(tid: int):
                 client = Client(server.port)
@@ -661,10 +909,19 @@ class TestConcurrencyHammer:
                 thread.join(timeout=300)
             assert not any(t.is_alive() for t in threads), "hammer hung"
             assert not errors, errors
+            app = server.app
+            reads = self.N_READERS * self.REQUESTS * 2 * 3
+            assert (app.inline_hits + app.inline_busy
+                    + app.inline_declined) == reads
+            assert app.inline_hits > 0, "no inline hit raced the writers"
 
-        final = service.answer(COUNT_SQL)
-        assert sorted(final.rows()) == [
-            (10 + self.N_WRITERS * self.REQUESTS,)]
+        total = 10 + self.N_WRITERS * self.REQUESTS
+        assert sorted(service.answer(COUNT_SQL).rows()) == [(total,)]
+        assert sum(n for _rating, n in
+                   service.answer(self.VIEW_SQL).rows()) == total
+        info = service.cache_info()
+        assert (info["result_hits"] + info["view_hits"]
+                + info["result_misses"]) == info["requests"]
 
     def test_keep_alive_across_many_requests(self):
         service = QueryService(sailors_database())

@@ -11,11 +11,14 @@ cache poisoning once the storm settles.
 
 from __future__ import annotations
 
+import json
 import threading
+import time
 
 import pytest
 
 from repro.core import PreparedQuery, QueryService, QueryVisualizationPipeline
+from repro.core.sharded_service import ShardedQueryService
 from repro.data.relation import RelationError
 from repro.data.sailors import random_sailors_database, sailors_database
 
@@ -124,6 +127,169 @@ class TestPreparedQueries:
         handle = service.prepare("project[sname](Sailors)")
         assert handle.language == "ra"
         assert ("Dustin",) in handle.answer().row_set()
+
+
+class TestTryHit:
+    """The non-blocking twin of ``query``: cached envelopes, never a wait."""
+
+    def test_none_until_published_then_the_envelope_query_returns(
+            self, service):
+        assert service.try_hit(JOIN_SQL) is None
+        assert service.cache_info()["requests"] == 0  # declined: not counted
+        served = service.query(JOIN_SQL)
+        hit = service.try_hit(JOIN_SQL, "sql")
+        assert hit is not None and hit == served
+        assert service.query(JOIN_SQL) is hit  # one envelope per entry
+        assert service.prepare(JOIN_SQL).try_hit() is hit
+        assert service.try_hit(JOIN_SQL, "klingon") is None
+
+    def test_a_hit_resolves_and_fingerprints_once(self, service, monkeypatch):
+        import repro.core.service as service_module
+        import repro.core.service_api as service_api_module
+
+        service.query(JOIN_SQL)
+        calls = {"resolve": 0, "fingerprint": 0}
+        fingerprint_query = service_api_module.fingerprint_query
+        resolve = service._resolve_language
+
+        def counting_fingerprint(text, language):
+            calls["fingerprint"] += 1
+            return fingerprint_query(text, language)
+
+        def counting_resolve(text, language):
+            calls["resolve"] += 1
+            return resolve(text, language)
+
+        monkeypatch.setattr(service_api_module, "fingerprint_query",
+                            counting_fingerprint)
+        monkeypatch.setattr(service_module, "fingerprint_query",
+                            counting_fingerprint)
+        monkeypatch.setattr(service, "_resolve_language", counting_resolve)
+        service.query(JOIN_SQL)
+        assert calls == {"resolve": 1, "fingerprint": 1}
+        service.try_hit(JOIN_SQL)
+        assert calls == {"resolve": 2, "fingerprint": 2}
+
+    def test_hits_count_exactly_once_and_counters_balance(self, service):
+        service.register_view(GROUP_SQL, name="per_rating")
+        for sql in (JOIN_SQL, COUNT_SQL, GROUP_SQL, JOIN_SQL, FALLBACK_SQL):
+            if service.try_hit(sql) is None:   # declined, then the real call
+                service.query(sql)
+        assert service.try_hit(JOIN_SQL) is not None
+        assert service.try_hit(GROUP_SQL) is not None
+        info = service.cache_info()
+        assert info["requests"] == 7
+        assert (info["result_hits"], info["view_hits"],
+                info["result_misses"]) == (2, 2, 3)
+
+    def test_encoded_body_is_the_payload_dumped_once(self, service):
+        service.query(FALLBACK_SQL)
+        hit = service.try_hit(FALLBACK_SQL)
+        assert hit.warnings and hit.encoded is None
+        body = hit.encode()
+        assert body == json.dumps(hit.to_payload()).encode("utf-8")
+        assert hit.encode() is body and service.try_hit(FALLBACK_SQL).encoded is body
+
+    def test_an_answer_never_read_again_keeps_no_envelope(self, service):
+        service.query(JOIN_SQL)
+        (published,) = service._results._data.values()
+        assert published._result is None
+        service.query(JOIN_SQL)
+        assert published._result is not None
+
+    def test_a_write_between_two_reads_declines(self, service):
+        before = service.query(COUNT_SQL)
+        assert service.try_hit(COUNT_SQL) == before
+        service.add_row("Reserves", (29, 101, "2025-05-05"))
+        assert service.try_hit(COUNT_SQL) is None
+        after = service.query(COUNT_SQL)
+        assert after.rows == ((11,),) and after.version > before.version
+        assert service.try_hit(COUNT_SQL).rows == ((11,),)
+
+    def test_a_stale_lazy_view_declines_until_it_caught_up(self, service):
+        service.register_view(COUNT_SQL, name="n_reserves")
+        fresh = service.try_hit(COUNT_SQL)
+        assert fresh.rows == ((10,),)
+        fresh.encode()
+        service.add_row("Reserves", (29, 101, "2025-05-05"))
+        assert service.try_hit(COUNT_SQL) is None
+        caught_up = service.query(COUNT_SQL)
+        assert caught_up.rows == ((11,),) and caught_up.encoded is None
+        assert service.try_hit(COUNT_SQL) is caught_up
+        # A write the view does not read moves only the version it is at.
+        service.add_row("Boats", (199, "Dinghy", "grey"))
+        assert service.try_hit(COUNT_SQL) is None
+        elsewhere = service.query(COUNT_SQL)
+        assert elsewhere.rows == ((11,),)
+        assert elsewhere.version == service.db.version > caught_up.version
+
+    def test_an_eager_view_stays_hittable_across_writes(self, service):
+        service.register_view(COUNT_SQL, name="n_reserves", refresh="eager")
+        service.add_row("Reserves", (29, 101, "2025-05-05"))
+        assert service.try_hit(COUNT_SQL).rows == ((11,),)
+
+    def test_unregister_view_declines(self, service):
+        service.register_view(COUNT_SQL, name="n_reserves")
+        assert service.try_hit(COUNT_SQL) is not None
+        service.unregister_view("n_reserves")
+        assert service.try_hit(COUNT_SQL) is None
+        assert service.query(COUNT_SQL).rows == ((10,),)
+        assert service.cache_info()["result_misses"] == 1
+
+    def test_reshard_declines_and_the_next_reply_is_the_new_layout(self):
+        with ShardedQueryService(sailors_database(), n_shards=2) as service:
+            service.register_view(GROUP_SQL, name="per_rating")
+            old = service.query(COUNT_SQL)
+            old_view = service.try_hit(GROUP_SQL)
+            assert service.try_hit(COUNT_SQL) == old
+            service.reshard(3)
+            assert service.try_hit(COUNT_SQL) is None
+            new = service.query(COUNT_SQL)
+            assert new.rows == old.rows
+            assert new.version[0] == old.version[0] + 1  # the generation
+            assert len(new.version) == len(old.version) + 1
+            # Views were rematerialized under the lock: fresh, but new.
+            new_view = service.try_hit(GROUP_SQL)
+            assert new_view is not old_view
+            assert new_view.version == service._cache_version()
+            assert sorted(new_view.rows) == sorted(old_view.rows)
+
+    @pytest.mark.parametrize("lock_of", [
+        pytest.param(lambda service: service._results._lock, id="cache"),
+        pytest.param(lambda service: service.stats._lock, id="counters"),
+    ])
+    def test_a_held_lock_declines_without_waiting(self, service, lock_of):
+        service.query(JOIN_SQL)
+        before = service.cache_info()
+        holding, release = threading.Event(), threading.Event()
+
+        def hold():
+            with lock_of(service):
+                holding.set()
+                release.wait(timeout=30)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert holding.wait(timeout=30)
+            start = time.monotonic()
+            assert service.try_hit(JOIN_SQL) is None
+            assert time.monotonic() - start < 5
+        finally:
+            release.set()
+            holder.join(timeout=30)
+        assert not holder.is_alive()
+        assert service.cache_info() == before  # declined: nothing counted
+        assert service.try_hit(JOIN_SQL) is service.query(JOIN_SQL)
+
+    def test_try_hit_keeps_hot_entries_recent(self):
+        service = QueryService(sailors_database(), result_cache_size=2)
+        service.query(JOIN_SQL)
+        service.query(COUNT_SQL)
+        assert service.try_hit(JOIN_SQL) is not None   # JOIN is now newest
+        service.query(GROUP_SQL)                        # evicts COUNT
+        assert service.try_hit(JOIN_SQL) is not None
+        assert service.try_hit(COUNT_SQL) is None
 
 
 class TestErrorPaths:

@@ -646,6 +646,114 @@ class TestInvariantLint:
         assert len(violations) == 1
         assert ".add_rows()" in violations[0].message
 
+    def test_try_lock_guards_a_cache_mutation(self, invariants, fixture_repo):
+        root = fixture_repo("src/repro/core/pipeline.py", """\
+            import threading
+
+            class _LRUCache:
+                def __init__(self, capacity):
+                    self._data = {}
+                    self._lock = threading.Lock()
+
+                def peek(self, key):
+                    if self._lock.acquire(blocking=False):
+                        try:
+                            self._data.move_to_end(key)
+                        finally:
+                            self._lock.release()
+
+                def racy_peek(self, key):
+                    if self._lock.acquire(blocking=False):
+                        self._lock.release()
+                    self._data.move_to_end(key)
+            """)
+        violations = [v for v in invariants.run_checks(root)
+                      if v.rule == "lock-guarded-cache"]
+        assert [v.line for v in violations] == [18]
+
+    def test_try_hit_is_the_one_service_call_on_the_loop(self, invariants,
+                                                         fixture_repo):
+        root = fixture_repo("src/repro/server/app.py", """\
+            class App:
+                def __init__(self, service):
+                    self.service = service
+
+                async def handle_query(self, text):
+                    return self.service.try_hit(text)
+
+                async def handle_other(self, text):
+                    return self.service.try_something_new(text)
+            """)
+        violations = [v for v in invariants.run_checks(root)
+                      if v.rule == "server-nonblocking"]
+        assert [v.line for v in violations] == [9]
+        assert ".try_something_new()" in violations[0].message
+
+    def test_try_hit_and_the_helpers_it_names_never_wait(self, invariants,
+                                                         fixture_repo):
+        fixture_repo("src/repro/core/pipeline.py", """\
+            class _LRUCache:
+                def __init__(self):
+                    self._data = {}
+
+                def get(self, key):
+                    with self._lock:
+                        return self._data.get(key)
+
+                def peek(self, key):
+                    if self._lock.acquire(blocking=False):
+                        try:
+                            return self._data.get(key)
+                        finally:
+                            self._lock.release()
+            """)
+        root = fixture_repo("src/repro/core/service.py", """\
+            class Stats:
+                def try_bump(self, name):
+                    self._lock.acquire()
+                    self._lock.release()
+
+            class Service:
+                def __init__(self):
+                    self._views = {}
+
+                def try_hit(self, text):
+                    with self._write_lock:
+                        pass
+                    view = self._views.get(text)   # a dict: not _LRUCache.get
+                    return self._peek(text)
+
+                def _peek(self, key):
+                    self.stats.try_bump("requests")
+                    return self._results.peek(key)
+
+                def query(self, text):             # not on the loop: may wait
+                    with self._write_lock:
+                        return self._results.get(text)
+            """)
+        violations = [v for v in invariants.run_checks(root)
+                      if v.rule == "server-nonblocking"]
+        assert sorted((os.path.basename(v.path), v.line)
+                      for v in violations) == [("service.py", 3),
+                                               ("service.py", 11)]
+        assert "try_bump()" in violations[0].message
+        assert "blocking=False" in violations[0].message
+
+        # One blocking helper away: calling the cache's get() from the peek.
+        root = fixture_repo("src/repro/core/service.py", """\
+            class Service:
+                def try_hit(self, text):
+                    return self._peek(text)
+
+                def _peek(self, key):
+                    return self._results.get(key)
+            """)
+        violations = [v for v in invariants.run_checks(root)
+                      if v.rule == "server-nonblocking"]
+        assert [(os.path.basename(v.path), v.line)
+                for v in violations] == [("pipeline.py", 6)]
+        assert "get()" in violations[0].message
+
     def test_rule_scoped_to_server_package(self, invariants, fixture_repo):
         # The same shape outside src/repro/server is not this rule's business.
         root = fixture_repo("src/repro/core/other.py", """\

@@ -10,8 +10,9 @@ Rules (see tools/README.md for how to add one):
     ``repro.engine.stats`` keeps on each relation), the kernel layer's
     module-level build-structure LRU, and the query service's materialized-
     view registry (``_views`` / ``_views_by_name``) — may only be mutated
-    inside a ``with <their lock>:`` block (class ``__init__`` excepted: the
-    object is not shared yet).
+    inside a ``with <their lock>:`` block or the body of an ``if
+    <their lock>.acquire(blocking=False):`` try-lock (class ``__init__``
+    excepted: the object is not shared yet).
 
 ``shm-finalizer``
     Any module creating ``multiprocessing.shared_memory`` segments
@@ -32,13 +33,17 @@ Rules (see tools/README.md for how to add one):
     (or should be narrowed / made to re-raise).
 
 ``server-nonblocking``
-    HTTP handlers in ``src/repro/server`` never call a blocking
-    ``ServiceAPI`` method (``query``, ``add_rows``, ``stats_snapshot``, …)
-    directly inside an ``async def`` body — every such call must be routed
-    through ``loop.run_in_executor`` (reference the method, don't call it)
-    or through the write worker, or the event loop stalls every connection
+    HTTP handlers in ``src/repro/server`` never call a ``ServiceAPI``
+    method (``query``, ``add_rows``, ``stats_snapshot``, …) directly inside
+    an ``async def`` body — every such call must be routed through
+    ``loop.run_in_executor`` (reference the method, don't call it) or
+    through the write worker, or the event loop stalls every connection
     behind one query.  Synchronous closures defined inside a coroutine are
-    exempt: they are the executor-offload idiom.
+    exempt: they are the executor-offload idiom.  The one method the loop
+    may call is ``try_hit``, and the rule's second clause holds it to that:
+    no ``try_hit`` under ``src/repro/core`` — nor any function there it
+    names, transitively — may contain a ``with <lock>:`` or an
+    ``.acquire()`` without ``blocking=False``.
 
 Usage: ``python tools/check_invariants.py [--root REPO_ROOT]``.
 Exits 0 when clean, 1 with one ``path:line: [rule] message`` per violation.
@@ -103,6 +108,16 @@ def _is_self_attr(node: ast.AST, names: frozenset) -> bool:
             and node.value.id == "self" and node.attr in names)
 
 
+def _is_trylock(node: ast.AST) -> bool:
+    """``<x>.acquire(blocking=False)`` (the keyword form only)."""
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "acquire"
+            and any(kw.arg == "blocking"
+                    and isinstance(kw.value, ast.Constant)
+                    and kw.value.value is False for kw in node.keywords))
+
+
 def _is_lock_expr(node: ast.AST, scope: str, lock: str) -> bool:
     if scope == "module":
         return isinstance(node, ast.Name) and node.id == lock
@@ -161,6 +176,22 @@ class _LockChecker(ast.NodeVisitor):
         self.generic_visit(node)
         if held:
             self.locked -= 1
+
+    def visit_If(self, node: ast.If) -> None:
+        # The try-lock idiom: `if <lock>.acquire(blocking=False): try: ...
+        # finally: <lock>.release()` — the lock is held in the if-body.
+        test = node.test
+        held = (_is_trylock(test)
+                and _is_lock_expr(test.func.value, self.scope, self.lock))
+        self.visit(test)
+        if held:
+            self.locked += 1
+        for stmt in node.body:
+            self.visit(stmt)
+        if held:
+            self.locked -= 1
+        for stmt in node.orelse:
+            self.visit(stmt)
 
     def _visit_function(self, node: ast.AST) -> None:
         if self.scope.startswith("class:") \
@@ -362,13 +393,13 @@ def check_silent_excepts(root: str) -> list[Violation]:
 
 _SERVER_PACKAGE = ("src/repro/server",)
 
-#: ServiceAPI methods that block (take service locks, run plans, touch
-#: storage).  Calling one on the event loop stalls every connection.
-_BLOCKING_SERVICE_METHODS = frozenset({
-    "query", "answer", "prepare", "add_row", "add_rows", "writing",
-    "register_view", "unregister_view", "view", "views", "stats_snapshot",
-    "cache_info", "execution_counts", "table_stats", "close",
-})
+_CORE_PACKAGE = ("src/repro/core",)
+
+#: The one ServiceAPI method the event loop may call directly.  Every other
+#: one may take service locks, run plans or touch storage, and would stall
+#: every connection; this one is held to never waiting by
+#: :func:`check_try_hit_never_waits`.
+_LOOP_SAFE_SERVICE_METHOD = "try_hit"
 
 
 def _is_service_rooted(node: ast.AST) -> bool:
@@ -400,7 +431,7 @@ class _AsyncBlockingCallChecker(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         if isinstance(func, ast.Attribute) \
-                and func.attr in _BLOCKING_SERVICE_METHODS \
+                and func.attr != _LOOP_SAFE_SERVICE_METHOD \
                 and _is_service_rooted(func.value):
             self.violations.append(Violation(
                 self.rel_path, node.lineno, "server-nonblocking",
@@ -422,6 +453,87 @@ def check_server_nonblocking(root: str) -> list[Violation]:
     return violations
 
 
+def _names_lock(node: ast.AST) -> bool:
+    """``self._lock`` / ``service._write_lock`` / ``_CACHE_LOCK``: by name."""
+    name = node.attr if isinstance(node, ast.Attribute) else (
+        node.id if isinstance(node, ast.Name) else "")
+    return "lock" in name.lower()
+
+
+def _builtin_container_attrs(trees: Iterable[ast.AST]) -> set[str]:
+    """``self.<attr>`` names bound to a dict/list/set display or builtin
+    container call: a method call on one is not a call into the repo."""
+    containers = {"dict", "list", "set", "OrderedDict", "defaultdict", "deque"}
+    attrs: set[str] = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets, value = [node.target], node.value
+            else:
+                continue
+            builtin = isinstance(value, (ast.Dict, ast.List, ast.Set)) or (
+                isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Name)
+                and value.func.id in containers)
+            if builtin:
+                attrs.update(t.attr for t in targets
+                             if isinstance(t, ast.Attribute))
+    return attrs
+
+
+def check_try_hit_never_waits(root: str) -> list[Violation]:
+    """The clause that earns ``try_hit`` its place on the event loop."""
+    sources = list(_walk_sources(root, _CORE_PACKAGE))
+    defs: dict[str, list[tuple[str, ast.AST]]] = {}
+    for _path, rel_path, tree in sources:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.setdefault(node.name, []).append((rel_path, node))
+    containers = _builtin_container_attrs(tree for _p, _r, tree in sources)
+
+    violations: list[Violation] = []
+    # Callees resolve by bare name — an over-approximation (every function
+    # of that name under core/ is held to the rule), which is the safe side.
+    reached = {_LOOP_SAFE_SERVICE_METHOD}
+    pending = [_LOOP_SAFE_SERVICE_METHOD]
+    while pending:
+        for rel_path, fn in defs.get(pending.pop(), ()):
+            where = (f"{fn.name}() runs on the event loop (reachable from "
+                     f"{_LOOP_SAFE_SERVICE_METHOD}())")
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.With, ast.AsyncWith)) and any(
+                        _names_lock(item.context_expr) for item in node.items):
+                    violations.append(Violation(
+                        rel_path, node.lineno, "server-nonblocking",
+                        f"{where} but waits in a `with <lock>:`; try the "
+                        "lock with acquire(blocking=False) and decline"))
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if isinstance(func, ast.Attribute) and func.attr == "acquire" \
+                        and not _is_trylock(node):
+                    violations.append(Violation(
+                        rel_path, node.lineno, "server-nonblocking",
+                        f"{where} but calls .acquire() without "
+                        "blocking=False"))
+                if isinstance(func, ast.Attribute):
+                    receiver = func.value
+                    if isinstance(receiver, ast.Attribute) \
+                            and receiver.attr in containers:
+                        continue  # dict.get and friends, not a repo helper
+                    callee = func.attr
+                elif isinstance(func, ast.Name):
+                    callee = func.id
+                else:
+                    continue
+                if callee in defs and callee not in reached:
+                    reached.add(callee)
+                    pending.append(callee)
+    return violations
+
+
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
@@ -432,6 +544,7 @@ ALL_RULES = (
     check_kernel_fallbacks,
     check_silent_excepts,
     check_server_nonblocking,
+    check_try_hit_never_waits,
 )
 
 
