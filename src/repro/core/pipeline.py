@@ -42,6 +42,9 @@ _logger = logging.getLogger(__name__)
 #: forever and miscount ``cache_stats``.
 _MISS = object()
 
+#: Plan-cache entry of a shape whose literals could not be traced to slots.
+_REFUSED = object()
+
 #: Default diagram formalism per input language (only formalisms that can
 #: represent that language's ASTs directly).
 _DEFAULT_FORMALISMS = {
@@ -54,16 +57,18 @@ _DEFAULT_FORMALISMS = {
 
 
 def fingerprint_query(text: str, language: str) -> str:
-    """A stable fingerprint of one query: language + query text.
+    """A stable fingerprint of one query: language + *exact* query text.
 
     Only outer whitespace is stripped — interior whitespace can be
     significant (string literals), so two texts share a fingerprint only if
-    they are byte-identical apart from leading/trailing space.  This keys
-    both pipeline caches: the plan cache maps a fingerprint to its optimized
-    plan, and the result cache maps ``(fingerprint, db.version)`` to the
-    answer relation — so any write to the database (which bumps
-    :attr:`repro.data.database.Database.version`) invalidates results
-    without touching the plans.
+    they are byte-identical apart from leading/trailing space.  This is the
+    identity of an *answer*: result caches (the pipeline's, the service's)
+    key on ``(fingerprint, version token)`` — so any write to the database
+    (which bumps :attr:`repro.data.database.Database.version`) invalidates
+    results — and registered views and prepared handles are filed under it.
+    The plan cache does **not** use it: plans are keyed on the query's
+    *shape* (:func:`repro.engine.bind.scan_literals`), so texts that differ
+    only in their literals share one compiled plan.
     """
     digest = hashlib.sha256(f"{language.lower()}\n{text.strip()}".encode())
     return digest.hexdigest()[:24]
@@ -127,25 +132,48 @@ class _LRUCache:
 
 @dataclass
 class CacheStats:
-    """Hit/miss counters for the pipeline's plan and result caches.
+    """Counters of the pipeline's plan and result caches.
 
-    Counter updates go through :meth:`record` under an internal lock so
-    concurrent requests never lose increments.
+    ``plan_hits`` / ``plan_misses`` count lookups for which lower + optimize
+    did not / did run; ``plan_binds`` the hits that substituted at least one
+    literal into a cached template; ``plan_refused`` the shapes slot
+    discovery refused, which are served under their exact text.  Updates go
+    through :meth:`bump` under an internal lock so concurrent requests never
+    lose increments.
     """
 
     plan_hits: int = 0
     plan_misses: int = 0
+    plan_binds: int = 0
+    plan_refused: int = 0
     result_hits: int = 0
     result_misses: int = 0
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
 
-    def record(self, cache: str, *, hit: bool) -> None:
-        """Atomically bump ``{cache}_hits`` or ``{cache}_misses``."""
-        name = f"{cache}_{'hits' if hit else 'misses'}"
+    def bump(self, *names: str) -> None:
+        """Add one to each named counter, atomically together."""
         with self._lock:
-            setattr(self, name, getattr(self, name) + 1)
+            for name in names:
+                setattr(self, name, getattr(self, name) + 1)
+
+
+class _Source:
+    """One request's text, with its AST parsed at most once — and only when
+    a plan miss or the interpreter fallback needs it."""
+
+    __slots__ = ("text", "language", "_query")
+
+    def __init__(self, text: str, language: str, query: Any = None) -> None:
+        self.text = text
+        self.language = language
+        self._query = query
+
+    def ast(self) -> Any:
+        if self._query is None:
+            self._query = _parse(self.text, self.language)
+        return self._query
 
 
 @dataclass
@@ -198,12 +226,36 @@ class QueryVisualizationPipeline:
 
     ``backend`` picks the physical executor (``"vectorized"`` — the default
     columnar engine — or ``"row"``, the reference executor).  Two bounded
-    caches keep repeated queries cheap: a plan cache (query fingerprint →
-    optimized plan, so a repeated query skips parse/lower/optimize) and an
-    LRU result cache (fingerprint + database version → answers, so a
-    repeated query against unchanged data skips execution entirely;
-    ``Relation.add`` bumps the version and thereby invalidates).  Set either
-    size to 0 to disable that cache.
+    caches keep repeated queries cheap; set either size to 0 to disable it.
+
+    **Results** are keyed on the *exact text* and the data:
+    ``(fingerprint_query(text, language), db.version)`` → answers, so a
+    repeated query against unchanged data skips execution entirely and
+    ``Relation.add``, which bumps the version, invalidates.
+
+    **Plans** are keyed on the query's *shape* and the schema:
+    ``(language, shape, db.structure_version)`` → one optimized plan, where
+    the shape is the text with its number and string literals blanked to
+    typed holes (:func:`repro.engine.bind.scan_literals`).  The cached plan
+    is a template compiled from the *first-seen* literals whose constants
+    remember which literal they came from; a later text of the same shape
+    skips parse/lower/optimize and only has its literals substituted
+    (:func:`repro.engine.bind.bind`) before execution.  ``plan_cache_size``
+    therefore bounds shapes, not texts.  Datalog programs are cached the
+    same way, as compiled programs (:func:`repro.engine.lower_datalog`).
+
+    A shape is **refused** when the literals cannot be traced to constants
+    of the lowered plan and nothing else (``LIMIT 5``, a ``LIKE`` pattern, a
+    digit in a comment): it is remembered as refused, counted
+    (``plan_refused``) and served as before — each exact text is then a
+    shape of its own, without holes, in the same cache.
+
+    There is **no selectivity guard**: a template keeps the join order
+    chosen for the first-seen literals.  A cached plan already outlived the
+    statistics it was optimized under (the key has the structure version,
+    not the data version), so plan choice has never been allowed to affect
+    rows, only speed; the literal is one more stale estimate (measurements
+    in ``CHANGES.md``, PR 17).
     """
 
     def __init__(self, db: Database | None = None, *, formalism: str = "queryvis",
@@ -223,14 +275,18 @@ class QueryVisualizationPipeline:
     # -- cache plumbing --------------------------------------------------
 
     def cache_info(self) -> dict[str, int]:
-        """Sizes and hit/miss counters of both caches (for tests/benchmarks)."""
+        """Sizes and counters of both caches (see :class:`CacheStats`);
+        ``plan_entries`` counts shapes, refused ones included."""
+        stats = self.cache_stats
         return {
             "plan_entries": len(self._plan_cache),
             "result_entries": len(self._result_cache),
-            "plan_hits": self.cache_stats.plan_hits,
-            "plan_misses": self.cache_stats.plan_misses,
-            "result_hits": self.cache_stats.result_hits,
-            "result_misses": self.cache_stats.result_misses,
+            "plan_hits": stats.plan_hits,
+            "plan_misses": stats.plan_misses,
+            "plan_binds": stats.plan_binds,
+            "plan_refused": stats.plan_refused,
+            "result_hits": stats.result_hits,
+            "result_misses": stats.result_misses,
         }
 
     def clear_caches(self) -> None:
@@ -266,7 +322,8 @@ class QueryVisualizationPipeline:
         plan = None
         if evaluate:
             start = time.perf_counter()
-            answers, plan = self._evaluate(text, query, language, warnings, timings)
+            answers, plan = self._evaluate(_Source(text, language, query),
+                                           warnings, timings)
             timings["evaluate"] = time.perf_counter() - start
 
         return PipelineResult(
@@ -350,15 +407,15 @@ class QueryVisualizationPipeline:
             warnings.append(f"{formalism} diagram unavailable: {exc}")
             return Diagram(f"{language} query", formalism=formalism)
 
-    def _evaluate(self, text: str, query: Any, language: str,
-                  warnings: list[str], timings: dict[str, float]):
+    def _evaluate(self, source: _Source, warnings: list[str],
+                  timings: dict[str, float]) -> tuple[Relation, Any]:
         """Answer the query: unified engine first, reference interpreter fallback."""
         from repro.engine import LoweringError, PlanError
         from repro.expr.ast import ExprError
 
         if self.use_engine:
             try:
-                return self._evaluate_engine(text, query, language, timings)
+                return self._evaluate_engine(source, timings)
             except (LoweringError, PlanError, ExprError) as exc:
                 # ExprError covers runtime divergences (the engine compiles
                 # comparisons with SQL's raising semantics; the calculi treat
@@ -366,130 +423,171 @@ class QueryVisualizationPipeline:
                 for stage in ("lower", "optimize", "execute"):
                     timings.pop(stage, None)  # stages of the failed attempt
                 warnings.append(
-                    f"engine fallback to the {language.upper()} interpreter: {exc}"
+                    f"engine fallback to the {source.language.upper()} "
+                    f"interpreter: {exc}"
                 )
-        return self._evaluate_reference(query, language), None
+        return self._evaluate_reference(source.ast(), source.language), None
 
-    def _evaluate_engine(self, text: str, query: Any, language: str,
-                         timings: dict[str, float]):
-        from repro.engine import execute_datalog, execute_plan, lower, optimize
+    def _evaluate_engine(self, source: _Source,
+                         timings: dict[str, float]) -> tuple[Relation, Any]:
+        from repro.engine import datalog_relation, execute_plan, run_datalog
 
-        fingerprint = fingerprint_query(text, language)
-        result_key = (fingerprint, self.db.version)
-        cached = self._result_cache.get(result_key, _MISS)
-        if cached is not _MISS:
-            self.cache_stats.record("result", hit=True)
-            timings["execute"] = 0.0
-            plan, answers = cached
-            return answers, plan
-        self.cache_stats.record("result", hit=False)
+        # A pipeline whose result cache is off (the service's: it caches
+        # validated answers itself) identifies nothing and counts nothing.
+        caching = self._result_cache.capacity > 0
+        if caching:
+            result_key = (fingerprint_query(source.text, source.language),
+                          self.db.version)
+            cached = self._result_cache.get(result_key, _MISS)
+            if cached is not _MISS:
+                self.cache_stats.bump("result_hits")
+                timings["execute"] = 0.0
+                plan, answers = cached
+                return answers, plan
+            self.cache_stats.bump("result_misses")
 
-        if language == "datalog":
-            start = time.perf_counter()
-            answers = execute_datalog(query, self.db)
-            timings["execute"] = time.perf_counter() - start
-            self._cache_result(result_key, query, answers)
-            return answers, query
-
-        # Plans depend on the schema (column resolution) but not on row
-        # contents, so the key includes the coarser structure version:
-        # add_relation/drop_relation invalidates plans, plain adds do not.
-        plan_key = (fingerprint, self.db.structure_version)
-        plan = self._plan_cache.get(plan_key, _MISS)
-        if plan is _MISS:
-            self.cache_stats.record("plan", hit=False)
-            start = time.perf_counter()
-            plan = lower(query, self.db.schema, language)
-            timings["lower"] = time.perf_counter() - start
-            start = time.perf_counter()
-            plan = optimize(plan, self.db)
-            timings["optimize"] = time.perf_counter() - start
-            self._plan_cache.put(plan_key, plan)
-        else:
-            self.cache_stats.record("plan", hit=True)
+        plan = self._plan(source, timings)
         start = time.perf_counter()
-        answers = execute_plan(plan, self.db, backend=self.backend)
+        if source.language == "datalog":
+            answers = datalog_relation(plan, run_datalog(plan, self.db))
+        else:
+            answers = execute_plan(plan, self.db, backend=self.backend)
         timings["execute"] = time.perf_counter() - start
-        self._cache_result(result_key, plan, answers)
-        return answers, plan
-
-    def _cache_result(self, result_key: tuple, plan: Any,
-                      answers: Relation) -> None:
-        """Publish one answer into the shared result cache — *frozen*.
-
-        The cache hands the very same :class:`Relation` object to every
-        subsequent hit, so a mutable cached answer would let one caller
-        silently poison everyone else's results.  Freezing before the put
-        turns that aliasing bug into an immediate ``RelationError`` at the
-        mutation site; callers that need a private mutable copy take
-        ``answers.copy()``.
-        """
-        if self._result_cache.capacity > 0:
+        if caching:
+            # Published *frozen*: the cache hands the very same Relation to
+            # every later hit, so a mutable cached answer would let one
+            # caller silently poison everyone else's results.  Freezing turns
+            # that aliasing bug into an immediate ``RelationError`` at the
+            # mutation site; ``answers.copy()`` gives a private mutable copy.
             answers.freeze()
             self._result_cache.put(result_key, (plan, answers))
+        return answers, plan
+
+    def _plan(self, source: _Source, timings: dict[str, float]) -> Any:
+        """The one plan-cache lookup: ``source``'s optimized plan (for
+        Datalog, its compiled program), bound to the literals of its text.
+
+        Plans depend on the schema (column resolution) but not on row
+        contents, so the key carries the coarser structure version:
+        add_relation/drop_relation invalidates plans, plain adds do not.  A
+        miss parses (unless the caller already did), lowers, discovers the
+        literal slots and optimizes; racing misses of one shape each compile
+        and the last equal entry stays.
+        """
+        from repro.engine.bind import Template, discover_slots, scan_literals
+        from repro.engine.verify import maybe_verify
+
+        language = source.language
+        version = self.db.structure_version
+        # The exact text is a shape of its own, without holes: what a
+        # refused shape is served under (and every text when nothing is
+        # kept, so there are no slots worth discovering).
+        exact: tuple[str, tuple] = (source.text.strip(), ())
+        shape, literals = scan_literals(source.text) \
+            if self._plan_cache.capacity > 0 else exact
+        template = self._plan_cache.get((language, shape, version), _MISS)
+        if template is _REFUSED:
+            shape, literals = exact
+            template = self._plan_cache.get((language, shape, version), _MISS)
+        if template is not _MISS:
+            if literals:
+                self.cache_stats.bump("plan_hits", "plan_binds")
+            else:
+                self.cache_stats.bump("plan_hits")
+        else:
+            query = source.ast()
+            self.cache_stats.bump("plan_misses")
+            start = time.perf_counter()
+            lowered = self._lower(query, language)
+            if literals:
+                slotted = discover_slots(
+                    lowered, shape, literals,
+                    lambda text: self._lower(_parse(text, language), language))
+                if slotted is None:
+                    self._plan_cache.put((language, shape, version), _REFUSED)
+                    self.cache_stats.bump("plan_refused")
+                    shape, literals = exact
+                else:
+                    lowered = slotted
+            timings["lower"] = time.perf_counter() - start
+            start = time.perf_counter()
+            template = Template(self._optimize(lowered, language))
+            timings["optimize"] = time.perf_counter() - start
+            self._plan_cache.put((language, shape, version), template)
+        plan = template.bind(literals)
+        if literals and language != "datalog":
+            # A bound plan is certified like any other rewrite under
+            # REPRO_VERIFY_PLANS (a compiled Datalog program's plans read the
+            # run's working relations and were certified when optimized).
+            maybe_verify(plan, self.db, rule="bind")
+        return plan
+
+    def _lower(self, query: Any, language: str) -> Any:
+        from repro.engine import lower, lower_datalog
+
+        if language == "datalog":
+            return lower_datalog(query, self.db)
+        return lower(query, self.db.schema, language)
+
+    def _optimize(self, lowered: Any, language: str) -> Any:
+        from repro.engine import optimize, optimize_datalog
+
+        if language == "datalog":
+            return optimize_datalog(lowered, self.db)
+        return optimize(lowered, self.db)
 
     def answer(self, text: str, *, language: str | None = None,
                warnings: list[str] | None = None) -> Relation:
         """The serving path: any-language text in, answers out — no diagram.
 
         Warm requests never parse: a result-cache hit is two dictionary
-        lookups, and a plan-cache hit skips parse/lower/optimize and goes
-        straight to the executor.  Falls back to the reference interpreter
+        lookups, and a plan-cache hit — any text of a shape seen before —
+        skips parse/lower/optimize, binds its literals and goes straight to
+        the executor.  A miss parses once, for lowering and for the
+        fallback alike.  Falls back to the reference interpreter
         exactly like :meth:`run` for queries outside the engine fragment.
         The fallback *reason* is never swallowed: it is appended to the
         optional ``warnings`` out-list (same format as
         :attr:`PipelineResult.warnings`) and logged on this module's logger,
         so serving-path divergences stay diagnosable.
         """
-        from repro.engine import LoweringError, PlanError, detect_language
-        from repro.expr.ast import ExprError
+        from repro.engine import detect_language
 
         resolved = (language or detect_language(text)).lower()
         if resolved not in PIPELINE_LANGUAGES:
             raise ValueError(
                 f"unknown language {resolved!r}; expected one of {PIPELINE_LANGUAGES}"
             )
-        if self.use_engine:
-            try:
-                answers, _plan = self._evaluate_engine(text, text, resolved, {})
-                return answers
-            except (LoweringError, PlanError, ExprError) as exc:
-                message = (
-                    f"engine fallback to the {resolved.upper()} interpreter: {exc}"
-                )
-                if warnings is not None:
-                    warnings.append(message)
-                _logger.info("%s", message)
-        return self._evaluate_reference(_parse(text, resolved), resolved)
+        reasons: list[str] = []
+        answers, _plan = self._evaluate(_Source(text, resolved), reasons, {})
+        for message in reasons:
+            _logger.info("%s", message)
+        if warnings is not None:
+            warnings.extend(reasons)
+        return answers
 
     def prepare_plan(self, text: str, language: str) -> Any | None:
         """Compile one query into the plan cache ahead of serving.
 
         Parses eagerly (syntax errors surface here, not on the first
-        request), lowers + optimizes, and seeds the plan cache under the
-        current structure version.  Returns the optimized plan, or ``None``
-        when the query is outside the engine fragment (its requests will use
-        the interpreter fallback) or is Datalog (executed by the semi-naive
-        fixpoint, which plans per stratum).  ``QueryService.prepare`` builds
-        its prepared-query handles on this.
+        request) and goes through the same shape lookup as serving: one
+        text seeds its shape's entry, and every literal variant of it is a
+        plan hit from then on.  Returns the optimized plan bound to *this*
+        text's literals (plain constants — views and maintainers are built
+        from it), or ``None`` when the query is outside the engine fragment
+        (its requests will use the interpreter fallback) or is Datalog
+        (compiled and cached too, but a program is not one plan).
+        ``QueryService.prepare`` builds its prepared-query handles on this.
         """
-        from repro.engine import LoweringError, PlanError, lower, optimize
+        from repro.engine import LoweringError, PlanError
 
-        language = language.lower()
-        query = _parse(text, language)
-        if language == "datalog":
-            return None
-        fingerprint = fingerprint_query(text, language)
-        plan_key = (fingerprint, self.db.structure_version)
-        plan = self._plan_cache.get(plan_key, _MISS)
-        if plan is not _MISS:
-            return plan
+        source = _Source(text, language.lower())
+        source.ast()
         try:
-            plan = optimize(lower(query, self.db.schema, language), self.db)
+            plan = self._plan(source, {})
         except (LoweringError, PlanError):
             return None
-        self._plan_cache.put(plan_key, plan)
-        return plan
+        return None if source.language == "datalog" else plan
 
     def _evaluate_reference(self, query: Any, language: str) -> Relation:
         del language  # dispatch is by AST type

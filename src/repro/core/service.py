@@ -163,10 +163,13 @@ class _Answer:
 
 
 class PreparedQuery:
-    """A handle for repeated serving of one query (from :meth:`QueryService.prepare`).
+    """One identified query: text, resolved language, fingerprint.
 
-    Holds the resolved language and fingerprint, so :meth:`answer` goes
-    straight to the cache lookup; the plan was compiled at prepare time.
+    :meth:`QueryService.identify` makes one per request, so the language is
+    resolved and the text fingerprinted once however many calls serve it;
+    :meth:`QueryService.prepare` additionally compiles the plan and returns
+    the handle for repeated serving, whose :meth:`answer` goes straight to
+    the cache lookup.
     """
 
     __slots__ = ("service", "text", "language", "fingerprint")
@@ -480,21 +483,30 @@ class QueryService(ServiceBase):
         out-list, exactly like :meth:`QueryVisualizationPipeline.answer`
         (cached alongside the answer, so warm hits report them too).
         """
+        return self.identify(text, language=language).answer(warnings=warnings)
+
+    def identify(self, text: str, *,
+                 language: str | None = None) -> PreparedQuery:
+        """Resolve the language and fingerprint the text, once; every entry
+        point serves through the returned handle (see
+        :meth:`~repro.core.service_api.ServiceAPI.identify`)."""
         resolved = self._resolve_language(text, language)
-        return self._serve_relation(
-            text, resolved, fingerprint_query(text, resolved), warnings)
+        return PreparedQuery(self, text, resolved,
+                             fingerprint_query(text, resolved))
 
     def prepare(self, text: str, *, language: str | None = None) -> PreparedQuery:
         """Parse + plan one query now; serve it repeatedly via the handle.
 
-        Syntax errors surface here.  Queries outside the engine fragment
-        still return a handle — their requests take the interpreter
-        fallback, like unprepared serving.
+        Syntax errors surface here.  The plan is compiled into the
+        pipeline's plan cache under the query's *shape*, so the handle's
+        requests — and those of any text that differs from this one only in
+        its literals — skip parse/lower/optimize.  Queries outside the
+        engine fragment still return a handle — their requests take the
+        interpreter fallback, like unprepared serving.
         """
-        resolved = self._resolve_language(text, language)
-        self.pipeline.prepare_plan(text, resolved)  # parses; seeds plan cache
-        return PreparedQuery(self, text, resolved,
-                             fingerprint_query(text, resolved))
+        handle = self.identify(text, language=language)
+        self.pipeline.prepare_plan(text, handle.language)  # parses; seeds
+        return handle
 
     def _resolve_language(self, text: str, language: str | None) -> str:
         resolved = (language or detect_language(text)).lower()
@@ -803,6 +815,8 @@ class QueryService(ServiceBase):
             "plan_entries": pipeline_info["plan_entries"],
             "plan_hits": pipeline_info["plan_hits"],
             "plan_misses": pipeline_info["plan_misses"],
+            "plan_binds": pipeline_info["plan_binds"],
+            "plan_refused": pipeline_info["plan_refused"],
             "kernel_cache_entries": kernel_info["entries"],
             "kernel_cache_bytes": kernel_info["bytes"],
             "kernel_cache_hits": kernel_info["hits"],

@@ -46,7 +46,6 @@ from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Protocol, Sequence, runtime_checkable
 
-from repro.core.pipeline import fingerprint_query
 from repro.data.relation import Relation, Row
 
 #: Version token of one answer: the scalar database version (single node)
@@ -307,6 +306,18 @@ class ServiceAPI(Protocol):
         """Serve one query as a structured :class:`QueryResult` envelope."""
         ...
 
+    def identify(self, text: str, *, language: str | None = None) -> Any:
+        """Resolve the language and fingerprint the text — nothing else.
+
+        Returns the handle :meth:`prepare` returns (``try_hit()`` /
+        ``query()`` / ``answer()``), without parsing or planning, so a
+        caller that asks ``try_hit`` first and ``query`` on a decline
+        identifies the request once.  Pure computation: it takes no lock
+        and may run on an event loop.  An unknown language raises
+        :class:`UnknownLanguageError`.
+        """
+        ...
+
     def try_hit(self, text: str,
                 language: str | None = None) -> "QueryResult | None":
         """The envelope :meth:`query` would return, if it is already cached.
@@ -317,8 +328,9 @@ class ServiceAPI(Protocol):
         whenever it cannot tell at once (a miss, a stale view, a contended
         lock, an unknown language) — the caller then calls :meth:`query`.
         A returned hit is counted like one served by :meth:`query`; a
-        declined one is not counted at all.  This is the one service call
-        an event loop may make directly.
+        declined one is not counted at all.  With :meth:`identify`, whose
+        handle offers the same call, these are the service calls an event
+        loop may make directly.
         """
         ...
 
@@ -386,13 +398,12 @@ class ServiceAPI(Protocol):
 class ServiceBase:
     """Mixin implementing the envelope path shared by every service.
 
-    Concrete services provide ``_resolve_language`` / ``_query`` /
-    ``_try_hit``; this base identifies the query once — resolved language
-    and fingerprint, the two values every cache in the service keys on —
-    and turns them into the uniform :meth:`query` envelope, its
-    non-blocking twin :meth:`try_hit`, and the default
-    :meth:`execution_counts`, so the warnings shape and error
-    classification cannot drift between deployments.
+    Concrete services provide :meth:`ServiceAPI.identify` — resolved
+    language and fingerprint, the two values every cache in the service
+    keys on, wrapped in a handle — and this base turns its handle into the
+    uniform :meth:`query` envelope, its non-blocking twin :meth:`try_hit`,
+    and the default :meth:`execution_counts`, so the warnings shape and
+    error classification cannot drift between deployments.
     """
 
     def query(self, text: str, *, language: str | None = None) -> QueryResult:
@@ -404,9 +415,7 @@ class ServiceBase:
         every :class:`ServiceAPI` implementation.
         """
         try:
-            resolved = self._resolve_language(text, language)  # type: ignore[attr-defined]
-            return self._query(text, resolved,  # type: ignore[attr-defined]
-                               fingerprint_query(text, resolved))
+            return self.identify(text, language=language).query()  # type: ignore[attr-defined]
         except ServiceError:
             raise
         except Exception as exc:
@@ -417,10 +426,10 @@ class ServiceBase:
         """The cached envelope, or ``None`` without waiting (see
         :meth:`ServiceAPI.try_hit`)."""
         try:
-            resolved = self._resolve_language(text, language)  # type: ignore[attr-defined]
+            handle = self.identify(text, language=language)  # type: ignore[attr-defined]
         except UnknownLanguageError:
             return None  # query() reports it, with the usual error body
-        return self._try_hit(fingerprint_query(text, resolved))  # type: ignore[attr-defined]
+        return handle.try_hit()
 
     def execution_counts(self) -> dict[str, int]:
         """Default backend counters: the process-wide verifier tallies.

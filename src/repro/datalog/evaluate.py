@@ -192,18 +192,21 @@ def evaluate_datalog(program: "Program | str", db: Database,
 
 
 def _output_names(program: Program, query: str, rows: list[tuple]) -> list[str]:
+    return names_from_heads(
+        [tuple(term.name if isinstance(term, Var) else None
+               for term in rule.head.terms)
+         for rule in program.rules_for(query)], rows)
+
+
+def names_from_heads(heads: "list[tuple[str | None, ...]]",
+                     rows: list[tuple]) -> list[str]:
+    """Output column names from the query predicate's rule heads, each a
+    variable name per position (``None`` for a constant): the first head
+    that is all variables and of the rows' arity, else ``col1..colN``."""
     arity = len(rows[0]) if rows else None
-    for rule in program.rules_for(query):
-        names = []
-        ok = True
-        for term in rule.head.terms:
-            if isinstance(term, Var):
-                names.append(term.name.lower())
-            else:
-                ok = False
-                break
-        if ok and names and (arity is None or len(names) == arity):
-            return names
+    for head in heads:
+        if head and None not in head and (arity is None or len(head) == arity):
+            return [name.lower() for name in head]
     if arity is None:
         arity = 1
     return [f"col{i + 1}" for i in range(arity)]

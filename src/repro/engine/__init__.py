@@ -33,10 +33,13 @@ from repro.engine.execute import (
     clear_compiled_cache,
     compiled_expr,
     compiled_predicate,
-    compute_datalog_facts,
+    datalog_relation,
     execute_datalog,
     execute_plan,
     get_backend,
+    lower_datalog,
+    optimize_datalog,
+    run_datalog,
     run_query,
 )
 from repro.engine.vectorized import VectorizedBackend, VectorizedExecutor
@@ -52,6 +55,7 @@ from repro.engine.sharded import (
 from repro.engine.kernels import kernels_enabled
 from repro.engine.process import ProcessBackend, default_process_workers
 from repro.engine import lifecycle
+from repro.engine.bind import Template, attach_slots, scan_literals
 from repro.engine.delta import (
     AggregateMaintainer,
     BagMaintainer,
@@ -150,10 +154,12 @@ __all__ = [
     "SortLimitP",
     "StatsCatalog",
     "TableStats",
+    "Template",
     "VectorizedBackend",
     "VectorizedExecutor",
     "ViewMaintainer",
     "anchor",
+    "attach_slots",
     "asof_plan",
     "base_relations",
     "build_maintainer",
@@ -163,7 +169,7 @@ __all__ = [
     "common_subplan_count",
     "compiled_expr",
     "compiled_predicate",
-    "compute_datalog_facts",
+    "datalog_relation",
     "default_process_workers",
     "delta_terms",
     "detect_language",
@@ -179,17 +185,21 @@ __all__ = [
     "execute_plan",
     "explain",
     "lower",
+    "lower_datalog",
     "lower_datalog_rule",
     "lower_drc",
     "lower_ra",
     "lower_sql",
     "lower_trc",
     "optimize",
+    "optimize_datalog",
     "promote_hash_keys",
     "push_down_filters",
     "reorder_joins",
     "resolve_column",
+    "run_datalog",
     "run_query",
+    "scan_literals",
     "shard_plan",
     "split_aggregate",
     "verification_counts",

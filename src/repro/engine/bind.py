@@ -1,0 +1,273 @@
+"""Compile once, bind many: a query's *shape*, its literal slots, and binding.
+
+The serving loop sees the same few query shapes with fresh literals, so the
+pipeline caches one optimized plan per shape and substitutes each request's
+literals into it.  Three pieces, all language-agnostic:
+
+* :func:`scan_literals` blanks the number and single-quoted string literals
+  of a query text to typed holes (int / float / string — ``10`` and
+  ``10.00`` are different shapes) and returns the shape with the literal
+  values, in text order.
+* :func:`attach_slots` finds out which :class:`~repro.expr.ast.Const` leaves
+  of a lowered plan each literal ended up in — by *provenance*, never by
+  matching values.  :func:`discover_slots` lowers the same shape filled
+  with :func:`sentinel_text` beside the real text; the two results are
+  walked in lockstep
+  and must differ exactly at ``Const`` leaves whose two values are (literal
+  *i*, sentinel *i*).  Those leaves become ``Const(value, slot=i)``.  Any
+  other difference — a ``LIMIT``, a ``LIKE`` pattern, a literal the scanner
+  lifted from a comment, a value some parser transformed — *refuses* the
+  shape (``None``), and the caller serves it under its exact text.
+* :meth:`Template.bind` substitutes a request's literals into the slotted
+  constants of an optimized template, giving a plan of plain ``Const``s —
+  the same "template + substitution" idiom as
+  :func:`repro.engine.delta.anchor`.
+
+The scanner only has to be *conservative*: whatever it gets wrong (it knows
+no language's comment syntax) shows up as a difference that is not a slot,
+and discovery refuses.  What it must get right is that two texts of one
+accepted shape tokenize alike in every parser, which holds because all five
+lexers share the literal syntax scanned here (``\\d+``, ``\\d+\\.\\d+``,
+``'...'`` with ``''`` for a quote, never adjacent to an identifier).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import re
+from typing import Any, Callable, Sequence
+
+from repro.expr import ast as e
+from repro.engine.plan import Plan
+
+__all__ = ["Template", "attach_slots", "discover_slots", "scan_literals",
+           "sentinel_text", "sentinels_for"]
+
+#: What a text may contain that the scanner must step over as one unit: a
+#: single-quoted string, a double-quoted identifier/string (kept verbatim),
+#: and a number that does not continue an identifier (``col1``, ``S2``).
+_LITERAL_RE = re.compile(
+    r"""'(?:[^']|'')*'|"(?:[^"]|"")*"|(?<![A-Za-z_0-9])\d+(?:\.\d+)?""")
+
+#: Hole markers.  NUL occurs in no query language here; a text that contains
+#: one anyway is simply not scanned (its shape is itself).
+_HOLES = {int: "\x00i", float: "\x00f", str: "\x00s"}
+_HOLE_RE = re.compile("\x00[ifs]")
+
+
+def scan_literals(text: str) -> tuple[str, tuple[Any, ...]]:
+    """``(shape, literals)`` of one query text.
+
+    ``shape`` is the stripped text with each lifted literal replaced by a
+    typed hole; a text without literals is its own shape.  Double-quoted
+    spans and strings containing a bracket (the RA lexer cuts ``[...]``
+    before it sees quotes) stay in the shape verbatim.
+    """
+    text = text.strip()
+    if "\x00" in text:
+        return text, ()
+    literals: list[Any] = []
+
+    def hole(match: "re.Match[str]") -> str:
+        token = match.group()
+        if token[0] == '"':
+            return token
+        value: Any
+        if token[0] == "'":
+            if "[" in token or "]" in token:
+                return token
+            value = token[1:-1].replace("''", "'")
+        else:
+            value = float(token) if "." in token else int(token)
+        literals.append(value)
+        return _HOLES[type(value)]
+
+    return _LITERAL_RE.sub(hole, text), tuple(literals)
+
+
+def sentinels_for(literals: Sequence[Any]) -> tuple[Any, ...]:
+    """One probe value per literal, of the literal's own type.
+
+    Pairwise distinct, and shaped to expose a parser that would transform a
+    value (case folding, trimming, a missed ``''``): such a shape is refused
+    because the probe does not come back as written.
+    """
+    out: list[Any] = []
+    for slot, literal in enumerate(literals):
+        if isinstance(literal, str):
+            out.append(f" Zq'{slot} ")
+        elif isinstance(literal, float):
+            out.append(900_000_001.5 + slot)
+        else:
+            out.append(900_000_001 + slot)
+    return tuple(out)
+
+
+def sentinel_text(shape: str, values: Sequence[Any]) -> str:
+    """``shape`` with its holes filled by ``values`` written as literals."""
+    pending = iter(values)
+
+    def fill(_match: "re.Match[str]") -> str:
+        value = next(pending)
+        if isinstance(value, str):
+            return "'" + value.replace("'", "''") + "'"
+        return repr(value)
+
+    return _HOLE_RE.sub(fill, shape)
+
+
+# ---------------------------------------------------------------------------
+# Walking plans, expressions and compiled Datalog programs generically
+# ---------------------------------------------------------------------------
+
+_FIELDS: dict[type, "tuple[str, ...] | None"] = {}
+
+
+def _walked_fields(cls: type) -> "tuple[str, ...] | None":
+    """Field names of a node the walkers descend into and may rebuild
+    (plan and expression dataclasses), ``None`` for a leaf."""
+    try:
+        return _FIELDS[cls]
+    except KeyError:
+        names = None
+        if issubclass(cls, (Plan, e.Expr)) and dataclasses.is_dataclass(cls):
+            names = tuple(f.name for f in dataclasses.fields(cls))
+        _FIELDS[cls] = names
+        return names
+
+
+def _rebuilt(node: Any, parts: list[Any], originals: Sequence[Any]) -> Any:
+    """``node`` if no part changed, else a copy built from ``parts``."""
+    if all(new is old for new, old in zip(parts, originals)):
+        return node
+    if isinstance(node, tuple):
+        make = getattr(type(node), "_make", tuple)  # NamedTuple or plain
+        return make(parts)
+    return type(node)(*parts)
+
+
+class _Refused(Exception):
+    """Internal: the two lowerings differ somewhere that is not a slot."""
+
+
+def attach_slots(real: Any, probe: Any, literals: Sequence[Any],
+                 sentinels: Sequence[Any]) -> Any:
+    """``real`` with ``Const(value, slot=i)`` where literal *i* landed, or
+    ``None`` when the shape must be refused.
+
+    ``real`` and ``probe`` are what lowering made of the text and of its
+    :func:`sentinel_text`; every literal has to be found at least once.
+    """
+    slot_of = {(type(s), s): i for i, s in enumerate(sentinels)}
+    seen: set[int] = set()
+
+    def walk(a: Any, b: Any) -> Any:
+        cls = type(a)
+        if cls is not type(b):
+            raise _Refused
+        if cls is e.Const:
+            slot = slot_of.get((type(b.value), b.value))
+            if slot is None:
+                if a == b and type(a.value) is type(b.value):
+                    return a
+                raise _Refused
+            literal = literals[slot]
+            if type(a.value) is not type(literal) or a.value != literal:
+                raise _Refused
+            seen.add(slot)
+            return e.Const(a.value, slot)
+        if isinstance(a, tuple):
+            if len(a) != len(b):
+                raise _Refused
+            return _rebuilt(a, [walk(x, y) for x, y in zip(a, b)], a)
+        names = _walked_fields(cls)
+        if names is None:
+            if a == b:
+                return a
+            raise _Refused
+        originals = [getattr(a, name) for name in names]
+        return _rebuilt(a, [walk(x, getattr(b, name))
+                            for x, name in zip(originals, names)], originals)
+
+    try:
+        slotted = walk(real, probe)
+    except _Refused:
+        return None
+    return slotted if len(seen) == len(literals) else None
+
+
+def discover_slots(lowered: Any, shape: str, literals: Sequence[Any],
+                   lower_text: "Callable[[str], Any]") -> Any:
+    """Two-point discovery: ``lowered`` with its literal slots attached, or
+    ``None`` to refuse the shape.
+
+    ``lower_text`` parses and lowers a text of the query's language; it is
+    given the shape filled with sentinel literals, and whatever it raises —
+    any parser's or lowerer's error — means the probe is not this shape with
+    other literals, so the shape is refused.
+    """
+    sentinels = sentinels_for(literals)
+    try:
+        probe = lower_text(sentinel_text(shape, sentinels))
+    except Exception:
+        return None
+    return attach_slots(lowered, probe, literals, sentinels)
+
+
+class Template:
+    """An optimized plan (or compiled Datalog program) whose slotted
+    constants :meth:`bind` fills in — what the plan cache holds per shape.
+
+    Which nodes lead to a slot is worked out once, here, so a bind rebuilds
+    only the spine above each slotted constant and shares everything else
+    with the template.  The marks are ``id()``s of the template's own nodes,
+    which the template keeps alive.
+    """
+
+    __slots__ = ("plan", "_slotted")
+
+    def __init__(self, plan: Any) -> None:
+        self.plan = plan
+        slotted: set[int] = set()
+
+        def mark(node: Any) -> bool:
+            if type(node) is e.Const:
+                return node.slot is not None
+            if isinstance(node, tuple):
+                parts: Sequence[Any] = node
+            else:
+                names = _walked_fields(type(node))
+                if names is None:
+                    return False
+                parts = [getattr(node, name) for name in names]
+            found = any([mark(part) for part in parts])
+            if found:
+                slotted.add(id(node))
+            return found
+
+        mark(plan)
+        self._slotted = frozenset(slotted)
+
+    def bind(self, values: Sequence[Any]) -> Any:
+        """The plan with every ``Const(_, slot=i)`` replaced by the plain
+        ``Const(values[i])`` (the template itself when it has no slots)."""
+        slotted = self._slotted
+        memo: dict[int, Any] = {}
+
+        def walk(node: Any) -> Any:
+            if type(node) is e.Const:
+                return node if node.slot is None else e.Const(values[node.slot])
+            key = id(node)
+            if key not in slotted:
+                return node
+            # Common subplans are one object after CSE: rebuild each once.
+            done = memo.get(key)
+            if done is None:
+                parts = node if isinstance(node, tuple) else [
+                    getattr(node, name)
+                    for name in _walked_fields(type(node)) or ()]
+                done = memo[key] = _rebuilt(node, [walk(x) for x in parts],
+                                            parts)
+            return done
+
+        return walk(self.plan)

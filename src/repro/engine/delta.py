@@ -22,7 +22,7 @@ derives the machinery to keep a materialized answer current under appends:
   first-seen set of a distinct view, per-group accumulators of an aggregate
   view, or the fact sets of a recursive Datalog view (maintained by resuming
   semi-naive evaluation from the new frontier — see
-  :func:`repro.engine.execute.compute_datalog_facts`).
+  :func:`repro.engine.execute.run_datalog`).
 
 Everything here is **insert-only**: deletions and updates are out of scope,
 and non-monotone operators (anti/semi joins, ``EXCEPT``/``INTERSECT``,
@@ -43,8 +43,10 @@ from repro.engine.execute import (
     Row,
     build_result_relation,
     compiled_expr,
-    compute_datalog_facts,
     get_backend,
+    lower_datalog,
+    optimize_datalog,
+    run_datalog,
 )
 from repro.engine.plan import (
     AggregateP,
@@ -694,11 +696,11 @@ class AggregateMaintainer(ViewMaintainer):
 class DatalogMaintainer(ViewMaintainer):
     """A (recursive) Datalog view: semi-naive resumption from the frontier.
 
-    Keeps the full fact sets of the seeding run; a refresh re-enters
-    :func:`~repro.engine.execute.compute_datalog_facts` with those facts as
-    the seed and the relations' logged appends as the EDB deltas.  Programs
-    with negation are rejected at construction (non-monotone under inserts)
-    and served by rebuild instead.
+    Compiles the program once and keeps the full fact sets of the seeding
+    run; a refresh re-enters :func:`~repro.engine.execute.run_datalog` with
+    those facts as the seed and the relations' logged appends as the EDB
+    deltas.  Programs with negation are rejected at construction
+    (non-monotone under inserts) and served by rebuild instead.
     """
 
     kind = "datalog"
@@ -720,13 +722,15 @@ class DatalogMaintainer(ViewMaintainer):
                 if isinstance(item, Literal):
                     predicates.add(item.predicate.lower())
         self.edb = tuple(sorted(p for p in predicates if p in db))
+        self._compiled = optimize_datalog(
+            lower_datalog(program, db, incremental=True), db)
         self._facts: dict[str, set[Row]] = {}
 
     def base_relations(self) -> tuple[str, ...]:
         return self.edb
 
     def initialize(self, db: Database, backend: str) -> None:
-        self._facts = compute_datalog_facts(self.program, db)
+        self._facts = run_datalog(self._compiled, db)
 
     def apply_delta(self, db: Database, anchors: Mapping[str, int],
                     changed: set[str], backend: str) -> None:
@@ -758,8 +762,9 @@ class DatalogMaintainer(ViewMaintainer):
         sets) and handed in here, while ``db`` supplies the full current
         relations the resumed fixpoint joins against.
         """
-        self._facts = compute_datalog_facts(
-            self.program, db, seed_facts=self._facts, edb_deltas=dict(deltas))
+        self._facts = run_datalog(
+            self._compiled, db, seed_facts=self._facts,
+            edb_deltas=dict(deltas))
 
     def rows(self) -> list[Row]:
         rows = self._facts.get(self.query, set())

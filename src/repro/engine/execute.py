@@ -13,16 +13,18 @@ One executor runs the plans of every frontend.  Physical choices:
   subqueries cheap (the embedded outer plan is evaluated once).
 
 :func:`execute_datalog` drives recursive Datalog programs with **semi-naive
-evaluation**: per stratum, each rule is re-lowered once per occurrence of a
-same-stratum predicate so that occurrence reads the delta relation, and the
-fixpoint loop only re-derives from last round's new facts.
+evaluation**, in two steps one can hold apart: :func:`lower_datalog` /
+:func:`optimize_datalog` compile the program (per stratum, each rule once
+plus once per occurrence of a same-stratum predicate, so that occurrence
+reads the delta relation), and :func:`run_datalog` runs the compiled program
+— its fixpoint loop only re-derives from last round's new facts.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import Counter
-from typing import Any, Callable, Iterable, Protocol, Sequence
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 from repro.data.database import Database
 from repro.data.relation import Relation
@@ -737,15 +739,58 @@ def run_query(query: Any, db: Database, language: str | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Semi-naive Datalog
+# Semi-naive Datalog: compile the program, then run the compiled program
 # ---------------------------------------------------------------------------
 
-def execute_datalog(program: Any, db: Database, query: str = "ans",
-                    *, use_optimizer: bool = True) -> Relation:
-    """Evaluate a stratified Datalog program with semi-naive iteration."""
-    from repro.datalog.ast import Program
-    from repro.datalog.evaluate import _build_relation, _output_names
+class CompiledRule(NamedTuple):
+    """One rule of a :class:`CompiledDatalog` program."""
+
+    head: str                                #: head predicate, lower-cased
+    #: Variable name per head position, ``None`` for a constant — what the
+    #: output columns are named after (literal values play no part).
+    head_vars: tuple[str | None, ...]
+    plan: Plan | None                        #: the rule body; ``None`` = fact
+    fact: tuple[e.Const, ...]                #: a fact's row, as constants
+    #: ``(predicate, plan)`` per positive body occurrence that may read a
+    #: delta: ``plan`` is the rule with that one occurrence scanning
+    #: ``predicate@delta``.
+    variants: tuple[tuple[str, Plan], ...]
+
+
+class CompiledDatalog(NamedTuple):
+    """A Datalog program compiled to plans: strata, per-rule base and delta
+    plans, fact rows, output names.
+
+    Built by :func:`lower_datalog`, rewritten by :func:`optimize_datalog`,
+    evaluated (any number of times) by :func:`run_datalog`.  Only tuples,
+    plans and constants inside, so :class:`repro.engine.bind.Template`
+    substitutes literals into it exactly as into a single plan.
+    """
+
+    idb: tuple[tuple[str, int], ...]         #: (predicate, arity), program order
+    strata: tuple[tuple[CompiledRule, ...], ...]     #: lowest stratum first
+    #: Compiled with a delta variant for *every* positive occurrence, which
+    #: resuming from ``seed_facts`` needs (and negation rules out).
+    incremental: bool
+
+
+def lower_datalog(program: Any, db: Database,
+                  *, incremental: bool = False) -> CompiledDatalog:
+    """Stratify a program (text or AST) and lower every rule to plans.
+
+    Each non-fact rule gets its base plan plus one delta variant per
+    positive occurrence of a same-stratum predicate (the semi-naive loop);
+    with ``incremental`` per positive occurrence of *any* predicate, so a
+    run can resume from new EDB rows or upstream IDB growth.  Inserts only:
+    negation makes derivations non-monotone under growth of the negated
+    predicate, so an ``incremental`` compile of a program with negated
+    literals raises :class:`~repro.engine.lower.LoweringError` (the view
+    layer falls back to a full rebuild).
+    """
+    from repro.datalog.ast import Literal, Program
     from repro.datalog.parser import parse_datalog
+    from repro.datalog.stratify import evaluation_order
+    from repro.logic.terms import Var as LVar
 
     if isinstance(program, str):
         program = parse_datalog(program)
@@ -754,21 +799,109 @@ def execute_datalog(program: Any, db: Database, query: str = "ans",
     if problems:
         raise LoweringError("unsafe program: " + "; ".join(problems))
 
-    facts = compute_datalog_facts(program, db, use_optimizer=use_optimizer)
-    key = query.lower()
-    if key not in facts:
-        raise LoweringError(f"program defines no predicate {query!r}")
-    rows = sorted(facts[key], key=lambda r: tuple(str(v) for v in r))
-    names = _output_names(program, query, rows)
-    return _build_relation(names, list(rows))
+    arities: dict[str, int] = {}
+    for rel in db:
+        arities[rel.schema.name.lower()] = rel.schema.arity
+    for rule in program.rules:
+        arities.setdefault(rule.head.predicate.lower(), rule.head.arity)
+        for item in rule.body:
+            if isinstance(item, Literal):
+                if incremental and item.negated:
+                    raise LoweringError(
+                        "incremental evaluation requires a negation-free "
+                        f"program (rule head {rule.head.predicate})"
+                    )
+                arities.setdefault(item.predicate.lower(), item.arity)
+
+    strata: list[tuple[CompiledRule, ...]] = []
+    for stratum in evaluation_order(program):
+        stratum_preds = {p.lower() for p in stratum}
+        rules: list[CompiledRule] = []
+        for rule in program.rules:
+            head = rule.head.predicate.lower()
+            if head not in stratum_preds:
+                continue
+            head_vars = tuple(term.name if isinstance(term, LVar) else None
+                              for term in rule.head.terms)
+            if rule.is_fact:
+                fact = tuple(e.Const(value) for value in _fact_row(rule))
+                rules.append(CompiledRule(head, head_vars, None, fact, ()))
+                continue
+            variants = []
+            for position, item in enumerate(rule.body):
+                if isinstance(item, Literal) and not item.negated:
+                    predicate = item.predicate.lower()
+                    if incremental or predicate in stratum_preds:
+                        variants.append((predicate, lower_datalog_rule(
+                            rule, arities, {position: f"{predicate}@delta"})))
+            rules.append(CompiledRule(
+                head, head_vars, lower_datalog_rule(rule, arities), (),
+                tuple(variants)))
+        strata.append(tuple(rules))
+    idb = tuple((p.lower(), arities[p.lower()])
+                for p in program.idb_predicates())
+    return CompiledDatalog(idb, tuple(strata), incremental)
 
 
-def compute_datalog_facts(program: Any, db: Database,
-                          *, use_optimizer: bool = True,
-                          seed_facts: "dict[str, set[Row]] | None" = None,
-                          edb_deltas: "dict[str, Iterable[Row]] | None" = None,
-                          ) -> dict[str, set[Row]]:
-    """All IDB (and EDB) facts of a program, via plans + semi-naive fixpoint.
+def _generic_relation(predicate: str, arity: int,
+                      rows: Iterable[Row]) -> Relation:
+    schema = RelationSchema(predicate, tuple(
+        Attribute(f"col{i + 1}", DataType.STRING) for i in range(arity)))
+    return Relation(schema, rows, validate=False)
+
+
+def _working_database(compiled: CompiledDatalog, db: Database,
+                      facts: "Mapping[str, set[Row]] | None" = None
+                      ) -> Database:
+    """EDB relations (shared) plus one relation per IDB predicate: its
+    ``facts``, or before a run what an equally named EDB relation holds."""
+    working = Database()
+    for rel in db:
+        working.add_relation(rel)
+    for predicate, arity in compiled.idb:
+        if facts is not None:
+            rows: Iterable[Row] = facts[predicate]
+        else:
+            rows = db.relation(predicate).row_set() if predicate in db else ()
+        working.add_relation(_generic_relation(predicate, arity, rows))
+    return working
+
+
+def optimize_datalog(compiled: CompiledDatalog, db: Database) -> CompiledDatalog:
+    """Optimize every plan of a compiled program against ``db``'s statistics.
+
+    Profiles are cached on the relations themselves, version-tagged, so the
+    EDB profiles are shared with every other query over the same EDB.  IDB
+    predicates are profiled as they stand before a run (empty unless an EDB
+    relation has the name) and delta relations, which do not exist yet, are
+    estimated tiny — so the cost-based join ordering places each variant's
+    delta occurrence first: the semi-join reduction decision.  Like every
+    cached plan, the result may outlive the statistics it was chosen under;
+    that costs speed, never rows.
+    """
+    from repro.engine.optimize import optimize as optimize_plan
+    from repro.engine.stats import StatsCatalog
+
+    working = _working_database(compiled, db)
+    stats = StatsCatalog(working)
+
+    def optimized(plan: Plan) -> Plan:
+        return optimize_plan(plan, working, stats=stats)
+
+    return compiled._replace(strata=tuple(
+        tuple(rule._replace(
+            plan=None if rule.plan is None else optimized(rule.plan),
+            variants=tuple((predicate, optimized(plan))
+                           for predicate, plan in rule.variants))
+            for rule in rules)
+        for rules in compiled.strata))
+
+
+def run_datalog(compiled: CompiledDatalog, db: Database,
+                *, seed_facts: "dict[str, set[Row]] | None" = None,
+                edb_deltas: "dict[str, Iterable[Row]] | None" = None,
+                ) -> dict[str, set[Row]]:
+    """All IDB (and EDB) facts of a compiled program, by semi-naive fixpoint.
 
     With ``seed_facts`` (the facts of a previous run of the same program) and
     ``edb_deltas`` (rows appended to base relations since), evaluation
@@ -776,26 +909,13 @@ def compute_datalog_facts(program: Any, db: Database,
     stratum's round 0 executes only the delta variants w.r.t. changed
     predicates (new EDB rows, or facts lower strata just derived), and the
     usual semi-naive loop takes it from there.  This is the incremental
-    maintenance path for recursive materialized views.  Inserts only —
-    negation makes derivations non-monotone under growth of the negated
-    predicate, so programs with negated literals raise
-    :class:`~repro.engine.lower.LoweringError` in incremental mode (the view
-    layer falls back to a full rebuild).
+    maintenance path for recursive materialized views; it needs a program
+    compiled with ``incremental=True``.
     """
-    from repro.datalog.ast import Literal
-    from repro.datalog.stratify import evaluation_order
-    from repro.engine.optimize import optimize as optimize_plan
-    from repro.engine.stats import StatsCatalog
-
     incremental = seed_facts is not None
-    if incremental:
-        for rule in program.rules:
-            for item in rule.body:
-                if isinstance(item, Literal) and item.negated:
-                    raise LoweringError(
-                        "incremental evaluation requires a negation-free "
-                        f"program (rule head {rule.head.predicate})"
-                    )
+    if incremental and not compiled.incremental:
+        raise PlanError("resuming from seed facts needs a program compiled "
+                        "with incremental=True")
     #: Predicates with new rows since the seeding run, accumulated stratum by
     #: stratum so later strata see upstream IDB growth as deltas too.
     changed: dict[str, set[Row]] = {}
@@ -805,106 +925,54 @@ def compute_datalog_facts(program: Any, db: Database,
             if delta_set:
                 changed[pred.lower()] = delta_set
 
-    arities: dict[str, int] = {}
-    for rel in db:
-        arities[rel.schema.name.lower()] = rel.schema.arity
-    for rule in program.rules:
-        arities.setdefault(rule.head.predicate.lower(), rule.head.arity)
-        for item in rule.body:
-            if isinstance(item, Literal):
-                arities.setdefault(item.predicate.lower(), item.arity)
-
-    # Working database: EDB relations (shared) plus materialized IDB facts.
-    # Profiles are cached on the relations themselves, version-tagged, so
-    # re-materialized IDB relations are re-profiled automatically while the
-    # (never-mutated) EDB profiles are collected exactly once — and shared
-    # with every other query over the same EDB.  Delta relations are estimated
-    # tiny before they exist, which makes the cost-based join ordering place
-    # each rule's delta occurrence first: the semi-join reduction decision.
-    working = Database()
-    stats = StatsCatalog(working)
-    facts: dict[str, set[Row]] = {}
-    for rel in db:
-        working.add_relation(rel)
-        facts[rel.schema.name.lower()] = set(rel.row_set())
-
-    def generic_schema(predicate: str) -> RelationSchema:
-        arity = arities[predicate]
-        return RelationSchema(predicate, tuple(
-            Attribute(f"col{i + 1}", DataType.STRING) for i in range(arity)))
-
-    def materialize(predicate: str, rows: Iterable[Row]) -> None:
-        working.add_relation(
-            Relation(generic_schema(predicate), rows, validate=False))
-
-    idb = [p.lower() for p in program.idb_predicates()]
-    for predicate in idb:
+    facts: dict[str, set[Row]] = {
+        rel.schema.name.lower(): set(rel.row_set()) for rel in db}
+    for predicate, _arity in compiled.idb:
         initial = facts.get(predicate, set())
-        if incremental:
+        if seed_facts is not None:
             initial = initial | seed_facts.get(predicate, set())
         facts[predicate] = set(initial)
-        materialize(predicate, facts[predicate])
+    # Working database: EDB relations (shared) plus materialized IDB facts.
+    working = _working_database(compiled, db, facts)
 
-    for stratum in evaluation_order(program):
-        stratum_preds = {p.lower() for p in stratum}
-        for predicate in stratum_preds:
-            arities[f"{predicate}@delta"] = arities[predicate]
-        stratum_rules = [r for r in program.rules
-                         if r.head.predicate.lower() in stratum_preds]
+    def materialize(name: str, predicate: str, rows: Iterable[Row]) -> None:
+        arity = working.relation(predicate).schema.arity
+        working.add_relation(_generic_relation(name, arity, rows))
+
+    def derive(executor: Executor, plans: "list[tuple[str, Plan]]",
+               into: dict[str, set[Row]]) -> None:
+        for head, plan in plans:
+            known = facts[head]
+            for row in executor.rows(plan):
+                if row not in known:
+                    known.add(row)
+                    into[head].add(row)
+
+    for rules in compiled.strata:
+        stratum_preds = {rule.head for rule in rules}
         before = {p: set(facts[p]) for p in stratum_preds} if incremental else {}
-
-        # Delta variants w.r.t. same-stratum predicates (one per positive
-        # occurrence) drive the semi-naive loop in both modes.
-        delta_variants: list[tuple[Any, Plan]] = []
-        for rule in stratum_rules:
-            if rule.is_fact:
-                continue
-            for position, item in enumerate(rule.body):
-                if isinstance(item, Literal) and not item.negated \
-                        and item.predicate.lower() in stratum_preds:
-                    variant = lower_datalog_rule(
-                        rule, arities,
-                        {position: f"{item.predicate.lower()}@delta"})
-                    if use_optimizer:
-                        variant = optimize_plan(variant, working, stats=stats)
-                    delta_variants.append((rule, variant))
-
+        # Delta variants w.r.t. same-stratum predicates drive the semi-naive
+        # loop in both modes.
+        delta_variants = [(rule.head, plan) for rule in rules
+                          for predicate, plan in rule.variants
+                          if predicate in stratum_preds]
         delta: dict[str, set[Row]] = {p: set() for p in stratum_preds}
+        fact_rows = [(rule.head, tuple(c.value for c in rule.fact))
+                     for rule in rules if rule.plan is None]
         if incremental:
             # Round 0, resumed: derive only from the *changed* predicates
             # (new EDB rows and upstream IDB growth) — the new frontier.
-            referenced: set[str] = set()
-            frontier_variants: list[tuple[Any, Plan]] = []
-            for rule in stratum_rules:
-                if rule.is_fact:
-                    facts[rule.head.predicate.lower()].add(_fact_row(rule))
-                    continue
-                for item in rule.body:
-                    if isinstance(item, Literal) and not item.negated \
-                            and item.predicate.lower() in changed:
-                        referenced.add(item.predicate.lower())
+            for head, row in fact_rows:
+                facts[head].add(row)
+            referenced = {predicate for rule in rules
+                          for predicate, _plan in rule.variants
+                          if predicate in changed}
             for pred in referenced:
-                arities[f"{pred}@delta"] = arities[pred]
-                materialize(f"{pred}@delta", changed[pred])
-            for rule in stratum_rules:
-                if rule.is_fact:
-                    continue
-                for position, item in enumerate(rule.body):
-                    if isinstance(item, Literal) and not item.negated \
-                            and item.predicate.lower() in changed:
-                        variant = lower_datalog_rule(
-                            rule, arities,
-                            {position: f"{item.predicate.lower()}@delta"})
-                        if use_optimizer:
-                            variant = optimize_plan(variant, working, stats=stats)
-                        frontier_variants.append((rule, variant))
-            executor = Executor(working)
-            for rule, plan in frontier_variants:
-                head = rule.head.predicate.lower()
-                for row in executor.rows(plan):
-                    if row not in facts[head]:
-                        facts[head].add(row)
-                        delta[head].add(row)
+                materialize(f"{pred}@delta", pred, changed[pred])
+            derive(Executor(working),
+                   [(rule.head, plan) for rule in rules
+                    for predicate, plan in rule.variants
+                    if predicate in referenced], delta)
             for pred in referenced:
                 working.drop_relation(f"{pred}@delta")
         else:
@@ -912,49 +980,27 @@ def compute_datalog_facts(program: Any, db: Database,
             # shared executor so the per-plan memo reuses common subplans
             # across the stratum's rules (`working` is not mutated until
             # after the round).
-            base_plans: list[tuple[Any, Plan | None]] = []
-            for rule in stratum_rules:
-                if rule.is_fact:
-                    base_plans.append((rule, None))
-                    continue
-                plan = lower_datalog_rule(rule, arities)
-                if use_optimizer:
-                    plan = optimize_plan(plan, working, stats=stats)
-                base_plans.append((rule, plan))
-            executor = Executor(working)
-            for rule, plan in base_plans:
-                head = rule.head.predicate.lower()
-                if plan is None:
-                    row = _fact_row(rule)
-                    if row not in facts[head]:
-                        facts[head].add(row)
-                        delta[head].add(row)
-                    continue
-                for row in executor.rows(plan):
-                    if row not in facts[head]:
-                        facts[head].add(row)
-                        delta[head].add(row)
+            for head, row in fact_rows:
+                if row not in facts[head]:
+                    facts[head].add(row)
+                    delta[head].add(row)
+            derive(Executor(working),
+                   [(rule.head, rule.plan) for rule in rules
+                    if rule.plan is not None], delta)
         for predicate in stratum_preds:
-            materialize(predicate, facts[predicate])
+            materialize(predicate, predicate, facts[predicate])
 
         # Semi-naive iteration (only needed if some rule reads a
         # same-stratum predicate).
         while delta_variants and any(delta[p] for p in stratum_preds):
             for predicate in stratum_preds:
-                materialize(f"{predicate}@delta", delta[predicate])
-                arities.setdefault(f"{predicate}@delta", arities[predicate])
+                materialize(f"{predicate}@delta", predicate, delta[predicate])
             new_delta: dict[str, set[Row]] = {p: set() for p in stratum_preds}
-            executor = Executor(working)
-            for rule, variant in delta_variants:
-                head = rule.head.predicate.lower()
-                for row in executor.rows(variant):
-                    if row not in facts[head]:
-                        facts[head].add(row)
-                        new_delta[head].add(row)
+            derive(Executor(working), delta_variants, new_delta)
             delta = new_delta
             for predicate in stratum_preds:
                 if delta[predicate]:
-                    materialize(predicate, facts[predicate])
+                    materialize(predicate, predicate, facts[predicate])
         for predicate in stratum_preds:
             if f"{predicate}@delta" in working:
                 working.drop_relation(f"{predicate}@delta")
@@ -965,6 +1011,30 @@ def compute_datalog_facts(program: Any, db: Database,
                     changed[predicate] = changed.get(predicate, set()) | new_facts
 
     return facts
+
+
+def datalog_relation(compiled: CompiledDatalog, facts: Mapping[str, set[Row]],
+                     query: str = "ans") -> Relation:
+    """Package the ``query`` predicate of :func:`run_datalog`'s facts."""
+    from repro.datalog.evaluate import _build_relation, names_from_heads
+
+    key = query.lower()
+    if key not in facts:
+        raise LoweringError(f"program defines no predicate {query!r}")
+    rows = sorted(facts[key], key=lambda r: tuple(str(v) for v in r))
+    names = names_from_heads(
+        [rule.head_vars for rules in compiled.strata for rule in rules
+         if rule.head == key], rows)
+    return _build_relation(names, rows)
+
+
+def execute_datalog(program: Any, db: Database, query: str = "ans",
+                    *, use_optimizer: bool = True) -> Relation:
+    """Evaluate a stratified Datalog program with semi-naive iteration."""
+    compiled = lower_datalog(program, db)
+    if use_optimizer:
+        compiled = optimize_datalog(compiled, db)
+    return datalog_relation(compiled, run_datalog(compiled, db), query)
 
 
 def _fact_row(rule: Any) -> Row:

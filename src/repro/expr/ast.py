@@ -73,9 +73,17 @@ class Expr:
 
 @dataclass(frozen=True)
 class Const(Expr):
-    """A literal constant (int, float, string, bool, or None for NULL)."""
+    """A literal constant (int, float, string, bool, or None for NULL).
+
+    ``slot`` is ``None`` except inside a cached plan *template*
+    (:mod:`repro.engine.bind`), where it numbers the literal of the query
+    text this constant came from; ``value`` is then the first-seen literal,
+    which :func:`~repro.engine.bind.bind` replaces.  The slot takes part in
+    equality, so two slots that happen to hold equal values never merge.
+    """
 
     value: Any
+    slot: int | None = None
 
 
 @dataclass(frozen=True)

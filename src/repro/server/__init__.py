@@ -24,10 +24,10 @@ Layout:
 
 The event loop parses, routes, frames, and serves hits that are already
 encoded; everything that can block or encode runs off it: reads that
-``ServiceAPI.try_hit`` declines go through ``loop.run_in_executor`` and
-writes through the worker (``tools/check_invariants.py`` enforces this
-statically via the ``server-nonblocking`` rule, including that ``try_hit``
-itself never waits).
+``try_hit`` declines go through ``loop.run_in_executor`` and writes through
+the worker (``tools/check_invariants.py`` enforces this statically via the
+``server-nonblocking`` rule, including that ``ServiceAPI.identify`` and
+``try_hit``, the two calls the loop makes, never wait).
 """
 
 from repro.server.admission import AdmissionController

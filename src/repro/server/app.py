@@ -23,15 +23,17 @@ and process-backend deployments.  Endpoints:
 Threading discipline — the rule ``tools/check_invariants.py`` enforces
 statically: the event loop parses, routes, frames, and serves hits that
 are already encoded; everything that can block or encode runs off-loop.
-A read first asks :meth:`~repro.core.service_api.ServiceAPI.try_hit` — the
-one service call allowed on the loop: it never waits, never executes, and
+A read is identified once — :meth:`~repro.core.service_api.ServiceAPI.identify`
+resolves its language and fingerprints its text, pure computation — and the
+handle that returns is first asked ``try_hit()``.  These are the service
+calls allowed on the loop: ``try_hit`` never waits, never executes, and
 answers only from a current result-cache entry or a fresh view.  A hit
 whose JSON body is memoized on its envelope is framed right there
 (``inline_hits``); a hit not encoded yet is encoded once in the executor
-and kept with its cache entry (``inline_busy``); on ``None`` the request
-goes through ``loop.run_in_executor`` (:meth:`ServingApp._call`) —
-execution *and* encoding — exactly as every read used to
-(``inline_declined``).  Writes go through the
+and kept with its cache entry (``inline_busy``); on ``None`` the handle's
+``query()`` goes through ``loop.run_in_executor`` (:meth:`ServingApp._call`)
+— execution *and* encoding, nothing identified twice — as every read used
+to (``inline_declined``).  Writes go through the
 :class:`~repro.server.worker.WriteWorker`.  App state (the prepared-handle
 registry, the ``inline_*`` counters) is touched only on the loop.
 
@@ -237,13 +239,15 @@ class ServingApp:
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(None, partial(fn, *args, **kwargs))
 
-    async def _read(self, hit: "QueryResult | None",
-                    query: Callable[[], QueryResult]) -> tuple[bytes, int]:
-        """Answer one read from what ``try_hit`` returned for it, else by
-        running ``query`` off-loop; either way as an encoded envelope."""
+    async def _read(self, handle: Any) -> tuple[bytes, int]:
+        """Answer one identified read from what its ``try_hit`` returns,
+        else by running its ``query`` off-loop — the handle carries what
+        was resolved, so the executor side identifies nothing again —
+        either way as an encoded envelope."""
+        hit: "QueryResult | None" = handle.try_hit()
         if hit is None:
             self.inline_declined += 1
-            return await self._call(lambda: query().encode()), 200
+            return await self._call(lambda: handle.query().encode()), 200
         body = hit.encoded
         if body is None:
             self.inline_busy += 1
@@ -256,9 +260,7 @@ class ServingApp:
 
     async def _handle_query(self, request: protocol.Request) -> tuple[Any, int]:
         text, language = protocol.query_request(request.json())
-        return await self._read(
-            self.service.try_hit(text, language),
-            partial(self.service.query, text, language=language))
+        return await self._read(self.service.identify(text, language=language))
 
     async def _handle_prepare(self, request: protocol.Request) -> tuple[Any, int]:
         text, language = protocol.query_request(request.json())
@@ -278,7 +280,7 @@ class ServingApp:
                 "first (handles do not survive a server restart, and the "
                 f"server keeps the {MAX_PREPARED_HANDLES} most recently used)",
                 detail={"handle": handle_id})
-        return await self._read(handle.try_hit(), handle.query)
+        return await self._read(handle)
 
     async def _handle_write(self, request: protocol.Request) -> tuple[Any, int]:
         relation, rows = protocol.write_request(request.json())

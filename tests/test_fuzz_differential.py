@@ -13,7 +13,9 @@ operations, group-bys, sorts — over small random relations, and asserts
         ≡ process (2 shards, 2 worker processes)
 
 bag-for-bag on every generated (database, plan) pair, for both the raw and
-the optimizer-rewritten plan.  Shrinking then turns any divergence into a
+the optimizer-rewritten plan — and for the plan the serving path would run
+after perturbing its literals: a cached template bound to the new values
+(bound ≡ fresh-compiled ≡ row).  Shrinking then turns any divergence into a
 minimal counterexample.
 
 Generation invariants (so a failure is always a backend bug, not a
@@ -47,7 +49,9 @@ from hypothesis import strategies as st
 
 from repro.data.database import Database
 from repro.data.relation import relation_from_rows
-from repro.engine import get_backend, optimize
+from repro.engine import Template, get_backend, optimize
+from repro.engine.bind import attach_slots, sentinels_for
+from repro.engine.optimize import _rebuild
 from repro.engine.parallel import ParallelBackend
 from repro.engine.plan import (
     AggregateP,
@@ -63,6 +67,7 @@ from repro.engine.plan import (
 import repro.engine.kernels as kernels
 from repro.engine.process import ProcessBackend
 from repro.engine.sharded import ShardedBackend
+from repro.engine.verify import maybe_verify
 from repro.expr import ast as e
 
 _COMMON = dict(deadline=None,
@@ -324,6 +329,102 @@ def test_backends_agree_on_optimized_plans(case):
             f"row(raw)={sorted(reference.items())}\n"
             f"{name}={sorted(bag.items())}"
         )
+
+
+# ---------------------------------------------------------------------------
+# Bound plans: a template bound to new literals ≡ the fresh compile
+# ---------------------------------------------------------------------------
+#
+# The serving path caches one optimized plan per query *shape* and binds
+# each request's literals into it (``repro.engine.bind``).  This leg treats
+# a generated plan's constants, in traversal order, as the literals of its
+# text: the slots are attached by the same two-point discovery the pipeline
+# uses, the slotted plan is optimized once (for the first-seen literals),
+# and then bound to *perturbed* literals — which must give the rows of the
+# perturbed plan compiled from scratch, on every backend.  ``_with_literals``
+# is deliberately not the code under test: it rebuilds the handful of node
+# types the generator emits.
+
+def _literals_of(plan: Plan) -> list:
+    out: list = []
+
+    def expr(node: e.Expr) -> None:
+        if isinstance(node, e.Const):
+            out.append(node.value)
+        for child in node.children():
+            expr(child)
+
+    def visit(node: Plan) -> None:
+        if isinstance(node, FilterP):
+            expr(node.condition)
+        for child in node.children():
+            visit(child)
+
+    visit(plan)
+    return out
+
+
+def _with_literals(plan: Plan, values: list) -> Plan:
+    """``plan`` with its constants replaced, in ``_literals_of`` order."""
+    pending = iter(values)
+
+    def expr(node: e.Expr) -> e.Expr:
+        if isinstance(node, e.Const):
+            return e.Const(next(pending))
+        if isinstance(node, e.Comparison):
+            return e.Comparison(expr(node.left), node.op, expr(node.right))
+        if isinstance(node, e.Not):
+            return e.Not(expr(node.operand))
+        if isinstance(node, e.Or):
+            return e.Or(tuple(expr(o) for o in node.operands))
+        assert isinstance(node, e.Col), node
+        return node
+
+    def visit(node: Plan) -> Plan:
+        if isinstance(node, FilterP):
+            condition = expr(node.condition)   # before the input, as above
+            return FilterP(visit(node.input), condition)
+        return _rebuild(node, [visit(child) for child in node.children()])
+
+    return visit(plan)
+
+
+@st.composite
+def plan_database_and_literals(draw):
+    db, plan = draw(plan_and_database())
+    perturbed = [draw(st.integers(min_value=0, max_value=6))
+                 if isinstance(value, int)
+                 else draw(st.sampled_from(_STR_CONSTS))
+                 for value in _literals_of(plan)]
+    return db, plan, perturbed
+
+
+_BOUND_BACKENDS = [item for item in BACKENDS
+                   if item[0] in ("row", "vectorized", "kernel", "sharded-2")]
+
+
+@given(case=plan_database_and_literals())
+def test_bound_plans_agree_with_fresh_compiles(case):
+    db, plan, perturbed = case
+    first_seen = _literals_of(plan)
+    sentinels = sentinels_for(first_seen)
+    slotted = attach_slots(plan, _with_literals(plan, list(sentinels)),
+                           first_seen, sentinels)
+    assert slotted is not None, f"discovery refused a plain plan:\n{plan}"
+    template = Template(optimize(slotted, db))
+    for values in (first_seen, perturbed):
+        fresh = _with_literals(plan, values)
+        assert _literals_of(fresh) == values
+        bound = maybe_verify(template.bind(values), db, rule="bind")
+        reference = Counter(get_backend("row").execute(fresh, db))
+        compiled = Counter(get_backend("row").execute(optimize(fresh, db), db))
+        assert compiled == reference
+        for name, backend in _BOUND_BACKENDS:
+            bag = Counter(backend.execute(bound, db))
+            assert bag == reference, (
+                f"{name} diverged on the plan bound to {values}:\n{bound}\n"
+                f"fresh(row)={sorted(reference.items())}\n"
+                f"bound={sorted(bag.items())}")
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,7 @@ class TestResultCache:
         info = pipeline.cache_info()
         assert info == {"plan_entries": 0, "result_entries": 0,
                         "plan_hits": 0, "plan_misses": 0,
+                        "plan_binds": 0, "plan_refused": 0,
                         "result_hits": 0, "result_misses": 0}
 
     def test_replacing_a_relation_with_fewer_rows_still_invalidates(self, pipeline):

@@ -1,0 +1,487 @@
+"""Compile once, bind many: the shape-keyed plan cache and literal binding.
+
+The oracle here is the five *naive interpreters*
+(``translate.equivalence.answer_relation`` over a text parsed on its own),
+never a second pipeline or service — those would share the cache under test.
+Variants of a text are rendered from its shape (``scan_literals`` →
+``sentinel_text``), and every variant is parsed from scratch by the oracle,
+so a scanner, slot or bind mistake shows up as a wrong bag.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import threading
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core import QueryService, QueryVisualizationPipeline
+from repro.core.pipeline import _parse
+from repro.core.service_api import QueryParseError
+from repro.data.relation import relation_from_rows
+from repro.data.sailors import random_sailors_database, sailors_database
+from repro.engine import (
+    Template,
+    lower,
+    lower_datalog,
+    optimize,
+    optimize_datalog,
+    scan_literals,
+)
+from repro.engine.bind import attach_slots, sentinel_text, sentinels_for
+from repro.expr import ast as e
+from repro.queries import CANONICAL_QUERIES
+from repro.sql.lexer import SQLSyntaxError
+from repro.translate.equivalence import answer_relation
+
+#: What each literal of a catalog text is swept through, by type.
+SWEEP = {
+    int: (101, 102, 103, 104, 0, 1),
+    float: (35.0, 10.5, 63.5, 0.25),
+    str: ("red", "green", "blue", "it's", ""),
+}
+
+#: The benchmark's ``analytic-cold`` templates (copied, not imported).
+ANALYTIC_TEMPLATES = (
+    "SELECT R.bid, MIN(R.day) AS first_day, MAX(R.day) AS last_day, "
+    "COUNT(*) AS n FROM Reserves R WHERE R.sid > {k} GROUP BY R.bid",
+    "SELECT S.sname, B.bname FROM Sailors S, Reserves R, Boats B, "
+    "Reserves R2 WHERE S.sid = R.sid AND R.bid = B.bid AND R2.sid = S.sid "
+    "AND R2.bid = B.bid AND B.color = 'red' AND S.rating > 8 "
+    "AND S.age > {a}",
+    "SELECT B.color, AVG(S.age) AS avg_age, COUNT(*) AS n FROM Sailors S, "
+    "Reserves R, Boats B WHERE S.sid = R.sid AND R.bid = B.bid "
+    "AND S.age > {a} GROUP BY B.color",
+    "SELECT DISTINCT S.sid, S.sname FROM Sailors S, Reserves R "
+    "WHERE S.sid = R.sid AND S.age > {a}",
+)
+
+
+def catalog_texts() -> list[tuple[str, str]]:
+    """``(language, text)`` for the catalog, each Sailors atom additionally
+    restricted by an ``age`` literal (the benchmark's five-language sweep)."""
+    out = []
+    for query in CANONICAL_QUERIES:
+        datalog = "\n".join(
+            line.replace("sailors(S, N, R, A),", "sailors(S, N, R, A), A > 30.5,")
+            if line.startswith("ans(") else line
+            for line in query.datalog.split("\n"))
+        out.extend([
+            ("sql", query.sql.replace("WHERE ", "WHERE S.age > 30.5 AND ", 1)),
+            ("ra", query.ra.replace(
+                "project[sname](Sailors njoin",
+                "project[sname](select[age > 30.5](Sailors) njoin")),
+            ("trc", query.trc.replace(
+                "Sailors(s) and", "Sailors(s) and s.age > 30.5 and", 1)),
+            ("drc", query.drc.replace(
+                "Sailors(s, n, r, a) and",
+                "Sailors(s, n, r, a) and a > 30.5 and", 1)),
+            ("datalog", datalog),
+        ])
+    return out
+
+
+def variants(text: str, n: int = 6) -> list[str]:
+    """``text`` and ``n - 1`` literal variants of the same shape."""
+    shape, literals = scan_literals(text)
+    out = [text]
+    for step in range(1, n):
+        values = [SWEEP[type(v)][(step + i) % len(SWEEP[type(v)])]
+                  for i, v in enumerate(literals)]
+        out.append(sentinel_text(shape, values))
+    return out
+
+
+def oracle(text: str, language: str, db):
+    return answer_relation(_parse(text, language), db)
+
+
+def plan_counters(pipeline) -> dict[str, int]:
+    return {key.removeprefix("plan_"): value
+            for key, value in pipeline.cache_info().items()
+            if key.startswith("plan_")}
+
+
+@pytest.fixture
+def pipeline():
+    return QueryVisualizationPipeline(sailors_database(), result_cache_size=0)
+
+
+class TestScanner:
+    def test_typed_holes(self):
+        shape, literals = scan_literals(
+            " SELECT x FROM T WHERE a > 10 AND b > 10.00 AND c = 'it''s' ")
+        assert literals == (10, 10.0, "it's")
+        assert [type(v) for v in literals] == [int, float, str]
+        assert shape == ("SELECT x FROM T WHERE a > \x00i AND b > \x00f "
+                         "AND c = \x00s")
+
+    def test_identifiers_and_double_quotes_are_not_literals(self):
+        text = 'SELECT T.col1, "name 7" FROM T2 WHERE T2.a1 = R9.b'
+        assert scan_literals(text) == (text, ())
+
+    def test_trailing_dot_is_not_a_float(self):
+        shape, literals = scan_literals("ans(N) :- sailors(S, N, R, A), A > 30.")
+        assert literals == (30,) and shape.endswith("A > \x00i.")
+
+    def test_bracketed_strings_and_nul_texts_stay_verbatim(self):
+        text = "select[sname = 'a]b' and age > 3](Sailors)"
+        shape, literals = scan_literals(text)
+        assert literals == (3,) and "'a]b'" in shape
+        assert scan_literals("SELECT 1 \x00i") == ("SELECT 1 \x00i", ())
+
+    def test_rendering_round_trips(self):
+        for _language, text in catalog_texts():
+            shape, literals = scan_literals(text)
+            assert literals
+            assert scan_literals(sentinel_text(shape, literals)) == (
+                shape, literals)
+
+
+class TestLiteralSweep:
+    def test_catalog_sweep_matches_the_interpreters(self, pipeline):
+        """(a): every catalog query x five languages x a literal sweep
+        through one pipeline; one miss per shape, everything else bound."""
+        db = pipeline.db
+        texts = catalog_texts()
+        served = 0
+        for language, text in texts:
+            for variant in variants(text):
+                warnings: list[str] = []
+                answers = pipeline.answer(variant, language=language,
+                                          warnings=warnings)
+                assert not warnings, (language, variant, warnings)
+                assert answers.bag_equal(oracle(variant, language, db)), (
+                    language, variant)
+                served += 1
+        shapes = {(language, scan_literals(text)[0])
+                  for language, text in texts}
+        assert len(shapes) == len(texts) == 25
+        assert plan_counters(pipeline) == {
+            "entries": len(shapes), "misses": len(shapes), "refused": 0,
+            "hits": served - len(shapes), "binds": served - len(shapes)}
+
+    def test_plan_hit_share_of_a_five_language_sweep_stays_high(self):
+        """The number the benchmark reports (``core.pipeline.plan_hit_share``
+        on ``five-lang-cold``) cannot silently return to 0."""
+        service = QueryService(sailors_database())
+        for language, text in catalog_texts():
+            for k in range(40):
+                variant = text.replace("30.5", f"{10 + 1.5 * k:.2f}")
+                assert variant != text
+                service.query(variant, language=language)
+        info = service.cache_info()
+        assert info["result_hits"] == 0          # every text is new
+        share = info["plan_hits"] / (info["plan_hits"] + info["plan_misses"])
+        assert share >= 0.95, info
+        assert info["plan_binds"] == info["plan_hits"]
+        assert info["plan_refused"] == 0
+
+    def test_first_seen_literals_bind_to_the_fresh_compile(self):
+        """(c): for the literals a template was compiled from, the bound
+        plan *is* the fresh compile (so ``explain`` agrees too)."""
+        from repro.engine import explain
+
+        db = random_sailors_database(n_sailors=60, n_boats=12,
+                                     n_reserves=300, seed=3)
+        pipeline = QueryVisualizationPipeline(db, result_cache_size=0)
+        texts = catalog_texts() + [
+            ("sql", template.format(k=17, a="21.500"))
+            for template in ANALYTIC_TEMPLATES]
+        for language, text in texts:
+            if language == "datalog":
+                bound = pipeline.run(text, language=language).plan
+                fresh = optimize_datalog(lower_datalog(text, db), db)
+            else:
+                bound = pipeline.prepare_plan(text, language)
+                fresh = optimize(lower(text, db.schema, language), db)
+                assert explain(bound) == explain(fresh)
+            assert bound == fresh, (language, text)
+            assert not any(isinstance(node, e.Const) and node.slot is not None
+                           for node in _leaves(bound))
+        assert pipeline.cache_info()["plan_binds"] == 0  # all first-seen
+
+
+def _leaves(node):
+    """Every node of a plan / expression / compiled-program tree."""
+    yield node
+    if isinstance(node, tuple):
+        parts = node
+    elif dataclasses.is_dataclass(node):
+        parts = [getattr(node, f.name) for f in dataclasses.fields(node)]
+    else:
+        return
+    for part in parts:
+        yield from _leaves(part)
+
+
+class TestSlotHygiene:
+    """(b): slots follow provenance, and what cannot be bound is refused."""
+
+    def serve(self, pipeline, text, language="sql"):
+        answers = pipeline.answer(text, language=language)
+        assert answers.bag_equal(oracle(text, language, pipeline.db)), text
+        return answers
+
+    def test_two_equal_literals_are_two_slots(self, pipeline):
+        self.serve(pipeline, "SELECT S.sname FROM Sailors S "
+                             "WHERE S.age > 7 AND S.rating > 7")
+        after = self.serve(pipeline, "SELECT S.sname FROM Sailors S "
+                                     "WHERE S.age > 40 AND S.rating > 2")
+        assert 0 < len(after) < 10
+        assert plan_counters(pipeline)["binds"] == 1
+
+    def test_a_literal_equal_to_a_synthetic_constant(self, pipeline):
+        # The select-list 1 and the predicate's 1 are different slots; the
+        # values lowering itself tends to write (1, 0) bind like any other.
+        self.serve(pipeline, "SELECT S.sname, 1 AS one FROM Sailors S "
+                             "WHERE S.rating > 1")
+        rows = self.serve(pipeline, "SELECT S.sname, 0 AS one FROM Sailors S "
+                                    "WHERE S.rating > 9").rows()
+        assert rows and {row[1] for row in rows} == {0}
+        self.serve(pipeline, "ans(N) :- sailors(S, N, R, A), "
+                             "boats(101, BN, C), R > 1.", "datalog")
+        self.serve(pipeline, "ans(N) :- sailors(S, N, R, A), "
+                             "boats(0, BN, C), R > 0.", "datalog")
+        assert plan_counters(pipeline) == {
+            "entries": 2, "misses": 2, "hits": 2, "binds": 2, "refused": 0}
+
+    def test_quotes_in_strings(self, pipeline):
+        pipeline.db.relation("Sailors").add((99, "O'Brien", 5, 41.0))
+        for language, template in (
+                ("sql", "SELECT S.sid FROM Sailors S WHERE S.sname = {}"),
+                ("ra", "project[sid](select[sname = {}](Sailors))"),
+                ("trc", "{{ s.sid | Sailors(s) and s.sname = {} }}"),
+                ("drc", "{{ s | exists r, a (Sailors(s, {}, r, a)) }}"),
+                ("datalog", "ans(S) :- sailors(S, {}, R, A).")):
+            self.serve(pipeline, template.format("'Dustin'"), language)
+            found = self.serve(pipeline, template.format("'O''Brien'"),
+                               language)
+            assert found.rows() == [(99,)], language
+        assert plan_counters(pipeline)["binds"] == 5
+
+    def test_negative_numbers(self, pipeline):
+        # SQL's minus is an operator above the literal: one shape, bound.
+        self.serve(pipeline, "SELECT S.sname FROM Sailors S WHERE S.rating > -5")
+        self.serve(pipeline, "SELECT S.sname FROM Sailors S WHERE S.rating > -9")
+        assert plan_counters(pipeline)["binds"] == 1
+        # Datalog's is part of the token: the probe does not come back as
+        # (literal, sentinel), so the shape is refused — and still right.
+        self.serve(pipeline, "ans(N) :- sailors(S, N, R, A), R > -5.", "datalog")
+        self.serve(pipeline, "ans(N) :- sailors(S, N, R, A), R > -1.", "datalog")
+        assert plan_counters(pipeline)["refused"] == 1
+        assert plan_counters(pipeline)["binds"] == 1
+
+    def test_in_lists_and_between(self, pipeline):
+        self.serve(pipeline, "SELECT S.sname FROM Sailors S "
+                             "WHERE S.rating IN (7, 8, 9)")
+        self.serve(pipeline, "SELECT S.sname FROM Sailors S "
+                             "WHERE S.rating IN (1, 3, 10)")
+        self.serve(pipeline, "SELECT S.sname FROM Sailors S "
+                             "WHERE S.age BETWEEN 30.5 AND 40.0")
+        self.serve(pipeline, "SELECT S.sname FROM Sailors S "
+                             "WHERE S.age BETWEEN 16.0 AND 35.5")
+        assert plan_counters(pipeline) == {
+            "entries": 2, "misses": 2, "hits": 2, "binds": 2, "refused": 0}
+
+    def test_int_float_and_string_are_three_shapes(self, pipeline):
+        from repro.expr.ast import ExprError
+
+        template = "SELECT S.sname FROM Sailors S WHERE S.age > {}"
+        self.serve(pipeline, template.format("40"))
+        self.serve(pipeline, template.format("40.5"))
+        self.serve(pipeline, template.format("25"))
+        assert plan_counters(pipeline) == {
+            "entries": 2, "misses": 2, "hits": 1, "binds": 1, "refused": 0}
+        # The string shape is a third one.  The engine rejects it (the
+        # verifier when it is on, as under this suite; the comparison at
+        # execution otherwise), the request falls back, and the interpreter
+        # raises the same comparison error — exactly as before.
+        for _ in range(2):
+            with pytest.raises(ExprError):
+                pipeline.answer(template.format("'x'"))
+        assert plan_counters(pipeline)["binds"] == 1
+        assert plan_counters(pipeline)["refused"] == 0
+
+    @pytest.mark.parametrize("first, second", [
+        ("SELECT S.sname FROM Sailors S WHERE S.sname LIKE 'D%'",
+         "SELECT S.sname FROM Sailors S WHERE S.sname LIKE '%o%'"),
+        ("SELECT S.sname FROM Sailors S ORDER BY S.sname LIMIT 2",
+         "SELECT S.sname FROM Sailors S ORDER BY S.sname LIMIT 5"),
+        ("SELECT S.sname FROM Sailors S -- the top 5\n WHERE S.rating > 7",
+         "SELECT S.sname FROM Sailors S -- the top 9\n WHERE S.rating > 7"),
+    ], ids=["like", "limit", "comment"])
+    def test_refused_shapes_are_counted_and_still_correct(
+            self, pipeline, first, second):
+        assert scan_literals(first)[0] == scan_literals(second)[0]
+        a = self.serve(pipeline, first)
+        b = self.serve(pipeline, second)
+        assert plan_counters(pipeline) == {
+            "entries": 3, "misses": 2, "hits": 0, "binds": 0, "refused": 1}
+        self.serve(pipeline, first)      # its exact text is a plan hit
+        assert plan_counters(pipeline)["hits"] == 1
+        assert plan_counters(pipeline)["binds"] == 0
+        if "LIMIT" in first:
+            assert (len(a), len(b)) == (2, 5)
+
+    def test_a_digit_in_a_quoted_identifier_is_not_lifted(self, pipeline):
+        self.serve(pipeline, 'SELECT S.sname AS "name 1" FROM Sailors S '
+                             'WHERE S.rating > 7')
+        renamed = self.serve(pipeline, 'SELECT S.sname AS "name 2" '
+                                       'FROM Sailors S WHERE S.rating > 7')
+        assert renamed.attribute_names == ("name 2",)
+        self.serve(pipeline, 'SELECT S.sname AS "name 2" FROM Sailors S '
+                             'WHERE S.rating > 3')
+        assert plan_counters(pipeline) == {
+            "entries": 2, "misses": 2, "hits": 1, "binds": 1, "refused": 0}
+
+
+class TestLookup:
+    def test_schema_changes_invalidate_shapes(self, pipeline):
+        """(d): add_relation / drop_relation invalidate shapes as they
+        invalidated plans."""
+        sql = "SELECT T.b FROM T WHERE T.a > {}"
+        db = pipeline.db
+        db.add_relation(relation_from_rows(
+            "T", [("a", "int"), ("b", "str")], [(1, "x"), (5, "y")]))
+        assert pipeline.answer(sql.format(0)).rows() == [("x",), ("y",)]
+        assert pipeline.answer(sql.format(3)).rows() == [("y",)]
+        db.add_relation(relation_from_rows(
+            "T", [("b", "str"), ("a", "int")], [("z", 9)]))
+        assert pipeline.answer(sql.format(3)).rows() == [("z",)]
+        assert plan_counters(pipeline)["misses"] == 2
+        db.drop_relation("T")
+        from repro.data.schema import SchemaError
+        from repro.sql.evaluate import SQLEvaluationError
+
+        with pytest.raises((SchemaError, SQLEvaluationError)):
+            pipeline.answer(sql.format(4))   # not the stale plan's rows
+
+    def test_concurrent_misses_publish_one_usable_entry(self, pipeline):
+        """(e): eight threads missing one shape at once."""
+        sql = "SELECT S.sname FROM Sailors S WHERE S.rating > {}"
+        expected = {n: oracle(sql.format(n), "sql", pipeline.db)
+                    for n in range(8)}
+        barrier = threading.Barrier(8)
+        failures: list[str] = []
+
+        def miss(n: int) -> None:
+            barrier.wait(timeout=30)
+            for _ in range(5):
+                if not pipeline.answer(sql.format(n)).bag_equal(expected[n]):
+                    failures.append(f"rating > {n}")
+
+        threads = [threading.Thread(target=miss, args=(n,)) for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        counters = plan_counters(pipeline)
+        assert counters["entries"] == 1 and counters["refused"] == 0
+        assert counters["hits"] + counters["misses"] == 40
+        assert pipeline.answer(sql.format(9)).bag_equal(
+            oracle(sql.format(9), "sql", pipeline.db))
+        assert plan_counters(pipeline)["misses"] == counters["misses"]
+
+    def test_a_fallback_parses_once_and_syntax_errors_still_surface(
+            self, monkeypatch):
+        import repro.core.pipeline as pipeline_module
+
+        parsed: list[str] = []
+        real_parse = pipeline_module._parse
+
+        def counting_parse(text, language):
+            parsed.append(text)
+            return real_parse(text, language)
+
+        monkeypatch.setattr(pipeline_module, "_parse", counting_parse)
+        fallback = ("SELECT S.sname FROM Sailors S LEFT JOIN Reserves R "
+                    "ON S.sid = R.sid WHERE R.sid IS NULL AND S.rating > 7")
+        service = QueryService(sailors_database())
+        result = service.query(fallback)
+        assert result.warnings and "fallback" in result.warnings[0]
+        assert parsed == [fallback]      # once, for lowering and fallback
+        del parsed[:]
+        served = service.pipeline.run(fallback, formalism="sqlvis")
+        assert not served.used_engine and parsed == [fallback]
+        with pytest.raises(QueryParseError):
+            service.query("SELEC oops FROM", language="sql")
+        with pytest.raises(SQLSyntaxError):
+            service.prepare("SELEC oops FROM", language="sql")
+
+
+class TestPreparedShapes:
+    def test_prepared_plans_hold_plain_constants(self):
+        pipeline = QueryVisualizationPipeline(sailors_database())
+        sql = "SELECT S.sname FROM Sailors S WHERE S.rating > {}"
+        for n in (7, 3):
+            plan = pipeline.prepare_plan(sql.format(n), "sql")
+            consts = [node for node in _leaves(plan)
+                      if isinstance(node, e.Const)]
+            assert [(c.value, c.slot) for c in consts] == [(n, None)]
+        # A view built on a literal variant maintains the variant's rows.
+        service = QueryService(sailors_database())
+        service.prepare(sql.format(7))
+        view = service.register_view(sql.format(3), name="above_3")
+        service.add_row("Sailors", (98, "Nemo", 4, 30.0))
+        assert view.answer().bag_equal(
+            oracle(sql.format(3), "sql", service.db))
+        assert view.strategy == "bag"
+
+
+# ---------------------------------------------------------------------------
+# The assumption discovery rests on, kept as a test: lowering is literal-blind
+# ---------------------------------------------------------------------------
+
+def _skeleton(node):
+    """A lowered plan (or compiled program) with every constant's value
+    blanked to its type: what may not depend on the literals."""
+    if isinstance(node, e.Const):
+        return ("Const", type(node.value).__name__)
+    if isinstance(node, tuple):
+        return tuple(_skeleton(part) for part in node)
+    if dataclasses.is_dataclass(node):
+        return (type(node).__name__,) + tuple(
+            _skeleton(getattr(node, f.name))
+            for f in dataclasses.fields(node))
+    return node
+
+
+_LITERALS = {
+    int: st.integers(min_value=0, max_value=10**6),
+    float: st.floats(min_value=0, max_value=10**6, allow_nan=False).map(
+        lambda x: round(x, 3)),
+    str: st.text(alphabet="abRZ '%_-.", max_size=6),
+}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(pick=st.integers(min_value=0, max_value=24), data=st.data())
+def test_lowering_is_literal_blind(pick, data):
+    """Perturbing the literals of a text changes its lowered plan only at
+    ``Const`` leaves, and there to exactly the perturbed values — so the
+    slots found for the first-seen literals are the slots of every variant."""
+    db = sailors_database()
+    language, text = catalog_texts()[pick]
+    shape, literals = scan_literals(text)
+    values = tuple(data.draw(_LITERALS[type(v)]) for v in literals)
+    variant = sentinel_text(shape, values)
+    assert scan_literals(variant) == (shape, values)
+
+    def lowered(source: str):
+        if language == "datalog":
+            return lower_datalog(source, db)
+        return lower(source, db.schema, language)
+
+    first, second = lowered(text), lowered(variant)
+    assert _skeleton(first) == _skeleton(second)
+    sentinels = sentinels_for(literals)
+    slotted = attach_slots(first, lowered(sentinel_text(shape, sentinels)),
+                           literals, sentinels)
+    assert slotted is not None
+    assert Template(slotted).bind(values) == second

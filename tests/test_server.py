@@ -639,6 +639,18 @@ class _SlowStubService:
     def try_hit(self, text, language=None):
         return None  # caches nothing: every read takes the executor path
 
+    def identify(self, text, *, language=None):
+        stub = self
+
+        class Handle:
+            def try_hit(self):
+                return stub.try_hit(text, language)
+
+            def query(self):
+                return stub.query(text, language=language)
+
+        return Handle()
+
     def answer(self, text, *, language=None, warnings=None):
         return self.query(text).relation
 

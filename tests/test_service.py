@@ -104,6 +104,18 @@ class TestPreparedQueries:
         assert service.cache_info()["plan_hits"] == 1  # compiled at prepare
         assert first.bag_equal(service.answer(JOIN_SQL))
 
+    def test_prepare_makes_every_literal_variant_a_plan_hit(self, service):
+        sql = "SELECT S.sname FROM Sailors S WHERE S.rating > {}"
+        service.prepare(sql.format(7))
+        above_8 = service.answer(sql.format(8))
+        info = service.cache_info()
+        assert (info["plan_hits"], info["plan_misses"]) == (1, 1)
+        assert info["plan_binds"] == 1 and info["plan_entries"] == 1
+        reference = QueryVisualizationPipeline(sailors_database(),
+                                               plan_cache_size=0)
+        assert above_8.bag_equal(reference.answer(sql.format(8)))
+        assert len(above_8) < len(service.answer(sql.format(7)))
+
     def test_prepare_raises_on_syntax_errors(self, service):
         with pytest.raises(Exception):
             service.prepare("SELEC oops FROM")
@@ -144,12 +156,12 @@ class TestTryHit:
         assert service.try_hit(JOIN_SQL, "klingon") is None
 
     def test_a_hit_resolves_and_fingerprints_once(self, service, monkeypatch):
+        import repro.core.pipeline as pipeline_module
         import repro.core.service as service_module
-        import repro.core.service_api as service_api_module
 
         service.query(JOIN_SQL)
         calls = {"resolve": 0, "fingerprint": 0}
-        fingerprint_query = service_api_module.fingerprint_query
+        fingerprint_query = service_module.fingerprint_query
         resolve = service._resolve_language
 
         def counting_fingerprint(text, language):
@@ -160,15 +172,26 @@ class TestTryHit:
             calls["resolve"] += 1
             return resolve(text, language)
 
-        monkeypatch.setattr(service_api_module, "fingerprint_query",
-                            counting_fingerprint)
         monkeypatch.setattr(service_module, "fingerprint_query",
+                            counting_fingerprint)
+        monkeypatch.setattr(pipeline_module, "fingerprint_query",
                             counting_fingerprint)
         monkeypatch.setattr(service, "_resolve_language", counting_resolve)
         service.query(JOIN_SQL)
         assert calls == {"resolve": 1, "fingerprint": 1}
         service.try_hit(JOIN_SQL)
         assert calls == {"resolve": 2, "fingerprint": 2}
+        # A miss, the way the HTTP tier serves it: the handle that declined
+        # runs the query, and the pipeline (result cache off) identifies
+        # nothing of its own.
+        handle = service.identify(COUNT_SQL)
+        assert handle.try_hit() is None
+        assert handle.query().rows == ((10,),)
+        assert calls == {"resolve": 3, "fingerprint": 3}
+        info = service.cache_info()
+        assert info["requests"] == 4
+        assert (info["result_hits"] + info["view_hits"]
+                + info["result_misses"]) == info["requests"]
 
     def test_hits_count_exactly_once_and_counters_balance(self, service):
         service.register_view(GROUP_SQL, name="per_rating")

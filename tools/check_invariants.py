@@ -39,11 +39,12 @@ Rules (see tools/README.md for how to add one):
     ``loop.run_in_executor`` (reference the method, don't call it) or
     through the write worker, or the event loop stalls every connection
     behind one query.  Synchronous closures defined inside a coroutine are
-    exempt: they are the executor-offload idiom.  The one method the loop
-    may call is ``try_hit``, and the rule's second clause holds it to that:
-    no ``try_hit`` under ``src/repro/core`` — nor any function there it
-    names, transitively — may contain a ``with <lock>:`` or an
-    ``.acquire()`` without ``blocking=False``.
+    exempt: they are the executor-offload idiom.  The methods the loop may
+    call are ``identify`` and ``try_hit``, and the rule's second clause
+    holds them to that: no function of either name under
+    ``src/repro/core`` — nor any function there it names, transitively —
+    may contain a ``with <lock>:`` or an ``.acquire()`` without
+    ``blocking=False``.
 
 Usage: ``python tools/check_invariants.py [--root REPO_ROOT]``.
 Exits 0 when clean, 1 with one ``path:line: [rule] message`` per violation.
@@ -395,11 +396,11 @@ _SERVER_PACKAGE = ("src/repro/server",)
 
 _CORE_PACKAGE = ("src/repro/core",)
 
-#: The one ServiceAPI method the event loop may call directly.  Every other
+#: The ServiceAPI methods the event loop may call directly.  Every other
 #: one may take service locks, run plans or touch storage, and would stall
-#: every connection; this one is held to never waiting by
+#: every connection; these are held to never waiting by
 #: :func:`check_try_hit_never_waits`.
-_LOOP_SAFE_SERVICE_METHOD = "try_hit"
+_LOOP_SAFE_SERVICE_METHODS = ("identify", "try_hit")
 
 
 def _is_service_rooted(node: ast.AST) -> bool:
@@ -431,7 +432,7 @@ class _AsyncBlockingCallChecker(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         if isinstance(func, ast.Attribute) \
-                and func.attr != _LOOP_SAFE_SERVICE_METHOD \
+                and func.attr not in _LOOP_SAFE_SERVICE_METHODS \
                 and _is_service_rooted(func.value):
             self.violations.append(Violation(
                 self.rel_path, node.lineno, "server-nonblocking",
@@ -484,7 +485,8 @@ def _builtin_container_attrs(trees: Iterable[ast.AST]) -> set[str]:
 
 
 def check_try_hit_never_waits(root: str) -> list[Violation]:
-    """The clause that earns ``try_hit`` its place on the event loop."""
+    """The clause that earns ``identify`` and ``try_hit`` their place on
+    the event loop."""
     sources = list(_walk_sources(root, _CORE_PACKAGE))
     defs: dict[str, list[tuple[str, ast.AST]]] = {}
     for _path, rel_path, tree in sources:
@@ -496,12 +498,12 @@ def check_try_hit_never_waits(root: str) -> list[Violation]:
     violations: list[Violation] = []
     # Callees resolve by bare name — an over-approximation (every function
     # of that name under core/ is held to the rule), which is the safe side.
-    reached = {_LOOP_SAFE_SERVICE_METHOD}
-    pending = [_LOOP_SAFE_SERVICE_METHOD]
+    reached = set(_LOOP_SAFE_SERVICE_METHODS)
+    pending = list(_LOOP_SAFE_SERVICE_METHODS)
     while pending:
         for rel_path, fn in defs.get(pending.pop(), ()):
             where = (f"{fn.name}() runs on the event loop (reachable from "
-                     f"{_LOOP_SAFE_SERVICE_METHOD}())")
+                     f"{'() / '.join(_LOOP_SAFE_SERVICE_METHODS)}())")
             for node in ast.walk(fn):
                 if isinstance(node, (ast.With, ast.AsyncWith)) and any(
                         _names_lock(item.context_expr) for item in node.items):
