@@ -29,9 +29,15 @@ class RelationError(Exception):
 # Column pages: a compact, same-host serialization of a ColumnStore
 # ---------------------------------------------------------------------------
 #
-# The ``"process"`` backend publishes each shard's columns once into a
-# ``multiprocessing.shared_memory`` segment; workers attach read-only and
-# decode.  The format is one *page* per column:
+# The ``"process"`` backend publishes each shard's columns into
+# ``multiprocessing.shared_memory`` segments; workers attach read-only and
+# decode.  A page set covers a *row range* ``[start, stop)`` of its store —
+# the whole store, or the rows a write appended (a *run*, see
+# :class:`repro.data.sharded.SharedPagePublisher`).  Either way it is
+# self-contained: its own ``n_rows``, kinds, masks and sorted dictionary,
+# so one column may be ``q`` in one run and ``o`` in the next, and
+# decoding the runs in order and concatenating reproduces the column.
+# The format is one *page* per column:
 #
 #     header : MAGIC(4) | n_rows u64 | n_cols u32
 #     column : name_len u16 | name utf8
@@ -263,7 +269,8 @@ class ColumnStore:
         #: (the storage layer never imports numpy).  Entries are keyed by
         #: column index and tagged with the column length they were built at;
         #: arrays are append-only, so a length match means the entry is
-        #: current and no invalidation hook is needed.
+        #: current and a shorter length that it encodes a prefix the kernels
+        #: extend with the tail — no invalidation hook is needed.
         self.kernel_cache: dict[int, Any] = {}
         #: Raw page buffers per column index
         #: (``(kind, mask, payload, n_rows)``), populated by
@@ -286,6 +293,15 @@ class ColumnStore:
     def __len__(self) -> int:
         return len(self.arrays[0]) if self.arrays else 0
 
+    def whole_rows(self) -> int:
+        """Rows present in *every* column: the shortest one's length.
+
+        :meth:`append_row` appends column by column, so a reader racing a
+        writer can see the leading columns one value ahead; rows below this
+        count are complete and — arrays being append-only — final.
+        """
+        return min(map(len, self.arrays)) if self.arrays else 0
+
     def append_row(self, row: Row) -> None:
         for array, value in zip(self.arrays, row):
             array.append(value)
@@ -299,17 +315,27 @@ class ColumnStore:
 
     # -- column pages (shared-memory serialization) -----------------------
 
-    def encode_pages(self) -> bytes:
-        """Serialize the store into the column-page format (see module docs).
+    def encode_pages(self, start: int = 0, stop: int | None = None) -> bytes:
+        """Serialize rows ``[start, stop)`` into the column-page format.
 
-        The encoding is exact: :meth:`decode_pages` reproduces the original
-        Python values (including ``None``, ``bool`` vs ``int``, and mixed
-        columns via the pickle fallback).
+        ``stop`` defaults to :meth:`whole_rows`; every column is sliced to
+        exactly that range, so the pages never hold a ragged row even while
+        a writer is mid-:meth:`append_row`.  The encoding is exact:
+        :meth:`decode_pages` reproduces the original Python values
+        (including ``None``, ``bool`` vs ``int``, and mixed columns via the
+        pickle fallback).
         """
-        n_rows = len(self)
-        chunks = [_PAGE_MAGIC, _PAGE_HEADER.pack(n_rows, len(self.arrays))]
-        for name, values in zip(self.names, self.arrays):
+        whole = self.whole_rows()
+        if stop is None:
+            stop = whole
+        if not 0 <= start <= stop <= whole:
+            raise RelationError(
+                f"page range [{start}, {stop}) outside the {whole} whole rows")
+        chunks = [_PAGE_MAGIC,
+                  _PAGE_HEADER.pack(stop - start, len(self.arrays))]
+        for name, column in zip(self.names, self.arrays):
             encoded_name = name.encode("utf-8")
+            values = column[start:stop]
             kind, mask, payload = _encode_column(values)
             chunks.append(_PAGE_NAME.pack(len(encoded_name)))
             chunks.append(encoded_name)
@@ -459,12 +485,11 @@ class Relation:
                           *, version: int = 0) -> "Relation":
         """Adopt a decoded :class:`ColumnStore` as a frozen relation.
 
-        The worker side of the ``"process"`` backend rebuilds each shard's
-        relation this way after attaching its shared-memory pages: the store
+        The worker side of the ``"process"`` backend rebuilds a published
+        run this way after attaching its shared-memory pages: the store
         (with any zero-copy page views it carries) becomes the relation's
-        columnar cache directly, and ``version`` restamps the publisher's
-        version so version-keyed caches stay coherent across the process
-        boundary.
+        columnar cache directly, and ``version`` stamps the version the run
+        was published at.
         """
         if len(store.names) != schema.arity:
             raise RelationError(

@@ -38,7 +38,7 @@ import weakref
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.data.database import Database
-from repro.data.relation import ColumnStore, Relation, Row
+from repro.data.relation import ColumnStore, Relation, RelationError, Row
 from repro.data.schema import DatabaseSchema, SchemaError
 
 #: Shard count used when none is given (matches the default benchmark grid).
@@ -392,16 +392,30 @@ SEGMENT_PREFIX = "repro-pg"
 _SHM_DIR = "/dev/shm"
 
 #: Segment layout: ``u64 header length | pickled (schema, version) | pages``
-#: where ``pages`` is :meth:`ColumnStore.encode_pages` output.
+#: where ``pages`` is :meth:`ColumnStore.encode_pages` output for the run's
+#: row range.
 _SEGMENT_HEADER = struct.Struct("<Q")
 
 
 class PageSegment(NamedTuple):
-    """One published relation: the manifest entry workers attach by."""
+    """One published *run*: rows ``[start, stop)`` of a relation.
 
-    name: str    #: shared-memory segment name
-    nbytes: int  #: payload length (the OS may round the mapping up)
-    version: int #: relation version the payload snapshots
+    A slot's publication is a chain of runs linked through ``prev`` (the
+    run holding the rows just below ``start``; ``None`` at row 0), so the
+    newest run — what :meth:`SharedPagePublisher.publish` returns and a
+    manifest carries — names every row up to ``stop``.  ``lineage`` is the
+    same for all runs cut from one relation object in one slot and never
+    reused: an attaching side that already holds a lineage's first *k*
+    rows needs only the runs reaching past *k*.
+    """
+
+    name: str     #: shared-memory segment name
+    nbytes: int   #: payload length (the OS may round the mapping up)
+    version: int  #: relation version the chain up to ``stop`` snapshots
+    start: int    #: first row the run holds
+    stop: int     #: one past the last row it holds
+    prev: "PageSegment | None"  #: the run below ``start``
+    lineage: str  #: identity of the (slot, relation object) it was cut from
 
 
 #: Process-wide segment sequence: names must be unique across *all*
@@ -409,106 +423,167 @@ class PageSegment(NamedTuple):
 _segment_seq = itertools.count()
 
 
-def _release_segments(slots: dict) -> None:
-    """Close and unlink every published segment (finalizer-safe)."""
-    for entry in list(slots.values()):
-        shm = entry[3]
+class _Slot:
+    """One slot's live chain: the relation it was cut from and its runs."""
+
+    __slots__ = ("relation", "lineage", "version", "runs")
+
+    def __init__(self, relation: Relation) -> None:
+        self.relation = weakref.ref(relation)
+        self.lineage = f"{os.getpid()}-{next(_segment_seq)}"
+        #: Relation version the chain is current for: the newest run's, or
+        #: a later one that turned out to add no row.
+        self.version = -1
+        #: ``(SharedMemory, PageSegment)`` per run, oldest first.
+        self.runs: list[tuple[Any, PageSegment]] = []
+
+
+def _unlink_runs(runs: "list[tuple[Any, PageSegment]]") -> None:
+    """Close and unlink published runs (attached sides keep their mapping)."""
+    for shm, _segment in runs:
         try:
             shm.close()
             shm.unlink()
         except OSError:
             pass
+
+
+def _release_segments(slots: "dict[str, _Slot]") -> None:
+    """Close and unlink every published run (finalizer-safe)."""
+    for slot in list(slots.values()):
+        _unlink_runs(slot.runs)
     slots.clear()
 
 
 class SharedPagePublisher:
-    """Publishes relations as shared-memory column-page segments.
+    """Publishes relations as chains of shared-memory column-page runs.
 
     One *slot* (a caller-chosen string such as ``"2/part"`` for shard 2's
-    ``part`` partition) holds at most one live segment.  :meth:`publish`
-    re-encodes only when the slot's relation object or version changed —
-    the republish-on-write discipline the process backend's shard-version
-    vector check relies on — and unlinks the superseded segment (attached
-    workers keep their mapping; only the name goes away).
+    ``part`` partition) holds the chain for one relation object: immutable
+    runs covering rows ``[0, a), [a, b), …`` in order.  Storage is
+    append-only, so :meth:`publish` encodes only the rows past the newest
+    run — after absorbing every trailing run that is no longer than the
+    rows that would follow it, the binary-counter merge: a slot holds at
+    most log2 *n* runs, a row is re-encoded O(log *n*) times over its life,
+    and there is no threshold to tune.  A full republish is the merge that
+    reaches row 0; the first publish of a relation object is always one.
+    An absorbed run is unlinked at once (attached workers keep their
+    mapping; only the name goes away), as are all runs of a slot whose
+    relation object was replaced — that starts a new lineage.
 
-    Every segment is unlinked when :meth:`close` runs, when the publisher
-    is garbage collected, or at interpreter exit (``weakref.finalize``
+    Every run is unlinked when :meth:`close` runs, when the publisher is
+    garbage collected, or at interpreter exit (``weakref.finalize``
     registers an exit hook), so a cleanly exiting process leaves
     ``/dev/shm`` empty.  :func:`reap_stale_segments` covers crashes.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        #: slot -> (id(relation), weakref, version, SharedMemory, PageSegment)
-        self._slots: dict[str, tuple] = {}
+        self._slots: dict[str, _Slot] = {}
         self._finalizer = weakref.finalize(
             self, _release_segments, self._slots)
 
-    def publish(self, slot: str, relation: Relation) -> PageSegment:
-        """Publish (or reuse) the segment for ``slot``'s current relation."""
+    def publish(self, slot: str, relation: Relation,
+                sink: "dict[str, int] | None" = None) -> PageSegment:
+        """The newest run of ``slot``'s chain, brought up to ``relation``.
+
+        ``sink`` receives the counted work: ``publish_full`` /
+        ``publish_tail`` (a run cut from row 0 / from later),
+        ``rows_encoded`` and ``runs_absorbed``.
+        """
         from multiprocessing import shared_memory
 
         with self._lock:
             if not self._finalizer.alive:
                 raise RuntimeError("page publisher is closed")
             entry = self._slots.get(slot)
-            if entry is not None and entry[0] == id(relation) \
-                    and entry[1]() is relation \
-                    and entry[2] == relation.version:
-                return entry[4]
+            if entry is not None and entry.relation() is not relation:
+                _unlink_runs(entry.runs)  # a new relation object: new lineage
+                entry = None
+            if entry is None:
+                entry = self._slots[slot] = _Slot(relation)
+            runs = entry.runs
+            if runs and entry.version == relation.version:
+                return runs[-1][1]
             # Snapshot, encode, recheck: a concurrent writer bumping the
             # version mid-encode could tear the column arrays, so retry
-            # until the version sits still across the whole encoding.
+            # until the version sits still across the whole encoding.  A
+            # run outlives the version it was cut at, so it may hold only
+            # whole rows at their final positions: one row count, read
+            # once, bounds every column's slice.
             while True:
                 version = relation.version
-                header = pickle.dumps((relation.schema, version),
-                                      protocol=pickle.HIGHEST_PROTOCOL)
-                pages = relation.column_store().encode_pages()
+                store = relation.column_store()
+                stop = store.whole_rows()
+                # Absorb trailing runs while they are no longer than the
+                # rows that would follow them; runs[:keep] stay.
+                keep = len(runs)
+                start = runs[-1][1].stop if runs else 0
+                fresh = stop > start or not runs
+                while fresh and keep \
+                        and start - runs[keep - 1][1].start <= stop - start:
+                    keep -= 1
+                    start = runs[keep][1].start
+                pages = store.encode_pages(start, stop) if fresh else b""
                 if relation.version == version:
                     break
+            if not fresh:  # the new version appended no row
+                entry.version = version
+                return runs[-1][1]
+            header = pickle.dumps((relation.schema, version),
+                                  protocol=pickle.HIGHEST_PROTOCOL)
             payload = b"".join((_SEGMENT_HEADER.pack(len(header)), header,
                                 pages))
             name = f"{SEGMENT_PREFIX}-{os.getpid()}-{next(_segment_seq)}"
             shm = shared_memory.SharedMemory(
                 name=name, create=True, size=len(payload))
             shm.buf[:len(payload)] = payload
-            segment = PageSegment(shm.name, len(payload), version)
-            if entry is not None:
-                old = entry[3]
-                try:
-                    old.close()
-                    old.unlink()
-                except OSError:
-                    pass
-            self._slots[slot] = (id(relation), weakref.ref(relation),
-                                 version, shm, segment)
+            segment = PageSegment(
+                shm.name, len(payload), version, start, stop,
+                runs[keep - 1][1] if keep else None, entry.lineage)
+            absorbed = runs[keep:]
+            runs[keep:] = [(shm, segment)]
+            entry.version = version
+            _unlink_runs(absorbed)
+            if sink is not None:
+                for key, n in (("publish_tail" if start else "publish_full", 1),
+                               ("rows_encoded", stop - start),
+                               ("runs_absorbed", len(absorbed))):
+                    sink[key] = sink.get(key, 0) + n
             return segment
 
-    def active_segments(self) -> list[str]:
-        """Names of the currently linked segments (diagnostics/tests)."""
+    def live_runs(self) -> list[PageSegment]:
+        """The currently linked runs of every slot (gauges, diagnostics)."""
         with self._lock:
-            return [entry[4].name for entry in self._slots.values()]
+            return [segment for entry in self._slots.values()
+                    for _shm, segment in entry.runs]
 
     @property
     def closed(self) -> bool:
         return not self._finalizer.alive
 
     def close(self) -> None:
-        """Unlink every published segment.  Idempotent."""
+        """Unlink every published run.  Idempotent."""
         with self._lock:
             self._finalizer()  # runs _release_segments at most once
 
 
 def attach_segment(segment: PageSegment) -> "tuple[Relation, Any]":
-    """Map a published segment and rebuild its relation (worker side).
+    """Map one published run and rebuild its rows as a relation.
 
-    Returns ``(relation, mapping)``.  The rebuilt column store — and every
-    kernel encoding later derived from it — holds zero-copy views into
-    ``mapping``, and those views are what keeps it mapped: the segment is
-    read through a plain read-only ``mmap`` of its ``/dev/shm`` file (the
-    same directory :func:`reap_stale_segments` audits), which has no
-    finalizer of its own and is unmapped when the last view is collected.
+    Returns ``(relation, mapping)``: the frozen relation holds exactly the
+    run's rows ``[segment.start, segment.stop)`` — for the first run of a
+    lineage that is the relation as first published, which
+    :func:`extend_attached` then keeps current from later runs.  The
+    rebuilt column store — and every kernel encoding later derived from it
+    — holds zero-copy views into ``mapping``, and those views are what
+    keeps it mapped: the segment is read through a plain read-only
+    ``mmap`` of its ``/dev/shm`` file (the same directory
+    :func:`reap_stale_segments` audits), which has no finalizer of its own
+    and is unmapped when the last view is collected.
     :func:`detach_segment` merely releases it early when nothing is left.
+    Raises ``FileNotFoundError`` when the run was absorbed or unlinked
+    since the manifest naming it was built.
 
     (A ``SharedMemory`` attachment cannot do this: its ``close()`` raises
     while views exist and its ``__del__`` retries, printing a
@@ -540,7 +615,59 @@ def attach_segment(segment: PageSegment) -> "tuple[Relation, Any]":
     body = _SEGMENT_HEADER.size
     schema, version = pickle.loads(bytes(view[body:body + header_len]))
     store = ColumnStore.decode_pages(view[body + header_len:])
+    if len(store) != segment.stop - segment.start:
+        raise RelationError(
+            f"segment {segment.name} holds {len(store)} rows, its manifest "
+            f"entry names [{segment.start}, {segment.stop})")
     return Relation.from_column_store(schema, store, version=version), mapping
+
+
+def extend_attached(relation: Relation, segment: PageSegment) -> int:
+    """Append to ``relation`` the rows of ``segment``'s chain it lacks.
+
+    ``relation`` holds the first ``len(relation)`` rows of the chain's
+    lineage (it began as an :func:`attach_chain`).  Only the runs reaching past that are attached and decoded — of
+    a run merged across the boundary, the suffix — and appended through
+    :meth:`Relation.add_rows`, so the column store and key indexes are
+    maintained, not rebuilt.  Returns the rows decoded; afterwards
+    ``len(relation) == segment.stop`` (a chain naming *fewer* rows than
+    the relation holds is the caller's case to handle, not extended here).
+    """
+    have = len(relation)
+    lacking = []
+    run: PageSegment | None = segment
+    while run is not None and run.stop > have:
+        lacking.append(run)
+        run = run.prev
+    decoded = 0
+    for run in reversed(lacking):
+        part, mapping = attach_segment(run)
+        rows = part.rows()[have - run.start:]
+        del part  # release the page views before unmapping
+        detach_segment(mapping)
+        # Frozen against every caller but this one: the side that attached
+        # a lineage is the only writer of its copy.
+        relation._frozen = False
+        try:
+            relation.add_rows(rows, validate=False)
+        finally:
+            relation.freeze()
+        have = run.stop
+        decoded += run.stop - run.start
+    return decoded
+
+
+def attach_chain(segment: PageSegment) -> "tuple[Relation, Any, int]":
+    """Rebuild every row ``segment``'s chain names, first run upward.
+
+    Returns ``(relation, mapping, rows decoded)``; ``mapping`` is the first
+    run's, whose page views the relation's column store keeps.
+    """
+    first = segment
+    while first.prev is not None:
+        first = first.prev
+    relation, mapping = attach_segment(first)
+    return relation, mapping, first.stop + extend_attached(relation, segment)
 
 
 def detach_segment(mapping: Any) -> None:
@@ -623,8 +750,10 @@ __all__ = [
     "SEGMENT_PREFIX",
     "SharedPagePublisher",
     "ShardedDatabase",
+    "attach_chain",
     "attach_segment",
     "detach_segment",
+    "extend_attached",
     "reap_stale_segments",
     "reshard",
 ]

@@ -32,12 +32,16 @@ so every backend stays bag-identical whether or not numpy is present —
 runs the tier-1 suite with numpy absent.
 
 Encodings are cached on the owning :class:`~repro.data.relation.ColumnStore`
-(``kernel_cache``), tagged with the column length (arrays are append-only,
-so a length match proves freshness).  Stores decoded from shared-memory
-column pages expose raw page buffers (``ColumnStore.pages``); int/float
-payloads and ``D``-page dictionary code arrays become zero-copy
-``np.frombuffer`` views, which is what lets worker processes of the
-``"process"`` backend scan shared segments without deserializing per query.
+(``kernel_cache``), tagged with the column length.  Arrays are append-only,
+so a length match proves freshness and a *shorter* length a valid prefix:
+:func:`store_encoding` then lowers only the appended tail and extends the
+entry (:func:`_extend_encoding`), so neither the parent's shard relations
+nor a worker's resident copies are rescanned after a write.  Stores decoded
+from shared-memory column pages expose raw page buffers
+(``ColumnStore.pages``); int/float payloads and ``D``-page dictionary code
+arrays become zero-copy ``np.frombuffer`` views, which is what lets worker
+processes of the ``"process"`` backend start on a shared segment without
+deserializing it.
 
 Derived join-build structures that outlive a query — the sorted packed key
 arrays of a base relation's build side (keyed on its immutable column
@@ -45,9 +49,12 @@ encodings) and the string dictionary translations onto them — live in a
 process-wide LRU with byte accounting, bounded by
 ``REPRO_KERNEL_CACHE_BYTES`` (default 64 MiB); hit/miss/eviction counters
 surface through :func:`cache_stats` and, per backend, through
-``ShardedBackend.execution_counts()``.  The structure of a per-query hash
-table (a filtered or joined build side) is built for its one probe and
-never cached: nothing could ever look it up again.
+``ShardedBackend.execution_counts()``.  An entry is keyed on its encodings'
+identity and holds them, so replacing an encoding strands whatever was
+derived from it: :func:`store_encoding` drops those entries as it replaces
+the encoding.  The structure of a per-query hash table (a filtered or
+joined build side) is built for its one probe and never cached: nothing
+could ever look it up again.
 
 The kernels are not an executor: the one columnar executor
 (:class:`~repro.engine.vectorized.VectorizedExecutor`) offers each of its
@@ -177,8 +184,13 @@ def _finish_numeric(values: Any, mask: Any, kind: str) -> ColumnEncoding:
     return ColumnEncoding(values, mask, "f", True, has_nan)
 
 
-def _encode_list(values: list[Any]) -> ColumnEncoding | None:
-    """Scan one Python column and lower it, or ``None`` when ineligible."""
+def _scan_kind(values: list[Any]) -> "tuple[str, bool] | None":
+    """``(kind, has_null)`` of one Python column, or ``None`` when ineligible.
+
+    ``kind`` is ``"i"``/``"f"``/``"s"`` for homogeneous ``int``/``float``/
+    ``str`` values and ``""`` when there is no value at all (empty or
+    all-NULL); any other type, or a mix, is ineligible.
+    """
     kind = ""
     has_null = False
     for v in values:
@@ -198,32 +210,97 @@ def _encode_list(values: list[Any]) -> ColumnEncoding | None:
             kind = k
         elif kind != k:
             return None
-    if not kind:
-        return None  # empty or all-NULL: nothing to accelerate
-    n = len(values)
+    return kind, has_null
+
+
+def _lower_values(values: list[Any], kind: str,
+                  has_null: bool) -> "tuple[Any, Any] | None":
+    """``(array, NULL mask)`` of a scanned column: int64, float64 or ``<U``
+    strings, a placeholder at NULL positions.  ``None`` on int64 overflow."""
     mask = None
     filled = values
     if has_null:
-        mask = np.fromiter((v is None for v in values), np.bool_, count=n)
+        mask = np.fromiter((v is None for v in values), np.bool_,
+                           count=len(values))
         placeholder: Any = "" if kind == "s" else 0
         filled = [placeholder if v is None else v for v in values]
     if kind == "i":
         try:
-            arr = np.asarray(filled, dtype=np.int64)
+            return np.asarray(filled, dtype=np.int64), mask
         except OverflowError:
             return None
-        return _finish_numeric(arr, mask, "i")
     if kind == "f":
-        return _finish_numeric(np.asarray(filled, dtype=np.float64), mask, "f")
-    svals = np.asarray(filled)
+        return np.asarray(filled, dtype=np.float64), mask
+    return np.asarray(filled), mask
+
+
+def _encode_list(values: list[Any]) -> ColumnEncoding | None:
+    """Scan one Python column and lower it, or ``None`` when ineligible."""
+    scanned = _scan_kind(values)
+    if scanned is None or not scanned[0]:
+        return None  # ineligible, or empty / all-NULL: nothing to accelerate
+    kind, has_null = scanned
+    lowered = _lower_values(values, kind, has_null)
+    if lowered is None:
+        return None
+    arr, mask = lowered
+    if kind != "s":
+        return _finish_numeric(arr, mask, kind)
     if mask is None:
-        dictionary, inverse = np.unique(svals, return_inverse=True)
+        dictionary, inverse = np.unique(arr, return_inverse=True)
         codes = inverse.astype(np.int64, copy=False)
     else:
-        dictionary = _unique(svals[~mask])
-        codes = np.searchsorted(dictionary, svals).astype(np.int64, copy=False)
+        dictionary = _unique(arr[~mask])
+        codes = np.searchsorted(dictionary, arr).astype(np.int64, copy=False)
         codes[mask] = -1
     encoding = ColumnEncoding(codes, mask, "s", True, False)
+    encoding.dictionary = dictionary
+    return encoding
+
+
+def _extend_encoding(old: ColumnEncoding,
+                     tail: list[Any]) -> ColumnEncoding | None:
+    """``old`` grown by the values appended since, or ``None``.
+
+    Arrays are append-only, so an encoding built at a shorter length is a
+    valid prefix: only ``tail`` is scanned.  int/float tails concatenate,
+    ``exact``/``has_nan`` combining.  A string tail's words are merged into
+    the sorted dictionary and the old codes remapped through
+    ``searchsorted``, so codes stay order-preserving (range predicates, the
+    string MIN/MAX kernel); a tail with no new word keeps the dictionary
+    *object*, and so every translation cached against it.  ``None`` — the
+    tail changes the column's kind, or does not fit int64 — sends the
+    caller to a full encode, which decides the same way it always did.
+    """
+    scanned = _scan_kind(tail)
+    if scanned is None or scanned[0] not in ("", old.kind):
+        return None
+    lowered = _lower_values(tail, old.kind, scanned[1])
+    if lowered is None:
+        return None
+    arr, tail_mask = lowered
+    mask = None
+    if old.mask is not None or tail_mask is not None:
+        mask = np.concatenate([
+            m if m is not None else np.zeros(n, dtype=np.bool_)
+            for m, n in ((old.mask, len(old.values)), (tail_mask, len(arr)))])
+    if old.kind != "s":
+        grown = _finish_numeric(arr, tail_mask, old.kind)
+        return ColumnEncoding(np.concatenate([old.values, arr]), mask,
+                              old.kind, old.exact and grown.exact,
+                              old.has_nan or grown.has_nan)
+    words = _unique(arr if tail_mask is None else arr[~tail_mask])
+    dictionary, codes = old.dictionary, old.values
+    if not (_domain_codes(dictionary, words) & 1).all():  # a new word
+        dictionary = _unique(np.concatenate([dictionary, words]))
+        codes = np.searchsorted(dictionary, old.dictionary)[codes]
+        if old.mask is not None:
+            codes[old.mask] = -1
+    tail_codes = np.searchsorted(dictionary, arr).astype(np.int64, copy=False)
+    if tail_mask is not None:
+        tail_codes[tail_mask] = -1
+    encoding = ColumnEncoding(  # int64 whatever width a page's codes had
+        np.concatenate([codes, tail_codes]), mask, "s", True, False)
     encoding.dictionary = dictionary
     return encoding
 
@@ -252,20 +329,32 @@ def _encode_page(page: tuple[str, Any, Any, int]) -> ColumnEncoding:
 def store_encoding(store: Any, index: int) -> ColumnEncoding | None:
     """The cached encoding of ``store.arrays[index]`` (or ``None``).
 
-    Tagged with the column length: append-only arrays mean a length match
-    proves the entry is current, so no invalidation hook is needed.
+    Tagged with the column length.  Arrays are append-only, so a length
+    match proves the entry is current and a *shorter* length that it
+    encodes a prefix: the entry is extended with the encoded tail
+    (:func:`_extend_encoding`) instead of rescanning the column — a write
+    costs its rows here too.  No invalidation hook is needed.  Structures
+    derived from a replaced encoding can never be looked up again and are
+    dropped from the derived-structure cache with it.
     """
     column = store.arrays[index]
     n = len(column)
     entry = store.kernel_cache.get(index)
     if entry is not None and entry[0] == n:
         return entry[1]
-    page = store.pages.get(index)
-    if page is not None and page[3] == n:
-        encoding: ColumnEncoding | None = _encode_page(page)
-    else:
-        encoding = _encode_list(column)
+    previous = entry[1] if entry is not None else None
+    encoding: ColumnEncoding | None = None
+    if previous is not None and len(previous.values) == entry[0] < n:
+        encoding = _extend_encoding(previous, column[entry[0]:n])
+    if encoding is None:
+        page = store.pages.get(index)
+        if page is not None and page[3] == n:
+            encoding = _encode_page(page)
+        else:
+            encoding = _encode_list(column)
     store.kernel_cache[index] = (n, encoding)
+    if previous is not None:
+        _forget_structures(previous, encoding)
     return encoding
 
 
@@ -355,6 +444,27 @@ def _cache_put(key: Any, anchors: tuple, payload: Any, nbytes: int,
             _CACHE_TOTALS["evictions"] += 1
             _sink_bump(sink, "kernel_cache_evictions")
     return payload
+
+
+def _forget_structures(old: ColumnEncoding,
+                       new: ColumnEncoding | None) -> None:
+    """Drop the cached structures anchored on a replaced encoding.
+
+    Keys are the anchors' ``id()``s and the entries hold the anchors, so a
+    structure built over ``old`` — or a translation against its dictionary,
+    unless ``new`` carries the same dictionary object on — would otherwise
+    sit unreachable until the LRU bounds evict it: one per write, the old
+    encoding's arrays pinned behind it.
+    """
+    global _CACHE_BYTES
+    stale = [old]
+    if old.dictionary is not None \
+            and (new is None or new.dictionary is not old.dictionary):
+        stale.append(old.dictionary)
+    with _CACHE_LOCK:
+        for key in [key for key, (anchors, _payload, _cost) in _CACHE.items()
+                    if any(a is s for a in anchors for s in stale)]:
+            _CACHE_BYTES -= _CACHE.pop(key)[2]
 
 
 def cache_stats() -> dict[str, int]:
@@ -895,12 +1005,13 @@ class RelationBuild:
     def snapshot_rows(self) -> int:
         """Build-side rows the Python probe would index for this query alone.
 
-        A frozen relation is a snapshot — a worker's attached segment, a
-        merged shard view — that no write will ever extend: its positional
-        ``key_index`` would be built from scratch for it, like the kernel's
-        structure but in Python, so its rows count toward the
-        :data:`KERNEL_MIN_ROWS` gate.  A live relation's index is maintained
-        incrementally across writes and costs a steady-state probe nothing.
+        A frozen relation is a snapshot — a merged shard view, a worker's
+        resident copy of a shard (which only its owner extends, between
+        tasks) — that no query of this process writes through: its
+        positional ``key_index`` would be built from scratch for it, like
+        the kernel's structure but in Python, so its rows count toward the
+        :data:`KERNEL_MIN_ROWS` gate.  A live relation's index has been
+        maintained write by write and costs a steady-state probe nothing.
         """
         return len(self.relation) if self.relation.is_frozen else 0
 

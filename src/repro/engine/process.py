@@ -9,7 +9,7 @@ the GIL.  This backend reuses the same compilation (it subclasses
 analysis, plan cache, finisher absorption, and gather-side combine) and
 moves the per-shard execution into **worker processes**:
 
-* **transport**: each shard's relations are serialized once into
+* **transport**: each shard's relations are published as
   ``multiprocessing.shared_memory`` column pages
   (:meth:`~repro.data.relation.ColumnStore.encode_pages` — a compact
   per-column encoding for int/float/str with exact ``None``/``bool``/mixed
@@ -17,25 +17,37 @@ moves the per-shard execution into **worker processes**:
   value dictionary plus an int32/int64 code array, so the transport moves
   codes, not strings, and the workers' kernels compute on the codes
   directly) through the database's
-  :class:`~repro.data.sharded.SharedPagePublisher`.  Segments are
-  versioned by the relation version, so an unchanged shard is **never
-  re-serialized**: steady-state reads publish nothing and ship only a
-  pickled subplan and a manifest of segment names per query.  Broadcast
-  relations are published once and attached by every worker;
-* **workers** attach each manifest segment read-only, rebuild the relation
-  around the decoded store (zero-copy page views for int/float columns),
-  cache the attachment by segment name — names are never reused, so a
-  version bump naturally invalidates — and execute the scatter subplan
-  with the engine's one columnar executor
+  :class:`~repro.data.sharded.SharedPagePublisher`.  A publication is a
+  chain of immutable row-range *runs*: an unchanged shard publishes
+  nothing, and a write publishes the rows it appended (merged with the
+  trailing runs no longer than them — at most log2 *n* runs, no constant
+  to tune), so steady-state reads ship only a pickled subplan and, per
+  shard relation, the newest run of its chain.  Broadcast relations are
+  published once per version and attached by every worker;
+* **workers** keep one resident relation per *lineage* — a (slot,
+  relation object) pair, however many versions it goes through.  Given a
+  manifest a worker attaches read-only and decodes only the runs beyond
+  the rows it already has, and appends them through
+  :meth:`~repro.data.relation.Relation.add_rows`: the column store (zero-
+  copy page views for the first run's int/float columns), key indexes and
+  kernel encodings are extended, not rebuilt, and a superseded version is
+  never retained.  A task sees exactly the rows its manifest names — a
+  manifest older than the resident copy is served from a throw-away
+  rebuild of the runs it names.  The scatter subplan runs on the engine's
+  one columnar executor
   (:class:`~repro.engine.vectorized.VectorizedExecutor`: numpy kernels over
-  the zero-copy pages).  Only the gathered result rows cross the pipe back;
+  the resident columns).  Only the gathered result rows cross the pipe
+  back;
 * **gather** runs in the parent via :meth:`ShardedPlan.finish` — partial
   aggregates combine, absorbed finishers replay — identically to the
   threaded backend, so ``tests/test_fuzz_differential.py`` pins the whole
   stack bag-equal to ``"vectorized"``;
 * **resilience**: a crashed worker breaks the pool; the backend shuts the
   broken pool down, re-executes the query in-process (always correct),
-  and restarts the pool lazily on the next query.
+  and restarts the pool lazily on the next query (``pool_recovery``).  A
+  worker that finds a named run already unlinked — its manifest raced a
+  write — fails that one task with :class:`StaleManifest`; the query is
+  answered in-process and the healthy pool is kept (``stale_manifest``).
   :func:`~repro.data.sharded.reap_stale_segments` runs at every pool
   startup so segments leaked by a previous crashed publisher are removed.
 
@@ -56,6 +68,7 @@ import multiprocessing
 import os
 import pickle
 import threading
+import weakref
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -66,8 +79,10 @@ from repro.data.relation import Relation
 from repro.data.sharded import (
     DEFAULT_N_SHARDS,
     PageSegment,
-    attach_segment,
+    SharedPagePublisher,
+    attach_chain,
     detach_segment,
+    extend_attached,
     reap_stale_segments,
 )
 from repro.engine.execute import Row
@@ -78,6 +93,7 @@ from repro.engine.vectorized import VectorizedExecutor
 __all__ = [
     "PROCESS_BACKEND",
     "ProcessBackend",
+    "StaleManifest",
     "default_process_workers",
 ]
 
@@ -106,30 +122,58 @@ def _default_start_method() -> str | None:
 # Worker side
 # ---------------------------------------------------------------------------
 
-#: Attached segments this worker keeps mapped, keyed by segment name.
-#: Segment names embed a publisher-side sequence number and are never
-#: reused, so a republished (version-bumped) relation arrives under a new
-#: name and the stale entry simply ages out of the LRU.
+class StaleManifest(Exception):
+    """A task's manifest names a run that is no longer linked.
+
+    The publisher absorbed or replaced it after the manifest was built (a
+    reader that raced a write).  Nothing is wrong with the worker or the
+    pool: the parent answers that one query in-process.
+    """
+
+
+#: Relations this worker keeps resident, keyed by lineage — one copy per
+#: (slot, relation object) however many versions it has gone through: a
+#: newer manifest extends the copy in place, so a superseded version is
+#: never retained.  A lineage whose relation object was replaced (reshard,
+#: ``add_relation``, a rebuilt broadcast alias) simply ages out of the LRU.
 _ATTACH_LIMIT = 64
 _attached: "OrderedDict[str, tuple[Relation, Any]]" = OrderedDict()
 
 
-def _attached_relation(segment: PageSegment) -> Relation:
-    cached = _attached.get(segment.name)
-    if cached is not None:
-        _attached.move_to_end(segment.name)
-        return cached[0]
-    relation, shm = attach_segment(segment)
-    _attached[segment.name] = (relation, shm)
+def _attached_relation(segment: PageSegment) -> "tuple[Relation, int]":
+    """The relation holding exactly the rows ``segment``'s chain names.
+
+    Normally the lineage's resident copy, after decoding only the runs (or
+    the suffix of a merged run) beyond the rows it already has.  A chain
+    naming *fewer* rows than the resident copy — its reader raced a write
+    another task has since brought here — is served from a throw-away
+    rebuild of the named runs (unmapped with its last page view), never
+    from the longer relation.  Also returns the rows decoded on the way.
+    """
+    cached = _attached.get(segment.lineage)
+    try:
+        if cached is not None and len(cached[0]) > segment.stop:
+            relation, _mapping, decoded = attach_chain(segment)
+            return relation, decoded
+        if cached is None:
+            relation, mapping, decoded = attach_chain(segment)
+            cached = relation, mapping
+        else:
+            # (Half-extended by a failure, the copy still holds a prefix.)
+            decoded = extend_attached(cached[0], segment)
+    except FileNotFoundError as exc:
+        raise StaleManifest(str(exc)) from None
+    _attached[segment.lineage] = cached
+    _attached.move_to_end(segment.lineage)
     while len(_attached) > _ATTACH_LIMIT:
-        _, (old_relation, old_shm) = _attached.popitem(last=False)
+        _, (old_relation, old_mapping) = _attached.popitem(last=False)
         del old_relation  # release page views before unmapping
-        detach_segment(old_shm)
-    return relation
+        detach_segment(old_mapping)
+    return cached[0], decoded
 
 
-def _run_subplans(plan_blob: bytes,
-                  manifests: "list[list[PageSegment]]") -> list[list[Row]]:
+def _run_subplans(plan_blob: bytes, manifests: "list[list[PageSegment]]"
+                  ) -> "tuple[list[list[Row]], int, int, int]":
     """Execute the scatter subplan against each shard manifest in turn.
 
     One task carries *several* shard manifests: the parent chunks the
@@ -138,18 +182,24 @@ def _run_subplans(plan_blob: bytes,
     (the dominant overhead when the subplan itself is kernel-fast).
 
     The executor (and its per-relation caches) is rebuilt per shard; the
-    expensive state — the attached column stores — persists in the
-    segment cache above, so repeated queries over an unchanged shard skip
-    both deserialization and attachment.
+    expensive state — the resident relations with their column stores,
+    encodings and indexes — persists above, so a query over an unchanged
+    shard attaches nothing and one after a write decodes the write.
+
+    Returns ``(parts, rows decoded, pid, resident lineages)``; the parent
+    folds the counts into ``execution_counts()``.
     """
     plan: Plan = pickle.loads(plan_blob)
     parts: list[list[Row]] = []
+    rows_decoded = 0
     for manifest in manifests:
         db = Database()
         for segment in manifest:
-            db.add_relation(_attached_relation(segment))
+            relation, decoded = _attached_relation(segment)
+            rows_decoded += decoded
+            db.add_relation(relation)
         parts.append(VectorizedExecutor(db).batch(plan).rows())
-    return parts
+    return parts, rows_decoded, os.getpid(), len(_attached)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +231,15 @@ class ProcessBackend(ShardedBackend):
             else _default_start_method()
         self._exec_pool: ProcessPoolExecutor | None = None
         self._pool_lock = threading.Lock()
-        self.counters["pool_recovery"] = 0
+        self.counters.update(
+            pool_recovery=0, stale_manifest=0, publish_full=0, publish_tail=0,
+            rows_encoded=0, runs_absorbed=0, rows_decoded=0)
+        #: Publishers this backend published through (their live runs are
+        #: the ``page_*_live`` gauges) and, per worker pid, the lineages it
+        #: last reported resident.
+        self._publishers: "weakref.WeakSet[SharedPagePublisher]" \
+            = weakref.WeakSet()
+        self._resident: dict[int, int] = {}
 
     # -- pool lifecycle ----------------------------------------------------
 
@@ -217,6 +275,7 @@ class ProcessBackend(ShardedBackend):
         if pool is not None:
             pool.shutdown(wait=True)
         with self._lock:
+            self._resident.clear()
             views = [cached[1] for cached in self._auto.values()]
         for view in views:
             view.close()
@@ -227,6 +286,29 @@ class ProcessBackend(ShardedBackend):
             pool, self._exec_pool = self._exec_pool, None
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
+        with self._lock:
+            self._resident.clear()
+
+    def execution_counts(self) -> dict[str, int]:
+        """The sharded counts plus what publishing and attaching cost.
+
+        Counted reasons a scatter left the pool: ``pool_recovery`` (a
+        broken pool, discarded) and ``stale_manifest`` (one task's manifest
+        superseded; pool kept).  Counted work: ``publish_full`` /
+        ``publish_tail`` runs cut from row 0 / from later, ``rows_encoded``
+        into them, ``runs_absorbed`` by the merge, and ``rows_decoded`` by
+        the workers (piggy-backed on their results).  Gauges:
+        ``page_runs_live`` / ``page_bytes_live`` over the publishers this
+        backend used, ``resident_lineages`` summed over its workers.
+        """
+        counts = super().execution_counts()
+        live = [segment for publisher in list(self._publishers)
+                for segment in publisher.live_runs()]
+        counts["page_runs_live"] = len(live)
+        counts["page_bytes_live"] = sum(segment.nbytes for segment in live)
+        with self._lock:
+            counts["resident_lineages"] = sum(self._resident.values())
+        return counts
 
     # -- execution ---------------------------------------------------------
 
@@ -255,45 +337,67 @@ class ProcessBackend(ShardedBackend):
         # per shard.
         n_tasks = max(1, min(self.workers, len(manifests)))
         chunks = [manifests[i::n_tasks] for i in range(n_tasks)]
+        # Either way out of the pool re-executes in-process — same plan,
+        # same semantics, no parallelism — under its own counted reason.
         try:
             pool = self.pool()
             futures = [pool.submit(_run_subplans, plan_blob, chunk)
                        for chunk in chunks]
-            grouped = [future.result() for future in futures]
         except (BrokenProcessPool, OSError, RuntimeError):
-            # A worker died (or the pool could not start): recover by
-            # discarding the pool and re-executing in-process — same plan,
-            # same semantics, no parallelism.  The next query restarts the
-            # pool (reaping any segments the dead workers pinned).
-            self._discard_pool()
-            self._bump("pool_recovery")
+            return self._recover(compiled, sharded)  # could not start/submit
+        try:
+            results = [future.result() for future in futures]
+        except BrokenProcessPool:
+            return self._recover(compiled, sharded)  # a worker died
+        except StaleManifest:
+            # A write republished between building a manifest and a worker
+            # attaching it.  The pool is healthy: keep it.
+            self._bump("stale_manifest")
             return compiled.execute(sharded, None, self.counters)
         # Undo the round-robin chunking so parts line up with shard order
         # (combine functions are order-insensitive, but a deterministic
         # gather keeps row order reproducible run to run).
         parts: list[list[Row]] = [[] for _ in manifests]
-        for i, group in enumerate(grouped):
-            for j, part in enumerate(group):
-                parts[i + j * n_tasks] = part
+        with self._lock:
+            for i, (group, decoded, pid, lineages) in enumerate(results):
+                for j, part in enumerate(group):
+                    parts[i + j * n_tasks] = part
+                self.counters["rows_decoded"] += decoded
+                self._resident[pid] = lineages
         return compiled.finish(sharded, parts, self.counters)
+
+    def _recover(self, compiled: Any, sharded: Any) -> list[Row]:
+        """Discard a broken pool and answer in-process.
+
+        The next query restarts the pool (reaping any segments the dead
+        workers pinned).
+        """
+        self._discard_pool()
+        self._bump("pool_recovery")
+        return compiled.execute(sharded, None, self.counters)
 
     def _publish(self, compiled: Any, sharded: Any
                  ) -> "list[list[PageSegment]]":
         """Per-shard segment manifests for a scatter plan's relations.
 
-        Publication is version-keyed inside the publisher: unchanged
-        relations reuse their live segment, so this is a dictionary probe
-        per relation on the steady-state path.  Broadcast relations use a
-        shard-independent slot and appear in every manifest.
+        Publication is version-keyed inside the publisher: an unchanged
+        relation reuses its chain (a dictionary probe on the steady-state
+        path), a grown one gets a tail run.  Each entry is the newest run
+        of its chain.  Broadcast relations use a shard-independent slot and
+        appear in every manifest; their alias is a new relation object per
+        write, so they still republish in full.
         """
         publisher = sharded.page_publisher()
+        self._publishers.add(publisher)
         broadcast = [publisher.publish(f"@/{name}",
-                                       sharded.broadcast_relation(name))
+                                       sharded.broadcast_relation(name),
+                                       self.counters)
                      for name in sorted(compiled.broadcast)]
         manifests: list[list[PageSegment]] = []
         for i in range(sharded.n_shards):
             shard = sharded.shard(i)
-            manifest = [publisher.publish(f"{i}/{name}", shard.relation(name))
+            manifest = [publisher.publish(f"{i}/{name}", shard.relation(name),
+                                          self.counters)
                         for name in sorted(compiled.partitioned)]
             manifest.extend(broadcast)
             manifests.append(manifest)

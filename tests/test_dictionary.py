@@ -453,6 +453,160 @@ class TestKernelGate:
 
 
 # ---------------------------------------------------------------------------
+# Extended encodings: a grown column re-encodes its tail, not itself
+# ---------------------------------------------------------------------------
+
+def _grow_plans():
+    """String MIN/MAX, range selections and an equi-join over ``words``."""
+    other = ScanP("words", ("g2", "w2"))
+    yield _minmax(group=True)
+    yield _minmax(group=False)
+    for op, const in (("<", "m"), (">=", "b"), ("<", "A"), (">=", "zz"),
+                      ("=", "bb")):
+        yield FilterP(WORDS, e.Comparison(e.Col("w"), op, e.Const(const)))
+    yield JoinP(WORDS, other, "inner", ("w",), ("w2",), None, False)
+    yield JoinP(WORDS, other, "inner", ("g", "w"), ("g2", "w2"), None, False)
+
+
+#: Appended in turn: words sorting before / between / after the base
+#: dictionary, the column's first NULLs, a batch with no new word.
+_GROWTH = [
+    [(0, "A"), (4, "bb")],
+    [(1, None), (2, "zz"), (2, None)],
+    [(3, "pear"), (0, "A")],
+    [(5, "ä"), (5, ""), (5, "0")],
+]
+
+
+@needs_kernels
+class TestExtendedEncodings:
+    @pytest.fixture(autouse=True)
+    def _open_gate(self, kernel_gate):
+        kernel_gate(0)
+        kernels.clear_cache()
+        yield
+        kernels.clear_cache()
+
+    @pytest.fixture()
+    def full_encodes(self, monkeypatch):
+        """Lengths of the columns ``_encode_list`` was asked to scan."""
+        seen: list[int] = []
+        encode_list = kernels._encode_list
+
+        def spy(values):
+            seen.append(len(values))
+            return encode_list(values)
+
+        monkeypatch.setattr(kernels, "_encode_list", spy)
+        return seen
+
+    def _check_dictionary(self, store, index):
+        n, encoding = store.kernel_cache[index]
+        column = store.arrays[index]
+        assert n == len(column) == len(encoding.values)
+        words = encoding.dictionary.tolist()
+        assert words == sorted(set(words))               # sorted, no dups
+        assert set(words) == {v for v in column if v is not None}
+        decoded = [None if c < 0 else words[c]
+                   for c in encoding.values.tolist()]
+        assert decoded == column
+        assert (encoding.mask is None) == (None not in column)
+        if encoding.mask is not None:
+            assert encoding.mask.tolist() == [v is None for v in column]
+
+    @pytest.mark.parametrize("paged", [False, True])
+    def test_grown_string_column_matches_the_python_loops(
+            self, paged, full_encodes):
+        """Live relation, and the worker shape: int32 codes viewed from a
+        ``D`` page, extended by ``extend_attached`` run by run."""
+        from repro.data.sharded import (SharedPagePublisher, attach_segment,
+                                        detach_segment, extend_attached)
+
+        base = [(i % 4, w) for i, w in enumerate(
+            ["pear", "apple", "mid", "b", "c", "apple", "pear", "cc"])]
+        source = relation_from_rows(
+            "words", [("g", "int"), ("w", "string")], base)
+        publisher = SharedPagePublisher()
+        try:
+            if paged:
+                rel, mapping = attach_segment(
+                    publisher.publish("0/words", source))
+            else:
+                rel, mapping = source, None
+            db = Database([rel])
+            for batch in [[], *_GROWTH]:
+                source.add_rows(batch)
+                if paged:
+                    extend_attached(rel, publisher.publish("0/words", source))
+                assert rel.rows() == source.rows()
+                for plan in _grow_plans():
+                    fast, slow = _both(plan, db)
+                    assert fast == slow
+                self._check_dictionary(rel.column_store(), 1)
+            # Whole columns were scanned once (never, over pages): every
+            # later encoding extended the one before it.
+            assert full_encodes == ([] if paged else [len(base)] * 2)
+            if paged:
+                del db, rel
+                detach_segment(mapping)
+        finally:
+            publisher.close()
+
+    def test_a_tail_without_new_words_keeps_the_dictionary_object(self):
+        rel = relation_from_rows("t", [("w", "string")],
+                                 [("a",), ("c",), (None,)])
+        store = rel.column_store()
+        first = kernels.store_encoding(store, 0)
+        rel.add_rows([("c",), (None,), ("a",)])
+        second = kernels.store_encoding(store, 0)
+        assert second is not first
+        assert second.dictionary is first.dictionary
+        assert second.values.tolist() == [0, 1, -1, 1, -1, 0]
+        rel.add(("b",))
+        third = kernels.store_encoding(store, 0)
+        assert third.dictionary.tolist() == ["a", "b", "c"]
+        assert third.values.tolist() == [0, 2, -1, 2, -1, 0, 1]
+
+    def test_numeric_tails_combine_their_flags(self):
+        rel = relation_from_rows(
+            "t", [("i", "int"), ("f", "float")], [(1, 1.5), (2, 2.5)])
+        store = rel.column_store()
+        ints, floats = (kernels.store_encoding(store, i) for i in (0, 1))
+        assert ints.exact and ints.mask is None and not floats.has_nan
+        rel.add_rows([(None, 3.5), (2**60, float("nan"))], validate=False)
+        ints, floats = (kernels.store_encoding(store, i) for i in (0, 1))
+        assert ints.values.tolist() == [1, 2, 0, 2**60]
+        assert ints.mask.tolist() == [False, False, True, False]
+        assert not ints.exact                 # 2**60 > 2**53
+        assert floats.has_nan and floats.mask is None
+        rel.add_rows([(3, None)])
+        ints, floats = (kernels.store_encoding(store, i) for i in (0, 1))
+        assert not ints.exact and floats.has_nan         # flags are sticky
+        assert floats.mask.tolist() == [False] * 4 + [True]
+        assert len(ints.values) == len(floats.values) == 5
+
+    @pytest.mark.parametrize("value", ["x", 1.5, True, 2**70, (1,)])
+    def test_a_kind_change_falls_back_to_the_full_encode(self, value):
+        rel = relation_from_rows("t", [("i", "int")], [(1,), (None,), (3,)])
+        store = rel.column_store()
+        assert kernels.store_encoding(store, 0) is not None
+        rel.add((value,), validate=False)
+        assert kernels.store_encoding(store, 0) is None  # as a fresh scan
+        assert kernels._encode_list(store.arrays[0]) is None
+        rel.add((4,))
+        assert kernels.store_encoding(store, 0) is None
+
+    def test_an_all_null_prefix_is_encoded_once_values_arrive(self):
+        rel = relation_from_rows("t", [("i", "int")], [(None,), (None,)])
+        store = rel.column_store()
+        assert kernels.store_encoding(store, 0) is None
+        rel.add((7,))
+        encoding = kernels.store_encoding(store, 0)
+        assert encoding.values.tolist() == [0, 0, 7]
+        assert encoding.mask.tolist() == [True, True, False]
+
+
+# ---------------------------------------------------------------------------
 # Derived-structure cache
 # ---------------------------------------------------------------------------
 
@@ -535,6 +689,37 @@ class TestKernelCache:
         assert after["entries"] == settled["entries"]
         assert after["bytes"] == settled["bytes"]
         assert after["evictions"] == settled["evictions"]
+
+    def test_writes_do_not_strand_structures(self):
+        """A write replaces the encodings of the columns it grew; the
+        structures anchored on the replaced ones can never be looked up
+        again and must leave with them, not wait for the LRU bounds."""
+        db = _db()
+        users, orders = db.relation("users"), db.relation("orders")
+        by_city = JoinP(ORDERS, USERS, "inner", ("ocity",), ("city",),
+                        None, False)                 # + a translation
+        by_both = JoinP(ORDERS, USERS, "inner", ("ouid", "ocity"),
+                        ("uid", "city"), None, False)
+        sizes = []
+        for step in range(12):
+            for plan in (by_city, by_both):
+                fast, slow = _both(plan, db)
+                assert fast == slow
+            sizes.append(kernels.cache_stats()["entries"])
+            users.add((100 + step, f"town{step}", "a"))   # a new word
+            orders.add((step, f"city{step % 9}", 1))      # none
+        assert len(set(sizes)) == 1 and sizes[0] <= 4
+        current = []
+        for relation in (users, orders):
+            for _n, encoding in relation.column_store().kernel_cache.values():
+                current += [encoding, encoding.dictionary]
+        with kernels._CACHE_LOCK:
+            entries = list(kernels._CACHE.values())
+        for anchors, _payload, _cost in entries:
+            assert all(any(anchor is live for live in current)
+                       for anchor in anchors)
+        assert kernels.cache_stats()["bytes"] \
+            == sum(cost for _anchors, _payload, cost in entries)
 
     def test_service_cache_info_exposes_kernel_cache(self):
         from repro.core.service import QueryService

@@ -15,8 +15,12 @@ operations, group-bys, sorts — over small random relations, and asserts
 bag-for-bag on every generated (database, plan) pair, for both the raw and
 the optimizer-rewritten plan — and for the plan the serving path would run
 after perturbing its literals: a cached template bound to the new values
-(bound ≡ fresh-compiled ≡ row).  Shrinking then turns any divergence into a
-minimal counterexample.
+(bound ≡ fresh-compiled ≡ row).  Two more legs fuzz *histories*: sharded
+views against fresh recompute, and the process backend across writes to
+one database (published run chains, the workers' resident copies and
+their extended encodings — none of which a fresh database per case ever
+reaches).  Shrinking then turns any divergence into a minimal
+counterexample.
 
 Generation invariants (so a failure is always a backend bug, not a
 meaningless plan):
@@ -44,11 +48,13 @@ import sys
 from collections import Counter
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.data.database import Database
-from repro.data.relation import relation_from_rows
+from repro.data.relation import Relation, relation_from_rows
+from repro.data.sharded import ShardedDatabase, reshard
 from repro.engine import Template, get_backend, optimize
 from repro.engine.bind import attach_slots, sentinels_for
 from repro.engine.optimize import _rebuild
@@ -517,3 +523,111 @@ def test_sharded_views_track_fresh_recompute(case):
         check(f"after trailing reshard to {reshard_to}")
     service.close()
     plain.close()
+
+
+# ---------------------------------------------------------------------------
+# Write histories on the process backend: process ≡ vectorized ≡ row, always
+# ---------------------------------------------------------------------------
+#
+# Every ``process-2`` case above builds fresh relations, so each is
+# published once, in full, and no worker ever extends anything.  This leg
+# keeps ONE sharded database and ONE pool across a generated history of
+# routed writes and checks a generated plan after every step.  The written
+# values are chosen to break a chain of row-range runs where it is
+# thinnest: a column's first ``None`` arriving in a tail, an int column
+# turning mixed mid-chain (a float, a bool beside ints, an int beyond
+# int64: ``q`` pages followed by ``o``/``E`` ones, a kernel encoding that
+# must stop being extended), strings sorting before / between / after the
+# base dictionary, an empty batch, writes to relations the plan reads as a
+# broadcast alias (a full republish under a new lineage), and a
+# ``reshard()`` or an ``add_relation`` replacement mid-history (new
+# lineages, old runs unlinked).  All but the bool stay comparable with
+# their column's type in the reference semantics; a plan that compares the
+# column a bool landed in is a type error (``ExprError``) wherever a
+# comparison is actually evaluated — the row executor's index lookups
+# evaluate none — and the history stops at that step: what must agree is
+# answers, not errors.
+
+_WILD_INTS = st.sampled_from([True, 2.0, 2**70])
+_WILD_STRS = st.sampled_from(["", "A", "bb", "s0", "zz"])
+
+
+@st.composite
+def write_history(draw):
+    names = _Names()
+    n_relations = draw(st.integers(min_value=1, max_value=3))
+    relations = [draw(_relation(names, i)) for i in range(n_relations)]
+    plan, _dtypes = draw(_plan(names, relations,
+                               draw(st.integers(min_value=1, max_value=3))))
+    pool = draw(st.sampled_from(_STR_POOLS))
+    values = {
+        "int": st.one_of(_INT_VALUES, _INT_VALUES, _WILD_INTS),
+        "str": st.one_of(st.sampled_from(pool), st.none(), _WILD_STRS),
+    }
+    ops = []
+    for _ in range(draw(st.integers(min_value=3, max_value=6))):
+        kind = draw(st.sampled_from(["write"] * 6 + ["replace", "reshard"]))
+        if kind == "reshard":
+            ops.append((kind, draw(st.integers(min_value=1, max_value=3)),
+                        None))
+            continue
+        relation, dtypes = draw(st.sampled_from(relations))
+        rows = [tuple(draw(values[d]) for d in dtypes)
+                for _ in range(draw(st.integers(min_value=0, max_value=4)))]
+        ops.append((kind, relation.schema, rows))
+    return [relation for relation, _dtypes in relations], plan, ops
+
+
+#: One pool per kernel setting for the whole module, not per example:
+#: kernels on is the ``process-2`` pool above; ``REPRO_KERNELS=0`` needs
+#: workers forked under it (the flag is read from each process's environ).
+_HISTORY_PROCESS = {
+    True: dict(BACKENDS)["process-2"],
+    False: _Gated(ProcessBackend(n_shards=2, workers=2), 0),
+}
+
+
+@pytest.mark.parametrize("kernels_on", [True, False],
+                         ids=["kernels", "REPRO_KERNELS=0"])
+@settings(max_examples=max(8, settings().max_examples // 5), **_COMMON)
+@given(case=write_history())
+def test_process_tracks_write_histories(kernels_on, case):
+    relations, plan, ops = case
+    backends = [("vectorized", dict(BACKENDS)["vectorized"]),
+                ("process", _HISTORY_PROCESS[kernels_on])]
+    env = {} if kernels_on else {"REPRO_KERNELS": "0"}
+    sharded = ShardedDatabase(
+        (Relation(r.schema, r.rows(), validate=False) for r in relations),
+        n_shards=2)
+
+    def check(moment):
+        try:
+            reference = Counter(get_backend("row").execute(plan, sharded))
+            bags = [(name, Counter(backend.execute(plan, sharded)))
+                    for name, backend in backends]
+        except e.ExprError:
+            return False
+        for name, bag in bags:
+            assert bag == reference, (
+                f"{name} diverged from row {moment} on:\n{plan}\n"
+                f"row={sorted(reference.items(), key=repr)}\n"
+                f"{name}={sorted(bag.items(), key=repr)}")
+        return True
+
+    with mock.patch.dict(os.environ, env):
+        try:
+            check("before any write")
+            for step, (kind, target, rows) in enumerate(ops):
+                if kind == "reshard":
+                    wider = reshard(sharded, target)
+                    sharded.close()
+                    sharded = wider
+                elif kind == "replace":
+                    sharded.add_relation(
+                        Relation(target, rows, validate=False))
+                else:
+                    sharded.add_rows(target.name, rows, validate=False)
+                if not check(f"after #{step} {kind} {rows!r}"):
+                    break
+        finally:
+            sharded.close()

@@ -6,13 +6,15 @@ Five surfaces:
   :meth:`decode_pages`) — exact round-trip for every column shape,
   including ``None`` masks, ``bool`` vs ``int``, mixed-type columns, and
   integers beyond int64;
-* :class:`SharedPagePublisher` — version-keyed republish-on-write, segment
-  unlink on supersede/close, stale-segment reaping;
+* :class:`SharedPagePublisher` — version-keyed chains of row-range runs
+  (a write publishes its rows, the binary-counter merge bounds the chain),
+  unlink on absorb/replace/close, stale-segment reaping;
 * the ``"process"`` backend — bag-equal to ``"vectorized"`` over the
   canonical catalog with real worker processes, point queries routed
-  without touching the pool, recovery from killed workers;
-* writers racing process readers across version bumps (segments republish,
-  answers stay consistent);
+  without touching the pool, recovery from killed workers, a raced
+  manifest answered in-process with the pool kept;
+* writers racing process readers across version bumps (tail runs publish,
+  workers extend their resident copies, answers stay consistent);
 * pool lifecycle — explicit ``close()`` on the parallel and process
   backends, the shared :mod:`repro.engine.lifecycle` registry, and a
   subprocess leg asserting the whole stack is clean under
@@ -21,30 +23,47 @@ Five surfaces:
 
 from __future__ import annotations
 
+import math
 import os
+import random
 import subprocess
 import sys
 import threading
+from collections import OrderedDict
 from unittest import mock
 
 import pytest
 
 from repro.data import ShardedDatabase, sailors_database
-from repro.data.relation import ColumnStore, Relation, RelationError
+from repro.data.relation import (
+    ColumnStore,
+    Relation,
+    RelationError,
+    relation_from_rows,
+)
 from repro.data.schema import RelationSchema
 from repro.data.sharded import (
     SEGMENT_PREFIX,
     SharedPagePublisher,
     attach_segment,
     detach_segment,
+    extend_attached,
     reap_stale_segments,
+    reshard,
 )
 from repro.core.sharded_service import ShardedQueryService
 from repro.engine import get_backend, lower, optimize, execute_plan
 from repro.engine.kernels import kernels_enabled
 from repro.engine.parallel import ParallelBackend
-from repro.engine.process import ProcessBackend, default_process_workers
+import repro.engine.process as process
+from repro.engine.process import (
+    ProcessBackend,
+    StaleManifest,
+    default_process_workers,
+)
+from repro.engine.plan import AggregateP, ScanP
 from repro.engine.vectorized import VectorizedExecutor
+from repro.expr import ast as e
 from repro.queries import CANONICAL_QUERIES
 
 #: One shared backend for the catalog differential: real worker processes,
@@ -149,6 +168,38 @@ class TestColumnPages:
         with pytest.raises(RelationError):
             ColumnStore.decode_pages(b"not a page buffer")
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_runs_decode_and_concatenate_to_the_column(self, seed):
+        """Any split into row ranges round-trips bit-for-bit, each run a
+        self-contained page set whose kinds may differ from its neighbours'."""
+        arrays = [
+            list(range(12)) + [None, 2**70, 13, True],   # q, then z/o
+            ["b", "a", None, "b"] * 3 + ["", "ä", "a", None],
+            [0.5] * 10 + [None, float("inf"), 1, -0.0, 2.5, 3.5],
+            [None] * 9 + [1, "x", 2.0, None, None, None, None],
+        ]
+        n = len(arrays[0])
+        store = ColumnStore(["i", "s", "f", "m"], arrays)
+        rng = random.Random(seed)
+        cuts = sorted(rng.sample(range(n + 1), rng.randint(0, 5)))
+        bounds = [0, *cuts, n]
+        runs = [ColumnStore.decode_pages(store.encode_pages(lo, hi))
+                for lo, hi in zip(bounds, bounds[1:])]
+        assert [len(run) for run in runs] \
+            == [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+        for i, want in enumerate(arrays):
+            got = [v for run in runs for v in run.arrays[i]]
+            assert list(map(repr, got)) == list(map(repr, want))
+
+    def test_run_kinds_differ_within_one_column(self):
+        store = ColumnStore(["i"], [[1, 2, 3, "x", 4, None, None]])
+        kinds = [ColumnStore.decode_pages(store.encode_pages(lo, hi))
+                 .pages.get(0, ("other",))[0]
+                 for lo, hi in ((0, 3), (3, 5), (5, 7))]
+        assert kinds == ["q", "other", "other"]   # int64, pickled, all-NULL
+        with pytest.raises(RelationError):
+            store.encode_pages(3, 9)              # past the whole rows
+
 
 # ---------------------------------------------------------------------------
 # Publisher
@@ -217,6 +268,139 @@ class TestSharedPagePublisher:
         finally:
             publisher.close()
 
+    def test_a_write_publishes_its_rows_as_a_tail_run(self):
+        rel = Relation(_SCHEMA, [(i, f"w{i}") for i in range(8)])
+        publisher = SharedPagePublisher()
+        sink: dict[str, int] = {}
+        try:
+            base = publisher.publish("0/t", rel, sink)
+            assert (base.start, base.stop, base.prev) == (0, 8, None)
+            rel.add_rows([(8, "w8"), (None, "a")])
+            tail = publisher.publish("0/t", rel, sink)
+            assert (tail.start, tail.stop) == (8, 10)
+            assert tail.prev is base and tail.lineage == base.lineage
+            assert {base.name, tail.name} <= _segments()
+            assert sink == {"publish_full": 1, "publish_tail": 1,
+                            "rows_encoded": 10, "runs_absorbed": 0}
+            # attach_segment attaches the one run it is given ...
+            attached, shm = attach_segment(tail)
+            assert attached.rows() == rel.rows()[8:]
+            assert attached.version == tail.version == rel.version
+            del attached
+            detach_segment(shm)
+            # ... and extend_attached brings a copy of the first run up to
+            # the chain, decoding only what it lacks.
+            copy, shm = attach_segment(base)
+            assert extend_attached(copy, tail) == 2
+            assert copy.rows() == rel.rows() and copy.is_frozen
+            assert extend_attached(copy, tail) == 0
+            # Two more rows absorb the 2-row tail (not the 8-row base); a
+            # copy that has 10 rows decodes the merged run for its suffix.
+            rel.add_rows([(10, "w10"), (11, None)])
+            merged = publisher.publish("0/t", rel, sink)
+            assert (merged.start, merged.stop, merged.prev) == (8, 12, base)
+            assert tail.name not in _segments()
+            assert sink["runs_absorbed"] == 1 and sink["rows_encoded"] == 14
+            assert extend_attached(copy, merged) == 4
+            assert copy.rows() == rel.rows()
+            del copy
+            detach_segment(shm)
+            # A new relation object in the slot is a new lineage: the old
+            # chain is unlinked whole.
+            replacement = Relation(_SCHEMA, rel.rows())
+            fresh = publisher.publish("0/t", replacement, sink)
+            assert fresh.lineage != base.lineage and fresh.prev is None
+            assert _segments() & {base.name, merged.name} == set()
+            assert [run.name for run in publisher.live_runs()] == [fresh.name]
+        finally:
+            publisher.close()
+
+    @pytest.mark.parametrize("n,d,k", [(1000, 10, 64), (64, 8, 40),
+                                       (0, 3, 33)])
+    def test_chain_cost_is_logarithmic(self, n, d, k):
+        """The cost is a count, not a timing: k appends of d rows to an
+        n-row relation encode at most n + k*d*(ceil(log2 k) + 2) rows and
+        keep at most ceil(log2(n/d)) + 2 runs linked."""
+        rel = Relation(_SCHEMA, [(i, "x") for i in range(n)], validate=False)
+        publisher = SharedPagePublisher()
+        sink: dict[str, int] = {}
+        try:
+            publisher.publish("0/t", rel, sink)
+            most_runs = 0
+            for step in range(k):
+                rel.add_rows([(step, "y")] * d)
+                tail = publisher.publish("0/t", rel, sink)
+                assert tail.stop == len(rel)
+                runs = publisher.live_runs()
+                assert [r.start for r in runs[1:]] \
+                    == [r.stop for r in runs[:-1]]       # contiguous from 0
+                most_runs = max(most_runs, len(runs))
+                assert len(_segments() & {r.name for r in runs}) == len(runs)
+            log_k = math.ceil(math.log2(k))
+            assert sink["rows_encoded"] <= n + k * d * (log_k + 2)
+            assert most_runs <= math.ceil(math.log2(max(n, k * d) / d)) + 2
+            copy, shm = attach_segment(runs[0])
+            extend_attached(copy, tail)
+            assert copy.rows() == rel.rows()
+            del copy
+            detach_segment(shm)
+        finally:
+            publisher.close()
+
+    def test_a_torn_append_never_yields_a_ragged_run(self, monkeypatch):
+        """A writer paused between two columns of ``append_row`` while
+        ``publish`` runs: the run holds whole rows only, and the chain
+        still adds up once the write lands."""
+        rel = Relation(_SCHEMA, [(i, f"w{i}") for i in range(4)])
+        publisher = SharedPagePublisher()
+        torn: list = []
+        append_row = ColumnStore.append_row
+
+        def paused(store, row):
+            store.arrays[0].append(row[0])
+            torn.append(publisher.publish("0/t", rel))   # mid-row
+            for array, value in zip(store.arrays[1:], row[1:]):
+                array.append(value)
+
+        try:
+            base = publisher.publish("0/t", rel)
+            rel.add_rows([(4, "w4")])        # landed, not yet published
+            monkeypatch.setattr(ColumnStore, "append_row", paused)
+            rel.add_rows([(5, "w5"), (6, "w6")])
+            monkeypatch.setattr(ColumnStore, "append_row", append_row)
+            # Paused inside row 5 the first column is one value ahead: the
+            # run stops at the 5 whole rows.  Paused inside row 6 the
+            # version has not moved since, so the chain is reused as is.
+            assert (torn[0].start, torn[0].stop, torn[0].prev) == (4, 5, base)
+            assert torn[1] is torn[0]
+            final = publisher.publish("0/t", rel)
+            assert (final.start, final.stop, final.prev) == (4, 7, base)
+            for run in (base, final):
+                part, shm = attach_segment(run)
+                assert part.rows() == rel.rows()[run.start:run.stop]
+                del part
+                detach_segment(shm)
+        finally:
+            publisher.close()
+
+    def test_a_version_that_adds_no_row_reuses_the_tail(self):
+        """The version bump lands after the rows: a publish in between has
+        already cut them, and the bump alone must not cut an empty run."""
+        rel = Relation(_SCHEMA, [(1, "x")])
+        publisher = SharedPagePublisher()
+        try:
+            publisher.publish("0/t", rel)
+            rel.add_rows([(2, "y")])         # landed, not yet published
+            rel.add_rows([(3, "z")])
+            real = rel.version
+            rel._version = real - 1          # row 3 in, its bump pending
+            early = publisher.publish("0/t", rel)
+            rel._version = real
+            assert publisher.publish("0/t", rel) is early
+            assert early.stop == 3 and len(publisher.live_runs()) == 1
+        finally:
+            publisher.close()
+
     def test_close_unlinks_everything_and_is_idempotent(self):
         publisher = SharedPagePublisher()
         segment = publisher.publish("0/t", Relation(_SCHEMA, [(1, "x")]))
@@ -245,12 +429,15 @@ class TestSharedPagePublisher:
             live = publisher.publish("0/t", Relation(_SCHEMA, [(1, "x")]))
             # Forge a segment whose embedded pid does not exist.
             dead_pid = 2 ** 22 + 12345  # beyond default pid_max
-            dead_name = f"{SEGMENT_PREFIX}-{dead_pid}-0"
-            with open(os.path.join("/dev/shm", dead_name), "wb") as f:
-                f.write(b"stale")
+            # A dead publisher's whole chain: the base and its tail runs.
+            dead_names = {f"{SEGMENT_PREFIX}-{dead_pid}-{seq}"
+                          for seq in (0, 7, 8)}
+            for dead_name in dead_names:
+                with open(os.path.join("/dev/shm", dead_name), "wb") as f:
+                    f.write(b"stale")
             reaped = reap_stale_segments()
-            assert dead_name in reaped
-            assert dead_name not in _segments()
+            assert dead_names <= set(reaped)
+            assert not dead_names & _segments()
             assert live.name in _segments()  # our own pid: untouched
         finally:
             publisher.close()
@@ -333,6 +520,227 @@ class TestProcessBackendDifferential:
         monkeypatch.delenv("REPRO_KERNELS")
         on = VectorizedExecutor(db).batch(plan).rows()
         assert off == on  # bit-identical, not just bag-equal
+
+
+_JOIN_SQL = ("SELECT S.sname, R.bid FROM Sailors S, Reserves R "
+             "WHERE S.sid = R.sid")
+
+
+class TestResidentCopies:
+    """One relation per lineage in each worker, extended run by run."""
+
+    @pytest.fixture()
+    def worker_state(self, monkeypatch):
+        """This process standing in for a worker, with an empty cache."""
+        monkeypatch.setattr(process, "_attached", OrderedDict())
+        yield
+        process._attached.clear()
+
+    def test_a_manifest_older_than_the_resident_copy_gets_its_rows(
+            self, worker_state):
+        rel = Relation(_SCHEMA, [(i, f"w{i}") for i in range(8)])
+        publisher = SharedPagePublisher()
+        try:
+            old = publisher.publish("0/t", rel)
+            rel.add_rows([(8, "w8"), (9, None)])
+            new = publisher.publish("0/t", rel)          # chain [8][2]
+            resident, decoded = process._attached_relation(new)
+            assert decoded == 10 and resident.rows() == rel.rows()
+            # The reader that built `old` raced that write: it is served
+            # exactly the 8 rows it named, from a throw-away rebuild.
+            older, decoded = process._attached_relation(old)
+            assert older is not resident and decoded == 8
+            assert older.rows() == rel.rows()[:8]
+            assert process._attached[new.lineage][0] is resident
+            assert len(resident) == 10
+            # Two more rows absorb `new`'s tail run.  The resident copy
+            # takes the merged run's suffix; a manifest still naming the
+            # absorbed run fails typed — with or without a resident copy —
+            # and is never answered from the longer relation.
+            rel.add_rows([(10, "w10"), (11, "w11")])
+            newest = publisher.publish("0/t", rel)       # chain [8][4]
+            again, decoded = process._attached_relation(newest)
+            assert again is resident and decoded == 4
+            assert resident.rows() == rel.rows()
+            with pytest.raises(StaleManifest):
+                process._attached_relation(new)
+            process._attached.clear()
+            with pytest.raises(StaleManifest):
+                process._attached_relation(new)
+            assert not process._attached
+            del resident, older, again
+        finally:
+            publisher.close()
+
+    def test_lineages_not_versions_bound_the_cache(self, worker_state,
+                                                   monkeypatch):
+        monkeypatch.setattr(process, "_ATTACH_LIMIT", 2)
+        publisher = SharedPagePublisher()
+        rels = [Relation(_SCHEMA, [(i, "x")]) for i in range(3)]
+        try:
+            for round_ in range(3):                  # 3 versions of each
+                for i, rel in enumerate(rels):
+                    rel.add((round_, "y"))
+                    got, _ = process._attached_relation(
+                        publisher.publish(f"{i}/t", rel))
+                    assert got.rows() == rel.rows()
+            assert len(process._attached) == 2
+        finally:
+            publisher.close()
+
+    def test_workers_decode_the_write_not_the_shard(self):
+        """``rows_decoded`` obeys the publisher's bound: after k appends of
+        d rows the property the benchmark reports cannot have silently
+        returned to O(shard) per write."""
+        n, d, k = 256, 4, 24
+        rel = relation_from_rows(
+            "t", [("a", "int"), ("b", "string")],
+            [(i, f"w{i % 7}") for i in range(n)])
+        sharded = ShardedDatabase([rel], n_shards=1)
+        backend = ProcessBackend(n_shards=1, workers=1)
+        plan = AggregateP(ScanP("t", ("a", "b")), (e.Col("b"),),
+                          ((e.FuncCall("count", (e.Star(),)), "n"),
+                           (e.FuncCall("max", (e.Col("a"),)), "hi")))
+        try:
+            for step in range(k + 1):
+                want = VectorizedExecutor(sharded).batch(plan).rows()
+                assert sorted(backend.execute(plan, sharded)) == sorted(want)
+                sharded.add_rows("t", [(n + step * d + j, f"w{j}")
+                                       for j in range(d)])
+            counts = backend.execution_counts()
+            assert counts["scatter"] == k + 1
+            assert (counts["publish_full"], counts["publish_tail"]) == (1, k)
+            bound = n + k * d * (math.ceil(math.log2(k)) + 2)
+            assert n + k * d <= counts["rows_encoded"] <= bound
+            assert counts["rows_decoded"] == counts["rows_encoded"]
+            assert counts["runs_absorbed"] \
+                == 1 + k - counts["page_runs_live"]
+            assert 2 <= counts["page_runs_live"] \
+                <= math.ceil(math.log2(n / d)) + 2
+            assert counts["page_bytes_live"] > 0
+            assert counts["resident_lineages"] == 1
+            assert counts["stale_manifest"] == counts["pool_recovery"] == 0
+            assert all(type(value) is int for value in counts.values())
+        finally:
+            backend.close()
+            sharded.close()
+        assert backend.execution_counts()["resident_lineages"] == 0
+
+    def test_a_raced_manifest_is_answered_in_process_and_keeps_the_pool(
+            self, db, monkeypatch):
+        """A write republishes between building a manifest and running it:
+        the worker finds the named run unlinked.  That is not a broken
+        pool — same worker pids before and after, no re-fork."""
+        backend = ProcessBackend(n_shards=2, workers=2)
+        sharded = ShardedDatabase.from_database(db, 2)
+        plan = optimize(lower(_JOIN_SQL, db.schema, "sql"), db)
+        try:
+            execute_plan(plan, sharded, backend=backend)
+            pool = backend._exec_pool
+            pids = set(pool._processes)
+            publish = backend._publish
+
+            def raced(compiled, target):
+                target.add_row("Reserves", (22, 101, "2025/01/01"))
+                manifests = publish(compiled, target)    # names a 1-row run
+                target.add_row("Reserves", (22, 102, "2025/01/02"))
+                publish(compiled, target)                # ... absorbed here
+                return manifests
+
+            monkeypatch.setattr(backend, "_publish", raced)
+            got = execute_plan(plan, sharded, backend=backend)
+            monkeypatch.undo()
+            want = execute_plan(plan, sharded, backend="vectorized")
+            assert want.bag_equal(got)
+            counts = backend.execution_counts()
+            assert counts["stale_manifest"] == 1
+            assert counts["pool_recovery"] == 0
+            assert backend._exec_pool is pool
+            assert pids <= set(pool._processes)
+            # The kept pool serves the next scatter (a worker decodes the
+            # two raced rows; which worker is the pool's business).
+            before = counts["rows_decoded"]
+            assert want.bag_equal(execute_plan(plan, sharded,
+                                               backend=backend))
+            counts = backend.execution_counts()
+            assert counts["rows_decoded"] >= before + 2
+            assert counts["stale_manifest"] == 1
+        finally:
+            backend.close()
+            sharded.close()
+
+    def test_a_replaced_relation_starts_a_new_lineage(self, db):
+        """``reshard()`` and ``add_relation`` hand the slot a new relation
+        object: full publish, new resident copy, old runs unlinked."""
+        backend = ProcessBackend(n_shards=2, workers=1)
+        sharded = ShardedDatabase.from_database(db, 2)
+        plan = optimize(lower(_JOIN_SQL, db.schema, "sql"), db)
+
+        def check(target):
+            want = execute_plan(plan, target, backend="vectorized")
+            assert want.bag_equal(execute_plan(plan, target, backend=backend))
+
+        try:
+            check(sharded)
+            sharded.add_row("Reserves", (22, 101, "2025/01/01"))
+            check(sharded)
+            before = _segments()
+            sharded.add_relation(Relation(
+                db.relation("Reserves").schema,
+                db.relation("Reserves").rows()[:6], validate=False))
+            check(sharded)
+            counts = backend.execution_counts()
+            assert counts["publish_full"] == 6 and counts["publish_tail"] == 1
+            assert counts["resident_lineages"] == 6
+            assert len(before - _segments()) == 3    # 2 bases + the tail run
+            wider = reshard(sharded, 3)
+            sharded.close()
+            sharded = wider
+            check(sharded)
+            assert backend.execution_counts()["page_runs_live"] == 6
+        finally:
+            backend.close()
+            sharded.close()
+
+    def test_counts_reach_the_metrics_endpoint(self, db):
+        """write, scatter, write, scatter, ``GET /metrics``."""
+        import http.client
+        import json
+
+        from repro.server import ServerThread
+
+        service = ShardedQueryService(db, backend="process", n_shards=2,
+                                      workers=2)
+        before = _segments()
+        with ServerThread(service) as server:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                              timeout=60)
+
+            def call(method, path, body=None):
+                conn.request(method, path,
+                             None if body is None else json.dumps(body))
+                response = conn.getresponse()
+                assert response.status == 200, response.read()
+                return json.loads(response.read())
+
+            for day in ("2025/02/01", "2025/02/02"):
+                call("POST", "/write", {"relation": "Reserves",
+                                        "rows": [[22, 101, day]]})
+                call("POST", "/query", {"text": _JOIN_SQL})
+            metrics = call("GET", "/metrics")
+            conn.close()
+        service.close()
+        assert metrics["exec_scatter"] == 2
+        assert metrics["exec_publish_full"] == 4
+        assert metrics["exec_publish_tail"] == 1
+        # Which of the two workers takes which shard is the pool's
+        # business: a shard seen by both is decoded by both.
+        assert metrics["exec_rows_decoded"] >= metrics["exec_rows_encoded"]
+        assert 4 <= metrics["exec_resident_lineages"] <= 8
+        assert metrics["exec_page_runs_live"] == 5
+        assert metrics["exec_page_bytes_live"] > 0
+        assert metrics["exec_stale_manifest"] == 0
+        assert _segments() <= before
 
 
 class TestWriterRacesProcessReaders:
@@ -470,24 +878,63 @@ print("SILENT")
         assert "SILENT" in result.stdout
         assert result.stderr == ""
 
+    def test_gc_of_the_database_unlinks_a_chain(self, db):
+        import gc
+
+        sharded = ShardedDatabase.from_database(db, 2)
+        publisher = sharded.page_publisher()
+        slot_relation = sharded.shard(0).relation("Sailors")
+        names = set()
+        for i in range(4):                   # 8, 4, 2, 1 rows: runs pile up
+            names.add(publisher.publish("0/sailors", slot_relation).name)
+            slot_relation.add_rows([(200 + i, "gc", 1, 20.0)] * 2 ** (3 - i))
+        names.add(publisher.publish("0/sailors", slot_relation).name)
+        linked = names & _segments()
+        assert len(linked) >= 3 and len(publisher.live_runs()) == len(linked)
+        del sharded, publisher, slot_relation
+        gc.collect()
+        assert not names & _segments()
+
     def test_clean_under_resource_warning_errors(self):
-        """The whole stack leaves no pools/segments behind at exit."""
+        """The whole stack leaves no pools/segments behind: after
+        ``close()`` and — for a publisher nobody closed — after interpreter
+        exit, with chains several runs long in both."""
         code = """
-import warnings
+import os
 from repro.core.sharded_service import ShardedQueryService
-from repro.data import sailors_database
+from repro.data import ShardedDatabase, sailors_database
 from repro.engine import run_query
+
+def leftover():
+    return [f for f in os.listdir("/dev/shm")
+            if f.startswith(f"repro-pg-{os.getpid()}-")]
 
 db = sailors_database()
 run_query("SELECT S.sname FROM Sailors S WHERE S.rating > 5", db,
           backend="parallel")
+join = ("SELECT S.sname, R.bid FROM Sailors S, Reserves R "
+        "WHERE S.sid = R.sid")
 with ShardedQueryService(backend="process", n_shards=2, workers=2) as svc:
-    svc.answer("SELECT S.sname, R.bid FROM Sailors S, Reserves R "
-               "WHERE S.sid = R.sid")
-import os
-leftover = [f for f in os.listdir("/dev/shm") if f.startswith("repro-pg")]
-assert not leftover, leftover
+    svc.add_rows("Reserves", [(22, 101, f"2025/03/{d:02d}")
+                              for d in range(1, 20)])
+    for day in range(1, 8):
+        svc.answer(join)
+        svc.add_row("Reserves", (22, 102, f"2025/04/{day:02d}"))
+    svc.answer(join)
+    counts = svc.execution_counts()
+    assert counts["publish_tail"] == 7 and counts["page_runs_live"] >= 6
+    assert len(leftover()) == counts["page_runs_live"]
+assert not leftover(), leftover()
 print("CLEAN")
+# A publisher nobody closes: its exit hook has to unlink the chain.
+orphan = ShardedDatabase.from_database(db, 2)
+reserves = orphan.shard(0).relation("Reserves")
+for i in range(4):
+    orphan.page_publisher().publish("0/reserves", reserves)
+    reserves.add_rows([(22, 103, "2025/05/01")] * 2 ** (3 - i))
+orphan.page_publisher().publish("0/reserves", reserves)
+assert len(leftover()) >= 3
+print("PID", os.getpid())
 """
         env = dict(os.environ, PYTHONPATH="src")
         result = subprocess.run(
@@ -498,3 +945,6 @@ print("CLEAN")
         assert result.returncode == 0, result.stderr
         assert "CLEAN" in result.stdout
         assert "ResourceWarning" not in result.stderr
+        pid = result.stdout.split("PID")[1].split()[0]
+        assert not [f for f in _segments()
+                    if f.startswith(f"{SEGMENT_PREFIX}-{pid}-")]

@@ -551,6 +551,35 @@ class TestInvariantLint:
         assert [v for v in invariants.run_checks(root)
                 if v.rule == "lock-guarded-cache"] == []
 
+    def test_publisher_slots_mutated_outside_the_lock(self, invariants,
+                                                      fixture_repo):
+        root = fixture_repo("src/repro/data/sharded.py", """\
+            import threading
+            import weakref
+            from multiprocessing import shared_memory
+
+            class SharedPagePublisher:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._slots = {}
+                    self._finalizer = weakref.finalize(self, print)
+
+                def publish(self, slot, relation):
+                    with self._lock:
+                        entry = self._slots.get(slot)     # reads are free
+                        self._slots[slot] = entry = object()
+                    return entry
+
+                def forget(self, slot):
+                    self._slots.pop(slot, None)
+                    shared_memory.SharedMemory(create=True, size=1).unlink()
+            """)
+        violations = [v for v in invariants.run_checks(root)
+                      if v.path.endswith("sharded.py")]
+        assert [(v.rule, v.line) for v in violations] \
+            == [("lock-guarded-cache", 18)]
+        assert "_slots" in violations[0].message
+
     def test_shared_memory_without_release_path(self, invariants,
                                                 fixture_repo):
         root = fixture_repo("src/repro/data/pages.py", """\

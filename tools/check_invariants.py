@@ -8,8 +8,9 @@ Rules (see tools/README.md for how to add one):
     Shared mutable caches — the serving layer's ``_LRUCache`` data, the
     optimizer's per-relation table profiles (the ``profile_cache`` slot
     ``repro.engine.stats`` keeps on each relation), the kernel layer's
-    module-level build-structure LRU, and the query service's materialized-
-    view registry (``_views`` / ``_views_by_name``) — may only be mutated
+    module-level build-structure LRU, the query service's materialized-
+    view registry (``_views`` / ``_views_by_name``), and the shared-memory
+    page publisher's slot table (``_slots``) — may only be mutated
     inside a ``with <their lock>:`` block or the body of an ``if
     <their lock>.acquire(blocking=False):`` try-lock (class ``__init__``
     excepted: the object is not shared yet).
@@ -100,6 +101,10 @@ CACHE_RULES: tuple[tuple[str, str, frozenset, str], ...] = (
     # so all registry mutations must hold the service write lock.
     ("src/repro/core/service.py", "class:QueryService",
      frozenset({"_views", "_views_by_name"}), "_write_lock"),
+    # The page publisher's slot table: which runs are linked.  A slot
+    # replaced outside the lock could strand a chain's segments unlinked.
+    ("src/repro/data/sharded.py", "class:SharedPagePublisher",
+     frozenset({"_slots"}), "_lock"),
 )
 
 
