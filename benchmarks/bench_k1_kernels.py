@@ -1,5 +1,5 @@
-"""Experiment K1: kernel microbenchmarks — probe, DISTINCT and string
-MIN/MAX vs fallback.
+"""Experiment K1: kernel microbenchmarks — probe, DISTINCT, group-by and
+string MIN/MAX vs fallback.
 
 Isolates the numpy kernels of :mod:`repro.engine.kernels` from the
 backend transports the E-series experiments measure.  Each cell runs one
@@ -22,7 +22,20 @@ kernel declines to when numpy is absent — on a synthetic star schema:
   the fuzz suite and E6's join chain);
 * **minmax-str** — grouped ``MIN``/``MAX`` over a high-cardinality string
   column: dictionary codes are order-preserving, so the extrema reduce on
-  int codes and only one string per group is decoded.
+  int codes and only one string per group is decoded;
+* **probe-filtered-build-10 / -90** — fact⋈σ(dim) keeping 2 and 21 of the
+  23 regions: the build side is a new batch every query, so its structure
+  is lowered from the dim columns' encodings at the filter's selection —
+  no Python hash table — and dropped with the query;
+* **probe-fanout** — a 100-row table probing the whole fact table on a
+  97-value key, counted per value: the probe reads 100 rows and emits
+  every fact row, so it is offered to the kernel for what it emits (the
+  fan-out is read off the fact table's maintained ``key_index``) and the
+  group-by consumes index arrays (emitting the rows themselves would time
+  48k tuple allocations on both sides and little else);
+* **groupby-int-dense** — ``COUNT``/``MIN``/``MAX`` per value of a 97-value
+  int key over a filtered fact table: offset codes and one radix sort
+  serve the group ids and the MIN/MAX segments alike.
 
 Gated: every family must beat the fallback by ``GATE_SPEEDUP`` at the
 largest size (answers are bag-equal asserted per cell).  The artifact
@@ -89,11 +102,24 @@ WORKLOADS = {
     "minmax-str": (
         "SELECT f.cat, MIN(f.tag) AS lo, MAX(f.tag) AS hi FROM fact f "
         "GROUP BY f.cat"),
+    "probe-filtered-build-10": (
+        "SELECT d.k FROM fact f, dim d WHERE f.fk = d.k "
+        "AND d.region < 'r02'"),
+    "probe-filtered-build-90": (
+        "SELECT d.k FROM fact f, dim d WHERE f.fk = d.k "
+        "AND d.region < 'r21'"),
+    "probe-fanout": (
+        "SELECT b.b, COUNT(*) AS n, MAX(f.fk) AS hi FROM buckets b, fact f "
+        "WHERE b.b = f.bucket GROUP BY b.b"),
+    "groupby-int-dense": (
+        "SELECT f.bucket, COUNT(*) AS n, MIN(f.fk) AS lo, MAX(f.fk) AS hi "
+        "FROM fact f WHERE f.fk > 10 GROUP BY f.bucket"),
 }
 
 
 def synthetic_star(n_fact: int, seed: int = 7) -> Database:
-    """A fact⋈dim star with int, string, and low-cardinality columns.
+    """A fact⋈dim star with int, string, and low-cardinality columns, and
+    the 100 candidate values of ``fact.bucket`` (97 occur).
 
     Deterministic congruential mixing instead of :mod:`random`: the rows
     only need to be well-shuffled, and arithmetic keeps generation far
@@ -115,7 +141,9 @@ def synthetic_star(n_fact: int, seed: int = 7) -> Database:
         [("fk", "int"), ("tag", "string"), ("cat", "string"),
          ("bucket", "int")],
         fact_rows)
-    return Database([dim, fact])
+    buckets = relation_from_rows("buckets", [("b", "int")],
+                                 [(i,) for i in range(100)])
+    return Database([dim, fact, buckets])
 
 
 def _best_of(fn, reps: int = 5, warm: int = 2):

@@ -261,12 +261,15 @@ class QueryResult:
 
     def to_payload(self) -> dict[str, Any]:
         """The JSON-serializable wire form (no Relation objects)."""
+        return self._payload([list(row) for row in self.rows])
+
+    def _payload(self, rows: Any) -> dict[str, Any]:
         version = self.version
         if isinstance(version, tuple):
             version = list(version)
         return {
             "columns": list(self.columns),
-            "rows": [list(row) for row in self.rows],
+            "rows": rows,
             "row_count": len(self.rows),
             "language": self.language,
             "fingerprint": self.fingerprint,
@@ -277,12 +280,15 @@ class QueryResult:
     def encode(self) -> bytes:
         """``json.dumps(self.to_payload())`` as UTF-8, encoded once and kept.
 
-        O(rows) the first time: a protocol front end calls it off its event
-        loop and frames later replies from :attr:`encoded`.
+        ``json`` writes a tuple as an array, so the rows are serialized as
+        they are — byte for byte what the lists of :meth:`to_payload` give,
+        without copying each row first.  O(rows) the first time: a protocol
+        front end calls it off its event loop and frames later replies from
+        :attr:`encoded`.
         """
         body = self.encoded
         if body is None:
-            body = json.dumps(self.to_payload()).encode("utf-8")
+            body = json.dumps(self._payload(self.rows)).encode("utf-8")
             object.__setattr__(self, "encoded", body)
         return body
 
@@ -432,17 +438,20 @@ class ServiceBase:
         return handle.try_hit()
 
     def execution_counts(self) -> dict[str, int]:
-        """Default backend counters: the process-wide verifier tallies.
+        """Default backend counters: the process-wide verifier tallies and
+        the kernel layer's counted paths (``probe_*``, ``build_*``,
+        ``sel_converted``, ``sort_*``).
 
         Single-node backends keep no routing counters; sharded services
         override this with their private backend's scatter/single-shard/
-        fallback and kernel-cache counts (which already merge the verifier
-        tallies), so the return shape — a flat ``dict[str, int]`` — is the
+        fallback and kernel-cache counts (which already merge both of the
+        above), so the return shape — a flat ``dict[str, int]`` — is the
         same everywhere.
         """
+        from repro.engine.kernels import path_counts
         from repro.engine.verify import verification_counts
 
-        return dict(verification_counts())
+        return {**verification_counts(), **path_counts()}
 
 
 __all__ = [

@@ -458,20 +458,26 @@ class Relation:
         for row in rows:
             self.add(row, validate=validate)
 
-    def _adopt_rows(self, rows: list[Any]) -> bool:
+    def _adopt_rows(self, rows: list[Any], *, log: bool = True) -> bool:
         """Bulk-load a fresh relation from already-normalized rows, or decline.
 
         Engine results arrive as a list of schema-arity tuples; appending
         them one :meth:`add` at a time costs more than some of the queries
-        that produced them.  The state left behind is exactly what the
-        per-row build leaves: one version per row, and the delta log's
-        bounded tail.  No lazy cache exists yet, so none needs maintaining.
+        that produced them.  With ``log`` the state left behind is exactly
+        what the per-row build leaves — one version per row and the delta
+        log's bounded tail, which views of a base table, a shard or a
+        worker's resident copy catch up from.  An *answer* (``log=False``:
+        :func:`repro.engine.execute.build_result_relation`) is frozen at
+        publication and nothing is maintained from it, so it carries no log:
+        its floor is its version, and ``delta_since`` below that says
+        "rebuild" as for any evicted anchor.  No lazy cache exists yet, so
+        none needs maintaining.
         """
         if not set(map(type, rows)) <= {tuple} \
                 or not set(map(len, rows)) <= {self.schema.arity}:
             return False  # dicts, lists, wrong arity: normalize row by row
         n = len(rows)
-        kept = min(n, self.DELTA_LOG_LIMIT)
+        kept = min(n, self.DELTA_LOG_LIMIT) if log else 0
         self._rows = rows
         self._delta_log = deque(zip(range(n - kept + 1, n + 1),
                                     rows[n - kept:]))
@@ -725,6 +731,14 @@ class Relation:
                 self._column_store = store
         return store
 
+    def held_key_index(self, positions: Sequence[int], *,
+                       skip_nulls: bool = True) -> dict[Any, list[int]] | None:
+        """The current :meth:`key_index` if one is cached — never builds it."""
+        cached = self._key_indexes.get((tuple(positions), skip_nulls))
+        if cached is not None and cached[0] == self._version:
+            return cached[1]
+        return None
+
     def key_index(self, positions: Sequence[int], *,
                   skip_nulls: bool = True) -> dict[Any, list[int]]:
         """A hash index from key values to *row positions* (bag order).
@@ -739,10 +753,10 @@ class Relation:
         view refresh independent of base-table size.  An index whose tag
         fell behind anyway (a build raced a writer) is rebuilt on demand.
         """
+        held = self.held_key_index(positions, skip_nulls=skip_nulls)
+        if held is not None:
+            return held
         key = (tuple(positions), skip_nulls)
-        cached = self._key_indexes.get(key)
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
         # Snapshot the version *before* reading the arrays: if an add races
         # the build, the stored tag is stale and the next call rebuilds.
         version = self._version

@@ -30,10 +30,12 @@ class Vector:
     ``sel is None`` means the column *is* ``data``; otherwise position ``i``
     of the column is ``data[sel[i]]``.  Selections compose without touching
     the base arrays, which is what keeps multi-join pipelines cheap.  A
-    selection is normally a Python list of ints; the kernel layer's probe
-    and DISTINCT kernels hand back numpy index arrays instead, which
-    compose in C (:func:`_take`) and convert to Python ints only when a
-    column is materialized.
+    selection is a Python list of ints below the kernel gate and a numpy
+    index array from it up: the kernels hand back index arrays, and what a
+    Python loop emits at gate size is converted where it is produced
+    (:func:`repro.engine.kernels.index_array`), so no consumer converts it
+    again.  Index arrays compose in C (:func:`_take`) and become Python
+    ints only when a column is materialized.
 
     ``nd`` is the kernel layer's hook: scans set it to ``(store, index)``
     naming the backing :class:`~repro.data.relation.ColumnStore` column, and
@@ -129,6 +131,53 @@ def _exact(vector: Vector, length: int) -> list[Any]:
     """
     data = vector.materialize()
     return data if len(data) == length else data[:length]
+
+
+def _key_columns(batch: Batch, idx: list[int]) -> list[list[Any]]:
+    return [_exact(batch.vectors[i], batch.length) for i in idx]
+
+
+def _iter_key_list(key_columns: list[list[Any]], length: int):
+    if len(key_columns) == 1:
+        return key_columns[0]
+    if not key_columns:
+        return [()] * length
+    return zip(*key_columns)
+
+
+def _needs_null_check(key_columns: list[list[Any]], null_matches: bool) -> bool:
+    """Whether the per-row NULL guard is needed at all.
+
+    ``None in column`` is a single C-speed containment scan; NULL-free key
+    columns (the overwhelmingly common case) then run the guard-free loops.
+    """
+    return not null_matches and any(None in column for column in key_columns)
+
+
+def _build_hash_table(batch: Batch, idx: list[int],
+                      null_matches: bool) -> dict[Any, list[int]]:
+    table: dict[Any, list[int]] = {}
+    get = table.get
+    key_columns = _key_columns(batch, idx)
+    keys = _iter_key_list(key_columns, batch.length)
+    if _needs_null_check(key_columns, null_matches):
+        single = len(idx) == 1
+        for j, key in enumerate(keys):
+            if (key is None) if single else (None in key):
+                continue
+            bucket = get(key)
+            if bucket is None:
+                table[key] = [j]
+            else:
+                bucket.append(j)
+        return table
+    for j, key in enumerate(keys):
+        bucket = get(key)
+        if bucket is None:
+            table[key] = [j]
+        else:
+            bucket.append(j)
+    return table
 
 
 def _column_position(expr: e.Expr, columns: tuple[str, ...]) -> int | None:

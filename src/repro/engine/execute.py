@@ -710,7 +710,11 @@ def build_result_relation(columns: Sequence[str], rows: list[Row],
                     dtype = DataType.STRING
                 break
         attributes.append(Attribute(attr_name, dtype))
-    return Relation(RelationSchema(name, tuple(attributes)), rows, validate=False)
+    schema = RelationSchema(name, tuple(attributes))
+    answer = Relation(schema)
+    if answer._adopt_rows(list(rows), log=False):  # an answer keeps no log
+        return answer
+    return Relation(schema, rows, validate=False)
 
 
 def run_query(query: Any, db: Database, language: str | None = None,

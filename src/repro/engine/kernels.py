@@ -23,8 +23,19 @@ holds int codes into a sorted ``dictionary`` (numpy ``<U`` order equals
 Python ``str`` order — both compare by code point), so string selections,
 probes, group-bys, DISTINCT and MIN/MAX all run on integers.  Multi-key
 joins pack per-column codes into one int64 (guarded against overflow) and
-probe the lexicographically sorted build side with two ``searchsorted``
-calls.
+probe the lexicographically sorted build side with one ``searchsorted``.
+
+**From the gate up a batch is numpy from scan to the final row build, and
+a bounded integer domain is never comparison-sorted or binary-searched.**
+Dictionary codes, and int columns whose span fits, are such domains:
+group-by, DISTINCT and build sides order their codes with
+:func:`_stable_order` (numpy's radix sort, one or two 16-bit digits — a
+group-by sorts once, the order that numbers its groups being the segment
+view MIN/MAX reduce over) and read group ids, first occurrences and build
+domains off presence vectors and prefix sums (:func:`_presence`,
+:func:`_dense_lut`).  What a Python loop still emits at gate size becomes
+an index array once, where it is produced (:func:`index_array`); which
+path each query took is counted (:func:`path_counts`).
 
 Anything outside these windows falls back to the unmodified Python loop,
 so every backend stays bag-identical whether or not numpy is present —
@@ -52,9 +63,11 @@ surface through :func:`cache_stats` and, per backend, through
 ``ShardedBackend.execution_counts()``.  An entry is keyed on its encodings'
 identity and holds them, so replacing an encoding strands whatever was
 derived from it: :func:`store_encoding` drops those entries as it replaces
-the encoding.  The structure of a per-query hash table (a filtered or
-joined build side) is built for its one probe and never cached: nothing
-could ever look it up again.
+the encoding.  The structure of a per-query build side (a filtered or
+joined batch: :class:`BuildSide`) is lowered the same way — from the key
+vectors' encodings at the batch's selection, never by translating a Python
+hash table, which is built only for the probe that runs the loop — and is
+dropped with its one probe: nothing could ever look it up again.
 
 The kernels are not an executor: the one columnar executor
 (:class:`~repro.engine.vectorized.VectorizedExecutor`) offers each of its
@@ -74,7 +87,14 @@ from collections import OrderedDict
 from typing import Any, Callable
 
 from repro.data.relation import Relation
-from repro.engine.batch import Batch, Vector, _column_position, _exact, _take
+from repro.engine.batch import (
+    Batch,
+    Vector,
+    _build_hash_table,
+    _column_position,
+    _exact,
+    _take,
+)
 from repro.engine.plan import AggregateP
 from repro.expr import ast as e
 
@@ -90,17 +110,71 @@ except Exception:  # pragma: no cover
 #: the kernels run the catalog ~3x *slower* than the loops they replace
 #: (83 -> 244 us median), at 48k rows 1.5-5x faster.  Per operator the two
 #: cross below 100 rows (selections, group-bys), near 500 (the probe of a
-#: relation's cached build structure) and near 2k (DISTINCT); the probe of
-#: a per-query hash table breaks even later still (~8k), its lowering being
-#: paid per query.  2048 is where the last of the common ones stops losing
-#: (CHANGES.md, PR 15).  The probe adds a snapshot build side's rows to its
-#: batch (:meth:`RelationBuild.snapshot_rows`).  A constant, not a setting:
-#: the crossover is a property of the interpreter and numpy, not of a
-#: deployment.
+#: relation's cached build structure) and near 2k (DISTINCT).  2048 is
+#: where the last of the common ones stops losing (CHANGES.md, PR 15).
+#: Selections, group-bys and DISTINCT count the rows of their batch.  A
+#: probe counts the rows at stake (:meth:`BuildSide.rows_at_stake`): the
+#: rows it reads *or emits* — 100 boats that emit 48k reservations hand 48k
+#: rows to every operator above them — plus the build rows that must be
+#: indexed for this query alone (a per-query batch, a snapshot relation).
+#: A constant, not a setting: the crossover is a property of the
+#: interpreter and numpy, not of a deployment.
 KERNEL_MIN_ROWS = 2048
 
 #: Shared empty selection for probes with no matches (never mutated).
 _EMPTY_SEL: Any = np.empty(0, dtype=np.intp) if np is not None else []
+
+
+def index_array(sel: Any) -> Any:
+    """A Python loop's list of positions as later operators should carry
+    it: from the gate up each ``_gather`` / ``_take`` would turn it into an
+    index array again, so it is converted once, where it is produced."""
+    if type(sel) is list and len(sel) >= KERNEL_MIN_ROWS and kernels_enabled():
+        count_path("sel_converted")
+        return np.asarray(sel, dtype=np.intp)
+    return sel
+
+
+#: ``_stable_order`` sorts by at most two 16-bit digits: keys (and int
+#: spans taken as offset codes) below this are radix-sortable.
+_RADIX_SPAN = 1 << 32
+
+
+def _stable_order(keys: Any, bound: "int | None") -> Any:
+    """Stable argsort of ``keys``; radix when ``0 <= keys <= bound`` allows.
+
+    numpy's stable argsort of a 16-bit dtype is a radix sort (0.4 ms for
+    41k keys where the int64 merge sort takes 2.1): one pass below 2**16,
+    two below 2**32 (low digit, then high digit over that order — LSD, so
+    still stable).  ``None`` or a wider bound is the comparison sort.
+    """
+    if bound is None or bound >= _RADIX_SPAN:
+        count_path("sort_compare")
+        return np.argsort(keys, kind="stable")
+    count_path("sort_radix")
+    if bound < 1 << 16:
+        return np.argsort(keys.astype(np.uint16), kind="stable")
+    order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+    high = (keys >> 16).astype(np.uint16)
+    return order[np.argsort(high[order], kind="stable")]
+
+
+def _run_flags(ordered: Any) -> Any:
+    """Boolean per element of a sorted array: does it start a run?"""
+    flags = np.empty(ordered.size, dtype=np.bool_)
+    if ordered.size:
+        flags[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=flags[1:])
+    return flags
+
+
+def _presence(positions: Any, n: int) -> Any:
+    """Boolean per slot of ``range(n)``: is it among ``positions``?  Its
+    ``flatnonzero`` is the distinct positions ascending and its ``cumsum``
+    ranks them — direct addressing where a sort or a search would go."""
+    present = np.zeros(n, dtype=np.bool_)
+    present[positions] = True
+    return present
 
 
 def _unique(values: Any) -> Any:
@@ -112,13 +186,28 @@ def _unique(values: Any) -> Any:
     set some 4x slower than this sort-and-compare.  (With ``return_index`` or
     ``return_inverse`` it does neither, so those calls stay ``np.unique``.)
     """
+    count_path("sort_compare")
     ordered = np.sort(values)
-    if ordered.size < 2:
-        return ordered
-    keep = np.empty(ordered.size, dtype=np.bool_)
-    keep[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
-    return ordered[keep]
+    return ordered[_run_flags(ordered)]
+
+
+def _codes(values: Any, kind: str, dictionary: Any) -> tuple[Any, int]:
+    """``(codes, cardinality)``: ints in ``[0, cardinality)``, equal exactly
+    where the NaN-free ``values`` are.  Dictionary codes are that already;
+    an int column whose span :func:`_stable_order` can radix-sort takes
+    offset codes (a subtraction); floats and wider ints are ranked by one
+    comparison sort."""
+    if kind == "s":
+        return values, max(len(dictionary), 1)
+    if kind == "i" and values.size:
+        lo, hi = int(values.min()), int(values.max())
+        if hi - lo < _RADIX_SPAN:
+            return values - lo, hi - lo + 1
+    order = _stable_order(values, None)
+    flags = _run_flags(values[order])
+    ranks = np.empty(values.size, dtype=np.int64)
+    ranks[order] = np.cumsum(flags) - 1
+    return ranks, max(int(np.count_nonzero(flags)), 1)
 
 #: ints beyond this magnitude are not exactly representable as float64;
 #: int/float cross-comparisons must then stay in Python (which compares
@@ -167,10 +256,10 @@ class ColumnEncoding:
         #: and equi-joins evaluate directly on the code array.
         self.dictionary: Any = None
         #: Cached group-by structure for aggregations keyed on this whole
-        #: column: ``(token, n, gid, reps, order, sorted_gid, starts)``.
+        #: column: ``(token, n, gid, reps, (order, sorted_gid, starts))``.
         #: Encodings live in the column store's ``kernel_cache``, so over an
-        #: immutable (e.g. shared-memory attached) relation the two O(n log n)
-        #: sorts behind a group-by are paid once, not per query.
+        #: immutable (e.g. shared-memory attached) relation the sort behind
+        #: a group-by is paid once, not per query.
         self.grouping: tuple | None = None
 
 
@@ -409,16 +498,41 @@ _CACHE_TOTALS = {"hits": 0, "misses": 0, "evictions": 0}
 _MISSING = object()
 
 
+#: Counted reasons (process-wide, :func:`path_counts`): which side of each
+#: run-time choice this module and its executor took.
+_PATH_TOTALS = dict.fromkeys(
+    ("probe_kernel", "probe_loop", "build_lowered", "build_dict",
+     "sel_converted", "sort_radix", "sort_compare"), 0)
+
+
+def count_path(key: str) -> None:
+    """Count one ``probe_*`` / ``build_*`` / ``sel_converted`` / ``sort_*``."""
+    with _CACHE_LOCK:
+        _PATH_TOTALS[key] += 1
+
+
+def path_counts() -> dict[str, int]:
+    """The process-wide path counters (``exec_*`` on ``/metrics``)."""
+    with _CACHE_LOCK:
+        return dict(_PATH_TOTALS)
+
+
 def _sink_bump(sink: "dict[str, int] | None", key: str) -> None:
     if sink is not None:
         sink[key] = sink.get(key, 0) + 1
 
 
-def _cache_get(key: Any, anchors: tuple, sink: "dict[str, int] | None") -> Any:
+def _cache_get(key: Any, anchors: tuple, sink: "dict[str, int] | None",
+               *, peek: bool = False) -> Any:
+    """The payload under ``key``, or ``_MISSING``.  A ``peek`` neither
+    counts nor refreshes the entry: it asks what is held, it is not a use."""
     with _CACHE_LOCK:
         entry = _CACHE.get(key)
-        if entry is not None and len(entry[0]) == len(anchors) and all(
-                a is b for a, b in zip(entry[0], anchors)):
+        hit = entry is not None and len(entry[0]) == len(anchors) and all(
+            a is b for a, b in zip(entry[0], anchors))
+        if peek:
+            return entry[1] if hit else _MISSING
+        if hit:
             _CACHE.move_to_end(key)
             _CACHE_TOTALS["hits"] += 1
             _sink_bump(sink, "kernel_cache_hits")
@@ -664,69 +778,77 @@ class _BuildStructure:
 
     Per key column, ``columns`` holds ``(kind, domain, exact)`` where
     ``domain`` is the sorted distinct build keys of that column (for
-    dictionary-coded strings: the dictionary itself).  Every build value
-    maps to ``2 * code + 1``; probe values map to ``2 * insertion +
-    present`` against the same domain, so values absent from the build
-    side land on even codes and never match, while the mapping stays
-    monotone — multi-key tuples then pack into one int64 with per-column
-    radix ``2 * |domain| + 1`` (overflow-guarded).  ``positions`` holds
-    bucket row positions grouped by packed key (buckets in key order,
-    positions ascending within each — the sequential probe's emission
-    order); ``ukeys``/``starts`` delimit the buckets, so a probe is one
-    ``searchsorted`` into the unique keys — or none at all for a single
-    key column, where the domain covers every build key by construction
-    and the domain code *is* the bucket index.
+    dictionary-coded strings: the dictionary entries present — the
+    dictionary itself when all are).  Every build value maps to
+    ``2 * code + 1``; probe values map to ``2 * insertion + present``
+    against the same domain, so values absent from the build side land on
+    even codes and never match, while the mapping stays monotone —
+    multi-key tuples then pack into one int64 with per-column radix
+    ``2 * |domain| + 1`` (overflow-guarded).  ``positions`` holds bucket
+    row positions grouped by packed key (buckets in key order, positions
+    ascending within each — the sequential probe's emission order: one
+    :func:`_stable_order` of the packed codes, a radix sort whenever their
+    bound allows); ``ukeys``/``starts`` delimit the buckets, so a probe is
+    one ``searchsorted`` into the unique keys — or none at all for a single
+    key column, where the domain covers every build key by construction and
+    the domain code *is* the bucket index.
 
-    For integer columns whose domain is dense (the usual surrogate-key
-    case), ``luts`` additionally holds ``(lo, table)`` with the m code of
-    every value in ``[lo, lo + len(table))`` precomputed: the per-probe
-    ``searchsorted`` (a binary search per element) collapses to one
-    subtract + fancy index.  The table is part of the cached structure,
-    so its cost is paid once per build side.
+    ``luts`` holds, per int column :func:`_dense_lut` admitted, ``(lo,
+    table)`` with the m code of every value in ``[lo, lo + len(table))``:
+    build and probe values are then addressed directly (one subtract + one
+    fancy index) instead of binary-searched.
     """
 
     __slots__ = ("ukeys", "starts", "counts", "positions", "columns",
                  "luts", "nbytes", "shared")
 
-    def __init__(self, packed: Any, positions: Any, columns: tuple) -> None:
+    def __init__(self, packed: Any, bound: int, positions: Any,
+                 columns: tuple, luts: tuple) -> None:
         #: Whether the structure lives in the derived-structure cache (a
         #: relation's build side) rather than for one query.
         self.shared = False
-        order = np.argsort(packed, kind="stable")
+        order = _stable_order(packed, bound)
         sorted_packed = packed[order]
         self.positions = positions[order]
-        self.ukeys, first = np.unique(sorted_packed, return_index=True)
+        first = np.flatnonzero(_run_flags(sorted_packed))
+        self.ukeys = sorted_packed[first]
         self.starts = np.append(first, len(sorted_packed))
         self.counts = np.diff(self.starts)
         self.columns = columns
-        self.luts = tuple(_dense_lut(kind, domain)
-                          for kind, domain, _exact in columns)
+        self.luts = luts
         self.nbytes = int(self.ukeys.nbytes) + int(self.starts.nbytes) \
             + int(self.counts.nbytes) + int(self.positions.nbytes) + sum(
                 int(domain.nbytes) for _kind, domain, _exact in columns) \
-            + sum(int(lut[1].nbytes) for lut in self.luts
-                  if lut is not None)
+            + sum(int(lut[1].nbytes) for lut in luts if lut is not None)
 
 
 #: A dense-int lookup table may span at most this many slots (8 MiB of
-#: int64 codes) regardless of how sparse the build keys are.
+#: int64 codes) regardless of how many build keys it serves.
 _LUT_SPAN_LIMIT = 1 << 20
 
 
-def _dense_lut(kind: str, domain: Any) -> "tuple[int, Any] | None":
-    """``(lo, m_codes)`` over the domain's span, or ``None`` if too sparse."""
-    if kind != "i" or len(domain) == 0 \
-            or not np.issubdtype(domain.dtype, np.integer):
+def _dense_lut(kind: str, values: Any, rows: int
+               ) -> "tuple[int, Any] | None":
+    """``(lo, m_codes)`` over the span of an int key column, or ``None``.
+
+    The table is prefix sums over a presence vector, O(span) adds; what it
+    replaces is a sort of the keys and a binary search for each of the
+    ``rows`` build and probe values, O(rows log n) compares.  It is admitted
+    when the span is no larger than that — a cost comparison, not a density
+    rule: 4800 keys over 24k slots are worth a table to a 48k-row probe.
+    """
+    n = len(values)
+    if kind != "i" or n == 0:
         return None
-    lo, hi = int(domain[0]), int(domain[-1])
+    lo, hi = int(values.min()), int(values.max())
     span = hi - lo + 1
-    if span > max(4 * len(domain), 1024) or span > _LUT_SPAN_LIMIT:
+    if span > min(rows * n.bit_length(), _LUT_SPAN_LIMIT):
         return None
-    return lo, _domain_codes(domain, np.arange(lo, lo + span,
-                                               dtype=np.int64))
+    present = _presence(values - lo, span)
+    return lo, 2 * (np.cumsum(present) - present) + present
 
 
-def _lut_codes(lut: "tuple[int, Any]", domain: Any, values: Any) -> Any:
+def _lut_codes(lut: "tuple[int, Any]", d: int, values: Any) -> Any:
     """``_domain_codes`` via the dense table; exact same m codes."""
     lo, table = lut
     shifted = values.astype(np.int64, copy=False) - lo
@@ -736,24 +858,21 @@ def _lut_codes(lut: "tuple[int, Any]", domain: Any, values: Any) -> Any:
         m[below] = 0  # insertion point 0, not present
     above = shifted >= len(table)
     if above.any():
-        m[above] = 2 * len(domain)  # insertion point d, not present
+        m[above] = 2 * d  # insertion point d, not present
     return m
 
 
-def _radix_limit_ok(radixes: list[int]) -> bool:
-    limit = 1
-    for radix in radixes:
-        if limit > _SUM_BOUND // radix:
-            return False
-        limit *= radix
-    return True
-
-
-def _pack(m_arrays: list[Any], radixes: list[int]) -> Any:
-    combined = m_arrays[0].astype(np.int64, copy=False)
-    for m, radix in zip(m_arrays[1:], radixes[1:]):
-        combined = combined * radix + m
-    return combined
+def _pack(coded: "list[tuple[Any, int]]") -> "tuple[Any, int] | None":
+    """``(codes, cardinality)`` columns packed into one int64 per row, first
+    column most significant, with the product of the cardinalities — or
+    ``None`` past what int64 holds."""
+    packed, limit = coded[0]
+    for codes, cardinality in coded[1:]:
+        if limit > _SUM_BOUND // cardinality:
+            return None
+        packed = packed.astype(np.int64, copy=False) * cardinality + codes
+        limit *= cardinality
+    return packed, limit
 
 
 def _domain_codes(domain: Any, values: Any) -> Any:
@@ -768,116 +887,59 @@ def _domain_codes(domain: Any, values: Any) -> Any:
     return 2 * ins.astype(np.int64, copy=False) + present
 
 
-def _structure_from_table(table: dict[Any, list[int]],
-                          n_keys: int) -> _BuildStructure | None:
-    """Lower a Python hash table's keys/buckets, or ``None`` when ineligible."""
-    keys = list(table.keys())
-    if n_keys == 1:
-        key_columns: list[list[Any]] = [keys]
-    else:
-        key_columns = [list(column) for column in zip(*keys)]
-        if len(key_columns) != n_keys:
-            return None
-    lowered = []
-    for column in key_columns:
-        kind = ""
-        for v in column:
-            t = type(v)
-            if t is int:
-                k = "i"
-            elif t is float:
-                k = "f"
-                if v != v:
-                    return None  # NaN build key: Python matches by identity
-            elif t is str:
-                k = "s"
-            else:
-                return None
-            if not kind:
-                kind = k
-            elif kind != k:
-                return None
-        if kind == "i":
-            try:
-                arr = np.asarray(column, dtype=np.int64)
-            except OverflowError:
-                return None
-            exact = bool((np.abs(arr) <= _EXACT_FLOAT_BOUND).all()) \
-                if arr.size else True
-        elif kind == "f":
-            arr = np.asarray(column, dtype=np.float64)
-            exact = True
-        else:
-            arr = np.asarray(column)
-            exact = True
-        lowered.append((kind, arr, exact))
-    m_arrays = []
-    radixes = []
-    columns = []
-    for kind, arr, exact in lowered:
-        domain = _unique(arr)
-        codes = np.searchsorted(domain, arr)
-        m_arrays.append(2 * codes.astype(np.int64, copy=False) + 1)
-        radixes.append(2 * len(domain) + 1)
-        columns.append((kind, domain, exact))
-    if not _radix_limit_ok(radixes):
-        return None
-    packed_keys = _pack(m_arrays, radixes)
-    counts = np.fromiter((len(b) for b in table.values()), np.intp,
-                         count=len(table))
-    positions = np.fromiter((p for b in table.values() for p in b), np.intp,
-                            count=int(counts.sum()))
-    return _BuildStructure(np.repeat(packed_keys, counts), positions,
-                           tuple(columns))
+def _lower_build(keys: "list[tuple[ColumnEncoding, Any, Any]]", n: int,
+                 skip_nulls: bool, probe_rows: int) -> _BuildStructure | None:
+    """Lower build keys — ``(encoding, values, mask)`` per key column, at the
+    build side's ``n`` rows, for a probe of ``probe_rows`` — to a
+    :class:`_BuildStructure`, or ``None``.
 
-
-def _structure_from_encodings(encodings: list[ColumnEncoding], n: int,
-                              skip_nulls: bool) -> _BuildStructure | None:
-    """Lower whole-column build keys straight from their encodings.
-
-    This is the path that never materializes a Python hash table: sorted
-    packed codes come from the immutable encodings, are cached per
-    encoding tuple, and are reused across queries and view refreshes
-    until a write replaces the encodings (length-tagged, like the
-    group-id caches).
+    No Python hash table is involved: int columns go through their
+    :func:`_dense_lut` (sorted and searched only when none is admitted),
+    string columns through a presence vector over their dictionary, so the
+    domain is the entries a filtered build side still holds.
     """
-    masks = [enc.mask for enc in encodings if enc.mask is not None]
+    masks = [mask for _enc, _values, mask in keys
+             if mask is not None and mask.any()]
     if masks and not skip_nulls:
         return None  # NULL build keys keep Python's identity semantics
-    for enc in encodings:
-        if len(enc.values) != n:
-            return None
-        if enc.kind == "f" and enc.has_nan:
-            return None
-    if masks:
-        dropped = masks[0].copy()
-        for m in masks[1:]:
-            dropped |= m
-        pos = np.flatnonzero(~dropped)
-    else:
-        pos = None
-    m_arrays = []
-    radixes = []
-    columns = []
-    for enc in encodings:
-        vals = enc.values if pos is None else enc.values[pos]
-        if enc.kind == "s":
-            domain = enc.dictionary
-            m = 2 * vals.astype(np.int64, copy=False) + 1
-            exact = True
-        else:
-            domain = _unique(vals)
-            codes = np.searchsorted(domain, vals)
-            m = 2 * codes.astype(np.int64, copy=False) + 1
-            exact = enc.exact
-        m_arrays.append(m)
-        radixes.append(2 * len(domain) + 1)
-        columns.append((enc.kind, domain, exact))
-    if not _radix_limit_ok(radixes):
+    if any(enc.kind == "f" and enc.has_nan for enc, _values, _mask in keys):
         return None
-    packed = _pack(m_arrays, radixes)
-    base = np.arange(len(packed), dtype=np.intp) if pos is None else pos
-    return _BuildStructure(packed, base, tuple(columns))
+    pos = np.flatnonzero(~np.logical_or.reduce(masks)) if masks else None
+    coded = []
+    columns = []
+    luts = []
+    for enc, values, _mask in keys:
+        if pos is not None:
+            values = values[pos]
+        lut = None
+        if enc.kind == "s":
+            present = _presence(values, len(enc.dictionary))
+            if present.all():
+                domain, codes = enc.dictionary, values
+            else:
+                domain = enc.dictionary[present]
+                codes = (np.cumsum(present) - 1)[values]
+            m = 2 * codes.astype(np.int64, copy=False) + 1
+        else:
+            lut = _dense_lut(enc.kind, values, n + probe_rows)
+            if lut is not None:
+                m = lut[1][values - lut[0]]
+                domain = np.flatnonzero(lut[1] & 1) + lut[0]
+            else:
+                domain = _unique(values)
+                m = 2 * np.searchsorted(domain, values).astype(
+                    np.int64, copy=False) + 1
+        coded.append((m, 2 * len(domain) + 1))
+        columns.append((enc.kind, domain, enc.exact))
+        luts.append(lut)
+    packed = _pack(coded)
+    if packed is None:
+        return None
+    count_path("build_lowered")
+    return _BuildStructure(
+        packed[0], packed[1] - 1,
+        np.arange(n, dtype=np.intp) if pos is None else pos,
+        tuple(columns), tuple(luts))
 
 
 def _dict_translation(domain: Any, pdict: Any,
@@ -925,13 +987,11 @@ def _probe_with_structure(structure: _BuildStructure, batch: Batch,
         probe_idx = np.flatnonzero(~dropped)
     else:
         probe_idx = None
-    m_arrays = []
-    radixes = []
+    coded = []
     for j, ((enc, vals, _mask), (kind, domain, _exact)) in enumerate(
             zip(gathered, structure.columns)):
         if probe_idx is not None:
             vals = vals[probe_idx]
-        radixes.append(2 * len(domain) + 1)
         if enc.kind == "s":
             pdict = enc.dictionary
             if pdict is domain:
@@ -945,19 +1005,19 @@ def _probe_with_structure(structure: _BuildStructure, batch: Batch,
             m = _domain_codes(domain.astype(np.float64),
                               vals.astype(np.float64))
         elif structure.luts[j] is not None:
-            m = _lut_codes(structure.luts[j], domain, vals)
+            m = _lut_codes(structure.luts[j], len(domain), vals)
         else:
             m = _domain_codes(domain, vals)
-        m_arrays.append(m)
+        coded.append((m, 2 * len(domain) + 1))
     ukeys = structure.ukeys
-    if len(m_arrays) == 1:
+    if len(coded) == 1:
         # The domain covers every build key, so the domain code IS the
         # bucket index: no packed-key lookup at all.
-        m = m_arrays[0]
+        m = coded[0][0]
         found = (m & 1).astype(bool)
         bucket = m >> 1
     else:
-        probe_packed = _pack(m_arrays, radixes)
+        probe_packed = _pack(coded)[0]  # the build side's radixes: they fit
         bucket = np.searchsorted(ukeys, probe_packed)
         if len(ukeys):
             clipped = np.minimum(bucket, len(ukeys) - 1)
@@ -979,86 +1039,155 @@ def _probe_with_structure(structure: _BuildStructure, batch: Batch,
     return left_sel, right_sel
 
 
-class RelationBuild:
-    """Lazy build side of a join whose right input is a whole base relation.
+class BuildSide:
+    """The build side of an inner hash join, not built until the probe is
+    known to take the kernel or the loop.
 
-    The kernel probe never touches a Python hash table: :meth:`structure`
-    lowers the key columns' immutable encodings directly to sorted packed
-    codes, cached per encoding tuple in the bounded kernel cache — the one
-    kind of build structure that can be hit again, because the relation
-    outlives the query.  The Python probe asks :meth:`table` for the
-    relation's own cached positional ``key_index`` instead.
+    The kernel probe asks :meth:`structure`, lowered from the key vectors'
+    encodings at the batch's selection (:func:`_gather`) for this one probe
+    — a filtered or joined batch is new every query, so nothing is cached;
+    only the Python probe asks :meth:`table` for a hash table.
+    :class:`RelationBuild` is the whole-relation case, where both outlive
+    the query.
     """
 
-    __slots__ = ("relation", "idx", "skip_nulls")
+    __slots__ = ("batch", "idx", "skip_nulls")
 
-    def __init__(self, relation: Relation, idx: list[int],
-                 skip_nulls: bool) -> None:
-        self.relation = relation
+    def __init__(self, batch: Batch, idx: list[int], skip_nulls: bool) -> None:
+        self.batch = batch
         self.idx = tuple(idx)
         self.skip_nulls = skip_nulls
+
+    def table(self) -> dict[Any, list[int]]:
+        count_path("build_dict")
+        return _build_hash_table(self.batch, list(self.idx),
+                                 not self.skip_nulls)
+
+    def rows_at_stake(self, probe_rows: int) -> int:
+        """What :data:`KERNEL_MIN_ROWS` is compared with: the rows this
+        query's probe reads or emits, plus the build rows indexed for it
+        alone — here all of them."""
+        return probe_rows + self.batch.length
+
+    def structure(self, probe_rows: int, sink: "dict[str, int] | None" = None
+                  ) -> _BuildStructure | None:
+        batch = self.batch
+        keys = []
+        for i in self.idx:
+            vector = batch.vectors[i]
+            enc = _resolve(vector)
+            if enc is None:
+                return None
+            keys.append((enc, *_gather(enc, vector, batch.length, None)))
+        return _lower_build(keys, batch.length, self.skip_nulls, probe_rows)
+
+
+class RelationBuild(BuildSide):
+    """A build side that is a whole base relation: the cacheable case.
+
+    :meth:`structure` is keyed on the key columns' immutable encodings in
+    the bounded kernel cache — the one kind of build structure that can be
+    hit again, because the relation outlives the query — and :meth:`table`
+    is the relation's own maintained positional ``key_index``.
+    """
+
+    __slots__ = ("relation",)
+
+    def __init__(self, batch: Batch, idx: list[int], skip_nulls: bool,
+                 relation: Relation) -> None:
+        super().__init__(batch, idx, skip_nulls)
+        self.relation = relation
 
     def table(self) -> dict[Any, list[int]]:
         return self.relation.key_index(list(self.idx),
                                        skip_nulls=self.skip_nulls)
 
-    def snapshot_rows(self) -> int:
-        """Build-side rows the Python probe would index for this query alone.
+    def rows_at_stake(self, probe_rows: int) -> int:
+        """Probe rows read, or emitted if that is more, plus a snapshot's
+        build rows.
 
         A frozen relation is a snapshot — a merged shard view, a worker's
-        resident copy of a shard (which only its owner extends, between
-        tasks) — that no query of this process writes through: its
-        positional ``key_index`` would be built from scratch for it, like
-        the kernel's structure but in Python, so its rows count toward the
-        :data:`KERNEL_MIN_ROWS` gate.  A live relation's index has been
-        maintained write by write and costs a steady-state probe nothing.
+        resident copy of a shard — that no query of this process writes
+        through: its ``key_index`` would be built from scratch for it, like
+        the kernel's structure but in Python, so its rows count.  A live
+        relation's index is maintained write by write and costs a probe
+        nothing; what a small probe of it can still cost is its *output*
+        (100 boats emit every reservation).  That fan-out is read off what
+        the relation already holds — its ``key_index``, else its cached
+        structure — never off anything built or collected to answer the
+        question (a table profile is recollected after every write), and
+        not at all when the two row counts multiply to less than the gate.
         """
-        return len(self.relation) if self.relation.is_frozen else 0
+        n = len(self.relation)
+        rows = probe_rows + (n if self.relation.is_frozen else 0)
+        if rows >= KERNEL_MIN_ROWS or probe_rows * n < KERNEL_MIN_ROWS:
+            return rows
+        index = self.relation.held_key_index(self.idx,
+                                             skip_nulls=self.skip_nulls)
+        if index is not None:
+            indexed, buckets = n, len(index)
+        else:
+            keyed = self._cache_key(held=True)
+            held = _cache_get(*keyed, None, peek=True) if keyed else None
+            if not isinstance(held, _BuildStructure):
+                return rows
+            indexed, buckets = len(held.positions), len(held.ukeys)
+        return max(rows, probe_rows * indexed // max(buckets, 1))
 
-    def structure(self, sink: "dict[str, int] | None" = None
-                  ) -> _BuildStructure | None:
+    def _cache_key(self, *, held: bool = False) -> "tuple[Any, tuple] | None":
+        """``(key, anchors)`` of the structure in the kernel cache: the key
+        columns' encodings — with ``held``, only as the column store
+        already holds them, encoding nothing."""
         store = self.relation.column_store()
         encodings = []
         for i in self.idx:
-            enc = store_encoding(store, i)
+            if held:
+                entry = store.kernel_cache.get(i)
+                enc = entry[1] if entry is not None \
+                    and entry[0] == len(store.arrays[i]) else None
+            else:
+                enc = store_encoding(store, i)
             if enc is None:
                 return None
             encodings.append(enc)
-        key = ("build", tuple(id(enc) for enc in encodings), self.skip_nulls)
-        cached = _cache_get(key, tuple(encodings), sink)
+        return (("build", tuple(id(enc) for enc in encodings),
+                 self.skip_nulls), tuple(encodings))
+
+    def structure(self, probe_rows: int, sink: "dict[str, int] | None" = None
+                  ) -> _BuildStructure | None:
+        keyed = self._cache_key()
+        if keyed is None:
+            return None
+        cached = _cache_get(*keyed, sink)
         if cached is not _MISSING:
             return cached
-        structure = _structure_from_encodings(
-            encodings, len(self.relation), self.skip_nulls)
+        key, encodings = keyed
+        n = len(self.relation)
+        structure = None
+        if all(len(enc.values) == n for enc in encodings):
+            structure = _lower_build(
+                [(enc, enc.values, enc.mask) for enc in encodings], n,
+                self.skip_nulls, probe_rows)
         if structure is not None:
             structure.shared = True
         nbytes = structure.nbytes if structure is not None else 64
-        return _cache_put(key, tuple(encodings), structure, nbytes, sink)
+        return _cache_put(key, encodings, structure, nbytes, sink)
 
 
-def kernel_probe(batch: Batch, idx: list[int], table: Any, null_matches: bool,
+def kernel_probe(batch: Batch, idx: list[int], build: Any, null_matches: bool,
                  sink: "dict[str, int] | None" = None
                  ) -> "tuple[Any, Any] | None":
     """Sort-based probe of a hash join (single- or multi-key), or ``None``.
 
-    ``table`` is the build side as the executor holds it: a
-    :class:`RelationBuild` (structure cached with the relation's
-    encodings) or a per-query Python hash table, whose structure is built
-    for this probe and dropped with it — a filtered build side is a new
-    object every query, so caching it could only pin memory.  Emits
-    ``(left_sel, right_sel)`` in exactly the sequential probe's order:
-    probe positions ascending, bucket positions ascending within each.
+    ``build`` is the :class:`BuildSide` the executor holds; its structure
+    is lowered from column encodings (and, for a :class:`RelationBuild`,
+    cached with them).  Emits ``(left_sel, right_sel)`` in exactly the
+    sequential probe's order: probe positions ascending, bucket positions
+    ascending within each.
     """
-    if not kernels_enabled() or not idx:
+    if not kernels_enabled() or not idx or not isinstance(build, BuildSide):
         return None
-    if type(table) is RelationBuild:
-        structure = table.structure(sink)
-    elif type(table) is dict:
-        if not table:
-            return [], []
-        structure = _structure_from_table(table, len(idx))
-    else:
-        return None
+    structure = build.structure(batch.length, sink)
     if structure is None:
         return None
     return _probe_with_structure(structure, batch, idx, null_matches, sink)
@@ -1073,23 +1202,14 @@ def _distinct_codes(vector: Vector, n: int) -> "tuple[Any, int] | None":
     enc = _resolve(vector)
     if enc is not None:
         vals, mask = _gather(enc, vector, n, None)
-        kind, has_nan, dictionary = enc.kind, enc.has_nan, enc.dictionary
     else:
-        ad_hoc = _encode_list(_exact(vector, n))
-        if ad_hoc is None:
+        enc = _encode_list(_exact(vector, n))
+        if enc is None:
             return None
-        vals, mask = ad_hoc.values, ad_hoc.mask
-        kind, has_nan = ad_hoc.kind, ad_hoc.has_nan
-        dictionary = ad_hoc.dictionary
-    if has_nan:
-        return None  # Python dedups NaN by identity; np.unique collapses
-    if kind == "s":
-        cardinality = len(dictionary)
-        codes = vals.astype(np.int64, copy=False)
-    else:
-        _domain, inverse = np.unique(vals, return_inverse=True)
-        cardinality = int(inverse.max()) + 1 if inverse.size else 1
-        codes = inverse.astype(np.int64, copy=False)
+        vals, mask = enc.values, enc.mask
+    if enc.has_nan:
+        return None  # Python dedups NaN by identity; a sort collapses them
+    codes, cardinality = _codes(vals, enc.kind, enc.dictionary)
     if mask is not None:
         # NULL is its own distinct value: give it a dedicated code (this
         # also replaces the -1 dictionary codes at masked positions).
@@ -1101,69 +1221,70 @@ def _distinct_codes(vector: Vector, n: int) -> "tuple[Any, int] | None":
 def kernel_distinct(batch: Batch) -> "Any | None":
     """First-occurrence positions of the distinct rows, or ``None``.
 
-    Packs per-column codes (dictionary codes for strings, dense unique
-    ranks otherwise, one extra code for NULL) into one int64 per row and
-    takes ``np.unique(..., return_index=True)`` — the sorted first-occurrence
-    indices are exactly the Python set-scan's emission order.
+    Packs per-column codes (:func:`_codes`: dictionary codes for strings,
+    offset codes for bounded ints, ranks otherwise; one extra code for
+    NULL) into one int64 per row and orders them once with
+    :func:`_stable_order`: each run's first element is that row's first
+    occurrence, and those positions ascending are exactly the Python
+    set-scan's emission order.
     """
     if not kernels_enabled() or batch.length == 0 or not batch.vectors:
         return None
     n = batch.length
-    packed = None
+    coded = []
     for vector in batch.vectors:
-        coded = _distinct_codes(vector, n)
-        if coded is None:
+        codes = _distinct_codes(vector, n)
+        if codes is None:
             return None
-        codes, cardinality = coded
-        if packed is None:
-            packed = codes
-            limit = cardinality
-        else:
-            if limit > _SUM_BOUND // cardinality:
-                return None  # packed key would overflow int64
-            packed = packed * cardinality + codes
-            limit *= cardinality
-    _, first_idx = np.unique(packed, return_index=True)
-    first_idx.sort()
-    return first_idx
+        coded.append(codes)
+    packing = _pack(coded)
+    if packing is None:
+        return None
+    packed, limit = packing
+    order = _stable_order(packed, limit - 1)
+    first = order[_run_flags(packed[order])]
+    return np.flatnonzero(_presence(first, n))
 
 
 # ---------------------------------------------------------------------------
 # Aggregation kernel
 # ---------------------------------------------------------------------------
 
-def _group_ids(key_arrays: list[Any], n: int) -> "tuple[Any, Any] | None":
-    """``(gid, reps)``: group id per row (first-occurrence order) + reps."""
-    if not key_arrays:
-        return np.zeros(n, dtype=np.intp), np.zeros(1, dtype=np.intp)
-    if len(key_arrays) == 1:
-        combined = key_arrays[0]
-    else:
-        combined = None
-        for values in key_arrays:
-            _, inverse = np.unique(values, return_inverse=True)
-            cardinality = int(inverse.max()) + 1 if inverse.size else 1
-            if combined is None:
-                combined = inverse.astype(np.int64)
-            else:
-                if int(combined.max()) + 1 > _SUM_BOUND // cardinality:
-                    return None
-                combined = combined * cardinality + inverse
-    _, first_idx, inverse = np.unique(combined, return_index=True,
-                                      return_inverse=True)
-    order = np.argsort(first_idx, kind="stable")
-    rank = np.empty(len(order), dtype=np.intp)
-    rank[order] = np.arange(len(order), dtype=np.intp)
-    return rank[inverse], first_idx[order]
+def _group_ids(keys: "list[tuple[Any, int]]", n: int
+               ) -> "tuple[Any, Any, tuple[Any, Any, Any] | None] | None":
+    """``(gid, reps, segments)``: each row's group id (groups numbered in
+    first-occurrence order), each group's first row, and the segment view
+    MIN/MAX reduce over — or ``None`` when ``keys`` (:func:`_codes` per
+    group column) do not pack.
+
+    One :func:`_stable_order` of the packed codes serves all three: a run's
+    first element is its group's first occurrence (the sort is stable),
+    ranking those positions numbers the groups, and the order itself — rows
+    contiguous per group, in whatever group order — is the segment view.
+    """
+    if not keys:
+        return np.zeros(n, dtype=np.intp), np.zeros(1, dtype=np.intp), None
+    packing = _pack(keys)
+    if packing is None:
+        return None
+    combined, limit = packing
+    order = _stable_order(combined, limit - 1)
+    flags = _run_flags(combined[order])
+    starts = np.flatnonzero(flags)
+    first = order[starts]
+    seen = _presence(first, n)
+    run_gid = (np.cumsum(seen) - 1)[first]
+    sorted_gid = run_gid[np.cumsum(flags) - 1]
+    gid = np.empty(n, dtype=np.intp)
+    gid[order] = sorted_gid
+    return gid, np.flatnonzero(seen), (order, sorted_gid, starts)
 
 
-def _sort_segments(vgid: Any) -> tuple[Any, Any, Any]:
+def _sort_segments(vgid: Any, n_groups: int) -> tuple[Any, Any, Any]:
     """``(order, sorted_gid, starts)``: rows stably sorted by group id."""
-    order = np.argsort(vgid, kind="stable")
+    order = _stable_order(vgid, n_groups - 1)
     sorted_gid = vgid[order]
-    starts = np.flatnonzero(np.r_[True, sorted_gid[1:] != sorted_gid[:-1]]) \
-        if sorted_gid.size else np.empty(0, dtype=np.intp)
-    return order, sorted_gid, starts
+    return order, sorted_gid, np.flatnonzero(_run_flags(sorted_gid))
 
 
 def _present(acc: Any, counts: Any) -> list[Any]:
@@ -1196,7 +1317,7 @@ def kernel_aggregate(plan: AggregateP, batch: Batch
     n = batch.length
     columns = plan.input.columns
 
-    key_arrays: list[Any] = []
+    key_values: list[Any] = []
     key_encodings: list[ColumnEncoding] = []
     keys_are_whole_columns = True
     for expr in plan.group_exprs:
@@ -1214,7 +1335,7 @@ def kernel_aggregate(plan: AggregateP, batch: Batch
             # A filtered/selected batch: the grouping depends on the
             # selection, so it cannot be cached on the encoding.
             keys_are_whole_columns = False
-        key_arrays.append(values)
+        key_values.append(values)
         key_encodings.append(encoding)
 
     # (fold, values, NULL mask, dictionary to decode string extrema through)
@@ -1258,11 +1379,11 @@ def kernel_aggregate(plan: AggregateP, batch: Batch
                 return None
         specs.append((name, values, mask, encoding.dictionary))
 
-    # Grouping = two O(n log n) sorts (group ids + the segment view for
-    # MIN/MAX).  When every key is a whole unfiltered column, both depend
-    # only on immutable encoded data, so they are cached on the first
-    # key's encoding — a scan→aggregate over an unchanged relation (the
-    # process backend's partial-aggregation subplans) pays them once.
+    # Grouping is one sort (group ids and the segment view for MIN/MAX
+    # share it).  When every key is a whole unfiltered column, it depends
+    # only on immutable encoded data, so it is cached on the first key's
+    # encoding — a scan→aggregate over an unchanged relation (the process
+    # backend's partial-aggregation subplans) pays it once.
     host = key_encodings[0] if keys_are_whole_columns and key_encodings \
         else None
     gid = reps_arr = whole_segments = None
@@ -1272,12 +1393,13 @@ def kernel_aggregate(plan: AggregateP, batch: Batch
                 a is b for a, b in zip(token, key_encodings)):
             gid = reps_arr = whole_segments = None
     if gid is None:
-        grouped = _group_ids(key_arrays, n)
+        grouped = _group_ids(
+            [_codes(values, enc.kind, enc.dictionary)
+             for values, enc in zip(key_values, key_encodings)], n)
         if grouped is None:
             return None
-        gid, reps_arr = grouped
+        gid, reps_arr, whole_segments = grouped
         if host is not None:
-            whole_segments = _sort_segments(gid)
             host.grouping = (tuple(key_encodings), n, gid, reps_arr,
                              whole_segments)
     n_groups = len(reps_arr)
@@ -1293,7 +1415,7 @@ def kernel_aggregate(plan: AggregateP, batch: Batch
     def _segmented(vgid: Any) -> tuple[Any, Any, Any]:
         cached = segments.get(id(vgid))
         if cached is None:
-            cached = _sort_segments(vgid)
+            cached = _sort_segments(vgid, n_groups)
             segments[id(vgid)] = cached
         return cached
 

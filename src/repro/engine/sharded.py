@@ -62,6 +62,7 @@ from repro.data.sharded import (
 )
 from repro.expr import ast as e
 from repro.engine.execute import Row, _split_name, compiled_expr
+from repro.engine.kernels import path_counts
 from repro.engine.plan import (
     AggregateP,
     DeltaScanP,
@@ -1003,11 +1004,14 @@ class ShardedBackend:
         traffic does not appear in the parent's counters.
         ``plans_verified``/``plans_failed`` report the process-wide static
         verifier tallies (see :mod:`repro.engine.verify`) so operators can
-        confirm the ``REPRO_VERIFY_PLANS`` hooks actually ran.
+        confirm the ``REPRO_VERIFY_PLANS`` hooks actually ran; the
+        ``probe_*``/``build_*``/``sel_converted``/``sort_*`` keys are the
+        kernel layer's process-wide path counts, likewise the parent's only.
         """
         with self._lock:
             counts = dict(self.counters)
         counts.update(verification_counts())
+        counts.update(path_counts())
         return counts
 
     def _bump(self, name: str) -> None:

@@ -31,6 +31,11 @@ loop when the kernel declines (numpy absent, ``REPRO_KERNELS=0``, a dtype
 the lowering cannot reproduce bit-for-bit).  A kernel is only offered
 batches of at least :data:`~repro.engine.kernels.KERNEL_MIN_ROWS` rows:
 below that the fixed cost of a numpy call exceeds the whole Python loop.
+From the gate up selections are numpy index arrays all the way to the
+final row build: a hash join's build side stays unbuilt
+(:class:`~repro.engine.kernels.BuildSide`) until its probe has chosen the
+kernel or the loop, and a loop's output is converted once, where it is
+produced.
 
 The backend satisfies the :class:`repro.engine.execute.ExecutorBackend`
 protocol; select it with ``execute_plan(plan, db, backend="vectorized")`` or
@@ -48,7 +53,17 @@ from repro.expr import ast as e
 from repro.expr.eval import ExprError
 from repro.sql.evaluate import _dedupe
 from repro.engine import kernels
-from repro.engine.batch import Batch, Vector, _column_position, _exact, _take
+from repro.engine.batch import (
+    Batch,
+    Vector,
+    _build_hash_table,
+    _column_position,
+    _exact,
+    _iter_key_list,
+    _key_columns,
+    _needs_null_check,
+    _take,
+)
 from repro.engine.execute import (
     Row,
     _split_name,
@@ -283,7 +298,7 @@ class VectorizedExecutor:
                    if predicate(tuple(column[i] for column in materialized))]
         if sel is None:
             return batch
-        return batch.take(sel)
+        return batch.take(kernels.index_array(sel))
 
     def _compile_conjunct(self, conjunct: e.Expr, batch: Batch
                           ) -> Callable[[Batch, list[int] | None],
@@ -328,7 +343,7 @@ class VectorizedExecutor:
             if row not in seen:
                 add(row)
                 append(i)
-        return sel
+        return kernels.index_array(sel)
 
     # -- joins -------------------------------------------------------------
 
@@ -377,7 +392,7 @@ class VectorizedExecutor:
 
     def _hash_table(self, right_plan: Plan, right: Batch, right_idx: list[int],
                     null_matches: bool, *, lazy: bool = False
-                    ) -> "dict[Any, list[int]] | _PrefixTable | kernels.RelationBuild":
+                    ) -> "dict[Any, list[int]] | _PrefixTable | kernels.BuildSide":
         """The build side of a hash join, reusing the storage layer's cached
         positional key indexes when the build input is a base-table scan.
 
@@ -388,11 +403,11 @@ class VectorizedExecutor:
         keeps incremental join maintenance independent of base-table size.
 
         With ``lazy`` (the inner-join probe, which may never need the dict)
-        a whole-relation build side comes back as a
-        :class:`~repro.engine.kernels.RelationBuild`: the kernel probe
-        lowers the key columns' cached encodings instead, and only the
-        Python probe materializes ``key_index`` through it.  Anything that
-        is not a whole relation is a per-query table either way.
+        the build side comes back as a :class:`~repro.engine.kernels.BuildSide`
+        (a whole relation: :class:`~repro.engine.kernels.RelationBuild`):
+        the kernel probe lowers the key columns' encodings instead, and only
+        the Python probe builds a table — or takes ``key_index`` — through
+        it.  Semi/anti joins read the table's keys, so theirs is built here.
         """
         relation = None
         if isinstance(right_plan, ScanP) and right_idx:
@@ -406,30 +421,35 @@ class VectorizedExecutor:
             elif count is not None:
                 table = asof.key_index(right_idx, skip_nulls=not null_matches)
                 return _PrefixTable(table, len(asof) - count)
+        if lazy:
+            if relation is None:
+                return kernels.BuildSide(right, right_idx, not null_matches)
+            return kernels.RelationBuild(right, right_idx, not null_matches,
+                                         relation)
         if relation is None:
             return _build_hash_table(right, right_idx, null_matches)
-        if lazy:
-            return kernels.RelationBuild(relation, right_idx, not null_matches)
         return relation.key_index(right_idx, skip_nulls=not null_matches)
 
-    def _probe_batch(self, batch: Batch, idx: list[int], table: Any,
+    def _probe_batch(self, batch: Batch, idx: list[int], build: Any,
                      null_matches: bool) -> "tuple[Any, Any]":
         """Probe phase of the hash join: sort-based kernel, else the loop.
 
-        The rows at stake are the probe's plus, over a snapshot relation,
-        the build side's (:meth:`~repro.engine.kernels.RelationBuild.snapshot_rows`).
+        A lazy build side says how many rows are at stake
+        (:meth:`~repro.engine.kernels.BuildSide.rows_at_stake`: read,
+        emitted, indexed for this query alone).  What the loop emits at gate
+        size or more leaves here as index arrays, converted once.
         """
-        rows = batch.length
-        if type(table) is kernels.RelationBuild:
-            rows += table.snapshot_rows()
-        if rows >= kernels.KERNEL_MIN_ROWS:
-            pair = kernels.kernel_probe(batch, idx, table, null_matches,
+        lazy = isinstance(build, kernels.BuildSide)
+        if lazy and build.rows_at_stake(batch.length) >= kernels.KERNEL_MIN_ROWS:
+            pair = kernels.kernel_probe(batch, idx, build, null_matches,
                                         self.kernel_counters)
             if pair is not None:
+                kernels.count_path("probe_kernel")
                 return pair
-        if type(table) is kernels.RelationBuild:
-            table = table.table()
-        return self._probe_rows(batch, idx, table, null_matches)
+        kernels.count_path("probe_loop")
+        left_sel, right_sel = self._probe_rows(
+            batch, idx, build.table() if lazy else build, null_matches)
+        return kernels.index_array(left_sel), kernels.index_array(right_sel)
 
     def _probe_rows(self, batch: Batch, idx: list[int],
                     table: "dict[Any, list[int]] | _PrefixTable",
@@ -693,10 +713,6 @@ class _PrefixTable:
         return [key for key, bucket in self.table.items()
                 if bucket and bucket[0] < keep]
 
-def _key_columns(batch: Batch, idx: list[int]) -> list[list[Any]]:
-    return [_exact(batch.vectors[i], batch.length) for i in idx]
-
-
 def _iter_keys(batch: Batch, idx: list[int]):
     """Key per row: the raw value for single-column keys, a tuple otherwise.
 
@@ -706,14 +722,6 @@ def _iter_keys(batch: Batch, idx: list[int]):
     non-NULLs and the test is exact.
     """
     return _iter_key_list(_key_columns(batch, idx), batch.length)
-
-
-def _iter_key_list(key_columns: list[list[Any]], length: int):
-    if len(key_columns) == 1:
-        return key_columns[0]
-    if not key_columns:
-        return [()] * length
-    return zip(*key_columns)
 
 
 def _has_null(key: Any, idx: list[int]) -> bool:
@@ -729,41 +737,6 @@ def _semi_key_set(batch: Batch, idx: list[int], null_matches: bool) -> set:
             continue
         keys.add(key)
     return keys
-
-
-def _needs_null_check(key_columns: list[list[Any]], null_matches: bool) -> bool:
-    """Whether the per-row NULL guard is needed at all.
-
-    ``None in column`` is a single C-speed containment scan; NULL-free key
-    columns (the overwhelmingly common case) then run the guard-free loops.
-    """
-    return not null_matches and any(None in column for column in key_columns)
-
-
-def _build_hash_table(batch: Batch, idx: list[int],
-                      null_matches: bool) -> dict[Any, list[int]]:
-    table: dict[Any, list[int]] = {}
-    get = table.get
-    key_columns = _key_columns(batch, idx)
-    keys = _iter_key_list(key_columns, batch.length)
-    if _needs_null_check(key_columns, null_matches):
-        single = len(idx) == 1
-        for j, key in enumerate(keys):
-            if (key is None) if single else (None in key):
-                continue
-            bucket = get(key)
-            if bucket is None:
-                table[key] = [j]
-            else:
-                bucket.append(j)
-        return table
-    for j, key in enumerate(keys):
-        bucket = get(key)
-        if bucket is None:
-            table[key] = [j]
-        else:
-            bucket.append(j)
-    return table
 
 
 def _probe(batch: Batch, idx: list[int], table: dict[Any, list[int]],

@@ -15,8 +15,9 @@ and process-backend deployments.  Endpoints:
 ``/views/{name}`` DELETE  unregister
 ``/views/{name}/refresh``  POST  force a catch-up now → view info
 ``/metrics``      GET     flat JSON counters (stats, caches, execution,
-                          verification, admission, write worker, and which
-                          path served each read: ``inline_*``)
+                          verification, admission, write worker, which
+                          path served each read: ``inline_*``, and what
+                          the cyclic collector cost: ``gc_*``)
 ``/health``       GET     liveness probe (never sheds)
 ================  ======  ====================================================
 
@@ -47,7 +48,9 @@ answers 503 with a ``Retry-After`` header instead of queuing unboundedly.
 from __future__ import annotations
 
 import asyncio
+import gc
 import threading
+import time
 from functools import partial
 from typing import Any, Awaitable, Callable
 
@@ -105,6 +108,11 @@ class ServingApp:
         self.inline_hits = 0
         self.inline_busy = 0
         self.inline_declined = 0
+        #: Collector passes per generation while serving, and the time they
+        #: held every thread (:meth:`_on_gc`).
+        self._gc_collections = [0, 0, 0]
+        self._gc_pause_s = 0.0
+        self._gc_started = 0.0
         #: path parts -> method -> (handler, goes through admission);
         #: ``None`` stands for one free path segment, passed to the handler.
         self._routes: dict[tuple["str | None", ...],
@@ -130,10 +138,23 @@ class ServingApp:
         self._server = await asyncio.start_server(
             self._on_connection, host, port)
         self.port = self._server.sockets[0].getsockname()[1]
+        gc.callbacks.append(self._on_gc)
         return self.port
+
+    def _on_gc(self, phase: str, info: dict[str, int]) -> None:
+        """The ``gc.callbacks`` hook: a tail latency that is a generation-2
+        pass shows as one on ``/metrics``.  Called by whichever thread
+        triggered the collection; collections do not nest."""
+        if phase == "start":
+            self._gc_started = time.perf_counter()
+        else:
+            self._gc_collections[info["generation"]] += 1
+            self._gc_pause_s += time.perf_counter() - self._gc_started
 
     async def close(self) -> None:
         """Stop accepting, drain the write worker, release the socket."""
+        if self._on_gc in gc.callbacks:
+            gc.callbacks.remove(self._on_gc)
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -347,6 +368,9 @@ class ServingApp:
         metrics["inline_hits"] = self.inline_hits
         metrics["inline_busy"] = self.inline_busy
         metrics["inline_declined"] = self.inline_declined
+        for generation, passes in enumerate(self._gc_collections):
+            metrics[f"gc_collections_gen{generation}"] = passes
+        metrics["gc_pause_us"] = int(self._gc_pause_s * 1e6)
         backend_name = getattr(self.service, "backend_name", None)
         if backend_name is not None:
             metrics["backend"] = backend_name

@@ -252,6 +252,23 @@ class TestBulkConstruction:
         assert rel.delta_since(4) is None          # evicted: rebuild required
         assert rel.delta_since(5) == [(i, "x") for i in range(5, n)]
 
+    def test_an_answer_keeps_no_delta_log(self):
+        """An engine result is frozen at publication: it is built with an
+        empty log whose floor is its version, so a window into it says
+        "rebuild" like any evicted anchor — and it is still a relation."""
+        from repro.engine import build_result_relation
+
+        rows = [(i, "x") for i in range(9)]
+        answer = build_result_relation(("a", "b"), rows)
+        assert answer.rows() == rows and answer.version == 9
+        assert not answer._delta_log and answer._delta_floor == 9
+        assert answer.delta_since(8) is None and answer.rows_at(3) is None
+        assert answer.delta_since(9) == [] and answer.delta_count_since(9) == 0
+        rows.append((9, "y"))
+        assert len(answer) == 9                      # not aliased either
+        answer.add((9, "y"))
+        assert answer.delta_since(9) == [(9, "y")] and answer.version == 10
+
     def test_adopted_list_is_not_aliased(self):
         rows = [(1, "a"), (2, "b")]
         rel = Relation(self.SCHEMA, rows, validate=False)

@@ -755,6 +755,319 @@ class TestKernelCache:
         counts = backend.execution_counts()
         traffic = counts["kernel_cache_hits"] + counts["kernel_cache_misses"]
         assert traffic >= 1
+        # ... and the process-wide path counts ride along.
+        assert counts["probe_kernel"] + counts["probe_loop"] >= 1
         # A second backend keeps its own traffic (per-service isolation).
         assert ShardedBackend(n_shards=2).execution_counts()[
             "kernel_cache_hits"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Bounded integer domains: radix orders, offset codes, lowered build sides
+# ---------------------------------------------------------------------------
+
+def _path_delta(run):
+    """``(result, path counters bumped while ``run()`` ran)``."""
+    before = kernels.path_counts()
+    result = run()
+    after = kernels.path_counts()
+    return result, {key: after[key] - before[key]
+                    for key in after if after[key] != before[key]}
+
+
+def _kernel_paths(plan, db):
+    """The path counters one kernel run of ``plan`` bumps, every stored
+    column encoded beforehand (an encoding sorts its dictionary, once)."""
+    for relation in db:
+        store = relation.column_store()
+        for index in range(len(store.arrays)):
+            kernels.store_encoding(store, index)
+    with mock.patch.object(kernels, "KERNEL_MIN_ROWS", 0):
+        return _path_delta(
+            lambda: VectorizedExecutor(db).batch(plan).rows())[1]
+
+
+def _every_way(plan, db):
+    """The plan's rows from the kernels under the opened gate — after
+    checking that the production gate, the Python loops and the row backend
+    all give the same (the row backend as a bag: it orders joins its own
+    way)."""
+    from repro.engine import execute_plan
+
+    fast, slow = _both(plan, db)
+    assert fast == slow
+    assert VectorizedExecutor(db).batch(plan).rows() == slow
+    assert Counter(execute_plan(plan, db, backend="row").rows()) \
+        == Counter(slow)
+    return fast
+
+
+@needs_kernels
+class TestStableOrder:
+    @pytest.mark.parametrize("bound, path", [
+        (65535, "sort_radix"), (65536, "sort_radix"),
+        (2**32 - 1, "sort_radix"), (2**32, "sort_compare")])
+    def test_equals_the_comparison_sort_at_each_digit_boundary(self, bound,
+                                                                path):
+        import numpy as np
+
+        rng = np.random.default_rng(bound % 977)
+        keys = np.concatenate([
+            rng.integers(0, bound + 1, 3000), [0, bound, bound, 0],
+            rng.integers(max(bound - 3, 0), bound + 1, 200)])
+        order, bumped = _path_delta(
+            lambda: kernels._stable_order(keys, bound))
+        assert bumped == {path: 1}
+        assert order.tolist() == np.argsort(keys, kind="stable").tolist()
+
+    def test_equal_keys_keep_their_positions(self):
+        import numpy as np
+
+        for bound in (7, 70000, None):
+            keys = np.full(500, 7, dtype=np.int64)
+            assert kernels._stable_order(keys, bound).tolist() \
+                == list(range(500))
+        keys = np.array([3, 1, 3, 1, 3] * 40, dtype=np.int64) * 20000
+        assert kernels._stable_order(keys, 60000).tolist() \
+            == np.argsort(keys, kind="stable").tolist()
+
+
+def _wide_db(n=None):
+    """Group/DISTINCT keys of every code shape, ``KERNEL_MIN_ROWS`` rows and
+    more: ``neg`` negative and sparse (offset codes, two radix digits),
+    ``far`` spanning more than 2**32 (ranked by a comparison sort), ``f``
+    float, ``s`` string; ``v`` / ``w`` int and string with NULLs."""
+    n = n or kernels.KERNEL_MIN_ROWS + 500
+    rows = [((i * 7 % 37 - 18) * 100003, (i % 5 - 2) * 2**33, (i % 11) / 4,
+             f"s{i % 13}", None if i % 9 == 0 else i % 101 - 50,
+             None if i % 6 == 0 else f"w{i % 17}", i % 3)
+            for i in range(n)]
+    rel = relation_from_rows(
+        "wide", [("neg", "int"), ("far", "int"), ("f", "float"),
+                 ("s", "string"), ("v", "int"), ("w", "string"),
+                 ("m", "int")], rows)
+    return Database([rel])
+
+
+WIDE = ScanP("wide", ("neg", "far", "f", "s", "v", "w", "m"))
+
+
+@needs_kernels
+class TestBoundedDomains:
+    _FOLDS = tuple((e.FuncCall(fn, (e.Col(col),)), f"{fn}_{col}")
+                   for fn in ("min", "max", "count") for col in ("v", "w")) \
+        + ((e.FuncCall("count", (e.Star(),)), "n"),
+           (e.FuncCall("sum", (e.Col("v"),)), "total"))
+
+    @pytest.mark.parametrize("keys", [("neg",), ("far",), ("f",), ("s",),
+                                      ("neg", "s"), ("far", "f", "m")])
+    @pytest.mark.parametrize("filtered", [False, True])
+    def test_group_by_matches_every_other_way(self, keys, filtered):
+        source = WIDE if not filtered else FilterP(
+            WIDE, e.Comparison(e.Col("m"), "<>", e.Const(1)))
+        plan = AggregateP(source, tuple(e.Col(k) for k in keys), self._FOLDS)
+        assert len(_every_way(plan, _wide_db())) > 4
+        # Only a key that cannot be bounded costs a comparison sort.
+        assert ("sort_compare" in _kernel_paths(plan, _wide_db())) \
+            == bool({"far", "f"} & set(keys))
+
+    def test_a_group_by_sorts_once(self):
+        """MIN/MAX reduce over the order the group ids came from."""
+        db = _wide_db()
+        plan = AggregateP(WIDE, (e.Col("neg"),), (
+            (e.FuncCall("min", (e.Col("s"),)), "lo"),
+            (e.FuncCall("max", (e.Col("m"),)), "hi")))
+        assert _kernel_paths(plan, db) == {"sort_radix": 1}
+
+    @pytest.mark.parametrize("columns, compare_sorts", [
+        (("far",), 1),           # span past the offset-code bound: ranked
+        (("v",), 0),             # int + NULL: offset codes, one more for NULL
+        (("neg", "v"), 0),       # packed limit below 2**32: two radix digits
+        (("neg", "neg", "s"), 1),  # packed limit past 2**32
+        (("f", "w"), 1)])
+    def test_distinct_matches_every_other_way(self, columns, compare_sorts):
+        from repro.engine.plan import ProjectP
+
+        db = _wide_db()
+        plan = DistinctP(ProjectP(
+            WIDE, tuple(e.Col(c) for c in columns),
+            tuple(f"c{i}" for i in range(len(columns)))))
+        assert len(_every_way(plan, db)) > 4
+        assert _kernel_paths(plan, db).get("sort_compare", 0) == compare_sorts
+
+
+def _join_db(n=300):
+    """``fact`` ⋈ ``dim`` on string / int / float keys, with duplicates on
+    both sides, NULLs on both sides, and dim words fact never uses."""
+    fact = relation_from_rows(
+        "fact", [("fk", "int"), ("fs", "string"), ("ff", "float")],
+        [(i % 23, None if i % 10 == 0 else f"c{i % 9}", float(i % 23))
+         for i in range(n)])
+    dim = relation_from_rows(
+        "dim", [("dk", "int"), ("ds", "string"), ("tag", "string")],
+        [(i % 29, None if i % 7 == 0 else f"c{i % 12}", "xyz"[i % 3])
+         for i in range(n // 3)])
+    return Database([fact, dim])
+
+
+FACT = ScanP("fact", ("fk", "fs", "ff"))
+DIM = ScanP("dim", ("dk", "ds", "tag"))
+
+
+@needs_kernels
+class TestLoweredBuildSides:
+    @staticmethod
+    def _filtered_dim(condition):
+        return FilterP(DIM, condition)
+
+    @pytest.mark.parametrize("null_matches", [False, True])
+    def test_filtered_string_key_build_side(self, null_matches):
+        """The filter removes whole words (``c3``, every ``x`` row) that the
+        column's dictionary still holds and the probe side still uses;
+        buckets keep duplicate build keys in position order."""
+        build = self._filtered_dim(e.And((
+            e.Comparison(e.Col("ds"), "<>", e.Const("c3")),
+            e.Comparison(e.Col("tag"), "<>", e.Const("x")))))
+        plan = JoinP(FACT, build, "inner", ("fs",), ("ds",), None,
+                     null_matches)
+        rows = _every_way(plan, _join_db())
+        assert rows and not any(row[1] == "c3" for row in rows)
+
+    @pytest.mark.parametrize("null_matches", [False, True])
+    def test_null_keys_on_both_sides(self, null_matches):
+        build = self._filtered_dim(
+            e.Comparison(e.Col("tag"), "<>", e.Const("z")))
+        for keys in ((("fs",), ("ds",)), (("fk", "fs"), ("dk", "ds"))):
+            plan = JoinP(FACT, build, "inner", *keys, None, null_matches)
+            rows = _every_way(plan, _join_db())
+            assert any(row[1] is None for row in rows) == null_matches
+
+    def test_int_float_keys_cross_match_exactly(self):
+        build = self._filtered_dim(
+            e.Comparison(e.Col("dk"), "<", e.Const(20)))
+        plan = JoinP(FACT, build, "inner", ("ff",), ("dk",), None, False)
+        rows = _every_way(plan, _join_db())
+        assert rows and all(row[2] == row[3] for row in rows)
+        bumped = _kernel_paths(plan, _join_db())
+        assert bumped["probe_kernel"] == 1 and "build_dict" not in bumped
+
+    def test_nan_key_declines_to_the_loop(self):
+        db = _join_db()
+        db.relation("fact").add((1, "c1", float("nan")))
+        plan = JoinP(self._filtered_dim(
+            e.Comparison(e.Col("dk"), "<", e.Const(20))), FACT, "inner",
+            ("dk",), ("ff",), None, False)
+        bumped = _kernel_paths(plan, db)
+        assert "probe_kernel" not in bumped and bumped["probe_loop"] == 1
+        _every_way(plan, db)
+
+    def test_empty_build_side(self):
+        build = self._filtered_dim(
+            e.Comparison(e.Col("dk"), "<", e.Const(-1)))
+        for keys in ((("fk",), ("dk",)), (("fs",), ("ds",))):
+            plan = JoinP(FACT, build, "inner", *keys, None, False)
+            assert _every_way(plan, _join_db()) == []
+
+    def test_build_side_without_an_encoding_builds_the_dict(self):
+        """A computed key column names no stored column: nothing to lower."""
+        from repro.engine.plan import ProjectP
+
+        build = ProjectP(DIM, (e.BinOp("+", e.Col("dk"), e.Const(0)),
+                               e.Col("tag")), ("dk0", "tag"))
+        plan = JoinP(FACT, build, "inner", ("fk",), ("dk0",), None, False)
+        db = _join_db()
+        bumped = _kernel_paths(plan, db)
+        # (At an opened gate the loop's output converts, whatever its size.)
+        assert bumped == {"probe_loop": 1, "build_dict": 1, "sel_converted": 2}
+        assert _every_way(plan, db)
+
+    def test_lowered_build_side_never_builds_the_dict(self):
+        build = self._filtered_dim(
+            e.Comparison(e.Col("tag"), "<>", e.Const("z")))
+        plan = JoinP(FACT, build, "inner", ("fk", "fs"), ("dk", "ds"),
+                     None, False)
+        db = _join_db()
+        bumped = _kernel_paths(plan, db)
+        assert bumped["build_lowered"] == 1 and bumped["probe_kernel"] == 1
+        assert "build_dict" not in bumped
+
+
+@needs_kernels
+class TestProbeFanOut:
+    """A 100-row probe is at stake for what it emits, read off what the build
+    relation already holds."""
+
+    @staticmethod
+    def _db(fanout):
+        n = kernels.KERNEL_MIN_ROWS * 2
+        keys = n // fanout
+        big = relation_from_rows("big", [("k", "int"), ("x", "int")],
+                                 [(i % keys, i) for i in range(n)])
+        small = relation_from_rows("small", [("pk", "int")],
+                                   [(i,) for i in range(100)])
+        return Database([small, big])
+
+    PLAN = JoinP(ScanP("small", ("pk",)), ScanP("big", ("k", "x")),
+                 "inner", ("pk",), ("k",), None, False)
+
+    def _run(self, db):
+        return _path_delta(
+            lambda: VectorizedExecutor(db).batch(self.PLAN).rows())
+
+    def test_fan_out_comes_from_the_maintained_key_index(self):
+        db = self._db(fanout=kernels.KERNEL_MIN_ROWS // 50)
+        big = db.relation("big")
+        # Nothing held yet: 100 rows are at stake, the loop takes them — and
+        # what it emits, at gate size, leaves as two index arrays.
+        first, bumped = self._run(db)
+        assert len(first) >= kernels.KERNEL_MIN_ROWS
+        assert bumped == {"probe_loop": 1, "sel_converted": 2}
+        assert big.held_key_index((0,)) is not None
+        second, bumped = self._run(db)
+        assert bumped["probe_kernel"] == 1 and "probe_loop" not in bumped
+        assert second == first
+        # The index is maintained write by write, so it is still held (and
+        # no table profile is consulted) after one.
+        big.add((3, -1))
+        with mock.patch("repro.engine.stats.collect_table_stats",
+                        side_effect=AssertionError("profiled")):
+            third, bumped = self._run(db)
+        assert bumped["probe_kernel"] == 1
+        assert Counter(third) == Counter(first + [(3, 3, -1)])
+
+    def test_fan_out_comes_from_the_cached_structure(self):
+        db = self._db(fanout=kernels.KERNEL_MIN_ROWS // 50)
+        big = db.relation("big")
+        wide_probe = JoinP(ScanP("big", ("k2", "x2")), ScanP("big", ("k", "x")),
+                           "inner", ("x2",), ("x",), None, False)
+        VectorizedExecutor(db).batch(wide_probe)       # a kernel probe on x
+        _rows, bumped = self._run(db)
+        assert bumped == {"probe_loop": 1, "sel_converted": 2}  # k: not held
+        assert big.held_key_index((1,)) is None
+        narrow = JoinP(ScanP("small", ("pk",)), ScanP("big", ("k", "x")),
+                       "inner", ("pk",), ("x",), None, False)
+        _rows, bumped = _path_delta(
+            lambda: VectorizedExecutor(db).batch(narrow).rows())
+        # x is unique: its cached structure says 100 rows emit 100.
+        assert bumped == {"probe_loop": 1}
+
+    def test_a_probe_that_emits_less_than_the_gate_stays_in_the_loop(self):
+        db = self._db(fanout=2)
+        first, _bumped = self._run(db)
+        assert len(first) == 200
+        second, bumped = self._run(db)      # the index is held now
+        assert bumped == {"probe_loop": 1} and second == first
+
+    def test_small_relations_are_rejected_before_any_lookup(self):
+        small = relation_from_rows("small", [("pk", "int")],
+                                   [(i,) for i in range(10)])
+        big = mock.Mock(wraps=relation_from_rows(
+            "big", [("k", "int")], [(i % 5,) for i in range(200)]))
+        big.__len__ = lambda self: 200
+        big.is_frozen = False
+        batch = VectorizedExecutor(Database([small])).batch(
+            ScanP("small", ("pk",)))
+        build = kernels.RelationBuild(batch, [0], True, big)
+        assert build.rows_at_stake(10) == 10
+        big.held_key_index.assert_not_called()
+        big.column_store.assert_not_called()

@@ -125,8 +125,13 @@ BACKENDS = [
     ("process-2", _Gated(ProcessBackend(n_shards=2, workers=2), 0)),
 ]
 
-_INT_VALUES = st.one_of(st.integers(min_value=0, max_value=6),
-                        st.none())
+#: Int column profiles: the small shared domain (join keys usually match,
+#: conditions usually select) three times in four, else one that is negative,
+#: sparse and wider than one and two 16-bit digits — offset codes over a wide
+#: span, two-pass radix orders, the ranking fallback past 2**32, lookup
+#: tables that are not admitted.
+_INT_POOLS = [list(range(7))] * 3 + [[-70000, -1, 0, 3, 6, 65536, 2**33]]
+_INT_VALUES = st.one_of(st.sampled_from(_INT_POOLS[0]), st.none())
 #: String column profiles: a small shared pool (join keys usually match), a
 #: high-cardinality pool (dictionary codes dominate values), and a
 #: heavy-duplicate pool (repeated entries skew sampling toward one value) —
@@ -165,11 +170,13 @@ def _relation(draw, names: _Names, index: int):
         draw(st.sampled_from(["int", "str"])) for _ in range(arity - 1)]
     pool = draw(st.sampled_from(_STR_POOLS))
     str_values = st.one_of(st.sampled_from(pool), st.none())
+    int_values = st.one_of(st.sampled_from(draw(st.sampled_from(_INT_POOLS))),
+                           st.none())
     n_rows = draw(st.integers(min_value=0, max_value=20))
     rows = []
     for _ in range(n_rows):
         rows.append(tuple(
-            draw(_INT_VALUES if d == "int" else str_values) for d in dtypes))
+            draw(int_values if d == "int" else str_values) for d in dtypes))
     columns = [(f"r{index}_a{j}", d) for j, d in enumerate(dtypes)]
     return relation_from_rows(f"R{index}", columns, rows), dtypes
 

@@ -251,6 +251,45 @@ class TestEngineProperties:
 
 
 # ---------------------------------------------------------------------------
+# The wire envelope
+# ---------------------------------------------------------------------------
+
+_cells = st.one_of(
+    st.none(), st.integers(-2**40, 2**40), st.text(max_size=6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-50, 50).map(float))          # integral floats: "3.0"
+_versions = st.one_of(st.integers(0, 10**6),
+                      st.lists(st.integers(0, 99), min_size=2, max_size=5)
+                      .map(tuple))
+
+
+class TestEnvelopeProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda arity: st.lists(
+        st.tuples(*[_cells] * arity), max_size=8)), _versions,
+        st.lists(st.text(max_size=12), max_size=2))
+    def test_encode_is_the_payload_dumped(self, rows, version, warnings):
+        """``encode()`` serializes the row tuples as they are; the bytes are
+        those of the list-copying ``to_payload()`` (NULLs, floats, non-ASCII
+        text, an empty result, tuple version tokens)."""
+        import json
+
+        from repro.core.service_api import QueryResult
+        from repro.engine import build_result_relation
+
+        columns = tuple(f"c{i}" for i in range(len(rows[0]) if rows else 2))
+        relation = build_result_relation(columns, list(rows)).freeze()
+        result = QueryResult(
+            columns=columns, rows=tuple(relation.rows()), language="sql",
+            fingerprint="ünï", version=version, warnings=tuple(warnings),
+            relation=relation)
+        payload = result.to_payload()
+        assert all(type(row) is list for row in payload["rows"])
+        assert result.encode() == json.dumps(payload).encode("utf-8")
+        assert result.encode() is result.encoded
+
+
+# ---------------------------------------------------------------------------
 # Pattern and syllogism invariants
 # ---------------------------------------------------------------------------
 

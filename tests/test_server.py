@@ -597,6 +597,37 @@ class TestInlineHits:
                 + metrics["result_misses"]) == metrics["requests"]
 
 
+class TestCollectorMetrics:
+    def test_one_gc_hook_while_serving_and_its_counts_on_metrics(self):
+        """``start`` installs one ``gc.callbacks`` hook, ``close`` removes
+        it; ``/metrics`` reports passes per generation and time paused."""
+        import gc
+
+        hooks = len(gc.callbacks)
+        with serving(QueryService(sailors_database())) as (server, client):
+            assert len(gc.callbacks) == hooks + 1
+            assert server.app._on_gc in gc.callbacks
+            _s, _h, before = client.request("GET", "/metrics")
+            gc.collect()
+            gc.collect(0)
+            _s, _h, after = client.request("GET", "/metrics")
+        assert len(gc.callbacks) == hooks
+        assert after["gc_collections_gen2"] >= before["gc_collections_gen2"] + 1
+        assert after["gc_collections_gen0"] >= before["gc_collections_gen0"] + 1
+        assert after["gc_pause_us"] > before["gc_pause_us"]
+        for key in ("gc_collections_gen0", "gc_collections_gen1",
+                    "gc_collections_gen2", "gc_pause_us"):
+            assert type(after[key]) is int
+
+    def test_kernel_path_counters_are_integers_under_exec(self):
+        with serving(QueryService(sailors_database())) as (_server, client):
+            _s, _h, metrics = client.request("GET", "/metrics")
+        for key in ("probe_kernel", "probe_loop", "build_lowered",
+                    "build_dict", "sel_converted", "sort_radix",
+                    "sort_compare"):
+            assert type(metrics[f"exec_{key}"]) is int
+
+
 class TestPreparedHandles:
     def test_registry_is_bounded_and_an_evicted_handle_is_unknown(
             self, monkeypatch):

@@ -95,7 +95,8 @@ CACHE_RULES: tuple[tuple[str, str, frozenset, str], ...] = (
     ("src/repro/engine/stats.py", "module",
      frozenset({"profile_cache"}), "_PROFILE_LOCK"),
     ("src/repro/engine/kernels.py", "module",
-     frozenset({"_CACHE", "_CACHE_BYTES", "_CACHE_TOTALS"}), "_CACHE_LOCK"),
+     frozenset({"_CACHE", "_CACHE_BYTES", "_CACHE_TOTALS", "_PATH_TOTALS"}),
+     "_CACHE_LOCK"),
     # The view registry: registration, unregistration, and every refresh
     # mutate maintained state that lock-free readers validate by version,
     # so all registry mutations must hold the service write lock.
