@@ -18,6 +18,7 @@ identical answers (asserted, not assumed).
 
 from __future__ import annotations
 
+import gc
 import json
 import time
 
@@ -55,6 +56,10 @@ TC_PROGRAM = ("tc(X, Y) :- edge(X, Y).\n"
 
 
 def _timed(fn):
+    # Start from a collected heap: a ~1 ms cell timed once must not absorb a
+    # collection owed by earlier allocations (one import more or less moves
+    # where it lands).
+    gc.collect()
     start = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - start

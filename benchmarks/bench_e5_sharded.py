@@ -17,12 +17,12 @@ every reported number compares identical results.  Two ratios are
 recorded per cell: ``speedup`` (vectorized over sharded, the
 cross-backend view ``run_all.py`` normalizes into ``BENCH_e5.json``) and
 ``vs_one_shard`` (the same workload at one shard over this cell — the
-gather-path scaling curve the ISSUE asks about).  Scatter workloads run
-their per-shard subplans on CPython threads, so their scaling is reported
-honestly rather than gated (the GIL interleaves the row loops; the
-partitioned structure is what a free-threaded build or a process pool
-scales with) — the routed point-lookup path is the cell where sharding
-must and does win single-process.
+gather-path scaling curve).  Scatter workloads run their per-shard
+subplans inline, one shard after another on the calling thread, so their
+scaling is reported honestly rather than gated (more shards add gather work
+but no concurrency; the ``"process"`` backend, E6, is the one that spreads
+shards over cores) — the routed point-lookup path is the cell where
+sharding must and does win single-process.
 
 Runs standalone (the CI smoke job) or under pytest::
 

@@ -3,8 +3,8 @@
 
 ``run_all.py`` writes one unified ``BENCH_<suite>.json`` per suite; the
 committed snapshots live in ``benchmarks/baselines/``.  This gate compares
-the **speedup ratios** (engine vs interpreter, vectorized vs row, parallel vs
-vectorized, incremental view refresh vs recompute, warm vs cold cache) —
+the **speedup ratios** (engine vs interpreter, vectorized vs row,
+incremental view refresh vs recompute, warm vs cold cache) —
 ratios, not wall-clock, so the gate holds across CI hardware generations.
 
 A record regresses when its speedup falls more than ``--threshold`` (default
@@ -40,9 +40,9 @@ DEFAULT_BASELINES = os.path.join(HERE, "baselines")
 DEFAULT_THRESHOLD = 0.30
 
 #: Baseline speedups below this are treated as informational, not gated: a
-#: ratio hovering around 1.0x (e.g. thread-pool parallelism on tiny smoke
-#: inputs under the GIL) moves with runner noise, and a 30% band around
-#: "roughly break-even" would flake on shared CI hardware.
+#: ratio hovering around 1.0x (e.g. scatter-gather against the one columnar
+#: executor on tiny smoke inputs) moves with runner noise, and a 30% band
+#: around "roughly break-even" would flake on shared CI hardware.
 GATE_FLOOR = 1.5
 
 

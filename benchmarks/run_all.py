@@ -35,7 +35,7 @@ ARTIFACT_DIR = os.environ.get("REPRO_BENCH_ARTIFACTS",
 #: Which per-cell field is the suite's headline wall-clock measurement, and
 #: what to call the measured configuration.
 _WALL_MS_KEYS = ("engine_ms", "process_ms", "sharded_ms", "kernel_ms",
-                 "vectorized_ms", "parallel_ms", "warm_ms", "incremental_ms",
+                 "vectorized_ms", "warm_ms", "incremental_ms",
                  "semi_naive_ms", "serving_ms")
 _BACKEND_LABELS = {
     "E1-join-heavy": "engine",
@@ -43,7 +43,6 @@ _BACKEND_LABELS = {
     "E1-recursive": "engine",
     "E2-row-vs-vectorized": "vectorized",
     "E2-cold-vs-warm": "warm-cache",
-    "E3-parallel-vs-vectorized": "parallel",
     "E4-ivm-vs-recompute": "view",
     "E5-sharded-scatter-gather": "sharded",
     "E6-process-scatter-gather": "process",
@@ -115,12 +114,6 @@ def _run_e2(smoke: bool) -> list[dict]:
     return _pytest_json_lines("bench_e2_vectorized.py", "E2-JSON", smoke)
 
 
-def _run_e3(smoke: bool) -> list[dict]:
-    import bench_e3_parallel
-
-    return [bench_e3_parallel.run_experiment(smoke=smoke)]
-
-
 def _run_e4(smoke: bool) -> list[dict]:
     import bench_e4_ivm
 
@@ -176,7 +169,6 @@ def _run_k1(smoke: bool) -> list[dict]:
 SUITES = {
     "e1": _run_e1,
     "e2": _run_e2,
-    "e3": _run_e3,
     "e4": _run_e4,
     "e5": _run_e5,
     "e6": _run_e6,

@@ -46,9 +46,9 @@ under concurrent readers and writers:
   monitoring shares them with the optimizer instead of racing or
   recollecting them.
 
-Backend choice is per service: ``backend="parallel"`` serves each request
-through the partitioned parallel executor (`repro.engine.parallel`), which
-keeps large hash-join probes and group-bys off a single core.
+Backend choice is per service: ``backend="process"`` runs scatter subplans
+in worker processes, off the serving process's GIL; every other backend
+answers a request on the thread that serves it.
 """
 
 from __future__ import annotations
@@ -834,8 +834,8 @@ class QueryService(ServiceBase):
     def close(self) -> None:
         """Release the backend's and database's OS resources.
 
-        Worker pools (``"parallel"`` threads, ``"process"`` workers) shut
-        down and shared-memory page segments are unlinked.  Idempotent, and
+        The ``"process"`` backend's worker pool shuts down and
+        shared-memory page segments are unlinked.  Idempotent, and
         the service stays usable — pools and segments are recreated lazily
         on the next request — so closing is about prompt resource release
         (the interpreter-exit hooks in :mod:`repro.engine.lifecycle` cover

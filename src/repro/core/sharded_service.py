@@ -381,11 +381,11 @@ class ShardedQueryService(QueryService):
     fresh :class:`ShardedDatabase`).  Pass an existing
     :class:`ShardedDatabase` to keep its layout.  ``backend`` selects the
     scatter-gather execution tier: ``"sharded"`` (default) runs shard
-    subplans on threads, ``"process"`` runs them in worker processes over
-    shared-memory column pages (:mod:`repro.engine.process`; ``workers``
-    pins that pool's width).  Call :meth:`close` — or use the service as a
-    context manager — to shut the worker pool down and unlink the page
-    segments promptly.
+    subplans inline on the request's thread, ``"process"`` runs them in
+    worker processes over shared-memory column pages
+    (:mod:`repro.engine.process`; ``workers`` pins that pool's width).
+    Call :meth:`close` — or use the service as a context manager — to shut
+    the worker pool down and unlink the page segments promptly.
 
     :meth:`register_view` works here: views materialize as per-shard
     partials (see :class:`ShardedMaterializedView`), and :meth:`reshard`

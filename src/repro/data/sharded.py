@@ -5,10 +5,9 @@ execution subsystem (:mod:`repro.engine.sharded` is the engine half).  Every
 relation is hash-partitioned across ``n_shards`` shard
 :class:`~repro.data.database.Database` instances on a chosen *shard key*
 (a subset of its attributes, the first attribute by default), reusing
-:meth:`~repro.data.relation.Relation.partition_by` — so the placement
-discipline is exactly the one the partitioned parallel backend already
-relies on: rows with equal key values always land in the same shard, and
-each shard preserves the relative bag order of its rows.
+:meth:`~repro.data.relation.Relation.partition_by` — so rows with equal key
+values always land in the same shard, and each shard preserves the
+relative bag order of its rows.
 
 The class subclasses :class:`~repro.data.database.Database` and exposes the
 same read API (``relation``/``schema``/``__iter__``/``active_domain``/...),

@@ -43,7 +43,6 @@ from repro.engine.execute import (
     run_query,
 )
 from repro.engine.vectorized import VectorizedBackend, VectorizedExecutor
-from repro.engine.parallel import ParallelBackend, ParallelExecutor
 from repro.engine.sharded import (
     NotDistributable,
     ShardedBackend,
@@ -139,8 +138,6 @@ __all__ = [
     "JoinP",
     "LoweringError",
     "NotDistributable",
-    "ParallelBackend",
-    "ParallelExecutor",
     "Plan",
     "PlanError",
     "PlanVerificationError",

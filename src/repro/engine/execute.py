@@ -617,17 +617,15 @@ def _split_name(column: str) -> tuple[str, str | None]:
 class ExecutorBackend(Protocol):
     """The physical-execution seam: logical plan + database in, rows out.
 
-    Five implementations ship: the row-at-a-time reference backend in this
+    Four implementations ship: the row-at-a-time reference backend in this
     module (``"row"``), the columnar batch-at-a-time backend in
-    :mod:`repro.engine.vectorized` (``"vectorized"``), the partitioned
-    parallel backend in :mod:`repro.engine.parallel` (``"parallel"``), the
-    thread-based scatter-gather backend in :mod:`repro.engine.sharded`
-    (``"sharded"``), and the multi-process scatter-gather backend over
+    :mod:`repro.engine.vectorized` (``"vectorized"``), the scatter-gather
+    backend in :mod:`repro.engine.sharded` (``"sharded"``: shard subplans
+    inline on the calling thread), and its multi-process variant over
     shared-memory column pages in :mod:`repro.engine.process`
     (``"process"``).  All must agree bag-for-bag on every plan —
-    ``tests/test_vectorized.py``, ``tests/test_parallel.py``,
-    ``tests/test_sharded.py``, ``tests/test_process.py``, and the
-    property-based differential suite in
+    ``tests/test_vectorized.py``, ``tests/test_sharded.py``,
+    ``tests/test_process.py``, and the property-based differential suite in
     ``tests/test_fuzz_differential.py`` pin that over the canonical catalog
     and randomly generated plans.
     """
@@ -650,7 +648,7 @@ class RowBackend:
 
 def get_backend(name: "str | ExecutorBackend") -> "ExecutorBackend":
     """Resolve a backend by name (``"row"`` / ``"vectorized"`` /
-    ``"parallel"`` / ``"sharded"``) or pass an instance through."""
+    ``"sharded"`` / ``"process"``) or pass an instance through."""
     if not isinstance(name, str):
         return name
     key = name.lower()
@@ -660,11 +658,6 @@ def get_backend(name: "str | ExecutorBackend") -> "ExecutorBackend":
         from repro.engine.vectorized import VectorizedBackend
 
         return VectorizedBackend()
-    if key == "parallel":
-        # The singleton: its worker pool is shared across all executions.
-        from repro.engine.parallel import PARALLEL_BACKEND
-
-        return PARALLEL_BACKEND
     if key == "sharded":
         # The singleton: its auto-sharding and compiled-plan caches are
         # shared across all executions (per-database, weakly keyed).
@@ -678,7 +671,7 @@ def get_backend(name: "str | ExecutorBackend") -> "ExecutorBackend":
 
         return PROCESS_BACKEND
     raise PlanError(f"unknown executor backend {name!r} (expected 'row', "
-                    "'vectorized', 'parallel', 'sharded', or 'process')")
+                    "'vectorized', 'sharded', or 'process')")
 
 
 _ROW_BACKEND = RowBackend()

@@ -1,13 +1,12 @@
 """Worker-pool and shared-resource lifecycle for the execution backends.
 
-The ``"parallel"`` backend's thread pool, the ``"process"`` backend's
-process pool, and the sharded databases' shared-memory page publishers all
-hold OS resources that outlive a single query.  Each registers itself here
-the first time it materializes its resource; :func:`close_all` — installed
-as an ``atexit`` hook on first registration — shuts every registered
-object down in reverse registration order, so a cleanly exiting process
-leaves no running worker threads, no child processes, and no linked
-``/dev/shm`` segments behind (``tests/test_process.py`` runs a leg under
+The ``"process"`` backend's process pool and the sharded databases'
+shared-memory page publishers hold OS resources that outlive a single
+query.  Each registers itself here the first time it materializes its
+resource; :func:`close_all` — installed as an ``atexit`` hook on first
+registration — shuts every registered object down in reverse registration
+order, so a cleanly exiting process leaves no child processes and no
+linked ``/dev/shm`` segments behind (``tests/test_process.py`` runs a leg under
 ``-W error::ResourceWarning`` to keep it that way).
 
 Registration is idempotent and survives :meth:`close`: backends recreate

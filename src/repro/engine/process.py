@@ -3,11 +3,12 @@
 
 The sharded backend (:mod:`repro.engine.sharded`) already proves which
 plans decompose into independent per-shard subplans plus a gather step —
-but its shards execute on *threads*, so CPU-bound row work serializes on
-the GIL.  This backend reuses the same compilation (it subclasses
+but it runs its shards one after another on the calling thread, inside one
+GIL.  This backend reuses the same driver (it subclasses
 :class:`~repro.engine.sharded.ShardedBackend`, inheriting the distribution
-analysis, plan cache, finisher absorption, and gather-side combine) and
-moves the per-shard execution into **worker processes**:
+analysis, plan cache, mode counting, finisher absorption, and gather-side
+combine) and overrides only the step that runs the per-shard subplans,
+moving it into **worker processes**:
 
 * **transport**: each shard's relations are published as
   ``multiprocessing.shared_memory`` column pages
@@ -40,8 +41,8 @@ moves the per-shard execution into **worker processes**:
   back;
 * **gather** runs in the parent via :meth:`ShardedPlan.finish` — partial
   aggregates combine, absorbed finishers replay — identically to the
-  threaded backend, so ``tests/test_fuzz_differential.py`` pins the whole
-  stack bag-equal to ``"vectorized"``;
+  ``"sharded"`` backend, so ``tests/test_fuzz_differential.py`` pins the
+  whole stack bag-equal to ``"vectorized"``;
 * **resilience**: a crashed worker breaks the pool; the backend shuts the
   broken pool down, re-executes the query in-process (always correct),
   and restarts the pool lazily on the next query (``pool_recovery``).  A
@@ -80,6 +81,7 @@ from repro.data.sharded import (
     DEFAULT_N_SHARDS,
     PageSegment,
     SharedPagePublisher,
+    ShardedDatabase,
     attach_chain,
     detach_segment,
     extend_attached,
@@ -87,7 +89,7 @@ from repro.data.sharded import (
 )
 from repro.engine.execute import Row
 from repro.engine.plan import Plan
-from repro.engine.sharded import ShardedBackend
+from repro.engine.sharded import ShardedBackend, ShardedPlan
 from repro.engine.vectorized import VectorizedExecutor
 
 __all__ = [
@@ -312,23 +314,24 @@ class ProcessBackend(ShardedBackend):
 
     # -- execution ---------------------------------------------------------
 
-    def execute(self, plan: Plan, db: Database) -> list[Row]:
-        sharded = self.sharded_view(db)
-        compiled = self.plan_for(plan, sharded)
-        self._bump({"scatter": "scatter", "single": "single_shard",
-                    "fallback": "fallback"}[compiled.mode])
+    def _run_parts(self, compiled: ShardedPlan, sharded: ShardedDatabase
+                   ) -> list[list[Row]]:
+        """Run a scatter's per-shard subplans in the worker pool.
+
+        Everything else — and every way out of the pool — runs the parts
+        inline, exactly as the base class does.
+        """
         if compiled.mode != "scatter":
             # Routed point queries and fallbacks: a handful of rows (or a
             # plan that cannot scatter) never repays process IPC.
-            return compiled.execute(sharded, None, self.counters)
-        assert compiled.scatter is not None
+            return super()._run_parts(compiled, sharded)
         try:
             plan_blob = pickle.dumps(compiled.scatter,
                                      protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             # A plan that cannot cross the process boundary still has exact
             # in-process semantics.
-            return compiled.execute(sharded, None, self.counters)
+            return super()._run_parts(compiled, sharded)
         manifests = self._publish(compiled, sharded)
         # Chunk the shards over at most ``workers`` tasks (round-robin so
         # every chunk stays balanced): the per-task pool round-trip is the
@@ -338,7 +341,7 @@ class ProcessBackend(ShardedBackend):
         n_tasks = max(1, min(self.workers, len(manifests)))
         chunks = [manifests[i::n_tasks] for i in range(n_tasks)]
         # Either way out of the pool re-executes in-process — same plan,
-        # same semantics, no parallelism — under its own counted reason.
+        # same semantics, no workers — under its own counted reason.
         try:
             pool = self.pool()
             futures = [pool.submit(_run_subplans, plan_blob, chunk)
@@ -353,7 +356,7 @@ class ProcessBackend(ShardedBackend):
             # A write republished between building a manifest and a worker
             # attaching it.  The pool is healthy: keep it.
             self._bump("stale_manifest")
-            return compiled.execute(sharded, None, self.counters)
+            return super()._run_parts(compiled, sharded)
         # Undo the round-robin chunking so parts line up with shard order
         # (combine functions are order-insensitive, but a deterministic
         # gather keeps row order reproducible run to run).
@@ -364,19 +367,20 @@ class ProcessBackend(ShardedBackend):
                     parts[i + j * n_tasks] = part
                 self.counters["rows_decoded"] += decoded
                 self._resident[pid] = lineages
-        return compiled.finish(sharded, parts, self.counters)
+        return parts
 
-    def _recover(self, compiled: Any, sharded: Any) -> list[Row]:
-        """Discard a broken pool and answer in-process.
+    def _recover(self, compiled: ShardedPlan, sharded: ShardedDatabase
+                 ) -> list[list[Row]]:
+        """Discard a broken pool and run the parts in-process.
 
         The next query restarts the pool (reaping any segments the dead
         workers pinned).
         """
         self._discard_pool()
         self._bump("pool_recovery")
-        return compiled.execute(sharded, None, self.counters)
+        return super()._run_parts(compiled, sharded)
 
-    def _publish(self, compiled: Any, sharded: Any
+    def _publish(self, compiled: ShardedPlan, sharded: ShardedDatabase
                  ) -> "list[list[PageSegment]]":
         """Per-shard segment manifests for a scatter plan's relations.
 

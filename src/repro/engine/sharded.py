@@ -1,7 +1,7 @@
 """Scatter-gather plan execution over a sharded database (``"sharded"``).
 
 This module is the engine half of the horizontal-partitioning subsystem
-(:mod:`repro.data.sharded` is the storage half).  It registers the fourth
+(:mod:`repro.data.sharded` is the storage half).  It registers the third
 :class:`~repro.engine.execute.ExecutorBackend` and rewrites one logical plan
 into *per-shard subplans plus a merge step*:
 
@@ -26,19 +26,21 @@ into *per-shard subplans plus a merge step*:
   distributable core remains; the finishers then run once over the gathered
   rows.  Plans with no distributable core at all (cross-shard set
   differences, delta scans, ...) fall back to single-node vectorized
-  execution over the merged view — correct, never parallel;
+  execution over the merged view — correct, never scattered;
 * **single-shard routing**: when every scattered relation is filtered to a
   constant shard-key value, the whole scatter collapses onto the one shard
   that can own matching rows and the gather step disappears — the
   point-query fast path the sharded serving layer leans on.
 
-Per-shard subplans execute concurrently on the worker pool shared with the
-``"parallel"`` backend; each shard runs the plain vectorized executor over a
-shard-local database (scattered relations) plus the merged views of
-broadcast relations.  ``tests/test_sharded.py`` pins the backend bag-equal
-to ``"vectorized"`` over the full canonical catalog at 1, 2, and 4 shards,
-and ``tests/test_fuzz_differential.py`` extends that to randomly generated
-plans.
+Per-shard subplans run one after another on the calling thread; each shard
+runs the plain vectorized executor over a shard-local database (scattered
+relations) plus the merged views of broadcast relations.  Where subplans
+run is the one step :class:`~repro.engine.process.ProcessBackend` replaces
+(worker processes over shared-memory pages); compilation, counting, and the
+gather are the same driver.  ``tests/test_sharded.py`` pins the backend
+bag-equal to ``"vectorized"`` over the full canonical catalog at 1, 2, and
+4 shards, and ``tests/test_fuzz_differential.py`` extends that to randomly
+generated plans.
 
 Known, documented divergences from single-node execution (bag equality is
 the contract, row order is not): gathered rows arrive in shard order, so
@@ -104,7 +106,7 @@ __all__ = [
 
 
 class NotDistributable(Exception):
-    """A (sub)plan cannot run shard-parallel under the current layout."""
+    """A (sub)plan cannot run shard by shard under the current layout."""
 
 
 #: The full partition key: one equivalence class of output-column positions
@@ -143,7 +145,7 @@ def _merge_sets(*dists: Distribution) -> tuple[frozenset[str], frozenset[str]]:
 
 def distribute(plan: Plan, sharded: ShardedDatabase,
                stats: StatsCatalog | None = None) -> Distribution:
-    """Prove ``plan`` shard-parallel, or raise :class:`NotDistributable`.
+    """Prove ``plan`` distributable, or raise :class:`NotDistributable`.
 
     The contract: executing the (broadcast-rewritten) plan on every shard
     database and concatenating the outputs in shard order is bag-equal to
@@ -199,7 +201,7 @@ def _rewrite(plan: Plan, sharded: ShardedDatabase,
         # hand sort/limit to the merge step, which replays it once over
         # the gathered bag via the finisher-shedding path in shard_plan.
         raise NotDistributable("sort/limit must run once over the gather")
-    raise NotDistributable(f"{type(plan).__name__} is not shard-parallel")
+    raise NotDistributable(f"{type(plan).__name__} is not distributable")
 
 
 def _broadcast_side(plan: Plan) -> tuple[Plan, Distribution]:
@@ -312,7 +314,7 @@ def _rewrite_join(plan: JoinP, sharded: ShardedDatabase,
     except NotDistributable:
         right = None
     if left is None and right is None:
-        raise NotDistributable("neither join input is shard-parallel")
+        raise NotDistributable("neither join input is distributable")
 
     width = len(plan.left.columns)
     equi_pairs = _equi_pairs(plan)
@@ -679,7 +681,7 @@ class ShardedPlan:
 
     ``mode`` is ``"scatter"`` (per-shard subplans + gather), ``"single"``
     (the scatter collapsed onto one shard — a routed point query), or
-    ``"fallback"`` (single-node vectorized execution over the merged view).
+    ``"fallback"`` (single-node vectorized execution over the whole data).
     ``scatter`` is the subplan every selected shard runs (broadcast reads
     rewritten to their aliases); ``core`` is the node of ``plan`` whose
     rows the gather step reconstitutes.  Row-deterministic finishers
@@ -726,36 +728,37 @@ class ShardedPlan:
 
     # -- execution ---------------------------------------------------------
 
-    def execute(self, sharded: ShardedDatabase,
-                submit: "Callable[..., Any] | None" = None,
-                counters: "dict[str, int] | None" = None) -> list[Row]:
-        """Run the compiled plan and return the merged rows (bag order)."""
+    def parts(self, sharded: ShardedDatabase,
+              counters: "dict[str, int] | None" = None) -> list[list[Row]]:
+        """Run the scatter subplan on each selected shard, one after another.
+
+        One part per shard in shard order (just the routed shard's for a
+        ``"single"`` plan); a ``"fallback"`` plan's one part is its whole
+        single-node answer over the merged view (or a plain source database).
+        """
         if self.mode == "fallback":
-            return VectorizedExecutor(sharded, counters).batch(self.plan).rows()
-        assert self.scatter is not None and self.core is not None
+            return [VectorizedExecutor(sharded, counters).batch(self.plan).rows()]
+        assert self.scatter is not None
         if self.shard_index is not None:
             shards: Iterable[int] = (self.shard_index,)
         else:
             shards = range(sharded.n_shards)
-        exec_dbs = [self._shard_database(sharded, i) for i in shards]
-        if submit is None or len(exec_dbs) <= 1:
-            parts = [VectorizedExecutor(db, counters).batch(self.scatter).rows()
-                     for db in exec_dbs]
-        else:
-            futures = [submit(_run_shard, self.scatter, db, counters)
-                       for db in exec_dbs]
-            parts = [future.result() for future in futures]
-        return self.finish(sharded, parts, counters)
+        return [VectorizedExecutor(
+                    shard_execution_database(sharded, i, self.partitioned,
+                                             self.broadcast), counters)
+                .batch(self.scatter).rows() for i in shards]
 
     def finish(self, sharded: ShardedDatabase, parts: list[list[Row]],
                counters: "dict[str, int] | None" = None) -> list[Row]:
         """Merge per-shard result parts into the final rows (bag order).
 
-        Shared by in-process execution above and the ``"process"`` backend,
-        whose workers return exactly one part per shard.
+        The parts come from :meth:`parts` or from the ``"process"``
+        backend's workers, which return exactly one part per shard.
         """
         if self.combine is not None:
             rows = self.combine(parts)
+        elif len(parts) == 1:  # fallback, routed, or a one-shard scatter
+            rows = parts[0]
         else:
             rows = [row for part in parts for row in part]
         seed = self.gather if self.gather is not None else self.core
@@ -767,16 +770,6 @@ class ShardedPlan:
         executor = VectorizedExecutor(sharded, counters)
         executor._memo[seed] = Batch.from_rows(seed.columns, rows)
         return executor.batch(self.plan).rows()
-
-    def _shard_database(self, sharded: ShardedDatabase, index: int) -> Database:
-        """Shard ``index``'s execution view: local + broadcast relations."""
-        return shard_execution_database(sharded, index,
-                                        self.partitioned, self.broadcast)
-
-
-def _run_shard(scatter: Plan, db: Database,
-               counters: "dict[str, int] | None" = None) -> list[Row]:
-    return VectorizedExecutor(db, counters).batch(scatter).rows()
 
 
 def shard_plan(plan: Plan, sharded: ShardedDatabase,
@@ -935,8 +928,8 @@ class ShardedBackend:
     and rebuilt when the source version moves), so
     ``run_query(..., backend="sharded")`` works on any database.  Compiled
     :class:`ShardedPlan` objects are cached per (plan, structure version);
-    per-shard subplans execute concurrently on the worker pool shared with
-    the ``"parallel"`` backend.  ``get_backend("sharded")`` returns a
+    per-shard subplans run inline on the calling thread, so concurrent
+    queries each use their own thread.  ``get_backend("sharded")`` returns a
     process-wide singleton; construct instances directly to pin the shard
     count or keys for auto-sharded databases.
     """
@@ -1021,15 +1014,29 @@ class ShardedBackend:
     # -- ExecutorBackend ---------------------------------------------------
 
     def execute(self, plan: Plan, db: Database) -> list[Row]:
-        from repro.engine.parallel import PARALLEL_BACKEND
-
+        """The one scatter-gather driver: compile, count, run parts, merge."""
         sharded = self.sharded_view(db)
         compiled = self.plan_for(plan, sharded)
-        self._bump({"scatter": "scatter", "single": "single_shard",
-                    "fallback": "fallback"}[compiled.mode])
-        submit = PARALLEL_BACKEND.pool().submit if compiled.mode == "scatter" \
-            else None
-        return compiled.execute(sharded, submit, self.counters)
+        self._bump(_MODE_COUNTERS[compiled.mode])
+        # A fallback reads the source: an auto-sharded copy keeps no delta log.
+        view = db if compiled.mode == "fallback" else sharded
+        return compiled.finish(view, self._run_parts(compiled, view),
+                               self.counters)
+
+    def _run_parts(self, compiled: ShardedPlan, sharded: ShardedDatabase
+                   ) -> list[list[Row]]:
+        """Where subplans run: here, inline on the calling thread.
+
+        The one step :class:`~repro.engine.process.ProcessBackend`
+        overrides.  Under the GIL a thread pool only interleaves the same
+        row work, and measured slower than running the shards in turn.
+        """
+        return compiled.parts(sharded, self.counters)
+
+
+#: ``ShardedPlan.mode`` → the ``execution_counts()`` key it bumps.
+_MODE_COUNTERS = {"scatter": "scatter", "single": "single_shard",
+                  "fallback": "fallback"}
 
 
 #: The process-wide backend instance ``get_backend("sharded")`` serves.

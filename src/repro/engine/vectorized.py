@@ -447,15 +447,9 @@ class VectorizedExecutor:
                 kernels.count_path("probe_kernel")
                 return pair
         kernels.count_path("probe_loop")
-        left_sel, right_sel = self._probe_rows(
+        left_sel, right_sel = _probe(
             batch, idx, build.table() if lazy else build, null_matches)
         return kernels.index_array(left_sel), kernels.index_array(right_sel)
-
-    def _probe_rows(self, batch: Batch, idx: list[int],
-                    table: "dict[Any, list[int]] | _PrefixTable",
-                    null_matches: bool) -> tuple[list[int], list[int]]:
-        """The Python probe loop — the parallel backend's partition seam."""
-        return _probe(batch, idx, table, null_matches)
 
     def _semi_anti(self, plan: JoinP, left: Batch, right: Batch,
                    left_idx: list[int], right_idx: list[int],
@@ -579,7 +573,7 @@ class VectorizedExecutor:
 
     def _group_members(self, key_arrays: list[list[Any]], n: int
                        ) -> tuple[list[int], list[list[int]]]:
-        """Group row indices by key — the parallel backend's partition seam.
+        """Group row indices by key.
 
         Returns ``(reps, members)``: the first-occurrence index of each
         group (in first-occurrence order) and the member indices per group.
@@ -739,7 +733,8 @@ def _semi_key_set(batch: Batch, idx: list[int], null_matches: bool) -> set:
     return keys
 
 
-def _probe(batch: Batch, idx: list[int], table: dict[Any, list[int]],
+def _probe(batch: Batch, idx: list[int],
+           table: "dict[Any, list[int]] | _PrefixTable",
            null_matches: bool) -> tuple[list[int], list[int]]:
     left_sel: list[int] = []
     right_sel: list[int] = []

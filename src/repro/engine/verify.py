@@ -2,7 +2,7 @@
 
 Four rewrite layers produce plans — the five-language lowering, the
 rule-based optimizer, the insert-delta rewriting, and the scatter-gather
-distribution analysis — and five backends execute them.  Before this module
+distribution analysis — and four backends execute them.  Before this module
 the only guard against a subtly-wrong rewrite was differential fuzzing *at
 execution time*; :func:`verify_plan` moves that check to rewrite time by
 proving, bottom-up over the plan tree, that

@@ -307,12 +307,63 @@ class TestBulkConstruction:
         assert Relation(self.SCHEMA, [(1, "a")]).version == 1
 
     def test_freeze_after_bulk_build(self):
-        rel = Relation(self.SCHEMA, [(1, "a")], validate=False).freeze()
+        rel = Relation(self.SCHEMA, [(1, "a")], validate=False)
+        assert not rel.is_frozen
+        assert rel.freeze() is rel and rel.is_frozen
         with pytest.raises(RelationError, match="frozen"):
             rel.add((2, "b"))
         copy = rel.copy()
         copy.add((2, "b"))
         assert not copy.is_frozen and copy.version == 2 and len(rel) == 1
+
+
+class TestPartitionBy:
+    def test_rows_with_equal_keys_share_a_partition(self):
+        rel = relation_from_rows(
+            "R", [("k", "int"), ("v", "int")],
+            [(i % 7, i) for i in range(100)])
+        parts = rel.partition_by(["k"], 3)
+        assert sum(len(p) for p in parts) == len(rel)
+        owner: dict[int, int] = {}
+        for which, part in enumerate(parts):
+            for key, _v in part.rows():
+                assert owner.setdefault(key, which) == which, (
+                    f"key {key} straddles partitions"
+                )
+
+    def test_partitions_preserve_relative_bag_order(self):
+        rel = relation_from_rows("R", [("k", "int"), ("v", "int")],
+                                 [(i % 3, i) for i in range(30)])
+        for part in rel.partition_by(["k"], 4):
+            values = [v for _k, v in part.rows()]
+            assert values == sorted(values)
+
+    def test_multi_attribute_keys_and_bad_counts(self):
+        rel = relation_from_rows("R", [("a", "int"), ("b", "str")],
+                                 [(1, "x"), (1, "y"), (2, "x"), (1, "x")])
+        parts = rel.partition_by(["a", "b"], 2)
+        assert sum(len(p) for p in parts) == 4
+        with pytest.raises(ValueError):
+            rel.partition_by(["a"], 0)
+
+
+class TestFreeze:
+    def test_frozen_relation_rejects_add(self):
+        rel = relation_from_rows("R", [("a", "int")], [(1,)])
+        assert not rel.is_frozen
+        assert rel.freeze() is rel
+        assert rel.is_frozen
+        with pytest.raises(RelationError):
+            rel.add((2,))
+        assert rel.rows() == [(1,)]
+
+    def test_copy_of_frozen_is_mutable(self):
+        rel = relation_from_rows("R", [("a", "int")], [(1,)]).freeze()
+        copy = rel.copy()
+        assert not copy.is_frozen
+        copy.add((2,))
+        assert copy.rows() == [(1,), (2,)]
+        assert rel.rows() == [(1,)]  # the frozen original is untouched
 
 
 class TestDatabase:

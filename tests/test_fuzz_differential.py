@@ -1,16 +1,16 @@
 """Property-based differential fuzzing of the executor backends.
 
 The hand-written catalog differentials (``test_vectorized.py``,
-``test_parallel.py``, ``test_sharded.py``, ``test_process.py``) pin the
-backends together over a fixed workload; as the backend matrix grows, fixed
-suites stop covering the input space.  Following the benchmark-management
+``test_sharded.py``, ``test_process.py``) pin the backends together over
+a fixed workload; as the backend matrix grows, fixed suites stop covering
+the input space.  Following the benchmark-management
 argument for generated instance families over curated ones, this suite
 *generates* the workload: a hypothesis strategy builds random logical plans
 — scans, filters, equi- and semi/anti-joins, projections, distinct, set
 operations, group-bys, sorts — over small random relations, and asserts
 
-    row ≡ vectorized ≡ kernel ≡ parallel ≡ sharded (2 and 3 shards)
-        ≡ process (2 shards, 2 worker processes)
+    row ≡ vectorized ≡ kernel ≡ sharded (2 shards on the loops; 2 and 3
+        on the kernels) ≡ process (2 shards, 2 worker processes)
 
 bag-for-bag on every generated (database, plan) pair, for both the raw and
 the optimizer-rewritten plan — and for the plan the serving path would run
@@ -58,7 +58,6 @@ from repro.data.sharded import ShardedDatabase, reshard
 from repro.engine import Template, get_backend, optimize
 from repro.engine.bind import attach_slots, sentinels_for
 from repro.engine.optimize import _rebuild
-from repro.engine.parallel import ParallelBackend
 from repro.engine.plan import (
     AggregateP,
     DistinctP,
@@ -109,15 +108,8 @@ BACKENDS = [
     # The one columnar executor, on its Python loops and on its kernels.
     ("vectorized", _Gated(get_backend("vectorized"), sys.maxsize)),
     ("kernel", _Gated(get_backend("vectorized"), 0)),
-    # Partition threshold 1 forces the partitioned probe/group code paths
-    # even on tiny generated relations (they split the Python loops).
-    ("parallel", _Gated(ParallelBackend(workers=3, min_partition_rows=1),
-                        sys.maxsize)),
-    # What production runs from 2048 rows up: kernels first, the
-    # partitioned loops only where a kernel declines.
-    ("parallel-kernel",
-     _Gated(ParallelBackend(workers=3, min_partition_rows=1), 0)),
-    # Scatter-gather with kernels per shard, as before the gate existed.
+    # Scatter-gather over the Python loops, and with kernels per shard.
+    ("sharded-2-loop", _Gated(ShardedBackend(n_shards=2), sys.maxsize)),
     ("sharded-2", _Gated(ShardedBackend(n_shards=2), 0)),
     ("sharded-3", _Gated(ShardedBackend(n_shards=3), 0)),
     # Real worker processes over shared-memory pages; 2 workers keeps the

@@ -39,7 +39,7 @@ from repro.engine import (
 from repro.engine.delta import term_delta_relation
 from repro.queries.catalog import CANONICAL_QUERIES
 
-BACKENDS = ("row", "vectorized", "parallel")
+BACKENDS = ("row", "vectorized", "sharded")
 
 JOIN_SQL = ("SELECT DISTINCT S.sname FROM Sailors S, Boats B, Reserves R "
             "WHERE S.sid = R.sid AND R.bid = B.bid AND B.color = 'red'")

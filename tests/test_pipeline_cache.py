@@ -271,11 +271,17 @@ class TestBackendSelection:
             assert {row[0] for row in result.answers.distinct_rows()} == set(
                 query.expected_names), f"{query.id} on {backend}"
 
-    def test_unknown_backend_rejected_eagerly(self):
+    @pytest.mark.parametrize("backend", ["quantum", "parallel"])
+    def test_unknown_backend_rejected_eagerly(self, backend):
+        # "parallel" is a retired name: a service built on it fails at
+        # construction, not at its first query.
+        from repro.core import QueryService
         from repro.engine import PlanError
 
         with pytest.raises(PlanError):
-            QueryVisualizationPipeline(sailors_database(), backend="quantum")
+            QueryVisualizationPipeline(sailors_database(), backend=backend)
+        with pytest.raises(PlanError):
+            QueryService(sailors_database(), backend=backend)
 
 
 class TestInterpreterFallback:

@@ -15,10 +15,9 @@ Five surfaces:
   manifest answered in-process with the pool kept;
 * writers racing process readers across version bumps (tail runs publish,
   workers extend their resident copies, answers stay consistent);
-* pool lifecycle — explicit ``close()`` on the parallel and process
-  backends, the shared :mod:`repro.engine.lifecycle` registry, and a
-  subprocess leg asserting the whole stack is clean under
-  ``-W error::ResourceWarning``.
+* pool lifecycle — explicit ``close()`` on the process backend, the
+  shared :mod:`repro.engine.lifecycle` registry, and a subprocess leg
+  asserting the whole stack is clean under ``-W error::ResourceWarning``.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from repro.data.sharded import (
 from repro.core.sharded_service import ShardedQueryService
 from repro.engine import get_backend, lower, optimize, execute_plan
 from repro.engine.kernels import kernels_enabled
-from repro.engine.parallel import ParallelBackend
+from repro.engine.sharded import ShardedBackend
 import repro.engine.process as process
 from repro.engine.process import (
     ProcessBackend,
@@ -461,6 +460,13 @@ class TestProcessBackendDifferential:
         assert get_backend("process") is get_backend("process")
         assert get_backend("process").name == "process"
 
+    def test_shares_the_sharded_driver(self):
+        # Only the step that produces per-shard parts differs; compiling,
+        # mode counting, and the merge live once, in ShardedBackend.execute.
+        assert "execute" not in vars(ProcessBackend)
+        assert ProcessBackend.execute is ShardedBackend.execute
+        assert ProcessBackend._run_parts is not ShardedBackend._run_parts
+
     def test_point_query_routes_without_the_pool(self, db):
         backend = ProcessBackend(n_shards=4, workers=2)
         try:
@@ -492,7 +498,7 @@ class TestProcessBackendDifferential:
             # The broken pool is discarded and the query re-runs in-process.
             assert want.bag_equal(execute_plan(plan, db, backend=backend))
             assert backend.execution_counts()["pool_recovery"] >= 1
-            # The next execution restarts the pool and goes parallel again.
+            # The next execution restarts the pool and goes to the workers again.
             assert want.bag_equal(execute_plan(plan, db, backend=backend))
         finally:
             backend.close()
@@ -809,20 +815,6 @@ class TestWriterRacesProcessReaders:
 # ---------------------------------------------------------------------------
 
 class TestLifecycle:
-    def test_parallel_backend_close_and_reuse(self, db):
-        backend = ParallelBackend(workers=2, min_partition_rows=1)
-        plan = optimize(lower(
-            "SELECT S.sname FROM Sailors S WHERE S.rating > 5",
-            db.schema, "sql"), db)
-        first = execute_plan(plan, db, backend=backend)
-        assert backend._pool is not None
-        backend.close()
-        assert backend._pool is None
-        backend.close()  # idempotent
-        again = execute_plan(plan, db, backend=backend)  # pool recreated
-        assert first.bag_equal(again)
-        backend.close()
-
     def test_lifecycle_registry_close_all(self):
         from repro.engine import lifecycle
 
@@ -911,7 +903,7 @@ def leftover():
 
 db = sailors_database()
 run_query("SELECT S.sname FROM Sailors S WHERE S.rating > 5", db,
-          backend="parallel")
+          backend="sharded")
 join = ("SELECT S.sname, R.bid FROM Sailors S, Reserves R "
         "WHERE S.sid = R.sid")
 with ShardedQueryService(backend="process", n_shards=2, workers=2) as svc:

@@ -89,8 +89,8 @@ class TestServing:
         with pytest.raises(ValueError):
             service.prepare("SELECT 1", language="cypher")
 
-    def test_parallel_backend_service(self):
-        service = QueryService(sailors_database(), backend="parallel")
+    def test_sharded_backend_service(self):
+        service = QueryService(sailors_database(), backend="sharded")
         reference = QueryVisualizationPipeline(sailors_database())
         assert service.answer(GROUP_SQL).bag_equal(reference.answer(GROUP_SQL))
 
@@ -522,9 +522,9 @@ class TestConcurrencyHammer:
                 f"stale cache entry for {handle.text!r}"
             )
 
-    def test_storm_with_parallel_backend(self):
+    def test_storm_with_sharded_backend(self):
         service = QueryService(
             random_sailors_database(n_sailors=60, n_boats=8, n_reserves=300,
                                     seed=22),
-            backend="parallel")
+            backend="sharded")
         self._run_storm(service)

@@ -10,21 +10,30 @@ Four surfaces:
   sides, partial→final aggregation splits, single-shard point routing, and
   the single-node fallback;
 * the ``"sharded"`` backend — bag-equal to ``"vectorized"`` over the whole
-  canonical catalog at 1, 2, and 4 shards (the acceptance gate);
+  canonical catalog at 1, 2, and 4 shards (the acceptance gate), with the
+  kernels forced on per shard, and running every subplan inline on the
+  calling thread;
 * :class:`ShardedQueryService` — routed writes, the shard-version-vector
   result-cache key, and the point-query serving path.
 """
 
 from __future__ import annotations
 
+import threading
+from unittest import mock
+
 import pytest
 
+import repro.engine.kernels as kernels
 from repro.data import ShardedDatabase, reshard, sailors_database
+from repro.data.database import Database
 from repro.data.relation import RelationError, relation_from_rows
+from repro.data.sailors import random_sailors_database
 from repro.data.schema import SchemaError
 from repro.engine import execute_plan, get_backend, lower, optimize, run_query
 from repro.engine.sharded import ShardedBackend, shard_plan, split_aggregate
 from repro.engine.stats import StatsCatalog
+from repro.engine.vectorized import VectorizedExecutor
 from repro.queries import CANONICAL_QUERIES, LANGUAGES
 
 SHARD_COUNTS = (1, 2, 4)
@@ -36,6 +45,13 @@ PLAN_CELLS = [
     for language in LANGUAGES
     if language.lower() != "datalog"
     for shards in SHARD_COUNTS
+]
+
+KERNEL_CELLS = [
+    pytest.param(query, language, id=f"{query.id}-{language}")
+    for query in CANONICAL_QUERIES
+    for language in LANGUAGES
+    if language.lower() != "datalog"
 ]
 
 
@@ -80,6 +96,139 @@ class TestDifferentialSharded:
             ShardedBackend(n_shards=0)
         with pytest.raises(ValueError):
             ShardedDatabase(n_shards=0)
+
+
+class TestInlineScatter:
+    """Per-shard subplans run inline, in turn, on the calling thread."""
+
+    @pytest.mark.parametrize("query,language", KERNEL_CELLS)
+    def test_catalog_with_kernels_per_shard_agrees(self, db, query, language):
+        # The canonical instance is far below KERNEL_MIN_ROWS; a zero gate
+        # offers every per-shard batch to the numpy kernels.
+        text = query.languages()[language]
+        plan = optimize(lower(text, db.schema, language.lower()), db)
+        vectorized = execute_plan(plan, db, backend="vectorized")
+        with mock.patch.object(kernels, "KERNEL_MIN_ROWS", 0):
+            sharded = execute_plan(plan, ShardedDatabase.from_database(db, 2),
+                                   backend=ShardedBackend(n_shards=2))
+        assert vectorized.bag_equal(sharded), (
+            f"{query.id}/{language}: vectorized {sorted(vectorized.rows())} "
+            f"!= sharded {sorted(sharded.rows())}"
+        )
+
+    def test_subplans_run_on_the_calling_thread(self, db):
+        sql = ("SELECT S.rating, COUNT(*) AS n FROM Sailors S, Reserves R "
+               "WHERE S.sid = R.sid GROUP BY S.rating")
+        plan = optimize(lower(sql, db.schema, "sql"), db)
+        sharded = ShardedDatabase.from_database(db, 4)
+        backend = ShardedBackend(n_shards=4)
+        assert backend.plan_for(plan, sharded).mode == "scatter"
+        batch = VectorizedExecutor.batch
+        threads: list[int] = []
+
+        def spy(executor, node):
+            threads.append(threading.get_ident())
+            return batch(executor, node)
+
+        alive = threading.active_count()
+        with mock.patch.object(VectorizedExecutor, "batch", spy):
+            got = execute_plan(plan, sharded, backend=backend)
+        assert len(threads) >= 4
+        assert set(threads) == {threading.get_ident()}
+        assert threading.active_count() == alive
+        assert run_query(sql, db, "sql", backend="vectorized").bag_equal(got)
+
+    def test_concurrent_callers_each_run_their_own_shards(self, db):
+        sql = ("SELECT S.sname, R.bid FROM Sailors S, Reserves R "
+               "WHERE S.sid = R.sid")
+        plan = optimize(lower(sql, db.schema, "sql"), db)
+        want = execute_plan(plan, db, backend="vectorized")
+        backend = ShardedBackend(n_shards=3)
+        batch = VectorizedExecutor.batch
+        callers: list[int] = []
+        answers: dict[int, object] = {}
+        start = threading.Barrier(4)
+
+        def spy(executor, node):
+            callers.append(threading.get_ident())
+            return batch(executor, node)
+
+        def reader():
+            start.wait()
+            answers[threading.get_ident()] = execute_plan(plan, db,
+                                                          backend=backend)
+
+        with mock.patch.object(VectorizedExecutor, "batch", spy):
+            threads = [threading.Thread(target=reader) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        assert len(answers) == 4
+        # Every subplan ran on one of the four reader threads, and each
+        # reader ran its own: no worker thread ever appears.
+        assert set(callers) == set(answers)
+        for got in answers.values():
+            assert want.bag_equal(got)
+        assert backend.execution_counts()["scatter"] == 4
+
+    def test_the_driver_counts_each_mode(self, db):
+        sharded = ShardedDatabase.from_database(db, 4)
+        backend = ShardedBackend(n_shards=4)
+        shapes = {
+            "scatter": "SELECT S.sname FROM Sailors S WHERE S.rating > 5",
+            "single": "SELECT S.sname FROM Sailors S WHERE S.sid = 22",
+            "fallback": ("SELECT S.sname FROM Sailors S "
+                         "EXCEPT SELECT B.bname FROM Boats B"),
+        }
+        for mode, sql in shapes.items():
+            plan = optimize(lower(sql, db.schema, "sql"), db)
+            assert backend.plan_for(plan, sharded).mode == mode
+            want = run_query(sql, db, "sql", backend="vectorized")
+            assert want.bag_equal(execute_plan(plan, sharded, backend=backend))
+        counts = backend.execution_counts()
+        assert (counts["scatter"], counts["single_shard"],
+                counts["fallback"]) == (1, 1, 1)
+
+    def test_registry_backend_at_scale(self):
+        db = random_sailors_database(n_sailors=300, n_boats=20,
+                                     n_reserves=3000, seed=13)
+        shapes = [
+            ("SELECT DISTINCT S.sname FROM Sailors S, Reserves R, Boats B "
+             "WHERE S.sid = R.sid AND R.bid = B.bid AND B.color = 'red'"),
+            ("SELECT S.rating, COUNT(*) AS n, AVG(S.age) AS a "
+             "FROM Sailors S, Reserves R WHERE S.sid = R.sid "
+             "GROUP BY S.rating"),
+            ("SELECT R.bid, COUNT(*) AS n FROM Reserves R GROUP BY R.bid"),
+        ]
+        for sql in shapes:
+            vectorized = run_query(sql, db, "sql", backend="vectorized")
+            sharded = run_query(sql, db, "sql", backend="sharded")
+            assert vectorized.bag_equal(sharded), sql
+
+    def test_multi_key_join_and_group(self, db):
+        sql = ("SELECT R.sid, R.bid, COUNT(*) AS n FROM Reserves R "
+               "GROUP BY R.sid, R.bid")
+        vectorized = run_query(sql, db, "sql", backend="vectorized")
+        sharded = execute_plan(
+            optimize(lower(sql, db.schema, "sql"), db),
+            ShardedDatabase.from_database(db, 3),
+            backend=ShardedBackend(n_shards=3))
+        assert vectorized.bag_equal(sharded)
+
+    def test_null_keys_never_match_in_scattered_probe(self):
+        left = relation_from_rows("L", [("k", "int"), ("v", "str")],
+                                  [(1, "a"), (None, "b"), (2, "c"), (1, "d")])
+        right = relation_from_rows("R", [("k", "int"), ("w", "str")],
+                                   [(1, "x"), (None, "y"), (3, "z")])
+        db = Database([left, right])
+        sql = "SELECT L.v, R.w FROM L, R WHERE L.k = R.k"
+        vectorized = run_query(sql, db, "sql", backend="vectorized")
+        sharded = execute_plan(
+            optimize(lower(sql, db.schema, "sql"), db), db,
+            backend=ShardedBackend(n_shards=3))
+        assert vectorized.bag_equal(sharded)
+        assert set(sharded.rows()) == {("a", "x"), ("d", "x")}
 
 
 class TestShardedDatabase:

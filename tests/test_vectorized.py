@@ -112,6 +112,13 @@ class TestDifferentialVectorized:
         with pytest.raises(PlanError):
             get_backend("gpu")
 
+    def test_retired_parallel_name_rejected(self):
+        from repro.engine import PlanError
+
+        with pytest.raises(PlanError, match="'row', 'vectorized', 'sharded', "
+                                            "or 'process'"):
+            get_backend("parallel")
+
     def test_error_raising_conjunct_behaves_like_row_backend(self, db):
         # Conjuncts are evaluated in the conjunction's order on both
         # backends: the int+str arithmetic raises before the (row-emptying)
