@@ -35,14 +35,20 @@ kernel declines to when numpy is absent — on a synthetic star schema:
   48k tuple allocations on both sides and little else);
 * **groupby-int-dense** — ``COUNT``/``MIN``/``MAX`` per value of a 97-value
   int key over a filtered fact table: offset codes and one radix sort
-  serve the group ids and the MIN/MAX segments alike.
+  serve the group ids and the MIN/MAX segments alike;
+* **probe-after-append** — probe-int-key after a 10-row write to ``dim``,
+  both timed: the cached structure is carried over to the extended key
+  encoding and grows by the ten rows (``build_extended``) instead of being
+  lowered and sorted again, while the fallback's ``key_index`` is
+  maintained row by row.
 
 Gated: every family must beat the fallback by ``GATE_SPEEDUP`` at the
-largest size (answers are bag-equal asserted per cell).  The artifact
-also snapshots :func:`repro.engine.kernels.cache_stats` after the run —
-probe structures for the shared dim table must be cache hits across
-iterations, which is the "cached probe tables" half of what this suite
-pins.
+largest size (answers are bag-equal asserted per cell), and every append
+of **probe-after-append** must extend the structure, never relower it.
+The artifact also snapshots :func:`repro.engine.kernels.cache_stats` after
+the run — probe structures for the shared dim table must be cache hits
+across iterations, which is the "cached probe tables" half of what this
+suite pins.
 
 Runs standalone (the CI smoke job) or under pytest::
 
@@ -67,7 +73,12 @@ from conftest import print_table, python_loops
 from repro.data.database import Database
 from repro.data.relation import relation_from_rows
 from repro.engine import lower, optimize
-from repro.engine.kernels import cache_stats, clear_cache, kernels_enabled
+from repro.engine.kernels import (
+    cache_stats,
+    clear_cache,
+    kernels_enabled,
+    path_counts,
+)
 from repro.engine.vectorized import VectorizedExecutor
 
 REDUCED = os.environ.get("REPRO_BENCH_REDUCED", "") not in ("", "0")
@@ -114,7 +125,13 @@ WORKLOADS = {
     "groupby-int-dense": (
         "SELECT f.bucket, COUNT(*) AS n, MIN(f.fk) AS lo, MAX(f.fk) AS hi "
         "FROM fact f WHERE f.fk > 10 GROUP BY f.bucket"),
+    "probe-after-append": (
+        "SELECT d.k FROM fact f, dim d WHERE f.fk = d.k"),
 }
+
+#: Families whose timed step first appends this many ``dim`` rows, each
+#: repeating a key ``dim`` already holds.
+APPEND_ROWS = {"probe-after-append": 10}
 
 
 def synthetic_star(n_fact: int, seed: int = 7) -> Database:
@@ -172,19 +189,46 @@ def _write_artifact(name: str, artifact: dict) -> None:
         handle.write("\n")
 
 
+def _appending(db: Database, n_rows: int, run):
+    """``run`` preceded by a write of ``n_rows`` in-domain ``dim`` rows."""
+    dim = db.relation("dim")
+    n_dim = max(16, len(db.relation("fact")) // 4)
+    written = [0]
+
+    def step():
+        start = written[0]
+        written[0] += n_rows
+        dim.add_rows([(i % n_dim, f"tag{i % n_dim:06d}", f"r{i % 23:02d}")
+                      for i in range(start, start + n_rows)])
+        return run()
+    return step
+
+
 def _measure_size(n_fact: int) -> list[dict]:
     db = synthetic_star(n_fact)
     cells = []
     for family, sql in WORKLOADS.items():
         plan = optimize(lower(sql, db.schema, "sql"), db)
+
+        def kernel(plan=plan):
+            return VectorizedExecutor(db).batch(plan).rows()
+
+        def loops(plan=plan):
+            return _python_loops(plan, db)
+
+        appends = APPEND_ROWS.get(family)
+        before = path_counts()
         fast_rows, fast_s = _best_of(
-            lambda plan=plan: VectorizedExecutor(db).batch(plan).rows())
+            _appending(db, appends, kernel) if appends else kernel)
+        paths = {key: n - before[key] for key, n in path_counts().items()}
         slow_rows, slow_s = _best_of(
-            lambda plan=plan: _python_loops(plan, db), warm=1)
+            _appending(db, appends, loops) if appends else loops, warm=1)
+        if appends:
+            fast_rows = kernel()  # at the state the fallback's writes left
         assert Counter(map(tuple, fast_rows)) == \
             Counter(map(tuple, slow_rows)), (
             f"{family}@{n_fact}: kernel disagrees with fallback")
-        cells.append({
+        cell = {
             "workload": family,
             "family": family,
             "reserves": n_fact,  # record-schema size key (fact rows)
@@ -193,7 +237,11 @@ def _measure_size(n_fact: int) -> list[dict]:
             "python_ms": round(slow_s * 1000, 3),
             "speedup": round(slow_s / fast_s, 2) if fast_s > 0 else None,
             "largest_size": False,  # stamped by run_experiment
-        })
+        }
+        if appends:
+            cell.update(build_extended=paths["build_extended"],
+                        build_relowered=paths["build_relowered"])
+        cells.append(cell)
     return cells
 
 
@@ -253,6 +301,14 @@ def check_gates(artifact: dict) -> list[str]:
                 f"{artifact['gate_speedup']}x over the Python fallback")
     if artifact["cache"]["hits"] <= 0:
         failures.append("probe-structure cache recorded zero hits")
+    for cell in artifact["cells"]:
+        if cell["family"] in APPEND_ROWS and (
+                cell["build_relowered"] or not cell["build_extended"]):
+            failures.append(
+                f"{cell['family']}@{cell['reserves']}: "
+                f"{cell['build_extended']} extended / "
+                f"{cell['build_relowered']} relowered build structures "
+                "after in-domain appends")
     return failures
 
 

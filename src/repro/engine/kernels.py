@@ -61,13 +61,16 @@ process-wide LRU with byte accounting, bounded by
 ``REPRO_KERNEL_CACHE_BYTES`` (default 64 MiB); hit/miss/eviction counters
 surface through :func:`cache_stats` and, per backend, through
 ``ShardedBackend.execution_counts()``.  An entry is keyed on its encodings'
-identity and holds them, so replacing an encoding strands whatever was
-derived from it: :func:`store_encoding` drops those entries as it replaces
-the encoding.  The structure of a per-query build side (a filtered or
-joined batch: :class:`BuildSide`) is lowered the same way — from the key
-vectors' encodings at the batch's selection, never by translating a Python
-hash table, which is built only for the probe that runs the loop — and is
-dropped with its one probe: nothing could ever look it up again.
+identity and holds them, so replacing an encoding would strand whatever
+was derived from it: :func:`store_encoding` carries a relation's build
+structures over to the extended encoding — the next probe appends the new
+rows to their buckets (:func:`_extend_build`) instead of lowering and
+sorting the whole side again — and drops the rest.  The structure of a
+per-query build side (a filtered or joined batch: :class:`BuildSide`) is
+lowered the same way — from the key vectors' encodings at the batch's
+selection, never by translating a Python hash table, which is built only
+for the probe that runs the loop — and is dropped with its one probe:
+nothing could ever look it up again.
 
 The kernels are not an executor: the one columnar executor
 (:class:`~repro.engine.vectorized.VectorizedExecutor`) offers each of its
@@ -422,9 +425,11 @@ def store_encoding(store: Any, index: int) -> ColumnEncoding | None:
     match proves the entry is current and a *shorter* length that it
     encodes a prefix: the entry is extended with the encoded tail
     (:func:`_extend_encoding`) instead of rescanning the column — a write
-    costs its rows here too.  No invalidation hook is needed.  Structures
-    derived from a replaced encoding can never be looked up again and are
-    dropped from the derived-structure cache with it.
+    costs its rows here too.  No invalidation hook is needed.  The build
+    structures cached on the replaced encoding move over to its successor,
+    still covering the rows they held (the next lookup extends them); what
+    else was derived from it can never be looked up again and is dropped
+    (:func:`_forget_structures`).
     """
     column = store.arrays[index]
     n = len(column)
@@ -501,8 +506,9 @@ _MISSING = object()
 #: Counted reasons (process-wide, :func:`path_counts`): which side of each
 #: run-time choice this module and its executor took.
 _PATH_TOTALS = dict.fromkeys(
-    ("probe_kernel", "probe_loop", "build_lowered", "build_dict",
-     "sel_converted", "sort_radix", "sort_compare"), 0)
+    ("probe_kernel", "probe_loop", "build_lowered", "build_extended",
+     "build_relowered", "build_dict", "sel_converted", "sort_radix",
+     "sort_compare"), 0)
 
 
 def count_path(key: str) -> None:
@@ -560,15 +566,24 @@ def _cache_put(key: Any, anchors: tuple, payload: Any, nbytes: int,
     return payload
 
 
+def _build_key(encodings: tuple, skip_nulls: bool) -> tuple:
+    """The cache key of a relation's build structure over ``encodings``."""
+    return ("build", tuple(id(enc) for enc in encodings), skip_nulls)
+
+
 def _forget_structures(old: ColumnEncoding,
                        new: ColumnEncoding | None) -> None:
-    """Drop the cached structures anchored on a replaced encoding.
+    """Retire the cached structures anchored on a replaced encoding.
 
     Keys are the anchors' ``id()``s and the entries hold the anchors, so a
     structure built over ``old`` — or a translation against its dictionary,
     unless ``new`` carries the same dictionary object on — would otherwise
     sit unreachable until the LRU bounds evict it: one per write, the old
-    encoding's arrays pinned behind it.
+    encoding's arrays pinned behind it.  A build structure is carried over
+    instead: re-keyed onto ``new`` in ``old``'s place, it still covers the
+    rows it was lowered from — a prefix of ``new``, the column being
+    append-only — and :meth:`RelationBuild.structure` extends it over the
+    tail at its next lookup.  Everything else is dropped.
     """
     global _CACHE_BYTES
     stale = [old]
@@ -578,7 +593,15 @@ def _forget_structures(old: ColumnEncoding,
     with _CACHE_LOCK:
         for key in [key for key, (anchors, _payload, _cost) in _CACHE.items()
                     if any(a is s for a in anchors for s in stale)]:
-            _CACHE_BYTES -= _CACHE.pop(key)[2]
+            anchors, payload, cost = _CACHE.pop(key)
+            _CACHE_BYTES -= cost
+            if new is None or not isinstance(payload, _BuildStructure):
+                continue
+            carried = tuple(new if a is old else a for a in anchors)
+            new_key = _build_key(carried, key[2])
+            if new_key not in _CACHE:
+                _CACHE[new_key] = (carried, payload, cost)
+                _CACHE_BYTES += cost
 
 
 def cache_stats() -> dict[str, int]:
@@ -797,27 +820,32 @@ class _BuildStructure:
     table)`` with the m code of every value in ``[lo, lo + len(table))``:
     build and probe values are then addressed directly (one subtract + one
     fancy index) instead of binary-searched.
+
+    ``rows`` is how many rows of the key columns the structure covers.  A
+    relation's structure outlives the encodings it was lowered from: when
+    a write extends them it is carried over (:func:`_forget_structures`)
+    and grown over the appended rows (:func:`_extend_build`) instead of
+    lowered again.  The arrays are never mutated — a query may be probing
+    them — so growing makes a new structure.
     """
 
     __slots__ = ("ukeys", "starts", "counts", "positions", "columns",
-                 "luts", "nbytes", "shared")
+                 "luts", "rows", "nbytes", "shared")
 
-    def __init__(self, packed: Any, bound: int, positions: Any,
-                 columns: tuple, luts: tuple) -> None:
+    def __init__(self, ukeys: Any, starts: Any, positions: Any,
+                 columns: tuple, luts: tuple, rows: int) -> None:
         #: Whether the structure lives in the derived-structure cache (a
         #: relation's build side) rather than for one query.
         self.shared = False
-        order = _stable_order(packed, bound)
-        sorted_packed = packed[order]
-        self.positions = positions[order]
-        first = np.flatnonzero(_run_flags(sorted_packed))
-        self.ukeys = sorted_packed[first]
-        self.starts = np.append(first, len(sorted_packed))
-        self.counts = np.diff(self.starts)
+        self.ukeys = ukeys
+        self.starts = starts
+        self.counts = np.diff(starts)
+        self.positions = positions
         self.columns = columns
         self.luts = luts
-        self.nbytes = int(self.ukeys.nbytes) + int(self.starts.nbytes) \
-            + int(self.counts.nbytes) + int(self.positions.nbytes) + sum(
+        self.rows = rows
+        self.nbytes = int(ukeys.nbytes) + int(starts.nbytes) \
+            + int(self.counts.nbytes) + int(positions.nbytes) + sum(
                 int(domain.nbytes) for _kind, domain, _exact in columns) \
             + sum(int(lut[1].nbytes) for lut in luts if lut is not None)
 
@@ -936,10 +964,80 @@ def _lower_build(keys: "list[tuple[ColumnEncoding, Any, Any]]", n: int,
     if packed is None:
         return None
     count_path("build_lowered")
+    order = _stable_order(packed[0], packed[1] - 1)
+    sorted_packed = packed[0][order]
+    first = np.flatnonzero(_run_flags(sorted_packed))
+    positions = np.arange(n, dtype=np.intp) if pos is None else pos
     return _BuildStructure(
-        packed[0], packed[1] - 1,
-        np.arange(n, dtype=np.intp) if pos is None else pos,
-        tuple(columns), tuple(luts))
+        sorted_packed[first], np.append(first, len(sorted_packed)),
+        positions[order], tuple(columns), tuple(luts), n)
+
+
+def _extend_build(structure: _BuildStructure,
+                  encodings: "tuple[ColumnEncoding, ...]", n: int,
+                  skip_nulls: bool) -> _BuildStructure | None:
+    """``structure`` grown over rows ``[structure.rows, n)`` of its key
+    columns' current ``encodings``, or ``None`` when it cannot hold them.
+
+    Every tail key must map through the structure's own domains and LUTs
+    to a bucket it already has.  A tail row's position is above every held
+    one, so it goes at the *end* of its bucket — the order a fresh lowering
+    would give — and the held positions shift right by the tail rows
+    landing in earlier buckets: one ``bincount``, one ``cumsum`` and an
+    insert, O(n) copying, with only the tail's insertion points sorted.
+    ``None`` — a key outside a domain, a NULL that ``skip_nulls`` does not
+    drop, a column that changed kind or exactness — sends the caller back
+    to :func:`_lower_build`.
+    """
+    start = structure.rows
+    positions = np.arange(start, n, dtype=np.intp)
+    tail = []
+    dropped = None
+    for enc, (kind, _domain, exact) in zip(encodings, structure.columns):
+        if enc.kind != kind or enc.exact != exact or enc.has_nan:
+            return None
+        tail.append(enc.values[start:n])
+        mask = None if enc.mask is None else enc.mask[start:n]
+        if mask is not None and mask.any():
+            if not skip_nulls:
+                return None  # NULL build keys keep Python's identity semantics
+            dropped = mask if dropped is None else dropped | mask
+    if dropped is not None:
+        keep = ~dropped
+        positions = positions[keep]
+        tail = [values[keep] for values in tail]
+    coded = []
+    for j, (enc, values, (kind, domain, _exact)) in enumerate(
+            zip(encodings, tail, structure.columns)):
+        if kind == "s":
+            m = 2 * values.astype(np.int64, copy=False) + 1 \
+                if enc.dictionary is domain \
+                else _domain_codes(domain, enc.dictionary[values])
+        elif structure.luts[j] is not None:
+            m = _lut_codes(structure.luts[j], len(domain), values)
+        else:
+            m = _domain_codes(domain, values)
+        if not (m & 1).all():
+            return None  # a key the domain does not hold: a new bucket
+        coded.append((m, 2 * len(domain) + 1))
+    ukeys = structure.ukeys
+    if len(coded) == 1:
+        bucket = coded[0][0] >> 1  # the domain code is the bucket index
+    else:
+        packed = _pack(coded)[0]  # the structure's own radixes: they fit
+        bucket = np.searchsorted(ukeys, packed)
+        if (bucket >= len(ukeys)).any() or (ukeys[bucket] != packed).any():
+            return None
+    counts = structure.counts + np.bincount(bucket, minlength=len(ukeys))
+    starts = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=starts[1:])
+    grown = _BuildStructure(
+        ukeys, starts,
+        np.insert(structure.positions, structure.starts[1:][bucket],
+                  positions),
+        structure.columns, structure.luts, n)
+    grown.shared = structure.shared
+    return grown
 
 
 def _dict_translation(domain: Any, pdict: Any,
@@ -1150,24 +1248,33 @@ class RelationBuild(BuildSide):
             if enc is None:
                 return None
             encodings.append(enc)
-        return (("build", tuple(id(enc) for enc in encodings),
-                 self.skip_nulls), tuple(encodings))
+        anchors = tuple(encodings)
+        return _build_key(anchors, self.skip_nulls), anchors
 
     def structure(self, probe_rows: int, sink: "dict[str, int] | None" = None
                   ) -> _BuildStructure | None:
+        """The cached structure, lowered on a miss — or, when a write
+        carried it over from shorter encodings, extended over the appended
+        rows (``build_extended``; ``build_relowered`` when it cannot be)."""
         keyed = self._cache_key()
         if keyed is None:
             return None
-        cached = _cache_get(*keyed, sink)
-        if cached is not _MISSING:
-            return cached
         key, encodings = keyed
         n = len(self.relation)
+        cached = _cache_get(key, encodings, sink)
+        if cached is not _MISSING and (cached is None or cached.rows == n):
+            return cached
         structure = None
         if all(len(enc.values) == n for enc in encodings):
-            structure = _lower_build(
-                [(enc, enc.values, enc.mask) for enc in encodings], n,
-                self.skip_nulls, probe_rows)
+            if cached is not _MISSING and cached.rows < n:
+                structure = _extend_build(cached, encodings, n,
+                                          self.skip_nulls)
+                count_path("build_relowered" if structure is None
+                           else "build_extended")
+            if structure is None:
+                structure = _lower_build(
+                    [(enc, enc.values, enc.mask) for enc in encodings], n,
+                    self.skip_nulls, probe_rows)
         if structure is not None:
             structure.shared = True
         nbytes = structure.nbytes if structure is not None else 64

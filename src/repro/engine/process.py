@@ -88,6 +88,7 @@ from repro.data.sharded import (
     reap_stale_segments,
 )
 from repro.engine.execute import Row
+from repro.engine.kernels import path_counts
 from repro.engine.plan import Plan
 from repro.engine.sharded import ShardedBackend, ShardedPlan
 from repro.engine.vectorized import VectorizedExecutor
@@ -175,7 +176,7 @@ def _attached_relation(segment: PageSegment) -> "tuple[Relation, int]":
 
 
 def _run_subplans(plan_blob: bytes, manifests: "list[list[PageSegment]]"
-                  ) -> "tuple[list[list[Row]], int, int, int]":
+                  ) -> "tuple[list[list[Row]], int, dict[str, int], int, int]":
     """Execute the scatter subplan against each shard manifest in turn.
 
     One task carries *several* shard manifests: the parent chunks the
@@ -188,9 +189,12 @@ def _run_subplans(plan_blob: bytes, manifests: "list[list[PageSegment]]"
     encodings and indexes — persists above, so a query over an unchanged
     shard attaches nothing and one after a write decodes the write.
 
-    Returns ``(parts, rows decoded, pid, resident lineages)``; the parent
-    folds the counts into ``execution_counts()``.
+    Returns ``(parts, rows decoded, path counts, pid, resident lineages)``
+    — the path counts being what this task added to the worker's
+    :func:`~repro.engine.kernels.path_counts` (a worker runs one task at a
+    time); the parent folds the counts into ``execution_counts()``.
     """
+    before = path_counts()
     plan: Plan = pickle.loads(plan_blob)
     parts: list[list[Row]] = []
     rows_decoded = 0
@@ -201,7 +205,9 @@ def _run_subplans(plan_blob: bytes, manifests: "list[list[PageSegment]]"
             rows_decoded += decoded
             db.add_relation(relation)
         parts.append(VectorizedExecutor(db).batch(plan).rows())
-    return parts, rows_decoded, os.getpid(), len(_attached)
+    paths = {key: n - before[key] for key, n in path_counts().items()
+             if n != before[key]}
+    return parts, rows_decoded, paths, os.getpid(), len(_attached)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +241,8 @@ class ProcessBackend(ShardedBackend):
         self._pool_lock = threading.Lock()
         self.counters.update(
             pool_recovery=0, stale_manifest=0, publish_full=0, publish_tail=0,
-            rows_encoded=0, runs_absorbed=0, rows_decoded=0)
+            rows_encoded=0, runs_absorbed=0, rows_decoded=0,
+            **{f"worker_{key}": 0 for key in path_counts()})
         #: Publishers this backend published through (their live runs are
         #: the ``page_*_live`` gauges) and, per worker pid, the lineages it
         #: last reported resident.
@@ -299,7 +306,10 @@ class ProcessBackend(ShardedBackend):
         superseded; pool kept).  Counted work: ``publish_full`` /
         ``publish_tail`` runs cut from row 0 / from later, ``rows_encoded``
         into them, ``runs_absorbed`` by the merge, and ``rows_decoded`` by
-        the workers (piggy-backed on their results).  Gauges:
+        the workers (piggy-backed on their results, like ``worker_*``: the
+        kernel path counts — ``worker_build_lowered``,
+        ``worker_build_extended``, ``worker_probe_kernel``, … — of the
+        workers' scatter tasks).  Gauges:
         ``page_runs_live`` / ``page_bytes_live`` over the publishers this
         backend used, ``resident_lineages`` summed over its workers.
         """
@@ -314,8 +324,8 @@ class ProcessBackend(ShardedBackend):
 
     # -- execution ---------------------------------------------------------
 
-    def _run_parts(self, compiled: ShardedPlan, sharded: ShardedDatabase
-                   ) -> list[list[Row]]:
+    def _run_parts(self, compiled: ShardedPlan, sharded: ShardedDatabase,
+                   sink: dict[str, int]) -> list[list[Row]]:
         """Run a scatter's per-shard subplans in the worker pool.
 
         Everything else — and every way out of the pool — runs the parts
@@ -324,15 +334,15 @@ class ProcessBackend(ShardedBackend):
         if compiled.mode != "scatter":
             # Routed point queries and fallbacks: a handful of rows (or a
             # plan that cannot scatter) never repays process IPC.
-            return super()._run_parts(compiled, sharded)
+            return super()._run_parts(compiled, sharded, sink)
         try:
             plan_blob = pickle.dumps(compiled.scatter,
                                      protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             # A plan that cannot cross the process boundary still has exact
             # in-process semantics.
-            return super()._run_parts(compiled, sharded)
-        manifests = self._publish(compiled, sharded)
+            return super()._run_parts(compiled, sharded, sink)
+        manifests = self._publish(compiled, sharded, sink)
         # Chunk the shards over at most ``workers`` tasks (round-robin so
         # every chunk stays balanced): the per-task pool round-trip is the
         # dominant overhead once the subplans are kernel-fast, so a
@@ -347,41 +357,43 @@ class ProcessBackend(ShardedBackend):
             futures = [pool.submit(_run_subplans, plan_blob, chunk)
                        for chunk in chunks]
         except (BrokenProcessPool, OSError, RuntimeError):
-            return self._recover(compiled, sharded)  # could not start/submit
+            return self._recover(compiled, sharded, sink)  # could not submit
         try:
             results = [future.result() for future in futures]
         except BrokenProcessPool:
-            return self._recover(compiled, sharded)  # a worker died
+            return self._recover(compiled, sharded, sink)  # a worker died
         except StaleManifest:
             # A write republished between building a manifest and a worker
             # attaching it.  The pool is healthy: keep it.
-            self._bump("stale_manifest")
-            return super()._run_parts(compiled, sharded)
+            _count(sink, "stale_manifest")
+            return super()._run_parts(compiled, sharded, sink)
         # Undo the round-robin chunking so parts line up with shard order
         # (combine functions are order-insensitive, but a deterministic
         # gather keeps row order reproducible run to run).
         parts: list[list[Row]] = [[] for _ in manifests]
-        with self._lock:
-            for i, (group, decoded, pid, lineages) in enumerate(results):
-                for j, part in enumerate(group):
-                    parts[i + j * n_tasks] = part
-                self.counters["rows_decoded"] += decoded
+        for i, (group, decoded, paths, pid, lineages) in enumerate(results):
+            for j, part in enumerate(group):
+                parts[i + j * n_tasks] = part
+            _count(sink, "rows_decoded", decoded)
+            for key, n in paths.items():
+                _count(sink, f"worker_{key}", n)
+            with self._lock:
                 self._resident[pid] = lineages
         return parts
 
-    def _recover(self, compiled: ShardedPlan, sharded: ShardedDatabase
-                 ) -> list[list[Row]]:
+    def _recover(self, compiled: ShardedPlan, sharded: ShardedDatabase,
+                 sink: dict[str, int]) -> list[list[Row]]:
         """Discard a broken pool and run the parts in-process.
 
         The next query restarts the pool (reaping any segments the dead
         workers pinned).
         """
         self._discard_pool()
-        self._bump("pool_recovery")
-        return super()._run_parts(compiled, sharded)
+        _count(sink, "pool_recovery")
+        return super()._run_parts(compiled, sharded, sink)
 
-    def _publish(self, compiled: ShardedPlan, sharded: ShardedDatabase
-                 ) -> "list[list[PageSegment]]":
+    def _publish(self, compiled: ShardedPlan, sharded: ShardedDatabase,
+                 sink: dict[str, int]) -> "list[list[PageSegment]]":
         """Per-shard segment manifests for a scatter plan's relations.
 
         Publication is version-keyed inside the publisher: an unchanged
@@ -395,17 +407,21 @@ class ProcessBackend(ShardedBackend):
         self._publishers.add(publisher)
         broadcast = [publisher.publish(f"@/{name}",
                                        sharded.broadcast_relation(name),
-                                       self.counters)
+                                       sink)
                      for name in sorted(compiled.broadcast)]
         manifests: list[list[PageSegment]] = []
         for i in range(sharded.n_shards):
             shard = sharded.shard(i)
             manifest = [publisher.publish(f"{i}/{name}", shard.relation(name),
-                                          self.counters)
+                                          sink)
                         for name in sorted(compiled.partitioned)]
             manifest.extend(broadcast)
             manifests.append(manifest)
         return manifests
+
+
+def _count(sink: dict[str, int], key: str, n: int = 1) -> None:
+    sink[key] = sink.get(key, 0) + n
 
 
 #: The process-wide backend instance ``get_backend("process")`` serves.

@@ -999,7 +999,8 @@ class ShardedBackend:
         verifier tallies (see :mod:`repro.engine.verify`) so operators can
         confirm the ``REPRO_VERIFY_PLANS`` hooks actually ran; the
         ``probe_*``/``build_*``/``sel_converted``/``sort_*`` keys are the
-        kernel layer's process-wide path counts, likewise the parent's only.
+        kernel layer's process-wide path counts, likewise the parent's only
+        (the ``"process"`` backend adds its workers' as ``worker_*``).
         """
         with self._lock:
             counts = dict(self.counters)
@@ -1007,31 +1008,42 @@ class ShardedBackend:
         counts.update(path_counts())
         return counts
 
-    def _bump(self, name: str) -> None:
+    def _fold(self, sink: dict[str, int]) -> None:
+        """Add one execution's counts to ``counters``, under the lock."""
         with self._lock:
-            self.counters[name] += 1
+            for key, n in sink.items():
+                self.counters[key] = self.counters.get(key, 0) + n
 
     # -- ExecutorBackend ---------------------------------------------------
 
     def execute(self, plan: Plan, db: Database) -> list[Row]:
-        """The one scatter-gather driver: compile, count, run parts, merge."""
+        """The one scatter-gather driver: compile, count, run parts, merge.
+
+        Everything one execution counts — its mode, the kernel layer's
+        cache traffic, the publisher's and the workers' work — goes to a
+        sink of its own, folded into ``counters`` under the lock when it
+        ends: concurrent requests never write the shared dict unlocked.
+        """
         sharded = self.sharded_view(db)
         compiled = self.plan_for(plan, sharded)
-        self._bump(_MODE_COUNTERS[compiled.mode])
+        sink = {_MODE_COUNTERS[compiled.mode]: 1}
         # A fallback reads the source: an auto-sharded copy keeps no delta log.
         view = db if compiled.mode == "fallback" else sharded
-        return compiled.finish(view, self._run_parts(compiled, view),
-                               self.counters)
+        try:
+            return compiled.finish(view, self._run_parts(compiled, view, sink),
+                                   sink)
+        finally:
+            self._fold(sink)
 
-    def _run_parts(self, compiled: ShardedPlan, sharded: ShardedDatabase
-                   ) -> list[list[Row]]:
+    def _run_parts(self, compiled: ShardedPlan, sharded: ShardedDatabase,
+                   sink: dict[str, int]) -> list[list[Row]]:
         """Where subplans run: here, inline on the calling thread.
 
         The one step :class:`~repro.engine.process.ProcessBackend`
         overrides.  Under the GIL a thread pool only interleaves the same
         row work, and measured slower than running the shards in turn.
         """
-        return compiled.parts(sharded, self.counters)
+        return compiled.parts(sharded, sink)
 
 
 #: ``ShardedPlan.mode`` → the ``execution_counts()`` key it bumps.

@@ -5,11 +5,19 @@ write path), but that amortization only helps a caller who already holds a
 batch.  Concurrent HTTP clients each send one small write; applied
 per-request they would bump the version once per row, invalidating the
 result caches and view anchors once per row.  This worker funnels every
-``POST /write`` through one queue and flushes in windows: all writes queued
-during a window are grouped by relation and applied as one
+``POST /write`` through one queue; a flush takes everything queued, groups
+it by relation and applies one
 :meth:`~repro.core.service_api.ServiceAPI.add_rows` call per relation — so
 N concurrent writers share one version bump per relation per flush, and
 downstream caches see batch-granularity invalidation under any client mix.
+
+The batching window is a response to pressure, not a cost every write
+pays.  A flush waits ``flush_interval`` for companions only when the
+previous flush carried more than one client's writes: a lone writer (a
+closed-loop client never has a second write queued) is flushed at once,
+and a burst after idle flushes its first write alone, then batches the
+rest — writes that queue while a flush is in flight share the next one,
+and from there each flush waits the window until one comes back alone.
 
 Failure isolation: a flush applies rows from many clients, and one
 malformed row must not fail its batch-mates.  On a batched-call error the
@@ -44,7 +52,9 @@ class WriteWorker:
 
     ``flush_interval`` is the batching window in seconds: after the first
     write of a flush arrives, the worker waits this long for companions
-    before applying.  ``0`` disables the wait (drain-only batching: writes
+    before applying — only while under pressure, i.e. when the previous
+    flush carried more than one client's writes (``write_windows`` counts
+    the waits).  ``0`` disables the wait (drain-only batching: writes
     already queued still share a flush).  ``max_batch`` bounds one flush.
     """
 
@@ -59,6 +69,7 @@ class WriteWorker:
         self.rows_written = 0
         self.batched_calls = 0    # add_rows invocations == version bumps
         self.flushes = 0
+        self.windows = 0          # flushes that waited the batching window
         self.write_errors = 0
 
     # -- lifecycle ----------------------------------------------------------
@@ -94,13 +105,15 @@ class WriteWorker:
 
     async def _run(self) -> None:
         shutting_down = False
+        pressure = False  # the previous flush carried several clients' writes
         while not shutting_down:
             head = await self._queue.get()
             if head is None:
                 break
             batch = [head]
-            if self.flush_interval > 0:
+            if pressure and self.flush_interval > 0:
                 # The batching window: let concurrent writers catch up.
+                self.windows += 1
                 await asyncio.sleep(self.flush_interval)
             while len(batch) < self.max_batch:
                 try:
@@ -111,6 +124,7 @@ class WriteWorker:
                     shutting_down = True
                     break
                 batch.append(item)
+            pressure = len(batch) > 1
             await self._flush(batch)
 
     async def _flush(self, batch: list[_PendingWrite]) -> None:
@@ -162,6 +176,7 @@ class WriteWorker:
             "write_requests": self.write_requests,
             "write_rows": self.rows_written,
             "write_flushes": self.flushes,
+            "write_windows": self.windows,
             "write_batched_calls": self.batched_calls,
             "write_errors": self.write_errors,
         }

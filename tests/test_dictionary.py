@@ -1071,3 +1071,165 @@ class TestProbeFanOut:
         assert build.rows_at_stake(10) == 10
         big.held_key_index.assert_not_called()
         big.column_store.assert_not_called()
+
+
+# ---------------------------------------------------------------------------
+# Build structures carried across appends
+# ---------------------------------------------------------------------------
+
+BLD = ScanP("b", ("k", "s", "t"))
+PRB = ScanP("p", ("pk", "ps", "pt"))
+
+
+def _append_db():
+    """``b`` (the build relation: ints with gaps, a LUT-sized span, words)
+    and ``p`` (probes hitting and missing every key, a few NULL words)."""
+    build = relation_from_rows(
+        "b", [("k", "int"), ("s", "string"), ("t", "int")],
+        [((i % 40) * 2, f"w{i % 15:02d}", i % 3) for i in range(400)])
+    probe = relation_from_rows(
+        "p", [("pk", "int"), ("ps", "string"), ("pt", "int")],
+        [(i % 90 - 5, None if i % 17 == 0 else f"w{i % 20:02d}", i % 4)
+         for i in range(300)])
+    return Database([build, probe])
+
+
+def _probe_against_fresh(db, idx_b, idx_p, skip_nulls):
+    """Probe ``p`` against ``b``'s cached (carried, extended) structure and
+    against a structure freshly lowered from the current encodings: the
+    outputs must be identical, order included.  Returns the path counts the
+    cached probe bumped."""
+    relation = db.relation("b")
+    build_batch = VectorizedExecutor(db).batch(BLD)
+    probe_batch = VectorizedExecutor(db).batch(PRB)
+    build = kernels.RelationBuild(build_batch, idx_b, skip_nulls, relation)
+    got, bumped = _path_delta(lambda: kernels.kernel_probe(
+        probe_batch, idx_p, build, not skip_nulls))
+    store = relation.column_store()
+    encodings = [kernels.store_encoding(store, i) for i in idx_b]
+    fresh = kernels._lower_build(
+        [(enc, enc.values, enc.mask) for enc in encodings], len(relation),
+        skip_nulls, probe_batch.length)
+    want = None if fresh is None else kernels._probe_with_structure(
+        fresh, probe_batch, idx_p, not skip_nulls, None)
+    if want is None:
+        assert got is None
+    else:
+        assert [side.tolist() for side in got] \
+            == [side.tolist() for side in want]
+        assert len(got[0]) > 0
+    return bumped
+
+
+@needs_kernels
+class TestBuildStructureExtension:
+    """After a write the next probe appends the new rows to the cached
+    structure's buckets; what it cannot hold is lowered again, counted."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_cache(self):
+        kernels.clear_cache()
+        yield
+        kernels.clear_cache()
+
+    def _schedule(self, idx_b, idx_p, appends, *, skip_nulls=True):
+        db = _append_db()
+        first = _probe_against_fresh(db, idx_b, idx_p, skip_nulls)
+        assert first.get("build_lowered") == 1
+        paths = []
+        for rows in appends:
+            db.relation("b").add_rows(rows)
+            bumped = _probe_against_fresh(db, idx_b, idx_p, skip_nulls)
+            paths.append("extended" if bumped.get("build_extended")
+                         else "relowered" if bumped.get("build_relowered")
+                         else None)
+            assert bumped.get("build_extended", 0) \
+                + bumped.get("build_relowered", 0) <= 1
+            # Only a relowering lowers (the cached probe's, and no other).
+            assert bumped.get("build_lowered", 0) \
+                <= bumped.get("build_relowered", 0)
+        return paths
+
+    def test_in_domain_int_keys_extend(self):
+        appends = [[(2 * j, "w00", 0), (78, "w01", 1), (2 * j, "w02", 2)]
+                   for j in range(6)]
+        assert self._schedule([0], [0], appends) == ["extended"] * 6
+
+    def test_keys_outside_the_domain_relower(self):
+        appends = [[(500, "w00", 0)],      # past the LUT's span
+                   [(-7, "w00", 0)],       # below it
+                   [(3, "w00", 0)],        # inside the span, not a key
+                   [(500, "w01", 1), (4, "w01", 1)],   # now in the domain
+                   ]
+        assert self._schedule([0], [0], appends) \
+            == ["relowered", "relowered", "relowered", "extended"]
+
+    def test_new_dictionary_words(self):
+        appends = [[(0, "w03", 0)],        # an old word: same dictionary
+                   [(0, "w17", 0)],        # a new word the probe side uses
+                   [(0, "w17", 1), (2, "w04", 2)],
+                   [(0, "aa", 0)],         # a new word sorting first
+                   [(0, "w05", 0)]]        # old word, through a new dictionary
+        assert self._schedule([1], [1], appends) \
+            == ["extended", "relowered", "extended", "relowered", "extended"]
+
+    def test_null_tail_keys_are_skipped_when_nulls_never_match(self):
+        appends = [[(None, "w00", 0), (4, "w00", 0)],
+                   [(None, "w01", 1)],
+                   [(6, None, 2)]]
+        assert self._schedule([0], [0], appends) == ["extended"] * 3
+
+    def test_null_tail_keys_relower_when_nulls_match(self):
+        """A NULL build key keeps Python's identity semantics: relowering
+        declines, and the kernel keeps declining — the declined lowering is
+        what is cached — until the encodings are replaced again."""
+        appends = [[(4, "w00", 0)], [(None, "w00", 0)], [(6, "w00", 0)]]
+        assert self._schedule([0], [0], appends, skip_nulls=False) \
+            == ["extended", "relowered", None]
+
+    def test_two_key_packing(self):
+        appends = [[(2, "w01", 0)],        # (k, s) pairs the side holds
+                   [(2, "w02", 0)],        # both values held, the pair not
+                   [(None, "zz", 0)],      # a new word on a skipped row
+                   [(2, "w06", 0), (4, "w07", 1)]]   # translated codes
+        assert self._schedule([0, 1], [0, 1], appends) \
+            == ["extended", "relowered", "extended", "extended"]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_append_schedules(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        idx = [[0], [1], [0, 1], [2, 0]][seed % 4]
+
+        def row():
+            if rng.random() < 0.8:  # a row the build side already holds
+                i = rng.randrange(400)
+                return ((i % 40) * 2, f"w{i % 15:02d}", i % 3)
+            return (rng.choice([None, 500, 3, 6]),
+                    rng.choice([None, "zz", "aa", "w04"]), rng.randrange(4))
+
+        appends = [[row() for _ in range(rng.randrange(1, 6))]
+                   for _ in range(12)]
+        paths = self._schedule(idx, idx, appends)
+        assert "extended" in paths
+
+    def test_cache_entries_stay_flat_across_appends(self):
+        db = _append_db()
+        plan = JoinP(PRB, BLD, "inner", ("pk", "ps"), ("k", "s"), None, False)
+        sink: dict[str, int] = {}
+        sizes = []
+        with mock.patch.object(kernels, "KERNEL_MIN_ROWS", 0):
+            for step in range(100):
+                want = VectorizedExecutor(db).batch(plan).rows()
+                with mock.patch.object(kernels, "KERNEL_MIN_ROWS",
+                                       sys.maxsize):
+                    assert VectorizedExecutor(db).batch(plan).rows() == want
+                sizes.append(kernels.cache_stats()["entries"])
+                db.relation("b").add((2 * (step % 40), f"w{step % 15:02d}",
+                                      step % 3))
+            _rows, bumped = _path_delta(
+                lambda: VectorizedExecutor(db, sink).batch(plan).rows())
+        assert len(set(sizes)) == 1
+        assert bumped.get("build_extended") == 1
+        assert "build_lowered" not in bumped

@@ -34,6 +34,7 @@ from unittest import mock
 import pytest
 
 from repro.data import ShardedDatabase, sailors_database
+from repro.data.sailors import random_sailors_database
 from repro.data.relation import (
     ColumnStore,
     Relation,
@@ -632,6 +633,45 @@ class TestResidentCopies:
             sharded.close()
         assert backend.execution_counts()["resident_lineages"] == 0
 
+    def test_workers_extend_their_build_structures(self):
+        """A scatter after each of 20 writes agrees with ``vectorized``; each
+        worker lowers a lineage's join build side once and then extends it
+        by the rows each write appended (``worker_*`` path counts)."""
+        db = random_sailors_database(n_sailors=200, n_boats=20,
+                                     n_reserves=2000, seed=5)
+        sids = sorted(row[0] for row in db.relation("Sailors").rows())
+        bids = sorted(row[0] for row in db.relation("Boats").rows())
+        sharded = ShardedDatabase.from_database(db, 2)
+        backend = ProcessBackend(n_shards=2, workers=1)
+        plan = optimize(lower(
+            "SELECT S.rating, COUNT(*) AS n, AVG(S.age) AS a FROM Sailors S, "
+            "Reserves R WHERE S.sid = R.sid GROUP BY S.rating", db.schema,
+            "sql"), db)
+        rng = random.Random(5)
+        try:
+            warm = None
+            for step in range(21):
+                want = execute_plan(plan, sharded, backend="vectorized")
+                assert want.bag_equal(execute_plan(plan, sharded,
+                                                   backend=backend))
+                if warm is None:
+                    warm = backend.execution_counts()["worker_build_lowered"]
+                sharded.add_rows("Reserves", [
+                    (rng.choice(sids), rng.choice(bids),
+                     f"2025/03/{step:02d}#{j}") for j in range(10)])
+            counts = backend.execution_counts()
+        finally:
+            backend.close()
+            sharded.close()
+        assert counts["scatter"] == 21 and warm >= 1
+        assert counts["worker_build_extended"] >= 1
+        assert counts["worker_build_lowered"] \
+            == warm + counts["worker_build_relowered"]
+        # (A write may route none of its rows to a shard: nothing to extend.)
+        assert 10 * warm <= counts["worker_build_extended"] \
+            + counts["worker_build_relowered"] <= 20 * warm
+        assert counts["worker_probe_kernel"] >= 21
+
     def test_a_raced_manifest_is_answered_in_process_and_keeps_the_pool(
             self, db, monkeypatch):
         """A write republishes between building a manifest and running it:
@@ -646,11 +686,11 @@ class TestResidentCopies:
             pids = set(pool._processes)
             publish = backend._publish
 
-            def raced(compiled, target):
+            def raced(compiled, target, sink):
                 target.add_row("Reserves", (22, 101, "2025/01/01"))
-                manifests = publish(compiled, target)    # names a 1-row run
+                manifests = publish(compiled, target, sink)  # a 1-row run
                 target.add_row("Reserves", (22, 102, "2025/01/02"))
-                publish(compiled, target)                # ... absorbed here
+                publish(compiled, target, sink)          # ... absorbed here
                 return manifests
 
             monkeypatch.setattr(backend, "_publish", raced)

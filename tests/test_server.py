@@ -777,6 +777,25 @@ class TestAdmission:
                 assert status == 200
 
 
+class _RecordingWrites:
+    """A write sink standing in for a service: records each ``add_rows``
+    call's row count, taking ``delay`` seconds per call."""
+
+    def __init__(self, delay: float = 0.0) -> None:
+        self.delay = delay
+        self.calls: list[int] = []
+        self.calls_started = 0
+        self._lock = threading.Lock()
+
+    def add_rows(self, relation: str, rows: list) -> int:
+        with self._lock:
+            self.calls_started += 1
+        time.sleep(self.delay)
+        with self._lock:
+            self.calls.append(len(rows))
+            return len(self.calls)
+
+
 class TestWriteBatching:
     """Concurrent writes share flushes — fewer version bumps than writes."""
 
@@ -808,6 +827,90 @@ class TestWriteBatching:
         assert bumps * 5 <= counts["write_requests"], (
             f"{bumps} bumps for {counts['write_requests']} writes")
         assert len(set(versions)) == bumps
+
+    def test_lone_writes_never_wait_the_window(self):
+        """A window is a response to pressure: with nothing else queued,
+        even a 5 s ``flush_interval`` costs a sequential writer nothing."""
+        service = _RecordingWrites()
+        worker = WriteWorker(service, flush_interval=5.0)
+
+        async def drive():
+            worker.start()
+            started = time.perf_counter()
+            for i in range(3):
+                await worker.submit("t", [[i]])
+            elapsed = time.perf_counter() - started
+            await worker.close()
+            return elapsed
+
+        assert asyncio.run(drive()) < 1.0
+        assert service.calls == [1, 1, 1]
+        counts = worker.counts()
+        assert counts["write_windows"] == 0 and counts["write_flushes"] == 3
+
+    def test_a_burst_after_idle_flushes_one_write_alone_then_shares(self):
+        """25 writes under a 5 s window, the first arriving at an idle
+        worker: it is flushed alone and at once, the 24 that queue behind
+        it share the next flush — and that flush waits no window either,
+        the one before it being lone."""
+        service = _RecordingWrites(delay=0.05)
+        worker = WriteWorker(service, flush_interval=5.0)
+
+        async def drive():
+            worker.start()
+            started = time.perf_counter()
+            first = asyncio.ensure_future(worker.submit("t", [[0]]))
+            while not service.calls_started:   # the lone flush is running
+                await asyncio.sleep(0.001)
+            await asyncio.gather(first, *(worker.submit("t", [[i]])
+                                          for i in range(1, 25)))
+            elapsed = time.perf_counter() - started
+            await worker.close()
+            return elapsed
+
+        assert asyncio.run(drive()) < 1.0
+        assert service.calls == [1, 24]
+        assert worker.counts()["write_windows"] == 0
+
+    def test_a_burst_arms_the_window_and_a_lone_write_disarms_it(self):
+        """After idle the first write of a burst flushes alone; the writes
+        that queue behind that flush share the next one, and from there each
+        flush waits the window until one comes back alone."""
+        service = _RecordingWrites(delay=0.05)
+        worker = WriteWorker(service, flush_interval=0.05, max_batch=8)
+
+        async def drive():
+            worker.start()
+            first = asyncio.ensure_future(worker.submit("t", [[0]]))
+            while not service.calls_started:   # the lone flush is running
+                await asyncio.sleep(0.001)
+            rest = [asyncio.ensure_future(worker.submit("t", [[i]]))
+                    for i in range(1, 25)]
+            await asyncio.gather(first, *rest)
+            burst = worker.counts()["write_windows"]
+            await worker.submit("t", [[25]])   # armed: waits, flushes alone
+            armed = worker.counts()["write_windows"]
+            await worker.submit("t", [[26]])   # disarmed
+            await worker.close()
+            return burst, armed
+
+        burst, armed = asyncio.run(drive())
+        assert service.calls == [1, 8, 8, 8, 1, 1]
+        assert (burst, armed) == (2, 3)
+        assert worker.counts()["write_windows"] == 3
+
+    def test_a_sequential_client_reports_no_windows(self):
+        service = QueryService(sailors_database())
+        with serving(service) as (_server, client):
+            for i in range(3):
+                status, _h, _p = client.request(
+                    "POST", "/write", {"relation": "Sailors",
+                                       "row": [700 + i, f"s{i}", 5, 30.0]})
+                assert status == 200
+            status, _h, metrics = client.request("GET", "/metrics")
+        assert status == 200
+        assert metrics["write_windows"] == 0
+        assert metrics["write_flushes"] == 3
 
     def test_http_writes_batch_across_clients(self):
         service = QueryService(sailors_database())

@@ -172,6 +172,39 @@ class TestInlineScatter:
             assert want.bag_equal(got)
         assert backend.execution_counts()["scatter"] == 4
 
+    def test_concurrent_counts_fold_exactly(self, db):
+        """Each execution counts into a sink of its own, folded under the
+        backend's lock: N readers × M scatters lose no kernel-cache bump."""
+        sql = ("SELECT S.sname, R.bid FROM Sailors S, Reserves R "
+               "WHERE S.sid = R.sid")
+        plan = optimize(lower(sql, db.schema, "sql"), db)
+        sharded = ShardedDatabase.from_database(db, 2)
+        backend = ShardedBackend(n_shards=2)
+        n_readers, n_scatters = 6, 25
+        start = threading.Barrier(n_readers)
+
+        def reader():
+            start.wait()
+            for _ in range(n_scatters):
+                execute_plan(plan, sharded, backend=backend)
+
+        with mock.patch.object(kernels, "KERNEL_MIN_ROWS", 0):
+            before = kernels.cache_stats()
+            threads = [threading.Thread(target=reader)
+                       for _ in range(n_readers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            after = kernels.cache_stats()
+        counts = backend.execution_counts()
+        lookups = (after["hits"] + after["misses"]) \
+            - (before["hits"] + before["misses"])
+        assert lookups >= n_readers * n_scatters
+        assert counts["kernel_cache_hits"] + counts["kernel_cache_misses"] \
+            == lookups
+        assert counts["scatter"] == n_readers * n_scatters
+
     def test_the_driver_counts_each_mode(self, db):
         sharded = ShardedDatabase.from_database(db, 4)
         backend = ShardedBackend(n_shards=4)
