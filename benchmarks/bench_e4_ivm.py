@@ -114,12 +114,11 @@ def _measure_cell(size: tuple[int, int, int], workload: str, language: str,
     view = service.register_view(text, language=language, name=workload)
     view.answer()  # settle the initial materialization
 
-    # Full side: an identical database served without views — every batch
-    # invalidates the result cache, so each answer is a full recomputation.
+    # Full side: an identical database served without views — the pipeline
+    # caches no answers, so each answer is a full recomputation.
     full_pipeline = QueryVisualizationPipeline(
         random_sailors_database(n_sailors=n_sailors, n_boats=n_boats,
-                                n_reserves=n_reserves, seed=4),
-        result_cache_size=0)
+                                n_reserves=n_reserves, seed=4))
     full_pipeline.answer(text, language=language)  # warm plan cache + stores
 
     # Steady-state warm-up (same discipline as the other experiments'

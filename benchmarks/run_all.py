@@ -35,14 +35,13 @@ ARTIFACT_DIR = os.environ.get("REPRO_BENCH_ARTIFACTS",
 #: Which per-cell field is the suite's headline wall-clock measurement, and
 #: what to call the measured configuration.
 _WALL_MS_KEYS = ("engine_ms", "process_ms", "sharded_ms", "kernel_ms",
-                 "vectorized_ms", "warm_ms", "incremental_ms",
+                 "vectorized_ms", "incremental_ms",
                  "semi_naive_ms", "serving_ms")
 _BACKEND_LABELS = {
     "E1-join-heavy": "engine",
     "E1-catalog": "engine",
     "E1-recursive": "engine",
     "E2-row-vs-vectorized": "vectorized",
-    "E2-cold-vs-warm": "warm-cache",
     "E4-ivm-vs-recompute": "view",
     "E5-sharded-scatter-gather": "sharded",
     "E6-process-scatter-gather": "process",

@@ -23,7 +23,7 @@ from repro.core.patterns import (
 )
 from repro.core.pipeline import (
     PIPELINE_LANGUAGES,
-    CacheStats,
+    Counters,
     PipelineResult,
     QueryVisualizationPipeline,
     answer_any,
@@ -37,7 +37,6 @@ from repro.core.service import (
     MaterializedView,
     PreparedQuery,
     QueryService,
-    ServiceStats,
 )
 from repro.core.service_api import (
     OverloadedError,
@@ -83,7 +82,7 @@ __all__ = [
     "PatternError",
     "PatternPredicate",
     "PatternVariable",
-    "CacheStats",
+    "Counters",
     "PipelineResult",
     "PreparedQuery",
     "answer_any",
@@ -98,7 +97,6 @@ __all__ = [
     "QueryVisualizationPipeline",
     "ServiceAPI",
     "ServiceError",
-    "ServiceStats",
     "ShardedQueryService",
     "wrap_service_error",
     "REGISTRY",

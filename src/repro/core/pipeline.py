@@ -12,6 +12,8 @@ Queries may be stated in any of the five textual languages of the tutorial
 engine (:mod:`repro.engine`) — parse → lower → optimize → execute — with the
 per-language reference interpreters as a fallback for constructs outside the
 engine fragment, so ``run`` never rejects a query the interpreters accept.
+Compiled plans are cached here, by query shape; answers are cached only by
+:class:`~repro.core.service.QueryService`, after snapshot validation.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import hashlib
 import logging
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -29,6 +30,7 @@ from repro.core.patterns import QueryPattern, pattern_of
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.data.sailors import sailors_database
+from repro.engine.cache import LRUCache
 from repro.trc.ast import TRCQuery, relation_atoms
 from repro.trc.format import format_trc_query
 
@@ -39,7 +41,7 @@ _logger = logging.getLogger(__name__)
 
 #: Cache-miss sentinel.  ``None`` (or any falsy value) must be a cacheable
 #: value — using it as the miss marker would re-miss legitimate entries
-#: forever and miscount ``cache_stats``.
+#: forever and miscount the hits.
 _MISS = object()
 
 #: Plan-cache entry of a shape whose literals could not be traced to slots.
@@ -62,9 +64,9 @@ def fingerprint_query(text: str, language: str) -> str:
     Only outer whitespace is stripped — interior whitespace can be
     significant (string literals), so two texts share a fingerprint only if
     they are byte-identical apart from leading/trailing space.  This is the
-    identity of an *answer*: result caches (the pipeline's, the service's)
-    key on ``(fingerprint, version token)`` — so any write to the database
-    (which bumps :attr:`repro.data.database.Database.version`) invalidates
+    identity of an *answer*: the service's result cache keys on
+    ``(fingerprint, version token)`` — so any write to the database (which
+    moves :attr:`repro.data.database.Database.version_token`) invalidates
     results — and registered views and prepared handles are filed under it.
     The plan cache does **not** use it: plans are keyed on the query's
     *shape* (:func:`repro.engine.bind.scan_literals`), so texts that differ
@@ -74,89 +76,45 @@ def fingerprint_query(text: str, language: str) -> str:
     return digest.hexdigest()[:24]
 
 
-class _LRUCache:
-    """A bounded mapping with least-recently-used eviction (capacity 0 = off).
+class Counters:
+    """Named integer counters, read as attributes.
 
-    Thread-safe: every operation holds one internal lock, so concurrent
-    get/put/clear interleave without corrupting the recency order.  ``get``
-    distinguishes a miss from a cached falsy value via the ``default``
-    argument (pass a private sentinel) instead of overloading ``None``.
+    The pipeline counts its plan cache in one (``plan_*``), the query
+    service its serving in another (``requests``, ``result_hits``, ...).
+    Updates go through :meth:`bump` under an internal lock, so concurrent
+    requests never lose increments.
     """
 
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._data: OrderedDict = OrderedDict()
+    def __init__(self, *names: str) -> None:
         self._lock = threading.Lock()
-
-    def get(self, key: Any, default: Any = None) -> Any:
-        with self._lock:
-            try:
-                value = self._data.pop(key)
-            except KeyError:
-                return default
-            self._data[key] = value
-            return value
-
-    def peek(self, key: Any, default: Any = None) -> Any:
-        """:meth:`get` for a caller that must not wait (the event loop).
-
-        The lock is only *tried*: while another thread holds it the lookup
-        reads as a miss, and the caller falls back to a path that may block.
-        """
-        if self._lock.acquire(blocking=False):
-            try:
-                if key in self._data:
-                    self._data.move_to_end(key)
-                    return self._data[key]
-            finally:
-                self._lock.release()
-        return default
-
-    def put(self, key: Any, value: Any) -> None:
-        if self.capacity <= 0:
-            return
-        with self._lock:
-            self._data.pop(key, None)
-            self._data[key] = value
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
-
-@dataclass
-class CacheStats:
-    """Counters of the pipeline's plan and result caches.
-
-    ``plan_hits`` / ``plan_misses`` count lookups for which lower + optimize
-    did not / did run; ``plan_binds`` the hits that substituted at least one
-    literal into a cached template; ``plan_refused`` the shapes slot
-    discovery refused, which are served under their exact text.  Updates go
-    through :meth:`bump` under an internal lock so concurrent requests never
-    lose increments.
-    """
-
-    plan_hits: int = 0
-    plan_misses: int = 0
-    plan_binds: int = 0
-    plan_refused: int = 0
-    result_hits: int = 0
-    result_misses: int = 0
-
-    def __post_init__(self) -> None:
-        self._lock = threading.Lock()
+        self._names = names
+        self.reset()
 
     def bump(self, *names: str) -> None:
         """Add one to each named counter, atomically together."""
         with self._lock:
-            for name in names:
-                setattr(self, name, getattr(self, name) + 1)
+            self._add(names)
+
+    def try_bump(self, *names: str) -> bool:
+        """:meth:`bump` without waiting; ``False`` (nothing counted) when
+        another thread holds the lock."""
+        if not self._lock.acquire(blocking=False):
+            return False
+        try:
+            self._add(names)
+        finally:
+            self._lock.release()
+        return True
+
+    def _add(self, names: tuple[str, ...]) -> None:
+        for name in names:
+            setattr(self, name, getattr(self, name) + 1)
+
+    def reset(self) -> None:
+        """Zero every counter in place."""
+        with self._lock:
+            for name in self._names:
+                setattr(self, name, 0)
 
 
 class _Source:
@@ -225,15 +183,12 @@ class QueryVisualizationPipeline:
     """Parse → lower → optimize → execute → visualize, per Figs. 1–2.
 
     ``backend`` picks the physical executor (``"vectorized"`` — the default
-    columnar engine — or ``"row"``, the reference executor).  Two bounded
-    caches keep repeated queries cheap; set either size to 0 to disable it.
+    columnar engine — or ``"row"``, the reference executor).  Every request
+    executes: answers are cached by :class:`~repro.core.service.QueryService`,
+    which publishes them only after snapshot validation.
 
-    **Results** are keyed on the *exact text* and the data:
-    ``(fingerprint_query(text, language), db.version)`` → answers, so a
-    repeated query against unchanged data skips execution entirely and
-    ``Relation.add``, which bumps the version, invalidates.
-
-    **Plans** are keyed on the query's *shape* and the schema:
+    **Plans** are cached, bounded by ``plan_cache_size`` (0 disables), and
+    keyed on the query's *shape* and the schema:
     ``(language, shape, db.structure_version)`` → one optimized plan, where
     the shape is the text with its number and string literals blanked to
     typed holes (:func:`repro.engine.bind.scan_literals`).  The cached plan
@@ -260,39 +215,38 @@ class QueryVisualizationPipeline:
 
     def __init__(self, db: Database | None = None, *, formalism: str = "queryvis",
                  use_engine: bool = True, backend: str = "vectorized",
-                 plan_cache_size: int = 128,
-                 result_cache_size: int = 256) -> None:
+                 plan_cache_size: int = 128) -> None:
         from repro.engine import get_backend
 
         self.db = db if db is not None else sailors_database()
         self.formalism = formalism
         self.use_engine = use_engine
         self.backend = get_backend(backend).name  # validates the name
-        self._plan_cache = _LRUCache(plan_cache_size)
-        self._result_cache = _LRUCache(result_cache_size)
-        self.cache_stats = CacheStats()
+        self._plan_cache = LRUCache(plan_cache_size)
+        self.cache_stats = Counters("plan_hits", "plan_misses", "plan_binds",
+                                    "plan_refused")
 
     # -- cache plumbing --------------------------------------------------
 
     def cache_info(self) -> dict[str, int]:
-        """Sizes and counters of both caches (see :class:`CacheStats`);
-        ``plan_entries`` counts shapes, refused ones included."""
+        """Plan-cache size and counters.  ``plan_entries`` counts shapes,
+        refused ones included; ``plan_hits`` / ``plan_misses`` count
+        lookups for which lower + optimize did not / did run;
+        ``plan_binds`` the hits that substituted at least one literal into
+        a cached template; ``plan_refused`` the shapes slot discovery
+        refused, which are served under their exact text."""
         stats = self.cache_stats
         return {
             "plan_entries": len(self._plan_cache),
-            "result_entries": len(self._result_cache),
             "plan_hits": stats.plan_hits,
             "plan_misses": stats.plan_misses,
             "plan_binds": stats.plan_binds,
             "plan_refused": stats.plan_refused,
-            "result_hits": stats.result_hits,
-            "result_misses": stats.result_misses,
         }
 
     def clear_caches(self) -> None:
         self._plan_cache.clear()
-        self._result_cache.clear()
-        self.cache_stats = CacheStats()
+        self.cache_stats.reset()
 
     def run(self, text: str, *, language: str = "sql", evaluate: bool = True,
             formalism: str | None = None) -> PipelineResult:
@@ -432,20 +386,6 @@ class QueryVisualizationPipeline:
                          timings: dict[str, float]) -> tuple[Relation, Any]:
         from repro.engine import datalog_relation, execute_plan, run_datalog
 
-        # A pipeline whose result cache is off (the service's: it caches
-        # validated answers itself) identifies nothing and counts nothing.
-        caching = self._result_cache.capacity > 0
-        if caching:
-            result_key = (fingerprint_query(source.text, source.language),
-                          self.db.version)
-            cached = self._result_cache.get(result_key, _MISS)
-            if cached is not _MISS:
-                self.cache_stats.bump("result_hits")
-                timings["execute"] = 0.0
-                plan, answers = cached
-                return answers, plan
-            self.cache_stats.bump("result_misses")
-
         plan = self._plan(source, timings)
         start = time.perf_counter()
         if source.language == "datalog":
@@ -453,14 +393,6 @@ class QueryVisualizationPipeline:
         else:
             answers = execute_plan(plan, self.db, backend=self.backend)
         timings["execute"] = time.perf_counter() - start
-        if caching:
-            # Published *frozen*: the cache hands the very same Relation to
-            # every later hit, so a mutable cached answer would let one
-            # caller silently poison everyone else's results.  Freezing turns
-            # that aliasing bug into an immediate ``RelationError`` at the
-            # mutation site; ``answers.copy()`` gives a private mutable copy.
-            answers.freeze()
-            self._result_cache.put(result_key, (plan, answers))
         return answers, plan
 
     def _plan(self, source: _Source, timings: dict[str, float]) -> Any:
@@ -540,10 +472,9 @@ class QueryVisualizationPipeline:
                warnings: list[str] | None = None) -> Relation:
         """The serving path: any-language text in, answers out — no diagram.
 
-        Warm requests never parse: a result-cache hit is two dictionary
-        lookups, and a plan-cache hit — any text of a shape seen before —
-        skips parse/lower/optimize, binds its literals and goes straight to
-        the executor.  A miss parses once, for lowering and for the
+        Warm requests never parse: a plan-cache hit — any text of a shape
+        seen before — skips parse/lower/optimize, binds its literals and
+        goes straight to the executor.  A miss parses once, for lowering and for the
         fallback alike.  Falls back to the reference interpreter
         exactly like :meth:`run` for queries outside the engine fragment.
         The fallback *reason* is never swallowed: it is appended to the

@@ -12,10 +12,12 @@ under concurrent readers and writers:
   answers, everyone else reads the poisoned object) raises at the mutation
   site instead of corrupting the cache.  Callers wanting a private mutable
   instance take ``.copy()``.
-* **Lock-guarded caches, lock-free reads.**  The result cache is a bounded
-  LRU keyed on ``(query fingerprint, database version)`` behind an internal
-  lock; warm requests are one locked dictionary lookup and never serialize
-  against each other or against execution.
+* **One result cache, lock-free reads.**  The service's result cache is
+  the only one on the serving path (the pipeline caches plans, not
+  answers): a bounded :class:`~repro.engine.cache.LRUCache` keyed on
+  ``(query fingerprint, database version token)``; warm requests are one
+  locked dictionary lookup and never serialize against each other or
+  against execution.
 * **Hits without waiting.**  :meth:`~QueryService.try_hit` is ``query``
   for an answer that is already there: a result-cache entry at the current
   version or a fresh view, found by trying the locks instead of taking
@@ -23,7 +25,7 @@ under concurrent readers and writers:
   it is hit.  It declines (``None``) rather than wait or execute, which is
   what lets an event loop call it directly.
 * **Snapshot-validated misses.**  A cache miss executes *optimistically*:
-  the database version is read before and after execution, and the answer is
+  the version token is read before and after execution, and the answer is
   published (and returned) only if no write interleaved.  A torn execution
   is retried; after :attr:`max_retries` collisions the request runs once
   under the write lock, which excludes writers and guarantees a consistent
@@ -32,7 +34,9 @@ under concurrent readers and writers:
   — the invariant ``tests/test_service.py`` hammers.
 * **Write API.**  Writers mutate through :meth:`add_row` /
   :meth:`add_rows` / the :meth:`writing` context manager, all of which hold
-  the service's write lock.  Writes outside the service are tolerated by the
+  the service's write lock; the database routes the rows and owns the
+  version token, so one path serves plain and sharded databases alike.
+  Writes outside the service are tolerated by the
   optimistic readers (the storage layer publishes version bumps last) but
   forfeit the serialized-fallback guarantee — keep them out of hot paths.
 * **Prepared queries.**  :meth:`prepare` parses once, compiles the plan into
@@ -55,12 +59,11 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.core.pipeline import (
     PIPELINE_LANGUAGES,
-    _LRUCache,
+    Counters,
     QueryVisualizationPipeline,
     fingerprint_query,
 )
@@ -74,43 +77,9 @@ from repro.core.service_api import (
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.engine import detect_language
+from repro.engine.cache import LRUCache
 from repro.engine.kernels import cache_stats as kernel_cache_stats
 from repro.engine.stats import StatsCatalog, TableStats
-
-
-@dataclass
-class ServiceStats:
-    """Counters for the service's serving behaviour (lock-protected)."""
-
-    requests: int = 0
-    result_hits: int = 0
-    result_misses: int = 0
-    validation_retries: int = 0
-    serialized_runs: int = 0
-    view_hits: int = 0
-
-    def __post_init__(self) -> None:
-        self._lock = threading.Lock()
-
-    def bump(self, *names: str) -> None:
-        """Add one to each named counter, atomically together."""
-        with self._lock:
-            self._add(names)
-
-    def try_bump(self, *names: str) -> bool:
-        """:meth:`bump` without waiting; ``False`` (nothing counted) when
-        another thread holds the lock."""
-        if not self._lock.acquire(blocking=False):
-            return False
-        try:
-            self._add(names)
-        finally:
-            self._lock.release()
-        return True
-
-    def _add(self, names: tuple[str, ...]) -> None:
-        for name in names:
-            setattr(self, name, getattr(self, name) + 1)
 
 
 class _Answer:
@@ -251,6 +220,7 @@ class MaterializedView:
         self._anchors: dict[str, int] = {}
         self._structure_version = -1
         self._published: _Answer | None = None
+        self._db: Database | None = None  # the database published against
         self._version = -1
 
     # -- serving -----------------------------------------------------------
@@ -270,12 +240,15 @@ class MaterializedView:
         """The published answer if it is current — takes no lock.
 
         The one freshness check: :meth:`answer` and the service's
-        ``try_hit`` both come through here.
+        ``try_hit`` both come through here.  Current means published
+        against the very database the service serves (a reshard replaces
+        it) at that database's present version.
         """
-        # Read the version *first*: a refresh publishes the answer before
-        # the version, so observing a current version guarantees the answer
+        # Check the stamp *first*: a refresh publishes the answer before
+        # the stamp, so observing a current stamp guarantees the answer
         # read afterwards is at least that fresh.
-        if self._version == self.service.db.version:
+        db = self.service.db
+        if self._db is db and self._version == db.version:
             return self._published
         return None
 
@@ -315,7 +288,7 @@ class MaterializedView:
             "strategy": self.strategy,
             "refresh_policy": self.refresh_policy,
             "version": self._version,
-            "current": self._version == self.service.db.version,
+            "current": self._peek() is not None,
             "rows": len(relation) if relation is not None else 0,
             "refreshes": self.refreshes,
             "incremental_refreshes": self.incremental_refreshes,
@@ -326,12 +299,22 @@ class MaterializedView:
     # -- maintenance (service write lock held) ------------------------------
 
     def _refresh_locked(self) -> _Answer:
-        db = self.service.db
-        if self._published is not None and self._version == db.version:
-            return self._published
+        published = self._peek()
+        if published is not None:
+            return published
         self.refreshes += 1
-        if self._maintainer is None \
+        db = self.service.db
+        if self._db is not db \
                 or self._structure_version != db.structure_version:
+            # Resharded or schema changed: maintained state describes a
+            # database or layout that no longer exists.
+            return self._rebuild_locked()
+        return self._catch_up_locked(db)
+
+    def _catch_up_locked(self, db: Database) -> _Answer:
+        """Absorb the writes since the last publication, incrementally
+        where the maintainer can."""
+        if self._maintainer is None:
             return self._rebuild_locked()
         changed = set()
         for rel in self._base_rels:
@@ -354,19 +337,16 @@ class MaterializedView:
         return self._publish(db)
 
     def _rebuild_locked(self) -> _Answer:
-        from repro.engine.delta import (
-            DatalogMaintainer,
-            DeltaRewriteError,
-            base_relations,
-            build_maintainer,
-        )
+        """Rematerialize from scratch: a Datalog maintainer, else the
+        engine plan's maintainers (:meth:`_maintain`), else rebuild on
+        every refresh from the pipeline's answer."""
+        from repro.engine.delta import DatalogMaintainer, DeltaRewriteError
 
         db = self.service.db
         self.rebuilds += 1
         self._maintainer = None
         self._plan = self._core = None
         self._base_rels = ()
-        warnings: list[str] = []
         pipeline = self.service.pipeline
         if self.language == "datalog":
             from repro.core.pipeline import _parse
@@ -377,36 +357,45 @@ class MaterializedView:
                 maintainer = DatalogMaintainer(self._program, db)
                 maintainer.initialize(db, self.service.backend)
             except DeltaRewriteError:
-                maintainer = None
-            if maintainer is not None:
+                pass  # negation: served by rebuild
+            else:
                 self._maintainer = maintainer
                 self._base_rels = maintainer.base_relations()
-                return self._finish_publish(db, maintainer.result_relation())
-            relation = pipeline.answer(self.text, language="datalog",
-                                       warnings=warnings)
-            return self._finish_publish(db, relation, tuple(warnings))
-        plan = pipeline.prepare_plan(self.text, self.language)
-        if plan is not None:
-            self._plan = plan
-            try:
-                maintainer, core = build_maintainer(plan, db)
-                maintainer.initialize(db, self.service.backend)
-                self._maintainer = maintainer
-                self._core = core
-                self._base_rels = base_relations(core)
                 return self._publish(db)
-            except DeltaRewriteError:
-                pass
+        else:
+            self._plan = pipeline.prepare_plan(self.text, self.language)
+            if self._plan is not None and self._maintain(db):
+                return self._publish(db)
+        warnings: list[str] = []
         relation = pipeline.answer(self.text, language=self.language,
                                    warnings=warnings)
         return self._finish_publish(db, relation, tuple(warnings))
+
+    def _maintain(self, db: Database) -> bool:
+        """Build and initialize the maintainer of :attr:`_plan`'s core;
+        ``False`` when it has none (the view then rebuilds on refresh)."""
+        from repro.engine.delta import (
+            DeltaRewriteError,
+            base_relations,
+            build_maintainer,
+        )
+
+        try:
+            maintainer, core = build_maintainer(self._plan, db)
+            maintainer.initialize(db, self.service.backend)
+        except DeltaRewriteError:
+            return False
+        self._maintainer = maintainer
+        self._core = core
+        self._base_rels = base_relations(core)
+        return True
 
     def _publish(self, db: Database) -> _Answer:
         """Repackage the maintained state and publish (version set last)."""
         from repro.engine.delta import finish_rows, view_result_relation
 
         maintainer = self._maintainer
-        if maintainer is not None and maintainer.kind == "datalog":
+        if maintainer.kind == "datalog":
             relation = maintainer.result_relation()
         else:
             rows = finish_rows(db, self._plan, self._core, maintainer.rows())
@@ -423,12 +412,13 @@ class MaterializedView:
         self._anchors = {rel: db.relation_version(rel)
                          for rel in self._base_rels}
         self._structure_version = db.structure_version
-        # The write lock is held, so the service's version token is exact.
+        # The write lock is held, so the version token is exact.
         published = self._published = _Answer(
             relation, warnings, self.language, self.fingerprint,
-            self.service._cache_version())
-        # Version last: a lock-free reader that observes the new version is
+            db.version_token)
+        # Stamp last: a lock-free reader that observes the new stamp is
         # then guaranteed to observe the new answer too.
+        self._db = db
         self._version = db.version
         return published
 
@@ -457,18 +447,16 @@ class QueryService(ServiceBase):
                  plan_cache_size: int = 256,
                  result_cache_size: int = 1024,
                  max_retries: int = 4) -> None:
-        # The pipeline's own result cache is disabled: the service owns
-        # result caching so entries are only published after snapshot
-        # validation.  The (row-content-independent) plan cache stays on.
         self.pipeline = QueryVisualizationPipeline(
-            db, backend=backend, plan_cache_size=plan_cache_size,
-            result_cache_size=0)
+            db, backend=backend, plan_cache_size=plan_cache_size)
         self.db = self.pipeline.db
         self.backend = self.pipeline.backend
         self.max_retries = max_retries
-        self.stats = ServiceStats()
+        self.stats = Counters("requests", "result_hits", "result_misses",
+                              "validation_retries", "serialized_runs",
+                              "view_hits")
         self.table_statistics = StatsCatalog(self.db)
-        self._results = _LRUCache(result_cache_size)
+        self._results = LRUCache(result_cache_size)
         self._write_lock = threading.RLock()
         self._views: dict[str, MaterializedView] = {}  # keyed by fingerprint
         self._views_by_name: dict[str, MaterializedView] = {}
@@ -518,18 +506,6 @@ class QueryService(ServiceBase):
             )
         return resolved
 
-    def _cache_version(self) -> Any:
-        """The version token the result cache keys on (hashable, equatable).
-
-        The base service uses the database's scalar version counter;
-        :class:`~repro.core.sharded_service.ShardedQueryService` overrides
-        this with the per-shard version *vector*, so its cache keys record
-        exactly which shard states an answer was computed against.
-        Snapshot validation compares tokens by equality, so any override
-        must change whenever a write lands.
-        """
-        return self.db.version
-
     def _serve_relation(self, text: str, language: str, fingerprint: str,
                         warnings: list[str] | None) -> Relation:
         """Serve one identified query as a frozen relation."""
@@ -566,7 +542,7 @@ class QueryService(ServiceBase):
         view = self._views.get(fingerprint)
         if view is not None:
             return view._peek(), "view_hits"
-        key = (fingerprint, self._cache_version())
+        key = (fingerprint, self.db.version_token)
         return self._results.peek(key), "result_hits"
 
     def _serve(self, text: str, language: str,
@@ -589,7 +565,7 @@ class QueryService(ServiceBase):
             return view._current(), True
         self.stats.bump("requests")
         for _attempt in range(self.max_retries):
-            version = self._cache_version()
+            version = self.db.version_token
             key = (fingerprint, version)
             cached = self._results.get(key)
             if cached is not None:
@@ -609,7 +585,7 @@ class QueryService(ServiceBase):
                 # the serialized run below and propagates from there.
                 self.stats.bump("validation_retries")
                 continue
-            if self._cache_version() == version:
+            if self.db.version_token == version:
                 return self._publish(key, language, answers,
                                      attempt_warnings), False
             # A write interleaved: the answer may be torn across relations.
@@ -617,7 +593,7 @@ class QueryService(ServiceBase):
         # Contended: run once with writers excluded — guaranteed consistent.
         with self._write_lock:
             self.stats.bump("serialized_runs")
-            key = (fingerprint, self._cache_version())
+            key = (fingerprint, self.db.version_token)
             cached = self._results.get(key)
             if cached is not None:
                 self.stats.bump("result_hits")
@@ -738,7 +714,7 @@ class QueryService(ServiceBase):
                 validate: bool = True) -> int:
         """Append one row under the write lock; returns the new db version."""
         with self._write_lock:
-            self.db.relation(relation).add(row, validate=validate)
+            self.db.add_row(relation, row, validate=validate)
             self._refresh_eager_views_locked()
             return self.db.version
 
@@ -746,12 +722,13 @@ class QueryService(ServiceBase):
                  validate: bool = True) -> int:
         """Append many rows as one exclusive write; returns the new version.
 
-        The batch publishes a **single** version bump (via
-        :meth:`Relation.add_rows`), so version-window arithmetic counts one
-        write per batch instead of one per row.
+        The batch publishes a **single** version bump per relation it
+        touches (per shard, on a sharded database: see
+        :meth:`~repro.data.database.Database.add_rows`), so version-window
+        arithmetic counts one write per batch instead of one per row.
         """
         with self._write_lock:
-            self.db.relation(relation).add_rows(rows, validate=validate)
+            self.db.add_rows(relation, rows, validate=validate)
             self._refresh_eager_views_locked()
             return self.db.version
 
@@ -801,7 +778,6 @@ class QueryService(ServiceBase):
         attribution use ``execution_counts()`` on the sharded/process
         services.
         """
-        pipeline_info = self.pipeline.cache_info()
         kernel_info = kernel_cache_stats()
         return {
             "requests": self.stats.requests,
@@ -812,22 +788,10 @@ class QueryService(ServiceBase):
             "serialized_runs": self.stats.serialized_runs,
             "views": len(self._views),
             "view_hits": self.stats.view_hits,
-            "plan_entries": pipeline_info["plan_entries"],
-            "plan_hits": pipeline_info["plan_hits"],
-            "plan_misses": pipeline_info["plan_misses"],
-            "plan_binds": pipeline_info["plan_binds"],
-            "plan_refused": pipeline_info["plan_refused"],
-            "kernel_cache_entries": kernel_info["entries"],
-            "kernel_cache_bytes": kernel_info["bytes"],
-            "kernel_cache_hits": kernel_info["hits"],
-            "kernel_cache_misses": kernel_info["misses"],
-            "kernel_cache_evictions": kernel_info["evictions"],
+            **self.pipeline.cache_info(),
+            **{f"kernel_cache_{key}": kernel_info[key] for key in
+               ("entries", "bytes", "hits", "misses", "evictions")},
         }
-
-    def clear_caches(self) -> None:
-        self._results.clear()
-        self.pipeline.clear_caches()
-        self.stats = ServiceStats()
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -2,23 +2,15 @@
 
 :class:`ShardedQueryService` is :class:`~repro.core.service.QueryService`
 pointed at a :class:`~repro.data.sharded.ShardedDatabase` and the
-``"sharded"`` scatter-gather backend (:mod:`repro.engine.sharded`).  Four
-things change relative to the base service:
+``"sharded"`` scatter-gather backend (:mod:`repro.engine.sharded`).  Writes
+and the result cache's version token are the database's business, so the
+base service's one write path and one token serve here unchanged: a
+routed write lands on the shard that owns each row, and the token is
+``(generation, structure version, v₀, v₁, ..., vₙ₋₁)`` — one component
+per shard, prefixed by the layout epoch (see
+:attr:`~repro.data.sharded.ShardedDatabase.version_token`).  Two things
+change relative to the base service:
 
-* **Writes route to owning shards.**  :meth:`add_row` / :meth:`add_rows`
-  hash each row's shard-key values and append to the one shard that owns
-  it (under the service write lock, like every service write).  The merged
-  read views the pipeline and interpreters see are frozen, so an
-  accidental un-routed write raises instead of silently unbalancing a
-  shard.
-* **The result cache keys on the shard-version vector.**  Where the base
-  service keys answers on the scalar database version, this service keys
-  on ``(generation, structure version, v₀, v₁, ..., vₙ₋₁)`` — one
-  component per shard, prefixed by a reshard generation epoch.
-  Invalidation behaviour is identical (any routed write moves its shard's
-  component), but the key now records exactly which shard states an answer
-  was computed against, and the epoch makes keys from different shard
-  *layouts* incomparable (see :meth:`reshard`).
 * **Materialized views are maintained per shard.**
   :class:`ShardedMaterializedView` scatters a view's maintainable core
   into one delta-maintained partial per shard (over the shard's live
@@ -30,14 +22,14 @@ things change relative to the base service:
   plans degrade to rebuild-on-refresh, never a wrong answer.
 * **The cluster reshapes under live views.**  :meth:`reshard`
   re-partitions the database onto a new shard count/key layout atomically
-  under the write lock, bumping the generation epoch and rematerializing
+  under the write lock, under a new generation epoch, rematerializing
   every registered view against the new layout before any reader can
   observe it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.core.service import MaterializedView, QueryService, _Answer
 from repro.data.database import Database
@@ -47,9 +39,6 @@ from repro.data.sharded import (
     ShardKeySpec,
     reshard as reshard_database,
 )
-
-if TYPE_CHECKING:
-    from repro.data.relation import Relation
 
 #: Backend used for per-shard partial-view maintenance.  Shard-local plans
 #: run single-node over one shard's (small) relations — routing them back
@@ -85,9 +74,9 @@ class ShardedMaterializedView(MaterializedView):
       rebuild-on-refresh via the scatter-gather pipeline — correct, never
       incremental.
 
-    A service :meth:`~ShardedQueryService.reshard` bumps the service
-    generation; views stamped with an older generation refuse the
-    lock-free fast path and rematerialize against the new layout.
+    A service :meth:`~ShardedQueryService.reshard` replaces the database,
+    so every view is stale until it has rematerialized against the new
+    layout.
     """
 
     def __init__(self, service: "ShardedQueryService", name: str, text: str,
@@ -103,7 +92,6 @@ class ShardedMaterializedView(MaterializedView):
         self._broadcast_anchors: dict[str, int] = {}
         #: broadcast alias name -> alias version (as-of anchors for deltas)
         self._alias_anchors: dict[str, int] = {}
-        self._generation = -1
 
     # -- serving -----------------------------------------------------------
 
@@ -117,40 +105,16 @@ class ShardedMaterializedView(MaterializedView):
             return f"sharded-{self._maintainer.kind}"
         return "rebuild"
 
-    def _peek(self) -> _Answer | None:
-        service = self.service
-        # Version first, then generation: a reshard bumps the generation
-        # before swapping any state, and a refresh publishes the answer
-        # before the version, so observing a current (version, generation)
-        # pair guarantees the answer read afterwards matches the layout.
-        if self._version == service.db.version \
-                and self._generation == service._generation:
-            return self._published
-        return None
-
     def info(self) -> dict[str, Any]:
         info = super().info()
-        info["current"] = (info["current"]
-                           and self._generation == self.service._generation)
         info["n_shards"] = self.service.sharded_db.n_shards
         info["shard_rebuilds"] = self.shard_rebuilds
-        info["generation"] = self._generation
+        info["generation"] = self._db.generation
         return info
 
     # -- maintenance (service write lock held) ------------------------------
 
-    def _refresh_locked(self) -> _Answer:
-        service = self.service
-        db = service.sharded_db
-        if self._published is not None and self._version == db.version \
-                and self._generation == service._generation:
-            return self._published
-        self.refreshes += 1
-        if self._generation != service._generation \
-                or self._structure_version != db.structure_version:
-            # Resharded or schema changed: per-shard state describes a
-            # layout that no longer exists.
-            return self._rebuild_locked()
+    def _catch_up_locked(self, db: ShardedDatabase) -> _Answer:
         if self._shard_maintainers is not None:
             return self._refresh_sharded_locked(db)
         if self._maintainer is not None and self._maintainer.kind == "datalog":
@@ -158,86 +122,50 @@ class ShardedMaterializedView(MaterializedView):
         return self._rebuild_locked()
 
     def _rebuild_locked(self) -> _Answer:
+        self._compiled = self._shard_maintainers = self._exec_dbs = None
+        return super()._rebuild_locked()
+
+    def _maintain(self, db: ShardedDatabase) -> bool:
+        """One maintainer per shard over the plan core's scatter half."""
         from repro.engine.delta import (
-            DatalogMaintainer,
             DeltaRewriteError,
             base_relations,
             find_core,
         )
         from repro.engine.lower import LoweringError
         from repro.engine.plan import PlanError
-        from repro.engine.sharded import (
-            NotDistributable,
-            compile_view_scatter,
-            shard_execution_database,
-        )
+        from repro.engine.sharded import NotDistributable, compile_view_scatter
 
-        service = self.service
-        db = service.sharded_db
-        self.rebuilds += 1
-        self._maintainer = None
-        self._plan = self._core = None
-        self._compiled = None
-        self._shard_maintainers = None
-        self._exec_dbs = None
-        self._shard_anchors = []
-        self._broadcast_anchors = {}
-        self._alias_anchors = {}
-        self._base_rels = ()
-        warnings: list[str] = []
-        pipeline = service.pipeline
-        if self.language == "datalog":
-            from repro.core.pipeline import _parse
+        try:
+            core, kind = find_core(self._plan)
+            compiled = compile_view_scatter(core, kind, db,
+                                            self.service.table_statistics)
+            exec_dbs = self._exec_databases(db, compiled)
+            maintainers = [self._shard_maintainer(compiled, exec_db)
+                           for exec_db in exec_dbs]
+            for maintainer, exec_db in zip(maintainers, exec_dbs):
+                maintainer.initialize(exec_db, _SHARD_LOCAL_BACKEND)
+        except (DeltaRewriteError, NotDistributable, LoweringError,
+                PlanError):
+            # Unmaintainable core or no safe scatter: serve by rebuild
+            # (full scatter-gather recompute on every refresh).
+            return False
+        self._core = core
+        self._compiled = compiled
+        self._exec_dbs = exec_dbs
+        self._shard_maintainers = maintainers
+        self._base_rels = base_relations(core)
+        self._record_anchors(db, compiled.partitioned, compiled.broadcast)
+        return True
 
-            if self._program is None:
-                self._program = _parse(self.text, "datalog")
-            try:
-                maintainer = DatalogMaintainer(self._program, db)
-                maintainer.initialize(db, _SHARD_LOCAL_BACKEND)
-            except DeltaRewriteError:
-                maintainer = None
-            if maintainer is not None:
-                self._maintainer = maintainer
-                self._base_rels = maintainer.base_relations()
-                self._record_anchors(db, self._base_rels, ())
-                return self._finish_publish(db, maintainer.result_relation())
-            relation = pipeline.answer(self.text, language="datalog",
-                                       warnings=warnings)
-            return self._finish_publish(db, relation, tuple(warnings))
-        plan = pipeline.prepare_plan(self.text, self.language)
-        if plan is not None:
-            self._plan = plan
-            try:
-                core, kind = find_core(plan)
-                compiled = compile_view_scatter(core, kind, db,
-                                                service.table_statistics)
-                exec_dbs = [
-                    shard_execution_database(db, i, compiled.partitioned,
-                                             compiled.broadcast)
-                    for i in range(db.n_shards)
-                ]
-                maintainers = [self._shard_maintainer(compiled, exec_db)
-                               for exec_db in exec_dbs]
-                for maintainer, exec_db in zip(maintainers, exec_dbs):
-                    maintainer.initialize(exec_db, _SHARD_LOCAL_BACKEND)
-                self._core = core
-                self._compiled = compiled
-                self._exec_dbs = exec_dbs
-                self._shard_maintainers = maintainers
-                self._base_rels = base_relations(core)
-                self._record_anchors(db, compiled.partitioned,
-                                     compiled.broadcast)
-                return self._publish_sharded(db)
-            except (DeltaRewriteError, NotDistributable, LoweringError,
-                    PlanError):
-                # Unmaintainable core or no safe scatter: serve by rebuild
-                # (full scatter-gather recompute on every refresh).
-                self._compiled = None
-                self._shard_maintainers = None
-                self._exec_dbs = None
-        relation = pipeline.answer(self.text, language=self.language,
-                                   warnings=warnings)
-        return self._finish_publish(db, relation, tuple(warnings))
+    @staticmethod
+    def _exec_databases(db: ShardedDatabase, compiled: Any) -> list[Database]:
+        """Per shard: its live relations plus frozen broadcast aliases."""
+        from repro.engine.sharded import shard_execution_database
+
+        return [shard_execution_database(db, i, compiled.partitioned,
+                                         compiled.broadcast)
+                for i in range(db.n_shards)]
 
     @staticmethod
     def _shard_maintainer(compiled: Any, exec_db: Database) -> Any:
@@ -290,23 +218,17 @@ class ShardedMaterializedView(MaterializedView):
         if not touched:
             return self._republish(db)
         self.incremental_refreshes += 1
-        return self._publish_sharded(db)
+        return self._publish(db)
 
     def _reinitialize_all_shards_locked(self, db: ShardedDatabase) -> _Answer:
-        from repro.engine.sharded import shard_execution_database
-
         compiled = self._compiled
-        self._exec_dbs = [
-            shard_execution_database(db, i, compiled.partitioned,
-                                     compiled.broadcast)
-            for i in range(db.n_shards)
-        ]
+        self._exec_dbs = self._exec_databases(db, compiled)
         for maintainer, exec_db in zip(self._shard_maintainers,
                                        self._exec_dbs):
             maintainer.initialize(exec_db, _SHARD_LOCAL_BACKEND)
             self.shard_rebuilds += 1
         self._record_anchors(db, compiled.partitioned, compiled.broadcast)
-        return self._publish_sharded(db)
+        return self._publish(db)
 
     def _refresh_datalog_locked(self, db: ShardedDatabase) -> _Answer:
         deltas: dict[str, list[tuple]] = {}
@@ -333,13 +255,17 @@ class ShardedMaterializedView(MaterializedView):
         # sets); db supplies the full current relations the resumed
         # fixpoint joins against.
         self._maintainer.apply_edb_deltas(db, deltas)
-        self._record_anchors(db, self._base_rels, ())
         self.incremental_refreshes += 1
-        return self._finish_publish(db, self._maintainer.result_relation())
+        return self._publish(db)
 
-    def _publish_sharded(self, db: ShardedDatabase) -> _Answer:
+    def _publish(self, db: ShardedDatabase) -> _Answer:
         from repro.engine.delta import finish_rows, view_result_relation
 
+        if self._compiled is None:
+            # The merged-database Datalog maintainer: its deltas are read
+            # from the shard-local logs, anchored here.
+            self._record_anchors(db, self._base_rels, ())
+            return super()._publish(db)
         parts = [maintainer.rows() for maintainer in self._shard_maintainers]
         rows = self._compiled.gather(parts)
         rows = finish_rows(db, self._plan, self._core, rows)
@@ -363,13 +289,6 @@ class ShardedMaterializedView(MaterializedView):
             # at the alias's own (current) version reads its full rows.
             alias = db.broadcast_relation(rel)
             self._alias_anchors[rel + BROADCAST_SUFFIX] = alias.version
-
-    def _finish_publish(self, db: Database, relation: "Relation",
-                        warnings: tuple[str, ...] = ()) -> _Answer:
-        # Generation before version: the lock-free fast path trusts the
-        # pair only when both are current.
-        self._generation = self.service._generation
-        return super()._finish_publish(db, relation, warnings)
 
 
 class ShardedQueryService(QueryService):
@@ -412,10 +331,6 @@ class ShardedQueryService(QueryService):
                          result_cache_size=result_cache_size,
                          max_retries=max_retries)
         self.sharded_db: ShardedDatabase = db
-        #: Reshard epoch: bumped (under the write lock) every time the
-        #: shard layout is replaced, so cache keys and view stamps from
-        #: different layouts can never alias.
-        self._generation = 0
         self._backend_kind = backend
         self._workers = workers
         self._sharded_backend = self._build_backend(db.n_shards)
@@ -442,53 +357,12 @@ class ShardedQueryService(QueryService):
             f"unknown sharded-service backend {self._backend_kind!r}; "
             "expected 'sharded' or 'process'")
 
-    # -- cache keying ------------------------------------------------------
-
-    def _cache_version(self) -> tuple[int, ...]:
-        """``(generation, structure version, per-shard versions...)``.
-
-        A routed write bumps exactly one shard component; schema changes
-        bump the structural component; :meth:`reshard` bumps the leading
-        generation epoch.  The epoch is what makes the key sound: without
-        it, two *layouts* (same shard count, different shard keys) can
-        present identical version vectors while partitioning rows — and
-        gathering answers — differently, so a cached answer from the old
-        layout could validate against the new one.  Equality of vectors is
-        the snapshot validation the base service's optimistic read path
-        performs.
-        """
-        return (self._generation,
-                self.sharded_db.structure_version,
-                *self.sharded_db.shard_versions())
-
     # -- views -------------------------------------------------------------
 
     def _make_view(self, name: str, text: str, language: str,
                    fingerprint: str, refresh: str) -> MaterializedView:
         return ShardedMaterializedView(self, name, text, language,
                                        fingerprint, refresh)
-
-    # -- routed writes -----------------------------------------------------
-
-    def add_row(self, relation: str, row: Sequence[Any], *,
-                validate: bool = True) -> int:
-        """Append one row to its owning shard; returns the new db version."""
-        with self._write_lock:
-            self.sharded_db.add_row(relation, row, validate=validate)
-            self._refresh_eager_views_locked()
-            return self.db.version
-
-    def add_rows(self, relation: str, rows: Iterable[Sequence[Any]], *,
-                 validate: bool = True) -> int:
-        """Append a batch, each row routed to its owning shard.
-
-        Each touched shard absorbs its sub-batch as one version bump, so
-        the cache-key vector moves by at most one per shard per batch.
-        """
-        with self._write_lock:
-            self.sharded_db.add_rows(relation, rows, validate=validate)
-            self._refresh_eager_views_locked()
-            return self.db.version
 
     # -- elasticity --------------------------------------------------------
 
@@ -497,17 +371,15 @@ class ShardedQueryService(QueryService):
         """Re-partition the database onto a new shard layout, atomically.
 
         Runs entirely under the write lock: the merged contents are
-        re-hashed into a fresh :class:`ShardedDatabase` (``n_shards``
-        defaults to the current count; ``shard_keys`` overrides carry over
-        otherwise), a new private backend sized for the new count replaces
-        the old one, the result cache is cleared, and **every registered
-        view is rematerialized against the new layout** before the lock is
-        released.  The generation epoch is bumped *first*, so a lock-free
-        reader that races the swap fails its generation check and
-        serializes behind the lock instead of trusting a stale vector or a
-        stale-layout view — the cache-version vector may change length or
-        meaning across a reshard, and without the epoch equal-looking
-        vectors from different layouts could alias.
+        re-hashed into a fresh :class:`ShardedDatabase` one generation past
+        the old (``n_shards`` defaults to the current count; ``shard_keys``
+        overrides carry over otherwise), a new private backend sized for
+        the new count replaces the old one, the result cache is cleared,
+        and **every registered view is rematerialized against the new
+        layout** before the lock is released.  A lock-free reader racing
+        the swap finds its view stamped with a database no longer served
+        and serializes behind the lock; the generation keeps the two
+        layouts' version tokens from ever aliasing.
 
         Returns the new database (also reachable as :attr:`sharded_db`).
         """
@@ -516,7 +388,6 @@ class ShardedQueryService(QueryService):
             old_backend = self._sharded_backend
             count = n_shards if n_shards is not None else old_db.n_shards
             new_db = reshard_database(old_db, count, shard_keys)
-            self._generation += 1
             self.sharded_db = new_db
             self.db = new_db
             self.pipeline.db = new_db
@@ -557,7 +428,7 @@ class ShardedQueryService(QueryService):
     def cache_info(self) -> dict[str, int]:
         info = super().cache_info()
         info["n_shards"] = self.sharded_db.n_shards
-        info["generation"] = self._generation
+        info["generation"] = self.sharded_db.generation
         return info
 
 

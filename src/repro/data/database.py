@@ -64,11 +64,16 @@ class Database:
         each absorbing the departing relation's own counter, so the sum can
         only grow) with every live relation's
         :attr:`~repro.data.relation.Relation.version` counter (rows added).
-        Caches keyed on ``(query, version)`` — the pipeline's result cache
-        in particular — are therefore invalidated by any write.
         """
         return self._structure_version + sum(
             rel.version for rel in self._relations.values())
+
+    @property
+    def version_token(self) -> Any:
+        """What a cached answer is keyed and stamped with: it moves on
+        every write.  :attr:`version` here; a sharded database's token
+        names the shard states too."""
+        return self.version
 
     @property
     def structure_version(self) -> int:
@@ -112,6 +117,16 @@ class Database:
         stay O(shards) instead of rebuilding the merged relation.
         """
         return self.relation(name).version
+
+    # -- writes ------------------------------------------------------------
+    def add_row(self, relation: str, row: Sequence[Any], *,
+                validate: bool = True) -> None:
+        self.relation(relation).add(row, validate=validate)
+
+    def add_rows(self, relation: str, rows: Iterable[Sequence[Any]], *,
+                 validate: bool = True) -> None:
+        """Append a batch to ``relation`` as **one** version bump."""
+        self.relation(relation).add_rows(rows, validate=validate)
 
     def index_on(self, relation: str, attribute: str) -> Mapping[Any, list]:
         """A per-attribute hash index of one relation (cached by the relation)."""

@@ -431,7 +431,7 @@ class Relation:
         self._frozen = False
         # Lazily built caches, maintained incrementally by :meth:`add`.  The
         # monotonic version counter is bumped on every mutation so external
-        # caches (table statistics, the pipeline's result cache) can key on
+        # caches (table statistics, the service's result cache) can key on
         # ``(relation, version)`` instead of being invalidated wholesale.
         self._version = 0
         self._row_set: set[Row] | None = None
@@ -650,7 +650,7 @@ class Relation:
         """Monotonic mutation counter: bumped once per :meth:`add`.
 
         Caches derived from this relation's contents (table statistics, the
-        pipeline's result cache) record the version they were computed at and
+        service's result cache) record the version they were computed at and
         compare instead of subscribing to invalidation.
         """
         return self._version

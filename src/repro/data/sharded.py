@@ -20,9 +20,10 @@ routing write API (:meth:`add_row` / :meth:`add_rows`) so each row reaches
 the shard that owns it.
 
 Versioning: :attr:`version` stays a single monotonic counter (structure +
-sum of shard versions) for compatibility, while :meth:`shard_versions`
-exposes the per-shard vector the sharded serving layer keys its result
-cache on — a write to one shard changes exactly one component.
+sum of shard versions) for compatibility, while :attr:`version_token` —
+what the serving layer keys its result cache on — is the per-shard vector
+behind a layout ``generation`` that :func:`reshard` advances: a write to
+one shard changes exactly one component.
 """
 
 from __future__ import annotations
@@ -76,6 +77,9 @@ class ShardedDatabase(Database):
         if n_shards <= 0:
             raise ValueError(f"shard count must be positive, got {n_shards}")
         self.n_shards = n_shards
+        #: Layout epoch: :func:`reshard` stamps its result one past its
+        #: source, so tokens of two layouts never compare equal.
+        self.generation = 0
         self._shards: list[Database] = [Database() for _ in range(n_shards)]
         self._shard_keys: dict[str, tuple[str, ...]] = {}
         self._requested_keys: dict[str, tuple[str, ...]] = {}
@@ -149,10 +153,22 @@ class ShardedDatabase(Database):
         """The per-shard version vector (one component per shard).
 
         A routed write bumps exactly one component, which is what lets the
-        sharded serving layer key its result cache on the vector instead of
-        a global counter (same invalidation, finer diagnostics).
+        serving layer key its result cache on the vector instead of a
+        global counter (same invalidation, finer diagnostics).
         """
         return tuple(shard.version for shard in self._shards)
+
+    @property
+    def version_token(self) -> tuple[int, ...]:
+        """``(generation, structure version, per-shard versions...)``.
+
+        The leading epoch is what makes the token sound: two *layouts* can
+        present identical vectors while partitioning rows — and gathering
+        answers — differently, so without it an answer cached under the old
+        layout could validate against the new one.
+        """
+        return (self.generation, self._structure_version,
+                *self.shard_versions())
 
     # -- shared-memory page lifecycle --------------------------------------
 
@@ -725,11 +741,12 @@ def reshard(db: Database, n_shards: int,
     including keys *requested* for relations not currently present, so a
     relation re-added after the reshard keeps its intended key.
 
-    This function only builds data; a serving tier resharding under live
-    traffic should go through
+    The result's :attr:`~ShardedDatabase.generation` is one past a sharded
+    source's.  This function only builds data; a serving tier resharding
+    under live traffic should go through
     :meth:`~repro.core.sharded_service.ShardedQueryService.reshard`, which
-    wraps this in the write lock, bumps the cache generation epoch, and
-    rematerializes registered views against the new layout.
+    wraps this in the write lock and rematerializes registered views
+    against the new layout.
     """
     keys: dict[str, str | Sequence[str]] = {}
     if isinstance(db, ShardedDatabase):
@@ -737,9 +754,12 @@ def reshard(db: Database, n_shards: int,
         keys.update(db._shard_keys)
     if shard_keys:
         keys.update({name.lower(): attrs for name, attrs in shard_keys.items()})
-    return ShardedDatabase(
+    resharded = ShardedDatabase(
         (Relation(rel.schema, rel.rows(), validate=False) for rel in db),
         n_shards=n_shards, shard_keys=keys)
+    if isinstance(db, ShardedDatabase):
+        resharded.generation = db.generation + 1
+    return resharded
 
 
 __all__ = [

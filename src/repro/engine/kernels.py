@@ -57,8 +57,8 @@ deserializing it.
 Derived join-build structures that outlive a query — the sorted packed key
 arrays of a base relation's build side (keyed on its immutable column
 encodings) and the string dictionary translations onto them — live in a
-process-wide LRU with byte accounting, bounded by
-``REPRO_KERNEL_CACHE_BYTES`` (default 64 MiB); hit/miss/eviction counters
+process-wide :class:`~repro.engine.cache.LRUCache` of 256 entries and
+:data:`KERNEL_CACHE_BYTES` (64 MiB); hit/miss/eviction counters
 surface through :func:`cache_stats` and, per backend, through
 ``ShardedBackend.execution_counts()``.  An entry is keyed on its encodings'
 identity and holds them, so replacing an encoding would strand whatever
@@ -86,7 +86,6 @@ from __future__ import annotations
 
 import os
 import threading
-from collections import OrderedDict
 from typing import Any, Callable
 
 from repro.data.relation import Relation
@@ -98,6 +97,7 @@ from repro.engine.batch import (
     _exact,
     _take,
 )
+from repro.engine.cache import LRUCache
 from repro.engine.plan import AggregateP
 from repro.expr import ast as e
 
@@ -480,26 +480,14 @@ def _gather(encoding: ColumnEncoding, vector: Vector, length: int,
 # Derived-structure cache (bounded, byte-accounted LRU)
 # ---------------------------------------------------------------------------
 
-def _env_cache_budget() -> int:
-    raw = os.environ.get("REPRO_KERNEL_CACHE_BYTES", "")
-    try:
-        return int(raw) if raw else 64 * 1024 * 1024
-    except ValueError:
-        return 64 * 1024 * 1024
-
-
 #: Byte budget for derived structures (build tables, dictionary
 #: translations).  Encodings themselves live on their column stores and are
 #: not bounded here — they are the columns.
-_CACHE_BUDGET = _env_cache_budget()
-_CACHE_ENTRY_LIMIT = 256
-_CACHE_LOCK = threading.Lock()
-#: key -> (anchor objects, payload, cost bytes).  Anchors are the objects
-#: whose ``id()`` forms the key; holding them keeps the ids valid, and an
+KERNEL_CACHE_BYTES = 64 * 1024 * 1024
+#: key -> (anchor objects, payload).  Anchors are the objects whose
+#: ``id()`` forms the key; holding them keeps the ids valid, and an
 #: ``is``-check on lookup makes stale-id collisions impossible.
-_CACHE: "OrderedDict[Any, tuple[tuple, Any, int]]" = OrderedDict()
-_CACHE_BYTES = 0
-_CACHE_TOTALS = {"hits": 0, "misses": 0, "evictions": 0}
+_CACHE = LRUCache(256, KERNEL_CACHE_BYTES)
 _MISSING = object()
 
 
@@ -509,17 +497,18 @@ _PATH_TOTALS = dict.fromkeys(
     ("probe_kernel", "probe_loop", "build_lowered", "build_extended",
      "build_relowered", "build_dict", "sel_converted", "sort_radix",
      "sort_compare"), 0)
+_PATH_LOCK = threading.Lock()
 
 
 def count_path(key: str) -> None:
     """Count one ``probe_*`` / ``build_*`` / ``sel_converted`` / ``sort_*``."""
-    with _CACHE_LOCK:
+    with _PATH_LOCK:
         _PATH_TOTALS[key] += 1
 
 
 def path_counts() -> dict[str, int]:
     """The process-wide path counters (``exec_*`` on ``/metrics``)."""
-    with _CACHE_LOCK:
+    with _PATH_LOCK:
         return dict(_PATH_TOTALS)
 
 
@@ -530,39 +519,21 @@ def _sink_bump(sink: "dict[str, int] | None", key: str) -> None:
 
 def _cache_get(key: Any, anchors: tuple, sink: "dict[str, int] | None",
                *, peek: bool = False) -> Any:
-    """The payload under ``key``, or ``_MISSING``.  A ``peek`` neither
-    counts nor refreshes the entry: it asks what is held, it is not a use."""
-    with _CACHE_LOCK:
-        entry = _CACHE.get(key)
-        hit = entry is not None and len(entry[0]) == len(anchors) and all(
-            a is b for a, b in zip(entry[0], anchors))
-        if peek:
-            return entry[1] if hit else _MISSING
-        if hit:
-            _CACHE.move_to_end(key)
-            _CACHE_TOTALS["hits"] += 1
-            _sink_bump(sink, "kernel_cache_hits")
-            return entry[1]
-        _CACHE_TOTALS["misses"] += 1
-        _sink_bump(sink, "kernel_cache_misses")
-        return _MISSING
+    """The payload under ``key``, or ``_MISSING``.  A ``peek`` is not a
+    use: it never waits and is not counted."""
+    entry = (_CACHE.peek if peek else _CACHE.get)(key, _MISSING)
+    hit = entry is not _MISSING and len(entry[0]) == len(anchors) and all(
+        a is b for a, b in zip(entry[0], anchors))
+    if not peek:
+        _sink_bump(sink, "kernel_cache_hits" if hit
+                   else "kernel_cache_misses")
+    return entry[1] if hit else _MISSING
 
 
 def _cache_put(key: Any, anchors: tuple, payload: Any, nbytes: int,
                sink: "dict[str, int] | None") -> Any:
-    global _CACHE_BYTES
-    with _CACHE_LOCK:
-        old = _CACHE.pop(key, None)
-        if old is not None:
-            _CACHE_BYTES -= old[2]
-        _CACHE[key] = (tuple(anchors), payload, nbytes)
-        _CACHE_BYTES += nbytes
-        while _CACHE and (len(_CACHE) > _CACHE_ENTRY_LIMIT
-                          or _CACHE_BYTES > _CACHE_BUDGET):
-            _popped, (_anchors, _payload, cost) = _CACHE.popitem(last=False)
-            _CACHE_BYTES -= cost
-            _CACHE_TOTALS["evictions"] += 1
-            _sink_bump(sink, "kernel_cache_evictions")
+    for _evicted in _CACHE.put(key, (tuple(anchors), payload), nbytes):
+        _sink_bump(sink, "kernel_cache_evictions")
     return payload
 
 
@@ -585,38 +556,26 @@ def _forget_structures(old: ColumnEncoding,
     append-only — and :meth:`RelationBuild.structure` extends it over the
     tail at its next lookup.  Everything else is dropped.
     """
-    global _CACHE_BYTES
     stale = [old]
     if old.dictionary is not None \
             and (new is None or new.dictionary is not old.dictionary):
         stale.append(old.dictionary)
-    with _CACHE_LOCK:
-        for key in [key for key, (anchors, _payload, _cost) in _CACHE.items()
-                    if any(a is s for a in anchors for s in stale)]:
-            anchors, payload, cost = _CACHE.pop(key)
-            _CACHE_BYTES -= cost
-            if new is None or not isinstance(payload, _BuildStructure):
-                continue
+    popped = _CACHE.pop_where(lambda _key, entry: any(
+        a is s for a in entry[0] for s in stale))
+    for key, (anchors, payload), cost in popped:
+        if new is not None and isinstance(payload, _BuildStructure):
             carried = tuple(new if a is old else a for a in anchors)
-            new_key = _build_key(carried, key[2])
-            if new_key not in _CACHE:
-                _CACHE[new_key] = (carried, payload, cost)
-                _CACHE_BYTES += cost
+            _CACHE.put(_build_key(carried, key[2]), (carried, payload), cost)
 
 
 def cache_stats() -> dict[str, int]:
     """Process-wide derived-structure cache counters and occupancy."""
-    with _CACHE_LOCK:
-        return {"entries": len(_CACHE), "bytes": _CACHE_BYTES,
-                "budget_bytes": _CACHE_BUDGET, **_CACHE_TOTALS}
+    return {**_CACHE.stats(), "budget_bytes": _CACHE.max_bytes}
 
 
 def clear_cache() -> None:
     """Drop every cached derived structure (tests and benchmarks)."""
-    global _CACHE_BYTES
-    with _CACHE_LOCK:
-        _CACHE.clear()
-        _CACHE_BYTES = 0
+    _CACHE.clear()
 
 
 # ---------------------------------------------------------------------------

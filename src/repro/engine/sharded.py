@@ -63,6 +63,7 @@ from repro.data.sharded import (
     ShardedDatabase,
 )
 from repro.expr import ast as e
+from repro.engine.cache import LRUCache
 from repro.engine.execute import Row, _split_name, compiled_expr
 from repro.engine.kernels import path_counts
 from repro.engine.plan import (
@@ -927,7 +928,8 @@ class ShardedBackend:
     hash-partitions a copy into ``n_shards`` (cached per database object
     and rebuilt when the source version moves), so
     ``run_query(..., backend="sharded")`` works on any database.  Compiled
-    :class:`ShardedPlan` objects are cached per (plan, structure version);
+    :class:`ShardedPlan` objects are cached per (plan, structure version)
+    in one :class:`~repro.engine.cache.LRUCache` of 256 per database;
     per-shard subplans run inline on the calling thread, so concurrent
     queries each use their own thread.  ``get_backend("sharded")`` returns a
     process-wide singleton; construct instances directly to pin the shard
@@ -946,7 +948,7 @@ class ShardedBackend:
         self.shard_keys = shard_keys
         self._auto: "WeakKeyDictionary[Database, tuple[int, ShardedDatabase]]" \
             = WeakKeyDictionary()
-        self._plans: "WeakKeyDictionary[ShardedDatabase, dict]" \
+        self._plans: "WeakKeyDictionary[ShardedDatabase, LRUCache]" \
             = WeakKeyDictionary()
         self._lock = threading.Lock()
         self.counters = {"scatter": 0, "single_shard": 0, "fallback": 0,
@@ -974,15 +976,12 @@ class ShardedBackend:
         with self._lock:
             cache = self._plans.get(sharded)
             if cache is None:
-                self._plans[sharded] = cache = {}
-            key = (plan, sharded.structure_version)
-            compiled = cache.get(key)
+                self._plans[sharded] = cache = LRUCache(self._PLAN_CACHE_LIMIT)
+        key = (plan, sharded.structure_version)
+        compiled = cache.get(key)
         if compiled is None:
             compiled = shard_plan(plan, sharded, StatsCatalog(sharded))
-            with self._lock:
-                if len(cache) >= self._PLAN_CACHE_LIMIT:
-                    cache.clear()
-                cache[key] = compiled
+            cache.put(key, compiled)
         return compiled
 
     def execution_counts(self) -> dict[str, int]:

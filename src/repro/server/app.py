@@ -54,7 +54,6 @@ import time
 from functools import partial
 from typing import Any, Awaitable, Callable
 
-from repro.core.pipeline import _LRUCache
 from repro.core.service_api import (
     QueryResult,
     ServiceAPI,
@@ -62,6 +61,7 @@ from repro.core.service_api import (
     UnknownHandleError,
     wrap_service_error,
 )
+from repro.engine.cache import LRUCache
 from repro.server import protocol
 from repro.server.admission import AdmissionController
 from repro.server.worker import WriteWorker
@@ -99,7 +99,7 @@ class ServingApp:
             max_concurrent=max_concurrent, max_queue_depth=max_queue_depth,
             retry_after=retry_after)
         self.worker = WriteWorker(service, flush_interval=flush_interval)
-        self._handles = _LRUCache(MAX_PREPARED_HANDLES)
+        self._handles = LRUCache(MAX_PREPARED_HANDLES)
         self._connections: "set[asyncio.Task[None]]" = set()
         self._server: "asyncio.Server | None" = None
         self.port: "int | None" = None

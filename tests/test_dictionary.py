@@ -640,7 +640,7 @@ class TestKernelCache:
             assert key in stats
 
     def test_byte_budget_evicts_lru(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_CACHE_BUDGET", 1)
+        monkeypatch.setattr(kernels._CACHE, "max_bytes", 1)
         db = _db()
         plan = JoinP(ORDERS, USERS, "inner", ("ocity",), ("city",),
                      None, False)
@@ -650,7 +650,7 @@ class TestKernelCache:
         assert kernels.cache_stats()["bytes"] <= 1
 
     def test_entry_limit_bounds_the_cache(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_CACHE_ENTRY_LIMIT", 4)
+        monkeypatch.setattr(kernels._CACHE, "capacity", 4)
         for i in range(10):
             rel = relation_from_rows(
                 f"t{i}", [("k", "string"), ("v", "int")],
@@ -713,13 +713,13 @@ class TestKernelCache:
         for relation in (users, orders):
             for _n, encoding in relation.column_store().kernel_cache.values():
                 current += [encoding, encoding.dictionary]
-        with kernels._CACHE_LOCK:
-            entries = list(kernels._CACHE.values())
-        for anchors, _payload, _cost in entries:
+        with kernels._CACHE._lock:
+            entries = list(kernels._CACHE._data.values())
+        for (anchors, _payload), _cost in entries:
             assert all(any(anchor is live for live in current)
                        for anchor in anchors)
         assert kernels.cache_stats()["bytes"] \
-            == sum(cost for _anchors, _payload, cost in entries)
+            == sum(cost for _entry, cost in entries)
 
     def test_service_cache_info_exposes_kernel_cache(self):
         from repro.core.service import QueryService

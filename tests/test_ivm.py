@@ -55,8 +55,7 @@ ANTI_SQL = ("SELECT S.sname FROM Sailors S WHERE NOT EXISTS "
 
 
 def fresh_answers(db, text, language=None):
-    return QueryVisualizationPipeline(db, result_cache_size=0).answer(
-        text, language=language)
+    return QueryVisualizationPipeline(db).answer(text, language=language)
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +512,7 @@ def test_catalog_views_stay_bag_equal_under_random_inserts(backend, steps):
             text, language=language, name=f"{qid}-{language}"), language, text))
     for counter, step in enumerate(steps):
         _apply_step(service, step, counter)
-        reference = QueryVisualizationPipeline(service.db, backend=backend,
-                                               result_cache_size=0)
+        reference = QueryVisualizationPipeline(service.db, backend=backend)
         for view, language, text in views:
             got = view.answer()
             want = reference.answer(text, language=language)

@@ -1,8 +1,8 @@
-"""Pipeline-layer serving features: plan cache, result cache, backends, fallback.
+"""Pipeline-layer serving features: plan cache, backends, fallback.
 
-The pipeline keys its plan cache on a query fingerprint and its result cache
-on (fingerprint, database version); `Relation.add` bumps the version, so
-writes invalidate results but not plans.  The engine→interpreter fallback
+The pipeline keys its plan cache on a query's shape and the structure
+version, so writes keep plans; it caches no answers (the service's result
+cache, ``tests/test_service.py``, does).  The engine→interpreter fallback
 path is pinned here too: structured warning, interpreter answers, timings.
 """
 
@@ -43,69 +43,41 @@ class TestFingerprint:
         assert fingerprint_query("Sailors", "ra") != fingerprint_query("Sailors", "sql")
 
 
-class TestResultCache:
-    def test_second_run_hits_the_result_cache(self, pipeline):
-        first = pipeline.run(JOIN_SQL)
-        assert pipeline.cache_info()["result_misses"] == 1
-        second = pipeline.run(JOIN_SQL)
-        info = pipeline.cache_info()
-        assert info["result_hits"] == 1
-        assert first.answers is not None and second.answers is not None
-        assert first.answers.bag_equal(second.answers)
-        assert second.used_engine  # the cached plan is still reported
+class TestPlanCache:
+    """The pipeline caches plans, never answers (the service does that)."""
 
-    def test_write_invalidates_results_but_keeps_plans(self, pipeline):
+    def test_every_run_executes_on_a_cached_plan(self, pipeline):
+        first = pipeline.run(JOIN_SQL)
+        second = pipeline.run(JOIN_SQL)
+        assert first.answers.bag_equal(second.answers)
+        assert first.answers is not second.answers
+        assert second.used_engine
+        assert pipeline.cache_info()["plan_hits"] == 1
+
+    def test_write_keeps_plans(self, pipeline):
         before = pipeline.answer(JOIN_SQL)
         pipeline.db.relation("Reserves").add((29, 101, "2025-05-05"))
         after = pipeline.answer(JOIN_SQL)
-        info = pipeline.cache_info()
-        assert info["result_misses"] == 2  # stale version missed
-        assert info["plan_hits"] == 1      # but the plan was reused
+        assert pipeline.cache_info()["plan_hits"] == 1  # the plan was reused
         assert after.row_set() - before.row_set() == {("Brutus",)}
 
-    def test_result_cache_is_bounded_lru(self):
+    def test_plan_cache_can_be_disabled(self):
         pipeline = QueryVisualizationPipeline(
-            sailors_database(), result_cache_size=2)
-        queries = [f"SELECT S.sname FROM Sailors S WHERE S.rating > {n}"
-                   for n in (1, 2, 3)]
-        for sql in queries:
-            pipeline.answer(sql)
-        assert pipeline.cache_info()["result_entries"] == 2
-        pipeline.answer(queries[0])  # evicted: misses again
-        assert pipeline.cache_info()["result_misses"] == 4
-
-    def test_caches_can_be_disabled(self):
-        pipeline = QueryVisualizationPipeline(
-            sailors_database(), plan_cache_size=0, result_cache_size=0)
+            sailors_database(), plan_cache_size=0)
         pipeline.answer(JOIN_SQL)
         pipeline.answer(JOIN_SQL)
         info = pipeline.cache_info()
-        assert info["result_hits"] == 0
         assert info["plan_hits"] == 0
-        assert info["result_entries"] == info["plan_entries"] == 0
+        assert info["plan_entries"] == 0
 
     def test_clear_caches_resets_everything(self, pipeline):
         pipeline.answer(JOIN_SQL)
+        stats = pipeline.cache_stats
         pipeline.clear_caches()
-        info = pipeline.cache_info()
-        assert info == {"plan_entries": 0, "result_entries": 0,
-                        "plan_hits": 0, "plan_misses": 0,
-                        "plan_binds": 0, "plan_refused": 0,
-                        "result_hits": 0, "result_misses": 0}
-
-    def test_replacing_a_relation_with_fewer_rows_still_invalidates(self, pipeline):
-        # Database.version must be monotonic: swapping a relation for a
-        # smaller one may not reproduce an earlier version value, or the
-        # result cache would serve the old relation's answers.
-        from repro.data.relation import Relation
-
-        sql = "SELECT S.sname FROM Sailors S"
-        before = pipeline.answer(sql)
-        sailors = pipeline.db.relation("Sailors")
-        shrunk = Relation(sailors.schema, sailors.rows()[:-1], validate=False)
-        pipeline.db.add_relation(shrunk)
-        after = pipeline.answer(sql)
-        assert len(after) == len(before) - 1
+        assert pipeline.cache_stats is stats  # reset in place
+        assert pipeline.cache_info() == {
+            "plan_entries": 0, "plan_hits": 0, "plan_misses": 0,
+            "plan_binds": 0, "plan_refused": 0}
 
     def test_schema_change_invalidates_cached_plans(self, pipeline):
         # add_relation can change column layout under the same name; plans
@@ -121,83 +93,11 @@ class TestResultCache:
         pipeline.db.add_relation(swapped)
         assert pipeline.answer(sql).rows() == [("y",)]
 
-    def test_datalog_results_are_cached_too(self, pipeline):
-        program = "ans(N) :- sailors(S, N, R, A), reserves(S, B, D)."
-        first = pipeline.answer(program, language="datalog")
-        second = pipeline.answer(program, language="datalog")
-        assert first.bag_equal(second)
-        assert pipeline.cache_info()["result_hits"] == 1
-
-    def test_cached_answers_cannot_be_poisoned_by_mutation(self, pipeline):
-        # Regression: the result cache used to hand out the cached Relation
-        # by reference, so one caller's .add() silently changed what every
-        # later request (and `run`'s .answers) saw.  Cached relations are
-        # frozen now: the mutation raises, and a re-query still serves the
-        # original rows.
-        from repro.data.relation import RelationError
-
-        first = pipeline.answer(JOIN_SQL)
-        baseline = first.row_multiset()
-        with pytest.raises(RelationError):
-            first.add(("Mallory",))
-        second = pipeline.answer(JOIN_SQL)
-        assert pipeline.cache_info()["result_hits"] == 1
-        assert second.row_multiset() == baseline
-        assert ("Mallory",) not in second.row_set()
-
-    def test_mutable_copy_of_cached_answers(self, pipeline):
-        answers = pipeline.answer(JOIN_SQL)
-        copy = answers.copy()
-        copy.add(("Mallory",))  # private copy: allowed, cache untouched
-        assert ("Mallory",) not in pipeline.answer(JOIN_SQL).row_set()
-
-    def test_run_freezes_cached_answers_too(self, pipeline):
-        from repro.data.relation import RelationError
-
-        result = pipeline.run(JOIN_SQL)
-        with pytest.raises(RelationError):
-            result.answers.add(("Mallory",))
-
-    def test_cache_off_pipelines_return_mutable_answers(self):
-        # With the result cache disabled nothing is shared, so the legacy
-        # mutate-my-answers behavior is preserved.
-        pipeline = QueryVisualizationPipeline(
-            sailors_database(), result_cache_size=0)
+    def test_answers_are_private_and_mutable(self, pipeline):
+        # Nothing is shared, so mutating one's answers is allowed.
         answers = pipeline.answer(JOIN_SQL)
         answers.add(("Mallory",))
         assert ("Mallory",) not in pipeline.answer(JOIN_SQL).row_set()
-
-
-class TestLRUCacheSentinel:
-    """Regression: ``_LRUCache.get`` used ``None`` as its miss marker, so a
-    legitimately-``None``/falsy cached value was re-missed forever (and
-    miscounted the hit/miss stats).  A dedicated sentinel fixes both."""
-
-    def test_none_and_falsy_values_are_cache_hits(self):
-        from repro.core.pipeline import _LRUCache
-
-        miss = object()
-        cache = _LRUCache(4)
-        cache.put("none", None)
-        cache.put("empty", ())
-        cache.put("zero", 0)
-        assert cache.get("none", miss) is None
-        assert cache.get("empty", miss) == ()
-        assert cache.get("zero", miss) == 0
-        assert cache.get("absent", miss) is miss
-        assert len(cache) == 3
-
-    def test_none_values_count_as_lru_recency(self):
-        from repro.core.pipeline import _LRUCache
-
-        miss = object()
-        cache = _LRUCache(2)
-        cache.put("a", None)
-        cache.put("b", 1)
-        assert cache.get("a", miss) is None  # refreshes recency despite None
-        cache.put("c", 2)  # evicts "b", not the just-touched "a"
-        assert cache.get("a", miss) is None
-        assert cache.get("b", miss) is miss
 
 
 class TestAnswerFallbackWarnings:

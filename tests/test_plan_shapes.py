@@ -106,7 +106,7 @@ def plan_counters(pipeline) -> dict[str, int]:
 
 @pytest.fixture
 def pipeline():
-    return QueryVisualizationPipeline(sailors_database(), result_cache_size=0)
+    return QueryVisualizationPipeline(sailors_database())
 
 
 class TestScanner:
@@ -186,7 +186,7 @@ class TestLiteralSweep:
 
         db = random_sailors_database(n_sailors=60, n_boats=12,
                                      n_reserves=300, seed=3)
-        pipeline = QueryVisualizationPipeline(db, result_cache_size=0)
+        pipeline = QueryVisualizationPipeline(db)
         texts = catalog_texts() + [
             ("sql", template.format(k=17, a="21.500"))
             for template in ANALYTIC_TEMPLATES]

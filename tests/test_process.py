@@ -633,6 +633,8 @@ class TestResidentCopies:
             sharded.close()
         assert backend.execution_counts()["resident_lineages"] == 0
 
+    @pytest.mark.skipif(not kernels_enabled(),
+                        reason="build structures are the numpy kernels'")
     def test_workers_extend_their_build_structures(self):
         """A scatter after each of 20 writes agrees with ``vectorized``; each
         worker lowers a lineage's join build side once and then extends it

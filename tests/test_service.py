@@ -35,6 +35,15 @@ def service():
     return QueryService(sailors_database())
 
 
+@pytest.fixture(params=["plain", "sharded"])
+def any_service(request):
+    """Both service classes: where rows land and what the version token is
+    are the database's business, so the one write path serves both."""
+    if request.param == "plain":
+        return QueryService(sailors_database())
+    return ShardedQueryService(sailors_database(), n_shards=2)
+
+
 class TestServing:
     def test_answers_match_the_pipeline(self, service):
         reference = QueryVisualizationPipeline(sailors_database())
@@ -57,11 +66,31 @@ class TestServing:
         assert info["result_hits"] == 1 and info["result_misses"] == 1
         assert again.is_frozen
 
-    def test_writes_through_the_service_invalidate(self, service):
-        before = service.answer(JOIN_SQL)
-        service.add_row("Reserves", (29, 101, "2025-05-05"))
-        after = service.answer(JOIN_SQL)
+    def test_writes_through_the_service_invalidate(self, any_service):
+        before = any_service.answer(JOIN_SQL)
+        any_service.add_row("Reserves", (29, 101, "2025-05-05"))
+        after = any_service.answer(JOIN_SQL)
         assert after.row_set() - before.row_set() == {("Brutus",)}
+
+    def test_a_batch_is_one_write_and_moves_the_token(self, any_service):
+        token = any_service.db.version_token
+        version = any_service.add_rows(
+            "Reserves", [(29, 101, "2025-05-05"), (29, 102, "2025-05-06")])
+        assert version == any_service.db.version
+        assert any_service.answer(COUNT_SQL).rows() == [(12,)]
+        moved = any_service.db.version_token
+        assert moved != token and moved > token
+
+    def test_the_version_token_is_the_databases(self, any_service):
+        db = any_service.db
+        if isinstance(any_service, ShardedQueryService):
+            assert db.version_token == (db.generation, db.structure_version,
+                                        *db.shard_versions())
+        else:
+            assert db.version_token == db.version
+        assert any_service.query(COUNT_SQL).version == db.version_token
+        any_service.add_row("Reserves", (29, 101, "2025-05-05"))
+        assert any_service.query(COUNT_SQL).version == db.version_token
 
     def test_writing_context_manager_is_exclusive(self, service):
         with service.writing() as db:
@@ -129,10 +158,10 @@ class TestPreparedQueries:
         assert answers.bag_equal(evaluate_sql(FALLBACK_SQL, service.db))
         assert warnings and "fallback" in warnings[0]
 
-    def test_prepared_handle_tracks_writes(self, service):
-        handle = service.prepare(COUNT_SQL)
+    def test_prepared_handle_tracks_writes(self, any_service):
+        handle = any_service.prepare(COUNT_SQL)
         assert handle.answer().rows() == [(10,)]
-        service.add_row("Reserves", (29, 104, "2025-05-07"))
+        any_service.add_row("Reserves", (29, 104, "2025-05-07"))
         assert handle.answer().rows() == [(11,)]
 
     def test_prepare_autodetects_language(self, service):
@@ -215,12 +244,13 @@ class TestTryHit:
 
     def test_an_answer_never_read_again_keeps_no_envelope(self, service):
         service.query(JOIN_SQL)
-        (published,) = service._results._data.values()
+        ((published, _nbytes),) = service._results._data.values()
         assert published._result is None
         service.query(JOIN_SQL)
         assert published._result is not None
 
-    def test_a_write_between_two_reads_declines(self, service):
+    def test_a_write_between_two_reads_declines(self, any_service):
+        service = any_service
         before = service.query(COUNT_SQL)
         assert service.try_hit(COUNT_SQL) == before
         service.add_row("Reserves", (29, 101, "2025-05-05"))
@@ -229,7 +259,8 @@ class TestTryHit:
         assert after.rows == ((11,),) and after.version > before.version
         assert service.try_hit(COUNT_SQL).rows == ((11,),)
 
-    def test_a_stale_lazy_view_declines_until_it_caught_up(self, service):
+    def test_a_stale_lazy_view_declines_until_it_caught_up(self, any_service):
+        service = any_service
         service.register_view(COUNT_SQL, name="n_reserves")
         fresh = service.try_hit(COUNT_SQL)
         assert fresh.rows == ((10,),)
@@ -244,12 +275,14 @@ class TestTryHit:
         assert service.try_hit(COUNT_SQL) is None
         elsewhere = service.query(COUNT_SQL)
         assert elsewhere.rows == ((11,),)
-        assert elsewhere.version == service.db.version > caught_up.version
+        assert elsewhere.version == service.db.version_token \
+            > caught_up.version
 
-    def test_an_eager_view_stays_hittable_across_writes(self, service):
-        service.register_view(COUNT_SQL, name="n_reserves", refresh="eager")
-        service.add_row("Reserves", (29, 101, "2025-05-05"))
-        assert service.try_hit(COUNT_SQL).rows == ((11,),)
+    def test_an_eager_view_stays_hittable_across_writes(self, any_service):
+        any_service.register_view(COUNT_SQL, name="n_reserves",
+                                  refresh="eager")
+        any_service.add_row("Reserves", (29, 101, "2025-05-05"))
+        assert any_service.try_hit(COUNT_SQL).rows == ((11,),)
 
     def test_unregister_view_declines(self, service):
         service.register_view(COUNT_SQL, name="n_reserves")
@@ -274,7 +307,7 @@ class TestTryHit:
             # Views were rematerialized under the lock: fresh, but new.
             new_view = service.try_hit(GROUP_SQL)
             assert new_view is not old_view
-            assert new_view.version == service._cache_version()
+            assert new_view.version == service.db.version_token
             assert sorted(new_view.rows) == sorted(old_view.rows)
 
     @pytest.mark.parametrize("lock_of", [
@@ -313,6 +346,42 @@ class TestTryHit:
         service.query(GROUP_SQL)                        # evicts COUNT
         assert service.try_hit(JOIN_SQL) is not None
         assert service.try_hit(COUNT_SQL) is None
+
+
+class TestResultCache:
+    """The service's result cache, the only one on the serving path."""
+
+    def test_result_cache_is_bounded_lru(self):
+        service = QueryService(sailors_database(), result_cache_size=2)
+        queries = [f"SELECT S.sname FROM Sailors S WHERE S.rating > {n}"
+                   for n in (1, 2, 3)]
+        for sql in queries:
+            service.answer(sql)
+        assert service.cache_info()["result_entries"] == 2
+        service.answer(queries[0])  # evicted: misses again
+        assert service.cache_info()["result_misses"] == 4
+
+    def test_datalog_results_are_cached_too(self, service):
+        program = "ans(N) :- sailors(S, N, R, A), reserves(S, B, D)."
+        first = service.answer(program, language="datalog")
+        second = service.answer(program, language="datalog")
+        assert second is first
+        assert service.cache_info()["result_hits"] == 1
+
+    def test_replacing_a_relation_with_fewer_rows_still_invalidates(
+            self, service):
+        # Database.version must be monotonic: swapping a relation for a
+        # smaller one may not reproduce an earlier version value, or the
+        # result cache would serve the old relation's answers.
+        from repro.data.relation import Relation
+
+        sql = "SELECT S.sname FROM Sailors S"
+        before = service.answer(sql)
+        with service.writing() as db:
+            sailors = db.relation("Sailors")
+            db.add_relation(Relation(sailors.schema, sailors.rows()[:-1],
+                                     validate=False))
+        assert len(service.answer(sql)) == len(before) - 1
 
 
 class TestErrorPaths:
@@ -396,7 +465,8 @@ class TestErrorPaths:
 
 
 class TestStatsSnapshots:
-    def test_snapshot_is_version_consistent(self, service):
+    def test_snapshot_is_version_consistent(self, any_service):
+        service = any_service
         version, snapshot = service.stats_snapshot()
         assert version == service.db.version
         assert snapshot["Reserves"].row_count == 10
@@ -405,7 +475,8 @@ class TestStatsSnapshots:
         assert version2 > version
         assert snapshot2["Reserves"].row_count == 11
 
-    def test_table_stats_follow_versions(self, service):
+    def test_table_stats_follow_versions(self, any_service):
+        service = any_service
         first = service.table_stats("Sailors")
         assert service.table_stats("Sailors") is first  # cached
         service.add_row("Sailors", (99, "Zed", 5, 30.0))
@@ -498,7 +569,7 @@ class TestConcurrencyHammer:
         # The storm is over: every served answer must now equal a fresh
         # single-threaded evaluation of the final database — i.e. the cache
         # holds no poisoned or torn entries for the final version.
-        fresh = QueryVisualizationPipeline(service.db, result_cache_size=0)
+        fresh = QueryVisualizationPipeline(service.db)
         for handle in handles:
             assert handle.answer().bag_equal(fresh.answer(handle.text)), (
                 f"stale cache entry for {handle.text!r}"
@@ -515,8 +586,7 @@ class TestConcurrencyHammer:
             random_sailors_database(n_sailors=KERNEL_MIN_ROWS + 50, n_boats=8,
                                     n_reserves=KERNEL_MIN_ROWS + 300, seed=23))
         handles = self._run_storm(service)
-        fresh = QueryVisualizationPipeline(service.db, result_cache_size=0,
-                                           backend="row")
+        fresh = QueryVisualizationPipeline(service.db, backend="row")
         for handle in handles:
             assert handle.answer().bag_equal(fresh.answer(handle.text)), (
                 f"stale cache entry for {handle.text!r}"

@@ -172,6 +172,8 @@ class TestInlineScatter:
             assert want.bag_equal(got)
         assert backend.execution_counts()["scatter"] == 4
 
+    @pytest.mark.skipif(not kernels.kernels_enabled(),
+                        reason="counts the numpy kernels' cache lookups")
     def test_concurrent_counts_fold_exactly(self, db):
         """Each execution counts into a sink of its own, folded under the
         backend's lock: N readers × M scatters lose no kernel-cache bump."""
@@ -222,6 +224,24 @@ class TestInlineScatter:
         counts = backend.execution_counts()
         assert (counts["scatter"], counts["single_shard"],
                 counts["fallback"]) == (1, 1, 1)
+
+    def test_compiled_plans_evict_the_least_recent_not_all(self, db):
+        """A 257th distinct bound plan used to wipe all 256 compiled ones:
+        after 300, the most recent 256 still hit without a recompile."""
+        sharded = ShardedDatabase.from_database(db, 2)
+        backend = ShardedBackend(n_shards=2)
+        sql = "SELECT S.sname FROM Sailors S WHERE S.rating > {}"
+        plans = [optimize(lower(sql.format(k), db.schema, "sql"), db)
+                 for k in range(300)]
+        for plan in plans:
+            backend.plan_for(plan, sharded)
+        with mock.patch("repro.engine.sharded.shard_plan",
+                        wraps=shard_plan) as compile_:
+            for plan in plans[-256:]:
+                backend.plan_for(plan, sharded)
+            assert compile_.call_count == 0
+            backend.plan_for(plans[0], sharded)  # evicted: compiles again
+            assert compile_.call_count == 1
 
     def test_registry_backend_at_scale(self):
         db = random_sailors_database(n_sailors=300, n_boats=20,
@@ -524,12 +544,12 @@ class TestShardedQueryService:
         service.answer(sql)
         service.answer(sql)
         assert service.cache_info()["result_hits"] == 1
-        vector = service._cache_version()
-        assert vector == (service._generation,
+        vector = service.db.version_token
+        assert vector == (service.sharded_db.generation,
                           service.sharded_db.structure_version,
                           *service.sharded_db.shard_versions())
         service.add_row("Reserves", (58, 101, "2025-07-01"))
-        moved = service._cache_version()
+        moved = service.db.version_token
         assert sum(1 for a, b in zip(vector, moved) if a != b) == 1
         service.answer(sql)
         assert service.cache_info()["result_misses"] == 2  # vector moved

@@ -244,7 +244,7 @@ class TestReshardUnderViews:
         count, which add-only histories cannot shrink past — but that is
         an accident of the rebuild strategy, not a guarantee: a batch-built
         reshard (one version bump per shard) would reopen old vectors with
-        *different* contents.  The generation epoch in ``_cache_version()``
+        *different* contents.  The generation epoch in ``version_token``
         makes the key sound by construction instead.
         """
         service = ShardedQueryService(sailors_database(), n_shards=2)
@@ -252,15 +252,15 @@ class TestReshardUnderViews:
         service.answer(sql)
         raw_before = (service.sharded_db.structure_version,
                       *service.sharded_db.shard_versions())
-        keyed_before = service._cache_version()
+        keyed_before = service.db.version_token
         service.reshard(2)  # same count, same keys: maximal aliasing
         raw_after = (service.sharded_db.structure_version,
                      *service.sharded_db.shard_versions())
         # The raw vector aliases across the reshard...
         assert raw_before == raw_after
         # ...the epoch-prefixed cache key does not.
-        assert keyed_before != service._cache_version()
-        assert service._cache_version()[0] == keyed_before[0] + 1
+        assert keyed_before != service.db.version_token
+        assert service.db.version_token[0] == keyed_before[0] + 1
         # And no stale entry survives to be served: the reshard cleared
         # the cache, so the next answer is a recorded miss, not a hit.
         misses = service.cache_info()["result_misses"]

@@ -467,14 +467,11 @@ class TestInvariantLint:
     def test_unguarded_module_cache_mutation(self, invariants, fixture_repo):
         root = fixture_repo("src/repro/engine/kernels.py", """\
             import threading
-            from collections import OrderedDict
-            _CACHE_LOCK = threading.Lock()
-            _CACHE = OrderedDict()
-            _CACHE_BYTES = 0
-            _CACHE_TOTALS = {"hits": 0}
+            _PATH_TOTALS = {"probe_kernel": 0}
+            _PATH_LOCK = threading.Lock()
 
-            def put(key, value):
-                _CACHE[key] = value
+            def count_path(key):
+                _PATH_TOTALS[key] += 1
 
             def kernel_demo(x):
                 return None
@@ -486,18 +483,12 @@ class TestInvariantLint:
     def test_guarded_mutation_is_clean(self, invariants, fixture_repo):
         root = fixture_repo("src/repro/engine/kernels.py", """\
             import threading
-            from collections import OrderedDict
-            _CACHE_LOCK = threading.Lock()
-            _CACHE = OrderedDict()
-            _CACHE_BYTES = 0
-            _CACHE_TOTALS = {"hits": 0}
+            _PATH_TOTALS = {"probe_kernel": 0}
+            _PATH_LOCK = threading.Lock()
 
-            def put(key, value):
-                global _CACHE_BYTES
-                with _CACHE_LOCK:
-                    _CACHE[key] = value
-                    _CACHE_BYTES += 1
-                    _CACHE_TOTALS["hits"] += 1
+            def count_path(key):
+                with _PATH_LOCK:
+                    _PATH_TOTALS[key] += 1
 
             def kernel_demo(x):
                 return None
@@ -505,12 +496,38 @@ class TestInvariantLint:
         assert [v for v in invariants.run_checks(root)
                 if v.rule == "lock-guarded-cache"] == []
 
-    def test_unguarded_lru_and_stats_mutations(self, invariants,
-                                               fixture_repo):
-        fixture_repo("src/repro/core/pipeline.py", """\
+    def test_unlocked_byte_total_in_the_cache_class(self, invariants,
+                                                    fixture_repo):
+        root = fixture_repo("src/repro/engine/cache.py", """\
             import threading
 
-            class _LRUCache:
+            class LRUCache:
+                def __init__(self, capacity):
+                    self._data = {}
+                    self._bytes = 0
+                    self._lock = threading.Lock()
+
+                def put(self, key, value, nbytes):
+                    with self._lock:
+                        self._data[key] = (value, nbytes)
+                    self._bytes += nbytes
+
+                def clear(self):
+                    with self._lock:
+                        self._data.clear()
+                        self._bytes = 0
+            """)
+        violations = [v for v in invariants.run_checks(root)
+                      if v.rule == "lock-guarded-cache"]
+        assert [(v.line, "_bytes" in v.message) for v in violations] \
+            == [(12, True)]
+
+    def test_unguarded_lru_and_stats_mutations(self, invariants,
+                                               fixture_repo):
+        fixture_repo("src/repro/engine/cache.py", """\
+            import threading
+
+            class LRUCache:
                 def __init__(self, capacity):
                     self._data = {}
                     self._lock = threading.Lock()
@@ -531,7 +548,7 @@ class TestInvariantLint:
         violations = [v for v in invariants.run_checks(root)
                       if v.rule == "lock-guarded-cache"]
         assert {v.path for v in violations} == {
-            os.path.join("src", "repro", "core", "pipeline.py"),
+            os.path.join("src", "repro", "engine", "cache.py"),
             os.path.join("src", "repro", "engine", "stats.py")}
 
     def test_profile_published_under_its_lock_is_clean(self, invariants,
@@ -676,10 +693,10 @@ class TestInvariantLint:
         assert ".add_rows()" in violations[0].message
 
     def test_try_lock_guards_a_cache_mutation(self, invariants, fixture_repo):
-        root = fixture_repo("src/repro/core/pipeline.py", """\
+        root = fixture_repo("src/repro/engine/cache.py", """\
             import threading
 
-            class _LRUCache:
+            class LRUCache:
                 def __init__(self, capacity):
                     self._data = {}
                     self._lock = threading.Lock()
@@ -720,8 +737,8 @@ class TestInvariantLint:
 
     def test_try_hit_and_the_helpers_it_names_never_wait(self, invariants,
                                                          fixture_repo):
-        fixture_repo("src/repro/core/pipeline.py", """\
-            class _LRUCache:
+        fixture_repo("src/repro/engine/cache.py", """\
+            class LRUCache:
                 def __init__(self):
                     self._data = {}
 
@@ -749,7 +766,7 @@ class TestInvariantLint:
                 def try_hit(self, text):
                     with self._write_lock:
                         pass
-                    view = self._views.get(text)   # a dict: not _LRUCache.get
+                    view = self._views.get(text)   # a dict: not LRUCache.get
                     return self._peek(text)
 
                 def _peek(self, key):
@@ -780,7 +797,7 @@ class TestInvariantLint:
         violations = [v for v in invariants.run_checks(root)
                       if v.rule == "server-nonblocking"]
         assert [(os.path.basename(v.path), v.line)
-                for v in violations] == [("pipeline.py", 6)]
+                for v in violations] == [("cache.py", 6)]
         assert "get()" in violations[0].message
 
     def test_rule_scoped_to_server_package(self, invariants, fixture_repo):

@@ -5,10 +5,11 @@ relies on but no general-purpose linter knows about.
 Rules (see tools/README.md for how to add one):
 
 ``lock-guarded-cache``
-    Shared mutable caches — the serving layer's ``_LRUCache`` data, the
-    optimizer's per-relation table profiles (the ``profile_cache`` slot
-    ``repro.engine.stats`` keeps on each relation), the kernel layer's
-    module-level build-structure LRU, the query service's materialized-
+    Shared mutable caches — the entries and byte total of the one cache
+    class (``repro.engine.cache.LRUCache``), the optimizer's per-relation
+    table profiles (the ``profile_cache`` slot ``repro.engine.stats``
+    keeps on each relation), the kernel layer's path counters, the query
+    service's materialized-
     view registry (``_views`` / ``_views_by_name``), and the shared-memory
     page publisher's slot table (``_slots``) — may only be mutated
     inside a ``with <their lock>:`` block or the body of an ``if
@@ -43,9 +44,9 @@ Rules (see tools/README.md for how to add one):
     exempt: they are the executor-offload idiom.  The methods the loop may
     call are ``identify`` and ``try_hit``, and the rule's second clause
     holds them to that: no function of either name under
-    ``src/repro/core`` — nor any function there it names, transitively —
-    may contain a ``with <lock>:`` or an ``.acquire()`` without
-    ``blocking=False``.
+    ``src/repro/core`` — nor any function there or in the cache class's
+    module it names, transitively — may contain a ``with <lock>:`` or an
+    ``.acquire()`` without ``blocking=False``.
 
 Usage: ``python tools/check_invariants.py [--root REPO_ROOT]``.
 Exits 0 when clean, 1 with one ``path:line: [rule] message`` per violation.
@@ -88,15 +89,15 @@ _MUTATING_METHODS = frozenset({
 #: the module keeps on other objects, ``<anything>.<name>`` slots (lock a
 #: global).
 CACHE_RULES: tuple[tuple[str, str, frozenset, str], ...] = (
-    ("src/repro/core/pipeline.py", "class:_LRUCache",
-     frozenset({"_data"}), "_lock"),
+    # The one cache class: every bounded cache is an instance of it.
+    ("src/repro/engine/cache.py", "class:LRUCache",
+     frozenset({"_data", "_bytes"}), "_lock"),
     # Table profiles live on the relations, below every StatsCatalog; the
     # lock also makes concurrent optimizer calls share one profiling pass.
     ("src/repro/engine/stats.py", "module",
      frozenset({"profile_cache"}), "_PROFILE_LOCK"),
     ("src/repro/engine/kernels.py", "module",
-     frozenset({"_CACHE", "_CACHE_BYTES", "_CACHE_TOTALS", "_PATH_TOTALS"}),
-     "_CACHE_LOCK"),
+     frozenset({"_PATH_TOTALS"}), "_PATH_LOCK"),
     # The view registry: registration, unregistration, and every refresh
     # mutate maintained state that lock-free readers validate by version,
     # so all registry mutations must hold the service write lock.
@@ -400,7 +401,9 @@ def check_silent_excepts(root: str) -> list[Violation]:
 
 _SERVER_PACKAGE = ("src/repro/server",)
 
-_CORE_PACKAGE = ("src/repro/core",)
+#: Where the loop-side call graph is followed: the service layer and the
+#: cache class its hits read through.
+_LOOP_SOURCES = ("src/repro/core", "src/repro/engine/cache.py")
 
 #: The ServiceAPI methods the event loop may call directly.  Every other
 #: one may take service locks, run plans or touch storage, and would stall
@@ -493,7 +496,7 @@ def _builtin_container_attrs(trees: Iterable[ast.AST]) -> set[str]:
 def check_try_hit_never_waits(root: str) -> list[Violation]:
     """The clause that earns ``identify`` and ``try_hit`` their place on
     the event loop."""
-    sources = list(_walk_sources(root, _CORE_PACKAGE))
+    sources = list(_walk_sources(root, _LOOP_SOURCES))
     defs: dict[str, list[tuple[str, ast.AST]]] = {}
     for _path, rel_path, tree in sources:
         for node in ast.walk(tree):
@@ -568,6 +571,11 @@ def _walk_sources(root: str, packages: tuple
                   ) -> Iterator[tuple[str, str, ast.AST]]:
     for package in packages:
         base = os.path.join(root, package)
+        if os.path.isfile(base):
+            tree = _parse(base)
+            if tree is not None:
+                yield base, os.path.relpath(base, root), tree
+            continue
         for dirpath, _dirnames, filenames in os.walk(base):
             for filename in sorted(filenames):
                 if not filename.endswith(".py"):
