@@ -44,6 +44,10 @@ under concurrent readers and writers:
   whose :meth:`~PreparedQuery.answer` skips language detection and
   fingerprinting on every subsequent request — the repeated-serving fast
   path.
+* **Materialized views.**  :meth:`register_view` materializes a query
+  once and keeps it current under appends: a plan with a maintainable core
+  absorbs writes through delta plans (:mod:`repro.engine.delta`);
+  everything else, every Datalog program included, rebuilds on refresh.
 * **Versioned statistics.**  :meth:`table_stats` / :meth:`stats_snapshot`
   expose the optimizer's own per-relation profiles — cached on the
   relations, version-tagged (:func:`repro.engine.stats.table_profile`) — so
@@ -186,9 +190,8 @@ class MaterializedView:
       :mod:`repro.engine.delta` (bag, ``DISTINCT``, or per-group aggregate
       accumulators), with any finishing operators re-applied to the small
       core output;
-    * recursive Datalog without negation — semi-naive evaluation resumed
-      from the new frontier;
-    * everything else — rebuild on refresh (correct, never incremental).
+    * everything else, every Datalog program included (a program is not
+      one plan) — rebuild on refresh (correct, never incremental).
 
     A view also rebuilds when the database structure changes or a relation's
     bounded delta log no longer covers the window (it fell too far behind).
@@ -212,9 +215,8 @@ class MaterializedView:
         self.refreshes = 0
         self.incremental_refreshes = 0
         self.rebuilds = 0
-        self._plan: Any = None          # engine plan (non-Datalog views)
+        self._plan: Any = None          # engine plan (None for Datalog)
         self._core: Any = None          # maintainable core subplan
-        self._program: Any = None       # parsed Datalog program
         self._maintainer: Any = None    # None => rebuild-on-refresh
         self._base_rels: tuple[str, ...] = ()
         self._anchors: dict[str, int] = {}
@@ -232,8 +234,8 @@ class MaterializedView:
 
     @property
     def strategy(self) -> str:
-        """``"bag"`` / ``"distinct"`` / ``"aggregate"`` / ``"datalog"`` /
-        ``"rebuild"`` — how refreshes are computed right now."""
+        """``"bag"`` / ``"distinct"`` / ``"aggregate"`` / ``"rebuild"`` —
+        how refreshes are computed right now."""
         return self._maintainer.kind if self._maintainer is not None else "rebuild"
 
     def _peek(self) -> _Answer | None:
@@ -337,35 +339,19 @@ class MaterializedView:
         return self._publish(db)
 
     def _rebuild_locked(self) -> _Answer:
-        """Rematerialize from scratch: a Datalog maintainer, else the
-        engine plan's maintainers (:meth:`_maintain`), else rebuild on
-        every refresh from the pipeline's answer."""
-        from repro.engine.delta import DatalogMaintainer, DeltaRewriteError
-
+        """Rematerialize from scratch: the engine plan's maintainers
+        (:meth:`_maintain`), else rebuild on every refresh from the
+        pipeline's answer — Datalog programs, which are not one plan, and
+        plans with no maintainable core."""
         db = self.service.db
         self.rebuilds += 1
         self._maintainer = None
-        self._plan = self._core = None
+        self._core = None
         self._base_rels = ()
         pipeline = self.service.pipeline
-        if self.language == "datalog":
-            from repro.core.pipeline import _parse
-
-            if self._program is None:
-                self._program = _parse(self.text, "datalog")
-            try:
-                maintainer = DatalogMaintainer(self._program, db)
-                maintainer.initialize(db, self.service.backend)
-            except DeltaRewriteError:
-                pass  # negation: served by rebuild
-            else:
-                self._maintainer = maintainer
-                self._base_rels = maintainer.base_relations()
-                return self._publish(db)
-        else:
-            self._plan = pipeline.prepare_plan(self.text, self.language)
-            if self._plan is not None and self._maintain(db):
-                return self._publish(db)
+        self._plan = pipeline.prepare_plan(self.text, self.language)
+        if self._plan is not None and self._maintain(db):
+            return self._publish(db)
         warnings: list[str] = []
         relation = pipeline.answer(self.text, language=self.language,
                                    warnings=warnings)
@@ -394,13 +380,9 @@ class MaterializedView:
         """Repackage the maintained state and publish (version set last)."""
         from repro.engine.delta import finish_rows, view_result_relation
 
-        maintainer = self._maintainer
-        if maintainer.kind == "datalog":
-            relation = maintainer.result_relation()
-        else:
-            rows = finish_rows(db, self._plan, self._core, maintainer.rows())
-            relation = view_result_relation(self._plan, rows)
-        return self._finish_publish(db, relation)
+        rows = finish_rows(db, self._plan, self._core,
+                           self._maintainer.rows())
+        return self._finish_publish(db, view_result_relation(self._plan, rows))
 
     def _finish_publish(self, db: Database, relation: Relation,
                         warnings: tuple[str, ...] = ()) -> _Answer:

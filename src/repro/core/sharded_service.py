@@ -12,14 +12,18 @@ per shard, prefixed by the layout epoch (see
 change relative to the base service:
 
 * **Materialized views are maintained per shard.**
-  :class:`ShardedMaterializedView` scatters a view's maintainable core
-  into one delta-maintained partial per shard (over the shard's live
-  relations, whose delta logs work) and combines the partials at refresh
-  time — ``DISTINCT`` re-deduplicates globally, split aggregates
-  (AVG = SUM + COUNT, presence counters) re-combine globally.  A write
-  refreshes only the shards it touched; a shard that falls behind its
-  bounded delta log recomputes *its* partial only.  Non-distributable
-  plans degrade to rebuild-on-refresh, never a wrong answer.
+  :class:`ShardedMaterializedView` compiles a view's maintainable core
+  with :func:`~repro.engine.sharded.shard_plan`, the compiler every
+  scatter-gather request goes through, and keeps the compiled plan's
+  scatter subplan delta-maintained on every shard (over the shard's live
+  relations, whose delta logs work).  A refresh gathers the per-shard
+  parts with the compiled plan's own merge step: a ``DISTINCT``
+  pre-reduced per shard re-deduplicates globally, a split aggregate
+  (AVG = SUM + COUNT, presence counters) re-combines, and a core
+  co-partitioned on the shard key just concatenates.  A write refreshes
+  only the shards it touched; a shard that falls behind its bounded delta
+  log recomputes *its* part only.  Non-distributable plans and Datalog
+  programs rebuild on refresh, never a wrong answer.
 * **The cluster reshapes under live views.**  :meth:`reshard`
   re-partitions the database onto a new shard count/key layout atomically
   under the write lock, under a new generation epoch, rematerializing
@@ -29,7 +33,7 @@ change relative to the base service:
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro.core.service import MaterializedView, QueryService, _Answer
 from repro.data.database import Database
@@ -47,32 +51,34 @@ _SHARD_LOCAL_BACKEND = "vectorized"
 
 
 class ShardedMaterializedView(MaterializedView):
-    """A materialized view maintained as one partial per shard.
+    """A materialized view maintained as one part per shard.
 
-    The registered plan's maintainable core (see
-    :func:`~repro.engine.delta.find_core`) is compiled by
-    :func:`~repro.engine.sharded.compile_view_scatter` into a per-shard
-    scatter plan plus a gather-side combine, and each shard gets its own
-    :class:`~repro.engine.delta.ViewMaintainer` running over a shard-local
+    The view's recipe is the :class:`~repro.engine.sharded.ShardedPlan`
+    that :func:`~repro.engine.sharded.shard_plan` compiles for the
+    registered plan's maintainable core (see
+    :func:`~repro.engine.delta.find_core`).  Its ``scatter`` subplan is a
+    maintainable core in turn — a bag, a ``DISTINCT`` over one, or an
+    aggregate (whole when co-partitioned, else the partial half of a
+    split) — so every shard maintains it with the
+    :class:`~repro.engine.delta.ViewMaintainer` that
+    :func:`~repro.engine.delta.build_maintainer` picks, over a shard-local
     execution database (the shard's live relations plus frozen broadcast
-    aliases).  Refresh semantics:
+    aliases), and a refresh hands the maintained parts to the recipe's
+    :meth:`~repro.engine.sharded.ShardedPlan.finish`, exactly as a request
+    hands it executed ones.  Refresh semantics:
 
     * a routed write moves one shard's version component; only that
-      shard's maintainer absorbs a delta, then the partials are
-      re-combined and the finishing operators re-applied;
+      shard's maintainer absorbs a delta, then the parts are re-gathered
+      and the finishing operators re-applied;
     * a shard whose bounded delta log no longer covers its window
-      recomputes its own partial from scratch (siblings keep their
+      recomputes its own part from scratch (siblings keep their
       incremental state) — counted in :attr:`shard_rebuilds`;
     * a write to a relation the plan reads via a **broadcast alias**
-      invalidates every shard's partial (each partial joined against the
-      full old copy), so all shards reinitialize;
-    * recursive Datalog views keep one semi-naive maintainer over the
-      merged database, fed per-predicate deltas gathered from the
-      shard-local logs (merged views are rebuilt frozen copies with no
-      usable logs of their own);
-    * anything non-distributable or non-maintainable falls back to
-      rebuild-on-refresh via the scatter-gather pipeline — correct, never
-      incremental.
+      invalidates every shard's part (each part joined against the full
+      old copy), so all shards reinitialize;
+    * a plan with no maintainable core, a core ``shard_plan`` cannot
+      scatter, and every Datalog program rebuild on refresh via the
+      scatter-gather pipeline — correct, never incremental.
 
     A service :meth:`~ShardedQueryService.reshard` replaces the database,
     so every view is stale until it has rematerialized against the new
@@ -83,7 +89,7 @@ class ShardedMaterializedView(MaterializedView):
                  language: str, fingerprint: str, refresh: str) -> None:
         super().__init__(service, name, text, language, fingerprint, refresh)
         self.shard_rebuilds = 0
-        self._compiled: Any = None            # ShardedViewPlan | None
+        self._compiled: Any = None            # ShardedPlan | None
         self._shard_maintainers: list[Any] | None = None
         self._exec_dbs: list[Database] | None = None
         #: per shard: relation -> shard-local version last absorbed
@@ -98,12 +104,10 @@ class ShardedMaterializedView(MaterializedView):
     @property
     def strategy(self) -> str:
         """``"sharded-bag"`` / ``"sharded-distinct"`` /
-        ``"sharded-aggregate"`` / ``"sharded-datalog"`` / ``"rebuild"``."""
-        if self._shard_maintainers is not None and self._compiled is not None:
-            return f"sharded-{self._compiled.kind}"
-        if self._maintainer is not None:
-            return f"sharded-{self._maintainer.kind}"
-        return "rebuild"
+        ``"sharded-aggregate"`` / ``"rebuild"``."""
+        if self._shard_maintainers is None:
+            return "rebuild"
+        return f"sharded-{self._shard_maintainers[0].kind}"
 
     def info(self) -> dict[str, Any]:
         info = super().info()
@@ -114,48 +118,45 @@ class ShardedMaterializedView(MaterializedView):
 
     # -- maintenance (service write lock held) ------------------------------
 
-    def _catch_up_locked(self, db: ShardedDatabase) -> _Answer:
-        if self._shard_maintainers is not None:
-            return self._refresh_sharded_locked(db)
-        if self._maintainer is not None and self._maintainer.kind == "datalog":
-            return self._refresh_datalog_locked(db)
-        return self._rebuild_locked()
-
     def _rebuild_locked(self) -> _Answer:
         self._compiled = self._shard_maintainers = self._exec_dbs = None
         return super()._rebuild_locked()
 
     def _maintain(self, db: ShardedDatabase) -> bool:
-        """One maintainer per shard over the plan core's scatter half."""
+        """One maintainer per shard over the scatter subplan that
+        :func:`~repro.engine.sharded.shard_plan` compiles for the core."""
         from repro.engine.delta import (
             DeltaRewriteError,
             base_relations,
+            build_maintainer,
             find_core,
         )
         from repro.engine.lower import LoweringError
         from repro.engine.plan import PlanError
-        from repro.engine.sharded import NotDistributable, compile_view_scatter
+        from repro.engine.sharded import shard_plan
+        from repro.engine.verify import maybe_verify_view_terms
 
         try:
-            core, kind = find_core(self._plan)
-            compiled = compile_view_scatter(core, kind, db,
-                                            self.service.table_statistics)
+            core, _kind = find_core(self._plan)
+            compiled = shard_plan(core, db, self.service.table_statistics)
+            if compiled.mode == "fallback":
+                return False  # nothing to scatter: rebuild on refresh
+            maybe_verify_view_terms(compiled, db)
             exec_dbs = self._exec_databases(db, compiled)
-            maintainers = [self._shard_maintainer(compiled, exec_db)
+            maintainers = [build_maintainer(compiled.scatter, exec_db)[0]
                            for exec_db in exec_dbs]
             for maintainer, exec_db in zip(maintainers, exec_dbs):
                 maintainer.initialize(exec_db, _SHARD_LOCAL_BACKEND)
-        except (DeltaRewriteError, NotDistributable, LoweringError,
-                PlanError):
-            # Unmaintainable core or no safe scatter: serve by rebuild
-            # (full scatter-gather recompute on every refresh).
+        except (DeltaRewriteError, LoweringError, PlanError):
+            # Unmaintainable core or an uncertified recipe: serve by
+            # rebuild (full scatter-gather recompute on every refresh).
             return False
         self._core = core
         self._compiled = compiled
         self._exec_dbs = exec_dbs
         self._shard_maintainers = maintainers
         self._base_rels = base_relations(core)
-        self._record_anchors(db, compiled.partitioned, compiled.broadcast)
+        self._record_anchors(db)
         return True
 
     @staticmethod
@@ -167,21 +168,9 @@ class ShardedMaterializedView(MaterializedView):
                                          compiled.broadcast)
                 for i in range(db.n_shards)]
 
-    @staticmethod
-    def _shard_maintainer(compiled: Any, exec_db: Database) -> Any:
-        from repro.engine.delta import (
-            AggregateMaintainer,
-            BagMaintainer,
-            DistinctMaintainer,
-        )
-
-        if compiled.kind == "bag":
-            return BagMaintainer(compiled.scatter, exec_db)
-        if compiled.kind == "distinct":
-            return DistinctMaintainer(compiled.scatter, exec_db)
-        return AggregateMaintainer(compiled.scatter, exec_db)
-
-    def _refresh_sharded_locked(self, db: ShardedDatabase) -> _Answer:
+    def _catch_up_locked(self, db: ShardedDatabase) -> _Answer:
+        if self._shard_maintainers is None:
+            return self._rebuild_locked()
         from repro.engine.delta import DeltaRewriteError
         from repro.engine.lower import LoweringError
         from repro.engine.plan import DeltaUnavailable, PlanError
@@ -190,8 +179,8 @@ class ShardedMaterializedView(MaterializedView):
         for rel in sorted(compiled.broadcast):
             if db.relation_version(rel) != self._broadcast_anchors.get(rel, -1):
                 # A broadcast-read relation grew somewhere: every shard's
-                # partial joined against the full old copy, so every
-                # shard's state is stale at once.
+                # part joined against the full old copy, so every shard's
+                # state is stale at once.
                 return self._reinitialize_all_shards_locked(db)
         touched = False
         for i, maintainer in enumerate(self._shard_maintainers):
@@ -210,7 +199,7 @@ class ShardedMaterializedView(MaterializedView):
             except (DeltaUnavailable, DeltaRewriteError, LoweringError,
                     PlanError):
                 # This shard fell behind its bounded delta log: recompute
-                # its partial only; sibling shards keep their state.
+                # its part only; sibling shards keep their state.
                 maintainer.initialize(self._exec_dbs[i], _SHARD_LOCAL_BACKEND)
                 self.shard_rebuilds += 1
             for rel in compiled.partitioned:
@@ -221,69 +210,33 @@ class ShardedMaterializedView(MaterializedView):
         return self._publish(db)
 
     def _reinitialize_all_shards_locked(self, db: ShardedDatabase) -> _Answer:
-        compiled = self._compiled
-        self._exec_dbs = self._exec_databases(db, compiled)
+        self._exec_dbs = self._exec_databases(db, self._compiled)
         for maintainer, exec_db in zip(self._shard_maintainers,
                                        self._exec_dbs):
             maintainer.initialize(exec_db, _SHARD_LOCAL_BACKEND)
             self.shard_rebuilds += 1
-        self._record_anchors(db, compiled.partitioned, compiled.broadcast)
-        return self._publish(db)
-
-    def _refresh_datalog_locked(self, db: ShardedDatabase) -> _Answer:
-        deltas: dict[str, list[tuple]] = {}
-        for pred in self._base_rels:
-            rows: list[tuple] = []
-            pred_changed = False
-            for i in range(db.n_shards):
-                rel = db.shard(i).relation(pred)
-                since = self._shard_anchors[i].get(pred, -1)
-                if rel.version <= since:
-                    continue
-                pred_changed = True
-                delta = rel.delta_since(since)
-                if delta is None:
-                    # One shard's log fell behind; the merged fixpoint
-                    # cannot be resumed exactly — start over.
-                    return self._rebuild_locked()
-                rows.extend(delta)
-            if pred_changed:
-                deltas[pred] = rows
-        if not deltas:
-            return self._republish(db)
-        # The union of per-shard appends is the merged delta (facts are
-        # sets); db supplies the full current relations the resumed
-        # fixpoint joins against.
-        self._maintainer.apply_edb_deltas(db, deltas)
-        self.incremental_refreshes += 1
+        self._record_anchors(db)
         return self._publish(db)
 
     def _publish(self, db: ShardedDatabase) -> _Answer:
         from repro.engine.delta import finish_rows, view_result_relation
 
-        if self._compiled is None:
-            # The merged-database Datalog maintainer: its deltas are read
-            # from the shard-local logs, anchored here.
-            self._record_anchors(db, self._base_rels, ())
-            return super()._publish(db)
         parts = [maintainer.rows() for maintainer in self._shard_maintainers]
-        rows = self._compiled.gather(parts)
-        rows = finish_rows(db, self._plan, self._core, rows)
+        rows = finish_rows(db, self._plan, self._core,
+                           self._compiled.finish(db, parts))
         return self._finish_publish(db, view_result_relation(self._plan, rows))
 
-    def _record_anchors(self, db: ShardedDatabase,
-                        partitioned: Iterable[str],
-                        broadcast: Iterable[str]) -> None:
+    def _record_anchors(self, db: ShardedDatabase) -> None:
         from repro.data.sharded import BROADCAST_SUFFIX
 
-        names = sorted(partitioned)
+        names = sorted(self._compiled.partitioned)
         self._shard_anchors = [
             {rel: db.shard(i).relation(rel).version for rel in names}
             for i in range(db.n_shards)
         ]
         self._broadcast_anchors = {}
         self._alias_anchors = {}
-        for rel in sorted(broadcast):
+        for rel in sorted(self._compiled.broadcast):
             self._broadcast_anchors[rel] = db.relation_version(rel)
             # Broadcast aliases are frozen copies: anchoring an as-of scan
             # at the alias's own (current) version reads its full rows.

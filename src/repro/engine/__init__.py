@@ -58,7 +58,6 @@ from repro.engine.bind import Template, attach_slots, scan_literals
 from repro.engine.delta import (
     AggregateMaintainer,
     BagMaintainer,
-    DatalogMaintainer,
     DeltaRewriteError,
     DistinctMaintainer,
     ViewMaintainer,
@@ -101,6 +100,7 @@ from repro.engine.verify import (
     verification_enabled,
     verify_plan,
     verify_sharded_plan,
+    verify_view_terms,
 )
 from repro.engine.plan import (
     AggregateP,
@@ -125,7 +125,6 @@ __all__ = [
     "AggregateP",
     "BagMaintainer",
     "ColumnStats",
-    "DatalogMaintainer",
     "DeltaRewriteError",
     "DeltaScanP",
     "DeltaUnavailable",
@@ -203,4 +202,5 @@ __all__ = [
     "verification_enabled",
     "verify_plan",
     "verify_sharded_plan",
+    "verify_view_terms",
 ]

@@ -766,23 +766,16 @@ class CompiledDatalog(NamedTuple):
 
     idb: tuple[tuple[str, int], ...]         #: (predicate, arity), program order
     strata: tuple[tuple[CompiledRule, ...], ...]     #: lowest stratum first
-    #: Compiled with a delta variant for *every* positive occurrence, which
-    #: resuming from ``seed_facts`` needs (and negation rules out).
-    incremental: bool
 
 
-def lower_datalog(program: Any, db: Database,
-                  *, incremental: bool = False) -> CompiledDatalog:
+def lower_datalog(program: Any, db: Database) -> CompiledDatalog:
     """Stratify a program (text or AST) and lower every rule to plans.
 
     Each non-fact rule gets its base plan plus one delta variant per
-    positive occurrence of a same-stratum predicate (the semi-naive loop);
-    with ``incremental`` per positive occurrence of *any* predicate, so a
-    run can resume from new EDB rows or upstream IDB growth.  Inserts only:
-    negation makes derivations non-monotone under growth of the negated
-    predicate, so an ``incremental`` compile of a program with negated
-    literals raises :class:`~repro.engine.lower.LoweringError` (the view
-    layer falls back to a full rebuild).
+    positive occurrence of a same-stratum predicate: what the semi-naive
+    loop of :func:`run_datalog` executes.  A program compiles once and is
+    evaluated from scratch on every run; a materialized Datalog view
+    rebuilds on refresh rather than resuming a fixpoint.
     """
     from repro.datalog.ast import Literal, Program
     from repro.datalog.parser import parse_datalog
@@ -803,11 +796,6 @@ def lower_datalog(program: Any, db: Database,
         arities.setdefault(rule.head.predicate.lower(), rule.head.arity)
         for item in rule.body:
             if isinstance(item, Literal):
-                if incremental and item.negated:
-                    raise LoweringError(
-                        "incremental evaluation requires a negation-free "
-                        f"program (rule head {rule.head.predicate})"
-                    )
                 arities.setdefault(item.predicate.lower(), item.arity)
 
     strata: list[tuple[CompiledRule, ...]] = []
@@ -828,7 +816,7 @@ def lower_datalog(program: Any, db: Database,
             for position, item in enumerate(rule.body):
                 if isinstance(item, Literal) and not item.negated:
                     predicate = item.predicate.lower()
-                    if incremental or predicate in stratum_preds:
+                    if predicate in stratum_preds:
                         variants.append((predicate, lower_datalog_rule(
                             rule, arities, {position: f"{predicate}@delta"})))
             rules.append(CompiledRule(
@@ -837,7 +825,7 @@ def lower_datalog(program: Any, db: Database,
         strata.append(tuple(rules))
     idb = tuple((p.lower(), arities[p.lower()])
                 for p in program.idb_predicates())
-    return CompiledDatalog(idb, tuple(strata), incremental)
+    return CompiledDatalog(idb, tuple(strata))
 
 
 def _generic_relation(predicate: str, arity: int,
@@ -894,41 +882,17 @@ def optimize_datalog(compiled: CompiledDatalog, db: Database) -> CompiledDatalog
         for rules in compiled.strata))
 
 
-def run_datalog(compiled: CompiledDatalog, db: Database,
-                *, seed_facts: "dict[str, set[Row]] | None" = None,
-                edb_deltas: "dict[str, Iterable[Row]] | None" = None,
-                ) -> dict[str, set[Row]]:
+def run_datalog(compiled: CompiledDatalog, db: Database) -> dict[str, set[Row]]:
     """All IDB (and EDB) facts of a compiled program, by semi-naive fixpoint.
 
-    With ``seed_facts`` (the facts of a previous run of the same program) and
-    ``edb_deltas`` (rows appended to base relations since), evaluation
-    **resumes from the new frontier** instead of starting over: each
-    stratum's round 0 executes only the delta variants w.r.t. changed
-    predicates (new EDB rows, or facts lower strata just derived), and the
-    usual semi-naive loop takes it from there.  This is the incremental
-    maintenance path for recursive materialized views; it needs a program
-    compiled with ``incremental=True``.
+    Every run starts from the EDB alone: per stratum, round 0 evaluates
+    every rule in full, then the delta variants iterate until no rule
+    derives a new fact.
     """
-    incremental = seed_facts is not None
-    if incremental and not compiled.incremental:
-        raise PlanError("resuming from seed facts needs a program compiled "
-                        "with incremental=True")
-    #: Predicates with new rows since the seeding run, accumulated stratum by
-    #: stratum so later strata see upstream IDB growth as deltas too.
-    changed: dict[str, set[Row]] = {}
-    if incremental and edb_deltas:
-        for pred, delta_rows in edb_deltas.items():
-            delta_set = set(delta_rows)
-            if delta_set:
-                changed[pred.lower()] = delta_set
-
     facts: dict[str, set[Row]] = {
         rel.schema.name.lower(): set(rel.row_set()) for rel in db}
     for predicate, _arity in compiled.idb:
-        initial = facts.get(predicate, set())
-        if seed_facts is not None:
-            initial = initial | seed_facts.get(predicate, set())
-        facts[predicate] = set(initial)
+        facts.setdefault(predicate, set())
     # Working database: EDB relations (shared) plus materialized IDB facts.
     working = _working_database(compiled, db, facts)
 
@@ -947,43 +911,23 @@ def run_datalog(compiled: CompiledDatalog, db: Database,
 
     for rules in compiled.strata:
         stratum_preds = {rule.head for rule in rules}
-        before = {p: set(facts[p]) for p in stratum_preds} if incremental else {}
-        # Delta variants w.r.t. same-stratum predicates drive the semi-naive
-        # loop in both modes.
+        # The delta variants (w.r.t. same-stratum predicates) drive the
+        # semi-naive loop.
         delta_variants = [(rule.head, plan) for rule in rules
-                          for predicate, plan in rule.variants
-                          if predicate in stratum_preds]
+                          for _predicate, plan in rule.variants]
         delta: dict[str, set[Row]] = {p: set() for p in stratum_preds}
-        fact_rows = [(rule.head, tuple(c.value for c in rule.fact))
-                     for rule in rules if rule.plan is None]
-        if incremental:
-            # Round 0, resumed: derive only from the *changed* predicates
-            # (new EDB rows and upstream IDB growth) — the new frontier.
-            for head, row in fact_rows:
-                facts[head].add(row)
-            referenced = {predicate for rule in rules
-                          for predicate, _plan in rule.variants
-                          if predicate in changed}
-            for pred in referenced:
-                materialize(f"{pred}@delta", pred, changed[pred])
-            derive(Executor(working),
-                   [(rule.head, plan) for rule in rules
-                    for predicate, plan in rule.variants
-                    if predicate in referenced], delta)
-            for pred in referenced:
-                working.drop_relation(f"{pred}@delta")
-        else:
-            # Round 0, from scratch: full evaluation of every rule.  One
-            # shared executor so the per-plan memo reuses common subplans
-            # across the stratum's rules (`working` is not mutated until
-            # after the round).
-            for head, row in fact_rows:
-                if row not in facts[head]:
-                    facts[head].add(row)
-                    delta[head].add(row)
-            derive(Executor(working),
-                   [(rule.head, rule.plan) for rule in rules
-                    if rule.plan is not None], delta)
+        # Round 0: full evaluation of every rule.  One shared executor so
+        # the per-plan memo reuses common subplans across the stratum's
+        # rules (`working` is not mutated until after the round).
+        for rule in rules:
+            if rule.plan is None:
+                row = tuple(c.value for c in rule.fact)
+                if row not in facts[rule.head]:
+                    facts[rule.head].add(row)
+                    delta[rule.head].add(row)
+        derive(Executor(working),
+               [(rule.head, rule.plan) for rule in rules
+                if rule.plan is not None], delta)
         for predicate in stratum_preds:
             materialize(predicate, predicate, facts[predicate])
 
@@ -1001,11 +945,6 @@ def run_datalog(compiled: CompiledDatalog, db: Database,
         for predicate in stratum_preds:
             if f"{predicate}@delta" in working:
                 working.drop_relation(f"{predicate}@delta")
-        if incremental:
-            for predicate in stratum_preds:
-                new_facts = facts[predicate] - before[predicate]
-                if new_facts:
-                    changed[predicate] = changed.get(predicate, set()) | new_facts
 
     return facts
 

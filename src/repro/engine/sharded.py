@@ -42,6 +42,12 @@ bag-equal to ``"vectorized"`` over the full canonical catalog at 1, 2, and
 4 shards, and ``tests/test_fuzz_differential.py`` extends that to randomly
 generated plans.
 
+A sharded materialized view is maintained from the same compilation:
+:class:`~repro.core.sharded_service.ShardedMaterializedView` compiles its
+core with :func:`shard_plan`, keeps the compiled ``scatter`` subplan
+delta-maintained on every shard, and hands the maintained parts to
+:meth:`ShardedPlan.finish` exactly as a request hands it executed ones.
+
 Known, documented divergences from single-node execution (bag equality is
 the contract, row order is not): gathered rows arrive in shard order, so
 ``LIMIT`` under ties and the representative (non-grouped, non-aggregate)
@@ -86,19 +92,13 @@ from repro.engine.vectorized import (
     VectorizedExecutor,
     _column_position,
 )
-from repro.engine.verify import (
-    maybe_verify_sharded,
-    maybe_verify_sharded_view,
-    verification_counts,
-)
+from repro.engine.verify import maybe_verify_sharded, verification_counts
 
 __all__ = [
     "NotDistributable",
     "ShardedBackend",
     "ShardedPlan",
-    "ShardedViewPlan",
     "SHARDED_BACKEND",
-    "compile_view_scatter",
     "distribute",
     "shard_execution_database",
     "shard_plan",
@@ -557,96 +557,8 @@ def _finalize(kind: str, first: Any, second: Any) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Shard-aware view maintenance: compile a view core for per-shard upkeep
+# Per-shard execution databases
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ShardedViewPlan:
-    """The per-shard maintenance recipe for one materialized-view core.
-
-    Produced by :func:`compile_view_scatter`.  ``scatter`` is the plan each
-    shard maintains *incrementally* against its local database (broadcast
-    reads rewritten to their ``name@broadcast`` aliases): the bag core
-    itself, a per-shard ``DistinctP`` pre-reduction, or the partial half of
-    a split group-by.  ``gather`` merges the per-shard maintained rows back
-    into the core's single-node output — concatenation for bags, a global
-    first-seen dedup for DISTINCT, the partial→final ``combine`` for
-    aggregates — so the discipline is exactly the scatter-gather executor's,
-    only applied to *maintained state* instead of per-request execution.
-    """
-
-    kind: str                       # "bag" | "distinct" | "aggregate"
-    core: Plan                      # original core subplan (the gather seed)
-    scatter: Plan                   # per-shard maintained plan
-    partitioned: frozenset[str]
-    broadcast: frozenset[str]
-    combine: "Callable[[list[list[Row]]], list[Row]] | None" = None
-
-    @property
-    def delta_input(self) -> Plan:
-        """The bag subplan whose delta terms drive per-shard refreshes."""
-        if self.kind == "bag":
-            return self.scatter
-        return self.scatter.input  # DistinctP / partial AggregateP
-
-    def gather(self, parts: list[list[Row]]) -> list[Row]:
-        """Merge per-shard maintained rows into the core's output rows."""
-        if self.combine is not None:
-            return self.combine(parts)
-        if self.kind == "distinct":
-            # Dedup of a union equals dedup of unioned per-shard dedups;
-            # first-seen order in shard order, like the scatter executor.
-            seen: set[Row] = set()
-            out: list[Row] = []
-            for part in parts:
-                for row in part:
-                    if row not in seen:
-                        seen.add(row)
-                        out.append(row)
-            return out
-        return [row for part in parts for row in part]
-
-
-def compile_view_scatter(core: Plan, kind: str, sharded: ShardedDatabase,
-                         stats: StatsCatalog | None = None
-                         ) -> ShardedViewPlan:
-    """Compile a maintainable view core into a :class:`ShardedViewPlan`.
-
-    ``(core, kind)`` is :func:`repro.engine.delta.find_core`'s output.  The
-    distribution analysis rewrites the core's bag input for per-shard
-    execution (broadcasting non-co-partitioned join sides); DISTINCT cores
-    pre-reduce per shard and re-dedup at the gather, and aggregate cores
-    reuse :func:`split_aggregate`'s partial→final combine — both are safe
-    under *any* partitioning, so the only hard requirements are that the
-    bag input stays inside the distributable fragment and the aggregate is
-    splittable.  Raises :class:`NotDistributable` when they don't hold (the
-    caller's view degrades to rebuild-on-refresh, never a wrong answer).
-    Under ``REPRO_VERIFY_PLANS`` the recipe — including its delta-term
-    scatter plans — is certified by the static verifier before it is
-    returned.
-    """
-    combine: "Callable[[list[list[Row]]], list[Row]] | None" = None
-    if kind == "bag":
-        scatter, dist = _rewrite(core, sharded, stats)
-    elif kind == "distinct":
-        inner, dist = _rewrite(core.input, sharded, stats)
-        scatter = DistinctP(inner)
-    elif kind == "aggregate":
-        inner, dist = _rewrite(core.input, sharded, stats)
-        split = split_aggregate(core, inner)
-        if split is None:
-            raise NotDistributable(
-                "DISTINCT aggregates have no partial→final combine")
-        scatter, combine = split
-    else:
-        raise NotDistributable(f"unknown view core kind {kind!r}")
-    if not dist.partitioned:
-        raise NotDistributable(
-            "view core reads no shard-local relation (nothing to scatter)")
-    compiled = ShardedViewPlan(kind, core, scatter, dist.partitioned,
-                               dist.broadcast, combine)
-    return maybe_verify_sharded_view(compiled, sharded)
-
 
 def shard_execution_database(sharded: ShardedDatabase, index: int,
                              partitioned: Iterable[str],

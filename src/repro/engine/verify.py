@@ -28,15 +28,20 @@ scatter subplan (it shares no code with the distribution analysis in
 operator in the scatter is co-partitioned, that broadcast reads use their
 aliases, that the partial→final aggregation split is sound (AVG = SUM +
 COUNT pairing, trailing ``__rows`` presence counter, layout positions), and
-that the gather seed matches the scatter's output width.
+that the gather seed matches the scatter's output width.  A sharded
+materialized view maintains such a compiled plan's scatter on every shard,
+so the one view-specific check is :func:`verify_view_terms`: the same
+derivation over the delta terms its refreshes run on the shards' live
+relations.
 
 Failures raise :class:`PlanVerificationError` naming the offending node and
 the rewrite rule that produced the plan.  The hooks in ``optimize`` /
-``delta`` / ``shard_plan`` call :func:`maybe_verify` /
-:func:`maybe_verify_sharded`, which are gated by the ``REPRO_VERIFY_PLANS``
-environment variable (off by default in production, on by default under the
-test suite) and keep process-wide pass/fail counters surfaced through
-:func:`verification_counts` and ``ShardedBackend.execution_counts()``.
+``delta`` / ``shard_plan`` / the sharded view call :func:`maybe_verify` /
+:func:`maybe_verify_sharded` / :func:`maybe_verify_view_terms`, which are
+gated by the ``REPRO_VERIFY_PLANS`` environment variable (off by default in
+production, on by default under the test suite) and keep process-wide
+pass/fail counters surfaced through :func:`verification_counts` and
+``ShardedBackend.execution_counts()``.
 """
 
 from __future__ import annotations
@@ -69,13 +74,13 @@ __all__ = [
     "PlanVerificationError",
     "maybe_verify",
     "maybe_verify_sharded",
-    "maybe_verify_sharded_view",
+    "maybe_verify_view_terms",
     "reset_verification_counts",
     "verification_counts",
     "verification_enabled",
     "verify_plan",
     "verify_sharded_plan",
-    "verify_sharded_view_plan",
+    "verify_view_terms",
 ]
 
 
@@ -977,27 +982,21 @@ def verify_sharded_plan(compiled: Any, sharded: Any,
                                f"of range for {sharded.n_shards} shards")
 
 
-def verify_sharded_view_plan(compiled: Any, sharded: Any,
-                             *, rule: "str | None" = "sharded_view") -> None:
-    """Certify one :class:`~repro.engine.sharded.ShardedViewPlan`.
+def verify_view_terms(compiled: Any, sharded: Any,
+                      *, rule: "str | None" = "sharded_view") -> None:
+    """Certify the delta terms a sharded view's refreshes run on its shards.
 
-    Shard-aware view maintenance executes its scatter plans against the
-    **live** shard-local relations (not the rebuilt merged views), so —
-    unlike request-time scatter plans — its delta-term plans legitimately
-    contain delta scans.  This certifies:
-
-    * the maintained scatter plan type-checks against the shard-local +
-      broadcast-alias schemas and reads at least one shard-local relation;
-    * the independently re-derived distribution is sound (per-shard DISTINCT
-      pre-reductions and partial aggregates are exempt from the
-      co-partitioning requirement — their gather re-reduces globally);
-    * a split aggregate's partial layout matches the original's exactly
-      (AVG = SUM + COUNT, trailing ``__rows`` presence counter);
-    * every **delta-term scatter plan** whose delta window targets a
-      shard-local relation derives soundly too, with asof windows on
-      broadcast aliases accepted and delta windows on them rejected
-      (broadcast terms are compiled but must never activate — a broadcast
-      write re-initializes the per-shard state instead).
+    A sharded view's recipe is the :class:`~repro.engine.sharded.ShardedPlan`
+    that ``shard_plan`` compiles — and :func:`verify_sharded_plan`
+    certifies — for the view's core.  Every shard maintains its
+    ``scatter`` over the shard's **live** relations by running the delta
+    terms of the scatter's bag input, which, unlike request-time scatter
+    plans, legitimately contain delta scans.  This re-derives the
+    shard-key classes over every term a refresh can activate: one per
+    occurrence of a relation in ``compiled.partitioned`` (a write to a
+    broadcast-read relation re-initializes every shard instead, so terms
+    anchored on a broadcast alias never run).  As-of windows on broadcast
+    aliases are accepted; a delta window on one is rejected.
     """
     from repro.engine.delta import (
         delta_terms,
@@ -1005,32 +1004,16 @@ def verify_sharded_view_plan(compiled: Any, sharded: Any,
         term_delta_relation,
     )
 
-    scatter, core = compiled.scatter, compiled.core
-    checker = _ShardChecker(
-        sharded, rule, scatter,
-        root_prereduced=compiled.kind == "distinct",
-        partial_root=scatter if compiled.combine is not None else None,
-        allow_delta=True)
+    bag = compiled.scatter
+    if isinstance(bag, (DistinctP, AggregateP)):
+        bag = bag.input
+    checker = _ShardChecker(sharded, rule, bag, root_prereduced=False,
+                            partial_root=None, allow_delta=True)
     schemas = _shard_schemas(compiled, sharded)
-    verify_plan(scatter, schemas, rule=rule)
-    derived = checker.derive(scatter)
-    if not derived.scattered:
-        raise checker.fail(scatter, "view scatter plan reads no shard-local "
-                           "relation (should have degraded to rebuild)")
-    if compiled.combine is not None:
-        _check_aggregate_split(checker, compiled)
-    elif compiled.kind == "aggregate":
-        raise checker.fail(scatter, "aggregate view core compiled without a "
-                           "partial→final combine")
-    suffix = _broadcast_suffix()
-    for term in delta_terms(hoist_projections(compiled.delta_input)):
-        if term_delta_relation(term).endswith(suffix):
-            # Broadcast-anchored terms never activate (the maintainer
-            # re-initializes on broadcast writes); their plans were already
-            # type-checked at construction by the ``delta_terms`` rule.
-            continue
-        verify_plan(term, schemas, rule=rule)
-        checker.derive(term)
+    for term in delta_terms(hoist_projections(bag)):
+        if term_delta_relation(term) in compiled.partitioned:
+            verify_plan(term, schemas, rule=rule)
+            checker.derive(term)
 
 
 # ---------------------------------------------------------------------------
@@ -1065,6 +1048,16 @@ def _bump(key: str) -> None:
         _COUNTS[key] += 1
 
 
+def _certify(check: Callable[..., None], *args: Any, **kwargs: Any) -> None:
+    """Run one verifier, counting whether it passed."""
+    try:
+        check(*args, **kwargs)
+    except PlanVerificationError:
+        _bump("plans_failed")
+        raise
+    _bump("plans_verified")
+
+
 def maybe_verify(plan: Plan,
                  db: "Database | Mapping[str, RelationSchema] | None" = None,
                  *, rule: "str | None" = None,
@@ -1074,13 +1067,8 @@ def maybe_verify(plan: Plan,
     Returns ``plan`` unchanged so rewrite pipelines can chain through it.
     """
     if verification_enabled():
-        try:
-            verify_plan(plan, db, rule=rule,
-                        require_anchored=require_anchored)
-        except PlanVerificationError:
-            _bump("plans_failed")
-            raise
-        _bump("plans_verified")
+        _certify(verify_plan, plan, db, rule=rule,
+                 require_anchored=require_anchored)
     return plan
 
 
@@ -1088,23 +1076,12 @@ def maybe_verify_sharded(compiled: Any, sharded: Any,
                          *, rule: "str | None" = "shard_plan") -> Any:
     """Debug-mode hook for :class:`ShardedPlan` construction."""
     if verification_enabled():
-        try:
-            verify_sharded_plan(compiled, sharded, rule=rule)
-        except PlanVerificationError:
-            _bump("plans_failed")
-            raise
-        _bump("plans_verified")
+        _certify(verify_sharded_plan, compiled, sharded, rule=rule)
     return compiled
 
 
-def maybe_verify_sharded_view(compiled: Any, sharded: Any,
-                              *, rule: "str | None" = "sharded_view") -> Any:
-    """Debug-mode hook for :class:`ShardedViewPlan` construction."""
+def maybe_verify_view_terms(compiled: Any, sharded: Any) -> None:
+    """Debug-mode hook for a sharded view's recipe
+    (:func:`verify_view_terms`)."""
     if verification_enabled():
-        try:
-            verify_sharded_view_plan(compiled, sharded, rule=rule)
-        except PlanVerificationError:
-            _bump("plans_failed")
-            raise
-        _bump("plans_verified")
-    return compiled
+        _certify(verify_view_terms, compiled, sharded)

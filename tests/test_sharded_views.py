@@ -11,6 +11,12 @@ and combines partials at refresh time.  These tests pin down:
   and answers identically to the single-node service at 1, 2, and 4
   shards, before and after routed writes;
 * absorbed writes refresh *incrementally* (counters prove no rebuild);
+* a view's recipe is the ``ShardedPlan`` that ``shard_plan`` compiles for
+  its core: the ``sharded-write-mix`` views' recipes are pinned, and a core
+  co-partitioned on the shard key keeps its whole aggregate or DISTINCT on
+  every shard, with no combine;
+* views with no maintainable core, recursive Datalog included, rebuild on
+  every refresh on the plain and the sharded service alike;
 * one hot shard overflowing its bounded delta log rebuilds that shard's
   partial only, never poisoning siblings;
 * a write to a broadcast-read relation invalidates every shard's partial;
@@ -24,12 +30,46 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import QueryService, ShardedQueryService
+from repro.core import (
+    QueryService,
+    QueryVisualizationPipeline,
+    ShardedQueryService,
+)
 from repro.data import sailors_database
 from repro.data.relation import Relation
 from repro.queries import CANONICAL_QUERIES
 
 SHARD_COUNTS = (1, 2, 4)
+
+RECURSIVE_DATALOG = (
+    "reach(X, Y) :- reserves(X, Y, D). "
+    "reach(X, Z) :- reach(X, Y), reserves(Y, Z, D). "
+    "ans(X, Z) :- reach(X, Z)."
+)
+
+#: The plain and the sharded service, each over a database of its own.
+SERVICES = {
+    "plain": QueryService,
+    "sharded": lambda db: ShardedQueryService(db, n_shards=2),
+}
+
+#: The two views the ``sharded-write-mix`` workload serves, with the recipe
+#: ``shard_plan`` compiles for each one's core (Reserves is sharded on sid,
+#: Boats on bid, so neither groups on its own partition key).
+MIX_VIEW_RECIPES = (
+    ("SELECT R.bid, COUNT(*) AS n FROM Reserves R GROUP BY R.bid",
+     "scatter(reserves) + partial-aggregate"),
+    ("SELECT B.color, COUNT(*) AS n FROM Reserves R, Boats B "
+     "WHERE R.bid = B.bid GROUP BY B.color",
+     "scatter(reserves) + broadcast(boats) + partial-aggregate"),
+)
+
+#: Cores co-partitioned on Reserves' shard key: whole on every shard.
+CO_PARTITIONED = (
+    ("SELECT R.sid, COUNT(*) AS n FROM Reserves R GROUP BY R.sid",
+     "sharded-aggregate"),
+    ("SELECT DISTINCT R.sid FROM Reserves R", "sharded-distinct"),
+)
 
 #: Routed writes used by the refresh tests: single rows and a batch, on
 #: the two relations every catalog join reads through a partitioned scan.
@@ -108,30 +148,79 @@ class TestCatalogViewsDifferential:
             else:
                 assert after == before  # untouched shard: anchor untouched
 
-    def test_datalog_views_resume_semi_naive(self):
-        program = ("ans(X, Y) :- reserves(X, B, D), reserves(Y, B, D2), "
-                   "sailors(X, N1, R1, A1), sailors(Y, N2, R2, A2).")
-        plain = QueryService(sailors_database())
-        service = ShardedQueryService(sailors_database(), n_shards=2)
-        view = service.register_view(program, language="datalog")
-        baseline = plain.register_view(program, language="datalog")
-        assert view.strategy == "sharded-datalog"
-        assert view.answer().bag_equal(baseline.answer())
-        for svc in (service, plain):
-            svc.add_row("Reserves", (95, 101, "2025/07/05"))
-            svc.add_row("Sailors", (95, "pia", 3, 44.0))
-        assert view.answer().bag_equal(baseline.answer())
-        assert view.incremental_refreshes >= 1
-        assert view.rebuilds == 1
+    @pytest.mark.parametrize("service_kind", sorted(SERVICES))
+    @pytest.mark.parametrize("text, language", [
+        ("SELECT S.sname FROM Sailors S ORDER BY S.age LIMIT 3", "sql"),
+        (RECURSIVE_DATALOG, "datalog"),
+    ], ids=["limit", "recursive-datalog"])
+    def test_unmaintainable_views_degrade_to_rebuild(self, service_kind,
+                                                     text, language,
+                                                     monkeypatch):
+        # LIMIT leaves no maintainable core; a Datalog program is not one
+        # plan.  Both rebuild on every refresh, on either service.
+        monkeypatch.setattr(Relation, "DELTA_LOG_LIMIT", 4)
+        service = SERVICES[service_kind](sailors_database())
+        view = service.register_view(text, language=language)
 
-    def test_unmaintainable_views_degrade_to_rebuild(self):
-        service = ShardedQueryService(sailors_database(), n_shards=2)
-        view = service.register_view(
-            "SELECT S.sname FROM Sailors S ORDER BY S.age LIMIT 3")
-        plain = QueryService(sailors_database()).register_view(
-            "SELECT S.sname FROM Sailors S ORDER BY S.age LIMIT 3")
-        assert view.strategy == "rebuild"  # LIMIT: no maintainable core
-        assert view.answer().bag_equal(plain.answer())
+        def check(moment):
+            fresh = QueryVisualizationPipeline(service.db).answer(
+                text, language=language)
+            assert view.answer().bag_equal(fresh), moment
+            assert view.strategy == "rebuild", moment
+
+        check("at registration")
+        for round_ in WRITE_ROUNDS:
+            _apply(service, round_)
+            check(f"after {round_[:2]}")
+        # More writes than the delta log keeps, then one refresh; the rows
+        # chain bids back to sailors, so the closure grows a level deeper.
+        for i in range(6):
+            service.add_row("Reserves", (101 + i % 4, 22, f"2025/07/{10 + i}"))
+        check("after a delta-log overflow")
+        assert view.incremental_refreshes == 0
+
+
+class TestViewRecipes:
+    """A view's recipe is the ``ShardedPlan`` ``shard_plan`` compiles."""
+
+    @pytest.mark.parametrize("shards", (2, 4))
+    @pytest.mark.parametrize("sql, recipe", MIX_VIEW_RECIPES)
+    def test_write_mix_view_recipes(self, shards, sql, recipe):
+        service = ShardedQueryService(sailors_database(), n_shards=shards)
+        view = service.register_view(sql)
+        assert view.strategy == "sharded-aggregate"
+        assert view._compiled.describe() == recipe
+
+    @pytest.mark.parametrize("shards", (2, 4))
+    @pytest.mark.parametrize("sql, strategy", CO_PARTITIONED)
+    def test_co_partitioned_cores_need_no_combine(self, shards, sql,
+                                                  strategy, monkeypatch):
+        monkeypatch.setattr(Relation, "DELTA_LOG_LIMIT", 4)
+        plain = QueryService(sailors_database())
+        service = ShardedQueryService(sailors_database(), n_shards=shards)
+        view = service.register_view(sql)
+        baseline = plain.register_view(sql)
+        assert view.strategy == strategy
+        assert view._compiled.describe() == "scatter(reserves)"
+        assert view._compiled.combine is None
+        for round_ in WRITE_ROUNDS:
+            _apply(plain, round_)
+            _apply(service, round_)
+            assert view.answer().bag_equal(baseline.answer()), round_[:2]
+        assert view.incremental_refreshes == 2  # the two Reserves rounds
+        # The hot-shard path: more single-row writes to one shard than its
+        # delta log keeps, so that shard recomputes its own part.
+        target = service.shard_for("Reserves", (22, 102, "2025/07/09"))
+        hot = [row for row in ((sid, 102, "2025/07/09")
+                               for sid in range(22, 200))
+               if service.shard_for("Reserves", row) == target][:6]
+        for row in hot:
+            service.add_row("Reserves", row)
+            plain.add_row("Reserves", row)
+        assert view.answer().bag_equal(baseline.answer())
+        assert view.shard_rebuilds == 1
+        assert view.rebuilds == 1
+        assert view.strategy == strategy
 
 
 class TestDegradationPaths:

@@ -14,6 +14,7 @@ import importlib.util
 import os
 import sys
 import textwrap
+from dataclasses import replace
 
 import pytest
 
@@ -30,12 +31,15 @@ from repro.engine import (
     ScanP,
     ShardedPlan,
     SortLimitP,
+    StatsCatalog,
+    find_core,
     lower,
     optimize,
     run_query,
     shard_plan,
     verify_plan,
     verify_sharded_plan,
+    verify_view_terms,
 )
 from repro.engine.delta import DeltaRewriteError, anchor, delta_terms
 from repro.engine.verify import (
@@ -304,6 +308,26 @@ class TestShardedDiagnostics:
         with pytest.raises(PlanVerificationError,
                            match="delta scans cannot appear"):
             verify_sharded_plan(compiled, sharded)
+
+    def test_view_delta_term_on_broadcast_alias(self, sharded):
+        # Every shard maintains a view recipe's scatter, and a refresh runs
+        # the delta terms of the relations the recipe holds shard-local.  A
+        # recipe claiming the Boats alias as shard-local would run a delta
+        # window over a merged copy, which keeps no log.
+        plan = optimize(lower(
+            "SELECT B.color, COUNT(*) AS n FROM Reserves R, Boats B "
+            "WHERE R.bid = B.bid GROUP BY B.color", sharded.schema), sharded)
+        core, _kind = find_core(plan)
+        compiled = shard_plan(core, sharded, StatsCatalog(sharded))
+        assert compiled.broadcast == {"boats"}
+        verify_view_terms(compiled, sharded)
+        broken = replace(compiled, partitioned=compiled.partitioned
+                         | {"boats@broadcast"})
+        with pytest.raises(PlanVerificationError) as exc:
+            verify_view_terms(broken, sharded)
+        assert "DeltaScanP(Boats@broadcast)" in str(exc.value)
+        assert "delta window on a broadcast alias" in str(exc.value)
+        assert isinstance(exc.value.node, DeltaScanP)
 
     def test_sort_inside_broadcast_subtree_certifies(self, sharded):
         # A sort/limit whose whole subtree reads broadcast aliases is
