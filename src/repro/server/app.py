@@ -51,6 +51,7 @@ import asyncio
 import gc
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Any, Awaitable, Callable
 
@@ -102,6 +103,10 @@ class ServingApp:
         self._handles = LRUCache(MAX_PREPARED_HANDLES)
         self._connections: "set[asyncio.Task[None]]" = set()
         self._server: "asyncio.Server | None" = None
+        #: The thread blocking calls run on while it is free (:meth:`_call`);
+        #: loop-only state, like the counters below.
+        self._lead: "ThreadPoolExecutor | None" = None
+        self._lead_busy = False
         self.port: "int | None" = None
         self.requests_served = 0
         #: Reads by the path that served them (see the module docstring).
@@ -135,6 +140,7 @@ class ServingApp:
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> int:
         """Bind + start serving; returns the (possibly ephemeral) port."""
         self.worker.start()
+        self._lead = ThreadPoolExecutor(1, thread_name_prefix="repro-lead")
         self._server = await asyncio.start_server(
             self._on_connection, host, port)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -167,6 +173,11 @@ class ServingApp:
             await asyncio.gather(*self._connections, return_exceptions=True)
         self._connections.clear()
         await self.worker.close()
+        if self._lead is not None:
+            # Wait for a call still running there without blocking the loop.
+            lead, self._lead = self._lead, None
+            await asyncio.get_running_loop().run_in_executor(
+                None, lead.shutdown)
 
     # -- connection handling ------------------------------------------------
 
@@ -256,9 +267,25 @@ class ServingApp:
 
     async def _call(self, fn: Callable[..., Any], *args: Any,
                     **kwargs: Any) -> Any:
-        """Run one blocking service call in the executor, off the loop."""
+        """Run one blocking service call off the loop: on the lead thread
+        when it is free, else in the loop's default executor.
+
+        A closed-loop client's calls therefore all run on one thread.  The
+        default pool alone hands them to whichever of its threads a race
+        picks, and every thread that executes a query grows its own malloc
+        arena — the same request sequence then ends several MB of Pss apart
+        from run to run.
+        """
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, partial(fn, *args, **kwargs))
+        lead = self._lead is not None and not self._lead_busy
+        if lead:
+            self._lead_busy = True
+        try:
+            return await loop.run_in_executor(
+                self._lead if lead else None, partial(fn, *args, **kwargs))
+        finally:
+            if lead:
+                self._lead_busy = False
 
     async def _read(self, handle: Any) -> tuple[bytes, int]:
         """Answer one identified read from what its ``try_hit`` returns,

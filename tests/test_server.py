@@ -596,6 +596,25 @@ class TestInlineHits:
         assert (metrics["result_hits"] + metrics["view_hits"]
                 + metrics["result_misses"]) == metrics["requests"]
 
+    def test_a_closed_loop_client_runs_on_one_thread(self):
+        """Every miss of a client that waits for each reply runs on the
+        lead thread, never spread over the default executor's threads."""
+        service = QueryService(sailors_database())
+        ran_on: list[str] = []
+        answer = service.pipeline.answer
+
+        def recording(*args, **kwargs):
+            ran_on.append(threading.current_thread().name)
+            return answer(*args, **kwargs)
+
+        service.pipeline.answer = recording
+        with serving(service) as (_server, client):
+            for rating in range(12):
+                text = f"SELECT S.sname FROM Sailors S WHERE S.rating > {rating}"
+                assert self._raw(client, "/query", {"text": text})[0] == 200
+        assert len(ran_on) == 12
+        assert len(set(ran_on)) == 1 and ran_on[0].startswith("repro-lead")
+
 
 class TestCollectorMetrics:
     def test_one_gc_hook_while_serving_and_its_counts_on_metrics(self):
