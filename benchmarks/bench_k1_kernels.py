@@ -40,11 +40,26 @@ kernel declines to when numpy is absent — on a synthetic star schema:
   both timed: the cached structure is carried over to the extended key
   encoding and grows by the ten rows (``build_extended``) instead of being
   lowered and sorted again, while the fallback's ``key_index`` is
-  maintained row by row.
+  maintained row by row;
+* **groupby-wide** — ``COUNT``/``MAX`` per ``(fk, bucket)``: a packed
+  domain of ~1M slots over fewer rows, so the group ids come from one
+  radix sort (``group_sorted``), where groupby-int-dense's 97 slots are
+  addressed (``group_direct``);
+* **probe-cached-small** — 1.9k ``(k, tag)`` pairs probing ``dim``'s
+  cached two-column structure, about one row each (probe-after-append's
+  writes repeat a few keys): ~1.9k rows at stake, under
+  ``KERNEL_MIN_ROWS`` and over ``CACHED_PROBE_MIN_ROWS``, the lower gate
+  of a probe that pays only a cache lookup for its structure (the shape
+  of ``analytic-cold``'s ``chain4`` last join);
+* **distinct-one-side** — ``SELECT DISTINCT`` over two ``dim`` columns of
+  the fact⋈dim join: both read ``dim`` through one selection and ``dim``
+  is shorter than the join, so ``dim`` positions are deduplicated first
+  (``distinct_positions``) and only their first rows' values after.
 
 Gated: every family must beat the fallback by ``GATE_SPEEDUP`` at the
-largest size (answers are bag-equal asserted per cell), and every append
-of **probe-after-append** must extend the structure, never relower it.
+largest size (answers are bag-equal asserted per cell), every append
+of **probe-after-append** must extend the structure, never relower it, and
+each family in ``PATHS`` must take the path it is named for.
 The artifact also snapshots :func:`repro.engine.kernels.cache_stats` after
 the run — probe structures for the shared dim table must be cache hits
 across iterations, which is the "cached probe tables" half of what this
@@ -127,7 +142,31 @@ WORKLOADS = {
         "FROM fact f WHERE f.fk > 10 GROUP BY f.bucket"),
     "probe-after-append": (
         "SELECT d.k FROM fact f, dim d WHERE f.fk = d.k"),
+    "groupby-wide": (
+        "SELECT f.fk, f.bucket, COUNT(*) AS n, MAX(f.cat) AS hi "
+        "FROM fact f WHERE f.bucket > 10 GROUP BY f.fk, f.bucket"),
+    "probe-cached-small": (
+        "SELECT d.region FROM probes p, dim d "
+        "WHERE p.pk = d.k AND p.ptag = d.tag"),
+    "distinct-one-side": (
+        "SELECT DISTINCT d.k, d.region FROM fact f, dim d "
+        "WHERE f.fk = d.k"),
 }
+
+#: Families pinned to one side of a run-time choice: the path counter
+#: (:func:`repro.engine.kernels.path_counts`) each must bump.
+PATHS = {
+    "groupby-int-dense": "group_direct",
+    "groupby-wide": "group_sorted",
+    "probe-cached-small": "probe_kernel",
+    "distinct-one-side": "distinct_positions",
+}
+
+#: ``probes`` rows: distinct ``(k, tag)`` pairs of ``dim`` (7919 is prime,
+#: so ``i * 7919 % n_dim`` repeats no key below ``n_dim``), each matching
+#: about one row: ~1.9k rows at stake — under ``KERNEL_MIN_ROWS``, over
+#: ``CACHED_PROBE_MIN_ROWS``.
+N_PROBES = 1900
 
 #: Families whose timed step first appends this many ``dim`` rows, each
 #: repeating a key ``dim`` already holds.
@@ -160,7 +199,11 @@ def synthetic_star(n_fact: int, seed: int = 7) -> Database:
         fact_rows)
     buckets = relation_from_rows("buckets", [("b", "int")],
                                  [(i,) for i in range(100)])
-    return Database([dim, fact, buckets])
+    probes = relation_from_rows(
+        "probes", [("pk", "int"), ("ptag", "string")],
+        [(k, f"tag{k:06d}") for k in (i * 7919 % n_dim
+                                      for i in range(N_PROBES))])
+    return Database([dim, fact, buckets, probes])
 
 
 def _best_of(fn, reps: int = 5, warm: int = 2):
@@ -241,6 +284,8 @@ def _measure_size(n_fact: int) -> list[dict]:
         if appends:
             cell.update(build_extended=paths["build_extended"],
                         build_relowered=paths["build_relowered"])
+        if family in PATHS:
+            cell["path_runs"] = paths[PATHS[family]]
         cells.append(cell)
     return cells
 
@@ -301,6 +346,11 @@ def check_gates(artifact: dict) -> list[str]:
                 f"{artifact['gate_speedup']}x over the Python fallback")
     if artifact["cache"]["hits"] <= 0:
         failures.append("probe-structure cache recorded zero hits")
+    for cell in artifact["cells"]:
+        if cell["family"] in PATHS and not cell["path_runs"]:
+            failures.append(
+                f"{cell['family']}@{cell['reserves']}: never took "
+                f"{PATHS[cell['family']]}")
     for cell in artifact["cells"]:
         if cell["family"] in APPEND_ROWS and (
                 cell["build_relowered"] or not cell["build_extended"]):

@@ -25,17 +25,21 @@ probes, group-bys, DISTINCT and MIN/MAX all run on integers.  Multi-key
 joins pack per-column codes into one int64 (guarded against overflow) and
 probe the lexicographically sorted build side with one ``searchsorted``.
 
-**From the gate up a batch is numpy from scan to the final row build, and
-a bounded integer domain is never comparison-sorted or binary-searched.**
-Dictionary codes, and int columns whose span fits, are such domains:
-group-by, DISTINCT and build sides order their codes with
-:func:`_stable_order` (numpy's radix sort, one or two 16-bit digits — a
-group-by sorts once, the order that numbers its groups being the segment
-view MIN/MAX reduce over) and read group ids, first occurrences and build
-domains off presence vectors and prefix sums (:func:`_presence`,
-:func:`_dense_lut`).  What a Python loop still emits at gate size becomes
-an index array once, where it is produced (:func:`index_array`); which
-path each query took is counted (:func:`path_counts`).
+**From the gate up a batch is numpy from scan to the final row build, a
+bounded integer domain is never comparison-sorted or binary-searched, and
+a small one is not sorted at all.**  Dictionary codes, and int columns
+whose span fits, are bounded domains.  A group-by whose packed domain
+has at most one slot a row addresses it: :func:`_first_rows` (one
+``np.minimum.at`` into the domain) gives each key's first row, and the
+group ids follow with no sort.  DISTINCT over one side of a join first
+deduplicates that side's base positions the same way.  A wider domain —
+group-by, DISTINCT, build sides — is ordered with :func:`_stable_order`
+(numpy's radix sort, one or two 16-bit digits), and group ids, first
+occurrences and build domains are read off presence vectors and prefix
+sums (:func:`_presence`, :func:`_dense_lut`).  MIN/MAX fold with
+``ufunc.at`` either way.  What a Python loop still emits at gate size
+becomes an index array once, where it is produced (:func:`index_array`);
+which side of each choice a query took is counted (:func:`path_counts`).
 
 Anything outside these windows falls back to the unmodified Python loop,
 so every backend stays bag-identical whether or not numpy is present —
@@ -74,9 +78,11 @@ nothing could ever look it up again.
 
 The kernels are not an executor: the one columnar executor
 (:class:`~repro.engine.vectorized.VectorizedExecutor`) offers each of its
-hot loops' batches to the matching ``kernel_*`` function — batches of at
-least :data:`KERNEL_MIN_ROWS` rows — and runs its own Python loop on
-``None``.
+hot loops' batches to the matching ``kernel_*`` function from that hook's
+crossover up, and runs its own Python loop below it or on ``None``: from
+:data:`KERNEL_MIN_ROWS` rows for selections, group-bys, DISTINCT and a
+probe of a per-query build side, from :data:`CACHED_PROBE_MIN_ROWS` rows
+at stake for a probe of a relation's cached structure.
 
 Set ``REPRO_KERNELS=0`` to force the pure-Python loops even with numpy
 installed (the differential suites use this to cross-check both paths).
@@ -108,13 +114,15 @@ except Exception:  # pragma: no cover
 
 #: The smallest batch a kernel is offered
 #: (:class:`repro.engine.vectorized.VectorizedExecutor` gates every hook on
-#: it).  A numpy call costs microseconds before it touches a row, a Python
-#: loop iteration tens of nanoseconds: over the tutorial's 10-row tables
-#: the kernels run the catalog ~3x *slower* than the loops they replace
-#: (83 -> 244 us median), at 48k rows 1.5-5x faster.  Per operator the two
-#: cross below 100 rows (selections, group-bys), near 500 (the probe of a
-#: relation's cached build structure) and near 2k (DISTINCT).  2048 is
-#: where the last of the common ones stops losing (CHANGES.md, PR 15).
+#: it but one).  A numpy call costs microseconds before it touches a row, a
+#: Python loop iteration tens of nanoseconds: over the tutorial's 10-row
+#: tables the kernels run the catalog ~3x *slower* than the loops they
+#: replace (83 -> 244 us median), at 48k rows 1.5-5x faster.  Each hook has
+#: its own crossover: below 100 rows for selections and group-bys, near 2k
+#: for DISTINCT and for a probe whose build structure is lowered for the one
+#: query (:class:`BuildSide`).  2048 is where the last of these stops losing
+#: (CHANGES.md, PR 15); the probe of a relation's cached structure, which
+#: crosses lower, has its own gate (:data:`CACHED_PROBE_MIN_ROWS`).
 #: Selections, group-bys and DISTINCT count the rows of their batch.  A
 #: probe counts the rows at stake (:meth:`BuildSide.rows_at_stake`): the
 #: rows it reads *or emits* — 100 boats that emit 48k reservations hand 48k
@@ -123,6 +131,16 @@ except Exception:  # pragma: no cover
 #: A constant, not a setting: the crossover is a property of the
 #: interpreter and numpy, not of a deployment.
 KERNEL_MIN_ROWS = 2048
+
+#: The fewest rows at stake from which the probe of a whole relation
+#: (:class:`RelationBuild`) takes the kernel.  Its structure is cached
+#: with the relation's encodings, so a probe pays only the lookup; the
+#: loop it replaces looks each probe row up in the relation's maintained
+#: ``key_index``.  Probing 48k-row ``Reserves`` (2 vCPUs, numpy 2.4), the
+#: two cross between 384 and 512 rows at stake on a unique int key and on
+#: a two-column key, and near 1.3k on a 10-way fan-out, whose loop emits
+#: cheaply.  K1's ``probe-cached-small`` holds the kernel's side at 1.9k.
+CACHED_PROBE_MIN_ROWS = 512
 
 #: Shared empty selection for probes with no matches (never mutated).
 _EMPTY_SEL: Any = np.empty(0, dtype=np.intp) if np is not None else []
@@ -169,6 +187,17 @@ def _run_flags(ordered: Any) -> Any:
         flags[0] = True
         np.not_equal(ordered[1:], ordered[:-1], out=flags[1:])
     return flags
+
+
+def _first_rows(codes: Any, limit: int) -> Any:
+    """Per slot of ``range(limit)``, the first of the ``len(codes)`` rows
+    whose code it is (``len(codes)`` where none is): ``np.minimum.at`` of
+    the row numbers into the table — direct addressing where a stable sort
+    would go."""
+    n = len(codes)
+    first = np.full(limit, n, dtype=np.intp)
+    np.minimum.at(first, codes, np.arange(n, dtype=np.intp))
+    return first
 
 
 def _presence(positions: Any, n: int) -> Any:
@@ -259,10 +288,10 @@ class ColumnEncoding:
         #: and equi-joins evaluate directly on the code array.
         self.dictionary: Any = None
         #: Cached group-by structure for aggregations keyed on this whole
-        #: column: ``(token, n, gid, reps, (order, sorted_gid, starts))``.
-        #: Encodings live in the column store's ``kernel_cache``, so over an
-        #: immutable (e.g. shared-memory attached) relation the sort behind
-        #: a group-by is paid once, not per query.
+        #: column: ``(token, n, gid, reps)``.  Encodings live in the column
+        #: store's ``kernel_cache``, so over an immutable (e.g.
+        #: shared-memory attached) relation the table or sort behind a
+        #: group-by is paid once, not per query.
         self.grouping: tuple | None = None
 
 
@@ -496,12 +525,14 @@ _MISSING = object()
 _PATH_TOTALS = dict.fromkeys(
     ("probe_kernel", "probe_loop", "build_lowered", "build_extended",
      "build_relowered", "build_dict", "sel_converted", "sort_radix",
-     "sort_compare"), 0)
+     "sort_compare", "group_direct", "group_sorted", "distinct_positions"),
+    0)
 _PATH_LOCK = threading.Lock()
 
 
 def count_path(key: str) -> None:
-    """Count one ``probe_*`` / ``build_*`` / ``sel_converted`` / ``sort_*``."""
+    """Count one ``probe_*`` / ``build_*`` / ``sel_converted`` / ``sort_*``
+    / ``group_*`` / ``distinct_positions``."""
     with _PATH_LOCK:
         _PATH_TOTALS[key] += 1
 
@@ -1120,10 +1151,16 @@ class BuildSide:
         return _build_hash_table(self.batch, list(self.idx),
                                  not self.skip_nulls)
 
+    def min_rows(self) -> int:
+        """The rows at stake from which the probe takes the kernel:
+        :data:`KERNEL_MIN_ROWS`, the structure being lowered for one
+        probe."""
+        return KERNEL_MIN_ROWS
+
     def rows_at_stake(self, probe_rows: int) -> int:
-        """What :data:`KERNEL_MIN_ROWS` is compared with: the rows this
-        query's probe reads or emits, plus the build rows indexed for it
-        alone — here all of them."""
+        """What :meth:`min_rows` is compared with: the rows this query's
+        probe reads or emits, plus the build rows indexed for it alone —
+        here all of them."""
         return probe_rows + self.batch.length
 
     def structure(self, probe_rows: int, sink: "dict[str, int] | None" = None
@@ -1159,6 +1196,11 @@ class RelationBuild(BuildSide):
         return self.relation.key_index(list(self.idx),
                                        skip_nulls=self.skip_nulls)
 
+    def min_rows(self) -> int:
+        """:data:`CACHED_PROBE_MIN_ROWS`: the structure outlives the
+        query."""
+        return CACHED_PROBE_MIN_ROWS
+
     def rows_at_stake(self, probe_rows: int) -> int:
         """Probe rows read, or emitted if that is more, plus a snapshot's
         build rows.
@@ -1177,7 +1219,8 @@ class RelationBuild(BuildSide):
         """
         n = len(self.relation)
         rows = probe_rows + (n if self.relation.is_frozen else 0)
-        if rows >= KERNEL_MIN_ROWS or probe_rows * n < KERNEL_MIN_ROWS:
+        gate = self.min_rows()
+        if rows >= gate or probe_rows * n < gate:
             return rows
         index = self.relation.held_key_index(self.idx,
                                              skip_nulls=self.skip_nulls)
@@ -1293,9 +1336,33 @@ def kernel_distinct(batch: Batch) -> "Any | None":
     :func:`_stable_order`: each run's first element is that row's first
     occurrence, and those positions ascending are exactly the Python
     set-scan's emission order.
+
+    When every column reads its base array through one shared index array
+    (the columns of one side of a join) and that base is shorter than the
+    batch, the positions are deduplicated first (``distinct_positions``):
+    equal base positions hold equal rows, so only each position's first
+    row (:func:`_first_rows` over ``len(base)`` slots) can be a first
+    occurrence, and the values of those few are deduplicated instead.
     """
     if not kernels_enabled() or batch.length == 0 or not batch.vectors:
         return None
+    n = batch.length
+    sel = batch.vectors[0].sel
+    if sel is None or type(sel) is list \
+            or len(batch.vectors[0].data) >= n \
+            or any(vector.sel is not sel for vector in batch.vectors):
+        return _distinct_values(batch)
+    first = _first_rows(sel, len(batch.vectors[0].data))
+    survivors = np.flatnonzero(_presence(first[first < n], n))
+    kept = _distinct_values(batch.take(survivors))
+    if kept is None:
+        return None
+    count_path("distinct_positions")
+    return survivors[kept]
+
+
+def _distinct_values(batch: Batch) -> "Any | None":
+    """:func:`kernel_distinct` on the rows' values alone."""
     n = batch.length
     coded = []
     for vector in batch.vectors:
@@ -1317,40 +1384,41 @@ def kernel_distinct(batch: Batch) -> "Any | None":
 # ---------------------------------------------------------------------------
 
 def _group_ids(keys: "list[tuple[Any, int]]", n: int
-               ) -> "tuple[Any, Any, tuple[Any, Any, Any] | None] | None":
-    """``(gid, reps, segments)``: each row's group id (groups numbered in
-    first-occurrence order), each group's first row, and the segment view
-    MIN/MAX reduce over — or ``None`` when ``keys`` (:func:`_codes` per
-    group column) do not pack.
+               ) -> "tuple[Any, Any] | None":
+    """``(gid, reps)``: each row's group id (groups numbered in
+    first-occurrence order) and each group's first row — or ``None`` when
+    ``keys`` (:func:`_codes` per group column) do not pack.
 
-    One :func:`_stable_order` of the packed codes serves all three: a run's
-    first element is its group's first occurrence (the sort is stable),
-    ranking those positions numbers the groups, and the order itself — rows
-    contiguous per group, in whatever group order — is the segment view.
+    A packed domain of at most ``n`` slots is addressed, not sorted
+    (``group_direct``): :func:`_first_rows` leaves each key's first row in
+    its slot, a presence vector over the rows puts those first rows in row
+    order, and numbering their slots in that order gives each row's group
+    id by one more lookup.  A wider domain (``group_sorted``) takes one
+    :func:`_stable_order` of the packed codes: a run's first element is
+    its group's first occurrence (the sort is stable), and ranking those
+    positions numbers the groups.
     """
     if not keys:
-        return np.zeros(n, dtype=np.intp), np.zeros(1, dtype=np.intp), None
+        return np.zeros(n, dtype=np.intp), np.zeros(1, dtype=np.intp)
     packing = _pack(keys)
     if packing is None:
         return None
     combined, limit = packing
+    if limit <= n:
+        count_path("group_direct")
+        first = _first_rows(combined, limit)
+        reps = np.flatnonzero(_presence(first[first < n], n))
+        slot_gid = np.empty(limit, dtype=np.intp)
+        slot_gid[combined[reps]] = np.arange(len(reps), dtype=np.intp)
+        return slot_gid[combined], reps
+    count_path("group_sorted")
     order = _stable_order(combined, limit - 1)
     flags = _run_flags(combined[order])
-    starts = np.flatnonzero(flags)
-    first = order[starts]
+    first = order[flags]
     seen = _presence(first, n)
-    run_gid = (np.cumsum(seen) - 1)[first]
-    sorted_gid = run_gid[np.cumsum(flags) - 1]
     gid = np.empty(n, dtype=np.intp)
-    gid[order] = sorted_gid
-    return gid, np.flatnonzero(seen), (order, sorted_gid, starts)
-
-
-def _sort_segments(vgid: Any, n_groups: int) -> tuple[Any, Any, Any]:
-    """``(order, sorted_gid, starts)``: rows stably sorted by group id."""
-    order = _stable_order(vgid, n_groups - 1)
-    sorted_gid = vgid[order]
-    return order, sorted_gid, np.flatnonzero(_run_flags(sorted_gid))
+    gid[order] = (np.cumsum(seen) - 1)[first][np.cumsum(flags) - 1]
+    return gid, np.flatnonzero(seen)
 
 
 def _present(acc: Any, counts: Any) -> list[Any]:
@@ -1406,6 +1474,7 @@ def kernel_aggregate(plan: AggregateP, batch: Batch
 
     # (fold, values, NULL mask, dictionary to decode string extrema through)
     specs: list[tuple[str, Any, Any, Any]] = []
+    gathers: dict[int, tuple[Any, Any]] = {}
     for call, _name in plan.aggregates:
         name = call.name
         if name == "count" and call.args and isinstance(call.args[0], e.Star) \
@@ -1438,52 +1507,42 @@ def kernel_aggregate(plan: AggregateP, batch: Batch
                 return None  # float DISTINCT sums are order-sensitive
             else:
                 name = "sumd" if name == "sum" else "avgd"
-        values, mask = _gather(encoding, vector, n, None)
+        gathered = gathers.get(pos)
+        if gathered is None:  # MIN(x) and MAX(x) read x once
+            gathered = gathers[pos] = _gather(encoding, vector, n, None)
+        values, mask = gathered
         if name in ("sum", "avg", "sumd", "avgd") and encoding.kind == "i":
-            bound = int(np.abs(values).max()) if values.size else 0
+            # Not ``np.abs``: it wraps the int64 minimum to itself.
+            bound = max(-int(values.min()), int(values.max())) \
+                if values.size else 0
             if bound * n >= _SUM_BOUND:
                 return None
         specs.append((name, values, mask, encoding.dictionary))
 
-    # Grouping is one sort (group ids and the segment view for MIN/MAX
-    # share it).  When every key is a whole unfiltered column, it depends
-    # only on immutable encoded data, so it is cached on the first key's
-    # encoding — a scan→aggregate over an unchanged relation (the process
-    # backend's partial-aggregation subplans) pays it once.
+    # Grouping is one table or one sort (:func:`_group_ids`).  When every
+    # key is a whole unfiltered column, it depends only on immutable
+    # encoded data, so it is cached on the first key's encoding — a
+    # scan→aggregate over an unchanged relation (the process backend's
+    # partial-aggregation subplans) pays it once.
     host = key_encodings[0] if keys_are_whole_columns and key_encodings \
         else None
-    gid = reps_arr = whole_segments = None
+    gid = reps_arr = None
     if host is not None and host.grouping is not None:
-        token, cached_n, gid, reps_arr, whole_segments = host.grouping
+        token, cached_n, gid, reps_arr = host.grouping
         if cached_n != n or len(token) != len(key_encodings) or not all(
                 a is b for a, b in zip(token, key_encodings)):
-            gid = reps_arr = whole_segments = None
+            gid = reps_arr = None
     if gid is None:
         grouped = _group_ids(
             [_codes(values, enc.kind, enc.dictionary)
              for values, enc in zip(key_values, key_encodings)], n)
         if grouped is None:
             return None
-        gid, reps_arr, whole_segments = grouped
+        gid, reps_arr = grouped
         if host is not None:
-            host.grouping = (tuple(key_encodings), n, gid, reps_arr,
-                             whole_segments)
+            host.grouping = (tuple(key_encodings), n, gid, reps_arr)
     n_groups = len(reps_arr)
     counts_all = np.bincount(gid, minlength=n_groups)
-
-    # Shared segment view for the MIN/MAX reductions: rows stably sorted
-    # by group id, with one segment start per non-empty group.  Keyed by
-    # the gid array's identity so the unmasked specs all reuse one sort.
-    segments: dict[int, tuple[Any, Any, Any]] = {}
-    if whole_segments is not None:
-        segments[id(gid)] = whole_segments
-
-    def _segmented(vgid: Any) -> tuple[Any, Any, Any]:
-        cached = segments.get(id(vgid))
-        if cached is None:
-            cached = _sort_segments(vgid, n_groups)
-            segments[id(vgid)] = cached
-        return cached
 
     agg_lists: list[list[Any]] = []
     for name, values, mask, dictionary in specs:
@@ -1503,7 +1562,8 @@ def kernel_aggregate(plan: AggregateP, batch: Batch
                 return None
             agg_lists.append(lowered)
             continue
-        counts = np.bincount(vgid, minlength=n_groups)
+        counts = counts_all if mask is None \
+            else np.bincount(vgid, minlength=n_groups)
         if name == "count":
             agg_lists.append(counts.tolist())
             continue
@@ -1517,10 +1577,13 @@ def kernel_aggregate(plan: AggregateP, batch: Batch
                                   for total, c in zip(acc.tolist(),
                                                       counts.tolist())])
             continue
-        # MIN/MAX are order-insensitive and exact, so a sort-based
-        # segmented reduction replaces ``ufunc.at`` (an unbuffered
-        # per-element loop, the hot spot of partial aggregation) while
-        # staying bit-identical to the Python fold.
+        # MIN/MAX are order-insensitive and exact, so ``ufunc.at`` folds
+        # straight into the accumulator, bit-identical to the Python fold.
+        # It is only fast at matched dtypes — over 46k rows 0.11 ms, and
+        # 3.6 ms casting int32 codes into an int64 accumulator — so the
+        # accumulator takes the values' own dtype.  Matched, it is within
+        # 0.03 ms of reducing rows pre-sorted by group at 100 groups and
+        # 6x faster at 20k groups, where ``reduceat`` pays per segment.
         if vvals.dtype.kind == "i":  # int64 values, int32/int64 codes
             bounds = np.iinfo(vvals.dtype)
             acc = np.full(n_groups, bounds.max if name == "min"
@@ -1528,11 +1591,7 @@ def kernel_aggregate(plan: AggregateP, batch: Batch
         else:
             acc = np.full(n_groups, np.inf if name == "min" else -np.inf,
                           dtype=np.float64)
-        order, sorted_gid, starts = _segmented(vgid)
-        if starts.size:
-            sorted_vals = vvals[order]
-            reducer = np.minimum if name == "min" else np.maximum
-            acc[sorted_gid[starts]] = reducer.reduceat(sorted_vals, starts)
+        (np.minimum if name == "min" else np.maximum).at(acc, vgid, vvals)
         if dictionary is not None and counts.any():
             # Decode the extreme codes.  A group that saw no value still
             # holds the fill: point it at code 0 (``_present`` blanks it).

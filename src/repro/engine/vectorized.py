@@ -29,8 +29,10 @@ selection, hash-join probe, DISTINCT, group-by — each first offer their
 batch to the numpy kernel of :mod:`repro.engine.kernels` and run the Python
 loop when the kernel declines (numpy absent, ``REPRO_KERNELS=0``, a dtype
 the lowering cannot reproduce bit-for-bit).  A kernel is only offered
-batches of at least :data:`~repro.engine.kernels.KERNEL_MIN_ROWS` rows:
-below that the fixed cost of a numpy call exceeds the whole Python loop.
+batches from its hook's crossover up — below it the fixed cost of a numpy
+call exceeds the whole Python loop: :data:`~repro.engine.kernels.KERNEL_MIN_ROWS`
+rows, or :data:`~repro.engine.kernels.CACHED_PROBE_MIN_ROWS` rows at stake
+for the probe of a relation's cached build structure.
 From the gate up selections are numpy index arrays all the way to the
 final row build: a hash join's build side stays unbuilt
 (:class:`~repro.engine.kernels.BuildSide`) until its probe has chosen the
@@ -436,11 +438,13 @@ class VectorizedExecutor:
 
         A lazy build side says how many rows are at stake
         (:meth:`~repro.engine.kernels.BuildSide.rows_at_stake`: read,
-        emitted, indexed for this query alone).  What the loop emits at gate
-        size or more leaves here as index arrays, converted once.
+        emitted, indexed for this query alone) and from how many the kernel
+        wins (:meth:`~repro.engine.kernels.BuildSide.min_rows`: lower for a
+        relation's cached structure).  What the loop emits at gate size or
+        more leaves here as index arrays, converted once.
         """
         lazy = isinstance(build, kernels.BuildSide)
-        if lazy and build.rows_at_stake(batch.length) >= kernels.KERNEL_MIN_ROWS:
+        if lazy and build.rows_at_stake(batch.length) >= build.min_rows():
             pair = kernels.kernel_probe(batch, idx, build, null_matches,
                                         self.kernel_counters)
             if pair is not None:

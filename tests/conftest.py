@@ -42,19 +42,23 @@ def schema(db):
 
 @pytest.fixture()
 def kernel_gate(monkeypatch):
-    """Pin the columnar executor's kernel gate for the rest of the test.
+    """Pin the columnar executor's kernel gates for the rest of the test.
 
     ``kernel_gate(0)`` offers every batch to the numpy kernels — the only
     way the few-row relations of the differential tests reach them, since
-    production offers only batches of ``KERNEL_MIN_ROWS`` rows and more;
+    production offers only batches of ``KERNEL_MIN_ROWS`` rows and more
+    (a cached-structure probe: ``CACHED_PROBE_MIN_ROWS``);
     ``kernel_gate(None)`` offers none (the pure-Python loops, the
-    reference the kernels are pinned against).
+    reference the kernels are pinned against).  ``tests/gates.py`` is the
+    same pin as a context manager.
     """
     import repro.engine.kernels as kernels
+    from gates import GATES
 
     def pin(min_rows: "int | None") -> None:
-        monkeypatch.setattr(kernels, "KERNEL_MIN_ROWS",
-                            sys.maxsize if min_rows is None else min_rows)
+        for name in GATES:
+            monkeypatch.setattr(kernels, name,
+                                sys.maxsize if min_rows is None else min_rows)
 
     return pin
 

@@ -10,12 +10,12 @@ cache (byte-accounted LRU, hit/miss/eviction counters, per-backend sinks).
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from unittest import mock
 
 import pytest
 
+from gates import pinned_gates
 import repro.engine.kernels as kernels
 from repro.data.database import Database
 from repro.data.relation import (
@@ -153,9 +153,9 @@ def _both(plan, db):
     These relations are far below ``KERNEL_MIN_ROWS``: the gate is opened
     for the first run and put out of reach for the second.
     """
-    with mock.patch.object(kernels, "KERNEL_MIN_ROWS", 0):
+    with pinned_gates(0):
         fast = VectorizedExecutor(db).batch(plan).rows()
-    with mock.patch.object(kernels, "KERNEL_MIN_ROWS", sys.maxsize):
+    with pinned_gates(None):
         slow = VectorizedExecutor(db).batch(plan).rows()
     return fast, slow
 
@@ -407,18 +407,31 @@ class TestKernelGate:
 
     def test_loops_below_the_gate_kernels_from_it_up(self, engaged,
                                                      kernel_gate):
-        n = kernels.KERNEL_MIN_ROWS
-        below = self._run(n - 1)
-        assert engaged == []                      # every hook: Python loops
-        at = self._run(n)
-        assert sorted(engaged) == sorted(self.KERNELS)
-        # Same plans, same data, gate out of reach: the reference rows.
+        """Each hook at its own gate: the Python loop one row below it, the
+        kernel from it.  A probe of a relation's cached structure crosses
+        lower than the rest, so between the two gates only it engages."""
+        gates = dict.fromkeys(self.KERNELS, kernels.KERNEL_MIN_ROWS)
+        gates["kernel_probe"] = kernels.CACHED_PROBE_MIN_ROWS
+        assert gates["kernel_probe"] < kernels.KERNEL_MIN_ROWS
+        rows, taken = {}, {}
+        for n in sorted({m for gate in gates.values()
+                         for m in (gate - 1, gate)}):
+            del engaged[:]
+            rows[n] = self._run(n)
+            taken[n] = set(engaged)
+        for hook, gate in gates.items():
+            assert hook not in taken[gate - 1], (hook, gate - 1)
+            assert hook in taken[gate], (hook, gate)
+            # One more row changes one group and nothing else.
+            assert [len(r) for r in rows[gate]] \
+                == [len(r) for r in rows[gate - 1]]
+        assert taken[kernels.KERNEL_MIN_ROWS] == set(self.KERNELS)
+        # Same plans, same data, gates out of reach: the reference rows.
         del engaged[:]
         kernel_gate(None)
-        assert self._run(n) == at and self._run(n - 1) == below
+        for n, want in rows.items():
+            assert self._run(n) == want
         assert engaged == []
-        # One more row changes one group and nothing else.
-        assert [len(rows) for rows in at] == [len(rows) for rows in below]
 
     def test_each_operator_is_gated_on_its_own_batch(self, engaged):
         n = kernels.KERNEL_MIN_ROWS
@@ -782,7 +795,7 @@ def _kernel_paths(plan, db):
         store = relation.column_store()
         for index in range(len(store.arrays)):
             kernels.store_encoding(store, index)
-    with mock.patch.object(kernels, "KERNEL_MIN_ROWS", 0):
+    with pinned_gates(0):
         return _path_delta(
             lambda: VectorizedExecutor(db).batch(plan).rows())[1]
 
@@ -871,13 +884,18 @@ class TestBoundedDomains:
         assert ("sort_compare" in _kernel_paths(plan, _wide_db())) \
             == bool({"far", "f"} & set(keys))
 
-    def test_a_group_by_sorts_once(self):
-        """MIN/MAX reduce over the order the group ids came from."""
+    @pytest.mark.parametrize("key, paths", [
+        ("neg", {"group_sorted": 1, "sort_radix": 1}),  # 3.6M-slot domain
+        ("s", {"group_direct": 1})])                      # 13 words
+    def test_a_group_by_sorts_at_most_once(self, key, paths):
+        """A wide domain is sorted once, for its group ids; a small one is
+        addressed.  MIN/MAX fold with ``ufunc.at`` and add no sort."""
         db = _wide_db()
-        plan = AggregateP(WIDE, (e.Col("neg"),), (
+        plan = AggregateP(WIDE, (e.Col(key),), (
             (e.FuncCall("min", (e.Col("s"),)), "lo"),
             (e.FuncCall("max", (e.Col("m"),)), "hi")))
-        assert _kernel_paths(plan, db) == {"sort_radix": 1}
+        assert _kernel_paths(plan, db) == paths
+        _every_way(plan, db)
 
     @pytest.mark.parametrize("columns, compare_sorts", [
         (("far",), 1),           # span past the offset-code bound: ranked
@@ -894,6 +912,118 @@ class TestBoundedDomains:
             tuple(f"c{i}" for i in range(len(columns)))))
         assert len(_every_way(plan, db)) > 4
         assert _kernel_paths(plan, db).get("sort_compare", 0) == compare_sorts
+
+
+def _dom_db(keys):
+    """``dom``: one row per ``(a, b)`` of ``keys`` — an int and a string
+    group key — with a float ``x``, an int ``big`` at the int64 extremes
+    and a small int ``v``."""
+    rows = [(a, b, i / 7 + 0.1,
+             (2**63 - 1, -2**63, i - 20)[i % 3], i % 9 - 4)
+            for i, (a, b) in enumerate(keys)]
+    return Database([relation_from_rows(
+        "dom", [("a", "int"), ("b", "string"), ("x", "float"),
+                ("big", "int"), ("v", "int")], rows)])
+
+
+DOM = ScanP("dom", ("a", "b", "x", "big", "v"))
+
+
+@needs_kernels
+class TestAddressedDomains:
+    """A packed group-by domain of at most one slot a row is addressed
+    (``group_direct``), a wider one sorted (``group_sorted``); DISTINCT over
+    one join side deduplicates base positions first
+    (``distinct_positions``).  Every case: kernels ≡ Python loops ≡ row."""
+
+    _FOLDS = tuple((e.FuncCall(fn, (e.Col(col),)), f"{fn}_{col}")
+                   for fn in ("min", "max") for col in ("b", "big")) + (
+        (e.FuncCall("avg", (e.Col("x"),)), "avg_x"),
+        (e.FuncCall("sum", (e.Col("v"),)), "sum_v"),
+        (e.FuncCall("count", (e.Star(),)), "n"))
+
+    @pytest.mark.parametrize("keys, pairs, path", [
+        # 40 rows, a permutation of 0..39: 40 slots.
+        (("a",), [(i * 7 % 40, "w") for i in range(40)], "group_direct"),
+        # 40 rows over 0..40 without 20: 41 slots.
+        (("a",), [(a, "w") for a in range(41) if a != 20], "group_sorted"),
+        # 5 ints x 8 words packed: 40 slots over 40 rows, then 39.
+        (("a", "b"), [(i % 5, f"w{i % 8}") for i in range(40)],
+         "group_direct"),
+        (("a", "b"), [(i % 5, f"w{i % 8}") for i in range(39)],
+         "group_sorted"),
+        (("b", "a"), [(i % 5, f"w{i % 8}") for i in range(80)],
+         "group_direct")])
+    def test_a_domain_is_addressed_up_to_one_slot_a_row(self, keys, pairs,
+                                                        path):
+        db = _dom_db(pairs)
+        plan = AggregateP(DOM, tuple(e.Col(k) for k in keys), self._FOLDS)
+        sorts = {"sort_radix": 1} if path == "group_sorted" else {}
+        assert _kernel_paths(plan, db) == {path: 1, **sorts}
+        rows = _every_way(plan, db)
+        assert len(rows) == len(set(pairs))
+        assert any(2**63 - 1 in row for row in rows) \
+            and any(-2**63 in row for row in rows)
+
+    def test_null_group_keys_decline(self):
+        db = _dom_db([(i % 4, None if i % 5 == 0 else f"w{i % 3}")
+                      for i in range(30)])
+        for keys in (("b",), ("a", "b")):
+            plan = AggregateP(DOM, tuple(e.Col(k) for k in keys),
+                              self._FOLDS)
+            bumped = _kernel_paths(plan, db)
+            assert "group_direct" not in bumped \
+                and "group_sorted" not in bumped
+            assert any(row[1] is None for row in _every_way(plan, db))
+
+    def test_an_int64_minimum_sum_declines(self):
+        """``np.abs`` wraps the int64 minimum to itself; the SUM bound does
+        not, so the sum overflowing int64 stays in Python."""
+        db = _dom_db([(0, "w"), (0, "w"), (1, "w")])
+        db.relation("dom").add((0, "w", 0.5, -5, -2**63))
+        plan = AggregateP(DOM, (e.Col("a"),), (
+            (e.FuncCall("sum", (e.Col("v"),)), "total"),))
+        assert "group_direct" not in _kernel_paths(plan, db)
+        want = sum(row[4] for row in db.relation("dom").rows() if row[0] == 0)
+        assert want < -2**63
+        assert {row[0]: row[-1] for row in _every_way(plan, db)}[0] == want
+
+    def test_a_whole_column_grouping_is_reused_until_an_append(self):
+        db = _dom_db([(i % 6, f"w{i % 4}") for i in range(50)])
+        plan = AggregateP(DOM, (e.Col("a"), e.Col("b")), self._FOLDS)
+        assert _kernel_paths(plan, db) == {"group_direct": 1}
+        assert _kernel_paths(plan, db) == {}        # cached on the encoding
+        before = _every_way(plan, db)
+        db.relation("dom").add_rows([(2, "w2", 9.5, 7, 3),
+                                     (7, "w9", 0.25, -2**63, 1)])
+        assert _kernel_paths(plan, db) == {"group_direct": 1}
+        after = _every_way(plan, db)
+        assert len(after) == len(before) + 1
+        assert _kernel_paths(plan, db) == {}
+
+    def test_distinct_over_one_side_deduplicates_positions_first(self):
+        """``dim`` holds every row twice, 60 positions apart: equal
+        positions are equal rows, but equal rows need not share a position,
+        so the surviving positions' values are deduplicated too."""
+        from repro.engine.plan import ProjectP
+
+        dim = relation_from_rows(
+            "dim", [("dk", "int"), ("ds", "string"), ("tag", "string")],
+            [(i % 29, f"c{i % 7}", "xyz"[i % 3]) for i in range(60)] * 2)
+        db = Database([_join_db().relation("fact"), dim])
+        join = JoinP(FACT, DIM, "inner", ("fk",), ("dk",), None, False)
+        one_side = DistinctP(ProjectP(
+            join, (e.Col("dk"), e.Col("ds"), e.Col("tag")),
+            ("dk", "ds", "tag")))
+        assert _kernel_paths(one_side, db)["distinct_positions"] == 1
+        rows = _every_way(one_side, db)
+        assert sorted(rows) == sorted(
+            row for row in set(dim.rows()) if row[0] < 23)  # fact's keys
+        # Columns from both sides read through two selections.
+        both_sides = DistinctP(ProjectP(
+            join, (e.Col("fs"), e.Col("tag")), ("fs", "tag")))
+        assert "distinct_positions" not in _kernel_paths(both_sides, db)
+        assert _every_way(both_sides, db)
 
 
 def _join_db(n=300):
@@ -1059,11 +1189,14 @@ class TestProbeFanOut:
         assert bumped == {"probe_loop": 1} and second == first
 
     def test_small_relations_are_rejected_before_any_lookup(self):
+        """10 probe rows x 50 relation rows cannot reach the cached-probe
+        gate, whatever the fan-out."""
+        n = kernels.CACHED_PROBE_MIN_ROWS // 10 - 1
         small = relation_from_rows("small", [("pk", "int")],
                                    [(i,) for i in range(10)])
         big = mock.Mock(wraps=relation_from_rows(
-            "big", [("k", "int")], [(i % 5,) for i in range(200)]))
-        big.__len__ = lambda self: 200
+            "big", [("k", "int")], [(i % 5,) for i in range(n)]))
+        big.__len__ = lambda self: n
         big.is_frozen = False
         batch = VectorizedExecutor(Database([small])).batch(
             ScanP("small", ("pk",)))
@@ -1219,11 +1352,10 @@ class TestBuildStructureExtension:
         plan = JoinP(PRB, BLD, "inner", ("pk", "ps"), ("k", "s"), None, False)
         sink: dict[str, int] = {}
         sizes = []
-        with mock.patch.object(kernels, "KERNEL_MIN_ROWS", 0):
+        with pinned_gates(0):
             for step in range(100):
                 want = VectorizedExecutor(db).batch(plan).rows()
-                with mock.patch.object(kernels, "KERNEL_MIN_ROWS",
-                                       sys.maxsize):
+                with pinned_gates(None):
                     assert VectorizedExecutor(db).batch(plan).rows() == want
                 sizes.append(kernels.cache_stats()["entries"])
                 db.relation("b").add((2 * (step % 40), f"w{step % 15:02d}",

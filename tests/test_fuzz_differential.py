@@ -52,6 +52,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from gates import pinned_gates
 from repro.data.database import Database
 from repro.data.relation import Relation, relation_from_rows
 from repro.data.sharded import ShardedDatabase, reshard
@@ -69,7 +70,6 @@ from repro.engine.plan import (
     SetOpP,
     SortLimitP,
 )
-import repro.engine.kernels as kernels
 from repro.engine.process import ProcessBackend
 from repro.engine.sharded import ShardedBackend
 from repro.engine.verify import maybe_verify
@@ -84,7 +84,7 @@ settings.register_profile("nightly", max_examples=400, **_COMMON)
 settings.load_profile(os.environ.get("REPRO_FUZZ_PROFILE", "ci"))
 
 class _Gated:
-    """A backend with the columnar executor's kernel gate pinned.
+    """A backend with the columnar executor's kernel gates pinned.
 
     Generated relations hold a handful of rows, far below
     ``KERNEL_MIN_ROWS``.  ``min_rows=0`` offers every batch to the numpy
@@ -98,7 +98,7 @@ class _Gated:
         self.min_rows = min_rows
 
     def execute(self, plan, db):
-        with mock.patch.object(kernels, "KERNEL_MIN_ROWS", self.min_rows):
+        with pinned_gates(self.min_rows):
             return self.backend.execute(plan, db)
 
 

@@ -29,10 +29,10 @@ import subprocess
 import sys
 import threading
 from collections import OrderedDict
-from unittest import mock
 
 import pytest
 
+from gates import pinned_gates
 from repro.data import ShardedDatabase, sailors_database
 from repro.data.sailors import random_sailors_database
 from repro.data.relation import (
@@ -73,16 +73,14 @@ _CATALOG_BACKEND = ProcessBackend(n_shards=2, workers=2)
 
 @pytest.fixture(scope="module", autouse=True)
 def _kernels_on_catalog_sized_pages():
-    """Open the executor's kernel gate for this module.
+    """Open the executor's kernel gates for this module.
 
     What is pinned here is worker processes computing with numpy kernels
     over zero-copy page views; the catalog's ten-row shards are far below
     ``KERNEL_MIN_ROWS`` and would otherwise take the Python loops.  Pools
-    fork on first use, inside a test, so the workers inherit the open gate.
+    fork on first use, inside a test, so the workers inherit the open gates.
     """
-    import repro.engine.kernels as kernels
-
-    with mock.patch.object(kernels, "KERNEL_MIN_ROWS", 0):
+    with pinned_gates(0):
         yield
 
 

@@ -25,6 +25,7 @@ from unittest import mock
 import pytest
 
 import repro.engine.kernels as kernels
+from gates import pinned_gates
 from repro.data import ShardedDatabase, reshard, sailors_database
 from repro.data.database import Database
 from repro.data.relation import RelationError, relation_from_rows
@@ -108,7 +109,7 @@ class TestInlineScatter:
         text = query.languages()[language]
         plan = optimize(lower(text, db.schema, language.lower()), db)
         vectorized = execute_plan(plan, db, backend="vectorized")
-        with mock.patch.object(kernels, "KERNEL_MIN_ROWS", 0):
+        with pinned_gates(0):
             sharded = execute_plan(plan, ShardedDatabase.from_database(db, 2),
                                    backend=ShardedBackend(n_shards=2))
         assert vectorized.bag_equal(sharded), (
@@ -190,7 +191,7 @@ class TestInlineScatter:
             for _ in range(n_scatters):
                 execute_plan(plan, sharded, backend=backend)
 
-        with mock.patch.object(kernels, "KERNEL_MIN_ROWS", 0):
+        with pinned_gates(0):
             before = kernels.cache_stats()
             threads = [threading.Thread(target=reader)
                        for _ in range(n_readers)]

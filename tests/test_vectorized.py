@@ -19,6 +19,7 @@ from repro.data.database import Database
 from repro.data.relation import ColumnStore, relation_from_rows
 from repro.data.sailors import random_sailors_database, sailors_database
 from repro.engine import (
+    AggregateP,
     DistinctP,
     FilterP,
     JoinP,
@@ -529,16 +530,37 @@ class TestAnalyticShapesStayNumpy:
         after = kernels.path_counts()
         return rows, {key: after[key] - before[key] for key in after}
 
-    def test_counts_per_template(self, analytic_db):
-        for plan in self._plans(analytic_db, 17, "21.500"):
-            self._counted(plan, analytic_db)          # encodings, indexes
+    def test_counts_per_template(self, analytic_db, monkeypatch):
+        """Every probe takes the kernel — ``chain4``'s last one has ~1.8k
+        rows at stake, under ``KERNEL_MIN_ROWS`` but into a relation's
+        cached structure — and the group-bys of ``minmax`` and ``joinavg``
+        (100 and 5 groups over ~46k rows) address their domains: no sort."""
+        sorts: list[int] = []
+        aggregate = kernels.kernel_aggregate
+
+        def spy(*args):
+            before = kernels.path_counts()
+            result = aggregate(*args)
+            after = kernels.path_counts()
+            sorts.append(sum(after[key] - before[key]
+                             for key in ("sort_radix", "sort_compare")))
+            return result
+
         for plan in self._plans(analytic_db, 230, "19.250"):
+            self._counted(plan, analytic_db)          # encodings, indexes
+        monkeypatch.setattr(kernels, "kernel_aggregate", spy)
+        # age > 21.5 leaves chain4's last probe ~1.7k rows: under 2048.
+        for plan in self._plans(analytic_db, 17, "21.500"):
             joins = sum(isinstance(node, JoinP) for node in plan.walk())
+            groups = sum(isinstance(node, AggregateP) for node in plan.walk())
+            del sorts[:]
             rows, bumped = self._counted(plan, analytic_db)
             assert bumped["build_dict"] == 0 and bumped["sort_compare"] == 0
             assert bumped["sel_converted"] <= joins
-            assert bumped["probe_kernel"] + bumped["probe_loop"] == joins
+            assert bumped["probe_kernel"] == joins and bumped["probe_loop"] == 0
             assert bumped["build_lowered"] <= joins
+            assert bumped["group_direct"] == len(sorts) == groups
+            assert sorts == [0] * groups and bumped["group_sorted"] == 0
             assert sorted(rows) == sorted(
                 execute_plan(plan, analytic_db, backend="row").rows())
 
