@@ -22,7 +22,8 @@ subplans inline, one shard after another on the calling thread, so their
 scaling is reported honestly rather than gated (more shards add gather work
 but no concurrency; the ``"process"`` backend, E6, is the one that spreads
 shards over cores) — the routed point-lookup path is the cell where
-sharding must and does win single-process.
+sharding must and does win single-process, and :func:`check_gates` holds
+it to **>= 1.2x** over one shard at 4 shards.
 
 Runs standalone (the CI smoke job) or under pytest::
 
@@ -56,6 +57,9 @@ FULL_SIZES = [(1200, 50, 12000), (2400, 90, 24000), (4800, 150, 48000)]
 SMOKE_SIZES = [(400, 30, 4000), (1200, 50, 12000)]
 
 SHARD_COUNTS = (1, 2, 4)
+
+#: The routed point lookup at 4 shards over the same lookup at 1 shard.
+GATE_VS_ONE_SHARD = 1.2
 
 ARTIFACT_DIR = os.environ.get(
     "REPRO_BENCH_ARTIFACTS",
@@ -220,6 +224,29 @@ def run_experiment(smoke: bool) -> dict:
     return artifact
 
 
+def check_gates(artifact: dict) -> list[str]:
+    """The E5 routing gate over a measured artifact; [] when green.
+
+    At the largest size the 4-shard point lookup is routed (one shard, no
+    gather) and ``GATE_VS_ONE_SHARD``x faster than the same lookup at one
+    shard: 4 shards scan a quarter of the rows per lookup.
+    """
+    routed = [c for c in artifact["cells"] if c["family"] == "point-lookup"
+              and c["largest_size"] and c["shards"] == 4]
+    if not routed:
+        return ["no 4-shard point-lookup cell at the largest size"]
+    failures = []
+    for cell in routed:
+        if cell["vs_one_shard"] < GATE_VS_ONE_SHARD:
+            failures.append(f"point-lookup at 4 shards only "
+                            f"{cell['vs_one_shard']}x vs 1 shard "
+                            f"(gate: >={GATE_VS_ONE_SHARD}x)")
+        if not cell["plan_shape"].startswith("routed"):
+            failures.append(f"point-lookup at 4 shards not routed: "
+                            f"{cell['plan_shape']}")
+    return failures
+
+
 # -- pytest entry points -----------------------------------------------------
 
 def test_e5_sharded_artifact(capsys):
@@ -229,13 +256,11 @@ def test_e5_sharded_artifact(capsys):
     assert cells, "no cells measured"
     families = {c["family"] for c in cells}
     assert families == set(WORKLOADS)
-    # The routed point-lookup path must actually benefit from sharding at
-    # the largest size: 4 shards scan a quarter of the rows per lookup.
     routed = [c for c in cells
               if c["family"] == "point-lookup" and c["largest_size"]]
-    by_shards = {c["shards"]: c for c in routed}
-    assert by_shards[4]["vs_one_shard"] >= 1.2, by_shards
     assert all(c["plan_shape"].startswith("routed(") for c in routed), routed
+    failures = check_gates(artifact)
+    assert not failures, "\n".join(failures)
 
 
 # -- standalone entry point --------------------------------------------------
@@ -245,8 +270,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="reduced sizes (the CI configuration)")
     args = parser.parse_args(argv)
-    run_experiment(smoke=args.smoke or REDUCED)
-    return 0
+    artifact = run_experiment(smoke=args.smoke or REDUCED)
+    failures = check_gates(artifact)
+    for failure in failures:
+        print(f"E5 GATE FAILED: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

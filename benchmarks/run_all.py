@@ -9,10 +9,14 @@ every measured cell into one shared record schema::
     {"suite": "e4", "workload": "join-chain", "size": 48000,
      "backend": "view", "wall_ms": 9.1, "speedup": 19.6}
 
-written to ``benchmarks/artifacts/BENCH_<suite>.json``.  The companion
-``compare_bench.py`` diffs those files against the committed baselines in
-``benchmarks/baselines/`` and fails CI when a tracked speedup ratio
-regresses — speedups, not wall-clock, so the gate is hardware-portable.
+written to ``benchmarks/artifacts/BENCH_<suite>.json`` (untracked).  Every
+selected suite runs, and its gates (``check_gates``, or a pytest suite's
+own assertions) are applied as it finishes; every failing gate is listed
+at the end and the exit status is non-zero if there was one.  The
+companion ``compare_bench.py`` diffs those files against the committed
+baselines in ``benchmarks/baselines/`` and fails CI when a tracked
+speedup ratio regresses — speedups, not wall-clock, so the gate is
+hardware-portable.
 
 Usage::
 
@@ -23,10 +27,12 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import subprocess
 import sys
+import traceback
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ARTIFACT_DIR = os.environ.get("REPRO_BENCH_ARTIFACTS",
@@ -83,8 +89,12 @@ def _records_from_artifacts(artifacts: list[dict]) -> list[dict]:
     return records
 
 
-def _pytest_json_lines(script: str, marker: str, smoke: bool) -> list[dict]:
-    """Run a pytest-style suite, harvesting its ``E*-JSON`` stdout lines."""
+def _pytest_json_lines(script: str, marker: str,
+                       smoke: bool) -> tuple[list[dict], list[str]]:
+    """Run a pytest-style suite, harvesting its ``E*-JSON`` stdout lines.
+
+    Its assertions are its gates: a failing run is one failure.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(HERE, "..", "src") \
         + os.pathsep + env.get("PYTHONPATH", "")
@@ -96,89 +106,41 @@ def _pytest_json_lines(script: str, marker: str, smoke: bool) -> list[dict]:
         cwd=HERE, env=env, capture_output=True, text=True)
     sys.stdout.write(result.stdout)
     sys.stderr.write(result.stderr)
-    if result.returncode != 0:
-        raise SystemExit(f"{script} failed with exit code {result.returncode}")
+    failures = [] if result.returncode == 0 else \
+        [f"{script} failed with exit code {result.returncode}"]
     artifacts = []
     for line in result.stdout.splitlines():
         if line.startswith(marker):
             artifacts.append(json.loads(line[len(marker):].strip()))
-    return artifacts
+    return artifacts, failures
 
 
-def _run_e1(smoke: bool) -> list[dict]:
-    return _pytest_json_lines("bench_e1_engine.py", "E1-JSON", smoke)
+def _measured_in_process(module: str, smoke: bool) -> tuple[list[dict],
+                                                            list[str]]:
+    """Run a suite module's ``run_experiment``, then its ``check_gates``."""
+    bench = importlib.import_module(module)
+    artifact = bench.run_experiment(smoke=smoke)
+    return [artifact], bench.check_gates(artifact)
 
 
-def _run_e2(smoke: bool) -> list[dict]:
-    return _pytest_json_lines("bench_e2_vectorized.py", "E2-JSON", smoke)
-
-
-def _run_e4(smoke: bool) -> list[dict]:
-    import bench_e4_ivm
-
-    return [bench_e4_ivm.run_experiment(smoke=smoke)]
-
-
-def _run_e5(smoke: bool) -> list[dict]:
-    import bench_e5_sharded
-
-    return [bench_e5_sharded.run_experiment(smoke=smoke)]
-
-
-def _run_e6(smoke: bool) -> list[dict]:
-    import bench_e6_process
-
-    artifact = bench_e6_process.run_experiment(smoke=smoke)
-    failures = bench_e6_process.check_gates(artifact)
-    if failures:
-        raise SystemExit("E6 gate failed:\n" + "\n".join(failures))
-    return [artifact]
-
-
-def _run_e9(smoke: bool) -> list[dict]:
-    import bench_e9_serving
-
-    artifact = bench_e9_serving.run_experiment(smoke=smoke)
-    failures = bench_e9_serving.check_gates(artifact)
-    if failures:
-        raise SystemExit("E9 gate failed:\n" + "\n".join(failures))
-    return [artifact]
-
-
-def _run_e10(smoke: bool) -> list[dict]:
-    import bench_e10_sharded_ivm
-
-    artifact = bench_e10_sharded_ivm.run_experiment(smoke=smoke)
-    failures = bench_e10_sharded_ivm.check_gates(artifact)
-    if failures:
-        raise SystemExit("E10 gate failed:\n" + "\n".join(failures))
-    return [artifact]
-
-
-def _run_k1(smoke: bool) -> list[dict]:
-    import bench_k1_kernels
-
-    artifact = bench_k1_kernels.run_experiment(smoke=smoke)
-    failures = bench_k1_kernels.check_gates(artifact)
-    if failures:
-        raise SystemExit("K1 gate failed:\n" + "\n".join(failures))
-    return [artifact]
-
-
+#: suite -> how to run it: ``(runner, *args)``, where the runner returns the
+#: suite's artifacts and the failure strings of its gates.
 SUITES = {
-    "e1": _run_e1,
-    "e2": _run_e2,
-    "e4": _run_e4,
-    "e5": _run_e5,
-    "e6": _run_e6,
-    "e9": _run_e9,
-    "e10": _run_e10,
-    "k1": _run_k1,
+    "e1": (_pytest_json_lines, "bench_e1_engine.py", "E1-JSON"),
+    "e2": (_pytest_json_lines, "bench_e2_vectorized.py", "E2-JSON"),
+    "e4": (_measured_in_process, "bench_e4_ivm"),
+    "e5": (_measured_in_process, "bench_e5_sharded"),
+    "e6": (_measured_in_process, "bench_e6_process"),
+    "e9": (_measured_in_process, "bench_e9_serving"),
+    "e10": (_measured_in_process, "bench_e10_sharded_ivm"),
+    "k1": (_measured_in_process, "bench_k1_kernels"),
 }
 
 
-def run_suite(suite: str, smoke: bool) -> dict:
-    artifacts = SUITES[suite](smoke)
+def run_suite(suite: str, smoke: bool) -> list[str]:
+    """Run one suite, write its ``BENCH_<suite>.json``, return its failures."""
+    runner, *args = SUITES[suite]
+    artifacts, failures = runner(*args, smoke)
     unified = {
         "suite": suite,
         "reduced": smoke,
@@ -193,7 +155,7 @@ def run_suite(suite: str, smoke: bool) -> dict:
         json.dump(unified, handle, indent=2)
         handle.write("\n")
     print(f"[run_all] {path}: {len(unified['records'])} record(s)")
-    return unified
+    return failures
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -203,9 +165,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--suite", action="append", choices=sorted(SUITES),
                         help="run only the given suite(s); default: all")
     args = parser.parse_args(argv)
+    failures = []
     for suite in (args.suite or sorted(SUITES)):
-        run_suite(suite, args.smoke)
-    return 0
+        try:
+            failed = run_suite(suite, args.smoke)
+        except Exception as exc:  # a failure like a red gate: run the rest
+            traceback.print_exc()
+            failed = [f"raised {exc!r}"]
+        failures.extend(f"{suite.upper()}: {failure}" for failure in failed)
+    for failure in failures:
+        print(f"[run_all] GATE FAILED {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -48,6 +48,10 @@ under concurrent readers and writers:
   once and keeps it current under appends: a plan with a maintainable core
   absorbs writes through delta plans (:mod:`repro.engine.delta`);
   everything else, every Datalog program included, rebuilds on refresh.
+  One :class:`MaterializedView` class serves every service: it maintains
+  the list of parts the service's :class:`ViewRecipe` describes — one
+  part over the whole database here, one per shard on the sharded
+  service — and a part that falls behind its delta log recomputes alone.
 * **Versioned statistics.**  :meth:`table_stats` / :meth:`stats_snapshot`
   expose the optimizer's own per-relation profiles — cached on the
   relations, version-tagged (:func:`repro.engine.stats.table_profile`) — so
@@ -63,7 +67,9 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Any, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.pipeline import (
     PIPELINE_LANGUAGES,
@@ -79,10 +85,22 @@ from repro.core.service_api import (
     ViewConflictError,
 )
 from repro.data.database import Database
-from repro.data.relation import Relation
+from repro.data.relation import Relation, Row
+from repro.data.sharded import BROADCAST_SUFFIX, ShardedDatabase
 from repro.engine import detect_language
 from repro.engine.cache import LRUCache
+from repro.engine.delta import (
+    DeltaRewriteError,
+    ViewMaintainer,
+    base_relations,
+    build_maintainer,
+    find_core,
+    finish_rows,
+)
+from repro.engine.execute import build_result_relation
 from repro.engine.kernels import cache_stats as kernel_cache_stats
+from repro.engine.lower import LoweringError
+from repro.engine.plan import DeltaUnavailable, Plan, PlanError
 from repro.engine.stats import StatsCatalog, TableStats
 
 
@@ -172,6 +190,27 @@ class PreparedQuery:
         return f"PreparedQuery({self.language}: {self.text!r})"
 
 
+@dataclass(frozen=True)
+class ViewRecipe:
+    """How a service maintains a view's core: a list of parts.
+
+    ``databases()`` returns one execution database per part; every part
+    maintains ``plan`` over its database on ``backend``, and ``gather``
+    turns the parts' rows, in part order, into the core's rows.
+    ``broadcast`` names the relations each part reads whole, as a frozen
+    ``name@broadcast`` copy: a write to one moves every part at once.
+    ``compiled`` is the :class:`~repro.engine.sharded.ShardedPlan` a
+    sharded service compiled the recipe from, ``None`` elsewhere.
+    """
+
+    plan: Plan
+    databases: Callable[[], list[Database]]
+    backend: str
+    gather: Callable[[list[list[Row]]], list[Row]]
+    broadcast: frozenset[str] = frozenset()
+    compiled: Any = None
+
+
 class MaterializedView:
     """One registered query, materialized once and maintained under appends.
 
@@ -189,12 +228,18 @@ class MaterializedView:
     * engine plans with a maintainable core — delta-plan maintenance via
       :mod:`repro.engine.delta` (bag, ``DISTINCT``, or per-group aggregate
       accumulators), with any finishing operators re-applied to the small
-      core output;
+      core output.  The core is maintained as the list of parts the
+      service's :class:`ViewRecipe` describes: one part over the whole
+      database here, one per shard on a
+      :class:`~repro.core.sharded_service.ShardedQueryService`;
     * everything else, every Datalog program included (a program is not
       one plan) — rebuild on refresh (correct, never incremental).
 
-    A view also rebuilds when the database structure changes or a relation's
-    bounded delta log no longer covers the window (it fell too far behind).
+    A refresh applies each part's delta only where that part's relations
+    moved.  A part whose bounded delta log no longer covers its window
+    recomputes on its own, counted in :attr:`shard_rebuilds`; a write to a
+    broadcast relation recomputes every part.  The view rebuilds when the
+    database structure changes or the service replaces its database.
 
     ``refresh``: ``"lazy"`` (default) catches up on first access after a
     write; ``"eager"`` refreshes inside every service write call, so reads
@@ -215,11 +260,12 @@ class MaterializedView:
         self.refreshes = 0
         self.incremental_refreshes = 0
         self.rebuilds = 0
+        self.shard_rebuilds = 0
         self._plan: Any = None          # engine plan (None for Datalog)
         self._core: Any = None          # maintainable core subplan
-        self._maintainer: Any = None    # None => rebuild-on-refresh
+        self._recipe: ViewRecipe | None = None  # None => rebuild-on-refresh
+        self._parts: list[ViewMaintainer] = []  # one per recipe database
         self._base_rels: tuple[str, ...] = ()
-        self._anchors: dict[str, int] = {}
         self._structure_version = -1
         self._published: _Answer | None = None
         self._db: Database | None = None  # the database published against
@@ -235,8 +281,12 @@ class MaterializedView:
     @property
     def strategy(self) -> str:
         """``"bag"`` / ``"distinct"`` / ``"aggregate"`` / ``"rebuild"`` —
-        how refreshes are computed right now."""
-        return self._maintainer.kind if self._maintainer is not None else "rebuild"
+        how refreshes are computed right now; maintained per shard, the
+        first three read ``"sharded-bag"`` and so on."""
+        if self._recipe is None:
+            return "rebuild"
+        kind = self._parts[0].kind
+        return kind if self._recipe.compiled is None else f"sharded-{kind}"
 
     def _peek(self) -> _Answer | None:
         """The published answer if it is current — takes no lock.
@@ -281,10 +331,12 @@ class MaterializedView:
             return self._rebuild_locked().relation
 
     def info(self) -> dict[str, Any]:
-        """Introspection: strategy, freshness, refresh counters."""
+        """Introspection: strategy, freshness, refresh counters; on a
+        sharded database also the shard count, part recomputations and
+        layout generation."""
         published = self._published
         relation = published.relation if published is not None else None
-        return {
+        info: dict[str, Any] = {
             "name": self.name,
             "language": self.language,
             "strategy": self.strategy,
@@ -297,6 +349,12 @@ class MaterializedView:
             "rebuilds": self.rebuilds,
             "base_relations": self._base_rels,
         }
+        db = self.service.db
+        if isinstance(db, ShardedDatabase):
+            info["n_shards"] = db.n_shards
+            info["shard_rebuilds"] = self.shard_rebuilds
+            info["generation"] = self._db.generation
+        return info
 
     # -- maintenance (service write lock held) ------------------------------
 
@@ -314,38 +372,49 @@ class MaterializedView:
         return self._catch_up_locked(db)
 
     def _catch_up_locked(self, db: Database) -> _Answer:
-        """Absorb the writes since the last publication, incrementally
-        where the maintainer can."""
-        if self._maintainer is None:
+        """Absorb the writes since the last publication, part by part."""
+        recipe = self._recipe
+        if recipe is None:
             return self._rebuild_locked()
-        changed = set()
-        for rel in self._base_rels:
-            if db.relation_version(rel) > self._anchors.get(rel, -1):
-                changed.add(rel)
-        if not changed:
-            return self._republish(db)
-        from repro.engine.delta import DeltaRewriteError
-        from repro.engine.lower import LoweringError
-        from repro.engine.plan import DeltaUnavailable, PlanError
-
-        try:
-            self._maintainer.apply_delta(db, self._anchors, changed,
-                                         self.service.backend)
-        except (DeltaUnavailable, DeltaRewriteError, LoweringError, PlanError):
-            # Fell behind the bounded delta log (or the program/plan turned
-            # out unmaintainable after all): start over from scratch.
-            return self._rebuild_locked()
+        parts = self._parts
+        if any(db.relation_version(rel)
+               != parts[0].anchors[rel + BROADCAST_SUFFIX]
+               for rel in recipe.broadcast):
+            # A broadcast relation grew: every part joined against its full
+            # old copy, so every part is stale at once.
+            for part, exec_db in zip(parts, recipe.databases()):
+                part.initialize(exec_db, recipe.backend)
+            self.shard_rebuilds += len(parts)
+            return self._publish(db)
+        touched = False
+        for part in parts:
+            try:
+                touched |= part.catch_up(recipe.backend)
+            except (DeltaUnavailable, DeltaRewriteError, LoweringError,
+                    PlanError):
+                # This part fell behind its bounded delta log: recompute it
+                # alone; the other parts keep their state.
+                part.initialize(part.db, recipe.backend)
+                self.shard_rebuilds += 1
+                touched = True
+        if not touched:
+            # Writes elsewhere in the database: the output cannot have
+            # changed, only the version (and the envelope) it is at.
+            published = self._published
+            return self._finish_publish(db, published.relation,
+                                        published.warnings)
         self.incremental_refreshes += 1
         return self._publish(db)
 
     def _rebuild_locked(self) -> _Answer:
-        """Rematerialize from scratch: the engine plan's maintainers
+        """Rematerialize from scratch: the engine plan's parts
         (:meth:`_maintain`), else rebuild on every refresh from the
         pipeline's answer — Datalog programs, which are not one plan, and
         plans with no maintainable core."""
         db = self.service.db
         self.rebuilds += 1
-        self._maintainer = None
+        self._recipe = None
+        self._parts = []
         self._core = None
         self._base_rels = ()
         pipeline = self.service.pipeline
@@ -358,31 +427,35 @@ class MaterializedView:
         return self._finish_publish(db, relation, tuple(warnings))
 
     def _maintain(self, db: Database) -> bool:
-        """Build and initialize the maintainer of :attr:`_plan`'s core;
-        ``False`` when it has none (the view then rebuilds on refresh)."""
-        from repro.engine.delta import (
-            DeltaRewriteError,
-            base_relations,
-            build_maintainer,
-        )
-
+        """Build and initialize the parts of :attr:`_plan`'s core, as the
+        service's recipe describes them; ``False`` when there is no core
+        or no recipe (the view then rebuilds on refresh)."""
         try:
-            maintainer, core = build_maintainer(self._plan, db)
-            maintainer.initialize(db, self.service.backend)
-        except DeltaRewriteError:
+            core, _kind = find_core(self._plan)
+            recipe = self.service._view_recipe(core)
+            if recipe is None:
+                return False
+            parts = [build_maintainer(recipe.plan, exec_db)
+                     for exec_db in recipe.databases()]
+            for part in parts:
+                part.initialize(part.db, recipe.backend)
+        except (DeltaRewriteError, LoweringError, PlanError):
+            # Unmaintainable core or an uncertified recipe: serve by
+            # rebuild (a full recompute on every refresh).
             return False
-        self._maintainer = maintainer
         self._core = core
+        self._recipe = recipe
+        self._parts = parts
         self._base_rels = base_relations(core)
         return True
 
     def _publish(self, db: Database) -> _Answer:
-        """Repackage the maintained state and publish (version set last)."""
-        from repro.engine.delta import finish_rows, view_result_relation
-
-        rows = finish_rows(db, self._plan, self._core,
-                           self._maintainer.rows())
-        return self._finish_publish(db, view_result_relation(self._plan, rows))
+        """Gather the parts, re-apply the finishing operators and publish
+        (version set last)."""
+        core_rows = self._recipe.gather([part.rows() for part in self._parts])
+        rows = finish_rows(db, self._plan, self._core, core_rows)
+        return self._finish_publish(
+            db, build_result_relation(self._plan.columns, rows))
 
     def _finish_publish(self, db: Database, relation: Relation,
                         warnings: tuple[str, ...] = ()) -> _Answer:
@@ -391,8 +464,6 @@ class MaterializedView:
         ``warnings`` are the engine-fallback reasons of a rebuild-on-refresh
         view; a maintained view was planned by the engine and has none.
         """
-        self._anchors = {rel: db.relation_version(rel)
-                         for rel in self._base_rels}
         self._structure_version = db.structure_version
         # The write lock is held, so the version token is exact.
         published = self._published = _Answer(
@@ -403,13 +474,6 @@ class MaterializedView:
         self._db = db
         self._version = db.version
         return published
-
-    def _republish(self, db: Database) -> _Answer:
-        """Writes elsewhere in the database: the output cannot have changed,
-        only the version (and so the envelope) it is consistent at."""
-        published = self._published
-        return self._finish_publish(db, published.relation,
-                                    published.warnings)
 
     def __repr__(self) -> str:
         return (f"MaterializedView({self.name!r}, {self.language}: "
@@ -631,24 +695,23 @@ class QueryService(ServiceBase):
                 raise ViewConflictError(
                     f"a view named {view_name!r} already exists",
                     detail={"name": view_name})
-            view = self._make_view(view_name, text, resolved, fingerprint,
-                                   refresh)
+            view = MaterializedView(self, view_name, text, resolved,
+                                    fingerprint, refresh)
             view.refreshes += 1
             view._rebuild_locked()  # initial materialization
             self._views[fingerprint] = view
             self._views_by_name[view_name] = view
             return view
 
-    def _make_view(self, name: str, text: str, language: str,
-                   fingerprint: str, refresh: str) -> MaterializedView:
-        """Construct the (unmaterialized) view object for :meth:`register_view`.
+    def _view_recipe(self, core: Plan) -> ViewRecipe | None:
+        """How a view maintains ``core`` here: one part over :attr:`db`,
+        run on the service backend, its rows the core's rows.
 
         :class:`~repro.core.sharded_service.ShardedQueryService` overrides
-        this to substitute its shard-aware view class; the registration
-        bookkeeping above is shared.
+        this with one part per shard; ``None`` serves the view by rebuild.
         """
-        return MaterializedView(self, name, text, language, fingerprint,
-                                refresh)
+        db = self.db
+        return ViewRecipe(core, lambda: [db], self.backend, itemgetter(0))
 
     def view(self, name: str) -> MaterializedView:
         """Look up a registered view by name.

@@ -11,12 +11,13 @@ per shard, prefixed by the layout epoch (see
 :attr:`~repro.data.sharded.ShardedDatabase.version_token`).  Two things
 change relative to the base service:
 
-* **Materialized views are maintained per shard.**
-  :class:`ShardedMaterializedView` compiles a view's maintainable core
-  with :func:`~repro.engine.sharded.shard_plan`, the compiler every
-  scatter-gather request goes through, and keeps the compiled plan's
-  scatter subplan delta-maintained on every shard (over the shard's live
-  relations, whose delta logs work).  A refresh gathers the per-shard
+* **Materialized views are maintained per shard.**  The service's view
+  recipe (:meth:`ShardedQueryService._view_recipe`) compiles a view's
+  maintainable core with :func:`~repro.engine.sharded.shard_plan`, the
+  compiler every scatter-gather request goes through, and the one
+  :class:`~repro.core.service.MaterializedView` class keeps the compiled
+  plan's scatter subplan delta-maintained as one part per shard (over the
+  shard's live relations, whose delta logs work).  A refresh gathers the
   parts with the compiled plan's own merge step: a ``DISTINCT``
   pre-reduced per shard re-deduplicates globally, a split aggregate
   (AVG = SUM + COUNT, presence counters) re-combines, and a core
@@ -33,9 +34,10 @@ change relative to the base service:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Sequence
 
-from repro.core.service import MaterializedView, QueryService, _Answer
+from repro.core.service import QueryService, ViewRecipe
 from repro.data.database import Database
 from repro.data.sharded import (
     DEFAULT_N_SHARDS,
@@ -43,205 +45,7 @@ from repro.data.sharded import (
     ShardKeySpec,
     reshard as reshard_database,
 )
-
-#: Backend used for per-shard partial-view maintenance.  Shard-local plans
-#: run single-node over one shard's (small) relations — routing them back
-#: through the scatter-gather backend would re-shard the already-sharded.
-_SHARD_LOCAL_BACKEND = "vectorized"
-
-
-class ShardedMaterializedView(MaterializedView):
-    """A materialized view maintained as one part per shard.
-
-    The view's recipe is the :class:`~repro.engine.sharded.ShardedPlan`
-    that :func:`~repro.engine.sharded.shard_plan` compiles for the
-    registered plan's maintainable core (see
-    :func:`~repro.engine.delta.find_core`).  Its ``scatter`` subplan is a
-    maintainable core in turn — a bag, a ``DISTINCT`` over one, or an
-    aggregate (whole when co-partitioned, else the partial half of a
-    split) — so every shard maintains it with the
-    :class:`~repro.engine.delta.ViewMaintainer` that
-    :func:`~repro.engine.delta.build_maintainer` picks, over a shard-local
-    execution database (the shard's live relations plus frozen broadcast
-    aliases), and a refresh hands the maintained parts to the recipe's
-    :meth:`~repro.engine.sharded.ShardedPlan.finish`, exactly as a request
-    hands it executed ones.  Refresh semantics:
-
-    * a routed write moves one shard's version component; only that
-      shard's maintainer absorbs a delta, then the parts are re-gathered
-      and the finishing operators re-applied;
-    * a shard whose bounded delta log no longer covers its window
-      recomputes its own part from scratch (siblings keep their
-      incremental state) — counted in :attr:`shard_rebuilds`;
-    * a write to a relation the plan reads via a **broadcast alias**
-      invalidates every shard's part (each part joined against the full
-      old copy), so all shards reinitialize;
-    * a plan with no maintainable core, a core ``shard_plan`` cannot
-      scatter, and every Datalog program rebuild on refresh via the
-      scatter-gather pipeline — correct, never incremental.
-
-    A service :meth:`~ShardedQueryService.reshard` replaces the database,
-    so every view is stale until it has rematerialized against the new
-    layout.
-    """
-
-    def __init__(self, service: "ShardedQueryService", name: str, text: str,
-                 language: str, fingerprint: str, refresh: str) -> None:
-        super().__init__(service, name, text, language, fingerprint, refresh)
-        self.shard_rebuilds = 0
-        self._compiled: Any = None            # ShardedPlan | None
-        self._shard_maintainers: list[Any] | None = None
-        self._exec_dbs: list[Database] | None = None
-        #: per shard: relation -> shard-local version last absorbed
-        self._shard_anchors: list[dict[str, int]] = []
-        #: broadcast-read relation -> merged version last captured
-        self._broadcast_anchors: dict[str, int] = {}
-        #: broadcast alias name -> alias version (as-of anchors for deltas)
-        self._alias_anchors: dict[str, int] = {}
-
-    # -- serving -----------------------------------------------------------
-
-    @property
-    def strategy(self) -> str:
-        """``"sharded-bag"`` / ``"sharded-distinct"`` /
-        ``"sharded-aggregate"`` / ``"rebuild"``."""
-        if self._shard_maintainers is None:
-            return "rebuild"
-        return f"sharded-{self._shard_maintainers[0].kind}"
-
-    def info(self) -> dict[str, Any]:
-        info = super().info()
-        info["n_shards"] = self.service.sharded_db.n_shards
-        info["shard_rebuilds"] = self.shard_rebuilds
-        info["generation"] = self._db.generation
-        return info
-
-    # -- maintenance (service write lock held) ------------------------------
-
-    def _rebuild_locked(self) -> _Answer:
-        self._compiled = self._shard_maintainers = self._exec_dbs = None
-        return super()._rebuild_locked()
-
-    def _maintain(self, db: ShardedDatabase) -> bool:
-        """One maintainer per shard over the scatter subplan that
-        :func:`~repro.engine.sharded.shard_plan` compiles for the core."""
-        from repro.engine.delta import (
-            DeltaRewriteError,
-            base_relations,
-            build_maintainer,
-            find_core,
-        )
-        from repro.engine.lower import LoweringError
-        from repro.engine.plan import PlanError
-        from repro.engine.sharded import shard_plan
-        from repro.engine.verify import maybe_verify_view_terms
-
-        try:
-            core, _kind = find_core(self._plan)
-            compiled = shard_plan(core, db, self.service.table_statistics)
-            if compiled.mode == "fallback":
-                return False  # nothing to scatter: rebuild on refresh
-            maybe_verify_view_terms(compiled, db)
-            exec_dbs = self._exec_databases(db, compiled)
-            maintainers = [build_maintainer(compiled.scatter, exec_db)[0]
-                           for exec_db in exec_dbs]
-            for maintainer, exec_db in zip(maintainers, exec_dbs):
-                maintainer.initialize(exec_db, _SHARD_LOCAL_BACKEND)
-        except (DeltaRewriteError, LoweringError, PlanError):
-            # Unmaintainable core or an uncertified recipe: serve by
-            # rebuild (full scatter-gather recompute on every refresh).
-            return False
-        self._core = core
-        self._compiled = compiled
-        self._exec_dbs = exec_dbs
-        self._shard_maintainers = maintainers
-        self._base_rels = base_relations(core)
-        self._record_anchors(db)
-        return True
-
-    @staticmethod
-    def _exec_databases(db: ShardedDatabase, compiled: Any) -> list[Database]:
-        """Per shard: its live relations plus frozen broadcast aliases."""
-        from repro.engine.sharded import shard_execution_database
-
-        return [shard_execution_database(db, i, compiled.partitioned,
-                                         compiled.broadcast)
-                for i in range(db.n_shards)]
-
-    def _catch_up_locked(self, db: ShardedDatabase) -> _Answer:
-        if self._shard_maintainers is None:
-            return self._rebuild_locked()
-        from repro.engine.delta import DeltaRewriteError
-        from repro.engine.lower import LoweringError
-        from repro.engine.plan import DeltaUnavailable, PlanError
-
-        compiled = self._compiled
-        for rel in sorted(compiled.broadcast):
-            if db.relation_version(rel) != self._broadcast_anchors.get(rel, -1):
-                # A broadcast-read relation grew somewhere: every shard's
-                # part joined against the full old copy, so every shard's
-                # state is stale at once.
-                return self._reinitialize_all_shards_locked(db)
-        touched = False
-        for i, maintainer in enumerate(self._shard_maintainers):
-            anchors = self._shard_anchors[i]
-            shard = db.shard(i)
-            changed = {rel for rel in compiled.partitioned
-                       if shard.relation(rel).version > anchors.get(rel, -1)}
-            if not changed:
-                continue
-            touched = True
-            window = dict(anchors)
-            window.update(self._alias_anchors)
-            try:
-                maintainer.apply_delta(self._exec_dbs[i], window, changed,
-                                       _SHARD_LOCAL_BACKEND)
-            except (DeltaUnavailable, DeltaRewriteError, LoweringError,
-                    PlanError):
-                # This shard fell behind its bounded delta log: recompute
-                # its part only; sibling shards keep their state.
-                maintainer.initialize(self._exec_dbs[i], _SHARD_LOCAL_BACKEND)
-                self.shard_rebuilds += 1
-            for rel in compiled.partitioned:
-                anchors[rel] = shard.relation(rel).version
-        if not touched:
-            return self._republish(db)
-        self.incremental_refreshes += 1
-        return self._publish(db)
-
-    def _reinitialize_all_shards_locked(self, db: ShardedDatabase) -> _Answer:
-        self._exec_dbs = self._exec_databases(db, self._compiled)
-        for maintainer, exec_db in zip(self._shard_maintainers,
-                                       self._exec_dbs):
-            maintainer.initialize(exec_db, _SHARD_LOCAL_BACKEND)
-            self.shard_rebuilds += 1
-        self._record_anchors(db)
-        return self._publish(db)
-
-    def _publish(self, db: ShardedDatabase) -> _Answer:
-        from repro.engine.delta import finish_rows, view_result_relation
-
-        parts = [maintainer.rows() for maintainer in self._shard_maintainers]
-        rows = finish_rows(db, self._plan, self._core,
-                           self._compiled.finish(db, parts))
-        return self._finish_publish(db, view_result_relation(self._plan, rows))
-
-    def _record_anchors(self, db: ShardedDatabase) -> None:
-        from repro.data.sharded import BROADCAST_SUFFIX
-
-        names = sorted(self._compiled.partitioned)
-        self._shard_anchors = [
-            {rel: db.shard(i).relation(rel).version for rel in names}
-            for i in range(db.n_shards)
-        ]
-        self._broadcast_anchors = {}
-        self._alias_anchors = {}
-        for rel in sorted(self._compiled.broadcast):
-            self._broadcast_anchors[rel] = db.relation_version(rel)
-            # Broadcast aliases are frozen copies: anchoring an as-of scan
-            # at the alias's own (current) version reads its full rows.
-            alias = db.broadcast_relation(rel)
-            self._alias_anchors[rel + BROADCAST_SUFFIX] = alias.version
+from repro.engine.plan import Plan
 
 
 class ShardedQueryService(QueryService):
@@ -260,7 +64,7 @@ class ShardedQueryService(QueryService):
     the worker pool down and unlink the page segments promptly.
 
     :meth:`register_view` works here: views materialize as per-shard
-    partials (see :class:`ShardedMaterializedView`), and :meth:`reshard`
+    parts (see :meth:`_view_recipe`), and :meth:`reshard`
     re-partitions the cluster under live views without ever serving a
     stale-layout answer.
     """
@@ -312,10 +116,35 @@ class ShardedQueryService(QueryService):
 
     # -- views -------------------------------------------------------------
 
-    def _make_view(self, name: str, text: str, language: str,
-                   fingerprint: str, refresh: str) -> MaterializedView:
-        return ShardedMaterializedView(self, name, text, language,
-                                       fingerprint, refresh)
+    def _view_recipe(self, core: Plan) -> ViewRecipe | None:
+        """One part per shard, as :func:`~repro.engine.sharded.shard_plan`
+        compiles ``core``.
+
+        Each shard maintains the compiled ``scatter`` subplan on
+        ``"vectorized"`` over its live relations plus frozen broadcast
+        aliases (re-scattering an already-sharded plan would shard it
+        again), and the compiled plan's ``finish`` gathers the parts as it
+        gathers a request's.  ``None`` when ``shard_plan`` cannot scatter
+        the core.
+        """
+        from repro.engine.sharded import shard_execution_database, shard_plan
+        from repro.engine.verify import maybe_verify_view_terms
+
+        db = self.sharded_db
+        compiled = shard_plan(core, db, self.table_statistics)
+        if compiled.mode == "fallback":
+            return None
+        maybe_verify_view_terms(compiled, db)
+        return ViewRecipe(
+            compiled.scatter,
+            lambda: [shard_execution_database(db, i, compiled.partitioned,
+                                              compiled.broadcast)
+                     for i in range(db.n_shards)],
+            "vectorized",
+            partial(compiled.finish, db),
+            compiled.broadcast,
+            compiled,
+        )
 
     # -- elasticity --------------------------------------------------------
 
@@ -385,4 +214,4 @@ class ShardedQueryService(QueryService):
         return info
 
 
-__all__ = ["ShardedMaterializedView", "ShardedQueryService"]
+__all__ = ["ShardedQueryService"]

@@ -18,11 +18,15 @@ derives the machinery to keep a materialized answer current under appends:
   (plain bag, ``DISTINCT`` over a bag, or aggregation over a bag) plus a
   stack of *finishing* operators re-applied to the (small) core output on
   refresh.
-* The maintainer classes hold the per-view state: the materialized bag, the
-  first-seen set of a distinct view, or per-group accumulators of an
-  aggregate view.  :func:`build_maintainer` is the one dispatch; the
-  sharded service runs it once per shard over the scatter subplan that
-  :func:`repro.engine.sharded.shard_plan` compiles for the view's core.
+* The maintainer classes hold the per-view state over one execution
+  database: the materialized bag, the first-seen set of a distinct view,
+  or per-group accumulators of an aggregate view, plus the version of
+  each relation read as of the last absorbed write.
+  :func:`build_maintainer` is the one dispatch; a view runs it once per
+  part of its service's recipe — once over the database on the plain
+  service, once per shard over the scatter subplan that
+  :func:`repro.engine.sharded.shard_plan` compiles for the view's core on
+  the sharded one.
 
 Everything here is **insert-only**: deletions and updates are out of scope,
 and non-monotone operators (anti/semi joins, ``EXCEPT``/``INTERSECT``,
@@ -39,12 +43,10 @@ from dataclasses import replace
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.data.database import Database
-from repro.data.relation import Relation
 from repro.expr import ast as e
 from repro.engine.execute import (
     Executor,
     Row,
-    build_result_relation,
     compiled_expr,
     get_backend,
 )
@@ -562,26 +564,52 @@ def _accumulator_spec(call: e.FuncCall, columns: tuple[str, ...]
 # ---------------------------------------------------------------------------
 
 class ViewMaintainer:
-    """Base class: incremental state for one materialized view core.
+    """Base class: incremental state for one materialized view core over
+    one execution database.
 
     Lifecycle (all calls made under the service's write lock):
 
-    * :meth:`initialize` — full computation, resetting any previous state
-      (also the rebuild path);
-    * :meth:`apply_delta` — absorb the appends past ``anchors`` for the
-      relations in ``changed``; raises
+    * :meth:`initialize` — full computation over a database, resetting any
+      previous state (also the rebuild path), and anchoring every relation
+      the core reads at its current version;
+    * :meth:`catch_up` — absorb the appends past the anchors, for the
+      relations that moved; raises
       :class:`~repro.engine.plan.DeltaUnavailable` when a relation's bounded
-      delta log no longer covers the window (the caller rebuilds);
+      delta log no longer covers the window (the caller re-initializes);
     * :meth:`rows` — the core's current output rows.
     """
 
     kind = "abstract"
 
+    def __init__(self, plan: Plan, db: Database) -> None:
+        self.source = _DeltaSource(plan, db)
+        self.db = db
+        #: relation -> the version this state has absorbed up to
+        self.anchors = dict.fromkeys(base_relations(plan), -1)
+
     def initialize(self, db: Database, backend: str) -> None:
+        self.db = db
+        self._reset()
+        self._absorb(self.source.full_rows(db, backend))
+        self.anchors = {rel: db.relation_version(rel) for rel in self.anchors}
+
+    def catch_up(self, backend: str) -> bool:
+        """Absorb the writes past the anchors; ``False`` if there were none."""
+        db = self.db
+        changed = {rel for rel, seen in self.anchors.items()
+                   if db.relation_version(rel) > seen}
+        if not changed:
+            return False
+        self._absorb(self.source.delta_rows(db, self.anchors, changed,
+                                            backend))
+        for rel in changed:
+            self.anchors[rel] = db.relation_version(rel)
+        return True
+
+    def _reset(self) -> None:
         raise NotImplementedError
 
-    def apply_delta(self, db: Database, anchors: Mapping[str, int],
-                    changed: set[str], backend: str) -> None:
+    def _absorb(self, rows: Iterable[Row]) -> None:
         raise NotImplementedError
 
     def rows(self) -> list[Row]:
@@ -593,39 +621,27 @@ class BagMaintainer(ViewMaintainer):
 
     kind = "bag"
 
-    def __init__(self, plan: Plan, db: Database) -> None:
-        self.source = _DeltaSource(plan, db)
+    def _reset(self) -> None:
         self._rows: list[Row] = []
 
-    def initialize(self, db: Database, backend: str) -> None:
-        self._rows = list(self.source.full_rows(db, backend))
-
-    def apply_delta(self, db: Database, anchors: Mapping[str, int],
-                    changed: set[str], backend: str) -> None:
-        self._rows.extend(self.source.delta_rows(db, anchors, changed, backend))
+    def _absorb(self, rows: Iterable[Row]) -> None:
+        self._rows.extend(rows)
 
     def rows(self) -> list[Row]:
         return self._rows
 
 
-class DistinctMaintainer(ViewMaintainer):
+class DistinctMaintainer(BagMaintainer):
     """``DISTINCT`` over a bag: first-seen set semantics, insert-monotone."""
 
     kind = "distinct"
 
     def __init__(self, plan: DistinctP, db: Database) -> None:
-        self.source = _DeltaSource(plan.input, db)
+        super().__init__(plan.input, db)
+
+    def _reset(self) -> None:
+        super()._reset()
         self._seen: set[Row] = set()
-        self._rows: list[Row] = []
-
-    def initialize(self, db: Database, backend: str) -> None:
-        self._seen = set()
-        self._rows = []
-        self._absorb(self.source.full_rows(db, backend))
-
-    def apply_delta(self, db: Database, anchors: Mapping[str, int],
-                    changed: set[str], backend: str) -> None:
-        self._absorb(self.source.delta_rows(db, anchors, changed, backend))
 
     def _absorb(self, rows: Iterable[Row]) -> None:
         seen = self._seen
@@ -634,9 +650,6 @@ class DistinctMaintainer(ViewMaintainer):
             if row not in seen:
                 seen.add(row)
                 out.append(row)
-
-    def rows(self) -> list[Row]:
-        return self._rows
 
 
 class AggregateMaintainer(ViewMaintainer):
@@ -651,23 +664,16 @@ class AggregateMaintainer(ViewMaintainer):
     kind = "aggregate"
 
     def __init__(self, plan: AggregateP, db: Database) -> None:
-        self.plan = plan
-        self.source = _DeltaSource(plan.input, db)
+        super().__init__(plan.input, db)
         columns = plan.input.columns
         self._width = len(columns)
         self._key_fns = [compiled_expr(x, columns) for x in plan.group_exprs]
         self._specs = [_accumulator_spec(call, columns)
                        for call, _name in plan.aggregates]
+
+    def _reset(self) -> None:
         # key -> (representative row, [accumulator per aggregate])
         self._groups: dict[tuple, tuple[Row, list[Any]]] = {}
-
-    def initialize(self, db: Database, backend: str) -> None:
-        self._groups = {}
-        self._absorb(self.source.full_rows(db, backend))
-
-    def apply_delta(self, db: Database, anchors: Mapping[str, int],
-                    changed: set[str], backend: str) -> None:
-        self._absorb(self.source.delta_rows(db, anchors, changed, backend))
 
     def _absorb(self, rows: Iterable[Row]) -> None:
         groups = self._groups
@@ -696,8 +702,8 @@ class AggregateMaintainer(ViewMaintainer):
 # Assembly
 # ---------------------------------------------------------------------------
 
-def build_maintainer(plan: Plan, db: Database) -> tuple[ViewMaintainer, Plan]:
-    """``(maintainer, core_subplan)`` for an engine plan, or raise.
+def build_maintainer(plan: Plan, db: Database) -> ViewMaintainer:
+    """The maintainer of an engine plan's maintainable core, or raise.
 
     The caller combines the maintained core rows with :func:`finish_rows`
     (for the operators above the core) and packages the output with
@@ -706,14 +712,9 @@ def build_maintainer(plan: Plan, db: Database) -> tuple[ViewMaintainer, Plan]:
     """
     core, kind = find_core(plan)
     if kind == "bag":
-        return BagMaintainer(core, db), core
+        return BagMaintainer(core, db)
     if kind == "distinct":
         assert isinstance(core, DistinctP)
-        return DistinctMaintainer(core, db), core
+        return DistinctMaintainer(core, db)
     assert isinstance(core, AggregateP)
-    return AggregateMaintainer(core, db), core
-
-
-def view_result_relation(plan: Plan, rows: Sequence[Row]) -> Relation:
-    """Package maintained rows exactly like :func:`execute_plan` would."""
-    return build_result_relation(plan.columns, list(rows))
+    return AggregateMaintainer(core, db)

@@ -42,11 +42,12 @@ bag-equal to ``"vectorized"`` over the full canonical catalog at 1, 2, and
 4 shards, and ``tests/test_fuzz_differential.py`` extends that to randomly
 generated plans.
 
-A sharded materialized view is maintained from the same compilation:
-:class:`~repro.core.sharded_service.ShardedMaterializedView` compiles its
-core with :func:`shard_plan`, keeps the compiled ``scatter`` subplan
-delta-maintained on every shard, and hands the maintained parts to
-:meth:`ShardedPlan.finish` exactly as a request hands it executed ones.
+A materialized view on the sharded service is maintained from the same
+compilation: the service's view recipe compiles the view's core with
+:func:`shard_plan`, :class:`~repro.core.service.MaterializedView` keeps the
+compiled ``scatter`` subplan delta-maintained as one part per shard, and
+hands the maintained parts to :meth:`ShardedPlan.finish` exactly as a
+request hands it executed ones.
 
 Known, documented divergences from single-node execution (bag equality is
 the contract, row order is not): gathered rows arrive in shard order, so

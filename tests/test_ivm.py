@@ -342,7 +342,11 @@ class TestMaterializedViews:
             for i in range(20):  # far past the log bound
                 reserves.add((22, 101, f"2025-06-{(i % 28) + 1:02d}"))
         assert view.answer().bag_equal(fresh_answers(service.db, JOIN_SQL))
-        assert view.rebuilds == rebuilds + 1
+        # The view's one part fell behind its log and recomputed itself;
+        # the view as a whole did not rematerialize.
+        assert view.shard_rebuilds == 1
+        assert view.rebuilds == rebuilds
+        assert view.strategy == "distinct"
 
     def test_structure_change_triggers_rebuild(self):
         service = QueryService(sailors_database())

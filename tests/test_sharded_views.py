@@ -3,9 +3,10 @@
 The composition gap this closes: materialized views (delta-plan
 maintenance) and scatter-gather sharding used to be mutually exclusive —
 ``ShardedQueryService.register_view`` raised unsupported.  Now
-:class:`~repro.core.sharded_service.ShardedMaterializedView` maintains one
-partial per shard over the shard's live relations (whose delta logs work)
-and combines partials at refresh time.  These tests pin down:
+:class:`~repro.core.service.MaterializedView` maintains one part per
+shard over the shard's live relations (whose delta logs work) and gathers
+the parts at refresh time; on the plain service it has one part.  These
+tests pin down:
 
 * the whole canonical catalog — every query in every language — registers
   and answers identically to the single-node service at 1, 2, and 4
@@ -18,7 +19,8 @@ and combines partials at refresh time.  These tests pin down:
 * views with no maintainable core, recursive Datalog included, rebuild on
   every refresh on the plain and the sharded service alike;
 * one hot shard overflowing its bounded delta log rebuilds that shard's
-  partial only, never poisoning siblings;
+  part only, never poisoning siblings — and on the plain service and at
+  one shard the one part recomputes, not the whole view;
 * a write to a broadcast-read relation invalidates every shard's partial;
 * :meth:`~repro.core.sharded_service.ShardedQueryService.reshard` under
   live views never serves a wrong or stale-aliased answer, and the
@@ -53,6 +55,21 @@ SERVICES = {
     "sharded": lambda db: ShardedQueryService(db, n_shards=2),
 }
 
+#: Services whose views have one part (the plain service, on two
+#: backends, and one shard) or two (two shards).
+PART_SERVICES = {
+    "plain-row": lambda db: QueryService(db, backend="row"),
+    "plain-vectorized": lambda db: QueryService(db, backend="vectorized"),
+    "sharded-1": lambda db: ShardedQueryService(db, n_shards=1),
+    "sharded-2": lambda db: ShardedQueryService(db, n_shards=2),
+}
+
+#: ``view.info()`` keys on every service, and those only a sharded one adds.
+INFO_KEYS = {"name", "language", "strategy", "refresh_policy", "version",
+             "current", "rows", "refreshes", "incremental_refreshes",
+             "rebuilds", "base_relations"}
+SHARDED_INFO_KEYS = {"n_shards", "shard_rebuilds", "generation"}
+
 #: The two views the ``sharded-write-mix`` workload serves, with the recipe
 #: ``shard_plan`` compiles for each one's core (Reserves is sharded on sid,
 #: Boats on bid, so neither groups on its own partition key).
@@ -85,6 +102,13 @@ WRITE_ROUNDS = (
 def _apply(service, round_):
     kind, relation, payload = round_
     getattr(service, kind)(relation, payload)
+
+
+def _part_of(service, row):
+    """The view part a routed write of Sailors ``row`` lands in."""
+    if isinstance(service, ShardedQueryService):
+        return service.shard_for("Sailors", row)
+    return 0
 
 
 def _register_catalog(service):
@@ -135,14 +159,15 @@ class TestCatalogViewsDifferential:
         view = service.register_view("SELECT DISTINCT R.sid FROM Reserves R")
         view.answer()
         assert view.strategy == "sharded-distinct"
-        anchors_before = [dict(a) for a in view._shard_anchors]
+        anchors_before = [dict(part.anchors) for part in view._parts]
         row = (88, 104, "2025/07/04")
         owner = service.shard_for("Reserves", row)
         service.add_row("Reserves", row)
         view.answer()
         assert view.incremental_refreshes == 1
         for i, (before, after) in enumerate(zip(anchors_before,
-                                                view._shard_anchors)):
+                                                [part.anchors for part
+                                                 in view._parts])):
             if i == owner:
                 assert after["reserves"] > before["reserves"]
             else:
@@ -189,7 +214,7 @@ class TestViewRecipes:
         service = ShardedQueryService(sailors_database(), n_shards=shards)
         view = service.register_view(sql)
         assert view.strategy == "sharded-aggregate"
-        assert view._compiled.describe() == recipe
+        assert view._recipe.compiled.describe() == recipe
 
     @pytest.mark.parametrize("shards", (2, 4))
     @pytest.mark.parametrize("sql, strategy", CO_PARTITIONED)
@@ -201,8 +226,8 @@ class TestViewRecipes:
         view = service.register_view(sql)
         baseline = plain.register_view(sql)
         assert view.strategy == strategy
-        assert view._compiled.describe() == "scatter(reserves)"
-        assert view._compiled.combine is None
+        assert view._recipe.compiled.describe() == "scatter(reserves)"
+        assert view._recipe.compiled.combine is None
         for round_ in WRITE_ROUNDS:
             _apply(plain, round_)
             _apply(service, round_)
@@ -224,38 +249,46 @@ class TestViewRecipes:
 
 
 class TestDegradationPaths:
-    def test_hot_shard_overflow_rebuilds_that_shard_only(self, monkeypatch):
+    @pytest.mark.parametrize("service_kind", sorted(PART_SERVICES))
+    def test_hot_shard_overflow_rebuilds_that_shard_only(self, service_kind,
+                                                         monkeypatch):
         monkeypatch.setattr(Relation, "DELTA_LOG_LIMIT", 4)
         plain = QueryService(sailors_database())
-        service = ShardedQueryService(sailors_database(), n_shards=2)
+        service = PART_SERVICES[service_kind](sailors_database())
+        sharded = isinstance(service, ShardedQueryService)
         sql = "SELECT S.rating, COUNT(*) FROM Sailors S GROUP BY S.rating"
         view = service.register_view(sql)
         baseline = plain.register_view(sql)
         view.answer()
-        # Route > DELTA_LOG_LIMIT single-row writes to ONE shard (each a
-        # version bump), plus one small write to the other shard.
-        target = service.shard_for("Sailors", (2000, "x", 0, 20.0))
+        # Route > DELTA_LOG_LIMIT single-row writes to ONE part (each a
+        # version bump), plus one small write to another part if the view
+        # has more than one.
+        n_parts = view.info().get("n_shards", 1)
+        target = _part_of(service, (2000, "x", 0, 20.0))
         hot, cold, sid = [], None, 2000
-        while len(hot) < 6 or cold is None:
+        while len(hot) < 6 or (cold is None and n_parts > 1):
             row = (sid, f"s{sid}", sid % 10, 20.0 + sid % 7)
-            if service.shard_for("Sailors", row) == target:
+            if _part_of(service, row) == target:
                 if len(hot) < 6:
                     hot.append(row)
             elif cold is None:
                 cold = row
             sid += 1
-        for row in hot:
+        for row in hot + ([cold] if cold is not None else []):
             service.add_row("Sailors", row)
             plain.add_row("Sailors", row)
-        service.add_row("Sailors", cold)
-        plain.add_row("Sailors", cold)
         assert view.answer().bag_equal(baseline.answer())
-        # The hot shard fell behind its log and rebuilt its own partial;
-        # the view as a whole never rematerialized, and the cold shard's
-        # delta applied incrementally.
+        # The hot part fell behind its log and recomputed itself; the view
+        # as a whole never rematerialized, and any cold part's delta
+        # applied incrementally.
         assert view.shard_rebuilds == 1
         assert view.rebuilds == 1
         assert view.incremental_refreshes >= 1
+        # Strategy strings and info() keys are each service's own.
+        assert view.strategy == ("sharded-aggregate" if sharded
+                                 else "aggregate")
+        assert set(view.info()) == (INFO_KEYS | SHARDED_INFO_KEYS if sharded
+                                    else INFO_KEYS)
 
     def test_broadcast_write_invalidates_every_shard(self):
         plain = QueryService(sailors_database())
@@ -265,7 +298,7 @@ class TestDegradationPaths:
         view = service.register_view(sql)
         baseline = plain.register_view(sql)
         view.answer()
-        assert "boats" in view._compiled.broadcast
+        assert "boats" in view._recipe.compiled.broadcast
         service.add_row("Boats", (200, "Ark", "gold"))
         plain.add_row("Boats", (200, "Ark", "gold"))
         service.add_row("Reserves", (22, 200, "2025/07/06"))
