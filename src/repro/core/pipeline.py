@@ -214,13 +214,11 @@ class QueryVisualizationPipeline:
     """
 
     def __init__(self, db: Database | None = None, *, formalism: str = "queryvis",
-                 use_engine: bool = True, backend: str = "vectorized",
-                 plan_cache_size: int = 128) -> None:
+                 backend: str = "vectorized", plan_cache_size: int = 128) -> None:
         from repro.engine import get_backend
 
         self.db = db if db is not None else sailors_database()
         self.formalism = formalism
-        self.use_engine = use_engine
         self.backend = get_backend(backend).name  # validates the name
         self._plan_cache = LRUCache(plan_cache_size)
         self.cache_stats = Counters("plan_hits", "plan_misses", "plan_binds",
@@ -367,19 +365,18 @@ class QueryVisualizationPipeline:
         from repro.engine import LoweringError, PlanError
         from repro.expr.ast import ExprError
 
-        if self.use_engine:
-            try:
-                return self._evaluate_engine(source, timings)
-            except (LoweringError, PlanError, ExprError) as exc:
-                # ExprError covers runtime divergences (the engine compiles
-                # comparisons with SQL's raising semantics; the calculi treat
-                # type mismatches as FALSE) — the reference decides.
-                for stage in ("lower", "optimize", "execute"):
-                    timings.pop(stage, None)  # stages of the failed attempt
-                warnings.append(
-                    f"engine fallback to the {source.language.upper()} "
-                    f"interpreter: {exc}"
-                )
+        try:
+            return self._evaluate_engine(source, timings)
+        except (LoweringError, PlanError, ExprError) as exc:
+            # ExprError covers runtime divergences (the engine compiles
+            # comparisons with SQL's raising semantics; the calculi treat
+            # type mismatches as FALSE) — the reference decides.
+            for stage in ("lower", "optimize", "execute"):
+                timings.pop(stage, None)  # stages of the failed attempt
+            warnings.append(
+                f"engine fallback to the {source.language.upper()} "
+                f"interpreter: {exc}"
+            )
         return self._evaluate_reference(source.ast(), source.language), None
 
     def _evaluate_engine(self, source: _Source,

@@ -52,9 +52,8 @@ class RelationError(Exception):
 # distinct values stored once — offsets + one UTF-8 blob — followed by an
 # int32/int64 code per row, ``-1`` at NULL positions), ``E``
 # dictionary-encoded low-cardinality mixed columns (first-occurrence
-# pickled dictionary + int32 codes), ``s`` plain UTF-8 blob + ``q``
-# offsets (legacy string layout, still decoded), ``z`` all-NULL, ``o``
-# pickled list (mixed types, out-of-range ints — the exact fallback).
+# pickled dictionary + int32 codes), ``z`` all-NULL, ``o`` pickled list
+# (mixed types, out-of-range ints — the exact fallback).
 # Decoding reproduces the original Python values bit-for-bit, which is what
 # lets the differential suites pin worker results against in-process ones.
 #
@@ -239,12 +238,8 @@ def _decode_column(kind: str, mask: bytes, payload: "bytes | memoryview",
         out = values.tolist()
     elif kind == "B":
         out = [bool(b) for b in payload]
-    else:  # "s"
-        offsets = array("q")
-        offsets.frombytes(payload[: 8 * (n_rows + 1)])
-        blob = payload[8 * (n_rows + 1):]
-        out = [blob[offsets[i]:offsets[i + 1]].decode("utf-8")
-               for i in range(n_rows)]
+    else:
+        raise RelationError(f"unknown column page kind {kind!r}")
     if mask:
         out = [None if m else v for m, v in zip(mask, out)]
     return out
@@ -376,7 +371,7 @@ class ColumnStore:
             offset += payload_len
             arrays.append(_decode_column(
                 kind, bytes(mask),
-                bytes(payload) if kind in ("s", "B") else payload, n_rows))
+                bytes(payload) if kind == "B" else payload, n_rows))
             if kind in ("q", "d", "D"):
                 pages[i] = (kind, mask, payload, n_rows)
         store = cls(names, arrays)

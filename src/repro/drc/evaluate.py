@@ -9,7 +9,9 @@ guard at all fall back to the active domain.
 
 Universal quantifiers and implications are rewritten away
 (∀x φ ⇒ ¬∃x ¬φ), so the evaluator core only handles ∃, ∧, ∨, ¬, atoms and
-comparisons.
+comparisons.  Bound variables are first renamed apart
+(:func:`repro.logic.transform.standardize_apart`), so an inner quantifier
+that reuses a name binds a new variable instead of joining on the outer one.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from repro.logic.formula import (
     free_variables,
 )
 from repro.logic.terms import Const, Term, Var
-from repro.logic.transform import eliminate_implications
+from repro.logic.transform import eliminate_implications, standardize_apart
 
 Env = dict[str, Any]
 
@@ -226,7 +228,7 @@ def evaluate_drc(query: "DRCQuery | str", db: Database) -> Relation:
 
         query = parse_drc(query)
 
-    body = _rewrite(query.body)
+    body = _rewrite(standardize_apart(query.body))
     head_vars = query.head_variables()
     free = {v.name for v in free_variables(body)}
     for var in head_vars:
@@ -258,7 +260,7 @@ def evaluate_drc_boolean(formula: "Formula | str", db: Database) -> bool:
             "boolean evaluation requires a sentence; free variables: "
             + ", ".join(v.name for v in free)
         )
-    body = _rewrite(formula)
+    body = _rewrite(standardize_apart(formula))
     domain = sorted(db.active_domain(), key=lambda v: (str(type(v)), str(v)))
     return _holds(body, db, {}, domain)
 

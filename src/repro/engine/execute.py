@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
+from dataclasses import replace
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 from repro.data.database import Database
@@ -57,6 +58,7 @@ from repro.engine.plan import (
     SortLimitP,
     resolve_column,
 )
+from repro.engine.stats import DELTA_SUFFIX
 
 Row = tuple
 RowFn = Callable[[Row], Any]
@@ -817,8 +819,10 @@ def lower_datalog(program: Any, db: Database) -> CompiledDatalog:
                 if isinstance(item, Literal) and not item.negated:
                     predicate = item.predicate.lower()
                     if predicate in stratum_preds:
+                        delta = replace(item, predicate=predicate + DELTA_SUFFIX)
+                        body = rule.body[:position] + (delta,) + rule.body[position + 1:]
                         variants.append((predicate, lower_datalog_rule(
-                            rule, arities, {position: f"{predicate}@delta"})))
+                            replace(rule, body=body), arities)))
             rules.append(CompiledRule(
                 head, head_vars, lower_datalog_rule(rule, arities), (),
                 tuple(variants)))
@@ -935,7 +939,7 @@ def run_datalog(compiled: CompiledDatalog, db: Database) -> dict[str, set[Row]]:
         # same-stratum predicate).
         while delta_variants and any(delta[p] for p in stratum_preds):
             for predicate in stratum_preds:
-                materialize(f"{predicate}@delta", predicate, delta[predicate])
+                materialize(predicate + DELTA_SUFFIX, predicate, delta[predicate])
             new_delta: dict[str, set[Row]] = {p: set() for p in stratum_preds}
             derive(Executor(working), delta_variants, new_delta)
             delta = new_delta
@@ -943,8 +947,8 @@ def run_datalog(compiled: CompiledDatalog, db: Database) -> dict[str, set[Row]]:
                 if delta[predicate]:
                     materialize(predicate, predicate, facts[predicate])
         for predicate in stratum_preds:
-            if f"{predicate}@delta" in working:
-                working.drop_relation(f"{predicate}@delta")
+            if predicate + DELTA_SUFFIX in working:
+                working.drop_relation(predicate + DELTA_SUFFIX)
 
     return facts
 

@@ -14,11 +14,17 @@ One compiler per frontend:
   reference evaluator's set/bag mode switching (``GroupBy`` inputs are bags,
   set mode adds a final duplicate elimination).
 * :func:`lower_trc` / :func:`lower_drc` — safe-calculus compilation:
-  ∀ and → are rewritten away (∀x φ ⇒ ¬∃x ¬φ), negations pushed to
-  quantifiers and leaves, positive atoms become guard scans, negated
-  existentials become dependent anti-joins.
-* :func:`lower_datalog_rule` — one conjunctive plan per rule (shared by the
-  semi-naive fixpoint driver in :mod:`repro.engine.execute`).
+  bound variables are renamed apart (DRC's by
+  :func:`repro.logic.transform.standardize_apart`), ∀ and → are rewritten
+  away (∀x φ ⇒ ¬∃x ¬φ), negations pushed to quantifiers and leaves,
+  positive atoms become guard scans, negated existentials become dependent
+  anti-joins.
+* :func:`lower_datalog_rule` — a rule body is a DRC conjunction: its
+  positive literals as atoms (in body order), its comparisons, and its
+  negated literals as negated atoms, lowered by the DRC compiler and
+  projected onto the head.  A semi-naive delta variant is the same
+  conjunction with one atom over ``pred@delta`` (the fixpoint loop lives in
+  :mod:`repro.engine.execute`).
 
 Anything outside a frontend's supported fragment raises
 :class:`LoweringError`; callers (the pipeline) fall back to the reference
@@ -34,7 +40,7 @@ evaluator does only when no rows exercise them.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.data.schema import DatabaseSchema, SchemaError
 from repro.expr import ast as e
@@ -52,10 +58,15 @@ from repro.engine.plan import (
     has_column,
     resolve_column,
 )
+from repro.engine.stats import DELTA_SUFFIX
 
 
 class LoweringError(Exception):
     """Raised when a query lies outside the engine's supported fragment."""
+
+
+#: Maps a calculus atom's predicate to the relation it scans and its arity.
+Scan = Callable[[str], tuple[str, int]]
 
 
 # ---------------------------------------------------------------------------
@@ -859,7 +870,7 @@ def lower_drc(query: "Any | str", schema: DatabaseSchema) -> Plan:
     """Lower a safe (guarded) DRC query (text or AST) to a plan."""
     from repro.drc.ast import DRCError
     from repro.drc.evaluate import _rewrite as drc_rewrite
-    from repro.logic.terms import Const as LConst, Var as LVar
+    from repro.logic.transform import standardize_apart
 
     if isinstance(query, str):
         from repro.drc.parser import parse_drc
@@ -867,16 +878,29 @@ def lower_drc(query: "Any | str", schema: DatabaseSchema) -> Plan:
         query = parse_drc(query)
 
     try:
-        body = drc_rewrite(_alpha_rename_drc(query.body))
+        body = drc_rewrite(standardize_apart(query.body))
     except DRCError as exc:
         raise LoweringError(str(exc)) from exc
 
-    plan = _apply_drc(None, body, schema)
+    def scan(predicate: str) -> tuple[str, int]:
+        try:
+            rel = schema.relation(predicate)
+        except SchemaError as exc:
+            raise LoweringError(str(exc)) from exc
+        return rel.name, rel.arity
+
+    plan = _apply_drc(None, body, scan)
     if plan is None:
         raise LoweringError("DRC query has no positive relation atoms")
+    return _project_head(plan, query.head, query.output_names())
+
+
+def _project_head(plan: Plan, head: Sequence[Any], names: Sequence[str]) -> Plan:
+    """The distinct projection of ``plan`` onto head terms (variables, constants)."""
+    from repro.logic.terms import Const as LConst, Var as LVar
 
     exprs: list[e.Expr] = []
-    for term in query.head:
+    for term in head:
         if isinstance(term, LVar):
             if not has_column(plan.columns, term.name):
                 raise LoweringError(
@@ -887,82 +911,10 @@ def lower_drc(query: "Any | str", schema: DatabaseSchema) -> Plan:
             exprs.append(e.Const(term.value))
         else:
             raise LoweringError(f"unsupported head term {term!r}")
-    names = _dedupe_names(query.output_names())
-    return DistinctP(ProjectP(plan, tuple(exprs), names))
+    return DistinctP(ProjectP(plan, tuple(exprs), _dedupe_names(names)))
 
 
-def _alpha_rename_drc(formula: Any) -> Any:
-    """Rename quantifier-bound domain variables apart (so sibling scopes that
-    reuse a name compile to distinct plan columns)."""
-    from repro.logic import formula as f
-    from repro.logic.formula import free_variables
-    from repro.logic.terms import Var as LVar
-
-    used: set[str] = set()
-    for node in _walk_drc(formula):
-        if isinstance(node, f.Atom):
-            used.update(t.name for t in node.terms if isinstance(t, LVar))
-        elif isinstance(node, f.Compare):
-            used.update(t.name for t in (node.left, node.right) if isinstance(t, LVar))
-        elif isinstance(node, (f.Exists, f.ForAll)):
-            used.update(v.name for v in node.variables)
-    counter = itertools.count(1)
-
-    def fresh(name: str) -> str:
-        while True:
-            candidate = f"{name}_{next(counter)}"
-            if candidate not in used:
-                used.add(candidate)
-                return candidate
-
-    def rename(node: Any, env: Mapping[str, str], seen: set[str]) -> Any:
-        if isinstance(node, f.Truth):
-            return node
-        if isinstance(node, f.Atom):
-            return f.Atom(node.predicate, tuple(
-                LVar(env.get(t.name, t.name)) if isinstance(t, LVar) else t
-                for t in node.terms))
-        if isinstance(node, f.Compare):
-            def term(x: Any) -> Any:
-                if isinstance(x, LVar):
-                    return LVar(env.get(x.name, x.name))
-                return x
-            return f.Compare(term(node.left), node.op, term(node.right))
-        if isinstance(node, f.And):
-            return f.And(tuple(rename(o, env, seen) for o in node.operands))
-        if isinstance(node, f.Or):
-            return f.Or(tuple(rename(o, env, seen) for o in node.operands))
-        if isinstance(node, f.Not):
-            return f.Not(rename(node.operand, env, seen))
-        if isinstance(node, f.Implies):
-            return f.Implies(rename(node.antecedent, env, seen),
-                             rename(node.consequent, env, seen))
-        if isinstance(node, f.Iff):
-            return f.Iff(rename(node.left, env, seen), rename(node.right, env, seen))
-        if isinstance(node, (f.Exists, f.ForAll)):
-            new_env = dict(env)
-            new_vars = []
-            for var in node.variables:
-                new_name = fresh(var.name) if var.name in seen else var.name
-                seen.add(new_name)
-                new_env[var.name] = new_name
-                new_vars.append(LVar(new_name))
-            body = rename(node.body, new_env, seen)
-            cls = f.Exists if isinstance(node, f.Exists) else f.ForAll
-            return cls(tuple(new_vars), body)
-        raise LoweringError(f"unexpected DRC node {type(node).__name__}")
-
-    seen = {v.name for v in free_variables(formula)}
-    return rename(formula, {}, seen)
-
-
-def _walk_drc(formula: Any):
-    yield formula
-    for child in formula.children():
-        yield from _walk_drc(child)
-
-
-def _apply_drc(plan: Plan | None, formula: Any, schema: DatabaseSchema) -> Plan | None:
+def _apply_drc(plan: Plan | None, formula: Any, scan: Scan) -> Plan | None:
     from repro.logic import formula as f
 
     conjuncts = _drc_conjuncts(formula)
@@ -970,7 +922,7 @@ def _apply_drc(plan: Plan | None, formula: Any, schema: DatabaseSchema) -> Plan 
     # Positive atoms first: they bind variables.
     for conjunct in conjuncts:
         if isinstance(conjunct, f.Atom):
-            plan = _drc_join_atom(plan, conjunct, schema)
+            plan = _drc_join_atom(plan, conjunct, scan)
 
     deferred: list[Any] = []
     local_parts: list[e.Expr] = []
@@ -987,7 +939,7 @@ def _apply_drc(plan: Plan | None, formula: Any, schema: DatabaseSchema) -> Plan 
         plan = _filter(plan, e.conjunction(local_parts))
 
     for conjunct in deferred:
-        plan = _apply_drc_quantified(plan, conjunct, schema)
+        plan = _apply_drc_quantified(plan, conjunct, scan)
     return plan
 
 
@@ -1004,21 +956,20 @@ def _drc_conjuncts(formula: Any) -> list[Any]:
     return [formula]
 
 
-def _drc_atom_plan(atom: Any, schema: DatabaseSchema) -> tuple[Plan, list[str]]:
+def _drc_atom_plan(atom: Any, scan: Scan) -> tuple[Plan, list[str]]:
     """A plan for one positive atom, projected onto its variables."""
     from repro.logic.terms import Const as LConst, Var as LVar
 
-    try:
-        rel = schema.relation(atom.predicate)
-    except SchemaError as exc:
-        raise LoweringError(str(exc)) from exc
-    if rel.arity != len(atom.terms):
+    relation, arity = scan(atom.predicate)
+    if arity != len(atom.terms):
         raise LoweringError(
             f"atom {atom.predicate} has {len(atom.terms)} terms but the relation "
-            f"has arity {rel.arity}"
+            f"has arity {arity}"
         )
-    temp = tuple(f"__{atom.predicate.lower()}.{i}" for i in range(rel.arity))
-    plan: Plan = ScanP(rel.name, temp)
+    # A delta occurrence names its columns after the predicate it is a delta of.
+    label = atom.predicate.lower().removesuffix(DELTA_SUFFIX)
+    temp = tuple(f"__{label}.{i}" for i in range(arity))
+    plan: Plan = ScanP(relation, temp)
     conditions: list[e.Expr] = []
     var_first: dict[str, int] = {}
     for i, term in enumerate(atom.terms):
@@ -1038,14 +989,15 @@ def _drc_atom_plan(atom: Any, schema: DatabaseSchema) -> tuple[Plan, list[str]]:
     if not variables:
         # A fully-constant atom: keep a single marker column so the plan has
         # a schema; membership is what matters.
-        return ProjectP(plan, (e.Col(temp[0]),), (f"__{atom.predicate.lower()}_witness",)), []
+        return ProjectP(plan, (e.Col(temp[0]) if temp else e.Const(1),),
+                        (f"__{label}_witness",)), []
     plan = ProjectP(plan, tuple(e.Col(temp[var_first[v]]) for v in variables),
                     tuple(variables))
     return plan, variables
 
 
-def _drc_join_atom(plan: Plan | None, atom: Any, schema: DatabaseSchema) -> Plan:
-    atom_plan, variables = _drc_atom_plan(atom, schema)
+def _drc_join_atom(plan: Plan | None, atom: Any, scan: Scan) -> Plan:
+    atom_plan, variables = _drc_atom_plan(atom, scan)
     if plan is None:
         return atom_plan
     shared = [v for v in variables if has_column(plan.columns, v)]
@@ -1093,28 +1045,26 @@ def _drc_local_expr(formula: Any, columns: Sequence[str]) -> e.Expr:
 
 
 def _apply_drc_quantified(plan: Plan | None, conjunct: Any,
-                          schema: DatabaseSchema) -> Plan:
+                          scan: Scan) -> Plan:
     from repro.logic import formula as f
 
     if isinstance(conjunct, f.Exists):
-        extended = _apply_drc(plan, conjunct.body, schema)
+        extended = _apply_drc(plan, conjunct.body, scan)
         if extended is None:
             raise LoweringError("existential body binds no variables (unsafe DRC)")
-        if plan is None:
-            return extended
         return extended
     if isinstance(conjunct, f.Not):
         if plan is None:
             raise LoweringError("top-level negation is unsafe DRC")
         inner = conjunct.operand
         if isinstance(inner, f.Exists):
-            dependent = _apply_drc(plan, inner.body, schema)
+            dependent = _apply_drc(plan, inner.body, scan)
             assert dependent is not None
             return JoinP(plan, dependent, "anti",
                          left_keys=plan.columns, right_keys=plan.columns,
                          null_matches=True)
         if isinstance(inner, f.Atom):
-            atom_plan, variables = _drc_atom_plan(inner, schema)
+            atom_plan, variables = _drc_atom_plan(inner, scan)
             if variables and not all(has_column(plan.columns, v) for v in variables):
                 raise LoweringError(
                     f"negated atom {inner.predicate} has unguarded variables"
@@ -1127,7 +1077,7 @@ def _apply_drc_quantified(plan: Plan | None, conjunct: Any,
         )
     if isinstance(conjunct, f.Or):
         if plan is None:
-            branches = [_apply_drc(None, operand, schema) for operand in conjunct.operands]
+            branches = [_apply_drc(None, operand, scan) for operand in conjunct.operands]
             if any(b is None for b in branches):
                 raise LoweringError("disjunct binds no variables (unsafe DRC)")
             shared = [c for c in branches[0].columns
@@ -1140,7 +1090,7 @@ def _apply_drc_quantified(plan: Plan | None, conjunct: Any,
             return out
         branches = []
         for operand in conjunct.operands:
-            branch = _apply_drc(plan, operand, schema)
+            branch = _apply_drc(plan, operand, scan)
             assert branch is not None
             branches.append(_project_to(branch, plan.columns))
         out = branches[0]
@@ -1154,137 +1104,35 @@ def _apply_drc_quantified(plan: Plan | None, conjunct: Any,
 # Datalog (per-rule; the fixpoint loop lives in engine.execute)
 # ---------------------------------------------------------------------------
 
-def lower_datalog_rule(rule: Any, arities: Mapping[str, int],
-                       scan_overrides: Mapping[int, str] | None = None) -> Plan:
+def lower_datalog_rule(rule: Any, arities: Mapping[str, int]) -> Plan:
     """Lower one Datalog rule body to a plan producing head rows.
 
-    ``arities`` maps (lower-cased) predicate names to arities — needed for
-    IDB predicates that may be empty when the plan is built.
-    ``scan_overrides`` maps *positions in the rule body* to replacement
-    relation names; the semi-naive driver uses this to point one occurrence
-    of a recursive predicate at its delta relation.
+    The body is the DRC conjunction of its literals, as atoms and negated
+    atoms, and its comparisons, lowered by :func:`_apply_drc`; positive
+    atoms join in body order.  ``arities`` maps (lower-cased) predicate
+    names to arities — needed for IDB predicates that may be empty when the
+    plan is built.  A literal over ``pred@delta`` scans that delta relation:
+    semi-naive evaluation's variants point one occurrence of a recursive
+    predicate at it.
     """
-    from repro.datalog.ast import BuiltinComparison, Literal
-    from repro.logic.terms import Const as LConst, Var as LVar
+    from repro.datalog.ast import BuiltinComparison
+    from repro.logic import formula as f
 
-    overrides = scan_overrides or {}
-    plan: Plan | None = None
+    def scan(predicate: str) -> tuple[str, int]:
+        arity = arities.get(predicate.lower().removesuffix(DELTA_SUFFIX))
+        if arity is None:
+            raise LoweringError(f"unknown predicate {predicate!r}")
+        return predicate, arity
 
-    # Positive literals, in body order.
-    for position, item in enumerate(rule.body):
-        if not (isinstance(item, Literal) and not item.negated):
-            continue
-        relation = overrides.get(position, item.predicate)
-        plan = _datalog_join_literal(plan, item, relation, arities)
-
-    # Comparisons, then negated literals (all their variables are bound by
-    # the positive part — rule safety guarantees it).
+    conjuncts: list[Any] = []
     for item in rule.body:
         if isinstance(item, BuiltinComparison):
-            if plan is None:
-                raise LoweringError("comparison with no positive literals (unsafe rule)")
-            plan = _filter(plan, e.Comparison(
-                _datalog_term_expr(item.left, plan.columns),
-                item.op,
-                _datalog_term_expr(item.right, plan.columns),
-            ))
-    for position, item in enumerate(rule.body):
-        if isinstance(item, Literal) and item.negated:
-            if plan is None:
-                raise LoweringError("negated literal with no positive literals (unsafe rule)")
-            atom_plan, variables = _datalog_literal_plan(
-                item, overrides.get(position, item.predicate), arities)
-            if not all(has_column(plan.columns, v) for v in variables):
-                raise LoweringError(
-                    f"negated literal {item.predicate} has unbound variables"
-                )
-            plan = JoinP(plan, atom_plan, "anti",
-                         left_keys=tuple(variables), right_keys=tuple(variables),
-                         null_matches=True)
-
-    # Head projection.
-    exprs: list[e.Expr] = []
-    for term in rule.head.terms:
-        if isinstance(term, LVar):
-            if plan is None or not has_column(plan.columns, term.name):
-                raise LoweringError(
-                    f"head variable {term.name} of {rule.head.predicate} is unbound"
-                )
-            exprs.append(e.Col(term.name))
-        elif isinstance(term, LConst):
-            exprs.append(e.Const(term.value))
+            conjuncts.append(f.Compare(item.left, item.op, item.right))
         else:
-            raise LoweringError(f"unsupported head term {term!r}")
+            atom = f.Atom(item.predicate, item.terms)
+            conjuncts.append(f.Not(atom) if item.negated else atom)
+    plan = _apply_drc(None, f.And(tuple(conjuncts)), scan)
     if plan is None:
         raise LoweringError("facts are materialised directly, not lowered")
-    names = _dedupe_names([f"col{i + 1}" for i in range(len(exprs))])
-    return DistinctP(ProjectP(plan, tuple(exprs), names))
-
-
-def _datalog_literal_plan(literal: Any, relation: str,
-                          arities: Mapping[str, int]) -> tuple[Plan, list[str]]:
-    from repro.logic.terms import Const as LConst, Var as LVar
-
-    arity = arities.get(literal.predicate.lower())
-    if arity is None:
-        raise LoweringError(f"unknown predicate {literal.predicate!r}")
-    if arity != literal.arity:
-        raise LoweringError(
-            f"literal {literal.predicate} has arity {literal.arity}, expected {arity}"
-        )
-    temp = tuple(f"__{literal.predicate.lower()}.{i}" for i in range(arity))
-    plan: Plan = ScanP(relation, temp)
-    conditions: list[e.Expr] = []
-    var_first: dict[str, int] = {}
-    for i, term in enumerate(literal.terms):
-        if isinstance(term, LConst):
-            conditions.append(e.Comparison(e.Col(temp[i]), "=", e.Const(term.value)))
-        elif isinstance(term, LVar):
-            if term.name in var_first:
-                conditions.append(e.Comparison(e.Col(temp[i]), "=",
-                                               e.Col(temp[var_first[term.name]])))
-            else:
-                var_first[term.name] = i
-        else:
-            raise LoweringError(f"unsupported literal term {term!r}")
-    if conditions:
-        plan = FilterP(plan, e.conjunction(conditions))
-    variables = list(var_first)
-    if not variables:
-        return ProjectP(plan, (e.Col(temp[0]) if temp else e.Const(1),),
-                        (f"__{literal.predicate.lower()}_witness",)), []
-    plan = ProjectP(plan, tuple(e.Col(temp[var_first[v]]) for v in variables),
-                    tuple(variables))
-    return plan, variables
-
-
-def _datalog_join_literal(plan: Plan | None, literal: Any, relation: str,
-                          arities: Mapping[str, int]) -> Plan:
-    literal_plan, variables = _datalog_literal_plan(literal, relation, arities)
-    if plan is None:
-        return literal_plan
-    shared = [v for v in variables if has_column(plan.columns, v)]
-    new = [v for v in variables if v not in shared]
-    if not new:
-        return JoinP(plan, literal_plan, "semi",
-                     left_keys=tuple(shared), right_keys=tuple(shared),
-                     null_matches=True)
-    joined = JoinP(plan, literal_plan, "inner",
-                   left_keys=tuple(shared), right_keys=tuple(shared),
-                   null_matches=True)
-    positions = list(range(len(plan.columns))) + [
-        len(plan.columns) + variables.index(v) for v in new
-    ]
-    return _project_positions(joined, positions, tuple(plan.columns) + tuple(new))
-
-
-def _datalog_term_expr(term: Any, columns: Sequence[str]) -> e.Expr:
-    from repro.logic.terms import Const as LConst, Var as LVar
-
-    if isinstance(term, LVar):
-        if not has_column(columns, term.name):
-            raise LoweringError(f"comparison variable {term.name} is unbound")
-        return e.Col(term.name)
-    if isinstance(term, LConst):
-        return e.Const(term.value)
-    raise LoweringError(f"unsupported term {term!r}")
+    return _project_head(plan, rule.head.terms,
+                         [f"col{i + 1}" for i in range(rule.head.arity)])

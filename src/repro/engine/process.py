@@ -56,10 +56,7 @@ moving it into **worker processes**:
 parent process — the row counts involved never repay process IPC.
 
 Environment knobs: ``REPRO_PROCESS_WORKERS`` pins the pool width (default:
-CPU count, clamped to [1, 16]); ``REPRO_PROCESS_START_METHOD`` overrides
-the ``multiprocessing`` start method (default: ``fork`` where available —
-workers then inherit the parent's modules without re-import);
-``REPRO_KERNELS`` (see :mod:`repro.engine.kernels`) controls the compiled
+CPU count, clamped to [1, 16]); ``REPRO_KERNELS`` (see :mod:`repro.engine.kernels`) controls the compiled
 kernels in both parent and workers.
 """
 
@@ -114,9 +111,6 @@ def default_process_workers() -> int:
 
 def _default_start_method() -> str | None:
     """``fork`` where supported (fast, inherits modules), else the default."""
-    env = os.environ.get("REPRO_PROCESS_START_METHOD", "").strip()
-    if env:
-        return env
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else None
 

@@ -8,8 +8,6 @@ quantifier prefix used by the "default reading order" of QueryVis.
 
 from __future__ import annotations
 
-import itertools
-
 from repro.logic.formula import (
     And,
     Atom,
@@ -26,6 +24,7 @@ from repro.logic.formula import (
     all_variables,
     conjunction,
     disjunction,
+    free_variables,
     rename_variables,
 )
 from repro.logic.terms import Var, fresh_variable
@@ -84,9 +83,9 @@ def to_nnf(formula: Formula) -> Formula:
 
 
 def standardize_apart(formula: Formula) -> Formula:
-    """Rename bound variables so that every quantifier binds a distinct name."""
+    """Rename bound variables so that every quantifier binds a distinct name,
+    distinct also from the formula's free variables (so none is captured)."""
     used = {v.name for v in all_variables(formula)}
-    counter = itertools.count(1)
 
     def visit(node: Formula, renaming: dict[str, str]) -> Formula:
         if isinstance(node, Truth):
@@ -121,7 +120,7 @@ def standardize_apart(formula: Formula) -> Formula:
             return cls(tuple(new_vars), body)
         raise LogicError(f"standardize_apart: unhandled {type(node).__name__}")
 
-    used_bound: set[str] = set()
+    used_bound = {v.name for v in free_variables(formula)}
     return visit(formula, {})
 
 

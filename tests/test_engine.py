@@ -127,6 +127,25 @@ class TestSQLFragment:
         assert result.answers.bag_equal(evaluate_sql(sql, db))
 
 
+class TestDRCFragment:
+    """Engine coverage of DRC scoping beyond the catalog queries."""
+
+    EXTRA_DRC = [
+        # An inner quantifier rebinds the head variable's name.
+        "{ n | exists s, r, a (Sailors(s, n, r, a) and "
+        "exists n, c (Boats(102, n, c))) }",
+        # Sibling scopes reuse a name: the two days are unrelated.
+        "{ n | exists s, r, a (Sailors(s, n, r, a) and "
+        "exists d (Reserves(s, 102, d)) and exists d (Reserves(s, 103, d))) }",
+    ]
+
+    @pytest.mark.parametrize("drc", EXTRA_DRC)
+    def test_extra_drc_matches_reference(self, db, drc):
+        engine = run_query(drc, db, "drc")
+        assert not engine.is_empty()
+        assert engine.bag_equal(answer_relation(drc, db))
+
+
 class TestSemiNaiveDatalog:
     def _edge_db(self, n: int, extra=()) -> Database:
         edges = [(i, i + 1) for i in range(1, n)] + list(extra)

@@ -128,6 +128,12 @@ class TestTransforms:
         bound = [v.name for v in bound_variables(apart)]
         assert len(bound) == len(set(bound)) == 2
 
+    def test_prenex_does_not_capture_free_variables(self):
+        prenex = to_prenex(And((P(x), Exists((x,), Q(x)))))
+        assert [v.name for v in free_variables(prenex)] == ["x"]
+        (_kind, bound), = quantifier_prefix(prenex)
+        assert bound.name != "x"
+
     def test_prenex_produces_leading_quantifiers(self):
         formula = And((Exists((x,), P(x)), ForAll((y,), Q(y))))
         prenex = to_prenex(formula)
