@@ -8,7 +8,8 @@ insert batches,
 * **full** — recomputing the query from scratch after every batch (what the
   PR-3 service had to do: any write invalidates the result cache), and
 * **incremental** — refreshing the registered view, which executes only the
-  delta plans of the appended rows (plus per-group accumulator updates).
+  delta plans of the appended rows, folding an aggregate's delta into its
+  per-group partial states as one more part.
 
 Answers are asserted bag-equal after every batch, so the speedup is honest:
 both sides produce identical results at every version.  :func:`check_gates`

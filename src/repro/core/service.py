@@ -226,14 +226,16 @@ class MaterializedView:
     Maintenance strategy (chosen at registration, re-chosen on rebuild):
 
     * engine plans with a maintainable core — delta-plan maintenance via
-      :mod:`repro.engine.delta` (bag, ``DISTINCT``, or per-group aggregate
-      accumulators), with any finishing operators re-applied to the small
+      :mod:`repro.engine.delta` (bag, ``DISTINCT``, or the per-group
+      partial states of :func:`~repro.engine.sharded.split_aggregate`'s
+      combiner), with any finishing operators re-applied to the small
       core output.  The core is maintained as the list of parts the
       service's :class:`ViewRecipe` describes: one part over the whole
       database here, one per shard on a
       :class:`~repro.core.sharded_service.ShardedQueryService`;
-    * everything else, every Datalog program included (a program is not
-      one plan) — rebuild on refresh (correct, never incremental).
+    * everything else — rebuild on refresh (correct, never incremental).
+      That includes every Datalog program (a program is not one plan) and
+      every ``DISTINCT`` aggregate (it has no partial→final rule).
 
     A refresh applies each part's delta only where that part's relations
     moved.  A part whose bounded delta log no longer covers its window

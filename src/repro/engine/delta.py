@@ -20,8 +20,11 @@ derives the machinery to keep a materialized answer current under appends:
   refresh.
 * The maintainer classes hold the per-view state over one execution
   database: the materialized bag, the first-seen set of a distinct view,
-  or per-group accumulators of an aggregate view, plus the version of
-  each relation read as of the last absorbed write.
+  or the per-group partial states of an aggregate view, plus the version
+  of each relation read as of the last absorbed write.  An aggregate's
+  states are those of the sharded partial→final combiner
+  (:func:`repro.engine.sharded.split_aggregate`): each delta is folded in
+  as one more part, so the aggregate merge has one home.
   :func:`build_maintainer` is the one dispatch; a view runs it once per
   part of its service's recipe — once over the database on the plain
   service, once per shard over the scatter subplan that
@@ -31,10 +34,11 @@ derives the machinery to keep a materialized answer current under appends:
 Everything here is **insert-only**: deletions and updates are out of scope,
 and non-monotone operators (anti/semi joins, ``EXCEPT``/``INTERSECT``,
 division, sorting with ``LIMIT``) raise :class:`DeltaRewriteError`, which the
-service layer answers by falling back to rebuild-on-refresh.  Datalog views
-rebuild on refresh too: a program is not one plan, and resuming its
-semi-naive fixpoint from the new frontier measured only 1.3–1.5x faster
-than evaluating it again.
+service layer answers by falling back to rebuild-on-refresh.  So do
+``DISTINCT`` aggregates, which have no partial→final combine rule.
+Datalog views rebuild on refresh too: a program is not one plan, and
+resuming its semi-naive fixpoint from the new frontier measured only
+1.3–1.5x faster than evaluating it again.
 """
 
 from __future__ import annotations
@@ -60,8 +64,9 @@ from repro.engine.plan import (
     ProjectP,
     ScanP,
     SetOpP,
-    SortLimitP,
 )
+from repro.engine.optimize import _rebuild
+from repro.engine.sharded import split_aggregate
 from repro.engine.verify import maybe_verify
 
 __all__ = [
@@ -224,16 +229,10 @@ def hoist_projections(plan: Plan) -> Plan:
             + tuple(_PositionCol(width + p) for p in right_positions)
         return ProjectP(joined, exprs, plan.columns)
     children = plan.children()
-    if not children:
-        return plan
-    rebuilt = tuple(hoist_projections(child) for child in children)
+    rebuilt = [hoist_projections(child) for child in children]
     if all(new is old for new, old in zip(rebuilt, children)):
         return plan
-    if isinstance(plan, (DistinctP, AggregateP, SortLimitP)):
-        return replace(plan, input=rebuilt[0])
-    if isinstance(plan, (JoinP, SetOpP)):
-        return replace(plan, left=rebuilt[0], right=rebuilt[1])
-    return plan
+    return _rebuild(plan, rebuilt)
 
 
 def _remap_positional(expr: e.Expr, from_cols: Sequence[str],
@@ -308,16 +307,10 @@ def anchor(plan: Plan, anchors: Mapping[str, int]) -> Plan:
             )
         return replace(plan, since=since)
     children = plan.children()
-    if not children:
-        return plan
-    rebuilt = tuple(anchor(child, anchors) for child in children)
+    rebuilt = [anchor(child, anchors) for child in children]
     if all(new is old for new, old in zip(rebuilt, children)):
         return plan
-    if isinstance(plan, (FilterP, ProjectP, DistinctP, AggregateP, SortLimitP)):
-        return replace(plan, input=rebuilt[0])
-    if isinstance(plan, (JoinP, SetOpP)):
-        return replace(plan, left=rebuilt[0], right=rebuilt[1])
-    raise DeltaRewriteError(f"cannot anchor {type(plan).__name__}")
+    return _rebuild(plan, rebuilt)
 
 
 # ---------------------------------------------------------------------------
@@ -420,146 +413,6 @@ class _DeltaSource:
 
 
 # ---------------------------------------------------------------------------
-# Aggregate accumulators (insert-only, matching the executors' folds)
-# ---------------------------------------------------------------------------
-
-class _CountStarAcc:
-    __slots__ = ("n",)
-
-    def __init__(self) -> None:
-        self.n = 0
-
-    def update(self, value: Any) -> None:
-        self.n += 1
-
-    def final(self) -> Any:
-        return self.n
-
-    @staticmethod
-    def empty() -> Any:
-        return 0
-
-
-class _CountAcc:
-    __slots__ = ("n",)
-
-    def __init__(self) -> None:
-        self.n = 0
-
-    def update(self, value: Any) -> None:
-        if value is not None:
-            self.n += 1
-
-    def final(self) -> Any:
-        return self.n
-
-    @staticmethod
-    def empty() -> Any:
-        return 0
-
-
-class _SumAcc:
-    """SUM/AVG: a running total plus the non-NULL count."""
-
-    __slots__ = ("total", "n", "average")
-
-    def __init__(self, average: bool) -> None:
-        self.total: Any = None
-        self.n = 0
-        self.average = average
-
-    def update(self, value: Any) -> None:
-        if value is None:
-            return
-        self.total = value if self.total is None else self.total + value
-        self.n += 1
-
-    def final(self) -> Any:
-        if self.n == 0:
-            return None
-        return self.total / self.n if self.average else self.total
-
-    @staticmethod
-    def empty() -> Any:
-        return None
-
-
-class _MinMaxAcc:
-    """MIN/MAX: monotone under inserts, so one running value suffices."""
-
-    __slots__ = ("value", "pick")
-
-    def __init__(self, pick: Callable[[Any, Any], Any]) -> None:
-        self.value: Any = None
-        self.pick = pick
-
-    def update(self, value: Any) -> None:
-        if value is None:
-            return
-        self.value = value if self.value is None else self.pick(self.value, value)
-
-    def final(self) -> Any:
-        return self.value
-
-    @staticmethod
-    def empty() -> Any:
-        return None
-
-
-class _DistinctAcc:
-    """DISTINCT aggregates keep the ordered set of seen values."""
-
-    __slots__ = ("name", "values")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.values: dict[Any, None] = {}
-
-    def update(self, value: Any) -> None:
-        if value is not None:
-            self.values.setdefault(value)
-
-    def final(self) -> Any:
-        from repro.engine.vectorized import _fold
-
-        return _fold(self.name, list(self.values))
-
-    def empty(self) -> Any:
-        return 0 if self.name == "count" else None
-
-
-def _accumulator_spec(call: e.FuncCall, columns: tuple[str, ...]
-                      ) -> tuple[Callable[[], Any], Callable[[Row], Any] | None]:
-    """``(make_accumulator, value_fn)`` for one aggregate call.
-
-    ``value_fn`` is ``None`` for ``COUNT(*)`` (which counts rows, not
-    values).  Unknown aggregates raise :class:`DeltaRewriteError` so the view
-    falls back to rebuild-on-refresh instead of silently diverging.
-    """
-    name = call.name
-    if name == "count" and call.args and isinstance(call.args[0], e.Star):
-        return _CountStarAcc, None
-    if not call.args:
-        raise DeltaRewriteError(f"aggregate {name.upper()} needs an argument")
-    value_fn = compiled_expr(call.args[0], columns)
-    if call.distinct:
-        if name not in ("count", "sum", "avg", "min", "max"):
-            raise DeltaRewriteError(f"unknown aggregate {name!r}")
-        return (lambda: _DistinctAcc(name)), value_fn
-    if name == "count":
-        return _CountAcc, value_fn
-    if name == "sum":
-        return (lambda: _SumAcc(False)), value_fn
-    if name == "avg":
-        return (lambda: _SumAcc(True)), value_fn
-    if name == "min":
-        return (lambda: _MinMaxAcc(min)), value_fn
-    if name == "max":
-        return (lambda: _MinMaxAcc(max)), value_fn
-    raise DeltaRewriteError(f"unknown aggregate {name!r}")
-
-
-# ---------------------------------------------------------------------------
 # Maintainers
 # ---------------------------------------------------------------------------
 
@@ -653,49 +506,58 @@ class DistinctMaintainer(BagMaintainer):
 
 
 class AggregateMaintainer(ViewMaintainer):
-    """Grouped aggregation over a bag, maintained via per-group accumulators.
+    """Grouped aggregation over a bag, maintained as per-group partial states.
 
-    Replicates the executors' aggregate semantics exactly: the output row is
-    the group's first input row (the representative) followed by one value
-    per aggregate, groups in first-arrival order, and the SQL ungrouped-empty
-    special case (one all-NULL representative, ``COUNT`` = 0).
+    The states are those of :func:`~repro.engine.sharded.split_aggregate`'s
+    partial→final combiner.  The initial computation is one part, computed
+    as a shard computes its own: the partial plan over the input.  Every
+    delta is lifted row by row to one-row partial states (``COUNT(*)`` → 1,
+    ``COUNT(x)`` → 0 or 1, ``SUM``/``MIN``/``MAX(x)`` → ``x``, AVG → that
+    SUM and COUNT, the presence counter → 1) and folded in as one more
+    part.  The rows are the executors': each group's first input row (the
+    representative) followed by one value per aggregate, groups in
+    first-arrival order, and the SQL ungrouped-empty case (one all-NULL
+    representative, ``COUNT`` = 0).  ``DISTINCT`` aggregates have no
+    partial→final rule and raise :class:`DeltaRewriteError`: such a view
+    rebuilds on refresh.
     """
 
     kind = "aggregate"
 
     def __init__(self, plan: AggregateP, db: Database) -> None:
+        split = split_aggregate(plan)
+        if split is None:
+            raise DeltaRewriteError(
+                "aggregate has no partial→final combine rule")
         super().__init__(plan.input, db)
-        columns = plan.input.columns
-        self._width = len(columns)
-        self._key_fns = [compiled_expr(x, columns) for x in plan.group_exprs]
-        self._specs = [_accumulator_spec(call, columns)
-                       for call, _name in plan.aggregates]
+        self._partial, self._combine = split
+        self._lifts = [_lift(call, plan.input.columns)
+                       for call, _name in self._partial.aggregates]
 
-    def _reset(self) -> None:
-        # key -> (representative row, [accumulator per aggregate])
-        self._groups: dict[tuple, tuple[Row, list[Any]]] = {}
+    def initialize(self, db: Database, backend: str) -> None:
+        self.db = db
+        self._state = self._combine.state()
+        self._state.fold(finish_rows(db, self._partial, self._partial.input,
+                                     self.source.full_rows(db, backend)))
+        self.anchors = {rel: db.relation_version(rel) for rel in self.anchors}
 
     def _absorb(self, rows: Iterable[Row]) -> None:
-        groups = self._groups
-        key_fns = self._key_fns
-        specs = self._specs
-        for row in rows:
-            key = tuple(fn(row) for fn in key_fns)
-            entry = groups.get(key)
-            if entry is None:
-                entry = (row, [make() for make, _value in specs])
-                groups[key] = entry
-            for (_make, value_fn), acc in zip(specs, entry[1]):
-                acc.update(row if value_fn is None else value_fn(row))
+        lifts = self._lifts
+        self._state.fold(row + tuple([lift(row) for lift in lifts])
+                         for row in rows)
 
     def rows(self) -> list[Row]:
-        if not self._key_fns and not self._groups:
-            # SQL's ungrouped aggregate over empty input: one all-NULL
-            # representative row with each aggregate's empty fold.
-            empties = tuple(make().empty() for make, _value in self._specs)
-            return [(None,) * self._width + empties]
-        return [representative + tuple(acc.final() for acc in accs)
-                for representative, accs in self._groups.values()]
+        return self._state.rows()
+
+
+def _lift(call: e.FuncCall, columns: tuple[str, ...]) -> Callable[[Row], Any]:
+    """One input row's partial state for one partial-plan aggregate."""
+    if isinstance(call.args[0], e.Star):  # COUNT(*), the presence counter
+        return lambda row: 1
+    value = compiled_expr(call.args[0], columns)
+    if call.name == "count":
+        return lambda row: 0 if value(row) is None else 1
+    return value  # SUM / MIN / MAX: the value itself (NULL folds as absent)
 
 
 # ---------------------------------------------------------------------------

@@ -327,11 +327,11 @@ class Executor:
         if isinstance(plan, JoinP):
             return self._join(plan)
         if isinstance(plan, SetOpP):
-            return self._setop(plan)
+            return setop_rows(plan, self.rows(plan.left), self.rows(plan.right))
         if isinstance(plan, AggregateP):
             return self._aggregate(plan)
         if isinstance(plan, DivideP):
-            return self._divide(plan)
+            return divide_rows(plan, self.rows(plan.left), self.rows(plan.right))
         if isinstance(plan, SortLimitP):
             return self._sort_limit(plan)
         raise PlanError(f"cannot execute {type(plan).__name__}")
@@ -454,36 +454,6 @@ class Executor:
                 out.append(l)
         return out
 
-    def _setop(self, plan: SetOpP) -> list[Row]:
-        left = self.rows(plan.left)
-        right = self.rows(plan.right)
-        if plan.op == "union":
-            rows = left + right
-            return _dedupe(rows) if plan.distinct else rows
-        if plan.op == "intersect":
-            if plan.distinct:
-                right_set = set(right)
-                return _dedupe([row for row in left if row in right_set])
-            counts = Counter(right)
-            out = []
-            for row in left:
-                if counts.get(row, 0) > 0:
-                    counts[row] -= 1
-                    out.append(row)
-            return out
-        # except
-        if plan.distinct:
-            right_set = set(right)
-            return _dedupe([row for row in left if row not in right_set])
-        counts = Counter(right)
-        out = []
-        for row in left:
-            if counts.get(row, 0) > 0:
-                counts[row] -= 1
-            else:
-                out.append(row)
-        return out
-
     def _aggregate(self, plan: AggregateP) -> list[Row]:
         rows = self.rows(plan.input)
         columns = plan.input.columns
@@ -519,45 +489,7 @@ class Executor:
             raise PlanError(f"aggregate {name.upper()} needs an argument")
         arg = compiled_expr(call.args[0], columns)
         distinct = call.distinct
-
-        def apply(rows: list[Row]) -> Any:
-            values = [v for v in (arg(row) for row in rows) if v is not None]
-            if distinct:
-                values = list(dict.fromkeys(values))
-            if name == "count":
-                return len(values)
-            if not values:
-                return None
-            if name == "sum":
-                return sum(values)
-            if name == "avg":
-                return sum(values) / len(values)
-            if name == "min":
-                return min(values)
-            if name == "max":
-                return max(values)
-            raise PlanError(f"unknown aggregate {name!r}")
-
-        return apply
-
-    def _divide(self, plan: DivideP) -> list[Row]:
-        left_cols = plan.left.columns
-        right_names = {c.lower() for c in plan.right.columns}
-        quotient_idx = [i for i, c in enumerate(left_cols)
-                        if c.lower() not in right_names]
-        divisor_pos = {c.lower(): i for i, c in enumerate(left_cols)}
-        divisor_idx = [divisor_pos[c.lower()] for c in plan.right.columns]
-        divisor_rows = set(_dedupe(self.rows(plan.right)))
-        groups: dict[tuple, set[tuple]] = {}
-        order: list[tuple] = []
-        for row in _dedupe(self.rows(plan.left)):
-            key = tuple(row[i] for i in quotient_idx)
-            bucket = groups.get(key)
-            if bucket is None:
-                groups[key] = bucket = set()
-                order.append(key)
-            bucket.add(tuple(row[i] for i in divisor_idx))
-        return [key for key in order if divisor_rows <= groups[key]]
+        return lambda rows: fold(name, (arg(row) for row in rows), distinct)
 
     def _sort_limit(self, plan: SortLimitP) -> list[Row]:
         rows = list(self.rows(plan.input))
@@ -574,6 +506,79 @@ class Executor:
         if plan.limit is not None:
             rows = rows[:plan.limit]
         return rows
+
+
+def setop_rows(plan: SetOpP, left: list[Row], right: list[Row]) -> list[Row]:
+    """A set operation over its two input bags (hash-based, left order)."""
+    if plan.op == "union":
+        rows = left + right
+        return _dedupe(rows) if plan.distinct else rows
+    if plan.op == "intersect":
+        if plan.distinct:
+            right_set = set(right)
+            return _dedupe([row for row in left if row in right_set])
+        counts = Counter(right)
+        out = []
+        for row in left:
+            if counts.get(row, 0) > 0:
+                counts[row] -= 1
+                out.append(row)
+        return out
+    # except
+    if plan.distinct:
+        right_set = set(right)
+        return _dedupe([row for row in left if row not in right_set])
+    counts = Counter(right)
+    out = []
+    for row in left:
+        if counts.get(row, 0) > 0:
+            counts[row] -= 1
+        else:
+            out.append(row)
+    return out
+
+
+def divide_rows(plan: DivideP, left: list[Row], right: list[Row]) -> list[Row]:
+    """Relational division: the quotient groups of ``left`` that pair with
+    every (distinct) ``right`` row, in first-occurrence order."""
+    left_cols = plan.left.columns
+    right_names = {c.lower() for c in plan.right.columns}
+    quotient_idx = [i for i, c in enumerate(left_cols)
+                    if c.lower() not in right_names]
+    divisor_pos = {c.lower(): i for i, c in enumerate(left_cols)}
+    divisor_idx = [divisor_pos[c.lower()] for c in plan.right.columns]
+    divisor_rows = set(_dedupe(right))
+    groups: dict[tuple, set[tuple]] = {}
+    order: list[tuple] = []
+    for row in _dedupe(left):
+        key = tuple(row[i] for i in quotient_idx)
+        bucket = groups.get(key)
+        if bucket is None:
+            groups[key] = bucket = set()
+            order.append(key)
+        bucket.add(tuple(row[i] for i in divisor_idx))
+    return [key for key in order if divisor_rows <= groups[key]]
+
+
+def fold(name: str, values: Iterable[Any], distinct: bool = False) -> Any:
+    """One aggregate over one group's argument values; NULLs are skipped,
+    and an empty group folds to 0 for ``COUNT``, NULL otherwise."""
+    values = [v for v in values if v is not None]
+    if distinct:
+        values = list(dict.fromkeys(values))
+    if name == "count":
+        return len(values)
+    if not values:
+        return None
+    if name == "sum":
+        return sum(values)
+    if name == "avg":
+        return sum(values) / len(values)
+    if name == "min":
+        return min(values)
+    if name == "max":
+        return max(values)
+    raise PlanError(f"unknown aggregate {name!r}")
 
 
 def delta_scan_rows(db: Database, plan: DeltaScanP) -> list[Row]:

@@ -20,7 +20,10 @@ into *per-shard subplans plus a merge step*:
   right side, which is correct for any partitioning of the left;
 * **group-bys** whose keys do not cover the partition key are split into a
   per-shard **partial aggregation** and a gather-side **final combine**
-  (COUNT → sum of counts, SUM/MIN/MAX fold, AVG → partial sum+count);
+  (COUNT → sum of counts, SUM/MIN/MAX fold, AVG → partial sum+count).
+  The combine's per-group states are also what an aggregate view
+  maintains (:class:`~repro.engine.delta.AggregateMaintainer`), folding
+  each delta in as one more part;
 * a plan whose root is not distributable sheds *finishing* operators
   (projection, filter, distinct, sort/limit) onto the merge step until a
   distributable core remains; the finishers then run once over the gathered
@@ -60,7 +63,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 from weakref import WeakKeyDictionary
 
 from repro.data.database import Database
@@ -73,6 +76,7 @@ from repro.expr import ast as e
 from repro.engine.cache import LRUCache
 from repro.engine.execute import Row, _split_name, compiled_expr
 from repro.engine.kernels import path_counts
+from repro.engine.optimize import _rebuild
 from repro.engine.plan import (
     AggregateP,
     DeltaScanP,
@@ -223,17 +227,10 @@ def _broadcast_side(plan: Plan) -> tuple[Plan, Distribution]:
         if isinstance(node, DeltaScanP):
             raise NotDistributable(
                 "delta scans cannot be broadcast (no merged delta log)")
-        children = [visit(child) for child in node.children()]
-        return _rebuild_node(node, children)
+        return _rebuild(node, [visit(child) for child in node.children()])
 
     rewritten = visit(plan)
     return rewritten, Distribution(None, frozenset(), frozenset(names))
-
-
-def _rebuild_node(plan: Plan, children: list[Plan]) -> Plan:
-    from repro.engine.optimize import _rebuild
-
-    return _rebuild(plan, children)
 
 
 def _project_key(plan: ProjectP, key: PartitionKey) -> PartitionKey:
@@ -449,7 +446,7 @@ _SPLITTABLE_AGGREGATES = ("count", "sum", "min", "max", "avg")
 
 
 def split_aggregate(agg: AggregateP, input_plan: Plan | None = None
-                    ) -> "tuple[AggregateP, Callable[[list[list[Row]]], list[Row]]] | None":
+                    ) -> "tuple[AggregateP, AggregateCombine] | None":
     """Split a group-by into a per-shard partial plan and a final combiner.
 
     Returns ``(partial_plan, combine)`` or ``None`` when an aggregate
@@ -474,8 +471,7 @@ def split_aggregate(agg: AggregateP, input_plan: Plan | None = None
             partial_calls.append((e.FuncCall("sum", call.args), f"__p{j}_sum"))
             partial_calls.append((e.FuncCall("count", call.args), f"__p{j}_cnt"))
             continue
-        kind = "count" if call.name == "count" else call.name
-        specs.append((kind, (width + len(partial_calls),)))
+        specs.append((call.name, (width + len(partial_calls),)))
         partial_calls.append((call, f"__p{j}"))
     # Presence counter: lets the combiner tell an empty shard's synthetic
     # all-NULL row (ungrouped aggregate over an empty shard) from real data.
@@ -483,45 +479,99 @@ def split_aggregate(agg: AggregateP, input_plan: Plan | None = None
     partial_calls.append((e.FuncCall("count", (e.Star(),)), "__rows"))
     partial = AggregateP(input_plan if input_plan is not None else agg.input,
                          agg.group_exprs, tuple(partial_calls))
+    return partial, AggregateCombine(agg.group_exprs, agg.input.columns,
+                                     tuple(specs), rows_position)
 
-    group_exprs = agg.group_exprs
-    input_columns = agg.input.columns
 
-    def combine(parts: list[list[Row]]) -> list[Row]:
-        group_fns = [compiled_expr(gx, input_columns) for gx in group_exprs]
-        accumulators: dict[tuple, list[Any]] = {}
-        representatives: dict[tuple, Row] = {}
-        order: list[tuple] = []
-        synthetic: Row | None = None
-        for part in parts:
-            for row in part:
-                if not group_exprs and not row[rows_position]:
-                    if synthetic is None:
-                        synthetic = row
-                    continue
-                key = tuple(fn(row) for fn in group_fns)
-                acc = accumulators.get(key)
-                if acc is None:
-                    accumulators[key] = acc = [None] * (2 * len(specs))
-                    representatives[key] = row[:width]
-                    order.append(key)
-                for s, (kind, positions) in enumerate(specs):
-                    _fold_partial(acc, s, kind, row, positions)
-        if not order and not group_exprs:
-            # Every shard was empty: one all-NULL representative row with
+@dataclass(frozen=True)
+class AggregateCombine:
+    """The final step of a split group-by: partial rows in, aggregate rows out.
+
+    A partial row is a representative input row followed by the partial
+    states :func:`split_aggregate` lays out (``specs``: one
+    ``(kind, positions)`` pair per original aggregate) and the ``__rows``
+    presence counter at ``rows_position``.  Called on a list of parts —
+    one per shard — it folds them all into a fresh :meth:`state` and
+    returns that state's rows.  A maintained view keeps one state and
+    folds each delta into it as one more part.
+    """
+
+    group_exprs: tuple[e.Expr, ...]
+    input_columns: tuple[str, ...]
+    specs: tuple[tuple[str, tuple[int, ...]], ...]
+    rows_position: int
+
+    def __call__(self, parts: list[list[Row]]) -> list[Row]:
+        state = self.state()
+        state.fold(row for part in parts for row in part)
+        return state.rows()
+
+    def state(self) -> "AggregateState":
+        """Fresh, empty per-group partial states."""
+        return AggregateState(self)
+
+
+class AggregateState:
+    """The per-group partial states of one :class:`AggregateCombine`.
+
+    :meth:`fold` merges partial rows in; :meth:`rows` finalizes every group
+    (in first-arrival order) into the original aggregate's output rows.
+    """
+
+    def __init__(self, combine: AggregateCombine) -> None:
+        self.combine = combine
+        self._group_fns = [compiled_expr(gx, combine.input_columns)
+                           for gx in combine.group_exprs]
+        # key -> [representative input row, two slots per spec, the
+        # finalized row (None until rows() runs, reset by every fold)]
+        self._groups: dict[tuple, list[Any]] = {}
+
+    def fold(self, partial_rows: Iterable[Row]) -> None:
+        """Merge partial rows into the per-group states."""
+        combine = self.combine
+        rows_position = combine.rows_position
+        width = len(combine.input_columns)
+        specs = combine.specs
+        group_fns = self._group_fns
+        groups = self._groups
+        for row in partial_rows:
+            if not row[rows_position]:  # an empty part's synthetic row
+                continue
+            key = tuple(fn(row) for fn in group_fns)
+            entry = groups.get(key)
+            if entry is None:
+                groups[key] = entry = [row[:width], [None] * (2 * len(specs)),
+                                       None]
+            else:
+                entry[2] = None
+            acc = entry[1]
+            for s, (kind, positions) in enumerate(specs):
+                _fold_partial(acc, s, kind, row, positions)
+
+    def rows(self) -> list[Row]:
+        """The finalized aggregate rows, one per group.
+
+        A group's row is finalized once and kept until a fold touches the
+        group again, so a maintained state re-finalizes only what its last
+        delta changed.
+        """
+        specs = self.combine.specs
+        if not self._groups and not self.combine.group_exprs:
+            # Every part was empty: one all-NULL representative row with
             # COUNTs folded to zero, exactly like the single-node backends.
-            base = synthetic[:width] if synthetic is not None else (None,) * width
-            return [base + tuple(_finalize(kind, None, None)
-                                 for kind, _p in specs)]
-        out: list[Row] = []
-        for key in order:
-            acc = accumulators[key]
-            out.append(representatives[key] + tuple(
-                _finalize(kind, acc[2 * s], acc[2 * s + 1])
-                for s, (kind, _p) in enumerate(specs)))
+            width = len(self.combine.input_columns)
+            return [(None,) * width + tuple(_finalize(kind, None, None)
+                                            for kind, _p in specs)]
+        out = []
+        for entry in self._groups.values():
+            row = entry[2]
+            if row is None:
+                representative, acc, _ = entry
+                row = entry[2] = representative + tuple(
+                    _finalize(kind, acc[2 * s], acc[2 * s + 1])
+                    for s, (kind, _p) in enumerate(specs))
+            out.append(row)
         return out
-
-    return partial, combine
 
 
 def _fold_partial(acc: list[Any], s: int, kind: str, row: Row,
@@ -614,7 +664,7 @@ class ShardedPlan:
     mode: str
     core: Plan | None = None
     scatter: Plan | None = None
-    combine: Callable[[list[list[Row]]], list[Row]] | None = None
+    combine: AggregateCombine | None = None
     partitioned: frozenset[str] = frozenset()
     broadcast: frozenset[str] = frozenset()
     key: tuple[int, ...] | None = None
@@ -731,7 +781,7 @@ def _compile_shard_plan(plan: Plan, sharded: ShardedDatabase,
 
 
 def _assemble(plan: Plan, core: Plan, scatter: Plan,
-              combine: Callable[[list[list[Row]]], list[Row]] | None,
+              combine: AggregateCombine | None,
               dist: Distribution, sharded: ShardedDatabase,
               shed: list[Plan]) -> ShardedPlan:
     if not dist.partitioned:

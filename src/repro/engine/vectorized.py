@@ -17,12 +17,13 @@ through each operator, this backend moves whole columns:
   actually reads them (late materialization), so an n-way join composes one
   index vector per side instead of copying every column at every step;
 * **aggregation** groups on column arrays and folds each aggregate over the
-  grouped index lists.
+  grouped index lists with the row backend's :func:`~repro.engine.execute.fold`.
 
-Set operations, division, and sorting materialize rows and reuse the row
-backend's algorithms verbatim — they are not on the hot path, and sharing
-the code is what keeps the two backends bag-equal (pinned over the whole
-canonical catalog by ``tests/test_vectorized.py``).
+Set operations other than bag union, and division, materialize rows and
+run the row backend's own functions (:func:`~repro.engine.execute.setop_rows`,
+:func:`~repro.engine.execute.divide_rows`) — they are not on the hot path,
+and sharing the code is what keeps the two backends bag-equal (pinned over
+the whole canonical catalog by ``tests/test_vectorized.py``).
 
 This is the engine's **one** columnar executor.  Its four hot loops —
 selection, hash-join probe, DISTINCT, group-by — each first offer their
@@ -47,13 +48,11 @@ protocol; select it with ``execute_plan(plan, db, backend="vectorized")`` or
 from __future__ import annotations
 
 import operator
-from collections import Counter
 from typing import Any, Callable
 
 from repro.data.database import Database
 from repro.expr import ast as e
 from repro.expr.eval import ExprError
-from repro.sql.evaluate import _dedupe
 from repro.engine import kernels
 from repro.engine.batch import (
     Batch,
@@ -72,6 +71,9 @@ from repro.engine.execute import (
     compiled_expr,
     compiled_predicate,
     delta_scan_rows,
+    divide_rows,
+    fold,
+    setop_rows,
 )
 from repro.engine.plan import (
     AggregateP,
@@ -236,7 +238,8 @@ class VectorizedExecutor:
         if isinstance(plan, AggregateP):
             return self._aggregate(plan)
         if isinstance(plan, DivideP):
-            return self._divide(plan)
+            return Batch.from_rows(plan.columns, divide_rows(
+                plan, self.batch(plan.left).rows(), self.batch(plan.right).rows()))
         if isinstance(plan, SortLimitP):
             return self._sort_limit(plan)
         raise PlanError(f"cannot execute {type(plan).__name__}")
@@ -505,35 +508,8 @@ class VectorizedExecutor:
             vectors = [Vector(_exact(l, left.length) + _exact(r, right.length))
                        for l, r in zip(left.vectors, right.vectors)]
             return Batch(plan.columns, vectors, left.length + right.length)
-        lrows = left.rows()
-        rrows = right.rows()
-        if plan.op == "union":
-            return Batch.from_rows(plan.columns, _dedupe(lrows + rrows))
-        if plan.op == "intersect":
-            if plan.distinct:
-                rset = set(rrows)
-                return Batch.from_rows(plan.columns,
-                                       _dedupe([row for row in lrows if row in rset]))
-            counts = Counter(rrows)
-            out = []
-            for row in lrows:
-                if counts.get(row, 0) > 0:
-                    counts[row] -= 1
-                    out.append(row)
-            return Batch.from_rows(plan.columns, out)
-        # except
-        if plan.distinct:
-            rset = set(rrows)
-            return Batch.from_rows(plan.columns,
-                                   _dedupe([row for row in lrows if row not in rset]))
-        counts = Counter(rrows)
-        out = []
-        for row in lrows:
-            if counts.get(row, 0) > 0:
-                counts[row] -= 1
-            else:
-                out.append(row)
-        return Batch.from_rows(plan.columns, out)
+        return Batch.from_rows(plan.columns,
+                               setop_rows(plan, left.rows(), right.rows()))
 
     def _aggregate(self, plan: AggregateP) -> Batch:
         batch = self.batch(plan.input)
@@ -567,7 +543,7 @@ class VectorizedExecutor:
             # SQL: an ungrouped aggregate over empty input yields one row
             # (all-NULL representatives; COUNT folds to 0 above).
             vectors = [Vector([None]) for _ in columns]
-            vectors.extend(Vector(arr if arr else [self._empty_fold(call)])
+            vectors.extend(Vector(arr if arr else [fold(call.name, ())])
                            for (call, _n), arr in zip(plan.aggregates, agg_arrays))
             return Batch(plan.columns, vectors, 1)
 
@@ -606,37 +582,8 @@ class VectorizedExecutor:
         if not call.args:
             raise PlanError(f"aggregate {name.upper()} needs an argument")
         arg = value_array(call.args[0])
-        distinct = call.distinct
-        out = []
-        for group in members:
-            values = [v for v in (arg[i] for i in group) if v is not None]
-            if distinct:
-                values = list(dict.fromkeys(values))
-            out.append(_fold(name, values))
-        return out
-
-    def _empty_fold(self, call: e.FuncCall) -> Any:
-        return 0 if call.name == "count" else None
-
-    def _divide(self, plan: DivideP) -> Batch:
-        left_cols = plan.left.columns
-        right_names = {c.lower() for c in plan.right.columns}
-        quotient_idx = [i for i, c in enumerate(left_cols)
-                        if c.lower() not in right_names]
-        divisor_pos = {c.lower(): i for i, c in enumerate(left_cols)}
-        divisor_idx = [divisor_pos[c.lower()] for c in plan.right.columns]
-        divisor_rows = set(_dedupe(self.batch(plan.right).rows()))
-        groups: dict[tuple, set[tuple]] = {}
-        order: list[tuple] = []
-        for row in _dedupe(self.batch(plan.left).rows()):
-            key = tuple(row[i] for i in quotient_idx)
-            bucket = groups.get(key)
-            if bucket is None:
-                groups[key] = bucket = set()
-                order.append(key)
-            bucket.add(tuple(row[i] for i in divisor_idx))
-        kept = [key for key in order if divisor_rows <= groups[key]]
-        return Batch.from_rows(plan.columns, kept)
+        return [fold(name, (arg[i] for i in group), call.distinct)
+                for group in members]
 
     def _sort_limit(self, plan: SortLimitP) -> Batch:
         batch = self.batch(plan.input)
@@ -656,22 +603,6 @@ class VectorizedExecutor:
         if plan.limit is not None:
             sel = sel[:plan.limit]
         return batch.take(sel)
-
-
-def _fold(name: str, values: list[Any]) -> Any:
-    if name == "count":
-        return len(values)
-    if not values:
-        return None
-    if name == "sum":
-        return sum(values)
-    if name == "avg":
-        return sum(values) / len(values)
-    if name == "min":
-        return min(values)
-    if name == "max":
-        return max(values)
-    raise PlanError(f"unknown aggregate {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,10 @@ bag-for-bag on every generated (database, plan) pair, for both the raw and
 the optimizer-rewritten plan — and for the plan the serving path would run
 after perturbing its literals: a cached template bound to the new values
 (bound ≡ fresh-compiled ≡ row).  Two more legs fuzz *histories*: sharded
-views against fresh recompute, and the process backend across writes to
-one database (published run chains, the workers' resident copies and
-their extended encodings — none of which a fresh database per case ever
-reaches).  Shrinking then turns any divergence into a minimal
+and plain services' views against fresh recompute, and the process
+backend across writes to one database (published run chains, the
+workers' resident copies and their extended encodings — none of which a
+fresh database per case ever reaches).  Shrinking then turns any divergence into a minimal
 counterexample.
 
 Generation invariants (so a failure is always a backend bug, not a
@@ -437,12 +437,14 @@ def test_bound_plans_agree_with_fresh_compiles(case):
 # ---------------------------------------------------------------------------
 #
 # The leg above fuzzes *plans*; this one fuzzes *histories*.  A random
-# subset of the catalog views is registered on a sharded service, then a
-# random stream of routed inserts (single rows and batches) — with a
-# reshard to a random shard count dropped mid-stream — is applied, and
-# after every operation every view's maintained answer must be bag-equal
-# to a fresh recompute of the same query over the same logical contents
-# (a plain single-node service absorbing the identical write stream).
+# subset of the catalog views plus one or two aggregate views is
+# registered on a sharded service and on a plain one, then a random stream
+# of routed inserts (single rows and batches) — with a reshard of the
+# sharded service to a random shard count dropped mid-stream — is applied
+# to both, and after every operation every view's maintained answer must
+# be bag-equal to a fresh recompute of the same query over the same
+# logical contents (a third, view-less service absorbing the identical
+# write stream).
 # Divergence at any version means a maintenance bug: a missed delta, a
 # stale broadcast alias, a partial combined wrong, or a reshard that
 # leaked old-layout state.
@@ -461,6 +463,26 @@ _SAILORS_WRITES = {
 }
 
 
+#: Aggregate views drawn beside the catalog's, none of which aggregates:
+#: the sharded-write-mix workload's two, a grouped AVG / MIN(string) /
+#: COUNT(x), an ungrouped aggregate whose filter starts empty, a HAVING,
+#: and a COUNT(DISTINCT) (which rebuilds on refresh).
+_AGGREGATE_VIEWS = (
+    "SELECT R.bid, COUNT(*) AS n FROM Reserves R GROUP BY R.bid",
+    "SELECT B.color, COUNT(*) AS n FROM Reserves R, Boats B "
+    "WHERE R.bid = B.bid GROUP BY B.color",
+    "SELECT S.rating, AVG(S.age) AS avg_age, MIN(S.sname) AS first_name, "
+    "COUNT(R.day) AS n FROM Sailors S, Reserves R WHERE S.sid = R.sid "
+    "GROUP BY S.rating",
+    "SELECT COUNT(*) AS n, SUM(R.bid) AS total, MAX(R.day) AS last_day "
+    "FROM Reserves R WHERE R.day > '2000'",
+    "SELECT R.sid, COUNT(*) AS n FROM Reserves R GROUP BY R.sid "
+    "HAVING COUNT(*) > 1",
+    "SELECT S.rating, COUNT(DISTINCT S.age) AS n FROM Sailors S "
+    "GROUP BY S.rating",
+)
+
+
 @st.composite
 def view_history(draw):
     from repro.queries import CANONICAL_QUERIES
@@ -471,6 +493,9 @@ def view_history(draw):
         min_size=1, max_size=3, unique=True))
     views = [(CANONICAL_QUERIES[i].languages()[lang], lang.lower())
              for i, lang in picks]
+    views += [(text, "sql") for text in draw(st.lists(
+        st.sampled_from(_AGGREGATE_VIEWS), min_size=1, max_size=2,
+        unique=True))]
     n_ops = draw(st.integers(min_value=3, max_value=6))
     ops = []
     for _ in range(n_ops):
@@ -492,17 +517,19 @@ def test_sharded_views_track_fresh_recompute(case):
     from repro.data import sailors_database
 
     views, ops, reshard_at, reshard_to = case
+    fresh_service = QueryService(sailors_database())
     plain = QueryService(sailors_database())
     service = ShardedQueryService(sailors_database(), n_shards=2)
-    handles = [(service.register_view(text, language=language), text,
-                language) for text, language in views]
+    handles = [(target.register_view(text, language=language), text,
+                language) for target in (service, plain)
+               for text, language in views]
 
     def check(moment):
         for view, text, language in handles:
-            fresh = plain.answer(text, language=language)
+            fresh = fresh_service.answer(text, language=language)
             assert view.answer().bag_equal(fresh), (
-                f"view {text!r} ({language}) diverged {moment}: "
-                f"maintained={sorted(view.answer().rows())} "
+                f"view {text!r} ({language}, {view.strategy}) diverged "
+                f"{moment}: maintained={sorted(view.answer().rows())} "
                 f"fresh={sorted(fresh.rows())}")
 
     check("at registration")
@@ -510,18 +537,18 @@ def test_sharded_views_track_fresh_recompute(case):
         if step == reshard_at:
             service.reshard(reshard_to)
             check(f"after reshard to {reshard_to}")
-        if batch:
-            service.add_rows(relation, rows)
-            plain.add_rows(relation, rows)
-        else:
-            service.add_row(relation, rows[0])
-            plain.add_row(relation, rows[0])
+        for target in (service, plain, fresh_service):
+            if batch:
+                target.add_rows(relation, rows)
+            else:
+                target.add_row(relation, rows[0])
         check(f"after write #{step} to {relation}")
     if reshard_at == len(ops):
         service.reshard(reshard_to)
         check(f"after trailing reshard to {reshard_to}")
     service.close()
     plain.close()
+    fresh_service.close()
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ tests pin down:
   its core: the ``sharded-write-mix`` views' recipes are pinned, and a core
   co-partitioned on the shard key keeps its whole aggregate or DISTINCT on
   every shard, with no combine;
-* views with no maintainable core, recursive Datalog included, rebuild on
-  every refresh on the plain and the sharded service alike;
+* views with no maintainable core, recursive Datalog included, and
+  DISTINCT aggregates (no partial→final combine rule) rebuild on every
+  refresh on the plain and the sharded service alike;
 * one hot shard overflowing its bounded delta log rebuilds that shard's
   part only, never poisoning siblings — and on the plain service and at
   one shard the one part recomputes, not the whole view;
@@ -202,6 +203,28 @@ class TestCatalogViewsDifferential:
         for i in range(6):
             service.add_row("Reserves", (101 + i % 4, 22, f"2025/07/{10 + i}"))
         check("after a delta-log overflow")
+        assert view.incremental_refreshes == 0
+
+    @pytest.mark.parametrize("service_kind", sorted(SERVICES))
+    def test_distinct_aggregate_views_rebuild(self, service_kind):
+        # A DISTINCT aggregate has no partial→final combine rule: its view
+        # rebuilds on refresh, on the plain and the sharded service alike.
+        sql = ("SELECT S.rating, COUNT(DISTINCT S.age) AS n FROM Sailors S "
+               "GROUP BY S.rating")
+        service = SERVICES[service_kind](sailors_database())
+        view = service.register_view(sql)
+        writes = (
+            ("add_row", "Sailors", (97, "tracy", 7, 45.0)),
+            ("add_row", "Sailors", (98, "ursa", 7, 50.0)),
+            ("add_rows", "Sailors", [(96, "quinn", 4, 27.5),
+                                     (99, "pia", 4, 27.5)]),
+        )
+        for round_ in writes:
+            assert view.strategy == "rebuild", round_[:2]
+            _apply(service, round_)
+            fresh = QueryVisualizationPipeline(service.db).answer(sql)
+            assert view.answer().bag_equal(fresh), round_[:2]
+        assert view.strategy == "rebuild"
         assert view.incremental_refreshes == 0
 
 
