@@ -42,7 +42,7 @@ from repro.logic.formula import (
     free_variables,
 )
 from repro.logic.terms import Const, Term, Var
-from repro.logic.transform import simplify, to_exists_and_not
+from repro.logic.transform import simplify, standardize_apart, to_exists_and_not
 
 
 class BetaError(Exception):
@@ -93,12 +93,14 @@ class BetaGraph:
 def beta_graph_of(formula: Formula) -> BetaGraph:
     """Translate a DRC formula (a sentence, or a query body) into a beta graph.
 
-    The formula is first normalised to the ∃/∧/¬ fragment.  Free variables
-    become free lines (see module docstring).
+    The formula is first normalised to the ∃/∧/¬ fragment, its bound
+    variables renamed apart (one line per quantified variable, even where a
+    name is reused in another scope).  Free variables become free lines (see
+    module docstring).
     """
     # Normalise to ∃/∧/¬ and drop the double negations the rewrite introduces,
     # so e.g. ∀x (A → B) gets its canonical two-cut rendering ¬∃x (A ∧ ¬B).
-    normalized = simplify(to_exists_and_not(formula))
+    normalized = simplify(to_exists_and_not(standardize_apart(formula)))
     graph = BetaGraph()
     cut_counter = itertools.count(1)
     spot_counter = itertools.count(1)

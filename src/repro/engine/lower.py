@@ -13,12 +13,14 @@ One compiler per frontend:
 * :func:`lower_ra` — a structural mapping of the RA operator tree, with the
   reference evaluator's set/bag mode switching (``GroupBy`` inputs are bags,
   set mode adds a final duplicate elimination).
-* :func:`lower_trc` / :func:`lower_drc` — safe-calculus compilation:
-  bound variables are renamed apart (DRC's by
-  :func:`repro.logic.transform.standardize_apart`), ∀ and → are rewritten
-  away (∀x φ ⇒ ¬∃x ¬φ), negations pushed to quantifiers and leaves,
-  positive atoms become guard scans, negated existentials become dependent
-  anti-joins.
+* :func:`lower_drc` — safe-calculus compilation: bound variables are
+  renamed apart by :func:`repro.logic.transform.standardize_apart`, ∀ and →
+  are rewritten away (∀x φ ⇒ ¬∃x ¬φ), negations pushed to quantifiers and
+  leaves, positive atoms become joined scans, negated existentials become
+  dependent anti-joins keyed on the columns their bodies read.
+  :func:`lower_trc` is the same compiler behind the textbook TRC → DRC
+  translation (:func:`repro.translate.trc_to_drc.trc_to_drc`): a tuple
+  variable is one domain variable per attribute.
 * :func:`lower_datalog_rule` — a rule body is a DRC conjunction: its
   positive literals as atoms (in body order), its comparisons, and its
   negated literals as negated atoms, lowered by the DRC compiler and
@@ -39,7 +41,6 @@ evaluator does only when no rows exercise them.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.data.schema import DatabaseSchema, SchemaError
@@ -583,299 +584,45 @@ def _project_positions(plan: Plan, positions: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# Tuple Relational Calculus
+# Relational calculus (TRC through its DRC translation)
 # ---------------------------------------------------------------------------
 
 def lower_trc(query: "Any | str", schema: DatabaseSchema) -> Plan:
-    """Lower a safe TRC query (text or AST) to a plan (set semantics)."""
-    from repro.trc.ast import (
-        AttrRef,
-        ConstTerm,
-        TRCError,
-        free_tuple_variables,
-        variable_ranges,
-    )
+    """Lower a safe TRC query (text or AST) to a plan (set semantics).
+
+    The query is translated to DRC by
+    :func:`repro.translate.trc_to_drc.trc_to_drc` (a tuple variable becomes
+    one domain variable per attribute) and the translation is compiled like
+    any DRC query; the output columns keep the TRC head's names.
+    """
+    from repro.translate.trc_to_drc import TRCToDRCError, trc_to_drc
 
     if isinstance(query, str):
         from repro.trc.parser import parse_trc
 
         query = parse_trc(query)
-
     try:
-        body = _alpha_rename_trc(query.body)
-        ranges = variable_ranges(body)
-    except TRCError as exc:
+        drc = trc_to_drc(query, schema)
+    except (TRCToDRCError, SchemaError) as exc:
         raise LoweringError(str(exc)) from exc
-    body = _rewrite_trc(body)
+    return _lower_calculus(drc, schema,
+                           [item.output_name(i) for i, item in enumerate(query.head)])
 
-    plan: Plan | None = None
-    for var in free_tuple_variables(body):
-        if var.name not in ranges:
-            raise LoweringError(f"free tuple variable {var.name!r} has no relation atom")
-        plan = _cross(plan, _trc_scan(var.name, ranges, schema))
-    if plan is None:
-        raise LoweringError("TRC query has no free tuple variables")
-    plan = _apply_trc(plan, body, ranges, schema)
-
-    exprs: list[e.Expr] = []
-    for item in query.head:
-        if isinstance(item.term, AttrRef):
-            exprs.append(e.Col(item.term.attr, item.term.var.name))
-        elif isinstance(item.term, ConstTerm):
-            exprs.append(e.Const(item.term.value))
-        else:
-            raise LoweringError(f"unsupported head term {item.term!r}")
-    names = _dedupe_names([item.output_name(i) for i, item in enumerate(query.head)])
-    return DistinctP(ProjectP(plan, tuple(exprs), names))
-
-
-def _trc_scan(var_name: str, ranges: Mapping[str, str], schema: DatabaseSchema) -> Plan:
-    try:
-        rel = schema.relation(ranges[var_name])
-    except SchemaError as exc:
-        raise LoweringError(str(exc)) from exc
-    return ScanP(rel.name, tuple(f"{var_name}.{a.name}" for a in rel.attributes))
-
-
-def _alpha_rename_trc(formula: Any) -> Any:
-    """Rename quantifier-bound tuple variables apart (so sibling scopes that
-    reuse a name compile to distinct plan columns)."""
-    from repro.trc import ast as t
-
-    used: set[str] = {v.name for v in t.all_tuple_variables(formula)}
-    counter = itertools.count(1)
-
-    def fresh(name: str) -> str:
-        while True:
-            candidate = f"{name}_{next(counter)}"
-            if candidate not in used:
-                used.add(candidate)
-                return candidate
-
-    def rename(node: Any, env: Mapping[str, str], seen: set[str]) -> Any:
-        if isinstance(node, t.RelAtom):
-            name = env.get(node.var.name, node.var.name)
-            return t.RelAtom(node.relation, t.TupleVar(name))
-        if isinstance(node, t.TRCCompare):
-            def term(x: Any) -> Any:
-                if isinstance(x, t.AttrRef):
-                    return t.AttrRef(t.TupleVar(env.get(x.var.name, x.var.name)), x.attr)
-                return x
-            return t.TRCCompare(term(node.left), node.op, term(node.right))
-        if isinstance(node, (t.TRCExists, t.TRCForAll)):
-            new_env = dict(env)
-            new_vars = []
-            for var in node.variables:
-                if var.name in seen:
-                    new_name = fresh(var.name)
-                else:
-                    new_name = var.name
-                seen.add(new_name)
-                new_env[var.name] = new_name
-                new_vars.append(t.TupleVar(new_name))
-            body = rename(node.body, new_env, seen)
-            cls = t.TRCExists if isinstance(node, t.TRCExists) else t.TRCForAll
-            return cls(tuple(new_vars), body)
-        if isinstance(node, t.TRCAnd):
-            return t.TRCAnd(tuple(rename(o, env, seen) for o in node.operands))
-        if isinstance(node, t.TRCOr):
-            return t.TRCOr(tuple(rename(o, env, seen) for o in node.operands))
-        if isinstance(node, t.TRCNot):
-            return t.TRCNot(rename(node.operand, env, seen))
-        if isinstance(node, t.TRCImplies):
-            return t.TRCImplies(rename(node.antecedent, env, seen),
-                                rename(node.consequent, env, seen))
-        return node
-
-    from repro.trc.ast import free_tuple_variables
-
-    seen = {v.name for v in free_tuple_variables(formula)}
-    return rename(formula, {}, seen)
-
-
-def _rewrite_trc(formula: Any) -> Any:
-    """Eliminate →/∀ and push negations down to quantifiers and leaves."""
-    from repro.trc import ast as t
-
-    def elim(node: Any) -> Any:
-        if isinstance(node, t.TRCImplies):
-            return t.TRCOr((t.TRCNot(elim(node.antecedent)), elim(node.consequent)))
-        if isinstance(node, t.TRCForAll):
-            return t.TRCNot(t.TRCExists(node.variables, t.TRCNot(elim(node.body))))
-        if isinstance(node, t.TRCAnd):
-            return t.TRCAnd(tuple(elim(o) for o in node.operands))
-        if isinstance(node, t.TRCOr):
-            return t.TRCOr(tuple(elim(o) for o in node.operands))
-        if isinstance(node, t.TRCNot):
-            return t.TRCNot(elim(node.operand))
-        if isinstance(node, t.TRCExists):
-            return t.TRCExists(node.variables, elim(node.body))
-        return node
-
-    def push(node: Any, negate: bool) -> Any:
-        if isinstance(node, t.TRCTrue):
-            return t.TRCTrue(node.value != negate)
-        if isinstance(node, (t.RelAtom, t.TRCCompare)):
-            return t.TRCNot(node) if negate else node
-        if isinstance(node, t.TRCNot):
-            return push(node.operand, not negate)
-        if isinstance(node, t.TRCAnd):
-            parts = tuple(push(o, negate) for o in node.operands)
-            return t.TRCOr(parts) if negate else t.TRCAnd(parts)
-        if isinstance(node, t.TRCOr):
-            parts = tuple(push(o, negate) for o in node.operands)
-            return t.TRCAnd(parts) if negate else t.TRCOr(parts)
-        if isinstance(node, t.TRCExists):
-            inner = t.TRCExists(node.variables, push(node.body, False))
-            return t.TRCNot(inner) if negate else inner
-        raise LoweringError(f"unexpected TRC node {type(node).__name__}")
-
-    return push(elim(formula), False)
-
-
-class _NotLocal(Exception):
-    """Internal: a formula is not a plain predicate over bound columns."""
-
-
-def _trc_conjuncts(formula: Any) -> list[Any]:
-    from repro.trc import ast as t
-
-    if isinstance(formula, t.TRCAnd):
-        out: list[Any] = []
-        for operand in formula.operands:
-            out.extend(_trc_conjuncts(operand))
-        return out
-    if isinstance(formula, t.TRCTrue) and formula.value:
-        return []
-    return [formula]
-
-
-def _trc_var_bound(columns: Sequence[str], var_name: str) -> bool:
-    prefix = f"{var_name.lower()}."
-    return any(c.lower().startswith(prefix) for c in columns)
-
-
-def _trc_local_expr(formula: Any, columns: Sequence[str]) -> e.Expr:
-    from repro.trc import ast as t
-
-    if isinstance(formula, t.TRCTrue):
-        return e.BoolConst(formula.value)
-    if isinstance(formula, t.RelAtom):
-        if _trc_var_bound(columns, formula.var.name):
-            return e.BoolConst(True)
-        raise _NotLocal()
-    if isinstance(formula, t.TRCCompare):
-        def term(x: Any) -> e.Expr:
-            if isinstance(x, t.AttrRef):
-                if not _trc_var_bound(columns, x.var.name):
-                    raise _NotLocal()
-                return e.Col(x.attr, x.var.name)
-            return e.Const(x.value)
-        return e.Comparison(term(formula.left), formula.op, term(formula.right))
-    if isinstance(formula, t.TRCAnd):
-        return e.conjunction([_trc_local_expr(o, columns) for o in formula.operands])
-    if isinstance(formula, t.TRCOr):
-        return e.disjunction([_trc_local_expr(o, columns) for o in formula.operands])
-    if isinstance(formula, t.TRCNot):
-        inner = _trc_local_expr(formula.operand, columns)
-        if isinstance(inner, e.BoolConst):
-            return e.BoolConst(not inner.value)
-        return e.Not(inner)
-    raise _NotLocal()
-
-
-def _apply_trc(plan: Plan, formula: Any, ranges: Mapping[str, str],
-               schema: DatabaseSchema) -> Plan:
-    """Filter/extend ``plan`` so its rows satisfy ``formula``.
-
-    Positive relation atoms introduce guard scans for not-yet-bound
-    variables; quantifiers compile to dependent semi/anti joins keyed on the
-    current plan's own columns.
-    """
-    from repro.trc import ast as t
-
-    conjuncts = _trc_conjuncts(formula)
-
-    # Guards first: they bind variables the other conjuncts reference.
-    for conjunct in conjuncts:
-        if isinstance(conjunct, t.RelAtom) and not _trc_var_bound(plan.columns, conjunct.var.name):
-            plan = _cross(plan, _trc_scan(conjunct.var.name, ranges, schema))
-
-    deferred: list[Any] = []
-    local_parts: list[e.Expr] = []
-    for conjunct in conjuncts:
-        try:
-            local_parts.append(_trc_local_expr(conjunct, plan.columns))
-        except _NotLocal:
-            deferred.append(conjunct)
-    if local_parts:
-        plan = _filter(plan, e.conjunction(local_parts))
-
-    for conjunct in deferred:
-        plan = _apply_trc_quantified(plan, conjunct, ranges, schema)
-    return plan
-
-
-def _apply_trc_quantified(plan: Plan, conjunct: Any, ranges: Mapping[str, str],
-                          schema: DatabaseSchema) -> Plan:
-    from repro.trc import ast as t
-
-    if isinstance(conjunct, t.TRCExists):
-        dependent = _trc_extend(plan, conjunct, ranges, schema)
-        return JoinP(plan, dependent, "semi",
-                     left_keys=plan.columns, right_keys=plan.columns,
-                     null_matches=True)
-    if isinstance(conjunct, t.TRCNot):
-        inner = conjunct.operand
-        if isinstance(inner, t.TRCExists):
-            dependent = _trc_extend(plan, inner, ranges, schema)
-            return JoinP(plan, dependent, "anti",
-                         left_keys=plan.columns, right_keys=plan.columns,
-                         null_matches=True)
-        raise LoweringError(
-            f"negation of {type(inner).__name__} is not in the safe TRC fragment"
-        )
-    if isinstance(conjunct, t.TRCOr):
-        branches = []
-        for operand in conjunct.operands:
-            branch = _apply_trc(plan, operand, ranges, schema)
-            branches.append(_project_to(branch, plan.columns))
-        out = branches[0]
-        for branch in branches[1:]:
-            out = SetOpP("union", out, branch, distinct=True)
-        return out
-    raise LoweringError(f"cannot lower TRC conjunct {type(conjunct).__name__}")
-
-
-def _trc_extend(plan: Plan, quantified: Any, ranges: Mapping[str, str],
-                schema: DatabaseSchema) -> Plan:
-    """The dependent side of a quantifier: plan × ranges of the bound
-    variables, filtered by the quantifier body."""
-    extended = plan
-    for var in quantified.variables:
-        if var.name not in ranges:
-            raise LoweringError(
-                f"quantified variable {var.name!r} has no relation atom (unsafe)"
-            )
-        if not _trc_var_bound(extended.columns, var.name):
-            extended = _cross(extended, _trc_scan(var.name, ranges, schema))
-    return _apply_trc(extended, quantified.body, ranges, schema)
-
-
-# ---------------------------------------------------------------------------
-# Domain Relational Calculus
-# ---------------------------------------------------------------------------
 
 def lower_drc(query: "Any | str", schema: DatabaseSchema) -> Plan:
     """Lower a safe (guarded) DRC query (text or AST) to a plan."""
-    from repro.drc.ast import DRCError
-    from repro.drc.evaluate import _rewrite as drc_rewrite
-    from repro.logic.transform import standardize_apart
-
     if isinstance(query, str):
         from repro.drc.parser import parse_drc
 
         query = parse_drc(query)
+    return _lower_calculus(query, schema, query.output_names())
+
+
+def _lower_calculus(query: Any, schema: DatabaseSchema, names: Sequence[str]) -> Plan:
+    """Compile a DRC query whose output columns are called ``names``."""
+    from repro.drc.ast import DRCError
+    from repro.drc.evaluate import _rewrite as drc_rewrite
+    from repro.logic.transform import standardize_apart
 
     try:
         body = drc_rewrite(standardize_apart(query.body))
@@ -892,7 +639,7 @@ def lower_drc(query: "Any | str", schema: DatabaseSchema) -> Plan:
     plan = _apply_drc(None, body, scan)
     if plan is None:
         raise LoweringError("DRC query has no positive relation atoms")
-    return _project_head(plan, query.head, query.output_names())
+    return _project_head(plan, query.head, names)
 
 
 def _project_head(plan: Plan, head: Sequence[Any], names: Sequence[str]) -> Plan:
@@ -912,6 +659,10 @@ def _project_head(plan: Plan, head: Sequence[Any], names: Sequence[str]) -> Plan
         else:
             raise LoweringError(f"unsupported head term {term!r}")
     return DistinctP(ProjectP(plan, tuple(exprs), _dedupe_names(names)))
+
+
+class _NotLocal(Exception):
+    """Internal: a formula is not a plain predicate over bound columns."""
 
 
 def _apply_drc(plan: Plan | None, formula: Any, scan: Scan) -> Plan | None:
@@ -1010,6 +761,10 @@ def _drc_join_atom(plan: Plan | None, atom: Any, scan: Scan) -> Plan:
     joined = JoinP(plan, atom_plan, "inner",
                    left_keys=tuple(shared), right_keys=tuple(shared),
                    null_matches=True)
+    if not shared:
+        # Already ``plan.columns + variables``: a projection here would hide
+        # the join from the optimizer's key promotion.
+        return joined
     positions = list(range(len(plan.columns))) + [
         len(plan.columns) + variables.index(v) for v in new
     ]
@@ -1058,11 +813,16 @@ def _apply_drc_quantified(plan: Plan | None, conjunct: Any,
             raise LoweringError("top-level negation is unsafe DRC")
         inner = conjunct.operand
         if isinstance(inner, f.Exists):
-            dependent = _apply_drc(plan, inner.body, scan)
+            # Key the anti-join on the columns the negated body reads: its
+            # dependent side then starts from their distinct values, not
+            # from every row of ``plan``.
+            free = {v.name.lower() for v in f.free_variables(inner)}
+            keys = tuple(c for c in plan.columns if c.lower() in free) or plan.columns
+            base = plan if keys == plan.columns else DistinctP(_project_to(plan, keys))
+            dependent = _apply_drc(base, inner.body, scan)
             assert dependent is not None
             return JoinP(plan, dependent, "anti",
-                         left_keys=plan.columns, right_keys=plan.columns,
-                         null_matches=True)
+                         left_keys=keys, right_keys=keys, null_matches=True)
         if isinstance(inner, f.Atom):
             atom_plan, variables = _drc_atom_plan(inner, scan)
             if variables and not all(has_column(plan.columns, v) for v in variables):

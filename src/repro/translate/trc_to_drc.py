@@ -5,9 +5,15 @@ becomes four domain variables ``s_sid, s_sname, s_rating, s_age``; the
 relation atom ``Sailors(s)`` becomes ``Sailors(s_sid, s_sname, s_rating,
 s_age)``, and attribute references become the corresponding domain variable.
 Quantifiers over a tuple variable become quantifiers over its domain
-variables.  This is the textbook equivalence proof turned into code, and it
-is also the bridge from QueryVis-style diagrams (TRC) to Peirce beta graphs
-(DRC).
+variables.  Ranges are scoped: a quantified variable ranges over the
+relation of its atoms in the quantifier's own body, so sibling or nested
+scopes may reuse a name over different relations (one name over two
+relations in one scope raises :class:`TRCToDRCError`).
+
+This is the textbook equivalence proof turned into code.  It is the bridge
+from QueryVis-style diagrams (TRC) to Peirce beta graphs (DRC), and it is
+the engine's TRC front end: :func:`repro.engine.lower.lower_trc` compiles
+the translation with the DRC compiler.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from repro.logic.formula import (
     Not,
     Or,
     Truth,
+    free_variables,
 )
 from repro.logic.terms import Const, Term, Var
 from repro.trc.ast import (
@@ -33,7 +40,6 @@ from repro.trc.ast import (
     RelAtom,
     TRCAnd,
     TRCCompare,
-    TRCError,
     TRCExists,
     TRCForAll,
     TRCFormula,
@@ -44,7 +50,7 @@ from repro.trc.ast import (
     TRCTerm,
     TRCTrue,
     TupleVar,
-    variable_ranges,
+    free_tuple_variables,
 )
 
 
@@ -61,54 +67,92 @@ def _domain_vars(var: TupleVar, relation: str, schema: DatabaseSchema) -> list[V
     return [_domain_var(var, attr.name) for attr in rel_schema.attributes]
 
 
-def _convert_term(term: TRCTerm) -> Term:
-    if isinstance(term, AttrRef):
-        return _domain_var(term.var, term.attr)
+def _convert_term(term: TRCTerm, ranges: dict[str, str], schema: DatabaseSchema) -> Term:
     if isinstance(term, ConstTerm):
         return Const(term.value)
-    raise TRCToDRCError(f"not a TRC term: {term!r}")
+    if not isinstance(term, AttrRef):
+        raise TRCToDRCError(f"not a TRC term: {term!r}")
+    relation = ranges.get(term.var.name)
+    if relation is None:
+        raise TRCToDRCError(
+            f"tuple variable {term.var.name!r} has no relation atom; cannot expand"
+        )
+    for attr in schema.relation(relation).attributes:
+        if attr.name.lower() == term.attr.lower():
+            return _domain_var(term.var, attr.name)
+    raise TRCToDRCError(f"relation {relation!r} has no attribute {term.attr!r}")
+
+
+def _scope_ranges(body: TRCFormula, names: set[str]) -> dict[str, str]:
+    """The relation each of ``names`` ranges over in ``body``: the relation
+    of its atoms there, not counting atoms under a quantifier that rebinds
+    the name."""
+    ranges: dict[str, str] = {}
+
+    def visit(node: TRCFormula, names: set[str]) -> None:
+        if isinstance(node, RelAtom) and node.var.name in names:
+            relation = ranges.setdefault(node.var.name, node.relation)
+            if relation.lower() != node.relation.lower():
+                raise TRCToDRCError(
+                    f"tuple variable {node.var.name!r} ranges over both "
+                    f"{relation!r} and {node.relation!r}"
+                )
+        elif isinstance(node, (TRCExists, TRCForAll)):
+            visit(node.body, names - {v.name for v in node.variables})
+        else:
+            for child in node.children():
+                visit(child, names)
+
+    visit(body, names)
+    return ranges
 
 
 def trc_formula_to_drc(formula: TRCFormula, schema: DatabaseSchema,
                        ranges: dict[str, str] | None = None) -> Formula:
-    """Convert a TRC formula to a DRC (first-order) formula."""
+    """Convert a TRC formula to a DRC (first-order) formula.
+
+    ``ranges`` maps the formula's free tuple variables to their relations
+    (by default, the relations of their atoms in ``formula``); each
+    quantifier's variables range over the relations of their atoms in the
+    quantifier's own body.  An attribute reference becomes the domain
+    variable of the attribute as the schema spells it.
+    """
     if ranges is None:
-        ranges = variable_ranges(formula)
+        ranges = _scope_ranges(
+            formula, {v.name for v in free_tuple_variables(formula)})
 
-    def relation_of(var: TupleVar) -> str:
-        relation = ranges.get(var.name)
-        if relation is None:
-            raise TRCToDRCError(
-                f"tuple variable {var.name!r} has no relation atom; cannot expand"
-            )
-        return relation
-
-    def go(node: TRCFormula) -> Formula:
+    def go(node: TRCFormula, ranges: dict[str, str]) -> Formula:
         if isinstance(node, TRCTrue):
             return Truth(node.value)
         if isinstance(node, RelAtom):
             variables = _domain_vars(node.var, node.relation, schema)
             return Atom(schema.relation(node.relation).name, tuple(variables))
         if isinstance(node, TRCCompare):
-            return Compare(_convert_term(node.left), node.op, _convert_term(node.right))
+            return Compare(_convert_term(node.left, ranges, schema), node.op,
+                           _convert_term(node.right, ranges, schema))
         if isinstance(node, TRCAnd):
-            return And(tuple(go(o) for o in node.operands))
+            return And(tuple(go(o, ranges) for o in node.operands))
         if isinstance(node, TRCOr):
-            return Or(tuple(go(o) for o in node.operands))
+            return Or(tuple(go(o, ranges) for o in node.operands))
         if isinstance(node, TRCNot):
-            return Not(go(node.operand))
+            return Not(go(node.operand, ranges))
         if isinstance(node, TRCImplies):
-            return Implies(go(node.antecedent), go(node.consequent))
+            return Implies(go(node.antecedent, ranges), go(node.consequent, ranges))
         if isinstance(node, (TRCExists, TRCForAll)):
+            scoped = _scope_ranges(node.body, {v.name for v in node.variables})
             domain_variables: list[Var] = []
             for var in node.variables:
-                domain_variables.extend(_domain_vars(var, relation_of(var), schema))
-            body = go(node.body)
+                if var.name not in scoped:
+                    raise TRCToDRCError(
+                        f"tuple variable {var.name!r} has no relation atom; cannot expand"
+                    )
+                domain_variables.extend(_domain_vars(var, scoped[var.name], schema))
+            body = go(node.body, {**ranges, **scoped})
             cls = Exists if isinstance(node, TRCExists) else ForAll
             return cls(tuple(domain_variables), body)
         raise TRCToDRCError(f"unhandled TRC node {type(node).__name__}")
 
-    return go(formula)
+    return go(formula, ranges)
 
 
 def trc_to_drc(query: TRCQuery, schema: DatabaseSchema) -> DRCQuery:
@@ -118,15 +162,12 @@ def trc_to_drc(query: TRCQuery, schema: DatabaseSchema) -> DRCQuery:
     tuple variables' remaining attributes are existentially quantified so the
     DRC query's free variables are exactly its head variables.
     """
-    try:
-        ranges = variable_ranges(query.body)
-    except TRCError as exc:
-        raise TRCToDRCError(str(exc)) from exc
-
+    ranges = _scope_ranges(
+        query.body, {v.name for v in free_tuple_variables(query.body)})
     head_terms: list[Term] = []
     head_var_names: set[str] = set()
     for item in query.head:
-        term = _convert_term(item.term)
+        term = _convert_term(item.term, ranges, schema)
         head_terms.append(term)
         if isinstance(term, Var):
             head_var_names.add(term.name)
@@ -134,8 +175,6 @@ def trc_to_drc(query: TRCQuery, schema: DatabaseSchema) -> DRCQuery:
     body = trc_formula_to_drc(query.body, schema, ranges)
 
     # Existentially close the non-head domain variables of the free tuple vars.
-    from repro.logic.formula import free_variables
-
     to_close = [v for v in free_variables(body) if v.name not in head_var_names]
     if to_close:
         body = Exists(tuple(to_close), body)

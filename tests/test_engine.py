@@ -146,6 +146,57 @@ class TestDRCFragment:
         assert engine.bag_equal(answer_relation(drc, db))
 
 
+class TestTRCFragment:
+    """Engine coverage of TRC (lowered through its DRC translation) beyond
+    the catalog queries."""
+
+    EXTRA_TRC = [
+        # Sibling scopes reuse a name over one relation.
+        "{ s.sname | Sailors(s) and exists r (Reserves(r) and r.sid = s.sid "
+        "and r.bid = 102) and exists r (Reserves(r) and r.sid = s.sid and r.bid = 103) }",
+        # The same, with attributes spelled in another case than the schema's.
+        "{ s.sname | Sailors(s) and exists r (Reserves(r) and r.SID = s.sid "
+        "and r.bid = 102) and exists r (Reserves(r) and r.SID = s.sid and r.bid = 103) }",
+        # `implies` without `forall`.
+        "{ s.sname | Sailors(s) and (s.rating > 7 implies "
+        "exists r (Reserves(r) and r.sid = s.sid)) }",
+        # `forall` over a disjunctive body.
+        "{ s.sname | Sailors(s) and forall b (not Boats(b) or b.color = 'green' "
+        "or exists r (Reserves(r) and r.sid = s.sid and r.bid = b.bid)) }",
+        # A two-variable head.
+        "{ s.sname, b.bname | Sailors(s) and Boats(b) and "
+        "exists r (Reserves(r) and r.sid = s.sid and r.bid = b.bid) }",
+        # A negated conjunction.
+        "{ s.sname | Sailors(s) and not (s.rating > 7 and "
+        "exists r (Reserves(r) and r.sid = s.sid)) }",
+    ]
+    #: Queries that reuse a name over another relation, each with the same
+    #: query renamed apart (the form the TRC interpreter accepts).
+    SCOPED_TRC = [
+        ("{ s.sname | Sailors(s) and exists r (Reserves(r) and r.sid = s.sid) "
+         "and exists r (Boats(r) and r.color = 'red') }",
+         "{ s.sname | Sailors(s) and exists r (Reserves(r) and r.sid = s.sid) "
+         "and exists b (Boats(b) and b.color = 'red') }"),
+        ("{ s.sname | Sailors(s) and exists s (Reserves(s) and s.bid = 101) }",
+         "{ s.sname | Sailors(s) and exists r (Reserves(r) and r.bid = 101) }"),
+    ]
+
+    @pytest.mark.parametrize("trc,reference", [(t, t) for t in EXTRA_TRC] + SCOPED_TRC)
+    def test_extra_trc_matches_reference(self, db, trc, reference):
+        assert not run_query(trc, db, "trc").is_empty()
+        for instance in standard_database_battery(extra_random=2, rows=8):
+            engine = run_query(trc, instance, "trc")
+            assert engine.bag_equal(answer_relation(reference, instance))
+
+    @pytest.mark.parametrize("query", [q for q in CANONICAL_QUERIES
+                                       if q.id in ("Q1", "Q2", "Q5")],
+                             ids=lambda q: q.id)
+    def test_catalog_joins_are_keyed(self, db, query):
+        plan = optimize(lower(query.trc, db.schema, "trc"), db)
+        joins = [n for n in plan.walk() if isinstance(n, JoinP)]
+        assert joins and all(join.left_keys for join in joins)
+
+
 class TestSemiNaiveDatalog:
     def _edge_db(self, n: int, extra=()) -> Database:
         edges = [(i, i + 1) for i in range(1, n)] + list(extra)

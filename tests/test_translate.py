@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.datalog import evaluate_datalog
+from repro.core.render_text import render_text
+from repro.diagrams.peirce_beta import beta_diagram_for_query, beta_graph_of
 from repro.drc import evaluate_drc, format_drc_query
 from repro.queries import CANONICAL_QUERIES, Q2_RED_BOAT, Q4_ALL_RED
 from repro.ra import evaluate as evaluate_ra, parse_ra, to_text
@@ -12,6 +14,7 @@ from repro.sql import evaluate_sql, parse_sql
 from repro.translate import (
     EquivalenceError,
     RATranslationError,
+    TRCToDRCError,
     UnsupportedSQL,
     UnsupportedSQLForRA,
     agreement_matrix,
@@ -101,6 +104,25 @@ class TestTRCToDRC:
         trc = parse_trc("{ s.sname, s.age | Sailors(s) }")
         drc = trc_to_drc(trc, schema)
         assert [v.name for v in drc.head_variables()] == ["s_sname", "s_age"]
+
+    @pytest.mark.parametrize("text,renamed", [
+        ("{ s.sname | Sailors(s) and exists r (Reserves(r) and r.sid = s.sid) "
+         "and exists r (Boats(r) and r.color = 'red') }",
+         "{ s.sname | Sailors(s) and exists r (Reserves(r) and r.sid = s.sid) "
+         "and exists b (Boats(b) and b.color = 'red') }"),
+        ("{ s.sname | Sailors(s) and exists s (Reserves(s) and s.bid = 101) }",
+         "{ s.sname | Sailors(s) and exists r (Reserves(r) and r.bid = 101) }"),
+    ])
+    def test_ranges_are_scoped(self, db, schema, text, renamed):
+        drc = trc_to_drc(parse_trc(text), schema)
+        assert evaluate_drc(drc, db).bag_equal(evaluate_trc(renamed, db))
+        # No two atoms share a variable, so no line of identity joins two spots.
+        assert all(len(line.hooks) == 1 for line in beta_graph_of(drc.body).lines)
+        assert "Reserves" in render_text(beta_diagram_for_query(text, schema))
+
+    def test_one_scope_one_range(self, schema):
+        with pytest.raises(TRCToDRCError):
+            trc_to_drc(parse_trc("{ s.sname | Sailors(s) and Boats(s) }"), schema)
 
 
 class TestSQLToRA:
