@@ -183,6 +183,7 @@ def wrap_service_error(exc: BaseException) -> ServiceError:
     from repro.engine.lower import LoweringError
     from repro.engine.plan import PlanError
     from repro.engine.verify import PlanVerificationError
+    from repro.expr.ast import ExprError
     from repro.data.schema import SchemaError
     from repro.ra.ast import RAError
     from repro.sql.evaluate import SQLEvaluationError
@@ -220,7 +221,10 @@ def wrap_service_error(exc: BaseException) -> ServiceError:
         name = exc.args[0] if exc.args else ""
         return UnknownRelationError(f"unknown relation {name!r}",
                                     detail=dict(detail, name=str(name)))
-    if isinstance(exc, ValueError):
+    if isinstance(exc, (ValueError, ExprError)):
+        # An ExprError that gets this far is a runtime type error (a
+        # string compared with a number): the query is wrong, not the
+        # server.
         return InvalidRequestError(message, detail=detail)
     return ServiceError(f"internal error: {type(exc).__name__}", detail=detail)
 

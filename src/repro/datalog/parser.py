@@ -10,13 +10,18 @@ Syntax::
 Variables are capitalised or start with ``_``; constants are numbers,
 quoted strings, or lower-case identifiers (treated as string constants, as
 in classical Datalog).  Negation is written ``not p(...)`` or ``\\+ p(...)``.
+
+Tokens come from the shared :class:`repro.syntax.Lexer` with two Datalog
+extras: a number may carry a ``-`` sign and a string may be double-quoted.
+Neither is a shared literal to the plan-cache scanner of
+:mod:`repro.engine.bind`: a text with a signed number is a refused shape,
+and a double-quoted string stays part of the shape.
 """
 
 from __future__ import annotations
 
-import re
-
 from repro.datalog.ast import (
+    BodyItem,
     BuiltinComparison,
     DatalogError,
     Literal,
@@ -24,72 +29,23 @@ from repro.datalog.ast import (
     Rule,
 )
 from repro.logic.terms import Const, Term, Var
+from repro.syntax import COMPARISONS, NAME, NUMBER, QUOTED, STRING, Cursor, Lexer, number
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+|%[^\n]*|\#[^\n]*)
-  | (?P<implies>:-|<-)
-  | (?P<number>-?\d+\.\d+|-?\d+)
-  | (?P<string>'(?:[^']|'')*'|"(?:[^"]|"")*")
-  | (?P<negop>\\\+)
-  | (?P<op><>|!=|<=|>=|==|=|<|>|\(|\)|,|\.)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-    """,
-    re.VERBOSE,
-)
-
-
-class _Token:
-    def __init__(self, kind: str, text: str) -> None:
-        self.kind = kind
-        self.text = text
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if not match:
-            raise DatalogError(f"unexpected character {text[pos]!r} at position {pos}")
-        pos = match.end()
-        kind = match.lastgroup or ""
-        if kind == "ws":
-            continue
-        tokens.append(_Token(kind, match.group()))
-    tokens.append(_Token("eof", ""))
-    return tokens
+LEXER = Lexer(
+    [("ws", r"\s+|%[^\n]*|\#[^\n]*"),
+     ("op", r":-|<-|\\\+|<>|!=|<=|>=|==|=|<|>|\(|\)|,|\."),
+     ("number", rf"-?(?:{NUMBER})"),
+     ("string", rf"{STRING}|{QUOTED}"),
+     ("name", NAME)],
+    error=DatalogError)
 
 
 def _is_variable_name(name: str) -> bool:
     return name[0].isupper() or name[0] == "_"
 
 
-class _DatalogParser:
-    def __init__(self, tokens: list[_Token]) -> None:
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self, offset: int = 0) -> _Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        if token.kind != "eof":
-            self.pos += 1
-        return token
-
-    def accept(self, kind: str, text: str | None = None) -> _Token | None:
-        token = self.peek()
-        if token.kind == kind and (text is None or token.text == text):
-            return self.advance()
-        return None
-
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        token = self.accept(kind, text)
-        if token is None:
-            raise DatalogError(f"expected {text or kind}, found {self.peek().text!r}")
-        return token
+class _DatalogParser(Cursor):
+    lexer = LEXER
 
     def parse_program(self) -> Program:
         rules = []
@@ -98,75 +54,55 @@ class _DatalogParser:
         return Program(tuple(rules))
 
     def parse_rule(self) -> Rule:
-        head = self.parse_literal(allow_negation=False)
-        body: list = []
-        if self.accept("implies"):
-            body.append(self.parse_body_item())
-            while self.accept("op", ","):
-                body.append(self.parse_body_item())
-        self.expect("op", ".")
+        head = self.parse_literal()
+        body = self.comma_list(self.parse_body_item) if self.accept(":-", "<-") else []
+        self.expect(".")
         return Rule(head, tuple(body))
 
-    def parse_body_item(self):
+    def parse_body_item(self) -> BodyItem:
         token = self.peek()
-        if token.kind == "negop" or (token.kind == "name" and token.text == "not"):
+        if (token.kind, token.text) in (("name", "not"), ("op", "\\+")):
             self.advance()
-            literal = self.parse_literal(allow_negation=False)
+            literal = self.parse_literal()
             return Literal(literal.predicate, literal.terms, negated=True)
         # Lookahead: NAME '(' is a literal; otherwise it is a comparison.
-        if token.kind == "name" and self.peek(1).kind == "op" and self.peek(1).text == "(" \
+        if token.kind == "name" and self.at("(", ahead=1) \
                 and not _is_variable_name(token.text):
-            return self.parse_literal(allow_negation=False)
+            return self.parse_literal()
         left = self.parse_term()
-        op_token = self.peek()
-        if op_token.kind == "op" and op_token.text in ("=", "==", "<>", "!=", "<", "<=", ">", ">="):
-            self.advance()
-            right = self.parse_term()
-            return BuiltinComparison(left, op_token.text, right)
-        raise DatalogError(f"expected a literal or comparison, found {op_token.text!r}")
+        op = self.accept(*COMPARISONS, "==")
+        if op is None:
+            raise self.fail("expected a literal or comparison")
+        return BuiltinComparison(left, op.text, self.parse_term())
 
-    def parse_literal(self, *, allow_negation: bool) -> Literal:
-        negated = False
-        if allow_negation and self.peek().kind == "name" and self.peek().text == "not":
-            self.advance()
-            negated = True
-        name = self.expect("name").text
+    def parse_literal(self) -> Literal:
+        name = self.take("name").text
         terms: list[Term] = []
-        if self.accept("op", "("):
-            if not (self.peek().kind == "op" and self.peek().text == ")"):
-                terms.append(self.parse_term())
-                while self.accept("op", ","):
-                    terms.append(self.parse_term())
-            self.expect("op", ")")
-        return Literal(name, tuple(terms), negated)
+        if self.accept("("):
+            terms = self.comma_list(self.parse_term, ")")
+            self.expect(")")
+        return Literal(name, tuple(terms))
 
     def parse_term(self) -> Term:
         token = self.peek()
         if token.kind == "number":
-            self.advance()
-            return Const(float(token.text) if "." in token.text else int(token.text))
-        if token.kind == "string":
-            self.advance()
-            quote = token.text[0]
-            inner = token.text[1:-1].replace(quote * 2, quote)
-            return Const(inner)
-        if token.kind == "name":
-            self.advance()
-            if _is_variable_name(token.text):
-                return Var(token.text)
-            return Const(token.text)
-        raise DatalogError(f"expected a term, found {token.text!r}")
+            term: Term = Const(number(token.text))
+        elif token.kind == "string":
+            term = Const(token.text)
+        elif token.kind == "name":
+            term = Var(token.text) if _is_variable_name(token.text) else Const(token.text)
+        else:
+            raise self.fail("expected a term")
+        self.advance()
+        return term
 
 
 def parse_datalog(text: str) -> Program:
     """Parse a Datalog program (a sequence of rules and facts)."""
-    return _DatalogParser(_tokenize(text)).parse_program()
+    return _DatalogParser(text).parse_program()
 
 
 def parse_rule(text: str) -> Rule:
     """Parse a single Datalog rule."""
-    parser = _DatalogParser(_tokenize(text))
-    rule = parser.parse_rule()
-    if parser.peek().kind != "eof":
-        raise DatalogError(f"unexpected trailing input {parser.peek().text!r}")
-    return rule
+    parser = _DatalogParser(text)
+    return parser.finish(parser.parse_rule())

@@ -8,13 +8,15 @@ Example::
 Anonymous positions may be written ``_``; each underscore becomes a fresh
 variable that is existentially quantified immediately around its atom.
 Unicode connectives (∃ ∀ ∧ ∨ ¬ →) are accepted, as are angle brackets around
-the head: ``{ <x, y> | ... }``.
+the head: ``{ <x, y> | ... }``.  The connectives, quantifiers and
+comparisons are the calculus grammar of :class:`repro.syntax.CalculusParser`,
+shared with TRC; this module adds the head, the ``Name(term, ...)`` atom and
+variables as terms.
 """
 
 from __future__ import annotations
 
 import itertools
-import re
 
 from repro.drc.ast import DRCError, DRCQuery
 from repro.logic.formula import (
@@ -30,207 +32,60 @@ from repro.logic.formula import (
     Truth,
 )
 from repro.logic.terms import Const, Term, Var
+from repro.syntax import CALCULUS_ALIASES, NUMBER, STRING, CalculusParser, Lexer
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<number>\d+\.\d+|\d+)
-  | (?P<string>'(?:[^']|'')*')
-  | (?P<arrow>->|→|⇒)
-  | (?P<op><>|!=|<=|>=|=|<|>|\(|\)|\{|\}|\||,|:|<|>|_)
-  | (?P<symbol>∃|∀|∧|∨|¬|⟨|⟩)
-  | (?P<name>[A-Za-z][A-Za-z_0-9]*)
-    """,
-    re.VERBOSE,
-)
-
-_KEYWORDS = {"and", "or", "not", "exists", "forall", "implies", "true", "false"}
+LEXER = Lexer(
+    [("ws", r"\s+"),
+     ("number", NUMBER),
+     ("string", STRING),
+     ("op", r"->|<>|!=|<=|>=|=|<|>|\(|\)|\{|\}|\||,|:|_|→|⇒|∃|∀|∧|∨|¬|⟨|⟩"),
+     ("name", r"[A-Za-z][A-Za-z_0-9]*")],
+    keywords=frozenset("and or not exists forall implies true false".split()),
+    aliases=CALCULUS_ALIASES, error=DRCError)
 
 
-class _Token:
-    def __init__(self, kind: str, text: str) -> None:
-        self.kind = kind
-        self.text = text
+class _DRCParser(CalculusParser):
+    lexer = LEXER
+    truth, conjunction, disjunction, negation = Truth, And, Or, Not
+    implication, exists, forall, compare = Implies, Exists, ForAll, Compare
+    variable, variable_term, constant = Var, Var, Const
 
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if not match:
-            raise DRCError(f"unexpected character {text[pos]!r} at position {pos}")
-        pos = match.end()
-        kind = match.lastgroup or ""
-        value = match.group()
-        if kind == "ws":
-            continue
-        if kind == "name" and value.lower() in _KEYWORDS:
-            tokens.append(_Token("keyword", value.lower()))
-        elif kind == "symbol":
-            mapping = {"∃": "exists", "∀": "forall", "∧": "and", "∨": "or", "¬": "not",
-                       "⟨": "<", "⟩": ">"}
-            mapped = mapping[value]
-            if mapped in ("<", ">"):
-                tokens.append(_Token("op", mapped))
-            else:
-                tokens.append(_Token("keyword", mapped))
-        elif kind == "arrow":
-            tokens.append(_Token("keyword", "implies"))
-        else:
-            tokens.append(_Token(kind, value))
-    tokens.append(_Token("eof", ""))
-    return tokens
-
-
-class _DRCParser:
-    def __init__(self, tokens: list[_Token]) -> None:
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, text: str) -> None:
+        super().__init__(text)
         self._anon_counter = itertools.count(1)
 
-    def peek(self, offset: int = 0) -> _Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        if token.kind != "eof":
-            self.pos += 1
-        return token
-
-    def accept(self, kind: str, text: str | None = None) -> _Token | None:
-        token = self.peek()
-        if token.kind == kind and (text is None or token.text == text):
-            return self.advance()
-        return None
-
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        token = self.accept(kind, text)
-        if token is None:
-            raise DRCError(f"expected {text or kind}, found {self.peek().text!r}")
-        return token
-
-    # -- query -------------------------------------------------------------
     def parse_query(self) -> DRCQuery:
-        self.expect("op", "{")
-        angled = bool(self.accept("op", "<"))
-        head = [self.parse_term()]
-        while self.accept("op", ","):
-            head.append(self.parse_term())
+        self.expect("{")
+        angled = bool(self.accept("<"))
+        head = self.comma_list(self.parse_term)
         if angled:
-            self.expect("op", ">")
-        self.expect("op", "|")
+            self.expect(">")
+        self.expect("|")
         body = self.parse_formula()
-        self.expect("op", "}")
-        if self.peek().kind != "eof":
-            raise DRCError(f"unexpected trailing input {self.peek().text!r}")
-        return DRCQuery(tuple(head), body)
+        self.expect("}")
+        return self.finish(DRCQuery(tuple(head), body))
 
-    # -- formulas ----------------------------------------------------------
-    def parse_formula(self) -> Formula:
-        return self.parse_implies()
+    def relation_atom(self, name: str) -> Formula:
+        anonymous: list[Var] = []
 
-    def parse_implies(self) -> Formula:
-        left = self.parse_or()
-        if self.accept("keyword", "implies"):
-            return Implies(left, self.parse_implies())
-        return left
+        def term() -> Term:
+            if self.accept("_"):
+                anonymous.append(Var(f"_anon{next(self._anon_counter)}"))
+                return anonymous[-1]
+            return self.parse_term()
 
-    def parse_or(self) -> Formula:
-        parts = [self.parse_and()]
-        while self.accept("keyword", "or"):
-            parts.append(self.parse_and())
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
-
-    def parse_and(self) -> Formula:
-        parts = [self.parse_unary()]
-        while self.accept("keyword", "and"):
-            parts.append(self.parse_unary())
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
-
-    def parse_unary(self) -> Formula:
-        if self.accept("keyword", "not"):
-            return Not(self.parse_unary())
-        if self.peek().kind == "keyword" and self.peek().text in ("exists", "forall"):
-            kind = self.advance().text
-            variables = [Var(self.expect("name").text)]
-            while self.accept("op", ","):
-                variables.append(Var(self.expect("name").text))
-            if self.accept("op", ":"):
-                body = self.parse_unary()
-            else:
-                self.expect("op", "(")
-                body = self.parse_formula()
-                self.expect("op", ")")
-            cls = Exists if kind == "exists" else ForAll
-            return cls(tuple(variables), body)
-        if self.peek().kind == "keyword" and self.peek().text in ("true", "false"):
-            token = self.advance()
-            return Truth(token.text == "true")
-        return self.parse_atom()
-
-    def parse_atom(self) -> Formula:
-        token = self.peek()
-        if token.kind == "op" and token.text == "(":
-            self.advance()
-            inner = self.parse_formula()
-            self.expect("op", ")")
-            return inner
-        if token.kind == "name" and self.peek(1).kind == "op" and self.peek(1).text == "(":
-            predicate = self.advance().text
-            self.advance()  # '('
-            terms: list[Term] = []
-            anonymous: list[Var] = []
-            if not (self.peek().kind == "op" and self.peek().text == ")"):
-                terms.append(self._atom_term(anonymous))
-                while self.accept("op", ","):
-                    terms.append(self._atom_term(anonymous))
-            self.expect("op", ")")
-            atom: Formula = Atom(predicate, tuple(terms))
-            if anonymous:
-                atom = Exists(tuple(anonymous), atom)
-            return atom
-        left = self.parse_term()
-        op_token = self.peek()
-        if op_token.kind != "op" or op_token.text not in ("=", "<>", "!=", "<", "<=", ">", ">="):
-            raise DRCError(f"expected a comparison operator, found {op_token.text!r}")
-        self.advance()
-        right = self.parse_term()
-        return Compare(left, op_token.text, right)
-
-    def _atom_term(self, anonymous: list[Var]) -> Term:
-        if self.accept("op", "_"):
-            var = Var(f"_anon{next(self._anon_counter)}")
-            anonymous.append(var)
-            return var
-        return self.parse_term()
-
-    def parse_term(self) -> Term:
-        token = self.peek()
-        if token.kind == "number":
-            self.advance()
-            return Const(float(token.text) if "." in token.text else int(token.text))
-        if token.kind == "string":
-            self.advance()
-            return Const(token.text[1:-1].replace("''", "'"))
-        if token.kind == "keyword" and token.text in ("true", "false"):
-            self.advance()
-            return Const(token.text == "true")
-        if token.kind == "name":
-            self.advance()
-            return Var(token.text)
-        raise DRCError(f"expected a term, found {token.text!r}")
+        terms = self.comma_list(term, ")")
+        self.expect(")")
+        atom: Formula = Atom(name, tuple(terms))
+        return Exists(tuple(anonymous), atom) if anonymous else atom
 
 
 def parse_drc(text: str) -> DRCQuery:
     """Parse a DRC query of the form ``{ head | formula }``."""
-    return _DRCParser(_tokenize(text)).parse_query()
+    return _DRCParser(text).parse_query()
 
 
 def parse_drc_formula(text: str) -> Formula:
     """Parse a bare DRC formula (for Boolean queries / logical statements)."""
-    parser = _DRCParser(_tokenize(text))
-    formula = parser.parse_formula()
-    if parser.peek().kind != "eof":
-        raise DRCError(f"unexpected trailing input {parser.peek().text!r}")
-    return formula
+    parser = _DRCParser(text)
+    return parser.finish(parser.parse_formula())

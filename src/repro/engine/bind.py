@@ -26,9 +26,14 @@ literals into it.  Three pieces, all language-agnostic:
 The scanner only has to be *conservative*: whatever it gets wrong (it knows
 no language's comment syntax) shows up as a difference that is not a slot,
 and discovery refuses.  What it must get right is that two texts of one
-accepted shape tokenize alike in every parser, which holds because all five
-lexers share the literal syntax scanned here (``\\d+``, ``\\d+\\.\\d+``,
-``'...'`` with ``''`` for a quote, never adjacent to an identifier).
+accepted shape tokenize alike in every parser.  That holds because the
+literal syntax lives in one place, :data:`repro.syntax.NUMBER` and
+:data:`repro.syntax.STRING`, which every language's lexer and the pattern
+scanned here are built from (never adjacent to an identifier).  Datalog's
+lexer also reads a ``-`` signed number and a double-quoted string, and
+neither is a shared literal: the scanner lifts only the digits of ``-5``,
+so the sentinel comes back negated and discovery refuses the shape, and it
+keeps a double-quoted span in the shape verbatim.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from typing import Any, Callable, Sequence
 
 from repro.expr import ast as e
 from repro.engine.plan import Plan
+from repro.syntax import NUMBER, QUOTED, STRING
 
 __all__ = ["Template", "attach_slots", "discover_slots", "scan_literals",
            "sentinel_text", "sentinels_for"]
@@ -46,8 +52,7 @@ __all__ = ["Template", "attach_slots", "discover_slots", "scan_literals",
 #: What a text may contain that the scanner must step over as one unit: a
 #: single-quoted string, a double-quoted identifier/string (kept verbatim),
 #: and a number that does not continue an identifier (``col1``, ``S2``).
-_LITERAL_RE = re.compile(
-    r"""'(?:[^']|'')*'|"(?:[^"]|"")*"|(?<![A-Za-z_0-9])\d+(?:\.\d+)?""")
+_LITERAL_RE = re.compile(rf"{STRING}|{QUOTED}|(?<![A-Za-z_0-9])(?:{NUMBER})")
 
 #: Hole markers.  NUL occurs in no query language here; a text that contains
 #: one anyway is simply not scanned (its shape is itself).
@@ -60,8 +65,8 @@ def scan_literals(text: str) -> tuple[str, tuple[Any, ...]]:
 
     ``shape`` is the stripped text with each lifted literal replaced by a
     typed hole; a text without literals is its own shape.  Double-quoted
-    spans and strings containing a bracket (the RA lexer cuts ``[...]``
-    before it sees quotes) stay in the shape verbatim.
+    spans stay in the shape verbatim, and so, conservatively, does a string
+    containing a bracket (rare, and always safe to serve by its exact text).
     """
     text = text.strip()
     if "\x00" in text:

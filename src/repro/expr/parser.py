@@ -1,16 +1,17 @@
-"""A small text parser for scalar/boolean expressions (no subqueries).
+"""The scalar/boolean expression grammar SQL and Relational Algebra share.
 
-Used for the condition syntax of the Relational Algebra parser
-(``select[color = 'red' and rating >= 7](...)``) and by the calculus
-parsers.  Full SQL expressions — which can contain subqueries — are parsed by
-:mod:`repro.sql.parser`; this parser intentionally covers only the
-subquery-free fragment.
+:class:`ExpressionParser` is a :class:`repro.syntax.Cursor` with SQL-ish
+operator precedence over literals, columns, calls (aggregates included:
+``count(*)``, ``sum(DISTINCT x)``), arithmetic, comparisons, ``IS [NOT]
+NULL``, ``[NOT] IN (...)``, ``BETWEEN`` and ``LIKE``.  The RA parser
+(``select[color = 'red' and rating >= 7](...)``) runs it inside its
+brackets; the SQL parser subclasses it and overrides only the subquery
+forms (:meth:`parse_not`, :meth:`parse_comparison`, :meth:`parse_in`,
+:meth:`parse_parenthesized`).  On its own, :func:`parse_expression` parses
+the subquery-free fragment.
 """
 
 from __future__ import annotations
-
-import re
-from dataclasses import dataclass
 
 from repro.expr.ast import (
     And,
@@ -29,202 +30,144 @@ from repro.expr.ast import (
     Neg,
     Not,
     Or,
+    Star,
 )
+from repro.syntax import COMPARISONS, NAME, NUMBER, STRING, Cursor, Lexer, number
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<number>\d+\.\d+|\d+)
-  | (?P<string>'(?:[^']|'')*')
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*(?:\.[A-Za-z_][A-Za-z_0-9]*)?)
-  | (?P<op><>|!=|<=|>=|=|<|>|\(|\)|,|\+|-|\*|/|%)
-    """,
-    re.VERBOSE,
-)
+#: The words the expression grammar reserves; a language using it reserves
+#: at least these.
+KEYWORDS = frozenset(
+    "and or not in is null between like true false distinct".split())
 
-_KEYWORDS = {"and", "or", "not", "in", "is", "null", "between", "like", "true", "false"}
-
-
-@dataclass
-class _Token:
-    kind: str
-    text: str
+LEXER = Lexer(
+    [("ws", r"\s+"),
+     ("number", NUMBER),
+     ("string", STRING),
+     ("op", r"<>|!=|<=|>=|=|<|>|\(|\)|,|\.|\+|-|\*|/|%"),
+     ("name", NAME)],
+    keywords=KEYWORDS, error=ExprError)
 
 
-def tokenize_expression(text: str) -> list[_Token]:
-    """Tokenize an expression string; raises :class:`ExprError` on junk."""
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if not match:
-            raise ExprError(f"unexpected character {text[pos]!r} at position {pos} in {text!r}")
-        pos = match.end()
-        kind = match.lastgroup or ""
-        value = match.group()
-        if kind == "ws":
-            continue
-        if kind == "name" and value.lower() in _KEYWORDS:
-            tokens.append(_Token("keyword", value.lower()))
-        else:
-            tokens.append(_Token(kind, value))
-    tokens.append(_Token("eof", ""))
-    return tokens
+class ExpressionParser(Cursor):
+    """``or`` > ``and`` > ``not`` > predicate > ``+ -`` > ``* / %`` > unary."""
 
+    lexer = LEXER
 
-class _ExpressionParser:
-    """Recursive-descent parser with SQL-ish operator precedence."""
-
-    def __init__(self, tokens: list[_Token]) -> None:
-        self.tokens = tokens
-        self.pos = 0
-
-    # -- token helpers ---------------------------------------------------
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def accept(self, kind: str, text: str | None = None) -> _Token | None:
-        token = self.peek()
-        if token.kind == kind and (text is None or token.text == text):
-            return self.advance()
-        return None
-
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        token = self.accept(kind, text)
-        if token is None:
-            actual = self.peek()
-            raise ExprError(f"expected {text or kind}, found {actual.text!r}")
-        return token
-
-    # -- grammar ---------------------------------------------------------
-    def parse(self) -> Expr:
-        expr = self.parse_or()
-        if self.peek().kind != "eof":
-            raise ExprError(f"unexpected trailing input {self.peek().text!r}")
-        return expr
+    def parse_expression(self) -> Expr:
+        return self.parse_or()
 
     def parse_or(self) -> Expr:
         parts = [self.parse_and()]
-        while self.accept("keyword", "or"):
+        while self.accept("or"):
             parts.append(self.parse_and())
         return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
     def parse_and(self) -> Expr:
         parts = [self.parse_not()]
-        while self.accept("keyword", "and"):
+        while self.accept("and"):
             parts.append(self.parse_not())
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def parse_not(self) -> Expr:
-        if self.accept("keyword", "not"):
+        if self.accept("not"):
             return Not(self.parse_not())
         return self.parse_predicate()
 
     def parse_predicate(self) -> Expr:
         left = self.parse_additive()
-        token = self.peek()
-        if token.kind == "op" and token.text in ("=", "<>", "!=", "<", "<=", ">", ">="):
-            self.advance()
-            right = self.parse_additive()
-            return Comparison(left, token.text, right)
-        if token.kind == "keyword" and token.text == "is":
-            self.advance()
-            negated = bool(self.accept("keyword", "not"))
-            self.expect("keyword", "null")
+        op = self.accept(*COMPARISONS)
+        if op is not None:
+            return self.parse_comparison(left, op.text)
+        if self.accept("is"):
+            negated = bool(self.accept("not"))
+            self.expect("null")
             return IsNull(left, negated)
-        negated = False
-        if token.kind == "keyword" and token.text == "not":
-            nxt = self.tokens[self.pos + 1]
-            if nxt.kind == "keyword" and nxt.text in ("in", "between", "like"):
-                self.advance()
-                negated = True
-                token = self.peek()
-        if token.kind == "keyword" and token.text == "in":
+        negated = self.at("not") and self.at("in", "between", "like", ahead=1)
+        if negated:
             self.advance()
-            self.expect("op", "(")
-            items = [self.parse_additive()]
-            while self.accept("op", ","):
-                items.append(self.parse_additive())
-            self.expect("op", ")")
-            return InList(left, tuple(items), negated)
-        if token.kind == "keyword" and token.text == "between":
-            self.advance()
+        if self.accept("in"):
+            self.expect("(")
+            return self.parse_in(left, negated)
+        if self.accept("between"):
             low = self.parse_additive()
-            self.expect("keyword", "and")
-            high = self.parse_additive()
-            return Between(left, low, high, negated)
-        if token.kind == "keyword" and token.text == "like":
-            self.advance()
-            pattern = self.expect("string").text
-            return Like(left, pattern[1:-1].replace("''", "'"), negated)
+            self.expect("and")
+            return Between(left, low, self.parse_additive(), negated)
+        if self.accept("like"):
+            return Like(left, self.take("string").text, negated)
         return left
+
+    def parse_comparison(self, left: Expr, op: str) -> Expr:
+        """The rest of ``left op ...``."""
+        return Comparison(left, op, self.parse_additive())
+
+    def parse_in(self, left: Expr, negated: bool) -> Expr:
+        """The rest of ``left [NOT] IN ( ...``."""
+        items = self.comma_list(self.parse_additive)
+        self.expect(")")
+        return InList(left, tuple(items), negated)
 
     def parse_additive(self) -> Expr:
         expr = self.parse_multiplicative()
-        while True:
-            token = self.peek()
-            if token.kind == "op" and token.text in ("+", "-"):
-                self.advance()
-                expr = BinOp(token.text, expr, self.parse_multiplicative())
-            else:
-                return expr
+        while (op := self.accept("+", "-")) is not None:
+            expr = BinOp(op.text, expr, self.parse_multiplicative())
+        return expr
 
     def parse_multiplicative(self) -> Expr:
         expr = self.parse_unary()
-        while True:
-            token = self.peek()
-            if token.kind == "op" and token.text in ("*", "/", "%"):
-                self.advance()
-                expr = BinOp(token.text, expr, self.parse_unary())
-            else:
-                return expr
+        while (op := self.accept("*", "/", "%")) is not None:
+            expr = BinOp(op.text, expr, self.parse_unary())
+        return expr
 
     def parse_unary(self) -> Expr:
-        if self.accept("op", "-"):
-            return Neg(self.parse_unary())
-        return self.parse_primary()
+        sign = self.accept("-", "+")
+        if sign is None:
+            return self.parse_primary()
+        operand = self.parse_unary()
+        return Neg(operand) if sign.text == "-" else operand
 
     def parse_primary(self) -> Expr:
         token = self.peek()
-        if token.kind == "number":
-            self.advance()
-            return Const(float(token.text) if "." in token.text else int(token.text))
-        if token.kind == "string":
-            self.advance()
-            return Const(token.text[1:-1].replace("''", "'"))
-        if token.kind == "keyword" and token.text in ("true", "false"):
-            self.advance()
-            return BoolConst(token.text == "true")
-        if token.kind == "keyword" and token.text == "null":
-            self.advance()
-            return Const(None)
         if token.kind == "name":
             self.advance()
-            if self.peek().kind == "op" and self.peek().text == "(":
-                self.advance()
-                args: list[Expr] = []
-                if not (self.peek().kind == "op" and self.peek().text == ")"):
-                    args.append(self.parse_or())
-                    while self.accept("op", ","):
-                        args.append(self.parse_or())
-                self.expect("op", ")")
-                return FuncCall(token.text, tuple(args))
-            if "." in token.text:
-                qualifier, name = token.text.split(".", 1)
-                return Col(name, qualifier)
-            return Col(token.text)
-        if self.accept("op", "("):
-            expr = self.parse_or()
-            self.expect("op", ")")
-            return expr
-        raise ExprError(f"unexpected token {token.text!r}")
+            after = self.accept("(", ".")
+            if after is None:
+                return Col(token.text)
+            if after.text == "(":
+                return self.parse_call(token.text)
+            return Col(self.take("name").text, token.text)
+        if self.accept("("):
+            return self.parse_parenthesized()
+        if token.kind == "number":
+            value: Expr = Const(number(token.text))
+        elif token.kind == "string":
+            value = Const(token.text)
+        elif token.is_keyword("null"):
+            value = Const(None)
+        elif token.is_keyword("true", "false"):
+            value = BoolConst(token.text == "true")
+        else:
+            raise self.fail("expected an expression")
+        self.advance()
+        return value
+
+    def parse_call(self, name: str) -> FuncCall:
+        """The rest of ``name ( [DISTINCT] (* | expr, ...) )``."""
+        distinct = bool(self.accept("distinct"))
+        if self.accept("*"):
+            args: tuple[Expr, ...] = (Star(),)
+        else:
+            args = tuple(self.comma_list(self.parse_expression, ")"))
+        self.expect(")")
+        return FuncCall(name, args, distinct)
+
+    def parse_parenthesized(self) -> Expr:
+        """The rest of ``( expr )``."""
+        expr = self.parse_expression()
+        self.expect(")")
+        return expr
 
 
 def parse_expression(text: str) -> Expr:
     """Parse ``text`` into an expression AST (no subqueries supported)."""
-    return _ExpressionParser(tokenize_expression(text)).parse()
+    parser = ExpressionParser(text)
+    return parser.finish(parser.parse_expression())

@@ -11,8 +11,17 @@ Grammar (precedence from loosest to tightest)::
 
     expr     := setexpr
     setexpr  := joinexpr ((UNION | INTERSECT | EXCEPT | DIVIDE) joinexpr)*
-    joinexpr := unary ((NJOIN | JOIN[cond] | TIMES | SEMIJOIN[cond?] | ANTIJOIN[cond?]) unary)*
-    unary    := OPNAME '[' args ']' '(' expr ')'  |  NAME  |  '(' expr ')'
+    joinexpr := unary ((NJOIN | JOIN[cond?] | TIMES | SEMIJOIN[cond?] | ANTIJOIN[cond?]) unary)*
+    unary    := OPNAME ['[' args ']'] '(' expr ')'  |  NAME  |  '(' expr ')'
+    args     := column, ...                              (project)
+              | cond                                     (select)
+              | (NAME | column -> NAME), ...             (rename)
+              | [column, ... ;] call [-> NAME], ...      (groupby)
+
+``cond`` and ``call`` are the shared expression grammar of
+:mod:`repro.expr.parser`, lexed by :mod:`repro.syntax` along with the rest of
+the text, so a quoted ``]`` inside a bracket is just part of a string and a
+malformed condition is an :class:`~repro.ra.ast.RAError`.
 
 Operator names: ``project``/``pi``/``π``, ``select``/``sigma``/``σ``,
 ``rename``/``rho``/``ρ``, ``distinct``/``delta``, ``gamma``/``groupby``.
@@ -22,8 +31,8 @@ from __future__ import annotations
 
 import re
 
-from repro.expr.ast import FuncCall, Star
-from repro.expr.parser import parse_expression
+from repro.expr.ast import FuncCall
+from repro.expr.parser import KEYWORDS, ExpressionParser
 from repro.ra.ast import (
     AntiJoin,
     Difference,
@@ -43,23 +52,24 @@ from repro.ra.ast import (
     ThetaJoin,
     Union,
 )
+from repro.syntax import NAME, NUMBER, STRING, Lexer
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<bracket>\[(?:[^\[\]]|\[[^\]]*\])*\])
-  | (?P<symbol>π|σ|ρ|δ|γ|÷|⨝|⋈|×|∪|∩|−|⋉|▷|\(|\)|,|/|\*)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-    """,
-    re.VERBOSE,
-)
+LEXER = Lexer(
+    [("ws", r"\s+"),
+     ("number", NUMBER),
+     ("string", STRING),
+     ("op", r"->|<>|!=|<=|>=|=|<|>|\(|\)|\[|\]|,|;|\.|\*|\+|-|/|%"
+            r"|π|σ|ρ|δ|γ|÷|⨝|⋈|×|∪|∩|−|⋉|▷"),
+     ("name", NAME)],
+    keywords=KEYWORDS, error=RAError)
 
+#: Unary operator spelling -> the parser method that reads the rest.
 _UNARY_OPS = {
-    "project": "project", "pi": "project", "π": "project",
-    "select": "select", "sigma": "select", "σ": "select",
-    "rename": "rename", "rho": "rename", "ρ": "rename",
-    "distinct": "distinct", "delta": "distinct", "δ": "distinct",
-    "groupby": "groupby", "gamma": "groupby", "γ": "groupby",
+    "project": "_project", "pi": "_project", "π": "_project",
+    "select": "_select", "sigma": "_select", "σ": "_select",
+    "rename": "_rename", "rho": "_rename", "ρ": "_rename",
+    "distinct": "_distinct", "delta": "_distinct", "δ": "_distinct",
+    "groupby": "_groupby", "gamma": "_groupby", "γ": "_groupby",
 }
 
 _SET_OPS = {
@@ -69,185 +79,122 @@ _SET_OPS = {
     "divide": Division, "/": Division, "÷": Division,
 }
 
-_JOIN_OPS = {"njoin", "join", "⨝", "⋈", "times", "×", "*", "product",
-             "semijoin", "⋉", "antijoin", "▷"}
+#: Join operators; ``join`` / ``⨝`` without a condition is the natural join.
+_JOIN_OPS = {
+    "njoin": NaturalJoin, "join": ThetaJoin, "⨝": ThetaJoin, "⋈": ThetaJoin,
+    "times": Product, "×": Product, "*": Product, "product": Product,
+    "semijoin": SemiJoin, "⋉": SemiJoin, "antijoin": AntiJoin, "▷": AntiJoin,
+}
 
 
-class _Token:
-    def __init__(self, kind: str, text: str) -> None:
-        self.kind = kind
-        self.text = text
+class _RAParser(ExpressionParser):
+    lexer = LEXER
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Token({self.kind}, {self.text!r})"
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if not match:
-            raise RAError(f"unexpected character {text[pos]!r} at position {pos}")
-        pos = match.end()
-        kind = match.lastgroup or ""
-        if kind == "ws":
-            continue
-        tokens.append(_Token(kind, match.group()))
-    tokens.append(_Token("eof", ""))
-    return tokens
-
-
-class _RAParser:
-    def __init__(self, tokens: list[_Token]) -> None:
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def expect(self, kind: str, text: str | None = None) -> _Token:
+    def _operator(self) -> str:
+        """The next token as an operator-table key: operator words are
+        case-insensitive, and a string literal is never an operator."""
         token = self.peek()
-        if token.kind != kind or (text is not None and token.text != text):
-            raise RAError(f"expected {text or kind}, found {token.text!r}")
-        return self.advance()
+        return "" if token.kind == "string" else token.text.lower()
 
-    # -- grammar ---------------------------------------------------------
-    def parse(self) -> RAExpr:
-        expr = self.parse_set()
-        if self.peek().kind != "eof":
-            raise RAError(f"unexpected trailing input {self.peek().text!r}")
+    def parse_relation(self) -> RAExpr:
+        expr = self._join()
+        while (build := _SET_OPS.get(self._operator())) is not None:
+            self.advance()
+            expr = build(expr, self._join())
         return expr
 
-    def parse_set(self) -> RAExpr:
-        expr = self.parse_join()
-        while True:
-            token = self.peek()
-            key = token.text.lower() if token.kind == "name" else token.text
-            if key in _SET_OPS:
-                self.advance()
-                expr = _SET_OPS[key](expr, self.parse_join())
-            else:
-                return expr
-
-    def parse_join(self) -> RAExpr:
-        expr = self.parse_unary()
-        while True:
-            token = self.peek()
-            key = token.text.lower() if token.kind == "name" else token.text
-            if key not in _JOIN_OPS:
-                return expr
+    def _join(self) -> RAExpr:
+        expr = self._operand()
+        while (build := _JOIN_OPS.get(self._operator())) is not None:
             self.advance()
-            bracket = None
-            if self.peek().kind == "bracket":
-                bracket = self.advance().text[1:-1]
-            right = self.parse_unary()
-            if key in ("njoin", "⨝", "⋈") and bracket is None:
-                expr = NaturalJoin(expr, right)
-            elif key in ("join", "⨝", "⋈"):
-                if bracket is None:
-                    expr = NaturalJoin(expr, right)
+            condition = None
+            if build not in (NaturalJoin, Product) and self.accept("["):
+                condition = self.parse_expression()
+                self.expect("]")
+            right = self._operand()
+            if condition is None:
+                expr = (NaturalJoin if build is ThetaJoin else build)(expr, right)
+            else:
+                expr = build(expr, right, condition)
+        return expr
+
+    def _operand(self) -> RAExpr:
+        key = self._operator()
+        if key == "(":
+            return self._input()
+        method = _UNARY_OPS.get(key)
+        if method is None:
+            return RelationRef(self.take("name").text)
+        self.advance()
+        return getattr(self, method)()
+
+    def _input(self) -> RAExpr:
+        self.expect("(")
+        expr = self.parse_relation()
+        self.expect(")")
+        return expr
+
+    def _column(self) -> str:
+        name = self.take("name").text
+        return f"{name}.{self.take('name').text}" if self.accept(".") else name
+
+    def _project(self) -> Projection:
+        self.expect("[")
+        columns = self.comma_list(self._column)
+        self.expect("]")
+        return Projection(self._input(), tuple(columns))
+
+    def _select(self) -> Selection:
+        self.expect("[")
+        condition = self.parse_expression()
+        self.expect("]")
+        return Selection(self._input(), condition)
+
+    def _distinct(self) -> Distinct:
+        return Distinct(self._input())
+
+    def _rename(self) -> Rename:
+        new_name, renames = None, []
+        if self.accept("["):
+            for old, new in self.comma_list(self._rename_item, "]"):
+                if new is None:
+                    new_name = old
                 else:
-                    expr = ThetaJoin(expr, right, parse_expression(bracket))
-            elif key in ("times", "×", "*", "product"):
-                expr = Product(expr, right)
-            elif key in ("semijoin", "⋉"):
-                expr = SemiJoin(expr, right, parse_expression(bracket) if bracket else None)
-            elif key in ("antijoin", "▷"):
-                expr = AntiJoin(expr, right, parse_expression(bracket) if bracket else None)
-            else:  # pragma: no cover - exhaustive
-                raise RAError(f"unhandled join operator {key!r}")
-        return expr
+                    renames.append((old, new))
+            self.expect("]")
+        return Rename(self._input(), new_name, tuple(renames))
 
-    def parse_unary(self) -> RAExpr:
-        token = self.peek()
-        if token.kind == "symbol" and token.text == "(":
-            self.advance()
-            expr = self.parse_set()
-            self.expect("symbol", ")")
-            return expr
-        key = token.text.lower() if token.kind == "name" else token.text
-        if key in _UNARY_OPS or (token.kind == "symbol" and token.text in _UNARY_OPS):
-            op = _UNARY_OPS[key if key in _UNARY_OPS else token.text]
-            self.advance()
-            bracket = ""
-            if self.peek().kind == "bracket":
-                bracket = self.advance().text[1:-1]
-            self.expect("symbol", "(")
-            inner = self.parse_set()
-            self.expect("symbol", ")")
-            return self._build_unary(op, bracket, inner)
-        if token.kind == "name":
-            self.advance()
-            return RelationRef(token.text)
-        raise RAError(f"unexpected token {token.text!r}")
+    def _rename_item(self) -> tuple[str, str | None]:
+        old = self._column()
+        return old, self._column() if self.accept("->") else None
 
-    def _build_unary(self, op: str, bracket: str, inner: RAExpr) -> RAExpr:
-        if op == "project":
-            columns = tuple(c.strip() for c in bracket.split(",") if c.strip())
-            if not columns:
-                raise RAError("projection needs column names inside [...]")
-            return Projection(inner, columns)
-        if op == "select":
-            if not bracket.strip():
-                raise RAError("selection needs a condition inside [...]")
-            return Selection(inner, parse_expression(bracket))
-        if op == "distinct":
-            return Distinct(inner)
-        if op == "rename":
-            return self._build_rename(bracket, inner)
-        if op == "groupby":
-            return self._build_groupby(bracket, inner)
-        raise RAError(f"unhandled unary operator {op!r}")  # pragma: no cover
+    def _groupby(self) -> GroupBy:
+        groups: list[str] = []
+        aggregates: list[tuple[FuncCall, str]] = []
+        if self.accept("["):
+            start = self.pos
+            groups = self.comma_list(self._column, ";")
+            if not self.accept(";"):
+                self.pos, groups = start, []
+            aggregates = self.comma_list(self._aggregate, "]")
+            self.expect("]")
+        return GroupBy(self._input(), tuple(groups), tuple(aggregates))
 
-    def _build_rename(self, bracket: str, inner: RAExpr) -> Rename:
-        new_name = None
-        renames = []
-        for part in (p.strip() for p in bracket.split(",") if p.strip()):
-            if "->" in part:
-                old, new = (x.strip() for x in part.split("->", 1))
-                renames.append((old, new))
-            else:
-                new_name = part
-        return Rename(inner, new_name, tuple(renames))
-
-    def _build_groupby(self, bracket: str, inner: RAExpr) -> GroupBy:
-        if ";" in bracket:
-            group_part, agg_part = bracket.split(";", 1)
-        else:
-            group_part, agg_part = "", bracket
-        group_columns = tuple(c.strip() for c in group_part.split(",") if c.strip())
-        aggregates = []
-        for part in (p.strip() for p in agg_part.split(",") if p.strip()):
-            if "->" in part:
-                call_text, alias = (x.strip() for x in part.split("->", 1))
-            else:
-                call_text, alias = part, re.sub(r"\W+", "_", part.lower()).strip("_")
-            aggregates.append((self._parse_aggregate(call_text), alias))
-        return GroupBy(inner, group_columns, tuple(aggregates))
-
-    @staticmethod
-    def _parse_aggregate(text: str) -> FuncCall:
-        match = re.match(r"^\s*([A-Za-z_]+)\s*\(\s*(.*?)\s*\)\s*$", text)
-        if not match:
-            raise RAError(f"cannot parse aggregate {text!r}")
-        name, arg = match.groups()
-        if arg == "*":
-            return FuncCall(name, (Star(),))
-        distinct = False
-        if arg.lower().startswith("distinct "):
-            distinct = True
-            arg = arg[len("distinct "):]
-        parsed = parse_expression(arg) if arg else None
-        args = (parsed,) if parsed is not None else ()
-        return FuncCall(name, args, distinct)
+    def _aggregate(self) -> tuple[FuncCall, str]:
+        """``name(...) [-> alias]``; the alias defaults to the call's text
+        with each run of non-word characters made one ``_``."""
+        start = self.peek()
+        if not (start.kind == "name" and self.at("(", ahead=1)):
+            raise self.fail("expected an aggregate call")
+        self.pos += 2
+        call = self.parse_call(start.text)
+        if self.accept("->"):
+            return call, self._column()
+        text = self.text[start.position:self.peek().position]
+        return call, re.sub(r"\W+", "_", text.lower()).strip("_")
 
 
 def parse_ra(text: str) -> RAExpr:
     """Parse an RA expression from text."""
-    return _RAParser(_tokenize(text)).parse()
+    parser = _RAParser(text)
+    return parser.finish(parser.parse_relation())

@@ -1,16 +1,15 @@
-"""SQL lexer.
+"""SQL lexer: the SQL token rules for the shared :class:`repro.syntax.Lexer`.
 
-Produces a flat token stream for the recursive-descent parser.  The token
-vocabulary covers the SELECT fragment used throughout the tutorial: nested
-subqueries with EXISTS / IN / ANY / ALL, set operations, grouping and
-ordering.  Identifiers may be double-quoted; strings use single quotes with
-``''`` escaping; comments (``-- ...`` and ``/* ... */``) are skipped.
+The token vocabulary covers the SELECT fragment used throughout the
+tutorial: nested subqueries with EXISTS / IN / ANY / ALL, set operations,
+grouping and ordering.  Identifiers may be double-quoted; strings use
+single quotes with ``''`` escaping; comments (``-- ...`` and ``/* ... */``)
+are skipped.  Aggregate names (``count``, ``sum``, ...) are ordinary names.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
+from repro.syntax import NAME, NUMBER, QUOTED, STRING, Lexer, Token
 
 
 class SQLSyntaxError(Exception):
@@ -24,67 +23,21 @@ KEYWORDS = frozenset(
     as and or not in exists between like is null true false
     union intersect except all any some
     join inner left right full outer natural cross on using
-    count sum avg min max
     """.split()
 )
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+|--[^\n]*|/\*.*?\*/)
-  | (?P<number>\d+\.\d+|\d+)
-  | (?P<string>'(?:[^']|'')*')
-  | (?P<quoted_ident>"(?:[^"]|"")*")
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op><>|!=|<=|>=|=|<|>|\(|\)|,|\.|\*|\+|-|/|%|;)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+LEXER = Lexer(
+    [("ws", r"\s+|--[^\n]*|/\*[\s\S]*?\*/"),
+     ("number", NUMBER),
+     ("string", STRING),
+     ("quoted_name", QUOTED),
+     ("op", r"<>|!=|<=|>=|=|<|>|\(|\)|,|\.|\*|\+|-|/|%|;"),
+     ("name", NAME)],
+    keywords=KEYWORDS, error=SQLSyntaxError)
 
-
-@dataclass(frozen=True)
-class Token:
-    """One lexical token with its source position (for error messages)."""
-
-    kind: str
-    text: str
-    position: int = 0
-
-    def is_keyword(self, *names: str) -> bool:
-        return self.kind == "keyword" and self.text in names
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Token({self.kind}, {self.text!r})"
+__all__ = ["KEYWORDS", "LEXER", "SQLSyntaxError", "Token", "tokenize"]
 
 
 def tokenize(sql: str) -> list[Token]:
     """Tokenize SQL text; raises :class:`SQLSyntaxError` on illegal characters."""
-    tokens: list[Token] = []
-    pos = 0
-    while pos < len(sql):
-        match = _TOKEN_RE.match(sql, pos)
-        if not match:
-            raise SQLSyntaxError(
-                f"unexpected character {sql[pos]!r} at position {pos}"
-            )
-        start = pos
-        pos = match.end()
-        kind = match.lastgroup or ""
-        text = match.group()
-        if kind == "ws":
-            continue
-        if kind == "name":
-            lowered = text.lower()
-            if lowered in KEYWORDS:
-                tokens.append(Token("keyword", lowered, start))
-            else:
-                tokens.append(Token("name", text, start))
-        elif kind == "string":
-            tokens.append(Token("string", text[1:-1].replace("''", "'"), start))
-        elif kind == "quoted_ident":
-            tokens.append(Token("name", text[1:-1].replace('""', '"'), start))
-        elif kind == "number":
-            tokens.append(Token("number", text, start))
-        else:
-            tokens.append(Token("op", text, start))
-    tokens.append(Token("eof", "", len(sql)))
-    return tokens
+    return LEXER.tokenize(sql)

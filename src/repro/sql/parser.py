@@ -1,4 +1,4 @@
-"""Recursive-descent SQL parser.
+"""Recursive-descent SQL parser over the shared front end (:mod:`repro.syntax`).
 
 Grammar sketch (loosest to tightest binding)::
 
@@ -8,39 +8,22 @@ Grammar sketch (loosest to tightest binding)::
                     [WHERE expr] [GROUP BY expr_list] [HAVING expr]
     from_list    := from_item (',' from_item)*
     from_item    := table [alias] | '(' query ')' alias | from_item join_clause
-    expr         := or_expr
-    or_expr      := and_expr (OR and_expr)*
-    and_expr     := not_expr (AND not_expr)*
-    not_expr     := NOT not_expr | predicate
-    predicate    := additive [comparison | IS NULL | IN ... | BETWEEN ... |
-                    LIKE ... | EXISTS ...]
-    primary      := literal | column | function | '(' query ')' | '(' expr ')'
+
+``expr`` is the expression grammar of :mod:`repro.expr.parser`, extended
+here with its subquery forms: ``[NOT] EXISTS (query)``, ``IN (query)``,
+``op ANY/ALL/SOME (query)`` and the scalar ``(query)``.
 """
 
 from __future__ import annotations
 
 from repro.expr.ast import (
-    And,
-    Between,
-    BinOp,
-    BoolConst,
-    Col,
-    Comparison,
-    Const,
     Exists,
     Expr,
-    FuncCall,
-    InList,
     InSubquery,
-    IsNull,
-    Like,
-    Neg,
-    Not,
-    Or,
     QuantifiedComparison,
     ScalarSubquery,
-    Star,
 )
+from repro.expr.parser import ExpressionParser
 from repro.sql.ast import (
     DerivedTable,
     FromItem,
@@ -52,67 +35,22 @@ from repro.sql.ast import (
     SetOpQuery,
     TableRef,
 )
-from repro.sql.lexer import SQLSyntaxError, Token, tokenize
+from repro.sql.lexer import LEXER
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token], source: str) -> None:
-        self.tokens = tokens
-        self.source = source
-        self.pos = 0
-
-    # -- token plumbing ----------------------------------------------------
-    def peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
-
-    def advance(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.kind != "eof":
-            self.pos += 1
-        return token
-
-    def accept_keyword(self, *names: str) -> Token | None:
-        if self.peek().is_keyword(*names):
-            return self.advance()
-        return None
-
-    def accept_op(self, *texts: str) -> Token | None:
-        token = self.peek()
-        if token.kind == "op" and token.text in texts:
-            return self.advance()
-        return None
-
-    def expect_keyword(self, *names: str) -> Token:
-        token = self.accept_keyword(*names)
-        if token is None:
-            raise self._error(f"expected {'/'.join(n.upper() for n in names)}")
-        return token
-
-    def expect_op(self, text: str) -> Token:
-        token = self.accept_op(text)
-        if token is None:
-            raise self._error(f"expected {text!r}")
-        return token
-
-    def _error(self, message: str) -> SQLSyntaxError:
-        token = self.peek()
-        found = token.text or "end of input"
-        return SQLSyntaxError(f"{message}, found {found!r} (at position {token.position})")
+class _Parser(ExpressionParser):
+    lexer = LEXER
 
     # -- queries -------------------------------------------------------------
     def parse_query(self) -> Query:
         query = self.parse_set_expression()
         order_by: tuple[OrderItem, ...] = ()
         limit: int | None = None
-        if self.accept_keyword("order"):
-            self.expect_keyword("by")
-            order_by = tuple(self.parse_order_list())
-        if self.accept_keyword("limit"):
-            token = self.advance()
-            if token.kind != "number":
-                raise self._error("expected a number after LIMIT")
-            limit = int(token.text)
+        if self.accept("order"):
+            self.expect("by")
+            order_by = tuple(self.comma_list(self.parse_order_item))
+        if self.accept("limit"):
+            limit = int(self.take("number").text)
         if order_by or limit is not None:
             if isinstance(query, SelectQuery):
                 query = SelectQuery(
@@ -128,68 +66,56 @@ class _Parser:
 
     def parse_set_expression(self) -> Query:
         left = self.parse_select_core()
-        while True:
-            token = self.peek()
-            if token.is_keyword("union", "intersect", "except"):
-                self.advance()
-                all_flag = bool(self.accept_keyword("all"))
-                right = self.parse_select_core()
-                left = SetOpQuery(token.text, left, right, all_flag)
-            else:
-                return left
+        while (op := self.accept("union", "intersect", "except")) is not None:
+            all_flag = bool(self.accept("all"))
+            left = SetOpQuery(op.text, left, self.parse_select_core(), all_flag)
+        return left
 
     def parse_select_core(self) -> Query:
-        if self.accept_op("("):
+        if self.accept("("):
             inner = self.parse_set_expression()
-            self.expect_op(")")
+            self.expect(")")
             return inner
-        self.expect_keyword("select")
-        distinct = bool(self.accept_keyword("distinct"))
-        self.accept_keyword("all")
+        self.expect("select")
+        distinct = bool(self.accept("distinct"))
+        self.accept("all")
 
         select_items: list[SelectItem] = []
         select_star = False
         star_qualifiers: list[str] = []
         while True:
-            if self.accept_op("*"):
+            if self.accept("*"):
                 select_star = True
-            elif (self.peek().kind == "name" and self.peek(1).kind == "op"
-                  and self.peek(1).text == "." and self.peek(2).kind == "op"
-                  and self.peek(2).text == "*"):
-                qualifier = self.advance().text
-                self.advance()
-                self.advance()
-                star_qualifiers.append(qualifier)
+            elif (self.peek().kind == "name" and self.at(".", ahead=1)
+                  and self.at("*", ahead=2)):
+                star_qualifiers.append(self.advance().text)
+                self.pos += 2
             else:
                 expr = self.parse_expression()
                 alias = None
-                if self.accept_keyword("as"):
-                    alias = self._expect_identifier()
+                if self.accept("as"):
+                    alias = self._name()
                 elif self.peek().kind == "name":
                     alias = self.advance().text
                 select_items.append(SelectItem(expr, alias))
-            if not self.accept_op(","):
+            if not self.accept(","):
                 break
 
         from_items: list[FromItem] = []
-        if self.accept_keyword("from"):
-            from_items.append(self.parse_from_item())
-            while self.accept_op(","):
-                from_items.append(self.parse_from_item())
+        if self.accept("from"):
+            from_items = self.comma_list(self.parse_from_item)
 
         where = None
-        if self.accept_keyword("where"):
+        if self.accept("where"):
             where = self.parse_expression()
 
         group_by: list[Expr] = []
-        if self.accept_keyword("group"):
-            self.expect_keyword("by")
-            group_by.append(self.parse_expression())
-            while self.accept_op(","):
-                group_by.append(self.parse_expression())
+        if self.accept("group"):
+            self.expect("by")
+            group_by = self.comma_list(self.parse_expression)
 
         having = None
-        if self.accept_keyword("having"):
+        if self.accept("having"):
             having = self.parse_expression()
 
         return SelectQuery(
@@ -197,279 +123,105 @@ class _Parser:
             tuple(group_by), having, (), None, select_star, tuple(star_qualifiers),
         )
 
-    def parse_order_list(self) -> list[OrderItem]:
-        items = [self.parse_order_item()]
-        while self.accept_op(","):
-            items.append(self.parse_order_item())
-        return items
-
     def parse_order_item(self) -> OrderItem:
         expr = self.parse_expression()
-        ascending = True
-        if self.accept_keyword("asc"):
-            ascending = True
-        elif self.accept_keyword("desc"):
-            ascending = False
-        return OrderItem(expr, ascending)
+        direction = self.accept("asc", "desc")
+        return OrderItem(expr, direction is None or direction.text == "asc")
 
     # -- FROM clause -----------------------------------------------------
     def parse_from_item(self) -> FromItem:
         item = self.parse_table_primary()
         while True:
-            natural = False
-            if self.peek().is_keyword("natural"):
-                natural = True
-                self.advance()
+            natural = bool(self.accept("natural"))
             token = self.peek()
             if token.is_keyword("join", "inner", "left", "right", "full", "cross"):
                 kind = "inner"
                 if token.is_keyword("inner", "left", "right", "full", "cross"):
                     kind = token.text
                     self.advance()
-                    self.accept_keyword("outer")
-                self.expect_keyword("join")
+                    self.accept("outer")
+                self.expect("join")
                 right = self.parse_table_primary()
                 condition = None
                 using: tuple[str, ...] = ()
                 if not natural and kind != "cross":
-                    if self.accept_keyword("on"):
+                    if self.accept("on"):
                         condition = self.parse_expression()
-                    elif self.accept_keyword("using"):
-                        self.expect_op("(")
-                        names = [self._expect_identifier()]
-                        while self.accept_op(","):
-                            names.append(self._expect_identifier())
-                        self.expect_op(")")
-                        using = tuple(names)
+                    elif self.accept("using"):
+                        self.expect("(")
+                        using = tuple(self.comma_list(self._name))
+                        self.expect(")")
                 item = Join(item, right, kind, condition, natural, using)
             elif natural:
-                raise self._error("expected JOIN after NATURAL")
+                raise self.fail("expected JOIN after NATURAL")
             else:
                 return item
 
     def parse_table_primary(self) -> FromItem:
-        if self.accept_op("("):
+        if self.accept("("):
             query = self.parse_set_expression()
-            self.expect_op(")")
-            self.accept_keyword("as")
-            alias = self._expect_identifier()
+            self.expect(")")
+            self.accept("as")
+            alias = self._name()
             return DerivedTable(query, alias)
-        name = self._expect_identifier()
+        name = self._name()
         alias = None
-        if self.accept_keyword("as"):
-            alias = self._expect_identifier()
+        if self.accept("as"):
+            alias = self._name()
         elif self.peek().kind == "name":
             alias = self.advance().text
         return TableRef(name, alias)
 
-    def _expect_identifier(self) -> str:
-        token = self.peek()
-        if token.kind == "name":
-            self.advance()
-            return token.text
-        # Aggregate names double as identifiers when not followed by "(".
-        if token.kind == "keyword" and token.text in ("count", "sum", "avg", "min", "max"):
-            self.advance()
-            return token.text
-        raise self._error("expected an identifier")
+    def _name(self) -> str:
+        return self.take("name").text
 
-    # -- expressions -------------------------------------------------------
-    def parse_expression(self) -> Expr:
-        return self.parse_or()
-
-    def parse_or(self) -> Expr:
-        parts = [self.parse_and()]
-        while self.accept_keyword("or"):
-            parts.append(self.parse_and())
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
-
-    def parse_and(self) -> Expr:
-        parts = [self.parse_not()]
-        while self.accept_keyword("and"):
-            parts.append(self.parse_not())
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
-
+    # -- subquery forms of the shared expression grammar --------------------
     def parse_not(self) -> Expr:
-        if self.accept_keyword("not"):
-            # NOT EXISTS is a single predicate, not a negated EXISTS, so that
-            # syntax-oriented visualizations can label it faithfully.
-            if self.peek().is_keyword("exists"):
-                self.advance()
-                self.expect_op("(")
-                query = self.parse_set_expression()
-                self.expect_op(")")
-                return Exists(query, negated=True)
-            return Not(self.parse_not())
-        return self.parse_predicate()
-
-    def parse_predicate(self) -> Expr:
-        if self.peek().is_keyword("exists"):
+        # NOT EXISTS is a single predicate, not a negated EXISTS, so that
+        # syntax-oriented visualizations can label it faithfully.
+        negated = self.at("not") and self.at("exists", ahead=1)
+        if negated:
             self.advance()
-            self.expect_op("(")
+        if self.accept("exists"):
+            return Exists(self._subquery(), negated)
+        return super().parse_not()
+
+    def parse_comparison(self, left: Expr, op: str) -> Expr:
+        quantifier = self.accept("all", "any", "some")
+        if quantifier is not None:
+            return QuantifiedComparison(left, op, quantifier.text, self._subquery())
+        return super().parse_comparison(left, op)
+
+    def parse_in(self, left: Expr, negated: bool) -> Expr:
+        if self.at("select", "("):
             query = self.parse_set_expression()
-            self.expect_op(")")
-            return Exists(query, negated=False)
+            self.expect(")")
+            return InSubquery(left, query, negated)
+        return super().parse_in(left, negated)
 
-        left = self.parse_additive()
-        token = self.peek()
+    def parse_parenthesized(self) -> Expr:
+        if self.at("select"):
+            query = self.parse_set_expression()
+            self.expect(")")
+            return ScalarSubquery(query)
+        return super().parse_parenthesized()
 
-        if token.kind == "op" and token.text in ("=", "<>", "!=", "<", "<=", ">", ">="):
-            self.advance()
-            if self.peek().is_keyword("all", "any", "some"):
-                quantifier = self.advance().text
-                self.expect_op("(")
-                query = self.parse_set_expression()
-                self.expect_op(")")
-                return QuantifiedComparison(left, token.text, quantifier, query)
-            right = self.parse_additive()
-            return Comparison(left, token.text, right)
-
-        if token.is_keyword("is"):
-            self.advance()
-            negated = bool(self.accept_keyword("not"))
-            self.expect_keyword("null")
-            return IsNull(left, negated)
-
-        negated = False
-        if token.is_keyword("not"):
-            nxt = self.peek(1)
-            if nxt.is_keyword("in", "between", "like"):
-                self.advance()
-                negated = True
-                token = self.peek()
-
-        if token.is_keyword("in"):
-            self.advance()
-            self.expect_op("(")
-            if self.peek().is_keyword("select") or (
-                self.peek().kind == "op" and self.peek().text == "("
-            ):
-                query = self.parse_set_expression()
-                self.expect_op(")")
-                return InSubquery(left, query, negated)
-            items = [self.parse_additive()]
-            while self.accept_op(","):
-                items.append(self.parse_additive())
-            self.expect_op(")")
-            return InList(left, tuple(items), negated)
-
-        if token.is_keyword("between"):
-            self.advance()
-            low = self.parse_additive()
-            self.expect_keyword("and")
-            high = self.parse_additive()
-            return Between(left, low, high, negated)
-
-        if token.is_keyword("like"):
-            self.advance()
-            pattern_token = self.advance()
-            if pattern_token.kind != "string":
-                raise self._error("expected a string literal after LIKE")
-            return Like(left, pattern_token.text, negated)
-
-        return left
-
-    def parse_additive(self) -> Expr:
-        expr = self.parse_multiplicative()
-        while True:
-            token = self.peek()
-            if token.kind == "op" and token.text in ("+", "-"):
-                self.advance()
-                expr = BinOp(token.text, expr, self.parse_multiplicative())
-            else:
-                return expr
-
-    def parse_multiplicative(self) -> Expr:
-        expr = self.parse_unary()
-        while True:
-            token = self.peek()
-            if token.kind == "op" and token.text in ("*", "/", "%"):
-                self.advance()
-                expr = BinOp(token.text, expr, self.parse_unary())
-            else:
-                return expr
-
-    def parse_unary(self) -> Expr:
-        if self.accept_op("-"):
-            return Neg(self.parse_unary())
-        if self.accept_op("+"):
-            return self.parse_unary()
-        return self.parse_primary()
-
-    def parse_primary(self) -> Expr:
-        token = self.peek()
-
-        if token.kind == "number":
-            self.advance()
-            return Const(float(token.text) if "." in token.text else int(token.text))
-        if token.kind == "string":
-            self.advance()
-            return Const(token.text)
-        if token.is_keyword("null"):
-            self.advance()
-            return Const(None)
-        if token.is_keyword("true"):
-            self.advance()
-            return BoolConst(True)
-        if token.is_keyword("false"):
-            self.advance()
-            return BoolConst(False)
-
-        if token.is_keyword("count", "sum", "avg", "min", "max"):
-            self.advance()
-            self.expect_op("(")
-            distinct = bool(self.accept_keyword("distinct"))
-            if self.accept_op("*"):
-                args: tuple[Expr, ...] = (Star(),)
-            else:
-                args = (self.parse_expression(),)
-            self.expect_op(")")
-            return FuncCall(token.text, args, distinct)
-
-        if token.kind == "name":
-            self.advance()
-            if self.accept_op("("):
-                args = ()
-                if not (self.peek().kind == "op" and self.peek().text == ")"):
-                    parsed = [self.parse_expression()]
-                    while self.accept_op(","):
-                        parsed.append(self.parse_expression())
-                    args = tuple(parsed)
-                self.expect_op(")")
-                return FuncCall(token.text, args)
-            if self.peek().kind == "op" and self.peek().text == ".":
-                self.advance()
-                column = self._expect_identifier()
-                return Col(column, token.text)
-            return Col(token.text)
-
-        if token.kind == "op" and token.text == "(":
-            self.advance()
-            if self.peek().is_keyword("select"):
-                query = self.parse_set_expression()
-                self.expect_op(")")
-                return ScalarSubquery(query)
-            expr = self.parse_expression()
-            self.expect_op(")")
-            return expr
-
-        raise self._error("expected an expression")
+    def _subquery(self) -> Query:
+        self.expect("(")
+        query = self.parse_set_expression()
+        self.expect(")")
+        return query
 
 
 def parse_sql(sql: str) -> Query:
     """Parse a SQL query string into an AST."""
-    parser = _Parser(tokenize(sql), sql)
+    parser = _Parser(sql)
     query = parser.parse_query()
-    parser.accept_op(";")
-    if parser.peek().kind != "eof":
-        raise parser._error("unexpected trailing input")
-    return query
+    parser.accept(";")
+    return parser.finish(query)
 
 
 def parse_sql_expression(text: str) -> Expr:
     """Parse a standalone SQL expression (used by tests and condition boxes)."""
-    parser = _Parser(tokenize(text), text)
-    expr = parser.parse_expression()
-    if parser.peek().kind != "eof":
-        raise parser._error("unexpected trailing input")
-    return expr
+    parser = _Parser(text)
+    return parser.finish(parser.parse_expression())

@@ -1,5 +1,9 @@
 """Parser for the textual TRC syntax used in the tutorial.
 
+The connectives, quantifiers and comparisons are the calculus grammar of
+:class:`repro.syntax.CalculusParser`, shared with DRC; this module adds the
+``{ head | formula }`` frame, the ``Name(var)`` atom and ``var.attr`` terms.
+
 Example queries (ASCII and Unicode forms are both accepted)::
 
     { s.sname | Sailors(s) and exists r (Reserves(r) and r.sid = s.sid and r.bid = 102) }
@@ -11,21 +15,13 @@ Grammar::
     query    := '{' head '|' formula '}'
     head     := headitem (',' headitem)*
     headitem := var '.' attr ['as' name] | constant
-    formula  := implies
-    implies  := or ( ('->' | 'implies' | '→') or )*
-    or       := and ( ('or' | '∨') and )*
-    and      := unary ( ('and' | '∧') unary )*
-    unary    := ('not' | '¬') unary
-              | ('exists' | '∃') varlist ('(' formula ')' | ':' unary)
-              | ('forall' | '∀') varlist ('(' formula ')' | ':' unary)
-              | atom | '(' formula ')'
-    atom     := NAME '(' var ')' | term op term
+    atom     := NAME '(' var ')'
+    term     := var '.' attr | constant
 """
 
 from __future__ import annotations
 
-import re
-
+from repro.syntax import CALCULUS_ALIASES, NAME, NUMBER, STRING, CalculusParser, Lexer
 from repro.trc.ast import (
     AttrRef,
     ConstTerm,
@@ -41,198 +37,56 @@ from repro.trc.ast import (
     TRCNot,
     TRCOr,
     TRCQuery,
+    TRCTrue,
     TupleVar,
 )
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<number>\d+\.\d+|\d+)
-  | (?P<string>'(?:[^']|'')*')
-  | (?P<arrow>->|→|⇒)
-  | (?P<op><>|!=|<=|>=|=|<|>|\(|\)|\{|\}|\||,|\.|:)
-  | (?P<symbol>∃|∀|∧|∨|¬)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-    """,
-    re.VERBOSE,
-)
-
-_KEYWORDS = {"and", "or", "not", "exists", "forall", "implies", "as", "in", "true", "false"}
+LEXER = Lexer(
+    [("ws", r"\s+"),
+     ("number", NUMBER),
+     ("string", STRING),
+     ("op", r"->|<>|!=|<=|>=|=|<|>|\(|\)|\{|\}|\||,|\.|:|→|⇒|∃|∀|∧|∨|¬|⟨|⟩"),
+     ("name", NAME)],
+    keywords=frozenset("and or not exists forall implies as in true false".split()),
+    aliases=CALCULUS_ALIASES, error=TRCError)
 
 
-class _Token:
-    def __init__(self, kind: str, text: str) -> None:
-        self.kind = kind
-        self.text = text
+class _TRCParser(CalculusParser):
+    lexer = LEXER
+    truth, conjunction, disjunction, negation = TRCTrue, TRCAnd, TRCOr, TRCNot
+    implication, exists, forall, compare = TRCImplies, TRCExists, TRCForAll, TRCCompare
+    variable, constant = TupleVar, ConstTerm
 
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if not match:
-            raise TRCError(f"unexpected character {text[pos]!r} at position {pos}")
-        pos = match.end()
-        kind = match.lastgroup or ""
-        value = match.group()
-        if kind == "ws":
-            continue
-        if kind == "name" and value.lower() in _KEYWORDS:
-            tokens.append(_Token("keyword", value.lower()))
-        elif kind == "symbol":
-            mapping = {"∃": "exists", "∀": "forall", "∧": "and", "∨": "or", "¬": "not"}
-            tokens.append(_Token("keyword", mapping[value]))
-        elif kind == "arrow":
-            tokens.append(_Token("keyword", "implies"))
-        else:
-            tokens.append(_Token(kind, value))
-    tokens.append(_Token("eof", ""))
-    return tokens
-
-
-class _TRCParser:
-    def __init__(self, tokens: list[_Token]) -> None:
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self, offset: int = 0) -> _Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        if token.kind != "eof":
-            self.pos += 1
-        return token
-
-    def accept(self, kind: str, text: str | None = None) -> _Token | None:
-        token = self.peek()
-        if token.kind == kind and (text is None or token.text == text):
-            return self.advance()
-        return None
-
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        token = self.accept(kind, text)
-        if token is None:
-            raise TRCError(f"expected {text or kind}, found {self.peek().text!r}")
-        return token
-
-    # -- query -------------------------------------------------------------
     def parse_query(self) -> TRCQuery:
-        self.expect("op", "{")
-        head = [self.parse_head_item()]
-        while self.accept("op", ","):
-            head.append(self.parse_head_item())
-        self.expect("op", "|")
+        self.expect("{")
+        head = self.comma_list(self.parse_head_item)
+        self.expect("|")
         body = self.parse_formula()
-        self.expect("op", "}")
-        if self.peek().kind != "eof":
-            raise TRCError(f"unexpected trailing input {self.peek().text!r}")
-        return TRCQuery(tuple(head), body)
+        self.expect("}")
+        return self.finish(TRCQuery(tuple(head), body))
 
     def parse_head_item(self) -> HeadItem:
         term = self.parse_term()
-        alias = None
-        if self.accept("keyword", "as"):
-            alias = self.expect("name").text
-        return HeadItem(term, alias)
+        return HeadItem(term, self.take("name").text if self.accept("as") else None)
 
-    # -- formulas ----------------------------------------------------------
-    def parse_formula(self) -> TRCFormula:
-        return self.parse_implies()
+    def relation_atom(self, name: str) -> RelAtom:
+        var = TupleVar(self.take("name").text)
+        self.expect(")")
+        return RelAtom(name, var)
 
-    def parse_implies(self) -> TRCFormula:
-        left = self.parse_or()
-        if self.accept("keyword", "implies"):
-            right = self.parse_implies()
-            return TRCImplies(left, right)
-        return left
-
-    def parse_or(self) -> TRCFormula:
-        parts = [self.parse_and()]
-        while self.accept("keyword", "or"):
-            parts.append(self.parse_and())
-        return parts[0] if len(parts) == 1 else TRCOr(tuple(parts))
-
-    def parse_and(self) -> TRCFormula:
-        parts = [self.parse_unary()]
-        while self.accept("keyword", "and"):
-            parts.append(self.parse_unary())
-        return parts[0] if len(parts) == 1 else TRCAnd(tuple(parts))
-
-    def parse_unary(self) -> TRCFormula:
-        if self.accept("keyword", "not"):
-            return TRCNot(self.parse_unary())
-        if self.peek().kind == "keyword" and self.peek().text in ("exists", "forall"):
-            kind = self.advance().text
-            variables = [TupleVar(self.expect("name").text)]
-            while self.accept("op", ","):
-                variables.append(TupleVar(self.expect("name").text))
-            if self.accept("op", ":"):
-                body = self.parse_unary()
-            else:
-                self.expect("op", "(")
-                body = self.parse_formula()
-                self.expect("op", ")")
-            cls = TRCExists if kind == "exists" else TRCForAll
-            return cls(tuple(variables), body)
-        return self.parse_atom()
-
-    def parse_atom(self) -> TRCFormula:
-        token = self.peek()
-        if token.kind == "op" and token.text == "(":
-            self.advance()
-            inner = self.parse_formula()
-            self.expect("op", ")")
-            return inner
-        # Relation atom: Name '(' var ')'
-        if token.kind == "name" and self.peek(1).kind == "op" and self.peek(1).text == "(":
-            relation = self.advance().text
-            self.advance()  # '('
-            var = TupleVar(self.expect("name").text)
-            self.expect("op", ")")
-            return RelAtom(relation, var)
-        # Otherwise a comparison between two terms.
-        left = self.parse_term()
-        op_token = self.peek()
-        if op_token.kind != "op" or op_token.text not in ("=", "<>", "!=", "<", "<=", ">", ">="):
-            raise TRCError(f"expected a comparison operator, found {op_token.text!r}")
-        self.advance()
-        right = self.parse_term()
-        return TRCCompare(left, op_token.text, right)
-
-    def parse_term(self):
-        token = self.peek()
-        if token.kind == "number":
-            self.advance()
-            return ConstTerm(float(token.text) if "." in token.text else int(token.text))
-        if token.kind == "string":
-            self.advance()
-            return ConstTerm(token.text[1:-1].replace("''", "'"))
-        if token.kind == "keyword" and token.text in ("true", "false"):
-            self.advance()
-            return ConstTerm(token.text == "true")
-        if token.kind == "name":
-            self.advance()
-            if self.accept("op", "."):
-                attr = self.expect("name").text
-                return AttrRef(TupleVar(token.text), attr)
-            raise TRCError(
-                f"bare variable {token.text!r} cannot be used as a term; "
-                "use var.attribute"
-            )
-        raise TRCError(f"expected a term, found {token.text!r}")
+    def variable_term(self, name: str) -> AttrRef:
+        if not self.accept("."):
+            raise self.fail(f"bare variable {name!r} cannot be used as a term; "
+                            "use var.attribute")
+        return AttrRef(TupleVar(name), self.take("name").text)
 
 
 def parse_trc(text: str) -> TRCQuery:
     """Parse a TRC query of the form ``{ head | formula }``."""
-    return _TRCParser(_tokenize(text)).parse_query()
+    return _TRCParser(text).parse_query()
 
 
 def parse_trc_formula(text: str) -> TRCFormula:
     """Parse a bare TRC formula (no head); used for Boolean queries."""
-    parser = _TRCParser(_tokenize(text))
-    formula = parser.parse_formula()
-    if parser.peek().kind != "eof":
-        raise TRCError(f"unexpected trailing input {parser.peek().text!r}")
-    return formula
+    parser = _TRCParser(text)
+    return parser.finish(parser.parse_formula())

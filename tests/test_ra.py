@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine import execute_plan, lower
 from repro.expr import Col, Comparison, Const, FuncCall, Star
 from repro.ra import (
     AntiJoin,
@@ -225,6 +226,21 @@ class TestParserAndPrinter:
             parse_ra("select[x=1](Sailors) extra")
         with pytest.raises(RAError):
             parse_ra("project[sname](Sailors")
+
+    def test_malformed_condition_is_an_ra_error(self):
+        with pytest.raises(RAError):
+            parse_ra("project[sname](select[<rating > 7](Sailors))")
+
+    @pytest.mark.parametrize("color", ["a]b", "a[b"])
+    def test_brackets_step_over_quoted_strings(self, db, color):
+        text = f"select[color = '{color}'](Boats)"
+        expr = parse_ra(text)
+        assert expr == Selection(RelationRef("Boats"),
+                                 Comparison(Col("color"), "=", Const(color)))
+        db.add_row("Boats", (999, "Oddity", color))
+        answer = execute_plan(lower(text, db.schema, "ra"), db)
+        assert answer.set_equal(evaluate(expr, db))
+        assert answer.rows() == [(999, "Oddity", color)]
 
     def test_text_round_trip(self, db, canonical_query):
         expr = parse_ra(canonical_query.ra)

@@ -269,6 +269,26 @@ class TestErrorPaths:
             assert status == 400, (language, error)
             assert error["code"] in ("parse_error", "invalid_request")
 
+    def test_malformed_ra_condition_is_a_parse_error(self, base_server):
+        _service, server = base_server
+        status, _h, error = self._error(
+            server, "POST", "/query",
+            {"text": "project[sname](select[<rating > 7](Sailors))",
+             "language": "ra"})
+        assert (status, error["code"]) == (400, "parse_error")
+        assert error["detail"]["exception"] == "RAError"
+
+    @pytest.mark.parametrize("text, language", [
+        ("select[sname > 5](Sailors)", "ra"),
+        ("SELECT S.sname FROM Sailors S WHERE S.sname > 5", "sql"),
+    ])
+    def test_runtime_type_error_400(self, base_server, text, language):
+        _service, server = base_server
+        status, _h, error = self._error(
+            server, "POST", "/query", {"text": text, "language": language})
+        assert (status, error["code"]) == (400, "invalid_request")
+        assert error["detail"]["exception"] == "ExprError"
+
     def test_unknown_language_400(self, base_server):
         _service, server = base_server
         status, _h, error = self._error(

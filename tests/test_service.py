@@ -464,6 +464,16 @@ class TestErrorPaths:
         assert len(service.answer("SELECT S.sname FROM Sailors S")) == 10
 
 
+    def test_a_malformed_ra_condition_is_a_parse_error(self):
+        from repro.core.service_api import QueryParseError
+
+        with pytest.raises(QueryParseError) as caught:
+            QueryService().query(
+                "project[sname](select[<rating > 7](Sailors))", language="ra")
+        assert caught.value.http_status == 400
+        assert caught.value.detail["exception"] == "RAError"
+
+
 class TestStatsSnapshots:
     def test_snapshot_is_version_consistent(self, any_service):
         service = any_service

@@ -824,6 +824,34 @@ class TestInvariantLint:
                 for v in violations] == [("cache.py", 6)]
         assert "get()" in violations[0].message
 
+    def test_token_rules_compiled_outside_syntax_module(self, invariants,
+                                                       fixture_repo):
+        root = fixture_repo("src/repro/ra/parser.py", """\
+            import re
+
+            _TOKEN_RE = re.compile(
+                r"(?P<ws>\\s+)|(?P<name>[A-Za-z_]+)|(?P<op>[()])")
+            """)
+        violations = [v for v in invariants.run_checks(root)
+                      if v.rule == "one-lexer"]
+        assert [(v.path, v.line) for v in violations] == [
+            (os.path.join("src", "repro", "ra", "parser.py"), 3)]
+
+    def test_token_rules_in_the_syntax_module_are_clean(self, invariants,
+                                                        fixture_repo):
+        fixture_repo("src/repro/syntax.py", """\
+            import re
+
+            WS = re.compile(r"(?P<ws>\\s+)")
+            """)
+        root = fixture_repo("src/repro/engine/bind.py", """\
+            import re
+
+            _LITERAL_RE = re.compile(r"'(?:[^']|'')*'|\\d+")
+            """)
+        assert [v for v in invariants.run_checks(root)
+                if v.rule == "one-lexer"] == []
+
     def test_rule_scoped_to_server_package(self, invariants, fixture_repo):
         # The same shape outside src/repro/server is not this rule's business.
         root = fixture_repo("src/repro/core/other.py", """\

@@ -48,6 +48,12 @@ Rules (see tools/README.md for how to add one):
     module it names, transitively — may contain a ``with <lock>:`` or an
     ``.acquire()`` without ``blocking=False``.
 
+``one-lexer``
+    Tokenizers are built in one place: ``re.compile`` of a token-rule
+    pattern (one with a ``(?P<ws>`` group) anywhere under ``src/repro``
+    but ``src/repro/syntax.py`` is a violation — a language hands its
+    ``(kind, pattern)`` rules to ``repro.syntax.Lexer`` instead.
+
 Usage: ``python tools/check_invariants.py [--root REPO_ROOT]``.
 Exits 0 when clean, 1 with one ``path:line: [rule] message`` per violation.
 """
@@ -546,6 +552,41 @@ def check_try_hit_never_waits(root: str) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
+# Rule: one-lexer
+# ---------------------------------------------------------------------------
+
+#: The one module that compiles token rules into a tokenizer.
+_LEXER_MODULE = "src/repro/syntax.py"
+
+
+def _compiles_token_rules(node: ast.AST) -> bool:
+    """``re.compile(...)`` / ``compile(...)`` whose pattern has a ``(?P<ws>``
+    group, written as a literal, an f-string or a concatenation."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+    return name == "compile" and any(
+        isinstance(part, ast.Constant) and isinstance(part.value, str)
+        and "(?P<ws>" in part.value
+        for arg in node.args for part in ast.walk(arg))
+
+
+def check_one_lexer(root: str) -> list[Violation]:
+    violations: list[Violation] = []
+    for _path, rel_path, tree in _walk_sources(root, ("src/repro",)):
+        if rel_path.replace(os.sep, "/") == _LEXER_MODULE:
+            continue
+        for node in ast.walk(tree):
+            if _compiles_token_rules(node):
+                violations.append(Violation(
+                    rel_path, node.lineno, "one-lexer",
+                    "token-rule regex compiled outside src/repro/syntax.py; "
+                    "pass the (kind, pattern) rules to repro.syntax.Lexer"))
+    return violations
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -556,6 +597,7 @@ ALL_RULES = (
     check_silent_excepts,
     check_server_nonblocking,
     check_try_hit_never_waits,
+    check_one_lexer,
 )
 
 
