@@ -128,10 +128,6 @@ class Database:
         """Append a batch to ``relation`` as **one** version bump."""
         self.relation(relation).add_rows(rows, validate=validate)
 
-    def index_on(self, relation: str, attribute: str) -> Mapping[Any, list]:
-        """A per-attribute hash index of one relation (cached by the relation)."""
-        return self.relation(relation).index_on(attribute)
-
     # -- whole-database properties ----------------------------------------
     def active_domain(self) -> set[Any]:
         """The set of all values appearing anywhere in the database.

@@ -9,6 +9,7 @@ exposes both views: :meth:`rows` (bag) and :meth:`distinct_rows` (set).
 
 from __future__ import annotations
 
+import operator
 import pickle
 import struct
 from array import array
@@ -406,6 +407,42 @@ class ColumnStore:
         return None
 
 
+def key_positions(columns: Sequence[Sequence[Any]], length: int,
+                  skip_nulls: bool) -> dict[Any, list[int]]:
+    """The one builder of a positional hash table: ``{key: [positions]}``.
+
+    ``columns`` are the key columns (at least ``length`` long); a key is the
+    raw value for one column and a tuple otherwise.  With ``skip_nulls``
+    rows with a NULL key component are left out; ``None in column`` is a
+    single C-speed scan, so NULL-free keys (the common case) take the
+    guard-free loop.
+    """
+    table: dict[Any, list[int]] = {}
+    get = table.get
+    if len(columns) == 1:
+        keys: Any = columns[0]
+    else:
+        keys = zip(*columns) if columns else [()] * length
+    if skip_nulls and any(None in column for column in columns):
+        single = len(columns) == 1
+        for j, key in enumerate(keys):
+            if (key is None) if single else (None in key):
+                continue
+            bucket = get(key)
+            if bucket is None:
+                table[key] = [j]
+            else:
+                bucket.append(j)
+        return table
+    for j, key in enumerate(keys):
+        bucket = get(key)
+        if bucket is None:
+            table[key] = [j]
+        else:
+            bucket.append(j)
+    return table
+
+
 class Relation:
     """A named, typed multiset of tuples."""
 
@@ -431,7 +468,6 @@ class Relation:
         self._version = 0
         self._row_set: set[Row] | None = None
         self._distinct: list[Row] | None = None
-        self._indexes: dict[str, dict[Any, list[Row]]] = {}
         self._column_store: ColumnStore | None = None
         # Bounded per-version delta log: ``(published_version, row)`` per
         # append, oldest first.  ``_delta_floor`` is the highest version whose
@@ -439,8 +475,8 @@ class Relation:
         # for anchors >= the floor and reports "rebuild required" below it.
         self._delta_log: deque[tuple[int, Row]] = deque()
         self._delta_floor = 0
-        # Positional join-key indexes, tagged with the version they were
-        # built at (rebuilt lazily when stale rather than maintained).
+        # The positional hash indexes (:meth:`key_index`), tagged with the
+        # version they are current at and maintained on append.
         self._key_indexes: dict[tuple, tuple[int, dict[Any, list[int]]]] = {}
         #: Version-tagged table profile ``(version, profile)``, owned by
         #: :mod:`repro.engine.stats` (the storage layer never interprets it)
@@ -593,9 +629,6 @@ class Relation:
                 self._row_set.add(row)
                 if self._distinct is not None:
                     self._distinct.append(row)
-        for name, index in self._indexes.items():
-            idx = self.schema.index_of(name)
-            index.setdefault(row[idx], []).append(row)
         position = len(self._rows) - 1
         for key, entry in list(self._key_indexes.items()):
             tagged_version, table = entry
@@ -691,25 +724,6 @@ class Relation:
         # cache: serve a fresh snapshot without caching either.
         return set(self._rows)
 
-    def index_on(self, attribute: str) -> dict[Any, list[Row]]:
-        """A hash index mapping each value of ``attribute`` to its rows.
-
-        Built lazily, cached, and maintained incrementally on :meth:`add`.
-        The executor uses these for constant-equality scans; treat the
-        returned mapping as read-only.
-        """
-        existing = self._indexes.get(attribute)
-        if existing is not None:
-            return existing
-        version = self._version
-        idx = self.schema.index_of(attribute)
-        index: dict[Any, list[Row]] = {}
-        for row in list(self._rows):
-            index.setdefault(row[idx], []).append(row)
-        if version == self._version:  # racing adds: serve without publishing
-            self._indexes[attribute] = index
-        return index
-
     def column_store(self) -> ColumnStore:
         """The columnar view: one array per attribute (bag order preserved).
 
@@ -736,43 +750,38 @@ class Relation:
 
     def key_index(self, positions: Sequence[int], *,
                   skip_nulls: bool = True) -> dict[Any, list[int]]:
-        """A hash index from key values to *row positions* (bag order).
+        """The relation's one hash index: key values to *row positions*.
 
         Keys are raw values for a single position and tuples otherwise —
-        the convention the vectorized hash join probes with.  With
-        ``skip_nulls`` (SQL key equality) rows with a NULL key component are
-        left out.  The index is cached per (positions, skip_nulls), tagged
-        with the relation :attr:`version`, and **maintained incrementally**
-        by :meth:`add` / :meth:`add_rows` — appends cost O(1) per cached
-        index instead of an O(n) rebuild, which is what keeps incremental
-        view refresh independent of base-table size.  An index whose tag
-        fell behind anyway (a build raced a writer) is rebuilt on demand.
+        the convention the hash-join probes use.  With ``skip_nulls`` (SQL
+        key equality) rows with a NULL key component are left out.  The
+        index is cached per (positions, skip_nulls), tagged with the
+        relation :attr:`version`, and **maintained incrementally** by
+        :meth:`add` / :meth:`add_rows` — appends cost O(1) per cached index
+        instead of an O(n) rebuild, which is what keeps incremental view
+        refresh independent of base-table size.  An index whose tag fell
+        behind anyway (a build raced a writer) is rebuilt on demand.
+
+        Its consumers are the engine's access-path rule
+        (:func:`repro.engine.execute.scan_lookup` for equality scans,
+        :func:`repro.engine.execute.join_table` for hash-join build sides)
+        and :class:`repro.engine.kernels.RelationBuild`.  A relation without
+        a column store keeps none: the key columns are read off the rows.
         """
         held = self.held_key_index(positions, skip_nulls=skip_nulls)
         if held is not None:
             return held
         key = (tuple(positions), skip_nulls)
-        # Snapshot the version *before* reading the arrays: if an add races
+        # Snapshot the version *before* reading the columns: if an add races
         # the build, the stored tag is stale and the next call rebuilds.
         version = self._version
-        arrays = self.column_store().arrays
-        columns = [arrays[p] for p in key[0]]
-        table: dict[Any, list[int]] = {}
-        get = table.get
-        if len(columns) == 1:
-            keys: Any = columns[0]
+        store = self._column_store
+        if store is not None:
+            columns = [store.arrays[p] for p in key[0]]
         else:
-            keys = zip(*columns) if columns else iter(() for _ in self._rows)
-        check_nulls = skip_nulls and any(None in column for column in columns)
-        single = len(columns) == 1
-        for j, value in enumerate(keys):
-            if check_nulls and ((value is None) if single else (None in value)):
-                continue
-            bucket = get(value)
-            if bucket is None:
-                table[value] = [j]
-            else:
-                bucket.append(j)
+            rows = list(self._rows)
+            columns = [list(map(operator.itemgetter(p), rows)) for p in key[0]]
+        table = key_positions(columns, len(self._rows), skip_nulls)
         self._key_indexes[key] = (version, table)
         return table
 
@@ -844,6 +853,9 @@ class Relation:
 
     def __len__(self) -> int:
         return len(self._rows)
+
+    def __getitem__(self, position: int) -> Row:
+        return self._rows[position]
 
     def cardinality(self, *, distinct: bool = False) -> int:
         """Number of rows, optionally after duplicate elimination."""

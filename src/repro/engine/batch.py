@@ -13,10 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.expr import ast as e
 from repro.engine.execute import Row
-from repro.engine.lower import _PositionCol
-from repro.engine.plan import PlanError, resolve_column
 
 try:  # only needed to compose numpy selections the kernel layer emits
     import numpy as _np
@@ -143,49 +140,3 @@ def _iter_key_list(key_columns: list[list[Any]], length: int):
     if not key_columns:
         return [()] * length
     return zip(*key_columns)
-
-
-def _needs_null_check(key_columns: list[list[Any]], null_matches: bool) -> bool:
-    """Whether the per-row NULL guard is needed at all.
-
-    ``None in column`` is a single C-speed containment scan; NULL-free key
-    columns (the overwhelmingly common case) then run the guard-free loops.
-    """
-    return not null_matches and any(None in column for column in key_columns)
-
-
-def _build_hash_table(batch: Batch, idx: list[int],
-                      null_matches: bool) -> dict[Any, list[int]]:
-    table: dict[Any, list[int]] = {}
-    get = table.get
-    key_columns = _key_columns(batch, idx)
-    keys = _iter_key_list(key_columns, batch.length)
-    if _needs_null_check(key_columns, null_matches):
-        single = len(idx) == 1
-        for j, key in enumerate(keys):
-            if (key is None) if single else (None in key):
-                continue
-            bucket = get(key)
-            if bucket is None:
-                table[key] = [j]
-            else:
-                bucket.append(j)
-        return table
-    for j, key in enumerate(keys):
-        bucket = get(key)
-        if bucket is None:
-            table[key] = [j]
-        else:
-            bucket.append(j)
-    return table
-
-
-def _column_position(expr: e.Expr, columns: tuple[str, ...]) -> int | None:
-    if isinstance(expr, _PositionCol):
-        return expr.position
-    if isinstance(expr, e.Col):
-        try:
-            return resolve_column(columns, expr.name, expr.qualifier)
-        except PlanError:
-            return None
-    return None

@@ -65,8 +65,7 @@ def scan_literals(text: str) -> tuple[str, tuple[Any, ...]]:
 
     ``shape`` is the stripped text with each lifted literal replaced by a
     typed hole; a text without literals is its own shape.  Double-quoted
-    spans stay in the shape verbatim, and so, conservatively, does a string
-    containing a bracket (rare, and always safe to serve by its exact text).
+    spans stay in the shape verbatim.
     """
     text = text.strip()
     if "\x00" in text:
@@ -79,8 +78,6 @@ def scan_literals(text: str) -> tuple[str, tuple[Any, ...]]:
             return token
         value: Any
         if token[0] == "'":
-            if "[" in token or "]" in token:
-                return token
             value = token[1:-1].replace("''", "'")
         else:
             value = float(token) if "." in token else int(token)

@@ -51,6 +51,7 @@ from repro.expr import ast as e
 from repro.engine.execute import (
     Executor,
     Row,
+    _column_position,
     compiled_expr,
     get_backend,
 )
@@ -130,8 +131,6 @@ def asof_plan(plan: Plan) -> Plan:
 
 def _projection_positions(plan: Plan) -> list[int] | None:
     """Input positions of a pure column-pick projection, else ``None``."""
-    from repro.engine.vectorized import _column_position
-
     if not isinstance(plan, ProjectP):
         return None
     positions = []

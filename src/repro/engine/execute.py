@@ -2,11 +2,14 @@
 
 One executor runs the plans of every frontend.  Physical choices:
 
-* equi-joins build a hash table on the right input (semi/anti joins build a
-  key set) instead of the reference interpreters' nested loops;
+* equi-joins (semi/anti joins too) build a positional hash table on the
+  right input instead of the reference interpreters' nested loops;
 * DISTINCT and the set operations are hash-based;
-* constant-equality filters directly over a base-table scan use the
-  per-attribute indexes that :class:`repro.data.relation.Relation` maintains;
+* a base relation is reached by one access-path rule, shared with the
+  columnar executor: a filter over a scan whose first conjunct is
+  ``col = const`` reads one bucket of the relation's ``key_index``
+  (:func:`scan_lookup`), and a hash join's build side over a scan or an
+  ``asof`` window is that index (:func:`join_table`);
 * every subplan's result is memoized *by plan value* for the duration of one
   :func:`execute_plan` call — the operational half of common subexpression
   elimination, and what makes the dependent-join compilation of correlated
@@ -23,12 +26,13 @@ reads the delta relation), and :func:`run_datalog` runs the compiled program
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import replace
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 from repro.data.database import Database
-from repro.data.relation import Relation
+from repro.data.relation import Relation, key_positions
 from repro.data.schema import Attribute, RelationSchema
 from repro.data.types import DataType, check_value, infer_type
 from repro.expr import ast as e
@@ -337,45 +341,18 @@ class Executor:
         raise PlanError(f"cannot execute {type(plan).__name__}")
 
     def _filter(self, plan: FilterP) -> list[Row]:
-        conjuncts = e.conjuncts(plan.condition)
-        source = plan.input
-        rows: list[Row] | None = None
-        # Index fast path: a constant-equality conjunct directly over a scan.
-        if isinstance(source, ScanP) and source not in self._memo:
-            for conjunct in conjuncts:
-                lookup = self._index_lookup(source, conjunct)
-                if lookup is not None:
-                    rows = lookup
-                    conjuncts = [c for c in conjuncts if c is not conjunct]
-                    break
-        if rows is None:
-            rows = self.rows(source)
+        lookup = scan_lookup(self.db, plan)
+        if lookup is None:
+            rows = self.rows(plan.input)
+            conjuncts = e.conjuncts(plan.condition)
+        else:
+            relation, positions, conjuncts = lookup
+            rows = [relation[p] for p in positions]
         if not conjuncts:
             return list(rows)
-        predicate = compiled_predicate(e.conjunction(conjuncts), source.columns)
+        predicate = compiled_predicate(e.conjunction(conjuncts),
+                                       plan.input.columns)
         return [row for row in rows if predicate(row)]
-
-    def _index_lookup(self, scan: ScanP, conjunct: e.Expr) -> list[Row] | None:
-        if not (isinstance(conjunct, e.Comparison) and conjunct.op == "="):
-            return None
-        for col, const in ((conjunct.left, conjunct.right),
-                           (conjunct.right, conjunct.left)):
-            if isinstance(col, e.Col) and isinstance(const, e.Const) \
-                    and const.value is not None:
-                try:
-                    idx = resolve_column(scan.columns, col.name, col.qualifier)
-                except PlanError:
-                    return None
-                relation = self.db.relation(scan.relation)
-                attribute = relation.schema.attributes[idx]
-                if not check_value(const.value, attribute.dtype):
-                    # A type-mismatched constant must go through the compiled
-                    # predicate so it raises like the reference's _compare
-                    # would, instead of silently probing the hash index.
-                    return None
-                index = relation.index_on(attribute.name)
-                return list(index.get(const.value, ()))
-        return None
 
     def _join(self, plan: JoinP) -> list[Row]:
         left_rows = self.rows(plan.left)
@@ -392,66 +369,31 @@ class Executor:
         if plan.residual is not None:
             residual = compiled_predicate(plan.residual, left_cols + right_cols)
 
+        # Build on the right: positions into ``right_rows``.  Keys that
+        # cannot match (NULLs under SQL equality) are not in the table.
         right_rows = self.rows(plan.right)
+        skip_nulls = not plan.null_matches
+        table = join_table(self.db, plan.right, right_idx, skip_nulls,
+                           lambda: key_positions(
+                               [list(map(operator.itemgetter(i), right_rows))
+                                for i in right_idx],
+                               len(right_rows), skip_nulls))
+        # A key as the tables hold it: the raw value of one column, else a
+        # tuple.
+        key = operator.itemgetter(*left_idx) if left_idx else lambda row: ()
         if plan.kind in ("semi", "anti"):
-            return self._semi_anti(plan, left_rows, right_rows, left_idx, right_idx,
-                                   residual)
-
-        # Inner hash join: build on the right.
-        table: dict[tuple, list[Row]] = {}
-        for row in right_rows:
-            key = tuple(row[i] for i in right_idx)
-            if not plan.null_matches and any(v is None for v in key):
-                continue
-            table.setdefault(key, []).append(row)
+            want_match = plan.kind == "semi"
+            if residual is None:
+                return [l for l in left_rows if (key(l) in table) == want_match]
+            return [l for l in left_rows
+                    if any(residual(l + right_rows[j])
+                           for j in table.get(key(l), ())) == want_match]
         out: list[Row] = []
         for l in left_rows:
-            key = tuple(l[i] for i in left_idx)
-            if not plan.null_matches and any(v is None for v in key):
-                continue
-            for r in table.get(key, ()):
-                row = l + r
+            for j in table.get(key(l), ()):
+                row = l + right_rows[j]
                 if residual is None or residual(row):
                     out.append(row)
-        return out
-
-    def _semi_anti(self, plan: JoinP, left_rows: list[Row], right_rows: list[Row],
-                   left_idx: list[int], right_idx: list[int],
-                   residual: Callable[[Row], bool] | None) -> list[Row]:
-        want_match = plan.kind == "semi"
-        if residual is None:
-            keys = set()
-            for row in right_rows:
-                key = tuple(row[i] for i in right_idx)
-                if not plan.null_matches and any(v is None for v in key):
-                    continue
-                keys.add(key)
-            out = []
-            for row in left_rows:
-                key = tuple(row[i] for i in left_idx)
-                if not plan.null_matches and any(v is None for v in key):
-                    matched = False
-                else:
-                    matched = key in keys
-                if matched == want_match:
-                    out.append(row)
-            return out
-        # Residual condition: hash on the equi part, test residual per match.
-        table: dict[tuple, list[Row]] = {}
-        for row in right_rows:
-            key = tuple(row[i] for i in right_idx)
-            if not plan.null_matches and any(v is None for v in key):
-                continue
-            table.setdefault(key, []).append(row)
-        out = []
-        for l in left_rows:
-            key = tuple(l[i] for i in left_idx)
-            if not plan.null_matches and any(v is None for v in key):
-                matched = False
-            else:
-                matched = any(residual(l + r) for r in table.get(key, ()))
-            if matched == want_match:
-                out.append(l)
         return out
 
     def _aggregate(self, plan: AggregateP) -> list[Row]:
@@ -608,6 +550,139 @@ def delta_scan_rows(db: Database, plan: DeltaScanP) -> list[Row]:
             f"{plan.since} (current {relation.version}); rebuild the view"
         )
     return rows
+
+
+def _column_position(expr: e.Expr, columns: tuple[str, ...]) -> int | None:
+    if isinstance(expr, _PositionCol):
+        return expr.position
+    if isinstance(expr, e.Col):
+        try:
+            return resolve_column(columns, expr.name, expr.qualifier)
+        except PlanError:
+            return None
+    return None
+
+
+# ---------------------------------------------------------------------------
+# The access-path rule: how both executors reach a base relation
+# ---------------------------------------------------------------------------
+
+def scan_lookup(db: Database, plan: FilterP,
+                sink: "dict[str, int] | None" = None
+                ) -> "tuple[Relation, list[int], list[e.Expr]] | None":
+    """``(relation, positions, rest)`` when ``plan`` can read one bucket of
+    a base relation's ``key_index`` instead of scanning, else ``None``.
+
+    That is a filter over a :class:`ScanP` whose *first* conjunct is
+    ``col = const`` with a non-NULL constant of the column's declared type;
+    ``rest`` are the other conjuncts, to run over the bucket in order.  A
+    later conjunct is never looked up first: a conjunct before it may raise
+    (a type mismatch) exactly where the reference raises.  The index the
+    relation holds is used; a live relation that holds none builds it (and
+    then maintains it), while a frozen snapshot holding none is scanned —
+    the index would be built for this one query.  A lookup is counted
+    process-wide (``scan_lookup`` in :func:`repro.engine.kernels.path_counts`)
+    and in the caller's ``sink``, if it keeps one.
+    """
+    scan = plan.input
+    if not isinstance(scan, ScanP):
+        return None
+    first, *rest = e.conjuncts(plan.condition)
+    if not (isinstance(first, e.Comparison) and first.op == "="):
+        return None
+    relation = db.relation(scan.relation)
+    if len(scan.columns) != relation.schema.arity:
+        return None  # the scan raises
+    for col, const in ((first.left, first.right), (first.right, first.left)):
+        if not isinstance(const, e.Const):
+            continue
+        position = _column_position(col, scan.columns)
+        if position is None or not check_value(
+                const.value, relation.schema.attributes[position].dtype,
+                allow_null=False):
+            return None
+        index = relation.held_key_index((position,))
+        if index is None:
+            if relation.is_frozen:
+                return None
+            index = relation.key_index((position,))
+        from repro.engine.kernels import _sink_bump, count_path
+
+        count_path("scan_lookup")
+        _sink_bump(sink, "scan_lookup")
+        return relation, list(index.get(const.value, ())), rest
+    return None
+
+
+def join_table(db: Database, plan: Plan, idx: Sequence[int], skip_nulls: bool,
+               build: Callable[[], dict[Any, list[int]]]
+               ) -> "dict[Any, list[int]] | _PrefixTable":
+    """The hash-join build side over ``plan``: key -> positions in its rows.
+
+    A base :class:`ScanP` is its relation's maintained ``key_index``; an
+    ``asof`` window is a positional prefix of its relation, so it is the
+    same index capped at the window (:class:`_PrefixTable`) — view refresh
+    then never rebuilds an old-state table.  Any other input is built by
+    ``build`` (:func:`~repro.data.relation.key_positions` over its key
+    columns).
+    """
+    source = build_source(db, plan, idx)
+    if source is None:
+        return build()
+    relation, keep = source
+    table = relation.key_index(idx, skip_nulls=skip_nulls)
+    return table if keep == len(relation) else _PrefixTable(table, keep)
+
+
+def build_source(db: Database, plan: Plan, idx: Sequence[int]
+                   ) -> "tuple[Relation, int] | None":
+    """The base relation whose ``key_index`` a hash-join build over ``plan``
+    reads, and how many of its leading rows the build sees; ``None`` when
+    the build input is not a base relation (or has no key)."""
+    if not idx:
+        return None
+    if isinstance(plan, ScanP):
+        relation = db.relation(plan.relation)
+        return relation, len(relation)
+    if isinstance(plan, DeltaScanP) and plan.mode == "asof" \
+            and plan.since is not None:
+        relation = db.relation(plan.relation)
+        count = relation.delta_count_since(plan.since)
+        if count is not None:
+            return relation, len(relation) - count
+    return None
+
+
+class _PrefixTable:
+    """A positional hash index restricted to row positions ``< keep``.
+
+    Wraps a relation's full cached
+    :meth:`~repro.data.relation.Relation.key_index` to serve an ``asof``
+    window: buckets hold ascending positions (bag order), so the restriction
+    is one :func:`bisect.bisect_left` per probed bucket.  Probe sides in
+    delta plans are tiny, so per-probe slicing costs nothing compared to
+    rebuilding an old-state hash table per refresh.
+    """
+
+    __slots__ = ("table", "keep")
+
+    def __init__(self, table: dict[Any, list[int]], keep: int) -> None:
+        self.table = table
+        self.keep = keep
+
+    def get(self, key: Any, default: Any = None) -> "list[int] | None":
+        bucket = self.table.get(key)
+        if not bucket:
+            return default
+        if bucket[-1] < self.keep:
+            return bucket
+        cut = bisect_left(bucket, self.keep)
+        return bucket[:cut] if cut else default
+
+    def __contains__(self, key: Any) -> bool:
+        """Whether ``key`` has an in-window position (semi/anti probes)."""
+        bucket = self.table.get(key)
+        return bool(bucket) and bucket[0] < self.keep
 
 
 def _split_name(column: str) -> tuple[str, str | None]:

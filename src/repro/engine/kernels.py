@@ -94,16 +94,10 @@ import os
 import threading
 from typing import Any, Callable
 
-from repro.data.relation import Relation
-from repro.engine.batch import (
-    Batch,
-    Vector,
-    _build_hash_table,
-    _column_position,
-    _exact,
-    _take,
-)
+from repro.data.relation import Relation, key_positions
+from repro.engine.batch import Batch, Vector, _exact, _key_columns, _take
 from repro.engine.cache import LRUCache
+from repro.engine.execute import _column_position
 from repro.engine.plan import AggregateP
 from repro.expr import ast as e
 
@@ -525,14 +519,17 @@ _MISSING = object()
 _PATH_TOTALS = dict.fromkeys(
     ("probe_kernel", "probe_loop", "build_lowered", "build_extended",
      "build_relowered", "build_dict", "sel_converted", "sort_radix",
-     "sort_compare", "group_direct", "group_sorted", "distinct_positions"),
+     "sort_compare", "group_direct", "group_sorted", "distinct_positions",
+     "scan_lookup"),
     0)
 _PATH_LOCK = threading.Lock()
 
 
 def count_path(key: str) -> None:
     """Count one ``probe_*`` / ``build_*`` / ``sel_converted`` / ``sort_*``
-    / ``group_*`` / ``distinct_positions``."""
+    / ``group_*`` / ``distinct_positions`` / ``scan_lookup`` (an equality
+    filter read one ``key_index`` bucket:
+    :func:`repro.engine.execute.scan_lookup`)."""
     with _PATH_LOCK:
         _PATH_TOTALS[key] += 1
 
@@ -1148,8 +1145,8 @@ class BuildSide:
 
     def table(self) -> dict[Any, list[int]]:
         count_path("build_dict")
-        return _build_hash_table(self.batch, list(self.idx),
-                                 not self.skip_nulls)
+        return key_positions(_key_columns(self.batch, list(self.idx)),
+                             self.batch.length, self.skip_nulls)
 
     def min_rows(self) -> int:
         """The rows at stake from which the probe takes the kernel:

@@ -74,7 +74,7 @@ from repro.data.sharded import (
 )
 from repro.expr import ast as e
 from repro.engine.cache import LRUCache
-from repro.engine.execute import Row, _split_name, compiled_expr
+from repro.engine.execute import Row, _column_position, _split_name, compiled_expr
 from repro.engine.kernels import path_counts
 from repro.engine.optimize import _rebuild
 from repro.engine.plan import (
@@ -92,11 +92,7 @@ from repro.engine.plan import (
     resolve_column,
 )
 from repro.engine.stats import StatsCatalog
-from repro.engine.vectorized import (
-    Batch,
-    VectorizedExecutor,
-    _column_position,
-)
+from repro.engine.vectorized import Batch, VectorizedExecutor
 from repro.engine.verify import maybe_verify_sharded, verification_counts
 
 __all__ = [
@@ -916,7 +912,7 @@ class ShardedBackend:
         self._lock = threading.Lock()
         self.counters = {"scatter": 0, "single_shard": 0, "fallback": 0,
                          "kernel_cache_hits": 0, "kernel_cache_misses": 0,
-                         "kernel_cache_evictions": 0}
+                         "kernel_cache_evictions": 0, "scan_lookup": 0}
 
     # -- plumbing ----------------------------------------------------------
 
@@ -952,9 +948,10 @@ class ShardedBackend:
 
         ``scatter``/``single_shard``/``fallback`` count compiled-plan
         routing; ``kernel_cache_hits``/``_misses``/``_evictions`` count
-        derived-structure cache traffic attributable to *this* backend's
-        executors (the process-wide totals are
-        :func:`repro.engine.kernels.cache_stats`).  Worker processes of the
+        derived-structure cache traffic and ``scan_lookup`` the equality
+        lookups attributable to *this* backend's executors (the
+        process-wide totals are :func:`repro.engine.kernels.cache_stats`
+        and :func:`repro.engine.kernels.path_counts`).  Worker processes of the
         ``"process"`` backend keep their own in-process caches, so their
         traffic does not appear in the parent's counters.
         ``plans_verified``/``plans_failed`` report the process-wide static
@@ -965,10 +962,8 @@ class ShardedBackend:
         (the ``"process"`` backend adds its workers' as ``worker_*``).
         """
         with self._lock:
-            counts = dict(self.counters)
-        counts.update(verification_counts())
-        counts.update(path_counts())
-        return counts
+            own = dict(self.counters)
+        return {**verification_counts(), **path_counts(), **own}
 
     def _fold(self, sink: dict[str, int]) -> None:
         """Add one execution's counts to ``counters``, under the lock."""

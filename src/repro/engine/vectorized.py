@@ -5,7 +5,12 @@ through each operator, this backend moves whole columns:
 
 * **scans** read the per-attribute arrays that
   :meth:`repro.data.relation.Relation.column_store` maintains — no per-query
-  transposition and no row-tuple allocation;
+  transposition and no row-tuple allocation — and reach a base relation by
+  the access-path rule shared with the row executor: a filter whose first
+  conjunct is ``col = const`` reads one bucket of the relation's
+  ``key_index`` (:func:`~repro.engine.execute.scan_lookup`), and a hash
+  join's build over a scan or an ``asof`` window is that index
+  (:func:`~repro.engine.execute.join_table`);
 * **filters** compile simple comparisons into tight per-column selection
   loops that produce an index vector instead of calling a closure chain per
   row; remaining conjuncts fall back to the row-compiled predicates (shared
@@ -57,22 +62,24 @@ from repro.engine import kernels
 from repro.engine.batch import (
     Batch,
     Vector,
-    _build_hash_table,
-    _column_position,
     _exact,
     _iter_key_list,
     _key_columns,
-    _needs_null_check,
     _take,
 )
 from repro.engine.execute import (
     Row,
+    _PrefixTable,
+    _column_position,
     _split_name,
+    build_source,
     compiled_expr,
     compiled_predicate,
     delta_scan_rows,
     divide_rows,
     fold,
+    join_table,
+    scan_lookup,
     setop_rows,
 )
 from repro.engine.plan import (
@@ -201,8 +208,9 @@ class VectorizedExecutor:
     """Evaluates plans column-at-a-time, memoizing batches per plan value.
 
     ``counters`` (optional) receives the kernel layer's derived-structure
-    cache hit/miss/eviction bumps, letting each backend report its own
-    traffic through ``execution_counts()``.
+    cache hit/miss/eviction bumps and this executor's ``scan_lookup``
+    count, letting each backend report its own traffic through
+    ``execution_counts()``.
     """
 
     def __init__(self, db: Database,
@@ -282,16 +290,25 @@ class VectorizedExecutor:
     def _filter(self, plan: FilterP) -> Batch:
         """Narrow the batch conjunct by conjunct, in the conjunction's order.
 
-        Each conjunct either compiles to a column-selection loop
-        (:func:`vector_filter`) or falls back to the row-compiled predicate
-        over the still-selected rows.  Keeping the original order means a
-        conjunct that raises (type mismatch, division by zero) raises here
-        exactly when the row backend would have reached it.
+        A first ``col = const`` conjunct over a base scan is a lookup
+        (:func:`~repro.engine.execute.scan_lookup`): the batch starts as that
+        bucket's rows.  Each remaining conjunct either compiles to a
+        column-selection loop (:func:`vector_filter`) or falls back to the
+        row-compiled predicate over the still-selected rows.  Keeping the
+        original order means a conjunct that raises (type mismatch, division
+        by zero) raises here exactly when the row backend would have
+        reached it.
         """
         batch = self.batch(plan.input)
+        lookup = scan_lookup(self.db, plan, self.kernel_counters)
+        if lookup is None:
+            conjuncts = e.conjuncts(plan.condition)
+        else:
+            _relation, positions, conjuncts = lookup
+            batch = batch.take(kernels.index_array(positions))
         sel: "list[int] | Any | None" = None  # Any: a kernel's index array
         materialized: list[list[Any]] | None = None
-        for conjunct in e.conjuncts(plan.condition):
+        for conjunct in conjuncts:
             fast = self._compile_conjunct(conjunct, batch)
             if fast is not None:
                 sel = fast(batch, sel)
@@ -398,14 +415,10 @@ class VectorizedExecutor:
     def _hash_table(self, right_plan: Plan, right: Batch, right_idx: list[int],
                     null_matches: bool, *, lazy: bool = False
                     ) -> "dict[Any, list[int]] | _PrefixTable | kernels.BuildSide":
-        """The build side of a hash join, reusing the storage layer's cached
-        positional key indexes when the build input is a base-table scan.
-
-        An ``asof`` delta window is a positional *prefix* of its base
-        relation, so it reuses the same cached index with matches capped at
-        the prefix length (:class:`_PrefixTable`) instead of rebuilding a
-        hash table over the old state on every view refresh — this is what
-        keeps incremental join maintenance independent of base-table size.
+        """The build side of a hash join, by the shared access-path rule
+        (:func:`~repro.engine.execute.join_table`): a base scan's is its
+        relation's maintained ``key_index``, an ``asof`` window's that index
+        capped at the window.
 
         With ``lazy`` (the inner-join probe, which may never need the dict)
         the build side comes back as a :class:`~repro.engine.kernels.BuildSide`
@@ -414,26 +427,18 @@ class VectorizedExecutor:
         the Python probe builds a table — or takes ``key_index`` — through
         it.  Semi/anti joins read the table's keys, so theirs is built here.
         """
-        relation = None
-        if isinstance(right_plan, ScanP) and right_idx:
-            relation = self.db.relation(right_plan.relation)
-        elif isinstance(right_plan, DeltaScanP) and right_plan.mode == "asof" \
-                and right_plan.since is not None and right_idx:
-            asof = self.db.relation(right_plan.relation)
-            count = asof.delta_count_since(right_plan.since)
-            if count == 0:
-                relation = asof
-            elif count is not None:
-                table = asof.key_index(right_idx, skip_nulls=not null_matches)
-                return _PrefixTable(table, len(asof) - count)
+        skip_nulls = not null_matches
+        build = kernels.BuildSide(right, right_idx, skip_nulls)
         if lazy:
-            if relation is None:
-                return kernels.BuildSide(right, right_idx, not null_matches)
-            return kernels.RelationBuild(right, right_idx, not null_matches,
-                                         relation)
-        if relation is None:
-            return _build_hash_table(right, right_idx, null_matches)
-        return relation.key_index(right_idx, skip_nulls=not null_matches)
+            source = build_source(self.db, right_plan, right_idx)
+            if source is None:
+                return build
+            relation, keep = source
+            if keep == len(relation):  # not an as-of window
+                return kernels.RelationBuild(right, right_idx, skip_nulls,
+                                             relation)
+        return join_table(self.db, right_plan, right_idx, skip_nulls,
+                          build.table)
 
     def _probe_batch(self, batch: Batch, idx: list[int], build: Any,
                      null_matches: bool) -> "tuple[Any, Any]":
@@ -455,44 +460,28 @@ class VectorizedExecutor:
                 return pair
         kernels.count_path("probe_loop")
         left_sel, right_sel = _probe(
-            batch, idx, build.table() if lazy else build, null_matches)
+            batch, idx, build.table() if lazy else build)
         return kernels.index_array(left_sel), kernels.index_array(right_sel)
 
     def _semi_anti(self, plan: JoinP, left: Batch, right: Batch,
                    left_idx: list[int], right_idx: list[int],
                    residual: Callable[[Row], bool] | None) -> Batch:
+        """Keys that cannot match (NULLs under SQL equality) are not in the
+        table, so membership alone decides."""
         want_match = plan.kind == "semi"
-        null_matches = plan.null_matches
-        lkeys = _key_columns(left, left_idx)
-        sel: list[int] = []
+        table = self._hash_table(plan.right, right, right_idx,
+                                 plan.null_matches)
+        keys = _iter_key_list(_key_columns(left, left_idx), left.length)
         if residual is None:
-            if right_idx:
-                keys: Any = self._hash_table(
-                    plan.right, right, right_idx, null_matches).keys()
-            else:
-                keys = _semi_key_set(right, right_idx, null_matches)
-            for i, key in enumerate(_iter_key_list(lkeys, left.length)):
-                if not null_matches and _has_null(key, left_idx):
-                    matched = False
-                else:
-                    matched = key in keys
-                if matched == want_match:
-                    sel.append(i)
-            return Batch(plan.columns, _take(left.vectors, sel), len(sel))
-        table = self._hash_table(plan.right, right, right_idx, null_matches)
-        lmat = [v.materialize() for v in left.vectors]
-        rmat = [v.materialize() for v in right.vectors]
-        for i, key in enumerate(_iter_key_list(lkeys, left.length)):
-            if not null_matches and _has_null(key, left_idx):
-                matched = False
-            else:
-                lrow = tuple(c[i] for c in lmat)
-                matched = any(
-                    residual(lrow + tuple(c[j] for c in rmat))
-                    for j in table.get(key, ())
-                )
-            if matched == want_match:
-                sel.append(i)
+            sel = [i for i, key in enumerate(keys)
+                   if (key in table) == want_match]
+        else:
+            lmat = [v.materialize() for v in left.vectors]
+            rmat = [v.materialize() for v in right.vectors]
+            sel = [i for i, key in enumerate(keys)
+                   if any(residual(tuple(c[i] for c in lmat)
+                                   + tuple(c[j] for c in rmat))
+                          for j in table.get(key, ())) == want_match]
         return Batch(plan.columns, _take(left.vectors, sel), len(sel))
 
     # -- set operations, aggregation, the rest -----------------------------
@@ -609,68 +598,11 @@ class VectorizedExecutor:
 # Hash-join plumbing
 # ---------------------------------------------------------------------------
 
-class _PrefixTable:
-    """A positional hash index restricted to row positions ``< keep``.
-
-    Wraps a relation's full cached :meth:`~repro.data.relation.Relation.key_index`
-    to serve an ``asof`` window: buckets hold ascending positions (bag
-    order), so the restriction is one :func:`bisect.bisect_left` per probed
-    bucket.  Probe sides in delta plans are tiny, so per-probe slicing costs
-    nothing compared to rebuilding an old-state hash table per refresh.
-    """
-
-    __slots__ = ("table", "keep")
-
-    def __init__(self, table: dict[Any, list[int]], keep: int) -> None:
-        self.table = table
-        self.keep = keep
-
-    def get(self, key: Any, default: Any = None) -> "list[int] | None":
-        from bisect import bisect_left
-
-        bucket = self.table.get(key)
-        if not bucket:
-            return default
-        if bucket[-1] < self.keep:
-            return bucket
-        cut = bisect_left(bucket, self.keep)
-        return bucket[:cut] if cut else default
-
-    def keys(self):
-        """Keys with at least one in-window position (for semi/anti probes)."""
-        keep = self.keep
-        return [key for key, bucket in self.table.items()
-                if bucket and bucket[0] < keep]
-
-def _iter_keys(batch: Batch, idx: list[int]):
-    """Key per row: the raw value for single-column keys, a tuple otherwise.
-
-    NULL keys are *not* filtered here — callers decide per ``null_matches``.
-    Note ``None in key`` below is the C-speed containment test; the key
-    values are plain scalars, so ``==`` against None is always False for
-    non-NULLs and the test is exact.
-    """
-    return _iter_key_list(_key_columns(batch, idx), batch.length)
-
-
-def _has_null(key: Any, idx: list[int]) -> bool:
-    if len(idx) == 1:
-        return key is None
-    return None in key
-
-
-def _semi_key_set(batch: Batch, idx: list[int], null_matches: bool) -> set:
-    keys = set()
-    for key in _iter_keys(batch, idx):
-        if not null_matches and _has_null(key, idx):
-            continue
-        keys.add(key)
-    return keys
-
-
 def _probe(batch: Batch, idx: list[int],
-           table: "dict[Any, list[int]] | _PrefixTable",
-           null_matches: bool) -> tuple[list[int], list[int]]:
+           table: "dict[Any, list[int]] | _PrefixTable"
+           ) -> tuple[list[int], list[int]]:
+    """Probe ``table`` with each row's key.  A NULL key that must not match
+    finds nothing: the table was built without such keys."""
     left_sel: list[int] = []
     right_sel: list[int] = []
     lappend = left_sel.append
@@ -678,23 +610,8 @@ def _probe(batch: Batch, idx: list[int],
     rappend = right_sel.append
     rextend = right_sel.extend
     get = table.get
-    key_columns = _key_columns(batch, idx)
-    keys = _iter_key_list(key_columns, batch.length)
-    if _needs_null_check(key_columns, null_matches):
-        single = len(idx) == 1
-        for i, key in enumerate(keys):
-            if (key is None) if single else (None in key):
-                continue
-            matches = get(key)
-            if matches:
-                if len(matches) == 1:
-                    lappend(i)
-                    rappend(matches[0])
-                else:
-                    lextend([i] * len(matches))
-                    rextend(matches)
-        return left_sel, right_sel
-    for i, key in enumerate(keys):
+    for i, key in enumerate(_iter_key_list(_key_columns(batch, idx),
+                                           batch.length)):
         matches = get(key)
         if matches:
             if len(matches) == 1:

@@ -435,7 +435,9 @@ class TestKernelGate:
 
     def test_each_operator_is_gated_on_its_own_batch(self, engaged):
         n = kernels.KERNEL_MIN_ROWS
-        db = self._db(n)
+        live = self._db(n)
+        # A frozen snapshot holding no index is scanned, not looked up.
+        db = Database([live.relation("t").copy().freeze()])
         t = ScanP("t", ("k", "s", "v"))
         # The filter sees n rows (kernel); what it keeps — a seventh — is
         # below the gate, so the group-by over it runs the Python fold.

@@ -570,9 +570,10 @@ def test_sharded_views_track_fresh_recompute(case):
 # lineages, old runs unlinked).  All but the bool stay comparable with
 # their column's type in the reference semantics; a plan that compares the
 # column a bool landed in is a type error (``ExprError``) wherever a
-# comparison is actually evaluated — the row executor's index lookups
-# evaluate none — and the history stops at that step: what must agree is
-# answers, not errors.
+# comparison is actually evaluated — a first ``col = const`` conjunct that
+# either executor answers from a ``key_index`` bucket evaluates none, while
+# a worker's frozen snapshot, holding no index, scans and raises — and the
+# history stops at that step: what must agree is answers, not errors.
 
 _WILD_INTS = st.sampled_from([True, 2.0, 2**70])
 _WILD_STRS = st.sampled_from(["", "A", "bb", "s0", "zz"])

@@ -176,21 +176,6 @@ class TestVersioning:
         db.drop_relation("S")
         assert db.version > grew  # dropping is a change, never a rollback
 
-    def test_interleaved_add_and_index_on(self):
-        rel = relation_from_rows("R", [("a", "int"), ("b", "str")],
-                                 [(1, "x"), (2, "y")])
-        index = rel.index_on("a")
-        rel.add((1, "z"))
-        assert [row[1] for row in index[1]] == ["x", "z"]
-        rel.add((3, "w"))
-        assert rel.index_on("a")[3] == [(3, "w")]
-        # distinct caches stay exact across the same interleaving
-        assert rel.distinct_rows() == [(1, "x"), (2, "y"), (1, "z"), (3, "w")]
-        rel.add((1, "x"))  # duplicate: bag grows, set view does not
-        assert rel.cardinality() == 5
-        assert rel.cardinality(distinct=True) == 4
-        assert (1, "x") in rel
-
     def test_key_index_maintained_across_adds(self):
         rel = relation_from_rows("R", [("a", "int"), ("b", "int")],
                                  [(1, 10), (2, 20), (1, 30)])
@@ -208,6 +193,23 @@ class TestVersioning:
         assert index[3] == [4] and index[1] == [0, 2, 5]
         pair = rel.key_index((0, 1))
         assert pair[(1, 30)] == [2]
+
+    def test_key_index_maintained_across_adds_interleaved_with_reads(self):
+        rel = relation_from_rows("R", [("a", "int"), ("b", "str")],
+                                 [(1, "x"), (2, "y")])
+        index = rel.key_index((0,))
+        assert rel._column_store is None  # read off the rows, not transposed
+        rel.add((1, "z"))
+        assert [rel[p][1] for p in index[1]] == ["x", "z"]
+        rel.add((3, "w"))
+        assert [rel[p] for p in rel.key_index((0,))[3]] == [(3, "w")]
+        # distinct caches stay exact across the same interleaving
+        assert rel.distinct_rows() == [(1, "x"), (2, "y"), (1, "z"), (3, "w")]
+        rel.add((1, "x"))  # duplicate: bag grows, set view does not
+        assert rel.cardinality() == 5
+        assert rel.cardinality(distinct=True) == 4
+        assert (1, "x") in rel
+        assert rel.key_index((0,)) is index and index[1] == [0, 2, 4]
 
     def test_key_index_null_handling(self):
         rel = relation_from_rows("R", [("a", "int")], [(1,), (None,), (1,)])

@@ -852,6 +852,43 @@ class TestInvariantLint:
         assert [v for v in invariants.run_checks(root)
                 if v.rule == "one-lexer"] == []
 
+    def test_key_index_read_outside_the_access_path_rule(self, invariants,
+                                                       fixture_repo):
+        root = fixture_repo("src/repro/engine/vectorized.py", """\
+            class VectorizedExecutor:
+                def _filter(self, relation, position):
+                    return relation.key_index((position,))
+
+                def _hash_table(self, relation, idx):
+                    return relation.held_key_index(idx)
+            """)
+        violations = [v for v in invariants.run_checks(root)
+                      if v.rule == "one-access-path"]
+        assert [(v.path, v.line) for v in violations] == [
+            (os.path.join("src", "repro", "engine", "vectorized.py"), 3),
+            (os.path.join("src", "repro", "engine", "vectorized.py"), 6)]
+
+    def test_key_index_read_by_the_access_path_rule_is_clean(
+            self, invariants, fixture_repo):
+        fixture_repo("src/repro/engine/execute.py", """\
+            def scan_lookup(db, plan):
+                return db.relation(plan.relation).key_index((0,))
+
+            def join_table(db, plan, idx, skip_nulls, build):
+                return db.relation(plan.relation).key_index(idx)
+            """)
+        fixture_repo("src/repro/engine/kernels.py", """\
+            class RelationBuild:
+                def table(self):
+                    return self.relation.key_index(self.idx)
+            """)
+        root = fixture_repo("src/repro/data/relation.py", """\
+            def warm(relation):
+                return relation.key_index((0,))   # not the engine's business
+            """)
+        assert [v for v in invariants.run_checks(root)
+                if v.rule == "one-access-path"] == []
+
     def test_rule_scoped_to_server_package(self, invariants, fixture_repo):
         # The same shape outside src/repro/server is not this rule's business.
         root = fixture_repo("src/repro/core/other.py", """\

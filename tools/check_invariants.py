@@ -54,6 +54,14 @@ Rules (see tools/README.md for how to add one):
     but ``src/repro/syntax.py`` is a violation — a language hands its
     ``(kind, pattern)`` rules to ``repro.syntax.Lexer`` instead.
 
+``one-access-path``
+    The engine reaches a relation's hash index by one rule: a call to
+    ``.key_index(`` or ``.held_key_index(`` under ``src/repro/engine``
+    outside the access-path functions of ``engine/execute.py``
+    (``scan_lookup``, ``join_table``) and ``kernels.RelationBuild`` is a
+    violation — an executor asks the rule instead of choosing its own
+    path.
+
 Usage: ``python tools/check_invariants.py [--root REPO_ROOT]``.
 Exits 0 when clean, 1 with one ``path:line: [rule] message`` per violation.
 """
@@ -587,6 +595,41 @@ def check_one_lexer(root: str) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
+# Rule: one-access-path
+# ---------------------------------------------------------------------------
+
+#: Where the engine may read a relation's hash index: ``(module, scope)``,
+#: a function or a class whose body is exempt.
+_ACCESS_PATH_SCOPES = {
+    ("src/repro/engine/execute.py", "scan_lookup"),
+    ("src/repro/engine/execute.py", "join_table"),
+    ("src/repro/engine/kernels.py", "RelationBuild"),
+}
+_INDEX_METHODS = ("key_index", "held_key_index")
+
+
+def check_one_access_path(root: str) -> list[Violation]:
+    violations: list[Violation] = []
+    for _path, rel_path, tree in _walk_sources(root, ("src/repro/engine",)):
+        module = rel_path.replace(os.sep, "/")
+        exempt: set[int] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) \
+                    and (module, node.name) in _ACCESS_PATH_SCOPES:
+                exempt.update(id(inner) for inner in ast.walk(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in exempt \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in _INDEX_METHODS:
+                violations.append(Violation(
+                    rel_path, node.lineno, "one-access-path",
+                    f".{node.func.attr}() outside the access-path rule; "
+                    "call repro.engine.execute.scan_lookup / join_table"))
+    return violations
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -598,6 +641,7 @@ ALL_RULES = (
     check_server_nonblocking,
     check_try_hit_never_waits,
     check_one_lexer,
+    check_one_access_path,
 )
 
 
