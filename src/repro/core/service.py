@@ -27,7 +27,7 @@ under concurrent readers and writers:
 * **Snapshot-validated misses.**  A cache miss executes *optimistically*:
   the version token is read before and after execution, and the answer is
   published (and returned) only if no write interleaved.  A torn execution
-  is retried; after :attr:`max_retries` collisions the request runs once
+  is retried; after :data:`MAX_RETRIES` collisions the request runs once
   under the write lock, which excludes writers and guarantees a consistent
   snapshot.  Either way every answer the service returns equals a
   single-threaded evaluation at some database version ≥ the request's start
@@ -102,6 +102,10 @@ from repro.engine.kernels import cache_stats as kernel_cache_stats
 from repro.engine.lower import LoweringError
 from repro.engine.plan import DeltaUnavailable, Plan, PlanError
 from repro.engine.stats import StatsCatalog, TableStats
+
+#: Optimistic attempts a cache miss (or a statistics snapshot) makes before
+#: it runs once under the write lock.
+MAX_RETRIES = 4
 
 
 class _Answer:
@@ -493,13 +497,11 @@ class QueryService(ServiceBase):
     def __init__(self, db: Database | None = None, *,
                  backend: str = "vectorized",
                  plan_cache_size: int = 256,
-                 result_cache_size: int = 1024,
-                 max_retries: int = 4) -> None:
+                 result_cache_size: int = 1024) -> None:
         self.pipeline = QueryVisualizationPipeline(
             db, backend=backend, plan_cache_size=plan_cache_size)
         self.db = self.pipeline.db
         self.backend = self.pipeline.backend
-        self.max_retries = max_retries
         self.stats = Counters("requests", "result_hits", "result_misses",
                               "validation_retries", "serialized_runs",
                               "view_hits")
@@ -612,7 +614,7 @@ class QueryService(ServiceBase):
             self.stats.bump("requests", "view_hits")
             return view._current(), True
         self.stats.bump("requests")
-        for _attempt in range(self.max_retries):
+        for _attempt in range(MAX_RETRIES):
             version = self.db.version_token
             key = (fingerprint, version)
             cached = self._results.get(key)
@@ -804,7 +806,7 @@ class QueryService(ServiceBase):
         under the write lock, so every profile in the dict describes the
         same database version.
         """
-        for _attempt in range(self.max_retries):
+        for _attempt in range(MAX_RETRIES):
             version = self.db.version
             snapshot = {name: self.table_statistics.table(name)
                         for name in self.db.relation_names}

@@ -75,8 +75,7 @@ class ShardedQueryService(QueryService):
                  shard_keys: ShardKeySpec | None = None,
                  workers: int | None = None,
                  plan_cache_size: int = 256,
-                 result_cache_size: int = 1024,
-                 max_retries: int = 4) -> None:
+                 result_cache_size: int = 1024) -> None:
         if db is None:
             from repro.data.sailors import sailors_database
 
@@ -85,8 +84,7 @@ class ShardedQueryService(QueryService):
             db = ShardedDatabase.from_database(db, n_shards, shard_keys)
         super().__init__(db, backend="sharded",
                          plan_cache_size=plan_cache_size,
-                         result_cache_size=result_cache_size,
-                         max_retries=max_retries)
+                         result_cache_size=result_cache_size)
         self.sharded_db: ShardedDatabase = db
         self._backend_kind = backend
         self._workers = workers

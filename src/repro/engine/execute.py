@@ -15,6 +15,15 @@ One executor runs the plans of every frontend.  Physical choices:
   elimination, and what makes the dependent-join compilation of correlated
   subqueries cheap (the embedded outer plan is evaluated once).
 
+Each operator has one Python implementation, a function of this module:
+:func:`aggregate_rows`, :func:`sort_limit_rows`, :func:`semi_anti_positions`,
+:func:`setop_rows`, :func:`divide_rows` and :func:`fold`.  :class:`Executor`
+calls them, and so does the columnar executor below its kernels' gates or
+where a kernel declines (:mod:`repro.engine.vectorized`), so the backends
+cannot drift apart.  The checks every scan makes (:func:`scan_relation`)
+and the shape a filter conjunct needs for a column loop
+(:func:`column_comparison`) live here too.
+
 :func:`execute_datalog` drives recursive Datalog programs with **semi-naive
 evaluation**, in two steps one can hold apart: :func:`lower_datalog` /
 :func:`optimize_datalog` compile the program (per stratum, each rule once
@@ -37,7 +46,8 @@ from repro.data.schema import Attribute, RelationSchema
 from repro.data.types import DataType, check_value, infer_type
 from repro.expr import ast as e
 from repro.expr.eval import _and3, _compare, _like_to_regex, _not3, _or3
-from repro.sql.evaluate import _dedupe
+from repro.sql.evaluate import _dedupe, _sort_key
+from repro.engine.cache import LRUCache
 from repro.engine.lower import (
     LoweringError,
     _PositionCol,
@@ -219,11 +229,6 @@ def _compile_scalar_function(name: str, args: list[RowFn]) -> RowFn:
     return apply
 
 
-def compile_predicate(expr: e.Expr, columns: Sequence[str]) -> Callable[[Row], bool]:
-    fn = compile_expr(expr, columns)
-    return lambda row: fn(row) is True
-
-
 # ---------------------------------------------------------------------------
 # Compiled-closure cache
 # ---------------------------------------------------------------------------
@@ -233,48 +238,44 @@ def compile_predicate(expr: e.Expr, columns: Sequence[str]) -> Callable[[Row], b
 # process-wide.  Re-executing the same Plan object (the pipeline's plan cache
 # does exactly that on every warm request, and the Datalog fixpoint re-runs
 # its delta plans every round) therefore compiles each expression once, not
-# once per `_filter`/`_join` call.
+# once per `_filter`/`_join` call.  Value closures and predicates share one
+# LRU cache; a predicate's key carries a "predicate" tag.
 
-_COMPILED_CACHE_LIMIT = 4096
-_compiled_exprs: dict[tuple, RowFn] = {}
-_compiled_predicates: dict[tuple, Callable[[Row], bool]] = {}
+_compiled = LRUCache(8192)
 
 
-def _cache_slot(cache: dict, key: tuple, build: Callable[[], Any]) -> Any:
+def _cache_slot(key: tuple, build: Callable[[], Any]) -> Any:
     try:
-        cached = cache.get(key)
+        cached = _compiled.get(key)
     except TypeError:  # unhashable payload (opaque subquery nodes): no caching
         return build()
-    if cached is None:
+    if cached is None:  # a closure is never None
         cached = build()
-        if len(cache) >= _COMPILED_CACHE_LIMIT:
-            cache.clear()
-        cache[key] = cached
+        _compiled.put(key, cached)
     return cached
 
 
 def compiled_expr(expr: e.Expr, columns: Sequence[str]) -> RowFn:
     """Cached :func:`compile_expr` (keyed on expression + column layout)."""
     columns = tuple(columns)
-    return _cache_slot(_compiled_exprs, (expr, columns),
-                       lambda: compile_expr(expr, columns))
+    return _cache_slot((expr, columns), lambda: compile_expr(expr, columns))
 
 
 def compiled_predicate(expr: e.Expr, columns: Sequence[str]) -> Callable[[Row], bool]:
-    """Cached :func:`compile_predicate` (keyed on expression + column layout)."""
+    """``expr`` as a row test that holds only where it is TRUE (cached, keyed
+    on expression + column layout)."""
     columns = tuple(columns)
 
     def build() -> Callable[[Row], bool]:
         fn = compiled_expr(expr, columns)
         return lambda row: fn(row) is True
 
-    return _cache_slot(_compiled_predicates, (expr, columns), build)
+    return _cache_slot((expr, columns, "predicate"), build)
 
 
 def clear_compiled_cache() -> None:
     """Drop all cached closures (test/benchmark isolation)."""
-    _compiled_exprs.clear()
-    _compiled_predicates.clear()
+    _compiled.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +300,7 @@ class Executor:
 
     def _compute(self, plan: Plan) -> list[Row]:
         if isinstance(plan, ScanP):
-            relation = self.db.relation(plan.relation)
-            if len(plan.columns) != relation.schema.arity:
-                raise PlanError(
-                    f"scan of {plan.relation} expects arity {len(plan.columns)}, "
-                    f"relation has {relation.schema.arity}"
-                )
-            return relation.rows()
+            return scan_relation(self.db, plan).rows()
         if isinstance(plan, DeltaScanP):
             return delta_scan_rows(self.db, plan)
         if isinstance(plan, FilterP):
@@ -333,11 +328,11 @@ class Executor:
         if isinstance(plan, SetOpP):
             return setop_rows(plan, self.rows(plan.left), self.rows(plan.right))
         if isinstance(plan, AggregateP):
-            return self._aggregate(plan)
+            return aggregate_rows(plan, self.rows(plan.input))
         if isinstance(plan, DivideP):
             return divide_rows(plan, self.rows(plan.left), self.rows(plan.right))
         if isinstance(plan, SortLimitP):
-            return self._sort_limit(plan)
+            return sort_limit_rows(plan, self.rows(plan.input))
         raise PlanError(f"cannot execute {type(plan).__name__}")
 
     def _filter(self, plan: FilterP) -> list[Row]:
@@ -382,12 +377,10 @@ class Executor:
         # tuple.
         key = operator.itemgetter(*left_idx) if left_idx else lambda row: ()
         if plan.kind in ("semi", "anti"):
-            want_match = plan.kind == "semi"
-            if residual is None:
-                return [l for l in left_rows if (key(l) in table) == want_match]
-            return [l for l in left_rows
-                    if any(residual(l + right_rows[j])
-                           for j in table.get(key(l), ())) == want_match]
+            match = None if residual is None else (
+                lambda i, j: residual(left_rows[i] + right_rows[j]))
+            return [left_rows[i] for i in semi_anti_positions(
+                plan.kind, map(key, left_rows), table, match)]
         out: list[Row] = []
         for l in left_rows:
             for j in table.get(key(l), ()):
@@ -396,58 +389,71 @@ class Executor:
                     out.append(row)
         return out
 
-    def _aggregate(self, plan: AggregateP) -> list[Row]:
-        rows = self.rows(plan.input)
-        columns = plan.input.columns
-        key_fns = [compiled_expr(x, columns) for x in plan.group_exprs]
-        groups: dict[tuple, list[Row]] = {}
-        order: list[tuple] = []
-        for row in rows:
-            key = tuple(fn(row) for fn in key_fns)
-            bucket = groups.get(key)
-            if bucket is None:
-                groups[key] = bucket = []
-                order.append(key)
-            bucket.append(row)
-        if not plan.group_exprs and not groups:
-            groups[()] = []
-            order.append(())
-        agg_fns = [self._compile_aggregate(call, columns)
-                   for call, _name in plan.aggregates]
-        out: list[Row] = []
-        width = len(columns)
-        for key in order:
-            members = groups[key]
-            representative = members[0] if members else (None,) * width
-            out.append(representative + tuple(fn(members) for fn in agg_fns))
-        return out
 
-    def _compile_aggregate(self, call: e.FuncCall,
-                           columns: tuple[str, ...]) -> Callable[[list[Row]], Any]:
-        name = call.name
-        if name == "count" and call.args and isinstance(call.args[0], e.Star):
-            return len
-        if not call.args:
-            raise PlanError(f"aggregate {name.upper()} needs an argument")
-        arg = compiled_expr(call.args[0], columns)
-        distinct = call.distinct
-        return lambda rows: fold(name, (arg(row) for row in rows), distinct)
+def aggregate_rows(plan: AggregateP, rows: list[Row]) -> list[Row]:
+    """A group-by over its input bag: one row per group, in first-occurrence
+    order — the group's first row followed by each aggregate's fold.  An
+    ungrouped aggregate over no rows yields one row, its input columns NULL
+    (SQL: ``COUNT`` folds to 0)."""
+    columns = plan.input.columns
+    key_fns = [compiled_expr(x, columns) for x in plan.group_exprs]
+    groups: dict[tuple, list[Row]] = {}
+    for row in rows:
+        key = tuple(fn(row) for fn in key_fns)
+        bucket = groups.get(key)
+        if bucket is None:
+            groups[key] = bucket = []
+        bucket.append(row)
+    if not plan.group_exprs and not groups:
+        groups[()] = []
+    agg_fns = [_compile_aggregate(call, columns)
+               for call, _name in plan.aggregates]
+    blank = (None,) * len(columns)
+    return [(members[0] if members else blank)
+            + tuple(fn(members) for fn in agg_fns)
+            for members in groups.values()]
 
-    def _sort_limit(self, plan: SortLimitP) -> list[Row]:
-        rows = list(self.rows(plan.input))
-        if plan.keys:
-            from repro.sql.evaluate import _sort_key
 
-            fns = [(compiled_expr(expr, plan.input.columns), ascending)
-                   for expr, ascending in plan.keys]
+def _compile_aggregate(call: e.FuncCall,
+                       columns: tuple[str, ...]) -> Callable[[list[Row]], Any]:
+    name = call.name
+    if name == "count" and call.args and isinstance(call.args[0], e.Star):
+        return len
+    if not call.args:
+        raise PlanError(f"aggregate {name.upper()} needs an argument")
+    arg = compiled_expr(call.args[0], columns)
+    distinct = call.distinct
+    return lambda rows: fold(name, (arg(row) for row in rows), distinct)
 
-            def key(row: Row) -> tuple:
-                return tuple(_sort_key(fn(row), ascending) for fn, ascending in fns)
 
-            rows.sort(key=key)
-        if plan.limit is not None:
-            rows = rows[:plan.limit]
-        return rows
+def sort_limit_rows(plan: SortLimitP, rows: list[Row]) -> list[Row]:
+    """ORDER BY (a stable sort on the reference interpreter's key: NULLs
+    last ascending, values of different types apart), then LIMIT."""
+    if plan.keys:
+        fns = [(compiled_expr(expr, plan.input.columns), ascending)
+               for expr, ascending in plan.keys]
+        rows = sorted(rows, key=lambda row: tuple(
+            _sort_key(fn(row), ascending) for fn, ascending in fns))
+    return rows[:plan.limit]
+
+
+def semi_anti_positions(kind: str, keys: Iterable[Any],
+                        table: "dict[Any, list[int]] | _PrefixTable",
+                        residual: "Callable[[int, int], bool] | None"
+                        ) -> list[int]:
+    """The probe positions a ``"semi"`` (``"anti"``) join keeps: those whose
+    key in ``keys`` has some (no) match in the build ``table``.
+
+    With a ``residual``, a match is a table position ``j`` for which
+    ``residual(i, j)`` holds.  Keys that cannot match (NULLs under SQL
+    equality) are not in the table, so membership alone decides.
+    """
+    want_match = kind == "semi"
+    if residual is None:
+        return [i for i, key in enumerate(keys) if (key in table) == want_match]
+    get = table.get
+    return [i for i, key in enumerate(keys)
+            if any(residual(i, j) for j in get(key, ())) == want_match]
 
 
 def setop_rows(plan: SetOpP, left: list[Row], right: list[Row]) -> list[Row]:
@@ -455,27 +461,18 @@ def setop_rows(plan: SetOpP, left: list[Row], right: list[Row]) -> list[Row]:
     if plan.op == "union":
         rows = left + right
         return _dedupe(rows) if plan.distinct else rows
-    if plan.op == "intersect":
-        if plan.distinct:
-            right_set = set(right)
-            return _dedupe([row for row in left if row in right_set])
-        counts = Counter(right)
-        out = []
-        for row in left:
-            if counts.get(row, 0) > 0:
-                counts[row] -= 1
-                out.append(row)
-        return out
-    # except
+    keep_matched = plan.op == "intersect"  # else except
     if plan.distinct:
         right_set = set(right)
-        return _dedupe([row for row in left if row not in right_set])
-    counts = Counter(right)
+        return _dedupe([row for row in left
+                        if (row in right_set) == keep_matched])
+    counts = Counter(right)  # each right row matches one left row
     out = []
     for row in left:
-        if counts.get(row, 0) > 0:
+        matched = counts[row] > 0
+        if matched:
             counts[row] -= 1
-        else:
+        if matched == keep_matched:
             out.append(row)
     return out
 
@@ -523,6 +520,17 @@ def fold(name: str, values: Iterable[Any], distinct: bool = False) -> Any:
     raise PlanError(f"unknown aggregate {name!r}")
 
 
+def scan_relation(db: Database, plan: "ScanP | DeltaScanP") -> Relation:
+    """The base relation a scan reads, once its arity matches the plan's."""
+    relation = db.relation(plan.relation)
+    if len(plan.columns) != relation.schema.arity:
+        raise PlanError(
+            f"scan of {plan.relation} expects arity {len(plan.columns)}, "
+            f"relation has {relation.schema.arity}"
+        )
+    return relation
+
+
 def delta_scan_rows(db: Database, plan: DeltaScanP) -> list[Row]:
     """Resolve a :class:`DeltaScanP` window against the storage layer.
 
@@ -534,12 +542,7 @@ def delta_scan_rows(db: Database, plan: DeltaScanP) -> list[Row]:
             f"delta scan of {plan.relation} is an unanchored template; "
             "anchor() it with the view's version map before executing"
         )
-    relation = db.relation(plan.relation)
-    if len(plan.columns) != relation.schema.arity:
-        raise PlanError(
-            f"delta scan of {plan.relation} expects arity {len(plan.columns)}, "
-            f"relation has {relation.schema.arity}"
-        )
+    relation = scan_relation(db, plan)
     if plan.mode == "delta":
         rows = relation.delta_since(plan.since)
     else:
@@ -560,6 +563,41 @@ def _column_position(expr: e.Expr, columns: tuple[str, ...]) -> int | None:
             return resolve_column(columns, expr.name, expr.qualifier)
         except PlanError:
             return None
+    return None
+
+
+#: The comparisons the column-selection loops compile, as functions that
+#: serve Python values and numpy arrays alike.
+_COMPARATORS = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def column_comparison(conjunct: e.Expr, columns: tuple[str, ...]
+                      ) -> "tuple[int, str, Any, bool] | None":
+    """Classify a filter conjunct for the column-selection loops.
+
+    ``(position, op, value, False)`` for column-op-constant (a constant on
+    the left is flipped to the right), ``(position, op, other, True)`` for
+    column-op-column with ``other`` the right column's position, else
+    ``None``: the caller runs the row-compiled predicate instead.
+    """
+    if not isinstance(conjunct, e.Comparison) or conjunct.op not in _COMPARATORS:
+        return None
+    left, right = conjunct.left, conjunct.right
+    lpos = _column_position(left, columns)
+    rpos = _column_position(right, columns)
+    if lpos is not None and isinstance(right, e.Const):
+        return lpos, conjunct.op, right.value, False
+    if rpos is not None and isinstance(left, e.Const):
+        return rpos, conjunct.flipped().op, left.value, False
+    if lpos is not None and rpos is not None:
+        return lpos, conjunct.op, rpos, True
     return None
 
 
@@ -590,9 +628,7 @@ def scan_lookup(db: Database, plan: FilterP,
     first, *rest = e.conjuncts(plan.condition)
     if not (isinstance(first, e.Comparison) and first.op == "="):
         return None
-    relation = db.relation(scan.relation)
-    if len(scan.columns) != relation.schema.arity:
-        return None  # the scan raises
+    relation = scan_relation(db, scan)
     for col, const in ((first.left, first.right), (first.right, first.left)):
         if not isinstance(const, e.Const):
             continue

@@ -97,7 +97,11 @@ from typing import Any, Callable
 from repro.data.relation import Relation, key_positions
 from repro.engine.batch import Batch, Vector, _exact, _key_columns, _take
 from repro.engine.cache import LRUCache
-from repro.engine.execute import _column_position
+from repro.engine.execute import (
+    _COMPARATORS,
+    _column_position,
+    column_comparison,
+)
 from repro.engine.plan import AggregateP
 from repro.expr import ast as e
 
@@ -610,16 +614,6 @@ def clear_cache() -> None:
 # Selection kernels
 # ---------------------------------------------------------------------------
 
-_OPS: dict[str, Callable[[Any, Any], Any]] = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-
-
 def _const_compatible(encoding: ColumnEncoding, const: Any) -> bool:
     """Whether comparing ``encoding`` against ``const`` in numpy is exact."""
     t = type(const)
@@ -651,26 +645,21 @@ _Selection = Callable[[Batch, Any], Any]
 def kernel_filter(conjunct: e.Expr, batch: Batch) -> "_Selection | None":
     """Compile one conjunct to a numpy selection, or ``None`` to fall back.
 
-    Mirrors :func:`repro.engine.vectorized.vector_filter` exactly where it
-    engages: NULL operands never match, and any operand mix the Python loop
-    would reject as a type error simply declines to compile (the fallback
-    raises identically).
+    Engages on the conjuncts :func:`repro.engine.execute.column_comparison`
+    classifies, as :func:`repro.engine.vectorized.vector_filter` does, and
+    mirrors that loop exactly: NULL operands never match, and any operand
+    mix the loop would reject as a type error simply declines to compile
+    (the loop raises identically).
     """
     if not kernels_enabled():
         return None
-    if not isinstance(conjunct, e.Comparison) or conjunct.op not in _OPS:
+    shape = column_comparison(conjunct, batch.columns)
+    if shape is None:
         return None
-    left, op, right = conjunct.left, conjunct.op, conjunct.right
-    lpos = _column_position(left, batch.columns)
-    rpos = _column_position(right, batch.columns)
-    if lpos is not None and isinstance(right, e.Const):
-        return _const_kernel(batch, lpos, op, right.value)
-    if rpos is not None and isinstance(left, e.Const):
-        flipped = conjunct.flipped()
-        return _const_kernel(batch, rpos, flipped.op, left.value)
-    if lpos is not None and rpos is not None:
-        return _column_kernel(batch, lpos, op, rpos)
-    return None
+    pos, op, other, other_is_column = shape
+    if other_is_column:
+        return _column_kernel(batch, pos, op, other)
+    return _const_kernel(batch, pos, op, other)
 
 
 def _positions(cmp: Any, np_sel: Any) -> Any:
@@ -689,7 +678,7 @@ def _const_kernel(batch: Batch, pos: int, op: str, const: Any
         return None
     if encoding.kind == "s":
         return _const_code_kernel(encoding, vector, op, const)
-    compare = _OPS[op]
+    compare = _COMPARATORS[op]
 
     def run(b: Batch, sel: Any) -> Any:
         np_sel = None if sel is None else np.asarray(sel, dtype=np.intp)
@@ -749,7 +738,7 @@ def _column_kernel(batch: Batch, lpos: int, op: str, rpos: int
     lenc, renc = _resolve(lvec), _resolve(rvec)
     if lenc is None or renc is None or not _columns_compatible(lenc, renc):
         return None
-    compare = _OPS[op]
+    compare = _COMPARATORS[op]
     # Two dictionary-coded columns compare through a merged dictionary:
     # remap both code spaces into the union's (sorted, so order-preserving).
     ltrans = rtrans = None

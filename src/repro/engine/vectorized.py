@@ -21,24 +21,31 @@ through each operator, this backend moves whole columns:
   columns stay virtual ``(base array, index vector)`` pairs until something
   actually reads them (late materialization), so an n-way join composes one
   index vector per side instead of copying every column at every step;
-* **aggregation** groups on column arrays and folds each aggregate over the
-  grouped index lists with the row backend's :func:`~repro.engine.execute.fold`.
+* **aggregation and DISTINCT** run the numpy kernels of
+  :mod:`repro.engine.kernels` (below).
 
-Set operations other than bag union, and division, materialize rows and
-run the row backend's own functions (:func:`~repro.engine.execute.setop_rows`,
-:func:`~repro.engine.execute.divide_rows`) — they are not on the hot path,
-and sharing the code is what keeps the two backends bag-equal (pinned over
-the whole canonical catalog by ``tests/test_vectorized.py``).
+Each operator has one Python implementation, in :mod:`repro.engine.execute`,
+and this backend calls it wherever it has no columnar loop of its own:
+group-by and DISTINCT below their kernel's gate or where it declines
+(:func:`~repro.engine.execute.aggregate_rows`, ``_dedupe``), sort/limit,
+set operations other than bag union, and division (``sort_limit_rows``,
+``setop_rows``, ``divide_rows``) run over materialized rows; a semi/anti
+join takes the positions ``semi_anti_positions`` keeps as a selection
+vector, so column encodings survive for the kernels above it.  Sharing the
+code keeps the backends bag-equal (``tests/test_vectorized.py``), and the
+``one-operator`` lint rule keeps it shared.
 
-This is the engine's **one** columnar executor.  Its four hot loops —
+This is the engine's **one** columnar executor.  Its four hot operators —
 selection, hash-join probe, DISTINCT, group-by — each first offer their
-batch to the numpy kernel of :mod:`repro.engine.kernels` and run the Python
-loop when the kernel declines (numpy absent, ``REPRO_KERNELS=0``, a dtype
-the lowering cannot reproduce bit-for-bit).  A kernel is only offered
-batches from its hook's crossover up — below it the fixed cost of a numpy
-call exceeds the whole Python loop: :data:`~repro.engine.kernels.KERNEL_MIN_ROWS`
-rows, or :data:`~repro.engine.kernels.CACHED_PROBE_MIN_ROWS` rows at stake
-for the probe of a relation's cached build structure.
+batch to the numpy kernel of :mod:`repro.engine.kernels`.  When the kernel
+declines (numpy absent, ``REPRO_KERNELS=0``, a dtype the lowering cannot
+reproduce bit-for-bit), selection and the probe run their columnar Python
+loops, and DISTINCT and group-by the row functions above.  A kernel is
+only offered batches from its hook's crossover up — below it the fixed
+cost of a numpy call exceeds the whole Python loop:
+:data:`~repro.engine.kernels.KERNEL_MIN_ROWS` rows, or
+:data:`~repro.engine.kernels.CACHED_PROBE_MIN_ROWS` rows at stake for the
+probe of a relation's cached build structure.
 From the gate up selections are numpy index arrays all the way to the
 final row build: a hash join's build side stays unbuilt
 (:class:`~repro.engine.kernels.BuildSide`) until its probe has chosen the
@@ -52,10 +59,10 @@ protocol; select it with ``execute_plan(plan, db, backend="vectorized")`` or
 
 from __future__ import annotations
 
-import operator
 from typing import Any, Callable
 
 from repro.data.database import Database
+from repro.data.relation import Relation
 from repro.expr import ast as e
 from repro.expr.eval import ExprError
 from repro.engine import kernels
@@ -69,18 +76,24 @@ from repro.engine.batch import (
 )
 from repro.engine.execute import (
     Row,
+    _COMPARATORS,
     _PrefixTable,
     _column_position,
+    _dedupe,
     _split_name,
+    aggregate_rows,
     build_source,
+    column_comparison,
     compiled_expr,
     compiled_predicate,
     delta_scan_rows,
     divide_rows,
-    fold,
     join_table,
     scan_lookup,
+    scan_relation,
+    semi_anti_positions,
     setop_rows,
+    sort_limit_rows,
 )
 from repro.engine.plan import (
     AggregateP,
@@ -98,15 +111,6 @@ from repro.engine.plan import (
     resolve_column,
 )
 
-_COMPARATORS = {
-    "=": operator.eq,
-    "<>": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-
 
 # ---------------------------------------------------------------------------
 # Vectorized filter compilation
@@ -122,19 +126,13 @@ def vector_filter(conjunct: e.Expr, columns: tuple[str, ...]
     never match, and str/non-str or bool/non-bool mixes raise
     :class:`ExprError` just like the reference interpreters.
     """
-    if not isinstance(conjunct, e.Comparison) or conjunct.op not in _COMPARATORS:
+    shape = column_comparison(conjunct, columns)
+    if shape is None:
         return None
-    left, op, right = conjunct.left, conjunct.op, conjunct.right
-    lpos = _column_position(left, columns)
-    rpos = _column_position(right, columns)
-    if lpos is not None and isinstance(right, e.Const):
-        return _compare_const(lpos, op, right.value)
-    if rpos is not None and isinstance(left, e.Const):
-        flipped = conjunct.flipped()
-        return _compare_const(rpos, flipped.op, left.value)
-    if lpos is not None and rpos is not None:
-        return _compare_columns(lpos, op, rpos)
-    return None
+    pos, op, other, other_is_column = shape
+    if other_is_column:
+        return _compare_columns(pos, op, other)
+    return _compare_const(pos, op, other)
 
 
 def _indices(batch: Batch, sel: "list[int] | Any | None") -> "range | list[int]":
@@ -249,21 +247,13 @@ class VectorizedExecutor:
             return Batch.from_rows(plan.columns, divide_rows(
                 plan, self.batch(plan.left).rows(), self.batch(plan.right).rows()))
         if isinstance(plan, SortLimitP):
-            return self._sort_limit(plan)
+            return Batch.from_rows(plan.columns, sort_limit_rows(
+                plan, self.batch(plan.input).rows()))
         raise PlanError(f"cannot execute {type(plan).__name__}")
 
     def _scan(self, plan: ScanP) -> Batch:
-        relation = self.db.relation(plan.relation)
-        if len(plan.columns) != relation.schema.arity:
-            raise PlanError(
-                f"scan of {plan.relation} expects arity {len(plan.columns)}, "
-                f"relation has {relation.schema.arity}"
-            )
-        store = relation.column_store()
-        return Batch(plan.columns,
-                     [Vector(a, None, (store, i))
-                      for i, a in enumerate(store.arrays)],
-                     len(relation))
+        relation = scan_relation(self.db, plan)
+        return _store_batch(plan.columns, relation, len(relation))
 
     def _delta_scan(self, plan: DeltaScanP) -> Batch:
         """Columnar delta/asof windows.
@@ -277,14 +267,11 @@ class VectorizedExecutor:
         ``delta`` window is small by construction and transposes.
         """
         if plan.mode == "asof" and plan.since is not None:
-            relation = self.db.relation(plan.relation)
+            relation = scan_relation(self.db, plan)
             count = relation.delta_count_since(plan.since)
-            if count is not None and len(plan.columns) == relation.schema.arity:
-                store = relation.column_store()
-                keep = len(relation) - count
-                return Batch(plan.columns,
-                             [Vector(a, None, (store, i))
-                              for i, a in enumerate(store.arrays)], keep)
+            if count is not None:
+                return _store_batch(plan.columns, relation,
+                                    len(relation) - count)
         return Batch.from_rows(plan.columns, delta_scan_rows(self.db, plan))
 
     def _filter(self, plan: FilterP) -> Batch:
@@ -349,23 +336,11 @@ class VectorizedExecutor:
 
     def _distinct(self, plan: DistinctP) -> Batch:
         batch = self.batch(plan.input)
-        return batch.take(self._distinct_positions(batch))
-
-    def _distinct_positions(self, batch: Batch) -> "list[int] | Any":
-        """First-occurrence positions of the distinct rows."""
         if batch.length >= kernels.KERNEL_MIN_ROWS:
             positions = kernels.kernel_distinct(batch)
             if positions is not None:
-                return positions
-        seen: set[Row] = set()
-        add = seen.add
-        sel: list[int] = []
-        append = sel.append
-        for i, row in enumerate(batch.rows()):
-            if row not in seen:
-                add(row)
-                append(i)
-        return kernels.index_array(sel)
+                return batch.take(positions)
+        return Batch.from_rows(plan.columns, _dedupe(batch.rows()))
 
     # -- joins -------------------------------------------------------------
 
@@ -390,22 +365,23 @@ class VectorizedExecutor:
             residual = compiled_predicate(plan.residual, left_cols + right_cols)
         right = self.batch(plan.right)
 
+        match = None if residual is None else _pair_predicate(
+            residual, left, right)
         if plan.kind in ("semi", "anti"):
-            return self._semi_anti(plan, left, right, left_idx, right_idx, residual)
+            table = self._hash_table(plan.right, right, right_idx,
+                                     plan.null_matches)
+            sel = semi_anti_positions(
+                plan.kind, _iter_key_list(_key_columns(left, left_idx),
+                                          left.length), table, match)
+            return Batch(plan.columns, _take(left.vectors, sel), len(sel))
 
         table = self._hash_table(plan.right, right, right_idx,
                                  plan.null_matches, lazy=True)
         left_sel, right_sel = self._probe_batch(left, left_idx, table,
                                                 plan.null_matches)
-        if residual is not None:
-            lmat = [v.materialize() for v in left.vectors]
-            rmat = [v.materialize() for v in right.vectors]
-            keep = []
-            for k in range(len(left_sel)):
-                i, j = left_sel[k], right_sel[k]
-                row = tuple(c[i] for c in lmat) + tuple(c[j] for c in rmat)
-                if residual(row):
-                    keep.append(k)
+        if match is not None:
+            keep = [k for k in range(len(left_sel))
+                    if match(left_sel[k], right_sel[k])]
             left_sel = [left_sel[k] for k in keep]
             right_sel = [right_sel[k] for k in keep]
         return Batch(plan.columns,
@@ -463,27 +439,6 @@ class VectorizedExecutor:
             batch, idx, build.table() if lazy else build)
         return kernels.index_array(left_sel), kernels.index_array(right_sel)
 
-    def _semi_anti(self, plan: JoinP, left: Batch, right: Batch,
-                   left_idx: list[int], right_idx: list[int],
-                   residual: Callable[[Row], bool] | None) -> Batch:
-        """Keys that cannot match (NULLs under SQL equality) are not in the
-        table, so membership alone decides."""
-        want_match = plan.kind == "semi"
-        table = self._hash_table(plan.right, right, right_idx,
-                                 plan.null_matches)
-        keys = _iter_key_list(_key_columns(left, left_idx), left.length)
-        if residual is None:
-            sel = [i for i, key in enumerate(keys)
-                   if (key in table) == want_match]
-        else:
-            lmat = [v.materialize() for v in left.vectors]
-            rmat = [v.materialize() for v in right.vectors]
-            sel = [i for i, key in enumerate(keys)
-                   if any(residual(tuple(c[i] for c in lmat)
-                                   + tuple(c[j] for c in rmat))
-                          for j in table.get(key, ())) == want_match]
-        return Batch(plan.columns, _take(left.vectors, sel), len(sel))
-
     # -- set operations, aggregation, the rest -----------------------------
 
     def _setop(self, plan: SetOpP) -> Batch:
@@ -506,97 +461,31 @@ class VectorizedExecutor:
             lowered = kernels.kernel_aggregate(plan, batch)
             if lowered is not None:
                 return lowered
-        columns = plan.input.columns
-        n = batch.length
-        rows: list[Row] | None = None
+        return Batch.from_rows(plan.columns, aggregate_rows(plan, batch.rows()))
 
-        def value_array(expr: e.Expr) -> list[Any]:
-            nonlocal rows
-            pos = _column_position(expr, columns)
-            if pos is not None:
-                array = batch.vectors[pos].materialize()
-                return array if len(array) == n else array[:n]
-            if rows is None:
-                rows = batch.rows()
-            fn = compiled_expr(expr, columns)
-            return [fn(row) for row in rows]
 
-        key_arrays = [value_array(x) for x in plan.group_exprs]
-        reps, members = self._group_members(key_arrays, n)
-
-        agg_arrays: list[list[Any]] = []
-        for call, _name in plan.aggregates:
-            agg_arrays.append(self._fold_aggregate(call, members, value_array))
-
-        if not plan.group_exprs and not members:
-            # SQL: an ungrouped aggregate over empty input yields one row
-            # (all-NULL representatives; COUNT folds to 0 above).
-            vectors = [Vector([None]) for _ in columns]
-            vectors.extend(Vector(arr if arr else [fold(call.name, ())])
-                           for (call, _n), arr in zip(plan.aggregates, agg_arrays))
-            return Batch(plan.columns, vectors, 1)
-
-        vectors = _take(batch.vectors, reps)
-        vectors.extend(Vector(arr) for arr in agg_arrays)
-        return Batch(plan.columns, vectors, len(reps))
-
-    def _group_members(self, key_arrays: list[list[Any]], n: int
-                       ) -> tuple[list[int], list[list[int]]]:
-        """Group row indices by key.
-
-        Returns ``(reps, members)``: the first-occurrence index of each
-        group (in first-occurrence order) and the member indices per group.
-        """
-        groups: dict[tuple, int] = {}
-        reps: list[int] = []
-        members: list[list[int]] = []
-        if key_arrays:
-            for i, key in enumerate(zip(*key_arrays)):
-                g = groups.get(key)
-                if g is None:
-                    groups[key] = g = len(reps)
-                    reps.append(i)
-                    members.append([])
-                members[g].append(i)
-        elif n:
-            reps.append(0)
-            members.append(list(range(n)))
-        return reps, members
-
-    def _fold_aggregate(self, call: e.FuncCall, members: list[list[int]],
-                        value_array: Callable[[e.Expr], list[Any]]) -> list[Any]:
-        name = call.name
-        if name == "count" and call.args and isinstance(call.args[0], e.Star):
-            return [len(group) for group in members]
-        if not call.args:
-            raise PlanError(f"aggregate {name.upper()} needs an argument")
-        arg = value_array(call.args[0])
-        return [fold(name, (arg[i] for i in group), call.distinct)
-                for group in members]
-
-    def _sort_limit(self, plan: SortLimitP) -> Batch:
-        batch = self.batch(plan.input)
-        sel = list(range(batch.length))
-        if plan.keys:
-            from repro.sql.evaluate import _sort_key
-
-            rows = batch.rows()
-            fns = [(compiled_expr(expr, plan.input.columns), ascending)
-                   for expr, ascending in plan.keys]
-
-            def key(i: int) -> tuple:
-                row = rows[i]
-                return tuple(_sort_key(fn(row), ascending) for fn, ascending in fns)
-
-            sel.sort(key=key)
-        if plan.limit is not None:
-            sel = sel[:plan.limit]
-        return batch.take(sel)
+def _store_batch(columns: tuple[str, ...], relation: Relation,
+                 length: int) -> Batch:
+    """The first ``length`` rows of ``relation``: its column store's arrays,
+    shared without copying."""
+    store = relation.column_store()
+    return Batch(columns, [Vector(a, None, (store, i))
+                           for i, a in enumerate(store.arrays)], length)
 
 
 # ---------------------------------------------------------------------------
 # Hash-join plumbing
 # ---------------------------------------------------------------------------
+
+def _pair_predicate(residual: Callable[[Row], bool], left: Batch,
+                    right: Batch) -> Callable[[int, int], bool]:
+    """``residual`` over the joined row of left position ``i`` and right
+    position ``j``."""
+    lmat = [v.materialize() for v in left.vectors]
+    rmat = [v.materialize() for v in right.vectors]
+    return lambda i, j: residual(tuple(c[i] for c in lmat)
+                                 + tuple(c[j] for c in rmat))
+
 
 def _probe(batch: Batch, idx: list[int],
            table: "dict[Any, list[int]] | _PrefixTable"

@@ -80,10 +80,22 @@ class Const(Expr):
     text this constant came from; ``value`` is then the first-seen literal,
     which :func:`~repro.engine.bind.bind` replaces.  The slot takes part in
     equality, so two slots that happen to hold equal values never merge.
+    So does the value's type: ``2``, ``2.0`` and ``True`` compare equal in
+    Python but are different literals, and merging them would hand one the
+    other's compiled closure or memoized rows.
     """
 
     value: Any
     slot: int | None = None
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Const:
+            return NotImplemented
+        return (type(self.value), self.value, self.slot) \
+            == (type(other.value), other.value, other.slot)
+
+    def __hash__(self) -> int:
+        return hash((type(self.value), self.value, self.slot))
 
 
 @dataclass(frozen=True)

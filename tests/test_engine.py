@@ -26,6 +26,7 @@ from repro.engine import (
     LoweringError,
     ProjectP,
     ScanP,
+    clear_compiled_cache,
     common_subplan_count,
     estimate_rows,
     execute_plan,
@@ -439,6 +440,45 @@ class TestAccessPath:
         indexed = Database([snapshot.freeze()])
         assert self._run(indexed, self._lookup(sid), backend,
                          rows_read) == (rows, 1, 1)
+
+
+class TestTypedLiterals:
+    """``2`` and ``2.0`` are different literals: closures, CSE and the
+    per-plan memo must never merge them, though Python calls them equal."""
+
+    BACKENDS = ("row", "vectorized")
+    INT = "SELECT S.sid % 2 AS m FROM Sailors S WHERE S.rating > 9"
+    FLOAT = "SELECT S.sid % 2.0 AS m FROM Sailors S WHERE S.rating > 9"
+
+    @staticmethod
+    def _typed(relation):
+        return Counter(tuple((type(v).__name__, v) for v in row)
+                       for row in relation.rows())
+
+    def test_constants_compare_by_type(self):
+        assert e.Const(2) != e.Const(2.0)
+        assert e.Const(1) != e.Const(True)
+        assert e.Const(2) == e.Const(2)
+        assert len({e.Const(2), e.Const(2.0), e.Const(True)}) == 3
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_closure_cache_keeps_int_and_float_apart(self, db, backend):
+        clear_compiled_cache()
+        run_query(self.FLOAT, db, "sql", backend=backend)
+        got = run_query(self.INT, db, "sql", backend=backend)
+        want = answer_relation(self.INT, db)
+        assert self._typed(got) == self._typed(want) \
+            == Counter({(("int", 0),): 1, (("int", 1),): 1})
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_union_all_of_int_and_float_twins_keeps_both(self, db, backend):
+        text = f"{self.INT} UNION ALL {self.FLOAT}"
+        want = answer_relation(text, db)
+        assert self._typed(want) == Counter({
+            (("int", 0),): 1, (("int", 1),): 1,
+            (("float", 0.0),): 1, (("float", 1.0),): 1})
+        assert self._typed(run_query(text, db, "sql", backend=backend)) \
+            == self._typed(want)
 
 
 class TestMultiLanguagePipeline:

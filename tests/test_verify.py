@@ -889,6 +889,45 @@ class TestInvariantLint:
         assert [v for v in invariants.run_checks(root)
                 if v.rule == "one-access-path"] == []
 
+    def test_operator_loop_outside_the_execute_module(self, invariants,
+                                                      fixture_repo):
+        root = fixture_repo("src/repro/engine/vectorized.py", """\
+            from repro.engine.execute import fold
+
+            def _fold_aggregate(name, members, arg):
+                return [fold(name, (arg[i] for i in g)) for g in members]
+
+            def _sort_limit(rows, key):
+                from repro.sql.evaluate import _sort_key
+                return sorted(rows, key=lambda r: _sort_key(key(r), True))
+            """)
+        violations = [v for v in invariants.run_checks(root)
+                      if v.rule == "one-operator"]
+        assert [(v.path, v.line) for v in violations] == [
+            (os.path.join("src", "repro", "engine", "vectorized.py"), 4),
+            (os.path.join("src", "repro", "engine", "vectorized.py"), 7)]
+
+    def test_operator_functions_called_from_the_executors_are_clean(
+            self, invariants, fixture_repo):
+        fixture_repo("src/repro/engine/execute.py", """\
+            from repro.sql.evaluate import _dedupe, _sort_key
+
+            def aggregate_rows(plan, rows):
+                return [fold(call.name, rows) for call in plan.aggregates]
+            """)
+        fixture_repo("src/repro/engine/sharded.py", """\
+            def merge(state, parts):
+                state.fold(row for part in parts for row in part)
+            """)
+        root = fixture_repo("src/repro/engine/vectorized.py", """\
+            from repro.engine.execute import aggregate_rows, sort_limit_rows
+
+            def _aggregate(plan, batch):
+                return aggregate_rows(plan, batch.rows())
+            """)
+        assert [v for v in invariants.run_checks(root)
+                if v.rule == "one-operator"] == []
+
     def test_rule_scoped_to_server_package(self, invariants, fixture_repo):
         # The same shape outside src/repro/server is not this rule's business.
         root = fixture_repo("src/repro/core/other.py", """\

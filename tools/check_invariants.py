@@ -62,6 +62,14 @@ Rules (see tools/README.md for how to add one):
     violation — an executor asks the rule instead of choosing its own
     path.
 
+``one-operator``
+    Each operator has one Python implementation: under ``src/repro/engine``
+    outside ``engine/execute.py``, an import from ``repro.sql.evaluate``
+    (the reference interpreter's helpers) or a call to the bare name
+    ``fold`` is a violation — an executor calls ``execute``'s operator
+    functions (``aggregate_rows``, ``sort_limit_rows``, ``setop_rows``, …)
+    instead of writing its own loop around their pieces.
+
 Usage: ``python tools/check_invariants.py [--root REPO_ROOT]``.
 Exits 0 when clean, 1 with one ``path:line: [rule] message`` per violation.
 """
@@ -630,6 +638,46 @@ def check_one_access_path(root: str) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
+# Rule: one-operator
+# ---------------------------------------------------------------------------
+
+#: The one module that implements the engine's operators in Python.
+_OPERATOR_MODULE = "src/repro/engine/execute.py"
+_REFERENCE_MODULE = "repro.sql.evaluate"
+
+
+def _imports_reference(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.module == _REFERENCE_MODULE or (
+            node.module == "repro.sql"
+            and any(alias.name == "evaluate" for alias in node.names))
+    return isinstance(node, ast.Import) and any(
+        alias.name == _REFERENCE_MODULE for alias in node.names)
+
+
+def check_one_operator(root: str) -> list[Violation]:
+    violations: list[Violation] = []
+    for _path, rel_path, tree in _walk_sources(root, ("src/repro/engine",)):
+        if rel_path.replace(os.sep, "/") == _OPERATOR_MODULE:
+            continue
+        for node in ast.walk(tree):
+            if _imports_reference(node):
+                violations.append(Violation(
+                    rel_path, node.lineno, "one-operator",
+                    f"import from {_REFERENCE_MODULE} outside "
+                    "engine/execute.py; call the operator function there "
+                    "(aggregate_rows, sort_limit_rows, setop_rows, ...)"))
+            elif isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Name) \
+                    and node.func.id == "fold":
+                violations.append(Violation(
+                    rel_path, node.lineno, "one-operator",
+                    "fold() outside engine/execute.py; group and fold "
+                    "through repro.engine.execute.aggregate_rows"))
+    return violations
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -642,6 +690,7 @@ ALL_RULES = (
     check_try_hit_never_waits,
     check_one_lexer,
     check_one_access_path,
+    check_one_operator,
 )
 
 
