@@ -95,7 +95,10 @@ class Const(Expr):
             == (type(other.value), other.value, other.slot)
 
     def __hash__(self) -> int:
-        return hash((type(self.value), self.value, self.slot))
+        # Not the type: a type hashes by its address, which moves from one
+        # process to the next, and so would every hash-ordered iteration
+        # over constants.  2 and 2.0 share a bucket; __eq__ tells them apart.
+        return hash((self.value, self.slot))
 
 
 @dataclass(frozen=True)

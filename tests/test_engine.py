@@ -461,6 +461,24 @@ class TestTypedLiterals:
         assert e.Const(2) == e.Const(2)
         assert len({e.Const(2), e.Const(2.0), e.Const(True)}) == 3
 
+    def test_slot_constant_hash_repeats_across_processes(self):
+        # A served literal's hash must not depend on where the interpreter
+        # happened to load: hash-ordered work would differ run to run.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=src)
+        code = ("from repro.expr.ast import Const; "
+                "print(hash(Const(2, 0)), hash(Const(2.5, 1)))")
+        outputs = {subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True,
+                                  check=True).stdout for _ in range(3)}
+        assert len(outputs) == 1
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_closure_cache_keeps_int_and_float_apart(self, db, backend):
         clear_compiled_cache()
