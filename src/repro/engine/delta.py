@@ -9,10 +9,10 @@ derives the machinery to keep a materialized answer current under appends:
   filters, projections, inner/cross joins, bag unions) into its **insert
   delta**: one term per base-relation occurrence, following the classic
   telescoping identity ``Δ(L ⋈ R) = ΔL ⋈ R_new  ∪  L_old ⋈ ΔR`` with
-  :class:`~repro.engine.plan.DeltaScanP` windows at the leaves.  Each term is
-  re-run through the cost-based optimizer, whose statistics estimate delta
-  windows tiny — so every term is seated at its delta occurrence and probes
-  the existing hash indexes, the semi-join discipline of semi-naive
+  :class:`~repro.engine.plan.DeltaScanP` windows at the leaves.  The terms
+  are planned by the cost-based optimizer alone, whose statistics estimate
+  delta windows tiny — so every term is seated at its delta occurrence and
+  probes the existing hash indexes, the semi-join discipline of semi-naive
   evaluation.
 * :func:`find_core` decomposes a view plan into a maintainable **core**
   (plain bag, ``DISTINCT`` over a bag, or aggregation over a bag) plus a
@@ -44,14 +44,13 @@ resuming its semi-naive fixpoint from the new frontier measured only
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.data.database import Database
 from repro.expr import ast as e
 from repro.engine.execute import (
     Executor,
     Row,
-    _column_position,
     compiled_expr,
     get_backend,
 )
@@ -127,125 +126,6 @@ def asof_plan(plan: Plan) -> Plan:
     raise DeltaRewriteError(
         f"{type(plan).__name__} is not insert-delta maintainable"
     )
-
-
-def _projection_positions(plan: Plan) -> list[int] | None:
-    """Input positions of a pure column-pick projection, else ``None``."""
-    if not isinstance(plan, ProjectP):
-        return None
-    positions = []
-    for expr in plan.exprs:
-        position = _column_position(expr, plan.input.columns)
-        if position is None:
-            return None
-        positions.append(position)
-    return positions
-
-
-def hoist_projections(plan: Plan) -> Plan:
-    """Bubble pure column-pick projections above joins and filters.
-
-    The optimizer's join reordering restores column order with interior
-    projections; those block the flattening (and hence the cost-based
-    re-seating) of delta terms, leaving an as-of side evaluated as one big
-    block join.  Hoisting is semantics-preserving — join keys, residuals and
-    filter conditions are remapped positionally onto the projection's input —
-    and turns the maintainable fragment into a pure join tree with a single
-    projection stack on top, which delta terms then flatten through.  Any
-    remapping ambiguity falls back to the unhoisted node (slower, correct).
-    """
-    from repro.engine.lower import _PositionCol
-    from repro.engine.plan import PlanError, resolve_column
-
-    if isinstance(plan, FilterP):
-        child = hoist_projections(plan.input)
-        positions = _projection_positions(child)
-        if positions is None:
-            return FilterP(child, plan.condition) if child is not plan.input \
-                else plan
-        inner = child.input
-        try:
-            condition = _remap_positional(plan.condition, child.columns,
-                                          [inner.columns[p] for p in positions])
-        except PlanError:
-            return FilterP(child, plan.condition)
-        assert isinstance(child, ProjectP)
-        return ProjectP(FilterP(inner, condition), child.exprs, child.names)
-    if isinstance(plan, ProjectP):
-        child = hoist_projections(plan.input)
-        outer = _projection_positions(
-            ProjectP(child, plan.exprs, plan.names)
-            if child is not plan.input else plan)
-        inner_positions = _projection_positions(child)
-        if outer is not None and inner_positions is not None:
-            assert isinstance(child, ProjectP)
-            composed = [inner_positions[p] for p in outer]
-            return ProjectP(child.input,
-                            tuple(_PositionCol(p) for p in composed),
-                            plan.names)
-        if child is not plan.input:
-            return ProjectP(child, plan.exprs, plan.names)
-        return plan
-    if isinstance(plan, JoinP) and plan.kind in ("inner", "cross"):
-        left = hoist_projections(plan.left)
-        right = hoist_projections(plan.right)
-        left_positions = _projection_positions(left)
-        right_positions = _projection_positions(right)
-        if left_positions is None and right_positions is None:
-            if left is plan.left and right is plan.right:
-                return plan
-            return JoinP(left, right, plan.kind, plan.left_keys,
-                         plan.right_keys, plan.residual, plan.null_matches)
-        inner_left = left.input if left_positions is not None else left
-        inner_right = right.input if right_positions is not None else right
-        if left_positions is None:
-            left_positions = list(range(len(left.columns)))
-        if right_positions is None:
-            right_positions = list(range(len(right.columns)))
-        out_spellings = (
-            [inner_left.columns[p] for p in left_positions]
-            + [inner_right.columns[p] for p in right_positions])
-        try:
-            left_keys = tuple(
-                inner_left.columns[left_positions[
-                    resolve_column(left.columns, key)]]
-                for key in plan.left_keys)
-            right_keys = tuple(
-                inner_right.columns[right_positions[
-                    resolve_column(right.columns, key)]]
-                for key in plan.right_keys)
-            residual = None
-            if plan.residual is not None:
-                residual = _remap_positional(
-                    plan.residual, plan.columns, out_spellings)
-        except PlanError:
-            return JoinP(left, right, plan.kind, plan.left_keys,
-                         plan.right_keys, plan.residual, plan.null_matches)
-        joined = JoinP(inner_left, inner_right, plan.kind, left_keys,
-                       right_keys, residual, plan.null_matches)
-        width = len(inner_left.columns)
-        exprs = tuple(_PositionCol(p) for p in left_positions) \
-            + tuple(_PositionCol(width + p) for p in right_positions)
-        return ProjectP(joined, exprs, plan.columns)
-    children = plan.children()
-    rebuilt = [hoist_projections(child) for child in children]
-    if all(new is old for new, old in zip(rebuilt, children)):
-        return plan
-    return _rebuild(plan, rebuilt)
-
-
-def _remap_positional(expr: e.Expr, from_cols: Sequence[str],
-                      to_cols: Sequence[str]) -> e.Expr:
-    """Rewrite every column ref by position from one layout to another."""
-    from repro.engine.plan import resolve_column
-
-    def remap(col: e.Col) -> e.Col:
-        idx = resolve_column(tuple(from_cols), col.name, col.qualifier)
-        spelling = to_cols[idx]
-        qualifier, _, name = spelling.rpartition(".")
-        return e.Col(name if qualifier else spelling, qualifier or None)
-
-    return e.map_columns(expr, remap)
 
 
 def delta_terms(plan: Plan) -> list[Plan]:
@@ -373,25 +253,23 @@ def finish_rows(db: Database, plan: Plan, core: Plan,
 class _DeltaSource:
     """Optimized delta terms of one bag-maintainable plan.
 
-    The terms are optimized once (cost-based reordering seats each at its
-    tiny delta window); a refresh unions the terms whose delta relation
-    actually changed and executes them as one plan, so the executor's
-    per-plan memo shares as-of subplans across terms.
+    The optimizer alone plans each term, once: it flattens the term's join
+    tree and, estimating the delta window tiny, seats the term at it.  A
+    refresh unions the terms whose delta relation actually changed and
+    executes them as one plan, so the executor's per-plan memo shares
+    as-of subplans across terms.
     """
 
     def __init__(self, plan: Plan, db: Database) -> None:
         from repro.engine.optimize import optimize
 
         self.plan = plan
-        # Hoisting first lets every term flatten into one join tree, which
-        # the cost-based reorder then seats at its tiny delta window.  Each
-        # term is verified as produced (before the optimizer's own hooks
-        # run) so a bad delta rewrite is reported under its own rule name.
-        hoisted = hoist_projections(plan)
+        # Each term is verified as produced (before the optimizer's own
+        # hooks run) so a bad delta rewrite is reported under its own rule.
         self.terms = [(term_delta_relation(term),
                        optimize(maybe_verify(term, db, rule="delta_terms"),
                                 db))
-                      for term in delta_terms(hoisted)]
+                      for term in delta_terms(plan)]
 
     def full_rows(self, db: Database, backend: str) -> list[Row]:
         return get_backend(backend).execute(self.plan, db)

@@ -50,7 +50,6 @@ from repro.sql.evaluate import _dedupe, _sort_key
 from repro.engine.cache import LRUCache
 from repro.engine.lower import (
     LoweringError,
-    _PositionCol,
     _dedupe_names,
     detect_language,
     lower,
@@ -66,6 +65,7 @@ from repro.engine.plan import (
     JoinP,
     Plan,
     PlanError,
+    PositionCol,
     ProjectP,
     ScanP,
     SetOpP,
@@ -84,7 +84,7 @@ RowFn = Callable[[Row], Any]
 
 def compile_expr(expr: e.Expr, columns: Sequence[str]) -> RowFn:
     """Compile an expression into a closure over row tuples (3-valued logic)."""
-    if isinstance(expr, _PositionCol):
+    if isinstance(expr, PositionCol):
         position = expr.position
         return lambda row: row[position]
     if isinstance(expr, (e.Const, e.BoolConst)):
@@ -307,10 +307,10 @@ class Executor:
             return self._filter(plan)
         if isinstance(plan, ProjectP):
             rows = self.rows(plan.input)
-            if all(isinstance(x, (e.Col, _PositionCol)) for x in plan.exprs):
+            if all(isinstance(x, (e.Col, PositionCol)) for x in plan.exprs):
                 # Pure column picks: batch via itemgetter.
                 indices = [
-                    x.position if isinstance(x, _PositionCol)
+                    x.position if isinstance(x, PositionCol)
                     else resolve_column(plan.input.columns, x.name, x.qualifier)
                     for x in plan.exprs
                 ]
@@ -358,8 +358,8 @@ class Executor:
 
         left_cols = plan.left.columns
         right_cols = plan.right.columns
-        left_idx = [resolve_column(left_cols, *_split_name(k)) for k in plan.left_keys]
-        right_idx = [resolve_column(right_cols, *_split_name(k)) for k in plan.right_keys]
+        left_idx = [resolve_column(left_cols, k) for k in plan.left_keys]
+        right_idx = [resolve_column(right_cols, k) for k in plan.right_keys]
         residual = None
         if plan.residual is not None:
             residual = compiled_predicate(plan.residual, left_cols + right_cols)
@@ -556,7 +556,7 @@ def delta_scan_rows(db: Database, plan: DeltaScanP) -> list[Row]:
 
 
 def _column_position(expr: e.Expr, columns: tuple[str, ...]) -> int | None:
-    if isinstance(expr, _PositionCol):
+    if isinstance(expr, PositionCol):
         return expr.position
     if isinstance(expr, e.Col):
         try:
@@ -719,13 +719,6 @@ class _PrefixTable:
         """Whether ``key`` has an in-window position (semi/anti probes)."""
         bucket = self.table.get(key)
         return bool(bucket) and bucket[0] < self.keep
-
-
-def _split_name(column: str) -> tuple[str, str | None]:
-    # Join keys are stored as full column spellings; resolve by exact name
-    # first (resolve_column tries the bare spelling before suffix rules).
-    return column, None
-
 
 
 # ---------------------------------------------------------------------------

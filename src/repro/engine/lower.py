@@ -52,6 +52,7 @@ from repro.engine.plan import (
     FilterP,
     JoinP,
     Plan,
+    PositionCol,
     ProjectP,
     ScanP,
     SetOpP,
@@ -556,30 +557,9 @@ def _lower_ra(expr: Any, schema: DatabaseSchema, *, bag: bool) -> Plan:
     raise LoweringError(f"unhandled RA node {type(expr).__name__}")
 
 
-class _PositionCol(e.Expr):
-    """Internal marker expression: fetch an input column by position."""
-
-    __slots__ = ("position",)
-
-    def __init__(self, position: int) -> None:
-        self.position = position
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _PositionCol) and other.position == self.position
-
-    def __hash__(self) -> int:
-        return hash(("_PositionCol", self.position))
-
-    def walk(self):
-        yield self
-
-    def children(self) -> tuple:
-        return ()
-
-
 def _project_positions(plan: Plan, positions: Sequence[int],
                        names: Sequence[str]) -> Plan:
-    return ProjectP(plan, tuple(_PositionCol(p) for p in positions),
+    return ProjectP(plan, tuple(PositionCol(p) for p in positions),
                     _dedupe_names(names))
 
 

@@ -7,14 +7,26 @@ Three families of rewrites, applied in order by :func:`optimize`:
    of set operations, and into the inputs of joins; conjuncts that straddle a
    join stay at the join as its residual condition.
 2. **Join planning** — equality conjuncts ``left.col = right.col`` left at a
-   join are promoted to hash keys, and maximal trees of inner/cross joins are
-   flattened and re-ordered greedily by *estimated cost*: each step joins the
-   leaf whose (statistics-driven) estimated result is smallest, using the
-   per-attribute distinct counts and min/max profiles of
-   :mod:`repro.engine.stats`, with a final projection restoring the original
-   column order.  Delta relations of the semi-naive Datalog fixpoint are
-   estimated tiny, which seeds each delta-variant plan at the delta
-   occurrence — the semi-join reduction of classical semi-naive evaluation.
+   join are promoted to hash keys.  With statistics, join shape is then
+   decided here and only here, in three steps:
+
+   a. :func:`hoist_projections` bubbles pure column-pick projections (from
+      lowering) above inner/cross joins and filters, so none splits a tree;
+   b. :func:`reorder_joins` flattens each maximal inner/cross join tree at
+      its root, plans its leaves recursively, and re-orders the tree once,
+      greedily by *estimated cost*: each step joins the leaf whose
+      (statistics-driven) estimated result is smallest, using the
+      per-attribute distinct counts and min/max profiles of
+      :mod:`repro.engine.stats`; one positional projection restores the
+      tree's column order;
+   c. :func:`hoist_projections` again, so that projection and the picks
+      above it merge into one.
+
+   Delta relations of the semi-naive Datalog fixpoint and the delta windows
+   of a view's delta terms are estimated tiny, which seeds each
+   delta-variant plan at the delta occurrence — the semi-join reduction of
+   classical semi-naive evaluation.  :mod:`repro.engine.delta` hands its
+   terms to :func:`optimize` and plans nothing itself.
 3. **Common subexpression elimination** — structurally identical subtrees are
    interned to a single object.  The executor memoizes results per plan
    value, so a deduplicated subtree (for example the outer plan that a
@@ -39,6 +51,7 @@ from repro.engine.plan import (
     JoinP,
     Plan,
     PlanError,
+    PositionCol,
     ProjectP,
     ScanP,
     SetOpP,
@@ -46,6 +59,7 @@ from repro.engine.plan import (
     has_column,
     resolve_column,
 )
+from repro.engine.execute import _column_position
 from repro.engine.stats import StatsCatalog, estimate_rows
 from repro.engine.verify import maybe_verify
 
@@ -53,6 +67,7 @@ __all__ = [
     "common_subplan_count",
     "eliminate_common_subexpressions",
     "estimate_rows",
+    "hoist_projections",
     "optimize",
     "promote_hash_keys",
     "push_down_filters",
@@ -79,8 +94,12 @@ def optimize(plan: Plan, db: Database | None = None, *,
     if stats is None and db is not None:
         stats = StatsCatalog(db)
     if stats is not None:
+        plan = maybe_verify(hoist_projections(plan), stats.db,
+                            rule="hoist_projections")
         plan = maybe_verify(reorder_joins(plan, stats.db, stats=stats),
                             stats.db, rule="reorder_joins")
+        plan = maybe_verify(hoist_projections(plan), stats.db,
+                            rule="hoist_projections")
         plan = maybe_verify(promote_hash_keys(plan), stats.db,
                             rule="promote_hash_keys")
     plan = maybe_verify(eliminate_common_subexpressions(plan), db,
@@ -125,12 +144,24 @@ def _references_only(expr: e.Expr, columns: tuple[str, ...]) -> bool:
 
 
 def _remap_by_position(expr: e.Expr, from_cols: tuple[str, ...],
-                       to_cols: tuple[str, ...]) -> e.Expr:
-    """Rewrite column refs positionally (for pushing into set-op branches)."""
+                       to_cols: tuple[str, ...],
+                       positions: list[int] | None = None) -> e.Expr:
+    """Rewrite column refs positionally from one layout to another.
+
+    Column ``i`` of ``from_cols`` becomes ``to_cols[positions[i]]`` (or
+    ``to_cols[i]``): pushing a filter into a set-op branch, or hoisting a
+    pick projection above it.  A spelling that would resolve elsewhere in
+    ``to_cols`` raises :class:`PlanError`.
+    """
     def remap(col: e.Col) -> e.Col:
         idx = resolve_column(from_cols, col.name, col.qualifier, strict=True)
+        if positions is not None:
+            idx = positions[idx]
         qualifier, _, name = to_cols[idx].rpartition(".")
-        return e.Col(name if qualifier else to_cols[idx], qualifier or None)
+        new = e.Col(name if qualifier else to_cols[idx], qualifier or None)
+        if resolve_column(to_cols, new.name, new.qualifier, strict=True) != idx:
+            raise PlanError(f"column {to_cols[idx]!r} is ambiguous in {to_cols}")
+        return new
 
     return e.map_columns(expr, remap)
 
@@ -285,8 +316,98 @@ def promote_hash_keys(plan: Plan) -> Plan:
 
 
 # ---------------------------------------------------------------------------
-# Cost-based greedy join reordering (estimation lives in repro.engine.stats)
+# Join planning: projection hoisting and cost-based greedy join reordering
+# (estimation lives in repro.engine.stats)
 # ---------------------------------------------------------------------------
+
+def _pick_positions(plan: Plan) -> list[int] | None:
+    """Input positions of a pure column-pick projection, else ``None``."""
+    if not isinstance(plan, ProjectP):
+        return None
+    positions = []
+    for expr in plan.exprs:
+        position = _column_position(expr, plan.input.columns)
+        if position is None:
+            return None
+        positions.append(position)
+    return positions
+
+
+def _key_spelling(key: str, columns: tuple[str, ...], positions: list[int],
+                  inner: tuple[str, ...]) -> str:
+    """Respell a join key over a pick projection onto the projection's input."""
+    position = positions[resolve_column(columns, key)]
+    if resolve_column(inner, inner[position]) != position:
+        raise PlanError(f"column {inner[position]!r} is ambiguous in {inner}")
+    return inner[position]
+
+
+def hoist_projections(plan: Plan) -> Plan:
+    """Bubble pure column-pick projections above inner/cross joins and filters.
+
+    Lowering emits pick projections between joins (and so does a join
+    tree's restoring projection); each one would split a join tree in two
+    for :func:`reorder_joins`.  Hoisting remaps join keys, residuals and
+    filter conditions positionally onto the projection's input and stacks
+    the picks into one projection above the tree.  Any remapping ambiguity
+    leaves the node as it is (slower, correct).
+    """
+    children = plan.children()
+    hoisted = [hoist_projections(child) for child in children]
+    if any(new is not old for new, old in zip(hoisted, children)):
+        plan = _rebuild(plan, hoisted)
+    if isinstance(plan, FilterP):
+        positions = _pick_positions(plan.input)
+        if positions is None:
+            return plan
+        pick = plan.input
+        assert isinstance(pick, ProjectP)
+        try:
+            condition = _remap_by_position(plan.condition, pick.columns,
+                                           pick.input.columns, positions)
+        except PlanError:
+            return plan
+        return ProjectP(FilterP(pick.input, condition), pick.exprs, pick.names)
+    if isinstance(plan, ProjectP):
+        outer = _pick_positions(plan)
+        inner = _pick_positions(plan.input)
+        if outer is None or inner is None:
+            return plan
+        assert isinstance(plan.input, ProjectP)
+        return ProjectP(plan.input.input,
+                        tuple(PositionCol(inner[p]) for p in outer), plan.names)
+    if not (isinstance(plan, JoinP) and plan.kind in ("inner", "cross")):
+        return plan
+    left_positions = _pick_positions(plan.left)
+    right_positions = _pick_positions(plan.right)
+    if left_positions is None and right_positions is None:
+        return plan
+    left = plan.left.input if left_positions is not None else plan.left
+    right = plan.right.input if right_positions is not None else plan.right
+    if left_positions is None:
+        left_positions = list(range(len(left.columns)))
+    if right_positions is None:
+        right_positions = list(range(len(right.columns)))
+    width = len(left.columns)
+    positions = left_positions + [width + p for p in right_positions]
+    try:
+        left_keys = tuple(_key_spelling(key, plan.left.columns,
+                                        left_positions, left.columns)
+                          for key in plan.left_keys)
+        right_keys = tuple(_key_spelling(key, plan.right.columns,
+                                         right_positions, right.columns)
+                           for key in plan.right_keys)
+        residual = plan.residual
+        if residual is not None:
+            residual = _remap_by_position(residual, plan.columns,
+                                          left.columns + right.columns,
+                                          positions)
+    except PlanError:
+        return plan
+    joined = JoinP(left, right, plan.kind, left_keys, right_keys, residual,
+                   plan.null_matches)
+    return ProjectP(joined, tuple(PositionCol(p) for p in positions),
+                    plan.columns)
 
 
 def _substitute(plan: Plan, old: Plan, new: Plan) -> Plan:
@@ -327,6 +448,11 @@ def _flatten_join_tree(plan: Plan, protected: tuple[Plan, ...] = ()
 def reorder_joins(plan: Plan, db: Database,
                   protected: tuple[Plan, ...] = (),
                   *, stats: StatsCatalog | None = None) -> Plan:
+    """Order each maximal inner/cross join tree greedily by estimated cost.
+
+    A tree is flattened at its root and planned once; only its leaves are
+    planned recursively, so no inner reorder splits it.
+    """
     if stats is None:
         stats = StatsCatalog(db)
     if any(plan == p for p in protected):
@@ -343,24 +469,18 @@ def reorder_joins(plan: Plan, db: Database,
             right = _substitute(right, plan.left, left)
         return JoinP(left, right, plan.kind, plan.left_keys, plan.right_keys,
                      plan.residual, plan.null_matches)
-    children = [reorder_joins(c, db, protected, stats=stats)
-                for c in plan.children()]
-    plan = _rebuild(plan, children)
     flat = _flatten_join_tree(plan, protected)
-    if flat is None:
-        return plan
-    leaves, conjuncts = flat
-    if len(leaves) < 3:
-        return plan
-    original_columns = plan.columns
-    all_columns: list[str] = [c for leaf in leaves for c in leaf.columns]
-    if len(set(c.lower() for c in all_columns)) != len(all_columns):
-        return plan  # duplicated names: restoring column order would be ambiguous
-
-    remaining = list(leaves)
-    pending = list(conjuncts)
-    current = min(remaining, key=lambda leaf: stats.estimate(leaf))
-    remaining.remove(current)
+    if flat is None or len(flat[0]) < 3 \
+            or len({c.lower() for c in plan.columns}) != len(plan.columns):
+        # Not a tree of three or more leaves, or one with duplicated names
+        # (conjuncts could not be placed by name): plan the parts.
+        return _rebuild(plan, [reorder_joins(c, db, protected, stats=stats)
+                               for c in plan.children()])
+    leaves = [reorder_joins(leaf, db, protected, stats=stats)
+              for leaf in flat[0]]
+    pending = flat[1]
+    order = [min(leaves, key=lambda leaf: stats.estimate(leaf))]
+    current = order[0]
 
     def attachable(cols: tuple[str, ...]) -> tuple[list[e.Expr], list[e.Expr]]:
         now, later = [], []
@@ -378,36 +498,36 @@ def reorder_joins(plan: Plan, db: Database,
             trial = promote_hash_keys(push_down_filters(trial))
         return trial
 
-    while remaining:
+    while len(order) < len(leaves):
         best = None
         best_trial = None
         best_cost = None
-        for leaf in remaining:
+        for leaf in leaves:
+            if any(leaf is chosen for chosen in order):
+                continue
             trial = trial_join(leaf)
             cost = (stats.estimate(trial), stats.estimate(leaf))
             if best_cost is None or cost < best_cost:
                 best, best_trial, best_cost = leaf, trial, cost
         assert best is not None and best_trial is not None
-        remaining.remove(best)
+        order.append(best)
         current = best_trial
         _, pending = attachable(current.columns)
     if pending:
         current = FilterP(current, e.conjunction(pending))
 
-    if current.columns != original_columns:
-        positions = [resolve_column(current.columns, *_split(c), strict=True)
-                     for c in original_columns]
-        current = ProjectP(current,
-                           tuple(e.Col(current.columns[p]) for p in positions),
-                           original_columns)
-    return current
-
-
-def _split(column: str) -> tuple[str, str | None]:
-    if "." in column:
-        qualifier, name = column.split(".", 1)
-        return name, qualifier
-    return column, None
+    # One positional projection restores the tree's column order.
+    offsets: dict[int, int] = {}
+    width = 0
+    for leaf in order:
+        offsets[id(leaf)] = width
+        width += len(leaf.columns)
+    positions = [offsets[id(leaf)] + i
+                 for leaf in leaves for i in range(len(leaf.columns))]
+    if positions == list(range(width)):
+        return current
+    return ProjectP(current, tuple(PositionCol(p) for p in positions),
+                    plan.columns)
 
 
 # ---------------------------------------------------------------------------

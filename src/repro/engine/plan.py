@@ -118,6 +118,25 @@ class FilterP(Plan):
         return (self.input,)
 
 
+class PositionCol(Expr):
+    """Fetch an input column by position: the column picks of a
+    :class:`ProjectP` that lowering and join planning emit."""
+
+    __slots__ = ("position",)
+
+    def __init__(self, position: int) -> None:
+        self.position = position
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, PositionCol) and other.position == self.position
+
+    def __hash__(self) -> int:
+        return hash(("PositionCol", self.position))
+
+    def __repr__(self) -> str:
+        return f"PositionCol({self.position})"
+
+
 @dataclass(frozen=True)
 class ProjectP(Plan):
     """Evaluate one expression per output column (projection + rename)."""

@@ -74,7 +74,7 @@ from repro.data.sharded import (
 )
 from repro.expr import ast as e
 from repro.engine.cache import LRUCache
-from repro.engine.execute import Row, _column_position, _split_name, compiled_expr
+from repro.engine.execute import Row, _column_position, compiled_expr
 from repro.engine.kernels import path_counts
 from repro.engine.optimize import _rebuild
 from repro.engine.plan import (
@@ -359,8 +359,8 @@ def _equi_pairs(plan: JoinP) -> list[tuple[int, int]]:
     """The equi-key pairs as (left position, right position)."""
     pairs = []
     for lk, rk in zip(plan.left_keys, plan.right_keys):
-        pairs.append((resolve_column(plan.left.columns, *_split_name(lk)),
-                      resolve_column(plan.right.columns, *_split_name(rk))))
+        pairs.append((resolve_column(plan.left.columns, lk),
+                      resolve_column(plan.right.columns, rk)))
     return pairs
 
 

@@ -50,6 +50,7 @@ from repro.engine.plan import (
     JoinP,
     Plan,
     PlanError,
+    PositionCol,
     ProjectP,
     ScanP,
     SetOpP,
@@ -361,9 +362,8 @@ def _column_origin(plan: Plan, position: int) -> tuple[str, int] | None:
             except PlanError:
                 return None
             return _column_origin(plan.input, inner)
-        inner_position = getattr(expr, "position", None)
-        if inner_position is not None:  # lower.py's _PositionCol
-            return _column_origin(plan.input, inner_position)
+        if isinstance(expr, PositionCol):
+            return _column_origin(plan.input, expr.position)
         return None
     if isinstance(plan, JoinP):
         if plan.kind in ("semi", "anti"):

@@ -80,7 +80,6 @@ from repro.engine.execute import (
     _PrefixTable,
     _column_position,
     _dedupe,
-    _split_name,
     aggregate_rows,
     build_source,
     column_comparison,
@@ -358,8 +357,8 @@ class VectorizedExecutor:
 
         left_cols = plan.left.columns
         right_cols = plan.right.columns
-        left_idx = [resolve_column(left_cols, *_split_name(k)) for k in plan.left_keys]
-        right_idx = [resolve_column(right_cols, *_split_name(k)) for k in plan.right_keys]
+        left_idx = [resolve_column(left_cols, k) for k in plan.left_keys]
+        right_idx = [resolve_column(right_cols, k) for k in plan.right_keys]
         residual = None
         if plan.residual is not None:
             residual = compiled_predicate(plan.residual, left_cols + right_cols)

@@ -63,6 +63,7 @@ from repro.engine.plan import (
     JoinP,
     Plan,
     PlanError,
+    PositionCol,
     ProjectP,
     ScanP,
     SetOpP,
@@ -206,17 +207,6 @@ def _schema_lookup(db: "Database | Mapping[str, RelationSchema] | None"
 # Expression typing
 # ---------------------------------------------------------------------------
 
-_POSITION_COL: "type | None" = None
-
-
-def _position_col() -> type:
-    global _POSITION_COL
-    if _POSITION_COL is None:
-        from repro.engine.lower import _PositionCol
-        _POSITION_COL = _PositionCol
-    return _POSITION_COL
-
-
 class _Checker:
     """One verification pass: schema lookup + error context + memo."""
 
@@ -250,7 +240,7 @@ class _Checker:
         """
         if isinstance(expr, e.Col):
             return self.resolve(node, columns, types, expr)
-        if isinstance(expr, _position_col()):
+        if isinstance(expr, PositionCol):
             position = expr.position
             if not 0 <= position < len(columns):
                 raise self.fail(node, f"positional column pick {position} out "
@@ -610,7 +600,7 @@ class _ShardDerivation:
 
 def _column_pick(expr: e.Expr, columns: tuple[str, ...]) -> "int | None":
     """The input position a pure column-pick expression reads, else None."""
-    if isinstance(expr, _position_col()):
+    if isinstance(expr, PositionCol):
         position = expr.position
         return position if 0 <= position < len(columns) else None
     if isinstance(expr, e.Col):
@@ -998,11 +988,7 @@ def verify_view_terms(compiled: Any, sharded: Any,
     anchored on a broadcast alias never run).  As-of windows on broadcast
     aliases are accepted; a delta window on one is rejected.
     """
-    from repro.engine.delta import (
-        delta_terms,
-        hoist_projections,
-        term_delta_relation,
-    )
+    from repro.engine.delta import delta_terms, term_delta_relation
 
     bag = compiled.scatter
     if isinstance(bag, (DistinctP, AggregateP)):
@@ -1010,7 +996,7 @@ def verify_view_terms(compiled: Any, sharded: Any,
     checker = _ShardChecker(sharded, rule, bag, root_prereduced=False,
                             partial_root=None, allow_delta=True)
     schemas = _shard_schemas(compiled, sharded)
-    for term in delta_terms(hoist_projections(bag)):
+    for term in delta_terms(bag):
         if term_delta_relation(term) in compiled.partitioned:
             verify_plan(term, schemas, rule=rule)
             checker.derive(term)

@@ -295,6 +295,29 @@ class TestOptimizer:
         assert any(sub == join.left for sub in join.right.walk())
         assert execute_plan(optimized, db).bag_equal(answer_relation(sql, db))
 
+    def test_optimized_plan_repr_repeats_across_processes(self):
+        # Column picks print by position, not by object address, so a plan's
+        # repr (in hypothesis reports, CompiledRule reprs) is reproducible.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=src)
+        code = ("from repro.data.sailors import sailors_database; "
+                "from repro.engine import lower, optimize; "
+                "from repro.queries import CANONICAL_QUERIES; "
+                "db = sailors_database(); "
+                "print(repr(optimize(lower(CANONICAL_QUERIES[1].drc, "
+                "db.schema, 'drc'), db)))")
+        outputs = {subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True,
+                                  check=True).stdout for _ in range(2)}
+        assert len(outputs) == 1
+        assert "PositionCol(" in outputs.pop()
+
     def test_aggregating_exists_is_rejected_not_mislowered(self, db):
         # An ungrouped aggregate subquery yields a row even over empty input,
         # so a plain existence check would be wrong; the engine must refuse.

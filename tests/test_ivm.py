@@ -36,8 +36,11 @@ from repro.engine import (
     lower,
     optimize,
 )
-from repro.engine.delta import term_delta_relation
+from repro.engine.delta import build_maintainer, term_delta_relation
+from repro.engine.plan import JoinP, PositionCol, ProjectP
+from repro.expr import ast as e
 from repro.queries.catalog import CANONICAL_QUERIES
+from repro.translate.equivalence import answer_relation
 
 BACKENDS = ("row", "vectorized", "sharded")
 
@@ -52,10 +55,34 @@ RECURSIVE_DATALOG = (
 )
 ANTI_SQL = ("SELECT S.sname FROM Sailors S WHERE NOT EXISTS "
             "(SELECT R.sid FROM Reserves R WHERE R.sid = S.sid)")
+#: E4's five-way join-chain view and analytic-cold's four-way chain.
+JOIN_CHAIN_SQL = (
+    "SELECT DISTINCT S.sname FROM Sailors S, Boats B, Reserves R0, "
+    "Reserves R1, Reserves R2 WHERE B.color = 'red' "
+    "AND S.sid = R0.sid AND R0.bid = B.bid "
+    "AND S.sid = R1.sid AND R1.bid = B.bid "
+    "AND S.sid = R2.sid AND R2.bid = B.bid")
+CHAIN4_SQL = (
+    "SELECT S.sname, B.bname FROM Sailors S, Reserves R, Boats B, "
+    "Reserves R2 WHERE S.sid = R.sid AND R.bid = B.bid AND R2.sid = S.sid "
+    "AND R2.bid = B.bid AND B.color = 'red' AND S.rating > 8 "
+    "AND S.age > 20.5")
+#: The catalog's three-relation query (Sailors, Reserves, Boats) in TRC,
+#: which lowers through the DRC body compiler.
+TRC_Q2 = next(q.trc for q in CANONICAL_QUERIES if q.id == "Q2")
 
 
 def fresh_answers(db, text, language=None):
     return QueryVisualizationPipeline(db).answer(text, language=language)
+
+
+def _projections_between_joins(plan, below_join=False):
+    """Projections with a join both above and below them."""
+    here = below_join and isinstance(plan, ProjectP) and any(
+        isinstance(node, JoinP) for node in plan.walk())
+    below = below_join or isinstance(plan, JoinP)
+    return here + sum(_projections_between_joins(child, below)
+                      for child in plan.children())
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +277,44 @@ class TestDeltaTerms:
         old_rows = rel.rows_at(v)
         assert sorted(result.rows()) == sorted(old_rows + old_rows)
 
+    @pytest.mark.parametrize("text", [JOIN_CHAIN_SQL, CHAIN4_SQL],
+                             ids=["join-chain", "chain4"])
+    def test_a_join_tree_is_planned_whole(self, text):
+        # The optimizer plans each maximal join tree once: no projection
+        # splits it, and one column pick sits above it.
+        db = random_sailors_database(n_sailors=120, n_boats=12,
+                                     n_reserves=600, seed=7)
+        plan = optimize(lower(text, db.schema, "sql"), db)
+        assert _projections_between_joins(plan) == 0
+        picks = 0
+        node = plan
+        while not isinstance(node, JoinP):
+            picks += isinstance(node, ProjectP) and all(
+                isinstance(x, (e.Col, PositionCol)) for x in node.exprs)
+            node = node.children()[0]
+        assert picks <= 1
+
+    @pytest.mark.parametrize("text, language, relations", [
+        (JOIN_CHAIN_SQL, "sql", ["boats", "reserves", "reserves", "reserves",
+                                 "sailors"]),
+        (TRC_Q2, "trc", ["boats", "reserves", "sailors"]),
+    ], ids=["join-chain", "trc-Q2"])
+    def test_every_delta_term_is_seated_at_its_delta(self, text, language,
+                                                     relations):
+        # Semi-naive evaluation's "delta occurrence first": the optimizer
+        # starts each term's whole join tree from its (tiny) delta window.
+        db = random_sailors_database(n_sailors=120, n_boats=12,
+                                     n_reserves=600, seed=7)
+        plan = optimize(lower(text, db.schema, language), db)
+        terms = build_maintainer(plan, db).source.terms
+        assert sorted(relation for relation, _term in terms) == relations
+        for relation, term in terms:
+            assert _projections_between_joins(term) == 0
+            node = next(n for n in term.walk() if isinstance(n, JoinP))
+            while not isinstance(node, DeltaScanP):
+                node = node.children()[0]
+            assert (node.relation.lower(), node.mode) == (relation, "delta")
+
 
 # ---------------------------------------------------------------------------
 # Service: materialized views
@@ -267,6 +332,20 @@ class TestMaterializedViews:
         before = service.cache_info()["view_hits"]
         service.answer(JOIN_SQL)
         assert service.cache_info()["view_hits"] == before + 1
+
+    def test_drc_self_join_view_keeps_its_columns_apart(self):
+        # Both Reserves atoms read columns spelled __reserves.1: hoisting a
+        # projection must not respell ``b < b2`` onto one of them.
+        text = ("{ n | exists s, r, a (Sailors(s, n, r, a) and exists b, d, "
+                "b2, d2 (Reserves(s, b, d) and Reserves(s, b2, d2) "
+                "and b < b2)) }")
+        service = QueryService(sailors_database())
+        view = service.register_view(text, language="drc")
+        assert view.answer().bag_equal(answer_relation(text, service.db))
+        service.add_rows("Reserves", [(29, 101, "2001-01-01"),
+                                      (29, 105, "2001-01-02")])
+        assert view.info()["strategy"] == "distinct"
+        assert view.answer().bag_equal(answer_relation(text, service.db))
 
     def test_registration_is_idempotent(self):
         service = QueryService(sailors_database())

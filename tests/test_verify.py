@@ -928,6 +928,45 @@ class TestInvariantLint:
         assert [v for v in invariants.run_checks(root)
                 if v.rule == "one-operator"] == []
 
+    def test_join_planning_outside_the_optimizer(self, invariants,
+                                                 fixture_repo):
+        root = fixture_repo("src/repro/engine/delta.py", """\
+            from repro.engine.optimize import (
+                optimize,
+                reorder_joins,
+            )
+
+            def plan_terms(plan, db):
+                return [optimize(reorder_joins(term, db), db)
+                        for term in delta_terms(plan)]
+            """)
+        violations = [v for v in invariants.run_checks(root)
+                      if v.rule == "one-join-planner"]
+        assert [(v.path, v.line) for v in violations] == [
+            (os.path.join("src", "repro", "engine", "delta.py"), 3),
+            (os.path.join("src", "repro", "engine", "delta.py"), 7)]
+
+    def test_join_planning_inside_the_optimizer_is_clean(self, invariants,
+                                                         fixture_repo):
+        fixture_repo("src/repro/engine/optimize.py", """\
+            def hoist_projections(plan):
+                return plan
+
+            def optimize(plan, db):
+                return reorder_joins(hoist_projections(plan), db)
+            """)
+        fixture_repo("src/repro/engine/__init__.py", """\
+            from repro.engine.optimize import optimize, reorder_joins
+            """)
+        root = fixture_repo("src/repro/engine/delta.py", """\
+            from repro.engine.optimize import optimize
+
+            def plan_terms(plan, db):
+                return [optimize(term, db) for term in delta_terms(plan)]
+            """)
+        assert [v for v in invariants.run_checks(root)
+                if v.rule == "one-join-planner"] == []
+
     def test_rule_scoped_to_server_package(self, invariants, fixture_repo):
         # The same shape outside src/repro/server is not this rule's business.
         root = fixture_repo("src/repro/core/other.py", """\

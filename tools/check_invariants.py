@@ -70,6 +70,14 @@ Rules (see tools/README.md for how to add one):
     functions (``aggregate_rows``, ``sort_limit_rows``, ``setop_rows``, …)
     instead of writing its own loop around their pieces.
 
+``one-join-planner``
+    Join shape is decided in one place: under ``src/repro`` outside
+    ``engine/optimize.py``, an import of, or a call to, ``reorder_joins``
+    or ``hoist_projections`` is a violation — a caller hands its plan to
+    ``optimize``, which plans each join tree once.  A package
+    ``__init__.py`` may re-export the names, and a function may call
+    itself.
+
 Usage: ``python tools/check_invariants.py [--root REPO_ROOT]``.
 Exits 0 when clean, 1 with one ``path:line: [rule] message`` per violation.
 """
@@ -678,6 +686,50 @@ def check_one_operator(root: str) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
+# Rule: one-join-planner
+# ---------------------------------------------------------------------------
+
+#: The one module that plans join trees, and its join-planning steps.
+_PLANNER_MODULE = "src/repro/engine/optimize.py"
+_PLANNER_STEPS = frozenset({"reorder_joins", "hoist_projections"})
+
+
+def check_one_join_planner(root: str) -> list[Violation]:
+    violations: list[Violation] = []
+    for _path, rel_path, tree in _walk_sources(root, ("src/repro",)):
+        module = rel_path.replace(os.sep, "/")
+        if module == _PLANNER_MODULE:
+            continue
+        recursive: set[int] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node.name in _PLANNER_STEPS:
+                recursive.update(
+                    id(call) for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                    and getattr(call.func, "id", None) == node.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) \
+                    and not module.endswith("/__init__.py"):
+                names = [(alias.lineno, alias.name) for alias in node.names
+                         if alias.name in _PLANNER_STEPS]
+            elif isinstance(node, ast.Call) and id(node) not in recursive:
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) \
+                    else getattr(func, "id", "")
+                names = [(node.lineno, name)] if name in _PLANNER_STEPS else []
+            else:
+                continue
+            for line, name in names:
+                violations.append(Violation(
+                    rel_path, line, "one-join-planner",
+                    f"{name} used outside engine/optimize.py; hand the plan "
+                    "to repro.engine.optimize.optimize, which plans each "
+                    "join tree once"))
+    return violations
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -691,6 +743,7 @@ ALL_RULES = (
     check_one_lexer,
     check_one_access_path,
     check_one_operator,
+    check_one_join_planner,
 )
 
 
