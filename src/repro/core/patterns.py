@@ -14,13 +14,19 @@ Relational Diagrams).  Extraction normalises the formula first: implications
 and universal quantifiers are rewritten into ∃/∧/¬ form and nested
 existentials in the same negation scope are flattened, which is what makes
 the NOT IN / NOT EXISTS variants collapse to the same pattern.
+
+:func:`pattern_of` is the one reader of a TRC query's pattern.  It records
+each comparison with the scope it is written in (a constant is moved to the
+right once, here) and each disjunction as a group of branches in its scope.
+Isomorphism compares exactly that, and the TRC-based diagrams
+(:func:`repro.diagrams.common.build_query_graph`) lay it out as boxes.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
 from repro.trc.ast import (
     AttrRef,
@@ -80,7 +86,10 @@ def normalize_trc(formula: TRCFormula) -> TRCFormula:
             return TRCExists(tuple(variables), body)
         raise PatternError(f"normalize: unhandled node {type(node).__name__}")
 
-    return _flatten_top(rewrite(formula))
+    # Flatten ∃ nested directly under the (positive) top level conjunction.
+    variables: list[TupleVar] = []
+    body = _flatten_exists_into(variables, rewrite(formula))
+    return TRCExists(tuple(variables), body) if variables else body
 
 
 def _flatten_exists_into(variables: list[TupleVar], body: TRCFormula) -> TRCFormula:
@@ -105,18 +114,20 @@ def _flatten_exists_into(variables: list[TupleVar], body: TRCFormula) -> TRCForm
     return body
 
 
-def _flatten_top(formula: TRCFormula) -> TRCFormula:
-    """Flatten ∃ nested directly under the (positive) top level conjunction."""
-    variables: list[TupleVar] = []
-    body = _flatten_exists_into(variables, formula)
-    if variables:
-        return TRCExists(tuple(variables), body)
-    return body
-
-
 # ---------------------------------------------------------------------------
 # Pattern structure
 # ---------------------------------------------------------------------------
+
+#: Each comparison operator with its two sides swapped.
+_FLIP = {"=": "=", "<>": "<>", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
+
+
+def _oriented(op: str, left, right) -> tuple:
+    """``(op, left, right)`` with the sides in one deterministic order."""
+    if repr(right) < repr(left):
+        return _FLIP[op], right, left
+    return op, left, right
+
 
 @dataclass(frozen=True)
 class PatternVariable:
@@ -130,46 +141,76 @@ class PatternVariable:
 
 @dataclass(frozen=True)
 class PatternPredicate:
-    """A comparison predicate, endpoints canonicalised as (var, attr) or constants."""
+    """A comparison written in ``scope``.
+
+    Endpoints are ``(var, attr)`` pairs or constants; a constant is always on
+    the right, and two attributes keep the order they were written in.
+    """
 
     op: str
     left: tuple[str, str] | Any
     right: tuple[str, str] | Any
+    scope: int
+
+
+@dataclass(frozen=True)
+class PatternBranch:
+    """One disjunct: the comparisons, disjunctions and variables it holds
+    outside any disjunction nested in it (negation scopes included)."""
+
+    predicates: tuple[PatternPredicate, ...]
+    disjunctions: tuple[PatternDisjunction, ...]
+    variables: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class PatternDisjunction:
+    """A disjunction written in ``scope``, one branch per disjunct."""
+
+    scope: int
+    branches: tuple[PatternBranch, ...]
 
 
 @dataclass
 class QueryPattern:
-    """The relational query pattern of a TRC query."""
+    """The relational query pattern of a TRC query.
+
+    ``predicates`` and ``disjunctions`` hold what lies outside every
+    disjunction; a disjunction's branches hold the rest.  ``scopes`` maps a
+    scope id to ``(parent, negated)``, parents before children.
+    """
 
     variables: list[PatternVariable] = field(default_factory=list)
     predicates: list[PatternPredicate] = field(default_factory=list)
+    disjunctions: list[PatternDisjunction] = field(default_factory=list)
     head: list[tuple[str, str] | Any] = field(default_factory=list)
     scopes: dict[int, tuple[int | None, bool]] = field(default_factory=dict)
-    has_disjunction: bool = False
 
     # -- derived ------------------------------------------------------------
-    def variable(self, name: str) -> PatternVariable:
-        for var in self.variables:
-            if var.name == name:
-                return var
-        raise KeyError(name)
+    @property
+    def has_disjunction(self) -> bool:
+        return bool(self.disjunctions)
+
+    def all_predicates(self) -> Iterator[PatternPredicate]:
+        """Every comparison of the pattern, those inside disjunctions too."""
+        def walk(predicates, disjunctions) -> Iterator[PatternPredicate]:
+            yield from predicates
+            for disjunction in disjunctions:
+                for branch in disjunction.branches:
+                    yield from walk(branch.predicates, branch.disjunctions)
+        return walk(self.predicates, self.disjunctions)
 
     def signature(self) -> tuple:
-        """An isomorphism-invariant fingerprint (necessary, not sufficient)."""
-        var_multiset = sorted(
-            (v.relation.lower(), v.negation_depth) for v in self.variables
-        )
-        predicate_shapes = sorted(
-            _canonical_shape(p, self) for p in self.predicates
-        )
-        head_shape = tuple(_endpoint_shape(h, self) for h in self.head)
-        return (tuple(var_multiset), tuple(predicate_shapes), head_shape,
-                self.has_disjunction)
+        """An isomorphism-invariant fingerprint (necessary, not sufficient):
+        the pattern with every variable renamed to its relation and depth."""
+        classes = {v.name: (v.relation.lower(), v.negation_depth) for v in self.variables}
+        return (tuple(sorted((v.relation.lower(), v.negation_depth) for v in self.variables)),
+                len(self.scopes), _renamed(self, classes))
 
     def size(self) -> dict[str, int]:
         return {
             "variables": len(self.variables),
-            "predicates": len(self.predicates),
+            "predicates": sum(1 for _ in self.all_predicates()),
             "scopes": len(self.scopes),
             "negation_scopes": sum(1 for _, negated in self.scopes.values() if negated),
             "max_negation_depth": max(
@@ -178,81 +219,72 @@ class QueryPattern:
         }
 
 
-def _canonical_shape(predicate: PatternPredicate, pattern: QueryPattern) -> tuple:
-    """A name-independent, orientation-independent shape for one predicate."""
-    left = _endpoint_shape(predicate.left, pattern)
-    right = _endpoint_shape(predicate.right, pattern)
-    op = predicate.op
-    flip = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}
-    if right < left:
-        if op in ("=", "<>"):
-            left, right = right, left
-        elif op in flip:
-            left, right = right, left
-            op = flip[op]
-    return (op, left, right)
-
-
-def _endpoint_shape(endpoint, pattern: QueryPattern):
-    if isinstance(endpoint, tuple):
-        var_name, attr = endpoint
-        try:
-            var = pattern.variable(var_name)
-            return ("attr", var.relation.lower(), attr.lower(), var.negation_depth)
-        except KeyError:
-            return ("attr", "?", attr.lower(), -1)
-    return ("const", repr(endpoint))
-
-
 # ---------------------------------------------------------------------------
 # Extraction
 # ---------------------------------------------------------------------------
 
+def to_trc(query, schema=None) -> TRCQuery:
+    """Accept SQL text, a SQL AST, TRC text, or a TRC query; return a TRC query.
+
+    SQL inputs require ``schema`` for translation.
+    """
+    from repro.sql.ast import SelectQuery, SetOpQuery
+    from repro.translate.sql_to_trc import sql_to_trc
+
+    if isinstance(query, TRCQuery):
+        return query
+    if isinstance(query, str) and query.strip().startswith("{"):
+        from repro.trc.parser import parse_trc
+
+        return parse_trc(query)
+    if not isinstance(query, (str, SelectQuery, SetOpQuery)):
+        raise PatternError(f"cannot obtain a TRC query from {type(query).__name__}")
+    if schema is None:
+        raise PatternError("a database schema is required to translate SQL")
+    return sql_to_trc(query, schema)
+
+
 def pattern_of(query: TRCQuery) -> QueryPattern:
     """Extract the relational query pattern of a TRC query."""
     pattern = QueryPattern()
-    body = normalize_trc(query.body)
     scope_counter = itertools.count(1)
     pattern.scopes[0] = (None, False)
 
-    def visit(node: TRCFormula, scope: int, depth: int) -> None:
+    def visit(node: TRCFormula, scope: int, depth: int,
+              predicates: list, disjunctions: list, names: list) -> None:
         if isinstance(node, TRCTrue):
             return
         if isinstance(node, RelAtom):
             pattern.variables.append(
                 PatternVariable(node.var.name, node.relation, scope, depth)
             )
-            return
-        if isinstance(node, TRCCompare):
-            pattern.predicates.append(
-                PatternPredicate(*_canonical_predicate(node))
-            )
-            return
-        if isinstance(node, TRCAnd):
+            names.append(node.var.name)
+        elif isinstance(node, TRCCompare):
+            predicates.append(_predicate(node, scope))
+        elif isinstance(node, TRCAnd):
             for operand in node.operands:
-                visit(operand, scope, depth)
-            return
-        if isinstance(node, TRCOr):
-            pattern.has_disjunction = True
+                visit(operand, scope, depth, predicates, disjunctions, names)
+        elif isinstance(node, TRCOr):
+            branches = []
             for operand in node.operands:
-                visit(operand, scope, depth)
-            return
-        if isinstance(node, TRCNot):
+                held: tuple[list, list, list] = ([], [], [])
+                visit(operand, scope, depth, *held)
+                branches.append(PatternBranch(*map(tuple, held)))
+            disjunctions.append(PatternDisjunction(scope, tuple(branches)))
+        elif isinstance(node, TRCNot):
             new_scope = next(scope_counter)
             pattern.scopes[new_scope] = (scope, True)
             inner = node.operand
             # A negation scope usually wraps an ∃ block; flatten it in place.
             if isinstance(inner, TRCExists):
-                visit(inner.body, new_scope, depth + 1)
-            else:
-                visit(inner, new_scope, depth + 1)
-            return
-        if isinstance(node, TRCExists):
-            visit(node.body, scope, depth)
-            return
-        raise PatternError(f"pattern extraction: unhandled node {type(node).__name__}")
+                inner = inner.body
+            visit(inner, new_scope, depth + 1, predicates, disjunctions, names)
+        elif isinstance(node, TRCExists):
+            visit(node.body, scope, depth, predicates, disjunctions, names)
+        else:
+            raise PatternError(f"pattern extraction: unhandled node {type(node).__name__}")
 
-    visit(body, 0, 0)
+    visit(normalize_trc(query.body), 0, 0, pattern.predicates, pattern.disjunctions, [])
 
     for item in query.head:
         if isinstance(item.term, AttrRef):
@@ -262,19 +294,11 @@ def pattern_of(query: TRCQuery) -> QueryPattern:
     return pattern
 
 
-def _canonical_predicate(compare: TRCCompare) -> tuple:
-    left = _endpoint(compare.left)
-    right = _endpoint(compare.right)
-    op = compare.op
-    # Orient symmetric/antisymmetric operators deterministically.
-    flip = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}
-    if repr(right) < repr(left):
-        if op in ("=", "<>"):
-            left, right = right, left
-        elif op in flip:
-            left, right = right, left
-            op = flip[op]
-    return (op, left, right)
+def _predicate(compare: TRCCompare, scope: int) -> PatternPredicate:
+    left, right, op = _endpoint(compare.left), _endpoint(compare.right), compare.op
+    if isinstance(right, tuple) and not isinstance(left, tuple):
+        left, right, op = right, left, _FLIP[op]
+    return PatternPredicate(op, left, right, scope)
 
 
 def _endpoint(term) -> tuple[str, str] | Any:
@@ -292,113 +316,71 @@ def _endpoint(term) -> tuple[str, str] | Any:
 def isomorphic(left: QueryPattern, right: QueryPattern) -> bool:
     """Decide whether two patterns are the same up to renaming of variables.
 
-    The bijection must preserve relations, negation depth, the same-scope
-    relation among variables, all predicates, and the head.  The search is
-    brute force over per-(relation, depth) groups, which is fine for the
-    hand-sized queries diagrams are meant for.
+    The bijection must preserve relations and negation depth; under it the
+    scopes, every predicate with the scope it is written in, every
+    disjunction as a set of branches, and the head must coincide.  The
+    search is brute force over per-(relation, depth) groups, which is fine
+    for the hand-sized queries diagrams are meant for.
     """
     if left.signature() != right.signature():
         return False
-    left_vars = left.variables
-    right_vars = right.variables
-    if len(left_vars) != len(right_vars):
-        return False
-
     groups: dict[tuple[str, int], tuple[list[str], list[str]]] = {}
-    for var in left_vars:
-        groups.setdefault((var.relation.lower(), var.negation_depth), ([], []))[0].append(var.name)
-    for var in right_vars:
-        key = (var.relation.lower(), var.negation_depth)
-        if key not in groups:
-            return False
-        groups[key][1].append(var.name)
-    for left_names, right_names in groups.values():
-        if len(left_names) != len(right_names):
-            return False
-
-    group_items = list(groups.values())
-
-    def mappings(index: int, current: dict[str, str]):
-        if index == len(group_items):
-            yield dict(current)
-            return
-        left_names, right_names = group_items[index]
-        for permutation in itertools.permutations(right_names):
-            for l, r in zip(left_names, permutation):
-                current[l] = r
-            yield from mappings(index + 1, current)
-        for l in left_names:
-            current.pop(l, None)
-
-    left_predicates = {_mapped_predicate(p, None) for p in left.predicates}
-    for mapping in mappings(0, {}):
-        if not _scope_consistent(left, right, mapping):
-            continue
-        mapped = {_mapped_predicate(p, mapping) for p in left.predicates}
-        target = {_mapped_predicate(p, None) for p in right.predicates}
-        if mapped != target:
-            continue
-        mapped_head = [_mapped_endpoint(h, mapping) for h in left.head]
-        target_head = [_mapped_endpoint(h, None) for h in right.head]
-        if mapped_head == target_head:
+    for side, pattern in enumerate((left, right)):
+        for var in pattern.variables:
+            key = (var.relation.lower(), var.negation_depth)
+            groups.setdefault(key, ([], []))[side].append(var.name)
+    target = _renamed(right, {})
+    for images in itertools.product(
+            *(itertools.permutations(names) for _, names in groups.values())):
+        mapping = {a: b for (names, _), image in zip(groups.values(), images)
+                   for a, b in zip(names, image)}
+        if _renamed(left, mapping) == target:
             return True
-    del left_predicates
     return False
 
 
-def _mapped_endpoint(endpoint, mapping: dict[str, str] | None):
-    if isinstance(endpoint, tuple):
-        var, attr = endpoint
-        return ((mapping.get(var, var) if mapping else var), attr.lower())
-    return ("const", repr(endpoint))
+def _renamed(pattern: QueryPattern, mapping: dict[str, Any]) -> tuple:
+    """The pattern with variables renamed by ``mapping`` and scope ids
+    replaced by names: a scope is named by its parent, the variables it binds,
+    and the comparisons written in it."""
+    def endpoint(end):
+        if isinstance(end, tuple):
+            return (mapping.get(end[0], end[0]), end[1].lower())
+        return ("const", repr(end))
 
+    def bare(p: PatternPredicate) -> tuple:
+        return _oriented(p.op, endpoint(p.left), endpoint(p.right))
 
-def _mapped_predicate(predicate: PatternPredicate, mapping: dict[str, str] | None) -> tuple:
-    left = _mapped_endpoint(predicate.left, mapping)
-    right = _mapped_endpoint(predicate.right, mapping)
-    op = predicate.op
-    flip = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}
-    if repr(right) < repr(left):
-        if op in ("=", "<>"):
-            left, right = right, left
-        elif op in flip:
-            left, right = right, left
-            op = flip[op]
-    return (op, left, right)
+    content: dict[int, set] = {scope: set() for scope in pattern.scopes}
+    for var in pattern.variables:
+        content[var.scope].add(mapping.get(var.name, var.name))
+    for p in pattern.all_predicates():
+        content[p.scope].add(bare(p))
+    names: dict[int | None, Any] = {None: None}
+    for scope, (parent, _negated) in pattern.scopes.items():
+        names[scope] = (names[parent], frozenset(content[scope]))
 
+    def group(predicates, disjunctions, variables) -> tuple:
+        return (
+            frozenset((*bare(p), names[p.scope]) for p in predicates),
+            frozenset((names[d.scope], frozenset(
+                group(b.predicates, b.disjunctions, b.variables) for b in d.branches))
+                for d in disjunctions),
+            frozenset(mapping.get(v, v) for v in variables),
+        )
 
-def _scope_consistent(left: QueryPattern, right: QueryPattern,
-                      mapping: dict[str, str]) -> bool:
-    """The bijection must map same-scope variables to same-scope variables."""
-    right_scope = {v.name: v.scope for v in right.variables}
-    left_scope = {v.name: v.scope for v in left.variables}
-    names = list(mapping)
-    for a, b in itertools.combinations(names, 2):
-        same_left = left_scope[a] == left_scope[b]
-        same_right = right_scope[mapping[a]] == right_scope[mapping[b]]
-        if same_left != same_right:
-            return False
-    return True
+    return (
+        group(pattern.predicates, pattern.disjunctions, ()),
+        frozenset((mapping.get(v.name, v.name), names[v.scope]) for v in pattern.variables),
+        frozenset(names.values()),
+        tuple(endpoint(h) for h in pattern.head),
+    )
 
 
 def same_pattern(sql_or_trc_a, sql_or_trc_b, schema=None) -> bool:
-    """Convenience: compare the patterns of two queries given as SQL text or TRC.
+    """Convenience: compare the patterns of two queries given as SQL or TRC.
 
     SQL inputs require ``schema`` for translation.
     """
-    from repro.translate.sql_to_trc import sql_to_trc
-
-    def to_pattern(query) -> QueryPattern:
-        if isinstance(query, TRCQuery):
-            return pattern_of(query)
-        if isinstance(query, str) and not query.strip().startswith("{"):
-            if schema is None:
-                raise PatternError("a database schema is required to compare SQL queries")
-            return pattern_of(sql_to_trc(query, schema))
-        if isinstance(query, str):
-            from repro.trc.parser import parse_trc
-
-            return pattern_of(parse_trc(query))
-        raise PatternError(f"cannot extract a pattern from {type(query).__name__}")
-
-    return isomorphic(to_pattern(sql_or_trc_a), to_pattern(sql_or_trc_b))
+    return isomorphic(pattern_of(to_trc(sql_or_trc_a, schema)),
+                      pattern_of(to_trc(sql_or_trc_b, schema)))

@@ -10,76 +10,23 @@ formalism::
 
 from __future__ import annotations
 
-from typing import Any, Callable
+import importlib
 
 from repro.core.diagram import Diagram
 from repro.diagrams.common import CannotRepresent
 
-
-def _queryvis(query, schema) -> Diagram:
-    from repro.diagrams.queryvis import queryvis_diagram
-
-    return queryvis_diagram(query, schema)
-
-
-def _relational(query, schema) -> Diagram:
-    from repro.diagrams.relational_diagrams import relational_diagram
-
-    return relational_diagram(query, schema)
-
-
-def _peirce_beta(query, schema) -> Diagram:
-    from repro.diagrams.peirce_beta import beta_diagram_for_query
-
-    return beta_diagram_for_query(query, schema)
-
-
-def _string(query, schema) -> Diagram:
-    from repro.diagrams.string_diagrams import string_diagram_for_query
-
-    return string_diagram_for_query(query, schema)
-
-
-def _qbe(query, schema) -> Diagram:
-    from repro.diagrams.qbe import qbe_diagram
-
-    return qbe_diagram(query, schema)
-
-
-def _dfql(query, schema) -> Diagram:
-    from repro.diagrams.dfql import dfql_diagram
-
-    return dfql_diagram(query, schema)
-
-
-def _sqlvis(query, schema) -> Diagram:
-    from repro.diagrams.sqlvis import sqlvis_diagram
-
-    return sqlvis_diagram(query, schema)
-
-
-def _visual_sql(query, schema) -> Diagram:
-    from repro.diagrams.visual_sql import visual_sql_diagram
-
-    return visual_sql_diagram(query, schema)
-
-
-def _conceptual(query, schema) -> Diagram:
-    from repro.diagrams.conceptual import conceptual_graph_diagram
-
-    return conceptual_graph_diagram(query, schema)
-
-
-_BUILDERS: dict[str, Callable[[Any, Any], Diagram]] = {
-    "queryvis": _queryvis,
-    "relational_diagrams": _relational,
-    "peirce_beta": _peirce_beta,
-    "string_diagrams": _string,
-    "qbe": _qbe,
-    "dfql": _dfql,
-    "sqlvis": _sqlvis,
-    "visual_sql": _visual_sql,
-    "conceptual": _conceptual,
+#: Formalism key -> (module under ``repro.diagrams``, builder function); a
+#: module is imported the first time its formalism is drawn.
+_BUILDERS: dict[str, tuple[str, str]] = {
+    "queryvis": ("queryvis", "queryvis_diagram"),
+    "relational_diagrams": ("relational_diagrams", "relational_diagram"),
+    "peirce_beta": ("peirce_beta", "beta_diagram_for_query"),
+    "string_diagrams": ("string_diagrams", "string_diagram_for_query"),
+    "qbe": ("qbe", "qbe_diagram"),
+    "dfql": ("dfql", "dfql_diagram"),
+    "sqlvis": ("sqlvis", "sqlvis_diagram"),
+    "visual_sql": ("visual_sql", "visual_sql_diagram"),
+    "conceptual": ("conceptual", "conceptual_graph_diagram"),
 }
 
 
@@ -102,7 +49,8 @@ def build_diagram(formalism: str, query, schema) -> Diagram:
             f"no diagram builder registered for formalism {formalism!r}; "
             f"available: {', '.join(available_builders())}"
         )
-    return _BUILDERS[key](query, schema)
+    module, builder = _BUILDERS[key]
+    return getattr(importlib.import_module(f"repro.diagrams.{module}"), builder)(query, schema)
 
 
 __all__ = ["available_builders", "build_diagram", "CannotRepresent"]

@@ -14,13 +14,13 @@ concept/relation vocabulary.
 from __future__ import annotations
 
 from repro.core.diagram import Diagram, DiagramEdge, DiagramGroup, DiagramNode
-from repro.diagrams.common import build_query_graph, to_trc
+from repro.core.patterns import to_trc
+from repro.diagrams.common import build_query_graph
 
 
 def conceptual_graph_diagram(query, schema, *, name: str | None = None) -> Diagram:
     """Build a conceptual-graph diagram from SQL text, SQL AST, or TRC."""
-    trc = to_trc(query, schema)
-    graph = build_query_graph(trc)
+    graph = build_query_graph(to_trc(query, schema))
     diagram = Diagram(name or "conceptual graph", formalism="conceptual")
 
     group_ids: dict[int, str] = {}

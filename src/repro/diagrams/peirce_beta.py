@@ -264,7 +264,7 @@ def beta_diagram(graph: BetaGraph, *, name: str = "beta graph") -> Diagram:
 
 def beta_diagram_for_query(query, schema: DatabaseSchema, *, name: str | None = None) -> Diagram:
     """Build a beta-graph diagram for a relational query (SQL text, SQL AST, TRC, or DRC)."""
-    from repro.diagrams.common import to_trc
+    from repro.core.patterns import to_trc
     from repro.translate.trc_to_drc import trc_to_drc
 
     if isinstance(query, DRCQuery):

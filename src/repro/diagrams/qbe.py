@@ -19,8 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.diagram import Diagram, DiagramNode
+from repro.core.patterns import PatternDisjunction, PatternPredicate, to_trc
 from repro.data.schema import DatabaseSchema
-from repro.diagrams.common import CannotRepresent, build_query_graph, to_trc
+from repro.data.types import format_value
+from repro.diagrams.common import CannotRepresent, build_query_graph
 
 
 @dataclass
@@ -69,8 +71,7 @@ class QBEQuery:
 
 def qbe_from_query(query, schema: DatabaseSchema) -> QBEQuery:
     """Build the QBE screen of a query (conjunctive core + one level of negation)."""
-    trc = to_trc(query, schema)
-    graph = build_query_graph(trc)
+    graph = build_query_graph(to_trc(query, schema))
     if any(scope.depth > 1 for scope in graph.scopes.values()):
         raise CannotRepresent(
             "QBE needs multiple screens (temporary relations) for nested negation; "
@@ -78,40 +79,68 @@ def qbe_from_query(query, schema: DatabaseSchema) -> QBEQuery:
         )
 
     qbe = QBEQuery()
-    # Shared example element per (variable, attribute) that participates in joins/head.
+    # Cells (variable, attribute) equated by a predicate share one example
+    # element: a union-find over the cells.
+    parent: dict[tuple[str, str], tuple[str, str]] = {}
+
+    def find(cell: tuple[str, str]) -> tuple[str, str]:
+        while cell in parent:
+            cell = parent[cell]
+        return cell
+
+    equalities = [(j.left_var, j.left_attr, j.right_var, j.right_attr)
+                  for j in graph.joins if j.op == "="]
+    equalities += [(box.var, s.left[1], box.var, s.right[1])
+                   for box in graph.tables.values() for s in box.selections
+                   if isinstance(s, PatternPredicate) and s.op == "=" and isinstance(s.right, tuple)]
+    for left_var, left_attr, right_var, right_attr in equalities:
+        left, right = find((left_var, left_attr)), find((right_var, right_attr))
+        if left != right:
+            parent[left] = right
+
+    # Example elements are named as cells are first used: the first one is
+    # ``_ATTR``, a later one carries the number of cells used before it.
     example_names: dict[tuple[str, str], str] = {}
+    class_names: dict[tuple[str, str], str] = {}
 
     def example_for(var: str, attr: str) -> str:
-        key = (var, attr)
-        if key not in example_names:
-            example_names[key] = f"_{attr.upper()}{'' if len(example_names) < 1 else len(example_names)}"
-        return example_names[key]
+        if (var, attr) not in example_names:
+            example_names[(var, attr)] = class_names.setdefault(
+                find((var, attr)), f"_{attr.upper()}{len(example_names) or ''}")
+        return example_names[(var, attr)]
 
-    # Join predicates force the same example element in both cells.
     for join in graph.joins:
+        left = example_for(join.left_var, join.left_attr)
+        right = example_for(join.right_var, join.right_attr)
         if join.op != "=":
-            qbe.conditions.append(
-                f"{example_for(join.left_var, join.left_attr)} {join.op} "
-                f"{example_for(join.right_var, join.right_attr)}"
-            )
-            continue
-        shared = example_for(join.left_var, join.left_attr)
-        example_names[(join.right_var, join.right_attr)] = shared
+            qbe.conditions.append(f"{left} {join.op} {right}")
+
+    def condition(table: SkeletonTable, var: str, predicate: PatternPredicate) -> str:
+        def operand(end) -> str:
+            if not isinstance(end, tuple):
+                return format_value(end)
+            example = example_for(var, end[1])
+            table.entries.setdefault(end[1], example)
+            return example
+
+        return f"{operand(predicate.left)} {predicate.op} {operand(predicate.right)}"
 
     for box in graph.tables.values():
         table = SkeletonTable(box.relation, negated=graph.scopes[box.scope].negated)
         for (var, attr), example in example_names.items():
             if var == box.var:
                 table.entries[attr] = example
-        for predicate in box.local_predicates:
-            if " = " in predicate and " OR " not in predicate:
-                attr, value = predicate.split(" = ", 1)
-                table.entries[attr.strip()] = value.strip()
+        for selection in box.selections:
+            if isinstance(selection, PatternDisjunction):
+                qbe.conditions.append(" OR ".join(condition(table, box.var, branch.predicates[0])
+                                                  for branch in selection.branches))
+            elif selection.op != "=":
+                qbe.conditions.append(condition(table, box.var, selection))
+            elif isinstance(selection.right, tuple):
+                # The equated cells already share an element; fill both.
+                condition(table, box.var, selection)
             else:
-                attr = predicate.split(" ", 1)[0]
-                placeholder = example_for(box.var, attr)
-                table.entries.setdefault(attr, placeholder)
-                qbe.conditions.append(predicate.replace(attr, placeholder, 1))
+                table.entries[selection.left[1]] = format_value(selection.right)
         for var, attr in graph.head:
             if var == box.var:
                 existing = table.entries.get(attr, "")

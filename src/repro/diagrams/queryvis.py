@@ -12,8 +12,15 @@ arrows the diagram would be ambiguous.
 
 from __future__ import annotations
 
-from repro.core.diagram import Diagram, DiagramEdge, DiagramGroup, DiagramNode
-from repro.diagrams.common import CannotRepresent, QueryGraph, build_query_graph, to_trc
+from repro.core.diagram import Diagram, DiagramEdge
+from repro.core.patterns import to_trc
+from repro.diagrams.common import (
+    QueryGraph,
+    ScopeInfo,
+    build_query_graph,
+    draw_query_graph,
+    representable,
+)
 
 
 def queryvis_from_graph(graph: QueryGraph, *, name: str = "query") -> Diagram:
@@ -22,83 +29,33 @@ def queryvis_from_graph(graph: QueryGraph, *, name: str = "query") -> Diagram:
 
     # One group per scope.  The root scope shows the output schema in its label.
     head_text = ", ".join(f"{var}.{attr}" for var, attr in graph.head)
-    group_ids: dict[int, str] = {}
-    for scope in sorted(graph.scopes.values(), key=lambda s: s.depth):
+
+    def scope_look(scope: ScopeInfo) -> tuple[str, str]:
         if scope.id == 0:
-            label = f"SELECT {head_text}" if head_text else "SELECT"
-            style = "solid"
-        else:
-            label = "NOT EXISTS" if scope.negated else "EXISTS"
-            style = "negation" if scope.negated else "dashed"
-        parent = group_ids.get(scope.parent) if scope.parent is not None else None
-        group = diagram.add_group(DiagramGroup(f"scope{scope.id}", label, parent, style))
-        group_ids[scope.id] = group.id
+            return (f"SELECT {head_text}" if head_text else "SELECT"), "solid"
+        return ("NOT EXISTS", "negation") if scope.negated else ("EXISTS", "dashed")
 
-    # One table node per tuple variable.
-    node_ids: dict[str, str] = {}
-    for box in graph.tables.values():
-        rows = []
-        for attr in box.attributes:
-            marker = "→ " if attr in box.output_attributes else ""
-            rows.append(f"{marker}{attr}")
-        rows.extend(box.local_predicates)
-        node = diagram.add_node(DiagramNode(
-            f"t_{box.var}", "table", f"{box.relation} {box.var}", tuple(rows),
-            group_ids[box.scope], "table",
-        ))
-        node_ids[box.var] = node.id
-
-    # Join predicates: lines between attribute rows, labelled unless equality.
-    for join in graph.joins:
-        source_rows = diagram.nodes[node_ids[join.left_var]].rows
-        target_rows = diagram.nodes[node_ids[join.right_var]].rows
-        source_port = _row_for(source_rows, join.left_attr)
-        target_port = _row_for(target_rows, join.right_attr)
-        diagram.add_edge(DiagramEdge(
-            node_ids[join.left_var], node_ids[join.right_var],
-            label="" if join.op == "=" else join.op,
-            source_port=source_port, target_port=target_port, kind="join",
-        ))
+    node_ids = draw_query_graph(diagram, graph, scope_look,
+                                lambda box: f"{box.relation} {box.var}")
 
     # Reading-order arrows: from one representative table of a scope to a
     # representative table of each child scope.
     for scope in graph.scopes.values():
-        children = graph.child_scopes(scope.id)
-        source_tables = graph.tables_in_scope(scope.id)
-        if not source_tables:
-            continue
-        source = node_ids[source_tables[0].var]
-        for child in children:
-            child_tables = graph.tables_in_scope(child.id)
-            if not child_tables:
-                continue
-            target = node_ids[child_tables[0].var]
-            diagram.add_edge(DiagramEdge(source, target, style="dashed", directed=True,
-                                         kind="reading-order"))
+        sources = graph.tables_in_scope(scope.id)
+        for child in graph.child_scopes(scope.id):
+            targets = graph.tables_in_scope(child.id)
+            if sources and targets:
+                diagram.add_edge(DiagramEdge(node_ids[sources[0].var], node_ids[targets[0].var],
+                                             style="dashed", directed=True, kind="reading-order"))
     return diagram
-
-
-def _row_for(rows: tuple[str, ...], attribute: str) -> str | None:
-    for row in rows:
-        stripped = row.removeprefix("→ ")
-        if stripped == attribute or stripped.startswith(f"{attribute} "):
-            return row
-    return None
 
 
 def queryvis_diagram(query, schema, *, name: str | None = None) -> Diagram:
     """Build a QueryVis diagram from SQL text, a SQL AST, or a TRC query."""
-    trc = to_trc(query, schema)
-    graph = build_query_graph(trc)
+    graph = build_query_graph(to_trc(query, schema))
     return queryvis_from_graph(graph, name=name or "QueryVis diagram")
 
 
 def can_represent(query, schema) -> bool:
     """True iff QueryVis has a direct representation for this query."""
-    from repro.translate.sql_to_trc import UnsupportedSQL
-
-    try:
-        queryvis_diagram(query, schema)
-        return True
-    except (CannotRepresent, UnsupportedSQL):
-        return False
+    return representable(queryvis_diagram, query, schema)

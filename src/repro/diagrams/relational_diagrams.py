@@ -12,8 +12,15 @@ diagrams*: one diagram per disjunct, displayed side by side.
 
 from __future__ import annotations
 
-from repro.core.diagram import Diagram, DiagramEdge, DiagramGroup, DiagramNode, merge_side_by_side
-from repro.diagrams.common import CannotRepresent, QueryGraph, build_query_graph, to_trc
+from repro.core.diagram import Diagram, merge_side_by_side
+from repro.core.patterns import normalize_trc, to_trc
+from repro.diagrams.common import (
+    CannotRepresent,
+    QueryGraph,
+    build_query_graph,
+    draw_query_graph,
+    representable,
+)
 from repro.trc.ast import (
     TRCAnd,
     TRCExists,
@@ -21,58 +28,16 @@ from repro.trc.ast import (
     TRCQuery,
     conjunction,
 )
-from repro.core.patterns import normalize_trc
 
 
 def relational_diagram_from_graph(graph: QueryGraph, *, name: str = "query") -> Diagram:
     """Build a single Relational Diagram (no disjunction) from a query graph."""
     diagram = Diagram(name, formalism="relational_diagrams")
-
     head_text = ", ".join(f"{var}.{attr}" for var, attr in graph.head)
-    group_ids: dict[int, str] = {}
-    for scope in sorted(graph.scopes.values(), key=lambda s: s.depth):
-        if scope.id == 0:
-            label = head_text
-            style = "dashed"
-        else:
-            label = ""
-            style = "negation"
-        parent = group_ids.get(scope.parent) if scope.parent is not None else None
-        group = diagram.add_group(DiagramGroup(f"scope{scope.id}", label, parent, style))
-        group_ids[scope.id] = group.id
-
-    node_ids: dict[str, str] = {}
-    for box in graph.tables.values():
-        rows = []
-        for attr in box.attributes:
-            marker = "→ " if attr in box.output_attributes else ""
-            rows.append(f"{marker}{attr}")
-        rows.extend(box.local_predicates)
-        node = diagram.add_node(DiagramNode(
-            f"t_{box.var}", "table", box.relation, tuple(rows),
-            group_ids[box.scope], "table",
-        ))
-        node_ids[box.var] = node.id
-
-    for join in graph.joins:
-        source_rows = diagram.nodes[node_ids[join.left_var]].rows
-        target_rows = diagram.nodes[node_ids[join.right_var]].rows
-        diagram.add_edge(DiagramEdge(
-            node_ids[join.left_var], node_ids[join.right_var],
-            label="" if join.op == "=" else join.op,
-            source_port=_row_for(source_rows, join.left_attr),
-            target_port=_row_for(target_rows, join.right_attr),
-            kind="join",
-        ))
+    draw_query_graph(diagram, graph,
+                     lambda scope: (head_text, "dashed") if scope.id == 0 else ("", "negation"),
+                     lambda box: box.relation)
     return diagram
-
-
-def _row_for(rows: tuple[str, ...], attribute: str) -> str | None:
-    for row in rows:
-        stripped = row.removeprefix("→ ")
-        if stripped == attribute or stripped.startswith(f"{attribute} "):
-            return row
-    return None
 
 
 def _split_top_level_disjunction(trc: TRCQuery) -> list[TRCQuery]:
@@ -131,10 +96,4 @@ def relational_diagram(query, schema, *, name: str | None = None) -> Diagram:
 
 def can_represent(query, schema) -> bool:
     """True iff the query (or its union-of-diagrams form) is representable."""
-    from repro.translate.sql_to_trc import UnsupportedSQL
-
-    try:
-        relational_diagram(query, schema)
-        return True
-    except (CannotRepresent, UnsupportedSQL):
-        return False
+    return representable(relational_diagram, query, schema)

@@ -72,7 +72,7 @@ def string_diagram(graph: BetaGraph, free_order: list[str] | None = None,
 def string_diagram_for_query(query, schema: DatabaseSchema,
                              *, name: str | None = None) -> Diagram:
     """Build a string diagram for a relational query (SQL, TRC, or DRC input)."""
-    from repro.diagrams.common import to_trc
+    from repro.core.patterns import to_trc
     from repro.translate.trc_to_drc import trc_to_drc
 
     if isinstance(query, DRCQuery):

@@ -32,7 +32,7 @@ from repro.core import (
 from repro.core.metrics import compare
 from repro.core.registry import FEATURES, REGISTRY
 from repro.queries import CANONICAL_QUERIES, Q4_ALL_RED, Q5_RED_OR_GREEN
-from repro.translate import sql_to_trc
+from repro.translate import answer_set, sql_to_trc
 from repro.trc import parse_trc
 
 
@@ -145,6 +145,23 @@ class TestMetrics:
         assert measure(d).counts == d.element_counts()
 
 
+#: Query pairs that differ only in where a comparison or a disjunction is
+#: written, and so in their answers on the tutorial instance.
+SCOPE_PAIRS = {
+    "disjunction-placement": (
+        "SELECT S.sname FROM Sailors S WHERE (S.rating = 10 OR S.age > 30) AND S.sid = 3",
+        "SELECT S.sname FROM Sailors S WHERE S.rating = 10 AND (S.age > 30 OR S.sid = 3)"),
+    "negated-comparison": (
+        "SELECT S.sname FROM Sailors S WHERE NOT (S.age > 30)",
+        "SELECT S.sname FROM Sailors S WHERE S.age > 30"),
+    "sibling-scope": tuple(
+        "SELECT S.sname FROM Sailors S WHERE NOT EXISTS (SELECT R.sid FROM Reserves R "
+        f"WHERE R.sid = S.sid AND R.bid = 101{first}) AND NOT EXISTS (SELECT B.bid "
+        f"FROM Boats B WHERE B.color = 'blue' AND B.bid = 104{second})"
+        for first, second in ((" AND S.rating > 7", ""), ("", " AND S.rating > 7"))),
+}
+
+
 class TestPatterns:
     def test_normalize_flattens_exists(self):
         trc = parse_trc("{ s.sname | Sailors(s) and exists r (Reserves(r) and exists b (Boats(b))) }")
@@ -180,6 +197,16 @@ class TestPatterns:
         negative = ("SELECT S.sname FROM Sailors S WHERE S.sid NOT IN "
                     "(SELECT R.sid FROM Reserves R)")
         assert not same_pattern(positive, negative, schema)
+
+    @pytest.mark.parametrize("pair", sorted(SCOPE_PAIRS))
+    def test_where_a_comparison_is_written_is_part_of_the_pattern(self, db, schema, pair):
+        a, b = SCOPE_PAIRS[pair]
+        assert answer_set(a, db) != answer_set(b, db)
+        assert not same_pattern(a, b, schema)
+
+    def test_round_trip_sees_where_a_disjunction_is_written(self, db):
+        a, b = SCOPE_PAIRS["disjunction-placement"]
+        assert not QueryVisualizationPipeline(db).round_trip_consistent(a, b)
 
     def test_pattern_size_and_disjunction_flag(self, schema):
         pattern = pattern_of(sql_to_trc(Q5_RED_OR_GREEN.sql, schema))

@@ -3,6 +3,8 @@ conceptual graphs, and string diagrams."""
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.datalog import evaluate_datalog
@@ -24,6 +26,7 @@ from repro.queries import (
     Q2_RED_BOAT,
     Q3_RED_NOT_GREEN,
     Q4_ALL_RED,
+    Q5_RED_OR_GREEN,
 )
 from repro.ra import parse_ra
 
@@ -70,6 +73,46 @@ class TestQBE:
         for step in qbe_division_steps(schema):
             rendered = step.to_diagram(schema)
             assert rendered.nodes
+
+
+    @pytest.mark.parametrize("spelling", ["sql", "trc"])
+    def test_disjunction_condition_uses_one_element(self, schema, spelling):
+        qbe = qbe_from_query(getattr(Q5_RED_OR_GREEN, spelling), schema)
+        element = next(t for t in qbe.tables if t.relation == "Boats").entries["color"]
+        assert qbe.conditions == [f"{element} = 'red' OR {element} = 'green'"]
+
+    def test_disjunction_on_one_attribute_uses_one_element(self, schema):
+        qbe = qbe_from_query(
+            "SELECT S.sname FROM Sailors S WHERE S.age > 60 OR S.age < 20", schema)
+        element = qbe.tables[0].entries["age"]
+        assert qbe.conditions == [f"{element} > 60 OR {element} < 20"]
+
+    def test_join_elements_unify_across_subqueries(self, schema):
+        qbe = qbe_from_query(Q3_RED_NOT_GREEN.trc, schema)
+        sids = [t.entries["sid"].removeprefix("P.") for t in qbe.tables
+                if t.relation != "Boats"]
+        assert len(sids) == 3 and len(set(sids)) == 1
+
+    def test_attribute_equality_shares_an_element(self, schema):
+        qbe = qbe_from_query("SELECT S.sname FROM Sailors S WHERE S.rating = S.age", schema)
+        entries = qbe.tables[0].entries
+        assert entries["rating"] == entries["age"]
+        assert entries["rating"].startswith("_")
+
+    def test_sql_and_trc_spellings_give_one_screen(self, schema, canonical_query):
+        def screen(text: str) -> str | None:
+            try:
+                qbe = qbe_from_query(text, schema)
+            except CannotRepresent:
+                return None
+            rendered = repr(([(t.relation, t.negated, t.row_text(schema)) for t in qbe.tables],
+                             qbe.conditions))
+            names: dict[str, str] = {}
+            return re.sub(r"_[A-Z]+\d*",
+                          lambda m: names.setdefault(m.group(), f"_E{len(names)}"),
+                          rendered)
+
+        assert screen(canonical_query.sql) == screen(canonical_query.trc)
 
 
 class TestDFQL:

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.patterns import to_trc
 from repro.diagrams import build_diagram
-from repro.diagrams.common import CannotRepresent, build_query_graph, to_trc
+from repro.diagrams.common import CannotRepresent, build_query_graph
 from repro.diagrams.queryvis import can_represent as queryvis_can, queryvis_diagram
 from repro.diagrams.relational_diagrams import (
     can_represent as relational_can,
@@ -46,6 +47,28 @@ class TestQueryGraphExtraction:
             "(r.sid = s.sid or s.rating > 7)) }")
         with pytest.raises(CannotRepresent):
             build_query_graph(trc)
+
+    @pytest.mark.parametrize("branch", [
+        "not (s.age > 30)",
+        "exists r (Reserves(r) and r.bid = 102)",
+    ])
+    def test_disjunction_branch_beyond_one_comparison_raises(self, branch):
+        trc = parse_trc(f"{{ s.sname | Sailors(s) and ({branch} or s.rating = 7) }}")
+        with pytest.raises(CannotRepresent):
+            build_query_graph(trc)
+
+    def test_flipped_comparison_inside_disjunction_reads_attribute_first(self, schema):
+        graph = build_query_graph(to_trc(
+            "SELECT S.sname FROM Sailors S WHERE 30 < S.age OR S.rating = 7", schema))
+        assert graph.tables["s"].local_predicates == ["age > 30 OR rating = 7"]
+
+    @pytest.mark.parametrize("query", [
+        "SELECT S.sname FROM Sailors S WHERE NOT (S.age > 30)",
+        "{ s.sname | Sailors(s) and exists r (Reserves(r) and not (r.sid = s.sid)) }",
+    ])
+    def test_comparison_outside_its_tables_scope_is_not_drawn(self, schema, query):
+        assert not queryvis_can(query, schema)
+        assert not relational_can(query, schema)
 
     def test_disallow_local_disjunction_flag(self, schema):
         with pytest.raises(CannotRepresent):

@@ -308,6 +308,34 @@ class TestPatternProperties:
         assert isomorphic(a, b)
 
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.permutations(["Sailors(s)", "s.rating > 7",
+                            "not exists r (Reserves(r) and r.sid = s.sid and r.bid = 103)"]))
+    def test_conjunct_order_never_changes_a_diagram(self, conjuncts):
+        from repro.data.sailors import SAILORS_DATABASE_SCHEMA
+        from repro.diagrams import build_diagram
+
+        def shape(diagram) -> tuple:
+            def labels(group_id) -> tuple:
+                path = []
+                while group_id is not None:
+                    path.append(diagram.groups[group_id].label)
+                    group_id = diagram.groups[group_id].parent
+                return tuple(path)
+
+            nodes = {n.id: (n.label, tuple(sorted(n.rows)), labels(n.group))
+                     for n in diagram.nodes.values()}
+            return (sorted(nodes.values()),
+                    sorted((nodes[e.source], nodes[e.target]) for e in diagram.edges))
+
+        base = ("{ s.sname | Sailors(s) and s.rating > 7 and not exists r "
+                "(Reserves(r) and r.sid = s.sid and r.bid = 103) }")
+        shuffled = "{ s.sname | " + " and ".join(conjuncts) + " }"
+        for formalism in ("queryvis", "relational_diagrams", "conceptual", "qbe"):
+            assert shape(build_diagram(formalism, shuffled, SAILORS_DATABASE_SCHEMA)) \
+                == shape(build_diagram(formalism, base, SAILORS_DATABASE_SCHEMA)), formalism
+
+
 class TestSyllogismProperties:
     @settings(max_examples=50, deadline=None)
     @given(st.sampled_from(["A", "E", "I", "O"]), st.sampled_from(["A", "E", "I", "O"]),

@@ -967,6 +967,46 @@ class TestInvariantLint:
         assert [v for v in invariants.run_checks(root)
                 if v.rule == "one-join-planner"] == []
 
+    def test_trc_formula_walked_outside_the_pattern_reader(self, invariants,
+                                                          fixture_repo):
+        root = fixture_repo("src/repro/diagrams/common.py", """\
+            from repro.trc.ast import (
+                AttrRef,
+                RelAtom,
+            )
+            from repro.trc import ast
+
+            def boxes(node):
+                if isinstance(node, RelAtom):
+                    return [node.var.name]
+                return isinstance(node, ast.TRCCompare)
+            """)
+        violations = [v for v in invariants.run_checks(root)
+                      if v.rule == "one-pattern-walker"]
+        path = os.path.join("src", "repro", "diagrams", "common.py")
+        assert [(v.path, v.line) for v in violations] == [
+            (path, 3), (path, 8), (path, 10)]
+
+    def test_trc_formula_walked_in_the_pattern_reader_is_clean(
+            self, invariants, fixture_repo):
+        fixture_repo("src/repro/core/patterns.py", """\
+            from repro.trc.ast import RelAtom, TRCCompare
+
+            def visit(node):
+                return isinstance(node, (RelAtom, TRCCompare))
+            """)
+        fixture_repo("src/repro/trc/evaluate.py", """\
+            from repro.trc.ast import RelAtom
+            """)
+        root = fixture_repo("src/repro/diagrams/common.py", """\
+            from repro.core.patterns import pattern_of
+
+            def build_query_graph(query):
+                return pattern_of(query).variables
+            """)
+        assert [v for v in invariants.run_checks(root)
+                if v.rule == "one-pattern-walker"] == []
+
     def test_rule_scoped_to_server_package(self, invariants, fixture_repo):
         # The same shape outside src/repro/server is not this rule's business.
         root = fixture_repo("src/repro/core/other.py", """\

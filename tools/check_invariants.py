@@ -78,6 +78,13 @@ Rules (see tools/README.md for how to add one):
     ``__init__.py`` may re-export the names, and a function may call
     itself.
 
+``one-pattern-walker``
+    A TRC query's pattern is read in one place: under ``src/repro/core``
+    and ``src/repro/diagrams`` outside ``core/patterns.py``, a reference to
+    ``TRCCompare`` or ``RelAtom`` (an import, a name, an attribute) is a
+    violation — a diagram lays out ``pattern_of``'s pattern instead of
+    walking the formula again.
+
 Usage: ``python tools/check_invariants.py [--root REPO_ROOT]``.
 Exits 0 when clean, 1 with one ``path:line: [rule] message`` per violation.
 """
@@ -730,6 +737,41 @@ def check_one_join_planner(root: str) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
+# Rule: one-pattern-walker
+# ---------------------------------------------------------------------------
+
+#: The one module that reads a TRC query's pattern, and the formula nodes
+#: only a pattern reader needs.
+_PATTERN_MODULE = "src/repro/core/patterns.py"
+_PATTERN_NODES = frozenset({"TRCCompare", "RelAtom"})
+
+
+def check_one_pattern_walker(root: str) -> list[Violation]:
+    violations: list[Violation] = []
+    for _path, rel_path, tree in _walk_sources(
+            root, ("src/repro/core", "src/repro/diagrams")):
+        if rel_path.replace(os.sep, "/") == _PATTERN_MODULE:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [(alias.lineno, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [(node.lineno, node.id)]
+            elif isinstance(node, ast.Attribute):
+                names = [(node.lineno, node.attr)]
+            else:
+                continue
+            for line, name in names:
+                if name in _PATTERN_NODES:
+                    violations.append(Violation(
+                        rel_path, line, "one-pattern-walker",
+                        f"{name} read outside core/patterns.py; lay out "
+                        "repro.core.patterns.pattern_of's pattern instead of "
+                        "walking the TRC formula"))
+    return violations
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -744,6 +786,7 @@ ALL_RULES = (
     check_one_access_path,
     check_one_operator,
     check_one_join_planner,
+    check_one_pattern_walker,
 )
 
 
