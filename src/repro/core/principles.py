@@ -112,6 +112,8 @@ def _build_diagram(info: FormalismInfo, query) -> "object | None":
 
 def score_formalism(key: str) -> PrincipleScore:
     """Score one formalism against all four principles."""
+    from repro.diagrams import available_builders
+
     info = formalism(key)
     score = PrincipleScore(formalism=key)
 
@@ -158,18 +160,19 @@ def score_formalism(key: str) -> PrincipleScore:
         score.evidence["invariance"] = "syntax-directed visualizations change with the SQL spelling"
         score.evidence["correspondence"] = "encodes syntax, not the relational query pattern"
     else:
-        score.scores["invariance"] = None if not info.implemented else True
-        score.scores["correspondence"] = None if not info.implemented else info.relationally_complete
+        score.scores["invariance"] = None
+        score.scores["correspondence"] = None
         score.evidence["invariance"] = "not assessable programmatically for this formalism"
         score.evidence["correspondence"] = score.evidence["invariance"]
 
     # Economy: total ink should grow linearly in the number of joined tables.
-    if info.implemented and info.builder:
+    # Only a builder that takes SQL can draw the join chains.
+    if info.implemented and info.key in available_builders():
         score.scores["economy"] = _economy_check(info)
         score.evidence["economy"] = "total ink grows linearly with the join-chain length"
     else:
         score.scores["economy"] = None
-        score.evidence["economy"] = "no builder to measure"
+        score.evidence["economy"] = "no builder of relational queries to measure"
     return score
 
 

@@ -17,7 +17,7 @@ from collections import Counter, deque
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.data.schema import Attribute, RelationSchema
-from repro.data.types import check_value, format_value
+from repro.data.types import DataType, check_value, format_value, infer_type
 
 Row = tuple[Any, ...]
 
@@ -498,11 +498,10 @@ class Relation:
         what the per-row build leaves — one version per row and the delta
         log's bounded tail, which views of a base table, a shard or a
         worker's resident copy catch up from.  An *answer* (``log=False``:
-        :func:`repro.engine.execute.build_result_relation`) is frozen at
-        publication and nothing is maintained from it, so it carries no log:
-        its floor is its version, and ``delta_since`` below that says
-        "rebuild" as for any evicted anchor.  No lazy cache exists yet, so
-        none needs maintaining.
+        :meth:`answer`) is frozen at publication and nothing is maintained
+        from it, so it carries no log: its floor is its version, and
+        ``delta_since`` below that says "rebuild" as for any evicted
+        anchor.  No lazy cache exists yet, so none needs maintaining.
         """
         if not set(map(type, rows)) <= {tuple} \
                 or not set(map(len, rows)) <= {self.schema.arity}:
@@ -517,6 +516,14 @@ class Relation:
         return True
 
     # -- construction ----------------------------------------------------
+    @classmethod
+    def answer(cls, schema: RelationSchema, rows: Sequence[Row]) -> "Relation":
+        """A query answer over ``rows`` (copied), which keeps no delta log."""
+        answer = cls(schema)
+        if answer._adopt_rows(list(rows), log=False):
+            return answer
+        return cls(schema, rows, validate=False)
+
     @classmethod
     def from_column_store(cls, schema: RelationSchema, store: ColumnStore,
                           *, version: int = 0) -> "Relation":
@@ -1006,6 +1013,43 @@ def relation_from_rows(
     """One-call constructor used heavily in tests and examples."""
     schema = RelationSchema(name, tuple(Attribute(c, t) for c, t in columns))
     return Relation(schema, rows)
+
+
+def unique_names(names: Iterable[str]) -> tuple[str, ...]:
+    """``names`` with each repeat suffixed by its count: ``x, x`` → ``x, x_2``."""
+    unique: list[str] = []
+    counts: dict[str, int] = {}
+    for name in names:
+        if name in counts:
+            counts[name] += 1
+            unique.append(f"{name}_{counts[name]}")
+        else:
+            counts[name] = 1
+            unique.append(name)
+    return tuple(unique)
+
+
+def dedupe_rows(rows: Iterable[Row]) -> list[Row]:
+    """The distinct rows, each at its first occurrence."""
+    return list(dict.fromkeys(rows))
+
+
+def result_relation(names: Sequence[str], rows: Sequence[Row]) -> Relation:
+    """The answer every interpreter and the engine return: the columns are
+    ``names`` made unique (:func:`unique_names`), each typed by its first
+    non-NULL value (STRING when it has none), and it keeps no delta log."""
+    attributes = []
+    for i, name in enumerate(unique_names(names)):
+        dtype = DataType.STRING
+        for row in rows:
+            if row[i] is not None:
+                try:
+                    dtype = infer_type(row[i])
+                except ValueError:
+                    pass
+                break
+        attributes.append(Attribute(name, dtype))
+    return Relation.answer(RelationSchema("result", tuple(attributes)), rows)
 
 
 def union_compatible(a: Relation, b: Relation) -> bool:

@@ -12,19 +12,18 @@ from __future__ import annotations
 from typing import Any, Iterator
 
 from repro.data.database import Database
-from repro.data.relation import Relation
-from repro.data.schema import Attribute, RelationSchema
-from repro.data.types import DataType, infer_type
+from repro.data.relation import Relation, result_relation
 from repro.datalog.ast import (
     BuiltinComparison,
     DatalogError,
     Literal,
     Program,
     Rule,
+    names_from_heads,
 )
 from repro.datalog.parser import parse_datalog
 from repro.datalog.stratify import evaluation_order, stratify
-from repro.logic.terms import Const, Term, Var
+from repro.logic.terms import Const, Term, Var, compare
 
 #: Facts per predicate.
 FactStore = dict[str, set[tuple]]
@@ -49,29 +48,6 @@ class _Unbound:
 
 
 _UNBOUND = _Unbound()
-
-
-def _compare(left: Any, op: str, right: Any) -> bool:
-    if isinstance(left, _Unbound) or isinstance(right, _Unbound):
-        raise DatalogError("comparison over unbound variable (unsafe rule)")
-    if left is None or right is None:
-        return False
-    try:
-        if op == "=":
-            return left == right
-        if op == "<>":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-    except TypeError:
-        return False
-    raise DatalogError(f"unknown comparison {op!r}")  # pragma: no cover
 
 
 def _match_literal(literal: Literal, facts: FactStore, env: Env) -> Iterator[Env]:
@@ -125,8 +101,12 @@ def _apply_rule(rule: Rule, facts: FactStore) -> set[tuple]:
                     if _literal_holds(item, facts, env):
                         return
                 elif isinstance(item, BuiltinComparison):
-                    if not _compare(_term_value(item.left, env), item.op,
-                                    _term_value(item.right, env)):
+                    left = _term_value(item.left, env)
+                    right = _term_value(item.right, env)
+                    if isinstance(left, _Unbound) or isinstance(right, _Unbound):
+                        raise DatalogError(
+                            "comparison over unbound variable (unsafe rule)")
+                    if not compare(left, item.op, right):
                         return
             head_row = []
             for term in rule.head.terms:
@@ -187,8 +167,7 @@ def evaluate_datalog(program: "Program | str", db: Database,
     if key not in facts:
         raise DatalogError(f"program defines no predicate {query!r}")
     rows = sorted(facts[key], key=lambda r: tuple(str(v) for v in r))
-    names = _output_names(program, query, rows)
-    return _build_relation(names, list(rows))
+    return result_relation(_output_names(program, query, rows), rows)
 
 
 def _output_names(program: Program, query: str, rows: list[tuple]) -> list[str]:
@@ -196,41 +175,3 @@ def _output_names(program: Program, query: str, rows: list[tuple]) -> list[str]:
         [tuple(term.name if isinstance(term, Var) else None
                for term in rule.head.terms)
          for rule in program.rules_for(query)], rows)
-
-
-def names_from_heads(heads: "list[tuple[str | None, ...]]",
-                     rows: list[tuple]) -> list[str]:
-    """Output column names from the query predicate's rule heads, each a
-    variable name per position (``None`` for a constant): the first head
-    that is all variables and of the rows' arity, else ``col1..colN``."""
-    arity = len(rows[0]) if rows else None
-    for head in heads:
-        if head and None not in head and (arity is None or len(head) == arity):
-            return [name.lower() for name in head]
-    if arity is None:
-        arity = 1
-    return [f"col{i + 1}" for i in range(arity)]
-
-
-def _build_relation(names: list[str], rows: list[tuple]) -> Relation:
-    unique: list[str] = []
-    counts: dict[str, int] = {}
-    for name in names:
-        if name in counts:
-            counts[name] += 1
-            unique.append(f"{name}_{counts[name]}")
-        else:
-            counts[name] = 1
-            unique.append(name)
-    attributes = []
-    for i, name in enumerate(unique):
-        dtype = DataType.STRING
-        for row in rows:
-            if row[i] is not None:
-                try:
-                    dtype = infer_type(row[i])
-                except ValueError:
-                    dtype = DataType.STRING
-                break
-        attributes.append(Attribute(name, dtype))
-    return Relation(RelationSchema("result", tuple(attributes)), rows, validate=False)

@@ -90,19 +90,26 @@ def _emit_query(diagram: Diagram, query: Query, parent_group: str | None,
 
 
 def _emit_where(diagram: Diagram, expr: e.Expr, table_nodes: dict[str, str],
-                group_id: str) -> None:
+                group_id: str, negations: int = 0) -> None:
+    """Emit WHERE conjuncts; a nested block under ``negations`` enclosing
+    ``NOT (...)`` carries each of them in its label."""
+    def nest(query, label: str) -> None:
+        for _ in range(negations):
+            label = f"NOT ({label})"
+        _emit_query(diagram, query, group_id, label)
+
     for conjunct in e.conjuncts(expr):
         if isinstance(conjunct, e.Exists):
-            label = "NOT EXISTS" if conjunct.negated else "EXISTS"
-            _emit_query(diagram, conjunct.query, group_id, label)
+            nest(conjunct.query, "NOT EXISTS" if conjunct.negated else "EXISTS")
         elif isinstance(conjunct, e.InSubquery):
-            label = f"{format_expr(conjunct.operand)} {'NOT IN' if conjunct.negated else 'IN'}"
-            _emit_query(diagram, conjunct.query, group_id, label)
+            nest(conjunct.query, f"{format_expr(conjunct.operand)} "
+                                 f"{'NOT IN' if conjunct.negated else 'IN'}")
         elif isinstance(conjunct, e.QuantifiedComparison):
-            label = f"{format_expr(conjunct.left)} {conjunct.op} {conjunct.quantifier.upper()}"
-            _emit_query(diagram, conjunct.query, group_id, label)
+            nest(conjunct.query, f"{format_expr(conjunct.left)} {conjunct.op} "
+                                 f"{conjunct.quantifier.upper()}")
         elif isinstance(conjunct, e.Not) and e.contains_subquery(conjunct):
-            _emit_where(diagram, conjunct.operand, table_nodes, group_id)
+            _emit_where(diagram, conjunct.operand, table_nodes, group_id,
+                        negations + 1)
         else:
             _emit_condition_edges(diagram, conjunct, table_nodes, group_id)
 

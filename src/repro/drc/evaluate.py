@@ -8,8 +8,9 @@ candidate bindings (by iterating relation rows), and only variables with no
 guard at all fall back to the active domain.
 
 Universal quantifiers and implications are rewritten away
-(∀x φ ⇒ ¬∃x ¬φ), so the evaluator core only handles ∃, ∧, ∨, ¬, atoms and
-comparisons.  Bound variables are first renamed apart
+(∀x φ ⇒ ¬∃x ¬φ, :func:`repro.logic.transform.to_existential_nnf`), so the
+evaluator core only handles ∃, ∧, ∨, ¬, atoms and comparisons.  Bound
+variables are first renamed apart
 (:func:`repro.logic.transform.standardize_apart`), so an inner quantifier
 that reuses a name binds a new variable instead of joining on the outer one.
 """
@@ -19,74 +20,23 @@ from __future__ import annotations
 from typing import Any, Iterator
 
 from repro.data.database import Database
-from repro.data.relation import Relation
-from repro.data.schema import Attribute, RelationSchema
-from repro.data.types import DataType, infer_type
+from repro.data.relation import Relation, dedupe_rows, result_relation
 from repro.drc.ast import DRCError, DRCQuery
 from repro.logic.formula import (
     And,
     Atom,
     Compare,
     Exists,
-    ForAll,
     Formula,
     Not,
     Or,
     Truth,
     free_variables,
 )
-from repro.logic.terms import Const, Term, Var
-from repro.logic.transform import eliminate_implications, standardize_apart
+from repro.logic.terms import Const, Term, Var, compare
+from repro.logic.transform import standardize_apart, to_existential_nnf
 
 Env = dict[str, Any]
-
-
-def _rewrite(formula: Formula) -> Formula:
-    """Normalise for guarded evaluation.
-
-    Removes →/↔, rewrites ∀x φ as ¬∃x ¬φ, and then pushes negations inward
-    (stopping at ∃) so that guards hidden under ¬(¬A ∨ B) patterns become
-    visible as top-level conjuncts.
-    """
-    formula = eliminate_implications(formula)
-
-    def visit(node: Formula) -> Formula:
-        if isinstance(node, (Truth, Atom, Compare)):
-            return node
-        if isinstance(node, And):
-            return And(tuple(visit(o) for o in node.operands))
-        if isinstance(node, Or):
-            return Or(tuple(visit(o) for o in node.operands))
-        if isinstance(node, Not):
-            return Not(visit(node.operand))
-        if isinstance(node, Exists):
-            return Exists(node.variables, visit(node.body))
-        if isinstance(node, ForAll):
-            return Not(Exists(node.variables, Not(visit(node.body))))
-        raise DRCError(f"rewrite: unhandled node {type(node).__name__}")
-
-    return _push_negations(visit(formula), False)
-
-
-def _push_negations(node: Formula, negate: bool) -> Formula:
-    """Negation pushdown that keeps ∃ (never introduces ∀)."""
-    if isinstance(node, Truth):
-        return Truth(node.value != negate)
-    if isinstance(node, (Atom, Compare)):
-        return Not(node) if negate else node
-    if isinstance(node, Not):
-        return _push_negations(node.operand, not negate)
-    if isinstance(node, And):
-        parts = tuple(_push_negations(o, negate) for o in node.operands)
-        return Or(parts) if negate else And(parts)
-    if isinstance(node, Or):
-        parts = tuple(_push_negations(o, negate) for o in node.operands)
-        return And(parts) if negate else Or(parts)
-    if isinstance(node, Exists):
-        body = _push_negations(node.body, False)
-        inner = Exists(node.variables, body)
-        return Not(inner) if negate else inner
-    raise DRCError(f"_push_negations: unhandled node {type(node).__name__}")
 
 
 def _term_value(term: Term, env: Env) -> Any:
@@ -97,27 +47,6 @@ def _term_value(term: Term, env: Env) -> Any:
             raise DRCError(f"unbound variable {term.name}")
         return env[term.name]
     raise DRCError(f"not a term: {term!r}")
-
-
-def _compare(left: Any, op: str, right: Any) -> bool:
-    if left is None or right is None:
-        return False
-    try:
-        if op == "=":
-            return left == right
-        if op == "<>":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-    except TypeError:
-        return False
-    raise DRCError(f"unknown comparison {op!r}")  # pragma: no cover
 
 
 def _conjuncts(formula: Formula) -> list[Formula]:
@@ -137,8 +66,8 @@ def _holds(formula: Formula, db: Database, env: Env, domain: list[Any]) -> bool:
         row = tuple(_term_value(t, env) for t in formula.terms)
         return row in set(relation.distinct_rows())
     if isinstance(formula, Compare):
-        return _compare(_term_value(formula.left, env), formula.op,
-                        _term_value(formula.right, env))
+        return compare(_term_value(formula.left, env), formula.op,
+                       _term_value(formula.right, env))
     if isinstance(formula, And):
         return all(_holds(o, db, env, domain) for o in formula.operands)
     if isinstance(formula, Or):
@@ -228,7 +157,7 @@ def evaluate_drc(query: "DRCQuery | str", db: Database) -> Relation:
 
         query = parse_drc(query)
 
-    body = _rewrite(standardize_apart(query.body))
+    body = to_existential_nnf(standardize_apart(query.body))
     head_vars = query.head_variables()
     free = {v.name for v in free_variables(body)}
     for var in head_vars:
@@ -236,16 +165,10 @@ def evaluate_drc(query: "DRCQuery | str", db: Database) -> Relation:
             raise DRCError(f"head variable {var.name!r} is not free in the body")
 
     domain = sorted(db.active_domain(), key=lambda v: (str(type(v)), str(v)))
-    names = query.output_names()
-
-    rows: list[tuple] = []
-    seen: set[tuple] = set()
-    for env in _assignments([v.name for v in head_vars], body, db, {}, domain):
-        row = tuple(_term_value(term, env) for term in query.head)
-        if row not in seen:
-            seen.add(row)
-            rows.append(row)
-    return _build_relation(names, rows)
+    rows = dedupe_rows(
+        tuple(_term_value(term, env) for term in query.head)
+        for env in _assignments([v.name for v in head_vars], body, db, {}, domain))
+    return result_relation(query.output_names(), rows)
 
 
 def evaluate_drc_boolean(formula: "Formula | str", db: Database) -> bool:
@@ -260,21 +183,6 @@ def evaluate_drc_boolean(formula: "Formula | str", db: Database) -> bool:
             "boolean evaluation requires a sentence; free variables: "
             + ", ".join(v.name for v in free)
         )
-    body = _rewrite(standardize_apart(formula))
+    body = to_existential_nnf(standardize_apart(formula))
     domain = sorted(db.active_domain(), key=lambda v: (str(type(v)), str(v)))
     return _holds(body, db, {}, domain)
-
-
-def _build_relation(names: list[str], rows: list[tuple]) -> Relation:
-    attributes = []
-    for i, name in enumerate(names):
-        dtype = DataType.STRING
-        for row in rows:
-            if row[i] is not None:
-                try:
-                    dtype = infer_type(row[i])
-                except ValueError:
-                    dtype = DataType.STRING
-                break
-        attributes.append(Attribute(name, dtype))
-    return Relation(RelationSchema("result", tuple(attributes)), rows, validate=False)

@@ -12,7 +12,15 @@ semi-naive Datalog recursion).
 The per-language interpreters under ``repro.sql`` / ``ra`` / ``trc`` /
 ``drc`` / ``datalog`` remain the *reference semantics*; the differential
 harness in ``tests/test_engine.py`` asserts the engine agrees with all five
-of them on the full canonical-query catalog.
+of them on the full canonical-query catalog.  The engine imports none of
+them.  What both sides decide alike they take from one neutral module each:
+answer packaging and first-occurrence dedupe from :mod:`repro.data.relation`
+(``result_relation``, ``dedupe_rows``), the calculus comparison from
+:mod:`repro.logic.terms`, the guarded normal form of a calculus body from
+:mod:`repro.logic.transform`, SQL operators, functions and the ORDER BY key
+from :mod:`repro.expr.eval`, and Datalog output names from
+:mod:`repro.datalog.ast`.  Evaluation itself is never shared, so the
+interpreters stay a second implementation.
 
 Quickstart::
 

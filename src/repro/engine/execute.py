@@ -24,6 +24,14 @@ cannot drift apart.  The checks every scan makes (:func:`scan_relation`)
 and the shape a filter conjunct needs for a column loop
 (:func:`column_comparison`) live here too.
 
+The executor shares no code with the reference interpreters.  It takes the
+semantic decisions both must make alike from neutral modules: the 3-valued
+operators, ``IN``, scalar functions and the ORDER BY key from
+:mod:`repro.expr.eval`, row dedupe and answer packaging from
+:mod:`repro.data.relation` (:func:`build_result_relation` names the
+columns), the comparison table from :mod:`repro.logic.terms`, and Datalog
+output names from :mod:`repro.datalog.ast`.
+
 :func:`execute_datalog` drives recursive Datalog programs with **semi-naive
 evaluation**, in two steps one can hold apart: :func:`lower_datalog` /
 :func:`optimize_datalog` compile the program (per stratum, each rule once
@@ -41,16 +49,25 @@ from dataclasses import replace
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence
 
 from repro.data.database import Database
-from repro.data.relation import Relation, key_positions
+from repro.data.relation import Relation, dedupe_rows, key_positions, result_relation
 from repro.data.schema import Attribute, RelationSchema
-from repro.data.types import DataType, check_value, infer_type
+from repro.data.types import DataType, check_value
 from repro.expr import ast as e
-from repro.expr.eval import _and3, _compare, _like_to_regex, _not3, _or3
-from repro.sql.evaluate import _dedupe, _sort_key
+from repro.expr.eval import (
+    _and3,
+    _compare,
+    _like_to_regex,
+    _not3,
+    _or3,
+    binary_operator,
+    in_membership,
+    scalar_function,
+    sort_key,
+)
+from repro.logic.terms import COMPARISONS
 from repro.engine.cache import LRUCache
 from repro.engine.lower import (
     LoweringError,
-    _dedupe_names,
     detect_language,
     lower,
     lower_datalog_rule,
@@ -118,7 +135,14 @@ def compile_expr(expr: e.Expr, columns: Sequence[str]) -> RowFn:
     if isinstance(expr, e.BinOp):
         left = compile_expr(expr.left, columns)
         right = compile_expr(expr.right, columns)
-        return _compile_binop(expr.op, left, right)
+        apply = binary_operator(expr.op)
+
+        def binop(row: Row) -> Any:
+            lhs = left(row)
+            rhs = right(row)
+            return None if lhs is None or rhs is None else apply(lhs, rhs)
+
+        return binop
     if isinstance(expr, e.IsNull):
         inner = compile_expr(expr.operand, columns)
         if expr.negated:
@@ -131,7 +155,7 @@ def compile_expr(expr: e.Expr, columns: Sequence[str]) -> RowFn:
 
         def in_list(row: Row) -> Any:
             value = inner(row)
-            result = _in_membership(value, [i(row) for i in items])
+            result = in_membership(value, [i(row) for i in items])
             return _not3(result) if negated else result
 
         return in_list
@@ -163,70 +187,9 @@ def compile_expr(expr: e.Expr, columns: Sequence[str]) -> RowFn:
         return like
     if isinstance(expr, e.FuncCall) and not expr.is_aggregate:
         args = [compile_expr(a, columns) for a in expr.args]
-        return _compile_scalar_function(expr.name, args)
+        function = scalar_function(expr.name)
+        return lambda row: function([a(row) for a in args])
     raise PlanError(f"cannot compile expression node {type(expr).__name__}")
-
-
-def _in_membership(value: Any, items: Sequence[Any]) -> Any:
-    if value is None:
-        return None if items else False
-    saw_null = False
-    for item in items:
-        if item is None:
-            saw_null = True
-            continue
-        try:
-            if _compare(value, "=", item) is True:
-                return True
-        except e.ExprError:
-            continue
-    return None if saw_null else False
-
-
-def _compile_binop(op: str, left: RowFn, right: RowFn) -> RowFn:
-    def apply(row: Row) -> Any:
-        lhs = left(row)
-        rhs = right(row)
-        if lhs is None or rhs is None:
-            return None
-        if op == "+":
-            return lhs + rhs
-        if op == "-":
-            return lhs - rhs
-        if op == "*":
-            return lhs * rhs
-        if op == "/":
-            if rhs == 0:
-                raise e.ExprError("division by zero")
-            return lhs / rhs
-        if op == "%":
-            if rhs == 0:
-                raise e.ExprError("division by zero")
-            return lhs % rhs
-        raise e.ExprError(f"unknown operator {op!r}")
-
-    return apply
-
-
-def _compile_scalar_function(name: str, args: list[RowFn]) -> RowFn:
-    def apply(row: Row) -> Any:
-        values = [a(row) for a in args]
-        if name == "abs":
-            return None if values[0] is None else abs(values[0])
-        if name == "lower":
-            return None if values[0] is None else str(values[0]).lower()
-        if name == "upper":
-            return None if values[0] is None else str(values[0]).upper()
-        if name == "length":
-            return None if values[0] is None else len(str(values[0]))
-        if name == "coalesce":
-            for value in values:
-                if value is not None:
-                    return value
-            return None
-        raise e.ExprError(f"unknown function {name!r}")
-
-    return apply
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +285,7 @@ class Executor:
             fns = [compiled_expr(x, plan.input.columns) for x in plan.exprs]
             return [tuple(fn(row) for fn in fns) for row in rows]
         if isinstance(plan, DistinctP):
-            return _dedupe(self.rows(plan.input))
+            return dedupe_rows(self.rows(plan.input))
         if isinstance(plan, JoinP):
             return self._join(plan)
         if isinstance(plan, SetOpP):
@@ -433,7 +396,7 @@ def sort_limit_rows(plan: SortLimitP, rows: list[Row]) -> list[Row]:
         fns = [(compiled_expr(expr, plan.input.columns), ascending)
                for expr, ascending in plan.keys]
         rows = sorted(rows, key=lambda row: tuple(
-            _sort_key(fn(row), ascending) for fn, ascending in fns))
+            sort_key(fn(row), ascending) for fn, ascending in fns))
     return rows[:plan.limit]
 
 
@@ -460,12 +423,12 @@ def setop_rows(plan: SetOpP, left: list[Row], right: list[Row]) -> list[Row]:
     """A set operation over its two input bags (hash-based, left order)."""
     if plan.op == "union":
         rows = left + right
-        return _dedupe(rows) if plan.distinct else rows
+        return dedupe_rows(rows) if plan.distinct else rows
     keep_matched = plan.op == "intersect"  # else except
     if plan.distinct:
         right_set = set(right)
-        return _dedupe([row for row in left
-                        if (row in right_set) == keep_matched])
+        return dedupe_rows([row for row in left
+                            if (row in right_set) == keep_matched])
     counts = Counter(right)  # each right row matches one left row
     out = []
     for row in left:
@@ -486,10 +449,10 @@ def divide_rows(plan: DivideP, left: list[Row], right: list[Row]) -> list[Row]:
                     if c.lower() not in right_names]
     divisor_pos = {c.lower(): i for i, c in enumerate(left_cols)}
     divisor_idx = [divisor_pos[c.lower()] for c in plan.right.columns]
-    divisor_rows = set(_dedupe(right))
+    divisor_rows = set(dedupe_rows(right))
     groups: dict[tuple, set[tuple]] = {}
     order: list[tuple] = []
-    for row in _dedupe(left):
+    for row in dedupe_rows(left):
         key = tuple(row[i] for i in quotient_idx)
         bucket = groups.get(key)
         if bucket is None:
@@ -566,18 +529,6 @@ def _column_position(expr: e.Expr, columns: tuple[str, ...]) -> int | None:
     return None
 
 
-#: The comparisons the column-selection loops compile, as functions that
-#: serve Python values and numpy arrays alike.
-_COMPARATORS = {
-    "=": operator.eq,
-    "<>": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
-
-
 def column_comparison(conjunct: e.Expr, columns: tuple[str, ...]
                       ) -> "tuple[int, str, Any, bool] | None":
     """Classify a filter conjunct for the column-selection loops.
@@ -587,7 +538,7 @@ def column_comparison(conjunct: e.Expr, columns: tuple[str, ...]
     column-op-column with ``other`` the right column's position, else
     ``None``: the caller runs the row-compiled predicate instead.
     """
-    if not isinstance(conjunct, e.Comparison) or conjunct.op not in _COMPARATORS:
+    if not isinstance(conjunct, e.Comparison) or conjunct.op not in COMPARISONS:
         return None
     left, right = conjunct.left, conjunct.right
     lpos = _column_position(left, columns)
@@ -799,26 +750,10 @@ def execute_plan(plan: Plan, db: Database, *,
     return build_result_relation(plan.columns, rows)
 
 
-def build_result_relation(columns: Sequence[str], rows: list[Row],
-                          *, name: str = "result") -> Relation:
-    """Build an untyped-until-observed result relation (shared helper)."""
-    names = _dedupe_names([c.split(".")[-1] or c for c in columns])
-    attributes = []
-    for i, attr_name in enumerate(names):
-        dtype = DataType.STRING
-        for row in rows:
-            if row[i] is not None:
-                try:
-                    dtype = infer_type(row[i])
-                except ValueError:
-                    dtype = DataType.STRING
-                break
-        attributes.append(Attribute(attr_name, dtype))
-    schema = RelationSchema(name, tuple(attributes))
-    answer = Relation(schema)
-    if answer._adopt_rows(list(rows), log=False):  # an answer keeps no log
-        return answer
-    return Relation(schema, rows, validate=False)
+def build_result_relation(columns: Sequence[str], rows: list[Row]) -> Relation:
+    """A plan's answer (:func:`~repro.data.relation.result_relation`), its
+    columns named by their unqualified names."""
+    return result_relation([c.split(".")[-1] or c for c in columns], rows)
 
 
 def run_query(query: Any, db: Database, language: str | None = None,
@@ -1065,7 +1000,7 @@ def run_datalog(compiled: CompiledDatalog, db: Database) -> dict[str, set[Row]]:
 def datalog_relation(compiled: CompiledDatalog, facts: Mapping[str, set[Row]],
                      query: str = "ans") -> Relation:
     """Package the ``query`` predicate of :func:`run_datalog`'s facts."""
-    from repro.datalog.evaluate import _build_relation, names_from_heads
+    from repro.datalog.ast import names_from_heads
 
     key = query.lower()
     if key not in facts:
@@ -1074,7 +1009,7 @@ def datalog_relation(compiled: CompiledDatalog, facts: Mapping[str, set[Row]],
     names = names_from_heads(
         [rule.head_vars for rules in compiled.strata for rule in rules
          if rule.head == key], rows)
-    return _build_relation(names, rows)
+    return result_relation(names, rows)
 
 
 def execute_datalog(program: Any, db: Database, query: str = "ans",

@@ -98,12 +98,12 @@ from repro.data.relation import Relation, key_positions
 from repro.engine.batch import Batch, Vector, _exact, _key_columns, _take
 from repro.engine.cache import LRUCache
 from repro.engine.execute import (
-    _COMPARATORS,
     _column_position,
     column_comparison,
 )
 from repro.engine.plan import AggregateP
 from repro.expr import ast as e
+from repro.logic.terms import COMPARISONS
 
 try:  # pragma: no cover - exercised by the no-numpy CI leg
     import numpy as np
@@ -649,10 +649,14 @@ def kernel_filter(conjunct: e.Expr, batch: Batch) -> "_Selection | None":
     classifies, as :func:`repro.engine.vectorized.vector_filter` does, and
     mirrors that loop exactly: NULL operands never match, and any operand
     mix the loop would reject as a type error simply declines to compile
-    (the loop raises identically).
+    (the loop raises identically).  ``column IS NULL`` reads the column's
+    NULL mask.
     """
     if not kernels_enabled():
         return None
+    if isinstance(conjunct, e.IsNull) and not conjunct.negated:
+        return _null_kernel(batch, _column_position(conjunct.operand,
+                                                    batch.columns))
     shape = column_comparison(conjunct, batch.columns)
     if shape is None:
         return None
@@ -660,6 +664,23 @@ def kernel_filter(conjunct: e.Expr, batch: Batch) -> "_Selection | None":
     if other_is_column:
         return _column_kernel(batch, pos, op, other)
     return _const_kernel(batch, pos, op, other)
+
+
+def _null_kernel(batch: Batch, pos: int | None) -> "_Selection | None":
+    """``column IS NULL`` from the encoding's NULL mask: none, no rows."""
+    vector = None if pos is None else batch.vectors[pos]
+    encoding = None if vector is None else _resolve(vector)
+    if encoding is None:
+        return None
+
+    def run(b: Batch, sel: Any) -> Any:
+        np_sel = None if sel is None else np.asarray(sel, dtype=np.intp)
+        _values, mask = _gather(encoding, vector, b.length, np_sel)
+        if mask is None:
+            return np.empty(0, dtype=np.intp)
+        return _positions(mask, np_sel)
+
+    return run
 
 
 def _positions(cmp: Any, np_sel: Any) -> Any:
@@ -678,7 +699,7 @@ def _const_kernel(batch: Batch, pos: int, op: str, const: Any
         return None
     if encoding.kind == "s":
         return _const_code_kernel(encoding, vector, op, const)
-    compare = _COMPARATORS[op]
+    compare = COMPARISONS[op]
 
     def run(b: Batch, sel: Any) -> Any:
         np_sel = None if sel is None else np.asarray(sel, dtype=np.intp)
@@ -738,7 +759,7 @@ def _column_kernel(batch: Batch, lpos: int, op: str, rpos: int
     lenc, renc = _resolve(lvec), _resolve(rvec)
     if lenc is None or renc is None or not _columns_compatible(lenc, renc):
         return None
-    compare = _COMPARATORS[op]
+    compare = COMPARISONS[op]
     # Two dictionary-coded columns compare through a merged dictionary:
     # remap both code spaces into the union's (sorted, so order-preserving).
     ltrans = rtrans = None

@@ -32,17 +32,19 @@ Anything outside a frontend's supported fragment raises
 :class:`LoweringError`; callers (the pipeline) fall back to the reference
 interpreter for those, so lowering never has to guess at semantics.
 
-Known, documented deviations from the reference interpreters (none are
-observable on NULL-free databases such as the generated test batteries):
-``NOT IN (subquery)`` is compiled as an anti join (NOT EXISTS semantics),
-and comparisons between incompatible types behave as the target calculus'
-evaluator does only when no rows exercise them.
+``x NOT IN (subquery)`` is one anti join whose right side is the keyed
+matches (``x = item``) plus two NULL-guard branches (``item IS NULL``,
+``x IS NULL``), so it is exact under NULLs.  Known, documented deviation
+from the reference interpreters (not observable on the generated test
+batteries): comparisons between incompatible types behave as the target
+calculus' evaluator does only when no rows exercise them.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Mapping, Sequence
 
+from repro.data.relation import unique_names
 from repro.data.schema import DatabaseSchema, SchemaError
 from repro.expr import ast as e
 from repro.engine.plan import (
@@ -87,6 +89,15 @@ def _filter(plan: Plan, condition: e.Expr) -> Plan:
     return FilterP(plan, condition)
 
 
+def _filter_last(plan: Plan, condition: e.Expr) -> Plan:
+    """``plan`` filtered by ``condition`` after its own top filter's
+    conjuncts, so a leading ``col = const`` there stays an index lookup."""
+    if isinstance(plan, FilterP):
+        return FilterP(plan.input, e.conjunction(
+            e.conjuncts(plan.condition) + [condition]))
+    return FilterP(plan, condition)
+
+
 def _project_to(plan: Plan, columns: Sequence[str]) -> Plan:
     """Project ``plan`` onto the named columns (by resolution), keeping names."""
     if tuple(plan.columns) == tuple(columns):
@@ -95,19 +106,6 @@ def _project_to(plan: Plan, columns: Sequence[str]) -> Plan:
     # Column names may be dotted ("S.sid"); build Col refs that resolve by
     # exact spelling: resolve_column tries the bare spelling first.
     return ProjectP(plan, exprs, tuple(columns))
-
-
-def _dedupe_names(names: Sequence[str]) -> tuple[str, ...]:
-    unique: list[str] = []
-    counts: dict[str, int] = {}
-    for name in names:
-        if name in counts:
-            counts[name] += 1
-            unique.append(f"{name}_{counts[name]}")
-        else:
-            counts[name] = 1
-            unique.append(name)
-    return tuple(unique)
 
 
 def detect_language(text: str) -> str:
@@ -260,7 +258,7 @@ def _lower_from_item(item: Any, schema: DatabaseSchema) -> Plan:
     if isinstance(item, DerivedTable):
         sub = _lower_sql_query(item.query, schema)
         names = tuple(f"{item.alias}.{c.split('.')[-1]}" for c in sub.columns)
-        return ProjectP(sub, tuple(e.Col(c) for c in sub.columns), _dedupe_names(names))
+        return ProjectP(sub, tuple(e.Col(c) for c in sub.columns), unique_names(names))
     if isinstance(item, Join):
         if item.natural or item.using:
             raise LoweringError("NATURAL JOIN / USING are not lowered; write the condition")
@@ -319,9 +317,18 @@ def _apply_subquery_conjunct(plan: Plan, conjunct: e.Expr,
         if e.contains_aggregate(item.expr) or sub.group_by or sub.having is not None:
             raise LoweringError("aggregating IN subqueries are not lowered")
         dependent, _ = _lower_select(sub, schema, base=plan, project=False)
-        dependent = _filter(dependent, e.Comparison(conjunct.operand, "=", item.expr))
+        matches = _filter(dependent, e.Comparison(conjunct.operand, "=", item.expr))
+        if conjunct.negated:
+            # x NOT IN S is UNKNOWN, never TRUE, when S holds a NULL or when
+            # x is NULL and S is nonempty, so those rows join the anti side.
+            # Each IS NULL test reads one side of the product and pushes
+            # below it: on data without NULLs both branches are empty.
+            for null_side in (item.expr, conjunct.operand):
+                matches = SetOpP("union", matches,
+                                 _filter_last(dependent, e.IsNull(null_side)),
+                                 distinct=False)
         kind = "anti" if conjunct.negated else "semi"
-        return JoinP(plan, dependent, kind,
+        return JoinP(plan, matches, kind,
                      left_keys=plan.columns, right_keys=plan.columns,
                      null_matches=True)
     raise LoweringError(
@@ -345,7 +352,7 @@ def _sql_projection(query: Any, plan: Plan, from_cols: Sequence[str]) -> Plan:
         names.append(item.output_name(i))
     if not exprs:
         raise LoweringError("empty SELECT list")
-    return ProjectP(plan, tuple(exprs), _dedupe_names(names))
+    return ProjectP(plan, tuple(exprs), unique_names(names))
 
 
 def _collect_aggregates(expr: e.Expr) -> list[e.FuncCall]:
@@ -412,7 +419,7 @@ def _lower_grouped(query: Any, plan: Plan, from_cols: Sequence[str]) -> Plan:
     if query.having is not None:
         out = FilterP(out, _replace_aggregates(query.having, mapping))
     exprs = tuple(_replace_aggregates(item.expr, mapping) for item in query.select_items)
-    names = _dedupe_names([item.output_name(i) for i, item in enumerate(query.select_items)])
+    names = unique_names([item.output_name(i) for i, item in enumerate(query.select_items)])
     return ProjectP(out, exprs, names)
 
 
@@ -560,7 +567,7 @@ def _lower_ra(expr: Any, schema: DatabaseSchema, *, bag: bool) -> Plan:
 def _project_positions(plan: Plan, positions: Sequence[int],
                        names: Sequence[str]) -> Plan:
     return ProjectP(plan, tuple(PositionCol(p) for p in positions),
-                    _dedupe_names(names))
+                    unique_names(names))
 
 
 # ---------------------------------------------------------------------------
@@ -600,13 +607,12 @@ def lower_drc(query: "Any | str", schema: DatabaseSchema) -> Plan:
 
 def _lower_calculus(query: Any, schema: DatabaseSchema, names: Sequence[str]) -> Plan:
     """Compile a DRC query whose output columns are called ``names``."""
-    from repro.drc.ast import DRCError
-    from repro.drc.evaluate import _rewrite as drc_rewrite
-    from repro.logic.transform import standardize_apart
+    from repro.logic.formula import LogicError
+    from repro.logic.transform import standardize_apart, to_existential_nnf
 
     try:
-        body = drc_rewrite(standardize_apart(query.body))
-    except DRCError as exc:
+        body = to_existential_nnf(standardize_apart(query.body))
+    except LogicError as exc:
         raise LoweringError(str(exc)) from exc
 
     def scan(predicate: str) -> tuple[str, int]:
@@ -638,7 +644,7 @@ def _project_head(plan: Plan, head: Sequence[Any], names: Sequence[str]) -> Plan
             exprs.append(e.Const(term.value))
         else:
             raise LoweringError(f"unsupported head term {term!r}")
-    return DistinctP(ProjectP(plan, tuple(exprs), _dedupe_names(names)))
+    return DistinctP(ProjectP(plan, tuple(exprs), unique_names(names)))
 
 
 class _NotLocal(Exception):

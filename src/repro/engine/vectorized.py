@@ -27,7 +27,7 @@ through each operator, this backend moves whole columns:
 Each operator has one Python implementation, in :mod:`repro.engine.execute`,
 and this backend calls it wherever it has no columnar loop of its own:
 group-by and DISTINCT below their kernel's gate or where it declines
-(:func:`~repro.engine.execute.aggregate_rows`, ``_dedupe``), sort/limit,
+(:func:`~repro.engine.execute.aggregate_rows`, ``dedupe_rows``), sort/limit,
 set operations other than bag union, and division (``sort_limit_rows``,
 ``setop_rows``, ``divide_rows``) run over materialized rows; a semi/anti
 join takes the positions ``semi_anti_positions`` keeps as a selection
@@ -62,9 +62,10 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.data.database import Database
-from repro.data.relation import Relation
+from repro.data.relation import Relation, dedupe_rows
 from repro.expr import ast as e
 from repro.expr.eval import ExprError
+from repro.logic.terms import COMPARISONS
 from repro.engine import kernels
 from repro.engine.batch import (
     Batch,
@@ -76,10 +77,8 @@ from repro.engine.batch import (
 )
 from repro.engine.execute import (
     Row,
-    _COMPARATORS,
     _PrefixTable,
     _column_position,
-    _dedupe,
     aggregate_rows,
     build_source,
     column_comparison,
@@ -150,7 +149,7 @@ def _compare_const(pos: int, op: str, const: Any
     if const is None:
         # NULL never compares TRUE: the conjunct drops every row.
         return lambda batch, sel: []
-    cmp = _COMPARATORS[op]
+    cmp = COMPARISONS[op]
     const_is_str = isinstance(const, str)
     const_is_bool = isinstance(const, bool)
 
@@ -174,7 +173,7 @@ def _compare_const(pos: int, op: str, const: Any
 
 def _compare_columns(lpos: int, op: str, rpos: int
                      ) -> Callable[[Batch, list[int] | None], list[int]]:
-    cmp = _COMPARATORS[op]
+    cmp = COMPARISONS[op]
 
     def run(batch: Batch, sel: list[int] | None) -> list[int]:
         lcol = batch.vectors[lpos].materialize()
@@ -339,7 +338,7 @@ class VectorizedExecutor:
             positions = kernels.kernel_distinct(batch)
             if positions is not None:
                 return batch.take(positions)
-        return Batch.from_rows(plan.columns, _dedupe(batch.rows()))
+        return Batch.from_rows(plan.columns, dedupe_rows(batch.rows()))
 
     # -- joins -------------------------------------------------------------
 
@@ -349,7 +348,7 @@ class VectorizedExecutor:
                 and plan.residual is None:
             right = self.batch(plan.right)
             nl, nr = left.length, right.length
-            left_sel = [i for i in range(nl) for _ in range(nr)]
+            left_sel = [i for i in range(nl) for _ in range(nr)] if nr else []
             right_sel = list(range(nr)) * nl
             return Batch(plan.columns,
                          _take(left.vectors, left_sel) + _take(right.vectors, right_sel),
@@ -444,6 +443,10 @@ class VectorizedExecutor:
         left = self.batch(plan.left)
         right = self.batch(plan.right)
         if plan.op == "union" and not plan.distinct:
+            if not right.length:
+                return left
+            if not left.length:
+                return Batch(plan.columns, right.vectors, right.length)
             # Bag union is pure columnar concatenation — but each side must
             # be cut to its *logical* length first: a length-limited batch
             # (an as-of window) shares the relation's full arrays, and

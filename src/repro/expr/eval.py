@@ -12,6 +12,7 @@ this package stays independent of the SQL evaluator.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -210,24 +211,15 @@ def eval_expr(
         right = eval_expr(expr.right, scope, subquery_eval)
         if left is None or right is None:
             return None
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if expr.op == "/":
-            if right == 0:
-                raise ExprError("division by zero")
-            result = left / right
-            return result
-        if expr.op == "%":
-            if right == 0:
-                raise ExprError("division by zero")
-            return left % right
-        raise ExprError(f"unknown operator {expr.op!r}")  # pragma: no cover
+        return binary_operator(expr.op)(left, right)
     if isinstance(expr, FuncCall):
-        return _eval_scalar_function(expr, scope, subquery_eval)
+        if expr.is_aggregate:
+            raise ExprError(
+                f"aggregate {expr.name.upper()} cannot be evaluated on a single row; "
+                "it must appear in a SELECT list or HAVING clause"
+            )
+        args = [eval_expr(a, scope, subquery_eval) for a in expr.args]
+        return scalar_function(expr.name)(args)
     if isinstance(expr, ScalarSubquery):
         rows = list(need_subquery("scalar subquery")(expr.query, scope))
         if not rows:
@@ -253,7 +245,7 @@ def eval_expr(
     if isinstance(expr, InList):
         value = eval_expr(expr.operand, scope, subquery_eval)
         items = [eval_expr(i, scope, subquery_eval) for i in expr.items]
-        result = _in_membership(value, items)
+        result = in_membership(value, items)
         return _not3(result) if expr.negated else result
     if isinstance(expr, Between):
         value = eval_expr(expr.operand, scope, subquery_eval)
@@ -275,7 +267,7 @@ def eval_expr(
         value = eval_expr(expr.operand, scope, subquery_eval)
         rows = list(need_subquery("IN")(expr.query, scope))
         items = _first_column(rows)
-        result = _in_membership(value, items)
+        result = in_membership(value, items)
         return _not3(result) if expr.negated else result
     if isinstance(expr, QuantifiedComparison):
         value = eval_expr(expr.left, scope, subquery_eval)
@@ -288,7 +280,7 @@ def eval_expr(
     raise ExprError(f"cannot evaluate node {type(expr).__name__}")
 
 
-def _in_membership(value: Any, items: Sequence[Any]) -> bool | None:
+def in_membership(value: Any, items: Sequence[Any]) -> bool | None:
     """SQL IN semantics: TRUE if equal to some item, UNKNOWN if nulls interfere."""
     if value is None:
         return None if items else False
@@ -305,31 +297,80 @@ def _in_membership(value: Any, items: Sequence[Any]) -> bool | None:
     return None if saw_null else False
 
 
-def _eval_scalar_function(
-    call: FuncCall, scope: Scope, subquery_eval: SubqueryEvaluator | None
-) -> Any:
-    """Evaluate non-aggregate functions; aggregates are handled by SQL GROUP BY."""
-    if call.is_aggregate:
-        raise ExprError(
-            f"aggregate {call.name.upper()} cannot be evaluated on a single row; "
-            "it must appear in a SELECT list or HAVING clause"
-        )
-    args = [eval_expr(a, scope, subquery_eval) for a in call.args]
-    name = call.name
-    if name == "abs":
-        return None if args[0] is None else abs(args[0])
-    if name == "lower":
-        return None if args[0] is None else str(args[0]).lower()
-    if name == "upper":
-        return None if args[0] is None else str(args[0]).upper()
-    if name == "length":
-        return None if args[0] is None else len(str(args[0]))
-    if name == "coalesce":
-        for value in args:
-            if value is not None:
-                return value
-        return None
-    raise ExprError(f"unknown function {call.name!r}")
+def _divide(left: Any, right: Any) -> Any:
+    if right == 0:
+        raise ExprError("division by zero")
+    return left / right
+
+
+def _modulo(left: Any, right: Any) -> Any:
+    if right == 0:
+        raise ExprError("division by zero")
+    return left % right
+
+
+#: Arithmetic on two non-NULL values; a NULL operand makes the result NULL
+#: before the operator is reached.
+BINARY_OPERATORS: dict[str, Callable[[Any, Any], Any]] = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": _divide, "%": _modulo,
+}
+
+
+def _null_or(fn: Callable[[Any], Any]) -> Callable[[list], Any]:
+    return lambda args: None if args[0] is None else fn(args[0])
+
+
+def _coalesce(args: list) -> Any:
+    return next((value for value in args if value is not None), None)
+
+
+#: The scalar (non-aggregate) functions, each over its list of argument values.
+SCALAR_FUNCTIONS: dict[str, Callable[[list], Any]] = {
+    "abs": _null_or(abs),
+    "lower": _null_or(lambda value: str(value).lower()),
+    "upper": _null_or(lambda value: str(value).upper()),
+    "length": _null_or(lambda value: len(str(value))),
+    "coalesce": _coalesce,
+}
+
+
+def binary_operator(op: str) -> Callable[[Any, Any], Any]:
+    """The :data:`BINARY_OPERATORS` entry for ``op``, or raise ExprError."""
+    try:
+        return BINARY_OPERATORS[op]
+    except KeyError:
+        raise ExprError(f"unknown operator {op!r}") from None
+
+
+def scalar_function(name: str) -> Callable[[list], Any]:
+    """The :data:`SCALAR_FUNCTIONS` entry for ``name``, or raise ExprError."""
+    try:
+        return SCALAR_FUNCTIONS[name]
+    except KeyError:
+        raise ExprError(f"unknown function {name!r}") from None
+
+
+class ReverseKey:
+    """Wrapper inverting comparison order for DESC sort keys."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: tuple) -> None:
+        self.key = key
+
+    def __lt__(self, other: "ReverseKey") -> bool:
+        return other.key < self.key
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ReverseKey) and self.key == other.key
+
+
+def sort_key(value: Any, ascending: bool) -> "tuple | ReverseKey":
+    """The ORDER BY key of one value: NULLs sort last ascending (first
+    descending), and values of unlike types apart, by type name."""
+    base = (value is None, type(value).__name__, value if value is not None else 0)
+    return base if ascending else ReverseKey(base)
 
 
 def eval_predicate(

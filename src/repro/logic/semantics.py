@@ -26,7 +26,7 @@ from repro.logic.formula import (
     Truth,
     free_variables,
 )
-from repro.logic.terms import Const, Term, Var
+from repro.logic.terms import Const, Term, Var, compare
 
 
 class Structure:
@@ -69,25 +69,6 @@ def _term_value(term: Term, assignment: Mapping[str, Any]) -> Any:
     raise LogicError(f"not a term: {term!r}")  # pragma: no cover
 
 
-def _compare_values(left: Any, op: str, right: Any) -> bool:
-    if op == "=":
-        return left == right
-    if op == "<>":
-        return left != right
-    try:
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-    except TypeError:
-        return False
-    raise LogicError(f"unknown comparison {op!r}")  # pragma: no cover
-
-
 def evaluate(
     formula: Formula,
     structure: Structure,
@@ -112,7 +93,7 @@ def _eval(formula: Formula, structure: Structure, env: dict[str, Any]) -> bool:
         row = tuple(_term_value(t, env) for t in formula.terms)
         return structure.has_fact(formula.predicate, row)
     if isinstance(formula, Compare):
-        return _compare_values(
+        return compare(
             _term_value(formula.left, env), formula.op, _term_value(formula.right, env)
         )
     if isinstance(formula, And):

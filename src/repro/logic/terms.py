@@ -10,6 +10,7 @@ relevant to relational queries.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
@@ -38,6 +39,23 @@ class Const:
 
 #: A term is either a variable or a constant (function-free FOL).
 Term = Var | Const
+
+
+#: The six comparison operators, as functions that serve Python values and
+#: numpy arrays alike: the calculi, Datalog and the engine's column loops.
+COMPARISONS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+               "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def compare(left: Any, op: str, right: Any) -> bool:
+    """Two-valued comparison of the calculi and Datalog: NULL on either side,
+    or an ordering of values of unlike types, compares FALSE."""
+    if left is None or right is None:
+        return False
+    try:
+        return COMPARISONS[op](left, right)
+    except TypeError:
+        return False
 
 
 def is_term(obj: object) -> bool:

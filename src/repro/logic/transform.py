@@ -8,6 +8,8 @@ quantifier prefix used by the "default reading order" of QueryVis.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.logic.formula import (
     And,
     Atom,
@@ -54,32 +56,51 @@ def eliminate_implications(formula: Formula) -> Formula:
     raise LogicError(f"eliminate_implications: unhandled {type(formula).__name__}")
 
 
+def _push_negations(node: Formula, negate: bool,
+                    quantified: Callable[[Formula, bool], Formula]) -> Formula:
+    """Push a pending negation (``negate``) through ¬, ∧, ∨ down to the
+    atoms; ``quantified(node, negate)`` rewrites an ∃/∀ node."""
+    if isinstance(node, Truth):
+        return Truth(node.value != negate)
+    if isinstance(node, (Atom, Compare)):
+        return Not(node) if negate else node
+    if isinstance(node, Not):
+        return _push_negations(node.operand, not negate, quantified)
+    if isinstance(node, And):
+        parts = tuple(_push_negations(o, negate, quantified) for o in node.operands)
+        return Or(parts) if negate else And(parts)
+    if isinstance(node, Or):
+        parts = tuple(_push_negations(o, negate, quantified) for o in node.operands)
+        return And(parts) if negate else Or(parts)
+    if isinstance(node, (Exists, ForAll)):
+        return quantified(node, negate)
+    raise LogicError(f"push_negations: unhandled {type(node).__name__}")
+
+
 def to_nnf(formula: Formula) -> Formula:
     """Negation normal form: negations only on atoms; no →, ↔."""
-    formula = eliminate_implications(formula)
+    def quantified(node: Formula, negate: bool) -> Formula:
+        body = _push_negations(node.body, negate, quantified)
+        dual = isinstance(node, Exists) == negate   # ¬∃ is ∀¬, ¬∀ is ∃¬
+        return (ForAll if dual else Exists)(node.variables, body)
 
-    def push(node: Formula, negate: bool) -> Formula:
-        if isinstance(node, Truth):
-            return Truth(node.value != negate)
-        if isinstance(node, (Atom, Compare)):
-            return Not(node) if negate else node
-        if isinstance(node, Not):
-            return push(node.operand, not negate)
-        if isinstance(node, And):
-            parts = tuple(push(o, negate) for o in node.operands)
-            return Or(parts) if negate else And(parts)
-        if isinstance(node, Or):
-            parts = tuple(push(o, negate) for o in node.operands)
-            return And(parts) if negate else Or(parts)
-        if isinstance(node, Exists):
-            body = push(node.body, negate)
-            return ForAll(node.variables, body) if negate else Exists(node.variables, body)
-        if isinstance(node, ForAll):
-            body = push(node.body, negate)
-            return Exists(node.variables, body) if negate else ForAll(node.variables, body)
-        raise LogicError(f"to_nnf: unhandled {type(node).__name__}")
+    return _push_negations(eliminate_implications(formula), False, quantified)
 
-    return push(formula, False)
+
+def to_existential_nnf(formula: Formula) -> Formula:
+    """The form guarded calculus evaluation reads: no →, ↔ or ∀ (∀x φ is
+    ¬∃x ¬φ), and negations pushed inward but not through ∃, so that the
+    guards hidden under ¬(¬A ∨ B) patterns become top-level conjuncts."""
+    def quantified(node: Formula, negate: bool) -> Formula:
+        if isinstance(node, ForAll):   # ∀x φ ≡ ¬∃x ¬φ
+            inner = Exists(node.variables,
+                           _push_negations(node.body, True, quantified))
+            return inner if negate else Not(inner)
+        inner = Exists(node.variables,
+                       _push_negations(node.body, False, quantified))
+        return Not(inner) if negate else inner
+
+    return _push_negations(eliminate_implications(formula), False, quantified)
 
 
 def standardize_apart(formula: Formula) -> Formula:

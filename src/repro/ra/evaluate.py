@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from repro.data.database import Database
-from repro.data.relation import Relation, require_union_compatible
+from repro.data.relation import Relation, dedupe_rows, require_union_compatible
 from repro.data.schema import RelationSchema
 from repro.expr.eval import Scope, compute_aggregate, eval_predicate
 from repro.ra.ast import (
@@ -73,12 +73,9 @@ def evaluate(expr: RAExpr, db: Database, *, bag: bool = False) -> Relation:
     (SQL semantics) except where an operator is inherently set-based
     (set operations, division, duplicate elimination).
     """
-    schema = output_schema(expr, db.schema)
     rows = _eval(expr, db, bag=bag)
-    relation = Relation(schema, rows, validate=False)
-    if not bag:
-        relation = relation.distinct()
-    return relation
+    return Relation.answer(output_schema(expr, db.schema),
+                           rows if bag else dedupe_rows(rows))
 
 
 def _eval(expr: RAExpr, db: Database, *, bag: bool) -> list[tuple]:
@@ -102,7 +99,7 @@ def _eval(expr: RAExpr, db: Database, *, bag: bool) -> list[tuple]:
             resolved = resolve_attribute(input_schema, name, qualifier)
             indices.append(input_schema.index_of(resolved))
         rows = [tuple(row[i] for i in indices) for row in _eval(expr.input, db, bag=bag)]
-        return rows if bag else _dedupe(rows)
+        return rows if bag else dedupe_rows(rows)
 
     if isinstance(expr, Product):
         left_rows = _eval(expr.left, db, bag=bag)
@@ -143,38 +140,28 @@ def _eval(expr: RAExpr, db: Database, *, bag: bool) -> list[tuple]:
     if isinstance(expr, Union):
         left, right = _union_inputs(expr, db, bag=bag)
         rows = left + right
-        return rows if bag else _dedupe(rows)
+        return rows if bag else dedupe_rows(rows)
 
     if isinstance(expr, Intersection):
         left, right = _union_inputs(expr, db, bag=bag)
         right_set = set(right)
-        return _dedupe([row for row in left if row in right_set])
+        return dedupe_rows([row for row in left if row in right_set])
 
     if isinstance(expr, Difference):
         left, right = _union_inputs(expr, db, bag=bag)
         right_set = set(right)
-        return _dedupe([row for row in left if row not in right_set])
+        return dedupe_rows([row for row in left if row not in right_set])
 
     if isinstance(expr, Division):
         return _eval_division(expr, db)
 
     if isinstance(expr, Distinct):
-        return _dedupe(_eval(expr.input, db, bag=bag))
+        return dedupe_rows(_eval(expr.input, db, bag=bag))
 
     if isinstance(expr, GroupBy):
         return _eval_groupby(expr, db, bag=bag)
 
     raise RAError(f"evaluate: unhandled node {type(expr).__name__}")
-
-
-def _dedupe(rows: list[tuple]) -> list[tuple]:
-    seen: set[tuple] = set()
-    out = []
-    for row in rows:
-        if row not in seen:
-            seen.add(row)
-            out.append(row)
-    return out
 
 
 def _union_inputs(expr, db: Database, *, bag: bool) -> tuple[list[tuple], list[tuple]]:
@@ -229,7 +216,7 @@ def _eval_division(expr: Division, db: Database) -> list[tuple]:
     quotient_idx = [left_schema.index_of(n) for n in quotient_names]
     divisor_idx = [left_schema.index_of(n) for n in right_names]
 
-    divisor_rows = set(_dedupe(_eval(expr.right, db, bag=False)))
+    divisor_rows = set(dedupe_rows(_eval(expr.right, db, bag=False)))
     groups: dict[tuple, set[tuple]] = {}
     for row in _eval(expr.left, db, bag=False):
         key = tuple(row[i] for i in quotient_idx)

@@ -21,9 +21,7 @@ from collections import Counter
 from typing import Any, Sequence
 
 from repro.data.database import Database
-from repro.data.relation import Relation
-from repro.data.schema import Attribute, RelationSchema
-from repro.data.types import DataType, infer_type
+from repro.data.relation import Relation, dedupe_rows, result_relation
 from repro.expr.ast import (
     And,
     Between,
@@ -41,7 +39,7 @@ from repro.expr.ast import (
     Or,
     contains_aggregate,
 )
-from repro.expr.eval import Scope, compute_aggregate, eval_expr, eval_predicate
+from repro.expr.eval import Scope, compute_aggregate, eval_expr, eval_predicate, sort_key
 from repro.sql.ast import (
     DerivedTable,
     FromItem,
@@ -71,32 +69,7 @@ def evaluate_sql(query: "Query | str", db: Database, *,
     if isinstance(query, str):
         query = parse_sql(query)
     names, rows = _eval_query(query, db, outer_scope)
-    return _build_relation(names, rows)
-
-
-def _build_relation(names: Sequence[str], rows: list[tuple]) -> Relation:
-    unique_names: list[str] = []
-    seen: dict[str, int] = {}
-    for name in names:
-        if name in seen:
-            seen[name] += 1
-            unique_names.append(f"{name}_{seen[name]}")
-        else:
-            seen[name] = 1
-            unique_names.append(name)
-    attributes = []
-    for i, name in enumerate(unique_names):
-        dtype = DataType.STRING
-        for row in rows:
-            if row[i] is not None:
-                try:
-                    dtype = infer_type(row[i])
-                except ValueError:
-                    dtype = DataType.STRING
-                break
-        attributes.append(Attribute(name, dtype))
-    schema = RelationSchema("result", tuple(attributes))
-    return Relation(schema, rows, validate=False)
+    return result_relation(names, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +97,7 @@ def _eval_setop(query: SetOpQuery, db: Database,
     if query.op == "union":
         rows = left_rows + right_rows
         if not query.all:
-            rows = _dedupe(rows)
+            rows = dedupe_rows(rows)
     elif query.op == "intersect":
         if query.all:
             right_count = Counter(right_rows)
@@ -135,7 +108,7 @@ def _eval_setop(query: SetOpQuery, db: Database,
                     rows.append(row)
         else:
             right_set = set(right_rows)
-            rows = _dedupe([row for row in left_rows if row in right_set])
+            rows = dedupe_rows([row for row in left_rows if row in right_set])
     else:  # except
         if query.all:
             right_count = Counter(right_rows)
@@ -147,7 +120,7 @@ def _eval_setop(query: SetOpQuery, db: Database,
                     rows.append(row)
         else:
             right_set = set(right_rows)
-            rows = _dedupe([row for row in left_rows if row not in right_set])
+            rows = dedupe_rows([row for row in left_rows if row not in right_set])
 
     rows = _apply_order_limit(rows, left_names, query.order_by, query.limit)
     return left_names, rows
@@ -161,33 +134,13 @@ def _apply_order_limit(rows: list[tuple], names: list[str],
             parts = []
             for item in order_by:
                 value = eval_expr(item.expr, scope)
-                parts.append(_sort_key(value, item.ascending))
+                parts.append(sort_key(value, item.ascending))
             return tuple(parts)
 
         rows = sorted(rows, key=key)
     if limit is not None:
         rows = rows[:limit]
     return rows
-
-
-class _ReverseKey:
-    """Wrapper inverting comparison order for DESC sort keys."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: tuple) -> None:
-        self.key = key
-
-    def __lt__(self, other: "_ReverseKey") -> bool:
-        return other.key < self.key
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _ReverseKey) and self.key == other.key
-
-
-def _sort_key(value: Any, ascending: bool):
-    base = (value is None, type(value).__name__, value if value is not None else 0)
-    return base if ascending else _ReverseKey(base)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +180,7 @@ def _eval_select(query: SelectQuery, db: Database,
             rows.append(_project_row(query, env, scope, subquery_eval))
 
     if query.distinct:
-        rows = _dedupe(rows)
+        rows = dedupe_rows(rows)
 
     rows = _order_and_limit(query, rows, output_names, env_rows, grouped,
                             scope_for, subquery_eval)
@@ -261,7 +214,7 @@ def _order_and_limit(query: SelectQuery, rows: list[tuple], output_names: list[s
                         value = eval_expr(item.expr, scope_for(env_rows[index]), subquery_eval)
                     else:
                         raise
-                parts.append(_sort_key(value, item.ascending))
+                parts.append(sort_key(value, item.ascending))
             return tuple(parts)
 
         indexed = sorted(enumerate(rows), key=key)
@@ -291,16 +244,6 @@ def _project_row(query: SelectQuery, env: EnvRow, scope: Scope, subquery_eval) -
     for item in query.select_items:
         values.append(eval_expr(item.expr, scope, subquery_eval))
     return tuple(values)
-
-
-def _dedupe(rows: list[tuple]) -> list[tuple]:
-    seen: set[tuple] = set()
-    out = []
-    for row in rows:
-        if row not in seen:
-            seen.add(row)
-            out.append(row)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,8 @@ from itertools import product
 from typing import Any, Mapping
 
 from repro.data.database import Database
-from repro.data.relation import Relation
-from repro.data.schema import Attribute, RelationSchema
-from repro.data.types import DataType, infer_type
+from repro.data.relation import Relation, dedupe_rows, result_relation
+from repro.logic.terms import compare
 from repro.trc.ast import (
     AttrRef,
     ConstTerm,
@@ -72,29 +71,6 @@ class _Undefined:
 _UNDEFINED = _Undefined()
 
 
-def _compare(left: Any, op: str, right: Any) -> bool:
-    if isinstance(left, _Undefined) or isinstance(right, _Undefined):
-        return False
-    if left is None or right is None:
-        return False
-    try:
-        if op == "=":
-            return left == right
-        if op == "<>":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-    except TypeError:
-        return False
-    raise TRCError(f"unknown comparison {op!r}")  # pragma: no cover
-
-
 def _rows_of(db: Database, relation: str) -> list[dict[str, Any]]:
     rel = db.relation(relation)
     names = rel.attribute_names
@@ -113,8 +89,11 @@ def eval_formula(formula: TRCFormula, db: Database, env: Env,
         bound_relation, _row = binding
         return bound_relation.lower() == formula.relation.lower()
     if isinstance(formula, TRCCompare):
-        return _compare(_term_value(formula.left, env), formula.op,
-                        _term_value(formula.right, env))
+        left = _term_value(formula.left, env)
+        right = _term_value(formula.right, env)
+        if left is _UNDEFINED or right is _UNDEFINED:
+            return False
+        return compare(left, formula.op, right)
     if isinstance(formula, TRCAnd):
         return all(eval_formula(o, db, env, ranges) for o in formula.operands)
     if isinstance(formula, TRCOr):
@@ -204,8 +183,7 @@ def evaluate_trc(query: "TRCQuery | str", db: Database) -> Relation:
         if eval_formula(query.body, db, env, ranges):
             rows.append(tuple(_term_value(item.term, env) for item in query.head))
 
-    rows = _dedupe(rows)
-    return _build_relation(output_names, rows)
+    return result_relation(output_names, dedupe_rows(rows))
 
 
 def evaluate_trc_boolean(formula: "TRCFormula | str", db: Database) -> bool:
@@ -222,37 +200,3 @@ def evaluate_trc_boolean(formula: "TRCFormula | str", db: Database) -> bool:
         )
     ranges = variable_ranges(formula)
     return eval_formula(formula, db, {}, ranges)
-
-
-def _dedupe(rows: list[tuple]) -> list[tuple]:
-    seen: set[tuple] = set()
-    out = []
-    for row in rows:
-        if row not in seen:
-            seen.add(row)
-            out.append(row)
-    return out
-
-
-def _build_relation(names: list[str], rows: list[tuple]) -> Relation:
-    unique: list[str] = []
-    counts: dict[str, int] = {}
-    for name in names:
-        if name in counts:
-            counts[name] += 1
-            unique.append(f"{name}_{counts[name]}")
-        else:
-            counts[name] = 1
-            unique.append(name)
-    attributes = []
-    for i, name in enumerate(unique):
-        dtype = DataType.STRING
-        for row in rows:
-            if row[i] is not None:
-                try:
-                    dtype = infer_type(row[i])
-                except ValueError:
-                    dtype = DataType.STRING
-                break
-        attributes.append(Attribute(name, dtype))
-    return Relation(RelationSchema("result", tuple(attributes)), rows, validate=False)

@@ -264,6 +264,14 @@ class TestRegistryAndPrinciples:
         assert sqlvis.scores["correspondence"] is False
         assert queryvis.satisfied_count() >= 3
 
+    def test_what_was_not_measured_scores_none(self):
+        dfql = score_formalism("dfql")          # draws a plan, not a pattern
+        assert dfql.scores["invariance"] is None
+        assert dfql.scores["correspondence"] is None
+        assert dfql.scores["economy"] is True
+        euler = score_formalism("euler")        # takes no SQL to measure
+        assert euler.scores["economy"] is None
+
     def test_principles_table_runs_for_selected_formalisms(self):
         table = principles_table(["queryvis", "relational_diagrams", "dfql"])
         assert set(table) == {"queryvis", "relational_diagrams", "dfql"}

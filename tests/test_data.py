@@ -269,6 +269,17 @@ class TestBulkConstruction:
         answer.add((9, "y"))
         assert answer.delta_since(9) == [(9, "y")] and answer.version == 10
 
+    @pytest.mark.parametrize("language", ["sql", "ra", "trc", "drc", "datalog"])
+    def test_an_interpreter_answer_keeps_no_delta_log(self, db, language):
+        """The reference interpreters package answers like the engine, so a
+        cached fallback answer carries no log either."""
+        from repro.queries import CANONICAL_QUERIES
+        from repro.translate.equivalence import answer_relation
+
+        answer = answer_relation(getattr(CANONICAL_QUERIES[0], language), db)
+        assert len(answer) > 0 and answer.version == len(answer)
+        assert not answer._delta_log and answer._delta_floor == answer.version
+
     def test_adopted_list_is_not_aliased(self):
         rows = [(1, "a"), (2, "b")]
         rel = Relation(self.SCHEMA, rows, validate=False)

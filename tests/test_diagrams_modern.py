@@ -158,6 +158,16 @@ class TestSyntaxOrientedFormalisms:
         # Syntax-directed: the two spellings do NOT give the same structure.
         assert a.element_counts() != b.element_counts()
 
+    def test_sqlvis_keeps_a_not_around_a_subquery(self, schema):
+        subquery = "S.sid IN (SELECT R.sid FROM Reserves R)"
+        plain = sqlvis_diagram(f"SELECT S.sname FROM Sailors S WHERE {subquery}",
+                               schema)
+        negated = sqlvis_diagram(
+            f"SELECT S.sname FROM Sailors S WHERE NOT ({subquery})", schema)
+        assert {g.label for g in negated.groups.values()} - \
+            {g.label for g in plain.groups.values()} == {
+                "NOT (S.sid IN): SELECT R.sid"}
+
     def test_sqlvis_join_edges_within_block(self, schema):
         diagram = sqlvis_diagram(Q2_RED_BOAT.sql, schema)
         assert any(e.kind == "join" for e in diagram.edges)

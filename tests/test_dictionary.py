@@ -433,6 +433,30 @@ class TestKernelGate:
             assert self._run(n) == want
         assert engaged == []
 
+    @pytest.mark.parametrize("column", ["k", "s", "f", "full"])
+    def test_is_null_kernel_selects_what_the_row_predicate_selects(
+            self, engaged, kernel_gate, column):
+        n = kernels.KERNEL_MIN_ROWS
+        db = Database([relation_from_rows(
+            "t", [("k", "int"), ("s", "string"), ("f", "float"),
+                  ("full", "int")],
+            [(None if i % 97 == 0 else i, None if i % 89 == 0 else f"s{i}",
+              None if i % 83 == 0 else i / 2, i) for i in range(n)])])
+        t = ScanP("t", ("k", "s", "f", "full"))
+        plans = [FilterP(t, e.IsNull(e.Col(column))),
+                 FilterP(t, e.conjunction([
+                     e.Comparison(e.Col("full"), ">=", e.Const(100)),
+                     e.IsNull(e.Col(column))]))]
+        taken = [VectorizedExecutor(db).batch(plan).rows() for plan in plans]
+        assert engaged == ["kernel_filter"] * 3   # every conjunct
+        kernel_gate(None)
+        assert taken == [VectorizedExecutor(db).batch(plan).rows()
+                         for plan in plans]
+        assert [len(rows) for rows in taken] == [
+            sum(row[("k", "s", "f", "full").index(column)] is None
+                for row in db.relation("t").rows()[start:])
+            for start in (0, 100)]
+
     def test_each_operator_is_gated_on_its_own_batch(self, engaged):
         n = kernels.KERNEL_MIN_ROWS
         live = self._db(n)

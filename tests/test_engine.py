@@ -17,7 +17,7 @@ import pytest
 
 from repro.data.database import Database
 from repro.data.relation import relation_from_rows
-from repro.data.sailors import random_sailors_database
+from repro.data.sailors import random_sailors_database, sailors_database
 from repro.datalog.evaluate import evaluate_datalog
 from repro.engine import (
     DistinctP,
@@ -41,8 +41,30 @@ from repro.translate.equivalence import answer_relation, standard_database_batte
 
 pytestmark = []
 
+
+def nulls_database() -> Database:
+    """The tutorial instance plus a NULL in every column the catalog joins
+    or filters on: what a ``POST /write`` may add even under validation."""
+    db = sailors_database()
+    for relation, row in (("Reserves", (None, 103, "2024-01-01")),
+                          ("Reserves", (22, None, "2024-01-02")),
+                          ("Sailors", (None, "Nil", None, None)),
+                          ("Sailors", (77, None, 7, 20.0)),
+                          ("Boats", (None, "Ghost", None))):
+        db.relation(relation).add(row)
+    return db
+
+
 ALL_CELLS = [
     pytest.param(query, language, id=f"{query.id}-{language}")
+    for query in CANONICAL_QUERIES
+    for language in LANGUAGES
+]
+
+#: The catalog on the tutorial instance (bare ids) and on ``nulls_database``.
+CATALOG_INSTANCES = [
+    pytest.param(make_db, query, language, id=f"{prefix}{query.id}-{language}")
+    for prefix, make_db in (("", sailors_database), ("nulls-", nulls_database))
     for query in CANONICAL_QUERIES
     for language in LANGUAGES
 ]
@@ -51,14 +73,15 @@ ALL_CELLS = [
 class TestDifferentialCatalog:
     """Engine results match all five interpreters over the whole catalog."""
 
-    @pytest.mark.parametrize("query,language", ALL_CELLS)
-    def test_catalog_matches_reference(self, db, query, language):
+    @pytest.mark.parametrize("make_db,query,language", CATALOG_INSTANCES)
+    def test_catalog_matches_reference(self, make_db, query, language):
+        db = make_db()
         text = query.languages()[language]
         engine = run_query(text, db, language.lower())
         reference = answer_relation(text, db)
         assert engine.bag_equal(reference), (
-            f"{query.id}/{language}: engine {sorted(engine.rows())} "
-            f"!= reference {sorted(reference.rows())}"
+            f"{query.id}/{language}: engine {sorted(map(repr, engine.rows()))} "
+            f"!= reference {sorted(map(repr, reference.rows()))}"
         )
 
     @pytest.mark.parametrize("query,language", ALL_CELLS)
@@ -110,6 +133,57 @@ class TestSQLFragment:
     def test_extra_sql_matches_reference(self, db, sql):
         assert run_query(sql, db, "sql").bag_equal(answer_relation(sql, db))
 
+    #: ``x NOT IN S`` is UNKNOWN when S holds a NULL, or when x is NULL
+    #: and S is nonempty: a WHERE clause drops the row either way.
+    NOT_IN_UNDER_NULLS = [
+        # a NULL in the subquery
+        "SELECT S.sname FROM Sailors S WHERE S.sid NOT IN "
+        "(SELECT R.sid FROM Reserves R)",
+        # a NULL operand
+        "SELECT S.sname FROM Sailors S WHERE S.sid NOT IN "
+        "(SELECT R.sid FROM Reserves R WHERE R.sid IS NOT NULL)",
+        # a correlated subquery that holds a NULL for one outer row only
+        "SELECT S.sname FROM Sailors S WHERE S.rating NOT IN "
+        "(SELECT R.bid FROM Reserves R WHERE R.sid = S.sid)",
+    ]
+
+    @pytest.mark.parametrize("backend", ["row", "vectorized", "sharded"])
+    @pytest.mark.parametrize("sql", NOT_IN_UNDER_NULLS)
+    def test_not_in_is_exact_under_nulls(self, sql, backend):
+        db = nulls_database()
+        reference = answer_relation(sql, db)
+        assert run_query(sql, db, "sql", backend=backend).bag_equal(reference)
+        assert run_query(sql, db, "sql", use_optimizer=False).bag_equal(reference)
+
+    #: (NOT IN, the NOT EXISTS it equals on data without NULLs).
+    NOT_IN_WITHOUT_NULLS = [
+        ("SELECT S.sname FROM Sailors S WHERE S.sid NOT IN "
+         "(SELECT R.sid FROM Reserves R, Boats B "
+         "WHERE R.bid = B.bid AND B.color = 'green')",
+         "SELECT S.sname FROM Sailors S WHERE NOT EXISTS "
+         "(SELECT R.sid FROM Reserves R, Boats B "
+         "WHERE R.bid = B.bid AND B.color = 'green' AND R.sid = S.sid)"),
+        ("SELECT S.sname FROM Sailors S WHERE S.rating NOT IN "
+         "(SELECT R.bid FROM Reserves R WHERE R.sid = S.sid)",
+         "SELECT S.sname FROM Sailors S WHERE NOT EXISTS "
+         "(SELECT R.bid FROM Reserves R WHERE R.sid = S.sid "
+         "AND R.bid = S.rating)"),
+    ]
+
+    @pytest.mark.parametrize("not_in,not_exists", NOT_IN_WITHOUT_NULLS,
+                             ids=["uncorrelated", "correlated"])
+    def test_not_in_null_guards_join_by_keys(self, not_in, not_exists):
+        # Each NULL guard tests one side below the product; a residual on the
+        # product would run once per (outer row, subquery row) pair.
+        big = random_sailors_database(n_sailors=2400, n_boats=100,
+                                      n_reserves=24000, seed=13)
+        plan = optimize(lower(not_in, big.schema, "sql"), big)
+        assert not [node for node in plan.walk()
+                    if isinstance(node, JoinP) and node.residual is not None]
+        expected = run_query(not_exists, big, "sql")
+        for backend in ("row", "vectorized"):
+            assert run_query(not_in, big, "sql", backend=backend).bag_equal(expected)
+
     def test_unsupported_sql_raises_lowering_error(self, db):
         with pytest.raises(LoweringError):
             run_query("SELECT S.sname FROM Sailors S LEFT JOIN Reserves R "
@@ -149,6 +223,12 @@ class TestDRCFragment:
         engine = run_query(drc, db, "drc")
         assert not engine.is_empty()
         assert engine.bag_equal(answer_relation(drc, db))
+
+    def test_a_repeated_head_variable_names_its_columns_apart(self, db):
+        drc = "{ x, x | exists n, r, a (Sailors(x, n, r, a)) }"
+        for answer in (run_query(drc, db, "drc"), answer_relation(drc, db)):
+            assert answer.attribute_names == ("x", "x_2")
+            assert len(answer) == len(db.relation("Sailors"))
 
 
 class TestTRCFragment:

@@ -47,6 +47,7 @@ from repro.logic import (
     substitute,
     term_of,
     to_exists_and_not,
+    to_existential_nnf,
     to_nnf,
     to_prenex,
     truth_table,
@@ -153,6 +154,15 @@ class TestTransforms:
         assert simplify(And((P(x), Truth(False)))) == Truth(False)
         assert simplify(Or((P(x), Truth(True)))) == Truth(True)
 
+    def test_existential_nnf_keeps_negation_above_exists(self):
+        formula = Not(ForAll((x,), Implies(P(x), Exists((y,), Q(x, y)))))
+        assert to_existential_nnf(formula) == Exists(
+            (x,), And((P(x), Not(Exists((y,), Q(x, y))))))
+        assert to_existential_nnf(ForAll((x,), P(x))) == \
+            Not(Exists((x,), Not(P(x))))
+        assert to_existential_nnf(Not(And((P(x), Not(Q(x)))))) == \
+            to_nnf(Not(And((P(x), Not(Q(x))))))
+
     def test_depth_measures(self):
         formula = Exists((x,), Not(ForAll((y,), Not(P(x, y)))))
         assert quantifier_depth(formula) == 2
@@ -190,6 +200,23 @@ class TestSemantics:
     def test_comparisons_in_formulas(self):
         formula = Exists((x,), And((Atom("P", (x,)), Compare(x, ">", Const(1)))))
         assert evaluate(formula, self.structure)
+
+    @pytest.mark.parametrize("left,op,right,holds", [
+        (None, "=", None, False),
+        (None, "<>", 1, False),
+        (1, "<", "a", False),
+        (1, "<>", "a", True),
+        (2, ">=", 1, True),
+    ])
+    def test_first_order_evaluators_compare_alike(self, db, left, op, right,
+                                                  holds):
+        """NULL, or an ordering of unlike types, compares FALSE in both
+        first-order evaluators of one formula."""
+        from repro.drc import evaluate_drc_boolean
+
+        formula = Compare(Const(left), op, Const(right))
+        assert evaluate(formula, self.structure) is holds
+        assert evaluate_drc_boolean(formula, db) is holds
 
     def test_satisfying_assignments(self):
         formula = Atom("R", (x, y))

@@ -902,15 +902,18 @@ class TestInvariantLint:
                 return sorted(rows, key=lambda r: _sort_key(key(r), True))
             """)
         violations = [v for v in invariants.run_checks(root)
-                      if v.rule == "one-operator"]
-        assert [(v.path, v.line) for v in violations] == [
-            (os.path.join("src", "repro", "engine", "vectorized.py"), 4),
-            (os.path.join("src", "repro", "engine", "vectorized.py"), 7)]
+                      if v.rule in ("one-operator", "no-oracle-imports")]
+        assert [(v.path, v.line, v.rule) for v in violations] == [
+            (os.path.join("src", "repro", "engine", "vectorized.py"), 4,
+             "one-operator"),
+            (os.path.join("src", "repro", "engine", "vectorized.py"), 7,
+             "no-oracle-imports")]
 
     def test_operator_functions_called_from_the_executors_are_clean(
             self, invariants, fixture_repo):
         fixture_repo("src/repro/engine/execute.py", """\
-            from repro.sql.evaluate import _dedupe, _sort_key
+            from repro.data.relation import dedupe_rows
+            from repro.expr.eval import sort_key
 
             def aggregate_rows(plan, rows):
                 return [fold(call.name, rows) for call in plan.aggregates]
@@ -926,7 +929,42 @@ class TestInvariantLint:
                 return aggregate_rows(plan, batch.rows())
             """)
         assert [v for v in invariants.run_checks(root)
-                if v.rule == "one-operator"] == []
+                if v.rule in ("one-operator", "no-oracle-imports")] == []
+
+    def test_engine_importing_an_interpreter(self, invariants, fixture_repo):
+        fixture_repo("src/repro/engine/lower.py", """\
+            from repro.drc.ast import DRCError
+            from repro.drc.evaluate import evaluate_drc
+            import repro.sql.evaluate
+            from repro.datalog import ast, evaluate
+            """)
+        root = fixture_repo("src/repro/core/service.py", """\
+            from repro.trc.evaluate import evaluate_trc
+            from repro.trc.evaluate import _compare, evaluate_trc_boolean
+            """)
+        violations = [(v.path, v.line) for v in invariants.run_checks(root)
+                      if v.rule == "no-oracle-imports"]
+        assert violations == [
+            (os.path.join("src", "repro", "core", "service.py"), 2),
+            (os.path.join("src", "repro", "engine", "lower.py"), 2),
+            (os.path.join("src", "repro", "engine", "lower.py"), 3),
+            (os.path.join("src", "repro", "engine", "lower.py"), 4)]
+
+    def test_helpers_from_their_neutral_homes_are_clean(self, invariants,
+                                                        fixture_repo):
+        fixture_repo("src/repro/engine/execute.py", """\
+            from repro.data.relation import result_relation, unique_names
+            from repro.datalog.ast import names_from_heads
+            from repro.logic.transform import to_existential_nnf
+            """)
+        fixture_repo("src/repro/sql/evaluate.py", """\
+            from repro.sql.evaluate import _eval_query   # its own module
+            """)
+        root = fixture_repo("src/repro/translate/equivalence.py", """\
+            from repro.sql.evaluate import evaluate_sql
+            """)
+        assert [v for v in invariants.run_checks(root)
+                if v.rule == "no-oracle-imports"] == []
 
     def test_join_planning_outside_the_optimizer(self, invariants,
                                                  fixture_repo):

@@ -64,11 +64,20 @@ Rules (see tools/README.md for how to add one):
 
 ``one-operator``
     Each operator has one Python implementation: under ``src/repro/engine``
-    outside ``engine/execute.py``, an import from ``repro.sql.evaluate``
-    (the reference interpreter's helpers) or a call to the bare name
-    ``fold`` is a violation — an executor calls ``execute``'s operator
-    functions (``aggregate_rows``, ``sort_limit_rows``, ``setop_rows``, …)
-    instead of writing its own loop around their pieces.
+    outside ``engine/execute.py``, a call to the bare name ``fold`` is a
+    violation — an executor calls ``execute``'s operator functions
+    (``aggregate_rows``, ``sort_limit_rows``, ``setop_rows``, …) instead of
+    writing its own loop around their pieces.
+
+``no-oracle-imports``
+    The five reference interpreters (``repro.{sql,ra,trc,drc,datalog}
+    .evaluate``) stay a separate implementation of the semantics the
+    engine is checked against: under ``src/repro/engine`` an import of
+    one of them is a violation, and anywhere under ``src/repro`` so is an
+    import of a ``_``-prefixed name from one of them outside that module.
+    A helper both sides need lives in a neutral module
+    (``data/relation.py``, ``logic/terms.py``, ``logic/transform.py``,
+    ``expr/eval.py``, ``datalog/ast.py``).
 
 ``one-join-planner``
     Join shape is decided in one place: under ``src/repro`` outside
@@ -658,16 +667,6 @@ def check_one_access_path(root: str) -> list[Violation]:
 
 #: The one module that implements the engine's operators in Python.
 _OPERATOR_MODULE = "src/repro/engine/execute.py"
-_REFERENCE_MODULE = "repro.sql.evaluate"
-
-
-def _imports_reference(node: ast.AST) -> bool:
-    if isinstance(node, ast.ImportFrom):
-        return node.module == _REFERENCE_MODULE or (
-            node.module == "repro.sql"
-            and any(alias.name == "evaluate" for alias in node.names))
-    return isinstance(node, ast.Import) and any(
-        alias.name == _REFERENCE_MODULE for alias in node.names)
 
 
 def check_one_operator(root: str) -> list[Violation]:
@@ -676,19 +675,60 @@ def check_one_operator(root: str) -> list[Violation]:
         if rel_path.replace(os.sep, "/") == _OPERATOR_MODULE:
             continue
         for node in ast.walk(tree):
-            if _imports_reference(node):
-                violations.append(Violation(
-                    rel_path, node.lineno, "one-operator",
-                    f"import from {_REFERENCE_MODULE} outside "
-                    "engine/execute.py; call the operator function there "
-                    "(aggregate_rows, sort_limit_rows, setop_rows, ...)"))
-            elif isinstance(node, ast.Call) \
+            if isinstance(node, ast.Call) \
                     and isinstance(node.func, ast.Name) \
                     and node.func.id == "fold":
                 violations.append(Violation(
                     rel_path, node.lineno, "one-operator",
                     "fold() outside engine/execute.py; group and fold "
                     "through repro.engine.execute.aggregate_rows"))
+    return violations
+
+
+# ---------------------------------------------------------------------------
+# Rule: no-oracle-imports
+# ---------------------------------------------------------------------------
+
+#: The reference interpreters, one per language.
+_ORACLE_MODULES = frozenset(
+    f"repro.{language}.evaluate"
+    for language in ("sql", "ra", "trc", "drc", "datalog"))
+
+
+def _oracle_imports(node: ast.AST) -> "list[tuple[str, list[str]]]":
+    """``(oracle module, names imported from it)`` per oracle ``node`` imports."""
+    if isinstance(node, ast.Import):
+        return [(alias.name, []) for alias in node.names
+                if alias.name in _ORACLE_MODULES]
+    if not isinstance(node, ast.ImportFrom) or node.level or not node.module:
+        return []
+    if node.module in _ORACLE_MODULES:
+        return [(node.module, [alias.name for alias in node.names])]
+    return [(f"{node.module}.{alias.name}", []) for alias in node.names
+            if f"{node.module}.{alias.name}" in _ORACLE_MODULES]
+
+
+def check_no_oracle_imports(root: str) -> list[Violation]:
+    violations: list[Violation] = []
+    for _path, rel_path, tree in _walk_sources(root, ("src/repro",)):
+        module = rel_path.replace(os.sep, "/")
+        in_engine = module.startswith("src/repro/engine/")
+        for node in ast.walk(tree):
+            for oracle, names in _oracle_imports(node):
+                private = [name for name in names if name.startswith("_")]
+                if in_engine:
+                    message = (f"the engine imports the reference interpreter "
+                               f"{oracle}; import the helper from its neutral "
+                               "home instead")
+                elif private and module != \
+                        "src/" + oracle.replace(".", "/") + ".py":
+                    message = (f"{', '.join(private)} imported from {oracle}; "
+                               "a helper two modules share is public, in a "
+                               "neutral module")
+                else:
+                    continue
+                violations.append(Violation(
+                    rel_path, node.lineno, "no-oracle-imports", message))
     return violations
 
 
@@ -785,6 +825,7 @@ ALL_RULES = (
     check_one_lexer,
     check_one_access_path,
     check_one_operator,
+    check_no_oracle_imports,
     check_one_join_planner,
     check_one_pattern_walker,
 )
