@@ -14,8 +14,9 @@ insert batches,
 Answers are asserted bag-equal after every batch, so the speedup is honest:
 both sides produce identical results at every version.  :func:`check_gates`
 holds ``join-chain`` and ``aggregation`` to **>= 10x** at the largest size.
-There is no recursive workload: Datalog views rebuild on refresh, so it
-would time a rebuild against a rebuild.
+There is no recursive workload: a recursive Datalog view rebuilds on
+refresh (its fixpoint is not maintainable), so it would time a rebuild
+against a rebuild.
 
 Runs standalone (the CI smoke job) or under pytest::
 

@@ -196,8 +196,9 @@ class QueryVisualizationPipeline:
     remember which literal they came from; a later text of the same shape
     skips parse/lower/optimize and only has its literals substituted
     (:func:`repro.engine.bind.bind`) before execution.  ``plan_cache_size``
-    therefore bounds shapes, not texts.  Datalog programs are cached the
-    same way, as compiled programs (:func:`repro.engine.lower_datalog`).
+    therefore bounds shapes, not texts.  A Datalog program is one plan
+    like any other query, its recursion one operator
+    (:class:`~repro.engine.plan.FixpointP`), cached the same way.
 
     A shape is **refused** when the literals cannot be traced to constants
     of the lowered plan and nothing else (``LIMIT 5``, a ``LIKE`` pattern, a
@@ -381,20 +382,17 @@ class QueryVisualizationPipeline:
 
     def _evaluate_engine(self, source: _Source,
                          timings: dict[str, float]) -> tuple[Relation, Any]:
-        from repro.engine import datalog_relation, execute_plan, run_datalog
+        from repro.engine import execute_plan
 
         plan = self._plan(source, timings)
         start = time.perf_counter()
-        if source.language == "datalog":
-            answers = datalog_relation(plan, run_datalog(plan, self.db))
-        else:
-            answers = execute_plan(plan, self.db, backend=self.backend)
+        answers = execute_plan(plan, self.db, backend=self.backend)
         timings["execute"] = time.perf_counter() - start
         return answers, plan
 
     def _plan(self, source: _Source, timings: dict[str, float]) -> Any:
-        """The one plan-cache lookup: ``source``'s optimized plan (for
-        Datalog, its compiled program), bound to the literals of its text.
+        """The one plan-cache lookup: ``source``'s optimized plan, bound to
+        the literals of its text.
 
         Plans depend on the schema (column resolution) but not on row
         contents, so the key carries the coarser structure version:
@@ -403,6 +401,7 @@ class QueryVisualizationPipeline:
         literal slots and optimizes; racing misses of one shape each compile
         and the last equal entry stays.
         """
+        from repro.engine import lower, optimize
         from repro.engine.bind import Template, discover_slots, scan_literals
         from repro.engine.verify import maybe_verify
 
@@ -427,11 +426,12 @@ class QueryVisualizationPipeline:
             query = source.ast()
             self.cache_stats.bump("plan_misses")
             start = time.perf_counter()
-            lowered = self._lower(query, language)
+            lowered = lower(query, self.db.schema, language)
             if literals:
                 slotted = discover_slots(
                     lowered, shape, literals,
-                    lambda text: self._lower(_parse(text, language), language))
+                    lambda text: lower(_parse(text, language),
+                                       self.db.schema, language))
                 if slotted is None:
                     self._plan_cache.put((language, shape, version), _REFUSED)
                     self.cache_stats.bump("plan_refused")
@@ -440,30 +440,15 @@ class QueryVisualizationPipeline:
                     lowered = slotted
             timings["lower"] = time.perf_counter() - start
             start = time.perf_counter()
-            template = Template(self._optimize(lowered, language))
+            template = Template(optimize(lowered, self.db))
             timings["optimize"] = time.perf_counter() - start
             self._plan_cache.put((language, shape, version), template)
         plan = template.bind(literals)
-        if literals and language != "datalog":
+        if literals:
             # A bound plan is certified like any other rewrite under
-            # REPRO_VERIFY_PLANS (a compiled Datalog program's plans read the
-            # run's working relations and were certified when optimized).
+            # REPRO_VERIFY_PLANS.
             maybe_verify(plan, self.db, rule="bind")
         return plan
-
-    def _lower(self, query: Any, language: str) -> Any:
-        from repro.engine import lower, lower_datalog
-
-        if language == "datalog":
-            return lower_datalog(query, self.db)
-        return lower(query, self.db.schema, language)
-
-    def _optimize(self, lowered: Any, language: str) -> Any:
-        from repro.engine import optimize, optimize_datalog
-
-        if language == "datalog":
-            return optimize_datalog(lowered, self.db)
-        return optimize(lowered, self.db)
 
     def answer(self, text: str, *, language: str | None = None,
                warnings: list[str] | None = None) -> Relation:
@@ -503,8 +488,7 @@ class QueryVisualizationPipeline:
         plan hit from then on.  Returns the optimized plan bound to *this*
         text's literals (plain constants — views and maintainers are built
         from it), or ``None`` when the query is outside the engine fragment
-        (its requests will use the interpreter fallback) or is Datalog
-        (compiled and cached too, but a program is not one plan).
+        (its requests will use the interpreter fallback).
         ``QueryService.prepare`` builds its prepared-query handles on this.
         """
         from repro.engine import LoweringError, PlanError
@@ -512,10 +496,9 @@ class QueryVisualizationPipeline:
         source = _Source(text, language.lower())
         source.ast()
         try:
-            plan = self._plan(source, {})
+            return self._plan(source, {})
         except (LoweringError, PlanError):
             return None
-        return None if source.language == "datalog" else plan
 
     def _evaluate_reference(self, query: Any, language: str) -> Relation:
         del language  # dispatch is by AST type

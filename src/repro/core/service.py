@@ -47,7 +47,8 @@ under concurrent readers and writers:
 * **Materialized views.**  :meth:`register_view` materializes a query
   once and keeps it current under appends: a plan with a maintainable core
   absorbs writes through delta plans (:mod:`repro.engine.delta`);
-  everything else, every Datalog program included, rebuilds on refresh.
+  everything else, recursive Datalog programs included, rebuilds on
+  refresh.
   One :class:`MaterializedView` class serves every service: it maintains
   the list of parts the service's :class:`ViewRecipe` describes — one
   part over the whole database here, one per shard on the sharded
@@ -238,8 +239,9 @@ class MaterializedView:
       database here, one per shard on a
       :class:`~repro.core.sharded_service.ShardedQueryService`;
     * everything else — rebuild on refresh (correct, never incremental).
-      That includes every Datalog program (a program is not one plan) and
-      every ``DISTINCT`` aggregate (it has no partial→final rule).
+      That includes recursive Datalog programs (a fixpoint is not
+      maintainable) and every ``DISTINCT`` aggregate (it has no
+      partial→final rule).
 
     A refresh applies each part's delta only where that part's relations
     moved.  A part whose bounded delta log no longer covers its window
@@ -267,7 +269,7 @@ class MaterializedView:
         self.incremental_refreshes = 0
         self.rebuilds = 0
         self.shard_rebuilds = 0
-        self._plan: Any = None          # engine plan (None for Datalog)
+        self._plan: Any = None          # engine plan (None: fallback)
         self._core: Any = None          # maintainable core subplan
         self._recipe: ViewRecipe | None = None  # None => rebuild-on-refresh
         self._parts: list[ViewMaintainer] = []  # one per recipe database
@@ -415,8 +417,8 @@ class MaterializedView:
     def _rebuild_locked(self) -> _Answer:
         """Rematerialize from scratch: the engine plan's parts
         (:meth:`_maintain`), else rebuild on every refresh from the
-        pipeline's answer — Datalog programs, which are not one plan, and
-        plans with no maintainable core."""
+        pipeline's answer — queries outside the engine fragment and plans
+        with no maintainable core."""
         db = self.service.db
         self.rebuilds += 1
         self._recipe = None

@@ -23,8 +23,8 @@ change relative to the base service:
   (AVG = SUM + COUNT, presence counters) re-combines, and a core
   co-partitioned on the shard key just concatenates.  A write refreshes
   only the shards it touched; a shard that falls behind its bounded delta
-  log recomputes *its* part only.  Non-distributable plans and Datalog
-  programs rebuild on refresh, never a wrong answer.
+  log recomputes *its* part only.  Non-distributable plans, recursive
+  Datalog programs among them, rebuild on refresh, never a wrong answer.
 * **The cluster reshapes under live views.**  :meth:`reshard`
   re-partitions the database onto a new shard count/key layout atomically
   under the write lock, under a new generation epoch, rematerializing

@@ -223,15 +223,12 @@ def make_program(rules: Iterable[Rule]) -> Program:
     return program
 
 
-def names_from_heads(heads: "list[tuple[str | None, ...]]",
-                     rows: list[tuple]) -> list[str]:
-    """Output column names from the query predicate's rule heads, each a
-    variable name per position (``None`` for a constant): the first head
-    that is all variables and of the rows' arity, else ``col1..colN``."""
-    arity = len(rows[0]) if rows else None
-    for head in heads:
-        if head and None not in head and (arity is None or len(head) == arity):
-            return [name.lower() for name in head]
-    if arity is None:
-        arity = 1
-    return [f"col{i + 1}" for i in range(arity)]
+def names_from_heads(rules: "list[Rule]") -> list[str]:
+    """Output column names from the query predicate's rules: the variable
+    names of the first head that is all variables, else ``col1..colN`` with
+    ``N`` the heads' arity."""
+    for rule in rules:
+        terms = rule.head.terms
+        if terms and all(isinstance(term, Var) for term in terms):
+            return [term.name.lower() for term in terms]
+    return [f"col{i + 1}" for i in range(rules[0].head.arity if rules else 1)]

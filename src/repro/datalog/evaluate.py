@@ -167,11 +167,4 @@ def evaluate_datalog(program: "Program | str", db: Database,
     if key not in facts:
         raise DatalogError(f"program defines no predicate {query!r}")
     rows = sorted(facts[key], key=lambda r: tuple(str(v) for v in r))
-    return result_relation(_output_names(program, query, rows), rows)
-
-
-def _output_names(program: Program, query: str, rows: list[tuple]) -> list[str]:
-    return names_from_heads(
-        [tuple(term.name if isinstance(term, Var) else None
-               for term in rule.head.terms)
-         for rule in program.rules_for(query)], rows)
+    return result_relation(names_from_heads(program.rules_for(query)), rows)

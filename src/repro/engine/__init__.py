@@ -7,7 +7,8 @@ into (:mod:`repro.engine.lower`), one rule-based optimizer
 (:mod:`repro.engine.optimize` — predicate pushdown, cardinality-greedy join
 reordering, common subexpression elimination), and one physical executor
 (:mod:`repro.engine.execute` — hash joins, hash set operations, index scans,
-semi-naive Datalog recursion).
+semi-naive Datalog recursion).  A Datalog program lowers to one plan too: a
+recursive stratum is one plan operator, :class:`FixpointP`.
 
 The per-language interpreters under ``repro.sql`` / ``ra`` / ``trc`` /
 ``drc`` / ``datalog`` remain the *reference semantics*; the differential
@@ -41,13 +42,9 @@ from repro.engine.execute import (
     clear_compiled_cache,
     compiled_expr,
     compiled_predicate,
-    datalog_relation,
     execute_datalog,
     execute_plan,
     get_backend,
-    lower_datalog,
-    optimize_datalog,
-    run_datalog,
     run_query,
 )
 from repro.engine.vectorized import VectorizedBackend, VectorizedExecutor
@@ -81,7 +78,7 @@ from repro.engine.lower import (
     LoweringError,
     detect_language,
     lower,
-    lower_datalog_rule,
+    lower_datalog,
     lower_drc,
     lower_ra,
     lower_sql,
@@ -117,6 +114,7 @@ from repro.engine.plan import (
     DistinctP,
     DivideP,
     FilterP,
+    FixpointP,
     JoinP,
     Plan,
     PlanError,
@@ -142,6 +140,7 @@ __all__ = [
     "Executor",
     "ExecutorBackend",
     "FilterP",
+    "FixpointP",
     "JoinP",
     "LoweringError",
     "NotDistributable",
@@ -173,7 +172,6 @@ __all__ = [
     "common_subplan_count",
     "compiled_expr",
     "compiled_predicate",
-    "datalog_relation",
     "default_process_workers",
     "delta_terms",
     "detect_language",
@@ -190,18 +188,15 @@ __all__ = [
     "explain",
     "lower",
     "lower_datalog",
-    "lower_datalog_rule",
     "lower_drc",
     "lower_ra",
     "lower_sql",
     "lower_trc",
     "optimize",
-    "optimize_datalog",
     "promote_hash_keys",
     "push_down_filters",
     "reorder_joins",
     "resolve_column",
-    "run_datalog",
     "run_query",
     "scan_literals",
     "shard_plan",

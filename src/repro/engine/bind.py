@@ -119,7 +119,7 @@ def sentinel_text(shape: str, values: Sequence[Any]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Walking plans, expressions and compiled Datalog programs generically
+# Walking plans and expressions generically
 # ---------------------------------------------------------------------------
 
 _FIELDS: dict[type, "tuple[str, ...] | None"] = {}
@@ -142,10 +142,7 @@ def _rebuilt(node: Any, parts: list[Any], originals: Sequence[Any]) -> Any:
     """``node`` if no part changed, else a copy built from ``parts``."""
     if all(new is old for new, old in zip(parts, originals)):
         return node
-    if isinstance(node, tuple):
-        make = getattr(type(node), "_make", tuple)  # NamedTuple or plain
-        return make(parts)
-    return type(node)(*parts)
+    return tuple(parts) if isinstance(node, tuple) else type(node)(*parts)
 
 
 class _Refused(Exception):
@@ -217,8 +214,8 @@ def discover_slots(lowered: Any, shape: str, literals: Sequence[Any],
 
 
 class Template:
-    """An optimized plan (or compiled Datalog program) whose slotted
-    constants :meth:`bind` fills in — what the plan cache holds per shape.
+    """An optimized plan whose slotted constants :meth:`bind` fills in —
+    what the plan cache holds per shape.
 
     Which nodes lead to a slot is worked out once, here, so a bind rebuilds
     only the spine above each slotted constant and shares everything else

@@ -36,9 +36,10 @@ and non-monotone operators (anti/semi joins, ``EXCEPT``/``INTERSECT``,
 division, sorting with ``LIMIT``) raise :class:`DeltaRewriteError`, which the
 service layer answers by falling back to rebuild-on-refresh.  So do
 ``DISTINCT`` aggregates, which have no partial→final combine rule.
-Datalog views rebuild on refresh too: a program is not one plan, and
-resuming its semi-naive fixpoint from the new frontier measured only
-1.3–1.5x faster than evaluating it again.
+A Datalog program is one plan, maintained like its calculus spelling,
+except for a recursive stratum: its :class:`~repro.engine.plan.FixpointP`
+is not maintainable, and resuming its semi-naive fixpoint from the new
+frontier measured only 1.3–1.5x faster than evaluating it again.
 """
 
 from __future__ import annotations

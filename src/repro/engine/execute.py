@@ -32,12 +32,12 @@ operators, ``IN``, scalar functions and the ORDER BY key from
 columns), the comparison table from :mod:`repro.logic.terms`, and Datalog
 output names from :mod:`repro.datalog.ast`.
 
-:func:`execute_datalog` drives recursive Datalog programs with **semi-naive
-evaluation**, in two steps one can hold apart: :func:`lower_datalog` /
-:func:`optimize_datalog` compile the program (per stratum, each rule once
-plus once per occurrence of a same-stratum predicate, so that occurrence
-reads the delta relation), and :func:`run_datalog` runs the compiled program
-— its fixpoint loop only re-derives from last round's new facts.
+A Datalog program is one plan like any other query; its recursion is one
+operator, :class:`~repro.engine.plan.FixpointP`, run by
+:func:`fixpoint_rows` with **semi-naive evaluation**: each round after the
+first runs only the stratum's delta variants, over the facts the previous
+round found new.  Both executors reach it as they reach
+:func:`divide_rows`.
 """
 
 from __future__ import annotations
@@ -45,13 +45,12 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import replace
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Protocol, Sequence
+from typing import Any, Callable, Iterable, Protocol, Sequence
 
 from repro.data.database import Database
 from repro.data.relation import Relation, dedupe_rows, key_positions, result_relation
 from repro.data.schema import Attribute, RelationSchema
-from repro.data.types import DataType, check_value
+from repro.data.types import DataType, check_value, infer_type
 from repro.expr import ast as e
 from repro.expr.eval import (
     _and3,
@@ -66,12 +65,7 @@ from repro.expr.eval import (
 )
 from repro.logic.terms import COMPARISONS
 from repro.engine.cache import LRUCache
-from repro.engine.lower import (
-    LoweringError,
-    detect_language,
-    lower,
-    lower_datalog_rule,
-)
+from repro.engine.lower import lower, lower_datalog
 from repro.engine.plan import (
     AggregateP,
     DeltaScanP,
@@ -79,6 +73,7 @@ from repro.engine.plan import (
     DistinctP,
     DivideP,
     FilterP,
+    FixpointP,
     JoinP,
     Plan,
     PlanError,
@@ -248,9 +243,10 @@ def clear_compiled_cache() -> None:
 class Executor:
     """Evaluates plans against one database, memoizing per plan value."""
 
-    def __init__(self, db: Database) -> None:
+    def __init__(self, db: Database,
+                 memo: "dict[Plan, list[Row]] | None" = None) -> None:
         self.db = db
-        self._memo: dict[Plan, list[Row]] = {}
+        self._memo: dict[Plan, list[Row]] = {} if memo is None else memo
 
     def rows(self, plan: Plan) -> list[Row]:
         cached = self._memo.get(plan)
@@ -296,6 +292,8 @@ class Executor:
             return divide_rows(plan, self.rows(plan.left), self.rows(plan.right))
         if isinstance(plan, SortLimitP):
             return sort_limit_rows(plan, self.rows(plan.input))
+        if isinstance(plan, FixpointP):
+            return fixpoint_rows(plan, self.db, self._memo)
         raise PlanError(f"cannot execute {type(plan).__name__}")
 
     def _filter(self, plan: FilterP) -> list[Row]:
@@ -460,6 +458,78 @@ def divide_rows(plan: DivideP, left: list[Row], right: list[Row]) -> list[Row]:
             order.append(key)
         bucket.add(tuple(row[i] for i in divisor_idx))
     return [key for key in order if divisor_rows <= groups[key]]
+
+
+def fixpoint_rows(plan: FixpointP, db: Database,
+                  memo: "dict[Plan, list[Row]] | None" = None) -> list[Row]:
+    """The facts of ``plan.predicate``: semi-naive iteration of its stratum.
+
+    Round 0 takes the facts and runs every rule body once; each later round
+    runs only the delta variants, over the facts the previous round found
+    new (``pred@delta``), until it finds none.  The bodies run on the row
+    :class:`Executor`, reading the stratum's predicates from working
+    relations and every other relation of ``db`` in place; ``memo`` (the
+    caller's) keeps what reads no working relation across rounds.
+    """
+    arities = plan.arities()
+    working = _WorkingDatabase(db)
+    names = {name for p in arities for name in (p, p + DELTA_SUFFIX)}
+    volatile = {node for body in plan.children() for node in body.walk()
+                if any(isinstance(scan, ScanP) and scan.relation in names
+                       for scan in node.walk())}
+    memo = {} if memo is None else memo
+    facts: dict[str, dict[Row, None]] = {p: {} for p in arities}
+    delta: dict[str, dict[Row, None]] = {p: {} for p in arities}
+
+    def derive(plans: "tuple[tuple[str, Plan], ...]") -> None:
+        for node in volatile:
+            memo.pop(node, None)
+        executor = Executor(working, memo)
+        for head, body in plans:
+            known = facts[head]
+            for row in executor.rows(body):
+                if row not in known:
+                    known[row] = delta[head][row] = None
+
+    for predicate, arity in arities.items():
+        working.add_relation(_working_relation(predicate, [], arity))
+    for head, consts in plan.facts:
+        row = tuple(c.value for c in consts)
+        facts[head][row] = delta[head][row] = None
+    derive(plan.rules)
+    while plan.variants and any(delta.values()):
+        for predicate, new in delta.items():
+            arity = arities[predicate]
+            if new:
+                working.add_relation(_working_relation(
+                    predicate, list(facts[predicate]), arity))
+            working.add_relation(_working_relation(
+                predicate + DELTA_SUFFIX, list(new), arity))
+        delta = {p: {} for p in arities}
+        derive(plan.variants)
+    return list(facts[plan.predicate])
+
+
+class _WorkingDatabase(Database):
+    """A fixpoint's working relations over the database it reads in place."""
+
+    def __init__(self, base: Database) -> None:
+        super().__init__()
+        self.base = base
+
+    def relation(self, name: str) -> Relation:
+        held = self._relations.get(name.lower())
+        return self.base.relation(name) if held is None else held
+
+
+def _working_relation(name: str, rows: list[Row], arity: int) -> Relation:
+    """``rows`` as a relation ``name`` over ``col1..colN``, each column
+    typed by its first row's value."""
+    first = rows[0] if rows else (None,) * arity
+    return Relation(RelationSchema(name, tuple(
+        Attribute(f"col{i + 1}", DataType.STRING if value is None
+                  else infer_type(value))
+        for i, value in enumerate(first))), rows, validate=False)
 
 
 def fold(name: str, values: Iterable[Any], distinct: bool = False) -> Any:
@@ -763,272 +833,22 @@ def run_query(query: Any, db: Database, language: str | None = None,
 
     Raises :class:`LoweringError` (never silently falls back) when the query
     is outside the engine fragment — callers that want interpreter fallback
-    handle that explicitly.  ``backend`` selects the physical executor for
-    plan execution; the Datalog fixpoint always drives the row executor
-    (delta relations are small, and the fixpoint leans on its per-plan memo).
+    handle that explicitly.  ``backend`` selects the physical executor; a
+    Datalog fixpoint runs its rule bodies on the row executor whichever it
+    is (its relations change every round).
     """
-    from repro.datalog.ast import Program
+    from repro.engine.optimize import optimize
 
-    if isinstance(query, Program) or (
-            isinstance(query, str)
-            and (language or detect_language(query)).lower() == "datalog"):
-        return execute_datalog(query, db, use_optimizer=use_optimizer)
     plan = lower(query, db.schema, language)
-    if use_optimizer:
-        from repro.engine.optimize import optimize
-
-        plan = optimize(plan, db)
-    return execute_plan(plan, db, backend=backend)
-
-
-# ---------------------------------------------------------------------------
-# Semi-naive Datalog: compile the program, then run the compiled program
-# ---------------------------------------------------------------------------
-
-class CompiledRule(NamedTuple):
-    """One rule of a :class:`CompiledDatalog` program."""
-
-    head: str                                #: head predicate, lower-cased
-    #: Variable name per head position, ``None`` for a constant — what the
-    #: output columns are named after (literal values play no part).
-    head_vars: tuple[str | None, ...]
-    plan: Plan | None                        #: the rule body; ``None`` = fact
-    fact: tuple[e.Const, ...]                #: a fact's row, as constants
-    #: ``(predicate, plan)`` per positive body occurrence that may read a
-    #: delta: ``plan`` is the rule with that one occurrence scanning
-    #: ``predicate@delta``.
-    variants: tuple[tuple[str, Plan], ...]
-
-
-class CompiledDatalog(NamedTuple):
-    """A Datalog program compiled to plans: strata, per-rule base and delta
-    plans, fact rows, output names.
-
-    Built by :func:`lower_datalog`, rewritten by :func:`optimize_datalog`,
-    evaluated (any number of times) by :func:`run_datalog`.  Only tuples,
-    plans and constants inside, so :class:`repro.engine.bind.Template`
-    substitutes literals into it exactly as into a single plan.
-    """
-
-    idb: tuple[tuple[str, int], ...]         #: (predicate, arity), program order
-    strata: tuple[tuple[CompiledRule, ...], ...]     #: lowest stratum first
-
-
-def lower_datalog(program: Any, db: Database) -> CompiledDatalog:
-    """Stratify a program (text or AST) and lower every rule to plans.
-
-    Each non-fact rule gets its base plan plus one delta variant per
-    positive occurrence of a same-stratum predicate: what the semi-naive
-    loop of :func:`run_datalog` executes.  A program compiles once and is
-    evaluated from scratch on every run; a materialized Datalog view
-    rebuilds on refresh rather than resuming a fixpoint.
-    """
-    from repro.datalog.ast import Literal, Program
-    from repro.datalog.parser import parse_datalog
-    from repro.datalog.stratify import evaluation_order
-    from repro.logic.terms import Var as LVar
-
-    if isinstance(program, str):
-        program = parse_datalog(program)
-    assert isinstance(program, Program)
-    problems = program.check_safety()
-    if problems:
-        raise LoweringError("unsafe program: " + "; ".join(problems))
-
-    arities: dict[str, int] = {}
-    for rel in db:
-        arities[rel.schema.name.lower()] = rel.schema.arity
-    for rule in program.rules:
-        arities.setdefault(rule.head.predicate.lower(), rule.head.arity)
-        for item in rule.body:
-            if isinstance(item, Literal):
-                arities.setdefault(item.predicate.lower(), item.arity)
-
-    strata: list[tuple[CompiledRule, ...]] = []
-    for stratum in evaluation_order(program):
-        stratum_preds = {p.lower() for p in stratum}
-        rules: list[CompiledRule] = []
-        for rule in program.rules:
-            head = rule.head.predicate.lower()
-            if head not in stratum_preds:
-                continue
-            head_vars = tuple(term.name if isinstance(term, LVar) else None
-                              for term in rule.head.terms)
-            if rule.is_fact:
-                fact = tuple(e.Const(value) for value in _fact_row(rule))
-                rules.append(CompiledRule(head, head_vars, None, fact, ()))
-                continue
-            variants = []
-            for position, item in enumerate(rule.body):
-                if isinstance(item, Literal) and not item.negated:
-                    predicate = item.predicate.lower()
-                    if predicate in stratum_preds:
-                        delta = replace(item, predicate=predicate + DELTA_SUFFIX)
-                        body = rule.body[:position] + (delta,) + rule.body[position + 1:]
-                        variants.append((predicate, lower_datalog_rule(
-                            replace(rule, body=body), arities)))
-            rules.append(CompiledRule(
-                head, head_vars, lower_datalog_rule(rule, arities), (),
-                tuple(variants)))
-        strata.append(tuple(rules))
-    idb = tuple((p.lower(), arities[p.lower()])
-                for p in program.idb_predicates())
-    return CompiledDatalog(idb, tuple(strata))
-
-
-def _generic_relation(predicate: str, arity: int,
-                      rows: Iterable[Row]) -> Relation:
-    schema = RelationSchema(predicate, tuple(
-        Attribute(f"col{i + 1}", DataType.STRING) for i in range(arity)))
-    return Relation(schema, rows, validate=False)
-
-
-def _working_database(compiled: CompiledDatalog, db: Database,
-                      facts: "Mapping[str, set[Row]] | None" = None
-                      ) -> Database:
-    """EDB relations (shared) plus one relation per IDB predicate: its
-    ``facts``, or before a run what an equally named EDB relation holds."""
-    working = Database()
-    for rel in db:
-        working.add_relation(rel)
-    for predicate, arity in compiled.idb:
-        if facts is not None:
-            rows: Iterable[Row] = facts[predicate]
-        else:
-            rows = db.relation(predicate).row_set() if predicate in db else ()
-        working.add_relation(_generic_relation(predicate, arity, rows))
-    return working
-
-
-def optimize_datalog(compiled: CompiledDatalog, db: Database) -> CompiledDatalog:
-    """Optimize every plan of a compiled program against ``db``'s statistics.
-
-    Profiles are cached on the relations themselves, version-tagged, so the
-    EDB profiles are shared with every other query over the same EDB.  IDB
-    predicates are profiled as they stand before a run (empty unless an EDB
-    relation has the name) and delta relations, which do not exist yet, are
-    estimated tiny — so the cost-based join ordering places each variant's
-    delta occurrence first: the semi-join reduction decision.  Like every
-    cached plan, the result may outlive the statistics it was chosen under;
-    that costs speed, never rows.
-    """
-    from repro.engine.optimize import optimize as optimize_plan
-    from repro.engine.stats import StatsCatalog
-
-    working = _working_database(compiled, db)
-    stats = StatsCatalog(working)
-
-    def optimized(plan: Plan) -> Plan:
-        return optimize_plan(plan, working, stats=stats)
-
-    return compiled._replace(strata=tuple(
-        tuple(rule._replace(
-            plan=None if rule.plan is None else optimized(rule.plan),
-            variants=tuple((predicate, optimized(plan))
-                           for predicate, plan in rule.variants))
-            for rule in rules)
-        for rules in compiled.strata))
-
-
-def run_datalog(compiled: CompiledDatalog, db: Database) -> dict[str, set[Row]]:
-    """All IDB (and EDB) facts of a compiled program, by semi-naive fixpoint.
-
-    Every run starts from the EDB alone: per stratum, round 0 evaluates
-    every rule in full, then the delta variants iterate until no rule
-    derives a new fact.
-    """
-    facts: dict[str, set[Row]] = {
-        rel.schema.name.lower(): set(rel.row_set()) for rel in db}
-    for predicate, _arity in compiled.idb:
-        facts.setdefault(predicate, set())
-    # Working database: EDB relations (shared) plus materialized IDB facts.
-    working = _working_database(compiled, db, facts)
-
-    def materialize(name: str, predicate: str, rows: Iterable[Row]) -> None:
-        arity = working.relation(predicate).schema.arity
-        working.add_relation(_generic_relation(name, arity, rows))
-
-    def derive(executor: Executor, plans: "list[tuple[str, Plan]]",
-               into: dict[str, set[Row]]) -> None:
-        for head, plan in plans:
-            known = facts[head]
-            for row in executor.rows(plan):
-                if row not in known:
-                    known.add(row)
-                    into[head].add(row)
-
-    for rules in compiled.strata:
-        stratum_preds = {rule.head for rule in rules}
-        # The delta variants (w.r.t. same-stratum predicates) drive the
-        # semi-naive loop.
-        delta_variants = [(rule.head, plan) for rule in rules
-                          for _predicate, plan in rule.variants]
-        delta: dict[str, set[Row]] = {p: set() for p in stratum_preds}
-        # Round 0: full evaluation of every rule.  One shared executor so
-        # the per-plan memo reuses common subplans across the stratum's
-        # rules (`working` is not mutated until after the round).
-        for rule in rules:
-            if rule.plan is None:
-                row = tuple(c.value for c in rule.fact)
-                if row not in facts[rule.head]:
-                    facts[rule.head].add(row)
-                    delta[rule.head].add(row)
-        derive(Executor(working),
-               [(rule.head, rule.plan) for rule in rules
-                if rule.plan is not None], delta)
-        for predicate in stratum_preds:
-            materialize(predicate, predicate, facts[predicate])
-
-        # Semi-naive iteration (only needed if some rule reads a
-        # same-stratum predicate).
-        while delta_variants and any(delta[p] for p in stratum_preds):
-            for predicate in stratum_preds:
-                materialize(predicate + DELTA_SUFFIX, predicate, delta[predicate])
-            new_delta: dict[str, set[Row]] = {p: set() for p in stratum_preds}
-            derive(Executor(working), delta_variants, new_delta)
-            delta = new_delta
-            for predicate in stratum_preds:
-                if delta[predicate]:
-                    materialize(predicate, predicate, facts[predicate])
-        for predicate in stratum_preds:
-            if predicate + DELTA_SUFFIX in working:
-                working.drop_relation(predicate + DELTA_SUFFIX)
-
-    return facts
-
-
-def datalog_relation(compiled: CompiledDatalog, facts: Mapping[str, set[Row]],
-                     query: str = "ans") -> Relation:
-    """Package the ``query`` predicate of :func:`run_datalog`'s facts."""
-    from repro.datalog.ast import names_from_heads
-
-    key = query.lower()
-    if key not in facts:
-        raise LoweringError(f"program defines no predicate {query!r}")
-    rows = sorted(facts[key], key=lambda r: tuple(str(v) for v in r))
-    names = names_from_heads(
-        [rule.head_vars for rules in compiled.strata for rule in rules
-         if rule.head == key], rows)
-    return result_relation(names, rows)
+    return execute_plan(optimize(plan, db) if use_optimizer else plan, db,
+                        backend=backend)
 
 
 def execute_datalog(program: Any, db: Database, query: str = "ans",
                     *, use_optimizer: bool = True) -> Relation:
-    """Evaluate a stratified Datalog program with semi-naive iteration."""
-    compiled = lower_datalog(program, db)
-    if use_optimizer:
-        compiled = optimize_datalog(compiled, db)
-    return datalog_relation(compiled, run_datalog(compiled, db), query)
+    """Evaluate a stratified Datalog program at its ``query`` predicate:
+    its one plan (:func:`~repro.engine.lower.lower_datalog`), run."""
+    from repro.engine.optimize import optimize
 
-
-def _fact_row(rule: Any) -> Row:
-    from repro.logic.terms import Const as LConst
-
-    row = []
-    for term in rule.head.terms:
-        if not isinstance(term, LConst):
-            raise LoweringError(
-                f"head variable of fact {rule.head.predicate} is unbound"
-            )
-        row.append(term.value)
-    return tuple(row)
+    plan = lower_datalog(program, db.schema, query)
+    return execute_plan(optimize(plan, db) if use_optimizer else plan, db)

@@ -21,11 +21,15 @@ One compiler per frontend:
   :func:`lower_trc` is the same compiler behind the textbook TRC → DRC
   translation (:func:`repro.translate.trc_to_drc.trc_to_drc`): a tuple
   variable is one domain variable per attribute.
-* :func:`lower_datalog_rule` — a rule body is a DRC conjunction: its
-  positive literals as atoms (in body order), its comparisons, and its
+* :func:`lower_datalog` — a program is one plan, read at its query
+  predicate.  A rule body is a DRC conjunction (:func:`lower_datalog_rule`):
+  its positive literals as atoms (in body order), its comparisons, and its
   negated literals as negated atoms, lowered by the DRC compiler and
-  projected onto the head.  A semi-naive delta variant is the same
-  conjunction with one atom over ``pred@delta`` (the fixpoint loop lives in
+  projected onto the head.  A non-recursive IDB predicate is inlined at
+  each use as the DISTINCT union of its rules' bodies; a recursive stratum,
+  or a predicate that carries facts, is one :class:`FixpointP` holding its
+  rule bodies and their semi-naive delta variants (the same conjunction
+  with one atom over ``pred@delta``; the loop lives in
   :mod:`repro.engine.execute`).
 
 Anything outside a frontend's supported fragment raises
@@ -42,6 +46,7 @@ calculus' evaluator does only when no rows exercise them.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.data.relation import unique_names
@@ -52,6 +57,7 @@ from repro.engine.plan import (
     DistinctP,
     DivideP,
     FilterP,
+    FixpointP,
     JoinP,
     Plan,
     PositionCol,
@@ -62,15 +68,15 @@ from repro.engine.plan import (
     has_column,
     resolve_column,
 )
-from repro.engine.stats import DELTA_SUFFIX
+from repro.engine.stats import DELTA_SUFFIX, working_predicate
 
 
 class LoweringError(Exception):
     """Raised when a query lies outside the engine's supported fragment."""
 
 
-#: Maps a calculus atom's predicate to the relation it scans and its arity.
-Scan = Callable[[str], tuple[str, int]]
+#: Maps a calculus atom's predicate to a plan over its rows (any column names).
+Scan = Callable[[str], Plan]
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +129,11 @@ def detect_language(text: str) -> str:
 
 
 def lower(query: Any, schema: DatabaseSchema, language: str | None = None) -> Plan:
-    """Lower any non-Datalog query representation to a plan.
+    """Lower a query of any of the five languages to one plan.
 
     ``query`` may be text (language auto-detected unless given) or a parsed
-    AST of any frontend.  Datalog programs have no single static plan (their
-    recursion is driven by :func:`repro.engine.execute.execute_datalog`) and
-    are rejected here.
+    AST of any frontend; a Datalog program is read at its ``ans`` predicate
+    (:func:`lower_datalog`).
     """
     from repro.datalog.ast import Program
     from repro.drc.ast import DRCQuery
@@ -138,20 +143,11 @@ def lower(query: Any, schema: DatabaseSchema, language: str | None = None) -> Pl
 
     if isinstance(query, str):
         language = (language or detect_language(query)).lower()
-        if language == "sql":
-            return lower_sql(query, schema)
-        if language == "ra":
-            return lower_ra(query, schema)
-        if language == "trc":
-            return lower_trc(query, schema)
-        if language == "drc":
-            return lower_drc(query, schema)
-        if language == "datalog":
-            raise LoweringError(
-                "Datalog programs are executed by execute_datalog (semi-naive), "
-                "not by a single static plan"
-            )
-        raise LoweringError(f"unknown language {language!r}")
+        lowerer = {"sql": lower_sql, "ra": lower_ra, "trc": lower_trc,
+                   "drc": lower_drc, "datalog": lower_datalog}.get(language)
+        if lowerer is None:
+            raise LoweringError(f"unknown language {language!r}")
+        return lowerer(query, schema)
     if isinstance(query, (SelectQuery, SetOpQuery)):
         return lower_sql(query, schema)
     if isinstance(query, RAExpr):
@@ -161,7 +157,7 @@ def lower(query: Any, schema: DatabaseSchema, language: str | None = None) -> Pl
     if isinstance(query, DRCQuery):
         return lower_drc(query, schema)
     if isinstance(query, Program):
-        raise LoweringError("use execute_datalog for Datalog programs")
+        return lower_datalog(query, schema)
     raise LoweringError(f"cannot lower query of type {type(query).__name__}")
 
 
@@ -615,17 +611,19 @@ def _lower_calculus(query: Any, schema: DatabaseSchema, names: Sequence[str]) ->
     except LogicError as exc:
         raise LoweringError(str(exc)) from exc
 
-    def scan(predicate: str) -> tuple[str, int]:
-        try:
-            rel = schema.relation(predicate)
-        except SchemaError as exc:
-            raise LoweringError(str(exc)) from exc
-        return rel.name, rel.arity
-
-    plan = _apply_drc(None, body, scan)
+    plan = _apply_drc(None, body, lambda predicate: _scan(schema, predicate))
     if plan is None:
         raise LoweringError("DRC query has no positive relation atoms")
     return _project_head(plan, query.head, names)
+
+
+def _scan(schema: DatabaseSchema, predicate: str) -> Plan:
+    """A scan of the base relation ``predicate`` names."""
+    try:
+        rel = schema.relation(predicate)
+    except SchemaError as exc:
+        raise LoweringError(str(exc)) from exc
+    return ScanP(rel.name, rel.attribute_names)
 
 
 def _project_head(plan: Plan, head: Sequence[Any], names: Sequence[str]) -> Plan:
@@ -697,16 +695,21 @@ def _drc_atom_plan(atom: Any, scan: Scan) -> tuple[Plan, list[str]]:
     """A plan for one positive atom, projected onto its variables."""
     from repro.logic.terms import Const as LConst, Var as LVar
 
-    relation, arity = scan(atom.predicate)
+    source = scan(atom.predicate)
+    arity = len(source.columns)
     if arity != len(atom.terms):
         raise LoweringError(
             f"atom {atom.predicate} has {len(atom.terms)} terms but the relation "
             f"has arity {arity}"
         )
     # A delta occurrence names its columns after the predicate it is a delta of.
-    label = atom.predicate.lower().removesuffix(DELTA_SUFFIX)
+    label = working_predicate(atom.predicate)
     temp = tuple(f"__{label}.{i}" for i in range(arity))
-    plan: Plan = ScanP(relation, temp)
+    plan: Plan
+    if isinstance(source, (ScanP, FixpointP)):
+        plan = replace(source, columns=temp)
+    else:
+        plan = _project_positions(source, range(arity), temp)
     conditions: list[e.Expr] = []
     var_first: dict[str, int] = {}
     for i, term in enumerate(atom.terms):
@@ -847,28 +850,133 @@ def _apply_drc_quantified(plan: Plan | None, conjunct: Any,
 
 
 # ---------------------------------------------------------------------------
-# Datalog (per-rule; the fixpoint loop lives in engine.execute)
+# Datalog: one plan per program
 # ---------------------------------------------------------------------------
 
-def lower_datalog_rule(rule: Any, arities: Mapping[str, int]) -> Plan:
-    """Lower one Datalog rule body to a plan producing head rows.
+def lower_datalog(program: "Any | str", schema: DatabaseSchema,
+                  query: str = "ans") -> Plan:
+    """Lower a stratified Datalog program (text or AST) to the one plan of
+    its ``query`` predicate, its columns named after that predicate's rule
+    heads (:func:`repro.datalog.ast.names_from_heads`).
 
-    The body is the DRC conjunction of its literals, as atoms and negated
-    atoms, and its comparisons, lowered by :func:`_apply_drc`; positive
-    atoms join in body order.  ``arities`` maps (lower-cased) predicate
-    names to arities — needed for IDB predicates that may be empty when the
-    plan is built.  A literal over ``pred@delta`` scans that delta relation:
-    semi-naive evaluation's variants point one occurrence of a recursive
-    predicate at it.
+    A non-recursive IDB predicate without facts is inlined at each use as
+    the DISTINCT union of its rules' bodies.  Each other component of the
+    dependency graph, a recursive stratum or a predicate carrying facts, is
+    one :class:`FixpointP`: its rule bodies read the component's predicates
+    as working relations, and each positive occurrence of one gives a delta
+    variant.  Unsafe or unstratifiable programs, predicates that are neither
+    defined by a rule nor a relation, and rule heads that name a relation
+    raise :class:`LoweringError`.
     """
+    from functools import cache
+
+    from repro.datalog.ast import DatalogError, Literal, Program, names_from_heads
+    from repro.datalog.stratify import dependency_graph, stratify
+
+    if isinstance(program, str):
+        from repro.datalog.parser import parse_datalog
+
+        program = parse_datalog(program)
+    assert isinstance(program, Program)
+    problems = program.check_safety()
+    if problems:
+        raise LoweringError("unsafe program: " + "; ".join(problems))
+    try:
+        stratify(program)
+    except DatalogError as exc:
+        raise LoweringError(str(exc)) from exc
+    rules = {p: program.rules_for(p) for p in program.idb_predicates()}
+    relations = {name.lower() for name in schema.relation_names}
+    for predicate, defining in rules.items():
+        if predicate in relations:
+            raise LoweringError(
+                f"rule head {predicate!r} names a relation of the database")
+        if len({rule.head.arity for rule in defining}) != 1:
+            raise LoweringError(f"predicate {predicate!r} has rules of "
+                                "different arities")
+    if query.lower() not in rules:
+        raise LoweringError(f"program defines no predicate {query!r}")
+    graph = dependency_graph(program)
+    reach: dict[str, set[str]] = {}
+    for start in rules:
+        seen, stack = set(), [start]
+        while stack:
+            for successor, _negated in graph.get(stack.pop(), ()):
+                if successor in rules and successor not in seen:
+                    seen.add(successor)
+                    stack.append(successor)
+        reach[start] = seen
+
+    def names(predicate: str) -> tuple[str, ...]:
+        return tuple(f"col{i + 1}"
+                     for i in range(rules[predicate][0].head.arity))
+
+    def scan(predicate: str) -> Plan:
+        predicate = predicate.lower()
+        if predicate in rules:
+            return plan_of(predicate, names(predicate))
+        if predicate not in relations:
+            raise LoweringError(f"predicate {predicate!r} is neither "
+                                "defined by a rule nor a relation")
+        return _scan(schema, predicate)
+
+    @cache
+    def plan_of(predicate: str, columns: tuple[str, ...]) -> Plan:
+        if predicate in reach[predicate] or any(
+                rule.is_fact for rule in rules[predicate]):
+            members = tuple(p for p in rules if p == predicate or (
+                p in reach[predicate] and predicate in reach[p]))
+            return replace(fixpoint(members), predicate=predicate,
+                           columns=columns)
+        bodies = [lower_datalog_rule(rule, scan, columns)
+                  for rule in rules[predicate]]
+        out = bodies[0]
+        for body in bodies[1:]:
+            out = SetOpP("union", out, body)
+        return out
+
+    @cache
+    def fixpoint(members: tuple[str, ...]) -> FixpointP:
+        def stratum_scan(predicate: str) -> Plan:
+            base = working_predicate(predicate)
+            if base in members:
+                return ScanP(predicate.lower(), names(base))
+            return scan(predicate)
+
+        bodies, variants, facts = [], [], []
+        for head in members:
+            for rule in rules[head]:
+                if rule.is_fact:
+                    facts.append((head, tuple(e.Const(term.value)
+                                              for term in rule.head.terms)))
+                    continue
+                bodies.append((head, lower_datalog_rule(
+                    rule, stratum_scan, names(head))))
+                for position, item in enumerate(rule.body):
+                    if isinstance(item, Literal) and not item.negated \
+                            and item.predicate.lower() in members:
+                        delta = replace(item, predicate=item.predicate.lower()
+                                        + DELTA_SUFFIX)
+                        body = rule.body[:position] + (delta,) \
+                            + rule.body[position + 1:]
+                        variants.append((head, lower_datalog_rule(
+                            replace(rule, body=body), stratum_scan,
+                            names(head))))
+        return FixpointP(members[0], names(members[0]), tuple(bodies),
+                         tuple(variants), tuple(facts))
+
+    return plan_of(query.lower(), tuple(unique_names(
+        names_from_heads(rules[query.lower()]))))
+
+
+def lower_datalog_rule(rule: Any, scan: Scan, names: Sequence[str]) -> Plan:
+    """Lower one Datalog rule body to a plan of head rows named ``names``:
+    the DRC conjunction of its atoms (joined in body order), negated atoms
+    and comparisons, lowered by :func:`_apply_drc`.  ``scan`` gives the
+    plan an atom reads: a relation, an inlined IDB predicate, or a
+    fixpoint's working relation (``pred`` or its delta ``pred@delta``)."""
     from repro.datalog.ast import BuiltinComparison
     from repro.logic import formula as f
-
-    def scan(predicate: str) -> tuple[str, int]:
-        arity = arities.get(predicate.lower().removesuffix(DELTA_SUFFIX))
-        if arity is None:
-            raise LoweringError(f"unknown predicate {predicate!r}")
-        return predicate, arity
 
     conjuncts: list[Any] = []
     for item in rule.body:
@@ -878,7 +986,5 @@ def lower_datalog_rule(rule: Any, arities: Mapping[str, int]) -> Plan:
             atom = f.Atom(item.predicate, item.terms)
             conjuncts.append(f.Not(atom) if item.negated else atom)
     plan = _apply_drc(None, f.And(tuple(conjuncts)), scan)
-    if plan is None:
-        raise LoweringError("facts are materialised directly, not lowered")
-    return _project_head(plan, rule.head.terms,
-                         [f"col{i + 1}" for i in range(rule.head.arity)])
+    assert plan is not None  # a safe rule with a body has a positive atom
+    return _project_head(plan, rule.head.terms, names)

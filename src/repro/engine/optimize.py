@@ -22,10 +22,11 @@ Three families of rewrites, applied in order by :func:`optimize`:
    c. :func:`hoist_projections` again, so that projection and the picks
       above it merge into one.
 
-   Delta relations of the semi-naive Datalog fixpoint and the delta windows
-   of a view's delta terms are estimated tiny, which seeds each
-   delta-variant plan at the delta occurrence — the semi-join reduction of
-   classical semi-naive evaluation.  :mod:`repro.engine.delta` hands its
+   The delta relations of a Datalog fixpoint's rule bodies (the node's
+   children, rewritten like any subplan) and the delta windows of a view's
+   delta terms are estimated tiny, which seeds each delta-variant plan at
+   the delta occurrence — the semi-join reduction of classical semi-naive
+   evaluation.  :mod:`repro.engine.delta` hands its
    terms to :func:`optimize` and plans nothing itself.
 3. **Common subexpression elimination** — structurally identical subtrees are
    interned to a single object.  The executor memoizes results per plan
@@ -48,6 +49,7 @@ from repro.engine.plan import (
     DistinctP,
     DivideP,
     FilterP,
+    FixpointP,
     JoinP,
     Plan,
     PlanError,
@@ -131,6 +133,8 @@ def _rebuild(plan: Plan, children: list[Plan]) -> Plan:
         return DivideP(children[0], children[1])
     if isinstance(plan, SortLimitP):
         return SortLimitP(children[0], plan.keys, plan.limit)
+    if isinstance(plan, FixpointP):
+        return plan.with_children(children)
     raise PlanError(f"cannot rebuild {type(plan).__name__}")
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from repro.expr.ast import BoolConst, Expr, FuncCall
+from repro.expr.ast import BoolConst, Const, Expr, FuncCall
 
 
 class PlanError(Exception):
@@ -326,6 +326,47 @@ class SortLimitP(Plan):
         return (self.input,)
 
 
+@dataclass(frozen=True)
+class FixpointP(Plan):
+    """The least fixpoint of one recursive Datalog stratum, read at its
+    ``predicate`` under ``columns``.
+
+    ``rules`` pair a head predicate with a rule body, ``variants`` with a
+    semi-naive delta variant of one (a positive occurrence of a stratum
+    predicate reading its delta), ``facts`` with a row of constants.  The
+    bodies read each stratum predicate as a *working relation* of its name,
+    held only by the loop (:func:`repro.engine.execute.fixpoint_rows`).
+    They are the node's children, so every rewrite reaches them.  A
+    non-recursive predicate that carries facts is a fixpoint without
+    variants.
+    """
+
+    predicate: str
+    columns: tuple[str, ...] = ()
+    rules: tuple[tuple[str, Plan], ...] = ()
+    variants: tuple[tuple[str, Plan], ...] = ()
+    facts: tuple[tuple[str, tuple[Const, ...]], ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "columns", tuple(self.columns))
+
+    def arities(self) -> dict[str, int]:
+        """The arity of each stratum predicate (its working relation)."""
+        out = {head: len(row) for head, row in self.facts}
+        out.update((head, len(plan.columns)) for head, plan in self.rules)
+        return out
+
+    def children(self) -> tuple[Plan, ...]:
+        return tuple(plan for _head, plan in self.rules + self.variants)
+
+    def with_children(self, plans: Sequence[Plan]) -> "FixpointP":
+        heads = [head for head, _plan in self.rules + self.variants]
+        pairs = tuple(zip(heads, plans))
+        cut = len(self.rules)
+        return FixpointP(self.predicate, self.columns, pairs[:cut],
+                         pairs[cut:], self.facts)
+
+
 # ---------------------------------------------------------------------------
 # Column resolution
 # ---------------------------------------------------------------------------
@@ -341,7 +382,7 @@ def _install_cached_hashes() -> None:
     touch; equality is untouched (still field-based).
     """
     for cls in (ScanP, DeltaScanP, FilterP, ProjectP, DistinctP, JoinP,
-                SetOpP, AggregateP, DivideP, SortLimitP):
+                SetOpP, AggregateP, DivideP, SortLimitP, FixpointP):
         generated = cls.__hash__
 
         def cached(self, _generated=generated):  # type: ignore[no-untyped-def]
@@ -430,6 +471,10 @@ def explain(plan: Plan, *, indent: int = 0) -> str:
         details = f" [{plan.op}{'' if plan.distinct else ' all'}]"
     elif isinstance(plan, ProjectP):
         details = f" -> ({', '.join(plan.names)})"
+    elif isinstance(plan, FixpointP):
+        details = (f" {plan.predicate} [{len(plan.rules)} rules, "
+                   f"{len(plan.variants)} delta variants, "
+                   f"{len(plan.facts)} facts]")
     lines = [f"{pad}{label}{details}"]
     for child in plan.children():
         lines.append(explain(child, indent=indent + 1))

@@ -83,6 +83,7 @@ from repro.engine.plan import (
     DistinctP,
     DivideP,
     FilterP,
+    FixpointP,
     JoinP,
     Plan,
     ProjectP,
@@ -212,7 +213,8 @@ def _broadcast_side(plan: Plan) -> tuple[Plan, Distribution]:
     Any deterministic subtree qualifies — evaluated over the full merged
     relations it produces its complete single-node output on every shard —
     except delta scans, whose version anchors do not carry over to the
-    rebuilt merged views.
+    rebuilt merged views, and fixpoints, whose rule bodies read working
+    relations no shard holds.
     """
     names: set[str] = set()
 
@@ -223,6 +225,9 @@ def _broadcast_side(plan: Plan) -> tuple[Plan, Distribution]:
         if isinstance(node, DeltaScanP):
             raise NotDistributable(
                 "delta scans cannot be broadcast (no merged delta log)")
+        if isinstance(node, FixpointP):
+            raise NotDistributable(
+                "a fixpoint runs once, over the merged relations")
         return _rebuild(node, [visit(child) for child in node.children()])
 
     rewritten = visit(plan)

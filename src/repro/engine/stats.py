@@ -24,11 +24,13 @@ to order join trees by *estimated result size* rather than by raw leaf
 cardinality.
 
 The same estimates drive the **semi-join reduction** of the semi-naive
-Datalog path: delta relations (``pred@delta``) are estimated tiny — pinned
-at :data:`DELTA_ESTIMATE` before they first materialize — so the cost-based
-ordering joins each rule's delta occurrence first and every later join is
-probed only with tuples that survived the delta, which is exactly the
-semi-join program of the classical semi-naive transformation.
+Datalog fixpoint (:class:`~repro.engine.plan.FixpointP`).  Its rule bodies
+read working relations the database does not hold: a delta one
+(``pred@delta``) is estimated tiny, :data:`DELTA_ESTIMATE`, so the
+cost-based ordering joins each delta variant's delta occurrence first and
+every later join is probed only with tuples that survived the delta, which
+is exactly the semi-join program of the classical semi-naive
+transformation.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from repro.engine.plan import (
     DistinctP,
     DivideP,
     FilterP,
+    FixpointP,
     JoinP,
     Plan,
     PlanError,
@@ -72,6 +75,12 @@ UNKNOWN_ESTIMATE = 100.0
 #: Fallback selectivities, matching the PR-1 heuristics.
 EQ_SELECTIVITY = 0.1
 DEFAULT_SELECTIVITY = 0.4
+
+
+def working_predicate(relation: str) -> str:
+    """The fixpoint predicate a working relation holds facts of: ``p`` for
+    both ``p`` and its delta ``p@delta``."""
+    return relation.lower().removesuffix(DELTA_SUFFIX)
 
 
 @dataclass(frozen=True)
@@ -159,8 +168,7 @@ class StatsCatalog:
     relations themselves (:func:`table_profile`), so constructing a catalog
     per query is free and every catalog over the same relations shares one
     set of profiles.  A mutated relation is re-profiled on next access; a
-    replaced one (the Datalog fixpoint re-materializes its working database
-    every round) carries its own.
+    replaced one carries its own.
     """
 
     def __init__(self, db: Database) -> None:
@@ -207,6 +215,7 @@ class StatsCatalog:
             stats = self.table(plan.relation)
             if stats is not None:
                 return float(stats.row_count)
+            # Not in the database: a fixpoint's working relation.
             if plan.relation.lower().endswith(DELTA_SUFFIX):
                 return DELTA_ESTIMATE
             return UNKNOWN_ESTIMATE
@@ -248,6 +257,9 @@ class StatsCatalog:
             return max(1.0, self._estimate_groups(plan))
         if isinstance(plan, DivideP):
             return max(1.0, self.estimate(plan.left) * 0.1)
+        if isinstance(plan, FixpointP):
+            return max(1.0, len(plan.facts) + sum(
+                self.estimate(body) for _head, body in plan.rules))
         return UNKNOWN_ESTIMATE
 
     def _estimate_join(self, plan: JoinP) -> float:

@@ -86,6 +86,7 @@ from repro.engine.execute import (
     compiled_predicate,
     delta_scan_rows,
     divide_rows,
+    fixpoint_rows,
     join_table,
     scan_lookup,
     scan_relation,
@@ -99,6 +100,7 @@ from repro.engine.plan import (
     DistinctP,
     DivideP,
     FilterP,
+    FixpointP,
     JoinP,
     Plan,
     PlanError,
@@ -247,6 +249,8 @@ class VectorizedExecutor:
         if isinstance(plan, SortLimitP):
             return Batch.from_rows(plan.columns, sort_limit_rows(
                 plan, self.batch(plan.input).rows()))
+        if isinstance(plan, FixpointP):
+            return Batch.from_rows(plan.columns, fixpoint_rows(plan, self.db))
         raise PlanError(f"cannot execute {type(plan).__name__}")
 
     def _scan(self, plan: ScanP) -> Batch:

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 from repro.data.database import Database
 from repro.data.schema import RelationSchema, SchemaError
@@ -60,6 +60,7 @@ from repro.engine.plan import (
     DistinctP,
     DivideP,
     FilterP,
+    FixpointP,
     JoinP,
     Plan,
     PlanError,
@@ -70,6 +71,7 @@ from repro.engine.plan import (
     SortLimitP,
     resolve_column,
 )
+from repro.engine.stats import working_predicate
 
 __all__ = [
     "PlanVerificationError",
@@ -154,6 +156,11 @@ def _unify(a: "str | None", b: "str | None") -> "str | None":
     return None
 
 
+def _widen(old: "tuple[str | None, ...] | None",
+           new: "tuple[str | None, ...]") -> "tuple[str | None, ...]":
+    return new if old is None else tuple(_unify(a, b) for a, b in zip(old, new))
+
+
 def _const_type(value: Any) -> "str | None":
     if value is None:
         return None  # NULL: compares as unknown (3-valued logic)
@@ -166,17 +173,6 @@ def _const_type(value: Any) -> "str | None":
     if isinstance(value, str):
         return "string"
     return None
-
-
-def _untyped_schema(schema: RelationSchema) -> bool:
-    """The Datalog fixpoint's generic all-string working schema.
-
-    IDB relations are materialized with ``validate=False`` under columns
-    ``col1..colN`` declared STRING while actually holding whatever the
-    rules derived; their declared types must not be trusted.
-    """
-    return all(a.dtype is DataType.STRING and a.name == f"col{i + 1}"
-               for i, a in enumerate(schema.attributes))
 
 
 SchemaLookup = Callable[[str], "RelationSchema | None"]
@@ -211,10 +207,15 @@ class _Checker:
     """One verification pass: schema lookup + error context + memo."""
 
     def __init__(self, lookup: SchemaLookup, rule: "str | None",
-                 require_anchored: bool) -> None:
+                 require_anchored: bool,
+                 working: "Mapping[str, tuple[str | None, ...]] | None"
+                 = None) -> None:
         self.lookup = lookup
         self.rule = rule
         self.require_anchored = require_anchored
+        #: Column types of the working relations of the fixpoints whose
+        #: rule bodies are being checked, by predicate.
+        self.working = working or {}
         self.memo: dict[int, tuple["str | None", ...]] = {}
 
     def fail(self, node: Plan, message: str) -> PlanVerificationError:
@@ -403,16 +404,46 @@ class _Checker:
 
     def _scan_types(self, plan: "ScanP | DeltaScanP"
                     ) -> tuple["str | None", ...]:
-        schema = self.lookup(plan.relation)
-        if schema is None:
-            return (None,) * len(plan.columns)
-        if schema.arity != len(plan.columns):
+        types = self.working.get(working_predicate(plan.relation)) \
+            if isinstance(plan, ScanP) else None
+        if types is None:
+            schema = self.lookup(plan.relation)
+            if schema is None:
+                return (None,) * len(plan.columns)
+            types = tuple(_DTYPE_TO_TYPE.get(a.dtype)
+                          for a in schema.attributes)
+        if len(types) != len(plan.columns):
             raise self.fail(plan, f"scan of {plan.relation!r} expects arity "
-                            f"{schema.arity}, plan declares "
+                            f"{len(types)}, plan declares "
                             f"{len(plan.columns)} columns")
-        if _untyped_schema(schema):
-            return (None,) * len(plan.columns)
-        return tuple(_DTYPE_TO_TYPE.get(a.dtype) for a in schema.attributes)
+        return types
+
+    def _check_fixpoint(self, plan: FixpointP) -> tuple["str | None", ...]:
+        """Type the stratum's working relations while checking its bodies.
+
+        A predicate's types are the union (:func:`_unify`) of its facts'
+        and its rule bodies' types, computed to a fixpoint.  A body is
+        checked once every predicate it reads has rows to type (one that
+        never does is empty, and so is the body); typing only ever widens
+        a column, so the loop ends.
+        """
+        types = dict.fromkeys(plan.arities())
+        for head, consts in plan.facts:
+            types[head] = _widen(types[head], tuple(
+                _const_type(c.value) for c in consts))
+        while True:
+            checker = _Checker(self.lookup, self.rule, self.require_anchored,
+                               {**self.working, **{p: t for p, t
+                                                   in types.items() if t}})
+            found = dict(types)
+            for head, body in plan.rules + plan.variants:
+                if all(types.get(working_predicate(node.relation), ())
+                       is not None for node in body.walk()
+                       if isinstance(node, ScanP)):
+                    found[head] = _widen(found[head], checker.check(body))
+            if found == types:
+                return types[plan.predicate] or (None,) * len(plan.columns)
+            types = found
 
     def _check(self, plan: Plan) -> tuple["str | None", ...]:
         if isinstance(plan, ScanP):
@@ -444,6 +475,8 @@ class _Checker:
             return self._check_aggregate(plan)
         if isinstance(plan, DivideP):
             return self._check_divide(plan)
+        if isinstance(plan, FixpointP):
+            return self._check_fixpoint(plan)
         if isinstance(plan, SortLimitP):
             types = self.check(plan.input)
             for key_expr, _ascending in plan.keys:

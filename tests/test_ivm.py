@@ -411,6 +411,25 @@ class TestMaterializedViews:
         assert view.rebuilds >= 2  # initial + the refresh
         assert view.strategy == "rebuild"
 
+    @pytest.mark.parametrize("query", CANONICAL_QUERIES[:2],
+                             ids=lambda query: query.id)
+    def test_non_recursive_datalog_views_are_maintained(self, query):
+        # A non-recursive program is one plan, maintained like its DRC
+        # spelling; the recursive leg above still rebuilds.
+        service = QueryService(sailors_database())
+        view = service.register_view(query.datalog, language="datalog")
+        assert view.strategy == "distinct"
+        service.add_rows("Sailors", [(90, "Ada", 9, 30.0)])
+        service.add_rows("Boats", [(190, "Ark", "red")])
+        service.add_rows("Reserves", [(90, 102, "2025-01-01"),
+                                      (90, 190, "2025-01-02"),
+                                      (22, 190, "2025-01-03")])
+        fresh = fresh_answers(service.db, query.datalog, "datalog")
+        assert view.answer().bag_equal(fresh)
+        assert {"Ada"} <= {row[0] for row in fresh.rows()}
+        assert view.incremental_refreshes >= 1
+        assert view.strategy == "distinct"
+
     def test_log_overflow_triggers_rebuild(self, monkeypatch):
         monkeypatch.setattr(Relation, "DELTA_LOG_LIMIT", 8)
         service = QueryService(sailors_database())

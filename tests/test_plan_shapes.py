@@ -20,14 +20,15 @@ from hypothesis import strategies as st
 from repro.core import QueryService, QueryVisualizationPipeline
 from repro.core.pipeline import _parse
 from repro.core.service_api import QueryParseError
+from repro.data import Database
 from repro.data.relation import relation_from_rows
 from repro.data.sailors import random_sailors_database, sailors_database
 from repro.engine import (
+    FixpointP,
     Template,
+    explain,
     lower,
-    lower_datalog,
     optimize,
-    optimize_datalog,
     scan_literals,
 )
 from repro.engine.bind import attach_slots, sentinel_text, sentinels_for
@@ -182,8 +183,6 @@ class TestLiteralSweep:
     def test_first_seen_literals_bind_to_the_fresh_compile(self):
         """(c): for the literals a template was compiled from, the bound
         plan *is* the fresh compile (so ``explain`` agrees too)."""
-        from repro.engine import explain
-
         db = random_sailors_database(n_sailors=60, n_boats=12,
                                      n_reserves=300, seed=3)
         pipeline = QueryVisualizationPipeline(db)
@@ -191,13 +190,9 @@ class TestLiteralSweep:
             ("sql", template.format(k=17, a="21.500"))
             for template in ANALYTIC_TEMPLATES]
         for language, text in texts:
-            if language == "datalog":
-                bound = pipeline.run(text, language=language).plan
-                fresh = optimize_datalog(lower_datalog(text, db), db)
-            else:
-                bound = pipeline.prepare_plan(text, language)
-                fresh = optimize(lower(text, db.schema, language), db)
-                assert explain(bound) == explain(fresh)
+            bound = pipeline.prepare_plan(text, language)
+            fresh = optimize(lower(text, db.schema, language), db)
+            assert explain(bound) == explain(fresh)
             assert bound == fresh, (language, text)
             assert not any(isinstance(node, e.Const) and node.slot is not None
                            for node in _leaves(bound))
@@ -205,7 +200,7 @@ class TestLiteralSweep:
 
 
 def _leaves(node):
-    """Every node of a plan / expression / compiled-program tree."""
+    """Every node of a plan / expression tree."""
     yield node
     if isinstance(node, tuple):
         parts = node
@@ -438,8 +433,8 @@ class TestPreparedShapes:
 # ---------------------------------------------------------------------------
 
 def _skeleton(node):
-    """A lowered plan (or compiled program) with every constant's value
-    blanked to its type: what may not depend on the literals."""
+    """A lowered plan with every constant's value blanked to its type:
+    what may not depend on the literals."""
     if isinstance(node, e.Const):
         return ("Const", type(node.value).__name__)
     if isinstance(node, tuple):
@@ -474,8 +469,6 @@ def test_lowering_is_literal_blind(pick, data):
     assert scan_literals(variant) == (shape, values)
 
     def lowered(source: str):
-        if language == "datalog":
-            return lower_datalog(source, db)
         return lower(source, db.schema, language)
 
     first, second = lowered(text), lowered(variant)
@@ -485,3 +478,41 @@ def test_lowering_is_literal_blind(pick, data):
                            literals, sentinels)
     assert slotted is not None
     assert Template(slotted).bind(values) == second
+
+
+class TestOneDatalogPlan:
+    """A Datalog program lowers to one plan like the other four languages;
+    recursion is one operator in it."""
+
+    #: E1's transitive-closure program (copied, not imported).
+    TC_PROGRAM = ("tc(X, Y) :- edge(X, Y).\n"
+                  "tc(X, Z) :- tc(X, Y), edge(Y, Z).\n"
+                  "ans(X, Y) :- tc(X, Y).")
+
+    @staticmethod
+    def fixpoints(plan):
+        return [node for node in plan.walk() if isinstance(node, FixpointP)]
+
+    @pytest.mark.parametrize("query", CANONICAL_QUERIES[:2],
+                             ids=lambda query: query.id)
+    def test_datalog_and_drc_optimize_to_one_skeleton(self, query):
+        db = sailors_database()
+        datalog = optimize(lower(query.datalog, db.schema, "datalog"), db)
+        drc = optimize(lower(query.drc, db.schema, "drc"), db)
+        assert _skeleton(datalog) == _skeleton(drc)
+
+    def test_catalog_programs_have_no_fixpoint(self):
+        db = sailors_database()
+        for query in CANONICAL_QUERIES:
+            assert self.fixpoints(lower(query.datalog, db.schema)) == [], \
+                query.id
+
+    def test_transitive_closure_is_one_fixpoint(self):
+        db = Database([relation_from_rows(
+            "edge", [("src", "int"), ("dst", "int")], [(1, 2), (2, 3)])])
+        plan = optimize(lower(self.TC_PROGRAM, db.schema), db)
+        (fixpoint,) = self.fixpoints(plan)
+        assert (len(fixpoint.rules), len(fixpoint.variants)) == (2, 1)
+        assert plan.columns == ("x", "y")
+        assert "Fixpoint tc [2 rules, 1 delta variants, 0 facts]" \
+            in explain(plan)

@@ -182,8 +182,9 @@ class TestCatalogViewsDifferential:
     def test_unmaintainable_views_degrade_to_rebuild(self, service_kind,
                                                      text, language,
                                                      monkeypatch):
-        # LIMIT leaves no maintainable core; a Datalog program is not one
-        # plan.  Both rebuild on every refresh, on either service.
+        # LIMIT leaves no maintainable core, and neither does a recursive
+        # program's fixpoint.  Both rebuild on every refresh, on either
+        # service.
         monkeypatch.setattr(Relation, "DELTA_LOG_LIMIT", 4)
         service = SERVICES[service_kind](sailors_database())
         view = service.register_view(text, language=language)

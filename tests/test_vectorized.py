@@ -8,7 +8,8 @@ Three layers under differential test:
   reference backend and to all five reference interpreters over the whole
   canonical catalog, with and without the optimizer;
 * **optimizer** — table statistics drive selectivity and join-order
-  decisions (and the delta-first semi-join reduction of the Datalog path).
+  decisions (and the delta-first semi-join reduction of a Datalog
+  fixpoint's delta variants).
 """
 
 from __future__ import annotations
@@ -46,13 +47,11 @@ ALL_CELLS = [
     for language in LANGUAGES
 ]
 
-PLAN_CELLS = [p for p in ALL_CELLS if p.values[1].lower() != "datalog"]
-
 
 class TestDifferentialVectorized:
     """Vectorized backend == row backend == reference, whole catalog."""
 
-    @pytest.mark.parametrize("query,language", PLAN_CELLS)
+    @pytest.mark.parametrize("query,language", ALL_CELLS)
     def test_backends_agree_optimized_and_not(self, db, query, language):
         text = query.languages()[language]
         for use_optimizer in (True, False):

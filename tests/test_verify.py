@@ -53,11 +53,11 @@ from repro.queries import CANONICAL_QUERIES
 SAILORS = ("sid", "sname", "rating", "age")
 RESERVES = ("sid", "bid", "day")
 
-_PLAN_LANGUAGES = ("sql", "ra", "trc", "drc")
+_PLAN_LANGUAGES = ("sql", "ra", "trc", "drc", "datalog")
 
 
 def _lowered_plans(query, db):
-    """(language, plan) for every statically-lowerable language of a query."""
+    """(language, plan) for every language of a query."""
     plans = []
     for language in _PLAN_LANGUAGES:
         text = getattr(query, language, None)
@@ -98,14 +98,13 @@ class TestCatalogVerifies:
 
     def test_datalog_catalog_verifies_under_hooks(self, db, canonical_query,
                                                   monkeypatch):
-        # Datalog has no single static plan; its per-rule and fixpoint
-        # plans flow through the optimizer hook, so a run with the flag on
-        # and zero failures is the verification.
-        if not canonical_query.datalog:
-            pytest.skip("no datalog form")
+        # A Datalog program is one plan: the optimizer hook certifies each
+        # rewrite of it, and it verifies directly like any other plan.
         monkeypatch.setenv("REPRO_VERIFY_PLANS", "1")
         reset_verification_counts()
-        run_query(canonical_query.datalog, db, language="datalog")
+        plan = optimize(lower(canonical_query.datalog, db.schema, "datalog"),
+                        db)
+        assert verify_plan(plan, db) == ("string",)
         counts = verification_counts()
         assert counts["plans_verified"] > 0
         assert counts["plans_failed"] == 0
@@ -116,7 +115,7 @@ class TestCatalogVerifies:
         # and not one plan fails verification.
         reset_verification_counts()
         for query in CANONICAL_QUERIES:
-            for language in (*_PLAN_LANGUAGES, "datalog"):
+            for language in _PLAN_LANGUAGES:
                 text = getattr(query, language, None)
                 if text:
                     run_query(text, db, language=language)
@@ -436,21 +435,40 @@ class TestHooksAndCounters:
         assert issubclass(PlanVerificationError, PlanError)
 
 
-class TestUntypedRelations:
-    def test_generic_datalog_schema_is_not_type_checked(self):
-        # The Datalog fixpoint materializes IDB relations under an
-        # all-string col1..colN schema while holding ints; their declared
-        # types must not be trusted (would flag e.g. col1 > 3).
-        from repro.data import Database, Relation, RelationSchema
-        from repro.data.types import DataType
+class TestFixpointWorkingRelations:
+    """A fixpoint's working relations are typed from its own facts and rule
+    bodies, so a comparison over a recursive predicate is checked."""
 
-        schema = RelationSchema("reach", tuple(
-            __import__("repro.data.schema", fromlist=["Attribute"])
-            .Attribute(f"col{i + 1}", DataType.STRING) for i in range(2)))
-        db = Database([Relation(schema, [(1, 2)], validate=False)])
-        plan = FilterP(ScanP("reach", ("col1", "col2")),
-                       e.Comparison(e.Col("col1"), ">", e.Const(3)))
-        verify_plan(plan, db)  # untyped: comparison passes as unknown
+    EDGES = ("tc(X, Y) :- edge(X, Y).\n"
+             "tc(X, Z) :- tc(X, Y), edge(Y, Z).\n")
+
+    @pytest.fixture()
+    def edge_db(self):
+        from repro.data import Database
+        from repro.data.relation import relation_from_rows
+
+        return Database([relation_from_rows(
+            "edge", [("src", "int"), ("dst", "int")], [(1, 2), (2, 3)])])
+
+    def test_working_relations_take_their_bodies_types(self, edge_db):
+        plan = lower(self.EDGES + "ans(X, Y) :- tc(X, Y), Y > 2.",
+                     edge_db.schema)
+        assert verify_plan(optimize(plan, edge_db), edge_db) == ("int", "int")
+
+    def test_facts_widen_a_working_relation(self, edge_db):
+        plan = lower(self.EDGES + "tc(1, 2.5).\nans(X, Y) :- tc(X, Y).",
+                     edge_db.schema)
+        assert verify_plan(plan, edge_db) == ("int", "float")
+
+    @pytest.mark.parametrize("rule", [
+        "tc(X, Z) :- tc(X, Y), edge(Y, Z), X > 'a'.\nans(X) :- tc(X, Y).",
+        "ans(X) :- tc(X, Y), Y > 'a'.",
+    ], ids=["in-a-rule-body", "over-the-output"])
+    def test_ill_typed_comparison_is_flagged(self, edge_db, rule):
+        plan = lower(self.EDGES + rule, edge_db.schema)
+        with pytest.raises(PlanVerificationError,
+                           match="type-inconsistent comparison"):
+            verify_plan(plan, edge_db)
 
 
 # ---------------------------------------------------------------------------
@@ -1004,6 +1022,45 @@ class TestInvariantLint:
             """)
         assert [v for v in invariants.run_checks(root)
                 if v.rule == "one-join-planner"] == []
+
+    def test_delta_relation_named_outside_the_fixpoint(self, invariants,
+                                                       fixture_repo):
+        root = fixture_repo("src/repro/engine/verify.py", """\
+            from repro.engine.stats import DELTA_SUFFIX
+            from repro.engine import stats
+
+            def working(name):
+                \"\"\"Docstrings may say pred@delta.\"\"\"
+                if name.endswith("@delta"):
+                    return name.removesuffix(DELTA_SUFFIX)
+                return name.removesuffix(stats.DELTA_SUFFIX)
+            """)
+        violations = [v for v in invariants.run_checks(root)
+                      if v.rule == "one-fixpoint"]
+        path = os.path.join("src", "repro", "engine", "verify.py")
+        assert [(v.path, v.line) for v in violations] == [
+            (path, 1), (path, 6), (path, 7), (path, 8)]
+
+    def test_delta_relation_named_by_the_fixpoint_is_clean(self, invariants,
+                                                           fixture_repo):
+        fixture_repo("src/repro/engine/stats.py", """\
+            DELTA_SUFFIX = "@delta"
+
+            def working_predicate(relation):
+                return relation.lower().removesuffix(DELTA_SUFFIX)
+            """)
+        fixture_repo("src/repro/engine/lower.py", """\
+            from repro.engine.stats import DELTA_SUFFIX
+            """)
+        root = fixture_repo("src/repro/engine/verify.py", """\
+            \"\"\"Working relations: ``pred`` and ``pred@delta``.\"\"\"
+            from repro.engine.stats import working_predicate
+
+            def working(name):
+                return working_predicate(name)
+            """)
+        assert [v for v in invariants.run_checks(root)
+                if v.rule == "one-fixpoint"] == []
 
     def test_trc_formula_walked_outside_the_pattern_reader(self, invariants,
                                                           fixture_repo):

@@ -69,6 +69,15 @@ Rules (see tools/README.md for how to add one):
     (``aggregate_rows``, ``sort_limit_rows``, ``setop_rows``, …) instead of
     writing its own loop around their pieces.
 
+``one-fixpoint``
+    Recursion is one plan operator: under ``src/repro``, a reference to
+    ``DELTA_SUFFIX`` (an imported name, a bare name or an attribute) or a
+    string literal containing ``"@delta"`` (docstrings aside) outside
+    ``engine/lower.py``, ``engine/execute.py`` and ``engine/stats.py`` is a
+    violation — only the lowering that writes a fixpoint's delta variants,
+    the loop that fills them and the statistics that estimate them name a
+    working delta relation.
+
 ``no-oracle-imports``
     The five reference interpreters (``repro.{sql,ra,trc,drc,datalog}
     .evaluate``) stay a separate implementation of the semantics the
@@ -812,6 +821,52 @@ def check_one_pattern_walker(root: str) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
+# Rule: one-fixpoint
+# ---------------------------------------------------------------------------
+
+#: The modules that may name a fixpoint's delta working relations.
+_FIXPOINT_MODULES = frozenset({"src/repro/engine/lower.py",
+                               "src/repro/engine/execute.py",
+                               "src/repro/engine/stats.py"})
+
+
+def check_one_fixpoint(root: str) -> list[Violation]:
+    violations: list[Violation] = []
+    for _path, rel_path, tree in _walk_sources(root, ("src/repro",)):
+        if rel_path.replace(os.sep, "/") in _FIXPOINT_MODULES:
+            continue
+        docstrings = {
+            id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                found = [alias.lineno for alias in node.names
+                         if alias.name == "DELTA_SUFFIX"]
+            elif isinstance(node, ast.Name):
+                found = [node.lineno] if node.id == "DELTA_SUFFIX" else []
+            elif isinstance(node, ast.Attribute):
+                found = [node.lineno] if node.attr == "DELTA_SUFFIX" else []
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str) \
+                    and "@delta" in node.value and id(node) not in docstrings:
+                found = [node.lineno]
+            else:
+                continue
+            for line in found:
+                violations.append(Violation(
+                    rel_path, line, "one-fixpoint",
+                    "a fixpoint's delta relation named outside "
+                    "engine/lower.py, engine/execute.py and engine/stats.py; "
+                    "reach working relations through "
+                    "repro.engine.stats.working_predicate or the FixpointP "
+                    "node"))
+    return violations
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -828,6 +883,7 @@ ALL_RULES = (
     check_no_oracle_imports,
     check_one_join_planner,
     check_one_pattern_walker,
+    check_one_fixpoint,
 )
 
 
