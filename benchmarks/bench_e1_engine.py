@@ -11,6 +11,13 @@ measures that replacement on two workload families and emits a JSON artifact
 * **recursive**: transitive closure, naive fixpoint vs. the engine's
   semi-naive evaluation.
 
+The catalog matrix also reports the **five-language grid**: the engine's
+execution time for each of the 25 catalog texts on a 24,000-reservation
+instance, on the ``vectorized`` and ``row`` backends, with each query's
+slowest/fastest ratio across its five spellings.  One query should cost
+about the same whatever language it is written in.  The grid is reported,
+not gated: its cells carry no ``speedup``.
+
 Shape to reproduce: the engine wins by orders of magnitude and the gap grows
 with both the join arity and the data size, while both sides return
 identical answers (asserted, not assumed).
@@ -28,7 +35,7 @@ from repro.data.database import Database
 from repro.data.relation import relation_from_rows
 from repro.data.sailors import random_sailors_database
 from repro.datalog.evaluate import evaluate_datalog
-from repro.engine import run_query
+from repro.engine import execute_plan, lower, optimize, run_query
 from repro.queries import CANONICAL_QUERIES
 from repro.sql.evaluate import evaluate_sql
 
@@ -117,13 +124,60 @@ def test_e1_catalog_artifact(db, capsys):
                 "interpreter_ms": round(interp_s * 1000, 3),
                 "engine_ms": round(engine_s * 1000, 3),
             })
+    grid_rows, artifact["grid"] = _catalog_grid()
     with capsys.disabled():
         print_table(
             "E1: 5x5 catalog matrix, interpreter vs engine (cow-book instance)",
             ["query", "language", "answers", "interpreter ms", "engine ms"],
             rows,
         )
+        print_table(
+            "E1: five-language grid, engine execution ms (best of "
+            f"{GRID_REPEATS}, {GRID_DB['n_reserves']} reservations)",
+            ["query", "backend", *CANONICAL_QUERIES[0].languages(),
+             "slowest / fastest"],
+            grid_rows,
+        )
         print("E1-JSON " + json.dumps(artifact))
+
+
+#: The grid's instance (the five-language comparison in ROADMAP.md).
+GRID_DB = {"n_sailors": 2400, "n_boats": 100, "n_reserves": 24000, "seed": 13}
+GRID_REPEATS = 5
+
+
+def _catalog_grid() -> tuple[list[list[str]], dict]:
+    """Each catalog text's optimized plan executed on both backends (the
+    answers asserted equal), best of ``GRID_REPEATS``: table rows and the
+    artifact's ``grid`` (no ``speedup`` key, so nothing is gated)."""
+    db = random_sailors_database(**GRID_DB)
+    rows, cells = [], []
+    for query in CANONICAL_QUERIES:
+        plans = {language: optimize(lower(text, db.schema, language.lower()), db)
+                 for language, text in query.languages().items()}
+        answers = {}
+        for backend in ("vectorized", "row"):
+            times = {}
+            for language, plan in plans.items():
+                best = float("inf")
+                for _ in range(GRID_REPEATS):
+                    answer, seconds = _timed(
+                        lambda: execute_plan(plan, db, backend=backend))
+                    best = min(best, seconds)
+                answers.setdefault(language, answer)
+                assert answer.bag_equal(answers[language]), \
+                    f"{query.id}/{language}: backends disagree"
+                times[language] = best * 1000
+            ratio = max(times.values()) / max(min(times.values()), 1e-9)
+            rows.append([query.id, backend,
+                         *(f"{ms:.2f}" for ms in times.values()),
+                         f"{ratio:.1f}x"])
+            cells.append({"query": query.id, "backend": backend,
+                          "engine_ms": {k: round(v, 3)
+                                        for k, v in times.items()},
+                          "slowest_over_fastest": round(ratio, 2)})
+    return rows, {"database": GRID_DB, "repeats": GRID_REPEATS,
+                  "cells": cells}
 
 
 def test_e1_recursive_artifact(capsys):

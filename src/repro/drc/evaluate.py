@@ -58,6 +58,17 @@ def _conjuncts(formula: Formula) -> list[Formula]:
     return [formula]
 
 
+def _guards(formula: Formula) -> Iterator[Atom]:
+    """The positive atoms among ``formula``'s conjuncts, those of a conjunct
+    ∃x φ included: bound names are apart, so A ∧ ∃x φ ≡ ∃x (A ∧ φ), and a
+    row of φ's atom binds x too (the ∃ then checks that witness)."""
+    for conjunct in _conjuncts(formula):
+        if isinstance(conjunct, Exists):
+            yield from _guards(conjunct.body)
+        elif isinstance(conjunct, Atom):
+            yield conjunct
+
+
 def _holds(formula: Formula, db: Database, env: Env, domain: list[Any]) -> bool:
     if isinstance(formula, Truth):
         return formula.value
@@ -86,9 +97,9 @@ def _assignments(unbound: list[str], formula: Formula, db: Database, env: Env,
                  domain: list[Any]) -> Iterator[Env]:
     """Yield extensions of ``env`` binding ``unbound`` under which ``formula`` holds.
 
-    Guards (positive atoms among the top-level conjuncts, or nested inside
-    disjuncts when every disjunct guards the variable) generate candidate
-    rows; unguarded variables enumerate the active domain.
+    Guards (:func:`_guards`, or atoms nested inside disjuncts when every
+    disjunct guards the variable) generate candidate rows; unguarded
+    variables enumerate the active domain.
     """
     unbound = [name for name in unbound if name not in env]
     if not unbound:
@@ -96,10 +107,11 @@ def _assignments(unbound: list[str], formula: Formula, db: Database, env: Env,
             yield dict(env)
         return
 
-    guards = [c for c in _conjuncts(formula) if isinstance(c, Atom)]
+    guard = next((candidate for candidate in _guards(formula) if any(
+        isinstance(t, Var) and t.name in unbound for t in candidate.terms)), None)
     # Disjunctions guard a variable if it appears in an atom of every branch;
     # cheapest correct handling: split the evaluation per branch.
-    if not guards:
+    if guard is None:
         disjunctions = [c for c in _conjuncts(formula) if isinstance(c, Or)]
         if disjunctions:
             seen: set[tuple] = set()
@@ -112,14 +124,6 @@ def _assignments(unbound: list[str], formula: Formula, db: Database, env: Env,
                         seen.add(key)
                         yield result
             return
-
-    guard = None
-    for candidate in guards:
-        if any(isinstance(t, Var) and t.name in unbound for t in candidate.terms):
-            guard = candidate
-            break
-
-    if guard is None:
         # No guard mentions an unbound variable: enumerate the domain for one.
         name = unbound[0]
         for value in domain:

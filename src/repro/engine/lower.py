@@ -5,11 +5,11 @@ One compiler per frontend:
 * :func:`lower_sql` — the SQL select/project/join fragment with set
   operations, DISTINCT, GROUP BY / HAVING aggregates, ORDER BY / LIMIT, and
   (possibly correlated) EXISTS / IN subqueries.  Correlated subqueries are
-  decorrelated with *dependent joins*: the subquery's FROM list is crossed
-  onto the current plan, its predicates applied, and the result semi- or
-  anti-joined back on the outer plan's own columns.  Because the outer plan
-  appears structurally inside the dependent side, the executor's
-  common-subexpression memoization evaluates it only once.
+  decorrelated with *dependent joins*, built like the calculus' ¬∃: the
+  subquery's FROM list is crossed onto the distinct values of the outer
+  columns it names, its predicates applied, and the result semi- or
+  anti-joined back on those columns.  The outer plan appears inside the
+  dependent side, so the executor's CSE memo evaluates it once.
 * :func:`lower_ra` — a structural mapping of the RA operator tree, with the
   reference evaluator's set/bag mode switching (``GroupBy`` inputs are bags,
   set mode adds a final duplicate elimination).
@@ -112,6 +112,21 @@ def _project_to(plan: Plan, columns: Sequence[str]) -> Plan:
     # Column names may be dotted ("S.sid"); build Col refs that resolve by
     # exact spelling: resolve_column tries the bare spelling first.
     return ProjectP(plan, exprs, tuple(columns))
+
+
+def _dependent_join(plan: Plan, kind: str, reads: Sequence[e.Col],
+                    dependent: Callable[[Plan | None], Plan]) -> Plan:
+    """``plan`` semi- or anti-joined to the side ``dependent`` builds, for
+    SQL's [NOT] EXISTS / IN and the calculus' ¬∃ alike: keyed, NULL
+    matching NULL, on the columns of ``plan`` some reference in ``reads``
+    may name, and starting from their distinct values (from nothing when
+    there are none: the side is uncorrelated)."""
+    keys = tuple(c for c in plan.columns if any(
+        has_column((c,), col.name, col.qualifier, strict=True) for col in reads))
+    base = None if not keys else plan if keys == plan.columns \
+        else DistinctP(_project_to(plan, keys))
+    return JoinP(plan, dependent(base), kind, left_keys=keys,
+                 right_keys=keys, null_matches=True)
 
 
 def detect_language(text: str) -> str:
@@ -288,48 +303,53 @@ def _apply_subquery_conjunct(plan: Plan, conjunct: e.Expr,
                              schema: DatabaseSchema) -> Plan:
     from repro.sql.ast import SelectQuery
 
-    if isinstance(conjunct, e.Exists):
-        if not isinstance(conjunct.query, SelectQuery):
-            raise LoweringError("EXISTS over set operations is not lowered")
-        sub = conjunct.query
-        if sub.group_by or sub.having is not None or any(
-                e.contains_aggregate(item.expr) for item in sub.select_items):
-            # A grouped subquery's row count is not its FROM/WHERE row count
-            # (an ungrouped aggregate yields one row even over empty input),
-            # so a plain existence check would be wrong.
-            raise LoweringError("aggregating EXISTS subqueries are not lowered")
-        dependent, _ = _lower_select(sub, schema, base=plan, project=False)
-        kind = "anti" if conjunct.negated else "semi"
-        return JoinP(plan, dependent, kind,
-                     left_keys=plan.columns, right_keys=plan.columns,
-                     null_matches=True)
-    if isinstance(conjunct, e.InSubquery):
-        if not isinstance(conjunct.query, SelectQuery):
-            raise LoweringError("IN over set operations is not lowered")
-        sub = conjunct.query
-        if sub.select_star or sub.star_qualifiers or len(sub.select_items) != 1:
-            raise LoweringError("IN subqueries must select exactly one column")
-        item = sub.select_items[0]
-        if e.contains_aggregate(item.expr) or sub.group_by or sub.having is not None:
-            raise LoweringError("aggregating IN subqueries are not lowered")
-        dependent, _ = _lower_select(sub, schema, base=plan, project=False)
-        matches = _filter(dependent, e.Comparison(conjunct.operand, "=", item.expr))
+    if not isinstance(conjunct, (e.Exists, e.InSubquery)):
+        raise LoweringError(f"predicate {type(conjunct).__name__} with a "
+                            "subquery is not in the engine fragment")
+    word = "EXISTS" if isinstance(conjunct, e.Exists) else "IN"
+    sub = conjunct.query
+    if not isinstance(sub, SelectQuery):
+        raise LoweringError(f"{word} over set operations is not lowered")
+    if sub.group_by or sub.having is not None or any(
+            e.contains_aggregate(item.expr) for item in sub.select_items):
+        # A grouped subquery's row count is not its FROM/WHERE row count
+        # (an ungrouped aggregate yields one row even over empty input),
+        # so a plain existence check would be wrong.
+        raise LoweringError(f"aggregating {word} subqueries are not lowered")
+    if word == "IN" and (sub.select_star or sub.star_qualifiers
+                         or len(sub.select_items) != 1):
+        raise LoweringError("IN subqueries must select exactly one column")
+
+    def matches(base: Plan | None) -> Plan:
+        dependent, _ = _lower_select(sub, schema, base=base, project=False)
+        if word == "EXISTS":
+            return dependent
+        item = sub.select_items[0].expr
+        out = _filter(dependent, e.Comparison(conjunct.operand, "=", item))
         if conjunct.negated:
             # x NOT IN S is UNKNOWN, never TRUE, when S holds a NULL or when
             # x is NULL and S is nonempty, so those rows join the anti side.
             # Each IS NULL test reads one side of the product and pushes
             # below it: on data without NULLs both branches are empty.
-            for null_side in (item.expr, conjunct.operand):
-                matches = SetOpP("union", matches,
-                                 _filter_last(dependent, e.IsNull(null_side)),
-                                 distinct=False)
-        kind = "anti" if conjunct.negated else "semi"
-        return JoinP(plan, matches, kind,
-                     left_keys=plan.columns, right_keys=plan.columns,
-                     null_matches=True)
-    raise LoweringError(
-        f"predicate {type(conjunct).__name__} with a subquery is not in the engine fragment"
-    )
+            for null_side in (item, conjunct.operand):
+                out = SetOpP("union", out,
+                             _filter_last(dependent, e.IsNull(null_side)),
+                             distinct=False)
+        return out
+
+    operand = () if word == "EXISTS" else (conjunct.operand,)
+    return _dependent_join(plan, "anti" if conjunct.negated else "semi",
+                           _outer_reads(sub, *operand), matches)
+
+
+def _outer_reads(query: Any, *exprs: e.Expr) -> list[e.Col]:
+    """The column references of ``exprs`` and ``query``, nested subqueries
+    included: those an outer column may be named by."""
+    from repro.sql.ast import SelectQuery, walk_queries
+
+    exprs += tuple(x for q in walk_queries(query)
+                   if isinstance(q, SelectQuery) for x in q._expressions())
+    return [col for x in exprs for col in x.columns()]
 
 
 def _sql_projection(query: Any, plan: Plan, from_cols: Sequence[str]) -> Plan:
@@ -458,9 +478,9 @@ def lower_ra(expr: "Any | str", schema: DatabaseSchema, *, bag: bool = False) ->
         plan = _lower_ra(expr, schema, bag=bag)
     except (RAError, SchemaError) as exc:
         raise LoweringError(str(exc)) from exc
-    if not bag:
-        plan = DistinctP(plan)
-    return plan
+    duplicate_free = isinstance(plan, DistinctP) or (
+        isinstance(plan, SetOpP) and plan.distinct)
+    return plan if bag or duplicate_free else DistinctP(plan)
 
 
 def _lower_ra(expr: Any, schema: DatabaseSchema, *, bag: bool) -> Plan:
@@ -717,7 +737,9 @@ def _drc_atom_plan(atom: Any, scan: Scan) -> tuple[Plan, list[str]]:
             conditions.append(e.Comparison(e.Col(temp[i]), "=", e.Const(term.value)))
         elif isinstance(term, LVar):
             if term.name in var_first:
-                conditions.append(e.Comparison(e.Col(temp[i]), "=",
+                # A variable repeated in one atom matches like one shared
+                # by two atoms: NULL equals NULL.
+                conditions.append(e.Comparison(e.Col(temp[i]), e.NOT_DISTINCT,
                                                e.Col(temp[var_first[term.name]])))
             else:
                 var_first[term.name] = i
@@ -742,17 +764,13 @@ def _drc_join_atom(plan: Plan | None, atom: Any, scan: Scan) -> Plan:
         return atom_plan
     shared = [v for v in variables if has_column(plan.columns, v)]
     new = [v for v in variables if v not in shared]
-    if not new:
-        # Pure membership test.
-        return JoinP(plan, atom_plan, "semi",
-                     left_keys=tuple(shared), right_keys=tuple(shared),
-                     null_matches=True)
-    joined = JoinP(plan, atom_plan, "inner",
+    joined = JoinP(plan, atom_plan, "inner" if new else "semi",
                    left_keys=tuple(shared), right_keys=tuple(shared),
                    null_matches=True)
-    if not shared:
-        # Already ``plan.columns + variables``: a projection here would hide
-        # the join from the optimizer's key promotion.
+    if not new or not shared:
+        # A pure membership test, or already ``plan.columns + variables``: a
+        # projection here would hide the join from the optimizer's key
+        # promotion.
         return joined
     positions = list(range(len(plan.columns))) + [
         len(plan.columns) + variables.index(v) for v in new
@@ -802,16 +820,15 @@ def _apply_drc_quantified(plan: Plan | None, conjunct: Any,
             raise LoweringError("top-level negation is unsafe DRC")
         inner = conjunct.operand
         if isinstance(inner, f.Exists):
-            # Key the anti-join on the columns the negated body reads: its
-            # dependent side then starts from their distinct values, not
-            # from every row of ``plan``.
-            free = {v.name.lower() for v in f.free_variables(inner)}
-            keys = tuple(c for c in plan.columns if c.lower() in free) or plan.columns
-            base = plan if keys == plan.columns else DistinctP(_project_to(plan, keys))
-            dependent = _apply_drc(base, inner.body, scan)
-            assert dependent is not None
-            return JoinP(plan, dependent, "anti",
-                         left_keys=keys, right_keys=keys, null_matches=True)
+            def body(base: Plan | None) -> Plan:
+                dependent = _apply_drc(base, inner.body, scan)
+                if dependent is None:
+                    raise LoweringError("negated existential binds no "
+                                        "variables (unsafe DRC)")
+                return dependent
+
+            return _dependent_join(plan, "anti", [
+                e.Col(v.name) for v in f.free_variables(inner)], body)
         if isinstance(inner, f.Atom):
             atom_plan, variables = _drc_atom_plan(inner, scan)
             if variables and not all(has_column(plan.columns, v) for v in variables):

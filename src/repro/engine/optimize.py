@@ -2,18 +2,20 @@
 
 Three families of rewrites, applied in order by :func:`optimize`:
 
-1. **Predicate pushdown** — filters move through projections (when the
-   referenced columns are pure renamings), below distinct, into both branches
+1. **Predicate pushdown** — filters move below column picks (named or
+   positional, respelled by position), below distinct, into both branches
    of set operations, and into the inputs of joins; conjuncts that straddle a
    join stay at the join as its residual condition.
-2. **Join planning** — equality conjuncts ``left.col = right.col`` left at a
-   join are promoted to hash keys.  With statistics, join shape is then
-   decided here and only here, in three steps:
+2. **Join planning** — equality conjuncts ``left.col = right.col`` (or
+   ``IS NOT DISTINCT FROM``, NULL matching NULL) left at a join are promoted
+   to hash keys, all of one kind per join.  With statistics, join shape is
+   then decided here and only here, in three steps:
 
    a. :func:`hoist_projections` bubbles pure column-pick projections (from
       lowering) above inner/cross joins and filters, so none splits a tree;
    b. :func:`reorder_joins` flattens each maximal inner/cross join tree at
-      its root, plans its leaves recursively, and re-orders the tree once,
+      its root (a NULL-matching join's keys become ``IS NOT DISTINCT FROM``
+      conjuncts), plans its leaves recursively, and re-orders the tree once,
       greedily by *estimated cost*: each step joins the leaf whose
       (statistics-driven) estimated result is smallest, using the
       per-attribute distinct counts and min/max profiles of
@@ -149,18 +151,21 @@ def _references_only(expr: e.Expr, columns: tuple[str, ...]) -> bool:
 
 def _remap_by_position(expr: e.Expr, from_cols: tuple[str, ...],
                        to_cols: tuple[str, ...],
-                       positions: list[int] | None = None) -> e.Expr:
+                       positions: "list[int | None] | None" = None) -> e.Expr:
     """Rewrite column refs positionally from one layout to another.
 
     Column ``i`` of ``from_cols`` becomes ``to_cols[positions[i]]`` (or
-    ``to_cols[i]``): pushing a filter into a set-op branch, or hoisting a
-    pick projection above it.  A spelling that would resolve elsewhere in
-    ``to_cols`` raises :class:`PlanError`.
+    ``to_cols[i]``): pushing a filter into a set-op branch or below a pick
+    projection, or hoisting a join's pick projections above it.  A column
+    without a position, or a spelling that would resolve elsewhere in
+    ``to_cols``, raises :class:`PlanError`.
     """
     def remap(col: e.Col) -> e.Col:
         idx = resolve_column(from_cols, col.name, col.qualifier, strict=True)
         if positions is not None:
             idx = positions[idx]
+            if idx is None:
+                raise PlanError(f"column {col.qualified()} is not a pick")
         qualifier, _, name = to_cols[idx].rpartition(".")
         new = e.Col(name if qualifier else to_cols[idx], qualifier or None)
         if resolve_column(to_cols, new.name, new.qualifier, strict=True) != idx:
@@ -191,36 +196,17 @@ def _push_filter(target: Plan, condition: e.Expr) -> Plan:
         return DistinctP(_push_filter(target.input, condition))
 
     if isinstance(target, ProjectP):
-        # Push through pure column renamings only.
-        mapping: dict[int, e.Col] = {}
-        renaming = True
-        for i, expr in enumerate(target.exprs):
-            if isinstance(expr, e.Col):
-                mapping[i] = expr
-            else:
-                renaming = False
+        # A conjunct that reads only column picks, named or positional,
+        # moves below them, respelled by position onto the input.
+        positions = [_column_position(x, target.input.columns)
+                     for x in target.exprs]
         pushable: list[e.Expr] = []
         kept: list[e.Expr] = []
         for conjunct in conjuncts:
-            ok = renaming or all(
-                isinstance(target.exprs[resolve_column(target.names, c.name, c.qualifier,
-                                                       strict=True)],
-                           e.Col)
-                for c in conjunct.columns()
-                if has_column(target.names, c.name, c.qualifier, strict=True)
-            )
-            if ok and _references_only(conjunct, target.names):
-                def remap(col: e.Col) -> e.Col:
-                    idx = resolve_column(target.names, col.name, col.qualifier,
-                                         strict=True)
-                    replacement = target.exprs[idx]
-                    assert isinstance(replacement, e.Col)
-                    return replacement
-                try:
-                    pushable.append(e.map_columns(conjunct, remap))
-                except (PlanError, e.ExprError):
-                    kept.append(conjunct)
-            else:
+            try:
+                pushable.append(_remap_by_position(
+                    conjunct, target.names, target.input.columns, positions))
+            except (PlanError, e.ExprError):
                 kept.append(conjunct)
         out: Plan = target
         if pushable:
@@ -273,10 +259,20 @@ def _push_filter(target: Plan, condition: e.Expr) -> Plan:
 # Hash-key promotion
 # ---------------------------------------------------------------------------
 
-def _column_of(expr: e.Expr, columns: tuple[str, ...]) -> str | None:
-    if isinstance(expr, e.Col) and has_column(columns, expr.name, expr.qualifier,
-                                              strict=True):
-        return columns[resolve_column(columns, expr.name, expr.qualifier, strict=True)]
+def _key_pair(conjunct: e.Expr, left: tuple[str, ...], right: tuple[str, ...]
+              ) -> tuple[str, str] | None:
+    """``(left column, right column)`` of an equality between the sides."""
+    if not (isinstance(conjunct, e.Comparison)
+            and conjunct.op in ("=", e.NOT_DISTINCT)):
+        return None
+    for a, b in ((conjunct.left, conjunct.right),
+                 (conjunct.right, conjunct.left)):
+        if isinstance(a, e.Col) and isinstance(b, e.Col) \
+                and has_column(left, a.name, a.qualifier, strict=True) \
+                and has_column(right, b.name, b.qualifier, strict=True):
+            return (left[resolve_column(left, a.name, a.qualifier, strict=True)],
+                    right[resolve_column(right, b.name, b.qualifier,
+                                         strict=True)])
     return None
 
 
@@ -288,30 +284,20 @@ def promote_hash_keys(plan: Plan) -> Plan:
     left_keys = list(plan.left_keys)
     right_keys = list(plan.right_keys)
     residual: list[e.Expr] = []
-    # An equality *predicate* is never NULL-true, but promoted hash keys
-    # follow the join's ``null_matches``.  On a NULL-matching join that
-    # already has keys, promotion would change semantics either way, so
-    # conjuncts stay residual; on a keyless NULL-matching join the promoted
-    # join simply becomes a SQL-equality (``null_matches=False``) join.
-    can_promote = not plan.null_matches or not plan.left_keys
-    for conjunct in e.conjuncts(plan.residual):
-        promoted = False
-        if can_promote and isinstance(conjunct, e.Comparison) \
-                and conjunct.op == "=":
-            for a, b in ((conjunct.left, conjunct.right),
-                         (conjunct.right, conjunct.left)):
-                lcol = _column_of(a, plan.left.columns)
-                rcol = _column_of(b, plan.right.columns)
-                if lcol is not None and rcol is not None:
-                    left_keys.append(lcol)
-                    right_keys.append(rcol)
-                    promoted = True
-                    break
-        if not promoted:
-            residual.append(conjunct)
+    # All keys of a join share one comparison: ``=`` (NULL never matches)
+    # or IS NOT DISTINCT FROM (``null_matches``).  A keyless join takes the
+    # comparison of the first equality it promotes; an equality of the other
+    # kind stays residual.
     null_matches = plan.null_matches
-    if null_matches and not plan.left_keys and left_keys:
-        null_matches = False
+    for conjunct in e.conjuncts(plan.residual):
+        pair = _key_pair(conjunct, plan.left.columns, plan.right.columns)
+        if pair is None or (left_keys and (conjunct.op == e.NOT_DISTINCT)
+                            != null_matches):
+            residual.append(conjunct)
+            continue
+        null_matches = conjunct.op == e.NOT_DISTINCT
+        left_keys.append(pair[0])
+        right_keys.append(pair[1])
     kind = plan.kind
     if kind == "cross" and (left_keys or residual):
         kind = "inner"
@@ -328,13 +314,8 @@ def _pick_positions(plan: Plan) -> list[int] | None:
     """Input positions of a pure column-pick projection, else ``None``."""
     if not isinstance(plan, ProjectP):
         return None
-    positions = []
-    for expr in plan.exprs:
-        position = _column_position(expr, plan.input.columns)
-        if position is None:
-            return None
-        positions.append(position)
-    return positions
+    positions = [_column_position(x, plan.input.columns) for x in plan.exprs]
+    return None if None in positions else positions
 
 
 def _key_spelling(key: str, columns: tuple[str, ...], positions: list[int],
@@ -351,27 +332,17 @@ def hoist_projections(plan: Plan) -> Plan:
 
     Lowering emits pick projections between joins (and so does a join
     tree's restoring projection); each one would split a join tree in two
-    for :func:`reorder_joins`.  Hoisting remaps join keys, residuals and
-    filter conditions positionally onto the projection's input and stacks
-    the picks into one projection above the tree.  Any remapping ambiguity
-    leaves the node as it is (slower, correct).
+    for :func:`reorder_joins`.  Hoisting remaps join keys and residuals
+    positionally onto the projection's input and stacks the picks into one
+    projection above the tree; a filter passes a pick by the pushdown rule.
+    Any remapping ambiguity leaves the node as it is (slower, correct).
     """
     children = plan.children()
     hoisted = [hoist_projections(child) for child in children]
     if any(new is not old for new, old in zip(hoisted, children)):
         plan = _rebuild(plan, hoisted)
-    if isinstance(plan, FilterP):
-        positions = _pick_positions(plan.input)
-        if positions is None:
-            return plan
-        pick = plan.input
-        assert isinstance(pick, ProjectP)
-        try:
-            condition = _remap_by_position(plan.condition, pick.columns,
-                                           pick.input.columns, positions)
-        except PlanError:
-            return plan
-        return ProjectP(FilterP(pick.input, condition), pick.exprs, pick.names)
+    if isinstance(plan, FilterP) and isinstance(plan.input, ProjectP):
+        return _push_filter(plan.input, plan.condition)
     if isinstance(plan, ProjectP):
         outer = _pick_positions(plan)
         inner = _pick_positions(plan.input)
@@ -425,8 +396,7 @@ def _substitute(plan: Plan, old: Plan, new: Plan) -> Plan:
 def _flatten_join_tree(plan: Plan, protected: tuple[Plan, ...] = ()
                        ) -> tuple[list[Plan], list[e.Expr]] | None:
     """Flatten a maximal inner/cross join tree into leaves and conjuncts."""
-    if not (isinstance(plan, JoinP) and plan.kind in ("inner", "cross")
-            and not plan.null_matches):
+    if not (isinstance(plan, JoinP) and plan.kind in ("inner", "cross")):
         return None
     leaves: list[Plan] = []
     conjuncts: list[e.Expr] = []
@@ -434,12 +404,12 @@ def _flatten_join_tree(plan: Plan, protected: tuple[Plan, ...] = ()
     def visit(node: Plan) -> None:
         if any(node == p for p in protected):
             leaves.append(node)
-        elif (isinstance(node, JoinP) and node.kind in ("inner", "cross")
-                and not node.null_matches):
+        elif isinstance(node, JoinP) and node.kind in ("inner", "cross"):
             visit(node.left)
             visit(node.right)
+            op = e.NOT_DISTINCT if node.null_matches else "="
             for lk, rk in zip(node.left_keys, node.right_keys):
-                conjuncts.append(e.Comparison(e.Col(lk), "=", e.Col(rk)))
+                conjuncts.append(e.Comparison(e.Col(lk), op, e.Col(rk)))
             if node.residual is not None:
                 conjuncts.extend(e.conjuncts(node.residual))
         else:

@@ -191,11 +191,10 @@ class JoinP(Plan):
 
     ``left_keys`` / ``right_keys`` name equi-join columns (hashed).  The
     optional ``residual`` condition is evaluated over the concatenated row.
-    ``null_matches`` selects the key-comparison semantics: ``False`` means
-    SQL equality (NULL never matches, used for keys extracted from
-    predicates); ``True`` means plain Python equality (used for natural
-    joins, calculus variable joins, and dependent joins, mirroring the
-    reference evaluators).
+    All keys of a join share one comparison, ``null_matches``: ``False``
+    is ``=`` (NULL never matches); ``True`` is ``IS NOT DISTINCT FROM``,
+    plain Python equality (natural, calculus variable and dependent joins,
+    mirroring the reference evaluators).
     """
 
     left: Plan

@@ -307,6 +307,8 @@ class StatsCatalog:
 
     def selectivity(self, conjunct: e.Expr, plan: Plan) -> float:
         """Fraction of ``plan``'s rows the conjunct is estimated to keep."""
+        if isinstance(conjunct, e.Comparison) and conjunct.op == e.NOT_DISTINCT:
+            conjunct = e.Comparison(conjunct.left, "=", conjunct.right)
         if isinstance(conjunct, e.Comparison):
             for col, const in ((conjunct.left, conjunct.right),
                                (conjunct.right, conjunct.left)):

@@ -18,8 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
+#: Equality with NULL equal to NULL (natural and calculus joins); plans
+#: carry it, no parser reads it.
+NOT_DISTINCT = "IS NOT DISTINCT FROM"
+
 #: Comparison operators in their canonical spelling.
-COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")
+COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=", NOT_DISTINCT)
 
 #: Arithmetic operators supported in scalar expressions.
 ARITHMETIC_OPS = ("+", "-", "*", "/", "%")
@@ -191,7 +195,7 @@ class ScalarSubquery(Expr):
 
 @dataclass(frozen=True)
 class Comparison(Expr):
-    """``left op right`` with op in =, <>, <, <=, >, >=."""
+    """``left op right`` with op in =, <>, <, <=, >, >=, IS NOT DISTINCT FROM."""
 
     left: Expr
     op: str
@@ -208,8 +212,8 @@ class Comparison(Expr):
 
     def flipped(self) -> "Comparison":
         """The same comparison with sides exchanged (e.g. ``a < b`` → ``b > a``)."""
-        flip = {"=": "=", "<>": "<>", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
-        return Comparison(self.right, flip[self.op], self.left)
+        flip = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}
+        return Comparison(self.right, flip.get(self.op, self.op), self.left)
 
     def negated(self) -> "Comparison":
         """The complementary comparison (e.g. ``a < b`` → ``a >= b``)."""

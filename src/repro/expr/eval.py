@@ -17,6 +17,7 @@ import re
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.expr.ast import (
+    NOT_DISTINCT,
     And,
     Between,
     BinOp,
@@ -128,6 +129,8 @@ def _like_to_regex(pattern: str) -> re.Pattern:
 
 def _compare(left: Any, op: str, right: Any) -> bool | None:
     """Three-valued comparison of two scalar values."""
+    if op == NOT_DISTINCT:
+        return left == right
     if left is None or right is None:
         return None
     if isinstance(left, bool) != isinstance(right, bool):

@@ -106,6 +106,42 @@ class TestDifferentialCatalog:
                 canonical_query.expected_names), f"{canonical_query.id}/{language}"
 
 
+def shared_nulls_database() -> Database:
+    """The tutorial instance plus a reservation whose sailor and boat are
+    both NULL, and one whose sailor and boat are the same value."""
+    db = sailors_database()
+    for row in ((None, None, "2024-01-01"), (7, 7, "2024-01-02")):
+        db.relation("Reserves").add(row)
+    return db
+
+
+#: A variable shared by two atoms, repeated in one atom, or guarded only
+#: under ∃: the engine and the interpreters all let it take NULL.
+VARIABLE_JOINS = [
+    pytest.param("datalog", "ans(S) :- reserves(S, S, D).", id="within-atom-datalog"),
+    pytest.param("drc", "{ s | exists d (Reserves(s, s, d)) }", id="within-atom-drc"),
+    pytest.param("datalog", "ans(S) :- reserves(S, B, D), reserves(B, S, D).",
+                 id="cross-atom-datalog"),
+    pytest.param("drc", "{ s | exists b, d (Reserves(s, b, d) and "
+                 "Reserves(b, s, d)) }", id="cross-atom-under-exists-drc"),
+    pytest.param("drc", "{ s | exists b, d (Reserves(s, b, d)) }",
+                 id="under-exists-drc"),
+    pytest.param("drc", "{ s, b, d | Reserves(s, b, d) }", id="head-drc"),
+]
+
+
+@pytest.mark.parametrize("backend", ["row", "vectorized"])
+@pytest.mark.parametrize("language,text", VARIABLE_JOINS)
+def test_variable_joins_match_nulls(language, text, backend):
+    db = shared_nulls_database()
+    reference = answer_relation(text, db)
+    assert any(None in row for row in reference.rows()), text
+    engine = run_query(text, db, language, backend=backend)
+    assert engine.bag_equal(reference), (
+        f"engine {sorted(map(repr, engine.rows()))} != "
+        f"reference {sorted(map(repr, reference.rows()))}")
+
+
 class TestSQLFragment:
     """Engine coverage of SQL beyond the catalog queries."""
 
@@ -183,6 +219,20 @@ class TestSQLFragment:
         expected = run_query(not_exists, big, "sql")
         for backend in ("row", "vectorized"):
             assert run_query(not_in, big, "sql", backend=backend).bag_equal(expected)
+
+    def test_subqueries_key_on_the_outer_columns_they_read(self, db):
+        # Q3's IN and NOT IN, and Q4's outer NOT EXISTS, read S.sid only;
+        # Q4's inner NOT EXISTS reads S.sid and B.bid.
+        def keys(query):
+            plan = lower(query.sql, db.schema, "sql")
+            return {(node.kind, node.left_keys) for node in plan.walk()
+                    if isinstance(node, JoinP)
+                    and node.kind in ("semi", "anti")}
+
+        q3, q4 = CANONICAL_QUERIES[2], CANONICAL_QUERIES[3]
+        assert keys(q3) == {("semi", ("S.sid",)), ("anti", ("S.sid",))}
+        assert keys(q4) == {("anti", ("S.sid",)),
+                            ("anti", ("S.sid", "B.bid"))}
 
     def test_unsupported_sql_raises_lowering_error(self, db):
         with pytest.raises(LoweringError):

@@ -6,8 +6,9 @@ a fixed workload; as the backend matrix grows, fixed suites stop covering
 the input space.  Following the benchmark-management
 argument for generated instance families over curated ones, this suite
 *generates* the workload: a hypothesis strategy builds random logical plans
-— scans, filters, equi- and semi/anti-joins, projections, distinct, set
-operations, group-bys, sorts — over small random relations, and asserts
+— scans, filters (IS NOT DISTINCT FROM among their comparisons), equi-
+and semi/anti-joins, projections (named and positional picks), distinct,
+set operations, group-bys, sorts — over small random relations, and asserts
 
     row ≡ vectorized ≡ kernel ≡ sharded (2 shards on the loops; 2 and 3
         on the kernels) ≡ process (2 shards, 2 worker processes)
@@ -65,6 +66,7 @@ from repro.engine.plan import (
     FilterP,
     JoinP,
     Plan,
+    PositionCol,
     ProjectP,
     ScanP,
     SetOpP,
@@ -182,6 +184,10 @@ def _condition(draw, columns: tuple[str, ...]):
     same_type = [n for n, d in typed if d == dtype and n != name]
     if same_type and draw(st.booleans()):
         other: e.Expr = e.Col(draw(st.sampled_from(same_type)))
+        # Between columns, also the NULL-matching equality a calculus or
+        # natural join's keys become when the optimizer flattens its tree.
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            op = e.NOT_DISTINCT
     else:
         other = e.Const(draw(st.integers(min_value=0, max_value=6)
                              if dtype == "int"
@@ -219,7 +225,10 @@ def _plan(draw, names: _Names, relations, depth: int):
         picks = draw(st.lists(
             st.integers(min_value=0, max_value=len(plan.columns) - 1),
             min_size=1, max_size=3))
-        exprs = tuple(e.Col(plan.columns[p]) for p in picks)
+        # Named picks and the positional ones calculus lowering emits: the
+        # optimizer moves filters past both.
+        exprs = tuple(PositionCol(p) if draw(st.booleans())
+                      else e.Col(plan.columns[p]) for p in picks)
         out = tuple(names.fresh(dtypes[p]) for p in picks)
         return ProjectP(plan, exprs, out), tuple(dtypes[p] for p in picks)
 

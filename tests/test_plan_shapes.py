@@ -25,6 +25,8 @@ from repro.data.relation import relation_from_rows
 from repro.data.sailors import random_sailors_database, sailors_database
 from repro.engine import (
     FixpointP,
+    JoinP,
+    SetOpP,
     Template,
     explain,
     lower,
@@ -516,3 +518,58 @@ class TestOneDatalogPlan:
         assert plan.columns == ("x", "y")
         assert "Fixpoint tc [2 rules, 1 delta variants, 0 facts]" \
             in explain(plan)
+
+
+# ---------------------------------------------------------------------------
+# One join rule: the spellings of a catalog query optimize to one skeleton
+# ---------------------------------------------------------------------------
+
+def _operators(node):
+    """A plan's operator skeleton: node classes, join kinds, key counts,
+    whether a join keeps a residual, set operators and their ``distinct``.
+    Names, literals and key semantics (``null_matches``) are ignored."""
+    detail = ()
+    if isinstance(node, JoinP):
+        detail = (node.kind, len(node.left_keys), node.residual is not None)
+    elif isinstance(node, SetOpP):
+        detail = (node.op, node.distinct)
+    return (type(node).__name__, *detail,
+            *(_operators(child) for child in node.children()))
+
+
+#: The spellings of each catalog query that optimize to one skeleton.  RA's
+#: duplicate-named natural-join trees and Datalog's rule-per-disjunct Q5
+#: are planned apart.
+ONE_SKELETON = {
+    "Q1": ("SQL", "RA", "TRC", "DRC", "Datalog"),
+    "Q2": ("SQL", "TRC", "DRC", "Datalog"),
+    "Q3": ("TRC", "DRC"),
+    "Q4": ("TRC", "DRC"),
+    "Q5": ("SQL", "TRC", "DRC"),
+}
+
+
+@pytest.fixture(scope="module")
+def skeleton_instances():
+    return {"tutorial": sailors_database(),
+            "24k": random_sailors_database(n_sailors=2400, n_boats=100,
+                                           n_reserves=24000, seed=13)}
+
+
+@pytest.mark.parametrize("instance", ["tutorial", "24k"])
+@pytest.mark.parametrize("query", CANONICAL_QUERIES, ids=lambda q: q.id)
+def test_spellings_optimize_to_one_skeleton(skeleton_instances, instance,
+                                            query):
+    """A NULL-matching join is planned like any equi-join, filters pass
+    positional picks, and SQL subqueries are keyed like the calculus' ¬∃:
+    so one query is one operator tree in each spelling listed."""
+    db = skeleton_instances[instance]
+    skeletons = {
+        language: _operators(optimize(lower(text, db.schema,
+                                            language.lower()), db))
+        for language, text in query.languages().items()
+        if language in ONE_SKELETON[query.id]}
+    groups: dict = {}
+    for language, skeleton in skeletons.items():
+        groups.setdefault(skeleton, []).append(language)
+    assert len(groups) == 1, f"{query.id}: {list(groups.values())}"
