@@ -194,9 +194,10 @@ class QueryVisualizationPipeline:
     typed holes (:func:`repro.engine.bind.scan_literals`).  The cached plan
     is a template compiled from the *first-seen* literals whose constants
     remember which literal they came from; a later text of the same shape
-    skips parse/lower/optimize and only has its literals substituted
-    (:func:`repro.engine.bind.bind`) before execution.  ``plan_cache_size``
-    therefore bounds shapes, not texts.  A Datalog program is one plan
+    skips parse/lower/optimize: the template itself is executed, with the
+    text's literals as the executor's ``params``
+    (:func:`repro.engine.bind.bind_node`).  ``plan_cache_size`` therefore
+    bounds shapes, not texts.  A Datalog program is one plan
     like any other query, its recursion one operator
     (:class:`~repro.engine.plan.FixpointP`), cached the same way.
 
@@ -231,9 +232,9 @@ class QueryVisualizationPipeline:
         """Plan-cache size and counters.  ``plan_entries`` counts shapes,
         refused ones included; ``plan_hits`` / ``plan_misses`` count
         lookups for which lower + optimize did not / did run;
-        ``plan_binds`` the hits that substituted at least one literal into
-        a cached template; ``plan_refused`` the shapes slot discovery
-        refused, which are served under their exact text."""
+        ``plan_binds`` the hits that executed a cached template with at
+        least one literal as a parameter; ``plan_refused`` the shapes slot
+        discovery refused, which are served under their exact text."""
         stats = self.cache_stats
         return {
             "plan_entries": len(self._plan_cache),
@@ -275,9 +276,12 @@ class QueryVisualizationPipeline:
         plan = None
         if evaluate:
             start = time.perf_counter()
-            answers, plan = self._evaluate(_Source(text, language, query),
-                                           warnings, timings)
+            answers, planned = self._evaluate(
+                _Source(text, language, query), warnings, timings)
             timings["evaluate"] = time.perf_counter() - start
+            if planned is not None:
+                template, literals = planned
+                plan = template.bind(literals)
 
         return PipelineResult(
             sql=text, query=query, diagram=diagram, language=language,
@@ -362,7 +366,9 @@ class QueryVisualizationPipeline:
 
     def _evaluate(self, source: _Source, warnings: list[str],
                   timings: dict[str, float]) -> tuple[Relation, Any]:
-        """Answer the query: unified engine first, reference interpreter fallback."""
+        """Answer the query: unified engine first, reference interpreter
+        fallback.  Returns the answers with the ``(template, literals)`` the
+        engine ran, or ``None`` after a fallback."""
         from repro.engine import LoweringError, PlanError
         from repro.expr.ast import ExprError
 
@@ -384,15 +390,17 @@ class QueryVisualizationPipeline:
                          timings: dict[str, float]) -> tuple[Relation, Any]:
         from repro.engine import execute_plan
 
-        plan = self._plan(source, timings)
+        template, literals = self._plan(source, timings)
         start = time.perf_counter()
-        answers = execute_plan(plan, self.db, backend=self.backend)
+        answers = execute_plan(template.plan, self.db, backend=self.backend,
+                               params=literals)
         timings["execute"] = time.perf_counter() - start
-        return answers, plan
+        return answers, (template, literals)
 
     def _plan(self, source: _Source, timings: dict[str, float]) -> Any:
-        """The one plan-cache lookup: ``source``'s optimized plan, bound to
-        the literals of its text.
+        """The one plan-cache lookup: ``(template, literals)``, the optimized
+        template of ``source``'s shape and the literals of its text, which
+        the template is executed with.
 
         Plans depend on the schema (column resolution) but not on row
         contents, so the key carries the coarser structure version:
@@ -403,7 +411,7 @@ class QueryVisualizationPipeline:
         """
         from repro.engine import lower, optimize
         from repro.engine.bind import Template, discover_slots, scan_literals
-        from repro.engine.verify import maybe_verify
+        from repro.engine.verify import maybe_verify, verification_enabled
 
         language = source.language
         version = self.db.structure_version
@@ -443,22 +451,22 @@ class QueryVisualizationPipeline:
             template = Template(optimize(lowered, self.db))
             timings["optimize"] = time.perf_counter() - start
             self._plan_cache.put((language, shape, version), template)
-        plan = template.bind(literals)
-        if literals:
-            # A bound plan is certified like any other rewrite under
-            # REPRO_VERIFY_PLANS.
-            maybe_verify(plan, self.db, rule="bind")
-        return plan
+        if literals and verification_enabled():
+            # The plan the literals bind to is certified like any other
+            # rewrite under REPRO_VERIFY_PLANS.
+            maybe_verify(template.bind(literals), self.db, rule="bind")
+        return template, literals
 
     def answer(self, text: str, *, language: str | None = None,
                warnings: list[str] | None = None) -> Relation:
         """The serving path: any-language text in, answers out — no diagram.
 
         Warm requests never parse: a plan-cache hit — any text of a shape
-        seen before — skips parse/lower/optimize, binds its literals and
-        goes straight to the executor.  A miss parses once, for lowering and for the
-        fallback alike.  Falls back to the reference interpreter
-        exactly like :meth:`run` for queries outside the engine fragment.
+        seen before — skips parse/lower/optimize and hands the cached
+        template to the executor, with its literals as parameters.  A miss
+        parses once, for lowering and for the fallback alike.  Falls back
+        to the reference interpreter exactly like :meth:`run` for queries
+        outside the engine fragment.
         The fallback *reason* is never swallowed: it is appended to the
         optional ``warnings`` out-list (same format as
         :attr:`PipelineResult.warnings`) and logged on this module's logger,
@@ -496,9 +504,10 @@ class QueryVisualizationPipeline:
         source = _Source(text, language.lower())
         source.ast()
         try:
-            return self._plan(source, {})
+            template, literals = self._plan(source, {})
         except (LoweringError, PlanError):
             return None
+        return template.bind(literals)
 
     def _evaluate_reference(self, query: Any, language: str) -> Relation:
         del language  # dispatch is by AST type

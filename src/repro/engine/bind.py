@@ -1,8 +1,8 @@
 """Compile once, bind many: a query's *shape*, its literal slots, and binding.
 
 The serving loop sees the same few query shapes with fresh literals, so the
-pipeline caches one optimized plan per shape and substitutes each request's
-literals into it.  Three pieces, all language-agnostic:
+pipeline caches one optimized plan per shape and executes it with each
+request's literals.  Four pieces, all language-agnostic:
 
 * :func:`scan_literals` blanks the number and single-quoted string literals
   of a query text to typed holes (int / float / string — ``10`` and
@@ -18,10 +18,26 @@ literals into it.  Three pieces, all language-agnostic:
   other difference — a ``LIMIT``, a ``LIKE`` pattern, a literal the scanner
   lifted from a comment, a value some parser transformed — *refuses* the
   shape (``None``), and the caller serves it under its exact text.
-* :meth:`Template.bind` substitutes a request's literals into the slotted
-  constants of an optimized template, giving a plan of plain ``Const``s —
-  the same "template + substitution" idiom as
-  :func:`repro.engine.delta.anchor`.
+* A plan hit executes the template itself, with the request's literals as
+  the executor's ``params``: :func:`bind_node` is how an executor reads
+  them.  Only a node whose *own* expressions hold a slotted constant (a
+  filter condition, a join residual, project exprs, aggregate args, sort
+  keys, a fixpoint's facts) is re-made, as a shallow copy with those
+  expressions bound; its children stay the template's objects, so the
+  executor memoizes under the template's nodes and everything it caches
+  on them (hashes, column positions) carries over from request to
+  request.  The operators see plain constants, exactly as in a plan that
+  never had slots.
+* :meth:`Template.bind` substitutes the literals into a whole plan, giving
+  a plan of plain ``Const``s — the same "template + substitution" idiom as
+  :func:`repro.engine.delta.anchor`.  Only the cold consumers pay for it:
+  a prepared view's plan, ``run()``'s :class:`PipelineResult` plan, the
+  ``REPRO_VERIFY_PLANS`` certificate, and the scatter-gather backend,
+  whose compiled-plan cache and shard routing key on constants.
+
+This module is the one home of parameter substitution: nothing else under
+``repro.engine`` or ``repro.core`` reads a constant's ``slot`` (the
+``one-bind`` rule of ``tools/check_invariants.py``).
 
 The scanner only has to be *conservative*: whatever it gets wrong (it knows
 no language's comment syntax) shows up as a difference that is not a slot,
@@ -46,8 +62,8 @@ from repro.expr import ast as e
 from repro.engine.plan import Plan
 from repro.syntax import NUMBER, QUOTED, STRING
 
-__all__ = ["Template", "attach_slots", "discover_slots", "scan_literals",
-           "sentinel_text", "sentinels_for"]
+__all__ = ["Template", "attach_slots", "bind_node", "discover_slots",
+           "is_bound", "scan_literals", "sentinel_text", "sentinels_for"]
 
 #: What a text may contain that the scanner must step over as one unit: a
 #: single-quoted string, a double-quoted identifier/string (kept verbatim),
@@ -213,14 +229,94 @@ def discover_slots(lowered: Any, shape: str, literals: Sequence[Any],
     return attach_slots(lowered, probe, literals, sentinels)
 
 
-class Template:
-    """An optimized plan whose slotted constants :meth:`bind` fills in —
-    what the plan cache holds per shape.
+# ---------------------------------------------------------------------------
+# Executing a template: one node's own expressions, bound per request
+# ---------------------------------------------------------------------------
 
-    Which nodes lead to a slot is worked out once, here, so a bind rebuilds
-    only the spine above each slotted constant and shares everything else
-    with the template.  The marks are ``id()``s of the template's own nodes,
-    which the template keeps alive.
+def _binder(part: Any) -> "Callable[[Sequence[Any]], Any] | None":
+    """A function of one request's literals that rebuilds ``part`` down to
+    its slotted constants, bound to them; ``None`` when ``part`` holds no
+    slot outside the plan nodes it contains (a child plan is bound on its
+    own).  Only the spine above each slot is rebuilt per call."""
+    if type(part) is e.Const:
+        slot = part.slot
+        return None if slot is None else lambda values: e.Const(values[slot])
+    if isinstance(part, Plan):
+        return None
+    if isinstance(part, tuple):
+        parts: Sequence[Any] = part
+        make: Callable[[list[Any]], Any] = tuple
+    else:
+        names = _walked_fields(type(part))
+        if names is None:
+            return None
+        parts = [getattr(part, name) for name in names]
+        make = lambda rebuilt: type(part)(*rebuilt)  # noqa: E731
+    binders = [_binder(x) for x in parts]
+    if not any(binders):
+        return None
+    pairs = list(zip(parts, binders))
+    return lambda values: make([x if bind is None else bind(values)
+                                for x, bind in pairs])
+
+
+def _node_binder(node: Plan) -> "Callable[[Sequence[Any]], Plan] | None":
+    """How :func:`bind_node` re-makes ``node``: its own fields (not its
+    children) through their :func:`_binder`, ``None`` when none holds a
+    slot.  Worked out on first use and kept on the node, like its hash: a
+    cached template's nodes are executed request after request."""
+    try:
+        return node.__dict__["_binder"]
+    except KeyError:
+        pass
+    parts = [getattr(node, name) for name in _walked_fields(type(node)) or ()]
+    binders = [_binder(part) for part in parts]
+    node_binder = None
+    if any(binders):
+        pairs = list(zip(parts, binders))
+        cls = type(node)
+
+        def node_binder(values: Sequence[Any]) -> Plan:
+            copy = cls(*[x if bind is None else bind(values)
+                         for x, bind in pairs])
+            object.__setattr__(copy, "_bound", True)
+            return copy
+
+    object.__setattr__(node, "_binder", node_binder)
+    return node_binder
+
+
+def bind_node(node: Plan, values: Sequence[Any]) -> Plan:
+    """``node`` with its own slotted expressions bound to ``values``.
+
+    ``node`` itself when none of its own expressions holds a slot, else a
+    shallow copy whose children are still ``node``'s: an executor computes
+    the copy and memoizes the result under ``node``.  The copy lives for one
+    execution, so closures compiled for it stay out of the process-wide
+    cache (:func:`is_bound`).
+    """
+    binder = _node_binder(node)
+    return node if binder is None else binder(values)
+
+
+def is_bound(node: Plan) -> bool:
+    """Whether ``node`` is a copy :func:`bind_node` made for one execution."""
+    return "_bound" in node.__dict__
+
+
+class Template:
+    """An optimized plan whose slotted constants one request's literals
+    fill in — what the plan cache holds per shape.
+
+    A hit executes :attr:`plan` with the literals as ``params`` (the
+    executors bind node by node, :func:`bind_node`); the walk here marks, on
+    each plan node, which of its own fields hold a slot, so a hit never
+    looks for them.  :meth:`bind` builds a plan of plain constants for the
+    cold consumers.  Which nodes lead to a slot is worked out once, here, so
+    a bind rebuilds only the spine above each slotted constant and shares
+    everything else with the template.  The marks are ``id()``s of the
+    template's own nodes, which the template keeps alive.  The template is
+    kept on its root plan too (:meth:`of`).
     """
 
     __slots__ = ("plan", "_slotted")
@@ -239,6 +335,8 @@ class Template:
                 if names is None:
                     return False
                 parts = [getattr(node, name) for name in names]
+                if isinstance(node, Plan):
+                    _node_binder(node)
             found = any([mark(part) for part in parts])
             if found:
                 slotted.add(id(node))
@@ -246,6 +344,16 @@ class Template:
 
         mark(plan)
         self._slotted = frozenset(slotted)
+        if isinstance(plan, Plan):
+            object.__setattr__(plan, "_template", self)
+
+    @staticmethod
+    def of(plan: Any) -> "Template":
+        """The template of ``plan``: the one made for it, else a new one."""
+        held = plan.__dict__.get("_template") if isinstance(plan, Plan) \
+            else None
+        return held if held is not None and held.plan is plan \
+            else Template(plan)
 
     def bind(self, values: Sequence[Any]) -> Any:
         """The plan with every ``Const(_, slot=i)`` replaced by the plain

@@ -13,7 +13,11 @@ One executor runs the plans of every frontend.  Physical choices:
 * every subplan's result is memoized *by plan value* for the duration of one
   :func:`execute_plan` call — the operational half of common subexpression
   elimination, and what makes the dependent-join compilation of correlated
-  subqueries cheap (the embedded outer plan is evaluated once).
+  subqueries cheap (the embedded outer plan is evaluated once);
+* a cached template runs as it is, its request's literals passed as
+  ``params``: a node whose own expressions hold a slot is computed as its
+  bound copy (:func:`repro.engine.bind.bind_node`) and memoized under the
+  template's node.
 
 Each operator has one Python implementation, a function of this module:
 :func:`aggregate_rows`, :func:`sort_limit_rows`, :func:`semi_anti_positions`,
@@ -64,6 +68,7 @@ from repro.expr.eval import (
     sort_key,
 )
 from repro.logic.terms import COMPARISONS
+from repro.engine.bind import bind_node, is_bound
 from repro.engine.cache import LRUCache
 from repro.engine.lower import lower, lower_datalog
 from repro.engine.plan import (
@@ -193,11 +198,14 @@ def compile_expr(expr: e.Expr, columns: Sequence[str]) -> RowFn:
 #
 # Compilation is pure — a closure depends only on the (immutable, hashable)
 # expression node and the column layout — so compiled closures are cached
-# process-wide.  Re-executing the same Plan object (the pipeline's plan cache
-# does exactly that on every warm request, and the Datalog fixpoint re-runs
-# its delta plans every round) therefore compiles each expression once, not
-# once per `_filter`/`_join` call.  Value closures and predicates share one
-# LRU cache; a predicate's key carries a "predicate" tag.
+# process-wide.  Re-executing the same Plan object (a plan-cache hit executes
+# its shape's template itself, and the Datalog fixpoint re-runs its delta
+# plans every round) therefore compiles each expression once, not once per
+# `_filter`/`_join` call.  The exception is a node bound to one request's
+# literals (`repro.engine.bind.bind_node`): its expressions compile afresh
+# (``cached=False``), so a stream of fresh literals never churns the cache.
+# Value closures and predicates share one LRU cache; a predicate's key
+# carries a "predicate" tag.
 
 _compiled = LRUCache(8192)
 
@@ -213,21 +221,28 @@ def _cache_slot(key: tuple, build: Callable[[], Any]) -> Any:
     return cached
 
 
-def compiled_expr(expr: e.Expr, columns: Sequence[str]) -> RowFn:
-    """Cached :func:`compile_expr` (keyed on expression + column layout)."""
+def compiled_expr(expr: e.Expr, columns: Sequence[str], *,
+                  cached: bool = True) -> RowFn:
+    """Cached :func:`compile_expr` (keyed on expression + column layout);
+    compiled afresh with ``cached=False``."""
     columns = tuple(columns)
+    if not cached:
+        return compile_expr(expr, columns)
     return _cache_slot((expr, columns), lambda: compile_expr(expr, columns))
 
 
-def compiled_predicate(expr: e.Expr, columns: Sequence[str]) -> Callable[[Row], bool]:
+def compiled_predicate(expr: e.Expr, columns: Sequence[str], *,
+                       cached: bool = True) -> Callable[[Row], bool]:
     """``expr`` as a row test that holds only where it is TRUE (cached, keyed
-    on expression + column layout)."""
+    on expression + column layout; compiled afresh with ``cached=False``)."""
     columns = tuple(columns)
 
     def build() -> Callable[[Row], bool]:
-        fn = compiled_expr(expr, columns)
+        fn = compiled_expr(expr, columns, cached=cached)
         return lambda row: fn(row) is True
 
+    if not cached:
+        return build()
     return _cache_slot((expr, columns, "predicate"), build)
 
 
@@ -241,17 +256,25 @@ def clear_compiled_cache() -> None:
 # ---------------------------------------------------------------------------
 
 class Executor:
-    """Evaluates plans against one database, memoizing per plan value."""
+    """Evaluates plans against one database, memoizing per plan value.
+
+    ``params`` are the literals of one request when ``plan`` is a cached
+    template: each node is computed bound to them
+    (:func:`~repro.engine.bind.bind_node`) and memoized under itself.
+    """
 
     def __init__(self, db: Database,
-                 memo: "dict[Plan, list[Row]] | None" = None) -> None:
+                 memo: "dict[Plan, list[Row]] | None" = None,
+                 params: Sequence[Any] = ()) -> None:
         self.db = db
         self._memo: dict[Plan, list[Row]] = {} if memo is None else memo
+        self.params = tuple(params)
 
     def rows(self, plan: Plan) -> list[Row]:
         cached = self._memo.get(plan)
         if cached is None:
-            cached = self._compute(plan)
+            cached = self._compute(
+                bind_node(plan, self.params) if self.params else plan)
             self._memo[plan] = cached
         return cached
 
@@ -266,19 +289,17 @@ class Executor:
             return self._filter(plan)
         if isinstance(plan, ProjectP):
             rows = self.rows(plan.input)
-            if all(isinstance(x, (e.Col, PositionCol)) for x in plan.exprs):
+            indices = plan.pick_positions
+            if None not in indices:
                 # Pure column picks: batch via itemgetter.
-                indices = [
-                    x.position if isinstance(x, PositionCol)
-                    else resolve_column(plan.input.columns, x.name, x.qualifier)
-                    for x in plan.exprs
-                ]
                 if len(indices) == 1:
                     i0 = indices[0]
                     return [(row[i0],) for row in rows]
                 getter = operator.itemgetter(*indices)
                 return [getter(row) for row in rows]
-            fns = [compiled_expr(x, plan.input.columns) for x in plan.exprs]
+            cached = not is_bound(plan)
+            fns = [compiled_expr(x, plan.input.columns, cached=cached)
+                   for x in plan.exprs]
             return [tuple(fn(row) for fn in fns) for row in rows]
         if isinstance(plan, DistinctP):
             return dedupe_rows(self.rows(plan.input))
@@ -293,7 +314,7 @@ class Executor:
         if isinstance(plan, SortLimitP):
             return sort_limit_rows(plan, self.rows(plan.input))
         if isinstance(plan, FixpointP):
-            return fixpoint_rows(plan, self.db, self._memo)
+            return fixpoint_rows(plan, self.db, self._memo, self.params)
         raise PlanError(f"cannot execute {type(plan).__name__}")
 
     def _filter(self, plan: FilterP) -> list[Row]:
@@ -307,7 +328,8 @@ class Executor:
         if not conjuncts:
             return list(rows)
         predicate = compiled_predicate(e.conjunction(conjuncts),
-                                       plan.input.columns)
+                                       plan.input.columns,
+                                       cached=not is_bound(plan))
         return [row for row in rows if predicate(row)]
 
     def _join(self, plan: JoinP) -> list[Row]:
@@ -317,13 +339,12 @@ class Executor:
             right_rows = self.rows(plan.right)
             return [l + r for l in left_rows for r in right_rows]
 
-        left_cols = plan.left.columns
-        right_cols = plan.right.columns
-        left_idx = [resolve_column(left_cols, k) for k in plan.left_keys]
-        right_idx = [resolve_column(right_cols, k) for k in plan.right_keys]
+        left_idx, right_idx = plan.key_positions
         residual = None
         if plan.residual is not None:
-            residual = compiled_predicate(plan.residual, left_cols + right_cols)
+            residual = compiled_predicate(
+                plan.residual, plan.left.columns + plan.right.columns,
+                cached=not is_bound(plan))
 
         # Build on the right: positions into ``right_rows``.  Keys that
         # cannot match (NULLs under SQL equality) are not in the table.
@@ -357,7 +378,9 @@ def aggregate_rows(plan: AggregateP, rows: list[Row]) -> list[Row]:
     ungrouped aggregate over no rows yields one row, its input columns NULL
     (SQL: ``COUNT`` folds to 0)."""
     columns = plan.input.columns
-    key_fns = [compiled_expr(x, columns) for x in plan.group_exprs]
+    cached = not is_bound(plan)
+    key_fns = [compiled_expr(x, columns, cached=cached)
+               for x in plan.group_exprs]
     groups: dict[tuple, list[Row]] = {}
     for row in rows:
         key = tuple(fn(row) for fn in key_fns)
@@ -367,7 +390,7 @@ def aggregate_rows(plan: AggregateP, rows: list[Row]) -> list[Row]:
         bucket.append(row)
     if not plan.group_exprs and not groups:
         groups[()] = []
-    agg_fns = [_compile_aggregate(call, columns)
+    agg_fns = [_compile_aggregate(call, columns, cached)
                for call, _name in plan.aggregates]
     blank = (None,) * len(columns)
     return [(members[0] if members else blank)
@@ -375,14 +398,14 @@ def aggregate_rows(plan: AggregateP, rows: list[Row]) -> list[Row]:
             for members in groups.values()]
 
 
-def _compile_aggregate(call: e.FuncCall,
-                       columns: tuple[str, ...]) -> Callable[[list[Row]], Any]:
+def _compile_aggregate(call: e.FuncCall, columns: tuple[str, ...],
+                       cached: bool) -> Callable[[list[Row]], Any]:
     name = call.name
     if name == "count" and call.args and isinstance(call.args[0], e.Star):
         return len
     if not call.args:
         raise PlanError(f"aggregate {name.upper()} needs an argument")
-    arg = compiled_expr(call.args[0], columns)
+    arg = compiled_expr(call.args[0], columns, cached=cached)
     distinct = call.distinct
     return lambda rows: fold(name, (arg(row) for row in rows), distinct)
 
@@ -391,7 +414,9 @@ def sort_limit_rows(plan: SortLimitP, rows: list[Row]) -> list[Row]:
     """ORDER BY (a stable sort on the reference interpreter's key: NULLs
     last ascending, values of different types apart), then LIMIT."""
     if plan.keys:
-        fns = [(compiled_expr(expr, plan.input.columns), ascending)
+        cached = not is_bound(plan)
+        fns = [(compiled_expr(expr, plan.input.columns, cached=cached),
+                ascending)
                for expr, ascending in plan.keys]
         rows = sorted(rows, key=lambda row: tuple(
             sort_key(fn(row), ascending) for fn, ascending in fns))
@@ -461,7 +486,8 @@ def divide_rows(plan: DivideP, left: list[Row], right: list[Row]) -> list[Row]:
 
 
 def fixpoint_rows(plan: FixpointP, db: Database,
-                  memo: "dict[Plan, list[Row]] | None" = None) -> list[Row]:
+                  memo: "dict[Plan, list[Row]] | None" = None,
+                  params: Sequence[Any] = ()) -> list[Row]:
     """The facts of ``plan.predicate``: semi-naive iteration of its stratum.
 
     Round 0 takes the facts and runs every rule body once; each later round
@@ -469,7 +495,8 @@ def fixpoint_rows(plan: FixpointP, db: Database,
     new (``pred@delta``), until it finds none.  The bodies run on the row
     :class:`Executor`, reading the stratum's predicates from working
     relations and every other relation of ``db`` in place; ``memo`` (the
-    caller's) keeps what reads no working relation across rounds.
+    caller's) keeps what reads no working relation across rounds, and
+    ``params`` are the request's literals the bodies are bound to.
     """
     arities = plan.arities()
     working = _WorkingDatabase(db)
@@ -484,7 +511,7 @@ def fixpoint_rows(plan: FixpointP, db: Database,
     def derive(plans: "tuple[tuple[str, Plan], ...]") -> None:
         for node in volatile:
             memo.pop(node, None)
-        executor = Executor(working, memo)
+        executor = Executor(working, memo, params)
         for head, body in plans:
             known = facts[head]
             for row in executor.rows(body):
@@ -764,8 +791,13 @@ class ExecutorBackend(Protocol):
 
     name: str
 
-    def execute(self, plan: Plan, db: Database) -> list[Row]:
-        """Evaluate ``plan`` against ``db`` and return its rows (bag order)."""
+    def execute(self, plan: Plan, db: Database,
+                params: Sequence[Any] = ()) -> list[Row]:
+        """Evaluate ``plan`` against ``db`` and return its rows (bag order).
+
+        ``params`` fill the slotted constants of a cached template
+        (:class:`~repro.engine.bind.Template`), the literals of one request.
+        """
         ...
 
 
@@ -774,8 +806,9 @@ class RowBackend:
 
     name = "row"
 
-    def execute(self, plan: Plan, db: Database) -> list[Row]:
-        return Executor(db).rows(plan)
+    def execute(self, plan: Plan, db: Database,
+                params: Sequence[Any] = ()) -> list[Row]:
+        return Executor(db, params=params).rows(plan)
 
 
 def get_backend(name: "str | ExecutorBackend") -> "ExecutorBackend":
@@ -814,9 +847,15 @@ _ROW_BACKEND = RowBackend()
 # ---------------------------------------------------------------------------
 
 def execute_plan(plan: Plan, db: Database, *,
-                 backend: "str | ExecutorBackend" = "row") -> Relation:
-    """Execute a plan and package the rows as a Relation (types inferred)."""
-    rows = get_backend(backend).execute(plan, db)
+                 backend: "str | ExecutorBackend" = "row",
+                 params: Sequence[Any] = ()) -> Relation:
+    """Execute a plan and package the rows as a Relation (types inferred).
+
+    ``params`` are the literals a cached template's slotted constants take
+    for this execution (``Const(_, slot=i)`` reads ``params[i]``); a plan
+    without slots ignores them.
+    """
+    rows = get_backend(backend).execute(plan, db, params)
     return build_result_relation(plan.columns, rows)
 
 

@@ -17,15 +17,19 @@ boolean expressions attached to nodes reuse :mod:`repro.expr.ast`; column
 references are resolved against ``columns`` with the same qualified /
 suffix-matching rules as :func:`repro.ra.ast.resolve_attribute`, but case-
 insensitively (SQL identifiers and calculus attributes both compare that
-way).
+way).  What the executors resolve on every run — a join's key positions, a
+projection's column picks, a join's output columns — is resolved once and
+kept on the node (``cached_property``), like its hash: a cached template's
+nodes are executed request after request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
-from repro.expr.ast import BoolConst, Const, Expr, FuncCall
+from repro.expr.ast import BoolConst, Col, Const, Expr, FuncCall
 
 
 class PlanError(Exception):
@@ -157,6 +161,25 @@ class ProjectP(Plan):
     def columns(self) -> tuple[str, ...]:
         return self.names
 
+    @cached_property
+    def pick_positions(self) -> tuple[int | None, ...]:
+        """Per expression, the input position a column pick reads; ``None``
+        for a computed expression or a column that does not resolve (its
+        compiled closure raises)."""
+        columns = self.input.columns
+
+        def pick(x: Expr) -> int | None:
+            if isinstance(x, PositionCol):
+                return x.position
+            if isinstance(x, Col):
+                try:
+                    return resolve_column(columns, x.name, x.qualifier)
+                except PlanError:
+                    return None
+            return None
+
+        return tuple(pick(x) for x in self.exprs)
+
     def children(self) -> tuple[Plan, ...]:
         return (self.input,)
 
@@ -213,11 +236,20 @@ class JoinP(Plan):
         if len(self.left_keys) != len(self.right_keys):
             raise PlanError("left and right join keys must have the same length")
 
-    @property
-    def columns(self) -> tuple[str, ...]:
+    @cached_property
+    def columns(self) -> tuple[str, ...]:  # type: ignore[override]
         if self.kind in ("semi", "anti"):
             return self.left.columns
         return self.left.columns + self.right.columns
+
+    @cached_property
+    def key_positions(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The positions of ``left_keys`` in the left input's columns and of
+        ``right_keys`` in the right's."""
+        return (tuple(resolve_column(self.left.columns, k)
+                      for k in self.left_keys),
+                tuple(resolve_column(self.right.columns, k)
+                      for k in self.right_keys))
 
     def children(self) -> tuple[Plan, ...]:
         return (self.left, self.right)

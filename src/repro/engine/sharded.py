@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 from weakref import WeakKeyDictionary
 
 from repro.data.database import Database
@@ -73,6 +73,7 @@ from repro.data.sharded import (
     ShardedDatabase,
 )
 from repro.expr import ast as e
+from repro.engine.bind import Template
 from repro.engine.cache import LRUCache
 from repro.engine.execute import Row, _column_position, compiled_expr
 from repro.engine.kernels import path_counts
@@ -978,14 +979,19 @@ class ShardedBackend:
 
     # -- ExecutorBackend ---------------------------------------------------
 
-    def execute(self, plan: Plan, db: Database) -> list[Row]:
+    def execute(self, plan: Plan, db: Database,
+                params: Sequence[Any] = ()) -> list[Row]:
         """The one scatter-gather driver: compile, count, run parts, merge.
 
-        Everything one execution counts — its mode, the kernel layer's
-        cache traffic, the publisher's and the workers' work — goes to a
-        sink of its own, folded into ``counters`` under the lock when it
-        ends: concurrent requests never write the shared dict unlocked.
+        A template is bound to its ``params`` first: the compiled-plan cache
+        and shard routing key on constants.  Everything one execution
+        counts — its mode, the kernel layer's cache traffic, the
+        publisher's and the workers' work — goes to a sink of its own,
+        folded into ``counters`` under the lock when it ends: concurrent
+        requests never write the shared dict unlocked.
         """
+        if params:
+            plan = Template.of(plan).bind(params)
         sharded = self.sharded_view(db)
         compiled = self.plan_for(plan, sharded)
         sink = {_MODE_COUNTERS[compiled.mode]: 1}

@@ -59,7 +59,7 @@ protocol; select it with ``execute_plan(plan, db, backend="vectorized")`` or
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.data.database import Database
 from repro.data.relation import Relation, dedupe_rows
@@ -67,6 +67,7 @@ from repro.expr import ast as e
 from repro.expr.eval import ExprError
 from repro.logic.terms import COMPARISONS
 from repro.engine import kernels
+from repro.engine.bind import bind_node, is_bound
 from repro.engine.batch import (
     Batch,
     Vector,
@@ -78,7 +79,6 @@ from repro.engine.batch import (
 from repro.engine.execute import (
     Row,
     _PrefixTable,
-    _column_position,
     aggregate_rows,
     build_source,
     column_comparison,
@@ -108,7 +108,6 @@ from repro.engine.plan import (
     ScanP,
     SetOpP,
     SortLimitP,
-    resolve_column,
 )
 
 
@@ -208,19 +207,23 @@ class VectorizedExecutor:
     ``counters`` (optional) receives the kernel layer's derived-structure
     cache hit/miss/eviction bumps and this executor's ``scan_lookup``
     count, letting each backend report its own traffic through
-    ``execution_counts()``.
+    ``execution_counts()``.  ``params`` are one request's literals, as for
+    the row :class:`~repro.engine.execute.Executor`.
     """
 
     def __init__(self, db: Database,
-                 counters: "dict[str, int] | None" = None) -> None:
+                 counters: "dict[str, int] | None" = None,
+                 params: Sequence[Any] = ()) -> None:
         self.db = db
         self.kernel_counters = counters
+        self.params = tuple(params)
         self._memo: dict[Plan, Batch] = {}
 
     def batch(self, plan: Plan) -> Batch:
         cached = self._memo.get(plan)
         if cached is None:
-            cached = self._compute(plan)
+            cached = self._compute(
+                bind_node(plan, self.params) if self.params else plan)
             self._memo[plan] = cached
         return cached
 
@@ -250,7 +253,8 @@ class VectorizedExecutor:
             return Batch.from_rows(plan.columns, sort_limit_rows(
                 plan, self.batch(plan.input).rows()))
         if isinstance(plan, FixpointP):
-            return Batch.from_rows(plan.columns, fixpoint_rows(plan, self.db))
+            return Batch.from_rows(plan.columns, fixpoint_rows(
+                plan, self.db, params=self.params))
         raise PlanError(f"cannot execute {type(plan).__name__}")
 
     def _scan(self, plan: ScanP) -> Batch:
@@ -302,7 +306,8 @@ class VectorizedExecutor:
             if fast is not None:
                 sel = fast(batch, sel)
                 continue
-            predicate = compiled_predicate(conjunct, batch.columns)
+            predicate = compiled_predicate(conjunct, batch.columns,
+                                           cached=not is_bound(plan))
             if materialized is None:
                 materialized = [v.materialize() for v in batch.vectors]
             sel = [i for i in _indices(batch, sel)
@@ -325,14 +330,14 @@ class VectorizedExecutor:
         batch = self.batch(plan.input)
         vectors: list[Vector] = []
         rows: list[Row] | None = None
-        for expr in plan.exprs:
-            pos = _column_position(expr, plan.input.columns)
+        for expr, pos in zip(plan.exprs, plan.pick_positions):
             if pos is not None:
                 vectors.append(batch.vectors[pos])
                 continue
             if rows is None:
                 rows = batch.rows()
-            fn = compiled_expr(expr, plan.input.columns)
+            fn = compiled_expr(expr, plan.input.columns,
+                               cached=not is_bound(plan))
             vectors.append(Vector([fn(row) for row in rows]))
         return Batch(plan.names, vectors, batch.length)
 
@@ -358,13 +363,12 @@ class VectorizedExecutor:
                          _take(left.vectors, left_sel) + _take(right.vectors, right_sel),
                          nl * nr)
 
-        left_cols = plan.left.columns
-        right_cols = plan.right.columns
-        left_idx = [resolve_column(left_cols, k) for k in plan.left_keys]
-        right_idx = [resolve_column(right_cols, k) for k in plan.right_keys]
+        left_idx, right_idx = plan.key_positions
         residual = None
         if plan.residual is not None:
-            residual = compiled_predicate(plan.residual, left_cols + right_cols)
+            residual = compiled_predicate(
+                plan.residual, plan.left.columns + plan.right.columns,
+                cached=not is_bound(plan))
         right = self.batch(plan.right)
 
         match = None if residual is None else _pair_predicate(
@@ -527,5 +531,6 @@ class VectorizedBackend:
 
     name = "vectorized"
 
-    def execute(self, plan: Plan, db: Database) -> list[Row]:
-        return VectorizedExecutor(db).batch(plan).rows()
+    def execute(self, plan: Plan, db: Database,
+                params: Sequence[Any] = ()) -> list[Row]:
+        return VectorizedExecutor(db, params=params).batch(plan).rows()

@@ -82,7 +82,7 @@ class Const(Expr):
     ``slot`` is ``None`` except inside a cached plan *template*
     (:mod:`repro.engine.bind`), where it numbers the literal of the query
     text this constant came from; ``value`` is then the first-seen literal,
-    which :func:`~repro.engine.bind.bind` replaces.  The slot takes part in
+    which each request's own literal replaces.  The slot takes part in
     equality, so two slots that happen to hold equal values never merge.
     So does the value's type: ``2``, ``2.0`` and ``True`` compare equal in
     Python but are different literals, and merging them would hand one the

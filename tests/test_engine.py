@@ -564,8 +564,8 @@ class TestAccessPath:
         real_predicate = execute.compiled_predicate
         real_indices = vectorized._indices
 
-        def predicate(expr, columns):
-            test = real_predicate(expr, columns)
+        def predicate(expr, columns, **options):
+            test = real_predicate(expr, columns, **options)
             passes.append(0)
             slot = len(passes) - 1
 

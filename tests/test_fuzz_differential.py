@@ -99,9 +99,9 @@ class _Gated:
         self.backend = backend
         self.min_rows = min_rows
 
-    def execute(self, plan, db):
+    def execute(self, plan, db, params=()):
         with pinned_gates(self.min_rows):
-            return self.backend.execute(plan, db)
+            return self.backend.execute(plan, db, params)
 
 
 #: Every generated plan must agree across all of these.
@@ -350,12 +350,14 @@ def test_backends_agree_on_optimized_plans(case):
 # ---------------------------------------------------------------------------
 #
 # The serving path caches one optimized plan per query *shape* and binds
-# each request's literals into it (``repro.engine.bind``).  This leg treats
-# a generated plan's constants, in traversal order, as the literals of its
-# text: the slots are attached by the same two-point discovery the pipeline
-# uses, the slotted plan is optimized once (for the first-seen literals),
-# and then bound to *perturbed* literals — which must give the rows of the
-# perturbed plan compiled from scratch, on every backend.  ``_with_literals``
+# executes it with each request's literals as parameters
+# (``repro.engine.bind``).  This leg treats a generated plan's constants, in
+# traversal order, as the literals of its text: the slots are attached by
+# the same two-point discovery the pipeline uses, the slotted plan is
+# optimized once (for the first-seen literals), and then run with
+# *perturbed* literals — bound into a plan of plain constants, and as the
+# template itself with the literals as parameters — which must both give
+# the rows of the perturbed plan compiled from scratch, on every backend.  ``_with_literals``
 # is deliberately not the code under test: it rebuilds the handful of node
 # types the generator emits.
 
@@ -439,6 +441,12 @@ def test_bound_plans_agree_with_fresh_compiles(case):
                 f"{name} diverged on the plan bound to {values}:\n{bound}\n"
                 f"fresh(row)={sorted(reference.items())}\n"
                 f"bound={sorted(bag.items())}")
+            bag = Counter(backend.execute(template.plan, db, tuple(values)))
+            assert bag == reference, (
+                f"{name} diverged on the template run with params "
+                f"{values}:\n{template.plan}\n"
+                f"fresh(row)={sorted(reference.items())}\n"
+                f"params={sorted(bag.items())}")
 
 
 # ---------------------------------------------------------------------------

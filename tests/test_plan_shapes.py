@@ -431,6 +431,152 @@ class TestPreparedShapes:
 
 
 # ---------------------------------------------------------------------------
+# A plan hit executes the cached template, its literals as parameters
+# ---------------------------------------------------------------------------
+
+def _template_of(pipeline, text: str, language: str) -> Template:
+    shape, _literals = scan_literals(text)
+    return pipeline._plan_cache.get(
+        (language, shape, pipeline.db.structure_version))
+
+
+@pytest.mark.parametrize("backend", ["row", "vectorized"])
+@pytest.mark.parametrize("language, first, second", [
+    ("sql",
+     "SELECT S.sname FROM Sailors S, Reserves R WHERE S.sid = R.sid "
+     "AND R.bid = 103 AND S.age > 30.5",
+     "SELECT S.sname FROM Sailors S, Reserves R WHERE S.sid = R.sid "
+     "AND R.bid = 102 AND S.age > 20.5"),
+    ("datalog",
+     "ans(N) :- sailors(S, N, R, A), reserves(S, 103, D), A > 30.5.",
+     "ans(N) :- sailors(S, N, R, A), reserves(S, 102, D), A > 20.5."),
+], ids=["sql", "datalog"])
+def test_a_hit_memoizes_under_the_templates_own_nodes(
+        monkeypatch, backend, language, first, second):
+    """Every plan the executor memoizes on a hit is a node of the cached
+    template: no copy of the spine above the slotted nodes is built."""
+    from repro.engine.execute import Executor
+    from repro.engine.vectorized import VectorizedExecutor
+
+    pipeline = QueryVisualizationPipeline(sailors_database(), backend=backend)
+    pipeline.answer(first, language=language)
+    template = _template_of(pipeline, first, language)
+    own = {id(node) for node in _leaves(template.plan)}
+    cls, name = ((Executor, "rows") if backend == "row"
+                 else (VectorizedExecutor, "batch"))
+    real = getattr(cls, name)
+    keys: list = []
+
+    def spy(self, plan):
+        keys.append(plan)
+        return real(self, plan)
+
+    monkeypatch.setattr(cls, name, spy)
+    answers = pipeline.answer(second, language=language)
+    assert answers.bag_equal(oracle(second, language, pipeline.db))
+    assert plan_counters(pipeline)["binds"] == 1
+    assert keys and all(id(plan) in own for plan in keys), [
+        type(plan).__name__ for plan in keys if id(plan) not in own]
+
+
+@pytest.mark.parametrize("backend", ["row", "vectorized"])
+def test_fresh_literals_leave_the_closure_cache_alone(backend):
+    """A node bound to one request's literals compiles outside the
+    process-wide closure cache, so a stream of literals cannot churn it."""
+    from repro.engine.execute import _compiled, clear_compiled_cache
+
+    clear_compiled_cache()
+    pipeline = QueryVisualizationPipeline(sailors_database(), backend=backend)
+    text = ("SELECT S.sname, S.age * {} AS scaled FROM Sailors S "
+            "WHERE S.rating > {} OR S.sname = 'Dustin'")
+    pipeline.answer(text.format(2, 7))
+    pipeline.answer(text.format(3, 6))
+    size = len(_compiled)
+    for k in range(4, 10):
+        answers = pipeline.answer(text.format(k, 10 - k))
+        assert answers.bag_equal(
+            oracle(text.format(k, 10 - k), "sql", pipeline.db))
+    assert len(_compiled) == size
+    assert plan_counters(pipeline)["binds"] == 7
+
+
+#: ``(id, language, text, first literals, second literals)``: slots where
+#: the five-language sweep never puts one — aggregates, projections, the
+#: first conjunct a point lookup reads, ``OR``, ``IN`` and ``BETWEEN``.
+EDGE_SHAPES = [
+    ("quoted", "sql", "SELECT S.sid FROM Sailors S WHERE S.sname <> {}",
+     ("'O''Brien'",), ("'Dustin'",)),
+    ("between", "sql",
+     "SELECT S.sname FROM Sailors S WHERE S.age BETWEEN {} AND {}",
+     ("30.5", "40.0"), ("16.0", "35.5")),
+    ("in-list", "sql",
+     "SELECT S.sname FROM Sailors S WHERE S.rating IN ({}, {})",
+     ("7", "9"), ("1", "10")),
+    ("having", "sql",
+     "SELECT S.rating, COUNT(*) AS n FROM Sailors S GROUP BY S.rating "
+     "HAVING COUNT(*) > {}", ("1",), ("0",)),
+    ("projected", "sql",
+     "SELECT S.sname, S.age + {} AS older FROM Sailors S WHERE S.rating > {}",
+     ("1.5", "7"), ("10.25", "2")),
+    ("or", "sql",
+     "SELECT S.sname FROM Sailors S WHERE S.rating = {} OR S.rating = {}",
+     ("7", "10"), ("8", "9")),
+    ("atom", "datalog", "ans(S, D) :- reserves(S, {}, D).",
+     ("103",), ("101",)),
+    ("drc", "drc",
+     "{{ n | exists s, r, a (Sailors(s, n, r, a) and r = {}) }}",
+     ("7",), ("10",)),
+    ("trc", "trc", "{{ s.sname | Sailors(s) and s.rating = {} }}",
+     ("7",), ("10",)),
+]
+
+
+@pytest.mark.parametrize("backend", ["row", "vectorized"])
+@pytest.mark.parametrize("language, text, first, second",
+                         [case[1:] for case in EDGE_SHAPES],
+                         ids=[case[0] for case in EDGE_SHAPES])
+def test_edge_shapes_bind_node_by_node(backend, language, text, first,
+                                       second):
+    pipeline = QueryVisualizationPipeline(sailors_database(), backend=backend)
+    pipeline.db.relation("Sailors").add((99, "O'Brien", 10, 41.0))
+    for literals in (first, second):
+        variant = text.format(*literals)
+        warnings: list[str] = []
+        answers = pipeline.answer(variant, language=language,
+                                  warnings=warnings)
+        assert not warnings, warnings
+        assert answers.bag_equal(oracle(variant, language, pipeline.db)), (
+            variant, answers.rows())
+    assert plan_counters(pipeline) == {
+        "entries": 1, "misses": 1, "hits": 1, "binds": 1, "refused": 0}
+
+
+@pytest.mark.parametrize("backend", ["sharded", "process"])
+def test_routed_point_lookups_answer_their_own_literal(backend):
+    """A routed lookup's shard is picked from its constant: a hit must
+    route by the request's literal, not the template's first-seen one."""
+    from repro.core.sharded_service import ShardedQueryService
+
+    db = sailors_database()
+    service = ShardedQueryService(db, backend=backend, n_shards=2,
+                                  workers=2 if backend == "process" else None)
+    try:
+        text = "SELECT R.bid, R.day FROM Reserves R WHERE R.sid = {}"
+        sids = sorted({row[0] for row in db.relation("Reserves").rows()})
+        assert len(sids) > 2
+        for sid in sids:
+            answers = service.query(text.format(sid)).relation
+            assert answers.bag_equal(oracle(text.format(sid), "sql", db)), sid
+            assert len(answers) > 0
+        info = service.cache_info()
+        assert info["plan_misses"] == 1
+        assert info["plan_binds"] == len(sids) - 1
+        assert service.backend.execution_counts()["single_shard"] == len(sids)
+    finally:
+        service.close()
+
+
+# ---------------------------------------------------------------------------
 # The assumption discovery rests on, kept as a test: lowering is literal-blind
 # ---------------------------------------------------------------------------
 

@@ -1062,6 +1062,43 @@ class TestInvariantLint:
         assert [v for v in invariants.run_checks(root)
                 if v.rule == "one-fixpoint"] == []
 
+    def test_slot_read_outside_bind(self, invariants, fixture_repo):
+        root = fixture_repo("src/repro/core/pipeline.py", """\
+            def literal(const, values):
+                if const.slot is None:
+                    return const.value
+                return values[const.slot]
+            """)
+        fixture_repo("src/repro/engine/vectorized.py", """\
+            def bound(node, params):
+                return params[getattr(node, "right").slot]
+            """)
+        violations = [v for v in invariants.run_checks(root)
+                      if v.rule == "one-bind"]
+        core = os.path.join("src", "repro", "core", "pipeline.py")
+        engine = os.path.join("src", "repro", "engine", "vectorized.py")
+        assert sorted((v.path, v.line) for v in violations) == sorted([
+            (core, 2), (core, 4), (engine, 2)])
+
+    def test_slot_read_in_bind_is_clean(self, invariants, fixture_repo):
+        fixture_repo("src/repro/engine/bind.py", """\
+            def bind_const(const, values):
+                return const if const.slot is None else values[const.slot]
+            """)
+        fixture_repo("src/repro/server/app.py", """\
+            async def handle(app):
+                async with app.admission.slot():
+                    pass
+            """)
+        root = fixture_repo("src/repro/engine/execute.py", """\
+            from repro.engine.bind import bind_node
+
+            def rows(plan, params):
+                return bind_node(plan, params)
+            """)
+        assert [v for v in invariants.run_checks(root)
+                if v.rule == "one-bind"] == []
+
     def test_trc_formula_walked_outside_the_pattern_reader(self, invariants,
                                                           fixture_repo):
         root = fixture_repo("src/repro/diagrams/common.py", """\

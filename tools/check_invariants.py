@@ -78,6 +78,13 @@ Rules (see tools/README.md for how to add one):
     the loop that fills them and the statistics that estimate them name a
     working delta relation.
 
+``one-bind``
+    Parameter substitution has one home: under ``src/repro/engine`` and
+    ``src/repro/core``, reading a ``.slot`` attribute (a template
+    constant's literal number) outside ``engine/bind.py`` is a violation —
+    executors reach a request's literals through ``bind.bind_node``, the
+    cold consumers through ``Template.bind``.
+
 ``no-oracle-imports``
     The five reference interpreters (``repro.{sql,ra,trc,drc,datalog}
     .evaluate``) stay a separate implementation of the semantics the
@@ -867,6 +874,32 @@ def check_one_fixpoint(root: str) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
+# Rule: one-bind
+# ---------------------------------------------------------------------------
+
+#: The module that reads template constants' slots.
+_BIND_MODULE = "src/repro/engine/bind.py"
+
+
+def check_one_bind(root: str) -> list[Violation]:
+    violations: list[Violation] = []
+    for _path, rel_path, tree in _walk_sources(
+            root, ("src/repro/engine", "src/repro/core")):
+        if rel_path.replace(os.sep, "/") == _BIND_MODULE:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "slot" \
+                    and isinstance(node.ctx, ast.Load):
+                violations.append(Violation(
+                    rel_path, node.lineno, "one-bind",
+                    "a template constant's slot read outside "
+                    "engine/bind.py; pass a request's literals as params "
+                    "and bind through repro.engine.bind (bind_node, "
+                    "Template.bind)"))
+    return violations
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -884,6 +917,7 @@ ALL_RULES = (
     check_one_join_planner,
     check_one_pattern_walker,
     check_one_fixpoint,
+    check_one_bind,
 )
 
 
