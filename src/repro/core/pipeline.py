@@ -280,8 +280,9 @@ class QueryVisualizationPipeline:
                 _Source(text, language, query), warnings, timings)
             timings["evaluate"] = time.perf_counter() - start
             if planned is not None:
-                template, literals = planned
-                plan = template.bind(literals)
+                from repro.engine import bind_plan
+
+                plan = bind_plan(*planned)
 
         return PipelineResult(
             sql=text, query=query, diagram=diagram, language=language,
@@ -392,7 +393,7 @@ class QueryVisualizationPipeline:
 
         template, literals = self._plan(source, timings)
         start = time.perf_counter()
-        answers = execute_plan(template.plan, self.db, backend=self.backend,
+        answers = execute_plan(template, self.db, backend=self.backend,
                                params=literals)
         timings["execute"] = time.perf_counter() - start
         return answers, (template, literals)
@@ -410,7 +411,7 @@ class QueryVisualizationPipeline:
         and the last equal entry stays.
         """
         from repro.engine import lower, optimize
-        from repro.engine.bind import Template, discover_slots, scan_literals
+        from repro.engine.bind import bind_plan, discover_slots, scan_literals
         from repro.engine.verify import maybe_verify, verification_enabled
 
         language = source.language
@@ -448,13 +449,13 @@ class QueryVisualizationPipeline:
                     lowered = slotted
             timings["lower"] = time.perf_counter() - start
             start = time.perf_counter()
-            template = Template(optimize(lowered, self.db))
+            template = optimize(lowered, self.db)
             timings["optimize"] = time.perf_counter() - start
             self._plan_cache.put((language, shape, version), template)
         if literals and verification_enabled():
             # The plan the literals bind to is certified like any other
             # rewrite under REPRO_VERIFY_PLANS.
-            maybe_verify(template.bind(literals), self.db, rule="bind")
+            maybe_verify(bind_plan(template, literals), self.db, rule="bind")
         return template, literals
 
     def answer(self, text: str, *, language: str | None = None,
@@ -499,15 +500,14 @@ class QueryVisualizationPipeline:
         (its requests will use the interpreter fallback).
         ``QueryService.prepare`` builds its prepared-query handles on this.
         """
-        from repro.engine import LoweringError, PlanError
+        from repro.engine import LoweringError, PlanError, bind_plan
 
         source = _Source(text, language.lower())
         source.ast()
         try:
-            template, literals = self._plan(source, {})
+            return bind_plan(*self._plan(source, {}))
         except (LoweringError, PlanError):
             return None
-        return template.bind(literals)
 
     def _evaluate_reference(self, query: Any, language: str) -> Relation:
         del language  # dispatch is by AST type

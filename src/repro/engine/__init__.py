@@ -59,14 +59,13 @@ from repro.engine.sharded import (
 from repro.engine.kernels import kernels_enabled
 from repro.engine.process import ProcessBackend, default_process_workers
 from repro.engine import lifecycle
-from repro.engine.bind import Template, attach_slots, scan_literals
+from repro.engine.bind import attach_slots, bind_plan, scan_literals
 from repro.engine.delta import (
     AggregateMaintainer,
     BagMaintainer,
     DeltaRewriteError,
     DistinctMaintainer,
     ViewMaintainer,
-    anchor,
     asof_plan,
     base_relations,
     build_maintainer,
@@ -157,14 +156,13 @@ __all__ = [
     "SortLimitP",
     "StatsCatalog",
     "TableStats",
-    "Template",
     "VectorizedBackend",
     "VectorizedExecutor",
     "ViewMaintainer",
-    "anchor",
     "attach_slots",
     "asof_plan",
     "base_relations",
+    "bind_plan",
     "build_maintainer",
     "build_result_relation",
     "clear_compiled_cache",

@@ -2,7 +2,11 @@
 
 The serving loop sees the same few query shapes with fresh literals, so the
 pipeline caches one optimized plan per shape and executes it with each
-request's literals.  Four pieces, all language-agnostic:
+request's literals.  A materialized view does the same with time: it keeps
+its delta terms and executes them on every refresh with the view's version
+anchors, which the terms' :class:`~repro.engine.plan.DeltaScanP` windows
+hold as slots (:mod:`repro.engine.delta`).  Four pieces, all
+language-agnostic:
 
 * :func:`scan_literals` blanks the number and single-quoted string literals
   of a query text to typed holes (int / float / string — ``10`` and
@@ -18,21 +22,20 @@ request's literals.  Four pieces, all language-agnostic:
   other difference — a ``LIMIT``, a ``LIKE`` pattern, a literal the scanner
   lifted from a comment, a value some parser transformed — *refuses* the
   shape (``None``), and the caller serves it under its exact text.
-* A plan hit executes the template itself, with the request's literals as
-  the executor's ``params``: :func:`bind_node` is how an executor reads
-  them.  Only a node whose *own* expressions hold a slotted constant (a
-  filter condition, a join residual, project exprs, aggregate args, sort
-  keys, a fixpoint's facts) is re-made, as a shallow copy with those
-  expressions bound; its children stay the template's objects, so the
+* A plan with slots is executed as it is, with the values as the
+  executor's ``params``: :func:`bind_node` is how an executor reads them.
+  Only a node whose *own* fields hold a slotted constant (a filter
+  condition, a join residual, project exprs, aggregate args, sort keys, a
+  fixpoint's facts, a window's anchor) is re-made, as a shallow copy with
+  those fields bound; its children stay the template's objects, so the
   executor memoizes under the template's nodes and everything it caches
-  on them (hashes, column positions) carries over from request to
-  request.  The operators see plain constants, exactly as in a plan that
-  never had slots.
-* :meth:`Template.bind` substitutes the literals into a whole plan, giving
-  a plan of plain ``Const``s — the same "template + substitution" idiom as
-  :func:`repro.engine.delta.anchor`.  Only the cold consumers pay for it:
-  a prepared view's plan, ``run()``'s :class:`PipelineResult` plan, the
-  ``REPRO_VERIFY_PLANS`` certificate, and the scatter-gather backend,
+  on them (hashes, column positions) carries over from execution to
+  execution.  The operators see plain constants, exactly as in a plan
+  that never had slots.
+* :func:`bind_plan` binds a whole plan the same way, node by node, giving a
+  plan of plain ``Const``s.  Only the cold consumers pay for it: a prepared
+  view's plan, ``run()``'s :class:`PipelineResult` plan, the
+  ``REPRO_VERIFY_PLANS`` certificates, and the scatter-gather backend,
   whose compiled-plan cache and shard routing key on constants.
 
 This module is the one home of parameter substitution: nothing else under
@@ -55,6 +58,7 @@ keeps a double-quoted span in the shape verbatim.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
 from typing import Any, Callable, Sequence
 
@@ -62,8 +66,9 @@ from repro.expr import ast as e
 from repro.engine.plan import Plan
 from repro.syntax import NUMBER, QUOTED, STRING
 
-__all__ = ["Template", "attach_slots", "bind_node", "discover_slots",
-           "is_bound", "scan_literals", "sentinel_text", "sentinels_for"]
+__all__ = ["attach_slots", "bind_node", "bind_plan", "discover_slots",
+           "is_bound", "scan_literals", "sentinel_text", "sentinels_for",
+           "slot_of"]
 
 #: What a text may contain that the scanner must step over as one unit: a
 #: single-quoted string, a double-quoted identifier/string (kept verbatim),
@@ -230,11 +235,11 @@ def discover_slots(lowered: Any, shape: str, literals: Sequence[Any],
 
 
 # ---------------------------------------------------------------------------
-# Executing a template: one node's own expressions, bound per request
+# Binding a template: one node's own fields, bound per execution
 # ---------------------------------------------------------------------------
 
 def _binder(part: Any) -> "Callable[[Sequence[Any]], Any] | None":
-    """A function of one request's literals that rebuilds ``part`` down to
+    """A function of one execution's values that rebuilds ``part`` down to
     its slotted constants, bound to them; ``None`` when ``part`` holds no
     slot outside the plan nodes it contains (a child plan is bound on its
     own).  Only the spine above each slot is rebuilt per call."""
@@ -261,10 +266,11 @@ def _binder(part: Any) -> "Callable[[Sequence[Any]], Any] | None":
 
 
 def _node_binder(node: Plan) -> "Callable[[Sequence[Any]], Plan] | None":
-    """How :func:`bind_node` re-makes ``node``: its own fields (not its
-    children) through their :func:`_binder`, ``None`` when none holds a
-    slot.  Worked out on first use and kept on the node, like its hash: a
-    cached template's nodes are executed request after request."""
+    """How a node is re-made with its own fields (not its children) bound
+    through their :func:`_binder`, ``None`` when none holds a slot.  The
+    copy carries the node's resolved column positions.  Worked out on
+    first use and kept on the node, like its hash: a cached template's
+    nodes are executed request after request."""
     try:
         return node.__dict__["_binder"]
     except KeyError:
@@ -275,11 +281,16 @@ def _node_binder(node: Plan) -> "Callable[[Sequence[Any]], Plan] | None":
     if any(binders):
         pairs = list(zip(parts, binders))
         cls = type(node)
+        # What the node resolved against its columns (plan.py's cached
+        # properties), never against a constant: the copy's are the same.
+        resolved = {name: getattr(node, name)
+                    for name, attr in vars(cls).items()
+                    if isinstance(attr, functools.cached_property)}
 
         def node_binder(values: Sequence[Any]) -> Plan:
             copy = cls(*[x if bind is None else bind(values)
                          for x, bind in pairs])
-            object.__setattr__(copy, "_bound", True)
+            copy.__dict__.update(resolved)
             return copy
 
     object.__setattr__(node, "_binder", node_binder)
@@ -289,14 +300,18 @@ def _node_binder(node: Plan) -> "Callable[[Sequence[Any]], Plan] | None":
 def bind_node(node: Plan, values: Sequence[Any]) -> Plan:
     """``node`` with its own slotted expressions bound to ``values``.
 
-    ``node`` itself when none of its own expressions holds a slot, else a
-    shallow copy whose children are still ``node``'s: an executor computes
-    the copy and memoizes the result under ``node``.  The copy lives for one
-    execution, so closures compiled for it stay out of the process-wide
-    cache (:func:`is_bound`).
+    ``node`` itself when none of its own expressions holds a slot (or there
+    are no values), else a shallow copy whose children are still
+    ``node``'s: an executor computes the copy and memoizes the result under
+    ``node``.  The copy lives for one execution, so closures compiled for
+    it stay out of the process-wide cache (:func:`is_bound`).
     """
-    binder = _node_binder(node)
-    return node if binder is None else binder(values)
+    binder = _node_binder(node) if values else None
+    if binder is None:
+        return node
+    copy = binder(values)
+    object.__setattr__(copy, "_bound", True)
+    return copy
 
 
 def is_bound(node: Plan) -> bool:
@@ -304,77 +319,35 @@ def is_bound(node: Plan) -> bool:
     return "_bound" in node.__dict__
 
 
-class Template:
-    """An optimized plan whose slotted constants one request's literals
-    fill in — what the plan cache holds per shape.
+def bind_plan(plan: Plan, values: Sequence[Any]) -> Plan:
+    """``plan`` with every slotted constant bound to ``values``: each node
+    bound as :func:`bind_node` binds it, over its bound children.
 
-    A hit executes :attr:`plan` with the literals as ``params`` (the
-    executors bind node by node, :func:`bind_node`); the walk here marks, on
-    each plan node, which of its own fields hold a slot, so a hit never
-    looks for them.  :meth:`bind` builds a plan of plain constants for the
-    cold consumers.  Which nodes lead to a slot is worked out once, here, so
-    a bind rebuilds only the spine above each slotted constant and shares
-    everything else with the template.  The marks are ``id()``s of the
-    template's own nodes, which the template keeps alive.  The template is
-    kept on its root plan too (:meth:`of`).
+    A plan of plain constants, for what keeps or ships a plan rather than
+    executing a template: a prepared view, ``run()``'s plan, a
+    ``REPRO_VERIFY_PLANS`` certificate, the scatter-gather backend (whose
+    compiled-plan cache and shard routing key on constants).  A subtree
+    without slots is the template's own; a subplan shared after CSE is
+    bound once.
     """
+    memo: dict[int, Plan] = {}
 
-    __slots__ = ("plan", "_slotted")
+    def walk(node: Plan) -> Plan:
+        done = memo.get(id(node))
+        if done is None:
+            binder = _node_binder(node)
+            done = node if binder is None else binder(values)
+            children = node.children()
+            bound = [walk(child) for child in children]
+            if any(new is not old for new, old in zip(bound, children)):
+                done = done.with_children(bound)
+            memo[id(node)] = done
+        return done
 
-    def __init__(self, plan: Any) -> None:
-        self.plan = plan
-        slotted: set[int] = set()
+    return walk(plan)
 
-        def mark(node: Any) -> bool:
-            if type(node) is e.Const:
-                return node.slot is not None
-            if isinstance(node, tuple):
-                parts: Sequence[Any] = node
-            else:
-                names = _walked_fields(type(node))
-                if names is None:
-                    return False
-                parts = [getattr(node, name) for name in names]
-                if isinstance(node, Plan):
-                    _node_binder(node)
-            found = any([mark(part) for part in parts])
-            if found:
-                slotted.add(id(node))
-            return found
 
-        mark(plan)
-        self._slotted = frozenset(slotted)
-        if isinstance(plan, Plan):
-            object.__setattr__(plan, "_template", self)
-
-    @staticmethod
-    def of(plan: Any) -> "Template":
-        """The template of ``plan``: the one made for it, else a new one."""
-        held = plan.__dict__.get("_template") if isinstance(plan, Plan) \
-            else None
-        return held if held is not None and held.plan is plan \
-            else Template(plan)
-
-    def bind(self, values: Sequence[Any]) -> Any:
-        """The plan with every ``Const(_, slot=i)`` replaced by the plain
-        ``Const(values[i])`` (the template itself when it has no slots)."""
-        slotted = self._slotted
-        memo: dict[int, Any] = {}
-
-        def walk(node: Any) -> Any:
-            if type(node) is e.Const:
-                return node if node.slot is None else e.Const(values[node.slot])
-            key = id(node)
-            if key not in slotted:
-                return node
-            # Common subplans are one object after CSE: rebuild each once.
-            done = memo.get(key)
-            if done is None:
-                parts = node if isinstance(node, tuple) else [
-                    getattr(node, name)
-                    for name in _walked_fields(type(node)) or ()]
-                done = memo[key] = _rebuilt(node, [walk(x) for x in parts],
-                                            parts)
-            return done
-
-        return walk(self.plan)
+def slot_of(const: Any) -> "int | None":
+    """The literal number of a template constant; ``None`` for anything
+    else (a plain constant, a version, ``None``)."""
+    return const.slot if type(const) is e.Const else None

@@ -9,10 +9,12 @@ derives the machinery to keep a materialized answer current under appends:
   filters, projections, inner/cross joins, bag unions) into its **insert
   delta**: one term per base-relation occurrence, following the classic
   telescoping identity ``Δ(L ⋈ R) = ΔL ⋈ R_new  ∪  L_old ⋈ ΔR`` with
-  :class:`~repro.engine.plan.DeltaScanP` windows at the leaves.  The terms
-  are planned by the cost-based optimizer alone, whose statistics estimate
-  delta windows tiny — so every term is seated at its delta occurrence and
-  probes the existing hash indexes, the semi-join discipline of semi-naive
+  :class:`~repro.engine.plan.DeltaScanP` windows at the leaves, each
+  anchored at a slot its relation's version fills on every refresh
+  (:mod:`repro.engine.bind`).  The terms are planned once, by the
+  cost-based optimizer alone, whose statistics estimate delta windows tiny
+  — so every term is seated at its delta occurrence and probes the
+  existing hash indexes, the semi-join discipline of semi-naive
   evaluation.
 * :func:`find_core` decomposes a view plan into a maintainable **core**
   (plain bag, ``DISTINCT`` over a bag, or aggregation over a bag) plus a
@@ -44,7 +46,6 @@ frontier measured only 1.3–1.5x faster than evaluating it again.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.data.database import Database
@@ -66,9 +67,9 @@ from repro.engine.plan import (
     ScanP,
     SetOpP,
 )
-from repro.engine.optimize import _rebuild
+from repro.engine.bind import bind_plan
 from repro.engine.sharded import split_aggregate
-from repro.engine.verify import maybe_verify
+from repro.engine.verify import maybe_verify, verification_enabled
 
 __all__ = [
     "AggregateMaintainer",
@@ -76,7 +77,6 @@ __all__ = [
     "DeltaRewriteError",
     "DistinctMaintainer",
     "ViewMaintainer",
-    "anchor",
     "asof_plan",
     "base_relations",
     "build_maintainer",
@@ -104,26 +104,38 @@ def base_relations(plan: Plan) -> tuple[str, ...]:
     return tuple(seen)
 
 
+def _window(scan: ScanP, mode: str, slots: tuple[str, ...]) -> DeltaScanP:
+    """A window of ``scan``'s relation anchored at the slot numbered by its
+    position in ``slots``."""
+    return DeltaScanP(scan.relation, scan.columns,
+                      e.Const(None, slots.index(scan.relation.lower())), mode)
+
+
 def asof_plan(plan: Plan) -> Plan:
     """The plan evaluated over every base relation's *old* state.
 
     Valid for the bag-maintainable fragment only: each operator there is
     computed leaf-wise, so substituting as-of windows at the leaves yields
-    exactly the operator's old output.
+    exactly the operator's old output.  Each window's anchor is the slot of
+    its relation in :func:`base_relations` order.
     """
+    return _asof(plan, base_relations(plan))
+
+
+def _asof(plan: Plan, slots: tuple[str, ...]) -> Plan:
     if isinstance(plan, ScanP):
-        return DeltaScanP(plan.relation, plan.columns, None, "asof")
+        return _window(plan, "asof", slots)
     if isinstance(plan, FilterP):
-        return FilterP(asof_plan(plan.input), plan.condition)
+        return FilterP(_asof(plan.input, slots), plan.condition)
     if isinstance(plan, ProjectP):
-        return ProjectP(asof_plan(plan.input), plan.exprs, plan.names)
+        return ProjectP(_asof(plan.input, slots), plan.exprs, plan.names)
     if isinstance(plan, JoinP) and plan.kind in ("inner", "cross"):
-        return JoinP(asof_plan(plan.left), asof_plan(plan.right), plan.kind,
-                     plan.left_keys, plan.right_keys, plan.residual,
-                     plan.null_matches)
+        return JoinP(_asof(plan.left, slots), _asof(plan.right, slots),
+                     plan.kind, plan.left_keys, plan.right_keys,
+                     plan.residual, plan.null_matches)
     if isinstance(plan, SetOpP) and plan.op == "union" and not plan.distinct:
-        return SetOpP("union", asof_plan(plan.left), asof_plan(plan.right),
-                      distinct=False)
+        return SetOpP("union", _asof(plan.left, slots),
+                      _asof(plan.right, slots), distinct=False)
     raise DeltaRewriteError(
         f"{type(plan).__name__} is not insert-delta maintainable"
     )
@@ -137,29 +149,35 @@ def delta_terms(plan: Plan) -> list[Plan]:
     gains when the appends behind the delta windows are applied.  Keeping the
     terms separate (instead of one big union plan) lets the refresh prune
     terms whose delta relation saw no writes before executing anything.
+    A term is executed with its relations' version anchors as ``params``,
+    in :func:`base_relations` order: its windows' slots.
     """
+    return _delta(plan, base_relations(plan))
+
+
+def _delta(plan: Plan, slots: tuple[str, ...]) -> list[Plan]:
     if isinstance(plan, ScanP):
-        return [DeltaScanP(plan.relation, plan.columns, None, "delta")]
+        return [_window(plan, "delta", slots)]
     if isinstance(plan, FilterP):
         return [FilterP(term, plan.condition)
-                for term in delta_terms(plan.input)]
+                for term in _delta(plan.input, slots)]
     if isinstance(plan, ProjectP):
         return [ProjectP(term, plan.exprs, plan.names)
-                for term in delta_terms(plan.input)]
+                for term in _delta(plan.input, slots)]
     if isinstance(plan, JoinP) and plan.kind in ("inner", "cross"):
         old_left = None
         terms = [JoinP(term, plan.right, plan.kind, plan.left_keys,
                        plan.right_keys, plan.residual, plan.null_matches)
-                 for term in delta_terms(plan.left)]
-        for term in delta_terms(plan.right):
+                 for term in _delta(plan.left, slots)]
+        for term in _delta(plan.right, slots):
             if old_left is None:
-                old_left = asof_plan(plan.left)
+                old_left = _asof(plan.left, slots)
             terms.append(JoinP(old_left, term, plan.kind, plan.left_keys,
                                plan.right_keys, plan.residual,
                                plan.null_matches))
         return terms
     if isinstance(plan, SetOpP) and plan.op == "union" and not plan.distinct:
-        return delta_terms(plan.left) + delta_terms(plan.right)
+        return _delta(plan.left, slots) + _delta(plan.right, slots)
     raise DeltaRewriteError(
         f"{type(plan).__name__} is not insert-delta maintainable"
     )
@@ -171,26 +189,6 @@ def term_delta_relation(term: Plan) -> str:
         if isinstance(node, DeltaScanP) and node.mode == "delta":
             return node.relation.lower()
     raise DeltaRewriteError("term has no delta window")
-
-
-def anchor(plan: Plan, anchors: Mapping[str, int]) -> Plan:
-    """Substitute per-relation version anchors into a delta/as-of template.
-
-    ``anchors`` maps lower-cased relation names to the
-    :attr:`~repro.data.relation.Relation.version` the view last absorbed.
-    """
-    if isinstance(plan, DeltaScanP):
-        since = anchors.get(plan.relation.lower())
-        if since is None:
-            raise DeltaRewriteError(
-                f"no version anchor for relation {plan.relation!r}"
-            )
-        return replace(plan, since=since)
-    children = plan.children()
-    rebuilt = [anchor(child, anchors) for child in children]
-    if all(new is old for new, old in zip(rebuilt, children)):
-        return plan
-    return _rebuild(plan, rebuilt)
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +255,16 @@ class _DeltaSource:
     The optimizer alone plans each term, once: it flattens the term's join
     tree and, estimating the delta window tiny, seats the term at it.  A
     refresh unions the terms whose delta relation actually changed and
-    executes them as one plan, so the executor's per-plan memo shares
-    as-of subplans across terms.
+    executes them as one plan, its windows bound to the view's anchors, so
+    the executor memoizes under the terms' own nodes and shares as-of
+    subplans across terms.
     """
 
     def __init__(self, plan: Plan, db: Database) -> None:
         from repro.engine.optimize import optimize
 
         self.plan = plan
+        self.relations = base_relations(plan)
         # Each term is verified as produced (before the optimizer's own
         # hooks run) so a bad delta rewrite is reported under its own rule.
         self.terms = [(term_delta_relation(term),
@@ -278,16 +278,17 @@ class _DeltaSource:
     def delta_rows(self, db: Database, anchors: Mapping[str, int],
                    changed: set[str], backend: str) -> list[Row]:
         """Rows the plan gained since ``anchors``; empty if nothing changed."""
-        active = [anchor(term, anchors)
-                  for relation, term in self.terms if relation in changed]
+        active = [term for relation, term in self.terms if relation in changed]
         if not active:
             return []
         union = active[0]
         for term in active[1:]:
             union = SetOpP("union", union, term, distinct=False)
-        # About to execute: every delta window must be anchored by now.
-        maybe_verify(union, db, rule="anchor", require_anchored=True)
-        return get_backend(backend).execute(union, db)
+        params = tuple(anchors[relation] for relation in self.relations)
+        if verification_enabled():
+            # The windows the anchors bind are certified like a literal bind.
+            maybe_verify(bind_plan(union, params), db, rule="anchor")
+        return get_backend(backend).execute(union, db, params)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ One executor runs the plans of every frontend.  Physical choices:
   :func:`execute_plan` call — the operational half of common subexpression
   elimination, and what makes the dependent-join compilation of correlated
   subqueries cheap (the embedded outer plan is evaluated once);
-* a cached template runs as it is, its request's literals passed as
-  ``params``: a node whose own expressions hold a slot is computed as its
-  bound copy (:func:`repro.engine.bind.bind_node`) and memoized under the
-  template's node.
+* a plan with slots runs as it is, their values passed as ``params`` (a
+  cached template's literals, a view's version anchors): a node whose own
+  fields hold a slot is computed as its bound copy
+  (:func:`repro.engine.bind.bind_node`) and memoized under the template's
+  node.
 
 Each operator has one Python implementation, a function of this module:
 :func:`aggregate_rows`, :func:`sort_limit_rows`, :func:`semi_anti_positions`,
@@ -199,11 +200,12 @@ def compile_expr(expr: e.Expr, columns: Sequence[str]) -> RowFn:
 # Compilation is pure — a closure depends only on the (immutable, hashable)
 # expression node and the column layout — so compiled closures are cached
 # process-wide.  Re-executing the same Plan object (a plan-cache hit executes
-# its shape's template itself, and the Datalog fixpoint re-runs its delta
-# plans every round) therefore compiles each expression once, not once per
-# `_filter`/`_join` call.  The exception is a node bound to one request's
-# literals (`repro.engine.bind.bind_node`): its expressions compile afresh
-# (``cached=False``), so a stream of fresh literals never churns the cache.
+# its shape's template itself, a view refresh its stored delta terms, and the
+# Datalog fixpoint re-runs its delta plans every round) therefore compiles
+# each expression once, not once per `_filter`/`_join` call.  The exception
+# is a node bound to one execution's values (`repro.engine.bind.bind_node`):
+# its expressions compile afresh (``cached=False``), so a stream of fresh
+# literals never churns the cache.
 # Value closures and predicates share one LRU cache; a predicate's key
 # carries a "predicate" tag.
 
@@ -258,9 +260,9 @@ def clear_compiled_cache() -> None:
 class Executor:
     """Evaluates plans against one database, memoizing per plan value.
 
-    ``params`` are the literals of one request when ``plan`` is a cached
-    template: each node is computed bound to them
-    (:func:`~repro.engine.bind.bind_node`) and memoized under itself.
+    ``params`` are the values of a plan's slots (a cached template's
+    literals, a view's version anchors): each node is computed bound to
+    them (:func:`~repro.engine.bind.bind_node`) and memoized under itself.
     """
 
     def __init__(self, db: Database,
@@ -273,8 +275,7 @@ class Executor:
     def rows(self, plan: Plan) -> list[Row]:
         cached = self._memo.get(plan)
         if cached is None:
-            cached = self._compute(
-                bind_node(plan, self.params) if self.params else plan)
+            cached = self._compute(bind_node(plan, self.params))
             self._memo[plan] = cached
         return cached
 
@@ -350,7 +351,8 @@ class Executor:
         # cannot match (NULLs under SQL equality) are not in the table.
         right_rows = self.rows(plan.right)
         skip_nulls = not plan.null_matches
-        table = join_table(self.db, plan.right, right_idx, skip_nulls,
+        table = join_table(self.db, bind_node(plan.right, self.params),
+                           right_idx, skip_nulls,
                            lambda: key_positions(
                                [list(map(operator.itemgetter(i), right_rows))
                                 for i in right_idx],
@@ -597,38 +599,39 @@ def delta_scan_rows(db: Database, plan: DeltaScanP) -> list[Row]:
     Shared by every backend so window semantics cannot drift: ``delta`` reads
     the rows appended after the anchor, ``asof`` the bag as of the anchor.
     """
-    if plan.since is None:
+    since = plan.version
+    if since is None:
         raise PlanError(
-            f"delta scan of {plan.relation} is an unanchored template; "
-            "anchor() it with the view's version map before executing"
+            f"delta scan of {plan.relation} is an unbound window; execute "
+            "it with the view's version anchors as params"
         )
     relation = scan_relation(db, plan)
     if plan.mode == "delta":
-        rows = relation.delta_since(plan.since)
+        rows = relation.delta_since(since)
     else:
-        rows = relation.rows_at(plan.since)
+        rows = relation.rows_at(since)
     if rows is None:
         raise DeltaUnavailable(
             f"delta log of {plan.relation} no longer covers version "
-            f"{plan.since} (current {relation.version}); rebuild the view"
+            f"{since} (current {relation.version}); rebuild the view"
         )
     return rows
 
 
-def _column_position(expr: e.Expr, columns: tuple[str, ...]) -> int | None:
-    if isinstance(expr, PositionCol):
-        return expr.position
-    if isinstance(expr, e.Col):
-        try:
-            return resolve_column(columns, expr.name, expr.qualifier)
-        except PlanError:
-            return None
+def operand_position(positions: "dict[e.Expr, int | None]",
+                     operand: e.Expr) -> int | None:
+    """The input position of a filter conjunct's column operand, from its
+    filter's :attr:`~repro.engine.plan.FilterP.operand_positions`; ``None``
+    for anything but a column."""
+    if isinstance(operand, (e.Col, PositionCol)):
+        return positions.get(operand)
     return None
 
 
-def column_comparison(conjunct: e.Expr, columns: tuple[str, ...]
+def column_comparison(conjunct: e.Expr, positions: "dict[e.Expr, int | None]"
                       ) -> "tuple[int, str, Any, bool] | None":
-    """Classify a filter conjunct for the column-selection loops.
+    """Classify a filter conjunct for the column-selection loops, its
+    columns at their filter's ``positions``.
 
     ``(position, op, value, False)`` for column-op-constant (a constant on
     the left is flipped to the right), ``(position, op, other, True)`` for
@@ -638,8 +641,8 @@ def column_comparison(conjunct: e.Expr, columns: tuple[str, ...]
     if not isinstance(conjunct, e.Comparison) or conjunct.op not in COMPARISONS:
         return None
     left, right = conjunct.left, conjunct.right
-    lpos = _column_position(left, columns)
-    rpos = _column_position(right, columns)
+    lpos = operand_position(positions, left)
+    rpos = operand_position(positions, right)
     if lpos is not None and isinstance(right, e.Const):
         return lpos, conjunct.op, right.value, False
     if rpos is not None and isinstance(left, e.Const):
@@ -680,7 +683,7 @@ def scan_lookup(db: Database, plan: FilterP,
     for col, const in ((first.left, first.right), (first.right, first.left)):
         if not isinstance(const, e.Const):
             continue
-        position = _column_position(col, scan.columns)
+        position = operand_position(plan.operand_positions, col)
         if position is None or not check_value(
                 const.value, relation.schema.attributes[position].dtype,
                 allow_null=False):
@@ -722,16 +725,17 @@ def build_source(db: Database, plan: Plan, idx: Sequence[int]
                    ) -> "tuple[Relation, int] | None":
     """The base relation whose ``key_index`` a hash-join build over ``plan``
     reads, and how many of its leading rows the build sees; ``None`` when
-    the build input is not a base relation (or has no key)."""
+    the build input is not a base relation (or has no key).  ``plan`` is
+    read as executed: a window's anchor bound."""
     if not idx:
         return None
     if isinstance(plan, ScanP):
         relation = db.relation(plan.relation)
         return relation, len(relation)
     if isinstance(plan, DeltaScanP) and plan.mode == "asof" \
-            and plan.since is not None:
+            and plan.version is not None:
         relation = db.relation(plan.relation)
-        count = relation.delta_count_since(plan.since)
+        count = relation.delta_count_since(plan.version)
         if count is not None:
             return relation, len(relation) - count
     return None
@@ -795,8 +799,9 @@ class ExecutorBackend(Protocol):
                 params: Sequence[Any] = ()) -> list[Row]:
         """Evaluate ``plan`` against ``db`` and return its rows (bag order).
 
-        ``params`` fill the slotted constants of a cached template
-        (:class:`~repro.engine.bind.Template`), the literals of one request.
+        ``params`` fill the plan's slotted constants
+        (:mod:`repro.engine.bind`): a cached template's literals, a view's
+        version anchors.
         """
         ...
 
@@ -851,9 +856,10 @@ def execute_plan(plan: Plan, db: Database, *,
                  params: Sequence[Any] = ()) -> Relation:
     """Execute a plan and package the rows as a Relation (types inferred).
 
-    ``params`` are the literals a cached template's slotted constants take
-    for this execution (``Const(_, slot=i)`` reads ``params[i]``); a plan
-    without slots ignores them.
+    ``params`` are the values a plan's slotted constants take for this
+    execution (``Const(_, slot=i)`` reads ``params[i]``): a cached
+    template's literals, a view's version anchors.  A plan without slots
+    ignores them.
     """
     rows = get_backend(backend).execute(plan, db, params)
     return build_result_relation(plan.columns, rows)

@@ -97,11 +97,8 @@ from typing import Any, Callable
 from repro.data.relation import Relation, key_positions
 from repro.engine.batch import Batch, Vector, _exact, _key_columns, _take
 from repro.engine.cache import LRUCache
-from repro.engine.execute import (
-    _column_position,
-    column_comparison,
-)
-from repro.engine.plan import AggregateP
+from repro.engine.execute import column_comparison, operand_position
+from repro.engine.plan import AggregateP, column_position
 from repro.expr import ast as e
 from repro.logic.terms import COMPARISONS
 
@@ -642,7 +639,9 @@ def _columns_compatible(a: ColumnEncoding, b: ColumnEncoding) -> bool:
 _Selection = Callable[[Batch, Any], Any]
 
 
-def kernel_filter(conjunct: e.Expr, batch: Batch) -> "_Selection | None":
+def kernel_filter(conjunct: e.Expr, batch: Batch,
+                  positions: "dict[e.Expr, int | None]"
+                  ) -> "_Selection | None":
     """Compile one conjunct to a numpy selection, or ``None`` to fall back.
 
     Engages on the conjuncts :func:`repro.engine.execute.column_comparison`
@@ -650,14 +649,15 @@ def kernel_filter(conjunct: e.Expr, batch: Batch) -> "_Selection | None":
     mirrors that loop exactly: NULL operands never match, and any operand
     mix the loop would reject as a type error simply declines to compile
     (the loop raises identically).  ``column IS NULL`` reads the column's
-    NULL mask.
+    NULL mask.  ``positions`` are the filter's resolved columns
+    (:attr:`~repro.engine.plan.FilterP.operand_positions`).
     """
     if not kernels_enabled():
         return None
     if isinstance(conjunct, e.IsNull) and not conjunct.negated:
-        return _null_kernel(batch, _column_position(conjunct.operand,
-                                                    batch.columns))
-    shape = column_comparison(conjunct, batch.columns)
+        return _null_kernel(batch, operand_position(positions,
+                                                    conjunct.operand))
+    shape = column_comparison(conjunct, positions)
     if shape is None:
         return None
     pos, op, other, other_is_column = shape
@@ -1462,7 +1462,7 @@ def kernel_aggregate(plan: AggregateP, batch: Batch
     key_encodings: list[ColumnEncoding] = []
     keys_are_whole_columns = True
     for expr in plan.group_exprs:
-        pos = _column_position(expr, columns)
+        pos = column_position(expr, columns)
         if pos is None:
             return None
         vector = batch.vectors[pos]
@@ -1490,7 +1490,7 @@ def kernel_aggregate(plan: AggregateP, batch: Batch
             continue
         if not call.args or name not in ("count", "sum", "min", "max", "avg"):
             return None
-        pos = _column_position(call.args[0], columns)
+        pos = column_position(call.args[0], columns)
         if pos is None:
             return None
         vector = batch.vectors[pos]

@@ -46,24 +46,18 @@ from __future__ import annotations
 from repro.data.database import Database
 from repro.expr import ast as e
 from repro.engine.plan import (
-    AggregateP,
-    DeltaScanP,
     DistinctP,
-    DivideP,
     FilterP,
-    FixpointP,
     JoinP,
     Plan,
     PlanError,
     PositionCol,
     ProjectP,
-    ScanP,
     SetOpP,
-    SortLimitP,
+    column_position,
     has_column,
     resolve_column,
 )
-from repro.engine.execute import _column_position
 from repro.engine.stats import StatsCatalog, estimate_rows
 from repro.engine.verify import maybe_verify
 
@@ -112,35 +106,6 @@ def optimize(plan: Plan, db: Database | None = None, *,
 
 
 # ---------------------------------------------------------------------------
-# Generic reconstruction
-# ---------------------------------------------------------------------------
-
-def _rebuild(plan: Plan, children: list[Plan]) -> Plan:
-    if isinstance(plan, (ScanP, DeltaScanP)):
-        return plan
-    if isinstance(plan, FilterP):
-        return FilterP(children[0], plan.condition)
-    if isinstance(plan, ProjectP):
-        return ProjectP(children[0], plan.exprs, plan.names)
-    if isinstance(plan, DistinctP):
-        return DistinctP(children[0])
-    if isinstance(plan, JoinP):
-        return JoinP(children[0], children[1], plan.kind, plan.left_keys,
-                     plan.right_keys, plan.residual, plan.null_matches)
-    if isinstance(plan, SetOpP):
-        return SetOpP(plan.op, children[0], children[1], plan.distinct)
-    if isinstance(plan, AggregateP):
-        return AggregateP(children[0], plan.group_exprs, plan.aggregates)
-    if isinstance(plan, DivideP):
-        return DivideP(children[0], children[1])
-    if isinstance(plan, SortLimitP):
-        return SortLimitP(children[0], plan.keys, plan.limit)
-    if isinstance(plan, FixpointP):
-        return plan.with_children(children)
-    raise PlanError(f"cannot rebuild {type(plan).__name__}")
-
-
-# ---------------------------------------------------------------------------
 # Predicate pushdown
 # ---------------------------------------------------------------------------
 
@@ -177,7 +142,7 @@ def _remap_by_position(expr: e.Expr, from_cols: tuple[str, ...],
 
 def push_down_filters(plan: Plan) -> Plan:
     children = [push_down_filters(c) for c in plan.children()]
-    plan = _rebuild(plan, children)
+    plan = plan.with_children(children)
     if not isinstance(plan, FilterP):
         return plan
     return _push_filter(plan.input, plan.condition)
@@ -198,7 +163,7 @@ def _push_filter(target: Plan, condition: e.Expr) -> Plan:
     if isinstance(target, ProjectP):
         # A conjunct that reads only column picks, named or positional,
         # moves below them, respelled by position onto the input.
-        positions = [_column_position(x, target.input.columns)
+        positions = [column_position(x, target.input.columns)
                      for x in target.exprs]
         pushable: list[e.Expr] = []
         kept: list[e.Expr] = []
@@ -278,7 +243,7 @@ def _key_pair(conjunct: e.Expr, left: tuple[str, ...], right: tuple[str, ...]
 
 def promote_hash_keys(plan: Plan) -> Plan:
     children = [promote_hash_keys(c) for c in plan.children()]
-    plan = _rebuild(plan, children)
+    plan = plan.with_children(children)
     if not (isinstance(plan, JoinP) and plan.residual is not None):
         return plan
     left_keys = list(plan.left_keys)
@@ -314,7 +279,7 @@ def _pick_positions(plan: Plan) -> list[int] | None:
     """Input positions of a pure column-pick projection, else ``None``."""
     if not isinstance(plan, ProjectP):
         return None
-    positions = [_column_position(x, plan.input.columns) for x in plan.exprs]
+    positions = [column_position(x, plan.input.columns) for x in plan.exprs]
     return None if None in positions else positions
 
 
@@ -340,7 +305,7 @@ def hoist_projections(plan: Plan) -> Plan:
     children = plan.children()
     hoisted = [hoist_projections(child) for child in children]
     if any(new is not old for new, old in zip(hoisted, children)):
-        plan = _rebuild(plan, hoisted)
+        plan = plan.with_children(hoisted)
     if isinstance(plan, FilterP) and isinstance(plan.input, ProjectP):
         return _push_filter(plan.input, plan.condition)
     if isinstance(plan, ProjectP):
@@ -390,7 +355,7 @@ def _substitute(plan: Plan, old: Plan, new: Plan) -> Plan:
     if plan == old:
         return new
     children = [_substitute(c, old, new) for c in plan.children()]
-    return _rebuild(plan, children)
+    return plan.with_children(children)
 
 
 def _flatten_join_tree(plan: Plan, protected: tuple[Plan, ...] = ()
@@ -448,7 +413,7 @@ def reorder_joins(plan: Plan, db: Database,
             or len({c.lower() for c in plan.columns}) != len(plan.columns):
         # Not a tree of three or more leaves, or one with duplicated names
         # (conjuncts could not be placed by name): plan the parts.
-        return _rebuild(plan, [reorder_joins(c, db, protected, stats=stats)
+        return plan.with_children([reorder_joins(c, db, protected, stats=stats)
                                for c in plan.children()])
     leaves = [reorder_joins(leaf, db, protected, stats=stats)
               for leaf in flat[0]]
@@ -514,7 +479,7 @@ def eliminate_common_subexpressions(plan: Plan) -> Plan:
 
     def visit(node: Plan) -> Plan:
         children = [visit(c) for c in node.children()]
-        rebuilt = _rebuild(node, children)
+        rebuilt = node.with_children(children)
         return interned.setdefault(rebuilt, rebuilt)
 
     return visit(plan)

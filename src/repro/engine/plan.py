@@ -18,9 +18,12 @@ references are resolved against ``columns`` with the same qualified /
 suffix-matching rules as :func:`repro.ra.ast.resolve_attribute`, but case-
 insensitively (SQL identifiers and calculus attributes both compare that
 way).  What the executors resolve on every run — a join's key positions, a
-projection's column picks, a join's output columns — is resolved once and
-kept on the node (``cached_property``), like its hash: a cached template's
-nodes are executed request after request.
+projection's column picks, a filter's compared columns, a join's output
+columns — is resolved once and kept on the node (``cached_property``), like
+its hash: a cached template's nodes are executed request after request.
+Such a property depends on the node's columns only, never on a constant,
+so the copy :func:`repro.engine.bind.bind_node` makes of a node with its
+constants bound takes the template node's values.
 """
 
 from __future__ import annotations
@@ -29,7 +32,16 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from repro.expr.ast import BoolConst, Col, Const, Expr, FuncCall
+from repro.expr.ast import (
+    BoolConst,
+    Col,
+    Comparison,
+    Const,
+    Expr,
+    FuncCall,
+    IsNull,
+    conjuncts,
+)
 
 
 class PlanError(Exception):
@@ -61,6 +73,15 @@ class Plan:
     def operator_count(self) -> int:
         return sum(1 for _ in self.walk())
 
+    def with_children(self, children: Sequence["Plan"]) -> "Plan":
+        """This node over ``children``, given in :meth:`children` order."""
+        if not children:
+            return self
+        pending = iter(children)
+        return type(self)(*[  # type: ignore[call-arg]
+            next(pending) if isinstance(part, Plan) else part
+            for part in map(self.__getattribute__, self.__dataclass_fields__)])
+
 
 @dataclass(frozen=True)
 class ScanP(Plan):
@@ -89,22 +110,33 @@ class DeltaScanP(Plan):
     * ``mode="asof"`` — the rows as of version ``since`` (the "old state"
       side, a prefix of the bag).
 
-    ``since=None`` marks a *template*: :func:`repro.engine.delta.anchor`
-    substitutes the per-relation version anchors a materialized view tracks
-    before the plan is executed.  Executing an unanchored template is a
-    :class:`PlanError`; executing an anchor the relation's bounded delta log
-    no longer covers raises :class:`DeltaUnavailable` (the view rebuilds).
+    In a view's delta terms ``since`` is a slot, ``Const(None, slot=i)``,
+    bound to the view's version anchors at execution like any slotted
+    constant (:mod:`repro.engine.bind`).  Executing an unbound window is a
+    :class:`PlanError`; executing an anchor the relation's bounded delta
+    log no longer covers raises :class:`DeltaUnavailable` (the view
+    rebuilds).
     """
 
     relation: str
     columns: tuple[str, ...] = ()
-    since: int | None = None
+    since: "int | Const | None" = None
     mode: str = "delta"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "columns", tuple(self.columns))
         if self.mode not in DELTA_SCAN_MODES:
             raise PlanError(f"unknown delta-scan mode {self.mode!r}")
+        since = self.since
+        if isinstance(since, Const) and since == Const(since.value):
+            # A plain constant (a bound slot) is the version it holds, so
+            # a window's ``since`` is a version, a slot, or ``None``.
+            object.__setattr__(self, "since", since.value)
+
+    @property
+    def version(self) -> int | None:
+        """The version the window is anchored at; ``None`` while unbound."""
+        return self.since if isinstance(self.since, int) else None
 
 
 @dataclass(frozen=True)
@@ -117,6 +149,17 @@ class FilterP(Plan):
     @property
     def columns(self) -> tuple[str, ...]:
         return self.input.columns
+
+    @cached_property
+    def operand_positions(self) -> dict[Expr, int | None]:
+        """The input position of each column a conjunct compares or tests
+        for NULL: what the index lookup and the column loops read."""
+        columns = self.input.columns
+        return {x: column_position(x, columns)
+                for c in conjuncts(self.condition)
+                for x in ((c.left, c.right) if isinstance(c, Comparison)
+                          else (c.operand,) if isinstance(c, IsNull) else ())
+                if isinstance(x, (Col, PositionCol))}
 
     def children(self) -> tuple[Plan, ...]:
         return (self.input,)
@@ -167,18 +210,7 @@ class ProjectP(Plan):
         for a computed expression or a column that does not resolve (its
         compiled closure raises)."""
         columns = self.input.columns
-
-        def pick(x: Expr) -> int | None:
-            if isinstance(x, PositionCol):
-                return x.position
-            if isinstance(x, Col):
-                try:
-                    return resolve_column(columns, x.name, x.qualifier)
-                except PlanError:
-                    return None
-            return None
-
-        return tuple(pick(x) for x in self.exprs)
+        return tuple(column_position(x, columns) for x in self.exprs)
 
     def children(self) -> tuple[Plan, ...]:
         return (self.input,)
@@ -407,10 +439,10 @@ def _install_cached_hashes() -> None:
 
     Plans are immutable trees and the executors memoize *by plan value*, so
     every operator lookup re-hashes its whole subtree — O(size) per node,
-    O(size²) per execution for deep plans.  Delta plans are re-anchored (new
-    objects) on every view refresh, so none of that hashing amortizes.
-    Caching the hash on the instance makes memo lookups O(1) after the first
-    touch; equality is untouched (still field-based).
+    O(size²) per execution for deep plans.  Caching the hash on the instance
+    makes memo lookups O(1) after the first touch, and a plan executed again
+    (a cached template, a view's delta terms) never hashes twice; equality
+    is untouched (still field-based).
     """
     for cls in (ScanP, DeltaScanP, FilterP, ProjectP, DistinctP, JoinP,
                 SetOpP, AggregateP, DivideP, SortLimitP, FixpointP):
@@ -475,6 +507,20 @@ def resolve_column(columns: Sequence[str], name: str, qualifier: str | None = No
     )
 
 
+def column_position(expr: Expr, columns: Sequence[str]) -> int | None:
+    """The position a bare column reference reads in ``columns`` (a
+    positional pick, or a ``Col`` that resolves); ``None`` for any other
+    expression or a column that does not resolve."""
+    if isinstance(expr, PositionCol):
+        return expr.position
+    if isinstance(expr, Col):
+        try:
+            return resolve_column(columns, expr.name, expr.qualifier)
+        except PlanError:
+            return None
+    return None
+
+
 def has_column(columns: Sequence[str], name: str, qualifier: str | None = None,
                *, strict: bool = False) -> bool:
     """True iff :func:`resolve_column` would succeed."""
@@ -493,7 +539,10 @@ def explain(plan: Plan, *, indent: int = 0) -> str:
     if isinstance(plan, ScanP):
         details = f" {plan.relation}"
     elif isinstance(plan, DeltaScanP):
-        anchor = "?" if plan.since is None else str(plan.since)
+        from repro.engine.bind import slot_of
+
+        slot = slot_of(plan.since)
+        anchor = plan.since if slot is None else f"${slot}"
         details = f" {plan.relation} [{plan.mode} @ {anchor}]"
     elif isinstance(plan, JoinP):
         keys = ", ".join(f"{l}={r}" for l, r in zip(plan.left_keys, plan.right_keys))

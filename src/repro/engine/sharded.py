@@ -73,11 +73,10 @@ from repro.data.sharded import (
     ShardedDatabase,
 )
 from repro.expr import ast as e
-from repro.engine.bind import Template
+from repro.engine.bind import bind_plan
 from repro.engine.cache import LRUCache
-from repro.engine.execute import Row, _column_position, compiled_expr
+from repro.engine.execute import Row, compiled_expr
 from repro.engine.kernels import path_counts
-from repro.engine.optimize import _rebuild
 from repro.engine.plan import (
     AggregateP,
     DeltaScanP,
@@ -91,6 +90,7 @@ from repro.engine.plan import (
     ScanP,
     SetOpP,
     SortLimitP,
+    column_position,
     resolve_column,
 )
 from repro.engine.stats import StatsCatalog
@@ -229,7 +229,8 @@ def _broadcast_side(plan: Plan) -> tuple[Plan, Distribution]:
         if isinstance(node, FixpointP):
             raise NotDistributable(
                 "a fixpoint runs once, over the merged relations")
-        return _rebuild(node, [visit(child) for child in node.children()])
+        return node.with_children([visit(child)
+                                   for child in node.children()])
 
     rewritten = visit(plan)
     return rewritten, Distribution(None, frozenset(), frozenset(names))
@@ -245,7 +246,7 @@ def _project_key(plan: ProjectP, key: PartitionKey) -> PartitionKey:
         return None
     out_positions: dict[int, set[int]] = {}
     for j, expr in enumerate(plan.exprs):
-        pos = _column_position(expr, plan.input.columns)
+        pos = column_position(expr, plan.input.columns)
         if pos is not None:
             out_positions.setdefault(pos, set()).add(j)
     mapped = []
@@ -268,7 +269,7 @@ def _key_covered_by_groups(plan: AggregateP, key: tuple) -> bool:
     """
     grouped = set()
     for expr in plan.group_exprs:
-        pos = _column_position(expr, plan.input.columns)
+        pos = column_position(expr, plan.input.columns)
         if pos is not None:
             grouped.add(pos)
     return all(component & grouped for component in key)
@@ -870,7 +871,7 @@ def _pinned_shard(filter_plan: FilterP, scan: ScanP,
             continue
         for col, const in ((conjunct.left, conjunct.right),
                            (conjunct.right, conjunct.left)):
-            position = _column_position(col, scan.columns)
+            position = column_position(col, scan.columns)
             if position is not None and isinstance(const, e.Const) \
                     and const.value is not None:
                 pinned.setdefault(position, const.value)
@@ -983,15 +984,16 @@ class ShardedBackend:
                 params: Sequence[Any] = ()) -> list[Row]:
         """The one scatter-gather driver: compile, count, run parts, merge.
 
-        A template is bound to its ``params`` first: the compiled-plan cache
-        and shard routing key on constants.  Everything one execution
+        A plan with slots is bound to its ``params`` first
+        (:func:`~repro.engine.bind.bind_plan`): the compiled-plan cache and
+        shard routing key on constants.  Everything one execution
         counts — its mode, the kernel layer's cache traffic, the
         publisher's and the workers' work — goes to a sink of its own,
         folded into ``counters`` under the lock when it ends: concurrent
         requests never write the shared dict unlocked.
         """
         if params:
-            plan = Template.of(plan).bind(params)
+            plan = bind_plan(plan, params)
         sharded = self.sharded_view(db)
         compiled = self.plan_for(plan, sharded)
         sink = {_MODE_COUNTERS[compiled.mode]: 1}

@@ -115,7 +115,7 @@ from repro.engine.plan import (
 # Vectorized filter compilation
 # ---------------------------------------------------------------------------
 
-def vector_filter(conjunct: e.Expr, columns: tuple[str, ...]
+def vector_filter(conjunct: e.Expr, positions: "dict[e.Expr, int | None]"
                   ) -> Callable[[Batch, list[int] | None], list[int]] | None:
     """Compile one conjunct into a column-selection loop, or ``None``.
 
@@ -123,9 +123,11 @@ def vector_filter(conjunct: e.Expr, columns: tuple[str, ...]
     fast path; everything else is handled by the caller's row fallback.  The
     loops replicate :func:`repro.expr.eval._compare` exactly: NULL operands
     never match, and str/non-str or bool/non-bool mixes raise
-    :class:`ExprError` just like the reference interpreters.
+    :class:`ExprError` just like the reference interpreters.  ``positions``
+    are the filter's resolved columns
+    (:attr:`~repro.engine.plan.FilterP.operand_positions`).
     """
-    shape = column_comparison(conjunct, columns)
+    shape = column_comparison(conjunct, positions)
     if shape is None:
         return None
     pos, op, other, other_is_column = shape
@@ -207,8 +209,8 @@ class VectorizedExecutor:
     ``counters`` (optional) receives the kernel layer's derived-structure
     cache hit/miss/eviction bumps and this executor's ``scan_lookup``
     count, letting each backend report its own traffic through
-    ``execution_counts()``.  ``params`` are one request's literals, as for
-    the row :class:`~repro.engine.execute.Executor`.
+    ``execution_counts()``.  ``params`` are the values of the plan's slots,
+    as for the row :class:`~repro.engine.execute.Executor`.
     """
 
     def __init__(self, db: Database,
@@ -222,8 +224,7 @@ class VectorizedExecutor:
     def batch(self, plan: Plan) -> Batch:
         cached = self._memo.get(plan)
         if cached is None:
-            cached = self._compute(
-                bind_node(plan, self.params) if self.params else plan)
+            cached = self._compute(bind_node(plan, self.params))
             self._memo[plan] = cached
         return cached
 
@@ -272,9 +273,9 @@ class VectorizedExecutor:
         :class:`_PrefixTable` over the relation's cached key index.  The
         ``delta`` window is small by construction and transposes.
         """
-        if plan.mode == "asof" and plan.since is not None:
+        if plan.mode == "asof" and plan.version is not None:
             relation = scan_relation(self.db, plan)
-            count = relation.delta_count_since(plan.since)
+            count = relation.delta_count_since(plan.version)
             if count is not None:
                 return _store_batch(plan.columns, relation,
                                     len(relation) - count)
@@ -302,7 +303,8 @@ class VectorizedExecutor:
         sel: "list[int] | Any | None" = None  # Any: a kernel's index array
         materialized: list[list[Any]] | None = None
         for conjunct in conjuncts:
-            fast = self._compile_conjunct(conjunct, batch)
+            fast = self._compile_conjunct(conjunct, batch,
+                                          plan.operand_positions)
             if fast is not None:
                 sel = fast(batch, sel)
                 continue
@@ -316,15 +318,16 @@ class VectorizedExecutor:
             return batch
         return batch.take(kernels.index_array(sel))
 
-    def _compile_conjunct(self, conjunct: e.Expr, batch: Batch
+    def _compile_conjunct(self, conjunct: e.Expr, batch: Batch,
+                          positions: "dict[e.Expr, int | None]"
                           ) -> Callable[[Batch, list[int] | None],
                                         list[int]] | None:
         """Compile one filter conjunct: numpy selection, else column loop."""
         if batch.length >= kernels.KERNEL_MIN_ROWS:
-            fast = kernels.kernel_filter(conjunct, batch)
+            fast = kernels.kernel_filter(conjunct, batch, positions)
             if fast is not None:
                 return fast
-        return vector_filter(conjunct, batch.columns)
+        return vector_filter(conjunct, positions)
 
     def _project(self, plan: ProjectP) -> Batch:
         batch = self.batch(plan.input)
@@ -370,18 +373,19 @@ class VectorizedExecutor:
                 plan.residual, plan.left.columns + plan.right.columns,
                 cached=not is_bound(plan))
         right = self.batch(plan.right)
+        right_plan = bind_node(plan.right, self.params)
 
         match = None if residual is None else _pair_predicate(
             residual, left, right)
         if plan.kind in ("semi", "anti"):
-            table = self._hash_table(plan.right, right, right_idx,
+            table = self._hash_table(right_plan, right, right_idx,
                                      plan.null_matches)
             sel = semi_anti_positions(
                 plan.kind, _iter_key_list(_key_columns(left, left_idx),
                                           left.length), table, match)
             return Batch(plan.columns, _take(left.vectors, sel), len(sel))
 
-        table = self._hash_table(plan.right, right, right_idx,
+        table = self._hash_table(right_plan, right, right_idx,
                                  plan.null_matches, lazy=True)
         left_sel, right_sel = self._probe_batch(left, left_idx, table,
                                                 plan.null_matches)
@@ -397,10 +401,10 @@ class VectorizedExecutor:
     def _hash_table(self, right_plan: Plan, right: Batch, right_idx: list[int],
                     null_matches: bool, *, lazy: bool = False
                     ) -> "dict[Any, list[int]] | _PrefixTable | kernels.BuildSide":
-        """The build side of a hash join, by the shared access-path rule
-        (:func:`~repro.engine.execute.join_table`): a base scan's is its
-        relation's maintained ``key_index``, an ``asof`` window's that index
-        capped at the window.
+        """The build side of a hash join over ``right_plan`` (bound), by the
+        shared access-path rule (:func:`~repro.engine.execute.join_table`):
+        a base scan's is its relation's maintained ``key_index``, an
+        ``asof`` window's that index capped at the window.
 
         With ``lazy`` (the inner-join probe, which may never need the dict)
         the build side comes back as a :class:`~repro.engine.kernels.BuildSide`

@@ -18,8 +18,9 @@ proving, bottom-up over the plan tree, that
   the executors would run);
 * structural invariants hold: projection names are unique (renames stay
   bijective), aggregates appear only in ``AggregateP.aggregates`` and never
-  nest, ``DeltaScanP`` windows are anchored when execution is imminent,
-  scans match their relation's arity, semi/anti joins have well-typed keys.
+  nest, a ``DeltaScanP`` window is anchored at a slot or a non-negative
+  version, scans match their relation's arity, semi/anti joins have
+  well-typed keys.
 
 :func:`verify_sharded_plan` extends this to scatter-gather compilations: it
 *independently re-derives* the shard-key equivalence classes over the
@@ -54,6 +55,7 @@ from repro.data.database import Database
 from repro.data.schema import RelationSchema, SchemaError
 from repro.data.types import DataType
 from repro.expr import ast as e
+from repro.engine.bind import slot_of
 from repro.engine.plan import (
     AggregateP,
     DeltaScanP,
@@ -207,12 +209,10 @@ class _Checker:
     """One verification pass: schema lookup + error context + memo."""
 
     def __init__(self, lookup: SchemaLookup, rule: "str | None",
-                 require_anchored: bool,
                  working: "Mapping[str, tuple[str | None, ...]] | None"
                  = None) -> None:
         self.lookup = lookup
         self.rule = rule
-        self.require_anchored = require_anchored
         #: Column types of the working relations of the fixpoints whose
         #: rule bodies are being checked, by predicate.
         self.working = working or {}
@@ -432,7 +432,7 @@ class _Checker:
             types[head] = _widen(types[head], tuple(
                 _const_type(c.value) for c in consts))
         while True:
-            checker = _Checker(self.lookup, self.rule, self.require_anchored,
+            checker = _Checker(self.lookup, self.rule,
                                {**self.working, **{p: t for p, t
                                                    in types.items() if t}})
             found = dict(types)
@@ -453,11 +453,10 @@ class _Checker:
         if isinstance(plan, DeltaScanP):
             if not plan.columns:
                 raise self.fail(plan, "delta scan declares no output columns")
-            if plan.since is None and self.require_anchored:
-                raise self.fail(plan, "unanchored delta-scan template "
-                                "(since=None) about to execute")
-            if plan.since is not None and plan.since < 0:
-                raise self.fail(plan, f"negative version anchor {plan.since}")
+            since = plan.since
+            if slot_of(since) is None and (since is None or since < 0):
+                raise self.fail(plan, f"delta-scan window anchored at "
+                                f"{since!r}: neither a slot nor a version")
             return self._scan_types(plan)
         if isinstance(plan, FilterP):
             types = self.check(plan.input)
@@ -588,19 +587,15 @@ def _split_column(column: str) -> tuple[str, "str | None"]:
 
 def verify_plan(plan: Plan,
                 db: "Database | Mapping[str, RelationSchema] | None" = None,
-                *, rule: "str | None" = None,
-                require_anchored: bool = False
-                ) -> tuple["str | None", ...]:
+                *, rule: "str | None" = None) -> tuple["str | None", ...]:
     """Statically verify ``plan``; return its inferred column types.
 
     ``db`` (a database or a ``{name: RelationSchema}`` mapping) enables
     scan-arity checks and seeds column types; without it, verification
-    covers reference resolution and structure only.  ``require_anchored``
-    additionally rejects unanchored :class:`DeltaScanP` templates (used by
-    the delta layer right before execution).  Raises
+    covers reference resolution and structure only.  Raises
     :class:`PlanVerificationError` naming the offending node and ``rule``.
     """
-    return _Checker(_schema_lookup(db), rule, require_anchored).check(plan)
+    return _Checker(_schema_lookup(db), rule).check(plan)
 
 
 # ---------------------------------------------------------------------------
@@ -1079,15 +1074,13 @@ def _certify(check: Callable[..., None], *args: Any, **kwargs: Any) -> None:
 
 def maybe_verify(plan: Plan,
                  db: "Database | Mapping[str, RelationSchema] | None" = None,
-                 *, rule: "str | None" = None,
-                 require_anchored: bool = False) -> Plan:
+                 *, rule: "str | None" = None) -> Plan:
     """Debug-mode hook: verify ``plan`` when ``REPRO_VERIFY_PLANS`` is on.
 
     Returns ``plan`` unchanged so rewrite pipelines can chain through it.
     """
     if verification_enabled():
-        _certify(verify_plan, plan, db, rule=rule,
-                 require_anchored=require_anchored)
+        _certify(verify_plan, plan, db, rule=rule)
     return plan
 
 

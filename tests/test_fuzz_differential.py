@@ -57,9 +57,8 @@ from gates import pinned_gates
 from repro.data.database import Database
 from repro.data.relation import Relation, relation_from_rows
 from repro.data.sharded import ShardedDatabase, reshard
-from repro.engine import Template, get_backend, optimize
+from repro.engine import bind_plan, get_backend, optimize
 from repro.engine.bind import attach_slots, sentinels_for
-from repro.engine.optimize import _rebuild
 from repro.engine.plan import (
     AggregateP,
     DistinctP,
@@ -400,7 +399,8 @@ def _with_literals(plan: Plan, values: list) -> Plan:
         if isinstance(node, FilterP):
             condition = expr(node.condition)   # before the input, as above
             return FilterP(visit(node.input), condition)
-        return _rebuild(node, [visit(child) for child in node.children()])
+        return node.with_children([visit(child)
+                                   for child in node.children()])
 
     return visit(plan)
 
@@ -427,11 +427,11 @@ def test_bound_plans_agree_with_fresh_compiles(case):
     slotted = attach_slots(plan, _with_literals(plan, list(sentinels)),
                            first_seen, sentinels)
     assert slotted is not None, f"discovery refused a plain plan:\n{plan}"
-    template = Template(optimize(slotted, db))
+    template = optimize(slotted, db)
     for values in (first_seen, perturbed):
         fresh = _with_literals(plan, values)
         assert _literals_of(fresh) == values
-        bound = maybe_verify(template.bind(values), db, rule="bind")
+        bound = maybe_verify(bind_plan(template, values), db, rule="bind")
         reference = Counter(get_backend("row").execute(fresh, db))
         compiled = Counter(get_backend("row").execute(optimize(fresh, db), db))
         assert compiled == reference
@@ -441,10 +441,10 @@ def test_bound_plans_agree_with_fresh_compiles(case):
                 f"{name} diverged on the plan bound to {values}:\n{bound}\n"
                 f"fresh(row)={sorted(reference.items())}\n"
                 f"bound={sorted(bag.items())}")
-            bag = Counter(backend.execute(template.plan, db, tuple(values)))
+            bag = Counter(backend.execute(template, db, tuple(values)))
             assert bag == reference, (
                 f"{name} diverged on the template run with params "
-                f"{values}:\n{template.plan}\n"
+                f"{values}:\n{template}\n"
                 f"fresh(row)={sorted(reference.items())}\n"
                 f"params={sorted(bag.items())}")
 

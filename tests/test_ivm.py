@@ -20,14 +20,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import MaterializedView, QueryService, QueryVisualizationPipeline
+from repro.core import (
+    MaterializedView,
+    QueryService,
+    QueryVisualizationPipeline,
+    ShardedQueryService,
+)
 from repro.data.relation import Relation, relation_from_rows
 from repro.data.sailors import random_sailors_database, sailors_database
 from repro.engine import (
     DeltaRewriteError,
     DeltaScanP,
     DeltaUnavailable,
-    anchor,
+    PlanError,
     asof_plan,
     base_relations,
     delta_terms,
@@ -191,13 +196,23 @@ class TestDeltaScan:
         assert delta.rows() == [(29, 101, "2025-01-01")]
         assert len(asof) == len(rel) - 1
 
-    def test_unanchored_template_refuses_to_execute(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_unanchored_template_refuses_to_execute(self, backend):
         db = sailors_database()
-        cols = tuple(db.relation("Reserves").schema.attribute_names)
-        from repro.engine import PlanError
-
-        with pytest.raises(PlanError):
-            execute_plan(DeltaScanP("Reserves", cols, None, "delta"), db)
+        rel = db.relation("Reserves")
+        v = rel.version
+        rel.add((29, 101, "2025-01-01"))
+        cols = tuple(rel.schema.attribute_names)
+        slotted = DeltaScanP("Reserves", cols, e.Const(None, 0), "delta")
+        # Refused at run time, or statically where a backend certifies the
+        # plan it compiles (the sharded one, under REPRO_VERIFY_PLANS).
+        for unbound in (DeltaScanP("Reserves", cols, None, "delta"), slotted):
+            with pytest.raises(PlanError, match="unbound window|"
+                               "neither a slot nor a version"):
+                execute_plan(unbound, db, backend=backend)
+        # With the anchor as a parameter, the same window executes.
+        assert execute_plan(slotted, db, backend=backend,
+                            params=(v,)).rows() == [(29, 101, "2025-01-01")]
 
     def test_uncovered_window_raises_delta_unavailable(self, monkeypatch):
         monkeypatch.setattr(Relation, "DELTA_LOG_LIMIT", 2)
@@ -228,7 +243,7 @@ class TestDeltaTerms:
         plan = optimize(lower(JOIN_SQL, db.schema, "sql"), db)
         core, _kind = find_core(plan)
         bag = core.input
-        anchors = {r: db.relation(r).version for r in base_relations(bag)}
+        anchors = tuple(db.relation(r).version for r in base_relations(bag))
         before = execute_plan(bag, db)
         db.relation("Reserves").add_rows(
             [(1, 101, "x"), (2, 102, "y")], validate=False)
@@ -236,7 +251,7 @@ class TestDeltaTerms:
         after = execute_plan(bag, db)
         delta_rows: list = []
         for term in delta_terms(bag):
-            delta_rows.extend(execute_plan(anchor(term, anchors), db).rows())
+            delta_rows.extend(execute_plan(term, db, params=anchors).rows())
         combined = before.rows() + delta_rows
         assert sorted(map(repr, combined)) == sorted(map(repr, after.rows()))
 
@@ -246,10 +261,10 @@ class TestDeltaTerms:
         plan = optimize(lower(JOIN_SQL, db.schema, "sql"), db)
         core, _kind = find_core(plan)
         bag = core.input
-        anchors = {r: db.relation(r).version for r in base_relations(bag)}
+        anchors = tuple(db.relation(r).version for r in base_relations(bag))
         before = execute_plan(bag, db)
         db.relation("Reserves").add((3, 103, "z"), validate=False)
-        old = execute_plan(anchor(asof_plan(bag), anchors), db)
+        old = execute_plan(asof_plan(bag), db, params=anchors)
         assert old.bag_equal(before)
 
     def test_non_monotone_plans_are_rejected(self):
@@ -484,6 +499,68 @@ class TestMaterializedViews:
         warnings: list[str] = []
         service.answer(fallback, warnings=warnings)
         assert warnings and "fallback" in warnings[0]
+
+
+#: How a refresh runs on each service: the plain one on its backend, the
+#: sharded one on ``"vectorized"`` per shard.
+REFRESH_SERVICES = {
+    "plain-row": lambda db: QueryService(db, backend="row"),
+    "plain-vectorized": lambda db: QueryService(db, backend="vectorized"),
+    "sharded": lambda db: ShardedQueryService(db, backend="sharded",
+                                              n_shards=2),
+}
+
+
+@pytest.mark.parametrize("service_kind", sorted(REFRESH_SERVICES))
+def test_refreshes_execute_the_stored_delta_terms(monkeypatch, service_kind):
+    """A refresh executes the view's own delta terms, their windows bound to
+    the anchors as params: every node an executor memoizes while it runs is
+    a node of the stored terms or of the union over them — no copy."""
+    from repro.engine import SetOpP
+    from repro.engine.delta import _DeltaSource
+    from repro.engine.execute import Executor
+    from repro.engine.vectorized import VectorizedExecutor
+
+    service = REFRESH_SERVICES[service_kind](sailors_database())
+    view = service.register_view(AGG_SQL)
+    keys: list = []
+    refreshing: list = []
+    for cls, name in ((Executor, "rows"), (VectorizedExecutor, "batch")):
+        def spy(self, plan, _real=getattr(cls, name)):
+            if refreshing:
+                keys.append(plan)
+            return _real(self, plan)
+
+        monkeypatch.setattr(cls, name, spy)
+    real_delta_rows = _DeltaSource.delta_rows
+
+    def delta_rows(self, *args):
+        refreshing.append(self)
+        try:
+            return real_delta_rows(self, *args)
+        finally:
+            refreshing.pop()
+
+    monkeypatch.setattr(_DeltaSource, "delta_rows", delta_rows)
+    for step in range(3):
+        sid = 90 + step
+        service.add_row("Sailors", (sid, f"new{step}", 7, 30.0 + step))
+        service.add_rows("Reserves", [(sid, 101, f"2030-01-0{step + 1}"),
+                                      (22, 102, f"2030-02-0{step + 1}")])
+        assert view.answer().bag_equal(fresh_answers(service.db, AGG_SQL))
+    assert view.incremental_refreshes == 3
+    terms = [term for part in view._parts for _rel, term in part.source.terms]
+    roots = {id(term) for term in terms}
+    nodes = {id(node) for term in terms for node in term.walk()}
+
+    def stored(plan) -> bool:
+        return id(plan) in nodes or (
+            isinstance(plan, SetOpP) and id(plan.right) in roots
+            and (id(plan.left) in roots or stored(plan.left)))
+
+    assert keys
+    assert all(stored(plan) for plan in keys), [
+        type(plan).__name__ for plan in keys if not stored(plan)]
 
 
 class TestViewConcurrency:

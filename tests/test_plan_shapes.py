@@ -27,7 +27,7 @@ from repro.engine import (
     FixpointP,
     JoinP,
     SetOpP,
-    Template,
+    bind_plan,
     explain,
     lower,
     optimize,
@@ -434,7 +434,7 @@ class TestPreparedShapes:
 # A plan hit executes the cached template, its literals as parameters
 # ---------------------------------------------------------------------------
 
-def _template_of(pipeline, text: str, language: str) -> Template:
+def _template_of(pipeline, text: str, language: str):
     shape, _literals = scan_literals(text)
     return pipeline._plan_cache.get(
         (language, shape, pipeline.db.structure_version))
@@ -461,7 +461,7 @@ def test_a_hit_memoizes_under_the_templates_own_nodes(
     pipeline = QueryVisualizationPipeline(sailors_database(), backend=backend)
     pipeline.answer(first, language=language)
     template = _template_of(pipeline, first, language)
-    own = {id(node) for node in _leaves(template.plan)}
+    own = {id(node) for node in _leaves(template)}
     cls, name = ((Executor, "rows") if backend == "row"
                  else (VectorizedExecutor, "batch"))
     real = getattr(cls, name)
@@ -477,6 +477,52 @@ def test_a_hit_memoizes_under_the_templates_own_nodes(
     assert plan_counters(pipeline)["binds"] == 1
     assert keys and all(id(plan) in own for plan in keys), [
         type(plan).__name__ for plan in keys if id(plan) not in own]
+
+
+#: A shape whose only slotted node is an index lookup's filter, and one
+#: whose filter also compares a column (on the columnar loop; the row
+#: executor compiles a bound predicate afresh, resolving its columns).
+LOOKUP_SHAPE = ("SELECT S.sname, R.day FROM Sailors S, Reserves R "
+                "WHERE S.sid = R.sid AND R.bid = {}")
+COMPARE_SHAPE = ("SELECT S.sname FROM Sailors S, Reserves R WHERE "
+                 "S.sid = R.sid AND R.bid = {} AND S.age > {}.5")
+
+
+@pytest.mark.parametrize("backend, shape, literals", [
+    ("row", LOOKUP_SHAPE, [(101,), (102,), (103,), (104,)]),
+    ("vectorized", LOOKUP_SHAPE, [(101,), (102,), (103,), (104,)]),
+    ("vectorized", COMPARE_SHAPE, [(101, 20), (102, 30), (103, 40),
+                                   (104, 16)]),
+], ids=["row-lookup", "vectorized-lookup", "vectorized-compare"])
+def test_hits_resolve_no_columns(monkeypatch, backend, shape, literals):
+    """A bound copy takes its template node's resolved column positions, so
+    after the first hit of a shape no further hit resolves a column (the
+    REPRO_VERIFY_PLANS certificate of each bind, which resolves them all,
+    is off here)."""
+    import sys
+
+    from repro.engine.plan import resolve_column
+
+    monkeypatch.setenv("REPRO_VERIFY_PLANS", "0")
+    pipeline = QueryVisualizationPipeline(sailors_database(), backend=backend)
+    pipeline.answer(shape.format(103, 35))   # the miss
+    pipeline.answer(shape.format(102, 25))   # the first hit
+    texts = [shape.format(*values) for values in literals]
+    expected = [oracle(text, "sql", pipeline.db) for text in texts]
+    calls: list = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return resolve_column(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "resolve_column", None) is resolve_column:
+            monkeypatch.setattr(module, "resolve_column", counted)
+    answers = [pipeline.answer(text) for text in texts]
+    monkeypatch.undo()
+    assert all(a.bag_equal(b) for a, b in zip(answers, expected)), texts
+    assert plan_counters(pipeline)["binds"] == 1 + len(literals)
+    assert calls == []
 
 
 @pytest.mark.parametrize("backend", ["row", "vectorized"])
@@ -625,7 +671,7 @@ def test_lowering_is_literal_blind(pick, data):
     slotted = attach_slots(first, lowered(sentinel_text(shape, sentinels)),
                            literals, sentinels)
     assert slotted is not None
-    assert Template(slotted).bind(values) == second
+    assert bind_plan(slotted, values) == second
 
 
 class TestOneDatalogPlan:

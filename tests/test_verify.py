@@ -32,6 +32,7 @@ from repro.engine import (
     ShardedPlan,
     SortLimitP,
     StatsCatalog,
+    bind_plan,
     find_core,
     lower,
     optimize,
@@ -41,7 +42,7 @@ from repro.engine import (
     verify_sharded_plan,
     verify_view_terms,
 )
-from repro.engine.delta import DeltaRewriteError, anchor, delta_terms
+from repro.engine.delta import DeltaRewriteError, base_relations, delta_terms
 from repro.engine.verify import (
     maybe_verify,
     reset_verification_counts,
@@ -79,16 +80,15 @@ class TestCatalogVerifies:
             verify_plan(optimize(plan, db), db)
 
     def test_delta_terms_verify(self, db, canonical_query):
-        anchors = {name.lower(): 0 for name in db.relation_names}
         for _language, plan in _lowered_plans(canonical_query, db):
             try:
                 terms = delta_terms(plan)
             except DeltaRewriteError:
                 continue  # not bag-maintainable: no delta form exists
+            anchors = (0,) * len(base_relations(plan))
             for term in terms:
-                verify_plan(term, db)  # template: windows unanchored
-                verify_plan(anchor(term, anchors), db,
-                            require_anchored=True)
+                verify_plan(term, db)  # template: windows anchored at slots
+                verify_plan(bind_plan(term, anchors), db)  # ...at versions
 
     def test_sharded_plans_verify(self, db, canonical_query):
         sharded = ShardedDatabase.from_database(db, n_shards=2)
@@ -196,10 +196,14 @@ class TestNegativeDiagnostics:
         verify_plan(plan)
 
     def test_unanchored_delta_template(self, db):
-        plan = DeltaScanP("Sailors", SAILORS, None, "delta")
-        verify_plan(plan, db)  # templates are legal at rest...
-        with pytest.raises(PlanVerificationError, match="unanchored"):
-            verify_plan(plan, db, require_anchored=True)  # ...not at exec
+        plan = DeltaScanP("Sailors", SAILORS, e.Const(None, 0), "delta")
+        verify_plan(plan, db)  # a template at rest: its anchor is a slot...
+        verify_plan(bind_plan(plan, (3,)), db)  # ...bound to a version
+        for since in (None, -1):  # an unbound window, a negative anchor
+            with pytest.raises(PlanVerificationError,
+                               match="neither a slot nor a version"):
+                verify_plan(DeltaScanP("Sailors", SAILORS, since, "delta"),
+                            db)
 
     def test_unknown_function(self, db):
         plan = ProjectP(ScanP("Sailors", SAILORS),
@@ -1095,6 +1099,46 @@ class TestInvariantLint:
 
             def rows(plan, params):
                 return bind_node(plan, params)
+            """)
+        assert [v for v in invariants.run_checks(root)
+                if v.rule == "one-bind"] == []
+
+    def test_anchor_replaced_into_a_window(self, invariants, fixture_repo):
+        root = fixture_repo("src/repro/engine/delta.py", """\
+            from dataclasses import replace
+
+            def anchored(plan, anchors):
+                return replace(plan, since=anchors[plan.relation])
+            """)
+        fixture_repo("src/repro/core/service.py", """\
+            import dataclasses
+
+            def reanchor(window, version):
+                return dataclasses.replace(window, mode="asof", since=version)
+            """)
+        violations = [v for v in invariants.run_checks(root)
+                      if v.rule == "one-bind"]
+        delta = os.path.join("src", "repro", "engine", "delta.py")
+        service = os.path.join("src", "repro", "core", "service.py")
+        assert sorted((v.path, v.line) for v in violations) == [
+            (service, 4), (delta, 4)]
+        assert "slot" in violations[0].message
+
+    def test_windows_bound_as_params_are_clean(self, invariants,
+                                               fixture_repo):
+        root = fixture_repo("src/repro/engine/delta.py", """\
+            from dataclasses import replace
+
+            from repro.engine.bind import bind_plan
+
+            def refresh(backend, union, db, params):
+                return backend.execute(union, db, params)
+
+            def certify(union, params):
+                return bind_plan(union, params)
+
+            def renamed(plan, name):
+                return replace(plan, relation=name)
             """)
         assert [v for v in invariants.run_checks(root)
                 if v.rule == "one-bind"] == []

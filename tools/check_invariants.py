@@ -82,8 +82,10 @@ Rules (see tools/README.md for how to add one):
     Parameter substitution has one home: under ``src/repro/engine`` and
     ``src/repro/core``, reading a ``.slot`` attribute (a template
     constant's literal number) outside ``engine/bind.py`` is a violation —
-    executors reach a request's literals through ``bind.bind_node``, the
-    cold consumers through ``Template.bind``.
+    executors reach a plan's parameters through ``bind.bind_node``, the
+    cold consumers through ``bind.bind_plan``.  Under ``src/repro`` so is
+    a ``replace(…, since=…)`` call: a view's delta windows take their
+    version anchors as slots, never as a rebuilt copy of the plan.
 
 ``no-oracle-imports``
     The five reference interpreters (``repro.{sql,ra,trc,drc,datalog}
@@ -893,9 +895,22 @@ def check_one_bind(root: str) -> list[Violation]:
                 violations.append(Violation(
                     rel_path, node.lineno, "one-bind",
                     "a template constant's slot read outside "
-                    "engine/bind.py; pass a request's literals as params "
-                    "and bind through repro.engine.bind (bind_node, "
-                    "Template.bind)"))
+                    "engine/bind.py; pass the values as params and bind "
+                    "through repro.engine.bind (bind_node, bind_plan)"))
+    for _path, rel_path, tree in _walk_sources(root, ("src/repro",)):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) \
+                else getattr(func, "id", "")
+            if name == "replace" \
+                    and any(kw.arg == "since" for kw in node.keywords):
+                violations.append(Violation(
+                    rel_path, node.lineno, "one-bind",
+                    "a delta window's anchor substituted by replace(); "
+                    "anchor it at a slot and pass the versions as params "
+                    "(repro.engine.bind)"))
     return violations
 
 
