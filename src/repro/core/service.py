@@ -93,7 +93,6 @@ from repro.engine.cache import LRUCache
 from repro.engine.delta import (
     DeltaRewriteError,
     ViewMaintainer,
-    base_relations,
     build_maintainer,
     find_core,
     finish_rows,
@@ -454,7 +453,7 @@ class MaterializedView:
         self._core = core
         self._recipe = recipe
         self._parts = parts
-        self._base_rels = base_relations(core)
+        self._base_rels = core.base_relations
         return True
 
     def _publish(self, db: Database) -> _Answer:

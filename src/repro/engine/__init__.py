@@ -67,7 +67,6 @@ from repro.engine.delta import (
     DistinctMaintainer,
     ViewMaintainer,
     asof_plan,
-    base_relations,
     build_maintainer,
     delta_terms,
     find_core,
@@ -161,7 +160,6 @@ __all__ = [
     "ViewMaintainer",
     "attach_slots",
     "asof_plan",
-    "base_relations",
     "bind_plan",
     "build_maintainer",
     "build_result_relation",

@@ -78,7 +78,6 @@ __all__ = [
     "DistinctMaintainer",
     "ViewMaintainer",
     "asof_plan",
-    "base_relations",
     "build_maintainer",
     "delta_terms",
     "find_core",
@@ -95,15 +94,6 @@ class DeltaRewriteError(Exception):
 # Delta rewriting
 # ---------------------------------------------------------------------------
 
-def base_relations(plan: Plan) -> tuple[str, ...]:
-    """Lower-cased base relations a plan reads, in first-occurrence order."""
-    seen: dict[str, None] = {}
-    for node in plan.walk():
-        if isinstance(node, (ScanP, DeltaScanP)):
-            seen.setdefault(node.relation.lower())
-    return tuple(seen)
-
-
 def _window(scan: ScanP, mode: str, slots: tuple[str, ...]) -> DeltaScanP:
     """A window of ``scan``'s relation anchored at the slot numbered by its
     position in ``slots``."""
@@ -117,9 +107,9 @@ def asof_plan(plan: Plan) -> Plan:
     Valid for the bag-maintainable fragment only: each operator there is
     computed leaf-wise, so substituting as-of windows at the leaves yields
     exactly the operator's old output.  Each window's anchor is the slot of
-    its relation in :func:`base_relations` order.
+    its relation in :attr:`Plan.base_relations` order.
     """
-    return _asof(plan, base_relations(plan))
+    return _asof(plan, plan.base_relations)
 
 
 def _asof(plan: Plan, slots: tuple[str, ...]) -> Plan:
@@ -150,9 +140,9 @@ def delta_terms(plan: Plan) -> list[Plan]:
     terms separate (instead of one big union plan) lets the refresh prune
     terms whose delta relation saw no writes before executing anything.
     A term is executed with its relations' version anchors as ``params``,
-    in :func:`base_relations` order: its windows' slots.
+    in :attr:`Plan.base_relations` order: its windows' slots.
     """
-    return _delta(plan, base_relations(plan))
+    return _delta(plan, plan.base_relations)
 
 
 def _delta(plan: Plan, slots: tuple[str, ...]) -> list[Plan]:
@@ -264,7 +254,7 @@ class _DeltaSource:
         from repro.engine.optimize import optimize
 
         self.plan = plan
-        self.relations = base_relations(plan)
+        self.relations = plan.base_relations
         # Each term is verified as produced (before the optimizer's own
         # hooks run) so a bad delta rewrite is reported under its own rule.
         self.terms = [(term_delta_relation(term),
@@ -317,7 +307,7 @@ class ViewMaintainer:
         self.source = _DeltaSource(plan, db)
         self.db = db
         #: relation -> the version this state has absorbed up to
-        self.anchors = dict.fromkeys(base_relations(plan), -1)
+        self.anchors = dict.fromkeys(plan.base_relations, -1)
 
     def initialize(self, db: Database, backend: str) -> None:
         self.db = db

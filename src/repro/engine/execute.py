@@ -328,9 +328,7 @@ class Executor:
             rows = [relation[p] for p in positions]
         if not conjuncts:
             return list(rows)
-        predicate = compiled_predicate(e.conjunction(conjuncts),
-                                       plan.input.columns,
-                                       cached=not is_bound(plan))
+        predicate = filter_predicate(plan, conjuncts)
         return [row for row in rows if predicate(row)]
 
     def _join(self, plan: JoinP) -> list[Row]:
@@ -351,12 +349,12 @@ class Executor:
         # cannot match (NULLs under SQL equality) are not in the table.
         right_rows = self.rows(plan.right)
         skip_nulls = not plan.null_matches
-        table = join_table(self.db, bind_node(plan.right, self.params),
-                           right_idx, skip_nulls,
+        table = join_table(self.db, plan.right, right_idx, skip_nulls,
                            lambda: key_positions(
                                [list(map(operator.itemgetter(i), right_rows))
                                 for i in right_idx],
-                               len(right_rows), skip_nulls))
+                               len(right_rows), skip_nulls),
+                           self.params)
         # A key as the tables hold it: the raw value of one column, else a
         # tuple.
         key = operator.itemgetter(*left_idx) if left_idx else lambda row: ()
@@ -652,6 +650,36 @@ def column_comparison(conjunct: e.Expr, positions: "dict[e.Expr, int | None]"
     return None
 
 
+def filter_predicate(plan: FilterP, conjuncts: Sequence[e.Expr]
+                     ) -> Callable[[Row], bool]:
+    """``conjuncts`` of ``plan``'s condition, in order, as one row test that
+    holds only where their conjunction is TRUE.
+
+    A conjunct :func:`column_comparison` classifies compares the row's
+    values at the filter's resolved positions, as the column loops do; only
+    the rest compile (afresh for a bound node), so a plan hit resolves no
+    column of such a conjunct.
+    """
+    cached = not is_bound(plan)
+    parts: list[RowFn] = []
+    for conjunct in conjuncts:
+        shape = column_comparison(conjunct, plan.operand_positions)
+        parts.append(compiled_expr(conjunct, plan.input.columns, cached=cached)
+                     if shape is None else _compared(*shape))
+    if len(parts) == 1:
+        part = parts[0]
+        return lambda row: part(row) is True
+    return lambda row: _and3(p(row) for p in parts) is True
+
+
+def _compared(position: int, op: str, other: Any, other_is_column: bool
+              ) -> RowFn:
+    """A :func:`column_comparison` shape as a three-valued row closure."""
+    if other_is_column:
+        return lambda row: _compare(row[position], op, row[other])
+    return lambda row: _compare(row[position], op, other)
+
+
 # ---------------------------------------------------------------------------
 # The access-path rule: how both executors reach a base relation
 # ---------------------------------------------------------------------------
@@ -702,7 +730,8 @@ def scan_lookup(db: Database, plan: FilterP,
 
 
 def join_table(db: Database, plan: Plan, idx: Sequence[int], skip_nulls: bool,
-               build: Callable[[], dict[Any, list[int]]]
+               build: Callable[[], dict[Any, list[int]]],
+               params: Sequence[Any]
                ) -> "dict[Any, list[int]] | _PrefixTable":
     """The hash-join build side over ``plan``: key -> positions in its rows.
 
@@ -711,9 +740,10 @@ def join_table(db: Database, plan: Plan, idx: Sequence[int], skip_nulls: bool,
     same index capped at the window (:class:`_PrefixTable`) — view refresh
     then never rebuilds an old-state table.  Any other input is built by
     ``build`` (:func:`~repro.data.relation.key_positions` over its key
-    columns).
+    columns).  ``params`` bind a window's anchor, as in
+    :func:`build_source`.
     """
-    source = build_source(db, plan, idx)
+    source = build_source(db, plan, idx, params)
     if source is None:
         return build()
     relation, keep = source
@@ -721,23 +751,24 @@ def join_table(db: Database, plan: Plan, idx: Sequence[int], skip_nulls: bool,
     return table if keep == len(relation) else _PrefixTable(table, keep)
 
 
-def build_source(db: Database, plan: Plan, idx: Sequence[int]
-                   ) -> "tuple[Relation, int] | None":
+def build_source(db: Database, plan: Plan, idx: Sequence[int],
+                 params: Sequence[Any]) -> "tuple[Relation, int] | None":
     """The base relation whose ``key_index`` a hash-join build over ``plan``
     reads, and how many of its leading rows the build sees; ``None`` when
     the build input is not a base relation (or has no key).  ``plan`` is
-    read as executed: a window's anchor bound."""
+    read as executed: a window's anchor bound to ``params``."""
     if not idx:
         return None
     if isinstance(plan, ScanP):
         relation = db.relation(plan.relation)
         return relation, len(relation)
-    if isinstance(plan, DeltaScanP) and plan.mode == "asof" \
-            and plan.version is not None:
-        relation = db.relation(plan.relation)
-        count = relation.delta_count_since(plan.version)
-        if count is not None:
-            return relation, len(relation) - count
+    if isinstance(plan, DeltaScanP) and plan.mode == "asof":
+        version = bind_node(plan, params).version
+        if version is not None:
+            relation = db.relation(plan.relation)
+            count = relation.delta_count_since(version)
+            if count is not None:
+                return relation, len(relation) - count
     return None
 
 
@@ -782,7 +813,9 @@ class ExecutorBackend(Protocol):
 
     Four implementations ship: the row-at-a-time reference backend in this
     module (``"row"``), the columnar batch-at-a-time backend in
-    :mod:`repro.engine.vectorized` (``"vectorized"``), the scatter-gather
+    :mod:`repro.engine.vectorized` (``"vectorized"``, which runs a plan
+    whose every input is under the kernel gate on this module's row
+    executor), the scatter-gather
     backend in :mod:`repro.engine.sharded` (``"sharded"``: shard subplans
     inline on the calling thread), and its multi-process variant over
     shared-memory column pages in :mod:`repro.engine.process`

@@ -123,6 +123,12 @@ except Exception:  # pragma: no cover
 #: rows it reads *or emits* — 100 boats that emit 48k reservations hand 48k
 #: rows to every operator above them — plus the build rows that must be
 #: indexed for this query alone (a per-query batch, a snapshot relation).
+#: The same gate picks the executor: a plan whose every base relation
+#: holds fewer rows runs on the row executor
+#: (:func:`repro.engine.vectorized.runs_on_rows`).  That is measured, not
+#: implied by the gates: a cached probe or a fanning-out join over such
+#: inputs could still reach a kernel, but the row executor is no slower
+#: there (E2's 1k/2k cells, ``five-lang-cold``).
 #: A constant, not a setting: the crossover is a property of the
 #: interpreter and numpy, not of a deployment.
 KERNEL_MIN_ROWS = 2048
@@ -521,7 +527,7 @@ _PATH_TOTALS = dict.fromkeys(
     ("probe_kernel", "probe_loop", "build_lowered", "build_extended",
      "build_relowered", "build_dict", "sel_converted", "sort_radix",
      "sort_compare", "group_direct", "group_sorted", "distinct_positions",
-     "scan_lookup"),
+     "scan_lookup", "plan_rows", "plan_columnar"),
     0)
 _PATH_LOCK = threading.Lock()
 
@@ -530,7 +536,9 @@ def count_path(key: str) -> None:
     """Count one ``probe_*`` / ``build_*`` / ``sel_converted`` / ``sort_*``
     / ``group_*`` / ``distinct_positions`` / ``scan_lookup`` (an equality
     filter read one ``key_index`` bucket:
-    :func:`repro.engine.execute.scan_lookup`)."""
+    :func:`repro.engine.execute.scan_lookup`) / ``plan_rows`` or
+    ``plan_columnar`` (which executor the ``"vectorized"`` backend ran a
+    plan on: :func:`repro.engine.vectorized.runs_on_rows`)."""
     with _PATH_LOCK:
         _PATH_TOTALS[key] += 1
 

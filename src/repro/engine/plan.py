@@ -73,6 +73,18 @@ class Plan:
     def operator_count(self) -> int:
         return sum(1 for _ in self.walk())
 
+    @cached_property
+    def base_relations(self) -> tuple[str, ...]:
+        """Lower-cased names of the relations the plan's scans and windows
+        read, in first-occurrence order.  A fixpoint's rule bodies scan its
+        working predicates, so their names are here too, though no
+        database holds them."""
+        seen: dict[str, None] = {}
+        for node in self.walk():
+            if isinstance(node, (ScanP, DeltaScanP)):
+                seen.setdefault(node.relation.lower())
+        return tuple(seen)
+
     def with_children(self, children: Sequence["Plan"]) -> "Plan":
         """This node over ``children``, given in :meth:`children` order."""
         if not children:

@@ -52,6 +52,19 @@ final row build: a hash join's build side stays unbuilt
 kernel or the loop, and a loop's output is converted once, where it is
 produced.
 
+The backend runs a plan whose every base relation holds fewer than
+:data:`~repro.engine.kernels.KERNEL_MIN_ROWS` rows on the row
+:class:`~repro.engine.execute.Executor` (:func:`runs_on_rows`), which pays
+for no batches, selection vectors or copies: measured, it is no slower
+there (E2's 1k/2k cells, ``five-lang-cold``), even where a cached probe or
+a fanning-out join would have reached a kernel.  On the tutorial instance
+that is every query.  The choice is made once per execution, at the root,
+from the relations' live sizes, and counted (``plan_rows`` /
+``plan_columnar`` in :func:`~repro.engine.kernels.path_counts`).  Deciding
+per subtree was measured and dropped: a small subtree handed back as a row
+batch loses its column-store origin, and the kernel probes above it fall
+back to loops.
+
 The backend satisfies the :class:`repro.engine.execute.ExecutorBackend`
 protocol; select it with ``execute_plan(plan, db, backend="vectorized")`` or
 ``QueryVisualizationPipeline(backend="vectorized")``.
@@ -77,6 +90,7 @@ from repro.engine.batch import (
     _take,
 )
 from repro.engine.execute import (
+    Executor,
     Row,
     _PrefixTable,
     aggregate_rows,
@@ -373,19 +387,18 @@ class VectorizedExecutor:
                 plan.residual, plan.left.columns + plan.right.columns,
                 cached=not is_bound(plan))
         right = self.batch(plan.right)
-        right_plan = bind_node(plan.right, self.params)
 
         match = None if residual is None else _pair_predicate(
             residual, left, right)
         if plan.kind in ("semi", "anti"):
-            table = self._hash_table(right_plan, right, right_idx,
+            table = self._hash_table(plan.right, right, right_idx,
                                      plan.null_matches)
             sel = semi_anti_positions(
                 plan.kind, _iter_key_list(_key_columns(left, left_idx),
                                           left.length), table, match)
             return Batch(plan.columns, _take(left.vectors, sel), len(sel))
 
-        table = self._hash_table(right_plan, right, right_idx,
+        table = self._hash_table(plan.right, right, right_idx,
                                  plan.null_matches, lazy=True)
         left_sel, right_sel = self._probe_batch(left, left_idx, table,
                                                 plan.null_matches)
@@ -401,8 +414,9 @@ class VectorizedExecutor:
     def _hash_table(self, right_plan: Plan, right: Batch, right_idx: list[int],
                     null_matches: bool, *, lazy: bool = False
                     ) -> "dict[Any, list[int]] | _PrefixTable | kernels.BuildSide":
-        """The build side of a hash join over ``right_plan`` (bound), by the
-        shared access-path rule (:func:`~repro.engine.execute.join_table`):
+        """The build side of a hash join over ``right_plan`` (a template
+        node: a window's anchor is bound to this execution's params), by
+        the shared access-path rule (:func:`~repro.engine.execute.join_table`):
         a base scan's is its relation's maintained ``key_index``, an
         ``asof`` window's that index capped at the window.
 
@@ -416,7 +430,8 @@ class VectorizedExecutor:
         skip_nulls = not null_matches
         build = kernels.BuildSide(right, right_idx, skip_nulls)
         if lazy:
-            source = build_source(self.db, right_plan, right_idx)
+            source = build_source(self.db, right_plan, right_idx,
+                                  self.params)
             if source is None:
                 return build
             relation, keep = source
@@ -424,7 +439,7 @@ class VectorizedExecutor:
                 return kernels.RelationBuild(right, right_idx, skip_nulls,
                                              relation)
         return join_table(self.db, right_plan, right_idx, skip_nulls,
-                          build.table)
+                          build.table, self.params)
 
     def _probe_batch(self, batch: Batch, idx: list[int], build: Any,
                      null_matches: bool) -> "tuple[Any, Any]":
@@ -530,11 +545,36 @@ def _probe(batch: Batch, idx: list[int],
 # The backend object
 # ---------------------------------------------------------------------------
 
+def runs_on_rows(plan: Plan, db: Database) -> bool:
+    """Whether every base relation ``plan`` reads holds fewer than
+    :data:`~repro.engine.kernels.KERNEL_MIN_ROWS` rows, so the plan runs on
+    the row executor.  That is a measured rule, not a proof that no kernel
+    could engage: a cached probe takes its kernel from
+    :data:`~repro.engine.kernels.CACHED_PROBE_MIN_ROWS` rows at stake, and
+    a join that fans out can hand more rows than its inputs hold to the
+    operators above it, but on such inputs the row executor is no slower
+    (E2's 1k/2k cells, ``five-lang-cold``).  A name ``db`` does not hold (a
+    fixpoint's working predicate) is not an input.  Read at each execution,
+    never kept on the plan: a write can move a relation across the gate
+    while its cached template stays."""
+    gate = kernels.KERNEL_MIN_ROWS
+    return all(len(db.relation(name)) < gate
+               for name in plan.base_relations if name in db)
+
+
 class VectorizedBackend:
-    """:class:`ExecutorBackend` implementation running plans column-wise."""
+    """:class:`ExecutorBackend` implementation running plans column-wise,
+    or on the row executor when every input is under the kernel gate
+    (:func:`runs_on_rows`).  The choice is made once, at the root: a
+    subtree handed back as rows would lose its batches' column-store
+    origin, and with it the kernel paths above it."""
 
     name = "vectorized"
 
     def execute(self, plan: Plan, db: Database,
                 params: Sequence[Any] = ()) -> list[Row]:
+        if runs_on_rows(plan, db):
+            kernels.count_path("plan_rows")
+            return Executor(db, params=params).rows(plan)
+        kernels.count_path("plan_columnar")
         return VectorizedExecutor(db, params=params).batch(plan).rows()

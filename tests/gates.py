@@ -6,6 +6,12 @@ build structure from ``kernels.CACHED_PROBE_MIN_ROWS`` rows at stake.  The
 differential tests pin both at once: ``0`` offers every batch to the
 kernels (the only way few-row relations reach them), ``None`` offers none
 (the pure-Python loops, the reference the kernels are pinned against).
+
+The same gate picks the executor: the ``"vectorized"`` backend runs a plan
+whose every input holds fewer than ``KERNEL_MIN_ROWS`` rows — every few-row
+test instance — on the row executor.  A test of the columnar executor
+itself runs it as :data:`COLUMNAR`, past that decision, and a service leg
+built by :func:`service_on` serves its queries and refreshes its views on it.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import sys
 from unittest import mock
 
 import repro.engine.kernels as kernels
+from repro.engine.vectorized import VectorizedExecutor
 
 GATES = ("KERNEL_MIN_ROWS", "CACHED_PROBE_MIN_ROWS")
 
@@ -26,3 +33,33 @@ def pinned_gates(min_rows: "int | None"):
         for name in GATES:
             stack.enter_context(mock.patch.object(kernels, name, value))
         yield
+
+
+class _Columnar:
+    """The columnar executor as a backend, whatever its inputs' sizes."""
+
+    name = "columnar"
+
+    def execute(self, plan, db, params=()):
+        return VectorizedExecutor(db, params=params).batch(plan).rows()
+
+
+COLUMNAR = _Columnar()
+
+
+def executor(name: str):
+    """The executor a test leg called ``name`` drives: ``"vectorized"`` is
+    the columnar executor itself (:data:`COLUMNAR`), any other name its
+    backend."""
+    return COLUMNAR if name == "vectorized" else name
+
+
+def service_on(db, name: str):
+    """A :class:`~repro.core.QueryService` for the test leg called
+    ``name``: its queries and its views' refreshes run on
+    :func:`executor` ``(name)``."""
+    from repro.core import QueryService
+
+    served = QueryService(db, backend=name)
+    served.backend = served.pipeline.backend = executor(name)
+    return served

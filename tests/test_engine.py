@@ -15,6 +15,7 @@ from collections import Counter
 
 import pytest
 
+from gates import executor
 from repro.data.database import Database
 from repro.data.relation import relation_from_rows
 from repro.data.sailors import random_sailors_database, sailors_database
@@ -136,7 +137,7 @@ def test_variable_joins_match_nulls(language, text, backend):
     db = shared_nulls_database()
     reference = answer_relation(text, db)
     assert any(None in row for row in reference.rows()), text
-    engine = run_query(text, db, language, backend=backend)
+    engine = run_query(text, db, language, backend=executor(backend))
     assert engine.bag_equal(reference), (
         f"engine {sorted(map(repr, engine.rows()))} != "
         f"reference {sorted(map(repr, reference.rows()))}")
@@ -188,7 +189,8 @@ class TestSQLFragment:
     def test_not_in_is_exact_under_nulls(self, sql, backend):
         db = nulls_database()
         reference = answer_relation(sql, db)
-        assert run_query(sql, db, "sql", backend=backend).bag_equal(reference)
+        assert run_query(sql, db, "sql", backend=executor(backend)
+                         ).bag_equal(reference)
         assert run_query(sql, db, "sql", use_optimizer=False).bag_equal(reference)
 
     #: (NOT IN, the NOT EXISTS it equals on data without NULLs).
@@ -543,7 +545,7 @@ class TestAccessPath:
         want = self._outcome(lambda: answer_relation(text, db))
         for backend in self.BACKENDS:
             got = self._outcome(
-                lambda: run_query(text, db, "sql", backend=backend))
+                lambda: run_query(text, db, "sql", backend=executor(backend)))
             assert got == want, (backend, where)
 
     @staticmethod
@@ -561,11 +563,11 @@ class TestAccessPath:
         from repro.engine import execute, vectorized
 
         passes: list[int] = []
-        real_predicate = execute.compiled_predicate
+        real_predicate = execute.filter_predicate
         real_indices = vectorized._indices
 
-        def predicate(expr, columns, **options):
-            test = real_predicate(expr, columns, **options)
+        def predicate(plan, conjuncts):
+            test = real_predicate(plan, conjuncts)
             passes.append(0)
             slot = len(passes) - 1
 
@@ -579,14 +581,14 @@ class TestAccessPath:
             passes.append(len(visited))
             return visited
 
-        monkeypatch.setattr(execute, "compiled_predicate", predicate)
+        monkeypatch.setattr(execute, "filter_predicate", predicate)
         monkeypatch.setattr(vectorized, "_indices", indices)
         return passes
 
     def _run(self, db, plan, backend, passes):
         passes.clear()
         before = kernels.path_counts()["scan_lookup"]
-        rows = execute_plan(plan, db, backend=backend)
+        rows = execute_plan(plan, db, backend=executor(backend))
         lookups = kernels.path_counts()["scan_lookup"] - before
         return rows, max(passes), lookups
 
@@ -661,8 +663,8 @@ class TestTypedLiterals:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_closure_cache_keeps_int_and_float_apart(self, db, backend):
         clear_compiled_cache()
-        run_query(self.FLOAT, db, "sql", backend=backend)
-        got = run_query(self.INT, db, "sql", backend=backend)
+        run_query(self.FLOAT, db, "sql", backend=executor(backend))
+        got = run_query(self.INT, db, "sql", backend=executor(backend))
         want = answer_relation(self.INT, db)
         assert self._typed(got) == self._typed(want) \
             == Counter({(("int", 0),): 1, (("int", 1),): 1})
@@ -674,7 +676,8 @@ class TestTypedLiterals:
         assert self._typed(want) == Counter({
             (("int", 0),): 1, (("int", 1),): 1,
             (("float", 0.0),): 1, (("float", 1.0),): 1})
-        assert self._typed(run_query(text, db, "sql", backend=backend)) \
+        assert self._typed(run_query(text, db, "sql",
+                                     backend=executor(backend))) \
             == self._typed(want)
 
 

@@ -53,7 +53,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gates import pinned_gates
+from gates import COLUMNAR, pinned_gates, service_on
 from repro.data.database import Database
 from repro.data.relation import Relation, relation_from_rows
 from repro.data.sharded import ShardedDatabase, reshard
@@ -106,9 +106,12 @@ class _Gated:
 #: Every generated plan must agree across all of these.
 BACKENDS = [
     ("row", get_backend("row")),
-    # The one columnar executor, on its Python loops and on its kernels.
-    ("vectorized", _Gated(get_backend("vectorized"), sys.maxsize)),
-    ("kernel", _Gated(get_backend("vectorized"), 0)),
+    # The one columnar executor, on its Python loops and on its kernels
+    # (driven directly: the backend would run these few-row plans on rows).
+    ("vectorized", _Gated(COLUMNAR, sys.maxsize)),
+    ("kernel", _Gated(COLUMNAR, 0)),
+    # The backend itself, its row/columnar decision included.
+    ("vectorized-backend", get_backend("vectorized")),
     # Scatter-gather over the Python loops, and with kernels per shard.
     ("sharded-2-loop", _Gated(ShardedBackend(n_shards=2), sys.maxsize)),
     ("sharded-2", _Gated(ShardedBackend(n_shards=2), 0)),
@@ -535,7 +538,7 @@ def test_sharded_views_track_fresh_recompute(case):
 
     views, ops, reshard_at, reshard_to = case
     fresh_service = QueryService(sailors_database())
-    plain = QueryService(sailors_database())
+    plain = service_on(sailors_database(), "vectorized")
     service = ShardedQueryService(sailors_database(), n_shards=2)
     handles = [(target.register_view(text, language=language), text,
                 language) for target in (service, plain)

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from gates import executor, service_on
 from repro.core import (
     MaterializedView,
     QueryService,
@@ -34,7 +35,6 @@ from repro.engine import (
     DeltaUnavailable,
     PlanError,
     asof_plan,
-    base_relations,
     delta_terms,
     execute_plan,
     find_core,
@@ -190,9 +190,9 @@ class TestDeltaScan:
         rel.add((29, 101, "2025-01-01"))
         cols = tuple(rel.schema.attribute_names)
         delta = execute_plan(DeltaScanP("Reserves", cols, v, "delta"), db,
-                             backend=backend)
+                             backend=executor(backend))
         asof = execute_plan(DeltaScanP("Reserves", cols, v, "asof"), db,
-                            backend=backend)
+                            backend=executor(backend))
         assert delta.rows() == [(29, 101, "2025-01-01")]
         assert len(asof) == len(rel) - 1
 
@@ -209,9 +209,9 @@ class TestDeltaScan:
         for unbound in (DeltaScanP("Reserves", cols, None, "delta"), slotted):
             with pytest.raises(PlanError, match="unbound window|"
                                "neither a slot nor a version"):
-                execute_plan(unbound, db, backend=backend)
+                execute_plan(unbound, db, backend=executor(backend))
         # With the anchor as a parameter, the same window executes.
-        assert execute_plan(slotted, db, backend=backend,
+        assert execute_plan(slotted, db, backend=executor(backend),
                             params=(v,)).rows() == [(29, 101, "2025-01-01")]
 
     def test_uncovered_window_raises_delta_unavailable(self, monkeypatch):
@@ -243,17 +243,21 @@ class TestDeltaTerms:
         plan = optimize(lower(JOIN_SQL, db.schema, "sql"), db)
         core, _kind = find_core(plan)
         bag = core.input
-        anchors = tuple(db.relation(r).version for r in base_relations(bag))
+        anchors = tuple(db.relation(r).version for r in bag.base_relations)
         before = execute_plan(bag, db)
         db.relation("Reserves").add_rows(
             [(1, 101, "x"), (2, 102, "y")], validate=False)
         db.relation("Sailors").add((99, "Zed", 5, 30.0))
         after = execute_plan(bag, db)
-        delta_rows: list = []
-        for term in delta_terms(bag):
-            delta_rows.extend(execute_plan(term, db, params=anchors).rows())
-        combined = before.rows() + delta_rows
-        assert sorted(map(repr, combined)) == sorted(map(repr, after.rows()))
+        for backend in ("row", "vectorized"):
+            delta_rows: list = []
+            for term in delta_terms(bag):
+                delta_rows.extend(execute_plan(
+                    term, db, backend=executor(backend), params=anchors
+                ).rows())
+            combined = before.rows() + delta_rows
+            assert sorted(map(repr, combined)) \
+                == sorted(map(repr, after.rows())), backend
 
     def test_asof_plan_reproduces_the_old_output(self):
         db = random_sailors_database(n_sailors=20, n_boats=5, n_reserves=80,
@@ -261,11 +265,13 @@ class TestDeltaTerms:
         plan = optimize(lower(JOIN_SQL, db.schema, "sql"), db)
         core, _kind = find_core(plan)
         bag = core.input
-        anchors = tuple(db.relation(r).version for r in base_relations(bag))
+        anchors = tuple(db.relation(r).version for r in bag.base_relations)
         before = execute_plan(bag, db)
         db.relation("Reserves").add((3, 103, "z"), validate=False)
-        old = execute_plan(asof_plan(bag), db, params=anchors)
-        assert old.bag_equal(before)
+        for backend in ("row", "vectorized"):
+            old = execute_plan(asof_plan(bag), db, backend=executor(backend),
+                               params=anchors)
+            assert old.bag_equal(before), backend
 
     def test_non_monotone_plans_are_rejected(self):
         db = sailors_database()
@@ -288,7 +294,7 @@ class TestDeltaTerms:
         union = SetOpP("union", DeltaScanP("Reserves", cols, v, "asof"),
                        DeltaScanP("Reserves", cols, v, "asof"),
                        distinct=False)
-        result = execute_plan(union, db, backend=backend)
+        result = execute_plan(union, db, backend=executor(backend))
         old_rows = rel.rows_at(v)
         assert sorted(result.rows()) == sorted(old_rows + old_rows)
 
@@ -501,11 +507,12 @@ class TestMaterializedViews:
         assert warnings and "fallback" in warnings[0]
 
 
-#: How a refresh runs on each service: the plain one on its backend, the
-#: sharded one on ``"vectorized"`` per shard.
+#: How a refresh runs on each service: the plain one on the row or the
+#: columnar executor, the sharded one on the ``"vectorized"`` backend per
+#: shard, which runs these few-row shards on rows.
 REFRESH_SERVICES = {
-    "plain-row": lambda db: QueryService(db, backend="row"),
-    "plain-vectorized": lambda db: QueryService(db, backend="vectorized"),
+    "plain-row": lambda db: service_on(db, "row"),
+    "plain-vectorized": lambda db: service_on(db, "vectorized"),
     "sharded": lambda db: ShardedQueryService(db, backend="sharded",
                                               n_shards=2),
 }
@@ -515,7 +522,8 @@ REFRESH_SERVICES = {
 def test_refreshes_execute_the_stored_delta_terms(monkeypatch, service_kind):
     """A refresh executes the view's own delta terms, their windows bound to
     the anchors as params: every node an executor memoizes while it runs is
-    a node of the stored terms or of the union over them — no copy."""
+    a node of the stored terms or of the union over them — no copy — and
+    the executor the service names runs them."""
     from repro.engine import SetOpP
     from repro.engine.delta import _DeltaSource
     from repro.engine.execute import Executor
@@ -524,11 +532,13 @@ def test_refreshes_execute_the_stored_delta_terms(monkeypatch, service_kind):
     service = REFRESH_SERVICES[service_kind](sailors_database())
     view = service.register_view(AGG_SQL)
     keys: list = []
+    ran: set = set()
     refreshing: list = []
     for cls, name in ((Executor, "rows"), (VectorizedExecutor, "batch")):
-        def spy(self, plan, _real=getattr(cls, name)):
+        def spy(self, plan, _real=getattr(cls, name), _cls=cls):
             if refreshing:
                 keys.append(plan)
+                ran.add(_cls)
             return _real(self, plan)
 
         monkeypatch.setattr(cls, name, spy)
@@ -558,7 +568,8 @@ def test_refreshes_execute_the_stored_delta_terms(monkeypatch, service_kind):
             isinstance(plan, SetOpP) and id(plan.right) in roots
             and (id(plan.left) in roots or stored(plan.left)))
 
-    assert keys
+    assert ran == ({VectorizedExecutor} if service_kind == "plain-vectorized"
+                   else {Executor})
     assert all(stored(plan) for plan in keys), [
         type(plan).__name__ for plan in keys if not stored(plan)]
 
@@ -680,7 +691,7 @@ def _apply_step(service, step, counter):
           suppress_health_check=[HealthCheck.too_slow])
 @given(steps=st.lists(_insert_step, min_size=1, max_size=4))
 def test_catalog_views_stay_bag_equal_under_random_inserts(backend, steps):
-    service = QueryService(sailors_database(), backend=backend)
+    service = service_on(sailors_database(), backend)
     views = []
     for qid, language, text in _catalog_texts():
         views.append((service.register_view(

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from gates import executor
 from repro.core import QueryService, QueryVisualizationPipeline
 from repro.core.pipeline import _parse
 from repro.core.service_api import QueryParseError
@@ -459,6 +460,7 @@ def test_a_hit_memoizes_under_the_templates_own_nodes(
     from repro.engine.vectorized import VectorizedExecutor
 
     pipeline = QueryVisualizationPipeline(sailors_database(), backend=backend)
+    pipeline.backend = executor(backend)
     pipeline.answer(first, language=language)
     template = _template_of(pipeline, first, language)
     own = {id(node) for node in _leaves(template)}
@@ -480,8 +482,8 @@ def test_a_hit_memoizes_under_the_templates_own_nodes(
 
 
 #: A shape whose only slotted node is an index lookup's filter, and one
-#: whose filter also compares a column (on the columnar loop; the row
-#: executor compiles a bound predicate afresh, resolving its columns).
+#: whose filter also compares a column (a column loop on the columnar
+#: executor, a comparison at the filter's resolved position on rows).
 LOOKUP_SHAPE = ("SELECT S.sname, R.day FROM Sailors S, Reserves R "
                 "WHERE S.sid = R.sid AND R.bid = {}")
 COMPARE_SHAPE = ("SELECT S.sname FROM Sailors S, Reserves R WHERE "
@@ -493,7 +495,9 @@ COMPARE_SHAPE = ("SELECT S.sname FROM Sailors S, Reserves R WHERE "
     ("vectorized", LOOKUP_SHAPE, [(101,), (102,), (103,), (104,)]),
     ("vectorized", COMPARE_SHAPE, [(101, 20), (102, 30), (103, 40),
                                    (104, 16)]),
-], ids=["row-lookup", "vectorized-lookup", "vectorized-compare"])
+    ("row", COMPARE_SHAPE, [(101, 20), (102, 30), (103, 40), (104, 16)]),
+], ids=["row-lookup", "vectorized-lookup", "vectorized-compare",
+        "row-compare"])
 def test_hits_resolve_no_columns(monkeypatch, backend, shape, literals):
     """A bound copy takes its template node's resolved column positions, so
     after the first hit of a shape no further hit resolves a column (the
@@ -505,6 +509,7 @@ def test_hits_resolve_no_columns(monkeypatch, backend, shape, literals):
 
     monkeypatch.setenv("REPRO_VERIFY_PLANS", "0")
     pipeline = QueryVisualizationPipeline(sailors_database(), backend=backend)
+    pipeline.backend = executor(backend)
     pipeline.answer(shape.format(103, 35))   # the miss
     pipeline.answer(shape.format(102, 25))   # the first hit
     texts = [shape.format(*values) for values in literals]
@@ -533,6 +538,7 @@ def test_fresh_literals_leave_the_closure_cache_alone(backend):
 
     clear_compiled_cache()
     pipeline = QueryVisualizationPipeline(sailors_database(), backend=backend)
+    pipeline.backend = executor(backend)
     text = ("SELECT S.sname, S.age * {} AS scaled FROM Sailors S "
             "WHERE S.rating > {} OR S.sname = 'Dustin'")
     pipeline.answer(text.format(2, 7))
@@ -584,6 +590,7 @@ EDGE_SHAPES = [
 def test_edge_shapes_bind_node_by_node(backend, language, text, first,
                                        second):
     pipeline = QueryVisualizationPipeline(sailors_database(), backend=backend)
+    pipeline.backend = executor(backend)
     pipeline.db.relation("Sailors").add((99, "O'Brien", 10, 41.0))
     for literals in (first, second):
         variant = text.format(*literals)

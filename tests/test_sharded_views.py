@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import pytest
 
+from gates import service_on
 from repro.core import (
     QueryService,
     QueryVisualizationPipeline,
@@ -59,8 +60,8 @@ SERVICES = {
 #: Services whose views have one part (the plain service, on two
 #: backends, and one shard) or two (two shards).
 PART_SERVICES = {
-    "plain-row": lambda db: QueryService(db, backend="row"),
-    "plain-vectorized": lambda db: QueryService(db, backend="vectorized"),
+    "plain-row": lambda db: service_on(db, "row"),
+    "plain-vectorized": lambda db: service_on(db, "vectorized"),
     "sharded-1": lambda db: ShardedQueryService(db, n_shards=1),
     "sharded-2": lambda db: ShardedQueryService(db, n_shards=2),
 }

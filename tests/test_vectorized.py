@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import pytest
 
+from gates import COLUMNAR
+
 from repro.data.database import Database
 from repro.data.relation import ColumnStore, relation_from_rows
 from repro.data.sailors import random_sailors_database, sailors_database
@@ -30,6 +32,7 @@ from repro.engine import (
     clear_compiled_cache,
     collect_table_stats,
     execute_plan,
+    explain,
     get_backend,
     lower,
     optimize,
@@ -59,7 +62,7 @@ class TestDifferentialVectorized:
             if use_optimizer:
                 plan = optimize(plan, db)
             row = execute_plan(plan, db, backend="row")
-            vectorized = execute_plan(plan, db, backend="vectorized")
+            vectorized = execute_plan(plan, db, backend=COLUMNAR)
             assert row.bag_equal(vectorized), (
                 f"{query.id}/{language} optimizer={use_optimizer}: "
                 f"row {sorted(row.rows())} != vectorized {sorted(vectorized.rows())}"
@@ -68,7 +71,7 @@ class TestDifferentialVectorized:
     @pytest.mark.parametrize("query,language", ALL_CELLS)
     def test_vectorized_matches_reference(self, db, query, language):
         text = query.languages()[language]
-        engine = run_query(text, db, language.lower(), backend="vectorized")
+        engine = run_query(text, db, language.lower(), backend=COLUMNAR)
         reference = answer_relation(text, db)
         assert engine.bag_equal(reference), f"{query.id}/{language} disagrees"
 
@@ -77,7 +80,7 @@ class TestDifferentialVectorized:
         text = query.languages()[language]
         for instance in standard_database_battery(extra_random=2, rows=8):
             engine = run_query(text, instance, language.lower(),
-                               backend="vectorized")
+                               backend=COLUMNAR)
             reference = answer_relation(text, instance)
             assert engine.bag_equal(reference), f"{query.id}/{language} disagrees"
 
@@ -94,7 +97,7 @@ class TestDifferentialVectorized:
         ]
         for sql in shapes:
             row = run_query(sql, db, "sql", backend="row")
-            vectorized = run_query(sql, db, "sql", backend="vectorized")
+            vectorized = run_query(sql, db, "sql", backend=COLUMNAR)
             assert row.bag_equal(vectorized), sql
 
     def test_backend_order_matches_row_backend_exactly(self, db):
@@ -104,7 +107,7 @@ class TestDifferentialVectorized:
                "WHERE S.sid = R.sid AND R.bid = B.bid")
         plan = optimize(lower(sql, db.schema, "sql"), db)
         assert get_backend("row").execute(plan, db) \
-            == get_backend("vectorized").execute(plan, db)
+            == COLUMNAR.execute(plan, db)
 
     def test_unknown_backend_rejected(self, db):
         from repro.engine import PlanError
@@ -129,7 +132,7 @@ class TestDifferentialVectorized:
         with pytest.raises(TypeError):
             execute_plan(plan, db, backend="row")
         with pytest.raises(TypeError):
-            execute_plan(plan, db, backend="vectorized")
+            execute_plan(plan, db, backend=COLUMNAR)
 
 
 class TestColumnStore:
@@ -252,7 +255,7 @@ class TestCompiledClosureCache:
         sql = "SELECT S.sname FROM Sailors S WHERE S.age / 2 > S.rating"
         plan = optimize(lower(sql, db.schema, "sql"), db)
         clear_compiled_cache()
-        execute_plan(plan, db, backend="vectorized")
+        execute_plan(plan, db, backend=COLUMNAR)
         calls = []
         original = execute_module.compile_expr
 
@@ -262,7 +265,7 @@ class TestCompiledClosureCache:
 
         execute_module.compile_expr = counting
         try:
-            execute_plan(plan, db, backend="vectorized")
+            execute_plan(plan, db, backend=COLUMNAR)
             assert not calls
         finally:
             execute_module.compile_expr = original
@@ -487,7 +490,7 @@ class TestVectorizedPlanStructure:
             (Col("bid"),),
             ("bid",),
         ))
-        result = execute_plan(plan, db, backend="vectorized")
+        result = execute_plan(plan, db, backend=COLUMNAR)
         assert {row[0] for row in result.rows()} == {102, 104}
 
     def test_scan_arity_mismatch_raises(self, db):
@@ -495,7 +498,7 @@ class TestVectorizedPlanStructure:
 
         with pytest.raises(PlanError):
             execute_plan(ScanP("Boats", ("bid", "color")), db,
-                         backend="vectorized")
+                         backend=COLUMNAR)
 
 
 # ---------------------------------------------------------------------------
@@ -588,3 +591,66 @@ class TestAnalyticShapesStayNumpy:
         assert bumped["probe_kernel"] == 2 and bumped["build_dict"] == 0
         assert sum(row[-1] for row in second) \
             == sum(row[-1] for row in first) + 1
+
+
+# ---------------------------------------------------------------------------
+# The backend's executor choice: rows below the kernel gate
+# ---------------------------------------------------------------------------
+
+def _plan_paths(run):
+    """``(result, plan_rows, plan_columnar)``: the executor choices ``run``
+    made."""
+    before = kernels.path_counts()
+    result = run()
+    after = kernels.path_counts()
+    return result, *(after[key] - before[key]
+                     for key in ("plan_rows", "plan_columnar"))
+
+
+class TestExecutorChoice:
+    """The ``"vectorized"`` backend runs a plan whose every input holds
+    fewer than ``KERNEL_MIN_ROWS`` rows on the row executor, any other on
+    the columnar one, decided at the root on each execution."""
+
+    def test_the_tutorial_catalog_runs_on_rows(self):
+        from repro.core import QueryVisualizationPipeline
+        from test_plan_shapes import catalog_texts, oracle
+
+        pipeline = QueryVisualizationPipeline(sailors_database())
+        texts = catalog_texts()
+        assert len(texts) == 25
+        for language, text in texts:
+            answers, rows, columnar = _plan_paths(
+                lambda: pipeline.answer(text, language=language))
+            assert (rows, columnar) == (1, 0), (language, text)
+            assert answers.bag_equal(oracle(text, language, pipeline.db))
+
+    def test_the_analytic_templates_run_columnar(self, analytic_db):
+        backend = get_backend("vectorized")
+        for plan in TestAnalyticShapesStayNumpy._plans(analytic_db, 17,
+                                                       "21.500"):
+            _rows, rows, columnar = _plan_paths(
+                lambda: backend.execute(plan, analytic_db))
+            assert (rows, columnar) == (0, 1), explain(plan)
+
+    def test_a_cached_plan_crosses_the_gate_with_its_relation(self):
+        from repro.core import QueryVisualizationPipeline
+
+        db = random_sailors_database(n_sailors=40, n_boats=10,
+                                     n_reserves=kernels.KERNEL_MIN_ROWS - 1,
+                                     seed=5)
+        pipeline = QueryVisualizationPipeline(db)
+        text = ("SELECT R.bid, COUNT(*) AS n FROM Reserves R "
+                "WHERE R.sid > 3 GROUP BY R.bid")
+        sailor = db.relation("Sailors")[-1][0]
+        boat = db.relation("Boats")[0][0]
+        seen = []
+        for step in range(2):
+            answers, rows, columnar = _plan_paths(lambda: pipeline.answer(text))
+            assert answers.bag_equal(answer_relation(text, db))
+            seen.append((len(db.relation("Reserves")), rows, columnar))
+            if step == 0:
+                db.relation("Reserves").add((sailor, boat, "2031/01/01"))
+        assert seen == [(kernels.KERNEL_MIN_ROWS - 1, 1, 0),
+                        (kernels.KERNEL_MIN_ROWS, 0, 1)]
+        assert pipeline.cache_info()["plan_hits"] == 1

@@ -42,7 +42,7 @@ from repro.engine import (
     verify_sharded_plan,
     verify_view_terms,
 )
-from repro.engine.delta import DeltaRewriteError, base_relations, delta_terms
+from repro.engine.delta import DeltaRewriteError, delta_terms
 from repro.engine.verify import (
     maybe_verify,
     reset_verification_counts,
@@ -85,7 +85,7 @@ class TestCatalogVerifies:
                 terms = delta_terms(plan)
             except DeltaRewriteError:
                 continue  # not bag-maintainable: no delta form exists
-            anchors = (0,) * len(base_relations(plan))
+            anchors = (0,) * len(plan.base_relations)
             for term in terms:
                 verify_plan(term, db)  # template: windows anchored at slots
                 verify_plan(bind_plan(term, anchors), db)  # ...at versions
