@@ -1,14 +1,16 @@
 """Experiment K1: kernel microbenchmarks — probe, DISTINCT, group-by and
-string MIN/MAX vs fallback.
+string MIN/MAX vs the row executor.
 
 Isolates the numpy kernels of :mod:`repro.engine.kernels` from the
 backend transports the E-series experiments measure.  Each cell runs one
-plan twice through the engine's one columnar executor,
-:class:`~repro.engine.vectorized.VectorizedExecutor` — once as served
-(every table here is above ``KERNEL_MIN_ROWS``: dictionary encodings,
-cached probe structures, packed-code DISTINCT, code-space MIN/MAX) and
-once under ``REPRO_KERNELS=0``, the bit-identical pure-Python loops every
-kernel declines to when numpy is absent — on a synthetic star schema:
+plan twice: once through the engine's one columnar executor,
+:class:`~repro.engine.vectorized.VectorizedExecutor`, as served (every
+table here is above ``KERNEL_MIN_ROWS``: dictionary encodings, cached
+probe structures, packed-code DISTINCT, code-space MIN/MAX), and once on
+the row :class:`~repro.engine.execute.Executor` — the one Python
+implementation of each operator, which a declined kernel runs and which
+the ``"vectorized"`` backend is when numpy is absent — on a synthetic
+star schema:
 
 * **probe-int-key** — fact⋈dim on an int64 key column;
 * **probe-str-key** — fact⋈dim on a dictionary-encoded string key: the
@@ -39,7 +41,7 @@ kernel declines to when numpy is absent — on a synthetic star schema:
 * **probe-after-append** — probe-int-key after a 10-row write to ``dim``,
   both timed: the cached structure is carried over to the extended key
   encoding and grows by the ten rows (``build_extended``) instead of being
-  lowered and sorted again, while the fallback's ``key_index`` is
+  lowered and sorted again, while the row executor's ``key_index`` is
   maintained row by row;
 * **groupby-wide** — ``COUNT``/``MAX`` per ``(fk, bucket)``: a packed
   domain of ~1M slots over fewer rows, so the group ids come from one
@@ -56,7 +58,7 @@ kernel declines to when numpy is absent — on a synthetic star schema:
   is shorter than the join, so ``dim`` positions are deduplicated first
   (``distinct_positions``) and only their first rows' values after.
 
-Gated: every family must beat the fallback by ``GATE_SPEEDUP`` at the
+Gated: every family must beat the row executor by ``GATE_SPEEDUP`` at the
 largest size (answers are bag-equal asserted per cell), every append
 of **probe-after-append** must extend the structure, never relower it, and
 each family in ``PATHS`` must take the path it is named for.
@@ -83,11 +85,12 @@ import sys
 import time
 from collections import Counter
 
-from conftest import print_table, python_loops
+from conftest import print_table
 
 from repro.data.database import Database
 from repro.data.relation import relation_from_rows
 from repro.engine import lower, optimize
+from repro.engine.execute import Executor
 from repro.engine.kernels import (
     cache_stats,
     clear_cache,
@@ -102,8 +105,8 @@ REDUCED = os.environ.get("REPRO_BENCH_REDUCED", "") not in ("", "0")
 FULL_SIZES = [12000, 48000, 192000]
 SMOKE_SIZES = [12000, 48000]
 
-#: Every family must beat the pure-Python fallback by this factor at the
-#: largest size.  Deliberately below the measured headroom: the gate
+#: Every family must beat the row executor by this factor at the largest
+#: size.  Deliberately below the measured headroom: the gate
 #: catches "kernel silently declined", not single-digit noise.
 GATE_SPEEDUP = 1.5
 
@@ -113,9 +116,9 @@ ARTIFACT_DIR = os.environ.get(
 
 #: The probe families join bare scans: a ``ScanP`` build side is what the
 #: probe-structure cache keys on, so iteration two onward the kernel
-#: executor reuses the sorted-key structure while the Python fallback
-#: rebuilds its hash table from scratch every run — exactly the "cached
-#: probe tables" contrast this suite exists to pin.
+#: executor reuses the sorted-key structure while the row executor probes
+#: the relation's maintained ``key_index`` row by row — the "cached probe
+#: tables" contrast this suite exists to pin.
 WORKLOADS = {
     "probe-int-key": (
         "SELECT d.k FROM fact f, dim d WHERE f.fk = d.k"),
@@ -218,10 +221,9 @@ def _best_of(fn, reps: int = 5, warm: int = 2):
     return result, best
 
 
-def _python_loops(plan, db):
-    """``plan``'s rows with every kernel declining (``REPRO_KERNELS=0``)."""
-    with python_loops():
-        return VectorizedExecutor(db).batch(plan).rows()
+def _row_executor(plan, db):
+    """``plan``'s rows from the row executor, the kernels' reference."""
+    return Executor(db).rows(plan)
 
 
 def _write_artifact(name: str, artifact: dict) -> None:
@@ -256,8 +258,8 @@ def _measure_size(n_fact: int) -> list[dict]:
         def kernel(plan=plan):
             return VectorizedExecutor(db).batch(plan).rows()
 
-        def loops(plan=plan):
-            return _python_loops(plan, db)
+        def rows(plan=plan):
+            return _row_executor(plan, db)
 
         appends = APPEND_ROWS.get(family)
         before = path_counts()
@@ -265,19 +267,19 @@ def _measure_size(n_fact: int) -> list[dict]:
             _appending(db, appends, kernel) if appends else kernel)
         paths = {key: n - before[key] for key, n in path_counts().items()}
         slow_rows, slow_s = _best_of(
-            _appending(db, appends, loops) if appends else loops, warm=1)
+            _appending(db, appends, rows) if appends else rows, warm=1)
         if appends:
-            fast_rows = kernel()  # at the state the fallback's writes left
+            fast_rows = kernel()  # at the state the row run's writes left
         assert Counter(map(tuple, fast_rows)) == \
             Counter(map(tuple, slow_rows)), (
-            f"{family}@{n_fact}: kernel disagrees with fallback")
+            f"{family}@{n_fact}: kernel disagrees with the row executor")
         cell = {
             "workload": family,
             "family": family,
             "reserves": n_fact,  # record-schema size key (fact rows)
             "rows_out": len(fast_rows),
             "kernel_ms": round(fast_s * 1000, 3),
-            "python_ms": round(slow_s * 1000, 3),
+            "row_ms": round(slow_s * 1000, 3),
             "speedup": round(slow_s / fast_s, 2) if fast_s > 0 else None,
             "largest_size": False,  # stamped by run_experiment
         }
@@ -309,14 +311,14 @@ def run_experiment(smoke: bool) -> dict:
     _write_artifact("bench_k1_kernels.json", artifact)
     rows = [
         [cell["family"], cell["reserves"], cell["rows_out"],
-         f"{cell['python_ms']:.2f}", f"{cell['kernel_ms']:.2f}",
+         f"{cell['row_ms']:.2f}", f"{cell['kernel_ms']:.2f}",
          f"{cell['speedup']:.2f}x"]
         for cell in cells
     ]
     print_table(
-        "K1: numpy kernels vs pure-Python fallback "
+        "K1: numpy kernels vs the row executor "
         "(bag-equal asserted per cell)",
-        ["workload", "fact rows", "out rows", "python ms", "kernel ms",
+        ["workload", "fact rows", "out rows", "row ms", "kernel ms",
          "speedup"],
         rows,
     )
@@ -327,13 +329,13 @@ def run_experiment(smoke: bool) -> dict:
 def check_gates(artifact: dict) -> list[str]:
     """The K1 acceptance gates over a measured artifact; [] when green.
 
-    Every workload family at the largest size must beat the pure-Python
-    fallback by ``GATE_SPEEDUP``, and the probe-structure cache must
+    Every workload family at the largest size must beat the row executor
+    by ``GATE_SPEEDUP``, and the probe-structure cache must
     have registered hits (the dim-side build is shared across probe
     iterations — zero hits would mean the cache key is broken).
     """
     if not artifact.get("kernels", False):
-        return []  # numpy absent: the fallback ran against itself
+        return []  # numpy absent: the row executor ran against itself
     failures: list[str] = []
     largest = {c["family"]: c for c in artifact["cells"]
                if c["largest_size"]}
@@ -343,7 +345,7 @@ def check_gates(artifact: dict) -> list[str]:
         if cell["speedup"] < artifact["gate_speedup"]:
             failures.append(
                 f"{family} at the largest size: {cell['speedup']:.2f}x < "
-                f"{artifact['gate_speedup']}x over the Python fallback")
+                f"{artifact['gate_speedup']}x over the row executor")
     if artifact["cache"]["hits"] <= 0:
         failures.append("probe-structure cache recorded zero hits")
     for cell in artifact["cells"]:

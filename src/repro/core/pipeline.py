@@ -30,7 +30,19 @@ from repro.core.patterns import QueryPattern, pattern_of
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.data.sailors import sailors_database
+from repro.engine import (
+    LoweringError,
+    PlanError,
+    detect_language,
+    execute_plan,
+    get_backend,
+    lower,
+    optimize,
+)
+from repro.engine.bind import bind_plan, discover_slots, scan_literals
 from repro.engine.cache import LRUCache
+from repro.engine.verify import maybe_verify, verification_enabled
+from repro.expr.ast import ExprError
 from repro.trc.ast import TRCQuery, relation_atoms
 from repro.trc.format import format_trc_query
 
@@ -217,8 +229,6 @@ class QueryVisualizationPipeline:
 
     def __init__(self, db: Database | None = None, *, formalism: str = "queryvis",
                  backend: str = "vectorized", plan_cache_size: int = 128) -> None:
-        from repro.engine import get_backend
-
         self.db = db if db is not None else sailors_database()
         self.formalism = formalism
         self.backend = get_backend(backend).name  # validates the name
@@ -280,8 +290,6 @@ class QueryVisualizationPipeline:
                 _Source(text, language, query), warnings, timings)
             timings["evaluate"] = time.perf_counter() - start
             if planned is not None:
-                from repro.engine import bind_plan
-
                 plan = bind_plan(*planned)
 
         return PipelineResult(
@@ -370,9 +378,6 @@ class QueryVisualizationPipeline:
         """Answer the query: unified engine first, reference interpreter
         fallback.  Returns the answers with the ``(template, literals)`` the
         engine ran, or ``None`` after a fallback."""
-        from repro.engine import LoweringError, PlanError
-        from repro.expr.ast import ExprError
-
         try:
             return self._evaluate_engine(source, timings)
         except (LoweringError, PlanError, ExprError) as exc:
@@ -389,8 +394,6 @@ class QueryVisualizationPipeline:
 
     def _evaluate_engine(self, source: _Source,
                          timings: dict[str, float]) -> tuple[Relation, Any]:
-        from repro.engine import execute_plan
-
         template, literals = self._plan(source, timings)
         start = time.perf_counter()
         answers = execute_plan(template, self.db, backend=self.backend,
@@ -410,10 +413,6 @@ class QueryVisualizationPipeline:
         literal slots and optimizes; racing misses of one shape each compile
         and the last equal entry stays.
         """
-        from repro.engine import lower, optimize
-        from repro.engine.bind import bind_plan, discover_slots, scan_literals
-        from repro.engine.verify import maybe_verify, verification_enabled
-
         language = source.language
         version = self.db.structure_version
         # The exact text is a shape of its own, without holes: what a
@@ -473,8 +472,6 @@ class QueryVisualizationPipeline:
         :attr:`PipelineResult.warnings`) and logged on this module's logger,
         so serving-path divergences stay diagnosable.
         """
-        from repro.engine import detect_language
-
         resolved = (language or detect_language(text)).lower()
         if resolved not in PIPELINE_LANGUAGES:
             raise ValueError(
@@ -500,8 +497,6 @@ class QueryVisualizationPipeline:
         (its requests will use the interpreter fallback).
         ``QueryService.prepare`` builds its prepared-query handles on this.
         """
-        from repro.engine import LoweringError, PlanError, bind_plan
-
         source = _Source(text, language.lower())
         source.ast()
         try:

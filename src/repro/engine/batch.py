@@ -28,10 +28,10 @@ class Vector:
     of the column is ``data[sel[i]]``.  Selections compose without touching
     the base arrays, which is what keeps multi-join pipelines cheap.  A
     selection is a Python list of ints below the kernel gate and a numpy
-    index array from it up: the kernels hand back index arrays, and what a
-    Python loop emits at gate size is converted where it is produced
-    (:func:`repro.engine.kernels.index_array`), so no consumer converts it
-    again.  Index arrays compose in C (:func:`_take`) and become Python
+    index array from it up: the kernels hand back index arrays, and the
+    positions a row test keeps at gate size are converted where they are
+    produced (:func:`repro.engine.kernels.index_array`), so no consumer
+    converts them again.  Index arrays compose in C (:func:`_take`) and become Python
     ints only when a column is materialized.
 
     ``nd`` is the kernel layer's hook: scans set it to ``(store, index)``

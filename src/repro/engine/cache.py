@@ -1,9 +1,14 @@
-"""The one bounded cache class.
+"""The one bounded cache class, and the engine's process-wide path counters.
 
 Every cache that outlives a request is an :class:`LRUCache`: the
 pipeline's plan cache, the service's result cache, the HTTP tier's
 prepared handles, each database's compiled scatter plans, and the kernel
 layer's byte-budgeted derived-structure cache.
+
+The path counters (:func:`count_path`, :func:`path_counts`) record which
+side of each run-time choice the executors and their kernels took.  They
+live here, below both :mod:`repro.engine.execute` and
+:mod:`repro.engine.kernels`, because both count.
 """
 
 from __future__ import annotations
@@ -112,3 +117,39 @@ class LRUCache:
         with self._lock:
             self._data.clear()
             self._bytes = 0
+
+
+#: Counted reasons (process-wide, :func:`path_counts`): which side of each
+#: run-time choice the executors and the kernels took.
+_PATH_TOTALS = dict.fromkeys(
+    ("probe_kernel", "probe_loop", "build_lowered", "build_extended",
+     "build_relowered", "build_dict", "sel_converted", "sort_radix",
+     "sort_compare", "group_direct", "group_sorted", "distinct_positions",
+     "scan_lookup", "plan_rows", "plan_columnar"),
+    0)
+_PATH_LOCK = threading.Lock()
+
+
+def count_path(key: str) -> None:
+    """Count one ``probe_kernel`` or ``probe_loop`` (a hash-join probe took
+    the numpy kernel, or declined to the row executor's probe) /
+    ``build_*`` / ``sel_converted`` / ``sort_*`` / ``group_*`` /
+    ``distinct_positions`` (the kernels' internal choices:
+    :mod:`repro.engine.kernels`) / ``scan_lookup`` (an equality filter read
+    one ``key_index`` bucket: :func:`repro.engine.execute.scan_lookup`) /
+    ``plan_rows`` or ``plan_columnar`` (which executor the ``"vectorized"``
+    backend ran a plan on: :func:`repro.engine.vectorized.runs_on_rows`)."""
+    with _PATH_LOCK:
+        _PATH_TOTALS[key] += 1
+
+
+def path_counts() -> dict[str, int]:
+    """The process-wide path counters (``exec_*`` on ``/metrics``)."""
+    with _PATH_LOCK:
+        return dict(_PATH_TOTALS)
+
+
+def sink_bump(sink: "dict[str, int] | None", key: str) -> None:
+    """Count ``key`` in a caller's own ``sink``, if it keeps one."""
+    if sink is not None:
+        sink[key] = sink.get(key, 0) + 1

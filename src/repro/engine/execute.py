@@ -21,13 +21,14 @@ One executor runs the plans of every frontend.  Physical choices:
   node.
 
 Each operator has one Python implementation, a function of this module:
-:func:`aggregate_rows`, :func:`sort_limit_rows`, :func:`semi_anti_positions`,
-:func:`setop_rows`, :func:`divide_rows` and :func:`fold`.  :class:`Executor`
-calls them, and so does the columnar executor below its kernels' gates or
-where a kernel declines (:mod:`repro.engine.vectorized`), so the backends
-cannot drift apart.  The checks every scan makes (:func:`scan_relation`)
-and the shape a filter conjunct needs for a column loop
-(:func:`column_comparison`) live here too.
+:func:`filter_predicate`, :func:`join_rows`, :func:`aggregate_rows`,
+:func:`sort_limit_rows`, :func:`semi_anti_positions`, :func:`setop_rows`,
+:func:`divide_rows` and :func:`fold`.  :class:`Executor` calls them, and so
+does the columnar executor wherever a numpy kernel declines
+(:mod:`repro.engine.vectorized`), so the backends cannot drift apart.  The
+checks every scan makes (:func:`scan_relation`) and the shape of a filter
+conjunct the selection kernels lower (:func:`column_comparison`) live here
+too.
 
 The executor shares no code with the reference interpreters.  It takes the
 semantic decisions both must make alike from neutral modules: the 3-valued
@@ -70,7 +71,7 @@ from repro.expr.eval import (
 )
 from repro.logic.terms import COMPARISONS
 from repro.engine.bind import bind_node, is_bound
-from repro.engine.cache import LRUCache
+from repro.engine.cache import LRUCache, count_path, sink_bump
 from repro.engine.lower import lower, lower_datalog
 from repro.engine.plan import (
     AggregateP,
@@ -337,39 +338,65 @@ class Executor:
                 and plan.residual is None:
             right_rows = self.rows(plan.right)
             return [l + r for l in left_rows for r in right_rows]
+        return join_rows(self.db, plan, left_rows, self.rows(plan.right),
+                         self.params)
 
-        left_idx, right_idx = plan.key_positions
-        residual = None
-        if plan.residual is not None:
-            residual = compiled_predicate(
-                plan.residual, plan.left.columns + plan.right.columns,
-                cached=not is_bound(plan))
 
-        # Build on the right: positions into ``right_rows``.  Keys that
-        # cannot match (NULLs under SQL equality) are not in the table.
-        right_rows = self.rows(plan.right)
-        skip_nulls = not plan.null_matches
-        table = join_table(self.db, plan.right, right_idx, skip_nulls,
-                           lambda: key_positions(
-                               [list(map(operator.itemgetter(i), right_rows))
-                                for i in right_idx],
-                               len(right_rows), skip_nulls),
-                           self.params)
-        # A key as the tables hold it: the raw value of one column, else a
-        # tuple.
-        key = operator.itemgetter(*left_idx) if left_idx else lambda row: ()
-        if plan.kind in ("semi", "anti"):
-            match = None if residual is None else (
-                lambda i, j: residual(left_rows[i] + right_rows[j]))
-            return [left_rows[i] for i in semi_anti_positions(
-                plan.kind, map(key, left_rows), table, match)]
-        out: list[Row] = []
-        for l in left_rows:
-            for j in table.get(key(l), ()):
-                row = l + right_rows[j]
-                if residual is None or residual(row):
-                    out.append(row)
-        return out
+def join_rows(db: Database, plan: JoinP, left_rows: list[Row],
+              right_rows: Sequence[Row], params: Sequence[Any],
+              build: "Callable[[], dict[Any, list[int]]] | None" = None
+              ) -> list[Row]:
+    """A keyed (or residual-only) join of two input bags: a hash probe of
+    the right side's table (:func:`join_table`) with each left row, in left
+    order, a bucket's rows in position order.
+
+    ``build`` makes the table when the right input is not a base relation
+    (default: from ``right_rows``' key columns; given one, only the
+    matched ``right_rows[j]`` are read); ``params`` bind a window's anchor.
+    The columnar executor runs a probe its kernel declines here.
+    """
+    left_idx, right_idx = plan.key_positions
+    residual = join_residual(plan)
+    # Build on the right: positions into ``right_rows``.  Keys that cannot
+    # match (NULLs under SQL equality) are not in the table.
+    skip_nulls = not plan.null_matches
+    if build is None:
+        def build() -> dict[Any, list[int]]:
+            return key_positions(
+                [list(map(operator.itemgetter(i), right_rows))
+                 for i in right_idx], len(right_rows), skip_nulls)
+    table = join_table(db, plan.right, right_idx, skip_nulls, build, params)
+    # A key as the tables hold it: the raw value of one column, else a
+    # tuple.
+    key = operator.itemgetter(*left_idx) if left_idx else lambda row: ()
+    if plan.kind in ("semi", "anti"):
+        match = None if residual is None else pair_residual(
+            residual, left_rows, right_rows)
+        return [left_rows[i] for i in semi_anti_positions(
+            plan.kind, map(key, left_rows), table, match)]
+    out: list[Row] = []
+    for l in left_rows:
+        for j in table.get(key(l), ()):
+            row = l + right_rows[j]
+            if residual is None or residual(row):
+                out.append(row)
+    return out
+
+
+def join_residual(plan: JoinP) -> "Callable[[Row], bool] | None":
+    """``plan``'s residual as a test of a joined row, or ``None``."""
+    if plan.residual is None:
+        return None
+    return compiled_predicate(plan.residual,
+                              plan.left.columns + plan.right.columns,
+                              cached=not is_bound(plan))
+
+
+def pair_residual(residual: Callable[[Row], bool], left_rows: Sequence[Row],
+                  right_rows: Sequence[Row]) -> Callable[[int, int], bool]:
+    """``residual`` over the joined row of left position ``i`` and right
+    position ``j`` (:func:`semi_anti_positions`' match)."""
+    return lambda i, j: residual(left_rows[i] + right_rows[j])
 
 
 def aggregate_rows(plan: AggregateP, rows: list[Row]) -> list[Row]:
@@ -628,8 +655,9 @@ def operand_position(positions: "dict[e.Expr, int | None]",
 
 def column_comparison(conjunct: e.Expr, positions: "dict[e.Expr, int | None]"
                       ) -> "tuple[int, str, Any, bool] | None":
-    """Classify a filter conjunct for the column-selection loops, its
-    columns at their filter's ``positions``.
+    """Classify a filter conjunct for the selection kernels and the row
+    test (:func:`filter_predicate`), its columns at their filter's
+    ``positions``.
 
     ``(position, op, value, False)`` for column-op-constant (a constant on
     the left is flipped to the right), ``(position, op, other, True)`` for
@@ -653,12 +681,13 @@ def column_comparison(conjunct: e.Expr, positions: "dict[e.Expr, int | None]"
 def filter_predicate(plan: FilterP, conjuncts: Sequence[e.Expr]
                      ) -> Callable[[Row], bool]:
     """``conjuncts`` of ``plan``'s condition, in order, as one row test that
-    holds only where their conjunction is TRUE.
+    is truthy only where their conjunction is TRUE.
 
     A conjunct :func:`column_comparison` classifies compares the row's
-    values at the filter's resolved positions, as the column loops do; only
-    the rest compile (afresh for a bound node), so a plan hit resolves no
-    column of such a conjunct.
+    values at the filter's resolved positions; only the rest compile
+    (afresh for a bound node), so a plan hit resolves no column of such a
+    conjunct.  The columnar executor tests each conjunct its selection
+    kernel declines through this function, one conjunct at a time.
     """
     cached = not is_bound(plan)
     parts: list[RowFn] = []
@@ -668,6 +697,8 @@ def filter_predicate(plan: FilterP, conjuncts: Sequence[e.Expr]
                      if shape is None else _compared(*shape))
     if len(parts) == 1:
         part = parts[0]
+        if shape is not None:
+            return part  # TRUE, FALSE or NULL: truthy only when TRUE
         return lambda row: part(row) is True
     return lambda row: _and3(p(row) for p in parts) is True
 
@@ -698,7 +729,7 @@ def scan_lookup(db: Database, plan: FilterP,
     relation holds is used; a live relation that holds none builds it (and
     then maintains it), while a frozen snapshot holding none is scanned —
     the index would be built for this one query.  A lookup is counted
-    process-wide (``scan_lookup`` in :func:`repro.engine.kernels.path_counts`)
+    process-wide (``scan_lookup`` in :func:`repro.engine.cache.path_counts`)
     and in the caller's ``sink``, if it keeps one.
     """
     scan = plan.input
@@ -721,10 +752,8 @@ def scan_lookup(db: Database, plan: FilterP,
             if relation.is_frozen:
                 return None
             index = relation.key_index((position,))
-        from repro.engine.kernels import _sink_bump, count_path
-
         count_path("scan_lookup")
-        _sink_bump(sink, "scan_lookup")
+        sink_bump(sink, "scan_lookup")
         return relation, list(index.get(const.value, ())), rest
     return None
 
@@ -858,9 +887,7 @@ def get_backend(name: "str | ExecutorBackend") -> "ExecutorBackend":
     if key == "row":
         return _ROW_BACKEND
     if key == "vectorized":
-        from repro.engine.vectorized import VectorizedBackend
-
-        return VectorizedBackend()
+        return _VECTORIZED_BACKEND or _vectorized_backend()
     if key == "sharded":
         # The singleton: its auto-sharding and compiled-plan caches are
         # shared across all executions (per-database, weakly keyed).
@@ -878,6 +905,17 @@ def get_backend(name: "str | ExecutorBackend") -> "ExecutorBackend":
 
 
 _ROW_BACKEND = RowBackend()
+_VECTORIZED_BACKEND: "ExecutorBackend | None" = None
+
+
+def _vectorized_backend() -> "ExecutorBackend":
+    """The ``"vectorized"`` singleton, made on first use: its module
+    imports this one."""
+    global _VECTORIZED_BACKEND
+    from repro.engine.vectorized import VectorizedBackend
+
+    _VECTORIZED_BACKEND = VectorizedBackend()
+    return _VECTORIZED_BACKEND
 
 
 # ---------------------------------------------------------------------------

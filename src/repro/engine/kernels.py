@@ -1,12 +1,13 @@
-"""Compiled columnar kernels: numpy lowering of the hot vectorized loops.
+"""Compiled columnar kernels: numpy lowering of the hot operators.
 
-The vectorized executor's inner loops — selection predicates, hash-join
-probes, DISTINCT dedup, aggregation folds — are Python-level ``for`` loops
-over column arrays.  Following the exemplar strategy of lowering one logical
-algebra to a faster execution target rather than re-interpreting it, this
-module compiles exactly those loop families to numpy columnar operations
-when numpy is importable, and **only** when the lowering is provably
-bit-identical to the Python semantics:
+The columnar executor's four hot operators — selection predicates,
+hash-join probes, DISTINCT dedup, aggregation folds — have one Python
+implementation each, the row executor's (:mod:`repro.engine.execute`).
+Following the exemplar strategy of lowering one logical algebra to a faster
+execution target rather than re-interpreting it, this module compiles
+exactly those operators to numpy columnar operations when numpy is
+importable, and **only** when the lowering is provably bit-identical to the
+Python semantics:
 
 * a column participates only if its values are homogeneous ``int`` /
   ``float`` / ``str`` (``bool`` is excluded — the reference semantics
@@ -24,6 +25,9 @@ Python ``str`` order — both compare by code point), so string selections,
 probes, group-bys, DISTINCT and MIN/MAX all run on integers.  Multi-key
 joins pack per-column codes into one int64 (guarded against overflow) and
 probe the lexicographically sorted build side with one ``searchsorted``.
+A column no store backs — a batch of rows an operator's row
+implementation returned, a view's delta — is lowered where a probe, a
+per-query build side or DISTINCT reads it (:func:`_values_at`).
 
 **From the gate up a batch is numpy from scan to the final row build, a
 bounded integer domain is never comparison-sorted or binary-searched, and
@@ -37,14 +41,14 @@ group-by, DISTINCT, build sides — is ordered with :func:`_stable_order`
 (numpy's radix sort, one or two 16-bit digits), and group ids, first
 occurrences and build domains are read off presence vectors and prefix
 sums (:func:`_presence`, :func:`_dense_lut`).  MIN/MAX fold with
-``ufunc.at`` either way.  What a Python loop still emits at gate size
-becomes an index array once, where it is produced (:func:`index_array`);
+``ufunc.at`` either way.  The positions a row test keeps at gate size
+become an index array once, where they are produced (:func:`index_array`);
 which side of each choice a query took is counted (:func:`path_counts`).
 
-Anything outside these windows falls back to the unmodified Python loop,
-so every backend stays bag-identical whether or not numpy is present —
-``tests/test_fuzz_differential.py`` pins this property, and one CI leg
-runs the tier-1 suite with numpy absent.
+Anything outside these windows declines, and the operator runs its row
+implementation, so every backend stays bag-identical whether or not numpy
+is present — ``tests/test_fuzz_differential.py`` pins this property, and
+one CI leg runs the tier-1 suite with numpy absent.
 
 Encodings are cached on the owning :class:`~repro.data.relation.ColumnStore`
 (``kernel_cache``), tagged with the column length.  Arrays are append-only,
@@ -73,30 +77,32 @@ sorting the whole side again — and drops the rest.  The structure of a
 per-query build side (a filtered or joined batch: :class:`BuildSide`) is
 lowered the same way — from the key vectors' encodings at the batch's
 selection, never by translating a Python hash table, which is built only
-for the probe that runs the loop — and is dropped with its one probe:
-nothing could ever look it up again.
+for a probe that declines — and is dropped with its one probe: nothing
+could ever look it up again.
 
 The kernels are not an executor: the one columnar executor
-(:class:`~repro.engine.vectorized.VectorizedExecutor`) offers each of its
-hot loops' batches to the matching ``kernel_*`` function from that hook's
-crossover up, and runs its own Python loop below it or on ``None``: from
-:data:`KERNEL_MIN_ROWS` rows for selections, group-bys, DISTINCT and a
-probe of a per-query build side, from :data:`CACHED_PROBE_MIN_ROWS` rows
-at stake for a probe of a relation's cached structure.
+(:class:`~repro.engine.vectorized.VectorizedExecutor`) offers each hot
+operator's batch to the matching ``kernel_*`` function from that hook's
+crossover up, and runs the operator's row implementation below it or on
+``None``: from :data:`KERNEL_MIN_ROWS` rows for selections, group-bys,
+DISTINCT and a probe of a per-query build side, from
+:data:`CACHED_PROBE_MIN_ROWS` rows at stake for a probe of a relation's
+cached structure.
 
-Set ``REPRO_KERNELS=0`` to force the pure-Python loops even with numpy
-installed (the differential suites use this to cross-check both paths).
+Set ``REPRO_KERNELS=0`` to switch the kernels off even with numpy
+installed: the ``"vectorized"`` backend then runs every plan on the row
+executor, the reference the differential suites cross-check against.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from typing import Any, Callable
 
 from repro.data.relation import Relation, key_positions
 from repro.engine.batch import Batch, Vector, _exact, _key_columns, _take
-from repro.engine.cache import LRUCache
+from repro.engine.cache import (  # path_counts is re-exported
+    LRUCache, count_path, path_counts, sink_bump)
 from repro.engine.execute import column_comparison, operand_position
 from repro.engine.plan import AggregateP, column_position
 from repro.expr import ast as e
@@ -109,11 +115,12 @@ except Exception:  # pragma: no cover
 
 #: The smallest batch a kernel is offered
 #: (:class:`repro.engine.vectorized.VectorizedExecutor` gates every hook on
-#: it but one).  A numpy call costs microseconds before it touches a row, a
-#: Python loop iteration tens of nanoseconds: over the tutorial's 10-row
-#: tables the kernels run the catalog ~3x *slower* than the loops they
-#: replace (83 -> 244 us median), at 48k rows 1.5-5x faster.  Each hook has
-#: its own crossover: below 100 rows for selections and group-bys, near 2k
+#: it but one); below it the operator runs its row implementation.  A numpy
+#: call costs microseconds before it touches a row, a Python loop iteration
+#: tens of nanoseconds: over the tutorial's 10-row tables the kernels ran
+#: the catalog ~3x *slower* than the Python loops they replaced (83 -> 244
+#: us median), at 48k rows 1.5-5x faster.  Each hook has its own
+#: crossover: below 100 rows for selections and group-bys, near 2k
 #: for DISTINCT and for a probe whose build structure is lowered for the one
 #: query (:class:`BuildSide`).  2048 is where the last of these stops losing
 #: (CHANGES.md, PR 15); the probe of a relation's cached structure, which
@@ -136,11 +143,12 @@ KERNEL_MIN_ROWS = 2048
 #: The fewest rows at stake from which the probe of a whole relation
 #: (:class:`RelationBuild`) takes the kernel.  Its structure is cached
 #: with the relation's encodings, so a probe pays only the lookup; the
-#: loop it replaces looks each probe row up in the relation's maintained
-#: ``key_index``.  Probing 48k-row ``Reserves`` (2 vCPUs, numpy 2.4), the
-#: two cross between 384 and 512 rows at stake on a unique int key and on
-#: a two-column key, and near 1.3k on a 10-way fan-out, whose loop emits
-#: cheaply.  K1's ``probe-cached-small`` holds the kernel's side at 1.9k.
+#: Python probe it replaces looks each probe row up in the relation's
+#: maintained ``key_index``.  Probing 48k-row ``Reserves`` (2 vCPUs, numpy
+#: 2.4), the two cross between 384 and 512 rows at stake on a unique int
+#: key and on a two-column key, and near 1.3k on a 10-way fan-out, whose
+#: Python probe emits cheaply.  K1's ``probe-cached-small`` holds the
+#: kernel's side at 1.9k.
 CACHED_PROBE_MIN_ROWS = 512
 
 #: Shared empty selection for probes with no matches (never mutated).
@@ -148,9 +156,10 @@ _EMPTY_SEL: Any = np.empty(0, dtype=np.intp) if np is not None else []
 
 
 def index_array(sel: Any) -> Any:
-    """A Python loop's list of positions as later operators should carry
-    it: from the gate up each ``_gather`` / ``_take`` would turn it into an
-    index array again, so it is converted once, where it is produced."""
+    """A list of positions (a lookup's bucket, a row test's survivors) as
+    later operators should carry it: from the gate up each ``_gather`` /
+    ``_take`` would turn it into an index array again, so it is converted
+    once, where it is produced."""
     if type(sel) is list and len(sel) >= KERNEL_MIN_ROWS and kernels_enabled():
         count_path("sel_converted")
         return np.asarray(sel, dtype=np.intp)
@@ -490,6 +499,20 @@ def _resolve(vector: Vector) -> ColumnEncoding | None:
     return None
 
 
+def _values_at(vector: Vector, length: int
+               ) -> "tuple[ColumnEncoding, Any, Any] | None":
+    """``(encoding, values, mask)`` of a vector at its batch's positions:
+    the column store's encoding gathered, else the vector's own values
+    lowered (a batch of rows: what an operator that ran its row
+    implementation hands on), or ``None`` when they cannot be."""
+    encoding = _resolve(vector)
+    if encoding is not None:
+        return (encoding, *_gather(encoding, vector, length, None))
+    encoding = _encode_list(_exact(vector, length))
+    return None if encoding is None \
+        else (encoding, encoding.values, encoding.mask)
+
+
 def _gather(encoding: ColumnEncoding, vector: Vector, length: int,
             np_sel: Any) -> tuple[Any, Any]:
     """``(values, mask)`` at batch positions, restricted to ``np_sel``."""
@@ -521,39 +544,6 @@ _CACHE = LRUCache(256, KERNEL_CACHE_BYTES)
 _MISSING = object()
 
 
-#: Counted reasons (process-wide, :func:`path_counts`): which side of each
-#: run-time choice this module and its executor took.
-_PATH_TOTALS = dict.fromkeys(
-    ("probe_kernel", "probe_loop", "build_lowered", "build_extended",
-     "build_relowered", "build_dict", "sel_converted", "sort_radix",
-     "sort_compare", "group_direct", "group_sorted", "distinct_positions",
-     "scan_lookup", "plan_rows", "plan_columnar"),
-    0)
-_PATH_LOCK = threading.Lock()
-
-
-def count_path(key: str) -> None:
-    """Count one ``probe_*`` / ``build_*`` / ``sel_converted`` / ``sort_*``
-    / ``group_*`` / ``distinct_positions`` / ``scan_lookup`` (an equality
-    filter read one ``key_index`` bucket:
-    :func:`repro.engine.execute.scan_lookup`) / ``plan_rows`` or
-    ``plan_columnar`` (which executor the ``"vectorized"`` backend ran a
-    plan on: :func:`repro.engine.vectorized.runs_on_rows`)."""
-    with _PATH_LOCK:
-        _PATH_TOTALS[key] += 1
-
-
-def path_counts() -> dict[str, int]:
-    """The process-wide path counters (``exec_*`` on ``/metrics``)."""
-    with _PATH_LOCK:
-        return dict(_PATH_TOTALS)
-
-
-def _sink_bump(sink: "dict[str, int] | None", key: str) -> None:
-    if sink is not None:
-        sink[key] = sink.get(key, 0) + 1
-
-
 def _cache_get(key: Any, anchors: tuple, sink: "dict[str, int] | None",
                *, peek: bool = False) -> Any:
     """The payload under ``key``, or ``_MISSING``.  A ``peek`` is not a
@@ -562,15 +552,15 @@ def _cache_get(key: Any, anchors: tuple, sink: "dict[str, int] | None",
     hit = entry is not _MISSING and len(entry[0]) == len(anchors) and all(
         a is b for a, b in zip(entry[0], anchors))
     if not peek:
-        _sink_bump(sink, "kernel_cache_hits" if hit
-                   else "kernel_cache_misses")
+        sink_bump(sink, "kernel_cache_hits" if hit
+                  else "kernel_cache_misses")
     return entry[1] if hit else _MISSING
 
 
 def _cache_put(key: Any, anchors: tuple, payload: Any, nbytes: int,
                sink: "dict[str, int] | None") -> Any:
     for _evicted in _CACHE.put(key, (tuple(anchors), payload), nbytes):
-        _sink_bump(sink, "kernel_cache_evictions")
+        sink_bump(sink, "kernel_cache_evictions")
     return payload
 
 
@@ -641,8 +631,8 @@ def _columns_compatible(a: ColumnEncoding, b: ColumnEncoding) -> bool:
 
 
 #: A compiled selection: ``run(batch, sel) -> narrowed sel``.  ``sel`` is the
-#: positions still selected (``None`` = all; a Python list from a column
-#: loop or an index array from an earlier kernel); the result is an index
+#: positions still selected (``None`` = all; a Python list from a row test
+#: or an index array from an earlier kernel); the result is an index
 #: array, so a chain of kernels never round-trips through Python ints.
 _Selection = Callable[[Batch, Any], Any]
 
@@ -653,12 +643,12 @@ def kernel_filter(conjunct: e.Expr, batch: Batch,
     """Compile one conjunct to a numpy selection, or ``None`` to fall back.
 
     Engages on the conjuncts :func:`repro.engine.execute.column_comparison`
-    classifies, as :func:`repro.engine.vectorized.vector_filter` does, and
-    mirrors that loop exactly: NULL operands never match, and any operand
-    mix the loop would reject as a type error simply declines to compile
-    (the loop raises identically).  ``column IS NULL`` reads the column's
-    NULL mask.  ``positions`` are the filter's resolved columns
-    (:attr:`~repro.engine.plan.FilterP.operand_positions`).
+    classifies, and mirrors the row test
+    (:func:`repro.engine.execute.filter_predicate`) exactly: NULL operands
+    never match, and any operand mix it would reject as a type error simply
+    declines to compile (the row test then raises).  ``column IS NULL``
+    reads the column's NULL mask.  ``positions`` are the filter's resolved
+    columns (:attr:`~repro.engine.plan.FilterP.operand_positions`).
     """
     if not kernels_enabled():
         return None
@@ -700,7 +690,7 @@ def _positions(cmp: Any, np_sel: Any) -> Any:
 def _const_kernel(batch: Batch, pos: int, op: str, const: Any
                   ) -> "_Selection | None":
     if const is None:
-        return None  # the Python fast path already drops every row
+        return lambda b, sel: _EMPTY_SEL  # NULL never compares TRUE
     vector = batch.vectors[pos]
     encoding = _resolve(vector)
     if encoding is None or not _const_compatible(encoding, const):
@@ -728,7 +718,7 @@ def _const_code_kernel(encoding: ColumnEncoding, vector: Vector, op: str,
     ``lo`` the left insertion point (and ``hi`` the right one; ``hi > lo``
     iff the constant is itself a dictionary member, at code ``lo``).  NULL
     rows carry code ``-1`` and are cleared by the mask, matching the
-    Python loop's NULL-never-matches rule.
+    row test's NULL-never-matches rule.
     """
     dictionary = encoding.dictionary
     lo = int(np.searchsorted(dictionary, const, side="left"))
@@ -1068,9 +1058,10 @@ def _probe_with_structure(structure: _BuildStructure, batch: Batch,
     gathered = []
     for i, (kind, _domain, exact) in zip(idx, structure.columns):
         vector = batch.vectors[i]
-        enc = _resolve(vector)
-        if enc is None:
+        values = _values_at(vector, n)
+        if values is None:
             return None
+        enc, vals, mask = values
         if enc.kind == "s" or kind == "s":
             if enc.kind != kind:
                 return None
@@ -1078,7 +1069,6 @@ def _probe_with_structure(structure: _BuildStructure, batch: Batch,
             return None  # Python matches NaN keys by identity; numpy never
         elif enc.kind != kind and not (enc.exact and exact):
             return None
-        vals, mask = _gather(enc, vector, n, None)
         if mask is not None and null_matches:
             return None  # NULL probe keys would have to match NULL build keys
         gathered.append((enc, vals, mask))
@@ -1099,7 +1089,9 @@ def _probe_with_structure(structure: _BuildStructure, batch: Batch,
             pdict = enc.dictionary
             if pdict is domain:
                 m = 2 * vals.astype(np.int64, copy=False) + 1
-            elif structure.shared:
+            elif structure.shared and type(batch.vectors[idx[j]].nd) is tuple:
+                # Cached against a stored dictionary only: a batch of rows
+                # lowers a new one every query.
                 m = _dict_translation(domain, pdict, sink)[vals]
             else:
                 m = _domain_codes(domain, pdict)[vals]
@@ -1143,15 +1135,17 @@ def _probe_with_structure(structure: _BuildStructure, batch: Batch,
 
 
 class BuildSide:
-    """The build side of an inner hash join, not built until the probe is
-    known to take the kernel or the loop.
+    """The build side of a hash join, not built until its probe is known to
+    take the kernel or the row executor's probe.
 
     The kernel probe asks :meth:`structure`, lowered from the key vectors'
     encodings at the batch's selection (:func:`_gather`) for this one probe
-    — a filtered or joined batch is new every query, so nothing is cached;
-    only the Python probe asks :meth:`table` for a hash table.
-    :class:`RelationBuild` is the whole-relation case, where both outlive
-    the query.
+    — a filtered or joined batch is new every query, so nothing is cached.
+    A probe that declines, and a semi/anti join, build :meth:`table`
+    instead, unless the build is a base relation: then
+    :func:`~repro.engine.execute.join_table` reads its ``key_index``.
+    :class:`RelationBuild` is the whole-relation case, where the structure
+    outlives the query.
     """
 
     __slots__ = ("batch", "idx", "skip_nulls")
@@ -1183,11 +1177,10 @@ class BuildSide:
         batch = self.batch
         keys = []
         for i in self.idx:
-            vector = batch.vectors[i]
-            enc = _resolve(vector)
-            if enc is None:
+            values = _values_at(batch.vectors[i], batch.length)
+            if values is None:
                 return None
-            keys.append((enc, *_gather(enc, vector, batch.length, None)))
+            keys.append(values)
         return _lower_build(keys, batch.length, self.skip_nulls, probe_rows)
 
 
@@ -1196,8 +1189,7 @@ class RelationBuild(BuildSide):
 
     :meth:`structure` is keyed on the key columns' immutable encodings in
     the bounded kernel cache — the one kind of build structure that can be
-    hit again, because the relation outlives the query — and :meth:`table`
-    is the relation's own maintained positional ``key_index``.
+    hit again, because the relation outlives the query.
     """
 
     __slots__ = ("relation",)
@@ -1206,10 +1198,6 @@ class RelationBuild(BuildSide):
                  relation: Relation) -> None:
         super().__init__(batch, idx, skip_nulls)
         self.relation = relation
-
-    def table(self) -> dict[Any, list[int]]:
-        return self.relation.key_index(list(self.idx),
-                                       skip_nulls=self.skip_nulls)
 
     def min_rows(self) -> int:
         """:data:`CACHED_PROBE_MIN_ROWS`: the structure outlives the
@@ -1298,8 +1286,8 @@ class RelationBuild(BuildSide):
         return _cache_put(key, encodings, structure, nbytes, sink)
 
 
-def kernel_probe(batch: Batch, idx: list[int], build: Any, null_matches: bool,
-                 sink: "dict[str, int] | None" = None
+def kernel_probe(batch: Batch, idx: list[int], build: BuildSide,
+                 null_matches: bool, sink: "dict[str, int] | None" = None
                  ) -> "tuple[Any, Any] | None":
     """Sort-based probe of a hash join (single- or multi-key), or ``None``.
 
@@ -1309,7 +1297,7 @@ def kernel_probe(batch: Batch, idx: list[int], build: Any, null_matches: bool,
     sequential probe's order: probe positions ascending, bucket positions
     ascending within each.
     """
-    if not kernels_enabled() or not idx or not isinstance(build, BuildSide):
+    if not kernels_enabled() or not idx:
         return None
     structure = build.structure(batch.length, sink)
     if structure is None:
@@ -1323,14 +1311,10 @@ def kernel_probe(batch: Batch, idx: list[int], build: Any, null_matches: bool,
 
 def _distinct_codes(vector: Vector, n: int) -> "tuple[Any, int] | None":
     """Non-negative per-row codes whose equality matches value equality."""
-    enc = _resolve(vector)
-    if enc is not None:
-        vals, mask = _gather(enc, vector, n, None)
-    else:
-        enc = _encode_list(_exact(vector, n))
-        if enc is None:
-            return None
-        vals, mask = enc.values, enc.mask
+    values = _values_at(vector, n)
+    if values is None:
+        return None
+    enc, vals, mask = values
     if enc.has_nan:
         return None  # Python dedups NaN by identity; a sort collapses them
     codes, cardinality = _codes(vals, enc.kind, enc.dictionary)

@@ -165,7 +165,8 @@ class FilterP(Plan):
     @cached_property
     def operand_positions(self) -> dict[Expr, int | None]:
         """The input position of each column a conjunct compares or tests
-        for NULL: what the index lookup and the column loops read."""
+        for NULL: what the index lookup, the selection kernels and the
+        row test read."""
         columns = self.input.columns
         return {x: column_position(x, columns)
                 for c in conjuncts(self.condition)

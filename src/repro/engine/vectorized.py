@@ -11,59 +11,59 @@ through each operator, this backend moves whole columns:
   ``key_index`` (:func:`~repro.engine.execute.scan_lookup`), and a hash
   join's build over a scan or an ``asof`` window is that index
   (:func:`~repro.engine.execute.join_table`);
-* **filters** compile simple comparisons into tight per-column selection
-  loops that produce an index vector instead of calling a closure chain per
-  row; remaining conjuncts fall back to the row-compiled predicates (shared
-  with the row backend, so three-valued logic and type-error semantics agree
-  by construction);
-* **hash joins** build and probe on raw column values (no key-tuple
-  allocation for single-column keys) and emit *selection vectors* — output
-  columns stay virtual ``(base array, index vector)`` pairs until something
-  actually reads them (late materialization), so an n-way join composes one
-  index vector per side instead of copying every column at every step;
-* **aggregation and DISTINCT** run the numpy kernels of
-  :mod:`repro.engine.kernels` (below).
+* **filters** narrow a *selection vector*, conjunct by conjunct;
+* **hash joins** emit selection vectors — output columns stay virtual
+  ``(base array, index vector)`` pairs until something actually reads them
+  (late materialization), so an n-way join composes one index vector per
+  side instead of copying every column at every step.
 
-Each operator has one Python implementation, in :mod:`repro.engine.execute`,
-and this backend calls it wherever it has no columnar loop of its own:
-group-by and DISTINCT below their kernel's gate or where it declines
-(:func:`~repro.engine.execute.aggregate_rows`, ``dedupe_rows``), sort/limit,
-set operations other than bag union, and division (``sort_limit_rows``,
-``setop_rows``, ``divide_rows``) run over materialized rows; a semi/anti
-join takes the positions ``semi_anti_positions`` keeps as a selection
-vector, so column encodings survive for the kernels above it.  Sharing the
-code keeps the backends bag-equal (``tests/test_vectorized.py``), and the
-``one-operator`` lint rule keeps it shared.
-
-This is the engine's **one** columnar executor.  Its four hot operators —
-selection, hash-join probe, DISTINCT, group-by — each first offer their
-batch to the numpy kernel of :mod:`repro.engine.kernels`.  When the kernel
-declines (numpy absent, ``REPRO_KERNELS=0``, a dtype the lowering cannot
-reproduce bit-for-bit), selection and the probe run their columnar Python
-loops, and DISTINCT and group-by the row functions above.  A kernel is
-only offered batches from its hook's crossover up — below it the fixed
-cost of a numpy call exceeds the whole Python loop:
-:data:`~repro.engine.kernels.KERNEL_MIN_ROWS` rows, or
+Columnar means numpy.  The four hot operators — selection, hash-join
+probe, DISTINCT, group-by — each offer their batch to the numpy kernel of
+:mod:`repro.engine.kernels`, from that hook's crossover up
+(:data:`~repro.engine.kernels.KERNEL_MIN_ROWS` rows, or
 :data:`~repro.engine.kernels.CACHED_PROBE_MIN_ROWS` rows at stake for the
-probe of a relation's cached build structure.
-From the gate up selections are numpy index arrays all the way to the
-final row build: a hash join's build side stays unbuilt
-(:class:`~repro.engine.kernels.BuildSide`) until its probe has chosen the
-kernel or the loop, and a loop's output is converted once, where it is
-produced.
+probe of a relation's cached build structure).  Where a kernel declines —
+below its gate, a dtype the lowering cannot reproduce bit-for-bit, numpy
+absent — the operator runs its one Python implementation, the row
+executor's, in :mod:`repro.engine.execute`.  This module has no
+comparison or probe loop of its own:
 
-The backend runs a plan whose every base relation holds fewer than
-:data:`~repro.engine.kernels.KERNEL_MIN_ROWS` rows on the row
-:class:`~repro.engine.execute.Executor` (:func:`runs_on_rows`), which pays
-for no batches, selection vectors or copies: measured, it is no slower
-there (E2's 1k/2k cells, ``five-lang-cold``), even where a cached probe or
+* a declined conjunct is the row test
+  :func:`~repro.engine.execute.filter_predicate` over the still-selected
+  rows, and its survivors stay a selection vector, so the batch keeps its
+  column-store origin for the kernels above;
+* a declined inner probe is :func:`~repro.engine.execute.join_rows` over
+  rows (a build row is built when a probe key matches it), and group-by
+  and DISTINCT (:func:`~repro.engine.execute.aggregate_rows`,
+  ``dedupe_rows``), sort/limit, set operations other than bag union, and
+  division (``sort_limit_rows``, ``setop_rows``, ``divide_rows``) run over
+  materialized rows: each returns a batch of rows, whose key values a
+  kernel probe above it lowers where it reads them, on either side;
+* a semi/anti join takes the positions ``semi_anti_positions`` keeps as a
+  selection vector, and a residual over a kernel probe's pairs is the
+  same row test as a declined conjunct.
+
+Sharing the code keeps the backends bag-equal
+(``tests/test_vectorized.py``), and the ``one-operator`` lint rule keeps it
+shared.  From the gate up selections are numpy index arrays all the way to
+the final row build: a hash join's build side stays unbuilt
+(:class:`~repro.engine.kernels.BuildSide`) until its probe has chosen the
+kernel or the rows, and a row test's survivors are converted once, where
+they are produced.
+
+The backend runs a plan on the row
+:class:`~repro.engine.execute.Executor` (:func:`runs_on_rows`) when the
+kernels are off, or when every base relation it reads holds fewer than
+:data:`~repro.engine.kernels.KERNEL_MIN_ROWS` rows: there the row executor
+pays for no batches, selection vectors or copies, and measured, it is no
+slower (E2's 1k/2k cells, ``five-lang-cold``), even where a cached probe or
 a fanning-out join would have reached a kernel.  On the tutorial instance
 that is every query.  The choice is made once per execution, at the root,
 from the relations' live sizes, and counted (``plan_rows`` /
-``plan_columnar`` in :func:`~repro.engine.kernels.path_counts`).  Deciding
+``plan_columnar`` in :func:`~repro.engine.cache.path_counts`).  Deciding
 per subtree was measured and dropped: a small subtree handed back as a row
-batch loses its column-store origin, and the kernel probes above it fall
-back to loops.
+batch loses its column-store origin, and with it the cached encodings the
+kernels above it read.
 
 The backend satisfies the :class:`repro.engine.execute.ExecutorBackend`
 protocol; select it with ``execute_plan(plan, db, backend="vectorized")`` or
@@ -72,13 +72,12 @@ protocol; select it with ``execute_plan(plan, db, backend="vectorized")`` or
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Any, Callable, Sequence
 
 from repro.data.database import Database
 from repro.data.relation import Relation, dedupe_rows
 from repro.expr import ast as e
-from repro.expr.eval import ExprError
-from repro.logic.terms import COMPARISONS
 from repro.engine import kernels
 from repro.engine.bind import bind_node, is_bound
 from repro.engine.batch import (
@@ -92,16 +91,17 @@ from repro.engine.batch import (
 from repro.engine.execute import (
     Executor,
     Row,
-    _PrefixTable,
     aggregate_rows,
     build_source,
-    column_comparison,
     compiled_expr,
-    compiled_predicate,
     delta_scan_rows,
     divide_rows,
+    filter_predicate,
     fixpoint_rows,
+    join_residual,
+    join_rows,
     join_table,
+    pair_residual,
     scan_lookup,
     scan_relation,
     semi_anti_positions,
@@ -123,94 +123,6 @@ from repro.engine.plan import (
     SetOpP,
     SortLimitP,
 )
-
-
-# ---------------------------------------------------------------------------
-# Vectorized filter compilation
-# ---------------------------------------------------------------------------
-
-def vector_filter(conjunct: e.Expr, positions: "dict[e.Expr, int | None]"
-                  ) -> Callable[[Batch, list[int] | None], list[int]] | None:
-    """Compile one conjunct into a column-selection loop, or ``None``.
-
-    Only simple comparisons (column vs. constant, column vs. column) get the
-    fast path; everything else is handled by the caller's row fallback.  The
-    loops replicate :func:`repro.expr.eval._compare` exactly: NULL operands
-    never match, and str/non-str or bool/non-bool mixes raise
-    :class:`ExprError` just like the reference interpreters.  ``positions``
-    are the filter's resolved columns
-    (:attr:`~repro.engine.plan.FilterP.operand_positions`).
-    """
-    shape = column_comparison(conjunct, positions)
-    if shape is None:
-        return None
-    pos, op, other, other_is_column = shape
-    if other_is_column:
-        return _compare_columns(pos, op, other)
-    return _compare_const(pos, op, other)
-
-
-def _indices(batch: Batch, sel: "list[int] | Any | None") -> "range | list[int]":
-    """The positions a column loop visits, as Python ints.
-
-    An earlier conjunct's numpy kernel leaves an index array; a Python loop
-    over it would pay for (and pass on) numpy scalars.
-    """
-    if sel is None:
-        return range(batch.length)
-    return sel if type(sel) is list else sel.tolist()
-
-
-def _compare_const(pos: int, op: str, const: Any
-                   ) -> Callable[[Batch, list[int] | None], list[int]]:
-    if const is None:
-        # NULL never compares TRUE: the conjunct drops every row.
-        return lambda batch, sel: []
-    cmp = COMPARISONS[op]
-    const_is_str = isinstance(const, str)
-    const_is_bool = isinstance(const, bool)
-
-    def run(batch: Batch, sel: list[int] | None) -> list[int]:
-        column = batch.vectors[pos].materialize()
-        out: list[int] = []
-        append = out.append
-        indices = _indices(batch, sel)
-        for i in indices:
-            v = column[i]
-            if v is None:
-                continue
-            if isinstance(v, str) != const_is_str or isinstance(v, bool) != const_is_bool:
-                raise ExprError(f"cannot compare {v!r} with {const!r}")
-            if cmp(v, const):
-                append(i)
-        return out
-
-    return run
-
-
-def _compare_columns(lpos: int, op: str, rpos: int
-                     ) -> Callable[[Batch, list[int] | None], list[int]]:
-    cmp = COMPARISONS[op]
-
-    def run(batch: Batch, sel: list[int] | None) -> list[int]:
-        lcol = batch.vectors[lpos].materialize()
-        rcol = batch.vectors[rpos].materialize()
-        out: list[int] = []
-        append = out.append
-        indices = _indices(batch, sel)
-        for i in indices:
-            a = lcol[i]
-            b = rcol[i]
-            if a is None or b is None:
-                continue
-            if isinstance(a, str) != isinstance(b, str) \
-                    or isinstance(a, bool) != isinstance(b, bool):
-                raise ExprError(f"cannot compare {a!r} with {b!r}")
-            if cmp(a, b):
-                append(i)
-        return out
-
-    return run
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +212,15 @@ class VectorizedExecutor:
 
         A first ``col = const`` conjunct over a base scan is a lookup
         (:func:`~repro.engine.execute.scan_lookup`): the batch starts as that
-        bucket's rows.  Each remaining conjunct either compiles to a
-        column-selection loop (:func:`vector_filter`) or falls back to the
-        row-compiled predicate over the still-selected rows.  Keeping the
-        original order means a conjunct that raises (type mismatch, division
-        by zero) raises here exactly when the row backend would have
-        reached it.
+        bucket's rows.  Each remaining conjunct is a numpy selection
+        (:func:`~repro.engine.kernels.kernel_filter`) from the gate up, and
+        where that declines the row test
+        (:func:`~repro.engine.execute.filter_predicate`) over the
+        still-selected rows.  Either way the result is a selection, so the
+        batch keeps its column-store origin for the kernels above.  Keeping
+        the original order means a conjunct that raises (type mismatch,
+        division by zero) raises here exactly when the row backend would
+        have reached it.
         """
         batch = self.batch(plan.input)
         lookup = scan_lookup(self.db, plan, self.kernel_counters)
@@ -315,33 +230,16 @@ class VectorizedExecutor:
             _relation, positions, conjuncts = lookup
             batch = batch.take(kernels.index_array(positions))
         sel: "list[int] | Any | None" = None  # Any: a kernel's index array
-        materialized: list[list[Any]] | None = None
         for conjunct in conjuncts:
-            fast = self._compile_conjunct(conjunct, batch,
-                                          plan.operand_positions)
-            if fast is not None:
-                sel = fast(batch, sel)
-                continue
-            predicate = compiled_predicate(conjunct, batch.columns,
-                                           cached=not is_bound(plan))
-            if materialized is None:
-                materialized = [v.materialize() for v in batch.vectors]
-            sel = [i for i in _indices(batch, sel)
-                   if predicate(tuple(column[i] for column in materialized))]
+            fast = None
+            if batch.length >= kernels.KERNEL_MIN_ROWS:
+                fast = kernels.kernel_filter(conjunct, batch,
+                                             plan.operand_positions)
+            sel = fast(batch, sel) if fast is not None else _passing(
+                batch, sel, filter_predicate(plan, (conjunct,)))
         if sel is None:
             return batch
         return batch.take(kernels.index_array(sel))
-
-    def _compile_conjunct(self, conjunct: e.Expr, batch: Batch,
-                          positions: "dict[e.Expr, int | None]"
-                          ) -> Callable[[Batch, list[int] | None],
-                                        list[int]] | None:
-        """Compile one filter conjunct: numpy selection, else column loop."""
-        if batch.length >= kernels.KERNEL_MIN_ROWS:
-            fast = kernels.kernel_filter(conjunct, batch, positions)
-            if fast is not None:
-                return fast
-        return vector_filter(conjunct, positions)
 
     def _project(self, plan: ProjectP) -> Batch:
         batch = self.batch(plan.input)
@@ -369,6 +267,14 @@ class VectorizedExecutor:
     # -- joins -------------------------------------------------------------
 
     def _join(self, plan: JoinP) -> Batch:
+        """A hash join: the numpy probe, else the row executor's
+        (:func:`~repro.engine.execute.join_rows`) over the inputs' rows.
+
+        The kernel's output stays a pair of selections, its residual a row
+        test over the joined batch.  A semi/anti join keeps the positions
+        :func:`~repro.engine.execute.semi_anti_positions` finds, and a
+        cross product composes selections.
+        """
         left = self.batch(plan.left)
         if plan.kind in ("inner", "cross") and not plan.left_keys \
                 and plan.residual is None:
@@ -381,88 +287,62 @@ class VectorizedExecutor:
                          nl * nr)
 
         left_idx, right_idx = plan.key_positions
-        residual = None
-        if plan.residual is not None:
-            residual = compiled_predicate(
-                plan.residual, plan.left.columns + plan.right.columns,
-                cached=not is_bound(plan))
         right = self.batch(plan.right)
-
-        match = None if residual is None else _pair_predicate(
-            residual, left, right)
+        side = kernels.BuildSide(right, right_idx, not plan.null_matches)
         if plan.kind in ("semi", "anti"):
-            table = self._hash_table(plan.right, right, right_idx,
-                                     plan.null_matches)
+            table = join_table(self.db, plan.right, right_idx,
+                               side.skip_nulls, side.table, self.params)
+            residual = join_residual(plan)
+            match = None if residual is None else pair_residual(
+                residual, _RowsAt(left), _RowsAt(right))
             sel = semi_anti_positions(
                 plan.kind, _iter_key_list(_key_columns(left, left_idx),
                                           left.length), table, match)
             return Batch(plan.columns, _take(left.vectors, sel), len(sel))
 
-        table = self._hash_table(plan.right, right, right_idx,
-                                 plan.null_matches, lazy=True)
-        left_sel, right_sel = self._probe_batch(left, left_idx, table,
-                                                plan.null_matches)
-        if match is not None:
-            keep = [k for k in range(len(left_sel))
-                    if match(left_sel[k], right_sel[k])]
-            left_sel = [left_sel[k] for k in keep]
-            right_sel = [right_sel[k] for k in keep]
-        return Batch(plan.columns,
-                     _take(left.vectors, left_sel) + _take(right.vectors, right_sel),
-                     len(left_sel))
+        pair = self._kernel_probe(plan, left, side)
+        if pair is None:
+            kernels.count_path("probe_loop")
+            return Batch.from_rows(plan.columns, join_rows(
+                self.db, plan, left.rows(), _RowsAt(right), self.params,
+                side.table))
+        kernels.count_path("probe_kernel")
+        left_sel, right_sel = pair
+        joined = Batch(plan.columns, _take(left.vectors, left_sel)
+                       + _take(right.vectors, right_sel), len(left_sel))
+        residual = join_residual(plan)
+        if residual is None:
+            return joined
+        return joined.take(kernels.index_array(_passing(joined, None,
+                                                        residual)))
 
-    def _hash_table(self, right_plan: Plan, right: Batch, right_idx: list[int],
-                    null_matches: bool, *, lazy: bool = False
-                    ) -> "dict[Any, list[int]] | _PrefixTable | kernels.BuildSide":
-        """The build side of a hash join over ``right_plan`` (a template
-        node: a window's anchor is bound to this execution's params), by
-        the shared access-path rule (:func:`~repro.engine.execute.join_table`):
-        a base scan's is its relation's maintained ``key_index``, an
-        ``asof`` window's that index capped at the window.
+    def _kernel_probe(self, plan: JoinP, left: Batch,
+                      side: kernels.BuildSide) -> "tuple[Any, Any] | None":
+        """The numpy probe's ``(left_sel, right_sel)``, or ``None``.
 
-        With ``lazy`` (the inner-join probe, which may never need the dict)
-        the build side comes back as a :class:`~repro.engine.kernels.BuildSide`
-        (a whole relation: :class:`~repro.engine.kernels.RelationBuild`):
-        the kernel probe lowers the key columns' encodings instead, and only
-        the Python probe builds a table — or takes ``key_index`` — through
-        it.  Semi/anti joins read the table's keys, so theirs is built here.
-        """
-        skip_nulls = not null_matches
-        build = kernels.BuildSide(right, right_idx, skip_nulls)
-        if lazy:
-            source = build_source(self.db, right_plan, right_idx,
-                                  self.params)
-            if source is None:
-                return build
-            relation, keep = source
-            if keep == len(relation):  # not an as-of window
-                return kernels.RelationBuild(right, right_idx, skip_nulls,
-                                             relation)
-        return join_table(self.db, right_plan, right_idx, skip_nulls,
-                          build.table, self.params)
-
-    def _probe_batch(self, batch: Batch, idx: list[int], build: Any,
-                     null_matches: bool) -> "tuple[Any, Any]":
-        """Probe phase of the hash join: sort-based kernel, else the loop.
-
-        A lazy build side says how many rows are at stake
+        The build side is chosen by the shared access-path rule
+        (:func:`~repro.engine.execute.build_source`): a whole base relation
+        probes its cached structure
+        (:class:`~repro.engine.kernels.RelationBuild`), an ``asof`` window
+        declines (its table is the relation's capped ``key_index``), and
+        any other batch lowers its own.  The kernel is offered the probe
+        when the rows at stake
         (:meth:`~repro.engine.kernels.BuildSide.rows_at_stake`: read,
-        emitted, indexed for this query alone) and from how many the kernel
-        wins (:meth:`~repro.engine.kernels.BuildSide.min_rows`: lower for a
-        relation's cached structure).  What the loop emits at gate size or
-        more leaves here as index arrays, converted once.
+        emitted, indexed for this query alone) reach the build side's gate
+        (:meth:`~repro.engine.kernels.BuildSide.min_rows`: lower for a
+        relation's cached structure).
         """
-        lazy = isinstance(build, kernels.BuildSide)
-        if lazy and build.rows_at_stake(batch.length) >= build.min_rows():
-            pair = kernels.kernel_probe(batch, idx, build, null_matches,
-                                        self.kernel_counters)
-            if pair is not None:
-                kernels.count_path("probe_kernel")
-                return pair
-        kernels.count_path("probe_loop")
-        left_sel, right_sel = _probe(
-            batch, idx, build.table() if lazy else build)
-        return kernels.index_array(left_sel), kernels.index_array(right_sel)
+        source = build_source(self.db, plan.right, side.idx, self.params)
+        if source is not None:
+            relation, keep = source
+            if keep != len(relation):
+                return None
+            side = kernels.RelationBuild(side.batch, side.idx,
+                                         side.skip_nulls, relation)
+        if side.rows_at_stake(left.length) < side.min_rows():
+            return None
+        return kernels.kernel_probe(left, plan.key_positions[0], side,
+                                    plan.null_matches, self.kernel_counters)
 
     # -- set operations, aggregation, the rest -----------------------------
 
@@ -502,43 +382,28 @@ def _store_batch(columns: tuple[str, ...], relation: Relation,
                            for i, a in enumerate(store.arrays)], length)
 
 
-# ---------------------------------------------------------------------------
-# Hash-join plumbing
-# ---------------------------------------------------------------------------
+class _RowsAt:
+    """A batch's rows, each built when it is read: a declined probe or a
+    semi/anti join's residual reads only the rows its keys match."""
 
-def _pair_predicate(residual: Callable[[Row], bool], left: Batch,
-                    right: Batch) -> Callable[[int, int], bool]:
-    """``residual`` over the joined row of left position ``i`` and right
-    position ``j``."""
-    lmat = [v.materialize() for v in left.vectors]
-    rmat = [v.materialize() for v in right.vectors]
-    return lambda i, j: residual(tuple(c[i] for c in lmat)
-                                 + tuple(c[j] for c in rmat))
+    __slots__ = ("columns",)
+
+    def __init__(self, batch: Batch) -> None:
+        self.columns = [v.materialize() for v in batch.vectors]
+
+    def __getitem__(self, i: int) -> Row:
+        return tuple([column[i] for column in self.columns])
 
 
-def _probe(batch: Batch, idx: list[int],
-           table: "dict[Any, list[int]] | _PrefixTable"
-           ) -> tuple[list[int], list[int]]:
-    """Probe ``table`` with each row's key.  A NULL key that must not match
-    finds nothing: the table was built without such keys."""
-    left_sel: list[int] = []
-    right_sel: list[int] = []
-    lappend = left_sel.append
-    lextend = left_sel.extend
-    rappend = right_sel.append
-    rextend = right_sel.extend
-    get = table.get
-    for i, key in enumerate(_iter_key_list(_key_columns(batch, idx),
-                                           batch.length)):
-        matches = get(key)
-        if matches:
-            if len(matches) == 1:
-                lappend(i)
-                rappend(matches[0])
-            else:
-                lextend([i] * len(matches))
-                rextend(matches)
-    return left_sel, right_sel
+def _passing(batch: Batch, sel: "list[int] | Any | None",
+             test: Callable[[Row], bool]) -> list[int]:
+    """The positions of ``sel`` (``None``: every row; a kernel's index
+    array) whose row of ``batch`` passes ``test``."""
+    if sel is None:
+        return list(compress(range(batch.length), map(test, batch.rows())))
+    if type(sel) is not list:
+        sel = sel.tolist()
+    return list(compress(sel, map(test, batch.take(sel).rows())))
 
 
 # ---------------------------------------------------------------------------
@@ -546,20 +411,23 @@ def _probe(batch: Batch, idx: list[int],
 # ---------------------------------------------------------------------------
 
 def runs_on_rows(plan: Plan, db: Database) -> bool:
-    """Whether every base relation ``plan`` reads holds fewer than
-    :data:`~repro.engine.kernels.KERNEL_MIN_ROWS` rows, so the plan runs on
-    the row executor.  That is a measured rule, not a proof that no kernel
-    could engage: a cached probe takes its kernel from
-    :data:`~repro.engine.kernels.CACHED_PROBE_MIN_ROWS` rows at stake, and
-    a join that fans out can hand more rows than its inputs hold to the
-    operators above it, but on such inputs the row executor is no slower
-    (E2's 1k/2k cells, ``five-lang-cold``).  A name ``db`` does not hold (a
+    """Whether ``plan`` runs on the row executor: every base relation it
+    reads holds fewer than :data:`~repro.engine.kernels.KERNEL_MIN_ROWS`
+    rows, or the kernels are off
+    (:func:`~repro.engine.kernels.kernels_enabled`), when every columnar
+    operator would run its row implementation anyway.  The size rule is
+    measured, not a proof that no kernel could engage: a cached probe takes
+    its kernel from :data:`~repro.engine.kernels.CACHED_PROBE_MIN_ROWS`
+    rows at stake, and a join that fans out can hand more rows than its
+    inputs hold to the operators above it, but on such inputs the row
+    executor is no slower (E2's 1k/2k cells, ``five-lang-cold``).  A name ``db`` does not hold (a
     fixpoint's working predicate) is not an input.  Read at each execution,
     never kept on the plan: a write can move a relation across the gate
     while its cached template stays."""
     gate = kernels.KERNEL_MIN_ROWS
     return all(len(db.relation(name)) < gate
-               for name in plan.base_relations if name in db)
+               for name in plan.base_relations if name in db) \
+        or not kernels.kernels_enabled()
 
 
 class VectorizedBackend:

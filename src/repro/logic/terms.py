@@ -42,7 +42,8 @@ Term = Var | Const
 
 
 #: The six comparison operators, as functions that serve Python values and
-#: numpy arrays alike: the calculi, Datalog and the engine's column loops.
+#: numpy arrays alike: the calculi, Datalog and the engine's selection
+#: kernels.
 COMPARISONS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
                "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 

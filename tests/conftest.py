@@ -48,7 +48,7 @@ def kernel_gate(monkeypatch):
     way the few-row relations of the differential tests reach them, since
     production offers only batches of ``KERNEL_MIN_ROWS`` rows and more
     (a cached-structure probe: ``CACHED_PROBE_MIN_ROWS``);
-    ``kernel_gate(None)`` offers none (the pure-Python loops, the
+    ``kernel_gate(None)`` offers none (the row implementations, the
     reference the kernels are pinned against).  ``tests/gates.py`` is the
     same pin as a context manager.
     """

@@ -5,7 +5,8 @@ Production offers a batch to the numpy kernels from
 build structure from ``kernels.CACHED_PROBE_MIN_ROWS`` rows at stake.  The
 differential tests pin both at once: ``0`` offers every batch to the
 kernels (the only way few-row relations reach them), ``None`` offers none
-(the pure-Python loops, the reference the kernels are pinned against).
+(the row implementations, the reference the kernels are pinned against:
+the columnar executor runs every operator's row function).
 
 The same gate picks the executor: the ``"vectorized"`` backend runs a plan
 whose every input holds fewer than ``KERNEL_MIN_ROWS`` rows — every few-row

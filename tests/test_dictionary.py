@@ -148,7 +148,7 @@ def _db():
 
 
 def _both(plan, db):
-    """``(kernel rows, Python-loop rows)`` from the one executor.
+    """``(kernel rows, row-implementation rows)`` from the one executor.
 
     These relations are far below ``KERNEL_MIN_ROWS``: the gate is opened
     for the first run and put out of reach for the second.
@@ -350,7 +350,8 @@ class TestStringMinMaxKernel:
 
 
 # ---------------------------------------------------------------------------
-# The kernel gate: Python loops below KERNEL_MIN_ROWS, kernels from it up
+# The kernel gate: row implementations below KERNEL_MIN_ROWS, kernels from
+# it up
 # ---------------------------------------------------------------------------
 
 @needs_kernels
@@ -407,7 +408,7 @@ class TestKernelGate:
 
     def test_loops_below_the_gate_kernels_from_it_up(self, engaged,
                                                      kernel_gate):
-        """Each hook at its own gate: the Python loop one row below it, the
+        """Each hook at its own gate: the row implementation one row below it, the
         kernel from it.  A probe of a relation's cached structure crosses
         lower than the rest, so between the two gates only it engages."""
         gates = dict.fromkeys(self.KERNELS, kernels.KERNEL_MIN_ROWS)
@@ -828,7 +829,7 @@ def _kernel_paths(plan, db):
 
 def _every_way(plan, db):
     """The plan's rows from the kernels under the opened gate — after
-    checking that the production gate, the Python loops and the row backend
+    checking that the production gate, the row implementations and the row backend
     all give the same (the row backend as a bag: it orders joins its own
     way)."""
     from repro.engine import execute_plan
@@ -960,7 +961,8 @@ class TestAddressedDomains:
     """A packed group-by domain of at most one slot a row is addressed
     (``group_direct``), a wider one sorted (``group_sorted``); DISTINCT over
     one join side deduplicates base positions first
-    (``distinct_positions``).  Every case: kernels ≡ Python loops ≡ row."""
+    (``distinct_positions``).  Every case: kernels ≡ row implementations ≡
+    row backend."""
 
     _FOLDS = tuple((e.FuncCall(fn, (e.Col(col),)), f"{fn}_{col}")
                    for fn in ("min", "max") for col in ("b", "big")) + (
@@ -1125,16 +1127,48 @@ class TestLoweredBuildSides:
             assert _every_way(plan, _join_db()) == []
 
     def test_build_side_without_an_encoding_builds_the_dict(self):
-        """A computed key column names no stored column: nothing to lower."""
+        """A build key mixing strings and ints has no encoding: nothing to
+        lower."""
         from repro.engine.plan import ProjectP
 
-        build = ProjectP(DIM, (e.BinOp("+", e.Col("dk"), e.Const(0)),
-                               e.Col("tag")), ("dk0", "tag"))
-        plan = JoinP(FACT, build, "inner", ("fk",), ("dk0",), None, False)
+        build = ProjectP(DIM, (e.FuncCall("coalesce", (e.Col("ds"),
+                                                       e.Col("dk"))),
+                               e.Col("tag")), ("key", "tag"))
+        plan = JoinP(FACT, build, "inner", ("fs",), ("key",), None, False)
         db = _join_db()
         bumped = _kernel_paths(plan, db)
-        # (At an opened gate the loop's output converts, whatever its size.)
-        assert bumped == {"probe_loop": 1, "build_dict": 1, "sel_converted": 2}
+        # The declined probe is the row executor's over this table: it
+        # returns rows, so no selection is converted.
+        assert bumped == {"probe_loop": 1, "build_dict": 1}
+        assert _every_way(plan, db)
+
+    @pytest.mark.parametrize("key", ["int", "string"])
+    @pytest.mark.parametrize("side", ["probe", "build"])
+    def test_a_side_of_rows_is_lowered_where_it_is_read(self, side, key):
+        """A computed key names no stored column (the batch of an operator
+        that ran its row implementation, a view's delta): its values are
+        lowered where the probe reads them, so the kernel still probes, and
+        nothing is cached against their new-every-query dictionary."""
+        from repro.engine.plan import ProjectP
+
+        def computed(scan, column):
+            value = e.BinOp("+", e.Col(column), e.Const(0)) if key == "int" \
+                else e.FuncCall("lower", (e.Col(column),))
+            return ProjectP(scan, (value,), ("c",))
+
+        fact, dim = ("fk", "dk") if key == "int" else ("fs", "ds")
+        if side == "probe":
+            plan = JoinP(computed(FACT, fact), DIM, "inner", ("c",), (dim,),
+                         None, False)
+        else:
+            plan = JoinP(FACT, computed(DIM, dim), "inner", (fact,), ("c",),
+                         None, False)
+        db = _join_db()
+        bumped = _kernel_paths(plan, db)
+        assert bumped["probe_kernel"] == 1 and "probe_loop" not in bumped
+        entries = kernels.cache_stats()["entries"]
+        _kernel_paths(plan, db)
+        assert kernels.cache_stats()["entries"] == entries
         assert _every_way(plan, db)
 
     def test_lowered_build_side_never_builds_the_dict(self):
@@ -1173,11 +1207,12 @@ class TestProbeFanOut:
     def test_fan_out_comes_from_the_maintained_key_index(self):
         db = self._db(fanout=kernels.KERNEL_MIN_ROWS // 50)
         big = db.relation("big")
-        # Nothing held yet: 100 rows are at stake, the loop takes them — and
-        # what it emits, at gate size, leaves as two index arrays.
+        # Nothing held yet: 100 rows are at stake, the kernel declines them
+        # and the row executor's probe, over the key index it builds,
+        # returns rows: no selection to convert, no dict built.
         first, bumped = self._run(db)
         assert len(first) >= kernels.KERNEL_MIN_ROWS
-        assert bumped == {"probe_loop": 1, "sel_converted": 2}
+        assert bumped == {"probe_loop": 1}
         assert big.held_key_index((0,)) is not None
         second, bumped = self._run(db)
         assert bumped["probe_kernel"] == 1 and "probe_loop" not in bumped
@@ -1198,7 +1233,7 @@ class TestProbeFanOut:
                            "inner", ("x2",), ("x",), None, False)
         VectorizedExecutor(db).batch(wide_probe)       # a kernel probe on x
         _rows, bumped = self._run(db)
-        assert bumped == {"probe_loop": 1, "sel_converted": 2}  # k: not held
+        assert bumped == {"probe_loop": 1}  # k: not held
         assert big.held_key_index((1,)) is None
         narrow = JoinP(ScanP("small", ("pk",)), ScanP("big", ("k", "x")),
                        "inner", ("pk",), ("x",), None, False)

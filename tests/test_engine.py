@@ -558,13 +558,12 @@ class TestAccessPath:
 
     @pytest.fixture()
     def rows_read(self, monkeypatch):
-        """How many rows each pass of a filter visited: the row executor's
-        predicate calls, the column loops' index lists."""
+        """How many rows each pass of a filter visited: the calls of the
+        row test both executors build (the columnar one per conjunct)."""
         from repro.engine import execute, vectorized
 
         passes: list[int] = []
         real_predicate = execute.filter_predicate
-        real_indices = vectorized._indices
 
         def predicate(plan, conjuncts):
             test = real_predicate(plan, conjuncts)
@@ -576,13 +575,8 @@ class TestAccessPath:
                 return test(row)
             return counted
 
-        def indices(batch, sel):
-            visited = real_indices(batch, sel)
-            passes.append(len(visited))
-            return visited
-
         monkeypatch.setattr(execute, "filter_predicate", predicate)
-        monkeypatch.setattr(vectorized, "_indices", indices)
+        monkeypatch.setattr(vectorized, "filter_predicate", predicate)
         return passes
 
     def _run(self, db, plan, backend, passes):

@@ -10,7 +10,7 @@ argument for generated instance families over curated ones, this suite
 and semi/anti-joins, projections (named and positional picks), distinct,
 set operations, group-bys, sorts — over small random relations, and asserts
 
-    row ≡ vectorized ≡ kernel ≡ sharded (2 shards on the loops; 2 and 3
+    row ≡ vectorized ≡ kernel ≡ sharded (2 shards on rows; 2 and 3
         on the kernels) ≡ process (2 shards, 2 worker processes)
 
 bag-for-bag on every generated (database, plan) pair, for both the raw and
@@ -106,13 +106,13 @@ class _Gated:
 #: Every generated plan must agree across all of these.
 BACKENDS = [
     ("row", get_backend("row")),
-    # The one columnar executor, on its Python loops and on its kernels
+    # The one columnar executor, on the row implementations and on its kernels
     # (driven directly: the backend would run these few-row plans on rows).
     ("vectorized", _Gated(COLUMNAR, sys.maxsize)),
     ("kernel", _Gated(COLUMNAR, 0)),
     # The backend itself, its row/columnar decision included.
     ("vectorized-backend", get_backend("vectorized")),
-    # Scatter-gather over the Python loops, and with kernels per shard.
+    # Scatter-gather over the row implementations, and with kernels per shard.
     ("sharded-2-loop", _Gated(ShardedBackend(n_shards=2), sys.maxsize)),
     ("sharded-2", _Gated(ShardedBackend(n_shards=2), 0)),
     ("sharded-3", _Gated(ShardedBackend(n_shards=3), 0)),

@@ -482,8 +482,8 @@ def test_a_hit_memoizes_under_the_templates_own_nodes(
 
 
 #: A shape whose only slotted node is an index lookup's filter, and one
-#: whose filter also compares a column (a column loop on the columnar
-#: executor, a comparison at the filter's resolved position on rows).
+#: whose filter also compares a column (a comparison at the filter's
+#: resolved position, on either executor).
 LOOKUP_SHAPE = ("SELECT S.sname, R.day FROM Sailors S, Reserves R "
                 "WHERE S.sid = R.sid AND R.bid = {}")
 COMPARE_SHAPE = ("SELECT S.sname FROM Sailors S, Reserves R WHERE "

@@ -77,7 +77,7 @@ def _kernels_on_catalog_sized_pages():
 
     What is pinned here is worker processes computing with numpy kernels
     over zero-copy page views; the catalog's ten-row shards are far below
-    ``KERNEL_MIN_ROWS`` and would otherwise take the Python loops.  Pools
+    ``KERNEL_MIN_ROWS`` and would otherwise run the row implementations.  Pools
     fork on first use, inside a test, so the workers inherit the open gates.
     """
     with pinned_gates(0):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from gates import COLUMNAR
+from gates import COLUMNAR, pinned_gates
 
 from repro.data.database import Database
 from repro.data.relation import ColumnStore, relation_from_rows
@@ -41,6 +41,8 @@ from repro.engine import (
 from repro.engine import kernels
 from repro.engine.kernels import kernels_enabled
 from repro.engine.stats import DELTA_ESTIMATE
+from repro.expr import ast as e
+from repro.expr.eval import ExprError
 from repro.queries import CANONICAL_QUERIES, LANGUAGES
 from repro.translate.equivalence import answer_relation, standard_database_battery
 
@@ -626,12 +628,14 @@ class TestExecutorChoice:
             assert answers.bag_equal(oracle(text, language, pipeline.db))
 
     def test_the_analytic_templates_run_columnar(self, analytic_db):
+        """With the kernels on; off (numpy absent), on rows."""
         backend = get_backend("vectorized")
+        want = (0, 1) if kernels_enabled() else (1, 0)
         for plan in TestAnalyticShapesStayNumpy._plans(analytic_db, 17,
                                                        "21.500"):
             _rows, rows, columnar = _plan_paths(
                 lambda: backend.execute(plan, analytic_db))
-            assert (rows, columnar) == (0, 1), explain(plan)
+            assert (rows, columnar) == want, explain(plan)
 
     def test_a_cached_plan_crosses_the_gate_with_its_relation(self):
         from repro.core import QueryVisualizationPipeline
@@ -651,6 +655,90 @@ class TestExecutorChoice:
             seen.append((len(db.relation("Reserves")), rows, columnar))
             if step == 0:
                 db.relation("Reserves").add((sailor, boat, "2031/01/01"))
+        crossed = (0, 1) if kernels_enabled() else (1, 0)  # numpy absent
         assert seen == [(kernels.KERNEL_MIN_ROWS - 1, 1, 0),
-                        (kernels.KERNEL_MIN_ROWS, 0, 1)]
+                        (kernels.KERNEL_MIN_ROWS, *crossed)]
         assert pipeline.cache_info()["plan_hits"] == 1
+
+    def test_kernels_off_runs_the_analytic_templates_on_rows(
+            self, analytic_db, monkeypatch):
+        """With the kernels off every columnar operator would run its row
+        implementation, so the backend runs the row executor, at any size."""
+        monkeypatch.setenv("REPRO_KERNELS", "0")
+        backend = get_backend("vectorized")
+        for plan in TestAnalyticShapesStayNumpy._plans(analytic_db, 17,
+                                                       "21.500"):
+            _rows, rows, columnar = _plan_paths(
+                lambda: backend.execute(plan, analytic_db))
+            assert (rows, columnar) == (1, 0), explain(plan)
+
+    def test_the_backend_is_one_object(self):
+        assert get_backend("vectorized") is get_backend("vectorized")
+
+
+# ---------------------------------------------------------------------------
+# A declined kernel runs the one row implementation
+# ---------------------------------------------------------------------------
+
+SAILORS = ScanP("Sailors", ("sid", "sname", "rating", "age"))
+RESERVES = ScanP("Reserves", ("rsid", "bid", "day"))
+
+
+def _gt(column, value):
+    return e.Comparison(e.Col(column), ">", e.Const(value))
+
+
+class TestDeclinedKernels:
+    """Where a kernel declines, the columnar executor runs the row
+    executor's operator: each conjunct is the row test
+    (``execute.filter_predicate``), each inner probe the row join
+    (``execute.join_rows``)."""
+
+    @pytest.fixture()
+    def spied(self, monkeypatch):
+        from repro.engine import execute, vectorized
+
+        calls = dict.fromkeys(("filter_predicate", "join_rows"), 0)
+        for name in calls:
+            def spy(*args, _real=getattr(execute, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(vectorized, name, spy)
+        return calls
+
+    def test_selection_and_probe_reach_the_row_implementation(self, spied):
+        db = sailors_database()
+        plan = JoinP(FilterP(SAILORS, e.conjunction([_gt("rating", 6),
+                                                     _gt("age", 30.0)])),
+                     RESERVES, "inner", ("sid",), ("rsid",), None, False)
+        with pinned_gates(None):
+            got = execute_plan(plan, db, backend=COLUMNAR)
+        assert spied == {"filter_predicate": 2, "join_rows": 1}
+        assert got.rows() and got.bag_equal(
+            execute_plan(plan, db, backend="row"))
+
+    def test_a_type_error_in_a_second_conjunct_raises_alike(self):
+        db = sailors_database()
+        plan = FilterP(SAILORS, e.conjunction([_gt("rating", 0),
+                                               _gt("sname", 5)]))
+        messages = []
+        for backend in ("row", COLUMNAR):
+            with pinned_gates(None), pytest.raises(ExprError) as caught:
+                execute_plan(plan, db, backend=backend)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("gate", [None, 0])
+    def test_a_null_operand_matches_nothing(self, gate):
+        db = Database([relation_from_rows(
+            "t", [("a", "int"), ("b", "int")],
+            [(1, None), (None, 2), (3, 4), (None, None)])])
+        scan = ScanP("t", ("a", "b"))
+        for condition, want in (
+                (e.Comparison(e.Col("a"), "<", e.Col("b")), [(3, 4)]),
+                (e.Comparison(e.Col("a"), "<>", e.Const(1)), [(3, 4)]),
+                (e.Comparison(e.Col("a"), "=", e.Const(None)), [])):
+            plan = FilterP(scan, condition)
+            with pinned_gates(gate):
+                got = execute_plan(plan, db, backend=COLUMNAR).rows()
+            assert got == execute_plan(plan, db, backend="row").rows() == want

@@ -511,33 +511,37 @@ class TestInvariantLint:
         assert invariants.run_checks(root) == []
 
     def test_unguarded_module_cache_mutation(self, invariants, fixture_repo):
-        root = fixture_repo("src/repro/engine/kernels.py", """\
+        root = fixture_repo("src/repro/engine/cache.py", """\
             import threading
             _PATH_TOTALS = {"probe_kernel": 0}
             _PATH_LOCK = threading.Lock()
+
+            class LRUCache:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._data = {}
 
             def count_path(key):
                 _PATH_TOTALS[key] += 1
-
-            def kernel_demo(x):
-                return None
             """)
-        rules = [v.rule for v in invariants.run_checks(root)
-                 if v.path.endswith("kernels.py")]
-        assert "lock-guarded-cache" in rules
+        found = [(v.rule, v.line) for v in invariants.run_checks(root)
+                 if v.path.endswith("cache.py")]
+        assert found == [("lock-guarded-cache", 11)]  # the += line
 
     def test_guarded_mutation_is_clean(self, invariants, fixture_repo):
-        root = fixture_repo("src/repro/engine/kernels.py", """\
+        root = fixture_repo("src/repro/engine/cache.py", """\
             import threading
             _PATH_TOTALS = {"probe_kernel": 0}
             _PATH_LOCK = threading.Lock()
+
+            class LRUCache:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._data = {}
 
             def count_path(key):
                 with _PATH_LOCK:
                     _PATH_TOTALS[key] += 1
-
-            def kernel_demo(x):
-                return None
             """)
         assert [v for v in invariants.run_checks(root)
                 if v.rule == "lock-guarded-cache"] == []

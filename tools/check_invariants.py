@@ -8,7 +8,7 @@ Rules (see tools/README.md for how to add one):
     Shared mutable caches — the entries and byte total of the one cache
     class (``repro.engine.cache.LRUCache``), the optimizer's per-relation
     table profiles (the ``profile_cache`` slot ``repro.engine.stats``
-    keeps on each relation), the kernel layer's path counters, the query
+    keeps on each relation), the engine's path counters, the query
     service's materialized-
     view registry (``_views`` / ``_views_by_name``), and the shared-memory
     page publisher's slot table (``_slots``) — may only be mutated
@@ -160,7 +160,7 @@ CACHE_RULES: tuple[tuple[str, str, frozenset, str], ...] = (
     # lock also makes concurrent optimizer calls share one profiling pass.
     ("src/repro/engine/stats.py", "module",
      frozenset({"profile_cache"}), "_PROFILE_LOCK"),
-    ("src/repro/engine/kernels.py", "module",
+    ("src/repro/engine/cache.py", "module",
      frozenset({"_PATH_TOTALS"}), "_PATH_LOCK"),
     # The view registry: registration, unregistration, and every refresh
     # mutate maintained state that lock-free readers validate by version,
