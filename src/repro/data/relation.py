@@ -769,10 +769,12 @@ class Relation:
         refresh independent of base-table size.  An index whose tag fell
         behind anyway (a build raced a writer) is rebuilt on demand.
 
-        Its consumers are the engine's access-path rule
-        (:func:`repro.engine.execute.scan_lookup` for equality scans,
-        :func:`repro.engine.execute.join_table` for hash-join build sides)
-        and :class:`repro.engine.kernels.RelationBuild`.  A relation without
+        Its consumers are the engine's access-path rule over a scan or an
+        ``asof`` window (:func:`repro.engine.execute.resolve_window`), capped
+        at the window: :func:`repro.engine.execute.scan_lookup` for equality
+        scans, :func:`repro.engine.execute.join_table` for hash-join build
+        sides.  :class:`repro.engine.kernels.RelationBuild` asks whether it
+        is held.  A relation without
         a column store keeps none: the key columns are read off the rows.
         """
         held = self.held_key_index(positions, skip_nulls=skip_nulls)

@@ -6,10 +6,13 @@ One executor runs the plans of every frontend.  Physical choices:
   right input instead of the reference interpreters' nested loops;
 * DISTINCT and the set operations are hash-based;
 * a base relation is reached by one access-path rule, shared with the
-  columnar executor: a filter over a scan whose first conjunct is
-  ``col = const`` reads one bucket of the relation's ``key_index``
-  (:func:`scan_lookup`), and a hash join's build side over a scan or an
-  ``asof`` window is that index (:func:`join_table`);
+  columnar executor: a scan or a version window resolves once per
+  execution to ``(relation, keep)``, the relation and how many of its
+  leading rows the read sees (:func:`resolve_window`), and every path
+  reads that answer — the scan itself, a filter whose first conjunct is
+  ``col = const`` as one bucket of the relation's ``key_index`` capped at
+  ``keep`` (:func:`scan_lookup`), a hash join's build side as that index
+  (:func:`join_table`);
 * every subplan's result is memoized *by plan value* for the duration of one
   :func:`execute_plan` call — the operational half of common subexpression
   elimination, and what makes the dependent-join compilation of correlated
@@ -25,10 +28,10 @@ Each operator has one Python implementation, a function of this module:
 :func:`sort_limit_rows`, :func:`semi_anti_positions`, :func:`setop_rows`,
 :func:`divide_rows` and :func:`fold`.  :class:`Executor` calls them, and so
 does the columnar executor wherever a numpy kernel declines
-(:mod:`repro.engine.vectorized`), so the backends cannot drift apart.  The
-checks every scan makes (:func:`scan_relation`) and the shape of a filter
-conjunct the selection kernels lower (:func:`column_comparison`) live here
-too.
+(:mod:`repro.engine.vectorized`), so the backends cannot drift apart.  How
+a scan reaches its relation (:func:`resolve_window`) and the shape of a
+filter conjunct the selection kernels lower (:func:`column_comparison`)
+live here too.
 
 The executor shares no code with the reference interpreters.  It takes the
 semantic decisions both must make alike from neutral modules: the 3-valued
@@ -272,21 +275,22 @@ class Executor:
         self.db = db
         self._memo: dict[Plan, list[Row]] = {} if memo is None else memo
         self.params = tuple(params)
+        self.windows = Windows(db, self.params)
 
     def rows(self, plan: Plan) -> list[Row]:
         cached = self._memo.get(plan)
         if cached is None:
-            cached = self._compute(bind_node(plan, self.params))
+            cached = self._compute(plan)
             self._memo[plan] = cached
         return cached
 
     # -- operators -------------------------------------------------------
 
     def _compute(self, plan: Plan) -> list[Row]:
-        if isinstance(plan, ScanP):
-            return scan_relation(self.db, plan).rows()
-        if isinstance(plan, DeltaScanP):
-            return delta_scan_rows(self.db, plan)
+        if isinstance(plan, (ScanP, DeltaScanP)):
+            relation, keep = self.windows.read(plan)
+            return relation[:keep]
+        plan = bind_node(plan, self.params)
         if isinstance(plan, FilterP):
             return self._filter(plan)
         if isinstance(plan, ProjectP):
@@ -320,7 +324,7 @@ class Executor:
         raise PlanError(f"cannot execute {type(plan).__name__}")
 
     def _filter(self, plan: FilterP) -> list[Row]:
-        lookup = scan_lookup(self.db, plan)
+        lookup = scan_lookup(plan, self.windows.base(plan.input))
         if lookup is None:
             rows = self.rows(plan.input)
             conjuncts = e.conjuncts(plan.condition)
@@ -338,22 +342,22 @@ class Executor:
                 and plan.residual is None:
             right_rows = self.rows(plan.right)
             return [l + r for l in left_rows for r in right_rows]
-        return join_rows(self.db, plan, left_rows, self.rows(plan.right),
-                         self.params)
+        return join_rows(plan, left_rows, self.rows(plan.right),
+                         self.windows.base(plan.right))
 
 
-def join_rows(db: Database, plan: JoinP, left_rows: list[Row],
-              right_rows: Sequence[Row], params: Sequence[Any],
+def join_rows(plan: JoinP, left_rows: list[Row], right_rows: Sequence[Row],
+              source: "tuple[Relation, int] | None",
               build: "Callable[[], dict[Any, list[int]]] | None" = None
               ) -> list[Row]:
     """A keyed (or residual-only) join of two input bags: a hash probe of
     the right side's table (:func:`join_table`) with each left row, in left
     order, a bucket's rows in position order.
 
-    ``build`` makes the table when the right input is not a base relation
-    (default: from ``right_rows``' key columns; given one, only the
-    matched ``right_rows[j]`` are read); ``params`` bind a window's anchor.
-    The columnar executor runs a probe its kernel declines here.
+    ``source`` is the right input's :meth:`Windows.base`; ``build`` makes
+    the table where that is ``None`` (default: from ``right_rows``' key
+    columns; given one, only the matched ``right_rows[j]`` are read).  The
+    columnar executor runs a probe its kernel declines here.
     """
     left_idx, right_idx = plan.key_positions
     residual = join_residual(plan)
@@ -365,7 +369,7 @@ def join_rows(db: Database, plan: JoinP, left_rows: list[Row],
             return key_positions(
                 [list(map(operator.itemgetter(i), right_rows))
                  for i in right_idx], len(right_rows), skip_nulls)
-    table = join_table(db, plan.right, right_idx, skip_nulls, build, params)
+    table = join_table(source, right_idx, skip_nulls, build)
     # A key as the tables hold it: the raw value of one column, else a
     # tuple.
     key = operator.itemgetter(*left_idx) if left_idx else lambda row: ()
@@ -607,42 +611,6 @@ def fold(name: str, values: Iterable[Any], distinct: bool = False) -> Any:
     raise PlanError(f"unknown aggregate {name!r}")
 
 
-def scan_relation(db: Database, plan: "ScanP | DeltaScanP") -> Relation:
-    """The base relation a scan reads, once its arity matches the plan's."""
-    relation = db.relation(plan.relation)
-    if len(plan.columns) != relation.schema.arity:
-        raise PlanError(
-            f"scan of {plan.relation} expects arity {len(plan.columns)}, "
-            f"relation has {relation.schema.arity}"
-        )
-    return relation
-
-
-def delta_scan_rows(db: Database, plan: DeltaScanP) -> list[Row]:
-    """Resolve a :class:`DeltaScanP` window against the storage layer.
-
-    Shared by every backend so window semantics cannot drift: ``delta`` reads
-    the rows appended after the anchor, ``asof`` the bag as of the anchor.
-    """
-    since = plan.version
-    if since is None:
-        raise PlanError(
-            f"delta scan of {plan.relation} is an unbound window; execute "
-            "it with the view's version anchors as params"
-        )
-    relation = scan_relation(db, plan)
-    if plan.mode == "delta":
-        rows = relation.delta_since(since)
-    else:
-        rows = relation.rows_at(since)
-    if rows is None:
-        raise DeltaUnavailable(
-            f"delta log of {plan.relation} no longer covers version "
-            f"{since} (current {relation.version}); rebuild the view"
-        )
-    return rows
-
-
 def operand_position(positions: "dict[e.Expr, int | None]",
                      operand: e.Expr) -> int | None:
     """The input position of a filter conjunct's column operand, from its
@@ -715,30 +683,96 @@ def _compared(position: int, op: str, other: Any, other_is_column: bool
 # The access-path rule: how both executors reach a base relation
 # ---------------------------------------------------------------------------
 
-def scan_lookup(db: Database, plan: FilterP,
+def resolve_window(db: Database, plan: "ScanP | DeltaScanP",
+                   params: Sequence[Any]) -> "tuple[Relation, int]":
+    """``(relation, keep)``: the relation a scan or a version window reads
+    (its arity checked against the plan's), and how many of its leading
+    rows the read sees.
+
+    A :class:`ScanP` sees all of them, an ``asof`` window the prefix as of
+    its anchor (storage only appends).  A ``delta`` window, the rows
+    appended after its anchor, is no prefix: it resolves to a relation of
+    its own.  The one place a window's anchor is bound (to ``params``) and
+    read against the delta log: unbound, it is a :class:`PlanError`; no
+    longer covered by the bounded log, it raises :class:`DeltaUnavailable`
+    (the view rebuilds).
+    """
+    relation = db.relation(plan.relation)
+    if len(plan.columns) != relation.schema.arity:
+        raise PlanError(
+            f"scan of {plan.relation} expects arity {len(plan.columns)}, "
+            f"relation has {relation.schema.arity}")
+    if isinstance(plan, ScanP):
+        return relation, len(relation)
+    since = bind_node(plan, params).version
+    if since is None:
+        raise PlanError(
+            f"delta scan of {plan.relation} is an unbound window; execute "
+            "it with the view's version anchors as params")
+    if plan.mode == "delta":
+        rows = relation.delta_since(since)
+        window = None if rows is None else (
+            Relation.answer(relation.schema, rows), len(rows))
+    else:
+        count = relation.delta_count_since(since)
+        window = None if count is None else (relation, len(relation) - count)
+    if window is None:
+        raise DeltaUnavailable(
+            f"delta log of {plan.relation} no longer covers version "
+            f"{since} (current {relation.version}); rebuild the view")
+    return window
+
+
+class Windows:
+    """One execution's scans and windows, each resolved
+    (:func:`resolve_window`) once, by whichever path reads it first: the
+    scan, a lookup, a join's build side, a kernel probe."""
+
+    def __init__(self, db: Database, params: Sequence[Any]) -> None:
+        self.db = db
+        self.params = params
+        self._resolved: "dict[Plan, tuple[Relation, int]]" = {}
+
+    def read(self, plan: "ScanP | DeltaScanP") -> "tuple[Relation, int]":
+        window = self._resolved.get(plan)
+        if window is None:
+            window = self._resolved[plan] = resolve_window(
+                self.db, plan, self.params)
+        return window
+
+    def base(self, plan: Plan) -> "tuple[Relation, int] | None":
+        """:meth:`read` for an input an index can serve — a :class:`ScanP`
+        or an ``asof`` window — else ``None``."""
+        if isinstance(plan, ScanP) or (isinstance(plan, DeltaScanP)
+                                       and plan.mode == "asof"):
+            return self.read(plan)
+        return None
+
+
+def scan_lookup(plan: FilterP, source: "tuple[Relation, int] | None",
                 sink: "dict[str, int] | None" = None
                 ) -> "tuple[Relation, list[int], list[e.Expr]] | None":
     """``(relation, positions, rest)`` when ``plan`` can read one bucket of
     a base relation's ``key_index`` instead of scanning, else ``None``.
 
-    That is a filter over a :class:`ScanP` whose *first* conjunct is
-    ``col = const`` with a non-NULL constant of the column's declared type;
-    ``rest`` are the other conjuncts, to run over the bucket in order.  A
-    later conjunct is never looked up first: a conjunct before it may raise
-    (a type mismatch) exactly where the reference raises.  The index the
+    ``source`` is the filter input's :meth:`Windows.base`.  The *first*
+    conjunct must be ``col = const`` with a non-NULL constant of the
+    column's declared type; ``rest`` are the other conjuncts, to run over
+    the bucket (capped at the window's ``keep``) in order.  A later
+    conjunct is never looked up first: a conjunct before it may raise (a
+    type mismatch) exactly where the reference raises.  The index the
     relation holds is used; a live relation that holds none builds it (and
     then maintains it), while a frozen snapshot holding none is scanned —
     the index would be built for this one query.  A lookup is counted
     process-wide (``scan_lookup`` in :func:`repro.engine.cache.path_counts`)
     and in the caller's ``sink``, if it keeps one.
     """
-    scan = plan.input
-    if not isinstance(scan, ScanP):
+    if source is None:
         return None
     first, *rest = e.conjuncts(plan.condition)
     if not (isinstance(first, e.Comparison) and first.op == "="):
         return None
-    relation = scan_relation(db, scan)
+    relation, keep = source
     for col, const in ((first.left, first.right), (first.right, first.left)):
         if not isinstance(const, e.Const):
             continue
@@ -754,51 +788,32 @@ def scan_lookup(db: Database, plan: FilterP,
             index = relation.key_index((position,))
         count_path("scan_lookup")
         sink_bump(sink, "scan_lookup")
-        return relation, list(index.get(const.value, ())), rest
+        bucket = _capped(index, relation, keep).get(const.value, ())
+        return relation, list(bucket), rest
     return None
 
 
-def join_table(db: Database, plan: Plan, idx: Sequence[int], skip_nulls: bool,
-               build: Callable[[], dict[Any, list[int]]],
-               params: Sequence[Any]
+def join_table(source: "tuple[Relation, int] | None", idx: Sequence[int],
+               skip_nulls: bool, build: Callable[[], dict[Any, list[int]]]
                ) -> "dict[Any, list[int]] | _PrefixTable":
-    """The hash-join build side over ``plan``: key -> positions in its rows.
+    """The hash-join build side: key -> positions in its rows.
 
-    A base :class:`ScanP` is its relation's maintained ``key_index``; an
-    ``asof`` window is a positional prefix of its relation, so it is the
-    same index capped at the window (:class:`_PrefixTable`) — view refresh
-    then never rebuilds an old-state table.  Any other input is built by
-    ``build`` (:func:`~repro.data.relation.key_positions` over its key
-    columns).  ``params`` bind a window's anchor, as in
-    :func:`build_source`.
+    Over a base relation (``source``, :meth:`Windows.base`) it is the
+    relation's maintained ``key_index`` capped at the window — view
+    refresh then never rebuilds an old-state table.  Any other input, or a
+    join without keys, is built by ``build``.
     """
-    source = build_source(db, plan, idx, params)
-    if source is None:
+    if source is None or not idx:
         return build()
     relation, keep = source
-    table = relation.key_index(idx, skip_nulls=skip_nulls)
+    return _capped(relation.key_index(idx, skip_nulls=skip_nulls),
+                   relation, keep)
+
+
+def _capped(table: dict[Any, list[int]], relation: Relation, keep: int
+            ) -> "dict[Any, list[int]] | _PrefixTable":
+    """``relation``'s index ``table`` as its first ``keep`` rows see it."""
     return table if keep == len(relation) else _PrefixTable(table, keep)
-
-
-def build_source(db: Database, plan: Plan, idx: Sequence[int],
-                 params: Sequence[Any]) -> "tuple[Relation, int] | None":
-    """The base relation whose ``key_index`` a hash-join build over ``plan``
-    reads, and how many of its leading rows the build sees; ``None`` when
-    the build input is not a base relation (or has no key).  ``plan`` is
-    read as executed: a window's anchor bound to ``params``."""
-    if not idx:
-        return None
-    if isinstance(plan, ScanP):
-        relation = db.relation(plan.relation)
-        return relation, len(relation)
-    if isinstance(plan, DeltaScanP) and plan.mode == "asof":
-        version = bind_node(plan, params).version
-        if version is not None:
-            relation = db.relation(plan.relation)
-            count = relation.delta_count_since(version)
-            if count is not None:
-                return relation, len(relation) - count
-    return None
 
 
 class _PrefixTable:
@@ -806,9 +821,10 @@ class _PrefixTable:
 
     Wraps a relation's full cached
     :meth:`~repro.data.relation.Relation.key_index` to serve an ``asof``
-    window: buckets hold ascending positions (bag order), so the restriction
-    is one :func:`bisect.bisect_left` per probed bucket.  Probe sides in
-    delta plans are tiny, so per-probe slicing costs nothing compared to
+    window, to a join's probe or an equality lookup: buckets hold ascending
+    positions (bag order), so the restriction is one
+    :func:`bisect.bisect_left` per probed bucket.  Probe sides in delta
+    plans are tiny, so per-probe slicing costs nothing compared to
     rebuilding an old-state hash table per refresh.
     """
 

@@ -1142,8 +1142,9 @@ class BuildSide:
     encodings at the batch's selection (:func:`_gather`) for this one probe
     — a filtered or joined batch is new every query, so nothing is cached.
     A probe that declines, and a semi/anti join, build :meth:`table`
-    instead, unless the build is a base relation: then
-    :func:`~repro.engine.execute.join_table` reads its ``key_index``.
+    instead, unless the build reads a base relation (a scan, an ``asof``
+    window): then :func:`~repro.engine.execute.join_table` reads its
+    ``key_index``.
     :class:`RelationBuild` is the whole-relation case, where the structure
     outlives the query.
     """
@@ -1205,26 +1206,22 @@ class RelationBuild(BuildSide):
         return CACHED_PROBE_MIN_ROWS
 
     def rows_at_stake(self, probe_rows: int) -> int:
-        """Probe rows read, or emitted if that is more, plus a snapshot's
-        build rows.
+        """Probe rows read, or emitted if that is more, plus the relation's
+        rows unless it holds its ``key_index`` or its kernel structure for
+        the key.
 
-        A frozen relation is a snapshot — a merged shard view, a worker's
-        resident copy of a shard — that no query of this process writes
-        through: its ``key_index`` would be built from scratch for it, like
-        the kernel's structure but in Python, so its rows count.  A live
-        relation's index is maintained write by write and costs a probe
-        nothing; what a small probe of it can still cost is its *output*
-        (100 boats emit every reservation).  That fan-out is read off what
-        the relation already holds — its ``key_index``, else its cached
-        structure — never off anything built or collected to answer the
-        question (a table profile is recollected after every write), and
-        not at all when the two row counts multiply to less than the gate.
+        Holding neither, live or frozen, it has every row indexed for this
+        probe whichever path runs (and a live relation would keep a
+        declined probe's index for good).  Holding one, a small probe can
+        still cost its *output* (100 boats emit every reservation), read
+        off what is held — never off a table profile, which every write
+        invalidates — and not read at all when the probe could not reach
+        the gate whatever the relation holds.
         """
         n = len(self.relation)
-        rows = probe_rows + (n if self.relation.is_frozen else 0)
-        gate = self.min_rows()
-        if rows >= gate or probe_rows * n < gate:
-            return rows
+        most = max(probe_rows + n, probe_rows * n)
+        if most < self.min_rows():
+            return most
         index = self.relation.held_key_index(self.idx,
                                              skip_nulls=self.skip_nulls)
         if index is not None:
@@ -1233,9 +1230,9 @@ class RelationBuild(BuildSide):
             keyed = self._cache_key(held=True)
             held = _cache_get(*keyed, None, peek=True) if keyed else None
             if not isinstance(held, _BuildStructure):
-                return rows
+                return probe_rows + n
             indexed, buckets = len(held.positions), len(held.ukeys)
-        return max(rows, probe_rows * indexed // max(buckets, 1))
+        return max(probe_rows, probe_rows * indexed // max(buckets, 1))
 
     def _cache_key(self, *, held: bool = False) -> "tuple[Any, tuple] | None":
         """``(key, anchors)`` of the structure in the kernel cache: the key

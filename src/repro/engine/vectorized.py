@@ -6,11 +6,14 @@ through each operator, this backend moves whole columns:
 * **scans** read the per-attribute arrays that
   :meth:`repro.data.relation.Relation.column_store` maintains — no per-query
   transposition and no row-tuple allocation — and reach a base relation by
-  the access-path rule shared with the row executor: a filter whose first
-  conjunct is ``col = const`` reads one bucket of the relation's
-  ``key_index`` (:func:`~repro.engine.execute.scan_lookup`), and a hash
-  join's build over a scan or an ``asof`` window is that index
-  (:func:`~repro.engine.execute.join_table`);
+  the access-path rule shared with the row executor: a scan or a window
+  resolves once to ``(relation, keep)``
+  (:func:`~repro.engine.execute.resolve_window`; an ``asof`` window is the
+  leading ``keep`` rows of the same arrays, a ``delta`` window's log rows
+  are transposed), and a ``col = const`` filter reads one bucket of its
+  ``key_index`` capped at ``keep`` (:func:`~repro.engine.execute.scan_lookup`),
+  a hash join's build that index (:func:`~repro.engine.execute.join_table`)
+  or a whole relation's cached kernel structure;
 * **filters** narrow a *selection vector*, conjunct by conjunct;
 * **hash joins** emit selection vectors — output columns stay virtual
   ``(base array, index vector)`` pairs until something actually reads them
@@ -91,10 +94,9 @@ from repro.engine.batch import (
 from repro.engine.execute import (
     Executor,
     Row,
+    Windows,
     aggregate_rows,
-    build_source,
     compiled_expr,
-    delta_scan_rows,
     divide_rows,
     filter_predicate,
     fixpoint_rows,
@@ -103,7 +105,6 @@ from repro.engine.execute import (
     join_table,
     pair_residual,
     scan_lookup,
-    scan_relation,
     semi_anti_positions,
     setop_rows,
     sort_limit_rows,
@@ -145,22 +146,25 @@ class VectorizedExecutor:
         self.db = db
         self.kernel_counters = counters
         self.params = tuple(params)
+        self.windows = Windows(db, self.params)
         self._memo: dict[Plan, Batch] = {}
 
     def batch(self, plan: Plan) -> Batch:
         cached = self._memo.get(plan)
         if cached is None:
-            cached = self._compute(bind_node(plan, self.params))
+            cached = self._compute(plan)
             self._memo[plan] = cached
         return cached
 
     # -- operators -------------------------------------------------------
 
     def _compute(self, plan: Plan) -> Batch:
-        if isinstance(plan, ScanP):
-            return self._scan(plan)
-        if isinstance(plan, DeltaScanP):
-            return self._delta_scan(plan)
+        if isinstance(plan, (ScanP, DeltaScanP)):
+            # An asof window's batch is the relation's arrays cut to ``keep``:
+            # refresh cost must not scale with the base table.
+            relation, keep = self.windows.read(plan)
+            return _store_batch(plan.columns, relation, keep)
+        plan = bind_node(plan, self.params)
         if isinstance(plan, FilterP):
             return self._filter(plan)
         if isinstance(plan, ProjectP):
@@ -184,37 +188,14 @@ class VectorizedExecutor:
                 plan, self.db, params=self.params))
         raise PlanError(f"cannot execute {type(plan).__name__}")
 
-    def _scan(self, plan: ScanP) -> Batch:
-        relation = scan_relation(self.db, plan)
-        return _store_batch(plan.columns, relation, len(relation))
-
-    def _delta_scan(self, plan: DeltaScanP) -> Batch:
-        """Columnar delta/asof windows.
-
-        The ``asof`` window is a *prefix* of the bag (storage only appends),
-        so it shares the maintained column store's arrays **without copying**
-        and truncates the batch's logical length — refresh cost must not
-        scale with base-table size.  Consumers respect ``Batch.length``; the
-        hash-join build side short-circuits further via the capped
-        :class:`_PrefixTable` over the relation's cached key index.  The
-        ``delta`` window is small by construction and transposes.
-        """
-        if plan.mode == "asof" and plan.version is not None:
-            relation = scan_relation(self.db, plan)
-            count = relation.delta_count_since(plan.version)
-            if count is not None:
-                return _store_batch(plan.columns, relation,
-                                    len(relation) - count)
-        return Batch.from_rows(plan.columns, delta_scan_rows(self.db, plan))
-
     def _filter(self, plan: FilterP) -> Batch:
         """Narrow the batch conjunct by conjunct, in the conjunction's order.
 
-        A first ``col = const`` conjunct over a base scan is a lookup
-        (:func:`~repro.engine.execute.scan_lookup`): the batch starts as that
-        bucket's rows.  Each remaining conjunct is a numpy selection
-        (:func:`~repro.engine.kernels.kernel_filter`) from the gate up, and
-        where that declines the row test
+        A first ``col = const`` conjunct over a scan or an ``asof`` window
+        is a lookup (:func:`~repro.engine.execute.scan_lookup`): the batch
+        starts as that bucket's rows.  Each remaining conjunct is a numpy
+        selection (:func:`~repro.engine.kernels.kernel_filter`) from the
+        gate up, and where that declines the row test
         (:func:`~repro.engine.execute.filter_predicate`) over the
         still-selected rows.  Either way the result is a selection, so the
         batch keeps its column-store origin for the kernels above.  Keeping
@@ -223,7 +204,8 @@ class VectorizedExecutor:
         have reached it.
         """
         batch = self.batch(plan.input)
-        lookup = scan_lookup(self.db, plan, self.kernel_counters)
+        lookup = scan_lookup(plan, self.windows.base(plan.input),
+                             self.kernel_counters)
         if lookup is None:
             conjuncts = e.conjuncts(plan.condition)
         else:
@@ -288,10 +270,10 @@ class VectorizedExecutor:
 
         left_idx, right_idx = plan.key_positions
         right = self.batch(plan.right)
+        source = self.windows.base(plan.right)
         side = kernels.BuildSide(right, right_idx, not plan.null_matches)
         if plan.kind in ("semi", "anti"):
-            table = join_table(self.db, plan.right, right_idx,
-                               side.skip_nulls, side.table, self.params)
+            table = join_table(source, right_idx, side.skip_nulls, side.table)
             residual = join_residual(plan)
             match = None if residual is None else pair_residual(
                 residual, _RowsAt(left), _RowsAt(right))
@@ -300,12 +282,11 @@ class VectorizedExecutor:
                                           left.length), table, match)
             return Batch(plan.columns, _take(left.vectors, sel), len(sel))
 
-        pair = self._kernel_probe(plan, left, side)
+        pair = self._kernel_probe(plan, left, side, source)
         if pair is None:
             kernels.count_path("probe_loop")
             return Batch.from_rows(plan.columns, join_rows(
-                self.db, plan, left.rows(), _RowsAt(right), self.params,
-                side.table))
+                plan, left.rows(), _RowsAt(right), source, side.table))
         kernels.count_path("probe_kernel")
         left_sel, right_sel = pair
         joined = Batch(plan.columns, _take(left.vectors, left_sel)
@@ -316,12 +297,14 @@ class VectorizedExecutor:
         return joined.take(kernels.index_array(_passing(joined, None,
                                                         residual)))
 
-    def _kernel_probe(self, plan: JoinP, left: Batch,
-                      side: kernels.BuildSide) -> "tuple[Any, Any] | None":
+    def _kernel_probe(self, plan: JoinP, left: Batch, side: kernels.BuildSide,
+                      source: "tuple[Relation, int] | None"
+                      ) -> "tuple[Any, Any] | None":
         """The numpy probe's ``(left_sel, right_sel)``, or ``None``.
 
-        The build side is chosen by the shared access-path rule
-        (:func:`~repro.engine.execute.build_source`): a whole base relation
+        The build side is ``source``, as the shared access-path rule
+        resolved it (:meth:`~repro.engine.execute.Windows.base`) for this
+        probe and, if it declines, the row join: a whole base relation
         probes its cached structure
         (:class:`~repro.engine.kernels.RelationBuild`), an ``asof`` window
         declines (its table is the relation's capped ``key_index``), and
@@ -332,8 +315,7 @@ class VectorizedExecutor:
         (:meth:`~repro.engine.kernels.BuildSide.min_rows`: lower for a
         relation's cached structure).
         """
-        source = build_source(self.db, plan.right, side.idx, self.params)
-        if source is not None:
+        if source is not None and side.idx:
             relation, keep = source
             if keep != len(relation):
                 return None

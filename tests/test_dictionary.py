@@ -403,6 +403,9 @@ class TestKernelGate:
 
     def _run(self, n):
         db = self._db(n)
+        # ``u`` holds its key index, as after an equality lookup: the
+        # probe's rows at stake are then its own (``u`` is 1:1).
+        db.relation("u").key_index((0,))
         return [VectorizedExecutor(db).batch(plan).rows()
                 for plan in self._plans()]
 
@@ -474,22 +477,31 @@ class TestKernelGate:
         assert sum(row[-1] for row in rows) == len(range(3, n, 7))
 
     def test_a_snapshot_build_side_counts_toward_the_probe_gate(self, engaged):
-        """A small probe of a big relation: over a live relation the Python
-        loop probes its incrementally maintained ``key_index``; over a frozen
-        snapshot (a worker's attached shard) that index would be built for
-        the one query, so the build rows count and the kernel takes it."""
+        """A small probe of a big relation: where the relation holds its
+        ``key_index`` the Python loop probes it.  Where it holds nothing —
+        a frozen snapshot (a worker's attached shard), or a live relation
+        never probed on that key — either path would index every row for
+        this probe, so the build rows count and the kernel takes it,
+        leaving no index on the relation."""
         n = kernels.KERNEL_MIN_ROWS
         small = relation_from_rows("p", [("pk", "int")],
                                    [(i,) for i in range(0, n, 64)])
         plan = JoinP(ScanP("p", ("pk",)), ScanP("u", ("uk", "w")),
                      "inner", ("pk",), ("uk",), None, False)
+
+        def run(u):
+            del engaged[:]
+            return VectorizedExecutor(Database([small, u])).batch(plan).rows()
+
         u = self._db(n).relation("u")
-        live = VectorizedExecutor(Database([small, u])).batch(plan).rows()
-        assert engaged == []
-        frozen = Database([small, u.copy().freeze()])
-        assert VectorizedExecutor(frozen).batch(plan).rows() == live
+        snapshot = run(u.copy().freeze())
         assert engaged == ["kernel_probe"]
-        assert len(live) == len(small)
+        assert run(u) == snapshot and engaged == ["kernel_probe"]
+        assert u.held_key_index((0,)) is None
+        indexed = self._db(n).relation("u")
+        indexed.key_index((0,))
+        assert run(indexed) == snapshot and engaged == []
+        assert len(snapshot) == len(small)
 
 
 # ---------------------------------------------------------------------------
@@ -1207,24 +1219,21 @@ class TestProbeFanOut:
     def test_fan_out_comes_from_the_maintained_key_index(self):
         db = self._db(fanout=kernels.KERNEL_MIN_ROWS // 50)
         big = db.relation("big")
-        # Nothing held yet: 100 rows are at stake, the kernel declines them
-        # and the row executor's probe, over the key index it builds,
-        # returns rows: no selection to convert, no dict built.
+        # The relation holds its key index (an equality lookup built it)
+        # and no kernel structure: the 100 probe rows emit ~4k, read off
+        # the index, so the kernel takes them.
+        big.key_index((0,))
         first, bumped = self._run(db)
         assert len(first) >= kernels.KERNEL_MIN_ROWS
-        assert bumped == {"probe_loop": 1}
-        assert big.held_key_index((0,)) is not None
-        second, bumped = self._run(db)
         assert bumped["probe_kernel"] == 1 and "probe_loop" not in bumped
-        assert second == first
         # The index is maintained write by write, so it is still held (and
         # no table profile is consulted) after one.
         big.add((3, -1))
         with mock.patch("repro.engine.stats.collect_table_stats",
                         side_effect=AssertionError("profiled")):
-            third, bumped = self._run(db)
+            second, bumped = self._run(db)
         assert bumped["probe_kernel"] == 1
-        assert Counter(third) == Counter(first + [(3, 3, -1)])
+        assert Counter(second) == Counter(first + [(3, 3, -1)])
 
     def test_fan_out_comes_from_the_cached_structure(self):
         db = self._db(fanout=kernels.KERNEL_MIN_ROWS // 50)
@@ -1233,7 +1242,8 @@ class TestProbeFanOut:
                            "inner", ("x2",), ("x",), None, False)
         VectorizedExecutor(db).batch(wide_probe)       # a kernel probe on x
         _rows, bumped = self._run(db)
-        assert bumped == {"probe_loop": 1}  # k: not held
+        # k: nothing held, so the relation's rows are at stake.
+        assert bumped["probe_kernel"] == 1 and "probe_loop" not in bumped
         assert big.held_key_index((1,)) is None
         narrow = JoinP(ScanP("small", ("pk",)), ScanP("big", ("k", "x")),
                        "inner", ("pk",), ("x",), None, False)
@@ -1246,23 +1256,22 @@ class TestProbeFanOut:
         db = self._db(fanout=2)
         first, _bumped = self._run(db)
         assert len(first) == 200
-        second, bumped = self._run(db)      # the index is held now
+        second, bumped = self._run(db)      # the structure is held now
         assert bumped == {"probe_loop": 1} and second == first
 
     def test_small_relations_are_rejected_before_any_lookup(self):
         """10 probe rows x 50 relation rows cannot reach the cached-probe
-        gate, whatever the fan-out."""
+        gate, whatever the relation holds."""
         n = kernels.CACHED_PROBE_MIN_ROWS // 10 - 1
         small = relation_from_rows("small", [("pk", "int")],
                                    [(i,) for i in range(10)])
         big = mock.Mock(wraps=relation_from_rows(
             "big", [("k", "int")], [(i % 5,) for i in range(n)]))
         big.__len__ = lambda self: n
-        big.is_frozen = False
         batch = VectorizedExecutor(Database([small])).batch(
             ScanP("small", ("pk",)))
         build = kernels.RelationBuild(batch, [0], True, big)
-        assert build.rows_at_stake(10) == 10
+        assert build.rows_at_stake(10) < kernels.CACHED_PROBE_MIN_ROWS
         big.held_key_index.assert_not_called()
         big.column_store.assert_not_called()
 

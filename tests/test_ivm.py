@@ -42,7 +42,8 @@ from repro.engine import (
     optimize,
 )
 from repro.engine.delta import build_maintainer, term_delta_relation
-from repro.engine.plan import JoinP, PositionCol, ProjectP
+from repro.engine.kernels import path_counts
+from repro.engine.plan import FilterP, JoinP, PositionCol, ProjectP
 from repro.expr import ast as e
 from repro.queries.catalog import CANONICAL_QUERIES
 from repro.translate.equivalence import answer_relation
@@ -224,6 +225,93 @@ class TestDeltaScan:
         cols = tuple(rel.schema.attribute_names)
         with pytest.raises(DeltaUnavailable):
             execute_plan(DeltaScanP("Reserves", cols, v, "delta"), db)
+
+
+class TestAsofLookup:
+    """A filter over an ``asof`` window is an index lookup capped at the
+    window, and each scan or window resolves once per execution
+    (:func:`repro.engine.execute.resolve_window`): E4's join-chain view,
+    at a reduced size, on the row executor and the columnar one."""
+
+    LEGS = ("row", "vectorized")
+
+    @pytest.fixture()
+    def resolved(self, monkeypatch):
+        """The nodes the resolver was asked for, in order."""
+        from repro.engine import execute
+
+        calls: list = []
+        real = execute.resolve_window
+
+        def spy(db, plan, params):
+            calls.append(plan)
+            return real(db, plan, params)
+
+        monkeypatch.setattr(execute, "resolve_window", spy)
+        return calls
+
+    @pytest.mark.parametrize("leg", LEGS)
+    def test_each_refresh_looks_the_window_up_once(self, leg, resolved):
+        service = service_on(random_sailors_database(
+            n_sailors=240, n_boats=30, n_reserves=2400, seed=4), leg)
+        view = service.register_view(JOIN_CHAIN_SQL)
+        view.answer()
+        rebuilds = view.rebuilds
+        for i in range(4):
+            service.add_rows("Reserves", [
+                ((i * 7 + j) % 240 + 1, (i * 3 + j) % 30 + 101,
+                 f"2031-01-{j + 1:02d}") for j in range(5)])
+            del resolved[:]
+            before = path_counts()["scan_lookup"]
+            answer = view.answer()
+            assert path_counts()["scan_lookup"] - before == 1
+            assert ("boats", "asof") in {
+                (plan.relation.lower(), plan.mode) for plan in resolved
+                if isinstance(plan, DeltaScanP)}
+            assert len(set(resolved)) == len(resolved)
+            assert answer.bag_equal(fresh_answers(service.db, JOIN_CHAIN_SQL))
+        assert view.incremental_refreshes == 4 and view.rebuilds == rebuilds
+
+    @pytest.mark.parametrize("leg", LEGS)
+    def test_the_lookup_is_capped_at_the_window(self, leg, monkeypatch):
+        monkeypatch.setattr(Relation, "DELTA_LOG_LIMIT", 2)
+        db = sailors_database()
+        boats = db.relation("Boats")
+        v, old = boats.version, boats.rows()
+        red = FilterP(DeltaScanP("Boats", tuple(boats.schema.attribute_names),
+                                 v, "asof"),
+                      e.Comparison(e.Col("color"), "=", e.Const("red")))
+        boats.add((120, "Scarlet", "red"))
+        before = path_counts()["scan_lookup"]
+        rows = execute_plan(red, db, backend=executor(leg)).rows()
+        assert path_counts()["scan_lookup"] - before == 1
+        assert rows == [row for row in old if row[2] == "red"]
+        # The anchor falls out of the log: the window raises before any
+        # bucket is read, never serving the relation's whole bucket.
+        for bid in range(121, 124):
+            boats.add((bid, f"Crimson{bid}", "red"))
+        before = path_counts()["scan_lookup"]
+        with pytest.raises(DeltaUnavailable):
+            execute_plan(red, db, backend=executor(leg))
+        assert path_counts()["scan_lookup"] == before
+
+    @pytest.mark.parametrize("leg", LEGS)
+    def test_a_view_whose_window_fell_out_of_the_log_rebuilds(
+            self, leg, monkeypatch):
+        monkeypatch.setattr(Relation, "DELTA_LOG_LIMIT", 4)
+        service = service_on(random_sailors_database(
+            n_sailors=240, n_boats=30, n_reserves=2400, seed=4), leg)
+        view = service.register_view(JOIN_CHAIN_SQL)
+        view.answer()
+        service.add_rows("Reserves", [(1, 101, "2031-02-01")])
+        service.add_rows("Boats", [(200 + i, f"Ruby{i}", "red")
+                                   for i in range(6)])
+        service.add_rows("Reserves", [(s, 200, f"2031-02-0{s}")
+                                      for s in (1, 2, 3)])
+        answer = view.answer()
+        # The view's one part recomputes itself (``DeltaUnavailable``).
+        assert view.shard_rebuilds == 1
+        assert answer.bag_equal(fresh_answers(service.db, JOIN_CHAIN_SQL))
 
 
 class TestDeltaTerms:

@@ -570,6 +570,21 @@ class TestAnalyticShapesStayNumpy:
             assert sorted(rows) == sorted(
                 execute_plan(plan, analytic_db, backend="row").rows())
 
+    def test_a_first_probe_leaves_no_index_on_its_build_relation(self):
+        """``chain4``'s first execution on a fresh database probes 48k-row
+        ``Reserves`` with the red boats (22 rows).  ``Reserves`` holds
+        neither a ``bid`` index nor a kernel structure yet, so its rows are
+        at stake: the kernel probes, caching its structure, and the
+        relation is left without a ``key_index`` it would keep for good."""
+        db = random_sailors_database(n_sailors=4800, n_boats=100,
+                                     n_reserves=48000, seed=9)
+        chain4 = self._plans(db, 230, "19.250")[1]
+        rows, bumped = self._counted(chain4, db)
+        assert bumped["probe_loop"] == 0
+        assert db.relation("Reserves").held_key_index((1,)) is None
+        assert sorted(rows) == sorted(
+            execute_plan(chain4, db, backend="row").rows())
+
     def test_a_write_to_the_build_relation_profiles_nothing(self, analytic_db,
                                                             monkeypatch):
         """The probe's fan-out is read off the maintained key index, never

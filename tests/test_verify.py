@@ -894,14 +894,45 @@ class TestInvariantLint:
             (os.path.join("src", "repro", "engine", "vectorized.py"), 3),
             (os.path.join("src", "repro", "engine", "vectorized.py"), 6)]
 
+    def test_window_read_outside_the_resolver(self, invariants,
+                                              fixture_repo):
+        root = fixture_repo("src/repro/engine/vectorized.py", """\
+            class VectorizedExecutor:
+                def _delta_scan(self, relation, plan):
+                    count = relation.delta_count_since(plan.version)
+                    if plan.mode == "asof":
+                        return relation.rows_at(plan.version)
+                    return relation.delta_since(plan.version)
+            """)
+        fixture_repo("src/repro/engine/execute.py", """\
+            def scan_lookup(plan, source):
+                relation, keep = source
+                return relation.rows_at(keep)
+
+            def resolve_window(db, plan, params):
+                return db.relation(plan.relation).delta_since(plan.version)
+            """)
+        violations = [v for v in invariants.run_checks(root)
+                      if v.rule == "one-access-path"]
+        assert [(v.path, v.line) for v in violations] == [
+            (os.path.join("src", "repro", "engine", "execute.py"), 3),
+            (os.path.join("src", "repro", "engine", "vectorized.py"), 3),
+            (os.path.join("src", "repro", "engine", "vectorized.py"), 5),
+            (os.path.join("src", "repro", "engine", "vectorized.py"), 6)]
+
     def test_key_index_read_by_the_access_path_rule_is_clean(
             self, invariants, fixture_repo):
         fixture_repo("src/repro/engine/execute.py", """\
-            def scan_lookup(db, plan):
-                return db.relation(plan.relation).key_index((0,))
+            def resolve_window(db, plan, params):
+                relation = db.relation(plan.relation)
+                count = relation.delta_count_since(plan.version)
+                return relation, len(relation) - count
 
-            def join_table(db, plan, idx, skip_nulls, build):
-                return db.relation(plan.relation).key_index(idx)
+            def scan_lookup(plan, source):
+                return source[0].key_index((0,))
+
+            def join_table(source, idx, skip_nulls, build):
+                return source[0].key_index(idx)
             """)
         fixture_repo("src/repro/engine/kernels.py", """\
             class RelationBuild:

@@ -55,12 +55,14 @@ Rules (see tools/README.md for how to add one):
     ``(kind, pattern)`` rules to ``repro.syntax.Lexer`` instead.
 
 ``one-access-path``
-    The engine reaches a relation's hash index by one rule: a call to
+    The engine reaches a base relation by one rule: a call to
     ``.key_index(`` or ``.held_key_index(`` under ``src/repro/engine``
     outside the access-path functions of ``engine/execute.py``
     (``scan_lookup``, ``join_table``) and ``kernels.RelationBuild`` is a
-    violation — an executor asks the rule instead of choosing its own
-    path.
+    violation, and so is a call to ``.delta_count_since(``, ``.rows_at(``
+    or ``.delta_since(`` there outside ``execute.resolve_window``, the one
+    function that binds a version window's anchor — an executor asks the
+    rule instead of choosing its own path.
 
 ``one-operator``
     Each operator has one Python implementation: under ``src/repro/engine``
@@ -648,34 +650,44 @@ def check_one_lexer(root: str) -> list[Violation]:
 # Rule: one-access-path
 # ---------------------------------------------------------------------------
 
-#: Where the engine may read a relation's hash index: ``(module, scope)``,
-#: a function or a class whose body is exempt.
+#: Where the engine may read a relation's hash index, and where it may read
+#: a version window against the delta log: method names -> the
+#: ``(module, scope)`` pairs, a function or a class, whose bodies may call
+#: them.
 _ACCESS_PATH_SCOPES = {
-    ("src/repro/engine/execute.py", "scan_lookup"),
-    ("src/repro/engine/execute.py", "join_table"),
-    ("src/repro/engine/kernels.py", "RelationBuild"),
+    ("key_index", "held_key_index"): {
+        ("src/repro/engine/execute.py", "scan_lookup"),
+        ("src/repro/engine/execute.py", "join_table"),
+        ("src/repro/engine/kernels.py", "RelationBuild"),
+    },
+    ("delta_count_since", "rows_at", "delta_since"): {
+        ("src/repro/engine/execute.py", "resolve_window"),
+    },
 }
-_INDEX_METHODS = ("key_index", "held_key_index")
 
 
 def check_one_access_path(root: str) -> list[Violation]:
     violations: list[Violation] = []
     for _path, rel_path, tree in _walk_sources(root, ("src/repro/engine",)):
         module = rel_path.replace(os.sep, "/")
-        exempt: set[int] = set()
+        allowed: dict[str, set[int]] = {}  # method -> nodes that may call it
+        for methods, scopes in _ACCESS_PATH_SCOPES.items():
+            inside = {id(inner) for node in ast.walk(tree)
+                      if isinstance(node, (ast.FunctionDef,
+                                           ast.AsyncFunctionDef, ast.ClassDef))
+                      and (module, node.name) in scopes
+                      for inner in ast.walk(node)}
+            allowed.update(dict.fromkeys(methods, inside))
         for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)) \
-                    and (module, node.name) in _ACCESS_PATH_SCOPES:
-                exempt.update(id(inner) for inner in ast.walk(node))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and id(node) not in exempt \
+            if isinstance(node, ast.Call) \
                     and isinstance(node.func, ast.Attribute) \
-                    and node.func.attr in _INDEX_METHODS:
+                    and node.func.attr in allowed \
+                    and id(node) not in allowed[node.func.attr]:
                 violations.append(Violation(
                     rel_path, node.lineno, "one-access-path",
                     f".{node.func.attr}() outside the access-path rule; "
-                    "call repro.engine.execute.scan_lookup / join_table"))
+                    "call repro.engine.execute.resolve_window / scan_lookup "
+                    "/ join_table"))
     return violations
 
 
