@@ -28,23 +28,21 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from repro.trc.ast import (
-    AttrRef,
-    ConstTerm,
-    RelAtom,
-    TRCAnd,
-    TRCCompare,
-    TRCExists,
-    TRCForAll,
-    TRCFormula,
-    TRCImplies,
-    TRCNot,
-    TRCOr,
-    TRCQuery,
-    TRCTrue,
-    TupleVar,
+from repro.logic.formula import (
+    And,
+    Atom,
+    Compare,
+    Exists,
+    ForAll,
+    Formula,
+    Implies,
+    Not,
+    Or,
+    Truth,
     conjunction,
 )
+from repro.logic.terms import AttrRef, Const, Var
+from repro.trc.ast import TRCQuery, atom_variable
 
 
 class PatternError(Exception):
@@ -55,7 +53,7 @@ class PatternError(Exception):
 # Normalisation
 # ---------------------------------------------------------------------------
 
-def normalize_trc(formula: TRCFormula) -> TRCFormula:
+def normalize_trc(formula: Formula) -> Formula:
     """Rewrite into ∃/∧/¬ form (∨ is kept) and flatten nested existentials.
 
     * ``∀x φ``    →  ``¬∃x ¬φ``
@@ -63,48 +61,48 @@ def normalize_trc(formula: TRCFormula) -> TRCFormula:
     * ``¬¬φ``     →  ``φ``
     * ``∃x (φ ∧ ∃y ψ)`` → ``∃x, y (φ ∧ ψ)``  (same negation scope)
     """
-    def rewrite(node: TRCFormula) -> TRCFormula:
-        if isinstance(node, (TRCTrue, RelAtom, TRCCompare)):
+    def rewrite(node: Formula) -> Formula:
+        if isinstance(node, (Truth, Atom, Compare)):
             return node
-        if isinstance(node, TRCAnd):
+        if isinstance(node, And):
             return conjunction([rewrite(o) for o in node.operands])
-        if isinstance(node, TRCOr):
-            return TRCOr(tuple(rewrite(o) for o in node.operands))
-        if isinstance(node, TRCNot):
+        if isinstance(node, Or):
+            return Or(tuple(rewrite(o) for o in node.operands))
+        if isinstance(node, Not):
             inner = rewrite(node.operand)
-            if isinstance(inner, TRCNot):
+            if isinstance(inner, Not):
                 return inner.operand
-            return TRCNot(inner)
-        if isinstance(node, TRCImplies):
-            return rewrite(TRCNot(TRCAnd((node.antecedent, TRCNot(node.consequent)))))
-        if isinstance(node, TRCForAll):
-            return rewrite(TRCNot(TRCExists(node.variables, TRCNot(node.body))))
-        if isinstance(node, TRCExists):
+            return Not(inner)
+        if isinstance(node, Implies):
+            return rewrite(Not(And((node.antecedent, Not(node.consequent)))))
+        if isinstance(node, ForAll):
+            return rewrite(Not(Exists(node.variables, Not(node.body))))
+        if isinstance(node, Exists):
             body = rewrite(node.body)
             variables = list(node.variables)
             body = _flatten_exists_into(variables, body)
-            return TRCExists(tuple(variables), body)
+            return Exists(tuple(variables), body)
         raise PatternError(f"normalize: unhandled node {type(node).__name__}")
 
     # Flatten ∃ nested directly under the (positive) top level conjunction.
-    variables: list[TupleVar] = []
+    variables: list[Var] = []
     body = _flatten_exists_into(variables, rewrite(formula))
-    return TRCExists(tuple(variables), body) if variables else body
+    return Exists(tuple(variables), body) if variables else body
 
 
-def _flatten_exists_into(variables: list[TupleVar], body: TRCFormula) -> TRCFormula:
+def _flatten_exists_into(variables: list[Var], body: Formula) -> Formula:
     """Pull directly-nested existentials (not under ¬) into ``variables``."""
     changed = True
     while changed:
         changed = False
-        if isinstance(body, TRCExists):
+        if isinstance(body, Exists):
             variables.extend(body.variables)
             body = body.body
             changed = True
-        elif isinstance(body, TRCAnd):
+        elif isinstance(body, And):
             new_parts = []
             for part in body.operands:
-                if isinstance(part, TRCExists):
+                if isinstance(part, Exists):
                     variables.extend(part.variables)
                     new_parts.append(part.body)
                     changed = True
@@ -250,36 +248,35 @@ def pattern_of(query: TRCQuery) -> QueryPattern:
     scope_counter = itertools.count(1)
     pattern.scopes[0] = (None, False)
 
-    def visit(node: TRCFormula, scope: int, depth: int,
+    def visit(node: Formula, scope: int, depth: int,
               predicates: list, disjunctions: list, names: list) -> None:
-        if isinstance(node, TRCTrue):
+        if isinstance(node, Truth):
             return
-        if isinstance(node, RelAtom):
-            pattern.variables.append(
-                PatternVariable(node.var.name, node.relation, scope, depth)
-            )
-            names.append(node.var.name)
-        elif isinstance(node, TRCCompare):
+        if isinstance(node, Atom):
+            name = atom_variable(node).name
+            pattern.variables.append(PatternVariable(name, node.predicate, scope, depth))
+            names.append(name)
+        elif isinstance(node, Compare):
             predicates.append(_predicate(node, scope))
-        elif isinstance(node, TRCAnd):
+        elif isinstance(node, And):
             for operand in node.operands:
                 visit(operand, scope, depth, predicates, disjunctions, names)
-        elif isinstance(node, TRCOr):
+        elif isinstance(node, Or):
             branches = []
             for operand in node.operands:
                 held: tuple[list, list, list] = ([], [], [])
                 visit(operand, scope, depth, *held)
                 branches.append(PatternBranch(*map(tuple, held)))
             disjunctions.append(PatternDisjunction(scope, tuple(branches)))
-        elif isinstance(node, TRCNot):
+        elif isinstance(node, Not):
             new_scope = next(scope_counter)
             pattern.scopes[new_scope] = (scope, True)
             inner = node.operand
             # A negation scope usually wraps an ∃ block; flatten it in place.
-            if isinstance(inner, TRCExists):
+            if isinstance(inner, Exists):
                 inner = inner.body
             visit(inner, new_scope, depth + 1, predicates, disjunctions, names)
-        elif isinstance(node, TRCExists):
+        elif isinstance(node, Exists):
             visit(node.body, scope, depth, predicates, disjunctions, names)
         else:
             raise PatternError(f"pattern extraction: unhandled node {type(node).__name__}")
@@ -289,12 +286,12 @@ def pattern_of(query: TRCQuery) -> QueryPattern:
     for item in query.head:
         if isinstance(item.term, AttrRef):
             pattern.head.append((item.term.var.name, item.term.attr))
-        elif isinstance(item.term, ConstTerm):
+        elif isinstance(item.term, Const):
             pattern.head.append(item.term.value)
     return pattern
 
 
-def _predicate(compare: TRCCompare, scope: int) -> PatternPredicate:
+def _predicate(compare: Compare, scope: int) -> PatternPredicate:
     left, right, op = _endpoint(compare.left), _endpoint(compare.right), compare.op
     if isinstance(right, tuple) and not isinstance(left, tuple):
         left, right, op = right, left, _FLIP[op]
@@ -304,7 +301,7 @@ def _predicate(compare: TRCCompare, scope: int) -> PatternPredicate:
 def _endpoint(term) -> tuple[str, str] | Any:
     if isinstance(term, AttrRef):
         return (term.var.name, term.attr)
-    if isinstance(term, ConstTerm):
+    if isinstance(term, Const):
         return term.value
     raise PatternError(f"unexpected predicate endpoint {term!r}")
 

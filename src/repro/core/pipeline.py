@@ -43,7 +43,8 @@ from repro.engine.bind import bind_plan, discover_slots, scan_literals
 from repro.engine.cache import LRUCache
 from repro.engine.verify import maybe_verify, verification_enabled
 from repro.expr.ast import ExprError
-from repro.trc.ast import TRCQuery, relation_atoms
+from repro.logic.formula import atoms_of
+from repro.trc.ast import TRCQuery
 from repro.trc.format import format_trc_query
 
 #: The languages ``QueryVisualizationPipeline.run`` accepts.
@@ -564,7 +565,7 @@ def explain_query(query: Any, trc: TRCQuery | None = None) -> str:
     if depth > 1:
         lines.append(f"- contains nested subqueries ({depth} levels)")
     if trc is not None:
-        atoms = relation_atoms(trc.body)
+        atoms = atoms_of(trc.body)
         negations = format_trc_query(trc).count("not ")
         if negations >= 2:
             lines.append(
@@ -579,8 +580,8 @@ def explain_query(query: Any, trc: TRCQuery | None = None) -> str:
 
 def explain_calculus(trc: TRCQuery) -> str:
     """The TRC-side analogue of :func:`explain_query`."""
-    atoms = relation_atoms(trc.body)
-    relations = sorted({a.relation for a in atoms})
+    atoms = atoms_of(trc.body)
+    relations = sorted({a.predicate for a in atoms})
     lines = [f"- ranges over {len(relations)} relation(s): {', '.join(relations)}"]
     negations = format_trc_query(trc).count("not ")
     if negations >= 2:

@@ -21,13 +21,8 @@ from repro.diagrams.common import (
     draw_query_graph,
     representable,
 )
-from repro.trc.ast import (
-    TRCAnd,
-    TRCExists,
-    TRCOr,
-    TRCQuery,
-    conjunction,
-)
+from repro.logic.formula import And, Exists, Or, conjunction
+from repro.trc.ast import TRCQuery
 
 
 def relational_diagram_from_graph(graph: QueryGraph, *, name: str = "query") -> Diagram:
@@ -45,16 +40,16 @@ def _split_top_level_disjunction(trc: TRCQuery) -> list[TRCQuery]:
     body = normalize_trc(trc.body)
 
     def split(formula) -> list:
-        if isinstance(formula, TRCOr):
+        if isinstance(formula, Or):
             out = []
             for operand in formula.operands:
                 out.extend(split(operand))
             return out
-        if isinstance(formula, TRCExists):
-            return [TRCExists(formula.variables, branch) for branch in split(formula.body)]
-        if isinstance(formula, TRCAnd):
+        if isinstance(formula, Exists):
+            return [Exists(formula.variables, branch) for branch in split(formula.body)]
+        if isinstance(formula, And):
             # Only split when exactly one conjunct is a disjunction; distribute it.
-            disjunctions = [o for o in formula.operands if isinstance(o, TRCOr)]
+            disjunctions = [o for o in formula.operands if isinstance(o, Or)]
             if len(disjunctions) == 1:
                 others = [o for o in formula.operands if o is not disjunctions[0]]
                 return [conjunction(others + [branch]) for branch in split(disjunctions[0])]

@@ -1,4 +1,9 @@
-"""Formatting of DRC queries and formulas."""
+"""Formatting of DRC queries and formulas.
+
+:func:`format_drc_formula` prints any :mod:`repro.logic.formula` formula in
+the calculus syntax both parsers read; TRC's formatter prints its bodies
+with it too (an attribute reference prints as ``s.attr``).
+"""
 
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from repro.logic.formula import (
     Or,
     Truth,
 )
-from repro.logic.terms import Const, Term, Var
+from repro.logic.terms import AttrRef, Const, Term, Var
 
 _UNICODE = {"and": " ∧ ", "or": " ∨ ", "not": "¬", "exists": "∃", "forall": "∀",
             "implies": " → ", "iff": " ↔ "}
@@ -27,6 +32,8 @@ _ASCII = {"and": " and ", "or": " or ", "not": "not ", "exists": "exists ",
 def format_term(term: Term) -> str:
     if isinstance(term, Var):
         return term.name
+    if isinstance(term, AttrRef):
+        return f"{term.var.name}.{term.attr}"
     if isinstance(term, Const):
         if isinstance(term.value, str):
             escaped = term.value.replace("'", "''")

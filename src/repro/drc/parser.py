@@ -19,19 +19,8 @@ from __future__ import annotations
 import itertools
 
 from repro.drc.ast import DRCError, DRCQuery
-from repro.logic.formula import (
-    And,
-    Atom,
-    Compare,
-    Exists,
-    ForAll,
-    Formula,
-    Implies,
-    Not,
-    Or,
-    Truth,
-)
-from repro.logic.terms import Const, Term, Var
+from repro.logic.formula import Atom, Exists, Formula
+from repro.logic.terms import Term, Var
 from repro.syntax import CALCULUS_ALIASES, NUMBER, STRING, CalculusParser, Lexer
 
 LEXER = Lexer(
@@ -46,9 +35,6 @@ LEXER = Lexer(
 
 class _DRCParser(CalculusParser):
     lexer = LEXER
-    truth, conjunction, disjunction, negation = Truth, And, Or, Not
-    implication, exists, forall, compare = Implies, Exists, ForAll, Compare
-    variable, variable_term, constant = Var, Var, Const
 
     def __init__(self, text: str) -> None:
         super().__init__(text)
@@ -78,6 +64,9 @@ class _DRCParser(CalculusParser):
         self.expect(")")
         atom: Formula = Atom(name, tuple(terms))
         return Exists(tuple(anonymous), atom) if anonymous else atom
+
+    def variable_term(self, name: str) -> Var:
+        return Var(name)
 
 
 def parse_drc(text: str) -> DRCQuery:

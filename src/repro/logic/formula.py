@@ -5,6 +5,14 @@ comparisons: atoms are relation atoms ``R(t1, ..., tn)`` or comparisons
 ``t1 op t2``; formulas are closed under the boolean connectives and the two
 quantifiers.  Propositional logic is the quantifier-free, zero-arity-atom
 fragment and is used by Peirce's alpha graphs and Venn diagrams.
+
+These are the node classes of both relational calculi.  A DRC body uses
+them as they are; a TRC body is the fragment whose atoms are ``R(t)`` over
+one tuple variable and whose comparisons read attribute references
+(:class:`repro.logic.terms.AttrRef`).  The variable readers below
+(:func:`free_variables`, :func:`all_variables`, :func:`substitute`,
+:func:`rename_variables`) see the variable inside an attribute reference
+through :func:`repro.logic.terms.variable_of`.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
-from repro.logic.terms import Term, Var, term_of
+from repro.logic.terms import Term, Var, term_of, variable_of, variables_in, with_variable
 
 COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")
 
@@ -213,25 +221,47 @@ class ForAll(Formula):
 # Free variables, substitution, structural helpers
 # ---------------------------------------------------------------------------
 
+def _terms(node: Atom | Compare) -> tuple[Term, ...]:
+    return node.terms if isinstance(node, Atom) else (node.left, node.right)
+
+
+def _map_terms(node: Atom | Compare, fn: Callable[[Term], Term]) -> Formula:
+    if isinstance(node, Atom):
+        return Atom(node.predicate, tuple(fn(t) for t in node.terms))
+    return Compare(fn(node.left), node.op, fn(node.right))
+
+
+def map_children(node: Formula, fn: Callable[[Formula], Formula]) -> Formula:
+    """``node`` rebuilt with ``fn`` applied to each direct subformula; a truth
+    value, an atom or a comparison is returned as it is."""
+    if isinstance(node, (Truth, Atom, Compare)):
+        return node
+    if isinstance(node, (And, Or)):
+        return type(node)(tuple(fn(o) for o in node.operands))
+    if isinstance(node, Not):
+        return Not(fn(node.operand))
+    if isinstance(node, Implies):
+        return Implies(fn(node.antecedent), fn(node.consequent))
+    if isinstance(node, Iff):
+        return Iff(fn(node.left), fn(node.right))
+    if isinstance(node, (Exists, ForAll)):
+        return type(node)(node.variables, fn(node.body))
+    raise LogicError(f"unhandled node {type(node).__name__}")
+
+
 def free_variables(formula: Formula) -> list[Var]:
     """Free variables of a formula, in first-occurrence order."""
     out: list[Var] = []
     seen: set[str] = set()
 
     def visit(node: Formula, bound: frozenset[str]) -> None:
-        if isinstance(node, Atom):
-            for term in node.terms:
-                if isinstance(term, Var) and term.name not in bound and term.name not in seen:
-                    seen.add(term.name)
-                    out.append(term)
-        elif isinstance(node, Compare):
-            for term in (node.left, node.right):
-                if isinstance(term, Var) and term.name not in bound and term.name not in seen:
-                    seen.add(term.name)
-                    out.append(term)
+        if isinstance(node, (Atom, Compare)):
+            for var in variables_in(_terms(node)):
+                if var.name not in bound and var.name not in seen:
+                    seen.add(var.name)
+                    out.append(var)
         elif isinstance(node, (Exists, ForAll)):
-            new_bound = bound | {v.name for v in node.variables}
-            visit(node.body, new_bound)
+            visit(node.body, bound | {v.name for v in node.variables})
         else:
             for child in node.children():
                 visit(child, bound)
@@ -255,27 +285,13 @@ def bound_variables(formula: Formula) -> list[Var]:
 
 def all_variables(formula: Formula) -> list[Var]:
     """Every variable mentioned anywhere in the formula."""
-    out: list[Var] = []
-    seen: set[str] = set()
-
-    def add(var: Var) -> None:
-        if var.name not in seen:
-            seen.add(var.name)
-            out.append(var)
-
+    mentioned: list[Var] = []
     for node in formula.walk():
-        if isinstance(node, Atom):
-            for term in node.terms:
-                if isinstance(term, Var):
-                    add(term)
-        elif isinstance(node, Compare):
-            for term in (node.left, node.right):
-                if isinstance(term, Var):
-                    add(term)
+        if isinstance(node, (Atom, Compare)):
+            mentioned.extend(variables_in(_terms(node)))
         elif isinstance(node, (Exists, ForAll)):
-            for var in node.variables:
-                add(var)
-    return out
+            mentioned.extend(node.variables)
+    return variables_in(mentioned)
 
 
 def is_sentence(formula: Formula) -> bool:
@@ -286,73 +302,50 @@ def is_sentence(formula: Formula) -> bool:
 def substitute(formula: Formula, mapping: Mapping[str, Term]) -> Formula:
     """Replace free occurrences of variables by terms.
 
-    Bound variables shadow the substitution; no capture-avoidance renaming is
-    attempted (callers standardize apart first when needed).
+    The variable of an attribute reference is replaced too, and only by a
+    variable.  Bound variables shadow the substitution; no capture-avoidance
+    renaming is attempted (callers standardize apart first when needed).
     """
     def sub_term(term: Term, bound: frozenset[str]) -> Term:
-        if isinstance(term, Var) and term.name in mapping and term.name not in bound:
-            return mapping[term.name]
-        return term
+        var = variable_of(term)
+        if var is None or var.name not in mapping or var.name in bound:
+            return term
+        replacement = mapping[var.name]
+        if isinstance(term, Var):
+            return replacement
+        if not isinstance(replacement, Var):
+            raise LogicError(f"cannot substitute {replacement} for the variable of {term}")
+        return with_variable(term, replacement)
 
     def visit(node: Formula, bound: frozenset[str]) -> Formula:
-        if isinstance(node, (Truth,)):
-            return node
-        if isinstance(node, Atom):
-            return Atom(node.predicate, tuple(sub_term(t, bound) for t in node.terms))
-        if isinstance(node, Compare):
-            return Compare(sub_term(node.left, bound), node.op, sub_term(node.right, bound))
-        if isinstance(node, And):
-            return And(tuple(visit(o, bound) for o in node.operands))
-        if isinstance(node, Or):
-            return Or(tuple(visit(o, bound) for o in node.operands))
-        if isinstance(node, Not):
-            return Not(visit(node.operand, bound))
-        if isinstance(node, Implies):
-            return Implies(visit(node.antecedent, bound), visit(node.consequent, bound))
-        if isinstance(node, Iff):
-            return Iff(visit(node.left, bound), visit(node.right, bound))
-        if isinstance(node, Exists):
-            new_bound = bound | {v.name for v in node.variables}
-            return Exists(node.variables, visit(node.body, new_bound))
-        if isinstance(node, ForAll):
-            new_bound = bound | {v.name for v in node.variables}
-            return ForAll(node.variables, visit(node.body, new_bound))
-        raise LogicError(f"substitute: unhandled node {type(node).__name__}")
+        if isinstance(node, (Atom, Compare)):
+            return _map_terms(node, lambda term: sub_term(term, bound))
+        if isinstance(node, (Exists, ForAll)):
+            inner = bound | {v.name for v in node.variables}
+            return type(node)(node.variables, visit(node.body, inner))
+        return map_children(node, lambda child: visit(child, bound))
 
     return visit(formula, frozenset())
 
 
 def rename_variables(formula: Formula, mapping: Mapping[str, str]) -> Formula:
-    """Rename variables (both free and bound) according to ``mapping``."""
+    """Rename variables (both free and bound) according to ``mapping``,
+    those of attribute references and of quantifier lists included."""
+    def ren_var(var: Var) -> Var:
+        return Var(mapping[var.name]) if var.name in mapping else var
+
     def ren_term(term: Term) -> Term:
-        if isinstance(term, Var) and term.name in mapping:
-            return Var(mapping[term.name])
-        return term
+        var = variable_of(term)
+        if var is None or var.name not in mapping:
+            return term
+        return with_variable(term, ren_var(var))
 
     def visit(node: Formula) -> Formula:
-        if isinstance(node, Truth):
-            return node
-        if isinstance(node, Atom):
-            return Atom(node.predicate, tuple(ren_term(t) for t in node.terms))
-        if isinstance(node, Compare):
-            return Compare(ren_term(node.left), node.op, ren_term(node.right))
-        if isinstance(node, And):
-            return And(tuple(visit(o) for o in node.operands))
-        if isinstance(node, Or):
-            return Or(tuple(visit(o) for o in node.operands))
-        if isinstance(node, Not):
-            return Not(visit(node.operand))
-        if isinstance(node, Implies):
-            return Implies(visit(node.antecedent), visit(node.consequent))
-        if isinstance(node, Iff):
-            return Iff(visit(node.left), visit(node.right))
-        if isinstance(node, Exists):
-            new_vars = tuple(Var(mapping.get(v.name, v.name)) for v in node.variables)
-            return Exists(new_vars, visit(node.body))
-        if isinstance(node, ForAll):
-            new_vars = tuple(Var(mapping.get(v.name, v.name)) for v in node.variables)
-            return ForAll(new_vars, visit(node.body))
-        raise LogicError(f"rename_variables: unhandled node {type(node).__name__}")
+        if isinstance(node, (Atom, Compare)):
+            return _map_terms(node, ren_term)
+        if isinstance(node, (Exists, ForAll)):
+            return type(node)(tuple(ren_var(v) for v in node.variables), visit(node.body))
+        return map_children(node, visit)
 
     return visit(formula)
 
@@ -374,24 +367,7 @@ def predicates_of(formula: Formula) -> list[str]:
 def map_formula(formula: Formula, fn: Callable[[Formula], Formula | None]) -> Formula:
     """Bottom-up rewrite: apply ``fn`` to every node; None keeps the rebuilt node."""
     def visit(node: Formula) -> Formula:
-        if isinstance(node, (Truth, Atom, Compare)):
-            rebuilt: Formula = node
-        elif isinstance(node, And):
-            rebuilt = And(tuple(visit(o) for o in node.operands))
-        elif isinstance(node, Or):
-            rebuilt = Or(tuple(visit(o) for o in node.operands))
-        elif isinstance(node, Not):
-            rebuilt = Not(visit(node.operand))
-        elif isinstance(node, Implies):
-            rebuilt = Implies(visit(node.antecedent), visit(node.consequent))
-        elif isinstance(node, Iff):
-            rebuilt = Iff(visit(node.left), visit(node.right))
-        elif isinstance(node, Exists):
-            rebuilt = Exists(node.variables, visit(node.body))
-        elif isinstance(node, ForAll):
-            rebuilt = ForAll(node.variables, visit(node.body))
-        else:
-            raise LogicError(f"map_formula: unhandled node {type(node).__name__}")
+        rebuilt = map_children(node, visit)
         replacement = fn(rebuilt)
         return rebuilt if replacement is None else replacement
 

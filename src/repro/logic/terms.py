@@ -1,10 +1,16 @@
-"""Terms of first-order logic: variables and constants.
+"""Terms of first-order logic: variables, constants and attribute references.
 
 The tutorial grounds every visual formalism in first-order logic (FOL):
 Relational Calculus is FOL over a database signature, and Peirce's beta
 existential graphs are a diagrammatic syntax for FOL.  We only need
 function-free FOL (no function symbols), which is exactly the fragment
 relevant to relational queries.
+
+Both calculi are this logic.  In DRC a variable ranges over domain values;
+in TRC it ranges over tuples, and TRC adds one term, the attribute
+reference :class:`AttrRef` ``s.sname``.  Every reader of a term's variable
+goes through :func:`variable_of`, so a tuple variable that occurs only
+inside an attribute reference is still seen (free, renamed, substituted).
 """
 
 from __future__ import annotations
@@ -37,8 +43,19 @@ class Const:
         return str(self.value)
 
 
-#: A term is either a variable or a constant (function-free FOL).
-Term = Var | Const
+@dataclass(frozen=True)
+class AttrRef:
+    """An attribute of a tuple variable: ``s.sname`` (TRC's one own term)."""
+
+    var: Var
+    attr: str
+
+    def __str__(self) -> str:
+        return f"{self.var.name}.{self.attr}"
+
+
+#: A term is a variable, a constant, or an attribute of a tuple variable.
+Term = Var | Const | AttrRef
 
 
 #: The six comparison operators, as functions that serve Python values and
@@ -61,24 +78,37 @@ def compare(left: Any, op: str, right: Any) -> bool:
 
 def is_term(obj: object) -> bool:
     """True iff ``obj`` is a term."""
-    return isinstance(obj, (Var, Const))
+    return isinstance(obj, (Var, Const, AttrRef))
 
 
 def term_of(value: Any) -> Term:
     """Lift a Python value or existing term into a term."""
-    if isinstance(value, (Var, Const)):
+    if isinstance(value, (Var, Const, AttrRef)):
         return value
     return Const(value)
+
+
+def variable_of(term: Term) -> Var | None:
+    """The variable ``term`` reads: the variable itself, the tuple variable
+    of an attribute reference, or None for a constant."""
+    if isinstance(term, AttrRef):
+        return term.var
+    return term if isinstance(term, Var) else None
+
+
+def with_variable(term: Term, var: Var) -> Term:
+    """``term`` reading ``var`` in place of its own variable."""
+    return AttrRef(var, term.attr) if isinstance(term, AttrRef) else var
 
 
 def variables_in(terms: Iterable[Term]) -> list[Var]:
     """The variables occurring in ``terms``, in order, without duplicates."""
     seen: set[str] = set()
     out: list[Var] = []
-    for term in terms:
-        if isinstance(term, Var) and term.name not in seen:
-            seen.add(term.name)
-            out.append(term)
+    for var in map(variable_of, terms):
+        if var is not None and var.name not in seen:
+            seen.add(var.name)
+            out.append(var)
     return out
 
 
@@ -107,6 +137,6 @@ def fresh_variables(count: int, base: str, taken: Iterable[str]) -> list[Var]:
 
 def variable_names(terms: Iterable[Term]) -> Iterator[str]:
     """Yield the names of all variables among ``terms``."""
-    for term in terms:
-        if isinstance(term, Var):
-            yield term.name
+    for var in map(variable_of, terms):
+        if var is not None:
+            yield var.name

@@ -86,6 +86,13 @@ _Handler = Callable[..., Awaitable[tuple[Any, int]]]
 #: and ``/execute`` on it answers ``unknown_handle`` (the client re-prepares).
 MAX_PREPARED_HANDLES = 1024
 
+#: Bytes a connection's transport asks of each ``recv``.  asyncio's default,
+#: 256 KiB, is a fresh buffer per read above glibc's 128 KiB mmap threshold:
+#: unless an earlier free happened to raise that threshold, every request
+#: maps the buffer, faults its first page in and unmaps it again (about one
+#: minor fault per request).  Requests here are a few hundred bytes.
+READ_CHUNK = 64 * 1024
+
 
 class ServingApp:
     """Route + serve HTTP requests against one :class:`ServiceAPI`."""
@@ -186,6 +193,8 @@ class ServingApp:
         task = asyncio.current_task()
         if task is not None:
             self._connections.add(task)
+        # The selector transport reads its ``max_size`` on every recv.
+        writer.transport.max_size = READ_CHUNK
         try:
             while True:
                 try:

@@ -14,7 +14,7 @@ one set of parts:
   the language's own class in one form: ``expected X, found 'Y' (at
   position N)``.
 * :class:`CalculusParser` — the connective grammar of TRC and DRC, which
-  differ only in their atoms, terms and node constructors.
+  build the same logic formulas and differ only in their atoms and terms.
 
 The scalar-expression grammar that SQL and RA share lives with its AST in
 :mod:`repro.expr.parser`.
@@ -25,6 +25,19 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
+
+from repro.logic.formula import (
+    And,
+    Compare,
+    Exists,
+    ForAll,
+    Formula,
+    Implies,
+    Not,
+    Or,
+    Truth,
+)
+from repro.logic.terms import Const, Term, Var
 
 #: Unsigned number literal: ``10`` or ``10.5`` (``10.`` is ``10`` and ``.``).
 NUMBER = r"\d+\.\d+|\d+"
@@ -198,59 +211,48 @@ class CalculusParser(Cursor):
                  | '(' formula ')' | NAME '(' atom | true | false
                  | term op term
 
-    A subclass supplies the node constructors below, ``relation_atom`` (the
-    rest of an atom after its ``NAME (``) and ``variable_term`` (a term that
-    starts with a name).
+    Both calculi parse to the same :mod:`repro.logic.formula` nodes; a
+    subclass supplies only ``relation_atom`` (the rest of an atom after its
+    ``NAME (``) and ``variable_term`` (a term that starts with a name).
     """
 
-    truth: Callable[[bool], Any]
-    conjunction: Callable[[tuple], Any]
-    disjunction: Callable[[tuple], Any]
-    negation: Callable[[Any], Any]
-    implication: Callable[[Any, Any], Any]
-    exists: Callable[[tuple, Any], Any]
-    forall: Callable[[tuple, Any], Any]
-    compare: Callable[[Any, str, Any], Any]
-    variable: Callable[[str], Any]
-    constant: Callable[[Any], Any]
-
-    def relation_atom(self, name: str) -> Any:
+    def relation_atom(self, name: str) -> Formula:
         raise NotImplementedError
 
-    def variable_term(self, name: str) -> Any:
+    def variable_term(self, name: str) -> Term:
         raise NotImplementedError
 
-    def parse_formula(self) -> Any:
+    def parse_formula(self) -> Formula:
         left = self.parse_or()
         if self.accept("implies"):
-            return self.implication(left, self.parse_formula())
+            return Implies(left, self.parse_formula())
         return left
 
-    def parse_or(self) -> Any:
+    def parse_or(self) -> Formula:
         parts = [self.parse_and()]
         while self.accept("or"):
             parts.append(self.parse_and())
-        return parts[0] if len(parts) == 1 else self.disjunction(tuple(parts))
+        return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
-    def parse_and(self) -> Any:
+    def parse_and(self) -> Formula:
         parts = [self.parse_unary()]
         while self.accept("and"):
             parts.append(self.parse_unary())
-        return parts[0] if len(parts) == 1 else self.conjunction(tuple(parts))
+        return parts[0] if len(parts) == 1 else And(tuple(parts))
 
-    def parse_unary(self) -> Any:
+    def parse_unary(self) -> Formula:
         if self.accept("not"):
-            return self.negation(self.parse_unary())
+            return Not(self.parse_unary())
         quantifier = self.accept("exists", "forall")
         if quantifier is not None:
-            variables = self.comma_list(lambda: self.variable(self.take("name").text))
+            variables = self.comma_list(lambda: Var(self.take("name").text))
             if self.accept(":"):
                 body = self.parse_unary()
             else:
                 self.expect("(")
                 body = self.parse_formula()
                 self.expect(")")
-            build = self.exists if quantifier.text == "exists" else self.forall
+            build = Exists if quantifier.text == "exists" else ForAll
             return build(tuple(variables), body)
         if self.accept("("):
             inner = self.parse_formula()
@@ -262,14 +264,14 @@ class CalculusParser(Cursor):
             return self.relation_atom(token.text)
         if token.is_keyword("true", "false") and not self.at(*COMPARISONS, ahead=1):
             self.advance()
-            return self.truth(token.text == "true")
+            return Truth(token.text == "true")
         left = self.parse_term()
         op = self.accept(*COMPARISONS)
         if op is None:
             raise self.fail("expected a comparison operator")
-        return self.compare(left, op.text, self.parse_term())
+        return Compare(left, op.text, self.parse_term())
 
-    def parse_term(self) -> Any:
+    def parse_term(self) -> Term:
         token = self.peek()
         if token.kind == "name":
             self.advance()
@@ -283,4 +285,4 @@ class CalculusParser(Cursor):
         else:
             raise self.fail("expected a term")
         self.advance()
-        return self.constant(value)
+        return Const(value)

@@ -16,25 +16,20 @@ import itertools
 from repro.data.schema import DatabaseSchema, SchemaError
 from repro.expr import ast as e
 from repro.sql.ast import Join, Query, SelectQuery, SetOpQuery, TableRef
-from repro.trc.ast import (
-    AttrRef,
-    ConstTerm,
-    HeadItem,
-    RelAtom,
-    TRCAnd,
-    TRCCompare,
-    TRCError,
-    TRCExists,
-    TRCFormula,
-    TRCNot,
-    TRCOr,
-    TRCQuery,
-    TRCTerm,
-    TRCTrue,
-    TupleVar,
+from repro.logic.formula import (
+    And,
+    Atom,
+    Compare,
+    Exists,
+    Formula,
+    Not,
+    Truth,
     conjunction,
     disjunction,
+    rename_variables,
 )
+from repro.logic.terms import AttrRef, Const, Term, Var
+from repro.trc.ast import HeadItem, TRCQuery, atom_variable, variable_ranges
 
 
 class UnsupportedSQL(Exception):
@@ -47,9 +42,9 @@ class _Context:
     def __init__(self, schema: DatabaseSchema, outer: "_Context | None" = None) -> None:
         self.schema = schema
         self.outer = outer
-        self.bindings: dict[str, tuple[TupleVar, str]] = {}
+        self.bindings: dict[str, tuple[Var, str]] = {}
 
-    def bind(self, alias: str, var: TupleVar, relation: str) -> None:
+    def bind(self, alias: str, var: Var, relation: str) -> None:
         self.bindings[alias.lower()] = (var, relation)
 
     def resolve(self, column: e.Col) -> AttrRef:
@@ -95,16 +90,16 @@ class SQLToTRCTranslator:
         self._counter = itertools.count(1)
 
     # -- variable naming ---------------------------------------------------
-    def _fresh_var(self, table: TableRef, used: set[str]) -> TupleVar:
+    def _fresh_var(self, table: TableRef, used: set[str]) -> Var:
         base = (table.alias or table.name[:1]).lower()
         if base not in used:
             used.add(base)
-            return TupleVar(base)
+            return Var(base)
         while True:
             candidate = f"{base}{next(self._counter)}"
             if candidate not in used:
                 used.add(candidate)
-                return TupleVar(candidate)
+                return Var(candidate)
 
     # -- entry points --------------------------------------------------------
     def translate(self, query: Query) -> TRCQuery:
@@ -132,26 +127,25 @@ class SQLToTRCTranslator:
                 "set operations are only supported when each side projects "
                 "attributes of a single tuple variable"
             )
-        from repro.trc.ast import variable_ranges
-
         left_range = variable_ranges(left.body).get(left_vars[0].name)
         right_range = variable_ranges(right.body).get(right_vars[0].name)
         if not left_range or not right_range or left_range.lower() != right_range.lower():
             raise UnsupportedSQL(
                 "set operations require both sides to range over the same relation"
             )
-        renamed_right = _rename_tuple_var(right.body, right_vars[0].name, left_vars[0].name)
+        renamed_right = rename_variables(right.body,
+                                         {right_vars[0].name: left_vars[0].name})
         if query.op == "union":
-            body: TRCFormula = disjunction([left.body, renamed_right])
+            body: Formula = disjunction([left.body, renamed_right])
         elif query.op == "intersect":
             body = conjunction([left.body, renamed_right])
         else:  # except
-            body = conjunction([left.body, TRCNot(renamed_right)])
+            body = conjunction([left.body, Not(renamed_right)])
         return TRCQuery(left.head, body)
 
     # -- SELECT blocks ------------------------------------------------------
     def _translate_select(self, query: SelectQuery, outer: _Context | None,
-                          used: set[str]) -> tuple[list[HeadItem] | None, TRCFormula, list[TupleVar]]:
+                          used: set[str]) -> tuple[list[HeadItem] | None, Formula, list[Var]]:
         if query.group_by or query.having is not None:
             raise UnsupportedSQL("GROUP BY / HAVING are outside first-order SQL")
         if any(e.contains_aggregate(item.expr) for item in query.select_items):
@@ -160,20 +154,20 @@ class SQLToTRCTranslator:
             raise UnsupportedSQL("SELECT * is not supported; list columns explicitly")
 
         context = _Context(self.schema, outer)
-        variables: list[TupleVar] = []
-        join_conditions: list[TRCFormula] = []
-        atoms: list[TRCFormula] = []
+        variables: list[Var] = []
+        join_conditions: list[Formula] = []
+        atoms: list[Atom] = []
 
         def add_table(table: TableRef) -> None:
             var = self._fresh_var(table, used)
             context.bind(table.binding_name, var, table.name)
             variables.append(var)
-            atoms.append(RelAtom(self.schema.relation(table.name).name, var))
+            atoms.append(Atom(self.schema.relation(table.name).name, (var,)))
 
         for item in query.from_items:
             self._add_from_item(item, add_table, join_conditions, context)
 
-        where_formula: TRCFormula = TRCTrue()
+        where_formula: Formula = Truth()
         if query.where is not None:
             where_formula = self._translate_predicate(query.where, context, used)
 
@@ -182,7 +176,7 @@ class SQLToTRCTranslator:
             if isinstance(item.expr, e.Col):
                 head.append(HeadItem(context.resolve(item.expr), item.alias))
             elif isinstance(item.expr, e.Const):
-                head.append(HeadItem(ConstTerm(item.expr.value), item.alias))
+                head.append(HeadItem(Const(item.expr.value), item.alias))
             else:
                 raise UnsupportedSQL(
                     "SELECT list entries must be plain columns or constants "
@@ -193,19 +187,17 @@ class SQLToTRCTranslator:
             item.term.var.name for item in head if isinstance(item.term, AttrRef)
         }
         inner_vars = [v for v in variables if v.name not in head_var_names]
-        outer_atoms = [a for a in atoms if isinstance(a, RelAtom) and a.var.name in head_var_names]
-        inner_atoms = [a for a in atoms if isinstance(a, RelAtom) and a.var.name not in head_var_names]
+        outer_atoms = [a for a in atoms if atom_variable(a).name in head_var_names]
+        inner_atoms = [a for a in atoms if atom_variable(a).name not in head_var_names]
 
-        inner_parts = inner_atoms + join_conditions + [where_formula]
-        inner_formula = conjunction([p for p in inner_parts if not isinstance(p, TRCTrue)])
+        inner_formula = conjunction(inner_atoms + join_conditions + [where_formula])
         if inner_vars:
-            body = conjunction(outer_atoms + [TRCExists(tuple(inner_vars), inner_formula)])
+            body = conjunction(outer_atoms + [Exists(tuple(inner_vars), inner_formula)])
         else:
-            body = conjunction(outer_atoms + ([inner_formula]
-                                              if not isinstance(inner_formula, TRCTrue) else []))
+            body = conjunction(outer_atoms + [inner_formula])
         return head, body, variables
 
-    def _add_from_item(self, item, add_table, join_conditions: list[TRCFormula],
+    def _add_from_item(self, item, add_table, join_conditions: list[Formula],
                        context: _Context) -> None:
         if isinstance(item, TableRef):
             add_table(item)
@@ -226,9 +218,9 @@ class SQLToTRCTranslator:
 
     # -- predicates ----------------------------------------------------------
     def _translate_predicate(self, expr: e.Expr, context: _Context,
-                             used: set[str]) -> TRCFormula:
+                             used: set[str]) -> Formula:
         if isinstance(expr, e.BoolConst):
-            return TRCTrue(expr.value)
+            return Truth(expr.value)
         if isinstance(expr, e.And):
             return conjunction([self._translate_predicate(o, context, used)
                                 for o in expr.operands])
@@ -236,29 +228,29 @@ class SQLToTRCTranslator:
             return disjunction([self._translate_predicate(o, context, used)
                                 for o in expr.operands])
         if isinstance(expr, e.Not):
-            return TRCNot(self._translate_predicate(expr.operand, context, used))
+            return Not(self._translate_predicate(expr.operand, context, used))
         if isinstance(expr, e.Comparison):
-            return TRCCompare(self._term(expr.left, context), expr.op,
-                              self._term(expr.right, context))
+            return Compare(self._term(expr.left, context), expr.op,
+                           self._term(expr.right, context))
         if isinstance(expr, e.Between):
             operand = self._term(expr.operand, context)
             low = self._term(expr.low, context)
             high = self._term(expr.high, context)
-            body = TRCAnd((TRCCompare(operand, ">=", low), TRCCompare(operand, "<=", high)))
-            return TRCNot(body) if expr.negated else body
+            body = And((Compare(operand, ">=", low), Compare(operand, "<=", high)))
+            return Not(body) if expr.negated else body
         if isinstance(expr, e.InList):
             operand = self._term(expr.operand, context)
-            options = [TRCCompare(operand, "=", self._term(i, context)) for i in expr.items]
+            options = [Compare(operand, "=", self._term(i, context)) for i in expr.items]
             body = disjunction(options)
-            return TRCNot(body) if expr.negated else body
+            return Not(body) if expr.negated else body
         if isinstance(expr, e.Exists):
             inner = self._subquery_formula(expr.query, context, used, equate_to=None)
-            return TRCNot(inner) if expr.negated else inner
+            return Not(inner) if expr.negated else inner
         if isinstance(expr, e.InSubquery):
             operand = self._term(expr.operand, context)
             inner = self._subquery_formula(expr.query, context, used,
                                            equate_to=("=", operand))
-            return TRCNot(inner) if expr.negated else inner
+            return Not(inner) if expr.negated else inner
         if isinstance(expr, e.QuantifiedComparison):
             operand = self._term(expr.left, context)
             if expr.quantifier == "any":
@@ -268,22 +260,22 @@ class SQLToTRCTranslator:
             negated_op = e.Comparison(e.Const(0), expr.op, e.Const(0)).negated().op
             inner = self._subquery_formula(expr.query, context, used,
                                            equate_to=(negated_op, operand))
-            return TRCNot(inner)
+            return Not(inner)
         raise UnsupportedSQL(
             f"predicate {type(expr).__name__} is outside the translatable fragment"
         )
 
     def _subquery_formula(self, query, context: _Context, used: set[str],
-                          equate_to: tuple[str, TRCTerm] | None) -> TRCFormula:
+                          equate_to: tuple[str, Term] | None) -> Formula:
         if not isinstance(query, SelectQuery):
             raise UnsupportedSQL("subqueries must be plain SELECT blocks")
         head, body, variables = self._translate_select(query, context, used)
-        parts: list[TRCFormula] = []
+        parts: list[Formula] = []
         if equate_to is not None:
             if head is None or len(head) != 1:
                 raise UnsupportedSQL("IN / ANY / ALL subqueries must select exactly one column")
             op, outer_term = equate_to
-            parts.append(TRCCompare(outer_term, op, head[0].term))
+            parts.append(Compare(outer_term, op, head[0].term))
         # The subquery body already quantifies its non-head variables; its
         # head variables are still free and must be bound here.
         head_vars = []
@@ -293,53 +285,17 @@ class SQLToTRCTranslator:
                     head_vars.append(item.term.var)
         inner = conjunction([body] + parts)
         if head_vars:
-            return TRCExists(tuple(head_vars), inner)
+            return Exists(tuple(head_vars), inner)
         return inner
 
-    def _term(self, expr: e.Expr, context: _Context) -> TRCTerm:
+    def _term(self, expr: e.Expr, context: _Context) -> Term:
         if isinstance(expr, e.Col):
             return context.resolve(expr)
         if isinstance(expr, e.Const):
-            return ConstTerm(expr.value)
+            return Const(expr.value)
         raise UnsupportedSQL(
             f"arithmetic in comparisons is not supported ({type(expr).__name__})"
         )
-
-
-def _rename_tuple_var(formula: TRCFormula, old: str, new: str) -> TRCFormula:
-    """Rename a tuple variable throughout a formula (used by set operations)."""
-    def ren_var(var: TupleVar) -> TupleVar:
-        return TupleVar(new) if var.name == old else var
-
-    def ren_term(term: TRCTerm) -> TRCTerm:
-        if isinstance(term, AttrRef):
-            return AttrRef(ren_var(term.var), term.attr)
-        return term
-
-    if isinstance(formula, TRCTrue):
-        return formula
-    if isinstance(formula, RelAtom):
-        return RelAtom(formula.relation, ren_var(formula.var))
-    if isinstance(formula, TRCCompare):
-        return TRCCompare(ren_term(formula.left), formula.op, ren_term(formula.right))
-    if isinstance(formula, TRCAnd):
-        return TRCAnd(tuple(_rename_tuple_var(o, old, new) for o in formula.operands))
-    if isinstance(formula, TRCOr):
-        return TRCOr(tuple(_rename_tuple_var(o, old, new) for o in formula.operands))
-    if isinstance(formula, TRCNot):
-        return TRCNot(_rename_tuple_var(formula.operand, old, new))
-    if isinstance(formula, TRCExists):
-        return TRCExists(tuple(ren_var(v) for v in formula.variables),
-                         _rename_tuple_var(formula.body, old, new))
-    from repro.trc.ast import TRCForAll, TRCImplies
-
-    if isinstance(formula, TRCForAll):
-        return TRCForAll(tuple(ren_var(v) for v in formula.variables),
-                         _rename_tuple_var(formula.body, old, new))
-    if isinstance(formula, TRCImplies):
-        return TRCImplies(_rename_tuple_var(formula.antecedent, old, new),
-                          _rename_tuple_var(formula.consequent, old, new))
-    raise TRCError(f"rename: unhandled node {type(formula).__name__}")
 
 
 def sql_to_trc(query: "Query | str", schema: DatabaseSchema) -> TRCQuery:

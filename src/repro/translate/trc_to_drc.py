@@ -8,7 +8,9 @@ Quantifiers over a tuple variable become quantifiers over its domain
 variables.  Ranges are scoped: a quantified variable ranges over the
 relation of its atoms in the quantifier's own body, so sibling or nested
 scopes may reuse a name over different relations (one name over two
-relations in one scope raises :class:`TRCToDRCError`).
+relations in one scope raises :class:`TRCToDRCError`).  Both calculi are
+formulas of :mod:`repro.logic.formula`, so the translation rewrites atoms,
+comparisons and quantifiers only; the connectives carry over as they are.
 
 This is the textbook equivalence proof turned into code.  It is the bridge
 from QueryVis-style diagrams (TRC) to Peirce beta graphs (DRC), and it is
@@ -21,55 +23,34 @@ from __future__ import annotations
 from repro.data.schema import DatabaseSchema
 from repro.drc.ast import DRCQuery
 from repro.logic.formula import (
-    And,
     Atom,
     Compare,
     Exists,
     ForAll,
     Formula,
-    Implies,
-    Not,
-    Or,
-    Truth,
     free_variables,
+    map_children,
 )
-from repro.logic.terms import Const, Term, Var
-from repro.trc.ast import (
-    AttrRef,
-    ConstTerm,
-    RelAtom,
-    TRCAnd,
-    TRCCompare,
-    TRCExists,
-    TRCForAll,
-    TRCFormula,
-    TRCImplies,
-    TRCNot,
-    TRCOr,
-    TRCQuery,
-    TRCTerm,
-    TRCTrue,
-    TupleVar,
-    free_tuple_variables,
-)
+from repro.logic.terms import AttrRef, Const, Term, Var
+from repro.trc.ast import TRCQuery, atom_variable
 
 
 class TRCToDRCError(Exception):
     """Raised when a TRC query cannot be expanded (e.g. unknown variable range)."""
 
 
-def _domain_var(var: TupleVar, attribute: str) -> Var:
+def _domain_var(var: Var, attribute: str) -> Var:
     return Var(f"{var.name}_{attribute}")
 
 
-def _domain_vars(var: TupleVar, relation: str, schema: DatabaseSchema) -> list[Var]:
+def _domain_vars(var: Var, relation: str, schema: DatabaseSchema) -> list[Var]:
     rel_schema = schema.relation(relation)
     return [_domain_var(var, attr.name) for attr in rel_schema.attributes]
 
 
-def _convert_term(term: TRCTerm, ranges: dict[str, str], schema: DatabaseSchema) -> Term:
-    if isinstance(term, ConstTerm):
-        return Const(term.value)
+def _convert_term(term: Term, ranges: dict[str, str], schema: DatabaseSchema) -> Term:
+    if isinstance(term, Const):
+        return term
     if not isinstance(term, AttrRef):
         raise TRCToDRCError(f"not a TRC term: {term!r}")
     relation = ranges.get(term.var.name)
@@ -83,21 +64,23 @@ def _convert_term(term: TRCTerm, ranges: dict[str, str], schema: DatabaseSchema)
     raise TRCToDRCError(f"relation {relation!r} has no attribute {term.attr!r}")
 
 
-def _scope_ranges(body: TRCFormula, names: set[str]) -> dict[str, str]:
+def _scope_ranges(body: Formula, names: set[str]) -> dict[str, str]:
     """The relation each of ``names`` ranges over in ``body``: the relation
     of its atoms there, not counting atoms under a quantifier that rebinds
     the name."""
     ranges: dict[str, str] = {}
 
-    def visit(node: TRCFormula, names: set[str]) -> None:
-        if isinstance(node, RelAtom) and node.var.name in names:
-            relation = ranges.setdefault(node.var.name, node.relation)
-            if relation.lower() != node.relation.lower():
-                raise TRCToDRCError(
-                    f"tuple variable {node.var.name!r} ranges over both "
-                    f"{relation!r} and {node.relation!r}"
-                )
-        elif isinstance(node, (TRCExists, TRCForAll)):
+    def visit(node: Formula, names: set[str]) -> None:
+        if isinstance(node, Atom):
+            name = atom_variable(node).name
+            if name in names:
+                relation = ranges.setdefault(name, node.predicate)
+                if relation.lower() != node.predicate.lower():
+                    raise TRCToDRCError(
+                        f"tuple variable {name!r} ranges over both "
+                        f"{relation!r} and {node.predicate!r}"
+                    )
+        elif isinstance(node, (Exists, ForAll)):
             visit(node.body, names - {v.name for v in node.variables})
         else:
             for child in node.children():
@@ -107,7 +90,7 @@ def _scope_ranges(body: TRCFormula, names: set[str]) -> dict[str, str]:
     return ranges
 
 
-def trc_formula_to_drc(formula: TRCFormula, schema: DatabaseSchema,
+def trc_formula_to_drc(formula: Formula, schema: DatabaseSchema,
                        ranges: dict[str, str] | None = None) -> Formula:
     """Convert a TRC formula to a DRC (first-order) formula.
 
@@ -115,30 +98,20 @@ def trc_formula_to_drc(formula: TRCFormula, schema: DatabaseSchema,
     (by default, the relations of their atoms in ``formula``); each
     quantifier's variables range over the relations of their atoms in the
     quantifier's own body.  An attribute reference becomes the domain
-    variable of the attribute as the schema spells it.
+    variable of the attribute as the schema spells it.  Only atoms,
+    comparisons and quantifiers change; every connective is kept as it is.
     """
     if ranges is None:
-        ranges = _scope_ranges(
-            formula, {v.name for v in free_tuple_variables(formula)})
+        ranges = _scope_ranges(formula, {v.name for v in free_variables(formula)})
 
-    def go(node: TRCFormula, ranges: dict[str, str]) -> Formula:
-        if isinstance(node, TRCTrue):
-            return Truth(node.value)
-        if isinstance(node, RelAtom):
-            variables = _domain_vars(node.var, node.relation, schema)
-            return Atom(schema.relation(node.relation).name, tuple(variables))
-        if isinstance(node, TRCCompare):
+    def go(node: Formula, ranges: dict[str, str]) -> Formula:
+        if isinstance(node, Atom):
+            variables = _domain_vars(atom_variable(node), node.predicate, schema)
+            return Atom(schema.relation(node.predicate).name, tuple(variables))
+        if isinstance(node, Compare):
             return Compare(_convert_term(node.left, ranges, schema), node.op,
                            _convert_term(node.right, ranges, schema))
-        if isinstance(node, TRCAnd):
-            return And(tuple(go(o, ranges) for o in node.operands))
-        if isinstance(node, TRCOr):
-            return Or(tuple(go(o, ranges) for o in node.operands))
-        if isinstance(node, TRCNot):
-            return Not(go(node.operand, ranges))
-        if isinstance(node, TRCImplies):
-            return Implies(go(node.antecedent, ranges), go(node.consequent, ranges))
-        if isinstance(node, (TRCExists, TRCForAll)):
+        if isinstance(node, (Exists, ForAll)):
             scoped = _scope_ranges(node.body, {v.name for v in node.variables})
             domain_variables: list[Var] = []
             for var in node.variables:
@@ -147,10 +120,8 @@ def trc_formula_to_drc(formula: TRCFormula, schema: DatabaseSchema,
                         f"tuple variable {var.name!r} has no relation atom; cannot expand"
                     )
                 domain_variables.extend(_domain_vars(var, scoped[var.name], schema))
-            body = go(node.body, {**ranges, **scoped})
-            cls = Exists if isinstance(node, TRCExists) else ForAll
-            return cls(tuple(domain_variables), body)
-        raise TRCToDRCError(f"unhandled TRC node {type(node).__name__}")
+            return type(node)(tuple(domain_variables), go(node.body, {**ranges, **scoped}))
+        return map_children(node, lambda child: go(child, ranges))
 
     return go(formula, ranges)
 
@@ -162,8 +133,7 @@ def trc_to_drc(query: TRCQuery, schema: DatabaseSchema) -> DRCQuery:
     tuple variables' remaining attributes are existentially quantified so the
     DRC query's free variables are exactly its head variables.
     """
-    ranges = _scope_ranges(
-        query.body, {v.name for v in free_tuple_variables(query.body)})
+    ranges = _scope_ranges(query.body, {v.name for v in free_variables(query.body)})
     head_terms: list[Term] = []
     head_var_names: set[str] = set()
     for item in query.head:

@@ -1,28 +1,19 @@
-"""Tuple Relational Calculus: AST, parser, formatter, safety, evaluator."""
+"""Tuple Relational Calculus: queries, parser, formatter, safety, evaluator.
 
+A TRC body is a :mod:`repro.logic.formula` formula, the node classes DRC
+uses too; this package adds the query frame (:class:`TRCQuery`,
+:class:`HeadItem`), the attribute-reference term :class:`AttrRef`
+(re-exported from :mod:`repro.logic.terms`), and TRC's own parser,
+formatter, safety check and evaluator.
+"""
+
+from repro.logic.terms import AttrRef
 from repro.trc.ast import (
-    AttrRef,
-    ConstTerm,
     HeadItem,
-    RelAtom,
-    TRCAnd,
-    TRCCompare,
     TRCError,
-    TRCExists,
-    TRCForAll,
-    TRCFormula,
-    TRCImplies,
-    TRCNot,
-    TRCOr,
     TRCQuery,
-    TRCTerm,
-    TRCTrue,
-    TupleVar,
-    all_tuple_variables,
-    conjunction,
-    disjunction,
-    free_tuple_variables,
-    relation_atoms,
+    atom_variable,
+    check_trc,
     variable_ranges,
 )
 from repro.trc.evaluate import evaluate_trc, evaluate_trc_boolean
@@ -32,35 +23,19 @@ from repro.trc.safety import SafetyReport, check_safety, is_safe
 
 __all__ = [
     "AttrRef",
-    "ConstTerm",
     "HeadItem",
-    "RelAtom",
     "SafetyReport",
-    "TRCAnd",
-    "TRCCompare",
     "TRCError",
-    "TRCExists",
-    "TRCForAll",
-    "TRCFormula",
-    "TRCImplies",
-    "TRCNot",
-    "TRCOr",
     "TRCQuery",
-    "TRCTerm",
-    "TRCTrue",
-    "TupleVar",
-    "all_tuple_variables",
+    "atom_variable",
     "check_safety",
-    "conjunction",
-    "disjunction",
+    "check_trc",
     "evaluate_trc",
     "evaluate_trc_boolean",
     "format_trc_formula",
     "format_trc_query",
-    "free_tuple_variables",
     "is_safe",
     "parse_trc",
     "parse_trc_formula",
-    "relation_atoms",
     "variable_ranges",
 ]

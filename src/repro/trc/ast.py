@@ -1,10 +1,19 @@
-"""Tuple Relational Calculus (TRC) abstract syntax.
+"""Tuple Relational Calculus (TRC) queries.
 
 A TRC query has the shape ``{ s.sname, s.age | Sailors(s) ∧ φ(s) }``: the
 head lists attribute references of free tuple variables (or constants), and
-the body is a first-order formula whose atoms are *relation atoms*
-``R(t)`` — "tuple variable t ranges over relation R" — and comparisons
-between attribute references and constants.
+the body is a first-order formula of :mod:`repro.logic.formula`, the same
+node classes a DRC body uses.  A tuple variable is a
+:class:`~repro.logic.terms.Var`, a constant a
+:class:`~repro.logic.terms.Const`, and the relation atom ``Sailors(s)`` —
+"tuple variable s ranges over Sailors" — is ``Atom("Sailors", (Var("s"),))``.
+The one term TRC adds to first-order logic is the attribute reference
+:class:`~repro.logic.terms.AttrRef` ``s.sname``.
+
+A TRC body is the fragment of those formulas without ``Iff``, whose atoms
+have exactly one variable and whose comparisons read attribute references
+and constants; :func:`check_trc` says so, and the formatter, the evaluator
+and the safety check raise :class:`TRCError` outside it.
 
 TRC is the language closest to QueryVis and Relational Diagrams: each table
 box in those diagrams is precisely one tuple variable, which is why the
@@ -14,7 +23,9 @@ tutorial contrasts TRC-based diagrams with DRC-based Peirce graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+
+from repro.logic.formula import Atom, Compare, Formula, Iff, atoms_of
+from repro.logic.terms import AttrRef, Const, Term, Var
 
 
 class TRCError(Exception):
@@ -22,168 +33,10 @@ class TRCError(Exception):
 
 
 @dataclass(frozen=True)
-class TupleVar:
-    """A tuple variable (ranges over the tuples of one relation)."""
-
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True)
-class AttrRef:
-    """An attribute of a tuple variable: ``s.sname``."""
-
-    var: TupleVar
-    attr: str
-
-    def __str__(self) -> str:
-        return f"{self.var.name}.{self.attr}"
-
-
-@dataclass(frozen=True)
-class ConstTerm:
-    """A constant in a comparison or in the head."""
-
-    value: Any
-
-    def __str__(self) -> str:
-        if isinstance(self.value, str):
-            return f"'{self.value}'"
-        return str(self.value)
-
-
-#: Terms usable in comparisons and in query heads.
-TRCTerm = AttrRef | ConstTerm
-
-
-class TRCFormula:
-    """Base class of TRC formulas."""
-
-    def children(self) -> tuple["TRCFormula", ...]:
-        return ()
-
-    def walk(self) -> Iterator["TRCFormula"]:
-        yield self
-        for child in self.children():
-            yield from child.walk()
-
-
-@dataclass(frozen=True)
-class TRCTrue(TRCFormula):
-    """The constant TRUE (used as an empty body)."""
-
-    value: bool = True
-
-
-@dataclass(frozen=True)
-class RelAtom(TRCFormula):
-    """``R(t)``: tuple variable ``t`` is a tuple of relation ``R``."""
-
-    relation: str
-    var: TupleVar
-
-    def __str__(self) -> str:
-        return f"{self.relation}({self.var})"
-
-
-@dataclass(frozen=True)
-class TRCCompare(TRCFormula):
-    """A comparison between two terms."""
-
-    left: TRCTerm
-    op: str
-    right: TRCTerm
-
-    def __post_init__(self) -> None:
-        op = {"!=": "<>", "==": "="}.get(self.op, self.op)
-        object.__setattr__(self, "op", op)
-        if op not in ("=", "<>", "<", "<=", ">", ">="):
-            raise TRCError(f"unknown comparison operator {self.op!r}")
-
-    def __str__(self) -> str:
-        return f"{self.left} {self.op} {self.right}"
-
-
-@dataclass(frozen=True)
-class TRCAnd(TRCFormula):
-    operands: tuple[TRCFormula, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "operands", tuple(self.operands))
-
-    def children(self) -> tuple[TRCFormula, ...]:
-        return self.operands
-
-
-@dataclass(frozen=True)
-class TRCOr(TRCFormula):
-    operands: tuple[TRCFormula, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "operands", tuple(self.operands))
-
-    def children(self) -> tuple[TRCFormula, ...]:
-        return self.operands
-
-
-@dataclass(frozen=True)
-class TRCNot(TRCFormula):
-    operand: TRCFormula = TRCTrue()
-
-    def children(self) -> tuple[TRCFormula, ...]:
-        return (self.operand,)
-
-
-@dataclass(frozen=True)
-class TRCImplies(TRCFormula):
-    antecedent: TRCFormula = TRCTrue()
-    consequent: TRCFormula = TRCTrue()
-
-    def children(self) -> tuple[TRCFormula, ...]:
-        return (self.antecedent, self.consequent)
-
-
-@dataclass(frozen=True)
-class TRCExists(TRCFormula):
-    """∃ t1, ..., tn : body."""
-
-    variables: tuple[TupleVar, ...]
-    body: TRCFormula = TRCTrue()
-
-    def __post_init__(self) -> None:
-        variables = self.variables
-        if isinstance(variables, TupleVar):
-            variables = (variables,)
-        object.__setattr__(self, "variables", tuple(variables))
-
-    def children(self) -> tuple[TRCFormula, ...]:
-        return (self.body,)
-
-
-@dataclass(frozen=True)
-class TRCForAll(TRCFormula):
-    """∀ t1, ..., tn : body."""
-
-    variables: tuple[TupleVar, ...]
-    body: TRCFormula = TRCTrue()
-
-    def __post_init__(self) -> None:
-        variables = self.variables
-        if isinstance(variables, TupleVar):
-            variables = (variables,)
-        object.__setattr__(self, "variables", tuple(variables))
-
-    def children(self) -> tuple[TRCFormula, ...]:
-        return (self.body,)
-
-
-@dataclass(frozen=True)
 class HeadItem:
-    """One output column of a TRC query."""
+    """One output column of a TRC query: an attribute reference or a constant."""
 
-    term: TRCTerm
+    term: Term
     alias: str | None = None
 
     def output_name(self, position: int) -> str:
@@ -199,16 +52,16 @@ class TRCQuery:
     """``{ head | body }``: a full TRC query."""
 
     head: tuple[HeadItem, ...]
-    body: TRCFormula
+    body: Formula
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "head", tuple(self.head))
         if not self.head:
             raise TRCError("a TRC query needs at least one head item")
 
-    def head_variables(self) -> list[TupleVar]:
+    def head_variables(self) -> list[Var]:
         """The tuple variables used in the head, in order, without duplicates."""
-        out: list[TupleVar] = []
+        out: list[Var] = []
         for item in self.head:
             if isinstance(item.term, AttrRef) and item.term.var not in out:
                 out.append(item.term.var)
@@ -220,61 +73,30 @@ class TRCQuery:
         return format_trc_query(self)
 
 
-# ---------------------------------------------------------------------------
-# Structural helpers
-# ---------------------------------------------------------------------------
-
-def free_tuple_variables(formula: TRCFormula) -> list[TupleVar]:
-    """Free tuple variables of a formula, in first-occurrence order."""
-    out: list[TupleVar] = []
-    seen: set[str] = set()
-
-    def visit(node: TRCFormula, bound: frozenset[str]) -> None:
-        if isinstance(node, RelAtom):
-            if node.var.name not in bound and node.var.name not in seen:
-                seen.add(node.var.name)
-                out.append(node.var)
-        elif isinstance(node, TRCCompare):
-            for term in (node.left, node.right):
-                if isinstance(term, AttrRef) and term.var.name not in bound \
-                        and term.var.name not in seen:
-                    seen.add(term.var.name)
-                    out.append(term.var)
-        elif isinstance(node, (TRCExists, TRCForAll)):
-            visit(node.body, bound | {v.name for v in node.variables})
-        else:
-            for child in node.children():
-                visit(child, bound)
-
-    visit(formula, frozenset())
-    return out
+def atom_variable(atom: Atom) -> Var:
+    """The tuple variable of the relation atom ``R(t)``."""
+    if len(atom.terms) != 1 or not isinstance(atom.terms[0], Var):
+        raise TRCError(f"{atom} is not a TRC relation atom R(t) over one tuple variable")
+    return atom.terms[0]
 
 
-def all_tuple_variables(formula: TRCFormula) -> list[TupleVar]:
-    """Every tuple variable mentioned anywhere."""
-    out: list[TupleVar] = []
-    seen: set[str] = set()
+def check_trc(formula: Formula) -> None:
+    """Raise :class:`TRCError` unless ``formula`` is a TRC body: no ``Iff``,
+    every atom ``R(t)``, every comparison between attribute references and
+    constants."""
     for node in formula.walk():
-        candidates: list[TupleVar] = []
-        if isinstance(node, RelAtom):
-            candidates.append(node.var)
-        elif isinstance(node, TRCCompare):
-            candidates.extend(t.var for t in (node.left, node.right) if isinstance(t, AttrRef))
-        elif isinstance(node, (TRCExists, TRCForAll)):
-            candidates.extend(node.variables)
-        for var in candidates:
-            if var.name not in seen:
-                seen.add(var.name)
-                out.append(var)
-    return out
+        if isinstance(node, Atom):
+            atom_variable(node)
+        elif isinstance(node, Compare):
+            for term in (node.left, node.right):
+                if not isinstance(term, (AttrRef, Const)):
+                    raise TRCError(f"{node}: a TRC comparison reads var.attribute "
+                                   "or a constant")
+        elif isinstance(node, Iff):
+            raise TRCError("TRC has no biconditional; write two implications")
 
 
-def relation_atoms(formula: TRCFormula) -> list[RelAtom]:
-    """All relation atoms in the formula."""
-    return [node for node in formula.walk() if isinstance(node, RelAtom)]
-
-
-def variable_ranges(formula: TRCFormula) -> dict[str, str]:
+def variable_ranges(formula: Formula) -> dict[str, str]:
     """Map each tuple variable to the relation of its (first) relation atom.
 
     Safe TRC in the style used by the tutorial requires every tuple variable
@@ -282,44 +104,13 @@ def variable_ranges(formula: TRCFormula) -> dict[str, str]:
     A variable used with two different relations raises :class:`TRCError`.
     """
     ranges: dict[str, str] = {}
-    for atom in relation_atoms(formula):
-        existing = ranges.get(atom.var.name)
-        if existing is not None and existing.lower() != atom.relation.lower():
+    for atom in atoms_of(formula):
+        name = atom_variable(atom).name
+        existing = ranges.get(name)
+        if existing is not None and existing.lower() != atom.predicate.lower():
             raise TRCError(
-                f"tuple variable {atom.var.name!r} ranges over both "
-                f"{existing!r} and {atom.relation!r}"
+                f"tuple variable {name!r} ranges over both "
+                f"{existing!r} and {atom.predicate!r}"
             )
-        ranges.setdefault(atom.var.name, atom.relation)
+        ranges.setdefault(name, atom.predicate)
     return ranges
-
-
-def conjunction(parts: list[TRCFormula]) -> TRCFormula:
-    """AND together formulas, flattening nested conjunctions."""
-    flat: list[TRCFormula] = []
-    for part in parts:
-        if isinstance(part, TRCAnd):
-            flat.extend(part.operands)
-        elif isinstance(part, TRCTrue) and part.value:
-            continue
-        else:
-            flat.append(part)
-    if not flat:
-        return TRCTrue()
-    if len(flat) == 1:
-        return flat[0]
-    return TRCAnd(tuple(flat))
-
-
-def disjunction(parts: list[TRCFormula]) -> TRCFormula:
-    """OR together formulas, flattening nested disjunctions."""
-    flat: list[TRCFormula] = []
-    for part in parts:
-        if isinstance(part, TRCOr):
-            flat.extend(part.operands)
-        else:
-            flat.append(part)
-    if not flat:
-        return TRCTrue(False)
-    if len(flat) == 1:
-        return flat[0]
-    return TRCOr(tuple(flat))

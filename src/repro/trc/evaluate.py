@@ -16,34 +16,28 @@ from typing import Any, Mapping
 
 from repro.data.database import Database
 from repro.data.relation import Relation, dedupe_rows, result_relation
-from repro.logic.terms import compare
-from repro.trc.ast import (
-    AttrRef,
-    ConstTerm,
-    RelAtom,
-    TRCAnd,
-    TRCCompare,
-    TRCError,
-    TRCExists,
-    TRCForAll,
-    TRCFormula,
-    TRCImplies,
-    TRCNot,
-    TRCOr,
-    TRCQuery,
-    TRCTerm,
-    TRCTrue,
-    TupleVar,
-    free_tuple_variables,
-    variable_ranges,
+from repro.logic.formula import (
+    And,
+    Atom,
+    Compare,
+    Exists,
+    ForAll,
+    Formula,
+    Implies,
+    Not,
+    Or,
+    Truth,
+    free_variables,
 )
+from repro.logic.terms import AttrRef, Const, Term, Var, compare
+from repro.trc.ast import TRCError, TRCQuery, atom_variable, check_trc, variable_ranges
 
 #: An environment maps tuple-variable names to (relation name, row dict).
 Env = dict[str, tuple[str, dict[str, Any]]]
 
 
-def _term_value(term: TRCTerm, env: Env) -> Any:
-    if isinstance(term, ConstTerm):
+def _term_value(term: Term, env: Env) -> Any:
+    if isinstance(term, Const):
         return term.value
     if isinstance(term, AttrRef):
         if term.var.name not in env:
@@ -77,39 +71,40 @@ def _rows_of(db: Database, relation: str) -> list[dict[str, Any]]:
     return [dict(zip(names, row)) for row in rel.distinct_rows()]
 
 
-def eval_formula(formula: TRCFormula, db: Database, env: Env,
+def eval_formula(formula: Formula, db: Database, env: Env,
                  ranges: Mapping[str, str]) -> bool:
     """Evaluate a TRC formula under ``env``; quantified variables use ``ranges``."""
-    if isinstance(formula, TRCTrue):
+    if isinstance(formula, Truth):
         return formula.value
-    if isinstance(formula, RelAtom):
-        binding = env.get(formula.var.name)
+    if isinstance(formula, Atom):
+        var = atom_variable(formula)
+        binding = env.get(var.name)
         if binding is None:
-            raise TRCError(f"unbound tuple variable {formula.var.name!r}")
+            raise TRCError(f"unbound tuple variable {var.name!r}")
         bound_relation, _row = binding
-        return bound_relation.lower() == formula.relation.lower()
-    if isinstance(formula, TRCCompare):
+        return bound_relation.lower() == formula.predicate.lower()
+    if isinstance(formula, Compare):
         left = _term_value(formula.left, env)
         right = _term_value(formula.right, env)
         if left is _UNDEFINED or right is _UNDEFINED:
             return False
         return compare(left, formula.op, right)
-    if isinstance(formula, TRCAnd):
+    if isinstance(formula, And):
         return all(eval_formula(o, db, env, ranges) for o in formula.operands)
-    if isinstance(formula, TRCOr):
+    if isinstance(formula, Or):
         return any(eval_formula(o, db, env, ranges) for o in formula.operands)
-    if isinstance(formula, TRCNot):
+    if isinstance(formula, Not):
         return not eval_formula(formula.operand, db, env, ranges)
-    if isinstance(formula, TRCImplies):
+    if isinstance(formula, Implies):
         return (not eval_formula(formula.antecedent, db, env, ranges)) or eval_formula(
             formula.consequent, db, env, ranges
         )
-    if isinstance(formula, (TRCExists, TRCForAll)):
+    if isinstance(formula, (Exists, ForAll)):
         return _eval_quantifier(formula, db, env, ranges)
     raise TRCError(f"eval_formula: unhandled node {type(formula).__name__}")
 
 
-def _candidate_bindings(var: TupleVar, db: Database,
+def _candidate_bindings(var: Var, db: Database,
                         ranges: Mapping[str, str]) -> list[tuple[str, dict[str, Any]]]:
     relation = ranges.get(var.name)
     if relation is not None:
@@ -122,9 +117,9 @@ def _candidate_bindings(var: TupleVar, db: Database,
     return out
 
 
-def _eval_quantifier(formula: "TRCExists | TRCForAll", db: Database, env: Env,
+def _eval_quantifier(formula: Exists | ForAll, db: Database, env: Env,
                      ranges: Mapping[str, str]) -> bool:
-    is_exists = isinstance(formula, TRCExists)
+    is_exists = isinstance(formula, Exists)
     variables = list(formula.variables)
 
     def recurse(index: int) -> bool:
@@ -155,8 +150,9 @@ def evaluate_trc(query: "TRCQuery | str", db: Database) -> Relation:
 
     from repro.trc.safety import has_positive_guard
 
+    check_trc(query.body)
     ranges = variable_ranges(query.body)
-    free_vars = free_tuple_variables(query.body)
+    free_vars = free_variables(query.body)
     head_vars = query.head_variables()
     for var in head_vars:
         if var.name not in ranges or not has_positive_guard(var, query.body):
@@ -186,13 +182,14 @@ def evaluate_trc(query: "TRCQuery | str", db: Database) -> Relation:
     return result_relation(output_names, dedupe_rows(rows))
 
 
-def evaluate_trc_boolean(formula: "TRCFormula | str", db: Database) -> bool:
+def evaluate_trc_boolean(formula: "Formula | str", db: Database) -> bool:
     """Evaluate a closed TRC formula (a logical statement) to TRUE/FALSE."""
     if isinstance(formula, str):
         from repro.trc.parser import parse_trc_formula
 
         formula = parse_trc_formula(formula)
-    free = free_tuple_variables(formula)
+    check_trc(formula)
+    free = free_variables(formula)
     if free:
         raise TRCError(
             f"boolean evaluation requires a sentence; free variables: "

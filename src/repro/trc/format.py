@@ -1,73 +1,20 @@
-"""Formatting of TRC queries back to text (ASCII or Unicode logic symbols)."""
+"""Formatting of TRC queries back to text (ASCII or Unicode logic symbols).
+
+A TRC body is a logic formula, printed by the calculus printer
+:func:`repro.drc.format.format_drc_formula` once :func:`check_trc` has
+found it inside TRC.
+"""
 
 from __future__ import annotations
 
-from repro.trc.ast import (
-    AttrRef,
-    ConstTerm,
-    HeadItem,
-    RelAtom,
-    TRCAnd,
-    TRCCompare,
-    TRCError,
-    TRCExists,
-    TRCForAll,
-    TRCFormula,
-    TRCImplies,
-    TRCNot,
-    TRCOr,
-    TRCQuery,
-    TRCTerm,
-    TRCTrue,
-)
-
-_UNICODE = {"and": " ∧ ", "or": " ∨ ", "not": "¬", "exists": "∃", "forall": "∀",
-            "implies": " → "}
-_ASCII = {"and": " and ", "or": " or ", "not": "not ", "exists": "exists ",
-          "forall": "forall ", "implies": " -> "}
+from repro.drc.format import format_drc_formula, format_term
+from repro.logic.formula import Formula
+from repro.trc.ast import HeadItem, TRCQuery, check_trc
 
 
-def format_term(term: TRCTerm) -> str:
-    if isinstance(term, AttrRef):
-        return f"{term.var.name}.{term.attr}"
-    if isinstance(term, ConstTerm):
-        if isinstance(term.value, str):
-            escaped = term.value.replace("'", "''")
-            return f"'{escaped}'"
-        if isinstance(term.value, bool):
-            return "true" if term.value else "false"
-        return str(term.value)
-    raise TRCError(f"not a term: {term!r}")
-
-
-def format_trc_formula(formula: TRCFormula, *, unicode: bool = False) -> str:
-    symbols = _UNICODE if unicode else _ASCII
-
-    def go(node: TRCFormula, parent: int = 0) -> str:
-        if isinstance(node, TRCTrue):
-            return "true" if node.value else "false"
-        if isinstance(node, RelAtom):
-            return f"{node.relation}({node.var.name})"
-        if isinstance(node, TRCCompare):
-            return f"{format_term(node.left)} {node.op} {format_term(node.right)}"
-        if isinstance(node, TRCAnd):
-            text = symbols["and"].join(go(o, 20) for o in node.operands)
-            return f"({text})" if parent > 20 else text
-        if isinstance(node, TRCOr):
-            text = symbols["or"].join(go(o, 10) for o in node.operands)
-            return f"({text})" if parent > 10 else text
-        if isinstance(node, TRCNot):
-            return f"{symbols['not']}({go(node.operand)})"
-        if isinstance(node, TRCImplies):
-            text = f"{go(node.antecedent, 5)}{symbols['implies']}{go(node.consequent, 5)}"
-            return f"({text})" if parent > 5 else text
-        if isinstance(node, (TRCExists, TRCForAll)):
-            keyword = symbols["exists" if isinstance(node, TRCExists) else "forall"]
-            names = ", ".join(v.name for v in node.variables)
-            return f"{keyword}{names} ({go(node.body)})"
-        raise TRCError(f"format: unhandled node {type(node).__name__}")
-
-    return go(formula)
+def format_trc_formula(formula: Formula, *, unicode: bool = False) -> str:
+    check_trc(formula)
+    return format_drc_formula(formula, unicode=unicode)
 
 
 def format_head_item(item: HeadItem) -> str:

@@ -1,8 +1,9 @@
 """Parser for the textual TRC syntax used in the tutorial.
 
 The connectives, quantifiers and comparisons are the calculus grammar of
-:class:`repro.syntax.CalculusParser`, shared with DRC; this module adds the
-``{ head | formula }`` frame, the ``Name(var)`` atom and ``var.attr`` terms.
+:class:`repro.syntax.CalculusParser`, shared with DRC and building the same
+logic formulas; this module adds the ``{ head | formula }`` frame, the
+``Name(var)`` atom and ``var.attr`` terms.
 
 Example queries (ASCII and Unicode forms are both accepted)::
 
@@ -21,25 +22,10 @@ Grammar::
 
 from __future__ import annotations
 
+from repro.logic.formula import Atom, Formula
+from repro.logic.terms import AttrRef, Var
 from repro.syntax import CALCULUS_ALIASES, NAME, NUMBER, STRING, CalculusParser, Lexer
-from repro.trc.ast import (
-    AttrRef,
-    ConstTerm,
-    HeadItem,
-    RelAtom,
-    TRCAnd,
-    TRCCompare,
-    TRCError,
-    TRCExists,
-    TRCForAll,
-    TRCFormula,
-    TRCImplies,
-    TRCNot,
-    TRCOr,
-    TRCQuery,
-    TRCTrue,
-    TupleVar,
-)
+from repro.trc.ast import HeadItem, TRCError, TRCQuery
 
 LEXER = Lexer(
     [("ws", r"\s+"),
@@ -53,9 +39,6 @@ LEXER = Lexer(
 
 class _TRCParser(CalculusParser):
     lexer = LEXER
-    truth, conjunction, disjunction, negation = TRCTrue, TRCAnd, TRCOr, TRCNot
-    implication, exists, forall, compare = TRCImplies, TRCExists, TRCForAll, TRCCompare
-    variable, constant = TupleVar, ConstTerm
 
     def parse_query(self) -> TRCQuery:
         self.expect("{")
@@ -69,16 +52,16 @@ class _TRCParser(CalculusParser):
         term = self.parse_term()
         return HeadItem(term, self.take("name").text if self.accept("as") else None)
 
-    def relation_atom(self, name: str) -> RelAtom:
-        var = TupleVar(self.take("name").text)
+    def relation_atom(self, name: str) -> Atom:
+        var = Var(self.take("name").text)
         self.expect(")")
-        return RelAtom(name, var)
+        return Atom(name, (var,))
 
     def variable_term(self, name: str) -> AttrRef:
         if not self.accept("."):
             raise self.fail(f"bare variable {name!r} cannot be used as a term; "
                             "use var.attribute")
-        return AttrRef(TupleVar(name), self.take("name").text)
+        return AttrRef(Var(name), self.take("name").text)
 
 
 def parse_trc(text: str) -> TRCQuery:
@@ -86,7 +69,7 @@ def parse_trc(text: str) -> TRCQuery:
     return _TRCParser(text).parse_query()
 
 
-def parse_trc_formula(text: str) -> TRCFormula:
+def parse_trc_formula(text: str) -> Formula:
     """Parse a bare TRC formula (no head); used for Boolean queries."""
     parser = _TRCParser(text)
     return parser.finish(parser.parse_formula())

@@ -21,23 +21,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.trc.ast import (
-    RelAtom,
-    TRCAnd,
-    TRCCompare,
-    TRCError,
-    TRCExists,
-    TRCForAll,
-    TRCFormula,
-    TRCImplies,
-    TRCNot,
-    TRCOr,
-    TRCQuery,
-    TRCTrue,
-    TupleVar,
-    free_tuple_variables,
-    variable_ranges,
+from repro.logic.formula import (
+    And,
+    Atom,
+    Exists,
+    ForAll,
+    Formula,
+    Implies,
+    Not,
+    Or,
+    free_variables,
 )
+from repro.logic.terms import Var
+from repro.trc.ast import TRCError, TRCQuery, atom_variable, check_trc, variable_ranges
 
 
 @dataclass
@@ -51,49 +47,51 @@ class SafetyReport:
         return self.safe
 
 
-def _positive_atoms_for(var: TupleVar, formula: TRCFormula) -> bool:
+def _positive_atoms_for(var: Var, formula: Formula) -> bool:
     """True iff ``formula`` contains a guarding relation atom for ``var``.
 
     A guard is a relation atom on ``var`` reachable through conjunctions,
     through the antecedent of an implication, or through the body of a
     nested quantifier over *other* variables.
     """
-    if isinstance(formula, RelAtom):
-        return formula.var.name == var.name
-    if isinstance(formula, TRCAnd):
+    if isinstance(formula, Atom):
+        return atom_variable(formula).name == var.name
+    if isinstance(formula, And):
         return any(_positive_atoms_for(var, o) for o in formula.operands)
-    if isinstance(formula, TRCImplies):
+    if isinstance(formula, Implies):
         return _positive_atoms_for(var, formula.antecedent)
-    if isinstance(formula, TRCOr):
+    if isinstance(formula, Or):
         return all(_positive_atoms_for(var, o) for o in formula.operands)
-    if isinstance(formula, (TRCExists, TRCForAll)):
+    if isinstance(formula, (Exists, ForAll)):
         if any(v.name == var.name for v in formula.variables):
             return False
         return _positive_atoms_for(var, formula.body)
     return False
 
 
-def has_positive_guard(var: TupleVar, formula: TRCFormula) -> bool:
+def has_positive_guard(var: Var, formula: Formula) -> bool:
     """Public wrapper: is ``var`` guarded by a positive relation atom in ``formula``?"""
     return _positive_atoms_for(var, formula)
 
 
-def _universal_guard(var: TupleVar, body: TRCFormula) -> bool:
+def _universal_guard(var: Var, body: Formula) -> bool:
     """Guards for ∀x: body must restrict x, typically R(x) → φ or ¬R(x) ∨ φ."""
-    if isinstance(body, TRCImplies):
+    if isinstance(body, Implies):
         return _positive_atoms_for(var, body.antecedent)
-    if isinstance(body, TRCOr):
+    if isinstance(body, Or):
         for operand in body.operands:
-            if isinstance(operand, TRCNot) and _positive_atoms_for(var, operand.operand):
+            if isinstance(operand, Not) and _positive_atoms_for(var, operand.operand):
                 return True
         return False
-    if isinstance(body, TRCNot):
+    if isinstance(body, Not):
         return _positive_atoms_for(var, body.operand)
     return False
 
 
 def check_safety(query: TRCQuery) -> SafetyReport:
-    """Run the syntactic safety analysis on a TRC query."""
+    """Run the syntactic safety analysis on a TRC query; a body outside TRC
+    raises :class:`TRCError`."""
+    check_trc(query.body)
     violations: list[str] = []
 
     try:
@@ -101,7 +99,7 @@ def check_safety(query: TRCQuery) -> SafetyReport:
     except TRCError as exc:
         return SafetyReport(False, [str(exc)])
 
-    free_names = {v.name for v in free_tuple_variables(query.body)}
+    free_names = {v.name for v in free_variables(query.body)}
     for var in query.head_variables():
         if var.name not in free_names:
             violations.append(f"head variable {var.name} is not free in the body")
@@ -112,15 +110,15 @@ def check_safety(query: TRCQuery) -> SafetyReport:
                 f"head variable {var.name} is not guarded by a positive relation atom"
             )
 
-    def visit(formula: TRCFormula) -> None:
-        if isinstance(formula, TRCExists):
+    def visit(formula: Formula) -> None:
+        if isinstance(formula, Exists):
             for var in formula.variables:
                 if not _positive_atoms_for(var, formula.body):
                     violations.append(
                         f"existential variable {var.name} is not guarded inside its scope"
                     )
             visit(formula.body)
-        elif isinstance(formula, TRCForAll):
+        elif isinstance(formula, ForAll):
             for var in formula.variables:
                 if not (_universal_guard(var, formula.body)
                         or _positive_atoms_for(var, formula.body)):
@@ -128,18 +126,9 @@ def check_safety(query: TRCQuery) -> SafetyReport:
                         f"universal variable {var.name} is not guarded inside its scope"
                     )
             visit(formula.body)
-        elif isinstance(formula, (TRCAnd, TRCOr)):
-            for operand in formula.operands:
-                visit(operand)
-        elif isinstance(formula, TRCNot):
-            visit(formula.operand)
-        elif isinstance(formula, TRCImplies):
-            visit(formula.antecedent)
-            visit(formula.consequent)
-        elif isinstance(formula, (RelAtom, TRCCompare, TRCTrue)):
-            pass
-        else:  # pragma: no cover - exhaustive
-            violations.append(f"unknown node {type(formula).__name__}")
+        else:
+            for child in formula.children():
+                visit(child)
 
     visit(query.body)
     return SafetyReport(not violations, violations)

@@ -16,23 +16,31 @@ from repro.drc import (
     parse_drc,
     positional_attribute,
 )
-from repro.logic import Atom, Const as LConst, Exists, Var
-from repro.trc import (
+from repro.drc.parser import parse_drc_formula
+from repro.logic import (
+    And,
+    Atom,
     AttrRef,
+    Compare,
+    Const as LConst,
+    Exists,
+    Iff,
+    Not,
+    Truth,
+    Var,
+    all_variables,
+    free_variables,
+    rename_variables,
+)
+from repro.translate.sql_to_trc import sql_to_trc
+from repro.trc import (
     HeadItem,
-    RelAtom,
-    TRCAnd,
-    TRCCompare,
     TRCError,
-    TRCExists,
-    TRCNot,
     TRCQuery,
-    TupleVar,
     check_safety,
     evaluate_trc,
     evaluate_trc_boolean,
     format_trc_query,
-    free_tuple_variables,
     is_safe,
     parse_trc,
     parse_trc_formula,
@@ -45,14 +53,18 @@ def names(relation) -> set:
 
 
 class TestTRCParsing:
-    def test_parse_and_format_round_trip(self, canonical_query):
-        query = parse_trc(canonical_query.trc)
-        again = parse_trc(format_trc_query(query))
-        assert format_trc_query(query) == format_trc_query(again)
+    def test_parse_and_format_round_trip(self, schema, canonical_query):
+        for query in (parse_trc(canonical_query.trc),
+                      sql_to_trc(canonical_query.sql, schema)):
+            for unicode in (False, True):
+                text = format_trc_query(query, unicode=unicode)
+                again = parse_trc(text)
+                assert again == query
+                assert format_trc_query(again, unicode=unicode) == text
 
     def test_unicode_connectives(self):
         query = parse_trc("{ s.sname | Sailors(s) ∧ ¬(∃r (Reserves(r) ∧ r.sid = s.sid)) }")
-        assert isinstance(query.body, TRCAnd)
+        assert isinstance(query.body, And)
 
     def test_alias_in_head(self):
         query = parse_trc("{ s.sname as who | Sailors(s) }")
@@ -72,7 +84,7 @@ class TestTRCParsing:
     def test_structure_helpers(self):
         body = parse_trc_formula(
             "Sailors(s) and exists r (Reserves(r) and r.sid = s.sid)")
-        assert [v.name for v in free_tuple_variables(body)] == ["s"]
+        assert [v.name for v in free_variables(body)] == ["s"]
         assert variable_ranges(body) == {"s": "Sailors", "r": "Reserves"}
 
     def test_conflicting_ranges_rejected(self):
@@ -100,8 +112,8 @@ class TestTRCEvaluation:
             evaluate_trc_boolean("Sailors(s) and s.rating > 5", db)
 
     def test_unsafe_head_variable_rejected(self, db):
-        query = TRCQuery((HeadItem(AttrRef(TupleVar("t"), "sid")),),
-                         TRCNot(RelAtom("Sailors", TupleVar("t"))))
+        query = TRCQuery((HeadItem(AttrRef(Var("t"), "sid")),),
+                         Not(Atom("Sailors", (Var("t"),))))
         with pytest.raises(TRCError):
             evaluate_trc(query, db)
 
@@ -128,11 +140,10 @@ class TestTRCSafety:
 
     def test_unguarded_existential(self):
         query = TRCQuery(
-            (HeadItem(AttrRef(TupleVar("s"), "sname")),),
-            TRCAnd((RelAtom("Sailors", TupleVar("s")),
-                    TRCExists((TupleVar("r"),),
-                              TRCCompare(AttrRef(TupleVar("r"), "sid"), "=",
-                                         AttrRef(TupleVar("s"), "sid"))))),
+            (HeadItem(AttrRef(Var("s"), "sname")),),
+            And((Atom("Sailors", (Var("s"),)),
+                 Exists((Var("r"),),
+                        Compare(AttrRef(Var("r"), "sid"), "=", AttrRef(Var("s"), "sid"))))),
         )
         assert not check_safety(query).safe
 
@@ -141,6 +152,61 @@ class TestTRCSafety:
             "{ s.sname | Sailors(s) and forall b (Boats(b) -> exists r "
             "(Reserves(r) and r.sid = s.sid and r.bid = b.bid)) }")
         assert is_safe(query)
+
+
+class TestOneFormulaIR:
+    """TRC and DRC bodies are formulas of the same logic classes; TRC adds
+    only the attribute-reference term."""
+
+    def test_both_calculi_parse_to_the_logic_classes(self):
+        trc = parse_trc_formula(
+            "forall b (Boats(b) -> exists r (Reserves(r) and not r.sid = 22)) or true")
+        drc = parse_drc_formula(
+            "forall b, n, c (Boats(b, n, c) -> exists s, d (Reserves(s, b, d) "
+            "and not s = 22)) or true")
+        kinds = [type(node) for node in trc.walk()]
+        assert kinds == [type(node) for node in drc.walk()]
+        assert {kind.__module__ for kind in kinds} == {"repro.logic.formula"}
+
+    def test_free_variables_see_inside_attribute_references(self):
+        body = parse_trc_formula("Sailors(s) and s.rating > t.rating")
+        assert [v.name for v in free_variables(body)] == ["s", "t"]
+        assert [v.name for v in all_variables(body)] == ["s", "t"]
+
+    def test_rename_reaches_attribute_references_and_quantifiers(self):
+        body = parse_trc_formula(
+            "Sailors(s) and exists r (Reserves(r) and r.sid = s.sid)")
+        assert rename_variables(body, {"s": "t", "r": "q"}) == parse_trc_formula(
+            "Sailors(t) and exists q (Reserves(q) and q.sid = t.sid)")
+
+
+#: Bodies built from the logic classes that TRC does not have: a
+#: biconditional, and an atom over more than one term.
+NOT_TRC = {
+    "iff": And((Atom("Sailors", (Var("s"),)),
+                Iff(Compare(AttrRef(Var("s"), "rating"), ">", LConst(7)), Truth()))),
+    "wide-atom": And((Atom("Sailors", (Var("s"),)),
+                      Atom("Reserves", (Var("s"), Var("b"))))),
+}
+
+
+@pytest.fixture(params=sorted(NOT_TRC))
+def not_trc(request) -> TRCQuery:
+    return TRCQuery((HeadItem(AttrRef(Var("s"), "sname")),), NOT_TRC[request.param])
+
+
+class TestTRCStaysTRC:
+    def test_formatter_rejects(self, not_trc):
+        with pytest.raises(TRCError):
+            format_trc_query(not_trc)
+
+    def test_evaluator_rejects(self, db, not_trc):
+        with pytest.raises(TRCError):
+            evaluate_trc(not_trc, db)
+
+    def test_safety_check_rejects(self, not_trc):
+        with pytest.raises(TRCError):
+            check_safety(not_trc)
 
 
 class TestDRC:

@@ -1118,6 +1118,20 @@ class TestConcurrencyHammer:
             status, _h, metrics = client.request("GET", "/metrics")
             assert metrics["requests_served"] >= 21
 
+    def test_a_body_spanning_several_reads_arrives_whole(self):
+        service = QueryService(sailors_database())
+        rows = [[1000 + i, 101, "2025-06-01"] for i in range(6000)]
+        assert len(json.dumps({"rows": rows})) > 2 * app_module.READ_CHUNK
+        with serving(service) as (_server, client):
+            _status, _h, before = client.request(
+                "POST", "/query", {"text": "SELECT COUNT(*) AS n FROM Reserves R"})
+            status, _h, _payload = client.request(
+                "POST", "/write", {"relation": "Reserves", "rows": rows})
+            assert status == 200
+            _status, _h, after = client.request(
+                "POST", "/query", {"text": "SELECT COUNT(*) AS n FROM Reserves R"})
+        assert after["rows"][0][0] == before["rows"][0][0] + len(rows)
+
     def test_shutdown_with_open_keep_alive_connections(self):
         # Idle keep-alive connections sit parked in read_request; close()
         # must cancel them (promptly, without "Task was destroyed" noise)

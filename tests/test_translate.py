@@ -59,6 +59,16 @@ class TestSQLToTRC:
         trc = sql_to_trc(sql, schema)
         assert names(evaluate_trc(trc, db)) == {"Dustin", "Lubber", "Horatio"}
 
+    @pytest.mark.parametrize("sql", [
+        "SELECT S.sname FROM Sailors S WHERE FALSE",
+        "SELECT S.sname FROM Sailors S, Reserves R WHERE S.sid = R.sid AND FALSE",
+    ])
+    def test_false_where_clause_is_kept(self, db, schema, sql):
+        trc = sql_to_trc(sql, schema)
+        assert "false" in format_trc_query(trc)
+        assert evaluate_trc(trc, db).is_empty()
+        assert evaluate_sql(sql, db).is_empty()
+
     def test_union_requires_same_head_relation(self, schema):
         with pytest.raises(UnsupportedSQL):
             sql_to_trc("SELECT sname FROM Sailors UNION SELECT bname FROM Boats", schema)

@@ -1181,16 +1181,16 @@ class TestInvariantLint:
     def test_trc_formula_walked_outside_the_pattern_reader(self, invariants,
                                                           fixture_repo):
         root = fixture_repo("src/repro/diagrams/common.py", """\
-            from repro.trc.ast import (
-                AttrRef,
-                RelAtom,
+            from repro.logic.formula import (
+                And,
+                Atom,
             )
-            from repro.trc import ast
+            from repro.logic import formula
 
             def boxes(node):
-                if isinstance(node, RelAtom):
-                    return [node.var.name]
-                return isinstance(node, ast.TRCCompare)
+                if isinstance(node, Atom):
+                    return [node.terms[0].name]
+                return isinstance(node, formula.Compare)
             """)
         violations = [v for v in invariants.run_checks(root)
                       if v.rule == "one-pattern-walker"]
@@ -1198,16 +1198,39 @@ class TestInvariantLint:
         assert [(v.path, v.line) for v in violations] == [
             (path, 3), (path, 8), (path, 10)]
 
+    def test_attribute_reference_read_by_a_logic_drawer(self, invariants,
+                                                       fixture_repo):
+        root = fixture_repo("src/repro/diagrams/peirce_beta.py", """\
+            from repro.logic.formula import Atom, Compare
+            from repro.logic.terms import AttrRef
+
+            def spot(node):
+                return isinstance(node, (Atom, Compare, AttrRef))
+            """)
+        violations = [v for v in invariants.run_checks(root)
+                      if v.rule == "one-pattern-walker"]
+        path = os.path.join("src", "repro", "diagrams", "peirce_beta.py")
+        assert [(v.path, v.line) for v in violations] == [(path, 2), (path, 5)]
+        assert "AttrRef" in violations[0].message
+
     def test_trc_formula_walked_in_the_pattern_reader_is_clean(
             self, invariants, fixture_repo):
         fixture_repo("src/repro/core/patterns.py", """\
-            from repro.trc.ast import RelAtom, TRCCompare
+            from repro.logic.formula import Atom, Compare
+            from repro.logic.terms import AttrRef
 
             def visit(node):
-                return isinstance(node, (RelAtom, TRCCompare))
+                return isinstance(node, (Atom, Compare, AttrRef))
             """)
         fixture_repo("src/repro/trc/evaluate.py", """\
-            from repro.trc.ast import RelAtom
+            from repro.logic.formula import Atom
+            from repro.logic.terms import AttrRef
+            """)
+        fixture_repo("src/repro/diagrams/peirce_beta.py", """\
+            from repro.logic.formula import Atom, Compare
+
+            def spot(node):
+                return isinstance(node, (Atom, Compare))
             """)
         root = fixture_repo("src/repro/diagrams/common.py", """\
             from repro.core.patterns import pattern_of

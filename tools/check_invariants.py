@@ -109,10 +109,12 @@ Rules (see tools/README.md for how to add one):
 
 ``one-pattern-walker``
     A TRC query's pattern is read in one place: under ``src/repro/core``
-    and ``src/repro/diagrams`` outside ``core/patterns.py``, a reference to
-    ``TRCCompare`` or ``RelAtom`` (an import, a name, an attribute) is a
-    violation — a diagram lays out ``pattern_of``'s pattern instead of
-    walking the formula again.
+    and ``src/repro/diagrams`` outside ``core/patterns.py``, a reference (an
+    import, a name, an attribute) to ``AttrRef``, the one TRC-only node, is
+    a violation, and so is one to the logic nodes ``Atom`` or ``Compare``
+    outside the two first-order-logic drawers ``diagrams/peirce_alpha.py``
+    and ``diagrams/peirce_beta.py`` — a diagram lays out ``pattern_of``'s
+    pattern instead of walking the formula again.
 
 Usage: ``python tools/check_invariants.py [--root REPO_ROOT]``.
 Exits 0 when clean, 1 with one ``path:line: [rule] message`` per violation.
@@ -810,18 +812,24 @@ def check_one_join_planner(root: str) -> list[Violation]:
 # Rule: one-pattern-walker
 # ---------------------------------------------------------------------------
 
-#: The one module that reads a TRC query's pattern, and the formula nodes
-#: only a pattern reader needs.
+#: The one module that reads a TRC query's pattern; the TRC-only term no
+#: other module there may read; the logic nodes a TRC pattern is read off,
+#: which only the first-order-logic drawers may read besides.
 _PATTERN_MODULE = "src/repro/core/patterns.py"
-_PATTERN_NODES = frozenset({"TRCCompare", "RelAtom"})
+_TRC_NODES = frozenset({"AttrRef"})
+_LOGIC_NODES = frozenset({"Atom", "Compare"})
+_LOGIC_DRAWERS = frozenset({"src/repro/diagrams/peirce_alpha.py",
+                            "src/repro/diagrams/peirce_beta.py"})
 
 
 def check_one_pattern_walker(root: str) -> list[Violation]:
     violations: list[Violation] = []
     for _path, rel_path, tree in _walk_sources(
             root, ("src/repro/core", "src/repro/diagrams")):
-        if rel_path.replace(os.sep, "/") == _PATTERN_MODULE:
+        module = rel_path.replace(os.sep, "/")
+        if module == _PATTERN_MODULE:
             continue
+        flagged = _TRC_NODES if module in _LOGIC_DRAWERS else _TRC_NODES | _LOGIC_NODES
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 names = [(alias.lineno, alias.name) for alias in node.names]
@@ -832,7 +840,7 @@ def check_one_pattern_walker(root: str) -> list[Violation]:
             else:
                 continue
             for line, name in names:
-                if name in _PATTERN_NODES:
+                if name in flagged:
                     violations.append(Violation(
                         rel_path, line, "one-pattern-walker",
                         f"{name} read outside core/patterns.py; lay out "
