@@ -17,7 +17,9 @@ the NOT IN / NOT EXISTS variants collapse to the same pattern.
 
 :func:`pattern_of` is the one reader of a TRC query's pattern.  It records
 each comparison with the scope it is written in (a constant is moved to the
-right once, here) and each disjunction as a group of branches in its scope.
+right once, here), each disjunction as a group of branches in its scope, and
+each FALSE as a comparison of its scope that no row satisfies (TRUE is what
+a scope with nothing in it means already).
 Isomorphism compares exactly that, and the TRC-based diagrams
 (:func:`repro.diagrams.common.build_query_graph`) lay it out as boxes.
 """
@@ -58,7 +60,7 @@ def normalize_trc(formula: Formula) -> Formula:
 
     * ``∀x φ``    →  ``¬∃x ¬φ``
     * ``φ → ψ``   →  ``¬(φ ∧ ¬ψ)``
-    * ``¬¬φ``     →  ``φ``
+    * ``¬¬φ``     →  ``φ``;  ``¬TRUE`` → ``FALSE`` and ``¬FALSE`` → ``TRUE``
     * ``∃x (φ ∧ ∃y ψ)`` → ``∃x, y (φ ∧ ψ)``  (same negation scope)
     """
     def rewrite(node: Formula) -> Formula:
@@ -72,6 +74,8 @@ def normalize_trc(formula: Formula) -> Formula:
             inner = rewrite(node.operand)
             if isinstance(inner, Not):
                 return inner.operand
+            if isinstance(inner, Truth):
+                return Truth(not inner.value)
             return Not(inner)
         if isinstance(node, Implies):
             return rewrite(Not(And((node.antecedent, Not(node.consequent)))))
@@ -251,6 +255,11 @@ def pattern_of(query: TRCQuery) -> QueryPattern:
     def visit(node: Formula, scope: int, depth: int,
               predicates: list, disjunctions: list, names: list) -> None:
         if isinstance(node, Truth):
+            # An empty scope or branch already reads TRUE.  FALSE empties
+            # its scope, so it is recorded there, as the comparison of two
+            # constants it is: FALSE = TRUE.
+            if not node.value:
+                predicates.append(PatternPredicate("=", False, True, scope))
             return
         if isinstance(node, Atom):
             name = atom_variable(node).name

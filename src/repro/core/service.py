@@ -14,10 +14,14 @@ under concurrent readers and writers:
   instance take ``.copy()``.
 * **One result cache, lock-free reads.**  The service's result cache is
   the only one on the serving path (the pipeline caches plans, not
-  answers): a bounded :class:`~repro.engine.cache.LRUCache` keyed on
+  answers): an :class:`~repro.engine.cache.LRUCache` keyed on
   ``(query fingerprint, database version token)``; warm requests are one
   locked dictionary lookup and never serialize against each other or
-  against execution.
+  against execution.  It is bounded twice: by ``result_cache_size``
+  answers and by :data:`RESULT_CACHE_BYTES`, against which each answer
+  declares a closed-form footprint (:func:`answer_footprint`) when it is
+  published — so a stream of large answers nobody re-reads holds a few
+  megabytes, not a thousand answers' worth.
 * **Hits without waiting.**  :meth:`~QueryService.try_hit` is ``query``
   for an answer that is already there: a result-cache entry at the current
   version or a fresh view, found by trying the locks instead of taking
@@ -106,6 +110,24 @@ from repro.engine.stats import StatsCatalog, TableStats
 #: Optimistic attempts a cache miss (or a statistics snapshot) makes before
 #: it runs once under the write lock.
 MAX_RETRIES = 4
+
+#: Byte budget of each service's result cache, beside its entry cap: the
+#: sum of the :func:`answer_footprint` of the answers it holds.
+RESULT_CACHE_BYTES = 16 * 1024 * 1024
+
+
+def answer_footprint(relation: Relation) -> int:
+    """The bytes a result-cache entry for ``relation`` keeps alive, in
+    closed form from its row count and arity (no walk over the rows).
+
+    About 2 KiB per answer (the relation and its schema, the published
+    answer, the envelope and the JSON framing a hit memoizes beside it),
+    then per row its tuple and its slots in the row list and the envelope
+    (``40 + 8 × arity``), and per value about 24 bytes of JSON text and of
+    the value objects made for the answer.  Within 2x of what tracemalloc
+    measures an entry retaining (``tests/test_service.py``).
+    """
+    return 2048 + len(relation) * (40 + 32 * relation.schema.arity)
 
 
 class _Answer:
@@ -507,7 +529,7 @@ class QueryService(ServiceBase):
                               "validation_retries", "serialized_runs",
                               "view_hits")
         self.table_statistics = StatsCatalog(self.db)
-        self._results = LRUCache(result_cache_size)
+        self._results = LRUCache(result_cache_size, RESULT_CACHE_BYTES)
         self._write_lock = threading.RLock()
         self._views: dict[str, MaterializedView] = {}  # keyed by fingerprint
         self._views_by_name: dict[str, MaterializedView] = {}
@@ -661,7 +683,7 @@ class QueryService(ServiceBase):
         published = _Answer(answers, tuple(warnings), language, fingerprint,
                             version)
         self.stats.bump("result_misses")
-        self._results.put(key, published)
+        self._results.put(key, published, answer_footprint(published.relation))
         return published
 
     # -- materialized views -------------------------------------------------
@@ -821,6 +843,11 @@ class QueryService(ServiceBase):
     def cache_info(self) -> dict[str, int]:
         """Service result-cache counters merged with the pipeline's plan cache.
 
+        ``result_bytes`` is the sum of the held answers' footprints
+        (:func:`answer_footprint`), never above ``result_budget_bytes``;
+        ``result_evictions`` counts the answers either bound pushed out, an
+        answer larger than the whole budget included.
+
         The ``kernel_cache_*`` keys snapshot the **process-wide** derived-
         structure cache of :mod:`repro.engine.kernels` (build tables, code
         translations): unlike the per-service result/plan counters they are
@@ -829,9 +856,13 @@ class QueryService(ServiceBase):
         services.
         """
         kernel_info = kernel_cache_stats()
+        results = self._results.stats()
         return {
             "requests": self.stats.requests,
-            "result_entries": len(self._results),
+            "result_entries": results["entries"],
+            "result_bytes": results["bytes"],
+            "result_evictions": results["evictions"],
+            "result_budget_bytes": self._results.max_bytes,
             "result_hits": self.stats.result_hits,
             "result_misses": self.stats.result_misses,
             "validation_retries": self.stats.validation_retries,

@@ -3,7 +3,8 @@
 Every cache that outlives a request is an :class:`LRUCache`: the
 pipeline's plan cache, the service's result cache, the HTTP tier's
 prepared handles, each database's compiled scatter plans, and the kernel
-layer's byte-budgeted derived-structure cache.
+layer's derived-structure cache.  The result cache and the kernel cache
+are byte-budgeted as well as entry-capped.
 
 The path counters (:func:`count_path`, :func:`path_counts`) record which
 side of each run-time choice the executors and their kernels took.  They
@@ -23,7 +24,9 @@ class LRUCache:
 
     ``capacity`` caps the entries (0 stores nothing); ``max_bytes``, when
     given, caps the sum of the ``nbytes`` each :meth:`put` declares.  Both
-    bounds evict from the least recent end, the entry just put included.
+    bounds evict from the least recent end.  An entry larger than the whole
+    byte budget is refused on its own: it is returned and counted as
+    evicted, and the entries already held stay.
 
     Thread-safe: every operation holds one internal lock.  ``get`` tells a
     miss from a cached falsy value by the ``default`` argument (pass a
@@ -77,6 +80,9 @@ class LRUCache:
             old = self._data.pop(key, None)
             if old is not None:
                 self._bytes -= old[1]
+            if self.max_bytes is not None and nbytes > self.max_bytes:
+                self.evictions += 1
+                return [(key, value)]
             self._data[key] = (value, nbytes)
             self._bytes += nbytes
             while self._data and (

@@ -29,10 +29,13 @@ def test_byte_bound_evicts_until_the_total_fits():
     assert cache.stats()["bytes"] == 90
     cache.put("b", "B2", 10)               # a replacement re-costs the entry
     assert cache.stats()["bytes"] == 60
-    # An entry over the whole budget does not stay, not even alone.
-    assert [key for key, _ in cache.put("huge", "H", 101)] == ["c", "b",
-                                                               "huge"]
-    assert cache.stats()["entries"] == cache.stats()["bytes"] == 0
+    # An entry over the whole budget is refused alone: it does not stay,
+    # and it flushes nothing to make room it could never have.
+    assert cache.put("huge", "H", 101) == [("huge", "H")]
+    assert cache.get("huge", MISS) is MISS
+    assert (cache.get("b", MISS), cache.get("c", MISS)) == ("B2", "C")
+    assert cache.stats()["bytes"] == 60
+    assert cache.evictions == 2
 
 
 def test_none_and_falsy_values_are_hits():

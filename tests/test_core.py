@@ -31,6 +31,7 @@ from repro.core import (
 )
 from repro.core.metrics import compare
 from repro.core.registry import FEATURES, REGISTRY
+from repro.diagrams import CannotRepresent, build_diagram
 from repro.queries import CANONICAL_QUERIES, Q4_ALL_RED, Q5_RED_OR_GREEN
 from repro.translate import answer_set, sql_to_trc
 from repro.trc import parse_trc
@@ -203,6 +204,34 @@ class TestPatterns:
         a, b = SCOPE_PAIRS[pair]
         assert answer_set(a, db) != answer_set(b, db)
         assert not same_pattern(a, b, schema)
+
+    def test_a_false_condition_is_part_of_the_pattern(self, db, schema):
+        """FALSE empties its scope, so it is recorded there: a query whose
+        WHERE is FALSE shares neither the pattern nor the QueryVis diagram
+        of the same query without it (QueryVis has no element for FALSE)."""
+        always_false = "SELECT S.sname FROM Sailors S WHERE FALSE"
+        unfiltered = "SELECT S.sname FROM Sailors S"
+        assert len(answer_set(always_false, db)) == 0
+        assert len(answer_set(unfiltered, db)) > 0
+        assert not same_pattern(always_false, unfiltered, schema)
+        with pytest.raises(CannotRepresent):
+            build_diagram("queryvis", always_false, schema)
+        build_diagram("queryvis", unfiltered, schema)
+        inner_false = ("SELECT S.sname FROM Sailors S WHERE S.sid NOT IN "
+                       "(SELECT R.sid FROM Reserves R WHERE FALSE)")
+        inner_open = ("SELECT S.sname FROM Sailors S WHERE S.sid NOT IN "
+                      "(SELECT R.sid FROM Reserves R)")
+        assert answer_set(inner_false, db) != answer_set(inner_open, db)
+        assert not same_pattern(inner_false, inner_open, schema)
+
+    def test_a_truth_that_changes_nothing_is_not_recorded(self):
+        plain = pattern_of(parse_trc("{ s.sname | Sailors(s) }"))
+        for body in ("Sailors(s) and true", "Sailors(s) and not false"):
+            assert isomorphic(pattern_of(parse_trc(f"{{ s.sname | {body} }}")),
+                              plain)
+        assert isomorphic(
+            pattern_of(parse_trc("{ s.sname | Sailors(s) and not true }")),
+            pattern_of(parse_trc("{ s.sname | Sailors(s) and false }")))
 
     def test_round_trip_sees_where_a_disjunction_is_written(self, db):
         a, b = SCOPE_PAIRS["disjunction-placement"]

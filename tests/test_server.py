@@ -30,6 +30,7 @@ from contextlib import closing, contextmanager
 
 import pytest
 
+import repro.core.service as service_module
 from repro.core import QueryService, ServiceAPI
 from repro.core.service_api import (
     FrozenMutationError,
@@ -41,6 +42,7 @@ from repro.core.service_api import (
 from repro.core.sharded_service import ShardedQueryService
 from repro.data import sailors_database
 from repro.data.relation import RelationError
+from repro.data.sailors import random_sailors_database
 from repro.queries import CANONICAL_QUERIES, LANGUAGES
 from repro.server import ServerThread
 from repro.server import app as app_module
@@ -665,6 +667,36 @@ class TestCollectorMetrics:
                     "build_dict", "sel_converted", "sort_radix",
                     "sort_compare"):
             assert type(metrics[f"exec_{key}"]) is int
+
+
+class TestResultCacheMetrics:
+    @pytest.mark.parametrize("sharded", [False, True],
+                             ids=["plain", "sharded"])
+    def test_a_large_answer_is_accounted_on_metrics(self, monkeypatch,
+                                                    sharded):
+        """``/metrics`` reports the result cache's bytes, evictions and byte
+        budget on both services.  An answer over the (patched-down) budget
+        is answered in full, counted as evicted, and flushes nothing."""
+        budget = 64 * 1024
+        monkeypatch.setattr(service_module, "RESULT_CACHE_BYTES", budget)
+        db = random_sailors_database(n_sailors=100, n_boats=10,
+                                     n_reserves=3000, seed=5)
+        service = (ShardedQueryService(db, n_shards=2) if sharded
+                   else QueryService(db))
+        large = "SELECT R.sid, R.bid, R.day FROM Reserves R"
+        try:
+            with serving(service) as (_server, client):
+                client.request("POST", "/query", {"text": COUNT_SQL})
+                _s, _h, reply = client.request("POST", "/query",
+                                               {"text": large})
+                _s, _h, metrics = client.request("GET", "/metrics")
+        finally:
+            service.close()
+        assert reply["row_count"] == 3000
+        assert metrics["result_budget_bytes"] == budget
+        assert metrics["result_entries"] == 1
+        assert 0 < metrics["result_bytes"] <= budget
+        assert metrics["result_evictions"] == 1
 
 
 class TestPreparedHandles:

@@ -11,13 +11,20 @@ cache poisoning once the storm settles.
 
 from __future__ import annotations
 
+import gc
+import importlib.util
 import json
+import os
+import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
+import repro.core.service as service_module
 from repro.core import PreparedQuery, QueryService, QueryVisualizationPipeline
+from repro.core.service import RESULT_CACHE_BYTES, answer_footprint
 from repro.core.sharded_service import ShardedQueryService
 from repro.data.relation import RelationError
 from repro.data.sailors import random_sailors_database, sailors_database
@@ -28,6 +35,18 @@ GROUP_SQL = ("SELECT S.rating, COUNT(*) AS n FROM Sailors S, Reserves R "
              "WHERE S.sid = R.sid GROUP BY S.rating")
 FALLBACK_SQL = ("SELECT S.sname FROM Sailors S LEFT JOIN Reserves R "
                 "ON S.sid = R.sid WHERE R.sid IS NULL")
+PAGE_SQL = "SELECT R.sid, R.bid, R.day FROM Reserves R WHERE R.sid > {k}"
+
+
+def _e2e_workloads():
+    """``benchmarks/e2e/workloads.py``: the served datasets and texts."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+        __file__))), "benchmarks", "e2e", "workloads.py")
+    spec = importlib.util.spec_from_file_location("e2e_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look themselves up
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
@@ -368,6 +387,105 @@ class TestResultCache:
         assert second is first
         assert service.cache_info()["result_hits"] == 1
 
+    def test_answers_over_the_byte_budget_are_evicted_by_bytes(self):
+        """Eight ~2.7 MB answers outgrow :data:`RESULT_CACHE_BYTES` long
+        before the 1024-entry cap: the least recent go, the held total
+        stays inside the budget, and the newest answer is still a hit."""
+        service = QueryService(random_sailors_database(
+            n_sailors=100, n_boats=10, n_reserves=20000, seed=5))
+        texts = [PAGE_SQL.format(k=k) for k in range(8)]
+        footprints = [answer_footprint(service.answer(text))
+                      for text in texts]
+        assert sum(footprints) > RESULT_CACHE_BYTES
+        info = service.cache_info()
+        assert info["result_budget_bytes"] == RESULT_CACHE_BYTES
+        assert info["result_bytes"] <= RESULT_CACHE_BYTES
+        held = info["result_entries"]
+        assert 0 < held < len(texts)
+        assert info["result_evictions"] == len(texts) - held
+        assert info["result_bytes"] == sum(footprints[-held:])
+        service.answer(texts[-1])
+        assert service.cache_info()["result_hits"] == 1
+        service.answer(texts[0])
+        assert service.cache_info()["result_misses"] == len(texts) + 1
+
+    def test_an_answer_over_the_whole_budget_is_served_and_not_kept(
+            self, monkeypatch):
+        monkeypatch.setattr(service_module, "RESULT_CACHE_BYTES", 64 * 1024)
+        service = QueryService(random_sailors_database(
+            n_sailors=100, n_boats=10, n_reserves=3000, seed=5))
+        service.answer(COUNT_SQL)
+        large = PAGE_SQL.format(k=0)
+        answers = [service.answer(large) for _ in range(3)]
+        assert answer_footprint(answers[0]) > 64 * 1024
+        assert all(answer.bag_equal(answers[0]) for answer in answers)
+        info = service.cache_info()
+        # Refused alone: COUNT stays, and the large answer misses each time.
+        assert info["result_entries"] == 1
+        assert info["result_evictions"] == 3
+        assert info["result_misses"] == 4
+        service.answer(COUNT_SQL)
+        assert service.cache_info()["result_hits"] == 1
+
+    @pytest.fixture(scope="class")
+    def served(self):
+        """The analytic-cold and hot-read services, each with its texts by
+        tag: one per analytic template, and hot-read's eight."""
+        workloads = _e2e_workloads()
+        analytic = workloads.WORKLOADS["analytic-cold"]
+        hot = workloads.WORKLOADS["hot-read"]
+        hot_db = hot.build_db()
+        return {
+            "analytic-cold": (
+                QueryService(analytic.build_db(), backend="vectorized"),
+                [(tag, template.format(k=230, a="19.250"))
+                 for tag, template in workloads.ANALYTIC_TEMPLATES]),
+            "hot-read": (
+                QueryService(hot_db),
+                [(request.tag, request.body["text"]) for request
+                 in hot.build_sequence(hot_db, 13, 8).distinct]),
+        }
+
+    @staticmethod
+    def _retained(service, text):
+        """(declared footprint, bytes tracemalloc sees the entry free) for
+        ``text``'s entry after a miss, a hit and the hit's JSON body."""
+        service.answer(text)               # plans, kernel structures: warm
+        service._results.clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            service.query(text)            # the miss publishes the entry
+            service.query(text).encode()   # a hit memoizes envelope + body
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            declared = service.cache_info()["result_bytes"]
+            service._results.clear()
+            gc.collect()
+            return declared, held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("workload", ["analytic-cold", "hot-read"])
+    def test_the_footprint_is_within_2x_of_what_an_entry_retains(
+            self, served, workload):
+        """Every analytic-cold answer, and hot-read's two large pages."""
+        service, texts = served[workload]
+        measured = [text for tag, text in texts
+                    if workload == "analytic-cold" or tag == "page"]
+        assert len(measured) == {"analytic-cold": 4, "hot-read": 2}[workload]
+        for text in measured:
+            declared, retained = self._retained(service, text)
+            assert 0.5 * retained <= declared <= 2 * retained, (
+                text, declared, retained)
+
+    def test_every_hot_read_answer_fits_with_4x_headroom(self, served):
+        service, texts = served["hot-read"]
+        assert len(texts) == 8
+        total = sum(answer_footprint(service.answer(text))
+                    for _tag, text in texts)
+        assert 4 * total <= RESULT_CACHE_BYTES
+
     def test_replacing_a_relation_with_fewer_rows_still_invalidates(
             self, service):
         # Database.version must be monotonic: swapping a relation for a
@@ -579,6 +697,25 @@ class TestConcurrencyHammer:
         # The storm is over: every served answer must now equal a fresh
         # single-threaded evaluation of the final database — i.e. the cache
         # holds no poisoned or torn entries for the final version.
+        fresh = QueryVisualizationPipeline(service.db)
+        for handle in handles:
+            assert handle.answer().bag_equal(fresh.answer(handle.text)), (
+                f"stale cache entry for {handle.text!r}"
+            )
+
+    def test_storm_under_byte_evictions(self, monkeypatch):
+        """The storm with the result cache's budget patched down to about
+        two answers: publishing one pushes another out by bytes while the
+        readers look entries up, so evictions race hits and writes."""
+        monkeypatch.setattr(service_module, "RESULT_CACHE_BYTES", 8 * 1024)
+        service = QueryService(
+            random_sailors_database(n_sailors=60, n_boats=8, n_reserves=300,
+                                    seed=24))
+        handles = self._run_storm(service)
+        info = service.cache_info()
+        assert info["result_budget_bytes"] == 8 * 1024
+        assert info["result_evictions"] > 0
+        assert info["result_bytes"] <= 8 * 1024
         fresh = QueryVisualizationPipeline(service.db)
         for handle in handles:
             assert handle.answer().bag_equal(fresh.answer(handle.text)), (
