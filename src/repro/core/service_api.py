@@ -177,7 +177,7 @@ def wrap_service_error(exc: BaseException) -> ServiceError:
     """
     if isinstance(exc, ServiceError):
         return exc
-    from repro.data.relation import RelationError
+    from repro.data.relation import FrozenRelationError, RelationError
     from repro.datalog.ast import DatalogError
     from repro.drc.ast import DRCError
     from repro.engine.lower import LoweringError
@@ -200,11 +200,9 @@ def wrap_service_error(exc: BaseException) -> ServiceError:
         return PlanRejectedError(message, detail=detail)
     if isinstance(exc, (PlanError, LoweringError)):
         return PlanRejectedError(message, detail=detail)
+    if isinstance(exc, FrozenRelationError):
+        return FrozenMutationError(message, detail=detail)
     if isinstance(exc, RelationError):
-        # The storage layer raises one error type for both shapes; frozen
-        # mutations self-identify in the message (see Relation.freeze).
-        if "frozen" in message:
-            return FrozenMutationError(message, detail=detail)
         return InvalidRequestError(message, detail=dict(detail, code_hint="invalid_row"))
     if isinstance(exc, SchemaError):
         # One error type for both shapes here too: name lookups on the

@@ -26,6 +26,10 @@ class RelationError(Exception):
     """Raised for operations on incompatible relations or malformed rows."""
 
 
+class FrozenRelationError(RelationError):
+    """Raised for a row added to a frozen relation (see :meth:`Relation.freeze`)."""
+
+
 # ---------------------------------------------------------------------------
 # Column pages: a compact, same-host serialization of a ColumnStore
 # ---------------------------------------------------------------------------
@@ -555,7 +559,8 @@ class Relation:
     def add(self, row: Sequence[Any] | Mapping[str, Any], *, validate: bool = True) -> None:
         """Append a row (bag semantics: duplicates are kept).
 
-        Raises :class:`RelationError` on a frozen relation (see :meth:`freeze`).
+        Raises :class:`FrozenRelationError` on a frozen relation (see
+        :meth:`freeze`).
         """
         normalized = self._normalize_row(row, validate=validate)
         self._append_row(normalized, published_version=self._version + 1)
@@ -594,7 +599,7 @@ class Relation:
                        validate: bool) -> Row:
         """Coerce one row to a schema-ordered tuple, checking shape/types."""
         if self._frozen:
-            raise RelationError(
+            raise FrozenRelationError(
                 f"relation {self.schema.name!r} is frozen; copy() it to mutate"
             )
         if isinstance(row, Mapping):

@@ -112,23 +112,26 @@ def asof_plan(plan: Plan) -> Plan:
     return _asof(plan, plan.base_relations)
 
 
+def _bag_operator(plan: Plan) -> bool:
+    """True for the operators an insert delta distributes over: a filter, a
+    projection, an inner or cross join and a bag union (the scan aside)."""
+    if isinstance(plan, JoinP):
+        return plan.kind in ("inner", "cross")
+    if isinstance(plan, SetOpP):
+        return plan.op == "union" and not plan.distinct
+    return isinstance(plan, (FilterP, ProjectP))
+
+
+def _not_maintainable(plan: Plan) -> DeltaRewriteError:
+    return DeltaRewriteError(f"{type(plan).__name__} is not insert-delta maintainable")
+
+
 def _asof(plan: Plan, slots: tuple[str, ...]) -> Plan:
     if isinstance(plan, ScanP):
         return _window(plan, "asof", slots)
-    if isinstance(plan, FilterP):
-        return FilterP(_asof(plan.input, slots), plan.condition)
-    if isinstance(plan, ProjectP):
-        return ProjectP(_asof(plan.input, slots), plan.exprs, plan.names)
-    if isinstance(plan, JoinP) and plan.kind in ("inner", "cross"):
-        return JoinP(_asof(plan.left, slots), _asof(plan.right, slots),
-                     plan.kind, plan.left_keys, plan.right_keys,
-                     plan.residual, plan.null_matches)
-    if isinstance(plan, SetOpP) and plan.op == "union" and not plan.distinct:
-        return SetOpP("union", _asof(plan.left, slots),
-                      _asof(plan.right, slots), distinct=False)
-    raise DeltaRewriteError(
-        f"{type(plan).__name__} is not insert-delta maintainable"
-    )
+    if not _bag_operator(plan):
+        raise _not_maintainable(plan)
+    return plan.with_children([_asof(child, slots) for child in plan.children()])
 
 
 def delta_terms(plan: Plan) -> list[Plan]:
@@ -148,29 +151,19 @@ def delta_terms(plan: Plan) -> list[Plan]:
 def _delta(plan: Plan, slots: tuple[str, ...]) -> list[Plan]:
     if isinstance(plan, ScanP):
         return [_window(plan, "delta", slots)]
-    if isinstance(plan, FilterP):
-        return [FilterP(term, plan.condition)
-                for term in _delta(plan.input, slots)]
-    if isinstance(plan, ProjectP):
-        return [ProjectP(term, plan.exprs, plan.names)
-                for term in _delta(plan.input, slots)]
-    if isinstance(plan, JoinP) and plan.kind in ("inner", "cross"):
-        old_left = None
-        terms = [JoinP(term, plan.right, plan.kind, plan.left_keys,
-                       plan.right_keys, plan.residual, plan.null_matches)
-                 for term in _delta(plan.left, slots)]
-        for term in _delta(plan.right, slots):
-            if old_left is None:
-                old_left = _asof(plan.left, slots)
-            terms.append(JoinP(old_left, term, plan.kind, plan.left_keys,
-                               plan.right_keys, plan.residual,
-                               plan.null_matches))
-        return terms
-    if isinstance(plan, SetOpP) and plan.op == "union" and not plan.distinct:
+    if not _bag_operator(plan):
+        raise _not_maintainable(plan)
+    if isinstance(plan, SetOpP):  # linear: each side's new rows
         return _delta(plan.left, slots) + _delta(plan.right, slots)
-    raise DeltaRewriteError(
-        f"{type(plan).__name__} is not insert-delta maintainable"
-    )
+    # Linear in each input: one input's new rows meet the old state of the
+    # inputs before it and the full state of those after it.
+    children = plan.children()
+    terms: list[Plan] = []
+    for i, child in enumerate(children):
+        old = [_asof(before, slots) for before in children[:i]]
+        terms.extend(plan.with_children([*old, term, *children[i + 1:]])
+                     for term in _delta(child, slots))
+    return terms
 
 
 def term_delta_relation(term: Plan) -> str:

@@ -376,37 +376,11 @@ def _collect_aggregates(expr: e.Expr) -> list[e.FuncCall]:
 
 
 def _replace_aggregates(expr: e.Expr, mapping: Mapping[e.FuncCall, str]) -> e.Expr:
+    """``expr`` over the aggregate node's output: each aggregate call read
+    as the column it was computed into."""
     if isinstance(expr, e.FuncCall) and expr.is_aggregate:
         return e.Col(mapping[expr])
-    if isinstance(expr, e.FuncCall):  # scalar function over an aggregate
-        return e.FuncCall(expr.name,
-                          tuple(_replace_aggregates(a, mapping) for a in expr.args),
-                          expr.distinct)
-    if isinstance(expr, e.Comparison):
-        return e.Comparison(_replace_aggregates(expr.left, mapping), expr.op,
-                            _replace_aggregates(expr.right, mapping))
-    if isinstance(expr, e.BinOp):
-        return e.BinOp(expr.op, _replace_aggregates(expr.left, mapping),
-                       _replace_aggregates(expr.right, mapping))
-    if isinstance(expr, e.Neg):
-        return e.Neg(_replace_aggregates(expr.operand, mapping))
-    if isinstance(expr, e.And):
-        return e.And(tuple(_replace_aggregates(o, mapping) for o in expr.operands))
-    if isinstance(expr, e.Or):
-        return e.Or(tuple(_replace_aggregates(o, mapping) for o in expr.operands))
-    if isinstance(expr, e.Not):
-        return e.Not(_replace_aggregates(expr.operand, mapping))
-    if isinstance(expr, e.IsNull):
-        return e.IsNull(_replace_aggregates(expr.operand, mapping), expr.negated)
-    if isinstance(expr, e.Between):
-        return e.Between(_replace_aggregates(expr.operand, mapping),
-                         _replace_aggregates(expr.low, mapping),
-                         _replace_aggregates(expr.high, mapping), expr.negated)
-    if isinstance(expr, e.InList):
-        return e.InList(_replace_aggregates(expr.operand, mapping),
-                        tuple(_replace_aggregates(i, mapping) for i in expr.items),
-                        expr.negated)
-    return expr
+    return e.map_children(expr, lambda child: _replace_aggregates(child, mapping))
 
 
 def _lower_grouped(query: Any, plan: Plan, from_cols: Sequence[str]) -> Plan:

@@ -7,6 +7,11 @@ connectives, and (for SQL) subquery predicates.  This module defines that
 language once; :mod:`repro.expr.eval` evaluates it and
 :mod:`repro.expr.format` renders it back to SQL-ish text.
 
+The tree has one rewriter, :func:`map_children`, which rebuilds a node over
+new children.  Every rewrite decides only what happens at the nodes it owns
+and hands the rest to it: :func:`map_columns` owns a :class:`Col`, the SQL
+lowering and the SQL interpreter each own an aggregate call.
+
 Subquery-bearing nodes (:class:`Exists`, :class:`InSubquery`,
 :class:`QuantifiedComparison`, :class:`ScalarSubquery`) hold the subquery as
 an opaque object — in practice a :class:`repro.sql.ast.SelectQuery` — so that
@@ -16,7 +21,7 @@ this package does not depend on the SQL package.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 #: Equality with NULL equal to NULL (natural and calculus joins); plans
 #: carry it, no parser reads it.
@@ -413,45 +418,54 @@ def disjuncts(expr: Expr) -> list[Expr]:
     return [expr]
 
 
-def map_columns(expr: Expr, fn) -> Expr:
+#: Nodes with no subexpression in their own scope: a subquery node's query
+#: is a scope of its own, which no rewrite of this expression enters.
+_LEAVES = (Const, BoolConst, Col, Star, ScalarSubquery, Exists)
+
+
+def map_children(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
+    """``expr`` rebuilt with ``fn`` applied to each direct subexpression, in
+    :meth:`Expr.children` order; a leaf is returned as it is.
+
+    This is the one rebuild of an expression tree: a rewrite decides what
+    happens at the nodes it owns and hands every other node here.  A node
+    class this module does not define raises :class:`ExprError`.
+    """
+    if isinstance(expr, _LEAVES):
+        return expr
+    if isinstance(expr, (And, Or)):
+        return type(expr)(tuple(fn(o) for o in expr.operands))
+    if isinstance(expr, (Neg, Not)):
+        return type(expr)(fn(expr.operand))
+    if isinstance(expr, BinOp):
+        return BinOp(expr.op, fn(expr.left), fn(expr.right))
+    if isinstance(expr, Comparison):
+        return Comparison(fn(expr.left), expr.op, fn(expr.right))
+    if isinstance(expr, FuncCall):
+        return FuncCall(expr.name, tuple(fn(a) for a in expr.args), expr.distinct)
+    if isinstance(expr, IsNull):
+        return IsNull(fn(expr.operand), expr.negated)
+    if isinstance(expr, InList):
+        return InList(fn(expr.operand), tuple(fn(i) for i in expr.items), expr.negated)
+    if isinstance(expr, Between):
+        return Between(fn(expr.operand), fn(expr.low), fn(expr.high), expr.negated)
+    if isinstance(expr, Like):
+        return Like(fn(expr.operand), expr.pattern, expr.negated)
+    if isinstance(expr, InSubquery):
+        return InSubquery(fn(expr.operand), expr.query, expr.negated)
+    if isinstance(expr, QuantifiedComparison):
+        return QuantifiedComparison(fn(expr.left), expr.op, expr.quantifier, expr.query)
+    raise ExprError(f"map_children: unhandled node {type(expr).__name__}")
+
+
+def map_columns(expr: Expr, fn: Callable[[Col], Expr]) -> Expr:
     """Return a copy of ``expr`` with every :class:`Col` replaced by ``fn(col)``.
 
     Subqueries are left untouched (they have their own scopes).
     """
     if isinstance(expr, Col):
         return fn(expr)
-    if isinstance(expr, (Const, BoolConst, Star, ScalarSubquery, Exists)):
-        return expr
-    if isinstance(expr, BinOp):
-        return BinOp(expr.op, map_columns(expr.left, fn), map_columns(expr.right, fn))
-    if isinstance(expr, Neg):
-        return Neg(map_columns(expr.operand, fn))
-    if isinstance(expr, FuncCall):
-        return FuncCall(expr.name, tuple(map_columns(a, fn) for a in expr.args), expr.distinct)
-    if isinstance(expr, Comparison):
-        return Comparison(map_columns(expr.left, fn), expr.op, map_columns(expr.right, fn))
-    if isinstance(expr, And):
-        return And(tuple(map_columns(o, fn) for o in expr.operands))
-    if isinstance(expr, Or):
-        return Or(tuple(map_columns(o, fn) for o in expr.operands))
-    if isinstance(expr, Not):
-        return Not(map_columns(expr.operand, fn))
-    if isinstance(expr, IsNull):
-        return IsNull(map_columns(expr.operand, fn), expr.negated)
-    if isinstance(expr, InList):
-        return InList(map_columns(expr.operand, fn),
-                      tuple(map_columns(i, fn) for i in expr.items), expr.negated)
-    if isinstance(expr, Between):
-        return Between(map_columns(expr.operand, fn), map_columns(expr.low, fn),
-                       map_columns(expr.high, fn), expr.negated)
-    if isinstance(expr, Like):
-        return Like(map_columns(expr.operand, fn), expr.pattern, expr.negated)
-    if isinstance(expr, InSubquery):
-        return InSubquery(map_columns(expr.operand, fn), expr.query, expr.negated)
-    if isinstance(expr, QuantifiedComparison):
-        return QuantifiedComparison(map_columns(expr.left, fn), expr.op,
-                                    expr.quantifier, expr.query)
-    raise ExprError(f"map_columns: unhandled node {type(expr).__name__}")
+    return map_children(expr, lambda child: map_columns(child, fn))
 
 
 def rename_qualifiers(expr: Expr, mapping: dict[str, str]) -> Expr:

@@ -22,23 +22,7 @@ from typing import Any, Sequence
 
 from repro.data.database import Database
 from repro.data.relation import Relation, dedupe_rows, result_relation
-from repro.expr.ast import (
-    And,
-    Between,
-    BinOp,
-    Col,
-    Comparison,
-    Const,
-    Expr,
-    FuncCall,
-    InList,
-    IsNull,
-    Like,
-    Neg,
-    Not,
-    Or,
-    contains_aggregate,
-)
+from repro.expr.ast import Col, Const, Expr, FuncCall, contains_aggregate, map_children
 from repro.expr.eval import Scope, compute_aggregate, eval_expr, eval_predicate, sort_key
 from repro.sql.ast import (
     DerivedTable,
@@ -293,46 +277,8 @@ def _replace_aggregates(expr: Expr, member_scopes: list[Scope], subquery_eval) -
     """Replace aggregate calls by constants computed over the group."""
     if isinstance(expr, FuncCall) and expr.is_aggregate:
         return Const(compute_aggregate(expr, member_scopes, subquery_eval))
-    if isinstance(expr, FuncCall):  # scalar function over an aggregate
-        return FuncCall(expr.name,
-                        tuple(_replace_aggregates(a, member_scopes, subquery_eval)
-                              for a in expr.args),
-                        expr.distinct)
-    if isinstance(expr, BinOp):
-        return BinOp(expr.op,
-                     _replace_aggregates(expr.left, member_scopes, subquery_eval),
-                     _replace_aggregates(expr.right, member_scopes, subquery_eval))
-    if isinstance(expr, Neg):
-        return Neg(_replace_aggregates(expr.operand, member_scopes, subquery_eval))
-    if isinstance(expr, Comparison):
-        return Comparison(_replace_aggregates(expr.left, member_scopes, subquery_eval),
-                          expr.op,
-                          _replace_aggregates(expr.right, member_scopes, subquery_eval))
-    if isinstance(expr, And):
-        return And(tuple(_replace_aggregates(o, member_scopes, subquery_eval)
-                         for o in expr.operands))
-    if isinstance(expr, Or):
-        return Or(tuple(_replace_aggregates(o, member_scopes, subquery_eval)
-                        for o in expr.operands))
-    if isinstance(expr, Not):
-        return Not(_replace_aggregates(expr.operand, member_scopes, subquery_eval))
-    if isinstance(expr, IsNull):
-        return IsNull(_replace_aggregates(expr.operand, member_scopes, subquery_eval),
-                      expr.negated)
-    if isinstance(expr, Between):
-        return Between(_replace_aggregates(expr.operand, member_scopes, subquery_eval),
-                       _replace_aggregates(expr.low, member_scopes, subquery_eval),
-                       _replace_aggregates(expr.high, member_scopes, subquery_eval),
-                       expr.negated)
-    if isinstance(expr, InList):
-        return InList(_replace_aggregates(expr.operand, member_scopes, subquery_eval),
-                      tuple(_replace_aggregates(i, member_scopes, subquery_eval)
-                            for i in expr.items),
-                      expr.negated)
-    if isinstance(expr, Like):
-        return Like(_replace_aggregates(expr.operand, member_scopes, subquery_eval),
-                    expr.pattern, expr.negated)
-    return expr
+    return map_children(
+        expr, lambda child: _replace_aggregates(child, member_scopes, subquery_eval))
 
 
 # ---------------------------------------------------------------------------

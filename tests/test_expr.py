@@ -13,6 +13,7 @@ from repro.expr import (
     Comparison,
     Const,
     Exists,
+    Expr,
     ExprError,
     FuncCall,
     InList,
@@ -24,6 +25,7 @@ from repro.expr import (
     Not,
     Or,
     QuantifiedComparison,
+    ScalarSubquery,
     Scope,
     Star,
     compute_aggregate,
@@ -36,6 +38,7 @@ from repro.expr import (
     eval_expr,
     eval_predicate,
     format_expr,
+    map_children,
     map_columns,
     rename_qualifiers,
 )
@@ -101,6 +104,48 @@ class TestAst:
         assert qualifiers == {"X", "R"}
         upper = map_columns(expr, lambda c: Col(c.name.upper(), c.qualifier))
         assert {c.name for c in upper.columns()} == {"A", "B", "C"}
+
+    def test_map_children_rebuilds_every_node_class_over_its_children(self):
+        from repro.engine.plan import PositionCol
+
+        def concrete(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from concrete(sub)
+
+        a, b, c = Col("a"), Const(2), Col("c", "t")
+        query = object()
+        samples = {
+            Const: Const(1, slot=0), BoolConst: BoolConst(False), Col: a,
+            Star: Star("t"), ScalarSubquery: ScalarSubquery(query),
+            Exists: Exists(query, negated=True),
+            BinOp: BinOp("*", a, b), Neg: Neg(a),
+            FuncCall: FuncCall("sum", (a, b), distinct=True),
+            Comparison: Comparison(a, "<=", b), And: And((a, b, c)),
+            Or: Or((c, a)), Not: Not(a), IsNull: IsNull(a, negated=True),
+            InList: InList(a, (b, c), negated=True),
+            Between: Between(a, b, c, negated=True),
+            Like: Like(a, "x%", negated=True),
+            InSubquery: InSubquery(a, query, negated=True),
+            QuantifiedComparison: QuantifiedComparison(a, ">=", "all", query),
+        }
+        classes = set(concrete(Expr))
+        assert classes - set(samples) == {PositionCol}, "add a sample"
+        for cls, node in samples.items():
+            seen: list[Expr] = []
+            rebuilt = map_children(node, lambda child: seen.append(child) or child)
+            assert type(rebuilt) is cls and rebuilt == node
+            assert seen == list(node.children())
+        with pytest.raises(ExprError):
+            map_children(PositionCol(0), lambda child: child)
+
+    def test_map_columns_refuses_a_position(self):
+        from repro.engine.plan import PositionCol
+
+        conjunct = And((Comparison(Col("a"), "=", Const(1)),
+                        Comparison(PositionCol(0), "=", Const(2))))
+        with pytest.raises(ExprError):
+            map_columns(conjunct, lambda col: col)
 
     def test_is_predicate(self):
         assert Comparison(Col("a"), "=", Const(1)).is_predicate()

@@ -39,7 +39,7 @@ from repro.logic import (
     to_prenex,
 )
 from repro.core.patterns import isomorphic, pattern_of
-from repro.ra import evaluate as evaluate_ra, optimize, parse_ra
+from repro.ra import evaluate as evaluate_ra, parse_ra
 from repro.sql import evaluate_sql
 from repro.translate import answer_set, sql_to_trc
 from repro.trc import evaluate_trc
@@ -211,15 +211,6 @@ class TestEngineProperties:
         assert (set(evaluate_sql(sql, db).distinct_rows())
                 == set(evaluate_ra(parse_ra(ra), db).rows())
                 == set(evaluate_trc(trc, db).rows()))
-
-    @settings(max_examples=15, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_optimizer_preserves_answers(self, seed):
-        db = random_sailors_database(n_sailors=6, n_boats=4, n_reserves=12, seed=seed)
-        expr = parse_ra("project[sname](select[color = 'red' and Sailors.sid = Reserves.sid "
-                        "and Reserves.bid = Boats.bid](Sailors times Reserves times Boats))")
-        optimized = optimize(expr, db.schema)
-        assert evaluate_ra(expr, db).set_equal(evaluate_ra(optimized, db))
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10_000))

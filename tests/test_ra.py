@@ -1,4 +1,4 @@
-"""Tests for Relational Algebra: AST, schema inference, parsing, evaluation, rewrites."""
+"""Tests for Relational Algebra: AST, schema inference, parsing, evaluation."""
 
 from __future__ import annotations
 
@@ -25,14 +25,10 @@ from repro.ra import (
     Union,
     cardinality,
     evaluate,
-    merge_selections,
     operator_label,
-    optimize,
     output_schema,
     parse_ra,
-    push_selections,
     resolve_attribute,
-    selection_to_join,
     to_text,
     to_tree,
 )
@@ -254,32 +250,3 @@ class TestParserAndPrinter:
         assert tree.splitlines()[0].startswith("π")
         assert "Sailors" in tree
         assert operator_label(RelationRef("Boats")) == "Boats"
-
-
-class TestRewrites:
-    def test_merge_selections(self, db):
-        expr = parse_ra("select[rating > 5](select[age < 50.0](Sailors))")
-        merged = merge_selections(expr)
-        assert isinstance(merged, Selection)
-        assert isinstance(merged.input, RelationRef)
-        assert evaluate(expr, db).set_equal(evaluate(merged, db))
-
-    def test_selection_to_join(self, db, schema):
-        expr = parse_ra("select[Sailors.sid = Reserves.sid](Sailors times Reserves)")
-        joined = selection_to_join(expr)
-        assert isinstance(joined, ThetaJoin)
-        assert evaluate(expr, db).set_equal(evaluate(joined, db))
-
-    def test_push_selections_splits_conjuncts(self, db, schema):
-        expr = parse_ra("select[color = 'red' and rating > 5](Sailors times Boats)")
-        pushed = push_selections(expr, schema)
-        text = to_text(pushed)
-        assert "times" in text
-        assert evaluate(expr, db).set_equal(evaluate(pushed, db))
-        # both conjuncts moved below the product
-        assert not isinstance(pushed, Selection) or "and" not in to_text(pushed.condition).lower()
-
-    def test_optimize_preserves_semantics(self, db, schema, canonical_query):
-        expr = parse_ra(canonical_query.ra)
-        optimized = optimize(expr, schema)
-        assert evaluate(expr, db).set_equal(evaluate(optimized, db))

@@ -415,10 +415,21 @@ class TestErrorPaths:
         # The classifier turns the storage tier's frozen-relation error
         # into the structured 409 (unit level: HTTP writes go through
         # copy-on-write services, so the wire never sees it here).
-        error = wrap_service_error(
-            RelationError("relation 'answer' is frozen; copy() it to mutate"))
+        relation = sailors_database().relation("Boats").freeze()
+        with pytest.raises(RelationError) as raised:
+            relation.add((105, "Ark", "blue"))
+        error = wrap_service_error(raised.value)
         assert isinstance(error, FrozenMutationError)
         assert (error.http_status, error.code) == (409, "frozen_mutation")
+
+    def test_a_bad_row_naming_frozen_is_invalid_not_frozen(self, base_server):
+        # A malformed row is a 400 whatever its values spell.
+        _service, server = base_server
+        for word in ("frozen", "thawed"):
+            status, _h, error = self._error(
+                server, "POST", "/write",
+                {"relation": "Boats", "rows": [[word, "x", "red"]]})
+            assert (status, error["code"]) == (400, "invalid_request"), word
 
     def test_key_error_maps_to_unknown_relation(self):
         error = wrap_service_error(KeyError("Ghost"))

@@ -1178,6 +1178,54 @@ class TestInvariantLint:
         assert [v for v in invariants.run_checks(root)
                 if v.rule == "one-bind"] == []
 
+    def test_expr_rebuilt_outside_the_rewriter(self, invariants,
+                                               fixture_repo):
+        root = fixture_repo("src/repro/engine/lower.py", """\
+            from repro.expr import ast as e
+
+            def replace(expr, fn):
+                if isinstance(expr, e.Between):
+                    return e.Between(fn(expr.operand), fn(expr.low),
+                                     fn(expr.high), expr.negated)
+                return expr
+            """)
+        fixture_repo("src/repro/sql/evaluate.py", """\
+            from repro.expr.ast import InList, Like
+
+            def replace(expr, fn):
+                if isinstance(expr, Like):
+                    return Like(fn(expr.operand), expr.pattern, expr.negated)
+                return InList(fn(expr.operand), expr.items, expr.negated)
+            """)
+        violations = [v for v in invariants.run_checks(root)
+                      if v.rule == "one-expr-rewriter"]
+        lower = os.path.join("src", "repro", "engine", "lower.py")
+        evaluate = os.path.join("src", "repro", "sql", "evaluate.py")
+        assert sorted((v.path, v.line) for v in violations) == sorted([
+            (lower, 5), (evaluate, 5), (evaluate, 6)])
+        assert "map_children" in violations[0].message
+
+    def test_expr_built_by_the_tree_and_the_parser_is_clean(self, invariants,
+                                                           fixture_repo):
+        fixture_repo("src/repro/expr/ast.py", """\
+            def map_children(expr, fn):
+                return Like(fn(expr.operand), expr.pattern, expr.negated)
+            """)
+        fixture_repo("src/repro/expr/parser.py", """\
+            def parse_like(left, text, negated):
+                return Like(left, text, negated)
+            """)
+        root = fixture_repo("src/repro/engine/lower.py", """\
+            from repro.expr import ast as e
+
+            def replace(expr, mapping):
+                if isinstance(expr, (e.Like, e.InList, e.Between)):
+                    return e.map_children(expr, mapping.get)
+                return expr
+            """)
+        assert [v for v in invariants.run_checks(root)
+                if v.rule == "one-expr-rewriter"] == []
+
     def test_trc_formula_walked_outside_the_pattern_reader(self, invariants,
                                                           fixture_repo):
         root = fixture_repo("src/repro/diagrams/common.py", """\

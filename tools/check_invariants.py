@@ -89,6 +89,14 @@ Rules (see tools/README.md for how to add one):
     a ``replace(…, since=…)`` call: a view's delta windows take their
     version anchors as slots, never as a rebuilt copy of the plan.
 
+``one-expr-rewriter``
+    An expression tree is rebuilt in one place: under ``src/repro``
+    outside ``expr/ast.py`` and ``expr/parser.py``, a construction of
+    ``Between``, ``InList`` or ``Like`` (bare or qualified, as in
+    ``e.Like(…)``) is a violation — a rewrite decides what happens at the
+    nodes it owns and hands the rest to ``repro.expr.ast.map_children``,
+    which rebuilds every composite node over new children.
+
 ``no-oracle-imports``
     The five reference interpreters (``repro.{sql,ra,trc,drc,datalog}
     .evaluate``) stay a separate implementation of the semantics the
@@ -935,6 +943,37 @@ def check_one_bind(root: str) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
+# Rule: one-expr-rewriter
+# ---------------------------------------------------------------------------
+
+#: The modules that may build the composite predicates no rewrite owns:
+#: the tree's one rebuild and the expression parser.
+_EXPR_BUILDERS = frozenset({"src/repro/expr/ast.py",
+                            "src/repro/expr/parser.py"})
+_REBUILT_ONLY_NODES = frozenset({"Between", "InList", "Like"})
+
+
+def check_one_expr_rewriter(root: str) -> list[Violation]:
+    violations: list[Violation] = []
+    for _path, rel_path, tree in _walk_sources(root, ("src/repro",)):
+        if rel_path.replace(os.sep, "/") in _EXPR_BUILDERS:
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) \
+                else getattr(func, "id", "")
+            if name in _REBUILT_ONLY_NODES:
+                violations.append(Violation(
+                    rel_path, node.lineno, "one-expr-rewriter",
+                    f"{name} built outside expr/ast.py and expr/parser.py; "
+                    "rebuild an expression through "
+                    "repro.expr.ast.map_children"))
+    return violations
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -953,6 +992,7 @@ ALL_RULES = (
     check_one_pattern_walker,
     check_one_fixpoint,
     check_one_bind,
+    check_one_expr_rewriter,
 )
 
 
