@@ -7,7 +7,8 @@ plan twice: once through the engine's one columnar executor,
 :class:`~repro.engine.vectorized.VectorizedExecutor`, as served (every
 table here is above ``KERNEL_MIN_ROWS``: dictionary encodings, cached
 probe structures, packed-code DISTINCT, code-space MIN/MAX), and once on
-the row :class:`~repro.engine.execute.Executor` — the one Python
+the row executor (the plan's row program,
+:func:`~repro.engine.execute.compile_rows`) — the one Python
 implementation of each operator, which a declined kernel runs and which
 the ``"vectorized"`` backend is when numpy is absent — on a synthetic
 star schema:
@@ -90,7 +91,7 @@ from conftest import print_table
 from repro.data.database import Database
 from repro.data.relation import relation_from_rows
 from repro.engine import lower, optimize
-from repro.engine.execute import Executor
+from repro.engine.execute import compile_rows
 from repro.engine.kernels import (
     cache_stats,
     clear_cache,
@@ -223,7 +224,7 @@ def _best_of(fn, reps: int = 5, warm: int = 2):
 
 def _row_executor(plan, db):
     """``plan``'s rows from the row executor, the kernels' reference."""
-    return Executor(db).rows(plan)
+    return compile_rows(plan)(db)
 
 
 def _write_artifact(name: str, artifact: dict) -> None:

@@ -35,11 +35,12 @@ Quickstart::
 """
 
 from repro.engine.execute import (
-    Executor,
     ExecutorBackend,
     RowBackend,
+    RowProgram,
     build_result_relation,
     clear_compiled_cache,
+    compile_rows,
     compiled_expr,
     compiled_predicate,
     execute_datalog,
@@ -135,7 +136,6 @@ __all__ = [
     "DistinctMaintainer",
     "DistinctP",
     "DivideP",
-    "Executor",
     "ExecutorBackend",
     "FilterP",
     "FixpointP",
@@ -148,6 +148,7 @@ __all__ = [
     "ProcessBackend",
     "ProjectP",
     "RowBackend",
+    "RowProgram",
     "ScanP",
     "SetOpP",
     "ShardedBackend",
@@ -166,6 +167,7 @@ __all__ = [
     "clear_compiled_cache",
     "collect_table_stats",
     "common_subplan_count",
+    "compile_rows",
     "compiled_expr",
     "compiled_predicate",
     "default_process_workers",

@@ -23,15 +23,19 @@ language-agnostic:
   lifted from a comment, a value some parser transformed — *refuses* the
   shape (``None``), and the caller serves it under its exact text.
 * A plan with slots is executed as it is, with the values as the
-  executor's ``params``: :func:`bind_node` is how an executor reads them.
-  Only a node whose *own* fields hold a slotted constant (a filter
-  condition, a join residual, project exprs, aggregate args, sort keys, a
-  fixpoint's facts, a window's anchor) is re-made, as a shallow copy with
-  those fields bound; its children stay the template's objects, so the
-  executor memoizes under the template's nodes and everything it caches
-  on them (hashes, column positions) carries over from execution to
-  execution.  The operators see plain constants, exactly as in a plan
-  that never had slots.
+  executor's ``params``.  The row executor compiles a template once
+  (:func:`repro.engine.execute.compile_rows`) and reads a slot in a lookup
+  key or a column-op-constant filter conjunct from the values directly
+  (:func:`param_reader`).  Anywhere else — an ``OR``, ``IN`` or
+  ``BETWEEN`` conjunct (:func:`expr_binder`), a join residual, project
+  exprs, aggregate args, sort keys, a fixpoint's facts, a window's anchor
+  — the node whose *own* fields hold the slot is re-made per execution by
+  :func:`bind_node`, as a shallow copy with those fields bound; its
+  children stay the template's objects, so everything cached on them
+  (hashes, column positions, compiled programs) carries over from
+  execution to execution.  The operators see plain constants, exactly as
+  in a plan that never had slots; the columnar executor binds each node
+  it computes this way.
 * :func:`bind_plan` binds a whole plan the same way, node by node, giving a
   plan of plain ``Const``s.  Only the cold consumers pay for it: a prepared
   view's plan, ``run()``'s :class:`PipelineResult` plan, the
@@ -59,6 +63,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import operator
 import re
 from typing import Any, Callable, Sequence
 
@@ -67,8 +72,8 @@ from repro.engine.plan import Plan
 from repro.syntax import NUMBER, QUOTED, STRING
 
 __all__ = ["attach_slots", "bind_node", "bind_plan", "discover_slots",
-           "is_bound", "scan_literals", "sentinel_text", "sentinels_for",
-           "slot_of"]
+           "expr_binder", "holds_slots", "is_bound", "param_reader",
+           "scan_literals", "sentinel_text", "sentinels_for", "slot_of"]
 
 #: What a text may contain that the scanner must step over as one unit: a
 #: single-quoted string, a double-quoted identifier/string (kept verbatim),
@@ -238,7 +243,7 @@ def discover_slots(lowered: Any, shape: str, literals: Sequence[Any],
 # Binding a template: one node's own fields, bound per execution
 # ---------------------------------------------------------------------------
 
-def _binder(part: Any) -> "Callable[[Sequence[Any]], Any] | None":
+def expr_binder(part: Any) -> "Callable[[Sequence[Any]], Any] | None":
     """A function of one execution's values that rebuilds ``part`` down to
     its slotted constants, bound to them; ``None`` when ``part`` holds no
     slot outside the plan nodes it contains (a child plan is bound on its
@@ -257,7 +262,7 @@ def _binder(part: Any) -> "Callable[[Sequence[Any]], Any] | None":
             return None
         parts = [getattr(part, name) for name in names]
         make = lambda rebuilt: type(part)(*rebuilt)  # noqa: E731
-    binders = [_binder(x) for x in parts]
+    binders = [expr_binder(x) for x in parts]
     if not any(binders):
         return None
     pairs = list(zip(parts, binders))
@@ -267,7 +272,7 @@ def _binder(part: Any) -> "Callable[[Sequence[Any]], Any] | None":
 
 def _node_binder(node: Plan) -> "Callable[[Sequence[Any]], Plan] | None":
     """How a node is re-made with its own fields (not its children) bound
-    through their :func:`_binder`, ``None`` when none holds a slot.  The
+    through their :func:`expr_binder`, ``None`` when none holds a slot.  The
     copy carries the node's resolved column positions.  Worked out on
     first use and kept on the node, like its hash: a cached template's
     nodes are executed request after request."""
@@ -276,7 +281,7 @@ def _node_binder(node: Plan) -> "Callable[[Sequence[Any]], Plan] | None":
     except KeyError:
         pass
     parts = [getattr(node, name) for name in _walked_fields(type(node)) or ()]
-    binders = [_binder(part) for part in parts]
+    binders = [expr_binder(part) for part in parts]
     node_binder = None
     if any(binders):
         pairs = list(zip(parts, binders))
@@ -295,6 +300,20 @@ def _node_binder(node: Plan) -> "Callable[[Sequence[Any]], Plan] | None":
 
     object.__setattr__(node, "_binder", node_binder)
     return node_binder
+
+
+def holds_slots(node: Plan) -> bool:
+    """Whether one of ``node``'s own fields (not its children) holds a
+    slotted constant."""
+    return _node_binder(node) is not None
+
+
+def param_reader(const: Any) -> "Callable[[Sequence[Any]], Any] | None":
+    """How a compiled operator reads a template constant's value from one
+    call's values; ``None`` for a plain constant (its value is the
+    constant's own)."""
+    slot = slot_of(const)
+    return None if slot is None else operator.itemgetter(slot)
 
 
 def bind_node(node: Plan, values: Sequence[Any]) -> Plan:

@@ -131,7 +131,7 @@ _PATH_TOTALS = dict.fromkeys(
     ("probe_kernel", "probe_loop", "build_lowered", "build_extended",
      "build_relowered", "build_dict", "sel_converted", "sort_radix",
      "sort_compare", "group_direct", "group_sorted", "distinct_positions",
-     "scan_lookup", "plan_rows", "plan_columnar"),
+     "scan_lookup", "plan_rows", "plan_columnar", "plan_compile"),
     0)
 _PATH_LOCK = threading.Lock()
 
@@ -144,7 +144,9 @@ def count_path(key: str) -> None:
     :mod:`repro.engine.kernels`) / ``scan_lookup`` (an equality filter read
     one ``key_index`` bucket: :func:`repro.engine.execute.scan_lookup`) /
     ``plan_rows`` or ``plan_columnar`` (which executor the ``"vectorized"``
-    backend ran a plan on: :func:`repro.engine.vectorized.runs_on_rows`)."""
+    backend ran a plan on: :func:`repro.engine.vectorized.runs_on_rows`) /
+    ``plan_compile`` (a plan compiled to a row program:
+    :func:`repro.engine.execute.compile_rows`)."""
     with _PATH_LOCK:
         _PATH_TOTALS[key] += 1
 

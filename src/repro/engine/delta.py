@@ -51,8 +51,8 @@ from typing import Any, Callable, Iterable, Mapping
 from repro.data.database import Database
 from repro.expr import ast as e
 from repro.engine.execute import (
-    Executor,
     Row,
+    compile_rows,
     compiled_expr,
     get_backend,
 )
@@ -217,15 +217,14 @@ def finish_rows(db: Database, plan: Plan, core: Plan,
                 core_rows: list[Row]) -> list[Row]:
     """Apply the finishing operators above ``core`` to its maintained rows.
 
-    Implemented by seeding a row executor's per-plan memo with the core's
+    ``plan``'s row program, compiled to take ``core`` as an input
+    (:func:`~repro.engine.execute.compile_rows`), is handed the core's
     rows: every operator above the core then runs through the production
     row operators, so finishing semantics cannot drift from the executors'.
     """
     if plan is core or plan == core:
         return core_rows
-    executor = Executor(db)
-    executor._memo[core] = core_rows
-    return executor.rows(plan)
+    return compile_rows(plan, core)(db, given=core_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +253,9 @@ class _DeltaSource:
                        optimize(maybe_verify(term, db, rule="delta_terms"),
                                 db))
                       for term in delta_terms(plan)]
+        #: The union each set of changed relations executes, built once, so
+        #: a refresh runs a plan whose row program it compiled before.
+        self._unions: dict[tuple[str, ...], Plan] = {}
 
     def full_rows(self, db: Database, backend: str) -> list[Row]:
         return get_backend(backend).execute(self.plan, db)
@@ -261,12 +263,17 @@ class _DeltaSource:
     def delta_rows(self, db: Database, anchors: Mapping[str, int],
                    changed: set[str], backend: str) -> list[Row]:
         """Rows the plan gained since ``anchors``; empty if nothing changed."""
-        active = [term for relation, term in self.terms if relation in changed]
+        active = [(relation, term) for relation, term in self.terms
+                  if relation in changed]
         if not active:
             return []
-        union = active[0]
-        for term in active[1:]:
-            union = SetOpP("union", union, term, distinct=False)
+        key = tuple(relation for relation, _term in active)
+        union = self._unions.get(key)
+        if union is None:
+            union = active[0][1]
+            for _relation, term in active[1:]:
+                union = SetOpP("union", union, term, distinct=False)
+            self._unions[key] = union
         params = tuple(anchors[relation] for relation in self.relations)
         if verification_enabled():
             # The windows the anchors bind are certified like a literal bind.

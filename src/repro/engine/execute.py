@@ -13,20 +13,27 @@ One executor runs the plans of every frontend.  Physical choices:
   ``col = const`` as one bucket of the relation's ``key_index`` capped at
   ``keep`` (:func:`scan_lookup`), a hash join's build side as that index
   (:func:`join_table`);
-* every subplan's result is memoized *by plan value* for the duration of one
-  :func:`execute_plan` call — the operational half of common subexpression
-  elimination, and what makes the dependent-join compilation of correlated
-  subqueries cheap (the embedded outer plan is evaluated once);
-* a plan with slots runs as it is, their values passed as ``params`` (a
-  cached template's literals, a view's version anchors): a node whose own
-  fields hold a slot is computed as its bound copy
-  (:func:`repro.engine.bind.bind_node`) and memoized under the template's
-  node.
+* a plan is compiled once to a row program (:func:`compile_rows`), kept
+  on its root like its hash: nested closures with column positions, key
+  getters, each filter's lookup candidate and its classified conjuncts
+  fixed, so a cached template compiles on its first execution and every
+  later one only calls it;
+* a subplan that occurs more than once compiles to one closure whose rows
+  are kept for the rest of the call — the operational half of common
+  subexpression elimination, and what makes the dependent-join
+  compilation of correlated subqueries cheap (the embedded outer plan is
+  evaluated once);
+* a plan with slots compiles as it is, their values passed to each call
+  as ``params`` (a cached template's literals, a view's version anchors):
+  a lookup key or a column-op-constant conjunct reads its slot from them
+  (:func:`repro.engine.bind.param_reader`), and a node whose own fields
+  hold a slot in any other form is bound per call, those fields alone
+  (:func:`repro.engine.bind.bind_node`).
 
 Each operator has one Python implementation, a function of this module:
 :func:`filter_predicate`, :func:`join_rows`, :func:`aggregate_rows`,
 :func:`sort_limit_rows`, :func:`semi_anti_positions`, :func:`setop_rows`,
-:func:`divide_rows` and :func:`fold`.  :class:`Executor` calls them, and so
+:func:`divide_rows` and :func:`fold`.  The row program calls them, and so
 does the columnar executor wherever a numpy kernel declines
 (:mod:`repro.engine.vectorized`), so the backends cannot drift apart.  How
 a scan reaches its relation (:func:`resolve_window`) and the shape of a
@@ -73,7 +80,13 @@ from repro.expr.eval import (
     sort_key,
 )
 from repro.logic.terms import COMPARISONS
-from repro.engine.bind import bind_node, is_bound
+from repro.engine.bind import (
+    bind_node,
+    expr_binder,
+    holds_slots,
+    is_bound,
+    param_reader,
+)
 from repro.engine.cache import LRUCache, count_path, sink_bump
 from repro.engine.lower import lower, lower_datalog
 from repro.engine.plan import (
@@ -203,13 +216,11 @@ def compile_expr(expr: e.Expr, columns: Sequence[str]) -> RowFn:
 #
 # Compilation is pure — a closure depends only on the (immutable, hashable)
 # expression node and the column layout — so compiled closures are cached
-# process-wide.  Re-executing the same Plan object (a plan-cache hit executes
-# its shape's template itself, a view refresh its stored delta terms, and the
-# Datalog fixpoint re-runs its delta plans every round) therefore compiles
-# each expression once, not once per `_filter`/`_join` call.  The exception
-# is a node bound to one execution's values (`repro.engine.bind.bind_node`):
-# its expressions compile afresh (``cached=False``), so a stream of fresh
-# literals never churns the cache.
+# process-wide: templates of one expression share its closure, and the
+# columnar executor, which compiles a declined conjunct per execution,
+# compiles it once.  The exception is an expression bound to one
+# execution's values (`repro.engine.bind.bind_node`): it compiles afresh
+# (``cached=False``), so a stream of fresh literals never churns the cache.
 # Value closures and predicates share one LRU cache; a predicate's key
 # carries a "predicate" tag.
 
@@ -258,109 +269,25 @@ def clear_compiled_cache() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Plan execution
+# The operators
 # ---------------------------------------------------------------------------
-
-class Executor:
-    """Evaluates plans against one database, memoizing per plan value.
-
-    ``params`` are the values of a plan's slots (a cached template's
-    literals, a view's version anchors): each node is computed bound to
-    them (:func:`~repro.engine.bind.bind_node`) and memoized under itself.
-    """
-
-    def __init__(self, db: Database,
-                 memo: "dict[Plan, list[Row]] | None" = None,
-                 params: Sequence[Any] = ()) -> None:
-        self.db = db
-        self._memo: dict[Plan, list[Row]] = {} if memo is None else memo
-        self.params = tuple(params)
-        self.windows = Windows(db, self.params)
-
-    def rows(self, plan: Plan) -> list[Row]:
-        cached = self._memo.get(plan)
-        if cached is None:
-            cached = self._compute(plan)
-            self._memo[plan] = cached
-        return cached
-
-    # -- operators -------------------------------------------------------
-
-    def _compute(self, plan: Plan) -> list[Row]:
-        if isinstance(plan, (ScanP, DeltaScanP)):
-            relation, keep = self.windows.read(plan)
-            return relation[:keep]
-        plan = bind_node(plan, self.params)
-        if isinstance(plan, FilterP):
-            return self._filter(plan)
-        if isinstance(plan, ProjectP):
-            rows = self.rows(plan.input)
-            indices = plan.pick_positions
-            if None not in indices:
-                # Pure column picks: batch via itemgetter.
-                if len(indices) == 1:
-                    i0 = indices[0]
-                    return [(row[i0],) for row in rows]
-                getter = operator.itemgetter(*indices)
-                return [getter(row) for row in rows]
-            cached = not is_bound(plan)
-            fns = [compiled_expr(x, plan.input.columns, cached=cached)
-                   for x in plan.exprs]
-            return [tuple(fn(row) for fn in fns) for row in rows]
-        if isinstance(plan, DistinctP):
-            return dedupe_rows(self.rows(plan.input))
-        if isinstance(plan, JoinP):
-            return self._join(plan)
-        if isinstance(plan, SetOpP):
-            return setop_rows(plan, self.rows(plan.left), self.rows(plan.right))
-        if isinstance(plan, AggregateP):
-            return aggregate_rows(plan, self.rows(plan.input))
-        if isinstance(plan, DivideP):
-            return divide_rows(plan, self.rows(plan.left), self.rows(plan.right))
-        if isinstance(plan, SortLimitP):
-            return sort_limit_rows(plan, self.rows(plan.input))
-        if isinstance(plan, FixpointP):
-            return fixpoint_rows(plan, self.db, self._memo, self.params)
-        raise PlanError(f"cannot execute {type(plan).__name__}")
-
-    def _filter(self, plan: FilterP) -> list[Row]:
-        lookup = scan_lookup(plan, self.windows.base(plan.input))
-        if lookup is None:
-            rows = self.rows(plan.input)
-            conjuncts = e.conjuncts(plan.condition)
-        else:
-            relation, positions, conjuncts = lookup
-            rows = [relation[p] for p in positions]
-        if not conjuncts:
-            return list(rows)
-        predicate = filter_predicate(plan, conjuncts)
-        return [row for row in rows if predicate(row)]
-
-    def _join(self, plan: JoinP) -> list[Row]:
-        left_rows = self.rows(plan.left)
-        if plan.kind in ("inner", "cross") and not plan.left_keys \
-                and plan.residual is None:
-            right_rows = self.rows(plan.right)
-            return [l + r for l in left_rows for r in right_rows]
-        return join_rows(plan, left_rows, self.rows(plan.right),
-                         self.windows.base(plan.right))
-
 
 def join_rows(plan: JoinP, left_rows: list[Row], right_rows: Sequence[Row],
               source: "tuple[Relation, int] | None",
+              residual: "Callable[[Row], bool] | None",
               build: "Callable[[], dict[Any, list[int]]] | None" = None
               ) -> list[Row]:
     """A keyed (or residual-only) join of two input bags: a hash probe of
     the right side's table (:func:`join_table`) with each left row, in left
     order, a bucket's rows in position order.
 
-    ``source`` is the right input's :meth:`Windows.base`; ``build`` makes
-    the table where that is ``None`` (default: from ``right_rows``' key
-    columns; given one, only the matched ``right_rows[j]`` are read).  The
-    columnar executor runs a probe its kernel declines here.
+    ``source`` is the right input's :meth:`Windows.base`; ``residual`` the
+    plan's :func:`join_residual`; ``build`` makes the table where
+    ``source`` is ``None`` (default: from ``right_rows``' key columns; given
+    one, only the matched ``right_rows[j]`` are read).  The columnar
+    executor runs a probe its kernel declines here.
     """
     left_idx, right_idx = plan.key_positions
-    residual = join_residual(plan)
     # Build on the right: positions into ``right_rows``.  Keys that cannot
     # match (NULLs under SQL equality) are not in the table.
     skip_nulls = not plan.null_matches
@@ -403,15 +330,26 @@ def pair_residual(residual: Callable[[Row], bool], left_rows: Sequence[Row],
     return lambda i, j: residual(left_rows[i] + right_rows[j])
 
 
-def aggregate_rows(plan: AggregateP, rows: list[Row]) -> list[Row]:
+def aggregate_fns(plan: AggregateP) -> "tuple[list[RowFn], list[Callable[[list[Row]], Any]]]":
+    """``plan``'s group keys and aggregates, compiled over its input."""
+    columns = plan.input.columns
+    cached = not is_bound(plan)
+    return ([compiled_expr(x, columns, cached=cached)
+             for x in plan.group_exprs],
+            [_compile_aggregate(call, columns, cached)
+             for call, _name in plan.aggregates])
+
+
+def aggregate_rows(plan: AggregateP, rows: list[Row],
+                   fns: "tuple[list[RowFn], list[Callable[[list[Row]], Any]]] | None" = None
+                   ) -> list[Row]:
     """A group-by over its input bag: one row per group, in first-occurrence
     order — the group's first row followed by each aggregate's fold.  An
     ungrouped aggregate over no rows yields one row, its input columns NULL
-    (SQL: ``COUNT`` folds to 0)."""
+    (SQL: ``COUNT`` folds to 0).  ``fns`` are :func:`aggregate_fns`'s, when
+    the caller compiled them."""
     columns = plan.input.columns
-    cached = not is_bound(plan)
-    key_fns = [compiled_expr(x, columns, cached=cached)
-               for x in plan.group_exprs]
+    key_fns, agg_fns = aggregate_fns(plan) if fns is None else fns
     groups: dict[tuple, list[Row]] = {}
     for row in rows:
         key = tuple(fn(row) for fn in key_fns)
@@ -421,8 +359,6 @@ def aggregate_rows(plan: AggregateP, rows: list[Row]) -> list[Row]:
         bucket.append(row)
     if not plan.group_exprs and not groups:
         groups[()] = []
-    agg_fns = [_compile_aggregate(call, columns, cached)
-               for call, _name in plan.aggregates]
     blank = (None,) * len(columns)
     return [(members[0] if members else blank)
             + tuple(fn(members) for fn in agg_fns)
@@ -441,16 +377,24 @@ def _compile_aggregate(call: e.FuncCall, columns: tuple[str, ...],
     return lambda rows: fold(name, (arg(row) for row in rows), distinct)
 
 
-def sort_limit_rows(plan: SortLimitP, rows: list[Row]) -> list[Row]:
+def sort_fns(plan: SortLimitP) -> "list[tuple[RowFn, bool]]":
+    """``plan``'s ORDER BY keys, compiled over its input, each with its
+    direction."""
+    cached = not is_bound(plan)
+    return [(compiled_expr(expr, plan.input.columns, cached=cached),
+             ascending) for expr, ascending in plan.keys]
+
+
+def sort_limit_rows(plan: SortLimitP, rows: list[Row],
+                    fns: "list[tuple[RowFn, bool]] | None" = None
+                    ) -> list[Row]:
     """ORDER BY (a stable sort on the reference interpreter's key: NULLs
-    last ascending, values of different types apart), then LIMIT."""
+    last ascending, values of different types apart), then LIMIT.
+    ``fns`` are :func:`sort_fns`'s, when the caller compiled them."""
     if plan.keys:
-        cached = not is_bound(plan)
-        fns = [(compiled_expr(expr, plan.input.columns, cached=cached),
-                ascending)
-               for expr, ascending in plan.keys]
+        keys = sort_fns(plan) if fns is None else fns
         rows = sorted(rows, key=lambda row: tuple(
-            sort_key(fn(row), ascending) for fn, ascending in fns))
+            sort_key(fn(row), ascending) for fn, ascending in keys))
     return rows[:plan.limit]
 
 
@@ -516,45 +460,79 @@ def divide_rows(plan: DivideP, left: list[Row], right: list[Row]) -> list[Row]:
     return [key for key in order if divisor_rows <= groups[key]]
 
 
+class _FixpointProgram:
+    """A fixpoint's rule bodies and delta variants, compiled once (one
+    :class:`_Compiler`): ``rules`` and ``variants`` pair a head with its
+    body's :data:`RowsFn`; ``volatile`` are the result slots that read a
+    working relation, cleared every round, the other slots keeping their
+    rows across rounds."""
+
+    __slots__ = ("rules", "variants", "windows", "slots", "volatile")
+
+    def __init__(self, plan: FixpointP) -> None:
+        names = {name for p in plan.arities()
+                 for name in (p, p + DELTA_SUFFIX)}
+
+        def stable(node: Plan) -> bool:
+            return not any(isinstance(scan, ScanP) and scan.relation in names
+                           for scan in node.walk())
+
+        compiler = _Compiler(plan.children(), kept=stable)
+        self.rules = [(head, compiler.node(body)) for head, body in plan.rules]
+        self.variants = [(head, compiler.node(body))
+                         for head, body in plan.variants]
+        self.windows = len(compiler.windows)
+        self.slots = len(compiler.slots)
+        self.volatile = [slot for node, slot in compiler.slots.items()
+                         if not stable(node)]
+
+
+def fixpoint_program(plan: FixpointP) -> _FixpointProgram:
+    """``plan``'s compiled bodies, made on first use and kept on the node."""
+    program = plan.__dict__.get("_fixpoint_program")
+    if program is None:
+        program = _FixpointProgram(plan)
+        object.__setattr__(plan, "_fixpoint_program", program)
+        count_path("plan_compile")
+    return program
+
+
 def fixpoint_rows(plan: FixpointP, db: Database,
-                  memo: "dict[Plan, list[Row]] | None" = None,
                   params: Sequence[Any] = ()) -> list[Row]:
     """The facts of ``plan.predicate``: semi-naive iteration of its stratum.
 
     Round 0 takes the facts and runs every rule body once; each later round
     runs only the delta variants, over the facts the previous round found
-    new (``pred@delta``), until it finds none.  The bodies run on the row
-    :class:`Executor`, reading the stratum's predicates from working
-    relations and every other relation of ``db`` in place; ``memo`` (the
-    caller's) keeps what reads no working relation across rounds, and
-    ``params`` are the request's literals the bodies are bound to.
+    new (``pred@delta``), until it finds none.  The bodies run as their
+    compiled row programs (:func:`fixpoint_program`), reading the stratum's
+    predicates from working relations and every other relation of ``db``
+    in place; what reads no working relation is kept across rounds, and
+    ``params`` are the request's literals the bodies and facts are bound
+    to.
     """
+    program = fixpoint_program(plan)
     arities = plan.arities()
     working = _WorkingDatabase(db)
-    names = {name for p in arities for name in (p, p + DELTA_SUFFIX)}
-    volatile = {node for body in plan.children() for node in body.walk()
-                if any(isinstance(scan, ScanP) and scan.relation in names
-                       for scan in node.walk())}
-    memo = {} if memo is None else memo
+    shared: "list[list[Row] | None]" = [None] * program.slots
     facts: dict[str, dict[Row, None]] = {p: {} for p in arities}
     delta: dict[str, dict[Row, None]] = {p: {} for p in arities}
 
-    def derive(plans: "tuple[tuple[str, Plan], ...]") -> None:
-        for node in volatile:
-            memo.pop(node, None)
-        executor = Executor(working, memo, params)
-        for head, body in plans:
+    def derive(bodies: "list[tuple[str, RowsFn]]") -> None:
+        for slot in program.volatile:
+            shared[slot] = None
+        call = _Call(working, params, program.windows, shared)
+        for head, body in bodies:
             known = facts[head]
-            for row in executor.rows(body):
+            for row in body(call):
                 if row not in known:
                     known[row] = delta[head][row] = None
 
     for predicate, arity in arities.items():
         working.add_relation(_working_relation(predicate, [], arity))
-    for head, consts in plan.facts:
+    for head, consts in bind_node(plan, params).facts:
         row = tuple(c.value for c in consts)
         facts[head][row] = delta[head][row] = None
-    derive(plan.rules)
+    derive(program.rules)
     while plan.variants and any(delta.values()):
         for predicate, new in delta.items():
             arity = arities[predicate]
@@ -564,7 +542,7 @@ def fixpoint_rows(plan: FixpointP, db: Database,
             working.add_relation(_working_relation(
                 predicate + DELTA_SUFFIX, list(new), arity))
         delta = {p: {} for p in arities}
-        derive(plan.variants)
+        derive(program.variants)
     return list(facts[plan.predicate])
 
 
@@ -627,10 +605,12 @@ def column_comparison(conjunct: e.Expr, positions: "dict[e.Expr, int | None]"
     test (:func:`filter_predicate`), its columns at their filter's
     ``positions``.
 
-    ``(position, op, value, False)`` for column-op-constant (a constant on
-    the left is flipped to the right), ``(position, op, other, True)`` for
-    column-op-column with ``other`` the right column's position, else
-    ``None``: the caller runs the row-compiled predicate instead.
+    ``(position, op, const, False)`` for column-op-constant with ``const``
+    the :class:`~repro.expr.ast.Const` node (a constant on the left is
+    flipped to the right; a template's constant may be a slot),
+    ``(position, op, other, True)`` for column-op-column with ``other`` the
+    right column's position, else ``None``: the caller runs the
+    row-compiled predicate instead.
     """
     if not isinstance(conjunct, e.Comparison) or conjunct.op not in COMPARISONS:
         return None
@@ -638,9 +618,9 @@ def column_comparison(conjunct: e.Expr, positions: "dict[e.Expr, int | None]"
     lpos = operand_position(positions, left)
     rpos = operand_position(positions, right)
     if lpos is not None and isinstance(right, e.Const):
-        return lpos, conjunct.op, right.value, False
+        return lpos, conjunct.op, right, False
     if rpos is not None and isinstance(left, e.Const):
-        return rpos, conjunct.flipped().op, left.value, False
+        return rpos, conjunct.flipped().op, left, False
     if lpos is not None and rpos is not None:
         return lpos, conjunct.op, rpos, True
     return None
@@ -649,7 +629,8 @@ def column_comparison(conjunct: e.Expr, positions: "dict[e.Expr, int | None]"
 def filter_predicate(plan: FilterP, conjuncts: Sequence[e.Expr]
                      ) -> Callable[[Row], bool]:
     """``conjuncts`` of ``plan``'s condition, in order, as one row test that
-    is truthy only where their conjunction is TRUE.
+    is truthy only where their conjunction is TRUE; their constants are
+    plain (``plan`` holds no slot in them, or is a bound node).
 
     A conjunct :func:`column_comparison` classifies compares the row's
     values at the filter's resolved positions; only the rest compile
@@ -658,14 +639,40 @@ def filter_predicate(plan: FilterP, conjuncts: Sequence[e.Expr]
     kernel declines through this function, one conjunct at a time.
     """
     cached = not is_bound(plan)
-    parts: list[RowFn] = []
-    for conjunct in conjuncts:
-        shape = column_comparison(conjunct, plan.operand_positions)
-        parts.append(compiled_expr(conjunct, plan.input.columns, cached=cached)
-                     if shape is None else _compared(*shape))
+    parts = [_conjunct_part(c, plan, cached) for c in conjuncts]
+    return _conjoined([fixed for fixed, _make, _classified in parts],
+                      len(parts) == 1 and parts[0][2])
+
+
+def _conjunct_part(conjunct: e.Expr, plan: FilterP, cached: bool
+                   ) -> "tuple[RowFn | None, Callable[[Sequence[Any]], RowFn] | None, bool]":
+    """One conjunct of ``plan`` as ``(test, make, classified)``: its
+    three-valued row closure, or — when it holds a slot — how one call's
+    parameters make it; ``classified`` when :func:`column_comparison`
+    classifies it."""
+    shape = column_comparison(conjunct, plan.operand_positions)
+    if shape is not None:
+        position, op, other, is_column = shape
+        read = None if is_column else param_reader(other)
+        if read is None:
+            return _compared(position, op, other if is_column
+                             else other.value, is_column), None, True
+        return None, lambda params: _compared(position, op, read(params),
+                                              False), True
+    columns = tuple(plan.input.columns)
+    bind = expr_binder(conjunct)
+    if bind is None:
+        return compiled_expr(conjunct, columns, cached=cached), None, False
+    return None, lambda params: compile_expr(bind(params), columns), False
+
+
+def _conjoined(parts: Sequence[RowFn], classified: bool
+               ) -> Callable[[Row], bool]:
+    """``parts`` as one test, truthy only where their conjunction is TRUE;
+    ``classified``: the only part is a comparison closure."""
     if len(parts) == 1:
         part = parts[0]
-        if shape is not None:
+        if classified:
             return part  # TRUE, FALSE or NULL: truthy only when TRUE
         return lambda row: part(row) is True
     return lambda row: _and3(p(row) for p in parts) is True
@@ -724,7 +731,7 @@ def resolve_window(db: Database, plan: "ScanP | DeltaScanP",
 
 
 class Windows:
-    """One execution's scans and windows, each resolved
+    """One columnar execution's scans and windows, each resolved
     (:func:`resolve_window`) once, by whichever path reads it first: the
     scan, a lookup, a join's build side, a kernel probe."""
 
@@ -741,56 +748,66 @@ class Windows:
         return window
 
     def base(self, plan: Plan) -> "tuple[Relation, int] | None":
-        """:meth:`read` for an input an index can serve — a :class:`ScanP`
-        or an ``asof`` window — else ``None``."""
-        if isinstance(plan, ScanP) or (isinstance(plan, DeltaScanP)
-                                       and plan.mode == "asof"):
-            return self.read(plan)
-        return None
+        """:meth:`read` for an input an index can serve (:func:`_indexable`),
+        else ``None``."""
+        return self.read(plan) if _indexable(plan) else None  # type: ignore[arg-type]
 
 
-def scan_lookup(plan: FilterP, source: "tuple[Relation, int] | None",
-                sink: "dict[str, int] | None" = None
-                ) -> "tuple[Relation, list[int], list[e.Expr]] | None":
-    """``(relation, positions, rest)`` when ``plan`` can read one bucket of
-    a base relation's ``key_index`` instead of scanning, else ``None``.
+def _indexable(plan: Plan) -> bool:
+    """Whether ``plan`` is an input an index can serve: a :class:`ScanP` or
+    an ``asof`` window."""
+    return isinstance(plan, ScanP) or (isinstance(plan, DeltaScanP)
+                                       and plan.mode == "asof")
 
-    ``source`` is the filter input's :meth:`Windows.base`.  The *first*
-    conjunct must be ``col = const`` with a non-NULL constant of the
-    column's declared type; ``rest`` are the other conjuncts, to run over
-    the bucket (capped at the window's ``keep``) in order.  A later
-    conjunct is never looked up first: a conjunct before it may raise (a
-    type mismatch) exactly where the reference raises.  The index the
-    relation holds is used; a live relation that holds none builds it (and
-    then maintains it), while a frozen snapshot holding none is scanned —
-    the index would be built for this one query.  A lookup is counted
-    process-wide (``scan_lookup`` in :func:`repro.engine.cache.path_counts`)
-    and in the caller's ``sink``, if it keeps one.
-    """
-    if source is None:
-        return None
-    first, *rest = e.conjuncts(plan.condition)
+
+def lookup_key(plan: FilterP) -> "tuple[int, e.Const, list[e.Expr]] | None":
+    """``(position, constant, rest)`` when ``plan``'s *first* conjunct is
+    ``col = const``: the candidate :func:`scan_lookup` may serve from an
+    index, the constant as its node (a template's may be a slot), ``rest``
+    the other conjuncts, to run over the bucket in order.  A later conjunct
+    is never looked up first: a conjunct before it may raise (a type
+    mismatch) exactly where the reference raises."""
+    first, *rest = e.conjuncts(plan.condition) or (None,)
     if not (isinstance(first, e.Comparison) and first.op == "="):
         return None
-    relation, keep = source
     for col, const in ((first.left, first.right), (first.right, first.left)):
         if not isinstance(const, e.Const):
             continue
         position = operand_position(plan.operand_positions, col)
-        if position is None or not check_value(
-                const.value, relation.schema.attributes[position].dtype,
-                allow_null=False):
-            return None
-        index = relation.held_key_index((position,))
-        if index is None:
-            if relation.is_frozen:
-                return None
-            index = relation.key_index((position,))
-        count_path("scan_lookup")
-        sink_bump(sink, "scan_lookup")
-        bucket = _capped(index, relation, keep).get(const.value, ())
-        return relation, list(bucket), rest
+        return None if position is None else (position, const, rest)
     return None
+
+
+def scan_lookup(source: "tuple[Relation, int] | None", position: int,
+                value: Any, sink: "dict[str, int] | None" = None
+                ) -> "tuple[Relation, list[int]] | None":
+    """``(relation, positions)`` when a filter's :func:`lookup_key` can read
+    the one bucket of ``value`` in a base relation's ``key_index`` at
+    ``position`` instead of scanning, else ``None``.
+
+    ``source`` is the filter input's :meth:`Windows.base`; the bucket is
+    capped at its ``keep``.  ``value`` must be non-NULL and of the column's
+    declared type.  The index the relation holds is used; a live relation
+    that holds none builds it (and then maintains it), while a frozen
+    snapshot holding none is scanned — the index would be built for this
+    one query.  A lookup is counted process-wide (``scan_lookup`` in
+    :func:`repro.engine.cache.path_counts`) and in the caller's ``sink``,
+    if it keeps one.
+    """
+    if source is None:
+        return None
+    relation, keep = source
+    if not check_value(value, relation.schema.attributes[position].dtype,
+                       allow_null=False):
+        return None
+    index = relation.held_key_index((position,))
+    if index is None:
+        if relation.is_frozen:
+            return None
+        index = relation.key_index((position,))
+    count_path("scan_lookup")
+    sink_bump(sink, "scan_lookup")
+    return relation, list(_capped(index, relation, keep).get(value, ()))
 
 
 def join_table(source: "tuple[Relation, int] | None", idx: Sequence[int],
@@ -850,6 +867,315 @@ class _PrefixTable:
 
 
 # ---------------------------------------------------------------------------
+# The row executor: a plan compiled once to closures, called per execution
+# ---------------------------------------------------------------------------
+
+#: A compiled operator: one call's state in, the operator's rows out.
+RowsFn = Callable[["_Call"], list[Row]]
+
+
+class _Call:
+    """One call of a :class:`RowProgram`: its database and parameters, the
+    scans and windows it resolved (:func:`resolve_window`, each once, in
+    the slot the compiler numbered it), the results of its shared
+    subplans, and the rows handed in for the program's ``given`` node."""
+
+    __slots__ = ("db", "params", "windows", "shared", "given")
+
+    def __init__(self, db: Database, params: Sequence[Any], windows: int,
+                 shared: "list[list[Row] | None]",
+                 given: "list[Row] | None" = None) -> None:
+        self.db = db
+        self.params = params
+        self.windows: "list[tuple[Relation, int] | None]" = [None] * windows
+        self.shared = shared
+        self.given = given
+
+
+class RowProgram:
+    """A plan compiled for the row executor (:func:`compile_rows`).
+
+    Immutable, and shared by every thread that executes the plan: what one
+    execution resolves lives in its call (:class:`_Call`), never here.
+    """
+
+    __slots__ = ("_run", "_windows", "_shared")
+
+    def __init__(self, run: RowsFn, windows: int, shared: int) -> None:
+        self._run = run
+        self._windows = windows
+        self._shared = shared
+
+    def __call__(self, db: Database, params: Sequence[Any] = (),
+                 given: "list[Row] | None" = None) -> list[Row]:
+        """The plan's rows over ``db``, its slots read from ``params``;
+        ``given`` are the rows of the node the program was compiled to
+        take as an input."""
+        return self._run(_Call(db, params, self._windows,
+                               [None] * self._shared, given))
+
+
+def compile_rows(plan: Plan, given: "Plan | None" = None) -> RowProgram:
+    """``plan`` as a row program: compiled on first use and kept on the
+    node, like its hash, so a cached template compiles once and every hit
+    calls the program with its own literals.
+
+    Column positions, key getters, each filter's lookup candidate and its
+    classified conjuncts are fixed here; a slotted constant in a lookup key
+    or a column-op-constant conjunct is read from the call's parameters
+    (:func:`~repro.engine.bind.param_reader`), and a node whose own fields
+    hold a slot in any other form is bound per call
+    (:func:`~repro.engine.bind.bind_node`).  A subplan that occurs more
+    than once (common subexpression elimination, the outer plan a
+    dependent join embeds) runs once per call.  With ``given``, every node
+    equal to it reads the rows the call hands in instead (a view's
+    finishing operators over its maintained core).  Raises
+    :class:`PlanError` / :class:`~repro.expr.ast.ExprError` for a plan the
+    executor cannot run.
+    """
+    programs = plan.__dict__.get("_row_programs")
+    if programs is None:
+        programs = {}
+        object.__setattr__(plan, "_row_programs", programs)
+    program = programs.get(given)
+    if program is None:
+        compiler = _Compiler((plan,), given)
+        run = compiler.node(plan)
+        program = programs[given] = RowProgram(run, len(compiler.windows),
+                                               len(compiler.slots))
+        count_path("plan_compile")
+    return program
+
+
+class _Compiler:
+    """Compiles the nodes of one or more plans into :data:`RowsFn`
+    closures, each distinct node (by value) once.
+
+    A node that occurs more than once gets a result slot in the call.  So
+    does, under ``kept``, each subtree that ``kept`` accepts and whose
+    parent it rejects: a fixpoint's rule bodies keep what reads no working
+    relation across rounds (:func:`fixpoint_rows`).  Each distinct scan or
+    window gets a window slot, read by the scan, a lookup and a join's
+    build side alike.
+    """
+
+    def __init__(self, roots: Sequence[Plan], given: "Plan | None" = None,
+                 kept: "Callable[[Plan], bool] | None" = None) -> None:
+        seen: Counter[Plan] = Counter()
+        self.slots: dict[Plan, int] = {}
+
+        def count(node: Plan, parent_kept: bool) -> None:
+            seen[node] += 1
+            keep = kept is not None and kept(node)
+            if seen[node] > 1 or (keep and not parent_kept):
+                self.slots.setdefault(node, len(self.slots))
+            if seen[node] == 1 and node != given \
+                    and not isinstance(node, FixpointP):
+                for child in node.children():
+                    count(child, keep)
+
+        for root in roots:
+            count(root, False)
+        self.windows: dict[Plan, int] = {}
+        self.done: dict[Plan, RowsFn] = {}
+        if given is not None:
+            self.done[given] = lambda call: call.given
+
+    def window(self, plan: "ScanP | DeltaScanP"
+               ) -> "Callable[[_Call], tuple[Relation, int]]":
+        """How a call reads ``plan``'s window: resolved on first read."""
+        index = self.windows.setdefault(plan, len(self.windows))
+
+        def read(call: _Call) -> "tuple[Relation, int]":
+            window = call.windows[index]
+            if window is None:
+                window = call.windows[index] = resolve_window(
+                    call.db, plan, call.params)
+            return window
+
+        return read
+
+    def node(self, plan: Plan) -> RowsFn:
+        run = self.done.get(plan)
+        if run is None:
+            run = self._operator(plan)
+            slot = self.slots.get(plan)
+            if slot is not None:
+                run = _in_slot(run, slot)
+            self.done[plan] = run
+        return run
+
+    def _operator(self, plan: Plan) -> RowsFn:
+        if isinstance(plan, (ScanP, DeltaScanP)):
+            read = self.window(plan)
+
+            def scan(call: _Call) -> list[Row]:
+                relation, keep = read(call)
+                return relation[:keep]
+            return scan
+        if isinstance(plan, FilterP):
+            return self._filter(plan)
+        if isinstance(plan, ProjectP):
+            return self._project(plan)
+        if isinstance(plan, DistinctP):
+            rows = self.node(plan.input)
+            return lambda call: dedupe_rows(rows(call))
+        if isinstance(plan, JoinP):
+            return self._join(plan)
+        if isinstance(plan, (SetOpP, DivideP)):
+            left, right = self.node(plan.left), self.node(plan.right)
+            apply = setop_rows if isinstance(plan, SetOpP) else divide_rows
+            return lambda call: apply(plan, left(call), right(call))
+        if isinstance(plan, (AggregateP, SortLimitP)):
+            return self._unary(plan)
+        if isinstance(plan, FixpointP):
+            fixpoint_program(plan)  # compile errors surface here
+            return lambda call: fixpoint_rows(plan, call.db, call.params)
+        raise PlanError(f"cannot execute {type(plan).__name__}")
+
+    def _filter(self, plan: FilterP) -> RowsFn:
+        """A selection: one bucket of the input relation's ``key_index``
+        when the first conjunct is a lookup (:func:`scan_lookup` decides
+        per call), else the input; then the rest of the conjuncts."""
+        rows = self.node(plan.input)
+        conjuncts = e.conjuncts(plan.condition)
+        every = _row_test(plan, conjuncts)
+        key = lookup_key(plan) if _indexable(plan.input) else None
+        if key is None:
+            if every is None:
+                return lambda call: list(rows(call))
+
+            def select(call: _Call) -> list[Row]:
+                candidates = rows(call)
+                predicate = every(call.params)
+                return [row for row in candidates if predicate(row)]
+
+            return select
+        position, const, rest = key
+        read = param_reader(const)
+        value = const.value if read is None else None
+        after = _row_test(plan, rest)
+        window = self.window(plan.input)
+
+        def lookup(call: _Call) -> list[Row]:
+            params = call.params
+            found = scan_lookup(window(call), position,
+                                value if read is None else read(params))
+            if found is None:
+                test = every
+                candidates = rows(call)
+            else:
+                test = after
+                relation, positions = found
+                candidates = [relation[p] for p in positions]
+            if test is None:
+                return list(candidates)
+            predicate = test(params)
+            return [row for row in candidates if predicate(row)]
+
+        return lookup
+
+    def _project(self, plan: ProjectP) -> RowsFn:
+        rows = self.node(plan.input)
+        indices = plan.pick_positions
+        if None not in indices:
+            # Pure column picks: batch via itemgetter.
+            if len(indices) == 1:
+                i0 = indices[0]
+                return lambda call: [(row[i0],) for row in rows(call)]
+            getter = operator.itemgetter(*indices)
+            return lambda call: [getter(row) for row in rows(call)]
+        columns = plan.input.columns
+        if not holds_slots(plan):
+            fns = [compiled_expr(x, columns) for x in plan.exprs]
+            return lambda call: [tuple([fn(row) for fn in fns])
+                                 for row in rows(call)]
+
+        def project(call: _Call) -> list[Row]:
+            candidates = rows(call)
+            bound = bind_node(plan, call.params)
+            fns = [compiled_expr(x, columns, cached=False)
+                   for x in bound.exprs]
+            return [tuple([fn(row) for fn in fns]) for row in candidates]
+
+        return project
+
+    def _join(self, plan: JoinP) -> RowsFn:
+        left, right = self.node(plan.left), self.node(plan.right)
+        if plan.kind in ("inner", "cross") and not plan.left_keys \
+                and plan.residual is None:
+            def product(call: _Call) -> list[Row]:
+                left_rows = left(call)
+                right_rows = right(call)
+                return [l + r for l in left_rows for r in right_rows]
+            return product
+        window = self.window(plan.right) if _indexable(plan.right) else None
+        bound = holds_slots(plan)
+        residual = None if bound else join_residual(plan)
+
+        def join(call: _Call) -> list[Row]:
+            left_rows = left(call)
+            right_rows = right(call)
+            source = None if window is None else window(call)
+            if bound:
+                return join_rows(plan, left_rows, right_rows, source,
+                                 join_residual(bind_node(plan, call.params)))
+            return join_rows(plan, left_rows, right_rows, source, residual)
+
+        return join
+
+    def _unary(self, plan: "AggregateP | SortLimitP") -> RowsFn:
+        """An aggregate or a sort over its input, its expressions compiled
+        here, or per call when they hold a slot."""
+        rows = self.node(plan.input)
+        apply = aggregate_rows if isinstance(plan, AggregateP) \
+            else sort_limit_rows
+        if holds_slots(plan):
+            return lambda call: apply(bind_node(plan, call.params),
+                                      rows(call))
+        fns = aggregate_fns(plan) if isinstance(plan, AggregateP) \
+            else sort_fns(plan)
+        return lambda call: apply(plan, rows(call), fns)
+
+
+def _in_slot(run: RowsFn, slot: int) -> RowsFn:
+    """``run`` computed once per call, its rows kept in the call's
+    ``slot``."""
+    def shared(call: _Call) -> list[Row]:
+        rows = call.shared[slot]
+        if rows is None:
+            rows = call.shared[slot] = run(call)
+        return rows
+    return shared
+
+
+def _row_test(plan: FilterP, conjuncts: Sequence[e.Expr]
+              ) -> "Callable[[Sequence[Any]], Callable[[Row], Any]] | None":
+    """``conjuncts`` of ``plan``'s condition as a function of one call's
+    parameters returning its row test (:func:`filter_predicate`'s), or
+    ``None`` when there are none.
+
+    Each conjunct is classified here, once.  Where no conjunct holds a slot
+    the test is :func:`filter_predicate`'s, built here, and every call gets
+    it; else a column-op-constant conjunct compares against the call's
+    parameter, and any other slotted conjunct is bound to the call's values
+    and compiled afresh.
+    """
+    if not conjuncts:
+        return None
+    parts = [_conjunct_part(c, plan, True) for c in conjuncts]
+    if all(make is None for _fixed, make, _classified in parts):
+        predicate = filter_predicate(plan, conjuncts)
+        return lambda params: predicate
+    classified = len(parts) == 1 and parts[0][2]
+    if len(parts) == 1 and classified:
+        return parts[0][1]  # type: ignore[return-value]
+    return lambda params: _conjoined(
+        [fixed if make is None else make(params)  # type: ignore[misc]
+         for fixed, make, _classified in parts], classified)
+
+
+# ---------------------------------------------------------------------------
 # Executor backends
 # ---------------------------------------------------------------------------
 
@@ -857,10 +1183,10 @@ class ExecutorBackend(Protocol):
     """The physical-execution seam: logical plan + database in, rows out.
 
     Four implementations ship: the row-at-a-time reference backend in this
-    module (``"row"``), the columnar batch-at-a-time backend in
-    :mod:`repro.engine.vectorized` (``"vectorized"``, which runs a plan
-    whose every input is under the kernel gate on this module's row
-    executor), the scatter-gather
+    module (``"row"``, a plan's compiled row program), the columnar
+    batch-at-a-time backend in :mod:`repro.engine.vectorized`
+    (``"vectorized"``, which runs a plan whose every input is under the
+    kernel gate as its row program), the scatter-gather
     backend in :mod:`repro.engine.sharded` (``"sharded"``: shard subplans
     inline on the calling thread), and its multi-process variant over
     shared-memory column pages in :mod:`repro.engine.process`
@@ -885,13 +1211,14 @@ class ExecutorBackend(Protocol):
 
 
 class RowBackend:
-    """The PR-1 row-at-a-time executor, kept as the reference backend."""
+    """The row-at-a-time reference backend: each plan runs as its row
+    program (:func:`compile_rows`), compiled on its first execution."""
 
     name = "row"
 
     def execute(self, plan: Plan, db: Database,
                 params: Sequence[Any] = ()) -> list[Row]:
-        return Executor(db, params=params).rows(plan)
+        return compile_rows(plan)(db, params)
 
 
 def get_backend(name: "str | ExecutorBackend") -> "ExecutorBackend":

@@ -661,7 +661,7 @@ def kernel_filter(conjunct: e.Expr, batch: Batch,
     pos, op, other, other_is_column = shape
     if other_is_column:
         return _column_kernel(batch, pos, op, other)
-    return _const_kernel(batch, pos, op, other)
+    return _const_kernel(batch, pos, op, other.value)
 
 
 def _null_kernel(batch: Batch, pos: int | None) -> "_Selection | None":

@@ -392,6 +392,8 @@ def _lower_grouped(query: Any, plan: Plan, from_cols: Sequence[str]) -> Plan:
 
     calls: list[e.FuncCall] = []
     for item in query.select_items:
+        if e.contains_subquery(item.expr):
+            raise LoweringError("subqueries in the SELECT list are not lowered")
         calls.extend(_collect_aggregates(item.expr))
     if query.having is not None:
         if e.contains_subquery(query.having):

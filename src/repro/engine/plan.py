@@ -7,10 +7,12 @@ runs them with hash-based physical operators.  This is the raco-style
 logical→physical split: the per-language evaluators remain the semantic
 oracles, the plan IR is the single hot path.
 
-Plans are immutable, hashable trees.  Hashability is load-bearing: the
-executor memoizes results *by plan value*, which is what makes common
-subexpression elimination (and the dependent-join compilation of correlated
-subqueries, which duplicates the outer plan structurally) cheap at runtime.
+Plans are immutable, hashable trees.  Hashability is load-bearing: the row
+compiler shares one closure, and one result per execution, among the equal
+subplans of a plan, and the columnar executor memoizes results *by plan
+value*, which is what makes common subexpression elimination (and the
+dependent-join compilation of correlated subqueries, which duplicates the
+outer plan structurally) cheap at runtime.
 
 Every node exposes ``columns``, its ordered output column names.  Scalar and
 boolean expressions attached to nodes reuse :mod:`repro.expr.ast`; column
@@ -23,7 +25,9 @@ columns — is resolved once and kept on the node (``cached_property``), like
 its hash: a cached template's nodes are executed request after request.
 Such a property depends on the node's columns only, never on a constant,
 so the copy :func:`repro.engine.bind.bind_node` makes of a node with its
-constants bound takes the template node's values.
+constants bound takes the template node's values.  A plan's compiled row
+program (:func:`repro.engine.execute.compile_rows`) is kept on it the same
+way.
 """
 
 from __future__ import annotations

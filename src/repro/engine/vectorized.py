@@ -1,7 +1,7 @@
 """Columnar, batch-at-a-time plan execution (the ``"vectorized"`` backend).
 
-Where :class:`repro.engine.execute.Executor` streams Python row tuples
-through each operator, this backend moves whole columns:
+Where the row executor (:func:`repro.engine.execute.compile_rows`) streams
+Python row tuples through each operator, this backend moves whole columns:
 
 * **scans** read the per-attribute arrays that
   :meth:`repro.data.relation.Relation.column_store` maintains — no per-query
@@ -54,8 +54,8 @@ the final row build: a hash join's build side stays unbuilt
 kernel or the rows, and a row test's survivors are converted once, where
 they are produced.
 
-The backend runs a plan on the row
-:class:`~repro.engine.execute.Executor` (:func:`runs_on_rows`) when the
+The backend runs a plan as its row program
+(:func:`~repro.engine.execute.compile_rows`, :func:`runs_on_rows`) when the
 kernels are off, or when every base relation it reads holds fewer than
 :data:`~repro.engine.kernels.KERNEL_MIN_ROWS` rows: there the row executor
 pays for no batches, selection vectors or copies, and measured, it is no
@@ -92,10 +92,10 @@ from repro.engine.batch import (
     _take,
 )
 from repro.engine.execute import (
-    Executor,
     Row,
     Windows,
     aggregate_rows,
+    compile_rows,
     compiled_expr,
     divide_rows,
     filter_predicate,
@@ -103,6 +103,7 @@ from repro.engine.execute import (
     join_residual,
     join_rows,
     join_table,
+    lookup_key,
     pair_residual,
     scan_lookup,
     semi_anti_positions,
@@ -136,8 +137,8 @@ class VectorizedExecutor:
     ``counters`` (optional) receives the kernel layer's derived-structure
     cache hit/miss/eviction bumps and this executor's ``scan_lookup``
     count, letting each backend report its own traffic through
-    ``execution_counts()``.  ``params`` are the values of the plan's slots,
-    as for the row :class:`~repro.engine.execute.Executor`.
+    ``execution_counts()``.  ``params`` are the values of the plan's slots
+    (:mod:`repro.engine.bind`): each node is computed bound to them.
     """
 
     def __init__(self, db: Database,
@@ -164,6 +165,9 @@ class VectorizedExecutor:
             # refresh cost must not scale with the base table.
             relation, keep = self.windows.read(plan)
             return _store_batch(plan.columns, relation, keep)
+        if isinstance(plan, FixpointP):
+            return Batch.from_rows(plan.columns, fixpoint_rows(
+                plan, self.db, self.params))
         plan = bind_node(plan, self.params)
         if isinstance(plan, FilterP):
             return self._filter(plan)
@@ -183,9 +187,6 @@ class VectorizedExecutor:
         if isinstance(plan, SortLimitP):
             return Batch.from_rows(plan.columns, sort_limit_rows(
                 plan, self.batch(plan.input).rows()))
-        if isinstance(plan, FixpointP):
-            return Batch.from_rows(plan.columns, fixpoint_rows(
-                plan, self.db, params=self.params))
         raise PlanError(f"cannot execute {type(plan).__name__}")
 
     def _filter(self, plan: FilterP) -> Batch:
@@ -204,12 +205,15 @@ class VectorizedExecutor:
         have reached it.
         """
         batch = self.batch(plan.input)
-        lookup = scan_lookup(plan, self.windows.base(plan.input),
-                             self.kernel_counters)
+        key = lookup_key(plan)
+        lookup = None if key is None else scan_lookup(
+            self.windows.base(plan.input), key[0], key[1].value,
+            self.kernel_counters)
         if lookup is None:
             conjuncts = e.conjuncts(plan.condition)
         else:
-            _relation, positions, conjuncts = lookup
+            _relation, positions = lookup
+            conjuncts = key[2]
             batch = batch.take(kernels.index_array(positions))
         sel: "list[int] | Any | None" = None  # Any: a kernel's index array
         for conjunct in conjuncts:
@@ -286,7 +290,8 @@ class VectorizedExecutor:
         if pair is None:
             kernels.count_path("probe_loop")
             return Batch.from_rows(plan.columns, join_rows(
-                plan, left.rows(), _RowsAt(right), source, side.table))
+                plan, left.rows(), _RowsAt(right), source,
+                join_residual(plan), side.table))
         kernels.count_path("probe_kernel")
         left_sel, right_sel = pair
         joined = Batch(plan.columns, _take(left.vectors, left_sel)
@@ -414,7 +419,7 @@ def runs_on_rows(plan: Plan, db: Database) -> bool:
 
 class VectorizedBackend:
     """:class:`ExecutorBackend` implementation running plans column-wise,
-    or on the row executor when every input is under the kernel gate
+    or as their row program when every input is under the kernel gate
     (:func:`runs_on_rows`).  The choice is made once, at the root: a
     subtree handed back as rows would lose its batches' column-store
     origin, and with it the kernel paths above it."""
@@ -425,6 +430,6 @@ class VectorizedBackend:
                 params: Sequence[Any] = ()) -> list[Row]:
         if runs_on_rows(plan, db):
             kernels.count_path("plan_rows")
-            return Executor(db, params=params).rows(plan)
+            return compile_rows(plan)(db, params)
         kernels.count_path("plan_columnar")
         return VectorizedExecutor(db, params=params).batch(plan).rows()

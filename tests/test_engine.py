@@ -321,6 +321,21 @@ class TestHavingDifferential:
         answer, _warnings = self._served(text, make_db())
         assert sorted(answer.rows()) == rows
 
+    def test_a_grouped_select_list_subquery_is_refused_at_lowering(self):
+        """As in an ungrouped SELECT list: lowering refuses it, so the
+        fallback's reason names the lowering rule, never the compiler."""
+        db = sailors_database()
+        text = ("SELECT S.rating, MAX(S.age) IN (SELECT S2.age FROM "
+                "Sailors S2 WHERE S2.rating = 10) AS hit FROM Sailors S "
+                "GROUP BY S.rating")
+        with pytest.raises(LoweringError,
+                           match="subqueries in the SELECT list"):
+            lower(text, db.schema, "sql")
+        _answer, warnings = self._served(text, db)
+        assert len(warnings) == 1
+        assert "subqueries in the SELECT list are not lowered" in warnings[0]
+        assert "compile" not in warnings[0]
+
 
 class TestDRCFragment:
     """Engine coverage of DRC scoping beyond the catalog queries."""

@@ -609,27 +609,47 @@ REFRESH_SERVICES = {
 @pytest.mark.parametrize("service_kind", sorted(REFRESH_SERVICES))
 def test_refreshes_execute_the_stored_delta_terms(monkeypatch, service_kind):
     """A refresh executes the view's own delta terms, their windows bound to
-    the anchors as params: every node an executor memoizes while it runs is
-    a node of the stored terms or of the union over them — no copy — and
-    the executor the service names runs them."""
+    the anchors as params: every node an executor memoizes, or the row
+    program is compiled from, while it runs is a node of the stored terms
+    or of the union over them — no copy — a union's program is compiled
+    once, by the first refresh that runs it, and the executor the service
+    names runs them."""
     from repro.engine import SetOpP
     from repro.engine.delta import _DeltaSource
-    from repro.engine.execute import Executor
+    from repro.engine.execute import RowProgram, _Compiler
     from repro.engine.vectorized import VectorizedExecutor
 
     service = REFRESH_SERVICES[service_kind](sailors_database())
     view = service.register_view(AGG_SQL)
     keys: list = []
+    compiled: list = []
+    programs: list = []
     ran: set = set()
     refreshing: list = []
-    for cls, name in ((Executor, "rows"), (VectorizedExecutor, "batch")):
-        def spy(self, plan, _real=getattr(cls, name), _cls=cls):
+    real_init = _Compiler.__init__
+
+    def compiling(self, roots, *args, **kwargs):
+        if refreshing:
+            programs.extend(roots)
+        real_init(self, roots, *args, **kwargs)
+
+    monkeypatch.setattr(_Compiler, "__init__", compiling)
+    for cls, name, seen in ((_Compiler, "_operator", compiled),
+                            (VectorizedExecutor, "batch", keys)):
+        def spy(self, plan, _real=getattr(cls, name), _seen=seen):
             if refreshing:
-                keys.append(plan)
-                ran.add(_cls)
+                _seen.append(plan)
             return _real(self, plan)
 
         monkeypatch.setattr(cls, name, spy)
+    for cls, name in ((RowProgram, "__call__"), (VectorizedExecutor, "batch")):
+        def ran_on(self, *args, _real=getattr(cls, name), _cls=cls,
+                   **kwargs):
+            if refreshing:
+                ran.add(_cls)
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, ran_on)
     real_delta_rows = _DeltaSource.delta_rows
 
     def delta_rows(self, *args):
@@ -640,12 +660,15 @@ def test_refreshes_execute_the_stored_delta_terms(monkeypatch, service_kind):
             refreshing.pop()
 
     monkeypatch.setattr(_DeltaSource, "delta_rows", delta_rows)
+    compiles = []
     for step in range(3):
         sid = 90 + step
         service.add_row("Sailors", (sid, f"new{step}", 7, 30.0 + step))
         service.add_rows("Reserves", [(sid, 101, f"2030-01-0{step + 1}"),
                                       (22, 102, f"2030-02-0{step + 1}")])
+        before = len(programs)
         assert view.answer().bag_equal(fresh_answers(service.db, AGG_SQL))
+        compiles.append(len(programs) - before)
     assert view.incremental_refreshes == 3
     terms = [term for part in view._parts for _rel, term in part.source.terms]
     roots = {id(term) for term in terms}
@@ -657,9 +680,12 @@ def test_refreshes_execute_the_stored_delta_terms(monkeypatch, service_kind):
             and (id(plan.left) in roots or stored(plan.left)))
 
     assert ran == ({VectorizedExecutor} if service_kind == "plain-vectorized"
-                   else {Executor})
-    assert all(stored(plan) for plan in keys), [
-        type(plan).__name__ for plan in keys if not stored(plan)]
+                   else {RowProgram})
+    assert all(stored(plan) for plan in keys + compiled), [
+        type(plan).__name__ for plan in keys + compiled if not stored(plan)]
+    assert len({id(plan) for plan in programs}) == len(programs)
+    if service_kind == "plain-row":
+        assert compiles[0] > 0 and compiles[1:] == [0, 0]
 
 
 class TestViewConcurrency:

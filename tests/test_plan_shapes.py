@@ -454,17 +454,16 @@ def _template_of(pipeline, text: str, language: str):
 ], ids=["sql", "datalog"])
 def test_a_hit_memoizes_under_the_templates_own_nodes(
         monkeypatch, backend, language, first, second):
-    """Every plan the executor memoizes on a hit is a node of the cached
-    template: no copy of the spine above the slotted nodes is built."""
-    from repro.engine.execute import Executor
+    """No copy of the spine above the slotted nodes is built: the row
+    program is compiled from the cached template's own nodes, once, by the
+    miss, and a hit compiles nothing; every plan the columnar executor
+    memoizes on a hit is a node of the template."""
+    from repro.engine.execute import _Compiler
     from repro.engine.vectorized import VectorizedExecutor
 
     pipeline = QueryVisualizationPipeline(sailors_database(), backend=backend)
     pipeline.backend = executor(backend)
-    pipeline.answer(first, language=language)
-    template = _template_of(pipeline, first, language)
-    own = {id(node) for node in _leaves(template)}
-    cls, name = ((Executor, "rows") if backend == "row"
+    cls, name = ((_Compiler, "_operator") if backend == "row"
                  else (VectorizedExecutor, "batch"))
     real = getattr(cls, name)
     keys: list = []
@@ -474,11 +473,22 @@ def test_a_hit_memoizes_under_the_templates_own_nodes(
         return real(self, plan)
 
     monkeypatch.setattr(cls, name, spy)
+    pipeline.answer(first, language=language)
+    template = _template_of(pipeline, first, language)
+    own = {id(node) for node in _leaves(template)}
+    if backend == "row":
+        assert keys and all(id(plan) in own for plan in keys), [
+            type(plan).__name__ for plan in keys if id(plan) not in own]
+        assert len({id(plan) for plan in keys}) == len(keys)
+    del keys[:]
     answers = pipeline.answer(second, language=language)
     assert answers.bag_equal(oracle(second, language, pipeline.db))
     assert plan_counters(pipeline)["binds"] == 1
-    assert keys and all(id(plan) in own for plan in keys), [
-        type(plan).__name__ for plan in keys if id(plan) not in own]
+    if backend == "row":
+        assert keys == []
+    else:
+        assert keys and all(id(plan) in own for plan in keys), [
+            type(plan).__name__ for plan in keys if id(plan) not in own]
 
 
 #: A shape whose only slotted node is an index lookup's filter, and one
@@ -528,6 +538,60 @@ def test_hits_resolve_no_columns(monkeypatch, backend, shape, literals):
     assert all(a.bag_equal(b) for a, b in zip(answers, expected)), texts
     assert plan_counters(pipeline)["binds"] == 1 + len(literals)
     assert calls == []
+
+
+@pytest.mark.parametrize("shape, literals", [
+    (LOOKUP_SHAPE, [(101,), (102,), (103,), (104,)]),
+    (COMPARE_SHAPE, [(101, 20), (102, 30), (103, 40), (104, 16)]),
+], ids=["lookup", "compare"])
+def test_row_hits_bind_no_node(monkeypatch, shape, literals):
+    """A row hit calls the template's compiled program with its literals:
+    the lookup key and the compared constant are read from them, and no
+    node is bound (the REPRO_VERIFY_PLANS certificate of each bind, which
+    binds the whole plan, is off here)."""
+    import sys
+
+    from repro.engine.bind import bind_node
+
+    monkeypatch.setenv("REPRO_VERIFY_PLANS", "0")
+    pipeline = QueryVisualizationPipeline(sailors_database(), backend="row")
+    pipeline.answer(shape.format(103, 35))   # the miss
+    texts = [shape.format(*values) for values in literals]
+    expected = [oracle(text, "sql", pipeline.db) for text in texts]
+    calls: list = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return bind_node(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "bind_node", None) is bind_node:
+            monkeypatch.setattr(module, "bind_node", counted)
+    answers = [pipeline.answer(text) for text in texts]
+    monkeypatch.undo()
+    assert all(a.bag_equal(b) for a, b in zip(answers, expected)), texts
+    assert plan_counters(pipeline)["binds"] == len(literals)
+    assert calls == []
+
+
+def test_a_five_language_sweep_compiles_once_per_template():
+    """25 shapes x 100 literals through one service: each template is
+    compiled to its row program by its miss, and every hit calls it."""
+    from repro.engine.cache import path_counts
+
+    service = QueryService(sailors_database())
+    before = path_counts()["plan_compile"]
+    served = 0
+    for language, text in catalog_texts():
+        for k in range(100):
+            variant = text.replace("30.5", f"{10 + 0.5 * k:.2f}")
+            service.query(variant, language=language)
+            served += 1
+    compiles = path_counts()["plan_compile"] - before
+    info = service.cache_info()
+    assert info["result_hits"] == 0 and info["plan_misses"] == 25
+    assert compiles == 25
+    assert (served - compiles) / served >= 0.99
 
 
 @pytest.mark.parametrize("backend", ["row", "vectorized"])

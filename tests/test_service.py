@@ -612,6 +612,57 @@ class TestStatsSnapshots:
         assert service.table_stats("NoSuchTable") is None
 
 
+class TestSharedRowProgram:
+    """Threads hitting one cached shape share its one compiled row program;
+    what a call resolves lives in the call, so no answer sees another's
+    literals."""
+
+    THREADS = 8
+    SHAPE = ("SELECT S.sname, R.day FROM Sailors S, Reserves R "
+             "WHERE S.sid = R.sid AND R.bid = {} AND S.age > {}")
+
+    def test_threads_share_one_compiled_program(self):
+        from repro.engine.cache import path_counts
+        from repro.translate.equivalence import answer_relation
+
+        service = QueryService(sailors_database(), backend="row")
+        service.query(self.SHAPE.format(101, "20.5"))   # the miss compiles
+        literals = [[(bid, f"{age}.{thread}")
+                     for bid in (101, 102, 103, 104)
+                     for age in (16, 25, 35, 45)]
+                    for thread in range(self.THREADS)]
+        expected = {values: answer_relation(self.SHAPE.format(*values),
+                                            service.db)
+                    for mine in literals for values in mine}
+        gate = threading.Barrier(self.THREADS)
+        wrong: list = []
+        errors: list[BaseException] = []
+
+        def reader(mine) -> None:
+            try:
+                gate.wait(timeout=30)
+                for values in mine:
+                    got = service.query(self.SHAPE.format(*values)).relation
+                    if not got.bag_equal(expected[values]):
+                        wrong.append(values)
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+
+        compiles = path_counts()["plan_compile"]
+        threads = [threading.Thread(target=reader, args=(mine,))
+                   for mine in literals]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and wrong == []
+        assert path_counts()["plan_compile"] == compiles
+        info = service.cache_info()
+        assert info["plan_misses"] == 1
+        assert info["plan_hits"] == self.THREADS * 16
+
+
 class TestConcurrencyHammer:
     """N readers over the catalog + a writer appending rows: no stale or
     torn answers, no exceptions (the ISSUE's satellite test)."""

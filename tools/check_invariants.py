@@ -84,7 +84,8 @@ Rules (see tools/README.md for how to add one):
     Parameter substitution has one home: under ``src/repro/engine`` and
     ``src/repro/core``, reading a ``.slot`` attribute (a template
     constant's literal number) outside ``engine/bind.py`` is a violation —
-    executors reach a plan's parameters through ``bind.bind_node``, the
+    executors reach a plan's parameters through ``bind.bind_node`` (and the
+    row compiler through ``bind.param_reader`` / ``bind.expr_binder``), the
     cold consumers through ``bind.bind_plan``.  Under ``src/repro`` so is
     a ``replace(…, since=…)`` call: a view's delta windows take their
     version anchors as slots, never as a rebuilt copy of the plan.
