@@ -39,7 +39,6 @@ from conftest import print_table
 
 from repro.core.sharded_service import ShardedQueryService
 from repro.data.sailors import random_sailors_database
-from repro.engine import clear_compiled_cache
 
 REDUCED = os.environ.get("REPRO_BENCH_REDUCED", "") not in ("", "0")
 
@@ -184,7 +183,6 @@ def _measure_cell(size: tuple[int, int, int], n_shards: int, workload: str,
 
 
 def run_experiment(smoke: bool) -> dict:
-    clear_compiled_cache()
     sizes = SMOKE_SIZES if smoke else FULL_SIZES
     artifact: dict = {"experiment": "E10-sharded-ivm", "reduced": smoke,
                       "cells": []}

@@ -22,7 +22,7 @@ import time
 from conftest import print_table
 
 from repro.data.sailors import random_sailors_database
-from repro.engine import clear_compiled_cache, execute_plan, lower, optimize
+from repro.engine import execute_plan, lower, optimize
 
 REDUCED = os.environ.get("REPRO_BENCH_REDUCED", "") not in ("", "0")
 
@@ -76,7 +76,6 @@ def _write_artifact(name: str, artifact: dict) -> None:
 
 
 def test_e2_row_vs_vectorized_artifact(capsys):
-    clear_compiled_cache()
     rows = []
     artifact = {"experiment": "E2-row-vs-vectorized",
                 "reduced": REDUCED, "cells": []}

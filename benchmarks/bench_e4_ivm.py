@@ -40,7 +40,6 @@ from conftest import print_table
 
 from repro.core import QueryService, QueryVisualizationPipeline
 from repro.data.sailors import random_sailors_database
-from repro.engine import clear_compiled_cache
 
 REDUCED = os.environ.get("REPRO_BENCH_REDUCED", "") not in ("", "0")
 
@@ -175,7 +174,6 @@ def _measure_cell(size: tuple[int, int, int], workload: str, language: str,
 
 
 def run_experiment(smoke: bool) -> dict:
-    clear_compiled_cache()
     artifact: dict = {"experiment": "E4-ivm-vs-recompute", "reduced": smoke,
                       "cells": []}
     sizes = SMOKE_SIZES if smoke else FULL_SIZES

@@ -46,7 +46,7 @@ from conftest import print_table
 
 from repro.data.sharded import ShardedDatabase
 from repro.data.sailors import random_sailors_database
-from repro.engine import clear_compiled_cache, execute_plan, lower, optimize
+from repro.engine import execute_plan, lower, optimize
 from repro.engine.sharded import ShardedBackend, shard_plan
 from repro.engine.stats import StatsCatalog
 
@@ -190,7 +190,6 @@ def _cell(workload: str, size: tuple[int, int, int], shards: int,
 
 
 def run_experiment(smoke: bool) -> dict:
-    clear_compiled_cache()
     sizes = SMOKE_SIZES if smoke else FULL_SIZES
     cells: list[dict] = []
     for size in sizes:

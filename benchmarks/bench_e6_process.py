@@ -62,7 +62,7 @@ from conftest import print_table, python_loops
 
 from repro.data.sailors import random_sailors_database
 from repro.data.sharded import ShardedDatabase
-from repro.engine import clear_compiled_cache, execute_plan, lower, optimize
+from repro.engine import execute_plan, lower, optimize
 from repro.engine.kernels import kernels_enabled
 from repro.engine.process import ProcessBackend
 
@@ -210,7 +210,6 @@ def _cell(workload: str, size: tuple[int, int, int], requested: int,
 
 
 def run_experiment(smoke: bool) -> dict:
-    clear_compiled_cache()
     sizes = SMOKE_SIZES if smoke else FULL_SIZES
     cells: list[dict] = []
     for size in sizes:

@@ -3,8 +3,8 @@ string MIN/MAX vs the row executor.
 
 Isolates the numpy kernels of :mod:`repro.engine.kernels` from the
 backend transports the E-series experiments measure.  Each cell runs one
-plan twice: once through the engine's one columnar executor,
-:class:`~repro.engine.vectorized.VectorizedExecutor`, as served (every
+plan twice: once as the plan's columnar program,
+:func:`~repro.engine.vectorized.compile_batches`, as served (every
 table here is above ``KERNEL_MIN_ROWS``: dictionary encodings, cached
 probe structures, packed-code DISTINCT, code-space MIN/MAX), and once on
 the row executor (the plan's row program,
@@ -98,7 +98,7 @@ from repro.engine.kernels import (
     kernels_enabled,
     path_counts,
 )
-from repro.engine.vectorized import VectorizedExecutor
+from repro.engine.vectorized import compile_batches
 
 REDUCED = os.environ.get("REPRO_BENCH_REDUCED", "") not in ("", "0")
 
@@ -257,7 +257,7 @@ def _measure_size(n_fact: int) -> list[dict]:
         plan = optimize(lower(sql, db.schema, "sql"), db)
 
         def kernel(plan=plan):
-            return VectorizedExecutor(db).batch(plan).rows()
+            return compile_batches(plan)(db).rows()
 
         def rows(plan=plan):
             return _row_executor(plan, db)

@@ -36,19 +36,16 @@ Quickstart::
 
 from repro.engine.execute import (
     ExecutorBackend,
+    Program,
     RowBackend,
-    RowProgram,
     build_result_relation,
-    clear_compiled_cache,
     compile_rows,
-    compiled_expr,
-    compiled_predicate,
     execute_datalog,
     execute_plan,
     get_backend,
     run_query,
 )
-from repro.engine.vectorized import VectorizedBackend, VectorizedExecutor
+from repro.engine.vectorized import VectorizedBackend, compile_batches
 from repro.engine.sharded import (
     NotDistributable,
     ShardedBackend,
@@ -146,9 +143,9 @@ __all__ = [
     "PlanError",
     "PlanVerificationError",
     "ProcessBackend",
+    "Program",
     "ProjectP",
     "RowBackend",
-    "RowProgram",
     "ScanP",
     "SetOpP",
     "ShardedBackend",
@@ -157,19 +154,16 @@ __all__ = [
     "StatsCatalog",
     "TableStats",
     "VectorizedBackend",
-    "VectorizedExecutor",
     "ViewMaintainer",
     "attach_slots",
     "asof_plan",
     "bind_plan",
     "build_maintainer",
     "build_result_relation",
-    "clear_compiled_cache",
     "collect_table_stats",
     "common_subplan_count",
+    "compile_batches",
     "compile_rows",
-    "compiled_expr",
-    "compiled_predicate",
     "default_process_workers",
     "delta_terms",
     "detect_language",

@@ -23,19 +23,21 @@ language-agnostic:
   lifted from a comment, a value some parser transformed — *refuses* the
   shape (``None``), and the caller serves it under its exact text.
 * A plan with slots is executed as it is, with the values as the
-  executor's ``params``.  The row executor compiles a template once
-  (:func:`repro.engine.execute.compile_rows`) and reads a slot in a lookup
-  key or a column-op-constant filter conjunct from the values directly
-  (:func:`param_reader`).  Anywhere else — an ``OR``, ``IN`` or
-  ``BETWEEN`` conjunct (:func:`expr_binder`), a join residual, project
-  exprs, aggregate args, sort keys, a fixpoint's facts, a window's anchor
-  — the node whose *own* fields hold the slot is re-made per execution by
-  :func:`bind_node`, as a shallow copy with those fields bound; its
-  children stay the template's objects, so everything cached on them
-  (hashes, column positions, compiled programs) carries over from
-  execution to execution.  The operators see plain constants, exactly as
-  in a plan that never had slots; the columnar executor binds each node
-  it computes this way.
+  executor's ``params``.  Both executors compile a template once, to a row
+  program or a columnar one (:class:`repro.engine.execute._Compiler`), and
+  read a slot in a lookup key or a column-op-constant filter conjunct from
+  the values directly (:func:`param_reader`), and re-makes any other
+  slotted conjunct (an ``OR``, ``IN`` or ``BETWEEN``) alone per call
+  (:func:`expr_binder`).  Anywhere else — a join residual, project exprs,
+  aggregate args, sort keys, a fixpoint's facts, a window's anchor — the
+  program re-makes the node whose *own* fields hold the slot per call by
+  :func:`bind_node`, as a shallow copy with those
+  fields bound; its children stay the template's objects, so everything
+  cached on them (hashes, column positions, compiled programs) carries
+  over from execution to execution.  The operators see plain constants,
+  exactly as in a plan that never had slots, and a node whose own fields
+  hold no slot is never bound (:func:`holds_slots` decides at compile
+  time).
 * :func:`bind_plan` binds a whole plan the same way, node by node, giving a
   plan of plain ``Const``s.  Only the cold consumers pay for it: a prepared
   view's plan, ``run()``'s :class:`PipelineResult` plan, the
@@ -72,7 +74,7 @@ from repro.engine.plan import Plan
 from repro.syntax import NUMBER, QUOTED, STRING
 
 __all__ = ["attach_slots", "bind_node", "bind_plan", "discover_slots",
-           "expr_binder", "holds_slots", "is_bound", "param_reader",
+           "expr_binder", "holds_slots", "param_reader",
            "scan_literals", "sentinel_text", "sentinels_for", "slot_of"]
 
 #: What a text may contain that the scanner must step over as one unit: a
@@ -321,21 +323,11 @@ def bind_node(node: Plan, values: Sequence[Any]) -> Plan:
 
     ``node`` itself when none of its own expressions holds a slot (or there
     are no values), else a shallow copy whose children are still
-    ``node``'s: an executor computes the copy and memoizes the result under
-    ``node``.  The copy lives for one execution, so closures compiled for
-    it stay out of the process-wide cache (:func:`is_bound`).
+    ``node``'s: a compiled program runs the copy's operator over the
+    template's child results, for one call.
     """
     binder = _node_binder(node) if values else None
-    if binder is None:
-        return node
-    copy = binder(values)
-    object.__setattr__(copy, "_bound", True)
-    return copy
-
-
-def is_bound(node: Plan) -> bool:
-    """Whether ``node`` is a copy :func:`bind_node` made for one execution."""
-    return "_bound" in node.__dict__
+    return node if binder is None else binder(values)
 
 
 def bind_plan(plan: Plan, values: Sequence[Any]) -> Plan:

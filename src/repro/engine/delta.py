@@ -52,8 +52,8 @@ from repro.data.database import Database
 from repro.expr import ast as e
 from repro.engine.execute import (
     Row,
+    compile_expr,
     compile_rows,
-    compiled_expr,
     get_backend,
 )
 from repro.engine.plan import (
@@ -235,11 +235,15 @@ class _DeltaSource:
     """Optimized delta terms of one bag-maintainable plan.
 
     The optimizer alone plans each term, once: it flattens the term's join
-    tree and, estimating the delta window tiny, seats the term at it.  A
-    refresh unions the terms whose delta relation actually changed and
-    executes them as one plan, its windows bound to the view's anchors, so
-    the executor memoizes under the terms' own nodes and shares as-of
-    subplans across terms.
+    tree and, estimating the delta window tiny, seats a tree of three or
+    more leaves at it.  A two-leaf term is not reordered
+    (:func:`~repro.engine.optimize.reorder_joins` plans trees of three or
+    more leaves) and keeps its written order: E4's aggregation term,
+    ``asof(Sailors) ⋈ Δ(Reserves)``, probes the delta window with the
+    as-of side.  A refresh unions the terms whose delta relation actually
+    changed and executes them as one plan, its windows bound to the view's
+    anchors, so its program is compiled from the terms' own nodes, once,
+    and shares as-of subplans across terms.
     """
 
     def __init__(self, plan: Plan, db: Database) -> None:
@@ -423,7 +427,7 @@ def _lift(call: e.FuncCall, columns: tuple[str, ...]) -> Callable[[Row], Any]:
     """One input row's partial state for one partial-plan aggregate."""
     if isinstance(call.args[0], e.Star):  # COUNT(*), the presence counter
         return lambda row: 1
-    value = compiled_expr(call.args[0], columns)
+    value = compile_expr(call.args[0], columns)
     if call.name == "count":
         return lambda row: 0 if value(row) is None else 1
     return value  # SUM / MIN / MAX: the value itself (NULL folds as absent)

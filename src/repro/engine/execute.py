@@ -1,44 +1,47 @@
-"""The physical executor: hash joins, hash set operations, index scans.
+"""The physical executor: one compile, two targets.
 
-One executor runs the plans of every frontend.  Physical choices:
+A plan runs as a *program*: it is compiled once by a :class:`_Compiler`,
+kept on its root like its hash, and every later execution only calls it —
+a cached template compiles on its first execution, a hit calls the program
+with its literals.  Two compilers share that mechanism: this module's
+compiles to row programs (:func:`compile_rows`, lists of row tuples), and
+the columnar one in :mod:`repro.engine.vectorized` subclasses it to compile
+to batches (``compile_batches``, numpy kernels from their gates up).  The
+base compiler owns what both targets do alike:
 
-* equi-joins (semi/anti joins too) build a positional hash table on the
-  right input instead of the reference interpreters' nested loops;
-* DISTINCT and the set operations are hash-based;
-* a base relation is reached by one access-path rule, shared with the
-  columnar executor: a scan or a version window resolves once per
-  execution to ``(relation, keep)``, the relation and how many of its
-  leading rows the read sees (:func:`resolve_window`), and every path
-  reads that answer — the scan itself, a filter whose first conjunct is
-  ``col = const`` as one bucket of the relation's ``key_index`` capped at
-  ``keep`` (:func:`scan_lookup`), a hash join's build side as that index
+* each distinct node (by value) compiles once, with its column positions,
+  key getters, each filter's lookup candidate and its classified conjuncts
+  fixed at compile time;
+* a subplan that occurs more than once gets a result slot, its rows kept
+  for the rest of the call — the operational half of common subexpression
+  elimination, and what makes the dependent-join compilation of correlated
+  subqueries cheap (the embedded outer plan is evaluated once);
+* a base relation is reached by one access-path rule: each distinct scan or
+  version window gets a window slot, resolved once per call to
+  ``(relation, keep)``, the relation and how many of its leading rows the
+  read sees (:func:`resolve_window`), and every path reads that answer —
+  the scan itself, a filter whose first conjunct is ``col = const`` as one
+  bucket of the relation's ``key_index`` capped at ``keep``
+  (:func:`scan_lookup`), a hash join's build side as that index
   (:func:`join_table`);
-* a plan is compiled once to a row program (:func:`compile_rows`), kept
-  on its root like its hash: nested closures with column positions, key
-  getters, each filter's lookup candidate and its classified conjuncts
-  fixed, so a cached template compiles on its first execution and every
-  later one only calls it;
-* a subplan that occurs more than once compiles to one closure whose rows
-  are kept for the rest of the call — the operational half of common
-  subexpression elimination, and what makes the dependent-join
-  compilation of correlated subqueries cheap (the embedded outer plan is
-  evaluated once);
-* a plan with slots compiles as it is, their values passed to each call
-  as ``params`` (a cached template's literals, a view's version anchors):
-  a lookup key or a column-op-constant conjunct reads its slot from them
+* with ``given``, every node equal to it reads the rows the call hands in
+  (a view's finishing operators over its maintained core, a sharded plan's
+  finishers over its gathered rows);
+* a plan with slots compiles as it is, their values passed to each call as
+  ``params`` (a cached template's literals, a view's version anchors): a
+  lookup key or a column-op-constant conjunct reads its slot from them
   (:func:`repro.engine.bind.param_reader`), and a node whose own fields
   hold a slot in any other form is bound per call, those fields alone
-  (:func:`repro.engine.bind.bind_node`).
+  (:func:`repro.engine.bind.bind_node`).  Every other node is never bound.
 
 Each operator has one Python implementation, a function of this module:
-:func:`filter_predicate`, :func:`join_rows`, :func:`aggregate_rows`,
-:func:`sort_limit_rows`, :func:`semi_anti_positions`, :func:`setop_rows`,
-:func:`divide_rows` and :func:`fold`.  The row program calls them, and so
-does the columnar executor wherever a numpy kernel declines
-(:mod:`repro.engine.vectorized`), so the backends cannot drift apart.  How
-a scan reaches its relation (:func:`resolve_window`) and the shape of a
-filter conjunct the selection kernels lower (:func:`column_comparison`)
-live here too.
+:func:`join_rows`, :func:`aggregate_rows`, :func:`sort_limit_rows`,
+:func:`semi_anti_positions`, :func:`setop_rows`, :func:`divide_rows`,
+:func:`fold`, and one conjunct compiler, :func:`_row_test`.  The row
+program calls them, and so does the columnar program wherever a numpy
+kernel declines, so the targets cannot drift apart.  How a scan reaches
+its relation (:func:`resolve_window`) and the shape of a filter conjunct
+the selection kernels lower (:func:`column_comparison`) live here too.
 
 The executor shares no code with the reference interpreters.  It takes the
 semantic decisions both must make alike from neutral modules: the 3-valued
@@ -52,8 +55,8 @@ A Datalog program is one plan like any other query; its recursion is one
 operator, :class:`~repro.engine.plan.FixpointP`, run by
 :func:`fixpoint_rows` with **semi-naive evaluation**: each round after the
 first runs only the stratum's delta variants, over the facts the previous
-round found new.  Both executors reach it as they reach
-:func:`divide_rows`.
+round found new.  Its rule bodies are row programs whichever target
+reaches it.
 """
 
 from __future__ import annotations
@@ -84,10 +87,9 @@ from repro.engine.bind import (
     bind_node,
     expr_binder,
     holds_slots,
-    is_bound,
     param_reader,
 )
-from repro.engine.cache import LRUCache, count_path, sink_bump
+from repro.engine.cache import count_path, sink_bump
 from repro.engine.lower import lower, lower_datalog
 from repro.engine.plan import (
     AggregateP,
@@ -211,64 +213,6 @@ def compile_expr(expr: e.Expr, columns: Sequence[str]) -> RowFn:
 
 
 # ---------------------------------------------------------------------------
-# Compiled-closure cache
-# ---------------------------------------------------------------------------
-#
-# Compilation is pure — a closure depends only on the (immutable, hashable)
-# expression node and the column layout — so compiled closures are cached
-# process-wide: templates of one expression share its closure, and the
-# columnar executor, which compiles a declined conjunct per execution,
-# compiles it once.  The exception is an expression bound to one
-# execution's values (`repro.engine.bind.bind_node`): it compiles afresh
-# (``cached=False``), so a stream of fresh literals never churns the cache.
-# Value closures and predicates share one LRU cache; a predicate's key
-# carries a "predicate" tag.
-
-_compiled = LRUCache(8192)
-
-
-def _cache_slot(key: tuple, build: Callable[[], Any]) -> Any:
-    try:
-        cached = _compiled.get(key)
-    except TypeError:  # unhashable payload (opaque subquery nodes): no caching
-        return build()
-    if cached is None:  # a closure is never None
-        cached = build()
-        _compiled.put(key, cached)
-    return cached
-
-
-def compiled_expr(expr: e.Expr, columns: Sequence[str], *,
-                  cached: bool = True) -> RowFn:
-    """Cached :func:`compile_expr` (keyed on expression + column layout);
-    compiled afresh with ``cached=False``."""
-    columns = tuple(columns)
-    if not cached:
-        return compile_expr(expr, columns)
-    return _cache_slot((expr, columns), lambda: compile_expr(expr, columns))
-
-
-def compiled_predicate(expr: e.Expr, columns: Sequence[str], *,
-                       cached: bool = True) -> Callable[[Row], bool]:
-    """``expr`` as a row test that holds only where it is TRUE (cached, keyed
-    on expression + column layout; compiled afresh with ``cached=False``)."""
-    columns = tuple(columns)
-
-    def build() -> Callable[[Row], bool]:
-        fn = compiled_expr(expr, columns, cached=cached)
-        return lambda row: fn(row) is True
-
-    if not cached:
-        return build()
-    return _cache_slot((expr, columns, "predicate"), build)
-
-
-def clear_compiled_cache() -> None:
-    """Drop all cached closures (test/benchmark isolation)."""
-    _compiled.clear()
-
-
-# ---------------------------------------------------------------------------
 # The operators
 # ---------------------------------------------------------------------------
 
@@ -281,8 +225,9 @@ def join_rows(plan: JoinP, left_rows: list[Row], right_rows: Sequence[Row],
     the right side's table (:func:`join_table`) with each left row, in left
     order, a bucket's rows in position order.
 
-    ``source`` is the right input's :meth:`Windows.base`; ``residual`` the
-    plan's :func:`join_residual`; ``build`` makes the table where
+    ``source`` is the right input's window where an index can serve it
+    (:func:`_indexable`), else ``None``; ``residual`` the plan's
+    :func:`join_residual`; ``build`` makes the table where
     ``source`` is ``None`` (default: from ``right_rows``' key columns; given
     one, only the matched ``right_rows[j]`` are read).  The columnar
     executor runs a probe its kernel declines here.
@@ -318,9 +263,8 @@ def join_residual(plan: JoinP) -> "Callable[[Row], bool] | None":
     """``plan``'s residual as a test of a joined row, or ``None``."""
     if plan.residual is None:
         return None
-    return compiled_predicate(plan.residual,
-                              plan.left.columns + plan.right.columns,
-                              cached=not is_bound(plan))
+    fn = compile_expr(plan.residual, plan.left.columns + plan.right.columns)
+    return lambda row: fn(row) is True
 
 
 def pair_residual(residual: Callable[[Row], bool], left_rows: Sequence[Row],
@@ -330,26 +274,34 @@ def pair_residual(residual: Callable[[Row], bool], left_rows: Sequence[Row],
     return lambda i, j: residual(left_rows[i] + right_rows[j])
 
 
+def project_fns(plan: ProjectP) -> list[RowFn]:
+    """``plan``'s expressions, compiled over its input."""
+    return [compile_expr(x, plan.input.columns) for x in plan.exprs]
+
+
+def operator_fns(plan: "AggregateP | SortLimitP") -> "tuple[Plan, Any]":
+    """``plan`` with its :func:`aggregate_fns` or :func:`sort_fns`."""
+    return plan, (aggregate_fns(plan) if isinstance(plan, AggregateP)
+                  else sort_fns(plan))
+
+
 def aggregate_fns(plan: AggregateP) -> "tuple[list[RowFn], list[Callable[[list[Row]], Any]]]":
     """``plan``'s group keys and aggregates, compiled over its input."""
     columns = plan.input.columns
-    cached = not is_bound(plan)
-    return ([compiled_expr(x, columns, cached=cached)
-             for x in plan.group_exprs],
-            [_compile_aggregate(call, columns, cached)
+    return ([compile_expr(x, columns) for x in plan.group_exprs],
+            [_compile_aggregate(call, columns)
              for call, _name in plan.aggregates])
 
 
 def aggregate_rows(plan: AggregateP, rows: list[Row],
-                   fns: "tuple[list[RowFn], list[Callable[[list[Row]], Any]]] | None" = None
+                   fns: "tuple[list[RowFn], list[Callable[[list[Row]], Any]]]"
                    ) -> list[Row]:
     """A group-by over its input bag: one row per group, in first-occurrence
     order — the group's first row followed by each aggregate's fold.  An
     ungrouped aggregate over no rows yields one row, its input columns NULL
-    (SQL: ``COUNT`` folds to 0).  ``fns`` are :func:`aggregate_fns`'s, when
-    the caller compiled them."""
+    (SQL: ``COUNT`` folds to 0).  ``fns`` are :func:`aggregate_fns`'s."""
     columns = plan.input.columns
-    key_fns, agg_fns = aggregate_fns(plan) if fns is None else fns
+    key_fns, agg_fns = fns
     groups: dict[tuple, list[Row]] = {}
     for row in rows:
         key = tuple(fn(row) for fn in key_fns)
@@ -365,14 +317,14 @@ def aggregate_rows(plan: AggregateP, rows: list[Row],
             for members in groups.values()]
 
 
-def _compile_aggregate(call: e.FuncCall, columns: tuple[str, ...],
-                       cached: bool) -> Callable[[list[Row]], Any]:
+def _compile_aggregate(call: e.FuncCall, columns: tuple[str, ...]
+                       ) -> Callable[[list[Row]], Any]:
     name = call.name
     if name == "count" and call.args and isinstance(call.args[0], e.Star):
         return len
     if not call.args:
         raise PlanError(f"aggregate {name.upper()} needs an argument")
-    arg = compiled_expr(call.args[0], columns, cached=cached)
+    arg = compile_expr(call.args[0], columns)
     distinct = call.distinct
     return lambda rows: fold(name, (arg(row) for row in rows), distinct)
 
@@ -380,21 +332,18 @@ def _compile_aggregate(call: e.FuncCall, columns: tuple[str, ...],
 def sort_fns(plan: SortLimitP) -> "list[tuple[RowFn, bool]]":
     """``plan``'s ORDER BY keys, compiled over its input, each with its
     direction."""
-    cached = not is_bound(plan)
-    return [(compiled_expr(expr, plan.input.columns, cached=cached),
-             ascending) for expr, ascending in plan.keys]
+    return [(compile_expr(expr, plan.input.columns), ascending)
+            for expr, ascending in plan.keys]
 
 
 def sort_limit_rows(plan: SortLimitP, rows: list[Row],
-                    fns: "list[tuple[RowFn, bool]] | None" = None
-                    ) -> list[Row]:
+                    fns: "list[tuple[RowFn, bool]]") -> list[Row]:
     """ORDER BY (a stable sort on the reference interpreter's key: NULLs
     last ascending, values of different types apart), then LIMIT.
-    ``fns`` are :func:`sort_fns`'s, when the caller compiled them."""
+    ``fns`` are :func:`sort_fns`'s."""
     if plan.keys:
-        keys = sort_fns(plan) if fns is None else fns
         rows = sorted(rows, key=lambda row: tuple(
-            sort_key(fn(row), ascending) for fn, ascending in keys))
+            sort_key(fn(row), ascending) for fn, ascending in fns))
     return rows[:plan.limit]
 
 
@@ -602,7 +551,7 @@ def operand_position(positions: "dict[e.Expr, int | None]",
 def column_comparison(conjunct: e.Expr, positions: "dict[e.Expr, int | None]"
                       ) -> "tuple[int, str, Any, bool] | None":
     """Classify a filter conjunct for the selection kernels and the row
-    test (:func:`filter_predicate`), its columns at their filter's
+    test (:func:`_row_test`), its columns at their filter's
     ``positions``.
 
     ``(position, op, const, False)`` for column-op-constant with ``const``
@@ -626,25 +575,38 @@ def column_comparison(conjunct: e.Expr, positions: "dict[e.Expr, int | None]"
     return None
 
 
-def filter_predicate(plan: FilterP, conjuncts: Sequence[e.Expr]
-                     ) -> Callable[[Row], bool]:
-    """``conjuncts`` of ``plan``'s condition, in order, as one row test that
-    is truthy only where their conjunction is TRUE; their constants are
-    plain (``plan`` holds no slot in them, or is a bound node).
+def _row_test(plan: FilterP, conjuncts: Sequence[e.Expr]
+              ) -> "Callable[[Sequence[Any]], Callable[[Row], Any]] | None":
+    """``conjuncts`` of ``plan``'s condition, in order, as a function of one
+    call's parameters returning a row test that is truthy only where their
+    conjunction is TRUE, or ``None`` when there are none: the one conjunct
+    compiler of both programs.
 
-    A conjunct :func:`column_comparison` classifies compares the row's
-    values at the filter's resolved positions; only the rest compile
-    (afresh for a bound node), so a plan hit resolves no column of such a
-    conjunct.  The columnar executor tests each conjunct its selection
-    kernel declines through this function, one conjunct at a time.
+    Each conjunct is classified and compiled here, once.  A conjunct
+    :func:`column_comparison` classifies compares the row's values at the
+    filter's resolved positions; the rest compile to closures.  Where no
+    conjunct holds a slot every call gets the one test built here; else a
+    column-op-constant conjunct compares against the call's parameter, and
+    any other slotted conjunct is bound to the call's values and compiled
+    afresh.  The columnar program tests each conjunct its selection kernel
+    declines through this function, one conjunct at a time.
     """
-    cached = not is_bound(plan)
-    parts = [_conjunct_part(c, plan, cached) for c in conjuncts]
-    return _conjoined([fixed for fixed, _make, _classified in parts],
-                      len(parts) == 1 and parts[0][2])
+    if not conjuncts:
+        return None
+    parts = [_conjunct_part(c, plan) for c in conjuncts]
+    classified = len(parts) == 1 and parts[0][2]
+    if all(make is None for _fixed, make, _classified in parts):
+        predicate = _conjoined([fixed for fixed, _make, _classified in parts],
+                               classified)
+        return lambda params: predicate
+    if classified:
+        return parts[0][1]  # type: ignore[return-value]
+    return lambda params: _conjoined(
+        [fixed if make is None else make(params)  # type: ignore[misc]
+         for fixed, make, _classified in parts], classified)
 
 
-def _conjunct_part(conjunct: e.Expr, plan: FilterP, cached: bool
+def _conjunct_part(conjunct: e.Expr, plan: FilterP
                    ) -> "tuple[RowFn | None, Callable[[Sequence[Any]], RowFn] | None, bool]":
     """One conjunct of ``plan`` as ``(test, make, classified)``: its
     three-valued row closure, or — when it holds a slot — how one call's
@@ -662,7 +624,7 @@ def _conjunct_part(conjunct: e.Expr, plan: FilterP, cached: bool
     columns = tuple(plan.input.columns)
     bind = expr_binder(conjunct)
     if bind is None:
-        return compiled_expr(conjunct, columns, cached=cached), None, False
+        return compile_expr(conjunct, columns), None, False
     return None, lambda params: compile_expr(bind(params), columns), False
 
 
@@ -730,29 +692,6 @@ def resolve_window(db: Database, plan: "ScanP | DeltaScanP",
     return window
 
 
-class Windows:
-    """One columnar execution's scans and windows, each resolved
-    (:func:`resolve_window`) once, by whichever path reads it first: the
-    scan, a lookup, a join's build side, a kernel probe."""
-
-    def __init__(self, db: Database, params: Sequence[Any]) -> None:
-        self.db = db
-        self.params = params
-        self._resolved: "dict[Plan, tuple[Relation, int]]" = {}
-
-    def read(self, plan: "ScanP | DeltaScanP") -> "tuple[Relation, int]":
-        window = self._resolved.get(plan)
-        if window is None:
-            window = self._resolved[plan] = resolve_window(
-                self.db, plan, self.params)
-        return window
-
-    def base(self, plan: Plan) -> "tuple[Relation, int] | None":
-        """:meth:`read` for an input an index can serve (:func:`_indexable`),
-        else ``None``."""
-        return self.read(plan) if _indexable(plan) else None  # type: ignore[arg-type]
-
-
 def _indexable(plan: Plan) -> bool:
     """Whether ``plan`` is an input an index can serve: a :class:`ScanP` or
     an ``asof`` window."""
@@ -760,21 +699,21 @@ def _indexable(plan: Plan) -> bool:
                                        and plan.mode == "asof")
 
 
-def lookup_key(plan: FilterP) -> "tuple[int, e.Const, list[e.Expr]] | None":
-    """``(position, constant, rest)`` when ``plan``'s *first* conjunct is
+def lookup_key(plan: FilterP) -> "tuple[int, e.Const] | None":
+    """``(position, constant)`` when ``plan``'s *first* conjunct is
     ``col = const``: the candidate :func:`scan_lookup` may serve from an
-    index, the constant as its node (a template's may be a slot), ``rest``
-    the other conjuncts, to run over the bucket in order.  A later conjunct
-    is never looked up first: a conjunct before it may raise (a type
+    index, the constant as its node (a template's may be a slot); the
+    other conjuncts run over the bucket in order.  A later conjunct is
+    never looked up first: a conjunct before it may raise (a type
     mismatch) exactly where the reference raises."""
-    first, *rest = e.conjuncts(plan.condition) or (None,)
+    first = (e.conjuncts(plan.condition) or (None,))[0]
     if not (isinstance(first, e.Comparison) and first.op == "="):
         return None
     for col, const in ((first.left, first.right), (first.right, first.left)):
         if not isinstance(const, e.Const):
             continue
         position = operand_position(plan.operand_positions, col)
-        return None if position is None else (position, const, rest)
+        return None if position is None else (position, const)
     return None
 
 
@@ -785,8 +724,9 @@ def scan_lookup(source: "tuple[Relation, int] | None", position: int,
     the one bucket of ``value`` in a base relation's ``key_index`` at
     ``position`` instead of scanning, else ``None``.
 
-    ``source`` is the filter input's :meth:`Windows.base`; the bucket is
-    capped at its ``keep``.  ``value`` must be non-NULL and of the column's
+    ``source`` is the filter input's window where an index can serve it
+    (:func:`_indexable`), else ``None``; the bucket is capped at its
+    ``keep``.  ``value`` must be non-NULL and of the column's
     declared type.  The index the relation holds is used; a live relation
     that holds none builds it (and then maintains it), while a frozen
     snapshot holding none is scanned — the index would be built for this
@@ -815,7 +755,7 @@ def join_table(source: "tuple[Relation, int] | None", idx: Sequence[int],
                ) -> "dict[Any, list[int]] | _PrefixTable":
     """The hash-join build side: key -> positions in its rows.
 
-    Over a base relation (``source``, :meth:`Windows.base`) it is the
+    Over a base relation (``source``, an input :func:`_indexable`) it is the
     relation's maintained ``key_index`` capped at the window — view
     refresh then never rebuilds an old-state table.  Any other input, or a
     join without keys, is built by ``build``.
@@ -867,33 +807,37 @@ class _PrefixTable:
 
 
 # ---------------------------------------------------------------------------
-# The row executor: a plan compiled once to closures, called per execution
+# Programs: a plan compiled once, called per execution
 # ---------------------------------------------------------------------------
 
-#: A compiled operator: one call's state in, the operator's rows out.
-RowsFn = Callable[["_Call"], list[Row]]
+#: A compiled operator: one call's state in, the operator's result out —
+#: a list of rows (:func:`compile_rows`) or a batch (``compile_batches``).
+RowsFn = Callable[["_Call"], Any]
 
 
 class _Call:
-    """One call of a :class:`RowProgram`: its database and parameters, the
+    """One call of a :class:`Program`: its database and parameters, the
     scans and windows it resolved (:func:`resolve_window`, each once, in
     the slot the compiler numbered it), the results of its shared
-    subplans, and the rows handed in for the program's ``given`` node."""
+    subplans, the rows handed in for the program's ``given`` node, and the
+    caller's counter ``sink`` (:func:`scan_lookup`, the kernels' cache)."""
 
-    __slots__ = ("db", "params", "windows", "shared", "given")
+    __slots__ = ("db", "params", "windows", "shared", "given", "sink")
 
     def __init__(self, db: Database, params: Sequence[Any], windows: int,
-                 shared: "list[list[Row] | None]",
-                 given: "list[Row] | None" = None) -> None:
+                 shared: "list[Any]", given: "list[Row] | None" = None,
+                 sink: "dict[str, int] | None" = None) -> None:
         self.db = db
         self.params = params
         self.windows: "list[tuple[Relation, int] | None]" = [None] * windows
         self.shared = shared
         self.given = given
+        self.sink = sink
 
 
-class RowProgram:
-    """A plan compiled for the row executor (:func:`compile_rows`).
+class Program:
+    """A plan compiled by a :class:`_Compiler` (:func:`compile_rows`,
+    ``compile_batches``).
 
     Immutable, and shared by every thread that executes the plan: what one
     execution resolves lives in its call (:class:`_Call`), never here.
@@ -907,49 +851,28 @@ class RowProgram:
         self._shared = shared
 
     def __call__(self, db: Database, params: Sequence[Any] = (),
-                 given: "list[Row] | None" = None) -> list[Row]:
-        """The plan's rows over ``db``, its slots read from ``params``;
-        ``given`` are the rows of the node the program was compiled to
-        take as an input."""
+                 given: "list[Row] | None" = None,
+                 sink: "dict[str, int] | None" = None) -> Any:
+        """The plan's result over ``db`` (rows, or a batch), its slots read
+        from ``params``; ``given`` are the rows of the node the program was
+        compiled to take as an input, ``sink`` the caller's counters."""
         return self._run(_Call(db, params, self._windows,
-                               [None] * self._shared, given))
+                               [None] * self._shared, given, sink))
 
 
-def compile_rows(plan: Plan, given: "Plan | None" = None) -> RowProgram:
-    """``plan`` as a row program: compiled on first use and kept on the
-    node, like its hash, so a cached template compiles once and every hit
-    calls the program with its own literals.
-
-    Column positions, key getters, each filter's lookup candidate and its
-    classified conjuncts are fixed here; a slotted constant in a lookup key
-    or a column-op-constant conjunct is read from the call's parameters
-    (:func:`~repro.engine.bind.param_reader`), and a node whose own fields
-    hold a slot in any other form is bound per call
-    (:func:`~repro.engine.bind.bind_node`).  A subplan that occurs more
-    than once (common subexpression elimination, the outer plan a
-    dependent join embeds) runs once per call.  With ``given``, every node
-    equal to it reads the rows the call hands in instead (a view's
-    finishing operators over its maintained core).  Raises
-    :class:`PlanError` / :class:`~repro.expr.ast.ExprError` for a plan the
-    executor cannot run.
-    """
-    programs = plan.__dict__.get("_row_programs")
-    if programs is None:
-        programs = {}
-        object.__setattr__(plan, "_row_programs", programs)
-    program = programs.get(given)
-    if program is None:
-        compiler = _Compiler((plan,), given)
-        run = compiler.node(plan)
-        program = programs[given] = RowProgram(run, len(compiler.windows),
-                                               len(compiler.slots))
-        count_path("plan_compile")
-    return program
+def compile_rows(plan: Plan, given: "Plan | None" = None) -> Program:
+    """``plan`` as a row program (:meth:`_Compiler.program`): its call
+    returns the plan's rows.  Raises :class:`PlanError` /
+    :class:`~repro.expr.ast.ExprError` for a plan the executor cannot
+    run."""
+    return _Compiler.program(plan, given)
 
 
 class _Compiler:
     """Compiles the nodes of one or more plans into :data:`RowsFn`
-    closures, each distinct node (by value) once.
+    closures, each distinct node (by value) once: this class to lists of
+    rows, a subclass to another target by overriding :meth:`_operator` and
+    :meth:`_given`.
 
     A node that occurs more than once gets a result slot in the call.  So
     does, under ``kept``, each subtree that ``kept`` accepts and whose
@@ -959,27 +882,59 @@ class _Compiler:
     build side alike.
     """
 
+    @classmethod
+    def compile(cls, plan: Plan, given: "Plan | None" = None) -> Program:
+        """``plan`` compiled afresh, for a caller that runs the program and
+        lets it go: a plan bound to one request's literals (the sharded
+        backends'), which a program kept on the node would only outlive.
+        With ``given``, every node equal to it reads the rows the call
+        hands in instead."""
+        compiler = cls((plan,), given)
+        program = Program(compiler.node(plan), len(compiler.windows),
+                          len(compiler.slots))
+        count_path("plan_compile")
+        return program
+
+    @classmethod
+    def program(cls, plan: Plan, given: "Plan | None" = None) -> Program:
+        """:meth:`compile`'s program, made on first use and kept on the
+        node like its hash, so a cached template compiles once per compiler
+        and every hit calls the program with its own literals."""
+        programs = plan.__dict__.get("_programs")
+        if programs is None:
+            programs = {}
+            object.__setattr__(plan, "_programs", programs)
+        program = programs.get((cls, given))
+        if program is None:
+            program = programs[cls, given] = cls.compile(plan, given)
+        return program
+
     def __init__(self, roots: Sequence[Plan], given: "Plan | None" = None,
                  kept: "Callable[[Plan], bool] | None" = None) -> None:
         seen: Counter[Plan] = Counter()
         self.slots: dict[Plan, int] = {}
-
-        def count(node: Plan, parent_kept: bool) -> None:
+        # Depth first, iteratively: a recursive closure would be a reference
+        # cycle, keeping every compiler (and its closures) until a full
+        # collection.
+        pending = [(root, False) for root in reversed(roots)]
+        while pending:
+            node, parent_kept = pending.pop()
             seen[node] += 1
             keep = kept is not None and kept(node)
             if seen[node] > 1 or (keep and not parent_kept):
                 self.slots.setdefault(node, len(self.slots))
             if seen[node] == 1 and node != given \
                     and not isinstance(node, FixpointP):
-                for child in node.children():
-                    count(child, keep)
-
-        for root in roots:
-            count(root, False)
+                pending.extend((child, keep)
+                               for child in reversed(node.children()))
         self.windows: dict[Plan, int] = {}
         self.done: dict[Plan, RowsFn] = {}
         if given is not None:
-            self.done[given] = lambda call: call.given
+            self.done[given] = self._given(given)
+
+    def _given(self, given: Plan) -> RowsFn:
+        """How a call reads the rows handed in for ``given``."""
+        return lambda call: call.given
 
     def window(self, plan: "ScanP | DeltaScanP"
                ) -> "Callable[[_Call], tuple[Relation, int]]":
@@ -1004,6 +959,32 @@ class _Compiler:
                 run = _in_slot(run, slot)
             self.done[plan] = run
         return run
+
+    def _lookup(self, plan: FilterP
+                ) -> "Callable[[_Call], tuple[Relation, list[int]] | None] | None":
+        """How a call reads the bucket of ``plan``'s lookup candidate
+        (:func:`lookup_key`; :func:`scan_lookup` decides per call whether
+        an index serves it), ``None`` when it has none."""
+        key = lookup_key(plan) if _indexable(plan.input) else None
+        if key is None:
+            return None
+        position, const = key
+        read = param_reader(const)
+        value = const.value
+        window = self.window(plan.input)  # type: ignore[arg-type]
+        return lambda call: scan_lookup(
+            window(call), position,
+            value if read is None else read(call.params), call.sink)
+
+    @staticmethod
+    def _per_call(plan: Plan, make: Callable[[Plan], Any]
+                  ) -> Callable[[_Call], Any]:
+        """``make(plan)``, made here once — or, where ``plan``'s own fields
+        hold a slot, per call from the node bound to the call's values."""
+        if holds_slots(plan):
+            return lambda call: make(bind_node(plan, call.params))
+        made = make(plan)
+        return lambda call: made
 
     def _operator(self, plan: Plan) -> RowsFn:
         if isinstance(plan, (ScanP, DeltaScanP)):
@@ -1035,45 +1016,27 @@ class _Compiler:
 
     def _filter(self, plan: FilterP) -> RowsFn:
         """A selection: one bucket of the input relation's ``key_index``
-        when the first conjunct is a lookup (:func:`scan_lookup` decides
-        per call), else the input; then the rest of the conjuncts."""
+        when the first conjunct is a lookup (:meth:`_lookup`), else the
+        input; then the rest of the conjuncts."""
         rows = self.node(plan.input)
         conjuncts = e.conjuncts(plan.condition)
         every = _row_test(plan, conjuncts)
-        key = lookup_key(plan) if _indexable(plan.input) else None
-        if key is None:
-            if every is None:
-                return lambda call: list(rows(call))
+        after = _row_test(plan, conjuncts[1:])
+        lookup = self._lookup(plan)
 
-            def select(call: _Call) -> list[Row]:
-                candidates = rows(call)
-                predicate = every(call.params)
-                return [row for row in candidates if predicate(row)]
-
-            return select
-        position, const, rest = key
-        read = param_reader(const)
-        value = const.value if read is None else None
-        after = _row_test(plan, rest)
-        window = self.window(plan.input)
-
-        def lookup(call: _Call) -> list[Row]:
-            params = call.params
-            found = scan_lookup(window(call), position,
-                                value if read is None else read(params))
+        def select(call: _Call) -> list[Row]:
+            found = None if lookup is None else lookup(call)
             if found is None:
-                test = every
-                candidates = rows(call)
+                test, candidates = every, rows(call)
             else:
-                test = after
                 relation, positions = found
-                candidates = [relation[p] for p in positions]
+                test, candidates = after, [relation[p] for p in positions]
             if test is None:
                 return list(candidates)
-            predicate = test(params)
+            predicate = test(call.params)
             return [row for row in candidates if predicate(row)]
 
-        return lookup
+        return select
 
     def _project(self, plan: ProjectP) -> RowsFn:
         rows = self.node(plan.input)
@@ -1085,18 +1048,12 @@ class _Compiler:
                 return lambda call: [(row[i0],) for row in rows(call)]
             getter = operator.itemgetter(*indices)
             return lambda call: [getter(row) for row in rows(call)]
-        columns = plan.input.columns
-        if not holds_slots(plan):
-            fns = [compiled_expr(x, columns) for x in plan.exprs]
-            return lambda call: [tuple([fn(row) for fn in fns])
-                                 for row in rows(call)]
+        fns = self._per_call(plan, project_fns)
 
         def project(call: _Call) -> list[Row]:
             candidates = rows(call)
-            bound = bind_node(plan, call.params)
-            fns = [compiled_expr(x, columns, cached=False)
-                   for x in bound.exprs]
-            return [tuple([fn(row) for fn in fns]) for row in candidates]
+            made = fns(call)
+            return [tuple([fn(row) for fn in made]) for row in candidates]
 
         return project
 
@@ -1110,17 +1067,14 @@ class _Compiler:
                 return [l + r for l in left_rows for r in right_rows]
             return product
         window = self.window(plan.right) if _indexable(plan.right) else None
-        bound = holds_slots(plan)
-        residual = None if bound else join_residual(plan)
+        residual = self._per_call(plan, join_residual)
 
         def join(call: _Call) -> list[Row]:
             left_rows = left(call)
             right_rows = right(call)
             source = None if window is None else window(call)
-            if bound:
-                return join_rows(plan, left_rows, right_rows, source,
-                                 join_residual(bind_node(plan, call.params)))
-            return join_rows(plan, left_rows, right_rows, source, residual)
+            return join_rows(plan, left_rows, right_rows, source,
+                             residual(call))
 
         return join
 
@@ -1130,12 +1084,14 @@ class _Compiler:
         rows = self.node(plan.input)
         apply = aggregate_rows if isinstance(plan, AggregateP) \
             else sort_limit_rows
-        if holds_slots(plan):
-            return lambda call: apply(bind_node(plan, call.params),
-                                      rows(call))
-        fns = aggregate_fns(plan) if isinstance(plan, AggregateP) \
-            else sort_fns(plan)
-        return lambda call: apply(plan, rows(call), fns)
+        prepared = self._per_call(plan, operator_fns)
+
+        def unary(call: _Call) -> list[Row]:
+            candidates = rows(call)
+            node, fns = prepared(call)
+            return apply(node, candidates, fns)
+
+        return unary
 
 
 def _in_slot(run: RowsFn, slot: int) -> RowsFn:
@@ -1147,32 +1103,6 @@ def _in_slot(run: RowsFn, slot: int) -> RowsFn:
             rows = call.shared[slot] = run(call)
         return rows
     return shared
-
-
-def _row_test(plan: FilterP, conjuncts: Sequence[e.Expr]
-              ) -> "Callable[[Sequence[Any]], Callable[[Row], Any]] | None":
-    """``conjuncts`` of ``plan``'s condition as a function of one call's
-    parameters returning its row test (:func:`filter_predicate`'s), or
-    ``None`` when there are none.
-
-    Each conjunct is classified here, once.  Where no conjunct holds a slot
-    the test is :func:`filter_predicate`'s, built here, and every call gets
-    it; else a column-op-constant conjunct compares against the call's
-    parameter, and any other slotted conjunct is bound to the call's values
-    and compiled afresh.
-    """
-    if not conjuncts:
-        return None
-    parts = [_conjunct_part(c, plan, True) for c in conjuncts]
-    if all(make is None for _fixed, make, _classified in parts):
-        predicate = filter_predicate(plan, conjuncts)
-        return lambda params: predicate
-    classified = len(parts) == 1 and parts[0][2]
-    if len(parts) == 1 and classified:
-        return parts[0][1]  # type: ignore[return-value]
-    return lambda params: _conjoined(
-        [fixed if make is None else make(params)  # type: ignore[misc]
-         for fixed, make, _classified in parts], classified)
 
 
 # ---------------------------------------------------------------------------

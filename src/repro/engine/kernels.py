@@ -80,14 +80,16 @@ selection, never by translating a Python hash table, which is built only
 for a probe that declines — and is dropped with its one probe: nothing
 could ever look it up again.
 
-The kernels are not an executor: the one columnar executor
-(:class:`~repro.engine.vectorized.VectorizedExecutor`) offers each hot
+The kernels are not an executor: a plan's columnar program, compiled once
+by the engine's one compiler
+(:func:`~repro.engine.vectorized.compile_batches`), offers each hot
 operator's batch to the matching ``kernel_*`` function from that hook's
 crossover up, and runs the operator's row implementation below it or on
 ``None``: from :data:`KERNEL_MIN_ROWS` rows for selections, group-bys,
 DISTINCT and a probe of a per-query build side, from
 :data:`CACHED_PROBE_MIN_ROWS` rows at stake for a probe of a relation's
-cached structure.
+cached structure.  The gates are read on every call, against the live
+batch: compiling fixes what a plan says, never how many rows it meets.
 
 Set ``REPRO_KERNELS=0`` to switch the kernels off even with numpy
 installed: the ``"vectorized"`` backend then runs every plan on the row
@@ -113,9 +115,9 @@ try:  # pragma: no cover - exercised by the no-numpy CI leg
 except Exception:  # pragma: no cover
     np = None  # type: ignore[assignment]
 
-#: The smallest batch a kernel is offered
-#: (:class:`repro.engine.vectorized.VectorizedExecutor` gates every hook on
-#: it but one); below it the operator runs its row implementation.  A numpy
+#: The smallest batch a kernel is offered (the columnar program,
+#: :func:`repro.engine.vectorized.compile_batches`, gates every hook on it
+#: but one); below it the operator runs its row implementation.  A numpy
 #: call costs microseconds before it touches a row, a Python loop iteration
 #: tens of nanoseconds: over the tutorial's 10-row tables the kernels ran
 #: the catalog ~3x *slower* than the Python loops they replaced (83 -> 244
@@ -644,7 +646,7 @@ def kernel_filter(conjunct: e.Expr, batch: Batch,
 
     Engages on the conjuncts :func:`repro.engine.execute.column_comparison`
     classifies, and mirrors the row test
-    (:func:`repro.engine.execute.filter_predicate`) exactly: NULL operands
+    (:func:`repro.engine.execute._row_test`) exactly: NULL operands
     never match, and any operand mix it would reject as a type error simply
     declines to compile (the row test then raises).  ``column IS NULL``
     reads the column's NULL mask.  ``positions`` are the filter's resolved

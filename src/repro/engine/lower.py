@@ -9,7 +9,8 @@ One compiler per frontend:
   subquery's FROM list is crossed onto the distinct values of the outer
   columns it names, its predicates applied, and the result semi- or
   anti-joined back on those columns.  The outer plan appears inside the
-  dependent side, so the executor's CSE memo evaluates it once.
+  dependent side, so the compiled program's shared result slot evaluates
+  it once.
 * :func:`lower_ra` — a structural mapping of the RA operator tree, with the
   reference evaluator's set/bag mode switching (``GroupBy`` inputs are bags,
   set mode adds a final duplicate elimination).

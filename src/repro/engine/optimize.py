@@ -26,14 +26,16 @@ Three families of rewrites, applied in order by :func:`optimize`:
 
    The delta relations of a Datalog fixpoint's rule bodies (the node's
    children, rewritten like any subplan) and the delta windows of a view's
-   delta terms are estimated tiny, which seeds each delta-variant plan at
-   the delta occurrence — the semi-join reduction of classical semi-naive
-   evaluation.  :mod:`repro.engine.delta` hands its
+   delta terms are estimated tiny, which seeds each delta-variant plan of
+   three or more leaves at the delta occurrence — the semi-join reduction
+   of classical semi-naive evaluation; a two-leaf join keeps its written
+   order.  :mod:`repro.engine.delta` hands its
    terms to :func:`optimize` and plans nothing itself.
 3. **Common subexpression elimination** — structurally identical subtrees are
-   interned to a single object.  The executor memoizes results per plan
-   value, so a deduplicated subtree (for example the outer plan that a
-   dependent join embeds in its right side) is evaluated exactly once.
+   interned to a single object.  The compiler gives a subplan that occurs
+   more than once one result slot per call, so a deduplicated subtree (for
+   example the outer plan that a dependent join embeds in its right side)
+   is evaluated exactly once.
 
 All rewrites are semantics-preserving for the plans the lowerers emit; the
 differential tests in ``tests/test_engine.py`` check optimized and
@@ -400,7 +402,7 @@ def reorder_joins(plan: Plan, db: Database,
         # Dependent joins embed their left plan inside the right side; keep
         # that embedded copy atomic while reordering around it, then swap in
         # the reordered left so both sides stay structurally shared (the
-        # executor's CSE memo depends on it).
+        # compiler's shared result slots depend on it).
         left = reorder_joins(plan.left, db, protected, stats=stats)
         right = reorder_joins(plan.right, db, protected + (plan.left,),
                               stats=stats)

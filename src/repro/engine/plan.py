@@ -7,12 +7,12 @@ runs them with hash-based physical operators.  This is the raco-style
 logical→physical split: the per-language evaluators remain the semantic
 oracles, the plan IR is the single hot path.
 
-Plans are immutable, hashable trees.  Hashability is load-bearing: the row
+Plans are immutable, hashable trees.  Hashability is load-bearing: the
 compiler shares one closure, and one result per execution, among the equal
-subplans of a plan, and the columnar executor memoizes results *by plan
-value*, which is what makes common subexpression elimination (and the
-dependent-join compilation of correlated subqueries, which duplicates the
-outer plan structurally) cheap at runtime.
+subplans of a plan *by plan value*, which is what makes common
+subexpression elimination (and the dependent-join compilation of
+correlated subqueries, which duplicates the outer plan structurally) cheap
+at runtime.
 
 Every node exposes ``columns``, its ordered output column names.  Scalar and
 boolean expressions attached to nodes reuse :mod:`repro.expr.ast`; column
@@ -25,8 +25,9 @@ columns — is resolved once and kept on the node (``cached_property``), like
 its hash: a cached template's nodes are executed request after request.
 Such a property depends on the node's columns only, never on a constant,
 so the copy :func:`repro.engine.bind.bind_node` makes of a node with its
-constants bound takes the template node's values.  A plan's compiled row
-program (:func:`repro.engine.execute.compile_rows`) is kept on it the same
+constants bound takes the template node's values.  A plan's compiled
+programs (:func:`repro.engine.execute.compile_rows`,
+:func:`repro.engine.vectorized.compile_batches`) are kept on it the same
 way.
 """
 
@@ -454,12 +455,12 @@ class FixpointP(Plan):
 def _install_cached_hashes() -> None:
     """Memoize each plan node's hash on first use.
 
-    Plans are immutable trees and the executors memoize *by plan value*, so
-    every operator lookup re-hashes its whole subtree — O(size) per node,
-    O(size²) per execution for deep plans.  Caching the hash on the instance
-    makes memo lookups O(1) after the first touch, and a plan executed again
-    (a cached template, a view's delta terms) never hashes twice; equality
-    is untouched (still field-based).
+    Plans are immutable trees and the compiler shares subplans *by plan
+    value*, so every node lookup re-hashes its whole subtree — O(size) per
+    node, O(size²) per compile for deep plans.  Caching the hash on the
+    instance makes those lookups O(1) after the first touch, and a plan
+    looked up again (a cached template's programs, a view's delta terms)
+    never hashes twice; equality is untouched (still field-based).
     """
     for cls in (ScanP, DeltaScanP, FilterP, ProjectP, DistinctP, JoinP,
                 SetOpP, AggregateP, DivideP, SortLimitP, FixpointP):

@@ -34,10 +34,11 @@ moving it into **worker processes**:
   kernel encodings are extended, not rebuilt, and a superseded version is
   never retained.  A task sees exactly the rows its manifest names — a
   manifest older than the resident copy is served from a throw-away
-  rebuild of the runs it names.  The scatter subplan runs on the engine's
-  one columnar executor
-  (:class:`~repro.engine.vectorized.VectorizedExecutor`: numpy kernels over
-  the resident columns).  Only the gathered result rows cross the pipe
+  rebuild of the runs it names.  The scatter subplan is compiled once per
+  task by the engine's columnar compiler
+  (:class:`~repro.engine.vectorized._BatchCompiler`: numpy kernels over
+  the resident columns) and that program runs on every manifest the task
+  carries.  Only the gathered result rows cross the pipe
   back;
 * **gather** runs in the parent via :meth:`ShardedPlan.finish` — partial
   aggregates combine, absorbed finishers replay — identically to the
@@ -86,9 +87,8 @@ from repro.data.sharded import (
 )
 from repro.engine.execute import Row
 from repro.engine.kernels import path_counts
-from repro.engine.plan import Plan
 from repro.engine.sharded import ShardedBackend, ShardedPlan
-from repro.engine.vectorized import VectorizedExecutor
+from repro.engine.vectorized import _BatchCompiler
 
 __all__ = [
     "PROCESS_BACKEND",
@@ -178,8 +178,9 @@ def _run_subplans(plan_blob: bytes, manifests: "list[list[PageSegment]]"
     ``min(n_shards, workers)`` pool round-trips instead of one per shard
     (the dominant overhead when the subplan itself is kernel-fast).
 
-    The executor (and its per-relation caches) is rebuilt per shard; the
-    expensive state — the resident relations with their column stores,
+    The subplan is compiled once per task (it arrives as a fresh
+    unpickled plan) and its program runs on each shard; the expensive
+    state — the resident relations with their column stores,
     encodings and indexes — persists above, so a query over an unchanged
     shard attaches nothing and one after a write decodes the write.
 
@@ -189,7 +190,7 @@ def _run_subplans(plan_blob: bytes, manifests: "list[list[PageSegment]]"
     time); the parent folds the counts into ``execution_counts()``.
     """
     before = path_counts()
-    plan: Plan = pickle.loads(plan_blob)
+    program = _BatchCompiler.compile(pickle.loads(plan_blob))
     parts: list[list[Row]] = []
     rows_decoded = 0
     for manifest in manifests:
@@ -198,7 +199,7 @@ def _run_subplans(plan_blob: bytes, manifests: "list[list[PageSegment]]"
             relation, decoded = _attached_relation(segment)
             rows_decoded += decoded
             db.add_relation(relation)
-        parts.append(VectorizedExecutor(db).batch(plan).rows())
+        parts.append(program(db).rows())
     paths = {key: n - before[key] for key, n in path_counts().items()
              if n != before[key]}
     return parts, rows_decoded, paths, os.getpid(), len(_attached)

@@ -35,9 +35,13 @@ into *per-shard subplans plus a merge step*:
   that can own matching rows and the gather step disappears — the
   point-query fast path the sharded serving layer leans on.
 
-Per-shard subplans run one after another on the calling thread; each shard
-runs the plain vectorized executor over a shard-local database (scattered
-relations) plus the merged views of broadcast relations.  Where subplans
+Per-shard subplans run one after another on the calling thread: the
+scatter subplan is compiled to one columnar program per execution
+(:class:`~repro.engine.vectorized._BatchCompiler`), which runs on each
+shard-local database (scattered relations plus the merged views of
+broadcast relations).  A sharded plan is bound to one request's literals,
+so its program is not kept on it: the plan cache would keep one per
+literal.  Where subplans
 run is the one step :class:`~repro.engine.process.ProcessBackend` replaces
 (worker processes over shared-memory pages); compilation, counting, and the
 gather are the same driver.  ``tests/test_sharded.py`` pins the backend
@@ -75,7 +79,7 @@ from repro.data.sharded import (
 from repro.expr import ast as e
 from repro.engine.bind import bind_plan
 from repro.engine.cache import LRUCache
-from repro.engine.execute import Row, compiled_expr
+from repro.engine.execute import Row, compile_expr
 from repro.engine.kernels import path_counts
 from repro.engine.plan import (
     AggregateP,
@@ -94,7 +98,7 @@ from repro.engine.plan import (
     resolve_column,
 )
 from repro.engine.stats import StatsCatalog
-from repro.engine.vectorized import Batch, VectorizedExecutor
+from repro.engine.vectorized import _BatchCompiler
 from repro.engine.verify import maybe_verify_sharded, verification_counts
 
 __all__ = [
@@ -523,7 +527,7 @@ class AggregateState:
 
     def __init__(self, combine: AggregateCombine) -> None:
         self.combine = combine
-        self._group_fns = [compiled_expr(gx, combine.input_columns)
+        self._group_fns = [compile_expr(gx, combine.input_columns)
                            for gx in combine.group_exprs]
         # key -> [representative input row, two slots per spec, the
         # finalized row (None until rows() runs, reset by every fold)]
@@ -702,18 +706,20 @@ class ShardedPlan:
         One part per shard in shard order (just the routed shard's for a
         ``"single"`` plan); a ``"fallback"`` plan's one part is its whole
         single-node answer over the merged view (or a plain source database).
+        The subplan is compiled once, and its program runs on every shard.
         """
         if self.mode == "fallback":
-            return [VectorizedExecutor(sharded, counters).batch(self.plan).rows()]
+            return [_BatchCompiler.compile(self.plan)(
+                sharded, sink=counters).rows()]
         assert self.scatter is not None
         if self.shard_index is not None:
             shards: Iterable[int] = (self.shard_index,)
         else:
             shards = range(sharded.n_shards)
-        return [VectorizedExecutor(
-                    shard_execution_database(sharded, i, self.partitioned,
-                                             self.broadcast), counters)
-                .batch(self.scatter).rows() for i in shards]
+        program = _BatchCompiler.compile(self.scatter)
+        return [program(shard_execution_database(sharded, i, self.partitioned,
+                                                 self.broadcast),
+                        sink=counters).rows() for i in shards]
 
     def finish(self, sharded: ShardedDatabase, parts: list[list[Row]],
                counters: "dict[str, int] | None" = None) -> list[Row]:
@@ -732,11 +738,10 @@ class ShardedPlan:
         if seed is None or seed is self.plan:
             return rows
         # Finishing operators: replay the suffix of the original plan over
-        # the gathered rows by pre-seeding the executor's per-plan memo at
-        # the highest absorbed node (structurally shared copies reuse it).
-        executor = VectorizedExecutor(sharded, counters)
-        executor._memo[seed] = Batch.from_rows(seed.columns, rows)
-        return executor.batch(self.plan).rows()
+        # the gathered rows, handed in for the highest absorbed node (every
+        # structurally equal copy reads them too).
+        return _BatchCompiler.compile(self.plan, seed)(
+            sharded, given=rows, sink=counters).rows()
 
 
 def shard_plan(plan: Plan, sharded: ShardedDatabase,

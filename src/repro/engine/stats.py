@@ -222,8 +222,10 @@ class StatsCatalog:
         if isinstance(plan, DeltaScanP):
             # Insert-delta windows are tiny by construction (the point of
             # incremental maintenance); estimating them tiny makes the
-            # cost-based join ordering seat each delta term at its delta
-            # occurrence.  The as-of window is essentially the full relation.
+            # cost-based join ordering seat a delta term of three or more
+            # leaves at its delta occurrence (a two-leaf term keeps its
+            # written order: reorder_joins plans only trees of three or
+            # more).  The as-of window is essentially the full relation.
             if plan.mode == "delta":
                 return DELTA_ESTIMATE
             stats = self.table(plan.relation)

@@ -1,18 +1,21 @@
-"""The columnar executor's kernel gates, pinned for a test.
+"""The columnar program's kernel gates, pinned for a test.
 
 Production offers a batch to the numpy kernels from
 ``kernels.KERNEL_MIN_ROWS`` rows up, and the probe of a relation's cached
-build structure from ``kernels.CACHED_PROBE_MIN_ROWS`` rows at stake.  The
-differential tests pin both at once: ``0`` offers every batch to the
-kernels (the only way few-row relations reach them), ``None`` offers none
-(the row implementations, the reference the kernels are pinned against:
-the columnar executor runs every operator's row function).
+build structure from ``kernels.CACHED_PROBE_MIN_ROWS`` rows at stake.  Both
+are read from the live batch on every call of a compiled program, so
+pinning them reaches programs compiled before.  The differential tests pin
+both at once: ``0`` offers every batch to the kernels (the only way
+few-row relations reach them), ``None`` offers none (the row
+implementations, the reference the kernels are pinned against: the
+columnar program runs every operator's row function).
 
-The same gate picks the executor: the ``"vectorized"`` backend runs a plan
+The same gate picks the program: the ``"vectorized"`` backend runs a plan
 whose every input holds fewer than ``KERNEL_MIN_ROWS`` rows — every few-row
-test instance — on the row executor.  A test of the columnar executor
-itself runs it as :data:`COLUMNAR`, past that decision, and a service leg
-built by :func:`service_on` serves its queries and refreshes its views on it.
+test instance — as its row program.  A test of the columnar program
+itself calls it through :data:`COLUMNAR`, past that decision, and a
+service leg built by :func:`service_on` serves its queries and refreshes
+its views on it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import sys
 from unittest import mock
 
 import repro.engine.kernels as kernels
-from repro.engine.vectorized import VectorizedExecutor
+from repro.engine.vectorized import compile_batches
 
 GATES = ("KERNEL_MIN_ROWS", "CACHED_PROBE_MIN_ROWS")
 
@@ -37,12 +40,12 @@ def pinned_gates(min_rows: "int | None"):
 
 
 class _Columnar:
-    """The columnar executor as a backend, whatever its inputs' sizes."""
+    """The columnar program as a backend, whatever its inputs' sizes."""
 
     name = "columnar"
 
     def execute(self, plan, db, params=()):
-        return VectorizedExecutor(db, params=params).batch(plan).rows()
+        return compile_batches(plan)(db, params).rows()
 
 
 COLUMNAR = _Columnar()
@@ -50,7 +53,7 @@ COLUMNAR = _Columnar()
 
 def executor(name: str):
     """The executor a test leg called ``name`` drives: ``"vectorized"`` is
-    the columnar executor itself (:data:`COLUMNAR`), any other name its
+    the columnar program itself (:data:`COLUMNAR`), any other name its
     backend."""
     return COLUMNAR if name == "vectorized" else name
 

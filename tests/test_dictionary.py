@@ -29,7 +29,7 @@ from repro.engine.kernels import kernels_enabled
 from repro.engine.plan import AggregateP, DistinctP, FilterP, JoinP, ScanP
 from repro.engine.sharded import ShardedBackend
 from repro.engine.stats import StatsCatalog, collect_table_stats
-from repro.engine.vectorized import VectorizedExecutor
+from repro.engine.vectorized import compile_batches
 from repro.expr import ast as e
 
 needs_kernels = pytest.mark.skipif(not kernels_enabled(),
@@ -154,9 +154,9 @@ def _both(plan, db):
     for the first run and put out of reach for the second.
     """
     with pinned_gates(0):
-        fast = VectorizedExecutor(db).batch(plan).rows()
+        fast = compile_batches(plan)(db).rows()
     with pinned_gates(None):
-        slow = VectorizedExecutor(db).batch(plan).rows()
+        slow = compile_batches(plan)(db).rows()
     return fast, slow
 
 
@@ -341,7 +341,7 @@ class TestStringMinMaxKernel:
         for gate in (0, None):
             kernel_gate(gate)
             with pytest.raises(TypeError):
-                VectorizedExecutor(db).batch(plan).rows()
+                compile_batches(plan)(db).rows()
 
     def test_kernels_off_is_the_python_fold(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNELS", "0")
@@ -406,7 +406,7 @@ class TestKernelGate:
         # ``u`` holds its key index, as after an equality lookup: the
         # probe's rows at stake are then its own (``u`` is 1:1).
         db.relation("u").key_index((0,))
-        return [VectorizedExecutor(db).batch(plan).rows()
+        return [compile_batches(plan)(db).rows()
                 for plan in self._plans()]
 
     def test_loops_below_the_gate_kernels_from_it_up(self, engaged,
@@ -451,10 +451,10 @@ class TestKernelGate:
                  FilterP(t, e.conjunction([
                      e.Comparison(e.Col("full"), ">=", e.Const(100)),
                      e.IsNull(e.Col(column))]))]
-        taken = [VectorizedExecutor(db).batch(plan).rows() for plan in plans]
+        taken = [compile_batches(plan)(db).rows() for plan in plans]
         assert engaged == ["kernel_filter"] * 3   # every conjunct
         kernel_gate(None)
-        assert taken == [VectorizedExecutor(db).batch(plan).rows()
+        assert taken == [compile_batches(plan)(db).rows()
                          for plan in plans]
         assert [len(rows) for rows in taken] == [
             sum(row[("k", "s", "f", "full").index(column)] is None
@@ -472,7 +472,7 @@ class TestKernelGate:
         plan = AggregateP(
             FilterP(t, e.Comparison(e.Col("v"), "=", e.Const(3))),
             (e.Col("s"),), ((e.FuncCall("count", (e.Star(),)), "n"),))
-        rows = VectorizedExecutor(db).batch(plan).rows()
+        rows = compile_batches(plan)(db).rows()
         assert engaged == ["kernel_filter"]
         assert sum(row[-1] for row in rows) == len(range(3, n, 7))
 
@@ -491,7 +491,7 @@ class TestKernelGate:
 
         def run(u):
             del engaged[:]
-            return VectorizedExecutor(Database([small, u])).batch(plan).rows()
+            return compile_batches(plan)(Database([small, u])).rows()
 
         u = self._db(n).relation("u")
         snapshot = run(u.copy().freeze())
@@ -676,12 +676,11 @@ class TestKernelCache:
         plan = JoinP(ORDERS, USERS, "inner", ("ouid", "ocity"),
                      ("uid", "city"), None, False)
         sink: dict[str, int] = {}
-        executor = VectorizedExecutor(db, sink)
-        first = executor.batch(plan).rows()
+        program = compile_batches(plan)
+        first = program(db, sink=sink).rows()
         misses_after_first = sink.get("kernel_cache_misses", 0)
         assert misses_after_first >= 1
-        executor2 = VectorizedExecutor(db, sink)
-        assert executor2.batch(plan).rows() == first
+        assert program(db, sink=sink).rows() == first
         assert sink.get("kernel_cache_hits", 0) >= 1
         assert sink.get("kernel_cache_misses", 0) == misses_after_first
 
@@ -697,7 +696,7 @@ class TestKernelCache:
         plan = JoinP(ORDERS, USERS, "inner", ("ocity",), ("city",),
                      None, False)
         sink: dict[str, int] = {}
-        VectorizedExecutor(db, sink).batch(plan).rows()
+        compile_batches(plan)(db, sink=sink).rows()
         assert sink.get("kernel_cache_evictions", 0) >= 1
         assert kernels.cache_stats()["bytes"] <= 1
 
@@ -710,7 +709,7 @@ class TestKernelCache:
             db = Database([rel])
             scan = ScanP(f"t{i}", ("k", "v"))
             plan = JoinP(scan, scan, "inner", ("k",), ("k",), None, False)
-            VectorizedExecutor(db).batch(plan).rows()
+            compile_batches(plan)(db).rows()
         assert kernels.cache_stats()["entries"] <= 4
 
     def test_literal_varied_filtered_joins_do_not_grow_the_cache(self):
@@ -731,7 +730,7 @@ class TestKernelCache:
 
         sink: dict[str, int] = {}
         for literal in range(3):
-            VectorizedExecutor(db, sink).batch(plan(literal)).rows()
+            compile_batches(plan(literal))(db, sink=sink).rows()
         settled = kernels.cache_stats()
         assert 1 <= settled["entries"] <= 2
         for literal in range(3, 203):
@@ -835,8 +834,8 @@ def _kernel_paths(plan, db):
         for index in range(len(store.arrays)):
             kernels.store_encoding(store, index)
     with pinned_gates(0):
-        return _path_delta(
-            lambda: VectorizedExecutor(db).batch(plan).rows())[1]
+        program = compile_batches(plan)
+        return _path_delta(lambda: program(db).rows())[1]
 
 
 def _every_way(plan, db):
@@ -848,7 +847,7 @@ def _every_way(plan, db):
 
     fast, slow = _both(plan, db)
     assert fast == slow
-    assert VectorizedExecutor(db).batch(plan).rows() == slow
+    assert compile_batches(plan)(db).rows() == slow
     assert Counter(execute_plan(plan, db, backend="row").rows()) \
         == Counter(slow)
     return fast
@@ -1213,8 +1212,8 @@ class TestProbeFanOut:
                  "inner", ("pk",), ("k",), None, False)
 
     def _run(self, db):
-        return _path_delta(
-            lambda: VectorizedExecutor(db).batch(self.PLAN).rows())
+        program = compile_batches(self.PLAN)
+        return _path_delta(lambda: program(db).rows())
 
     def test_fan_out_comes_from_the_maintained_key_index(self):
         db = self._db(fanout=kernels.KERNEL_MIN_ROWS // 50)
@@ -1240,15 +1239,15 @@ class TestProbeFanOut:
         big = db.relation("big")
         wide_probe = JoinP(ScanP("big", ("k2", "x2")), ScanP("big", ("k", "x")),
                            "inner", ("x2",), ("x",), None, False)
-        VectorizedExecutor(db).batch(wide_probe)       # a kernel probe on x
+        compile_batches(wide_probe)(db)       # a kernel probe on x
         _rows, bumped = self._run(db)
         # k: nothing held, so the relation's rows are at stake.
         assert bumped["probe_kernel"] == 1 and "probe_loop" not in bumped
         assert big.held_key_index((1,)) is None
         narrow = JoinP(ScanP("small", ("pk",)), ScanP("big", ("k", "x")),
                        "inner", ("pk",), ("x",), None, False)
-        _rows, bumped = _path_delta(
-            lambda: VectorizedExecutor(db).batch(narrow).rows())
+        program = compile_batches(narrow)
+        _rows, bumped = _path_delta(lambda: program(db).rows())
         # x is unique: its cached structure says 100 rows emit 100.
         assert bumped == {"probe_loop": 1}
 
@@ -1268,8 +1267,7 @@ class TestProbeFanOut:
         big = mock.Mock(wraps=relation_from_rows(
             "big", [("k", "int")], [(i % 5,) for i in range(n)]))
         big.__len__ = lambda self: n
-        batch = VectorizedExecutor(Database([small])).batch(
-            ScanP("small", ("pk",)))
+        batch = compile_batches(ScanP("small", ("pk",)))(Database([small]))
         build = kernels.RelationBuild(batch, [0], True, big)
         assert build.rows_at_stake(10) < kernels.CACHED_PROBE_MIN_ROWS
         big.held_key_index.assert_not_called()
@@ -1303,8 +1301,8 @@ def _probe_against_fresh(db, idx_b, idx_p, skip_nulls):
     outputs must be identical, order included.  Returns the path counts the
     cached probe bumped."""
     relation = db.relation("b")
-    build_batch = VectorizedExecutor(db).batch(BLD)
-    probe_batch = VectorizedExecutor(db).batch(PRB)
+    build_batch = compile_batches(BLD)(db)
+    probe_batch = compile_batches(PRB)(db)
     build = kernels.RelationBuild(build_batch, idx_b, skip_nulls, relation)
     got, bumped = _path_delta(lambda: kernels.kernel_probe(
         probe_batch, idx_p, build, not skip_nulls))
@@ -1424,14 +1422,14 @@ class TestBuildStructureExtension:
         sizes = []
         with pinned_gates(0):
             for step in range(100):
-                want = VectorizedExecutor(db).batch(plan).rows()
+                want = compile_batches(plan)(db).rows()
                 with pinned_gates(None):
-                    assert VectorizedExecutor(db).batch(plan).rows() == want
+                    assert compile_batches(plan)(db).rows() == want
                 sizes.append(kernels.cache_stats()["entries"])
                 db.relation("b").add((2 * (step % 40), f"w{step % 15:02d}",
                                       step % 3))
-            _rows, bumped = _path_delta(
-                lambda: VectorizedExecutor(db, sink).batch(plan).rows())
+            program = compile_batches(plan)
+            _rows, bumped = _path_delta(lambda: program(db, sink=sink).rows())
         assert len(set(sizes)) == 1
         assert bumped.get("build_extended") == 1
         assert "build_lowered" not in bumped

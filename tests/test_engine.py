@@ -27,7 +27,6 @@ from repro.engine import (
     LoweringError,
     ProjectP,
     ScanP,
-    clear_compiled_cache,
     common_subplan_count,
     estimate_rows,
     execute_plan,
@@ -638,24 +637,31 @@ class TestAccessPath:
     @pytest.fixture()
     def rows_read(self, monkeypatch):
         """How many rows each pass of a filter visited: the calls of the
-        row test both executors build (the columnar one per conjunct)."""
+        row test both programs compile (the columnar one per conjunct),
+        one pass per call that runs it."""
         from repro.engine import execute, vectorized
 
         passes: list[int] = []
-        real_predicate = execute.filter_predicate
+        real_row_test = execute._row_test
 
-        def predicate(plan, conjuncts):
-            test = real_predicate(plan, conjuncts)
-            passes.append(0)
-            slot = len(passes) - 1
+        def row_test(plan, conjuncts):
+            make = real_row_test(plan, conjuncts)
+            if make is None:
+                return None
 
-            def counted(row):
-                passes[slot] += 1
-                return test(row)
-            return counted
+            def counted_make(params):
+                test = make(params)
+                passes.append(0)
+                slot = len(passes) - 1
 
-        monkeypatch.setattr(execute, "filter_predicate", predicate)
-        monkeypatch.setattr(vectorized, "filter_predicate", predicate)
+                def counted(row):
+                    passes[slot] += 1
+                    return test(row)
+                return counted
+            return counted_make
+
+        monkeypatch.setattr(execute, "_row_test", row_test)
+        monkeypatch.setattr(vectorized, "_row_test", row_test)
         return passes
 
     def _run(self, db, plan, backend, passes):
@@ -698,7 +704,8 @@ class TestAccessPath:
 
 class TestTypedLiterals:
     """``2`` and ``2.0`` are different literals: closures, CSE and the
-    per-plan memo must never merge them, though Python calls them equal."""
+    compiled programs must never merge them, though Python calls them
+    equal."""
 
     BACKENDS = ("row", "vectorized")
     INT = "SELECT S.sid % 2 AS m FROM Sailors S WHERE S.rating > 9"
@@ -735,7 +742,6 @@ class TestTypedLiterals:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_closure_cache_keeps_int_and_float_apart(self, db, backend):
-        clear_compiled_cache()
         run_query(self.FLOAT, db, "sql", backend=executor(backend))
         got = run_query(self.INT, db, "sql", backend=executor(backend))
         want = answer_relation(self.INT, db)

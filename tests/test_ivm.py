@@ -609,15 +609,14 @@ REFRESH_SERVICES = {
 @pytest.mark.parametrize("service_kind", sorted(REFRESH_SERVICES))
 def test_refreshes_execute_the_stored_delta_terms(monkeypatch, service_kind):
     """A refresh executes the view's own delta terms, their windows bound to
-    the anchors as params: every node an executor memoizes, or the row
-    program is compiled from, while it runs is a node of the stored terms
-    or of the union over them — no copy — a union's program is compiled
-    once, by the first refresh that runs it, and the executor the service
-    names runs them."""
+    the anchors as params: every node a program is compiled from while it
+    runs is a node of the stored terms or of the union over them — no
+    copy — a union's program is compiled once, by the first refresh that
+    runs it, and the executor the service names runs them."""
     from repro.engine import SetOpP
     from repro.engine.delta import _DeltaSource
-    from repro.engine.execute import RowProgram, _Compiler
-    from repro.engine.vectorized import VectorizedExecutor
+    from repro.engine.execute import _Compiler
+    from repro.engine.vectorized import _BatchCompiler
 
     service = REFRESH_SERVICES[service_kind](sailors_database())
     view = service.register_view(AGG_SQL)
@@ -634,22 +633,21 @@ def test_refreshes_execute_the_stored_delta_terms(monkeypatch, service_kind):
         real_init(self, roots, *args, **kwargs)
 
     monkeypatch.setattr(_Compiler, "__init__", compiling)
-    for cls, name, seen in ((_Compiler, "_operator", compiled),
-                            (VectorizedExecutor, "batch", keys)):
-        def spy(self, plan, _real=getattr(cls, name), _seen=seen):
+    for cls, seen in ((_Compiler, compiled), (_BatchCompiler, keys)):
+        def spy(self, plan, _real=cls._operator, _seen=seen):
             if refreshing:
                 _seen.append(plan)
             return _real(self, plan)
 
-        monkeypatch.setattr(cls, name, spy)
-    for cls, name in ((RowProgram, "__call__"), (VectorizedExecutor, "batch")):
-        def ran_on(self, *args, _real=getattr(cls, name), _cls=cls,
-                   **kwargs):
-            if refreshing:
-                ran.add(_cls)
-            return _real(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "_operator", spy)
+    real_program = _Compiler.program.__func__
 
-        monkeypatch.setattr(cls, name, ran_on)
+    def program(cls, plan, given=None):
+        if refreshing:
+            ran.add(cls)
+        return real_program(cls, plan, given)
+
+    monkeypatch.setattr(_Compiler, "program", classmethod(program))
     real_delta_rows = _DeltaSource.delta_rows
 
     def delta_rows(self, *args):
@@ -679,12 +677,12 @@ def test_refreshes_execute_the_stored_delta_terms(monkeypatch, service_kind):
             isinstance(plan, SetOpP) and id(plan.right) in roots
             and (id(plan.left) in roots or stored(plan.left)))
 
-    assert ran == ({VectorizedExecutor} if service_kind == "plain-vectorized"
-                   else {RowProgram})
+    assert ran == ({_BatchCompiler} if service_kind == "plain-vectorized"
+                   else {_Compiler})
     assert all(stored(plan) for plan in keys + compiled), [
         type(plan).__name__ for plan in keys + compiled if not stored(plan)]
     assert len({id(plan) for plan in programs}) == len(programs)
-    if service_kind == "plain-row":
+    if service_kind != "sharded":
         assert compiles[0] > 0 and compiles[1:] == [0, 0]
 
 

@@ -454,41 +454,34 @@ def _template_of(pipeline, text: str, language: str):
 ], ids=["sql", "datalog"])
 def test_a_hit_memoizes_under_the_templates_own_nodes(
         monkeypatch, backend, language, first, second):
-    """No copy of the spine above the slotted nodes is built: the row
+    """No copy of the spine above the slotted nodes is built: either
     program is compiled from the cached template's own nodes, once, by the
-    miss, and a hit compiles nothing; every plan the columnar executor
-    memoizes on a hit is a node of the template."""
+    miss, and a hit compiles nothing."""
     from repro.engine.execute import _Compiler
-    from repro.engine.vectorized import VectorizedExecutor
+    from repro.engine.vectorized import _BatchCompiler
 
     pipeline = QueryVisualizationPipeline(sailors_database(), backend=backend)
     pipeline.backend = executor(backend)
-    cls, name = ((_Compiler, "_operator") if backend == "row"
-                 else (VectorizedExecutor, "batch"))
-    real = getattr(cls, name)
+    cls = _Compiler if backend == "row" else _BatchCompiler
+    real = cls._operator
     keys: list = []
 
     def spy(self, plan):
         keys.append(plan)
         return real(self, plan)
 
-    monkeypatch.setattr(cls, name, spy)
+    monkeypatch.setattr(cls, "_operator", spy)
     pipeline.answer(first, language=language)
     template = _template_of(pipeline, first, language)
     own = {id(node) for node in _leaves(template)}
-    if backend == "row":
-        assert keys and all(id(plan) in own for plan in keys), [
-            type(plan).__name__ for plan in keys if id(plan) not in own]
-        assert len({id(plan) for plan in keys}) == len(keys)
+    assert keys and all(id(plan) in own for plan in keys), [
+        type(plan).__name__ for plan in keys if id(plan) not in own]
+    assert len({id(plan) for plan in keys}) == len(keys)
     del keys[:]
     answers = pipeline.answer(second, language=language)
     assert answers.bag_equal(oracle(second, language, pipeline.db))
     assert plan_counters(pipeline)["binds"] == 1
-    if backend == "row":
-        assert keys == []
-    else:
-        assert keys and all(id(plan) in own for plan in keys), [
-            type(plan).__name__ for plan in keys if id(plan) not in own]
+    assert keys == []
 
 
 #: A shape whose only slotted node is an index lookup's filter, and one
@@ -540,21 +533,23 @@ def test_hits_resolve_no_columns(monkeypatch, backend, shape, literals):
     assert calls == []
 
 
+@pytest.mark.parametrize("backend", ["row", "vectorized"])
 @pytest.mark.parametrize("shape, literals", [
     (LOOKUP_SHAPE, [(101,), (102,), (103,), (104,)]),
     (COMPARE_SHAPE, [(101, 20), (102, 30), (103, 40), (104, 16)]),
 ], ids=["lookup", "compare"])
-def test_row_hits_bind_no_node(monkeypatch, shape, literals):
-    """A row hit calls the template's compiled program with its literals:
-    the lookup key and the compared constant are read from them, and no
-    node is bound (the REPRO_VERIFY_PLANS certificate of each bind, which
-    binds the whole plan, is off here)."""
+def test_row_hits_bind_no_node(monkeypatch, backend, shape, literals):
+    """A hit calls the template's compiled program, row or columnar, with
+    its literals: the lookup key and the compared constant are read from
+    them, and no node is bound (the REPRO_VERIFY_PLANS certificate of each
+    bind, which binds the whole plan, is off here)."""
     import sys
 
     from repro.engine.bind import bind_node
 
     monkeypatch.setenv("REPRO_VERIFY_PLANS", "0")
-    pipeline = QueryVisualizationPipeline(sailors_database(), backend="row")
+    pipeline = QueryVisualizationPipeline(sailors_database(), backend=backend)
+    pipeline.backend = executor(backend)
     pipeline.answer(shape.format(103, 35))   # the miss
     texts = [shape.format(*values) for values in literals]
     expected = [oracle(text, "sql", pipeline.db) for text in texts]
@@ -595,24 +590,24 @@ def test_a_five_language_sweep_compiles_once_per_template():
 
 
 @pytest.mark.parametrize("backend", ["row", "vectorized"])
-def test_fresh_literals_leave_the_closure_cache_alone(backend):
-    """A node bound to one request's literals compiles outside the
-    process-wide closure cache, so a stream of literals cannot churn it."""
-    from repro.engine.execute import _compiled, clear_compiled_cache
+def test_fresh_literals_compile_nothing(backend):
+    """A stream of fresh literals through one shape calls the program its
+    miss compiled: the nodes bound to one request's literals are bound per
+    call, and no plan compiles again."""
+    from repro.engine.cache import path_counts
 
-    clear_compiled_cache()
     pipeline = QueryVisualizationPipeline(sailors_database(), backend=backend)
     pipeline.backend = executor(backend)
     text = ("SELECT S.sname, S.age * {} AS scaled FROM Sailors S "
             "WHERE S.rating > {} OR S.sname = 'Dustin'")
     pipeline.answer(text.format(2, 7))
     pipeline.answer(text.format(3, 6))
-    size = len(_compiled)
+    compiles = path_counts()["plan_compile"]
     for k in range(4, 10):
         answers = pipeline.answer(text.format(k, 10 - k))
         assert answers.bag_equal(
             oracle(text.format(k, 10 - k), "sql", pipeline.db))
-    assert len(_compiled) == size
+    assert path_counts()["plan_compile"] == compiles
     assert plan_counters(pipeline)["binds"] == 7
 
 

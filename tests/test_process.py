@@ -62,7 +62,7 @@ from repro.engine.process import (
     default_process_workers,
 )
 from repro.engine.plan import AggregateP, ScanP
-from repro.engine.vectorized import VectorizedExecutor
+from repro.engine.vectorized import compile_batches
 from repro.expr import ast as e
 from repro.queries import CANONICAL_QUERIES
 
@@ -521,9 +521,9 @@ class TestProcessBackendDifferential:
         kernel_gate(0)  # ten sailors: far below the production gate
         monkeypatch.setenv("REPRO_KERNELS", "off")
         assert not kernels_enabled()
-        off = VectorizedExecutor(db).batch(plan).rows()
+        off = compile_batches(plan)(db).rows()
         monkeypatch.delenv("REPRO_KERNELS")
-        on = VectorizedExecutor(db).batch(plan).rows()
+        on = compile_batches(plan)(db).rows()
         assert off == on  # bit-identical, not just bag-equal
 
 
@@ -608,7 +608,7 @@ class TestResidentCopies:
                            (e.FuncCall("max", (e.Col("a"),)), "hi")))
         try:
             for step in range(k + 1):
-                want = VectorizedExecutor(sharded).batch(plan).rows()
+                want = compile_batches(plan)(sharded).rows()
                 assert sorted(backend.execute(plan, sharded)) == sorted(want)
                 sharded.add_rows("t", [(n + step * d + j, f"w{j}")
                                        for j in range(d)])

@@ -613,19 +613,21 @@ class TestStatsSnapshots:
 
 
 class TestSharedRowProgram:
-    """Threads hitting one cached shape share its one compiled row program;
-    what a call resolves lives in the call, so no answer sees another's
-    literals."""
+    """Threads hitting one cached shape share its one compiled program, row
+    or columnar; what a call resolves lives in the call, so no answer sees
+    another's literals."""
 
     THREADS = 8
     SHAPE = ("SELECT S.sname, R.day FROM Sailors S, Reserves R "
              "WHERE S.sid = R.sid AND R.bid = {} AND S.age > {}")
 
-    def test_threads_share_one_compiled_program(self):
+    @pytest.mark.parametrize("backend", ["row", "vectorized"])
+    def test_threads_share_one_compiled_program(self, backend):
+        from gates import service_on
         from repro.engine.cache import path_counts
         from repro.translate.equivalence import answer_relation
 
-        service = QueryService(sailors_database(), backend="row")
+        service = service_on(sailors_database(), backend)
         service.query(self.SHAPE.format(101, "20.5"))   # the miss compiles
         literals = [[(bid, f"{age}.{thread}")
                      for bid in (101, 102, 103, 104)

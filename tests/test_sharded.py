@@ -32,9 +32,9 @@ from repro.data.relation import RelationError, relation_from_rows
 from repro.data.sailors import random_sailors_database
 from repro.data.schema import SchemaError
 from repro.engine import execute_plan, get_backend, lower, optimize, run_query
+from repro.engine.execute import Program
 from repro.engine.sharded import ShardedBackend, shard_plan, split_aggregate
 from repro.engine.stats import StatsCatalog
-from repro.engine.vectorized import VectorizedExecutor
 from repro.queries import CANONICAL_QUERIES, LANGUAGES
 
 SHARD_COUNTS = (1, 2, 4)
@@ -138,15 +138,15 @@ class TestInlineScatter:
         sharded = ShardedDatabase.from_database(db, 4)
         backend = ShardedBackend(n_shards=4)
         assert backend.plan_for(plan, sharded).mode == "scatter"
-        batch = VectorizedExecutor.batch
+        call = Program.__call__
         threads: list[int] = []
 
-        def spy(executor, node):
+        def spy(program, *args, **kwargs):
             threads.append(threading.get_ident())
-            return batch(executor, node)
+            return call(program, *args, **kwargs)
 
         alive = threading.active_count()
-        with mock.patch.object(VectorizedExecutor, "batch", spy):
+        with mock.patch.object(Program, "__call__", spy):
             got = execute_plan(plan, sharded, backend=backend)
         assert len(threads) >= 4
         assert set(threads) == {threading.get_ident()}
@@ -159,21 +159,21 @@ class TestInlineScatter:
         plan = optimize(lower(sql, db.schema, "sql"), db)
         want = execute_plan(plan, db, backend="vectorized")
         backend = ShardedBackend(n_shards=3)
-        batch = VectorizedExecutor.batch
+        call = Program.__call__
         callers: list[int] = []
         answers: dict[int, object] = {}
         start = threading.Barrier(4)
 
-        def spy(executor, node):
+        def spy(program, *args, **kwargs):
             callers.append(threading.get_ident())
-            return batch(executor, node)
+            return call(program, *args, **kwargs)
 
         def reader():
             start.wait()
             answers[threading.get_ident()] = execute_plan(plan, db,
                                                           backend=backend)
 
-        with mock.patch.object(VectorizedExecutor, "batch", spy):
+        with mock.patch.object(Program, "__call__", spy):
             threads = [threading.Thread(target=reader) for _ in range(4)]
             for thread in threads:
                 thread.start()
@@ -588,14 +588,16 @@ class TestShardedQueryService:
         # Regression: counters live on the service's private backend, so
         # another service's traffic never bleeds into them.  The
         # plans_verified / plans_failed tallies are the exception: the
-        # static verifier is process-wide by design, so they are excluded.
+        # static verifier is process-wide by design, so they are excluded,
+        # and so is plan_compile, a process-wide path count the other
+        # service's first query moves (it compiles its plan).
         from repro.core import ShardedQueryService
         from repro.engine.verify import verification_counts
 
-        verifier_keys = set(verification_counts())
+        process_wide = set(verification_counts()) | {"plan_compile"}
 
         def private(counts):
-            return {k: v for k, v in counts.items() if k not in verifier_keys}
+            return {k: v for k, v in counts.items() if k not in process_wide}
 
         other = ShardedQueryService(sailors_database(), n_shards=2)
         baseline = private(service.execution_counts())

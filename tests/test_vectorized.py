@@ -29,7 +29,6 @@ from repro.engine import (
     ProjectP,
     ScanP,
     StatsCatalog,
-    clear_compiled_cache,
     collect_table_stats,
     execute_plan,
     explain,
@@ -221,14 +220,18 @@ class TestVersioning:
         assert rel.key_index((0,), skip_nulls=False)[None] == [1]
 
 
-class TestCompiledClosureCache:
-    def test_same_plan_executed_twice_compiles_each_expression_once(self, db):
+class TestCompileOnce:
+    @pytest.mark.parametrize("backend", ["row", COLUMNAR], ids=["row", "columnar"])
+    def test_same_plan_executed_twice_compiles_each_expression_once(
+            self, db, backend, monkeypatch):
+        """A plan compiles to its program on its first execution, kept on
+        the node: executing it again compiles no expression and no plan."""
         import repro.engine.execute as execute_module
+        from repro.engine.cache import path_counts
 
         sql = ("SELECT S.sname, S.age + 1 AS next_age FROM Sailors S, Reserves R "
                "WHERE S.sid = R.sid AND S.rating > 3 AND S.age < S.rating * 9")
         plan = optimize(lower(sql, db.schema, "sql"), db)
-        clear_compiled_cache()
         calls = []
         original = execute_module.compile_expr
 
@@ -236,42 +239,18 @@ class TestCompiledClosureCache:
             calls.append(expr)
             return original(expr, columns)
 
-        execute_module.compile_expr = counting
-        try:
-            first = execute_plan(plan, db, backend="row")
-            after_first = len(calls)
-            assert after_first > 0, "the plan should compile something"
-            second = execute_plan(plan, db, backend="row")
-            assert len(calls) == after_first, (
-                "re-executing the same Plan must reuse cached closures, "
-                f"but {len(calls) - after_first} expression(s) were recompiled"
-            )
-        finally:
-            execute_module.compile_expr = original
-            clear_compiled_cache()
+        monkeypatch.setattr(execute_module, "compile_expr", counting)
+        compiles = path_counts()["plan_compile"]
+        first = execute_plan(plan, db, backend=backend)
+        after_first = len(calls)
+        assert after_first > 0, "the plan should compile something"
+        assert path_counts()["plan_compile"] == compiles + 1
+        second = execute_plan(plan, db, backend=backend)
+        assert len(calls) == after_first, (
+            "re-executing the same Plan must call its compiled program, "
+            f"but {len(calls) - after_first} expression(s) were recompiled")
+        assert path_counts()["plan_compile"] == compiles + 1
         assert first.bag_equal(second)
-
-    def test_vectorized_backend_shares_the_closure_cache(self, db):
-        import repro.engine.execute as execute_module
-
-        sql = "SELECT S.sname FROM Sailors S WHERE S.age / 2 > S.rating"
-        plan = optimize(lower(sql, db.schema, "sql"), db)
-        clear_compiled_cache()
-        execute_plan(plan, db, backend=COLUMNAR)
-        calls = []
-        original = execute_module.compile_expr
-
-        def counting(expr, columns):
-            calls.append(expr)
-            return original(expr, columns)
-
-        execute_module.compile_expr = counting
-        try:
-            execute_plan(plan, db, backend=COLUMNAR)
-            assert not calls
-        finally:
-            execute_module.compile_expr = original
-            clear_compiled_cache()
 
 
 class TestStats:
@@ -529,10 +508,10 @@ class TestAnalyticShapesStayNumpy:
 
     @staticmethod
     def _counted(plan, db):
-        from repro.engine.vectorized import VectorizedExecutor
+        from repro.engine.vectorized import compile_batches
 
         before = kernels.path_counts()
-        rows = VectorizedExecutor(db).batch(plan).rows()
+        rows = compile_batches(plan)(db).rows()
         after = kernels.path_counts()
         return rows, {key: after[key] - before[key] for key in after}
 
@@ -704,21 +683,31 @@ def _gt(column, value):
 
 
 class TestDeclinedKernels:
-    """Where a kernel declines, the columnar executor runs the row
-    executor's operator: each conjunct is the row test
-    (``execute.filter_predicate``), each inner probe the row join
+    """Where a kernel declines, the columnar program runs the row
+    executor's operator: each conjunct is its row test (compiled by
+    ``execute._row_test``), each inner probe the row join
     (``execute.join_rows``)."""
 
     @pytest.fixture()
     def spied(self, monkeypatch):
         from repro.engine import execute, vectorized
 
-        calls = dict.fromkeys(("filter_predicate", "join_rows"), 0)
-        for name in calls:
-            def spy(*args, _real=getattr(execute, name), _name=name):
-                calls[_name] += 1
-                return _real(*args)
-            monkeypatch.setattr(vectorized, name, spy)
+        calls = dict.fromkeys(("_row_test", "join_rows"), 0)
+
+        def row_test(plan, conjuncts):
+            make = execute._row_test(plan, conjuncts)
+
+            def made(params):
+                calls["_row_test"] += 1
+                return make(params)
+            return made
+
+        def join_rows(*args):
+            calls["join_rows"] += 1
+            return execute.join_rows(*args)
+
+        monkeypatch.setattr(vectorized, "_row_test", row_test)
+        monkeypatch.setattr(vectorized, "join_rows", join_rows)
         return calls
 
     def test_selection_and_probe_reach_the_row_implementation(self, spied):
@@ -728,7 +717,7 @@ class TestDeclinedKernels:
                      RESERVES, "inner", ("sid",), ("rsid",), None, False)
         with pinned_gates(None):
             got = execute_plan(plan, db, backend=COLUMNAR)
-        assert spied == {"filter_predicate": 2, "join_rows": 1}
+        assert spied == {"_row_test": 2, "join_rows": 1}
         assert got.rows() and got.bag_equal(
             execute_plan(plan, db, backend="row"))
 

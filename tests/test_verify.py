@@ -894,6 +894,52 @@ class TestInvariantLint:
             (os.path.join("src", "repro", "engine", "vectorized.py"), 3),
             (os.path.join("src", "repro", "engine", "vectorized.py"), 6)]
 
+    def test_a_plan_executor_outside_the_compiler(self, invariants,
+                                                   fixture_repo):
+        fixture_repo("src/repro/engine/execute.py", """\
+            from repro.engine.cache import LRUCache
+
+            _closures = LRUCache(8192)
+            OPERATORS = {"=": 1}
+
+
+            class _Compiler:
+                def _operator(self, plan):
+                    return plan
+            """)
+        root = fixture_repo("src/repro/engine/vectorized.py", """\
+            from repro.engine.execute import _Compiler
+
+
+            class Walker:
+                def __init__(self):
+                    self._memo = {}
+
+                def _compute(self, plan):
+                    return plan
+
+
+            class _BatchCompiler(_Compiler):
+                def _compute(self, plan):
+                    return self._memo
+
+
+            class _Deeper(_BatchCompiler):
+                def _compute(self, plan):
+                    return plan
+
+
+            def finish(executor, seed, rows):
+                executor._memo[seed] = rows
+            """)
+        violations = [v for v in invariants.run_checks(root)
+                      if v.rule == "one-compile"]
+        execute = os.path.join("src", "repro", "engine", "execute.py")
+        vectorized = os.path.join("src", "repro", "engine", "vectorized.py")
+        assert [(v.path, v.line) for v in violations] == [
+            (execute, 3), (vectorized, 6), (vectorized, 8),
+            (vectorized, 23)]
+
     def test_window_read_outside_the_resolver(self, invariants,
                                               fixture_repo):
         root = fixture_repo("src/repro/engine/vectorized.py", """\

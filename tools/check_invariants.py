@@ -975,6 +975,94 @@ def check_one_expr_rewriter(root: str) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
+# Rule: one-compile
+# ---------------------------------------------------------------------------
+
+#: The module whose compiler both executors subclass, and which keeps no
+#: cache of compiled closures beside the programs kept on plan nodes.
+_COMPILER_MODULE = "src/repro/engine/execute.py"
+#: What a module-level cache is built from.
+_CACHE_FACTORIES = frozenset({"LRUCache", "dict", "OrderedDict",
+                              "WeakKeyDictionary", "WeakValueDictionary",
+                              "lru_cache", "cache"})
+
+
+def _base_name(node: ast.expr) -> str:
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return getattr(node, "id", "")
+
+
+def _compiler_classes(trees: "list[ast.AST]") -> set[str]:
+    """``_Compiler`` and every class under it, by base name, transitively."""
+    classes = [node for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    names = {"_Compiler"}
+    grown = True
+    while grown:
+        grown = False
+        for node in classes:
+            if node.name not in names \
+                    and any(_base_name(b) in names for b in node.bases):
+                names.add(node.name)
+                grown = True
+    return names
+
+
+def _is_cache(value: "ast.expr | None") -> bool:
+    """Whether ``value`` starts a cache: an empty ``{}`` or a cache
+    factory, called or as a decorator."""
+    if isinstance(value, ast.Dict):
+        return not value.keys
+    call = value.func if isinstance(value, ast.Call) else value
+    return call is not None and _base_name(call) in _CACHE_FACTORIES
+
+
+def check_one_compile(root: str) -> list[Violation]:
+    violations: list[Violation] = []
+    sources = list(_walk_sources(root, ("src/repro/engine",)))
+    compilers = _compiler_classes([tree for _p, _r, tree in sources])
+    for _path, rel_path, tree in sources:
+        exempt = [(node.lineno, node.end_lineno or node.lineno)
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ClassDef) and node.name in compilers]
+
+        def outside(node: ast.AST) -> bool:
+            return not any(lo <= node.lineno <= hi for lo, hi in exempt)
+
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node.name == "_compute" and outside(node):
+                violations.append(Violation(
+                    rel_path, node.lineno, "one-compile",
+                    "a _compute plan walker outside a _Compiler subclass; "
+                    "compile the plan once (subclass "
+                    "repro.engine.execute._Compiler) and call its program"))
+            elif isinstance(node, ast.Attribute) and node.attr == "_memo" \
+                    and outside(node):
+                violations.append(Violation(
+                    rel_path, node.lineno, "one-compile",
+                    "a per-execution plan memo outside a _Compiler "
+                    "subclass; shared subplans get the compiler's result "
+                    "slots, and rows handed in go through its given node"))
+        if rel_path.replace(os.sep, "/") != _COMPILER_MODULE:
+            continue
+        for node in getattr(tree, "body", []):
+            cached = False
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                cached = _is_cache(node.value)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                cached = any(_is_cache(d) for d in node.decorator_list)
+            if cached:
+                violations.append(Violation(
+                    rel_path, node.lineno, "one-compile",
+                    "a module-level cache in engine/execute.py; a compiled "
+                    "closure lives in the program kept on its plan node "
+                    "(_Compiler.program), compiled once per plan"))
+    return violations
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -994,6 +1082,7 @@ ALL_RULES = (
     check_one_fixpoint,
     check_one_bind,
     check_one_expr_rewriter,
+    check_one_compile,
 )
 
 
