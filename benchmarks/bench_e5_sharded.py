@@ -136,7 +136,7 @@ def _measure_size(size: tuple[int, int, int]) -> list[dict]:
     one_shard_ms: dict[str, float] = {}
     for shards in SHARD_COUNTS:
         sharded = ShardedDatabase.from_database(db, shards)
-        backend = ShardedBackend(n_shards=shards)
+        backend = ShardedBackend()
         for workload, plan in plans.items():
             compiled = shard_plan(plan, sharded, StatsCatalog(sharded))
             relation, seconds = _best_of(
@@ -151,7 +151,7 @@ def _measure_size(size: tuple[int, int, int]) -> list[dict]:
         # plan: each lookup pins a different sid, so the batch fans out
         # over the shards while every individual query touches only one.
         point_stats = StatsCatalog(sharded)
-        routed = [shard_plan(p, sharded, point_stats).shard_index
+        routed = [shard_plan(p, sharded, point_stats).route(sharded)
                   for p in point_plans]
         assert all(index is not None for index in routed), \
             "a point lookup failed to route to a single shard"

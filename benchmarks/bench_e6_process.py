@@ -160,7 +160,7 @@ def _measure_size(size: tuple[int, int, int]) -> list[dict]:
     try:
         for requested in WORKER_COUNTS:
             pinned = effective_workers(requested)
-            backend = ProcessBackend(n_shards=N_SHARDS, workers=pinned)
+            backend = ProcessBackend(workers=pinned)
             try:
                 for workload, plan in plans.items():
                     # Extra warm-up proportional to the pool width: every

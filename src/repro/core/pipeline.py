@@ -31,6 +31,7 @@ from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.data.sailors import sailors_database
 from repro.engine import (
+    ExecutorBackend,
     LoweringError,
     PlanError,
     detect_language,
@@ -196,7 +197,8 @@ class QueryVisualizationPipeline:
     """Parse → lower → optimize → execute → visualize, per Figs. 1–2.
 
     ``backend`` picks the physical executor (``"vectorized"`` — the default
-    columnar engine — or ``"row"``, the reference executor).  Every request
+    columnar engine — or ``"row"``, the reference executor), or is an
+    instance that runs every plan (a sharded service's).  Every request
     executes: answers are cached by :class:`~repro.core.service.QueryService`,
     which publishes them only after snapshot validation.
 
@@ -229,10 +231,11 @@ class QueryVisualizationPipeline:
     """
 
     def __init__(self, db: Database | None = None, *, formalism: str = "queryvis",
-                 backend: str = "vectorized", plan_cache_size: int = 128) -> None:
+                 backend: "str | ExecutorBackend" = "vectorized",
+                 plan_cache_size: int = 128) -> None:
         self.db = db if db is not None else sailors_database()
         self.formalism = formalism
-        self.backend = get_backend(backend).name  # validates the name
+        self.backend = get_backend(backend)
         self._plan_cache = LRUCache(plan_cache_size)
         self.cache_stats = Counters("plan_hits", "plan_misses", "plan_binds",
                                     "plan_refused")

@@ -63,8 +63,11 @@ under concurrent readers and writers:
   monitoring shares them with the optimizer instead of racing or
   recollecting them.
 
-Backend choice is per service: ``backend="process"`` runs scatter subplans
-in worker processes, off the serving process's GIL; every other backend
+Backend choice is per service: ``"vectorized"`` (the default) or
+``"row"`` by name, or a backend instance, which the service keeps.  A
+:class:`~repro.core.sharded_service.ShardedQueryService` makes its own
+scatter-gather backend; its ``backend="process"`` runs scatter subplans in
+worker processes, off the serving process's GIL, while every other backend
 answers a request on the thread that serves it.
 """
 
@@ -101,7 +104,7 @@ from repro.engine.delta import (
     find_core,
     finish_rows,
 )
-from repro.engine.execute import build_result_relation
+from repro.engine.execute import ExecutorBackend, build_result_relation
 from repro.engine.kernels import cache_stats as kernel_cache_stats
 from repro.engine.lower import LoweringError
 from repro.engine.plan import DeltaUnavailable, Plan, PlanError
@@ -231,7 +234,7 @@ class ViewRecipe:
 
     plan: Plan
     databases: Callable[[], list[Database]]
-    backend: str
+    backend: "str | ExecutorBackend"
     gather: Callable[[list[list[Row]]], list[Row]]
     broadcast: frozenset[str] = frozenset()
     compiled: Any = None
@@ -518,7 +521,7 @@ class QueryService(ServiceBase):
     """
 
     def __init__(self, db: Database | None = None, *,
-                 backend: str = "vectorized",
+                 backend: "str | ExecutorBackend" = "vectorized",
                  plan_cache_size: int = 256,
                  result_cache_size: int = 1024) -> None:
         self.pipeline = QueryVisualizationPipeline(
@@ -806,18 +809,6 @@ class QueryService(ServiceBase):
 
     # -- statistics and introspection --------------------------------------
 
-    @property
-    def backend_name(self) -> str:
-        """The executor backend's name, whether stored by name or instance.
-
-        The base service keeps the backend as its registry *name* (the
-        pipeline resolves it per call); the sharded services pin a private
-        backend *instance*.  This property reconciles the two shapes for
-        introspection/metrics.
-        """
-        backend = self.backend
-        return backend if isinstance(backend, str) else backend.name
-
     def table_stats(self, relation: str) -> TableStats | None:
         """The optimizer's profile of one relation at its current version."""
         return self.table_statistics.table(relation)
@@ -884,8 +875,9 @@ class QueryService(ServiceBase):
         the service stays usable — pools and segments are recreated lazily
         on the next request — so closing is about prompt resource release
         (the interpreter-exit hooks in :mod:`repro.engine.lifecycle` cover
-        services that are never closed).  Note that named backends resolve
-        to process-wide singletons whose pools are shared across services.
+        services that are never closed).  A sharded service's backend and
+        database are its own; the ``"row"`` and ``"vectorized"`` instances
+        it may share with other services hold no OS resources.
         """
         close_backend = getattr(self.backend, "close", None)
         if callable(close_backend):

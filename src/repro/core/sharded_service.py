@@ -82,32 +82,26 @@ class ShardedQueryService(QueryService):
             db = sailors_database()
         if not isinstance(db, ShardedDatabase):
             db = ShardedDatabase.from_database(db, n_shards, shard_keys)
-        super().__init__(db, backend="sharded",
+        self._backend_kind = backend
+        self._workers = workers
+        super().__init__(db, backend=self._build_backend(),
                          plan_cache_size=plan_cache_size,
                          result_cache_size=result_cache_size)
         self.sharded_db: ShardedDatabase = db
-        self._backend_kind = backend
-        self._workers = workers
-        self._sharded_backend = self._build_backend(db.n_shards)
-        self.pipeline.backend = self._sharded_backend
-        self.backend = self._sharded_backend
 
-    def _build_backend(self, n_shards: int) -> Any:
-        """A private backend instance for ``n_shards`` shards.
+    def _build_backend(self) -> Any:
+        """A backend instance of this service's own.
 
-        Private (not the process-wide singleton) so ``execution_counts()``
-        reports this service's traffic only, the compiled-plan cache is
-        not shared with unrelated consumers, and ``close()`` tears down
-        only this service's worker pool.
+        Its own, so ``execution_counts()`` reports this service's traffic
+        only and ``close()`` tears down only this service's worker pool.
         """
+        from repro.engine.process import ProcessBackend
+        from repro.engine.sharded import ShardedBackend
+
         if self._backend_kind == "process":
-            from repro.engine.process import ProcessBackend
-
-            return ProcessBackend(n_shards, workers=self._workers)
+            return ProcessBackend(self._workers)
         if self._backend_kind == "sharded":
-            from repro.engine.sharded import ShardedBackend
-
-            return ShardedBackend(n_shards)
+            return ShardedBackend()
         raise ValueError(
             f"unknown sharded-service backend {self._backend_kind!r}; "
             "expected 'sharded' or 'process'")
@@ -153,8 +147,8 @@ class ShardedQueryService(QueryService):
         Runs entirely under the write lock: the merged contents are
         re-hashed into a fresh :class:`ShardedDatabase` one generation past
         the old (``n_shards`` defaults to the current count; ``shard_keys``
-        overrides carry over otherwise), a new private backend sized for
-        the new count replaces the old one, the result cache is cleared,
+        overrides carry over otherwise), a new backend of the service's own
+        replaces the old one, the result cache is cleared,
         and **every registered view is rematerialized against the new
         layout** before the lock is released.  A lock-free reader racing
         the swap finds its view stamped with a database no longer served
@@ -165,7 +159,7 @@ class ShardedQueryService(QueryService):
         """
         with self._write_lock:
             old_db = self.sharded_db
-            old_backend = self._sharded_backend
+            old_backend = self.backend
             count = n_shards if n_shards is not None else old_db.n_shards
             new_db = reshard_database(old_db, count, shard_keys)
             self.sharded_db = new_db
@@ -174,19 +168,16 @@ class ShardedQueryService(QueryService):
             from repro.engine.stats import StatsCatalog
 
             self.table_statistics = StatsCatalog(new_db)
-            self._sharded_backend = self._build_backend(new_db.n_shards)
-            self.pipeline.backend = self._sharded_backend
-            self.backend = self._sharded_backend
+            self.backend = self.pipeline.backend = self._build_backend()
             # Old-layout entries can never validate again (the generation
             # moved); clear them rather than let them age out.
             self._results.clear()
             for view in self._views.values():
                 view.refreshes += 1
                 view._rebuild_locked()
-            if old_backend is not self._sharded_backend:
-                close_backend = getattr(old_backend, "close", None)
-                if callable(close_backend):
-                    close_backend()
+            close_backend = getattr(old_backend, "close", None)
+            if callable(close_backend):
+                close_backend()
             old_db.close()
             return new_db
 
@@ -199,11 +190,10 @@ class ShardedQueryService(QueryService):
     def execution_counts(self) -> dict[str, int]:
         """This service's backend counters: scatter / single-shard / fallback.
 
-        Counted on the service's private backend instance, so concurrent
-        services (or direct ``run_query(..., backend="sharded")`` calls
-        elsewhere in the process) never bleed into the numbers.
+        Counted on the service's own backend instance, so concurrent
+        services never bleed into the numbers.
         """
-        return self._sharded_backend.execution_counts()
+        return self.backend.execution_counts()
 
     def cache_info(self) -> dict[str, int]:
         info = super().cache_info()

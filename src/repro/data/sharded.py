@@ -379,15 +379,6 @@ class ShardedDatabase(Database):
             shard_keys={name: key for name, key in self._shard_keys.items()},
         )
 
-    def shard_summary(self) -> str:
-        """One line per relation: shard key and per-shard cardinalities."""
-        lines = []
-        for key, attrs in self._shard_keys.items():
-            name = self._shards[0].relation(key).schema.name
-            counts = [len(shard.relation(key)) for shard in self._shards]
-            lines.append(f"{name} by ({', '.join(attrs)}): {counts}")
-        return "\n".join(lines)
-
     def __repr__(self) -> str:
         return (f"ShardedDatabase({', '.join(self.relation_names)}; "
                 f"{self.n_shards} shards)")

@@ -50,7 +50,6 @@ from repro.engine.sharded import (
     NotDistributable,
     ShardedBackend,
     ShardedPlan,
-    distribute,
     shard_plan,
     split_aggregate,
 )
@@ -167,7 +166,6 @@ __all__ = [
     "default_process_workers",
     "delta_terms",
     "detect_language",
-    "distribute",
     "kernels_enabled",
     "lifecycle",
     "find_core",

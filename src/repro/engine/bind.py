@@ -23,8 +23,9 @@ language-agnostic:
   lifted from a comment, a value some parser transformed — *refuses* the
   shape (``None``), and the caller serves it under its exact text.
 * A plan with slots is executed as it is, with the values as the
-  executor's ``params``.  Both executors compile a template once, to a row
-  program or a columnar one (:class:`repro.engine.execute._Compiler`), and
+  executor's ``params``, on every backend.  Both executors compile a
+  template once, to a row program or a columnar one
+  (:class:`repro.engine.execute._Compiler`), and
   read a slot in a lookup key or a column-op-constant filter conjunct from
   the values directly (:func:`param_reader`), and re-makes any other
   slotted conjunct (an ``OR``, ``IN`` or ``BETWEEN``) alone per call
@@ -38,11 +39,14 @@ language-agnostic:
   exactly as in a plan that never had slots, and a node whose own fields
   hold no slot is never bound (:func:`holds_slots` decides at compile
   time).
+  The scatter-gather backends compile a template once per database layout
+  too, and route each call by reading its pinned shard-key slots through
+  :func:`param_reader`.
 * :func:`bind_plan` binds a whole plan the same way, node by node, giving a
-  plan of plain ``Const``s.  Only the cold consumers pay for it: a prepared
-  view's plan, ``run()``'s :class:`PipelineResult` plan, the
-  ``REPRO_VERIFY_PLANS`` certificates, and the scatter-gather backend,
-  whose compiled-plan cache and shard routing key on constants.
+  plan of plain ``Const``s.  Only the cold consumers pay for it, none of
+  them an executor: a prepared view's plan, ``run()``'s
+  :class:`PipelineResult` plan, and the ``REPRO_VERIFY_PLANS``
+  certificates.
 
 This module is the one home of parameter substitution: nothing else under
 ``repro.engine`` or ``repro.core`` reads a constant's ``slot`` (the
@@ -334,10 +338,9 @@ def bind_plan(plan: Plan, values: Sequence[Any]) -> Plan:
     """``plan`` with every slotted constant bound to ``values``: each node
     bound as :func:`bind_node` binds it, over its bound children.
 
-    A plan of plain constants, for what keeps or ships a plan rather than
+    A plan of plain constants, for what keeps or shows a plan rather than
     executing a template: a prepared view, ``run()``'s plan, a
-    ``REPRO_VERIFY_PLANS`` certificate, the scatter-gather backend (whose
-    compiled-plan cache and shard routing key on constants).  A subtree
+    ``REPRO_VERIFY_PLANS`` certificate.  A subtree
     without slots is the template's own; a subplan shared after CSE is
     bound once.
     """

@@ -145,8 +145,10 @@ def count_path(key: str) -> None:
     one ``key_index`` bucket: :func:`repro.engine.execute.scan_lookup`) /
     ``plan_rows`` or ``plan_columnar`` (which executor the ``"vectorized"``
     backend ran a plan on: :func:`repro.engine.vectorized.runs_on_rows`) /
-    ``plan_compile`` (a plan compiled to a row program:
-    :func:`repro.engine.execute.compile_rows`)."""
+    ``plan_compile`` (a plan compiled to a program of either target, once
+    per plan, compiler and ``given``: :func:`repro.engine.execute.compile_rows`,
+    :func:`repro.engine.vectorized.compile_batches`; a fixpoint's rule
+    program counts too)."""
     with _PATH_LOCK:
         _PATH_TOTALS[key] += 1
 

@@ -883,30 +883,23 @@ class _Compiler:
     """
 
     @classmethod
-    def compile(cls, plan: Plan, given: "Plan | None" = None) -> Program:
-        """``plan`` compiled afresh, for a caller that runs the program and
-        lets it go: a plan bound to one request's literals (the sharded
-        backends'), which a program kept on the node would only outlive.
-        With ``given``, every node equal to it reads the rows the call
-        hands in instead."""
-        compiler = cls((plan,), given)
-        program = Program(compiler.node(plan), len(compiler.windows),
-                          len(compiler.slots))
-        count_path("plan_compile")
-        return program
-
-    @classmethod
     def program(cls, plan: Plan, given: "Plan | None" = None) -> Program:
-        """:meth:`compile`'s program, made on first use and kept on the
-        node like its hash, so a cached template compiles once per compiler
-        and every hit calls the program with its own literals."""
+        """``plan``'s program, compiled on first use and kept on the node
+        like its hash, so a cached template compiles once per compiler and
+        every hit calls the program with its own literals.  With
+        ``given``, every node equal to it reads the rows the call hands in
+        instead."""
         programs = plan.__dict__.get("_programs")
         if programs is None:
             programs = {}
             object.__setattr__(plan, "_programs", programs)
         program = programs.get((cls, given))
         if program is None:
-            program = programs[cls, given] = cls.compile(plan, given)
+            compiler = cls((plan,), given)
+            program = programs[cls, given] = Program(
+                compiler.node(plan), len(compiler.windows),
+                len(compiler.slots))
+            count_path("plan_compile")
         return program
 
     def __init__(self, roots: Sequence[Plan], given: "Plan | None" = None,
@@ -1117,11 +1110,15 @@ class ExecutorBackend(Protocol):
     batch-at-a-time backend in :mod:`repro.engine.vectorized`
     (``"vectorized"``, which runs a plan whose every input is under the
     kernel gate as its row program), the scatter-gather
-    backend in :mod:`repro.engine.sharded` (``"sharded"``: shard subplans
-    inline on the calling thread), and its multi-process variant over
-    shared-memory column pages in :mod:`repro.engine.process`
-    (``"process"``).  All must agree bag-for-bag on every plan —
-    ``tests/test_vectorized.py``, ``tests/test_sharded.py``,
+    backend in :mod:`repro.engine.sharded` (``ShardedBackend``: shard
+    subplans inline on the calling thread), and its multi-process variant
+    over shared-memory column pages in :mod:`repro.engine.process`
+    (``ProcessBackend``).  The last two run over a
+    :class:`~repro.data.sharded.ShardedDatabase` only, and a
+    :class:`~repro.core.sharded_service.ShardedQueryService` makes its own.
+    Every backend executes a cached template with each request's literals
+    as ``params``, compiling it once.  All must agree bag-for-bag on every
+    plan — ``tests/test_vectorized.py``, ``tests/test_sharded.py``,
     ``tests/test_process.py``, and the property-based differential suite in
     ``tests/test_fuzz_differential.py`` pin that over the canonical catalog
     and randomly generated plans.
@@ -1152,8 +1149,9 @@ class RowBackend:
 
 
 def get_backend(name: "str | ExecutorBackend") -> "ExecutorBackend":
-    """Resolve a backend by name (``"row"`` / ``"vectorized"`` /
-    ``"sharded"`` / ``"process"``) or pass an instance through."""
+    """The ``"row"`` or ``"vectorized"`` backend by name (one instance
+    each per process), or an instance passed through as it is: a
+    scatter-gather backend is made by its service, never named."""
     if not isinstance(name, str):
         return name
     key = name.lower()
@@ -1161,20 +1159,8 @@ def get_backend(name: "str | ExecutorBackend") -> "ExecutorBackend":
         return _ROW_BACKEND
     if key == "vectorized":
         return _VECTORIZED_BACKEND or _vectorized_backend()
-    if key == "sharded":
-        # The singleton: its auto-sharding and compiled-plan caches are
-        # shared across all executions (per-database, weakly keyed).
-        from repro.engine.sharded import SHARDED_BACKEND
-
-        return SHARDED_BACKEND
-    if key == "process":
-        # The singleton: its worker-process pool (and the page segments the
-        # databases publish for it) is shared across all executions.
-        from repro.engine.process import PROCESS_BACKEND
-
-        return PROCESS_BACKEND
-    raise PlanError(f"unknown executor backend {name!r} (expected 'row', "
-                    "'vectorized', 'sharded', or 'process')")
+    raise PlanError(f"unknown executor backend {name!r} (expected 'row' "
+                    "or 'vectorized')")
 
 
 _ROW_BACKEND = RowBackend()

@@ -28,7 +28,7 @@ so the copy :func:`repro.engine.bind.bind_node` makes of a node with its
 constants bound takes the template node's values.  A plan's compiled
 programs (:func:`repro.engine.execute.compile_rows`,
 :func:`repro.engine.vectorized.compile_batches`) are kept on it the same
-way.
+way; none of it is pickled with the node.
 """
 
 from __future__ import annotations
@@ -89,6 +89,13 @@ class Plan:
             if isinstance(node, (ScanP, DeltaScanP)):
                 seen.setdefault(node.relation.lower())
         return tuple(seen)
+
+    def __reduce__(self) -> "tuple[type, tuple]":
+        """Pickle a node by its fields only: what this process kept on it
+        (its hash, resolved positions, compiled programs, binders) is
+        rebuilt wherever it is unpickled."""
+        return type(self), tuple(map(self.__getattribute__,
+                                     self.__dataclass_fields__))
 
     def with_children(self, children: Sequence["Plan"]) -> "Plan":
         """This node over ``children``, given in :meth:`children` order."""

@@ -22,9 +22,11 @@ moving it into **worker processes**:
   chain of immutable row-range *runs*: an unchanged shard publishes
   nothing, and a write publishes the rows it appended (merged with the
   trailing runs no longer than them — at most log2 *n* runs, no constant
-  to tune), so steady-state reads ship only a pickled subplan and, per
-  shard relation, the newest run of its chain.  Broadcast relations are
-  published once per version and attached by every worker;
+  to tune), so steady-state reads ship only the template's scatter subplan
+  (pickled once per compilation, :attr:`ShardedPlan.blob`), the request's
+  ``params`` and, per shard relation, the newest run of its chain.
+  Broadcast relations are published once per version and attached by
+  every worker;
 * **workers** keep one resident relation per *lineage* — a (slot,
   relation object) pair, however many versions it goes through.  Given a
   manifest a worker attaches read-only and decodes only the runs beyond
@@ -34,11 +36,12 @@ moving it into **worker processes**:
   kernel encodings are extended, not rebuilt, and a superseded version is
   never retained.  A task sees exactly the rows its manifest names — a
   manifest older than the resident copy is served from a throw-away
-  rebuild of the runs it names.  The scatter subplan is compiled once per
-  task by the engine's columnar compiler
-  (:class:`~repro.engine.vectorized._BatchCompiler`: numpy kernels over
-  the resident columns) and that program runs on every manifest the task
-  carries.  Only the gathered result rows cross the pipe
+  rebuild of the runs it names.  A worker compiles a template's scatter
+  subplan once, to its columnar program
+  (:func:`~repro.engine.vectorized.compile_batches`: numpy kernels over
+  the resident columns), kept under the pickled bytes every task of the
+  template carries; the program runs with each task's ``params`` on every
+  manifest the task carries.  Only the gathered result rows cross the pipe
   back;
 * **gather** runs in the parent via :meth:`ShardedPlan.finish` — partial
   aggregates combine, absorbed finishers replay — identically to the
@@ -53,8 +56,8 @@ moving it into **worker processes**:
   :func:`~repro.data.sharded.reap_stale_segments` runs at every pool
   startup so segments leaked by a previous crashed publisher are removed.
 
-``"single"`` (routed point queries) and ``"fallback"`` plans run in the
-parent process — the row counts involved never repay process IPC.
+Routed calls (point queries) and ``"fallback"`` plans run in the parent
+process — the row counts involved never repay process IPC.
 
 Environment knobs: ``REPRO_PROCESS_WORKERS`` pins the pool width (default:
 CPU count, clamped to [1, 16]); ``REPRO_KERNELS`` (see :mod:`repro.engine.kernels`) controls the compiled
@@ -71,12 +74,11 @@ import weakref
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any
+from typing import Any, Sequence
 
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.data.sharded import (
-    DEFAULT_N_SHARDS,
     PageSegment,
     SharedPagePublisher,
     ShardedDatabase,
@@ -85,13 +87,13 @@ from repro.data.sharded import (
     extend_attached,
     reap_stale_segments,
 )
+from repro.engine.cache import LRUCache
 from repro.engine.execute import Row
 from repro.engine.kernels import path_counts
 from repro.engine.sharded import ShardedBackend, ShardedPlan
-from repro.engine.vectorized import _BatchCompiler
+from repro.engine.vectorized import compile_batches
 
 __all__ = [
-    "PROCESS_BACKEND",
     "ProcessBackend",
     "StaleManifest",
     "default_process_workers",
@@ -109,10 +111,9 @@ def default_process_workers() -> int:
     return max(1, min(16, os.cpu_count() or 1))
 
 
-def _default_start_method() -> str | None:
-    """``fork`` where supported (fast, inherits modules), else the default."""
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else None
+#: ``fork`` where supported (fast, inherits modules), else the default.
+_START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() \
+    else None
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +170,14 @@ def _attached_relation(segment: PageSegment) -> "tuple[Relation, int]":
     return cached[0], decoded
 
 
-def _run_subplans(plan_blob: bytes, manifests: "list[list[PageSegment]]"
+#: The scatter programs this worker compiled, keyed by the pickled subplan:
+#: a template's blob is the same bytes on every task, so a worker compiles
+#: each template once, and a task leaves no compiled plan behind as garbage.
+_programs = LRUCache(64)
+
+
+def _run_subplans(plan_blob: bytes, params: Sequence[Any],
+                  manifests: "list[list[PageSegment]]"
                   ) -> "tuple[list[list[Row]], int, dict[str, int], int, int]":
     """Execute the scatter subplan against each shard manifest in turn.
 
@@ -178,8 +186,9 @@ def _run_subplans(plan_blob: bytes, manifests: "list[list[PageSegment]]"
     ``min(n_shards, workers)`` pool round-trips instead of one per shard
     (the dominant overhead when the subplan itself is kernel-fast).
 
-    The subplan is compiled once per task (it arrives as a fresh
-    unpickled plan) and its program runs on each shard; the expensive
+    The subplan's program (compiled on the template's first task here,
+    then kept in ``_programs``) runs on each shard with the request's
+    ``params``; the expensive
     state — the resident relations with their column stores,
     encodings and indexes — persists above, so a query over an unchanged
     shard attaches nothing and one after a write decodes the write.
@@ -190,7 +199,10 @@ def _run_subplans(plan_blob: bytes, manifests: "list[list[PageSegment]]"
     time); the parent folds the counts into ``execution_counts()``.
     """
     before = path_counts()
-    program = _BatchCompiler.compile(pickle.loads(plan_blob))
+    program = _programs.get(plan_blob)
+    if program is None:
+        program = compile_batches(pickle.loads(plan_blob))
+        _programs.put(plan_blob, program)
     parts: list[list[Row]] = []
     rows_decoded = 0
     for manifest in manifests:
@@ -199,7 +211,7 @@ def _run_subplans(plan_blob: bytes, manifests: "list[list[PageSegment]]"
             relation, decoded = _attached_relation(segment)
             rows_decoded += decoded
             db.add_relation(relation)
-        parts.append(program(db).rows())
+        parts.append(program(db, params).rows())
     paths = {key: n - before[key] for key, n in path_counts().items()
              if n != before[key]}
     return parts, rows_decoded, paths, os.getpid(), len(_attached)
@@ -212,26 +224,20 @@ def _run_subplans(plan_blob: bytes, manifests: "list[list[PageSegment]]"
 class ProcessBackend(ShardedBackend):
     """:class:`ExecutorBackend` running shard subplans in worker processes.
 
-    ``get_backend("process")`` returns a process-wide singleton whose
-    worker pool is shared across executions and shut down at interpreter
-    exit (:mod:`repro.engine.lifecycle`); construct instances directly to
-    pin the shard count, worker count, or start method.  ``close()``
+    The worker pool (``workers`` wide, :func:`default_process_workers` by
+    default) is shared across the backend's executions and shut down at
+    interpreter exit (:mod:`repro.engine.lifecycle`).  ``close()``
     terminates the pool; the next execution recreates it.
     """
 
     name = "process"
 
-    def __init__(self, n_shards: int = DEFAULT_N_SHARDS,
-                 shard_keys: "dict[str, Any] | None" = None,
-                 workers: int | None = None,
-                 start_method: str | None = None) -> None:
-        super().__init__(n_shards, shard_keys)
+    def __init__(self, workers: int | None = None) -> None:
+        super().__init__()
         self.workers = workers if workers is not None \
             else default_process_workers()
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self._start_method = start_method if start_method is not None \
-            else _default_start_method()
         self._exec_pool: ProcessPoolExecutor | None = None
         self._pool_lock = threading.Lock()
         self.counters.update(
@@ -256,10 +262,9 @@ class ProcessBackend(ShardedBackend):
                     # Audit /dev/shm for segments leaked by dead publishers
                     # before adding our own workers to the mix.
                     reap_stale_segments()
-                    context = multiprocessing.get_context(self._start_method) \
-                        if self._start_method else multiprocessing.get_context()
                     pool = ProcessPoolExecutor(
-                        max_workers=self.workers, mp_context=context)
+                        max_workers=self.workers,
+                        mp_context=multiprocessing.get_context(_START_METHOD))
                     self._exec_pool = pool
             from repro.engine import lifecycle
 
@@ -267,12 +272,11 @@ class ProcessBackend(ShardedBackend):
         return pool
 
     def close(self) -> None:
-        """Shut the worker pool down and unlink published page segments.
+        """Shut the worker pool down; the next execution recreates it.
 
-        Both are recreated lazily by the next execution.  Covers the
-        sharded views this backend built itself for plain databases —
-        user-owned :class:`~repro.data.sharded.ShardedDatabase` instances
-        are closed by their owner (or their publisher's exit hook).
+        The page segments belong to the
+        :class:`~repro.data.sharded.ShardedDatabase` that published them,
+        and are unlinked by its owner (or its publisher's exit hook).
         """
         with self._pool_lock:
             pool, self._exec_pool = self._exec_pool, None
@@ -280,9 +284,6 @@ class ProcessBackend(ShardedBackend):
             pool.shutdown(wait=True)
         with self._lock:
             self._resident.clear()
-            views = [cached[1] for cached in self._auto.values()]
-        for view in views:
-            view.close()
 
     def _discard_pool(self) -> None:
         """Drop a broken pool without waiting on its dead workers."""
@@ -320,23 +321,17 @@ class ProcessBackend(ShardedBackend):
     # -- execution ---------------------------------------------------------
 
     def _run_parts(self, compiled: ShardedPlan, sharded: ShardedDatabase,
+                   params: Sequence[Any], shard: int | None,
                    sink: dict[str, int]) -> list[list[Row]]:
         """Run a scatter's per-shard subplans in the worker pool.
 
         Everything else — and every way out of the pool — runs the parts
         inline, exactly as the base class does.
         """
-        if compiled.mode != "scatter":
+        if compiled.mode == "fallback" or shard is not None:
             # Routed point queries and fallbacks: a handful of rows (or a
             # plan that cannot scatter) never repays process IPC.
-            return super()._run_parts(compiled, sharded, sink)
-        try:
-            plan_blob = pickle.dumps(compiled.scatter,
-                                     protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            # A plan that cannot cross the process boundary still has exact
-            # in-process semantics.
-            return super()._run_parts(compiled, sharded, sink)
+            return super()._run_parts(compiled, sharded, params, shard, sink)
         manifests = self._publish(compiled, sharded, sink)
         # Chunk the shards over at most ``workers`` tasks (round-robin so
         # every chunk stays balanced): the per-task pool round-trip is the
@@ -349,19 +344,21 @@ class ProcessBackend(ShardedBackend):
         # same semantics, no workers — under its own counted reason.
         try:
             pool = self.pool()
-            futures = [pool.submit(_run_subplans, plan_blob, chunk)
+            futures = [pool.submit(_run_subplans, compiled.blob,
+                                   tuple(params), chunk)
                        for chunk in chunks]
         except (BrokenProcessPool, OSError, RuntimeError):
-            return self._recover(compiled, sharded, sink)  # could not submit
+            # Could not submit.
+            return self._recover(compiled, sharded, params, sink)
         try:
             results = [future.result() for future in futures]
-        except BrokenProcessPool:
-            return self._recover(compiled, sharded, sink)  # a worker died
+        except BrokenProcessPool:  # a worker died
+            return self._recover(compiled, sharded, params, sink)
         except StaleManifest:
             # A write republished between building a manifest and a worker
             # attaching it.  The pool is healthy: keep it.
             _count(sink, "stale_manifest")
-            return super()._run_parts(compiled, sharded, sink)
+            return super()._run_parts(compiled, sharded, params, None, sink)
         # Undo the round-robin chunking so parts line up with shard order
         # (combine functions are order-insensitive, but a deterministic
         # gather keeps row order reproducible run to run).
@@ -377,6 +374,7 @@ class ProcessBackend(ShardedBackend):
         return parts
 
     def _recover(self, compiled: ShardedPlan, sharded: ShardedDatabase,
+                 params: Sequence[Any],
                  sink: dict[str, int]) -> list[list[Row]]:
         """Discard a broken pool and run the parts in-process.
 
@@ -385,7 +383,7 @@ class ProcessBackend(ShardedBackend):
         """
         self._discard_pool()
         _count(sink, "pool_recovery")
-        return super()._run_parts(compiled, sharded, sink)
+        return super()._run_parts(compiled, sharded, params, None, sink)
 
     def _publish(self, compiled: ShardedPlan, sharded: ShardedDatabase,
                  sink: dict[str, int]) -> "list[list[PageSegment]]":
@@ -417,7 +415,3 @@ class ProcessBackend(ShardedBackend):
 
 def _count(sink: dict[str, int], key: str, n: int = 1) -> None:
     sink[key] = sink.get(key, 0) + n
-
-
-#: The process-wide backend instance ``get_backend("process")`` serves.
-PROCESS_BACKEND = ProcessBackend()

@@ -1,11 +1,11 @@
 """Scatter-gather plan execution over a sharded database (``"sharded"``).
 
 This module is the engine half of the horizontal-partitioning subsystem
-(:mod:`repro.data.sharded` is the storage half).  It registers the third
+(:mod:`repro.data.sharded` is the storage half).  It holds the third
 :class:`~repro.engine.execute.ExecutorBackend` and rewrites one logical plan
 into *per-shard subplans plus a merge step*:
 
-* **distribution analysis** (:func:`distribute`) proves which subtrees can
+* **distribution analysis** (:func:`shard_plan`) proves which subtrees can
   run independently on every shard such that concatenating the shard
   outputs reproduces the single-node bag.  The proof tracks, per subtree,
   the output columns that are hash-co-partitioned with the shard layout —
@@ -31,17 +31,23 @@ into *per-shard subplans plus a merge step*:
   differences, delta scans, ...) fall back to single-node vectorized
   execution over the merged view — correct, never scattered;
 * **single-shard routing**: when every scattered relation is filtered to a
-  constant shard-key value, the whole scatter collapses onto the one shard
-  that can own matching rows and the gather step disappears — the
-  point-query fast path the sharded serving layer leans on.
+  constant shard-key value, the plan records those constants as *pins*,
+  and each call hashes its own values (a template's slots read from the
+  call's ``params``); pins that agree on one shard collapse the scatter
+  onto it and the gather step disappears — the point-query fast path the
+  sharded serving layer leans on.
 
-Per-shard subplans run one after another on the calling thread: the
-scatter subplan is compiled to one columnar program per execution
-(:class:`~repro.engine.vectorized._BatchCompiler`), which runs on each
+The backend runs a cached template with one request's literals as
+``params``, like every backend, over the
+:class:`~repro.data.sharded.ShardedDatabase` a
+:class:`~repro.core.sharded_service.ShardedQueryService` serves.  The
+template's :class:`ShardedPlan` is kept on it per database layout
+(:meth:`ShardedBackend.plan_for`), and its scatter subplan, merge step and
+fallback each run as one columnar program
+(:func:`~repro.engine.vectorized.compile_batches`), compiled on first use.
+Per-shard subplans run one after another on the calling thread, over each
 shard-local database (scattered relations plus the merged views of
-broadcast relations).  A sharded plan is bound to one request's literals,
-so its program is not kept on it: the plan cache would keep one per
-literal.  Where subplans
+broadcast relations).  Where subplans
 run is the one step :class:`~repro.engine.process.ProcessBackend` replaces
 (worker processes over shared-memory pages); compilation, counting, and the
 gather are the same driver.  ``tests/test_sharded.py`` pins the backend
@@ -65,20 +71,17 @@ witnesses than the single-node backends.
 
 from __future__ import annotations
 
+import pickle
 import threading
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable, Sequence
-from weakref import WeakKeyDictionary
 
 from repro.data.database import Database
-from repro.data.sharded import (
-    BROADCAST_SUFFIX,
-    DEFAULT_N_SHARDS,
-    ShardedDatabase,
-)
+from repro.data.sharded import BROADCAST_SUFFIX, ShardedDatabase
 from repro.expr import ast as e
-from repro.engine.bind import bind_plan
-from repro.engine.cache import LRUCache
+from repro.engine.bind import expr_binder, param_reader
 from repro.engine.execute import Row, compile_expr
 from repro.engine.kernels import path_counts
 from repro.engine.plan import (
@@ -98,15 +101,13 @@ from repro.engine.plan import (
     resolve_column,
 )
 from repro.engine.stats import StatsCatalog
-from repro.engine.vectorized import _BatchCompiler
+from repro.engine.vectorized import compile_batches
 from repro.engine.verify import maybe_verify_sharded, verification_counts
 
 __all__ = [
     "NotDistributable",
     "ShardedBackend",
     "ShardedPlan",
-    "SHARDED_BACKEND",
-    "distribute",
     "shard_execution_database",
     "shard_plan",
     "split_aggregate",
@@ -151,22 +152,14 @@ def _merge_sets(*dists: Distribution) -> tuple[frozenset[str], frozenset[str]]:
             frozenset().union(*(d.broadcast for d in dists)))
 
 
-def distribute(plan: Plan, sharded: ShardedDatabase,
-               stats: StatsCatalog | None = None) -> Distribution:
-    """Prove ``plan`` distributable, or raise :class:`NotDistributable`.
+def _rewrite(plan: Plan, sharded: ShardedDatabase,
+             stats: StatsCatalog | None) -> tuple[Plan, Distribution]:
+    """``(per-shard plan, Distribution)``, or :class:`NotDistributable`.
 
     The contract: executing the (broadcast-rewritten) plan on every shard
     database and concatenating the outputs in shard order is bag-equal to
-    executing ``plan`` once over the merged database.  Use
-    :func:`shard_plan` to also obtain the rewritten per-shard subplan and
-    the merge step.
+    executing ``plan`` once over the merged database.
     """
-    return _rewrite(plan, sharded, stats)[1]
-
-
-def _rewrite(plan: Plan, sharded: ShardedDatabase,
-             stats: StatsCatalog | None) -> tuple[Plan, Distribution]:
-    """``(per-shard plan, Distribution)`` — raises :class:`NotDistributable`."""
     if isinstance(plan, ScanP):
         name = plan.relation.lower()
         schema = sharded.shard(0).relation(name).schema
@@ -498,9 +491,9 @@ class AggregateCombine:
     states :func:`split_aggregate` lays out (``specs``: one
     ``(kind, positions)`` pair per original aggregate) and the ``__rows``
     presence counter at ``rows_position``.  Called on a list of parts —
-    one per shard — it folds them all into a fresh :meth:`state` and
-    returns that state's rows.  A maintained view keeps one state and
-    folds each delta into it as one more part.
+    one per shard — and a call's ``params``, it folds them all into a fresh
+    :meth:`state` and returns that state's rows.  A maintained view keeps
+    one state and folds each delta into it as one more part.
     """
 
     group_exprs: tuple[e.Expr, ...]
@@ -508,14 +501,15 @@ class AggregateCombine:
     specs: tuple[tuple[str, tuple[int, ...]], ...]
     rows_position: int
 
-    def __call__(self, parts: list[list[Row]]) -> list[Row]:
-        state = self.state()
+    def __call__(self, parts: list[list[Row]],
+                 params: Sequence[Any] = ()) -> list[Row]:
+        state = self.state(params)
         state.fold(row for part in parts for row in part)
         return state.rows()
 
-    def state(self) -> "AggregateState":
-        """Fresh, empty per-group partial states."""
-        return AggregateState(self)
+    def state(self, params: Sequence[Any] = ()) -> "AggregateState":
+        """Fresh, empty per-group partial states (slots bound to ``params``)."""
+        return AggregateState(self, params)
 
 
 class AggregateState:
@@ -525,10 +519,15 @@ class AggregateState:
     (in first-arrival order) into the original aggregate's output rows.
     """
 
-    def __init__(self, combine: AggregateCombine) -> None:
+    def __init__(self, combine: AggregateCombine,
+                 params: Sequence[Any] = ()) -> None:
         self.combine = combine
-        self._group_fns = [compile_expr(gx, combine.input_columns)
-                           for gx in combine.group_exprs]
+        # A slotted group expression (``GROUP BY S.age > 30``) keys the
+        # partial rows by the call's value, as its shards grouped them.
+        self._group_fns = [compile_expr(
+            gx if not params or (bind := expr_binder(gx)) is None
+            else bind(params), combine.input_columns)
+            for gx in combine.group_exprs]
         # key -> [representative input row, two slots per spec, the
         # finalized row (None until rows() runs, reset by every fold)]
         self._groups: dict[tuple, list[Any]] = {}
@@ -645,13 +644,17 @@ def shard_execution_database(sharded: ShardedDatabase, index: int,
 #: Unary operators the merge step can replay over the gathered rows.
 _FINISHERS = (FilterP, ProjectP, DistinctP, SortLimitP)
 
+#: One scattered read's shard-key value: the ``Const`` its filter equates
+#: each shard-key attribute to, in shard-key order.  A template's constant
+#: is a slot, so the value is read from each call's ``params``.
+Pin = tuple[e.Const, ...]
+
 
 @dataclass
 class ShardedPlan:
     """One logical plan compiled for scatter-gather execution.
 
-    ``mode`` is ``"scatter"`` (per-shard subplans + gather), ``"single"``
-    (the scatter collapsed onto one shard — a routed point query), or
+    ``mode`` is ``"scatter"`` (per-shard subplans + gather) or
     ``"fallback"`` (single-node vectorized execution over the whole data).
     ``scatter`` is the subplan every selected shard runs (broadcast reads
     rewritten to their aliases); ``core`` is the node of ``plan`` whose
@@ -664,7 +667,10 @@ class ShardedPlan:
     core is a split group-by (no absorption then).  ``prereduced`` records
     that a DISTINCT was pushed into the scatter (it still replays globally
     on the gather — dedup of a union equals dedup of unioned per-shard
-    dedups).
+    dedups).  ``pins`` holds one :data:`Pin` per scattered read, in plan
+    order, when every such read is *pinned* to a shard-key value:
+    :meth:`route` then sends each call to the one shard its values hash to
+    (a routed point query).
     """
 
     plan: Plan
@@ -674,8 +680,7 @@ class ShardedPlan:
     combine: AggregateCombine | None = None
     partitioned: frozenset[str] = frozenset()
     broadcast: frozenset[str] = frozenset()
-    key: tuple[int, ...] | None = None
-    shard_index: int | None = None
+    pins: tuple[Pin, ...] = ()
     gather: Plan | None = None
     prereduced: bool = False
 
@@ -683,7 +688,7 @@ class ShardedPlan:
         """A one-line plan-shape summary (for tests and benchmarks)."""
         if self.mode == "fallback":
             return "fallback(single-node)"
-        verb = "scatter" if self.shard_index is None else "routed"
+        verb = "routed" if self.pins else "scatter"
         parts = [f"{verb}({', '.join(sorted(self.partitioned))})"]
         if self.broadcast:
             parts.append(f"broadcast({', '.join(sorted(self.broadcast))})")
@@ -693,35 +698,54 @@ class ShardedPlan:
             parts.append("shard-distinct")
         if self.core is not self.plan:
             parts.append("merge-finish")
-        if self.shard_index is not None:
-            parts.append(f"shard={self.shard_index}")
         return " + ".join(parts)
+
+    @cached_property
+    def blob(self) -> bytes:
+        """The scatter subplan pickled for worker processes, once per
+        compilation.  A plan node pickles its fields only, so nothing this
+        process compiled or resolved on it travels."""
+        return pickle.dumps(self.scatter, protocol=pickle.HIGHEST_PROTOCOL)
 
     # -- execution ---------------------------------------------------------
 
-    def parts(self, sharded: ShardedDatabase,
-              counters: "dict[str, int] | None" = None) -> list[list[Row]]:
-        """Run the scatter subplan on each selected shard, one after another.
+    def route(self, sharded: ShardedDatabase,
+              params: Sequence[Any] = ()) -> int | None:
+        """The one shard this call's pinned values hash to, or ``None``
+        (no pins, or pins that disagree: every shard).  A one-attribute
+        key hashes its raw value, a longer one the tuple."""
+        shards = set()
+        for pin in self.pins:
+            values = []
+            for const in pin:
+                read = param_reader(const)
+                values.append(const.value if read is None else read(params))
+            shards.add(sharded.shard_of_value(
+                values[0] if len(values) == 1 else tuple(values)))
+        return shards.pop() if len(shards) == 1 else None
 
-        One part per shard in shard order (just the routed shard's for a
-        ``"single"`` plan); a ``"fallback"`` plan's one part is its whole
-        single-node answer over the merged view (or a plain source database).
-        The subplan is compiled once, and its program runs on every shard.
+    def parts(self, sharded: ShardedDatabase, params: Sequence[Any] = (),
+              shard: int | None = None,
+              counters: "dict[str, int] | None" = None) -> list[list[Row]]:
+        """Run the scatter subplan on each shard, one after another.
+
+        One part per shard in shard order (just ``shard``'s when the call
+        was routed); a ``"fallback"`` plan's one part is its whole
+        single-node answer over the merged view.  Each runs the subplan's
+        one compiled program with the call's ``params``.
         """
         if self.mode == "fallback":
-            return [_BatchCompiler.compile(self.plan)(
-                sharded, sink=counters).rows()]
+            return [compile_batches(self.plan)(
+                sharded, params, sink=counters).rows()]
         assert self.scatter is not None
-        if self.shard_index is not None:
-            shards: Iterable[int] = (self.shard_index,)
-        else:
-            shards = range(sharded.n_shards)
-        program = _BatchCompiler.compile(self.scatter)
+        shards = range(sharded.n_shards) if shard is None else (shard,)
+        program = compile_batches(self.scatter)
         return [program(shard_execution_database(sharded, i, self.partitioned,
                                                  self.broadcast),
-                        sink=counters).rows() for i in shards]
+                        params, sink=counters).rows() for i in shards]
 
     def finish(self, sharded: ShardedDatabase, parts: list[list[Row]],
+               params: Sequence[Any] = (),
                counters: "dict[str, int] | None" = None) -> list[Row]:
         """Merge per-shard result parts into the final rows (bag order).
 
@@ -729,7 +753,7 @@ class ShardedPlan:
         backend's workers, which return exactly one part per shard.
         """
         if self.combine is not None:
-            rows = self.combine(parts)
+            rows = self.combine(parts, params)
         elif len(parts) == 1:  # fallback, routed, or a one-shard scatter
             rows = parts[0]
         else:
@@ -740,8 +764,8 @@ class ShardedPlan:
         # Finishing operators: replay the suffix of the original plan over
         # the gathered rows, handed in for the highest absorbed node (every
         # structurally equal copy reads them too).
-        return _BatchCompiler.compile(self.plan, seed)(
-            sharded, given=rows, sink=counters).rows()
+        return compile_batches(self.plan, seed)(
+            sharded, params, given=rows, sink=counters).rows()
 
 
 def shard_plan(plan: Plan, sharded: ShardedDatabase,
@@ -819,58 +843,52 @@ def _assemble(plan: Plan, core: Plan, scatter: Plan,
                 break
             else:  # SortLimitP: order/limit only hold over the global bag
                 break
-    index = _routed_shard(scatter, dist, sharded)
-    return ShardedPlan(plan, "single" if index is not None else "scatter",
+    pins: list[Pin] = []
+    if not _collect_pins(scatter, dist.partitioned, sharded, pins):
+        pins.clear()
+    return ShardedPlan(plan, "scatter",
                        core=core, scatter=scatter, combine=combine,
                        partitioned=dist.partitioned, broadcast=dist.broadcast,
-                       key=dist.key, shard_index=index, gather=gather,
-                       prereduced=prereduced)
+                       pins=tuple(pins), gather=gather, prereduced=prereduced)
 
 
 # ---------------------------------------------------------------------------
 # Single-shard (point-query) routing
 # ---------------------------------------------------------------------------
 
-def _routed_shard(scatter: Plan, dist: Distribution,
-                  sharded: ShardedDatabase) -> int | None:
-    """The single shard that can produce rows, or ``None``.
+def _collect_pins(node: Plan, partitioned: frozenset[str],
+                  sharded: ShardedDatabase, pins: list[Pin]) -> bool:
+    """Append the pin of every scattered read under ``node``, in plan
+    order; ``False`` when some read is not pinned.
 
     Routing applies when **every** occurrence of a scattered relation sits
     under a filter whose conjuncts pin the relation's full shard key to
-    constants, and every pinned key hashes to the same shard.  (The
-    optimizer pushes filters onto scans, so point queries reliably take
-    this shape.)
+    constants.  (The optimizer pushes filters onto scans, so point queries
+    reliably take this shape.)
     """
-    shards: set[int] = set()
-    exhaustive = _collect_pins(scatter, dist.partitioned, sharded, shards)
-    if exhaustive and len(shards) == 1:
-        return next(iter(shards))
-    return None
-
-
-def _collect_pins(node: Plan, partitioned: frozenset[str],
-                  sharded: ShardedDatabase, shards: set[int]) -> bool:
     if isinstance(node, FilterP) and isinstance(node.input, ScanP):
         scan = node.input
         if scan.relation.lower() not in partitioned:
             return True
-        index = _pinned_shard(node, scan, sharded)
-        if index is None:
+        pin = _pinned_key(node, scan, sharded)
+        if pin is None:
             return False
-        shards.add(index)
+        pins.append(pin)
         return True
     if isinstance(node, (ScanP, DeltaScanP)):
         return node.relation.lower() not in partitioned
-    return all(_collect_pins(child, partitioned, sharded, shards)
+    return all(_collect_pins(child, partitioned, sharded, pins)
                for child in node.children())
 
 
-def _pinned_shard(filter_plan: FilterP, scan: ScanP,
-                  sharded: ShardedDatabase) -> int | None:
+def _pinned_key(filter_plan: FilterP, scan: ScanP,
+                sharded: ShardedDatabase) -> Pin | None:
+    """The constants ``filter_plan``'s equality conjuncts pin each of the
+    scanned relation's shard-key positions to, or ``None``."""
     name = scan.relation.lower()
     schema = sharded.shard(0).relation(name).schema
     key_positions = [schema.index_of(a) for a in sharded.shard_key(name)]
-    pinned: dict[int, Any] = {}
+    pinned: dict[int, e.Const] = {}
     for conjunct in e.conjuncts(filter_plan.condition):
         if not (isinstance(conjunct, e.Comparison) and conjunct.op == "="):
             continue
@@ -879,12 +897,10 @@ def _pinned_shard(filter_plan: FilterP, scan: ScanP,
             position = column_position(col, scan.columns)
             if position is not None and isinstance(const, e.Const) \
                     and const.value is not None:
-                pinned.setdefault(position, const.value)
+                pinned.setdefault(position, const)
     if not all(p in pinned for p in key_positions):
         return None
-    if len(key_positions) == 1:
-        return sharded.shard_of_value(pinned[key_positions[0]])
-    return sharded.shard_of_value(tuple(pinned[p] for p in key_positions))
+    return tuple(pinned[p] for p in key_positions)
 
 
 # ---------------------------------------------------------------------------
@@ -894,33 +910,19 @@ def _pinned_shard(filter_plan: FilterP, scan: ScanP,
 class ShardedBackend:
     """:class:`ExecutorBackend` running plans scatter-gather over shards.
 
-    Given a :class:`~repro.data.sharded.ShardedDatabase` the backend uses
-    its layout directly; given a plain :class:`Database` it transparently
-    hash-partitions a copy into ``n_shards`` (cached per database object
-    and rebuilt when the source version moves), so
-    ``run_query(..., backend="sharded")`` works on any database.  Compiled
-    :class:`ShardedPlan` objects are cached per (plan, structure version)
-    in one :class:`~repro.engine.cache.LRUCache` of 256 per database;
-    per-shard subplans run inline on the calling thread, so concurrent
-    queries each use their own thread.  ``get_backend("sharded")`` returns a
-    process-wide singleton; construct instances directly to pin the shard
-    count or keys for auto-sharded databases.
+    Runs over a :class:`~repro.data.sharded.ShardedDatabase` (the one a
+    :class:`~repro.core.sharded_service.ShardedQueryService` serves), with
+    its layout.  Like every backend it executes a cached template with
+    each request's literals as ``params``: the template's
+    :class:`ShardedPlan` is compiled once per database and structure
+    version (:meth:`plan_for`), and a call only routes and runs it.
+    Per-shard subplans run inline on the calling thread, so concurrent
+    queries each use their own thread.
     """
 
     name = "sharded"
 
-    _PLAN_CACHE_LIMIT = 256
-
-    def __init__(self, n_shards: int = DEFAULT_N_SHARDS,
-                 shard_keys: "dict[str, Any] | None" = None) -> None:
-        if n_shards <= 0:
-            raise ValueError(f"shard count must be >= 1, got {n_shards}")
-        self.n_shards = n_shards
-        self.shard_keys = shard_keys
-        self._auto: "WeakKeyDictionary[Database, tuple[int, ShardedDatabase]]" \
-            = WeakKeyDictionary()
-        self._plans: "WeakKeyDictionary[ShardedDatabase, LRUCache]" \
-            = WeakKeyDictionary()
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self.counters = {"scatter": 0, "single_shard": 0, "fallback": 0,
                          "kernel_cache_hits": 0, "kernel_cache_misses": 0,
@@ -928,38 +930,28 @@ class ShardedBackend:
 
     # -- plumbing ----------------------------------------------------------
 
-    def sharded_view(self, db: Database) -> ShardedDatabase:
-        """``db`` itself when already sharded, else a cached partitioning."""
-        if isinstance(db, ShardedDatabase):
-            return db
-        with self._lock:
-            cached = self._auto.get(db)
-            version = db.version
-            if cached is not None and cached[0] == version:
-                return cached[1]
-            sharded = ShardedDatabase.from_database(
-                db, self.n_shards, self.shard_keys)
-            self._auto[db] = (version, sharded)
-            return sharded
-
     def plan_for(self, plan: Plan, sharded: ShardedDatabase) -> ShardedPlan:
-        """The cached scatter-gather compilation of one plan."""
-        with self._lock:
-            cache = self._plans.get(sharded)
-            if cache is None:
-                self._plans[sharded] = cache = LRUCache(self._PLAN_CACHE_LIMIT)
-        key = (plan, sharded.structure_version)
-        compiled = cache.get(key)
-        if compiled is None:
-            compiled = shard_plan(plan, sharded, StatsCatalog(sharded))
-            cache.put(key, compiled)
+        """``plan``'s scatter-gather compilation for ``sharded``.
+
+        Made by :func:`shard_plan` on first use and kept on the node, like
+        its programs, until it runs over another database or a new
+        structure version: a cached template is compiled once, whatever
+        literals its calls carry.
+        """
+        version = sharded.structure_version
+        kept = plan.__dict__.get("_sharded")
+        if kept is not None and kept[0]() is sharded and kept[1] == version:
+            return kept[2]
+        compiled = shard_plan(plan, sharded, StatsCatalog(sharded))
+        object.__setattr__(plan, "_sharded",
+                           (weakref.ref(sharded), version, compiled))
         return compiled
 
     def execution_counts(self) -> dict[str, int]:
         """Routing counts plus this backend's kernel-cache traffic.
 
-        ``scatter``/``single_shard``/``fallback`` count compiled-plan
-        routing; ``kernel_cache_hits``/``_misses``/``_evictions`` count
+        ``scatter``/``single_shard``/``fallback`` count how each call ran;
+        ``kernel_cache_hits``/``_misses``/``_evictions`` count
         derived-structure cache traffic and ``scan_lookup`` the equality
         lookups attributable to *this* backend's executors (the
         process-wide totals are :func:`repro.engine.kernels.cache_stats`
@@ -987,30 +979,32 @@ class ShardedBackend:
 
     def execute(self, plan: Plan, db: Database,
                 params: Sequence[Any] = ()) -> list[Row]:
-        """The one scatter-gather driver: compile, count, run parts, merge.
+        """The one scatter-gather driver: route, count, run parts, merge.
 
-        A plan with slots is bound to its ``params`` first
-        (:func:`~repro.engine.bind.bind_plan`): the compiled-plan cache and
-        shard routing key on constants.  Everything one execution
-        counts — its mode, the kernel layer's cache traffic, the
-        publisher's and the workers' work — goes to a sink of its own,
-        folded into ``counters`` under the lock when it ends: concurrent
-        requests never write the shared dict unlocked.
+        ``params`` fill the plan's slots in every program the call runs and
+        in its pins, so a routed template reaches each request's own shard.
+        Everything one execution counts — how it ran, the kernel layer's
+        cache traffic, the publisher's and the workers' work — goes to a
+        sink of its own, folded into ``counters`` under the lock when it
+        ends: concurrent requests never write the shared dict unlocked.
         """
-        if params:
-            plan = bind_plan(plan, params)
-        sharded = self.sharded_view(db)
-        compiled = self.plan_for(plan, sharded)
-        sink = {_MODE_COUNTERS[compiled.mode]: 1}
-        # A fallback reads the source: an auto-sharded copy keeps no delta log.
-        view = db if compiled.mode == "fallback" else sharded
+        if not isinstance(db, ShardedDatabase):
+            raise TypeError(f"the {self.name!r} backend runs over a "
+                            f"ShardedDatabase, not a {type(db).__name__}")
+        compiled = self.plan_for(plan, db)
+        shard = compiled.route(db, params)
+        if compiled.mode == "fallback":
+            sink = {"fallback": 1}
+        else:
+            sink = {"scatter" if shard is None else "single_shard": 1}
         try:
-            return compiled.finish(view, self._run_parts(compiled, view, sink),
-                                   sink)
+            parts = self._run_parts(compiled, db, params, shard, sink)
+            return compiled.finish(db, parts, params, sink)
         finally:
             self._fold(sink)
 
     def _run_parts(self, compiled: ShardedPlan, sharded: ShardedDatabase,
+                   params: Sequence[Any], shard: int | None,
                    sink: dict[str, int]) -> list[list[Row]]:
         """Where subplans run: here, inline on the calling thread.
 
@@ -1018,13 +1012,4 @@ class ShardedBackend:
         overrides.  Under the GIL a thread pool only interleaves the same
         row work, and measured slower than running the shards in turn.
         """
-        return compiled.parts(sharded, sink)
-
-
-#: ``ShardedPlan.mode`` → the ``execution_counts()`` key it bumps.
-_MODE_COUNTERS = {"scatter": "scatter", "single": "single_shard",
-                  "fallback": "fallback"}
-
-
-#: The process-wide backend instance ``get_backend("sharded")`` serves.
-SHARDED_BACKEND = ShardedBackend()
+        return compiled.parts(sharded, params, shard, sink)

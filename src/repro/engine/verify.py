@@ -964,7 +964,8 @@ def verify_sharded_plan(compiled: Any, sharded: Any,
     Verifies the scatter subplan like any plan (against the shard-0 view's
     schemas), independently re-derives the shard-key equivalence classes to
     certify distribution safety, checks the partial→final aggregation
-    split layout, and checks gather-seed consistency.  Fallback-mode plans
+    split layout, gather-seed consistency, and that a routed plan's pins
+    cover every scattered read's full shard key.  Fallback-mode plans
     verify against the merged view only.
     """
     if compiled.mode == "fallback":
@@ -993,11 +994,41 @@ def verify_sharded_plan(compiled: Any, sharded: Any,
         raise checker.fail(seed, f"gather seed expects "
                            f"{len(seed.columns)} columns but the scatter "
                            f"side produces {len(produced)}")
-    if compiled.mode == "single":
-        index = compiled.shard_index
-        if index is None or not 0 <= index < sharded.n_shards:
-            raise checker.fail(scatter, f"routed shard index {index!r} out "
-                               f"of range for {sharded.n_shards} shards")
+    if compiled.pins:
+        _check_pins(checker, compiled, sharded)
+
+
+def _check_pins(checker: _ShardChecker, compiled: Any, sharded: Any) -> None:
+    """A routed plan's pins cover every scattered read's full shard key:
+    each read of a scattered relation, found here afresh in plan order,
+    sits under a filter equating each shard-key column to its pin's
+    constant, or a call's pins could send it to a shard missing rows."""
+    reads: list[tuple[Plan | None, ScanP]] = []
+    pending: list[tuple[Plan, Plan | None]] = [(compiled.scatter, None)]
+    while pending:
+        node, parent = pending.pop()
+        if isinstance(node, ScanP) \
+                and not node.relation.lower().endswith(checker.broadcast_suffix):
+            reads.append((parent, node))
+        pending.extend((child, node) for child in reversed(node.children()))
+    if len(reads) != len(compiled.pins):
+        raise checker.fail(compiled.scatter, f"routed plan has "
+                           f"{len(compiled.pins)} pins for {len(reads)} "
+                           f"reads of scattered relations")
+    for (parent, scan), pin in zip(reads, compiled.pins):
+        schema = sharded.shard(0).relation(scan.relation).schema
+        key = [schema.index_of(attr)
+               for attr in sharded.shard_key(scan.relation.lower())]
+        equated = set()
+        if isinstance(parent, FilterP) and parent.input is scan:
+            for c in e.conjuncts(parent.condition):
+                if isinstance(c, e.Comparison) and c.op == "=":
+                    equated.add((_column_pick(c.left, scan.columns), c.right))
+                    equated.add((_column_pick(c.right, scan.columns), c.left))
+        if len(pin) != len(key) or not equated.issuperset(zip(key, pin)):
+            raise checker.fail(scan, f"pin {pin!r} does not equate the shard "
+                               f"key {key} of {scan.relation!r} in the "
+                               f"filter over its scan")
 
 
 def verify_view_terms(compiled: Any, sharded: Any,

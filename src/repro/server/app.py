@@ -407,9 +407,9 @@ class ServingApp:
         for generation, passes in enumerate(self._gc_collections):
             metrics[f"gc_collections_gen{generation}"] = passes
         metrics["gc_pause_us"] = int(self._gc_pause_s * 1e6)
-        backend_name = getattr(self.service, "backend_name", None)
-        if backend_name is not None:
-            metrics["backend"] = backend_name
+        backend = getattr(self.service, "backend", None)
+        if backend is not None:
+            metrics["backend"] = backend.name
         return metrics, 200
 
     async def _handle_health(self,

@@ -72,11 +72,14 @@ class Request:
 
 
 async def read_request(reader: asyncio.StreamReader) -> "Request | None":
-    """Parse one request off the stream; ``None`` on a clean client close."""
+    """Parse one request off the stream; ``None`` on a clean client close.
+    A head line past the reader's 64 KiB limit is a head too large."""
     try:
         line = await reader.readline()
     except (ConnectionResetError, asyncio.IncompleteReadError):
         return None
+    except ValueError:
+        raise InvalidRequestError("request headers too large") from None
     if not line:
         return None  # client closed between requests
     try:
@@ -86,7 +89,10 @@ async def read_request(reader: asyncio.StreamReader) -> "Request | None":
     headers: dict[str, str] = {}
     total = len(line)
     while True:
-        line = await reader.readline()
+        try:
+            line = await reader.readline()
+        except ValueError:
+            raise InvalidRequestError("request headers too large") from None
         total += len(line)
         if total > MAX_HEADER_BYTES or len(headers) > MAX_HEADERS:
             raise InvalidRequestError("request headers too large")

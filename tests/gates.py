@@ -16,6 +16,9 @@ test instance — as its row program.  A test of the columnar program
 itself calls it through :data:`COLUMNAR`, past that decision, and a
 service leg built by :func:`service_on` serves its queries and refreshes
 its views on it.
+
+The scatter-gather backends run over a sharded database only; a test that
+drives one over a plain database wraps it in :class:`OnShards`.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ import sys
 from unittest import mock
 
 import repro.engine.kernels as kernels
+from repro.data.sharded import ShardedDatabase
+from repro.engine.sharded import ShardedBackend
 from repro.engine.vectorized import compile_batches
 
 GATES = ("KERNEL_MIN_ROWS", "CACHED_PROBE_MIN_ROWS")
@@ -51,19 +56,46 @@ class _Columnar:
 COLUMNAR = _Columnar()
 
 
+class OnShards:
+    """A scatter-gather ``backend`` run over any database: each call
+    hash-partitions a plain one into ``n_shards`` (and unlinks what the
+    call published from it); a sharded one runs as it is.  Other
+    attributes are the backend's."""
+
+    def __init__(self, backend, n_shards: int = 2) -> None:
+        self.backend = backend
+        self.n_shards = n_shards
+
+    def __getattr__(self, name):
+        return getattr(self.backend, name)
+
+    def execute(self, plan, db, params=()):
+        if isinstance(db, ShardedDatabase):
+            return self.backend.execute(plan, db, params)
+        sharded = ShardedDatabase.from_database(db, self.n_shards)
+        try:
+            return self.backend.execute(plan, sharded, params)
+        finally:
+            sharded.close()
+
+
 def executor(name: str):
     """The executor a test leg called ``name`` drives: ``"vectorized"`` is
-    the columnar program itself (:data:`COLUMNAR`), any other name its
-    backend."""
+    the columnar program itself (:data:`COLUMNAR`), ``"sharded"`` a
+    :class:`~repro.engine.sharded.ShardedBackend` on two shards, any other
+    name its backend."""
+    if name == "sharded":
+        return OnShards(ShardedBackend())
     return COLUMNAR if name == "vectorized" else name
 
 
 def service_on(db, name: str):
-    """A :class:`~repro.core.QueryService` for the test leg called
-    ``name``: its queries and its views' refreshes run on
-    :func:`executor` ``(name)``."""
-    from repro.core import QueryService
+    """A service for the test leg called ``name``: a
+    :class:`~repro.core.QueryService` whose queries and views' refreshes
+    run on :func:`executor` ``(name)``, or for ``"sharded"`` a
+    :class:`~repro.core.ShardedQueryService` on two shards."""
+    from repro.core import QueryService, ShardedQueryService
 
-    served = QueryService(db, backend=name)
-    served.backend = served.pipeline.backend = executor(name)
-    return served
+    if name == "sharded":
+        return ShardedQueryService(db, n_shards=2)
+    return QueryService(db, backend=executor(name))

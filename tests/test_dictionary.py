@@ -18,6 +18,7 @@ import pytest
 from gates import pinned_gates
 import repro.engine.kernels as kernels
 from repro.data.database import Database
+from repro.data.sharded import ShardedDatabase
 from repro.data.relation import (
     ColumnStore,
     _encode_column,
@@ -792,7 +793,8 @@ class TestKernelCache:
             "t", [("k", "int"), ("s", "string")],
             [(i, f"v{i % 5}") for i in range(40)])
         db = Database([rel])
-        backend = ShardedBackend(n_shards=2)
+        sharded = ShardedDatabase.from_database(db, 2)
+        backend = ShardedBackend()
         scan = ScanP("t", ("k", "s"))
         scan2 = ScanP("t", ("k2", "s2"))
         plan = JoinP(scan, scan2, "inner", ("s",), ("s2",), None, False)
@@ -801,15 +803,15 @@ class TestKernelCache:
                     "kernel_cache_evictions"):
             assert counts[key] == 0
         reference = Counter(_both(plan, db)[1])
-        assert Counter(backend.execute(plan, db)) == reference
-        assert Counter(backend.execute(plan, db)) == reference
+        assert Counter(backend.execute(plan, sharded)) == reference
+        assert Counter(backend.execute(plan, sharded)) == reference
         counts = backend.execution_counts()
         traffic = counts["kernel_cache_hits"] + counts["kernel_cache_misses"]
         assert traffic >= 1
         # ... and the process-wide path counts ride along.
         assert counts["probe_kernel"] + counts["probe_loop"] >= 1
         # A second backend keeps its own traffic (per-service isolation).
-        assert ShardedBackend(n_shards=2).execution_counts()[
+        assert ShardedBackend().execution_counts()[
             "kernel_cache_hits"] == 0
 
 

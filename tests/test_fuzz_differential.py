@@ -53,7 +53,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gates import COLUMNAR, pinned_gates, service_on
+from gates import COLUMNAR, OnShards, pinned_gates, service_on
 from repro.data.database import Database
 from repro.data.relation import Relation, relation_from_rows
 from repro.data.sharded import ShardedDatabase, reshard
@@ -113,12 +113,12 @@ BACKENDS = [
     # The backend itself, its row/columnar decision included.
     ("vectorized-backend", get_backend("vectorized")),
     # Scatter-gather over the row implementations, and with kernels per shard.
-    ("sharded-2-loop", _Gated(ShardedBackend(n_shards=2), sys.maxsize)),
-    ("sharded-2", _Gated(ShardedBackend(n_shards=2), 0)),
-    ("sharded-3", _Gated(ShardedBackend(n_shards=3), 0)),
+    ("sharded-2-loop", _Gated(OnShards(ShardedBackend(), 2), sys.maxsize)),
+    ("sharded-2", _Gated(OnShards(ShardedBackend(), 2), 0)),
+    ("sharded-3", _Gated(OnShards(ShardedBackend(), 3), 0)),
     # Real worker processes over shared-memory pages; 2 workers keeps the
     # fork cost inside the ci profile's budget.
-    ("process-2", _Gated(ProcessBackend(n_shards=2, workers=2), 0)),
+    ("process-2", _Gated(OnShards(ProcessBackend(workers=2), 2), 0)),
 ]
 
 #: Int column profiles: the small shared domain (join keys usually match,
@@ -630,7 +630,7 @@ def write_history(draw):
 #: workers forked under it (the flag is read from each process's environ).
 _HISTORY_PROCESS = {
     True: dict(BACKENDS)["process-2"],
-    False: _Gated(ProcessBackend(n_shards=2, workers=2), 0),
+    False: _Gated(ProcessBackend(workers=2), 0),
 }
 
 

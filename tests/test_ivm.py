@@ -49,6 +49,11 @@ from repro.queries.catalog import CANONICAL_QUERIES
 from repro.translate.equivalence import answer_relation
 
 BACKENDS = ("row", "vectorized", "sharded")
+#: The backends that read a plain database's delta windows.  The
+#: scatter-gather tier runs over a sharded database, and a copy sharded for
+#: one call starts a new history: the plain relation's anchors mean nothing
+#: there.
+WINDOW_BACKENDS = ("row", "vectorized")
 
 JOIN_SQL = ("SELECT DISTINCT S.sname FROM Sailors S, Boats B, Reserves R "
             "WHERE S.sid = R.sid AND R.bid = B.bid AND B.color = 'red'")
@@ -183,7 +188,7 @@ class TestDeltaLog:
 # ---------------------------------------------------------------------------
 
 class TestDeltaScan:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", WINDOW_BACKENDS)
     def test_windows_on_all_backends(self, backend):
         db = sailors_database()
         rel = db.relation("Reserves")
@@ -211,6 +216,8 @@ class TestDeltaScan:
             with pytest.raises(PlanError, match="unbound window|"
                                "neither a slot nor a version"):
                 execute_plan(unbound, db, backend=executor(backend))
+        if backend not in WINDOW_BACKENDS:
+            return  # a copy sharded for the call has none of rel's history
         # With the anchor as a parameter, the same window executes.
         assert execute_plan(slotted, db, backend=executor(backend),
                             params=(v,)).rows() == [(29, 101, "2025-01-01")]
@@ -367,7 +374,7 @@ class TestDeltaTerms:
         with pytest.raises(DeltaRewriteError):
             find_core(plan)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", WINDOW_BACKENDS)
     def test_bag_union_of_asof_windows_respects_the_window(self, backend):
         # Regression: the vectorized bag-union concatenated the *full*
         # shared arrays of length-limited as-of batches, splicing
@@ -810,7 +817,8 @@ def test_catalog_views_stay_bag_equal_under_random_inserts(backend, steps):
             text, language=language, name=f"{qid}-{language}"), language, text))
     for counter, step in enumerate(steps):
         _apply_step(service, step, counter)
-        reference = QueryVisualizationPipeline(service.db, backend=backend)
+        reference = QueryVisualizationPipeline(service.db,
+                                               backend=executor(backend))
         for view, language, text in views:
             got = view.answer()
             want = reference.answer(text, language=language)

@@ -664,11 +664,20 @@ def test_edge_shapes_bind_node_by_node(backend, language, text, first,
 
 
 @pytest.mark.parametrize("backend", ["sharded", "process"])
-def test_routed_point_lookups_answer_their_own_literal(backend):
+def test_routed_point_lookups_answer_their_own_literal(backend, monkeypatch):
     """A routed lookup's shard is picked from its constant: a hit must
     route by the request's literal, not the template's first-seen one."""
     from repro.core.sharded_service import ShardedQueryService
+    from repro.engine.sharded import ShardedPlan
 
+    real_route = ShardedPlan.route
+    routes: list = []
+
+    def route(compiled, sharded, params=()):
+        routes.append(real_route(compiled, sharded, params))
+        return routes[-1]
+
+    monkeypatch.setattr(ShardedPlan, "route", route)
     db = sailors_database()
     service = ShardedQueryService(db, backend=backend, n_shards=2,
                                   workers=2 if backend == "process" else None)
@@ -684,6 +693,7 @@ def test_routed_point_lookups_answer_their_own_literal(backend):
         assert info["plan_misses"] == 1
         assert info["plan_binds"] == len(sids) - 1
         assert service.backend.execution_counts()["single_shard"] == len(sids)
+        assert None not in routes and len(set(routes)) >= 2
     finally:
         service.close()
 

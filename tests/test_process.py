@@ -32,7 +32,7 @@ from collections import OrderedDict
 
 import pytest
 
-from gates import pinned_gates
+from gates import OnShards, pinned_gates
 from repro.data import ShardedDatabase, sailors_database
 from repro.data.sailors import random_sailors_database
 from repro.data.relation import (
@@ -52,7 +52,7 @@ from repro.data.sharded import (
     reshard,
 )
 from repro.core.sharded_service import ShardedQueryService
-from repro.engine import get_backend, lower, optimize, execute_plan
+from repro.engine import lower, optimize, execute_plan
 from repro.engine.kernels import kernels_enabled
 from repro.engine.sharded import ShardedBackend
 import repro.engine.process as process
@@ -68,7 +68,7 @@ from repro.queries import CANONICAL_QUERIES
 
 #: One shared backend for the catalog differential: real worker processes,
 #: forked once, reused by every cell (pool startup is the expensive part).
-_CATALOG_BACKEND = ProcessBackend(n_shards=2, workers=2)
+_CATALOG_BACKEND = ProcessBackend(workers=2)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -455,10 +455,6 @@ class TestProcessBackendDifferential:
                            backend=_CATALOG_BACKEND)
         assert want.bag_equal(got), query.id
 
-    def test_registry_backend_is_a_singleton(self):
-        assert get_backend("process") is get_backend("process")
-        assert get_backend("process").name == "process"
-
     def test_shares_the_sharded_driver(self):
         # Only the step that produces per-shard parts differs; compiling,
         # mode counting, and the merge live once, in ShardedBackend.execute.
@@ -467,7 +463,7 @@ class TestProcessBackendDifferential:
         assert ProcessBackend._run_parts is not ShardedBackend._run_parts
 
     def test_point_query_routes_without_the_pool(self, db):
-        backend = ProcessBackend(n_shards=4, workers=2)
+        backend = OnShards(ProcessBackend(workers=2), 4)
         try:
             plan = optimize(lower(
                 "SELECT S.sname FROM Sailors S WHERE S.sid = 22",
@@ -483,7 +479,7 @@ class TestProcessBackendDifferential:
             backend.close()
 
     def test_recovers_from_killed_workers(self, db):
-        backend = ProcessBackend(n_shards=2, workers=2)
+        backend = OnShards(ProcessBackend(workers=2))
         try:
             plan = optimize(lower(
                 "SELECT S.sname, R.bid FROM Sailors S, Reserves R "
@@ -593,6 +589,31 @@ class TestResidentCopies:
         finally:
             publisher.close()
 
+    def test_a_worker_compiles_a_template_once(self, worker_state, db,
+                                               monkeypatch):
+        """A worker keeps a template's scatter program under its pickled
+        bytes: a later task compiles nothing and leaves no compiled plan
+        behind as cyclic garbage for the collector."""
+        import gc
+
+        from repro.engine.cache import LRUCache
+
+        monkeypatch.setattr(process, "_programs", LRUCache(2))
+        sharded = ShardedDatabase.from_database(db, 2)
+        plan = optimize(lower(_JOIN_SQL, db.schema, "sql"), db)
+        compiled = ShardedBackend().plan_for(plan, sharded)
+        manifests = ProcessBackend(workers=1)._publish(compiled, sharded, {})
+        try:
+            first = process._run_subplans(compiled.blob, (), manifests)
+            gc.collect()
+            second = process._run_subplans(compiled.blob, (), manifests)
+            assert gc.collect() == 0
+            assert first[2]["plan_compile"] == 1
+            assert "plan_compile" not in second[2]
+            assert first[0] == second[0]
+        finally:
+            sharded.close()
+
     def test_workers_decode_the_write_not_the_shard(self):
         """``rows_decoded`` obeys the publisher's bound: after k appends of
         d rows the property the benchmark reports cannot have silently
@@ -602,7 +623,7 @@ class TestResidentCopies:
             "t", [("a", "int"), ("b", "string")],
             [(i, f"w{i % 7}") for i in range(n)])
         sharded = ShardedDatabase([rel], n_shards=1)
-        backend = ProcessBackend(n_shards=1, workers=1)
+        backend = ProcessBackend(workers=1)
         plan = AggregateP(ScanP("t", ("a", "b")), (e.Col("b"),),
                           ((e.FuncCall("count", (e.Star(),)), "n"),
                            (e.FuncCall("max", (e.Col("a"),)), "hi")))
@@ -642,7 +663,7 @@ class TestResidentCopies:
         sids = sorted(row[0] for row in db.relation("Sailors").rows())
         bids = sorted(row[0] for row in db.relation("Boats").rows())
         sharded = ShardedDatabase.from_database(db, 2)
-        backend = ProcessBackend(n_shards=2, workers=1)
+        backend = ProcessBackend(workers=1)
         plan = optimize(lower(
             "SELECT S.rating, COUNT(*) AS n, AVG(S.age) AS a FROM Sailors S, "
             "Reserves R WHERE S.sid = R.sid GROUP BY S.rating", db.schema,
@@ -677,7 +698,7 @@ class TestResidentCopies:
         """A write republishes between building a manifest and running it:
         the worker finds the named run unlinked.  That is not a broken
         pool — same worker pids before and after, no re-fork."""
-        backend = ProcessBackend(n_shards=2, workers=2)
+        backend = ProcessBackend(workers=2)
         sharded = ShardedDatabase.from_database(db, 2)
         plan = optimize(lower(_JOIN_SQL, db.schema, "sql"), db)
         try:
@@ -718,7 +739,7 @@ class TestResidentCopies:
     def test_a_replaced_relation_starts_a_new_lineage(self, db):
         """``reshard()`` and ``add_relation`` hand the slot a new relation
         object: full publish, new resident copy, old runs unlinked."""
-        backend = ProcessBackend(n_shards=2, workers=1)
+        backend = ProcessBackend(workers=1)
         sharded = ShardedDatabase.from_database(db, 2)
         plan = optimize(lower(_JOIN_SQL, db.schema, "sql"), db)
 
@@ -791,7 +812,7 @@ class TestResidentCopies:
 
 class TestWriterRacesProcessReaders:
     def test_republish_after_version_bump(self, db):
-        backend = ProcessBackend(n_shards=2, workers=2)
+        backend = ProcessBackend(workers=2)
         sharded = ShardedDatabase.from_database(db, 2)
         try:
             plan = optimize(lower(
@@ -935,15 +956,15 @@ print("SILENT")
 import os
 from repro.core.sharded_service import ShardedQueryService
 from repro.data import ShardedDatabase, sailors_database
-from repro.engine import run_query
+from repro.engine import ShardedBackend, run_query
 
 def leftover():
     return [f for f in os.listdir("/dev/shm")
             if f.startswith(f"repro-pg-{os.getpid()}-")]
 
 db = sailors_database()
-run_query("SELECT S.sname FROM Sailors S WHERE S.rating > 5", db,
-          backend="sharded")
+run_query("SELECT S.sname FROM Sailors S WHERE S.rating > 5",
+          ShardedDatabase.from_database(db, 2), backend=ShardedBackend())
 join = ("SELECT S.sname, R.bid FROM Sailors S, Reserves R "
         "WHERE S.sid = R.sid")
 with ShardedQueryService(backend="process", n_shards=2, workers=2) as svc:

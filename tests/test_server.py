@@ -24,6 +24,8 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import logging
+import socket
 import threading
 import time
 from contextlib import closing, contextmanager
@@ -435,6 +437,31 @@ class TestErrorPaths:
         error = wrap_service_error(KeyError("Ghost"))
         assert isinstance(error, UnknownRelationError)
         assert error.http_status == 404
+
+    @pytest.mark.parametrize("head", [
+        b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+        b"GET /health HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n",
+    ], ids=["request-line", "header-line"])
+    def test_a_line_past_the_reader_limit_is_a_400(self, base_server, head,
+                                                  caplog):
+        # Longer than the stream reader's 64 KiB line limit: answered as a
+        # head too large, not a dropped connection and a logged traceback.
+        _service, server = base_server
+        with caplog.at_level(logging.DEBUG, logger="asyncio"), \
+                socket.create_connection(("127.0.0.1", server.port),
+                                         timeout=60) as sock:
+            sock.sendall(head)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        status, _sep, rest = reply.partition(b"\r\n")
+        headers, _sep, body = rest.partition(b"\r\n\r\n")
+        assert status.split()[1] == b"400", reply[:200]
+        assert b"connection: close" in headers.lower()
+        error = json.loads(body)["error"]
+        assert error["code"] == "invalid_request"
+        assert error["message"] == "request headers too large"
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
 
 
 class TestInlineHits:

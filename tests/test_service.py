@@ -23,11 +23,14 @@ import tracemalloc
 import pytest
 
 import repro.core.service as service_module
+from gates import OnShards
 from repro.core import PreparedQuery, QueryService, QueryVisualizationPipeline
 from repro.core.service import RESULT_CACHE_BYTES, answer_footprint
 from repro.core.sharded_service import ShardedQueryService
 from repro.data.relation import RelationError
 from repro.data.sailors import random_sailors_database, sailors_database
+from repro.engine.execute import RowBackend
+from repro.engine.sharded import ShardedBackend
 
 JOIN_SQL = "SELECT DISTINCT S.sname FROM Sailors S, Reserves R WHERE S.sid = R.sid"
 COUNT_SQL = "SELECT COUNT(*) AS n FROM Reserves R"
@@ -138,9 +141,25 @@ class TestServing:
             service.prepare("SELECT 1", language="cypher")
 
     def test_sharded_backend_service(self):
-        service = QueryService(sailors_database(), backend="sharded")
+        service = QueryService(sailors_database(),
+                               backend=OnShards(ShardedBackend()))
         reference = QueryVisualizationPipeline(sailors_database())
         assert service.answer(GROUP_SQL).bag_equal(reference.answer(GROUP_SQL))
+
+    def test_a_backend_instance_is_the_one_that_runs(self):
+        class Spy(RowBackend):
+            calls = 0
+
+            def execute(self, plan, db, params=()):
+                self.calls += 1
+                return super().execute(plan, db, params)
+
+        spy = Spy()
+        service = QueryService(sailors_database(), backend=spy)
+        assert service.backend is spy and service.pipeline.backend is spy
+        service.answer(GROUP_SQL)
+        QueryVisualizationPipeline(backend=spy).answer(JOIN_SQL)
+        assert spy.calls == 2
 
 
 class TestPreparedQueries:
@@ -620,20 +639,27 @@ class TestSharedRowProgram:
     THREADS = 8
     SHAPE = ("SELECT S.sname, R.day FROM Sailors S, Reserves R "
              "WHERE S.sid = R.sid AND R.bid = {} AND S.age > {}")
+    #: On two shards: every read pinned, each call routed by its own sid
+    #: (22 and 31 live on different shards).
+    ROUTED = ("SELECT S.sname, R.day FROM Sailors S, Reserves R "
+              "WHERE S.sid = R.sid AND S.sid = {0} AND R.sid = {0} "
+              "AND S.age > {1}")
 
-    @pytest.mark.parametrize("backend", ["row", "vectorized"])
+    @pytest.mark.parametrize("backend", ["row", "vectorized", "sharded"])
     def test_threads_share_one_compiled_program(self, backend):
         from gates import service_on
         from repro.engine.cache import path_counts
         from repro.translate.equivalence import answer_relation
 
         service = service_on(sailors_database(), backend)
-        service.query(self.SHAPE.format(101, "20.5"))   # the miss compiles
-        literals = [[(bid, f"{age}.{thread}")
-                     for bid in (101, 102, 103, 104)
+        shape, keys = (self.ROUTED, (22, 31, 58, 64)) \
+            if backend == "sharded" else (self.SHAPE, (101, 102, 103, 104))
+        service.query(shape.format(keys[0], "20.5"))   # the miss compiles
+        literals = [[(key, f"{age}.{thread}")
+                     for key in keys
                      for age in (16, 25, 35, 45)]
                     for thread in range(self.THREADS)]
-        expected = {values: answer_relation(self.SHAPE.format(*values),
+        expected = {values: answer_relation(shape.format(*values),
                                             service.db)
                     for mine in literals for values in mine}
         gate = threading.Barrier(self.THREADS)
@@ -644,7 +670,7 @@ class TestSharedRowProgram:
             try:
                 gate.wait(timeout=30)
                 for values in mine:
-                    got = service.query(self.SHAPE.format(*values)).relation
+                    got = service.query(shape.format(*values)).relation
                     if not got.bag_equal(expected[values]):
                         wrong.append(values)
             except BaseException as exc:  # reported below
@@ -663,6 +689,9 @@ class TestSharedRowProgram:
         info = service.cache_info()
         assert info["plan_misses"] == 1
         assert info["plan_hits"] == self.THREADS * 16
+        if backend == "sharded":
+            counts = service.execution_counts()
+            assert counts["single_shard"] == 1 + self.THREADS * 16
 
 
 class TestConcurrencyHammer:
@@ -796,5 +825,5 @@ class TestConcurrencyHammer:
         service = QueryService(
             random_sailors_database(n_sailors=60, n_boats=8, n_reserves=300,
                                     seed=22),
-            backend="sharded")
+            backend=OnShards(ShardedBackend()))
         self._run_storm(service)

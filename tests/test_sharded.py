@@ -25,13 +25,13 @@ from unittest import mock
 import pytest
 
 import repro.engine.kernels as kernels
-from gates import pinned_gates
+from gates import OnShards, pinned_gates
 from repro.data import ShardedDatabase, reshard, sailors_database
 from repro.data.database import Database
 from repro.data.relation import RelationError, relation_from_rows
 from repro.data.sailors import random_sailors_database
 from repro.data.schema import SchemaError
-from repro.engine import execute_plan, get_backend, lower, optimize, run_query
+from repro.engine import execute_plan, lower, optimize, run_query
 from repro.engine.execute import Program
 from repro.engine.sharded import ShardedBackend, shard_plan, split_aggregate
 from repro.engine.stats import StatsCatalog
@@ -63,7 +63,7 @@ class TestDifferentialSharded:
         plan = optimize(lower(text, db.schema, language.lower()), db)
         vectorized = execute_plan(plan, db, backend="vectorized")
         sharded = execute_plan(plan, ShardedDatabase.from_database(db, shards),
-                               backend=ShardedBackend(n_shards=shards))
+                               backend=ShardedBackend())
         assert vectorized.bag_equal(sharded), (
             f"{query.id}/{language}@{shards} shards: "
             f"vectorized {sorted(vectorized.rows())} "
@@ -93,22 +93,17 @@ class TestDifferentialSharded:
         sharded = ShardedDatabase.from_database(db, shards)
         plan = optimize(lower(program, db.schema), db)
         assert shard_plan(plan, sharded).mode == "fallback"
-        assert run_query(program, sharded, backend="sharded").bag_equal(
-            evaluate_datalog(program, db))
+        assert run_query(program, sharded, backend=ShardedBackend()
+                         ).bag_equal(evaluate_datalog(program, db))
 
-    def test_registry_backend_is_a_singleton(self):
-        assert get_backend("sharded") is get_backend("sharded")
-        assert get_backend("sharded").name == "sharded"
-
-    def test_registry_backend_auto_shards_plain_databases(self, db):
+    def test_a_plain_database_is_refused(self, db):
+        # The tier's one way in is a ShardedDatabase: nothing partitions a
+        # plain database behind the caller's back.
         sql = "SELECT S.sname, R.bid FROM Sailors S, Reserves R WHERE S.sid = R.sid"
-        want = run_query(sql, db, "sql", backend="vectorized")
-        got = run_query(sql, db, "sql", backend="sharded")
-        assert want.bag_equal(got)
+        with pytest.raises(TypeError, match="ShardedDatabase"):
+            run_query(sql, db, "sql", backend=ShardedBackend())
 
     def test_invalid_shard_count_rejected(self):
-        with pytest.raises(ValueError):
-            ShardedBackend(n_shards=0)
         with pytest.raises(ValueError):
             ShardedDatabase(n_shards=0)
 
@@ -125,7 +120,7 @@ class TestInlineScatter:
         vectorized = execute_plan(plan, db, backend="vectorized")
         with pinned_gates(0):
             sharded = execute_plan(plan, ShardedDatabase.from_database(db, 2),
-                                   backend=ShardedBackend(n_shards=2))
+                                   backend=ShardedBackend())
         assert vectorized.bag_equal(sharded), (
             f"{query.id}/{language}: vectorized {sorted(vectorized.rows())} "
             f"!= sharded {sorted(sharded.rows())}"
@@ -136,7 +131,7 @@ class TestInlineScatter:
                "WHERE S.sid = R.sid GROUP BY S.rating")
         plan = optimize(lower(sql, db.schema, "sql"), db)
         sharded = ShardedDatabase.from_database(db, 4)
-        backend = ShardedBackend(n_shards=4)
+        backend = ShardedBackend()
         assert backend.plan_for(plan, sharded).mode == "scatter"
         call = Program.__call__
         threads: list[int] = []
@@ -158,7 +153,7 @@ class TestInlineScatter:
                "WHERE S.sid = R.sid")
         plan = optimize(lower(sql, db.schema, "sql"), db)
         want = execute_plan(plan, db, backend="vectorized")
-        backend = ShardedBackend(n_shards=3)
+        backend = OnShards(ShardedBackend(), 3)
         call = Program.__call__
         callers: list[int] = []
         answers: dict[int, object] = {}
@@ -196,7 +191,7 @@ class TestInlineScatter:
                "WHERE S.sid = R.sid")
         plan = optimize(lower(sql, db.schema, "sql"), db)
         sharded = ShardedDatabase.from_database(db, 2)
-        backend = ShardedBackend(n_shards=2)
+        backend = ShardedBackend()
         n_readers, n_scatters = 6, 25
         start = threading.Barrier(n_readers)
 
@@ -224,41 +219,26 @@ class TestInlineScatter:
 
     def test_the_driver_counts_each_mode(self, db):
         sharded = ShardedDatabase.from_database(db, 4)
-        backend = ShardedBackend(n_shards=4)
-        shapes = {
+        backend = ShardedBackend()
+        shapes = {  # a routed point query compiles to a pinned scatter
             "scatter": "SELECT S.sname FROM Sailors S WHERE S.rating > 5",
-            "single": "SELECT S.sname FROM Sailors S WHERE S.sid = 22",
+            "single_shard": "SELECT S.sname FROM Sailors S WHERE S.sid = 22",
             "fallback": ("SELECT S.sname FROM Sailors S "
                          "EXCEPT SELECT B.bname FROM Boats B"),
         }
-        for mode, sql in shapes.items():
+        for count, sql in shapes.items():
             plan = optimize(lower(sql, db.schema, "sql"), db)
-            assert backend.plan_for(plan, sharded).mode == mode
+            compiled = backend.plan_for(plan, sharded)
+            assert compiled.mode == ("fallback" if count == "fallback"
+                                     else "scatter")
+            assert bool(compiled.pins) == (count == "single_shard")
             want = run_query(sql, db, "sql", backend="vectorized")
             assert want.bag_equal(execute_plan(plan, sharded, backend=backend))
         counts = backend.execution_counts()
         assert (counts["scatter"], counts["single_shard"],
                 counts["fallback"]) == (1, 1, 1)
 
-    def test_compiled_plans_evict_the_least_recent_not_all(self, db):
-        """A 257th distinct bound plan used to wipe all 256 compiled ones:
-        after 300, the most recent 256 still hit without a recompile."""
-        sharded = ShardedDatabase.from_database(db, 2)
-        backend = ShardedBackend(n_shards=2)
-        sql = "SELECT S.sname FROM Sailors S WHERE S.rating > {}"
-        plans = [optimize(lower(sql.format(k), db.schema, "sql"), db)
-                 for k in range(300)]
-        for plan in plans:
-            backend.plan_for(plan, sharded)
-        with mock.patch("repro.engine.sharded.shard_plan",
-                        wraps=shard_plan) as compile_:
-            for plan in plans[-256:]:
-                backend.plan_for(plan, sharded)
-            assert compile_.call_count == 0
-            backend.plan_for(plans[0], sharded)  # evicted: compiles again
-            assert compile_.call_count == 1
-
-    def test_registry_backend_at_scale(self):
+    def test_backend_at_scale(self):
         db = random_sailors_database(n_sailors=300, n_boats=20,
                                      n_reserves=3000, seed=13)
         shapes = [
@@ -271,7 +251,8 @@ class TestInlineScatter:
         ]
         for sql in shapes:
             vectorized = run_query(sql, db, "sql", backend="vectorized")
-            sharded = run_query(sql, db, "sql", backend="sharded")
+            sharded = run_query(sql, db, "sql",
+                                backend=OnShards(ShardedBackend(), 4))
             assert vectorized.bag_equal(sharded), sql
 
     def test_multi_key_join_and_group(self, db):
@@ -281,7 +262,7 @@ class TestInlineScatter:
         sharded = execute_plan(
             optimize(lower(sql, db.schema, "sql"), db),
             ShardedDatabase.from_database(db, 3),
-            backend=ShardedBackend(n_shards=3))
+            backend=ShardedBackend())
         assert vectorized.bag_equal(sharded)
 
     def test_null_keys_never_match_in_scattered_probe(self):
@@ -294,7 +275,7 @@ class TestInlineScatter:
         vectorized = run_query(sql, db, "sql", backend="vectorized")
         sharded = execute_plan(
             optimize(lower(sql, db.schema, "sql"), db), db,
-            backend=ShardedBackend(n_shards=3))
+            backend=OnShards(ShardedBackend(), 3))
         assert vectorized.bag_equal(sharded)
         assert set(sharded.rows()) == {("a", "x"), ("d", "x")}
 
@@ -466,8 +447,8 @@ class TestPlannerShapes:
         sql = "SELECT S.sname FROM Sailors S WHERE S.sid = 22"
         compiled = shard_plan(self._plan(db, sql), sharded,
                               StatsCatalog(sharded))
-        assert compiled.mode == "single"
-        assert compiled.shard_index == sharded.shard_of_value(22)
+        assert compiled.mode == "scatter" and compiled.pins
+        assert compiled.route(sharded) == sharded.shard_of_value(22)
 
     def test_limit_runs_globally_on_the_merge_step(self, db, sharded):
         # Per-shard LIMIT would drop the wrong rows; the planner sheds the
@@ -489,7 +470,7 @@ class TestPlannerShapes:
         assert compiled.mode == "scatter"
         assert "merge-finish" in compiled.describe()
         want = execute_plan(plan, db, backend="vectorized")
-        got = execute_plan(plan, sharded, backend=ShardedBackend(n_shards=4))
+        got = execute_plan(plan, sharded, backend=ShardedBackend())
         assert want.rows() == got.rows()  # order-identical, not just bag
 
     def test_unalignable_set_difference_falls_back(self, db, sharded):
@@ -502,7 +483,7 @@ class TestPlannerShapes:
         assert compiled.mode == "fallback"
         want = run_query(sql, db, "sql", backend="vectorized")
         got = execute_plan(self._plan(db, sql), sharded,
-                           backend=ShardedBackend(n_shards=4))
+                           backend=ShardedBackend())
         assert want.bag_equal(got)
 
     def test_distinct_aggregate_falls_back(self, db, sharded):
@@ -530,7 +511,7 @@ class TestPlannerShapes:
             "SELECT COUNT(*) AS n, MAX(S.age) AS m FROM Sailors S "
             "WHERE S.rating > 99",  # ungrouped aggregate over empty input
         ]
-        backend = ShardedBackend(n_shards=4)
+        backend = ShardedBackend()
         for sql in shapes:
             want = run_query(sql, db, "sql", backend="vectorized")
             got = execute_plan(self._plan(db, sql), sharded, backend=backend)
@@ -637,6 +618,105 @@ class TestShardedQueryService:
         assert service.sharded_db.n_shards == 2
         assert service.sharded_db.shard_key("Reserves") == ("bid",)
         assert len(service.answer("SELECT S.sname FROM Sailors S")) > 0
+
+
+class TestTemplatesRunWithParams:
+    """Both scatter-gather backends run the service's cached template with
+    each request's literals: one compilation per shape, no bound copy."""
+
+    POINT = "SELECT R.bid, R.day FROM Reserves R WHERE R.sid = {}"
+    SCATTER = ("SELECT S.rating, COUNT(*) AS n FROM Sailors S, Reserves R "
+               "WHERE S.sid = R.sid AND S.age > {} GROUP BY S.rating")
+    #: The literal is a slot of the group key: the gather that merges the
+    #: shards' partial groups must key them by each call's value too.
+    GROUPED = "SELECT COUNT(*) AS n FROM Sailors S GROUP BY S.age > {}"
+    #: Pinned twice: routed when both literals hash to one shard, a
+    #: scatter when they do not.
+    TWICE_PINNED = ("SELECT S.sname, R.bid FROM Sailors S, Reserves R "
+                    "WHERE S.sid = R.sid AND S.sid = {} AND R.sid = {}")
+
+    @staticmethod
+    def _service(backend):
+        from repro.core import ShardedQueryService
+
+        return ShardedQueryService(
+            sailors_database(), backend=backend, n_shards=2,
+            workers=1 if backend == "process" else None)
+
+    @staticmethod
+    def _calls(monkeypatch, module, name):
+        """Count calls of ``module.name`` wherever it was imported."""
+        import sys
+
+        real, calls = getattr(module, name), []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for loaded in list(sys.modules.values()):
+            if getattr(loaded, name, None) is real:
+                monkeypatch.setattr(loaded, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("backend", ["sharded", "process"])
+    def test_one_compilation_per_shape(self, backend, monkeypatch):
+        import repro.engine.bind as bind
+        import repro.engine.sharded as sharded_module
+        from repro.core import QueryService
+
+        monkeypatch.setenv("REPRO_VERIFY_PLANS", "0")  # certificates bind
+        shapes = {
+            self.POINT: [str(sid) for sid in range(20, 100, 4)],
+            self.SCATTER: [f"{age}.5" for age in range(20, 60, 2)],
+            self.GROUPED: [f"{age}.5" for age in range(20, 60, 2)],
+        }
+        plain = QueryService(sailors_database())
+        want = {text.format(value): plain.answer(text.format(value))
+                for text, values in shapes.items() for value in values}
+        service = self._service(backend)
+        shard_plans = self._calls(monkeypatch, sharded_module, "shard_plan")
+        binds = self._calls(monkeypatch, bind, "bind_plan")
+        try:
+            for text, values in shapes.items():
+                first, *rest = values
+                assert service.answer(text.format(first)).bag_equal(
+                    want[text.format(first)])
+                compiles = kernels.path_counts()["plan_compile"]
+                for value in rest:
+                    got = service.answer(text.format(value))
+                    assert got.bag_equal(want[text.format(value)]), value
+                assert kernels.path_counts()["plan_compile"] == compiles
+            counts = service.execution_counts()
+            grouped = shard_plans[2][0]
+            split = service.backend.plan_for(grouped, service.sharded_db)
+        finally:
+            service.close()
+        assert len(shard_plans) == 3 and binds == []
+        assert "partial-aggregate" in split.describe()
+        assert (counts["single_shard"], counts["scatter"]) == (20, 40)
+        if backend == "process":  # one worker: it compiled each scatter once
+            assert counts["worker_plan_compile"] == 2
+
+    def test_a_routed_call_leaves_the_scatter_to_the_pool(self):
+        service = self._service("process")
+        try:
+            routed = service.answer(self.TWICE_PINNED.format(22, 22))
+            assert sorted(routed.rows())[0] == ("Dustin", 101)
+            counts = service.execution_counts()
+            assert (counts["single_shard"], counts["worker_plan_compile"]) \
+                == (1, 0)
+            # 22 and 31 live on different shards: the same template
+            # scatters, and its subplan, compiled here by the routed call,
+            # still crosses to the pool.
+            assert service.shard_for("Sailors", (22,)) \
+                != service.shard_for("Sailors", (31,))
+            assert len(service.answer(self.TWICE_PINNED.format(22, 31))) == 0
+            counts = service.execution_counts()
+        finally:
+            service.close()
+        assert counts["scatter"] == 1 and counts["worker_plan_compile"] >= 1
+        assert counts["stale_manifest"] == counts["pool_recovery"] == 0
 
 
 class TestConcurrentShardedServing:

@@ -119,8 +119,7 @@ class TestDifferentialVectorized:
     def test_retired_parallel_name_rejected(self):
         from repro.engine import PlanError
 
-        with pytest.raises(PlanError, match="'row', 'vectorized', 'sharded', "
-                                            "or 'process'"):
+        with pytest.raises(PlanError, match="'row' or 'vectorized'"):
             get_backend("parallel")
 
     def test_error_raising_conjunct_behaves_like_row_backend(self, db):

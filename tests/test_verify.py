@@ -374,6 +374,27 @@ class TestShardedDiagnostics:
             verify_sharded_plan(compiled, sharded)
 
 
+    def test_routed_pins_must_cover_the_shard_key(self, sharded):
+        # A call routes on its pins alone: a scattered read they miss, a
+        # pin off the shard key, or a constant the filter does not equate
+        # would send the call to a shard missing rows.
+        plan = optimize(lower("SELECT S.sname, R.bid FROM Sailors S, "
+                              "Reserves R WHERE S.sid = R.sid AND S.sid = 58 "
+                              "AND R.sid = 58", sharded.schema), sharded)
+        compiled = shard_plan(plan, sharded)
+        assert len(compiled.pins) == 2
+        verify_sharded_plan(compiled, sharded)
+        (const,) = compiled.pins[0]
+        second = compiled.pins[1]
+        for pins, message in (
+                ((second,), "1 pins for 2 reads"),
+                (((const, const), second), "does not equate the shard key"),
+                (((e.Const(31),), second), "does not equate the shard key")):
+            broken = replace(compiled, pins=pins)
+            with pytest.raises(PlanVerificationError, match=message):
+                verify_sharded_plan(broken, sharded)
+
+
 class TestHooksAndCounters:
     def test_verification_enabled_parsing(self, monkeypatch):
         for value, expected in (("1", True), ("true", True), ("on", True),
@@ -422,10 +443,10 @@ class TestHooksAndCounters:
 
         monkeypatch.setenv("REPRO_VERIFY_PLANS", "1")
         reset_verification_counts()
-        backend = ShardedBackend(n_shards=2)
+        backend = ShardedBackend()
         plan = lower("SELECT S.sname FROM Sailors S WHERE S.rating > 7",
                      db.schema)
-        backend.execute(plan, db)
+        backend.execute(plan, ShardedDatabase.from_database(db, 2))
         counts = backend.execution_counts()
         assert counts["plans_verified"] > 0
         assert counts["plans_failed"] == 0
@@ -1182,6 +1203,41 @@ class TestInvariantLint:
                 return bind_node(plan, params)
             """)
         assert [v for v in invariants.run_checks(root)
+                if v.rule == "one-bind"] == []
+
+    def test_an_executor_binding_a_whole_plan(self, invariants,
+                                              fixture_repo):
+        # The scatter-gather driver as it was: every request bound the
+        # template before compiling it.  The pipeline's and the delta
+        # certificate's calls are the cold consumers, allowed.
+        root = fixture_repo("src/repro/engine/sharded.py", """\
+            from repro.engine.bind import bind_plan
+
+            class ShardedBackend:
+                def execute(self, plan, db, params=()):
+                    if params:
+                        plan = bind_plan(plan, params)
+                    return self.plan_for(plan, db)
+            """)
+        fixture_repo("src/repro/core/pipeline.py", """\
+            from repro.engine.bind import bind_plan
+
+            def result_plan(template, literals):
+                return bind_plan(template, literals)
+            """)
+        fixture_repo("src/repro/engine/delta.py", """\
+            from repro.engine import bind
+
+            def certify(union, params):
+                return bind.bind_plan(union, params)
+            """)
+        violations = [v for v in invariants.run_checks(root)
+                      if v.rule == "one-bind"]
+        sharded = os.path.join("src", "repro", "engine", "sharded.py")
+        assert [(v.path, v.line) for v in violations] == [(sharded, 6)]
+        assert "params" in violations[0].message
+        real = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        assert [v for v in invariants.run_checks(real)
                 if v.rule == "one-bind"] == []
 
     def test_anchor_replaced_into_a_window(self, invariants, fixture_repo):

@@ -85,10 +85,14 @@ Rules (see tools/README.md for how to add one):
     ``src/repro/core``, reading a ``.slot`` attribute (a template
     constant's literal number) outside ``engine/bind.py`` is a violation —
     executors reach a plan's parameters through ``bind.bind_node`` (and the
-    row compiler through ``bind.param_reader`` / ``bind.expr_binder``), the
-    cold consumers through ``bind.bind_plan``.  Under ``src/repro`` so is
-    a ``replace(…, since=…)`` call: a view's delta windows take their
-    version anchors as slots, never as a rebuilt copy of the plan.
+    compiler through ``bind.param_reader`` / ``bind.expr_binder``), the
+    cold consumers through ``bind.bind_plan``.  An executor module
+    (``engine/execute.py``, ``vectorized.py``, ``sharded.py``,
+    ``process.py``) calling ``bind_plan`` is a violation too: a backend
+    runs the cached template with its ``params``, never a bound copy.
+    Under ``src/repro`` so is a ``replace(…, since=…)`` call: a view's
+    delta windows take their version anchors as slots, never as a rebuilt
+    copy of the plan.
 
 ``one-expr-rewriter``
     An expression tree is rebuilt in one place: under ``src/repro``
@@ -910,6 +914,10 @@ def check_one_fixpoint(root: str) -> list[Violation]:
 
 #: The module that reads template constants' slots.
 _BIND_MODULE = "src/repro/engine/bind.py"
+#: The executors: they run a template with its params, never bound.
+_EXECUTOR_MODULES = frozenset(
+    f"src/repro/engine/{name}.py"
+    for name in ("execute", "vectorized", "sharded", "process"))
 
 
 def check_one_bind(root: str) -> list[Violation]:
@@ -927,12 +935,18 @@ def check_one_bind(root: str) -> list[Violation]:
                     "engine/bind.py; pass the values as params and bind "
                     "through repro.engine.bind (bind_node, bind_plan)"))
     for _path, rel_path, tree in _walk_sources(root, ("src/repro",)):
+        executor = rel_path.replace(os.sep, "/") in _EXECUTOR_MODULES
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) \
                 else getattr(func, "id", "")
+            if executor and name == "bind_plan":
+                violations.append(Violation(
+                    rel_path, node.lineno, "one-bind",
+                    "an executor binds a whole plan; run the template with "
+                    "the values as params (compile once, bind many)"))
             if name == "replace" \
                     and any(kw.arg == "since" for kw in node.keywords):
                 violations.append(Violation(
