@@ -27,9 +27,10 @@ star schema:
   column: dictionary codes are order-preserving, so the extrema reduce on
   int codes and only one string per group is decoded;
 * **probe-filtered-build-10 / -90** — fact⋈σ(dim) keeping 2 and 21 of the
-  23 regions: the build side is a new batch every query, so its structure
-  is lowered from the dim columns' encodings at the filter's selection —
-  no Python hash table — and dropped with the query;
+  23 regions: σ(dim) is a new batch every query and ``fact`` keeps its
+  structure, so the optimizer seats σ(dim) on the probe side, and it
+  probes ``fact``'s cached structure from the dim columns' encodings at
+  the filter's selection — no Python hash table;
 * **probe-fanout** — a 100-row table probing the whole fact table on a
   97-value key, counted per value: the probe reads 100 rows and emits
   every fact row, so it is offered to the kernel for what it emits (the
@@ -50,10 +51,13 @@ star schema:
   addressed (``group_direct``);
 * **probe-cached-small** — 1.9k ``(k, tag)`` pairs probing ``dim``'s
   cached two-column structure, about one row each (probe-after-append's
-  writes repeat a few keys): ~1.9k rows at stake, under
-  ``KERNEL_MIN_ROWS`` and over ``CACHED_PROBE_MIN_ROWS``, the lower gate
-  of a probe that pays only a cache lookup for its structure (the shape
-  of ``analytic-cold``'s ``chain4`` last join);
+  writes repeat a few keys): ~1.9k probe rows, under
+  ``KERNEL_MIN_ROWS``, whose ~1.9k emitted rows, at
+  ``EMITTED_ROW_COST`` each, put over 7.6k rows at stake
+  (``repro.engine.stats.probe_at_stake``): a probe that pays only a cache
+  lookup for its structure takes the kernel with fewer probe rows than
+  one that lowers its build (the shape of ``analytic-cold``'s ``chain4``
+  last join);
 * **distinct-one-side** — ``SELECT DISTINCT`` over two ``dim`` columns of
   the fact⋈dim join: both read ``dim`` through one selection and ``dim``
   is shorter than the join, so ``dim`` positions are deduplicated first
@@ -168,8 +172,8 @@ PATHS = {
 
 #: ``probes`` rows: distinct ``(k, tag)`` pairs of ``dim`` (7919 is prime,
 #: so ``i * 7919 % n_dim`` repeats no key below ``n_dim``), each matching
-#: about one row: ~1.9k rows at stake — under ``KERNEL_MIN_ROWS``, over
-#: ``CACHED_PROBE_MIN_ROWS``.
+#: about one row: ~1.9k probe rows, under ``KERNEL_MIN_ROWS``, and ~3.8k
+#: rows at stake with the rows they emit.
 N_PROBES = 1900
 
 #: Families whose timed step first appends this many ``dim`` rows, each

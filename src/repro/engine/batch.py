@@ -27,9 +27,9 @@ class Vector:
     ``sel is None`` means the column *is* ``data``; otherwise position ``i``
     of the column is ``data[sel[i]]``.  Selections compose without touching
     the base arrays, which is what keeps multi-join pipelines cheap.  A
-    selection is a Python list of ints below the kernel gate and a numpy
-    index array from it up: the kernels hand back index arrays, and the
-    positions a row test keeps at gate size are converted where they are
+    selection is a Python list of ints below the kernels' crossover and a
+    numpy index array from it up: the kernels hand back index arrays, and
+    the positions a row test keeps at that size are converted where they are
     produced (:func:`repro.engine.kernels.index_array`), so no consumer
     converts them again.  Index arrays compose in C (:func:`_take`) and become Python
     ints only when a column is materialized.

@@ -144,7 +144,7 @@ def count_path(key: str) -> None:
     :mod:`repro.engine.kernels`) / ``scan_lookup`` (an equality filter read
     one ``key_index`` bucket: :func:`repro.engine.execute.scan_lookup`) /
     ``plan_rows`` or ``plan_columnar`` (which executor the ``"vectorized"``
-    backend ran a plan on: :func:`repro.engine.vectorized.runs_on_rows`) /
+    backend ran a plan on: :func:`repro.engine.vectorized.rows_at_stake`) /
     ``plan_compile`` (a plan compiled to a program of either target, once
     per plan, compiler and ``given``: :func:`repro.engine.execute.compile_rows`,
     :func:`repro.engine.vectorized.compile_batches`; a fixpoint's rule

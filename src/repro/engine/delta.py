@@ -52,9 +52,11 @@ from repro.data.database import Database
 from repro.expr import ast as e
 from repro.engine.execute import (
     Row,
+    _indexable,
     compile_expr,
     compile_rows,
     get_backend,
+    join_table,
 )
 from repro.engine.plan import (
     AggregateP,
@@ -234,16 +236,14 @@ def finish_rows(db: Database, plan: Plan, core: Plan,
 class _DeltaSource:
     """Optimized delta terms of one bag-maintainable plan.
 
-    The optimizer alone plans each term, once: it flattens the term's join
-    tree and, estimating the delta window tiny, seats a tree of three or
-    more leaves at it.  A two-leaf term is not reordered
-    (:func:`~repro.engine.optimize.reorder_joins` plans trees of three or
-    more leaves) and keeps its written order: E4's aggregation term,
-    ``asof(Sailors) ⋈ Δ(Reserves)``, probes the delta window with the
-    as-of side.  A refresh unions the terms whose delta relation actually
-    changed and executes them as one plan, its windows bound to the view's
-    anchors, so its program is compiled from the terms' own nodes, once,
-    and shares as-of subplans across terms.
+    The optimizer alone plans each term, once, starting it at its delta
+    window, estimated tiny: E4's ``asof(Sailors) ⋈ Δ(Reserves)`` probes
+    ``Sailors`` with the written rows, through a key index built with the
+    full result (``probed``) and maintained write by write, so a refresh
+    is priced at the rows written.  A refresh unions the terms whose delta
+    relation actually changed and executes them as one plan, its windows
+    bound to the view's anchors, so its program is compiled from the
+    terms' own nodes, once, and shares as-of subplans across terms.
     """
 
     def __init__(self, plan: Plan, db: Database) -> None:
@@ -260,8 +260,21 @@ class _DeltaSource:
         #: The union each set of changed relations executes, built once, so
         #: a refresh runs a plan whose row program it compiled before.
         self._unions: dict[tuple[str, ...], Plan] = {}
+        #: ``(relation, key, skip_nulls)`` of each kept build a delta probes.
+        self.probed = {(node.right.relation, node.key_positions[1],
+                        not node.null_matches)
+                       for _relation, term in self.terms
+                       for node in term.walk()
+                       if isinstance(node, JoinP) and node.left_keys
+                       and _indexable(node.right)
+                       and any(isinstance(leaf, DeltaScanP)
+                               and leaf.mode == "delta"
+                               for leaf in node.left.walk())}
 
     def full_rows(self, db: Database, backend: str) -> list[Row]:
+        for name, positions, skip_nulls in self.probed:
+            relation = db.relation(name)   # each probe's build, built ahead
+            join_table((relation, len(relation)), positions, skip_nulls, dict)
         return get_backend(backend).execute(self.plan, db)
 
     def delta_rows(self, db: Database, anchors: Mapping[str, int],

@@ -6,7 +6,7 @@ a cached template compiles on its first execution, a hit calls the program
 with its literals.  Two compilers share that mechanism: this module's
 compiles to row programs (:func:`compile_rows`, lists of row tuples), and
 the columnar one in :mod:`repro.engine.vectorized` subclasses it to compile
-to batches (``compile_batches``, numpy kernels from their gates up).  The
+to batches (``compile_batches``, numpy kernels from their crossover up).  The
 base compiler owns what both targets do alike:
 
 * each distinct node (by value) compiles once, with its column positions,
@@ -673,7 +673,9 @@ def resolve_window(db: Database, plan: "ScanP | DeltaScanP",
             f"relation has {relation.schema.arity}")
     if isinstance(plan, ScanP):
         return relation, len(relation)
-    since = bind_node(plan, params).version
+    anchor = param_reader(plan.since)
+    since = plan.version if anchor is None or not params \
+        else anchor(params)
     if since is None:
         raise PlanError(
             f"delta scan of {plan.relation} is an unbound window; execute "
@@ -1059,15 +1061,15 @@ class _Compiler:
                 right_rows = right(call)
                 return [l + r for l in left_rows for r in right_rows]
             return product
-        window = self.window(plan.right) if _indexable(plan.right) else None
+        window = self.window(plan.right) \
+            if plan.left_keys and _indexable(plan.right) else None
         residual = self._per_call(plan, join_residual)
 
         def join(call: _Call) -> list[Row]:
-            left_rows = left(call)
-            right_rows = right(call)
+            # An indexed build reads the relation, not a copy of its window.
             source = None if window is None else window(call)
-            return join_rows(plan, left_rows, right_rows, source,
-                             residual(call))
+            return join_rows(plan, left(call), right(call) if source is None
+                             else source[0], source, residual(call))
 
         return join
 
@@ -1108,8 +1110,8 @@ class ExecutorBackend(Protocol):
     Four implementations ship: the row-at-a-time reference backend in this
     module (``"row"``, a plan's compiled row program), the columnar
     batch-at-a-time backend in :mod:`repro.engine.vectorized`
-    (``"vectorized"``, which runs a plan whose every input is under the
-    kernel gate as its row program), the scatter-gather
+    (``"vectorized"``, which runs a plan no operator of which has the
+    kernels' rows at stake as its row program), the scatter-gather
     backend in :mod:`repro.engine.sharded` (``ShardedBackend``: shard
     subplans inline on the calling thread), and its multi-process variant
     over shared-memory column pages in :mod:`repro.engine.process`

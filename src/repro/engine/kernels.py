@@ -29,7 +29,7 @@ A column no store backs — a batch of rows an operator's row
 implementation returned, a view's delta — is lowered where a probe, a
 per-query build side or DISTINCT reads it (:func:`_values_at`).
 
-**From the gate up a batch is numpy from scan to the final row build, a
+**From the crossover up a batch is numpy from scan to the final row build, a
 bounded integer domain is never comparison-sorted or binary-searched, and
 a small one is not sorted at all.**  Dictionary codes, and int columns
 whose span fits, are bounded domains.  A group-by whose packed domain
@@ -41,7 +41,7 @@ group-by, DISTINCT, build sides — is ordered with :func:`_stable_order`
 (numpy's radix sort, one or two 16-bit digits), and group ids, first
 occurrences and build domains are read off presence vectors and prefix
 sums (:func:`_presence`, :func:`_dense_lut`).  MIN/MAX fold with
-``ufunc.at`` either way.  The positions a row test keeps at gate size
+``ufunc.at`` either way.  The positions a row test keeps at crossover size
 become an index array once, where they are produced (:func:`index_array`);
 which side of each choice a query took is counted (:func:`path_counts`).
 
@@ -80,16 +80,10 @@ selection, never by translating a Python hash table, which is built only
 for a probe that declines — and is dropped with its one probe: nothing
 could ever look it up again.
 
-The kernels are not an executor: a plan's columnar program, compiled once
-by the engine's one compiler
-(:func:`~repro.engine.vectorized.compile_batches`), offers each hot
-operator's batch to the matching ``kernel_*`` function from that hook's
-crossover up, and runs the operator's row implementation below it or on
-``None``: from :data:`KERNEL_MIN_ROWS` rows for selections, group-bys,
-DISTINCT and a probe of a per-query build side, from
-:data:`CACHED_PROBE_MIN_ROWS` rows at stake for a probe of a relation's
-cached structure.  The gates are read on every call, against the live
-batch: compiling fixes what a plan says, never how many rows it meets.
+The kernels are not an executor: a plan's columnar program
+(:mod:`repro.engine.vectorized`) offers each hot operator's batch to its
+``kernel_*`` function where the one price reaches the crossover
+(:mod:`repro.engine.stats`), and runs the row implementation on ``None``.
 
 Set ``REPRO_KERNELS=0`` to switch the kernels off even with numpy
 installed: the ``"vectorized"`` backend then runs every plan on the row
@@ -107,6 +101,7 @@ from repro.engine.cache import (  # path_counts is re-exported
     LRUCache, count_path, path_counts, sink_bump)
 from repro.engine.execute import column_comparison, operand_position
 from repro.engine.plan import AggregateP, column_position
+from repro.engine.stats import reaches_kernels
 from repro.expr import ast as e
 from repro.logic.terms import COMPARISONS
 
@@ -115,54 +110,16 @@ try:  # pragma: no cover - exercised by the no-numpy CI leg
 except Exception:  # pragma: no cover
     np = None  # type: ignore[assignment]
 
-#: The smallest batch a kernel is offered (the columnar program,
-#: :func:`repro.engine.vectorized.compile_batches`, gates every hook on it
-#: but one); below it the operator runs its row implementation.  A numpy
-#: call costs microseconds before it touches a row, a Python loop iteration
-#: tens of nanoseconds: over the tutorial's 10-row tables the kernels ran
-#: the catalog ~3x *slower* than the Python loops they replaced (83 -> 244
-#: us median), at 48k rows 1.5-5x faster.  Each hook has its own
-#: crossover: below 100 rows for selections and group-bys, near 2k
-#: for DISTINCT and for a probe whose build structure is lowered for the one
-#: query (:class:`BuildSide`).  2048 is where the last of these stops losing
-#: (CHANGES.md, PR 15); the probe of a relation's cached structure, which
-#: crosses lower, has its own gate (:data:`CACHED_PROBE_MIN_ROWS`).
-#: Selections, group-bys and DISTINCT count the rows of their batch.  A
-#: probe counts the rows at stake (:meth:`BuildSide.rows_at_stake`): the
-#: rows it reads *or emits* — 100 boats that emit 48k reservations hand 48k
-#: rows to every operator above them — plus the build rows that must be
-#: indexed for this query alone (a per-query batch, a snapshot relation).
-#: The same gate picks the executor: a plan whose every base relation
-#: holds fewer rows runs on the row executor
-#: (:func:`repro.engine.vectorized.runs_on_rows`).  That is measured, not
-#: implied by the gates: a cached probe or a fanning-out join over such
-#: inputs could still reach a kernel, but the row executor is no slower
-#: there (E2's 1k/2k cells, ``five-lang-cold``).
-#: A constant, not a setting: the crossover is a property of the
-#: interpreter and numpy, not of a deployment.
-KERNEL_MIN_ROWS = 2048
-
-#: The fewest rows at stake from which the probe of a whole relation
-#: (:class:`RelationBuild`) takes the kernel.  Its structure is cached
-#: with the relation's encodings, so a probe pays only the lookup; the
-#: Python probe it replaces looks each probe row up in the relation's
-#: maintained ``key_index``.  Probing 48k-row ``Reserves`` (2 vCPUs, numpy
-#: 2.4), the two cross between 384 and 512 rows at stake on a unique int
-#: key and on a two-column key, and near 1.3k on a 10-way fan-out, whose
-#: Python probe emits cheaply.  K1's ``probe-cached-small`` holds the
-#: kernel's side at 1.9k.
-CACHED_PROBE_MIN_ROWS = 512
-
 #: Shared empty selection for probes with no matches (never mutated).
 _EMPTY_SEL: Any = np.empty(0, dtype=np.intp) if np is not None else []
 
 
 def index_array(sel: Any) -> Any:
     """A list of positions (a lookup's bucket, a row test's survivors) as
-    later operators should carry it: from the gate up each ``_gather`` /
+    later operators should carry it: from the crossover up each ``_gather`` /
     ``_take`` would turn it into an index array again, so it is converted
     once, where it is produced."""
-    if type(sel) is list and len(sel) >= KERNEL_MIN_ROWS and kernels_enabled():
+    if type(sel) is list and reaches_kernels(len(sel)) and kernels_enabled():
         count_path("sel_converted")
         return np.asarray(sel, dtype=np.intp)
     return sel
@@ -546,16 +503,13 @@ _CACHE = LRUCache(256, KERNEL_CACHE_BYTES)
 _MISSING = object()
 
 
-def _cache_get(key: Any, anchors: tuple, sink: "dict[str, int] | None",
-               *, peek: bool = False) -> Any:
-    """The payload under ``key``, or ``_MISSING``.  A ``peek`` is not a
-    use: it never waits and is not counted."""
-    entry = (_CACHE.peek if peek else _CACHE.get)(key, _MISSING)
+def _cache_get(key: Any, anchors: tuple,
+               sink: "dict[str, int] | None") -> Any:
+    """The payload under ``key``, or ``_MISSING``."""
+    entry = _CACHE.get(key, _MISSING)
     hit = entry is not _MISSING and len(entry[0]) == len(anchors) and all(
         a is b for a, b in zip(entry[0], anchors))
-    if not peek:
-        sink_bump(sink, "kernel_cache_hits" if hit
-                  else "kernel_cache_misses")
+    sink_bump(sink, "kernel_cache_hits" if hit else "kernel_cache_misses")
     return entry[1] if hit else _MISSING
 
 
@@ -1137,19 +1091,12 @@ def _probe_with_structure(structure: _BuildStructure, batch: Batch,
 
 
 class BuildSide:
-    """The build side of a hash join, not built until its probe is known to
-    take the kernel or the row executor's probe.
-
-    The kernel probe asks :meth:`structure`, lowered from the key vectors'
-    encodings at the batch's selection (:func:`_gather`) for this one probe
-    — a filtered or joined batch is new every query, so nothing is cached.
-    A probe that declines, and a semi/anti join, build :meth:`table`
-    instead, unless the build reads a base relation (a scan, an ``asof``
-    window): then :func:`~repro.engine.execute.join_table` reads its
-    ``key_index``.
-    :class:`RelationBuild` is the whole-relation case, where the structure
-    outlives the query.
-    """
+    """The build side of a hash join, not built until its probe has chosen
+    the kernel (:meth:`structure`, lowered from the key vectors' encodings
+    for this one probe) or the row join (:meth:`table`, unless
+    :func:`~repro.engine.execute.join_table` reads a base relation's
+    ``key_index``).  :class:`RelationBuild` is the whole-relation case,
+    whose structure outlives the query."""
 
     __slots__ = ("batch", "idx", "skip_nulls")
 
@@ -1162,18 +1109,6 @@ class BuildSide:
         count_path("build_dict")
         return key_positions(_key_columns(self.batch, list(self.idx)),
                              self.batch.length, self.skip_nulls)
-
-    def min_rows(self) -> int:
-        """The rows at stake from which the probe takes the kernel:
-        :data:`KERNEL_MIN_ROWS`, the structure being lowered for one
-        probe."""
-        return KERNEL_MIN_ROWS
-
-    def rows_at_stake(self, probe_rows: int) -> int:
-        """What :meth:`min_rows` is compared with: the rows this query's
-        probe reads or emits, plus the build rows indexed for it alone —
-        here all of them."""
-        return probe_rows + self.batch.length
 
     def structure(self, probe_rows: int, sink: "dict[str, int] | None" = None
                   ) -> _BuildStructure | None:
@@ -1188,12 +1123,9 @@ class BuildSide:
 
 
 class RelationBuild(BuildSide):
-    """A build side that is a whole base relation: the cacheable case.
-
-    :meth:`structure` is keyed on the key columns' immutable encodings in
-    the bounded kernel cache — the one kind of build structure that can be
-    hit again, because the relation outlives the query.
-    """
+    """A build side that is a whole base relation, whose :meth:`structure`
+    outlives the query: it is kept in the bounded kernel cache, keyed on
+    the key columns' immutable encodings."""
 
     __slots__ = ("relation",)
 
@@ -1202,53 +1134,13 @@ class RelationBuild(BuildSide):
         super().__init__(batch, idx, skip_nulls)
         self.relation = relation
 
-    def min_rows(self) -> int:
-        """:data:`CACHED_PROBE_MIN_ROWS`: the structure outlives the
-        query."""
-        return CACHED_PROBE_MIN_ROWS
-
-    def rows_at_stake(self, probe_rows: int) -> int:
-        """Probe rows read, or emitted if that is more, plus the relation's
-        rows unless it holds its ``key_index`` or its kernel structure for
-        the key.
-
-        Holding neither, live or frozen, it has every row indexed for this
-        probe whichever path runs (and a live relation would keep a
-        declined probe's index for good).  Holding one, a small probe can
-        still cost its *output* (100 boats emit every reservation), read
-        off what is held — never off a table profile, which every write
-        invalidates — and not read at all when the probe could not reach
-        the gate whatever the relation holds.
-        """
-        n = len(self.relation)
-        most = max(probe_rows + n, probe_rows * n)
-        if most < self.min_rows():
-            return most
-        index = self.relation.held_key_index(self.idx,
-                                             skip_nulls=self.skip_nulls)
-        if index is not None:
-            indexed, buckets = n, len(index)
-        else:
-            keyed = self._cache_key(held=True)
-            held = _cache_get(*keyed, None, peek=True) if keyed else None
-            if not isinstance(held, _BuildStructure):
-                return probe_rows + n
-            indexed, buckets = len(held.positions), len(held.ukeys)
-        return max(probe_rows, probe_rows * indexed // max(buckets, 1))
-
-    def _cache_key(self, *, held: bool = False) -> "tuple[Any, tuple] | None":
+    def _cache_key(self) -> "tuple[Any, tuple] | None":
         """``(key, anchors)`` of the structure in the kernel cache: the key
-        columns' encodings — with ``held``, only as the column store
-        already holds them, encoding nothing."""
+        columns' encodings."""
         store = self.relation.column_store()
         encodings = []
         for i in self.idx:
-            if held:
-                entry = store.kernel_cache.get(i)
-                enc = entry[1] if entry is not None \
-                    and entry[0] == len(store.arrays[i]) else None
-            else:
-                enc = store_encoding(store, i)
+            enc = store_encoding(store, i)
             if enc is None:
                 return None
             encodings.append(enc)

@@ -15,22 +15,19 @@ Three families of rewrites, applied in order by :func:`optimize`:
       lowering) above inner/cross joins and filters, so none splits a tree;
    b. :func:`reorder_joins` flattens each maximal inner/cross join tree at
       its root (a NULL-matching join's keys become ``IS NOT DISTINCT FROM``
-      conjuncts), plans its leaves recursively, and re-orders the tree once,
-      greedily by *estimated cost*: each step joins the leaf whose
-      (statistics-driven) estimated result is smallest, using the
-      per-attribute distinct counts and min/max profiles of
-      :mod:`repro.engine.stats`; one positional projection restores the
-      tree's column order;
+      conjuncts), plans its leaves recursively, and re-orders the tree
+      once, greedily by the *estimated* result of each step
+      (:mod:`repro.engine.stats`); a lone join is only seated, the
+      cheaper build (:meth:`StatsCatalog.build_price`) on the right.  One
+      positional projection restores the tree's column order;
    c. :func:`hoist_projections` again, so that projection and the picks
       above it merge into one.
 
-   The delta relations of a Datalog fixpoint's rule bodies (the node's
-   children, rewritten like any subplan) and the delta windows of a view's
-   delta terms are estimated tiny, which seeds each delta-variant plan of
-   three or more leaves at the delta occurrence — the semi-join reduction
-   of classical semi-naive evaluation; a two-leaf join keeps its written
-   order.  :mod:`repro.engine.delta` hands its
-   terms to :func:`optimize` and plans nothing itself.
+   The delta relations of a Datalog fixpoint's rule bodies and the delta
+   windows of a view's delta terms are estimated tiny and built on every
+   execution, so each delta-variant plan starts at its delta, which probes
+   the kept relation it meets — the semi-join reduction of semi-naive
+   evaluation.  :mod:`repro.engine.delta` plans nothing itself.
 3. **Common subexpression elimination** — structurally identical subtrees are
    interned to a single object.  The compiler gives a subplan that occurs
    more than once one result slot per call, so a deduplicated subtree (for
@@ -44,6 +41,7 @@ unoptimized plans against all five reference interpreters.
 
 from __future__ import annotations
 
+from typing import Iterable
 
 from repro.data.database import Database
 from repro.expr import ast as e
@@ -411,14 +409,34 @@ def reorder_joins(plan: Plan, db: Database,
         return JoinP(left, right, plan.kind, plan.left_keys, plan.right_keys,
                      plan.residual, plan.null_matches)
     flat = _flatten_join_tree(plan, protected)
-    if flat is None or len(flat[0]) < 3 \
-            or len({c.lower() for c in plan.columns}) != len(plan.columns):
-        # Not a tree of three or more leaves, or one with duplicated names
-        # (conjuncts could not be placed by name): plan the parts.
-        return plan.with_children([reorder_joins(c, db, protected, stats=stats)
-                               for c in plan.children()])
+    lone = flat is not None and len(flat[0]) == 2
+    if flat is None or (lone and not plan.left_keys) or (not lone and len(
+            {c.lower() for c in plan.columns}) != len(plan.columns)):
+        # Not a join tree, a lone product, or a larger tree with duplicated
+        # names (conjuncts could not be placed by name): plan the parts.
+        rebuilt = plan.with_children(
+            [reorder_joins(c, db, protected, stats=stats)
+             for c in plan.children()])
+        picks = _pick_positions(rebuilt)
+        if picks is not None:
+            # A pick over a lone join seats it, reading the swapped join's
+            # positions: no projection could restore duplicated names.
+            join = rebuilt.children()[0]
+            below = _flatten_join_tree(join, protected)
+            if isinstance(join, JoinP) and below is not None \
+                    and len(below[0]) == 2 \
+                    and not any(join == p for p in protected):
+                return _seat_build(join, picks, rebuilt.columns, stats) \
+                    or rebuilt
+        return rebuilt
     leaves = [reorder_joins(leaf, db, protected, stats=stats)
               for leaf in flat[0]]
+    if lone:  # only seated; duplicated names by the pick above it
+        joined = plan.with_children(leaves)
+        assert isinstance(joined, JoinP)
+        unique = len({c.lower() for c in plan.columns}) == len(plan.columns)
+        return (_seat_build(joined, range(len(plan.columns)), plan.columns,
+                            stats) if unique else None) or joined
     pending = flat[1]
     order = [min(leaves, key=lambda leaf: stats.estimate(leaf))]
     current = order[0]
@@ -469,6 +487,23 @@ def reorder_joins(plan: Plan, db: Database,
         return current
     return ProjectP(current, tuple(PositionCol(p) for p in positions),
                     plan.columns)
+
+
+def _seat_build(join: JoinP, picks: Iterable[int], names: tuple[str, ...],
+                stats: StatsCatalog) -> "ProjectP | None":
+    """The columns ``picks`` of the lone hash join ``join``, as ``names``,
+    read off ``join`` with its children and keys swapped to seat the
+    cheaper build (:meth:`StatsCatalog.build_price`) on the right; ``None``
+    for a tie or a residual (read by name): the written order stays."""
+    if join.residual is not None or not join.left_keys \
+            or not stats.build_price(join.left) < stats.build_price(join.right):
+        return None
+    width = len(join.right.columns)
+    positions = [*range(width, width + len(join.left.columns)), *range(width)]
+    swapped = JoinP(join.right, join.left, join.kind, join.right_keys,
+                    join.left_keys, None, join.null_matches)
+    return ProjectP(swapped, tuple(PositionCol(positions[p]) for p in picks),
+                    names)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,7 @@
 """Table statistics and cost estimation for the optimizer.
 
-PR 1's join reordering was cardinality-greedy: it knew base-table row counts
-and guessed fixed selectivities for everything else.  This module gives the
-optimizer real statistics, collected in one pass over each relation's column
-store:
+The optimizer's statistics, collected in one pass over each relation's
+column store:
 
 * per-relation **row counts**;
 * per-attribute **distinct counts**, **min/max** (numeric attributes), and
@@ -19,18 +17,20 @@ per version process-wide no matter how many :class:`StatsCatalog` objects
 look at it: a bare ``optimize(plan, db)`` per query costs a dictionary probe
 per table, not a scan.
 
-:func:`repro.engine.optimize.reorder_joins` consults a :class:`StatsCatalog`
-to order join trees by *estimated result size* rather than by raw leaf
-cardinality.
+:func:`repro.engine.optimize.reorder_joins` orders join trees by these
+*estimated result sizes*.  They also drive the **semi-join reduction** of
+the semi-naive Datalog fixpoint (:class:`~repro.engine.plan.FixpointP`):
+a working delta relation (``pred@delta``), which the database does not
+hold, is estimated tiny (:data:`DELTA_ESTIMATE`), so each delta variant
+joins its delta occurrence first and every later join is probed only
+with tuples that survived it.
 
-The same estimates drive the **semi-join reduction** of the semi-naive
-Datalog fixpoint (:class:`~repro.engine.plan.FixpointP`).  Its rule bodies
-read working relations the database does not hold: a delta one
-(``pred@delta``) is estimated tiny, :data:`DELTA_ESTIMATE`, so the
-cost-based ordering joins each delta variant's delta occurrence first and
-every later join is probed only with tuples that survived the delta, which
-is exactly the semi-join program of the classical semi-naive
-transformation.
+**One price for every physical choice**, in rows: a lone join seats its
+cheaper build (:meth:`StatsCatalog.build_price`) on the right; a probe
+has the rows it emits and indexes at stake (:func:`probe_at_stake`), and
+from :data:`KERNEL_MIN_ROWS` rows at stake (:func:`reaches_kernels`) an
+operator takes its numpy kernel and a plan its columnar program
+(:func:`repro.engine.vectorized.rows_at_stake`).
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.data.schema import SchemaError
 from repro.expr import ast as e
+from repro.logic.terms import COMPARISONS
 from repro.engine.plan import (
     AggregateP,
     DeltaScanP,
@@ -75,6 +76,41 @@ UNKNOWN_ESTIMATE = 100.0
 #: Fallback selectivities, matching the PR-1 heuristics.
 EQ_SELECTIVITY = 0.1
 DEFAULT_SELECTIVITY = 0.4
+
+#: The fewest rows at stake from which a numpy kernel, which costs
+#: microseconds before it touches a row, beats the Python loop: where the
+#: last hook to cross, DISTINCT and a probe of a per-query build, stops
+#: losing (PR 15; E2's 1k/2k cells).  Of the interpreter, not a setting.
+KERNEL_MIN_ROWS = 2048
+
+#: What a row a hash probe emits costs the Python loop, in the rows
+#: :data:`KERNEL_MIN_ROWS` counts: the ratio of the measured crossovers,
+#: 2048 for DISTINCT, 512 for the unique-key probe of a kept 48k-row index
+#: (PR 30: 1.12x at 384 rows, 1.33x at 512).
+EMITTED_ROW_COST = 4
+
+
+def reaches_kernels(rows: float) -> bool:
+    """Whether ``rows`` at stake are worth a numpy call."""
+    return rows >= KERNEL_MIN_ROWS
+
+
+def probe_at_stake(probe_rows: float, fan_out: float, indexed: float) -> float:
+    """A hash probe's rows at stake on one execution: the rows it emits
+    (``fan_out`` ≥ 1 per probe row) at :data:`EMITTED_ROW_COST` each, and
+    the build rows ``indexed`` for this execution alone."""
+    return EMITTED_ROW_COST * probe_rows * fan_out + indexed
+
+
+def relation_probe(relation: Relation, idx: "tuple[int, ...]",
+                   skip_nulls: bool) -> "tuple[float, float]":
+    """``(fan_out, indexed)`` of a probe of ``relation`` on ``idx``: its
+    held ``key_index``'s rows per key and nothing, else one row per key and
+    every row, as the row join would index them (never a table profile)."""
+    index = relation.held_key_index(idx, skip_nulls=skip_nulls)
+    if index is None:
+        return 1.0, float(len(relation))
+    return len(relation) / max(len(index), 1), 0.0
 
 
 def working_predicate(relation: str) -> str:
@@ -207,6 +243,16 @@ class StatsCatalog:
             return None
         return self.column_stats(plan, position)
 
+    def build_price(self, plan: Plan) -> float:
+        """The rows a hash build over ``plan`` indexes on every execution:
+        none for a base relation or ``asof`` window, which keeps its
+        structure, the estimate of any other input."""
+        if (isinstance(plan, ScanP) or (isinstance(plan, DeltaScanP)
+                                        and plan.mode == "asof")) \
+                and self.table(plan.relation) is not None:
+            return 0.0
+        return self.estimate(plan)
+
     # -- cardinality estimation -------------------------------------------
 
     def estimate(self, plan: Plan) -> float:
@@ -222,10 +268,9 @@ class StatsCatalog:
         if isinstance(plan, DeltaScanP):
             # Insert-delta windows are tiny by construction (the point of
             # incremental maintenance); estimating them tiny makes the
-            # cost-based join ordering seat a delta term of three or more
-            # leaves at its delta occurrence (a two-leaf term keeps its
-            # written order: reorder_joins plans only trees of three or
-            # more).  The as-of window is essentially the full relation.
+            # cost-based join ordering start a delta term at its delta
+            # occurrence.  The as-of window is essentially the full
+            # relation.
             if plan.mode == "delta":
                 return DELTA_ESTIMATE
             stats = self.table(plan.relation)
@@ -343,7 +388,7 @@ class StatsCatalog:
             span = stats.max_value - stats.min_value
             if span <= 0:
                 # Constant column: the predicate keeps all rows or none.
-                kept = _compare_floats(stats.min_value, op, float(value))
+                kept = COMPARISONS[op](stats.min_value, float(value))
                 return 1.0 if kept else 1.0 / max(stats.distinct, 1)
             fraction = (float(value) - stats.min_value) / span
             fraction = min(1.0, max(0.0, fraction))
@@ -351,16 +396,6 @@ class StatsCatalog:
                 return max(fraction, 1.0 / max(stats.distinct, 1))
             return max(1.0 - fraction, 1.0 / max(stats.distinct, 1))
         return DEFAULT_SELECTIVITY
-
-
-def _compare_floats(left: float, op: str, right: float) -> bool:
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    return left >= right
 
 
 def _column_origin(plan: Plan, position: int) -> tuple[str, int] | None:

@@ -27,50 +27,25 @@ slot.
 
 Columnar means numpy.  The four hot operators — selection, hash-join
 probe, DISTINCT, group-by — each offer their batch to the numpy kernel of
-:mod:`repro.engine.kernels`, from that hook's crossover up
-(:data:`~repro.engine.kernels.KERNEL_MIN_ROWS` rows, or
-:data:`~repro.engine.kernels.CACHED_PROBE_MIN_ROWS` rows at stake for the
-probe of a relation's cached build structure), gated on the live batch at
-every call.  Where a kernel declines — below its gate, a dtype the
-lowering cannot reproduce bit-for-bit, numpy absent — the operator runs
-its one Python implementation, in :mod:`repro.engine.execute`; this
-module has no comparison or probe loop of its own:
+:mod:`repro.engine.kernels` where its rows at stake, priced on the live
+batch at every call, reach the crossover
+(:func:`~repro.engine.stats.reaches_kernels`).  Where a kernel declines,
+the operator runs its one Python implementation, in
+:mod:`repro.engine.execute` (the ``one-operator`` and ``one-compile`` lint
+rules keep the code shared, and the backends bag-equal): a declined
+conjunct or semi/anti join keeps a selection vector; a declined probe,
+group-by, DISTINCT, sort/limit, set operation or division returns a batch
+of rows, whose key values a kernel probe above it lowers where it reads
+them.  A hash join's build side stays unbuilt
+(:class:`~repro.engine.kernels.BuildSide`) until its probe has chosen the
+kernel or the rows.
 
-* a declined conjunct is its row test
-  (:func:`~repro.engine.execute._row_test`) over the still-selected rows,
-  and its survivors stay a selection vector, so the batch keeps its
-  column-store origin for the kernels above;
-* a declined inner probe is :func:`~repro.engine.execute.join_rows` over
-  rows (a build row is built when a probe key matches it), and group-by
-  and DISTINCT (:func:`~repro.engine.execute.aggregate_rows`,
-  ``dedupe_rows``), sort/limit, set operations other than bag union, and
-  division (``sort_limit_rows``, ``setop_rows``, ``divide_rows``) run over
-  materialized rows: each returns a batch of rows, whose key values a
-  kernel probe above it lowers where it reads them, on either side;
-* a semi/anti join takes the positions ``semi_anti_positions`` keeps as a
-  selection vector, and a residual over a kernel probe's pairs is the
-  same row test as a declined conjunct.
-
-Sharing the code keeps the backends bag-equal
-(``tests/test_vectorized.py``); the ``one-operator`` and ``one-compile``
-lint rules keep it shared.  From the gate up selections are numpy index
-arrays all the way to the final row build: a hash join's build side stays
-unbuilt (:class:`~repro.engine.kernels.BuildSide`) until its probe has
-chosen the kernel or the rows, and a row test's survivors are converted
-once, where they are produced.
-
-The backend runs a plan as its row program (:func:`runs_on_rows`) when the
-kernels are off, or when every base relation it reads holds fewer than
-:data:`~repro.engine.kernels.KERNEL_MIN_ROWS` rows: there the row program
-pays for no batches, selection vectors or copies, and measured, it is no
-slower (E2's 1k/2k cells, ``five-lang-cold``), even where a cached probe or
-a fanning-out join would have reached a kernel.  On the tutorial instance
-that is every query.  The choice is made once per execution, at the root,
-from the relations' live sizes, and counted (``plan_rows`` /
-``plan_columnar`` in :func:`~repro.engine.cache.path_counts`).  Deciding
-per subtree was measured and dropped: a small subtree handed back as a row
-batch loses its column-store origin, and with it the cached encodings the
-kernels above it read.
+The backend reads the same price to pick the program at the root: a plan
+no operator of which has the kernels' rows at stake (:func:`rows_at_stake`;
+the tutorial instance, a view refresh probing kept indexes) runs as its
+row program (``plan_rows`` / ``plan_columnar``).  Deciding per subtree was
+measured and dropped: a subtree handed back as rows loses its
+column-store origin, and with it the encodings the kernels above it read.
 
 The backend satisfies the :class:`repro.engine.execute.ExecutorBackend`
 protocol; select it with ``execute_plan(plan, db, backend="vectorized")`` or
@@ -80,7 +55,7 @@ protocol; select it with ``execute_plan(plan, db, backend="vectorized")`` or
 from __future__ import annotations
 
 from itertools import compress
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.data.database import Database
 from repro.data.relation import Relation, dedupe_rows
@@ -114,6 +89,7 @@ from repro.engine.execute import (
     operator_fns,
     pair_residual,
     project_fns,
+    resolve_window,
     semi_anti_positions,
     setop_rows,
     sort_limit_rows,
@@ -133,6 +109,8 @@ from repro.engine.plan import (
     SetOpP,
     SortLimitP,
 )
+from repro.engine.stats import (probe_at_stake, reaches_kernels,
+                                 relation_probe)
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +127,9 @@ def compile_batches(plan: Plan, given: "Plan | None" = None) -> Program:
 
 
 class _BatchCompiler(_Compiler):
-    """Compiles a plan's operators to batches: the numpy kernels from their
-    gates up, the row implementations of :mod:`repro.engine.execute`
-    below them or where they decline."""
+    """Compiles a plan's operators to batches: the numpy kernels where
+    their rows at stake reach the crossover, the row implementations of
+    :mod:`repro.engine.execute` below it or where they decline."""
 
     def _given(self, given: Plan) -> RowsFn:
         return lambda call: Batch.from_rows(given.columns, call.given)
@@ -207,7 +185,7 @@ class _BatchCompiler(_Compiler):
         A lookup candidate an index serves (:meth:`_lookup`) starts the
         batch as that bucket's rows.  Each remaining conjunct is a numpy
         selection (:func:`~repro.engine.kernels.kernel_filter`, offered
-        the conjunct bound to the call's values) from the gate up, and
+        the conjunct bound to the call's values) from the crossover up, and
         where that declines its row test over the still-selected rows.
         Either way the result is a selection, so the batch keeps its
         column-store origin for the kernels above.  Keeping the original
@@ -231,7 +209,7 @@ class _BatchCompiler(_Compiler):
             sel: "list[int] | Any | None" = None  # Any: a kernel's index array
             for conjunct, bind, test in todo:
                 fast = None
-                if batch.length >= kernels.KERNEL_MIN_ROWS:
+                if reaches_kernels(batch.length):
                     fast = kernels.kernel_filter(
                         conjunct if bind is None else bind(call.params),
                         batch, positions)
@@ -270,7 +248,7 @@ class _BatchCompiler(_Compiler):
 
         def distinct(call: _Call) -> Batch:
             batch = rows(call)
-            if batch.length >= kernels.KERNEL_MIN_ROWS:
+            if reaches_kernels(batch.length):
                 positions = kernels.kernel_distinct(batch)
                 if positions is not None:
                     return batch.take(positions)
@@ -360,7 +338,7 @@ class _BatchCompiler(_Compiler):
         def aggregate(call: _Call) -> Batch:
             batch = rows(call)
             node, fns = prepared(call)
-            if batch.length >= kernels.KERNEL_MIN_ROWS:
+            if reaches_kernels(batch.length):
                 lowered = kernels.kernel_aggregate(node, batch)
                 if lowered is not None:
                     return lowered
@@ -374,26 +352,20 @@ def _kernel_probe(plan: JoinP, left: Batch, side: kernels.BuildSide,
                   source: "tuple[Relation, int] | None",
                   sink: "dict[str, int] | None"
                   ) -> "tuple[Any, Any] | None":
-    """The numpy probe's ``(left_sel, right_sel)``, or ``None``.
-
-    The build side is ``source``, the right input's window as the shared
-    access-path rule resolved it for this probe and, if it declines, the
-    row join: a whole base relation probes its cached structure
-    (:class:`~repro.engine.kernels.RelationBuild`), an ``asof`` window
-    declines (its table is the relation's capped ``key_index``), and any
-    other batch lowers its own.  The kernel is offered the probe when the
-    rows at stake (:meth:`~repro.engine.kernels.BuildSide.rows_at_stake`:
-    read, emitted, indexed for this query alone) reach the build side's
-    gate (:meth:`~repro.engine.kernels.BuildSide.min_rows`: lower for a
-    relation's cached structure).
-    """
+    """The numpy probe's ``(left_sel, right_sel)`` where its price
+    (:func:`~repro.engine.stats.probe_at_stake`) reaches the crossover,
+    else ``None``.  A whole base relation (``source``, as resolved) probes
+    its cached structure (:class:`~repro.engine.kernels.RelationBuild`), an
+    ``asof`` window declines to its capped ``key_index``."""
+    fan_out, indexed = 1.0, float(side.batch.length)
     if source is not None and side.idx:
         relation, keep = source
         if keep != len(relation):
             return None
         side = kernels.RelationBuild(side.batch, side.idx, side.skip_nulls,
                                      relation)
-    if side.rows_at_stake(left.length) < side.min_rows():
+        fan_out, indexed = relation_probe(relation, side.idx, side.skip_nulls)
+    if not reaches_kernels(probe_at_stake(left.length, fan_out, indexed)):
         return None
     return kernels.kernel_probe(left, plan.key_positions[0], side,
                                 plan.null_matches, sink)
@@ -436,38 +408,88 @@ def _passing(batch: Batch, sel: "list[int] | Any | None",
 # The backend object
 # ---------------------------------------------------------------------------
 
-def runs_on_rows(plan: Plan, db: Database) -> bool:
-    """Whether ``plan`` runs on the row executor: every base relation it
-    reads holds fewer than :data:`~repro.engine.kernels.KERNEL_MIN_ROWS`
-    rows, or the kernels are off
-    (:func:`~repro.engine.kernels.kernels_enabled`), when every columnar
-    operator would run its row implementation anyway.  The size rule is
-    measured, not a proof that no kernel could engage: a cached probe takes
-    its kernel from :data:`~repro.engine.kernels.CACHED_PROBE_MIN_ROWS`
-    rows at stake, and a join that fans out can hand more rows than its
-    inputs hold to the operators above it, but on such inputs the row
-    executor is no slower (E2's 1k/2k cells, ``five-lang-cold``).  A name ``db`` does not hold (a
-    fixpoint's working predicate) is not an input.  Read at each execution,
-    never kept on the plan: a write can move a relation across the gate
-    while its cached template stays."""
-    gate = kernels.KERNEL_MIN_ROWS
-    return all(len(db.relation(name)) < gate
-               for name in plan.base_relations if name in db) \
-        or not kernels.kernels_enabled()
+def rows_at_stake(plan: Plan, db: Database,
+                  params: Sequence[Any] = ()) -> float:
+    """The most rows a filter, group-by, DISTINCT or keyed join
+    (:func:`~repro.engine.stats.probe_at_stake`) of ``plan`` has at stake,
+    priced from live sizes by a pricer compiled once and kept on the node."""
+    pricer = plan.__dict__.get("_pricer")
+    if pricer is None:
+        pricer = _pricer(plan)
+        object.__setattr__(plan, "_pricer", pricer)
+    most = [0.0]
+    pricer(db, params, most)
+    return most[0]
+
+
+def _pricer(node: Plan, watched: bool = False) -> Callable[..., float]:
+    """``node``'s live rows; raises ``most[0]`` to each probe's price and,
+    if ``watched`` (a filter's, group-by's or DISTINCT's input), to them."""
+    if isinstance(node, (FilterP, AggregateP, DistinctP)):
+        return _pricer(node.children()[0], True)  # its input rows, unchanged
+    keyed = isinstance(node, JoinP) and bool(node.left_keys)
+    kept = keyed and _indexable(node.right)  # type: ignore[union-attr]
+    children = node.children()[:2 - kept]
+    if isinstance(node, DeltaScanP) and node.mode == "delta":
+        # The rows past the anchor: all but its as-of twin's.
+        old = DeltaScanP(node.relation, node.columns, node.since, "asof")
+        def price(db, params, most):
+            relation, keep = resolve_window(db, old, params)
+            return len(relation) - keep
+    elif isinstance(node, FixpointP):
+        def price(db, params, most):
+            return sum(len(db.relation(name))
+                       for name in node.base_relations if name in db)
+    elif isinstance(node, (ScanP, DeltaScanP)):
+        def price(db, params, most):
+            return len(db.relation(node.relation))
+    elif len(children) == 1 and not keyed:
+        return _pricer(children[0], watched)  # a projection, sort, semi-join
+    elif keyed and node.kind in ("inner", "cross"):  # type: ignore
+        first = _pricer(children[0])
+        build = None if kept else _pricer(children[1])
+        key = (node.right.relation, node.key_positions[1],  # type: ignore
+               not node.null_matches) if kept else ()
+
+        def join(db, params, most):  # its price bounds its rows
+            rows = first(db, params, most)
+            fan_out, indexed = (1.0, build(db, params, most)) if build \
+                else relation_probe(db.relation(key[0]), *key[1:])
+            at_stake = probe_at_stake(rows, fan_out, indexed)
+            if at_stake > most[0]:
+                most[0] = at_stake
+            return rows * fan_out
+        return join
+    else:
+        inputs = [_pricer(child) for child in children]
+        product = isinstance(node, JoinP) and node.kind in ("inner", "cross")
+        union = isinstance(node, SetOpP) and node.op == "union"
+
+        def price(db, params, most):
+            counts = [fn(db, params, most) for fn in inputs]
+            return counts[0] * counts[1] if product \
+                else sum(counts) if union else counts[0]
+    if not watched:
+        return price
+    def watch(db, params, most):
+        rows = price(db, params, most)
+        if rows > most[0]:
+            most[0] = rows
+        return rows
+    return watch
 
 
 class VectorizedBackend:
-    """:class:`ExecutorBackend` implementation running plans column-wise,
-    or as their row program when every input is under the kernel gate
-    (:func:`runs_on_rows`).  The choice is made once, at the root: a
-    subtree handed back as rows would lose its batches' column-store
-    origin, and with it the kernel paths above it."""
+    """:class:`ExecutorBackend` running a plan column-wise, or as its row
+    program where no operator's rows at stake (:func:`rows_at_stake`)
+    reach the kernels or they are off; chosen once, at the root."""
 
     name = "vectorized"
 
     def execute(self, plan: Plan, db: Database,
                 params: Sequence[Any] = ()) -> list[Row]:
-        if runs_on_rows(plan, db):
+        if not reaches_kernels(rows_at_stake(plan, db, params)) \
+                or not kernels.kernels_enabled():
             kernels.count_path("plan_rows")
             return compile_rows(plan)(db, params)
         kernels.count_path("plan_columnar")

@@ -42,22 +42,21 @@ def schema(db):
 
 @pytest.fixture()
 def kernel_gate(monkeypatch):
-    """Pin the columnar executor's kernel gates for the rest of the test.
+    """Pin the kernels' crossover for the rest of the test.
 
     ``kernel_gate(0)`` offers every batch to the numpy kernels — the only
     way the few-row relations of the differential tests reach them, since
-    production offers only batches of ``KERNEL_MIN_ROWS`` rows and more
-    (a cached-structure probe: ``CACHED_PROBE_MIN_ROWS``);
-    ``kernel_gate(None)`` offers none (the row implementations, the
-    reference the kernels are pinned against).  ``tests/gates.py`` is the
-    same pin as a context manager.
+    production offers only batches whose rows at stake reach
+    ``stats.KERNEL_MIN_ROWS``; ``kernel_gate(None)`` offers none (the row
+    implementations, the reference the kernels are pinned against).
+    ``tests/gates.py`` is the same pin as a context manager.
     """
-    import repro.engine.kernels as kernels
+    import repro.engine.stats as stats
     from gates import GATES
 
     def pin(min_rows: "int | None") -> None:
         for name in GATES:
-            monkeypatch.setattr(kernels, name,
+            monkeypatch.setattr(stats, name,
                                 sys.maxsize if min_rows is None else min_rows)
 
     return pin

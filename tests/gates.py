@@ -1,17 +1,17 @@
-"""The columnar program's kernel gates, pinned for a test.
+"""The kernels' crossover, pinned for a test.
 
-Production offers a batch to the numpy kernels from
-``kernels.KERNEL_MIN_ROWS`` rows up, and the probe of a relation's cached
-build structure from ``kernels.CACHED_PROBE_MIN_ROWS`` rows at stake.  Both
-are read from the live batch on every call of a compiled program, so
-pinning them reaches programs compiled before.  The differential tests pin
-both at once: ``0`` offers every batch to the kernels (the only way
+Production offers a batch to the numpy kernels where its rows at stake
+reach ``stats.KERNEL_MIN_ROWS`` (:func:`repro.engine.stats.reaches_kernels`):
+a selection's, group-by's or DISTINCT's batch, a probe's priced rows
+(:func:`repro.engine.stats.probe_at_stake`).  The price is read on every
+call of a compiled program, so pinning the crossover reaches programs
+compiled before.  ``0`` offers every batch to the kernels (the only way
 few-row relations reach them), ``None`` offers none (the row
 implementations, the reference the kernels are pinned against: the
 columnar program runs every operator's row function).
 
-The same gate picks the program: the ``"vectorized"`` backend runs a plan
-whose every input holds fewer than ``KERNEL_MIN_ROWS`` rows — every few-row
+The same price picks the program: the ``"vectorized"`` backend runs a
+plan none of whose operators has that many rows at stake — every few-row
 test instance — as its row program.  A test of the columnar program
 itself calls it through :data:`COLUMNAR`, past that decision, and a
 service leg built by :func:`service_on` serves its queries and refreshes
@@ -27,12 +27,13 @@ import contextlib
 import sys
 from unittest import mock
 
-import repro.engine.kernels as kernels
+import repro.engine.stats as stats
 from repro.data.sharded import ShardedDatabase
 from repro.engine.sharded import ShardedBackend
 from repro.engine.vectorized import compile_batches
 
-GATES = ("KERNEL_MIN_ROWS", "CACHED_PROBE_MIN_ROWS")
+#: The one crossover every physical choice prices against.
+GATES = ("KERNEL_MIN_ROWS",)
 
 
 @contextlib.contextmanager
@@ -40,7 +41,7 @@ def pinned_gates(min_rows: "int | None"):
     value = sys.maxsize if min_rows is None else min_rows
     with contextlib.ExitStack() as stack:
         for name in GATES:
-            stack.enter_context(mock.patch.object(kernels, name, value))
+            stack.enter_context(mock.patch.object(stats, name, value))
         yield
 
 

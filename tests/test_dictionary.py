@@ -29,7 +29,8 @@ from repro.data.relation import (
 from repro.engine.kernels import kernels_enabled
 from repro.engine.plan import AggregateP, DistinctP, FilterP, JoinP, ScanP
 from repro.engine.sharded import ShardedBackend
-from repro.engine.stats import StatsCatalog, collect_table_stats
+from repro.engine.stats import (EMITTED_ROW_COST, KERNEL_MIN_ROWS,
+                                 StatsCatalog, collect_table_stats)
 from repro.engine.vectorized import compile_batches
 from repro.expr import ast as e
 
@@ -412,12 +413,14 @@ class TestKernelGate:
 
     def test_loops_below_the_gate_kernels_from_it_up(self, engaged,
                                                      kernel_gate):
-        """Each hook at its own gate: the row implementation one row below it, the
-        kernel from it.  A probe of a relation's cached structure crosses
-        lower than the rest, so between the two gates only it engages."""
-        gates = dict.fromkeys(self.KERNELS, kernels.KERNEL_MIN_ROWS)
-        gates["kernel_probe"] = kernels.CACHED_PROBE_MIN_ROWS
-        assert gates["kernel_probe"] < kernels.KERNEL_MIN_ROWS
+        """Each hook where its rows at stake reach the crossover: the row
+        implementation one row below, the kernel from there.  A selection,
+        group-by or DISTINCT has its batch's rows at stake; the probe of
+        ``u``, which holds its 1:1 key index, the n rows it emits at
+        ``EMITTED_ROW_COST`` each, so it engages from a quarter of the
+        batch size."""
+        gates = dict.fromkeys(self.KERNELS, KERNEL_MIN_ROWS)
+        gates["kernel_probe"] = KERNEL_MIN_ROWS // EMITTED_ROW_COST
         rows, taken = {}, {}
         for n in sorted({m for gate in gates.values()
                          for m in (gate - 1, gate)}):
@@ -430,7 +433,7 @@ class TestKernelGate:
             # One more row changes one group and nothing else.
             assert [len(r) for r in rows[gate]] \
                 == [len(r) for r in rows[gate - 1]]
-        assert taken[kernels.KERNEL_MIN_ROWS] == set(self.KERNELS)
+        assert taken[KERNEL_MIN_ROWS] == set(self.KERNELS)
         # Same plans, same data, gates out of reach: the reference rows.
         del engaged[:]
         kernel_gate(None)
@@ -441,7 +444,7 @@ class TestKernelGate:
     @pytest.mark.parametrize("column", ["k", "s", "f", "full"])
     def test_is_null_kernel_selects_what_the_row_predicate_selects(
             self, engaged, kernel_gate, column):
-        n = kernels.KERNEL_MIN_ROWS
+        n = KERNEL_MIN_ROWS
         db = Database([relation_from_rows(
             "t", [("k", "int"), ("s", "string"), ("f", "float"),
                   ("full", "int")],
@@ -463,7 +466,7 @@ class TestKernelGate:
             for start in (0, 100)]
 
     def test_each_operator_is_gated_on_its_own_batch(self, engaged):
-        n = kernels.KERNEL_MIN_ROWS
+        n = KERNEL_MIN_ROWS
         live = self._db(n)
         # A frozen snapshot holding no index is scanned, not looked up.
         db = Database([live.relation("t").copy().freeze()])
@@ -484,7 +487,7 @@ class TestKernelGate:
         never probed on that key — either path would index every row for
         this probe, so the build rows count and the kernel takes it,
         leaving no index on the relation."""
-        n = kernels.KERNEL_MIN_ROWS
+        n = KERNEL_MIN_ROWS
         small = relation_from_rows("p", [("pk", "int")],
                                    [(i,) for i in range(0, n, 64)])
         plan = JoinP(ScanP("p", ("pk",)), ScanP("u", ("uk", "w")),
@@ -890,7 +893,7 @@ def _wide_db(n=None):
     more: ``neg`` negative and sparse (offset codes, two radix digits),
     ``far`` spanning more than 2**32 (ranked by a comparison sort), ``f``
     float, ``s`` string; ``v`` / ``w`` int and string with NULLs."""
-    n = n or kernels.KERNEL_MIN_ROWS + 500
+    n = n or KERNEL_MIN_ROWS + 500
     rows = [((i * 7 % 37 - 18) * 100003, (i % 5 - 2) * 2**33, (i % 11) / 4,
              f"s{i % 13}", None if i % 9 == 0 else i % 101 - 50,
              None if i % 6 == 0 else f"w{i % 17}", i % 3)
@@ -1202,7 +1205,7 @@ class TestProbeFanOut:
 
     @staticmethod
     def _db(fanout):
-        n = kernels.KERNEL_MIN_ROWS * 2
+        n = KERNEL_MIN_ROWS * 2
         keys = n // fanout
         big = relation_from_rows("big", [("k", "int"), ("x", "int")],
                                  [(i % keys, i) for i in range(n)])
@@ -1218,14 +1221,14 @@ class TestProbeFanOut:
         return _path_delta(lambda: program(db).rows())
 
     def test_fan_out_comes_from_the_maintained_key_index(self):
-        db = self._db(fanout=kernels.KERNEL_MIN_ROWS // 50)
+        db = self._db(fanout=KERNEL_MIN_ROWS // 50)
         big = db.relation("big")
         # The relation holds its key index (an equality lookup built it)
         # and no kernel structure: the 100 probe rows emit ~4k, read off
         # the index, so the kernel takes them.
         big.key_index((0,))
         first, bumped = self._run(db)
-        assert len(first) >= kernels.KERNEL_MIN_ROWS
+        assert len(first) >= KERNEL_MIN_ROWS
         assert bumped["probe_kernel"] == 1 and "probe_loop" not in bumped
         # The index is maintained write by write, so it is still held (and
         # no table profile is consulted) after one.
@@ -1237,7 +1240,7 @@ class TestProbeFanOut:
         assert Counter(second) == Counter(first + [(3, 3, -1)])
 
     def test_fan_out_comes_from_the_cached_structure(self):
-        db = self._db(fanout=kernels.KERNEL_MIN_ROWS // 50)
+        db = self._db(fanout=KERNEL_MIN_ROWS // 50)
         big = db.relation("big")
         wide_probe = JoinP(ScanP("big", ("k2", "x2")), ScanP("big", ("k", "x")),
                            "inner", ("x2",), ("x",), None, False)
@@ -1250,30 +1253,39 @@ class TestProbeFanOut:
                        "inner", ("pk",), ("x",), None, False)
         program = compile_batches(narrow)
         _rows, bumped = _path_delta(lambda: program(db).rows())
-        # x is unique: its cached structure says 100 rows emit 100.
-        assert bumped == {"probe_loop": 1}
+        # x is unique, so 100 rows emit 100, but the row join would index
+        # every row of ``big`` for them: the kernel reads the structure
+        # ``big`` keeps on x, and no second one — a key index the relation
+        # would maintain on every write — is built.
+        assert big.held_key_index((1,)) is None
+        assert bumped["probe_kernel"] == 1 and "probe_loop" not in bumped
+
+    def test_the_backend_prices_the_probe_as_the_kernel_does(self):
+        """The ``"vectorized"`` backend picks its program from the same
+        price: 100 rows probing ``big``'s unique ``x``, which holds no
+        index, have ``big``'s rows at stake, so the plan runs columnar
+        and the kernel probes, rather than the row program building an
+        index ``big`` would maintain on every write."""
+        from repro.engine import execute_plan
+
+        db = self._db(fanout=KERNEL_MIN_ROWS // 50)
+        plan = JoinP(ScanP("small", ("pk",)), ScanP("big", ("k", "x")),
+                     "inner", ("pk",), ("x",), None, False)
+        rows, bumped = _path_delta(
+            lambda: execute_plan(plan, db, backend="vectorized").rows())
+        assert len(rows) == 100
+        assert bumped["plan_columnar"] == 1 and bumped["probe_kernel"] == 1
+        assert db.relation("big").held_key_index((1,)) is None
 
     def test_a_probe_that_emits_less_than_the_gate_stays_in_the_loop(self):
+        """Where the relation holds its key index the row join indexes
+        nothing: 100 rows that emit 200 stay in the loop."""
         db = self._db(fanout=2)
         first, _bumped = self._run(db)
         assert len(first) == 200
-        second, bumped = self._run(db)      # the structure is held now
+        db.relation("big").key_index((0,))  # as an equality lookup builds it
+        second, bumped = self._run(db)
         assert bumped == {"probe_loop": 1} and second == first
-
-    def test_small_relations_are_rejected_before_any_lookup(self):
-        """10 probe rows x 50 relation rows cannot reach the cached-probe
-        gate, whatever the relation holds."""
-        n = kernels.CACHED_PROBE_MIN_ROWS // 10 - 1
-        small = relation_from_rows("small", [("pk", "int")],
-                                   [(i,) for i in range(10)])
-        big = mock.Mock(wraps=relation_from_rows(
-            "big", [("k", "int")], [(i % 5,) for i in range(n)]))
-        big.__len__ = lambda self: n
-        batch = compile_batches(ScanP("small", ("pk",)))(Database([small]))
-        build = kernels.RelationBuild(batch, [0], True, big)
-        assert build.rows_at_stake(10) < kernels.CACHED_PROBE_MIN_ROWS
-        big.held_key_index.assert_not_called()
-        big.column_store.assert_not_called()
 
 
 # ---------------------------------------------------------------------------

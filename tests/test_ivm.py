@@ -78,6 +78,11 @@ CHAIN4_SQL = (
     "Reserves R2 WHERE S.sid = R.sid AND R.bid = B.bid AND R2.sid = S.sid "
     "AND R2.bid = B.bid AND B.color = 'red' AND S.rating > 8 "
     "AND S.age > 20.5")
+#: E4's aggregation view.
+E4_AGG_SQL = (
+    "SELECT S.rating, COUNT(*) AS n, AVG(S.age) AS avg_age, "
+    "MAX(S.age) AS oldest FROM Sailors S, Reserves R WHERE S.sid = R.sid "
+    "GROUP BY S.rating")
 #: The catalog's three-relation query (Sailors, Reserves, Boats) in TRC,
 #: which lowers through the DRC body compiler.
 TRC_Q2 = next(q.trc for q in CANONICAL_QUERIES if q.id == "Q2")
@@ -319,6 +324,66 @@ class TestAsofLookup:
         # The view's one part recomputes itself (``DeltaUnavailable``).
         assert view.shard_rebuilds == 1
         assert answer.bag_equal(fresh_answers(service.db, JOIN_CHAIN_SQL))
+
+
+class TestDeltaProbes:
+    """E4's aggregation view, on the row executor and the columnar one:
+    the delta window is built on every refresh and ``Sailors`` is kept, so
+    the price seats the delta on the probe side.  A refresh then probes
+    ``Sailors``' kept structure with the written rows, lowers no build
+    side, and probes as many rows whatever ``Sailors`` holds."""
+
+    LEGS = ("row", "vectorized")
+
+    @pytest.fixture()
+    def probed(self, monkeypatch):
+        """The rows each join probe read, in order, on either path."""
+        from repro.engine import execute, kernels, vectorized
+
+        sizes: list[int] = []
+        real_join, real_probe = execute.join_rows, kernels.kernel_probe
+
+        def row_join(plan, left_rows, *args):
+            sizes.append(len(left_rows))
+            return real_join(plan, left_rows, *args)
+
+        def kernel_probe(batch, *args):
+            sizes.append(batch.length)
+            return real_probe(batch, *args)
+
+        monkeypatch.setattr(execute, "join_rows", row_join)
+        monkeypatch.setattr(vectorized, "join_rows", row_join)
+        monkeypatch.setattr(kernels, "kernel_probe", kernel_probe)
+        return sizes
+
+    @pytest.mark.parametrize("leg", LEGS)
+    def test_rows_probed_stay_flat_as_sailors_grows(self, leg, probed):
+        per_size = []
+        for n_sailors in (600, 2400):
+            db = random_sailors_database(n_sailors=n_sailors, n_boats=30,
+                                         n_reserves=5 * n_sailors, seed=4)
+            plan = optimize(lower(E4_AGG_SQL, db.schema, "sql"), db)
+            terms = dict(build_maintainer(plan, db).source.terms)
+            join = next(n for n in terms["reserves"].walk()
+                        if isinstance(n, JoinP))
+            assert isinstance(join.left, DeltaScanP) \
+                and join.left.mode == "delta"
+            service = service_on(db, leg)
+            view = service.register_view(E4_AGG_SQL)
+            view.answer()
+            for i in range(4):
+                service.add_rows("Reserves", [
+                    ((i * 10 + j) % n_sailors + 1, 101 + j % 30,
+                     f"2031-03-{j + 1:02d}") for j in range(10)])
+                before = path_counts()
+                del probed[:]
+                answer = view.answer()
+                if i:  # the first refresh may lower Sailors' structure
+                    assert path_counts()["build_lowered"] \
+                        == before["build_lowered"]
+                    per_size.append(tuple(probed))
+            assert answer.bag_equal(fresh_answers(service.db, E4_AGG_SQL))
+        assert set(per_size) == {(10,)}
 
 
 class TestDeltaTerms:

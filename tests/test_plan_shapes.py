@@ -25,6 +25,7 @@ from repro.data import Database
 from repro.data.relation import relation_from_rows
 from repro.data.sailors import random_sailors_database, sailors_database
 from repro.engine import (
+    DeltaScanP,
     FixpointP,
     JoinP,
     SetOpP,
@@ -841,3 +842,87 @@ def test_spellings_optimize_to_one_skeleton(skeleton_instances, instance,
     for language, skeleton in skeletons.items():
         groups.setdefault(skeleton, []).append(language)
     assert len(groups) == 1, f"{query.id}: {list(groups.values())}"
+
+
+# ---------------------------------------------------------------------------
+# One price seats every build: the side built on every execution probes
+# ---------------------------------------------------------------------------
+
+#: E4's five-way join-chain view (copied, like the analytic templates).
+E4_JOIN_CHAIN = (
+    "SELECT DISTINCT S.sname FROM Sailors S, Boats B, Reserves R0, "
+    "Reserves R1, Reserves R2 WHERE B.color = 'red' "
+    "AND S.sid = R0.sid AND R0.bid = B.bid "
+    "AND S.sid = R1.sid AND R1.bid = B.bid "
+    "AND S.sid = R2.sid AND R2.bid = B.bid")
+
+
+def _first_join(plan):
+    return next(node for node in plan.walk() if isinstance(node, JoinP))
+
+
+class TestBuildSeats:
+    """:meth:`~repro.engine.stats.StatsCatalog.build_price` seats a join's
+    cheaper build on the right: a relation's kept structure costs an
+    execution nothing, a build made on every execution its rows."""
+
+    def test_a_star_join_builds_the_dimension(self):
+        """K1's ``fact ⋈ dim``: both kept, a tie, so the lone join keeps
+        its written order and ``dim`` stays the build that a write to it
+        extends.  Filtered, ``dim`` is built on every execution, so it
+        probes ``fact``'s kept structure instead."""
+        dim = relation_from_rows("dim", [("k", "int"), ("r", "int")],
+                                 [(i, i % 7) for i in range(100)])
+        fact = relation_from_rows("fact", [("fk", "int")],
+                                  [(i % 100,) for i in range(400)])
+        db = Database([dim, fact])
+        for text, build in (
+                ("SELECT d.k FROM fact f, dim d WHERE f.fk = d.k", "dim"),
+                ("SELECT d.k FROM fact f, dim d WHERE f.fk = d.k "
+                 "AND d.r < 2", "fact")):
+            join = _first_join(optimize(lower(text, db.schema, "sql"), db))
+            assert join.right.relation == build, text
+
+    def test_a_delta_window_probes_the_asof_relation(self):
+        """E4's aggregation term, ``asof(Sailors) ⋈ Δ(Reserves)``: the
+        delta window is built on every refresh and ``Sailors`` is kept,
+        so the delta is the probe side, whichever way it is written."""
+        db = random_sailors_database(n_sailors=240, n_boats=30,
+                                     n_reserves=2400, seed=4)
+        sailors = DeltaScanP("Sailors", ("S.sid", "S.sname", "S.rating",
+                                         "S.age"), 1, "asof")
+        delta = DeltaScanP("Reserves", ("R.sid", "R.bid", "R.day"), 1,
+                           "delta")
+        for left, right in ((sailors, delta), (delta, sailors)):
+            written = JoinP(left, right, "inner",
+                            ("S.sid" if left is sailors else "R.sid",),
+                            ("R.sid" if left is sailors else "S.sid",))
+            join = _first_join(optimize(written, db))
+            assert (join.left, join.right) == (delta, sailors)
+
+    def test_join_chain_refreshes_run_on_rows(self):
+        """E4's join-chain terms probe with the written rows at every
+        join: no operator has the kernels' rows at stake, so the
+        ``"vectorized"`` backend refreshes the view on the row program,
+        which reads each kept build through its key index and copies no
+        window."""
+        from repro.engine.kernels import path_counts
+
+        db = random_sailors_database(n_sailors=480, n_boats=30,
+                                     n_reserves=4800, seed=4)
+        service = QueryService(db)
+        view = service.register_view(E4_JOIN_CHAIN)
+        view.answer()
+        before = path_counts()
+        for i in range(3):
+            service.add_rows("Reserves", [
+                ((i * 7 + j) % 480 + 1, (i * 3 + j) % 30 + 101,
+                 f"2031-04-{j + 1:02d}") for j in range(10)])
+            answer = view.answer()
+        after = path_counts()
+        assert (after["plan_rows"] - before["plan_rows"],
+                after["plan_columnar"] - before["plan_columnar"]) == (3, 0)
+        # A from-scratch recompute: the interpreters would materialize a
+        # five-way product.
+        assert answer.bag_equal(
+            QueryVisualizationPipeline(db).answer(E4_JOIN_CHAIN))

@@ -809,7 +809,7 @@ class TestConcurrencyHammer:
         run the numpy kernels while the writer grows the columns under
         them, so length-tagged encodings, cached build structures and
         table profiles are rebuilt mid-storm instead of sitting unused."""
-        from repro.engine.kernels import KERNEL_MIN_ROWS
+        from repro.engine.stats import KERNEL_MIN_ROWS
 
         service = QueryService(
             random_sailors_database(n_sailors=KERNEL_MIN_ROWS + 50, n_boats=8,

@@ -39,7 +39,7 @@ from repro.engine import (
 )
 from repro.engine import kernels
 from repro.engine.kernels import kernels_enabled
-from repro.engine.stats import DELTA_ESTIMATE
+from repro.engine.stats import DELTA_ESTIMATE, KERNEL_MIN_ROWS
 from repro.expr import ast as e
 from repro.expr.eval import ExprError
 from repro.queries import CANONICAL_QUERIES, LANGUAGES
@@ -515,9 +515,10 @@ class TestAnalyticShapesStayNumpy:
         return rows, {key: after[key] - before[key] for key in after}
 
     def test_counts_per_template(self, analytic_db, monkeypatch):
-        """Every probe takes the kernel — ``chain4``'s last one has ~1.8k
-        rows at stake, under ``KERNEL_MIN_ROWS`` but into a relation's
-        cached structure — and the group-bys of ``minmax`` and ``joinavg``
+        """Every probe takes the kernel — ``chain4``'s last one reads
+        ~1.8k rows, under ``KERNEL_MIN_ROWS``, but with the rows it emits
+        into a relation's cached structure has more at stake — and the
+        group-bys of ``minmax`` and ``joinavg``
         (100 and 5 groups over ~46k rows) address their domains: no sort."""
         sorts: list[int] = []
         aggregate = kernels.kernel_aggregate
@@ -589,7 +590,7 @@ class TestAnalyticShapesStayNumpy:
 
 
 # ---------------------------------------------------------------------------
-# The backend's executor choice: rows below the kernel gate
+# The backend's executor choice: rows below the kernels' crossover
 # ---------------------------------------------------------------------------
 
 def _plan_paths(run):
@@ -603,9 +604,9 @@ def _plan_paths(run):
 
 
 class TestExecutorChoice:
-    """The ``"vectorized"`` backend runs a plan whose every input holds
-    fewer than ``KERNEL_MIN_ROWS`` rows on the row executor, any other on
-    the columnar one, decided at the root on each execution."""
+    """The ``"vectorized"`` backend runs a plan none of whose operators has
+    ``KERNEL_MIN_ROWS`` rows at stake on the row executor, any other on
+    the columnar one, priced at the root on each execution."""
 
     def test_the_tutorial_catalog_runs_on_rows(self):
         from repro.core import QueryVisualizationPipeline
@@ -634,7 +635,7 @@ class TestExecutorChoice:
         from repro.core import QueryVisualizationPipeline
 
         db = random_sailors_database(n_sailors=40, n_boats=10,
-                                     n_reserves=kernels.KERNEL_MIN_ROWS - 1,
+                                     n_reserves=KERNEL_MIN_ROWS - 1,
                                      seed=5)
         pipeline = QueryVisualizationPipeline(db)
         text = ("SELECT R.bid, COUNT(*) AS n FROM Reserves R "
@@ -649,8 +650,8 @@ class TestExecutorChoice:
             if step == 0:
                 db.relation("Reserves").add((sailor, boat, "2031/01/01"))
         crossed = (0, 1) if kernels_enabled() else (1, 0)  # numpy absent
-        assert seen == [(kernels.KERNEL_MIN_ROWS - 1, 1, 0),
-                        (kernels.KERNEL_MIN_ROWS, *crossed)]
+        assert seen == [(KERNEL_MIN_ROWS - 1, 1, 0),
+                        (KERNEL_MIN_ROWS, *crossed)]
         assert pipeline.cache_info()["plan_hits"] == 1
 
     def test_kernels_off_runs_the_analytic_templates_on_rows(

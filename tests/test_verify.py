@@ -1328,6 +1328,82 @@ class TestInvariantLint:
         assert [v for v in invariants.run_checks(root)
                 if v.rule == "one-expr-rewriter"] == []
 
+    def test_gates_tuned_outside_the_price_are_flagged(self, invariants,
+                                                       fixture_repo):
+        """The five-rule tree the one price replaced: two gate constants
+        and a method-level gate in ``kernels.py``, comparisons against
+        them, one through an alias, in ``vectorized.py``, and the
+        optimizer's leaf-count guard and a literal row gate."""
+        fixture_repo("src/repro/engine/kernels.py", """\
+            KERNEL_MIN_ROWS = 2048
+            CACHED_PROBE_MIN_ROWS = 512
+
+            class RelationBuild:
+                def min_rows(self):
+                    return CACHED_PROBE_MIN_ROWS
+            """)
+        fixture_repo("src/repro/engine/optimize.py", """\
+            def reorder_joins(flat, batch):
+                if len(flat[0]) < 3:
+                    return None
+                return 2048 <= len(batch)
+            """)
+        root = fixture_repo("src/repro/engine/vectorized.py", """\
+            from repro.engine import kernels
+
+            def distinct(batch):
+                return batch.length >= kernels.KERNEL_MIN_ROWS
+
+            def runs_on_rows(plan, db):
+                gate = kernels.KERNEL_MIN_ROWS
+                return all(len(db.relation(n)) < gate
+                           for n in plan.base_relations)
+
+            def probe(side, left):
+                return side.rows_at_stake(left.length) < side.min_rows()
+            """)
+        violations = [v for v in invariants.run_checks(root)
+                      if v.rule == "one-cost-model"]
+        kernels = os.path.join("src", "repro", "engine", "kernels.py")
+        optimize = os.path.join("src", "repro", "engine", "optimize.py")
+        vectorized = os.path.join("src", "repro", "engine", "vectorized.py")
+        assert {(v.path, v.line) for v in violations} == {
+            (kernels, 1), (kernels, 2), (kernels, 5), (kernels, 6),
+            (optimize, 2), (optimize, 4),
+            (vectorized, 4), (vectorized, 7), (vectorized, 12)}
+        sized = sorted(v.message.split(" outside")[0] for v in violations
+                       if "size gate" in v.message)
+        assert sized == ["size gate 2048 <= len(batch)",
+                         "size gate batch.length >= kernels.KERNEL_MIN_ROWS",
+                         "size gate len(flat[0]) < 3"]
+        assert all("reaches_kernels" in v.message for v in violations)
+
+    def test_gates_read_through_the_price_are_clean(self, invariants,
+                                                    fixture_repo):
+        """The price module may compare sizes with its crossover, and a
+        count of none, one or two is no gate."""
+        fixture_repo("src/repro/engine/stats.py", """\
+            KERNEL_MIN_ROWS = 2048
+
+            def reaches_kernels(rows):
+                return rows >= KERNEL_MIN_ROWS
+            """)
+        root = fixture_repo("src/repro/engine/vectorized.py", """\
+            from repro.engine.stats import probe_at_stake, reaches_kernels
+
+            def distinct(batch):
+                return reaches_kernels(batch.length)
+
+            def probe(left, fan_out, indexed):
+                return reaches_kernels(probe_at_stake(left.length, fan_out,
+                                                      indexed))
+
+            def plural(parts, flat):
+                return len(parts) >= 2 and len(flat[0]) == 3
+            """)
+        assert [v for v in invariants.run_checks(root)
+                if v.rule == "one-cost-model"] == []
+
     def test_trc_formula_walked_outside_the_pattern_reader(self, invariants,
                                                           fixture_repo):
         root = fixture_repo("src/repro/diagrams/common.py", """\

@@ -58,7 +58,8 @@ Rules (see tools/README.md for how to add one):
     The engine reaches a base relation by one rule: a call to
     ``.key_index(`` or ``.held_key_index(`` under ``src/repro/engine``
     outside the access-path functions of ``engine/execute.py``
-    (``scan_lookup``, ``join_table``) and ``kernels.RelationBuild`` is a
+    (``scan_lookup``, ``join_table``), ``kernels.RelationBuild`` and the
+    price's read of what a relation holds (``stats.relation_probe``) is a
     violation, and so is a call to ``.delta_count_since(``, ``.rows_at(``
     or ``.delta_since(`` there outside ``execute.resolve_window``, the one
     function that binds a version window's anchor — an executor asks the
@@ -128,6 +129,17 @@ Rules (see tools/README.md for how to add one):
     outside the two first-order-logic drawers ``diagrams/peirce_alpha.py``
     and ``diagrams/peirce_beta.py`` — a diagram lays out ``pattern_of``'s
     pattern instead of walking the formula again.
+
+``one-cost-model``
+    Every physical choice reads one price: under ``src/repro`` outside
+    ``engine/stats.py``, a reference to a row-count gate — a name,
+    attribute, definition or import ending in ``min_rows``, any case, such
+    as ``KERNEL_MIN_ROWS`` — is a violation, and so is an ordering
+    comparison of a size (``len(...)``, a batch's ``.length``) with an
+    integer literal of three or more or an upper-case name ending in
+    ``_ROWS``.  A size is compared with the kernels' crossover by
+    ``stats.reaches_kernels``, and a probe's size is
+    ``stats.probe_at_stake``, so no module tunes a gate of its own.
 
 Usage: ``python tools/check_invariants.py [--root REPO_ROOT]``.
 Exits 0 when clean, 1 with one ``path:line: [rule] message`` per violation.
@@ -674,6 +686,7 @@ _ACCESS_PATH_SCOPES = {
         ("src/repro/engine/execute.py", "scan_lookup"),
         ("src/repro/engine/execute.py", "join_table"),
         ("src/repro/engine/kernels.py", "RelationBuild"),
+        ("src/repro/engine/stats.py", "relation_probe"),
     },
     ("delta_count_since", "rows_at", "delta_since"): {
         ("src/repro/engine/execute.py", "resolve_window"),
@@ -1077,6 +1090,76 @@ def check_one_compile(root: str) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
+# Rule: one-cost-model
+# ---------------------------------------------------------------------------
+
+#: The module that prices every physical choice: the kernels' crossover
+#: is defined there, and only there is a size compared with it.
+_PRICE_MODULE = "src/repro/engine/stats.py"
+
+
+def _named(node: ast.AST) -> str:
+    """The identifier a name, attribute, definition or import names."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return node.name
+    if isinstance(node, ast.alias):
+        return node.name
+    return ""
+
+
+def _is_size(node: ast.AST) -> bool:
+    """``len(...)`` or a batch's ``.length``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "len") \
+        or (isinstance(node, ast.Attribute) and node.attr == "length")
+
+
+def _is_gate(node: ast.AST) -> bool:
+    """An integer literal of three or more (none, one or two test
+    emptiness or plurality; a larger count is a threshold), or an
+    upper-case constant naming rows."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) is int and node.value >= 3
+    name = _named(node)
+    return name.isupper() and name.endswith("_ROWS")
+
+
+def _sized_gate(node: ast.AST) -> bool:
+    """Whether ``node`` orders a size against a gate."""
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left, *node.comparators]
+    return any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE))
+               and ((_is_size(a) and _is_gate(b))
+                    or (_is_size(b) and _is_gate(a)))
+               for op, a, b in zip(node.ops, operands, operands[1:]))
+
+
+def check_one_cost_model(root: str) -> list[Violation]:
+    violations: list[Violation] = []
+    for _path, rel_path, tree in _walk_sources(root, ("src/repro",)):
+        if rel_path.replace(os.sep, "/") == _PRICE_MODULE:
+            continue
+        for node in ast.walk(tree):
+            name = _named(node)
+            if name.lower().endswith("min_rows"):
+                what = f"row-count gate {name}"
+            elif _sized_gate(node):
+                what = f"size gate {ast.unparse(node)}"
+            else:
+                continue
+            violations.append(Violation(
+                rel_path, node.lineno, "one-cost-model",
+                f"{what} outside {_PRICE_MODULE}; price the choice with "
+                "repro.engine.stats (probe_at_stake, reaches_kernels)"))
+    return violations
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -1097,6 +1180,7 @@ ALL_RULES = (
     check_one_bind,
     check_one_expr_rewriter,
     check_one_compile,
+    check_one_cost_model,
 )
 
 
