@@ -113,6 +113,15 @@ def relation_probe(relation: Relation, idx: "tuple[int, ...]",
     return len(relation) / max(len(index), 1), 0.0
 
 
+def lookup_at_stake(relation: Relation, position: int) -> float:
+    """The rows a filter has at stake on one execution when its first
+    conjunct reads one bucket of ``relation``'s key index at ``position``
+    (:func:`repro.engine.execute.scan_lookup`): a key's rows under a held
+    index, else every row — the scan, or the build, that serves it then."""
+    fan_out, indexed = relation_probe(relation, (position,), True)
+    return max(fan_out, indexed)
+
+
 def working_predicate(relation: str) -> str:
     """The fixpoint predicate a working relation holds facts of: ``p`` for
     both ``p`` and its delta ``p@delta``."""

@@ -86,6 +86,7 @@ from repro.engine.execute import (
     join_residual,
     join_rows,
     join_table,
+    lookup_key,
     operator_fns,
     pair_residual,
     project_fns,
@@ -109,8 +110,8 @@ from repro.engine.plan import (
     SetOpP,
     SortLimitP,
 )
-from repro.engine.stats import (probe_at_stake, reaches_kernels,
-                                 relation_probe)
+from repro.engine.stats import (lookup_at_stake, probe_at_stake,
+                                 reaches_kernels, relation_probe)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +425,20 @@ def rows_at_stake(plan: Plan, db: Database,
 
 def _pricer(node: Plan, watched: bool = False) -> Callable[..., float]:
     """``node``'s live rows; raises ``most[0]`` to each probe's price and,
-    if ``watched`` (a filter's, group-by's or DISTINCT's input), to them."""
+    if ``watched`` (a filter's, group-by's or DISTINCT's input), to them.
+    A filter an index lookup serves reads one bucket: its price, and its
+    rows, are the bucket's (:func:`~repro.engine.stats.lookup_at_stake`)."""
+    key = lookup_key(node) if isinstance(node, FilterP) \
+        and _indexable(node.input) else None
+    if key is not None:
+        name, position = node.input.relation, key[0]  # type: ignore
+
+        def lookup(db, params, most):
+            rows = lookup_at_stake(db.relation(name), position)
+            if rows > most[0]:
+                most[0] = rows
+            return rows
+        return lookup
     if isinstance(node, (FilterP, AggregateP, DistinctP)):
         return _pricer(node.children()[0], True)  # its input rows, unchanged
     keyed = isinstance(node, JoinP) and bool(node.left_keys)

@@ -22,12 +22,26 @@ Layout:
   plus :class:`~repro.server.app.ServerThread` for embedding a server in
   tests and benchmarks.
 
+Connection model: each client connection is one ``asyncio.Protocol``
+(:class:`~repro.server.app._Connection`) over one receive buffer.  Its
+``data_received`` callback takes each complete request off the buffer
+(:func:`~repro.server.protocol.parse_request`) and answers a cached read
+whose JSON body is already encoded right there: the reply is written
+before the callback returns, with no task and no await.  Any other
+request becomes the connection's one task, and the connection parses
+nothing more until that reply is written, so pipelined requests are
+answered in order.  Reading pauses while the client takes no replies
+(the transport's ``pause_writing``) or while a large backlog waits
+behind a task.
+
 The event loop parses, routes, frames, and serves hits that are already
 encoded; everything that can block or encode runs off it: reads that
 ``try_hit`` declines go through ``loop.run_in_executor`` and writes through
 the worker (``tools/check_invariants.py`` enforces this statically via the
-``server-nonblocking`` rule, including that ``ServiceAPI.identify`` and
-``try_hit``, the two calls the loop makes, never wait).
+``server-nonblocking`` rule — over coroutines, the protocol's synchronous
+callbacks and the ``ServingApp`` methods they reach — including that
+``ServiceAPI.identify`` and ``try_hit``, the two calls the loop makes,
+never wait).
 """
 
 from repro.server.admission import AdmissionController

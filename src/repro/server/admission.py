@@ -15,7 +15,10 @@ the actual FIFO wait.  :meth:`AdmissionController.slot` is the whole API:
         ... run the handler ...
 
 raising :class:`~repro.core.service_api.OverloadedError` instead of
-entering when the server is saturated.
+entering when the server is saturated.  A request the loop answers
+without yielding — a cached read framed in ``data_received`` — never
+holds a slot another request could see; when one is free it is counted
+with :meth:`AdmissionController.admit_now` instead.
 """
 
 from __future__ import annotations
@@ -76,6 +79,16 @@ class AdmissionController:
         finally:
             self.active -= 1
             self._semaphore.release()
+
+    def has_free_slot(self) -> bool:
+        """Whether a request admitted now would run without waiting."""
+        return self.active < self.max_concurrent
+
+    def admit_now(self) -> None:
+        """Count one request answered inside a free slot without yielding:
+        it holds the slot for no time any other request can observe."""
+        self.admitted += 1
+        self.peak_active = max(self.peak_active, self.active + 1)
 
     def snapshot(self) -> dict[str, int]:
         """Flat counters for the metrics endpoint."""

@@ -21,26 +21,46 @@ and process-backend deployments.  Endpoints:
 ``/health``       GET     liveness probe (never sheds)
 ================  ======  ====================================================
 
+Connections: one :class:`_Connection` (an ``asyncio.Protocol``) per
+client.  ``data_received`` appends to the connection's buffer and takes
+each complete request off it (:func:`~repro.server.protocol.parse_request`);
+:meth:`ServingApp._answer` either frames the reply at once — it is written
+before ``data_received`` returns — or returns the coroutine that answers
+it, which runs as the connection's one task.  The connection parses
+nothing more until that reply is written, so replies go out in request
+order; reading pauses while the transport has called ``pause_writing`` or
+while more than :data:`_PAUSE_BYTES` wait behind a task.  A request that
+cannot be framed is answered 400 and the connection half-closed
+(``write_eof``), its further input discarded.
+
 Threading discipline — the rule ``tools/check_invariants.py`` enforces
 statically: the event loop parses, routes, frames, and serves hits that
 are already encoded; everything that can block or encode runs off-loop.
+On the loop run the coroutines and the synchronous protocol callbacks
+(``connection_made``, ``data_received``, ``eof_received``,
+``pause_writing``, ``resume_writing``, ``connection_lost``) with the
+``ServingApp`` methods they call (:meth:`ServingApp._answer`,
+:meth:`ServingApp._identify`, :meth:`ServingApp._route`, …).
 A read is identified once — :meth:`~repro.core.service_api.ServiceAPI.identify`
 resolves its language and fingerprints its text, pure computation — and the
 handle that returns is first asked ``try_hit()``.  These are the service
 calls allowed on the loop: ``try_hit`` never waits, never executes, and
 answers only from a current result-cache entry or a fresh view.  A hit
-whose JSON body is memoized on its envelope is framed right there
-(``inline_hits``); a hit not encoded yet is encoded once in the executor
-and kept with its cache entry (``inline_busy``); on ``None`` the handle's
-``query()`` goes through ``loop.run_in_executor`` (:meth:`ServingApp._call`)
-— execution *and* encoding, nothing identified twice — as every read used
-to (``inline_declined``).  Writes go through the
+whose JSON body is memoized on its envelope is framed inside
+``data_received`` when an admission slot is free (``inline_hits``); a hit
+not encoded yet is encoded once in the executor and kept with its cache
+entry (``inline_busy``); on ``None`` the handle's ``query()`` goes through
+``loop.run_in_executor`` (:meth:`ServingApp._call`) — execution *and*
+encoding, nothing identified twice — as every read used to
+(``inline_declined``).  Writes go through the
 :class:`~repro.server.worker.WriteWorker`.  App state (the prepared-handle
 registry, the ``inline_*`` counters) is touched only on the loop.
 
 Overload: ``POST`` traffic passes the
 :class:`~repro.server.admission.AdmissionController`; a saturated server
 answers 503 with a ``Retry-After`` header instead of queuing unboundedly.
+A hit framed inside ``data_received`` takes a free slot for no time and
+is counted as admitted (:meth:`~repro.server.admission.AdmissionController.admit_now`).
 ``GET /metrics`` and ``GET /health`` bypass admission so operators can see
 *into* an overloaded server.
 """
@@ -53,7 +73,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import Any, Awaitable, Callable
+from typing import Any, Awaitable, Callable, Coroutine
 
 from repro.core.service_api import (
     QueryResult,
@@ -93,6 +113,12 @@ MAX_PREPARED_HANDLES = 1024
 #: minor fault per request).  Requests here are a few hundred bytes.
 READ_CHUNK = 64 * 1024
 
+#: Bytes a connection buffers behind the request it is answering before it
+#: stops reading: where ``asyncio.StreamReader`` pauses (twice its default
+#: 64 KiB limit).  A request still arriving is read whole whatever its size
+#: (its body is bounded by ``protocol.MAX_BODY_BYTES``).
+_PAUSE_BYTES = 2 * 64 * 1024
+
 
 class ServingApp:
     """Route + serve HTTP requests against one :class:`ServiceAPI`."""
@@ -108,7 +134,7 @@ class ServingApp:
             retry_after=retry_after)
         self.worker = WriteWorker(service, flush_interval=flush_interval)
         self._handles = LRUCache(MAX_PREPARED_HANDLES)
-        self._connections: "set[asyncio.Task[None]]" = set()
+        self._connections: "set[_Connection]" = set()
         self._server: "asyncio.Server | None" = None
         #: The thread blocking calls run on while it is free (:meth:`_call`);
         #: loop-only state, like the counters below.
@@ -129,9 +155,9 @@ class ServingApp:
         #: ``None`` stands for one free path segment, passed to the handler.
         self._routes: dict[tuple["str | None", ...],
                            dict[str, tuple[_Handler, bool]]] = {
-            ("query",): {"POST": (self._handle_query, True)},
+            ("query",): {"POST": (self._handle_read, True)},
             ("prepare",): {"POST": (self._handle_prepare, True)},
-            ("execute", None): {"POST": (self._handle_execute, True)},
+            ("execute", None): {"POST": (self._handle_read, True)},
             ("write",): {"POST": (self._handle_write, True)},
             ("views",): {"POST": (self._handle_register_view, True),
                          "GET": (self._handle_list_views, False)},
@@ -148,8 +174,8 @@ class ServingApp:
         """Bind + start serving; returns the (possibly ephemeral) port."""
         self.worker.start()
         self._lead = ThreadPoolExecutor(1, thread_name_prefix="repro-lead")
-        self._server = await asyncio.start_server(
-            self._on_connection, host, port)
+        self._server = await asyncio.get_running_loop().create_server(
+            partial(_Connection, self), host, port)
         self.port = self._server.sockets[0].getsockname()[1]
         gc.callbacks.append(self._on_gc)
         return self.port
@@ -168,17 +194,20 @@ class ServingApp:
         """Stop accepting, drain the write worker, release the socket."""
         if self._on_gc in gc.callbacks:
             gc.callbacks.remove(self._on_gc)
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # Idle keep-alive connections sit parked in read_request forever;
-        # cancel them so no connection task outlives the loop.
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        # Idle keep-alive connections would stay open forever: close every
+        # one and cancel what it is answering, so nothing outlives the loop.
+        connections = list(self._connections)
+        tasks = [c.task for c in connections if c.task is not None]
+        for connection in connections:
+            connection.abort()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        await asyncio.sleep(0)  # let the transports report connection_lost
         self._connections.clear()
+        if server is not None:
+            await server.wait_closed()
         await self.worker.close()
         if self._lead is not None:
             # Wait for a call still running there without blocking the loop.
@@ -186,51 +215,43 @@ class ServingApp:
             await asyncio.get_running_loop().run_in_executor(
                 None, lead.shutdown)
 
-    # -- connection handling ------------------------------------------------
+    # -- request handling ---------------------------------------------------
 
-    async def _on_connection(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-        # The selector transport reads its ``max_size`` on every recv.
-        writer.transport.max_size = READ_CHUNK
-        try:
-            while True:
-                try:
-                    request = await protocol.read_request(reader)
-                except ServiceError as error:
-                    # Framing is unreliable after a malformed request:
-                    # answer and close.
-                    writer.write(protocol.render_response(
-                        error.http_status, protocol.error_payload(error),
-                        keep_alive=False))
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                response = await self._respond(request)
-                writer.write(response)
-                await writer.drain()
-                if not request.keep_alive:
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # client went away mid-exchange: nothing left to tell it
-        except asyncio.CancelledError:
-            pass  # close() cancelling an idle keep-alive connection
-        finally:
-            if task is not None:
-                self._connections.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass  # already torn down by the peer
+    def _answer(self, request: protocol.Request
+                ) -> "bytes | Coroutine[Any, Any, bytes]":
+        """The reply to one request, framed right here when the loop can,
+        else the coroutine that answers it (its connection's task).
 
-    async def _respond(self, request: protocol.Request) -> bytes:
+        Framed here: a request no route takes, and a read (``POST /query``
+        or ``/execute/{h}``) that finds a free admission slot and either
+        fails to identify or gets an encoded body from ``try_hit``
+        (``inline_hits``) — counted as admitted, holding its slot for no
+        time.  A read that finds one but must wait carries its handle and
+        ``try_hit`` answer to :meth:`_read`, so neither runs twice."""
         self.requests_served += 1
         try:
             handler, args, admit = self._route(request.method, request.path)
+        except ServiceError as error:
+            return self._error_response(error, request)
+        if handler != self._handle_read \
+                or not self.admission.has_free_slot():
+            return self._respond(request, handler, args, admit)
+        try:
+            handle = self._identify(request, *args)
+            hit: "QueryResult | None" = handle.try_hit()
+        except Exception as exc:
+            self.admission.admit_now()
+            return self._error_response(wrap_service_error(exc), request)
+        if hit is None or hit.encoded is None:
+            return self._respond(request, self._read, (handle, hit), admit)
+        self.admission.admit_now()
+        self.inline_hits += 1
+        return protocol.render_response(200, hit.encoded,
+                                        keep_alive=request.keep_alive)
+
+    async def _respond(self, request: protocol.Request, handler: _Handler,
+                       args: tuple[Any, ...], admit: bool) -> bytes:
+        try:
             if admit:
                 async with self.admission.slot():
                     payload, status = await handler(request, *args)
@@ -238,8 +259,6 @@ class ServingApp:
                 payload, status = await handler(request, *args)
             return protocol.render_response(status, payload,
                                             keep_alive=request.keep_alive)
-        except ServiceError as error:
-            return self._error_response(error, request)
         except Exception as exc:
             return self._error_response(wrap_service_error(exc), request)
 
@@ -296,12 +315,28 @@ class ServingApp:
             if lead:
                 self._lead_busy = False
 
-    async def _read(self, handle: Any) -> tuple[bytes, int]:
-        """Answer one identified read from what its ``try_hit`` returns,
+    def _identify(self, request: protocol.Request,
+                  handle_id: "str | None" = None) -> Any:
+        """The handle a read names: ``POST /query``'s text, identified —
+        pure computation — or ``POST /execute/{h}``'s prepared handle."""
+        if handle_id is None:
+            text, language = protocol.query_request(request.json())
+            return self.service.identify(text, language=language)
+        handle = self._handles.get(handle_id)
+        if handle is None:
+            raise UnknownHandleError(
+                f"no prepared query with handle {handle_id!r}; POST /prepare "
+                "first (handles do not survive a server restart, and the "
+                f"server keeps the {MAX_PREPARED_HANDLES} most recently used)",
+                detail={"handle": handle_id})
+        return handle
+
+    async def _read(self, request: protocol.Request, handle: Any,
+                    hit: "QueryResult | None") -> tuple[bytes, int]:
+        """Answer one identified read from what its ``try_hit`` returned,
         else by running its ``query`` off-loop — the handle carries what
         was resolved, so the executor side identifies nothing again —
         either way as an encoded envelope."""
-        hit: "QueryResult | None" = handle.try_hit()
         if hit is None:
             self.inline_declined += 1
             return await self._call(lambda: handle.query().encode()), 200
@@ -315,9 +350,11 @@ class ServingApp:
 
     # -- handlers -----------------------------------------------------------
 
-    async def _handle_query(self, request: protocol.Request) -> tuple[Any, int]:
-        text, language = protocol.query_request(request.json())
-        return await self._read(self.service.identify(text, language=language))
+    async def _handle_read(self, request: protocol.Request,
+                           *args: str) -> tuple[Any, int]:
+        """A read that found no free slot on arrival (:meth:`_answer`)."""
+        handle = self._identify(request, *args)
+        return await self._read(request, handle, handle.try_hit())
 
     async def _handle_prepare(self, request: protocol.Request) -> tuple[Any, int]:
         text, language = protocol.query_request(request.json())
@@ -327,17 +364,6 @@ class ServingApp:
         self._handles.put(handle_id, handle)
         return {"handle": handle_id, "language": handle.language,
                 "text": handle.text}, 200
-
-    async def _handle_execute(self, request: protocol.Request,
-                              handle_id: str) -> tuple[Any, int]:
-        handle = self._handles.get(handle_id)
-        if handle is None:
-            raise UnknownHandleError(
-                f"no prepared query with handle {handle_id!r}; POST /prepare "
-                "first (handles do not survive a server restart, and the "
-                f"server keeps the {MAX_PREPARED_HANDLES} most recently used)",
-                detail={"handle": handle_id})
-        return await self._read(handle)
 
     async def _handle_write(self, request: protocol.Request) -> tuple[Any, int]:
         relation, rows = protocol.write_request(request.json())
@@ -421,6 +447,142 @@ class ServingApp:
         info = dict(view.info())
         info["base_relations"] = list(info.get("base_relations", ()))
         return info
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: its requests are answered one at a time, in
+    the order they arrive.
+
+    ``data_received`` appends to one buffer and takes each complete request
+    off it (:func:`~repro.server.protocol.parse_request`).  A reply
+    :meth:`ServingApp._answer` frames at once is written before
+    ``data_received`` returns — no task, no await; any other request
+    becomes the connection's one task, and nothing more is parsed until
+    its reply is written.  Reading pauses while the client takes no
+    replies (``pause_writing``) and while more than :data:`_PAUSE_BYTES`
+    wait behind a task; that is the whole flow control.
+    """
+
+    transport: asyncio.Transport  # set by connection_made
+
+    def __init__(self, app: ServingApp) -> None:
+        self.app = app
+        self.buffer = bytearray()
+        #: The request being answered off the loop, if any.
+        self.task: "asyncio.Task[None] | None" = None
+        self.writable = True
+        self.eof = False
+        #: Nothing more will be answered: the connection is closing, gone,
+        #: or half-closed after a framing error and discarding its input.
+        self.done = False
+        self.lost = False
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        assert isinstance(transport, asyncio.Transport)
+        self.transport = transport
+        # The selector transport reads its ``max_size`` on every recv.
+        transport.max_size = READ_CHUNK  # type: ignore[attr-defined]
+        self.app._connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        if not self.done:
+            self.buffer += data
+            self._serve()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        if self.done:
+            return False  # nothing left to say: the transport closes
+        self._serve()
+        return True  # keep writing: a reply in flight still goes out
+
+    def connection_lost(self, exc: "Exception | None") -> None:
+        self.done = self.lost = True
+        self.buffer.clear()
+        if self.task is None:
+            self.app._connections.discard(self)
+
+    def pause_writing(self) -> None:
+        self.writable = False
+        self._flow()
+
+    def resume_writing(self) -> None:
+        self.writable = True
+        self._serve()
+
+    def abort(self) -> None:
+        """Drop the connection now (server shutdown)."""
+        self.done = True
+        if self.task is not None:
+            self.task.cancel()
+        self.transport.abort()
+
+    def _serve(self) -> None:
+        """Answer the buffered requests in order until one must wait."""
+        while self.task is None and self.writable and not self.done:
+            try:
+                request = protocol.parse_request(self.buffer)
+            except ServiceError as error:
+                self._refuse(error)
+                return
+            if request is None:
+                if self.eof:
+                    self._close()
+                break
+            reply = self.app._answer(request)
+            if isinstance(reply, bytes):
+                self._send(reply, request.keep_alive)
+            else:
+                self.task = asyncio.get_running_loop().create_task(
+                    self._finish(reply, request.keep_alive))
+        self._flow()
+
+    async def _finish(self, reply: Awaitable[bytes], keep_alive: bool) -> None:
+        try:
+            data = await reply
+        finally:
+            self.task = None
+            if self.lost:
+                self.app._connections.discard(self)
+        if not self.done:
+            self._send(data, keep_alive)
+            self._serve()
+
+    def _send(self, data: bytes, keep_alive: bool) -> None:
+        self.transport.write(data)
+        # A failed send (the client reset) leaves the transport closing.
+        if not keep_alive or self.transport.is_closing():
+            self._close()
+
+    def _close(self) -> None:
+        self.done = True
+        self.transport.close()
+
+    def _refuse(self, error: ServiceError) -> None:
+        """Answer a request that cannot be framed, then half-close.
+
+        Framing is lost, so later input is discarded until the client
+        closes; closing at once with input unread would reset the
+        connection, and the client could lose the reply."""
+        self.done = True
+        self.buffer.clear()
+        self.transport.write(protocol.render_response(
+            error.http_status, protocol.error_payload(error),
+            keep_alive=False))
+        if self.eof or not self.transport.can_write_eof():
+            self.transport.close()
+        else:
+            self.transport.write_eof()
+        self._flow()
+
+    def _flow(self) -> None:
+        transport = self.transport
+        pause = not self.done and (not self.writable or (
+            self.task is not None and len(self.buffer) > _PAUSE_BYTES))
+        if pause and transport.is_reading():
+            transport.pause_reading()
+        elif not pause and not transport.is_reading():
+            transport.resume_reading()
 
 
 class ServerThread:

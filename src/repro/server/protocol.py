@@ -4,9 +4,11 @@ The server speaks a deliberately small slice of HTTP/1.1 — enough for
 keep-alive JSON request/response traffic from any stock client
 (``curl``, ``http.client``, browsers) without a third-party framework:
 
-* requests: request line + headers + ``Content-Length``-framed body
-  (no chunked uploads, no trailers, no pipelining guarantees beyond
-  serial keep-alive);
+* requests: request line + CRLF-terminated headers +
+  ``Content-Length``-framed body (no chunked uploads, no trailers);
+  requests a client pipelines on one connection are answered one at a
+  time, each reply written before the next request is parsed, so the
+  replies come back in request order;
 * responses: ``Content-Length``-framed JSON bodies, ``Connection:
   keep-alive`` unless the client asked to close.
 
@@ -71,37 +73,47 @@ class Request:
                 f"request body is not valid JSON: {exc}") from exc
 
 
-async def read_request(reader: asyncio.StreamReader) -> "Request | None":
-    """Parse one request off the stream; ``None`` on a clean client close.
-    A head line past the reader's 64 KiB limit is a head too large."""
-    try:
-        line = await reader.readline()
-    except (ConnectionResetError, asyncio.IncompleteReadError):
+def parse_request(buffer: bytearray) -> "Request | None":
+    """Take one complete request off the front of ``buffer``; ``None``,
+    leaving ``buffer`` as it is, while it holds only part of one.
+
+    A head past :data:`MAX_HEADER_BYTES` — complete or not — is rejected
+    at once, so a client cannot make a connection buffer an unbounded
+    head; a body is bounded by its checked ``Content-Length``."""
+    framed = _head(buffer)
+    if framed is None:
         return None
-    except ValueError:
-        raise InvalidRequestError("request headers too large") from None
-    if not line:
-        return None  # client closed between requests
+    request, start, length = framed
+    stop = start + length
+    if len(buffer) < stop:
+        return None
+    if length:
+        request.body = bytes(buffer[start:stop])
+    del buffer[:stop]
+    return request
+
+
+def _head(buffer: "bytes | bytearray") -> "tuple[Request, int, int] | None":
+    """The request ``buffer``'s head frames (its body not read yet), the
+    head's length and the body's; ``None`` while the head is incomplete."""
+    end = buffer.find(b"\r\n\r\n")
+    if end < 0 and len(buffer) <= MAX_HEADER_BYTES:
+        return None
+    if end < 0 or end + 4 > MAX_HEADER_BYTES:
+        raise InvalidRequestError("request headers too large")
+    request_line, *lines = buffer[:end].decode("latin-1").split("\r\n")
     try:
-        method, path, _version = line.decode("latin-1").split(None, 2)
+        method, path, _version = request_line.split(None, 2)
     except ValueError:
         raise InvalidRequestError("malformed HTTP request line") from None
     headers: dict[str, str] = {}
-    total = len(line)
-    while True:
-        try:
-            line = await reader.readline()
-        except ValueError:
-            raise InvalidRequestError("request headers too large") from None
-        total += len(line)
-        if total > MAX_HEADER_BYTES or len(headers) > MAX_HEADERS:
-            raise InvalidRequestError("request headers too large")
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _sep, value = line.decode("latin-1").partition(":")
+    for line in lines:
+        name, _sep, value = line.partition(":")
         headers[name.strip().lower()] = value.strip()
-    body = b""
+    if len(headers) > MAX_HEADERS:
+        raise InvalidRequestError("request headers too large")
     length = headers.get("content-length")
+    n = 0
     if length is not None:
         try:
             n = int(length)
@@ -112,13 +124,26 @@ async def read_request(reader: asyncio.StreamReader) -> "Request | None":
             raise InvalidRequestError(
                 f"request body of {n} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit")
-        if n:
-            try:
-                body = await reader.readexactly(n)
-            except asyncio.IncompleteReadError:
-                return None  # client died mid-body
-    return Request(method=method.upper(), path=path, headers=headers,
-                   body=body)
+    return Request(method=method.upper(), path=path, headers=headers), \
+        end + 4, n
+
+
+async def read_request(reader: asyncio.StreamReader) -> "Request | None":
+    """Read one request off a stream, framed as :func:`parse_request`
+    frames it; ``None`` on a client close before the request is whole.
+    A head past the reader's 64 KiB limit is a head too large."""
+    try:
+        head = await reader.readuntil(b"\r\n\r\n")
+        framed = _head(head)
+        assert framed is not None  # the head is whole
+        request, _start, length = framed
+        if length:
+            request.body = await reader.readexactly(length)
+    except (ConnectionResetError, asyncio.IncompleteReadError):
+        return None
+    except asyncio.LimitOverrunError:
+        raise InvalidRequestError("request headers too large") from None
+    return request
 
 
 def render_response(status: int, payload: Any, *,
@@ -216,6 +241,7 @@ __all__ = [
     "MAX_HEADER_BYTES",
     "Request",
     "error_payload",
+    "parse_request",
     "query_request",
     "read_request",
     "render_response",

@@ -1,6 +1,6 @@
 """The HTTP serving tier: wire ≡ in-process, errors, admission, batching.
 
-Four surfaces:
+Six surfaces:
 
 * the differential gate — ``POST /query`` answers over real sockets are
   bag-equal to in-process :meth:`~repro.core.service.QueryService.answer`
@@ -16,7 +16,11 @@ Four surfaces:
   bumps than requests), and a bad row fails alone, not its batch-mates;
 * the inline hit path — a cached read is answered on the event loop from
   bytes encoded once, byte-identical to the executor path, and every way
-  an answer goes stale sends the next read back through the executor.
+  an answer goes stale sends the next read back through the executor;
+* connections — one parser with the framing limits, pipelined requests
+  answered in order, a hit written inside ``data_received`` (driven with
+  a fake transport), and clients that read nothing or go away leave
+  nothing behind.
 """
 
 from __future__ import annotations
@@ -1220,6 +1224,291 @@ class TestConcurrencyHammer:
         assert server.app._connections == set()
         for client in clients:
             client.close()
+
+
+def _post(path: str, body) -> bytes:
+    """One raw ``POST`` with a JSON body."""
+    data = json.dumps(body).encode()
+    return (f"POST {path} HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {len(data)}\r\n\r\n").encode() + data
+
+
+def _read_replies(sock: socket.socket, n: int) -> "list[tuple[int, bytes]]":
+    """``(status, body)`` of the next ``n`` replies on a raw socket."""
+    buffer, replies = b"", []
+    while len(replies) < n:
+        end = buffer.find(b"\r\n\r\n")
+        if end >= 0:
+            head = buffer[:end].decode("latin-1").lower()
+            length = int(head.split("content-length:")[1].split()[0])
+            stop = end + 4 + length
+            if len(buffer) >= stop:
+                replies.append((int(head.split()[1]), buffer[end + 4:stop]))
+                buffer = buffer[stop:]
+                continue
+        chunk = sock.recv(1 << 16)
+        assert chunk, f"connection closed after {len(replies)} replies"
+        buffer += chunk
+    return replies
+
+
+def _on_loop(server, fn):
+    """``fn()`` run on the server's event loop; its result."""
+    async def call():
+        return fn()
+    return asyncio.run_coroutine_threadsafe(call(), server._loop).result(30)
+
+
+def _wait_until(condition, what: str) -> None:
+    deadline = time.monotonic() + 30
+    while not condition():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.005)
+
+
+class TestMisbehavingClients:
+    """Pipelining, clients that read nothing, and clients that go away."""
+
+    WIDE_SQL = "SELECT R.sid, R.bid, R.day FROM Reserves R"
+    NARROW_SQL = "SELECT R.day, R.bid FROM Reserves R"
+
+    def test_a_client_that_reads_nothing_bounds_the_write_buffer(self):
+        db = random_sailors_database(n_sailors=200, n_boats=20,
+                                     n_reserves=8000, seed=3)
+        texts = (self.WIDE_SQL, self.NARROW_SQL)
+        n = 80
+        with serving(QueryService(db)) as (server, client):
+            expected = [client.request("POST", "/query", {"text": text})[2]
+                        for text in texts]
+            app = server.app
+            with socket.socket() as sock:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                sock.settimeout(60)
+                sock.connect(("127.0.0.1", server.port))
+                served = app.requests_served
+                sock.sendall(b"".join(_post("/query", {"text": texts[i % 2]})
+                                      for i in range(n)))
+                # Let the server run until it stops answering.
+                last = -1
+                while last != app.requests_served:
+                    last = app.requests_served
+                    time.sleep(0.3)
+                answered = app.requests_served - served
+                reply = len(json.dumps(expected[0]))
+                buffered = _on_loop(server, lambda: [
+                    c.transport.get_write_buffer_size()
+                    for c in app._connections if c.task is None])
+                assert answered < n // 2, "nothing held the server back"
+                assert max(buffered) <= 64 * 1024 + reply, buffered
+                replies = _read_replies(sock, n)
+        assert [status for status, _body in replies] == [200] * n
+        for i, (_status, body) in enumerate(replies):
+            assert json.loads(body) == expected[i % 2], i
+
+    def test_pipelined_requests_are_answered_in_order(self):
+        service = QueryService(sailors_database())
+        with serving(service) as (server, client):
+            for _ in range(2):                   # a miss, then its encoding
+                client.request("POST", "/query", {"text": COUNT_SQL})
+            paths = (server.app.inline_declined, server.app.inline_hits)
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=60) as sock:
+                sock.sendall(_post("/query", {"text": COUNT_SQL})
+                             + _post("/query", {"text": FALLBACK_SQL})
+                             + b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n"
+                             + _post("/query", {"text": COUNT_SQL}))
+                replies = _read_replies(sock, 4)
+        assert [status for status, _body in replies] == [200] * 4
+        bodies = [json.loads(body) for _status, body in replies]
+        assert bodies[0]["rows"] == bodies[3]["rows"] == [[10]]
+        assert bodies[1]["columns"] == ["sname"]
+        assert "requests_served" in bodies[2]
+        assert (server.app.inline_declined, server.app.inline_hits) == (
+            paths[0] + 1, paths[1] + 2)
+
+    def test_clients_that_go_away_leave_nothing_behind(self, caplog):
+        stub = _SlowStubService()
+        with caplog.at_level(logging.DEBUG, logger="asyncio"), \
+                serving(stub) as (server, _client):
+            app = server.app
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=60) as sock:
+                sock.sendall(b"POST /query HTTP/1.1\r\nContent-Length: 100"
+                             b"\r\n\r\n{\"text\": ")
+                _wait_until(lambda: app._connections, "never connected")
+            _wait_until(lambda: not app._connections, "mid-body close kept")
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=60) as sock:
+                sock.sendall(_post("/query", {"text": "slow"}))
+                _wait_until(lambda: app.admission.active == 1,
+                            "the miss never started")
+            stub.release.set()
+            _wait_until(lambda: app.admission.active == 0
+                        and not app._connections, "the miss left state")
+            pending = _on_loop(server, lambda: [
+                task for task in asyncio.all_tasks()
+                if task is not asyncio.current_task()
+                and task is not app.worker._task])
+            assert pending == []
+            assert stub.calls == 1
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+
+
+class _RecordingTransport(asyncio.Transport):
+    """A transport that keeps what is written to it: no socket."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes: list[bytes] = []
+        self.reading = True
+        self.closing = False
+
+    def write(self, data) -> None:
+        self.writes.append(bytes(data))
+
+    def is_reading(self) -> bool:
+        return self.reading
+
+    def pause_reading(self) -> None:
+        self.reading = False
+
+    def resume_reading(self) -> None:
+        self.reading = True
+
+    def is_closing(self) -> bool:
+        return self.closing
+
+    def close(self) -> None:
+        self.closing = True
+
+
+class TestConnectionProtocol:
+    """The per-connection protocol driven by hand, one callback at a time."""
+
+    def _connection(self, service):
+        connection = app_module._Connection(app_module.ServingApp(service))
+        transport = _RecordingTransport()
+        connection.connection_made(transport)
+        return connection, transport
+
+    def test_a_hit_is_written_inside_the_call_and_a_miss_is_not(self):
+        service = QueryService(sailors_database())
+        service.query(COUNT_SQL)
+        service.identify(COUNT_SQL).try_hit().encode()
+
+        async def scenario():
+            connection, transport = self._connection(service)
+            connection.data_received(_post("/query", {"text": COUNT_SQL}))
+            assert len(transport.writes) == 1
+            assert transport.writes[0].endswith(
+                service.identify(COUNT_SQL).try_hit().encoded)
+            assert connection.task is None
+            connection.data_received(_post("/query", {"text": FALLBACK_SQL}))
+            assert len(transport.writes) == 1
+            assert connection.task is not None
+            await connection.task
+            assert len(transport.writes) == 2
+            assert b'"columns": ["sname"]' in transport.writes[1]
+
+        asyncio.run(scenario())
+
+    def test_a_request_split_over_three_reads_is_parsed_once(self,
+                                                             monkeypatch):
+        from repro.server import protocol
+
+        parsed = []
+        parse = protocol.parse_request
+
+        def spy(buffer):
+            request = parse(buffer)
+            if request is not None:
+                parsed.append(request)
+            return request
+
+        monkeypatch.setattr(protocol, "parse_request", spy)
+        service = QueryService(sailors_database())
+        service.query(COUNT_SQL)
+        service.identify(COUNT_SQL).try_hit().encode()
+        raw = _post("/query", {"text": COUNT_SQL})
+        cuts = (len(raw) // 3, len(raw) - 5)  # mid-head, then mid-body
+
+        async def scenario():
+            connection, transport = self._connection(service)
+            for piece in (raw[:cuts[0]], raw[cuts[0]:cuts[1]],
+                          raw[cuts[1]:]):
+                assert transport.writes == []
+                connection.data_received(piece)
+            assert len(transport.writes) == 1
+            assert connection.buffer == bytearray()
+
+        asyncio.run(scenario())
+        assert len(parsed) == 1
+        assert parsed[0].json() == {"text": COUNT_SQL}
+
+
+class TestParseRequest:
+    """The one request parser: framing limits, partial input, pipelining."""
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"GET\r\n\r\n", "malformed HTTP request line"),
+        (b"GET / HTTP/1.1\r\n" + b"".join(
+            b"X-%d: v\r\n" % i for i in range(65)) + b"\r\n",
+         "request headers too large"),
+        (b"GET / HTTP/1.1\r\nX: " + b"a" * 16_400 + b"\r\n\r\n",
+         "request headers too large"),
+        (b"POST / HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+         "bad Content-Length 'ten'"),
+        (b"POST / HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+         "request body of -1 bytes exceeds the 16777216-byte limit"),
+        (b"POST / HTTP/1.1\r\nContent-Length: 16777217\r\n\r\n",
+         "request body of 16777217 bytes exceeds the 16777216-byte limit"),
+    ], ids=["request-line", "headers", "head-size", "length", "negative",
+            "body-size"])
+    def test_limits_and_messages(self, raw, message):
+        from repro.core.service_api import InvalidRequestError
+        from repro.server import protocol
+
+        with pytest.raises(InvalidRequestError) as caught:
+            protocol.parse_request(bytearray(raw))
+        assert str(caught.value) == message
+        with pytest.raises(InvalidRequestError) as caught:
+            asyncio.run(self._read(raw))
+        assert str(caught.value) == message
+
+    @staticmethod
+    async def _read(raw: bytes):
+        from repro.server import protocol
+
+        reader = asyncio.StreamReader()
+        reader.feed_data(raw)
+        reader.feed_eof()
+        return await protocol.read_request(reader)
+
+    def test_partial_input_is_left_and_pipelined_input_taken_in_turn(self):
+        from repro.core.service_api import InvalidRequestError
+        from repro.server import protocol
+
+        first = _post("/query", {"text": COUNT_SQL})
+        second = b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n"
+        buffer = bytearray()
+        for byte in first[:-1]:
+            buffer.append(byte)
+            assert protocol.parse_request(buffer) is None
+        assert buffer == first[:-1]
+        buffer += first[-1:] + second
+        request = protocol.parse_request(buffer)
+        assert (request.method, request.path) == ("POST", "/query")
+        assert request.json() == {"text": COUNT_SQL}
+        assert buffer == second
+        assert protocol.parse_request(buffer).path == "/metrics"
+        assert buffer == bytearray()
+        read = asyncio.run(self._read(first))
+        assert (read.method, read.body) == ("POST", request.body)
+        assert asyncio.run(self._read(first[:-1])) is None  # closed mid-body
+        # A head still arriving is refused once it passes the limit.
+        with pytest.raises(InvalidRequestError):
+            protocol.parse_request(bytearray(b"GET / HTTP/1.1\r\nX: "
+                                             + b"a" * 16_400))
 
 
 class TestOverloadedError:

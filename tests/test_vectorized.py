@@ -654,6 +654,26 @@ class TestExecutorChoice:
                         (KERNEL_MIN_ROWS, *crossed)]
         assert pipeline.cache_info()["plan_hits"] == 1
 
+    def test_a_point_lookup_is_priced_at_its_bucket(self):
+        """``R.sid = 17`` reads one bucket of the ``Reserves(sid)`` index
+        (``scan_lookup``): about 10 of 48k rows are at stake, so the row
+        executor runs it once the relation holds the index."""
+        from repro.core import QueryVisualizationPipeline
+        from repro.engine.vectorized import rows_at_stake
+
+        db = random_sailors_database(n_sailors=4800, n_boats=100,
+                                     n_reserves=48000, seed=9)
+        pipeline = QueryVisualizationPipeline(db)
+        text = "SELECT R.day FROM Reserves R WHERE R.sid = 17"
+        pipeline.answer(text)            # a live relation builds the index
+        answers, rows, columnar = _plan_paths(lambda: pipeline.answer(text))
+        assert (rows, columnar) == (1, 0)
+        assert answers.bag_equal(answer_relation(text, db))
+        reserves = db.relation("Reserves")
+        per_key = len(reserves) / len(reserves.held_key_index((0,)))
+        plan = pipeline.prepare_plan(text, "sql")
+        assert rows_at_stake(plan, db) == per_key < KERNEL_MIN_ROWS
+
     def test_kernels_off_runs_the_analytic_templates_on_rows(
             self, analytic_db, monkeypatch):
         """With the kernels off every columnar operator would run its row

@@ -763,6 +763,67 @@ class TestInvariantLint:
         assert len(violations) == 1
         assert ".add_rows()" in violations[0].message
 
+    def test_blocking_call_in_a_protocol_callback(self, invariants,
+                                                  fixture_repo):
+        # data_received is synchronous, yet it runs on the loop.
+        root = fixture_repo("src/repro/server/app.py", """\
+            import asyncio
+
+            class Connection(asyncio.Protocol):
+                def __init__(self, app):
+                    self.app = app
+
+                def data_received(self, data):
+                    return self.app.service.query(data.decode())
+            """)
+        violations = [v for v in invariants.run_checks(root)
+                      if v.rule == "server-nonblocking"]
+        assert [v.line for v in violations] == [8]
+        assert ".query()" in violations[0].message
+
+    def test_identify_and_try_hit_in_a_protocol_callback_are_clean(
+            self, invariants, fixture_repo):
+        root = fixture_repo("src/repro/server/app.py", """\
+            import asyncio
+
+            class Connection(asyncio.Protocol):
+                def __init__(self, app):
+                    self.app = app
+
+                def data_received(self, data):
+                    handle = self.app.service.identify(data.decode())
+                    return handle.try_hit() or self.app.service.try_hit(data)
+            """)
+        assert [v for v in invariants.run_checks(root)
+                if v.rule == "server-nonblocking"] == []
+
+    def test_app_methods_a_callback_reaches_run_on_the_loop(self, invariants,
+                                                           fixture_repo):
+        root = fixture_repo("src/repro/server/app.py", """\
+            import asyncio
+
+            class ServingApp:
+                def answer(self, text):
+                    return self._hit(text)
+
+                def _hit(self, text):
+                    return self.service.identify(text).try_hit()
+
+                def _slow(self, text):
+                    return self.service.query(text)
+
+                def metrics(self):                  # reached by no callback
+                    return self.service.cache_info()
+
+            class Connection(asyncio.Protocol):
+                def data_received(self, data):
+                    return self.app.answer(data) or self.app._slow(data)
+            """)
+        violations = [v for v in invariants.run_checks(root)
+                      if v.rule == "server-nonblocking"]
+        assert [v.line for v in violations] == [11]
+        assert ".query()" in violations[0].message
+
     def test_try_lock_guards_a_cache_mutation(self, invariants, fixture_repo):
         root = fixture_repo("src/repro/engine/cache.py", """\
             import threading

@@ -35,13 +35,17 @@ Rules (see tools/README.md for how to add one):
     (or should be narrowed / made to re-raise).
 
 ``server-nonblocking``
-    HTTP handlers in ``src/repro/server`` never call a ``ServiceAPI``
-    method (``query``, ``add_rows``, ``stats_snapshot``, …) directly inside
-    an ``async def`` body — every such call must be routed through
+    Code on the event loop in ``src/repro/server`` never calls a
+    ``ServiceAPI`` method (``query``, ``add_rows``, ``stats_snapshot``, …)
+    directly — every such call must be routed through
     ``loop.run_in_executor`` (reference the method, don't call it) or
     through the write worker, or the event loop stalls every connection
-    behind one query.  Synchronous closures defined inside a coroutine are
-    exempt: they are the executor-offload idiom.  The methods the loop may
+    behind one query.  On the loop means: an ``async def`` body, any method
+    of an asyncio protocol class (``data_received`` and the other
+    callbacks are synchronous but run on the loop), and every synchronous
+    ``ServingApp`` method one of those references, transitively.
+    Synchronous closures defined inside a coroutine are exempt: they are
+    the executor-offload idiom.  The methods the loop may
     call are ``identify`` and ``try_hit``, and the rule's second clause
     holds them to that: no function of either name under
     ``src/repro/core`` — nor any function there or in the cache class's
@@ -511,8 +515,17 @@ def _is_service_rooted(node: ast.AST) -> bool:
         or (isinstance(node, ast.Attribute) and node.attr == "service")
 
 
-class _AsyncBlockingCallChecker(ast.NodeVisitor):
-    """Flags direct blocking service calls in one async function's body.
+#: The asyncio protocol classes whose methods run as loop callbacks.
+_LOOP_PROTOCOL_BASES = ("Protocol", "BufferedProtocol")
+
+#: The server's application class: its synchronous methods a protocol
+#: callback reaches run on the loop too.
+_APP_CLASS = "ServingApp"
+
+
+class _LoopCallChecker(ast.NodeVisitor):
+    """Flags direct blocking service calls in the loop-side body of one
+    function, and records the attribute names that body references.
 
     Nested ``def``/``lambda`` scopes are skipped: a synchronous closure
     defined inside a coroutine is the executor-offload idiom (its body runs
@@ -523,13 +536,18 @@ class _AsyncBlockingCallChecker(ast.NodeVisitor):
     def __init__(self, rel_path: str) -> None:
         self.rel_path = rel_path
         self.violations: list[Violation] = []
+        self.attributes: set[str] = set()
 
     def _skip(self, node: ast.AST) -> None:
-        del node  # a nested scope: not this coroutine's loop-side body
+        del node  # a nested scope: not this function's loop-side body
 
     visit_FunctionDef = _skip
     visit_AsyncFunctionDef = _skip
     visit_Lambda = _skip
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        self.attributes.add(node.attr)
+        self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
@@ -543,16 +561,42 @@ class _AsyncBlockingCallChecker(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def _methods(node: ast.ClassDef) -> "list[ast.FunctionDef | ast.AsyncFunctionDef]":
+    return [item for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
 def check_server_nonblocking(root: str) -> list[Violation]:
-    violations: list[Violation] = []
+    """Every coroutine and every method of an asyncio protocol class under
+    the server package runs on the loop, and so does every synchronous
+    ``ServingApp`` method one of them references (by attribute name,
+    transitively — the safe over-approximation)."""
+    pending: list[tuple[str, ast.AST]] = []
+    app_methods: dict[str, tuple[str, ast.AST]] = {}
     for _path, rel_path, tree in _walk_sources(root, _SERVER_PACKAGE):
+        callbacks = {id(fn) for node in ast.walk(tree)
+                     if isinstance(node, ast.ClassDef) and any(
+                         _base_name(b) in _LOOP_PROTOCOL_BASES
+                         for b in node.bases)
+                     for fn in _methods(node)}
         for node in ast.walk(tree):
-            if not isinstance(node, ast.AsyncFunctionDef):
-                continue
-            checker = _AsyncBlockingCallChecker(rel_path)
-            for stmt in node.body:
-                checker.visit(stmt)
-            violations.extend(checker.violations)
+            if isinstance(node, ast.AsyncFunctionDef) or id(node) in callbacks:
+                pending.append((rel_path, node))
+            elif isinstance(node, ast.ClassDef) and node.name == _APP_CLASS:
+                app_methods.update((fn.name, (rel_path, fn))
+                                   for fn in _methods(node)
+                                   if isinstance(fn, ast.FunctionDef))
+    violations: list[Violation] = []
+    reached: set[str] = set()
+    while pending:
+        rel_path, fn = pending.pop()
+        checker = _LoopCallChecker(rel_path)
+        for stmt in fn.body:  # type: ignore[attr-defined]
+            checker.visit(stmt)
+        violations.extend(checker.violations)
+        for name in sorted(checker.attributes & app_methods.keys() - reached):
+            reached.add(name)
+            pending.append(app_methods[name])
     return violations
 
 
